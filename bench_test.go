@@ -353,15 +353,14 @@ func BenchmarkResyncVsBaselines(b *testing.B) {
 
 // BenchmarkResyncConcurrentPolls measures multi-replica synchronization
 // throughput on one master. Each iteration applies an update burst and then
-// polls every replica session concurrently. The "global-lock" variant
-// serializes polls through one shared mutex, emulating the engine-global
-// lock this engine used to have; "per-session" uses the engine as-is. The
-// custom "parallelism" metric is effective parallelism — summed in-poll
-// work time divided by wall time — which is pinned near 1.0 under the
-// global lock and exceeds 1 with per-session locking.
+// polls every replica session concurrently. The custom "parallelism" metric
+// is effective parallelism — summed in-poll work time divided by wall time —
+// which exceeds 1 because sessions lock individually. (The "global-lock"
+// variant that emulated the engine-wide mutex removed in PR 1 is gone: on
+// the 2-core host it measured 0.81 against 0.82 and so measured nothing.)
 func BenchmarkResyncConcurrentPolls(b *testing.B) {
 	const replicas = 8
-	run := func(b *testing.B, globalLock bool) {
+	b.Run("per-session", func(b *testing.B) {
 		cfg := workload.DefaultDirectoryConfig(2000)
 		cfg.PayloadBytes = 64
 		dir, err := workload.BuildDirectory(cfg)
@@ -383,7 +382,6 @@ func BenchmarkResyncConcurrentPolls(b *testing.B) {
 		}
 		upd := workload.NewUpdater(dir, workload.DefaultUpdateConfig())
 
-		var gl sync.Mutex
 		var workNanos atomic.Int64
 		var wallNanos int64
 		b.ResetTimer()
@@ -406,10 +404,6 @@ func BenchmarkResyncConcurrentPolls(b *testing.B) {
 				wg.Add(1)
 				go func(cookie string) {
 					defer wg.Done()
-					if globalLock {
-						gl.Lock()
-						defer gl.Unlock()
-					}
 					t0 := time.Now()
 					if _, err := eng.Poll(cookie); err != nil {
 						b.Error(err)
@@ -423,17 +417,18 @@ func BenchmarkResyncConcurrentPolls(b *testing.B) {
 		if wallNanos > 0 {
 			b.ReportMetric(float64(workNanos.Load())/float64(wallNanos), "parallelism")
 		}
-	}
-	b.Run("per-session", func(b *testing.B) { run(b, false) })
-	b.Run("global-lock", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // encodeFanoutBatch mirrors the wire server's streamUpdates encoding work:
 // every update becomes a search-entry PDU with an entry-change control.
 // With a shared-encoding memo the BER body is built once per content view
 // and only the envelope (message ID + per-session cookie) is rebuilt per
-// session; without one the whole message is encoded from scratch.
-func encodeFanoutBatch(b *testing.B, id int64, res *resync.PollResult) int {
+// session; without one the whole message is encoded from scratch. cookie
+// rides on the last PDU (a persist-mode push; empty for a poll-mode reload,
+// whose cookie travels on the search-done); emit, when set, receives every
+// PDU. Returns the bytes encoded.
+func encodeFanoutBatch(b *testing.B, id int64, res *resync.PollResult, cookie string, emit func([]byte)) int {
 	b.Helper()
 	total := 0
 	envelope := &proto.SearchEntry{} // supplies only the application tag
@@ -448,44 +443,113 @@ func encodeFanoutBatch(b *testing.B, id int64, res *resync.PollResult) int {
 		}
 		mkOp := func() *proto.SearchEntry {
 			if u.Entry != nil {
-				return proto.EntryToWire(u.Entry)
+				return &proto.SearchEntry{Entry: u.Entry}
 			}
-			return &proto.SearchEntry{DN: u.DN.String()}
+			return &proto.SearchEntry{Entry: entry.New(u.DN)}
 		}
-		cookie := ""
+		last := ""
 		if i == len(res.Updates)-1 {
-			cookie = res.Cookie
+			last = cookie
 		}
-		controls := []proto.Control{proto.NewEntryChangeControl(action, cookie, 0)}
-		if res.Enc != nil {
-			if cookie == "" {
-				tail, _, err := res.Enc.GetTail(i, func() ([]byte, error) {
-					body, berr := proto.EncodeOpBody(mkOp())
-					if berr != nil {
-						return nil, berr
-					}
-					return proto.EncodeMessageTail(envelope, body, controls), nil
-				})
-				if err != nil {
-					b.Fatal(err)
+		var msg []byte
+		var err error
+		switch {
+		case res.Enc == nil:
+			msg, err = (&proto.Message{ID: id, Op: mkOp(),
+				Controls: []proto.Control{proto.NewEntryChangeControl(action, last, 0)}}).Encode()
+		case last == "":
+			var tail []byte
+			tail, _, err = res.Enc.GetTail(i, func() ([]byte, error) {
+				body, berr := proto.EncodeOpBody(mkOp())
+				if berr != nil {
+					return nil, berr
 				}
-				total += len(proto.EncodeWithTail(id, tail))
-				continue
-			}
-			body, _, err := res.Enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(mkOp()) })
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += len(proto.EncodeWithOpBody(id, envelope, body, controls))
-		} else {
-			msg, err := (&proto.Message{ID: id, Op: mkOp(), Controls: controls}).Encode()
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += len(msg)
+				return proto.EncodeMessageTail(envelope, body,
+					[]proto.Control{proto.NewEntryChangeControl(action, "", 0)}), nil
+			})
+			msg = proto.EncodeWithTail(id, tail)
+		default:
+			var body []byte
+			body, _, err = res.Enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(mkOp()) })
+			msg = proto.EncodeWithOpBody(id, envelope, body,
+				[]proto.Control{proto.NewEntryChangeControl(action, last, 0)})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += len(msg)
+		if emit != nil {
+			emit(msg)
 		}
 	}
 	return total
+}
+
+// BenchmarkReloadFanout measures a master restart as the replicas see it:
+// `sessions` replicas Begin at once, the master streams each its full
+// content, each replica decodes the PDUs and applies them to its content
+// store — engine Begin, encode, decode, ApplySync, everything but the
+// socket. "shared" puts every replica on one spec, so the content group
+// materialises and encodes the content once; "distinct" gives each replica
+// a spec of its own with the same content (the filters differ in a branch
+// nothing matches, which the containment checker cannot prove equivalent),
+// so no group has two members and nothing is shared. B/op and allocs/op
+// are the bulk path's memory bill; wire_bytes/op is what it put on the
+// wire, the yardstick ROADMAP item 6 holds B/op against.
+func BenchmarkReloadFanout(b *testing.B) {
+	cfg := workload.DefaultDirectoryConfig(1000)
+	dir, err := workload.BuildDirectory(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sessions := range []int{1, 16} {
+		for _, mode := range []string{"shared", "distinct"} {
+			specs := make([]query.Query, sessions)
+			for i := range specs {
+				f := "(serialnumber=10*)"
+				if mode == "distinct" {
+					f = fmt.Sprintf("(|(serialnumber=10*)(uid=nobody%02d))", i)
+				}
+				specs[i] = query.MustNew("", query.ScopeSubtree, f)
+			}
+			b.Run(fmt.Sprintf("sessions=%d/%s", sessions, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				wire, entries := 0, 0
+				for i := 0; i < b.N; i++ {
+					eng := resync.NewEngine(dir.Master)
+					for s, spec := range specs {
+						res, err := eng.Begin(spec)
+						if err != nil {
+							b.Fatal(err)
+						}
+						rep, err := replica.NewFilterReplica(replica.WithContentIndexes(cfg.IndexAttrs...))
+						if err != nil {
+							b.Fatal(err)
+						}
+						rep.AddStored(spec, res.Cookie)
+						updates := make([]resync.Update, 0, len(res.Updates))
+						wire += encodeFanoutBatch(b, int64(s+1), res, "", func(pdu []byte) {
+							m, err := proto.Decode(pdu)
+							if err != nil {
+								b.Fatal(err)
+							}
+							e := m.Op.(*proto.SearchEntry).Entry
+							updates = append(updates, resync.Update{Action: resync.ActionAdd, DN: e.DN(), Entry: e})
+						})
+						if err := rep.ApplySync(spec, updates); err != nil {
+							b.Fatal(err)
+						}
+						entries += rep.EntryCount()
+					}
+					if groups := eng.Groups(); (mode == "shared") != (groups == 1) && sessions > 1 {
+						b.Fatalf("%s: %d content groups for %d sessions", mode, groups, sessions)
+					}
+				}
+				b.ReportMetric(float64(wire)/float64(b.N), "wire_bytes/op")
+				b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
+			})
+		}
+	}
 }
 
 // BenchmarkPersistFanout measures the master-side cost of one update cycle
@@ -541,7 +605,7 @@ func BenchmarkPersistFanout(b *testing.B) {
 							b.Fatal(err)
 						}
 						cookies[s] = res.Cookie
-						encoded += encodeFanoutBatch(b, int64(s), res)
+						encoded += encodeFanoutBatch(b, int64(s), res, res.Cookie, nil)
 					}
 				}
 				b.StopTimer()

@@ -27,6 +27,15 @@ func TestIntRoundTrip(t *testing.T) {
 	}
 }
 
+func TestIntLen(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 127, 128, -128, -129, 255, 256, 1<<31 - 1, -1 << 31, 1<<63 - 1, -1 << 63} {
+		enc := AppendInt(nil, ClassUniversal, TagInteger, v)
+		if IntLen(v) != len(enc)-2 {
+			t.Errorf("IntLen(%d) = %d, encoded content is %d bytes", v, IntLen(v), len(enc)-2)
+		}
+	}
+}
+
 func TestQuickIntRoundTrip(t *testing.T) {
 	f := func(v int64) bool {
 		enc := AppendInt(nil, ClassUniversal, TagInteger, v)
@@ -166,6 +175,13 @@ func TestLongLengths(t *testing.T) {
 		}
 		if h.Length != n || !bytes.Equal(content, payload) {
 			t.Errorf("len %d round trip failed", n)
+		}
+		if TLVLen(n) != len(enc) {
+			t.Errorf("TLVLen(%d) = %d, encoded %d", n, TLVLen(n), len(enc))
+		}
+		sh, s, next, err := StringTLV(string(enc), 0)
+		if err != nil || sh != h || s != string(payload) || next != len(enc) {
+			t.Errorf("len %d: StringTLV = %+v, %d bytes, next %d, %v", n, sh, len(s), next, err)
 		}
 	}
 }

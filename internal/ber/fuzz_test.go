@@ -8,7 +8,9 @@ import (
 // FuzzParseTLV feeds arbitrary bytes to the TLV reader. Property: Read
 // never panics, and every successfully decoded TLV re-encodes (AppendTLV)
 // to bytes that decode to the identical header and content — the
-// parse/serialize fixed point the safe re-encode path relies on.
+// parse/serialize fixed point the safe re-encode path relies on. The string
+// reader sees the same elements and errors as the byte reader, and the
+// sizes the sized encoders add up are the sizes the appenders write.
 func FuzzParseTLV(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendInt(nil, ClassUniversal, TagInteger, 123456))
@@ -23,10 +25,19 @@ func FuzzParseTLV(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
+		str, pos := string(data), 0
 		for !r.Empty() {
 			h, content, err := r.Read()
+			sh, scontent, next, serr := StringTLV(str, pos)
+			if (err == nil) != (serr == nil) || sh != h || scontent != string(content) {
+				t.Fatalf("string and byte readers disagree at %d: %+v %q %v vs %+v %q %v", pos, h, content, err, sh, scontent, serr)
+			}
+			pos = next
 			if err != nil {
 				return // malformed input must error, not panic
+			}
+			if got := len(AppendHeader(nil, h.Class, h.Constructed, h.Tag, h.Length)); got != HeaderLen(h.Length) || TLVLen(h.Length) != got+h.Length {
+				t.Fatalf("HeaderLen(%d) = %d, AppendHeader wrote %d", h.Length, HeaderLen(h.Length), got)
 			}
 			if h.Length != len(content) {
 				t.Fatalf("header length %d != content length %d", h.Length, len(content))

@@ -77,14 +77,13 @@ func (s *Store) flushLocked() {
 	s.pending = s.pending[:rest]
 	s.pendMu.Unlock()
 
-	committed := false
+	// An op can commit records and still fail (a content batch stopped by
+	// a later action), so "something committed" is read off the sequence.
+	first := s.nextCSN
 	for _, op := range batch {
 		op.csn, op.err = op.apply()
-		if op.err == nil {
-			committed = true
-		}
 	}
-	if committed {
+	if s.nextCSN != first {
 		s.trimLocked()
 		close(s.signal)
 		s.signal = make(chan struct{})

@@ -620,3 +620,133 @@ func BenchmarkSearchScanVsIndex(b *testing.B) {
 		}
 	})
 }
+
+// TestJournalAliasesFrozenStoredEntry pins the ownership contract of the
+// commit sites: the journal's After image is the stored entry itself — not a
+// second copy of it — and that object is frozen, so every mutator refuses
+// it. The caller's own entry stays mutable (the store froze a copy), except
+// on the owned path, which takes the caller's entry as it is.
+func TestJournalAliasesFrozenStoredEntry(t *testing.T) {
+	st, err := NewStore([]string{"o=xyz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := query.MustNew("", query.ScopeSubtree, "(objectclass=*)")
+	stored := func(d dn.DN) *entry.Entry {
+		t.Helper()
+		for _, e := range st.MatchAll(all) {
+			if e.DN().Equal(d) {
+				return e
+			}
+		}
+		t.Fatalf("%s not stored", d.String())
+		return nil
+	}
+	lastAfter := func() *entry.Entry {
+		t.Helper()
+		changes, ok := st.ChangesSince(st.LastCSN() - 1)
+		if !ok || len(changes) != 1 {
+			t.Fatalf("journal tail: ok=%v len=%d", ok, len(changes))
+		}
+		return changes[0].After
+	}
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a frozen entry did not panic", name)
+			}
+		}()
+		fn()
+	}
+	check := func(site string, d dn.DN) {
+		t.Helper()
+		got, after := stored(d), lastAfter()
+		if got != after {
+			t.Errorf("%s: journal After and the stored entry are different objects", site)
+		}
+		if !got.Frozen() {
+			t.Fatalf("%s: stored entry is not frozen", site)
+		}
+		mustPanic(site+": Put", func() { got.Put("mail", "x@y") })
+		mustPanic(site+": Add", func() { got.Add("mail", "x@y") })
+		mustPanic(site+": DeleteValues", func() { _ = got.DeleteValues("cn") })
+		mustPanic(site+": SetDN", func() { got.SetDN(dn.MustParse("cn=elsewhere")) })
+	}
+
+	org := entry.New(dn.MustParse("o=xyz"))
+	org.Put("objectclass", "organization").Put("o", "xyz")
+	if err := st.Add(org); err != nil {
+		t.Fatal(err)
+	}
+	check("add", org.DN())
+	org.Put("description", "the caller's entry stays the caller's") // must not panic
+
+	if err := st.Modify(org.DN(), []Mod{{Op: ModReplace, Attr: "description", Values: []string{"d"}}}); err != nil {
+		t.Fatal(err)
+	}
+	check("modify", org.DN())
+
+	kid := entry.New(dn.MustParse("cn=a,o=xyz"))
+	kid.Put("objectclass", "person").Put("cn", "a")
+	if err := st.Upsert(kid); err != nil {
+		t.Fatal(err)
+	}
+	check("upsert (new)", kid.DN())
+	kid.Put("sn", "a")
+	if err := st.Upsert(kid); err != nil {
+		t.Fatal(err)
+	}
+	check("upsert (replace)", kid.DN())
+
+	if err := st.ModifyDN(kid.DN(), dn.RDN{Attr: "cn", Value: "b"}, org.DN()); err != nil {
+		t.Fatal(err)
+	}
+	check("modifyDN", dn.MustParse("cn=b,o=xyz"))
+
+	owned := entry.New(dn.MustParse("cn=c,o=xyz"))
+	owned.Put("objectclass", "person").Put("cn", "c")
+	if err := st.ApplyOwned([]SyncOp{{Put: owned}, {Remove: dn.MustParse("cn=b,o=xyz")}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := stored(owned.DN()); got != owned {
+		t.Error("owned batch: the store copied an entry it was given to keep")
+	}
+	mustPanic("owned batch: Put on the handed-over entry", func() { owned.Put("sn", "c") })
+	if n := len(st.MatchAll(all)); n != 2 {
+		t.Errorf("owned batch: %d entries held, want 2 (o=xyz, cn=c)", n)
+	}
+}
+
+// TestApplyOwnedIsOneBatch: a content batch is one pass through the commit
+// pipeline — one change signal — with one journal record and CSN per action.
+func TestApplyOwnedIsOneBatch(t *testing.T) {
+	st, err := NewStore([]string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []SyncOp
+	for i := 0; i < 100; i++ {
+		e := entry.New(dn.MustParse(fmt.Sprintf("cn=p%03d,o=xyz", i)))
+		e.Put("objectclass", "person").Put("cn", fmt.Sprintf("p%03d", i))
+		ops = append(ops, SyncOp{Put: e})
+	}
+	ops = append(ops, SyncOp{Remove: dn.MustParse("cn=absent,o=xyz")}) // skipped, not an error
+	before := st.Counters().Snapshot()
+	if err := st.ApplyOwned(ops); err != nil {
+		t.Fatal(err)
+	}
+	after := st.Counters().Snapshot()
+	if got := after.Batches - before.Batches; got != 1 {
+		t.Errorf("commit batches = %d, want 1", got)
+	}
+	changes, ok := st.ChangesSince(0)
+	if !ok || len(changes) != 100 {
+		t.Fatalf("journal: ok=%v records=%d, want 100", ok, len(changes))
+	}
+	for i, c := range changes {
+		if c.CSN != CSN(i+1) || c.Type != ChangeAdd {
+			t.Fatalf("record %d: csn=%d type=%v", i, c.CSN, c.Type)
+		}
+	}
+}

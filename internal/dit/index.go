@@ -127,26 +127,41 @@ func (ix *attrIndex) lookupPrefix(prefix string) []string {
 	return out
 }
 
-// mergePending folds pending values into the sorted list. Called only from
-// add (writer-owned index), never from lookups.
+// mergePending folds pending values into the sorted list: the (bounded)
+// pending run is sorted and merged in, so bulk-loading n values costs
+// O(n) per merge rather than a re-sort of everything indexed so far.
+// Called only from add (writer-owned index), never from lookups.
 func (ix *attrIndex) mergePending() {
 	if len(ix.pending) == 0 {
 		return
 	}
-	ix.sorted = append(ix.sorted, ix.pending...)
-	ix.pending = ix.pending[:0]
-	sort.Strings(ix.sorted)
-	// Compact exact duplicates introduced by value reuse after deletion.
-	out := ix.sorted[:0]
-	var last string
-	for i, v := range ix.sorted {
-		if i > 0 && v == last {
-			continue
+	sort.Strings(ix.pending)
+	out := make([]string, 0, len(ix.sorted)+len(ix.pending))
+	// Exact duplicates (value reuse after deletion leaves the stale copy
+	// in sorted) are compacted as they meet.
+	push := func(v string) {
+		if len(out) == 0 || out[len(out)-1] != v {
+			out = append(out, v)
 		}
-		last = v
-		out = append(out, v)
+	}
+	i, j := 0, 0
+	for i < len(ix.sorted) && j < len(ix.pending) {
+		if ix.sorted[i] <= ix.pending[j] {
+			push(ix.sorted[i])
+			i++
+		} else {
+			push(ix.pending[j])
+			j++
+		}
+	}
+	for ; i < len(ix.sorted); i++ {
+		push(ix.sorted[i])
+	}
+	for ; j < len(ix.pending); j++ {
+		push(ix.pending[j])
 	}
 	ix.sorted = out
+	ix.pending = ix.pending[:0]
 }
 
 // indexCandidates derives a candidate DN set from the filter using the

@@ -1,6 +1,7 @@
 package dit
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -140,9 +141,18 @@ func (s *Store) addLocked(e *entry.Entry) (CSN, error) {
 			return 0, fmt.Errorf("%w: %v", ErrSchema, err)
 		}
 	}
-	cp := e.Clone()
+	cp := published(e)
 	s.insert(cp, norm)
-	return s.commitLocked(Change{Type: ChangeAdd, DN: d, After: cp.Clone()}), nil
+	return s.commitLocked(Change{Type: ChangeAdd, DN: d, After: cp}), nil
+}
+
+// published returns what the store may keep of a caller's entry: the entry
+// itself when it is already frozen (nobody can change it, so it can be
+// shared), else a frozen clone. Stored entries, the journal's Before/After
+// images and everything a read returns without cloning alias one another on
+// the strength of that bit.
+func published(e *entry.Entry) *entry.Entry {
+	return e.Select(nil).Freeze() // Select of everything: e itself when frozen, else a clone
 }
 
 // insert stores an (already validated) entry: the entry, its index terms
@@ -255,12 +265,13 @@ func (s *Store) modifyLocked(d dn.DN, mods []Mod) (CSN, error) {
 			return 0, fmt.Errorf("%w: %v", ErrSchema, err)
 		}
 	}
+	after.Freeze()
 	s.write(sh, func(st *shardState) {
 		st.unindexEntry(before, norm)
 		st.entries[norm] = after
 		st.indexEntry(after, norm)
 	})
-	return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: before, After: after.Clone(), Mods: cloneMods(mods)}), nil
+	return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: before, After: after, Mods: cloneMods(mods)}), nil
 }
 
 func cloneMods(mods []Mod) []Mod {
@@ -342,8 +353,8 @@ func (s *Store) modifyDNLocked(old dn.DN, newRDN dn.RDN, newSuperior dn.DN) (CSN
 				moved.Put(newRDN.Attr, newRDN.Value)
 			}
 		}
-		s.insert(moved, tgt.Norm())
-		last = s.commitLocked(Change{Type: ChangeModifyDN, DN: cur, NewDN: tgt, Before: e, After: moved.Clone()})
+		s.insert(moved.Freeze(), tgt.Norm())
+		last = s.commitLocked(Change{Type: ChangeModifyDN, DN: cur, NewDN: tgt, Before: e, After: moved})
 	}
 	return last, nil
 }
@@ -381,15 +392,56 @@ func (s *Store) applyLocked(c Change) (CSN, error) {
 	}
 }
 
-// Upsert inserts or replaces an entry without requiring its parent to
-// exist. Replica stores use it to apply synchronization actions: filter
-// replicas hold sparse content (selected entries without their ancestor
-// chains). The change is journaled as an add or modify.
-func (s *Store) Upsert(e *entry.Entry) error {
-	_, err := s.submit(func() (CSN, error) { return s.upsertLocked(e) })
+// SyncOp is one action of a replica-side content batch: insert or replace
+// the entry Put when it is set, else remove the entry at Remove.
+type SyncOp struct {
+	Put    *entry.Entry
+	Remove dn.DN
+}
+
+// ApplyOwned commits a batch of replica-side content actions in one pass
+// through the commit pipeline: one sequencer hold, one change signal, and
+// for every action the same journal record under its own CSN that Upsert or
+// RemoveAny would have written. Parents are not required and children do
+// not block a removal (filter replicas hold sparse content); removing an
+// absent entry is skipped. The store takes ownership of every Put entry: it
+// is frozen and stored as it is, so the caller must hold no other mutable
+// reference to it — a consumer hands over what it just decoded. The batch
+// stops at the first failing action and returns its error; the actions
+// before it stay committed.
+func (s *Store) ApplyOwned(ops []SyncOp) error {
+	if len(ops) == 0 {
+		return nil
+	}
+	_, err := s.submit(func() (CSN, error) {
+		var last CSN
+		for _, op := range ops {
+			csn, err := CSN(0), error(nil)
+			if op.Put != nil {
+				csn, err = s.upsertLocked(op.Put.Freeze())
+			} else {
+				csn, err = s.removeAnyLocked(op.Remove)
+			}
+			switch {
+			case err == nil:
+				last = csn
+			case !errors.Is(err, ErrNoSuchObject):
+				return last, err
+			}
+		}
+		return last, nil
+	})
 	return err
 }
 
+// Upsert inserts or replaces an entry without requiring its parent to
+// exist; the store keeps a copy. The change is journaled as an add or
+// modify.
+func (s *Store) Upsert(e *entry.Entry) error {
+	return s.ApplyOwned([]SyncOp{{Put: published(e)}})
+}
+
+// upsertLocked stores the frozen entry e itself.
 func (s *Store) upsertLocked(e *entry.Entry) (CSN, error) {
 	d := e.DN()
 	if !s.holdsTarget(d) {
@@ -397,33 +449,34 @@ func (s *Store) upsertLocked(e *entry.Entry) (CSN, error) {
 	}
 	norm := d.Norm()
 	sh := s.shardFor(norm)
-	cp := e.Clone()
 	if prior, ok := sh.load().entries[norm]; ok {
 		s.write(sh, func(st *shardState) {
 			st.unindexEntry(prior, norm)
-			st.entries[norm] = cp
-			st.indexEntry(cp, norm)
+			st.entries[norm] = e
+			st.indexEntry(e, norm)
 		})
-		return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: prior, After: cp.Clone()}), nil
+		return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: prior, After: e}), nil
 	}
-	s.insert(cp, norm)
-	return s.commitLocked(Change{Type: ChangeAdd, DN: d, After: cp.Clone()}), nil
+	s.insert(e, norm)
+	return s.commitLocked(Change{Type: ChangeAdd, DN: d, After: e}), nil
 }
 
 // RemoveAny deletes an entry regardless of children (sparse replica content
 // does not maintain tree completeness). Removing an absent entry is a
 // no-op returning ErrNoSuchObject.
 func (s *Store) RemoveAny(d dn.DN) error {
-	_, err := s.submit(func() (CSN, error) {
-		norm := d.Norm()
-		e, ok := s.shardFor(norm).load().entries[norm]
-		if !ok {
-			return 0, fmt.Errorf("%w: %q", ErrNoSuchObject, d.String())
-		}
-		s.remove(e, norm)
-		return s.commitLocked(Change{Type: ChangeDelete, DN: d, Before: e}), nil
-	})
+	_, err := s.submit(func() (CSN, error) { return s.removeAnyLocked(d) })
 	return err
+}
+
+func (s *Store) removeAnyLocked(d dn.DN) (CSN, error) {
+	norm := d.Norm()
+	e, ok := s.shardFor(norm).load().entries[norm]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoSuchObject, d.String())
+	}
+	s.remove(e, norm)
+	return s.commitLocked(Change{Type: ChangeDelete, DN: d, Before: e}), nil
 }
 
 // Load bulk-inserts entries without journaling (initial population of a
@@ -446,7 +499,7 @@ func (s *Store) Load(entries []*entry.Entry) error {
 				return fmt.Errorf("%w: %v", ErrSchema, err)
 			}
 		}
-		s.insert(e.Clone(), norm)
+		s.insert(published(e), norm)
 	}
 	return nil
 }

@@ -240,3 +240,88 @@ func TestSchemaCycleDetection(t *testing.T) {
 		t.Error("class cycle must be reported")
 	}
 }
+
+// TestFrozenEntryContract: a frozen entry refuses every mutator, is shared
+// rather than copied by a whole-entry Select, and is left only by Clone.
+func TestFrozenEntryContract(t *testing.T) {
+	e := person(t)
+	if e.Frozen() {
+		t.Fatal("new entry is frozen")
+	}
+	if sel := e.Select(nil); sel == e {
+		t.Error("Select of a mutable entry returned the entry itself")
+	}
+	if e.Freeze() != e || !e.Frozen() {
+		t.Fatal("Freeze did not freeze in place")
+	}
+	for name, mutate := range map[string]func(){
+		"Put":          func() { e.Put("mail", "x@y") },
+		"Add":          func() { e.Add("mail", "x@y") },
+		"DeleteValues": func() { _ = e.DeleteValues("mail") },
+		"SetDN":        func() { e.SetDN(dn.MustParse("cn=other")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen entry did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+	}
+	if e.First("mail") != "john@us.xyz.com" {
+		t.Error("a refused mutation changed the entry")
+	}
+	if e.Select(nil) != e || e.Select([]string{"cn", "*"}) != e {
+		t.Error("whole-entry Select of a frozen entry made a copy")
+	}
+	sub := e.Select([]string{"cn", "mail"})
+	if sub == e || sub.Frozen() || sub.Has("sn") || len(sub.Values("cn")) != 2 {
+		t.Errorf("attribute subset: %s (frozen=%v)", sub, sub.Frozen())
+	}
+	c := e.Clone()
+	if c.Frozen() || !c.Equal(e) {
+		t.Fatal("Clone of a frozen entry is frozen or differs")
+	}
+	c.Put("mail", "new@x") // must not panic, must not reach e
+	if e.First("mail") != "john@us.xyz.com" {
+		t.Error("mutating a clone changed the frozen original")
+	}
+}
+
+// TestCloneValuesDoNotSpill: a clone keeps all values in one backing array;
+// growing one attribute must reallocate, not overwrite its neighbour.
+func TestCloneValuesDoNotSpill(t *testing.T) {
+	c := person(t).Clone()
+	c.Add("cn", "Johnny", "Jack")
+	c.Add("sn", "Doe II")
+	want := person(t)
+	want.Add("cn", "Johnny", "Jack")
+	want.Add("sn", "Doe II")
+	if c.String() != want.String() {
+		t.Errorf("clone after Add:\n got %s\nwant %s", c, want)
+	}
+}
+
+// TestAssemble builds the entry the wire decoder builds: Put semantics per
+// attribute, names normalized, values taken over without a copy.
+func TestAssemble(t *testing.T) {
+	vals := []string{"top", "person", "Ann", "first", "second"}
+	e := Assemble(dn.MustParse("cn=Ann,o=xyz"),
+		[]string{"objectClass", "cn", "mail", " MAIL "}, []int{2, 3, 4, 5}, vals)
+	want := New(dn.MustParse("cn=Ann,o=xyz"))
+	want.Put("objectclass", "top", "person").Put("cn", "Ann").Put("mail", "second")
+	if e.String() != want.String() || !e.Equal(want) {
+		t.Errorf("got %s\nwant %s", e, want)
+	}
+	if names := e.AttributeNames(); len(names) != 3 || names[2] != "mail" {
+		t.Errorf("names = %q", names)
+	}
+	e.Add("objectclass", "inetOrgPerson")
+	if e.First("cn") != "Ann" {
+		t.Error("Add on one attribute overwrote the next one's value")
+	}
+	if n, v := e.AttrAt(1); n != "cn" || len(v) != 1 || e.NumAttrs() != 3 {
+		t.Errorf("AttrAt(1) = %q %q of %d", n, v, e.NumAttrs())
+	}
+}

@@ -252,8 +252,7 @@ func (b *StoreBackend) ModifyDN(req *proto.ModifyDNRequest) error {
 func changeFromOp(op proto.Op) (dit.Change, error) {
 	switch req := op.(type) {
 	case *proto.AddRequest:
-		se := proto.SearchEntry{DN: req.DN, Attrs: req.Attrs}
-		e, err := se.Entry()
+		e, err := req.Entry()
 		if err != nil {
 			return dit.Change{}, err
 		}

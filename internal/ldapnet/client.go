@@ -263,11 +263,7 @@ func (c *Client) SearchWith(q query.Query, controls ...proto.Control) (*SearchRe
 		}
 		switch op := m.Op.(type) {
 		case *proto.SearchEntry:
-			e, err := op.Entry()
-			if err != nil {
-				return res, err
-			}
-			res.Entries = append(res.Entries, e)
+			res.Entries = append(res.Entries, op.Entry)
 		case *proto.SearchReference:
 			res.Referrals = append(res.Referrals, op.URLs...)
 		case *proto.SearchDone:
@@ -357,11 +353,7 @@ func (c *Client) searchPage(q query.Query, pageSize int, cookie string) (*Search
 		}
 		switch op := m.Op.(type) {
 		case *proto.SearchEntry:
-			e, err := op.Entry()
-			if err != nil {
-				return res, false, "", err
-			}
-			res.Entries = append(res.Entries, e)
+			res.Entries = append(res.Entries, op.Entry)
 		case *proto.SearchReference:
 			res.Referrals = append(res.Referrals, op.URLs...)
 		case *proto.SearchDone:
@@ -476,11 +468,9 @@ func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, strin
 		}
 		action, cookie, csn = a, ck, n
 	}
-	d, err := dn.Parse(op.DN)
-	if err != nil {
-		return resync.Update{}, "", 0, err
-	}
-	u := resync.Update{DN: d}
+	// The decoded entry is this consumer's alone: it goes into the update
+	// as it is, and delete and retain PDUs give just their DN.
+	u := resync.Update{DN: op.Entry.DN()}
 	switch action {
 	case proto.ChangeActionAdd:
 		u.Action = resync.ActionAdd
@@ -492,11 +482,7 @@ func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, strin
 		u.Action = resync.ActionRetain
 	}
 	if u.Action == resync.ActionAdd || u.Action == resync.ActionModify {
-		e, err := op.Entry()
-		if err != nil {
-			return resync.Update{}, "", 0, err
-		}
-		u.Entry = e
+		u.Entry = op.Entry
 	}
 	return u, cookie, csn, nil
 }

@@ -448,11 +448,7 @@ func (c *Client) searchPageWithSort(q query.Query, pageSize int, cookie string) 
 		}
 		switch op := m.Op.(type) {
 		case *proto.SearchEntry:
-			e, err := op.Entry()
-			if err != nil {
-				return res, false, "", err
-			}
-			res.Entries = append(res.Entries, e)
+			res.Entries = append(res.Entries, op.Entry)
 		case *proto.SearchDone:
 			pc, ok := m.Control(proto.OIDPagedResults)
 			if !ok {

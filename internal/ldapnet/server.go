@@ -393,7 +393,7 @@ func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Messag
 			end = len(res.Entries)
 		}
 		for _, e := range res.Entries[offset:end] {
-			if err := s.send(state, conn, &proto.Message{ID: msg.ID, Op: proto.EntryToWire(e)}); err != nil {
+			if err := s.send(state, conn, &proto.Message{ID: msg.ID, Op: &proto.SearchEntry{Entry: e}}); err != nil {
 				return
 			}
 		}
@@ -410,7 +410,7 @@ func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Messag
 		if limit > 0 && i >= limit {
 			break
 		}
-		if err := s.send(state, conn, &proto.Message{ID: msg.ID, Op: proto.EntryToWire(e)}); err != nil {
+		if err := s.send(state, conn, &proto.Message{ID: msg.ID, Op: &proto.SearchEntry{Entry: e}}); err != nil {
 			return
 		}
 	}
@@ -601,19 +601,29 @@ var errSlowConsumer = errors.New("ldapnet: persist consumer too slow, write queu
 // wrappers; the PDU body comes from the shared memo.
 var searchEntryTag = &proto.SearchEntry{}
 
+// updateOp is the wire op of one update: the complete entry for add and
+// modify, the DN alone for delete and retain.
+func updateOp(u resync.Update) *proto.SearchEntry {
+	if u.Entry != nil && (u.Action == resync.ActionAdd || u.Action == resync.ActionModify) {
+		return &proto.SearchEntry{Entry: u.Entry}
+	}
+	return &proto.SearchEntry{Entry: entry.New(u.DN)}
+}
+
 // streamUpdates sends each update as a search entry PDU labelled with an
 // entry-change control; delete and retain actions carry the DN only. A
 // non-empty batchCookie is attached to the final PDU so persist-mode
 // consumers learn the sync point each pushed batch reaches.
 //
 // When the batch carries a shared-encoding memo, the PDU is BER-encoded
-// once per content view and reused across every session fanned the batch:
-// for all but the final update the message differs between sessions only
-// in its message ID, so the whole tail (op TLV + entry-change control) is
-// cached and only the ID envelope is stamped per consumer; the final
-// update carries the per-session cookie, so its control is rebuilt around
-// the cached PDU body. Queued mode routes the PDUs through the
-// connection's bounded write queue (persist pushes); otherwise they are
+// once per content view and reused across every session fanned the batch —
+// a pushed change interval and a full reload alike: for all but a
+// cookie-bearing final update the message differs between sessions only in
+// its message ID, so the whole tail (op TLV + entry-change control) is
+// cached and a hit costs one allocation, the envelope around it; the final
+// update of a persist batch carries the per-session cookie, so its control
+// is rebuilt around the cached PDU body. Queued mode routes the PDUs through
+// the connection's bounded write queue (persist pushes); otherwise they are
 // written synchronously.
 func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, updates []resync.Update, batchCookie string, batchCSN uint64, enc *resync.SharedEnc, queued bool) error {
 	for i, u := range updates {
@@ -631,64 +641,54 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 		default:
 			continue
 		}
-		// The wire op is built lazily: on the shared-memo hit path the PDU
-		// body already exists and converting the entry again per session
-		// would cost more than the memo saves.
-		mkOp := func() *proto.SearchEntry {
-			if u.Entry != nil && (u.Action == resync.ActionAdd || u.Action == resync.ActionModify) {
-				return proto.EntryToWire(u.Entry)
-			}
-			return &proto.SearchEntry{DN: u.DN.String()}
-		}
 		cookie := ""
 		csn := uint64(0)
 		if i == len(updates)-1 {
 			cookie = batchCookie
 			csn = batchCSN
 		}
-		controls := []proto.Control{proto.NewEntryChangeControl(action, cookie, csn)}
+		// The op and its control are built inside the memo's build
+		// functions: on a hit neither is needed.
 		var msgBytes []byte
-		if enc != nil {
-			var built bool
-			var err error
-			if cookie == "" {
-				// Session-independent message: share the whole tail and
-				// stamp only the message ID.
-				var tail []byte
-				tail, built, err = enc.GetTail(i, func() ([]byte, error) {
-					body, berr := proto.EncodeOpBody(mkOp())
-					if berr != nil {
-						return nil, berr
-					}
-					return proto.EncodeMessageTail(searchEntryTag, body, controls), nil
-				})
-				if err == nil {
-					msgBytes = proto.EncodeWithTail(id, tail)
+		var built bool
+		var err error
+		switch {
+		case enc == nil:
+			msgBytes, err = (&proto.Message{ID: id, Op: updateOp(u),
+				Controls: []proto.Control{proto.NewEntryChangeControl(action, cookie, csn)}}).Encode()
+		case cookie == "":
+			// Session-independent message: share the whole tail and stamp
+			// only the message ID.
+			var tail []byte
+			tail, built, err = enc.GetTail(i, func() ([]byte, error) {
+				body, berr := proto.EncodeOpBody(updateOp(u))
+				if berr != nil {
+					return nil, berr
 				}
+				return proto.EncodeMessageTail(searchEntryTag, body,
+					[]proto.Control{proto.NewEntryChangeControl(action, "", 0)}), nil
+			})
+			if err == nil {
+				msgBytes = proto.EncodeWithTail(id, tail)
+			}
+		default:
+			// The per-session cookie control forces a per-session tail;
+			// the PDU body is still shared.
+			var body []byte
+			body, built, err = enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(updateOp(u)) })
+			if err == nil {
+				msgBytes = proto.EncodeWithOpBody(id, searchEntryTag, body,
+					[]proto.Control{proto.NewEntryChangeControl(action, cookie, csn)})
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if enc != nil && s.syncStats != nil {
+			if built {
+				s.syncStats.StreamEncodes.Add(1)
 			} else {
-				// The per-session cookie control forces a per-session tail;
-				// the PDU body is still shared.
-				var body []byte
-				body, built, err = enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(mkOp()) })
-				if err == nil {
-					msgBytes = proto.EncodeWithOpBody(id, searchEntryTag, body, controls)
-				}
-			}
-			if err != nil {
-				return err
-			}
-			if s.syncStats != nil {
-				if built {
-					s.syncStats.StreamEncodes.Add(1)
-				} else {
-					s.syncStats.StreamDedupPDUs.Add(1)
-				}
-			}
-		} else {
-			var err error
-			msgBytes, err = (&proto.Message{ID: id, Op: mkOp(), Controls: controls}).Encode()
-			if err != nil {
-				return err
+				s.syncStats.StreamDedupPDUs.Add(1)
 			}
 		}
 		if queued {

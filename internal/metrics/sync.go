@@ -43,6 +43,14 @@ type SyncCounters struct {
 	Resumes        atomic.Int64
 	ResumeRejects  atomic.Int64
 
+	// Reload snapshots: a full transfer (Begin, reload, each chunk of a
+	// chunked one) is served from the content materialised once per content
+	// group and CSN. ReloadSnapshotsBuilt counts materialisations,
+	// ReloadSnapshotsShared the requests that found one to reuse; their sum
+	// is the number of full transfers started.
+	ReloadSnapshotsBuilt  atomic.Int64
+	ReloadSnapshotsShared atomic.Int64
+
 	// PersistStreams counts sessions upgraded to persist mode.
 	PersistStreams atomic.Int64
 	// StreamedPDUs counts update PDUs written to the wire by the server,
@@ -115,6 +123,7 @@ type SyncSnapshot struct {
 	FullReloads                                  int64
 	ChunkedReloads, ReloadChunks                 int64
 	Resumes, ResumeRejects                       int64
+	ReloadSnapshotsBuilt, ReloadSnapshotsShared  int64
 	PersistStreams, StreamedPDUs                 int64
 	Classifies                                   int64
 	AvgClassify                                  time.Duration
@@ -143,9 +152,13 @@ func (c *SyncCounters) Snapshot() SyncSnapshot {
 		ReloadChunks:       c.ReloadChunks.Load(),
 		Resumes:            c.Resumes.Load(),
 		ResumeRejects:      c.ResumeRejects.Load(),
-		PersistStreams:     c.PersistStreams.Load(),
-		StreamedPDUs:       c.StreamedPDUs.Load(),
-		Classifies:         c.Classifies.Load(),
+
+		ReloadSnapshotsBuilt:  c.ReloadSnapshotsBuilt.Load(),
+		ReloadSnapshotsShared: c.ReloadSnapshotsShared.Load(),
+
+		PersistStreams: c.PersistStreams.Load(),
+		StreamedPDUs:   c.StreamedPDUs.Load(),
+		Classifies:     c.Classifies.Load(),
 
 		GroupJoins:           c.GroupJoins.Load(),
 		GroupEquivJoins:      c.GroupEquivJoins.Load(),
@@ -183,11 +196,12 @@ func (s SyncSnapshot) PDUs() int64 {
 // String renders a compact status line for operator output.
 func (s SyncSnapshot) String() string {
 	return fmt.Sprintf(
-		"sync: begins=%d polls=%d retain=%d ends=%d persist=%d | pdus=%d (add=%d del=%d mod=%d ret=%d suppressed=%d) streamed=%d | full-reloads=%d (chunked=%d chunks=%d resumes=%d rejects=%d) classify-avg=%s | groups: joins=%d (equiv=%d) leaves=%d classify-dedup=%.2f enc-dedup=%d/%d | slow: coalesced=%d demoted=%d qdrops=%d qmax=%d",
+		"sync: begins=%d polls=%d retain=%d ends=%d persist=%d | pdus=%d (add=%d del=%d mod=%d ret=%d suppressed=%d) streamed=%d | full-reloads=%d (chunked=%d chunks=%d resumes=%d rejects=%d) reload-snapshots=%d built/%d shared classify-avg=%s | groups: joins=%d (equiv=%d) leaves=%d classify-dedup=%.2f enc-dedup=%d/%d | slow: coalesced=%d demoted=%d qdrops=%d qmax=%d",
 		s.Begins, s.Polls, s.RetainPolls, s.Ends, s.PersistStreams,
 		s.PDUs(), s.PDUAdds, s.PDUDeletes, s.PDUModifies, s.PDURetains,
 		s.SuppressedModifies, s.StreamedPDUs, s.FullReloads,
-		s.ChunkedReloads, s.ReloadChunks, s.Resumes, s.ResumeRejects, s.AvgClassify,
+		s.ChunkedReloads, s.ReloadChunks, s.Resumes, s.ResumeRejects,
+		s.ReloadSnapshotsBuilt, s.ReloadSnapshotsShared, s.AvgClassify,
 		s.GroupJoins, s.GroupEquivJoins, s.GroupLeaves, s.ClassifyDedupRatio(),
 		s.StreamDedupPDUs, s.StreamEncodes,
 		s.CoalescedCycles, s.SlowDemotions, s.StreamQueueDrops, s.StreamQueueHighWater)

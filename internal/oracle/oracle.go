@@ -50,6 +50,11 @@ type Config struct {
 	// with many sessions over one shared filter to exercise the
 	// content-group fan-out layer. Empty means specs().
 	Specs []query.Query
+	// BeginTogether makes every replica Begin before the first event, all
+	// at one store CSN — replicas re-Beginning at once after a master
+	// restart — so that members of one content group are served from one
+	// reload snapshot. Off, a replica begins at its first exchange.
+	BeginTogether bool
 	// Shards overrides the master store's shard count (0 = store default).
 	// Histories are shard-oblivious: the shard sweep (shards.go) replays the
 	// same seeds at several counts and asserts identical hashes.
@@ -84,10 +89,12 @@ type Report struct {
 	// Content-group fan-out accounting, accumulated across histories:
 	// shared-interval classification reuse on the engine, and shared-PDU
 	// encoding reuse on the wire (wire runs only).
-	SharedClassifyHits   int64
-	SharedClassifyMisses int64
-	StreamEncodes        int64
-	StreamDedupPDUs      int64
+	SharedClassifyHits    int64
+	SharedClassifyMisses  int64
+	ReloadSnapshotsBuilt  int64
+	ReloadSnapshotsShared int64
+	StreamEncodes         int64
+	StreamDedupPDUs       int64
 
 	// Edge-write accounting (edge.go sweeps only): ops accepted at the
 	// replica, ops the sequencer actually applied, and replayed forwards
@@ -266,10 +273,19 @@ func runEngine(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
 			snap := h.eng.Counters().Snapshot()
 			rep.SharedClassifyHits += snap.SharedClassifyHits
 			rep.SharedClassifyMisses += snap.SharedClassifyMisses
+			rep.ReloadSnapshotsBuilt += snap.ReloadSnapshotsBuilt
+			rep.ReloadSnapshotsShared += snap.ReloadSnapshotsShared
 		}()
 	}
 	for _, spec := range cfg.specList() {
 		h.reps = append(h.reps, &replicaSt{spec: spec, content: make(map[string]*entry.Entry)})
+	}
+	if cfg.BeginTogether {
+		for _, r := range h.reps {
+			if f := h.doPoll(r, false); f != nil {
+				return f
+			}
+		}
 	}
 	for i, ev := range events {
 		h.step = i

@@ -167,18 +167,25 @@ func TestOracleEdgeWriteSweep(t *testing.T) {
 // engine-level oracle. The grouped engine must be observationally
 // indistinguishable from per-session classification: every replica
 // converges at every sync point and every incremental batch stays minimal.
-// It also asserts the grouping actually engaged: shared classifications
-// were reused across members, not recomputed per session.
+// The members start simultaneously, so their initial content comes from one
+// shared reload snapshot per group. It also asserts the sharing actually
+// engaged: classifications and reload snapshots were reused across members,
+// not recomputed per session.
 func TestOracleSharedFilterHistories(t *testing.T) {
-	rep := Run(Config{Seed: 42, Histories: 10, Steps: 50, Specs: sharedSpecs(5)})
+	rep := Run(Config{Seed: 42, Histories: 10, Steps: 50, Specs: sharedSpecs(5), BeginTogether: true})
 	if rep.Failure != nil {
 		t.Fatal(rep.Failure.Format())
 	}
 	if rep.SharedClassifyHits == 0 {
 		t.Error("no shared-classification reuse recorded across same-filter replicas")
 	}
-	t.Logf("shared-filter oracle: %d histories, %d events, %d exchanges, classify hits/misses=%d/%d",
-		rep.Histories, rep.Events, rep.Polls, rep.SharedClassifyHits, rep.SharedClassifyMisses)
+	if rep.ReloadSnapshotsShared < int64(rep.Histories)*4 {
+		t.Errorf("reload snapshots shared %d times over %d histories, want >= 4 per history (one group of 5+ members beginning together)",
+			rep.ReloadSnapshotsShared, rep.Histories)
+	}
+	t.Logf("shared-filter oracle: %d histories, %d events, %d exchanges, classify hits/misses=%d/%d, reload snapshots built/shared=%d/%d",
+		rep.Histories, rep.Events, rep.Polls, rep.SharedClassifyHits, rep.SharedClassifyMisses,
+		rep.ReloadSnapshotsBuilt, rep.ReloadSnapshotsShared)
 }
 
 // TestOracleSharedFilterWireDedup drives the wire loop with persist-mode

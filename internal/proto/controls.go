@@ -13,16 +13,28 @@ type Control struct {
 	Value       []byte
 }
 
-func (c Control) append(dst []byte) []byte {
-	var body []byte
-	body = ber.AppendString(body, ber.ClassUniversal, ber.TagOctetString, c.OID)
+// bodyLen is the content length of the control's SEQUENCE.
+func (c Control) bodyLen() int {
+	n := ber.TLVLen(len(c.OID))
 	if c.Criticality {
-		body = ber.AppendBool(body, true)
+		n += ber.TLVLen(1)
 	}
 	if c.Value != nil {
-		body = ber.AppendTLV(body, ber.ClassUniversal, false, ber.TagOctetString, c.Value)
+		n += ber.TLVLen(len(c.Value))
 	}
-	return ber.AppendSequence(dst, body)
+	return n
+}
+
+func (c Control) append(dst []byte) []byte {
+	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, c.bodyLen())
+	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, c.OID)
+	if c.Criticality {
+		dst = ber.AppendBool(dst, true)
+	}
+	if c.Value != nil {
+		dst = ber.AppendTLV(dst, ber.ClassUniversal, false, ber.TagOctetString, c.Value)
+	}
+	return dst
 }
 
 func parseControls(data []byte) ([]Control, error) {

@@ -3,6 +3,9 @@ package proto
 import (
 	"bytes"
 	"testing"
+
+	"filterdir/internal/dn"
+	"filterdir/internal/entry"
 )
 
 // writeRequestSeeds builds one well-formed PDU per write operation —
@@ -78,6 +81,47 @@ func FuzzDecodeWriteRequest(f *testing.F) {
 		}
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("write request round trip unstable:\n  first  %x\n  second %x", enc1, enc2)
+		}
+	})
+}
+
+// FuzzDecodeSearchEntry feeds arbitrary bytes to the one-pass search-entry
+// decoder (the replication ingress surface: a consumer parses these off its
+// supplier's stream). Property: Decode never panics, and a decoded entry
+// re-encodes to a PDU that decodes to an equal entry and, from there on,
+// encodes byte-identically.
+func FuzzDecodeSearchEntry(f *testing.F) {
+	for _, e := range []*entry.Entry{employeeEntry(), entry.New(dn.MustParse("cn=gone,o=xyz"))} {
+		seed, err := (&Message{ID: 7, Op: &SearchEntry{Entry: e},
+			Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "sess-1@2", 9)}}).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return // malformed input must error, not panic
+		}
+		se, ok := m.Op.(*SearchEntry)
+		if !ok {
+			return
+		}
+		enc1, err := m.Encode()
+		if err != nil {
+			t.Fatalf("decoded search entry does not re-encode: %v", err)
+		}
+		m2, err := Decode(enc1)
+		if err != nil {
+			t.Fatalf("re-encoded search entry does not decode: %v", err)
+		}
+		if got := m2.Op.(*SearchEntry).Entry; !got.Equal(se.Entry) || got.String() != se.Entry.String() {
+			t.Fatalf("round trip changed the entry:\n  first  %s\n  second %s", se.Entry, got)
+		}
+		if enc2, _ := m2.Encode(); !bytes.Equal(enc1, enc2) {
+			t.Fatalf("search entry round trip unstable:\n  first  %x\n  second %x", enc1, enc2)
 		}
 	})
 }

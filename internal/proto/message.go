@@ -114,21 +114,11 @@ const maxMessageBytes = 16 << 20
 
 // Encode serializes the message.
 func (m *Message) Encode() ([]byte, error) {
-	var body []byte
-	body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, m.ID)
 	opBody, err := m.Op.encodeBody(nil)
 	if err != nil {
 		return nil, err
 	}
-	body = ber.AppendTLV(body, ber.ClassApplication, true, m.Op.appTag(), opBody)
-	if len(m.Controls) > 0 {
-		var cs []byte
-		for _, c := range m.Controls {
-			cs = c.append(cs)
-		}
-		body = ber.AppendTLV(body, ber.ClassContext, true, 0, cs)
-	}
-	return ber.AppendSequence(nil, body), nil
+	return EncodeWithOpBody(m.ID, m.Op, opBody, m.Controls), nil
 }
 
 // EncodeOpBody BER-encodes just the operation's application-TLV content.
@@ -146,25 +136,34 @@ func EncodeOpBody(op Op) ([]byte, error) {
 // per consumer with EncodeWithTail. op supplies only the application tag;
 // its fields are not re-encoded.
 func EncodeMessageTail(op Op, opBody []byte, controls []Control) []byte {
-	tail := ber.AppendTLV(nil, ber.ClassApplication, true, op.appTag(), opBody)
+	csLen := 0
+	for _, c := range controls {
+		csLen += ber.TLVLen(c.bodyLen())
+	}
+	size := ber.TLVLen(len(opBody))
 	if len(controls) > 0 {
-		var cs []byte
+		size += ber.TLVLen(csLen)
+	}
+	tail := make([]byte, 0, size)
+	tail = ber.AppendTLV(tail, ber.ClassApplication, true, op.appTag(), opBody)
+	if len(controls) > 0 {
+		tail = ber.AppendHeader(tail, ber.ClassContext, true, 0, csLen)
 		for _, c := range controls {
-			cs = c.append(cs)
+			tail = c.append(tail)
 		}
-		tail = ber.AppendTLV(tail, ber.ClassContext, true, 0, cs)
 	}
 	return tail
 }
 
 // EncodeWithTail serializes a complete message around a pre-encoded tail
 // (from EncodeMessageTail): just the message-ID TLV and the outer envelope
-// are built here.
+// are built here, in one allocation of the message's exact size.
 func EncodeWithTail(id int64, tail []byte) []byte {
-	body := make([]byte, 0, 16+len(tail))
-	body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, id)
-	body = append(body, tail...)
-	return ber.AppendSequence(nil, body)
+	bodyLen := ber.TLVLen(ber.IntLen(id)) + len(tail)
+	msg := make([]byte, 0, ber.TLVLen(bodyLen))
+	msg = ber.AppendHeader(msg, ber.ClassUniversal, true, ber.TagSequence, bodyLen)
+	msg = ber.AppendInt(msg, ber.ClassUniversal, ber.TagInteger, id)
+	return append(msg, tail...)
 }
 
 // EncodeWithOpBody serializes a message around a pre-encoded operation

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 
 	"filterdir/internal/ber"
 	"filterdir/internal/dn"
@@ -174,51 +175,62 @@ func (s *SearchRequest) encodeBody(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// SearchEntry carries one result entry.
+// SearchEntry carries one result entry. The wire form is written from, and
+// read into, the model entry itself: there is no intermediate attribute
+// list to build on one side and unpack on the other. A nil Entry stands for
+// the attribute-less entry at the root DN.
 type SearchEntry struct {
-	DN    string
-	Attrs []Attribute
+	Entry *entry.Entry
 }
 
 func (*SearchEntry) appTag() int { return tagSearchEntry }
 
+// encodeBody sizes the body first and grows dst once.
 func (s *SearchEntry) encodeBody(dst []byte) ([]byte, error) {
-	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, s.DN)
-	var attrs []byte
-	for _, a := range s.Attrs {
-		var one []byte
-		one = ber.AppendString(one, ber.ClassUniversal, ber.TagOctetString, a.Type)
-		var vals []byte
-		for _, v := range a.Values {
-			vals = ber.AppendString(vals, ber.ClassUniversal, ber.TagOctetString, v)
-		}
-		one = ber.AppendSet(one, vals)
-		attrs = ber.AppendSequence(attrs, one)
+	e := s.Entry
+	if e == nil {
+		e = &entry.Entry{}
 	}
-	dst = ber.AppendSequence(dst, attrs)
+	d := e.DN().String()
+	attrsLen := 0
+	for i := 0; i < e.NumAttrs(); i++ {
+		attrsLen += ber.TLVLen(attrLen(e.AttrAt(i)))
+	}
+	dst = slices.Grow(dst, ber.TLVLen(len(d))+ber.TLVLen(attrsLen))
+	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, d)
+	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, attrsLen)
+	for i := 0; i < e.NumAttrs(); i++ {
+		name, vals := e.AttrAt(i)
+		dst = appendAttr(dst, name, vals)
+	}
 	return dst, nil
 }
 
-// Entry converts the wire entry to the model type.
-func (s *SearchEntry) Entry() (*entry.Entry, error) {
-	d, err := dn.Parse(s.DN)
-	if err != nil {
-		return nil, fmt.Errorf("search entry dn: %w", err)
-	}
-	e := entry.New(d)
-	for _, a := range s.Attrs {
-		e.Put(a.Type, a.Values...)
-	}
-	return e, nil
+// attrLen is the content length of one PartialAttribute SEQUENCE.
+func attrLen(name string, vals []string) int {
+	return ber.TLVLen(len(name)) + ber.TLVLen(valuesLen(vals))
 }
 
-// EntryToWire converts a model entry to the wire form.
-func EntryToWire(e *entry.Entry) *SearchEntry {
-	se := &SearchEntry{DN: e.DN().String()}
-	for _, name := range e.AttributeNames() {
-		se.Attrs = append(se.Attrs, Attribute{Type: name, Values: e.Values(name)})
+// valuesLen is the content length of an attribute's SET OF values.
+func valuesLen(vals []string) int {
+	n := 0
+	for _, v := range vals {
+		n += ber.TLVLen(len(v))
 	}
-	return se
+	return n
+}
+
+// appendAttr appends one PartialAttribute: SEQUENCE { type, SET OF value },
+// written front to back from the lengths, with no intermediate buffer.
+func appendAttr(dst []byte, name string, vals []string) []byte {
+	setLen := valuesLen(vals)
+	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, ber.TLVLen(len(name))+ber.TLVLen(setLen))
+	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, name)
+	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSet, setLen)
+	for _, v := range vals {
+		dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, v)
+	}
+	return dst
 }
 
 // SearchReference is a continuation referral inside a search stream.
@@ -244,8 +256,30 @@ type AddRequest struct {
 func (*AddRequest) appTag() int { return tagAddRequest }
 
 func (a *AddRequest) encodeBody(dst []byte) ([]byte, error) {
-	se := SearchEntry{DN: a.DN, Attrs: a.Attrs}
-	return se.encodeBody(dst)
+	// AddRequest and SearchResultEntry share their wire shape.
+	attrsLen := 0
+	for _, at := range a.Attrs {
+		attrsLen += ber.TLVLen(attrLen(at.Type, at.Values))
+	}
+	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, a.DN)
+	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, attrsLen)
+	for _, at := range a.Attrs {
+		dst = appendAttr(dst, at.Type, at.Values)
+	}
+	return dst, nil
+}
+
+// Entry converts the request's attribute list to the model type.
+func (a *AddRequest) Entry() (*entry.Entry, error) {
+	d, err := dn.Parse(a.DN)
+	if err != nil {
+		return nil, fmt.Errorf("add request dn: %w", err)
+	}
+	e := entry.New(d)
+	for _, at := range a.Attrs {
+		e.Put(at.Type, at.Values...)
+	}
+	return e, nil
 }
 
 // DelRequest removes an entry.
@@ -334,7 +368,7 @@ func decodeOp(tag int, content []byte) (Op, error) {
 	case tagSearchRequest:
 		return decodeSearchRequest(rd)
 	case tagSearchEntry:
-		return decodeSearchEntry(rd)
+		return decodeSearchEntry(content)
 	case tagSearchDone:
 		return wrapResult(rd, func(r Result) Op { return &SearchDone{resultOp{r}} })
 	case tagSearchReference:
@@ -352,11 +386,7 @@ func decodeOp(tag int, content []byte) (Op, error) {
 	case tagModifyResponse:
 		return wrapResult(rd, func(r Result) Op { return &ModifyResponse{resultOp{r}} })
 	case tagAddRequest:
-		se, err := decodeSearchEntry(rd)
-		if err != nil {
-			return nil, err
-		}
-		return &AddRequest{DN: se.DN, Attrs: se.Attrs}, nil
+		return decodeAddRequest(rd)
 	case tagAddResponse:
 		return wrapResult(rd, func(r Result) Op { return &AddResponse{resultOp{r}} })
 	case tagDelRequest:
@@ -453,8 +483,75 @@ func decodeSearchRequest(rd *ber.Reader) (*SearchRequest, error) {
 	return &s, nil
 }
 
-func decodeSearchEntry(rd *ber.Reader) (*SearchEntry, error) {
-	var s SearchEntry
+// universalTLV is ber.StringTLV for an element that must carry the given
+// universal tag.
+func universalTLV(s string, pos, tag int) (content string, next int, err error) {
+	h, content, next, err := ber.StringTLV(s, pos)
+	if err != nil {
+		return "", 0, err
+	}
+	if !h.Is(ber.ClassUniversal, tag) {
+		return "", 0, fmt.Errorf("%w: got class %#x tag %d, want universal tag %d", ber.ErrBadTag, h.Class, h.Tag, tag)
+	}
+	return content, next, nil
+}
+
+// decodeSearchEntry materialises the entry in one pass: the PDU body is
+// copied into a string once, the DN and every name and value are substrings
+// of it, and all values share one backing array sized by a counting walk.
+func decodeSearchEntry(content []byte) (*SearchEntry, error) {
+	s := string(content)
+	dnStr, pos, err := universalTLV(s, 0, ber.TagOctetString)
+	if err != nil {
+		return nil, fmt.Errorf("search entry dn: %w", err)
+	}
+	d, err := dn.Parse(dnStr)
+	if err != nil {
+		return nil, fmt.Errorf("search entry dn: %w", err)
+	}
+	attrs, _, err := universalTLV(s, pos, ber.TagSequence)
+	if err != nil {
+		return nil, fmt.Errorf("search entry attributes: %w", err)
+	}
+	// Entries carry a handful of attributes; these stay on the stack.
+	var nameBuf, setBuf [16]string
+	var endBuf [16]int
+	names, sets, ends := nameBuf[:0], setBuf[:0], endBuf[:0]
+	total := 0
+	for pos := 0; pos < len(attrs); {
+		var one string
+		if one, pos, err = universalTLV(attrs, pos, ber.TagSequence); err != nil {
+			return nil, fmt.Errorf("search entry attribute: %w", err)
+		}
+		name, next, err := universalTLV(one, 0, ber.TagOctetString)
+		if err != nil {
+			return nil, fmt.Errorf("search entry attribute type: %w", err)
+		}
+		set, _, err := universalTLV(one, next, ber.TagSet)
+		if err != nil {
+			return nil, fmt.Errorf("search entry attribute %q: %w", name, err)
+		}
+		for p := 0; p < len(set); total++ {
+			if _, p, err = universalTLV(set, p, ber.TagOctetString); err != nil {
+				return nil, fmt.Errorf("search entry attribute %q: %w", name, err)
+			}
+		}
+		names, sets = append(names, name), append(sets, set)
+	}
+	vals := make([]string, 0, total)
+	for _, set := range sets {
+		for p := 0; p < len(set); {
+			var v string
+			_, v, p, _ = ber.StringTLV(set, p) // checked by the counting walk
+			vals = append(vals, v)
+		}
+		ends = append(ends, len(vals))
+	}
+	return &SearchEntry{Entry: entry.Assemble(d, names, ends, vals)}, nil
+}
+
+func decodeAddRequest(rd *ber.Reader) (*AddRequest, error) {
+	var s AddRequest
 	var err error
 	if s.DN, err = rd.ReadString(); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"filterdir/internal/ber"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
 	"filterdir/internal/filter"
@@ -89,16 +90,13 @@ func TestSearchEntryRoundTrip(t *testing.T) {
 	e.Put("objectclass", "person", "inetOrgPerson")
 	e.Put("cn", "John Doe")
 	e.Put("mail", "j@x")
-	m := &Message{ID: 3, Op: EntryToWire(e)}
+	m := &Message{ID: 3, Op: &SearchEntry{Entry: e}}
 	got := roundTrip(t, m)
 	se, ok := got.Op.(*SearchEntry)
 	if !ok {
 		t.Fatalf("op type %T", got.Op)
 	}
-	back, err := se.Entry()
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := se.Entry
 	if !back.Equal(e) {
 		t.Errorf("entry mismatch:\n got %s\nwant %s", back, e)
 	}
@@ -350,8 +348,8 @@ func TestSharedEncodingEquivalence(t *testing.T) {
 		name string
 		op   Op
 	}{
-		{"entry", EntryToWire(e)},
-		{"dn-only", &SearchEntry{DN: "cn=Ann,o=xyz"}},
+		{"entry", &SearchEntry{Entry: e}},
+		{"dn-only", &SearchEntry{Entry: entry.New(dn.MustParse("cn=Ann,o=xyz"))}},
 	}
 	controlSets := [][]Control{
 		nil,
@@ -385,5 +383,161 @@ func TestSharedEncodingEquivalence(t *testing.T) {
 				t.Errorf("%s/%d: tail rewrap under new ID diverges", tc.name, ci)
 			}
 		}
+	}
+}
+
+// employeeEntry is shaped like a reloaded person entry of the synthetic
+// directory: nine attributes, a four-valued objectclass, a payload whose
+// length needs a two-byte BER length.
+func employeeEntry() *entry.Entry {
+	e := entry.New(dn.MustParse("cn=emp us 17,c=us,o=xyz"))
+	e.Put("objectclass", "top", "person", "organizationalPerson", "inetOrgPerson")
+	e.Put("cn", "emp us 17").Put("sn", "sn17").Put("serialNumber", "100017")
+	e.Put("uid", "u100017").Put("mail", "qzkxv@us.xyz.com").Put("departmentNumber", "231")
+	e.Put("telephoneNumber", "555-0117").Put("description", string(bytes.Repeat([]byte("x"), 512)))
+	return e
+}
+
+// appendNaive is the grow-as-you-go search-entry encoding the sized encoder
+// replaced, kept as its reference: the wire bytes must not have moved.
+func appendNaive(e *entry.Entry) []byte {
+	body := ber.AppendString(nil, ber.ClassUniversal, ber.TagOctetString, e.DN().String())
+	var attrs []byte
+	for _, name := range e.AttributeNames() {
+		one := ber.AppendString(nil, ber.ClassUniversal, ber.TagOctetString, name)
+		var vals []byte
+		for _, v := range e.Values(name) {
+			vals = ber.AppendString(vals, ber.ClassUniversal, ber.TagOctetString, v)
+		}
+		one = ber.AppendSet(one, vals)
+		attrs = ber.AppendSequence(attrs, one)
+	}
+	return ber.AppendSequence(body, attrs)
+}
+
+// TestSizedEncodersMatchReference: sizing the buffer once changes how often
+// the encoders allocate, not one byte of what they write — at every BER
+// length form (short, 0x81, 0x82) and for the DN-only PDU of a delete.
+func TestSizedEncodersMatchReference(t *testing.T) {
+	long := employeeEntry()
+	long.Put("jpegphoto", string(bytes.Repeat([]byte("y"), 200)), string(bytes.Repeat([]byte("z"), 70000)))
+	for name, e := range map[string]*entry.Entry{
+		"employee": employeeEntry(),
+		"dn-only":  entry.New(dn.MustParse("cn=gone,c=us,o=xyz")),
+		"long":     long,
+	} {
+		got, err := EncodeOpBody(&SearchEntry{Entry: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := appendNaive(e)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: sized body differs from the reference encoding (%d vs %d bytes)", name, len(got), len(want))
+		}
+		controls := []Control{NewEntryChangeControl(ChangeActionAdd, "sess-3@7", 41)}
+		msg, err := (&Message{ID: 300, Op: &SearchEntry{Entry: e}, Controls: controls}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(msg) != len(msg) {
+			t.Errorf("%s: message buffer cap %d, len %d: not sized once", name, cap(msg), len(msg))
+		}
+		back, err := Decode(msg)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if se := back.Op.(*SearchEntry); !se.Entry.Equal(e) || se.Entry.String() != e.String() {
+			t.Errorf("%s: round trip changed the entry", name)
+		}
+	}
+}
+
+// TestDecodedEntryIsIndependent: the decoded entry owns its strings — the
+// caller may reuse the PDU buffer — and is an ordinary mutable entry.
+func TestDecodedEntryIsIndependent(t *testing.T) {
+	e := employeeEntry()
+	msg, err := (&Message{ID: 1, Op: &SearchEntry{Entry: e}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range msg {
+		msg[i] = 0xff
+	}
+	got := back.Op.(*SearchEntry).Entry
+	if !got.Equal(e) {
+		t.Fatal("decoded entry aliases the PDU buffer")
+	}
+	got.Add("cn", "another") // grows one attribute's values
+	if v := got.Values("sn"); len(v) != 1 || v[0] != "sn17" {
+		t.Errorf("Add on one attribute spilled into the next: sn = %q", v)
+	}
+}
+
+// TestDecodeSearchEntryRejectsMalformed feeds truncated and mistagged
+// bodies to the one-pass decoder.
+func TestDecodeSearchEntryRejectsMalformed(t *testing.T) {
+	good, err := (&Message{ID: 1, Op: &SearchEntry{Entry: employeeEntry()}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 8; cut < len(good); cut += 37 {
+		if _, err := Decode(good[:cut]); err == nil {
+			t.Errorf("message truncated at %d decoded without error", cut)
+		}
+	}
+	// An attribute whose value set is an OCTET STRING, not a SET.
+	one := ber.AppendString(nil, ber.ClassUniversal, ber.TagOctetString, "cn")
+	one = ber.AppendString(one, ber.ClassUniversal, ber.TagOctetString, "not a set")
+	body := ber.AppendString(nil, ber.ClassUniversal, ber.TagOctetString, "cn=a,o=xyz")
+	body = ber.AppendSequence(body, ber.AppendSequence(nil, one))
+	if _, err := Decode(EncodeWithOpBody(1, &SearchEntry{}, body, nil)); err == nil {
+		t.Error("attribute with a mistagged value set decoded without error")
+	}
+}
+
+// TestDecodeAllocsPerReloadedEntry is the allocation gate of the consumer's
+// decode: a reload PDU (entry + entry-change control) becomes a message and
+// a complete *entry.Entry in a fixed, small number of allocations — the
+// message, the op, the body string every name and value is a substring of,
+// the DN (parse + normal form), the entry, its attribute slice, one backing
+// array for all values, and the control. A per-value or per-attribute copy
+// creeping back in would roughly double it.
+func TestDecodeAllocsPerReloadedEntry(t *testing.T) {
+	const maxDecodeAllocs = 26 // measured 25, about half of them inside dn.Parse
+	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()},
+		Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "", 0)}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink *Message
+	allocs := testing.AllocsPerRun(200, func() { sink, _ = Decode(pdu) })
+	if sink == nil {
+		t.Fatal("decode failed")
+	}
+	t.Logf("decode: %.0f allocations per reloaded entry", allocs)
+	if allocs > maxDecodeAllocs {
+		t.Errorf("decode of one reloaded entry allocates %.0f times, gate is %d", allocs, maxDecodeAllocs)
+	}
+}
+
+// TestEncodeAllocsPerEntry gates the supplier's side of the same PDU: the
+// first (unshared) encoding of an entry is the DN's string form plus one
+// exactly sized buffer each for the body, the tail and the envelope.
+func TestEncodeAllocsPerEntry(t *testing.T) {
+	const maxEncodeAllocs = 6 // measured 5: DN.String 2, then body, tail and message
+	m := &Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry().Freeze()},
+		Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "", 0)}}
+	var sink []byte
+	allocs := testing.AllocsPerRun(200, func() { sink, _ = m.Encode() })
+	if len(sink) == 0 {
+		t.Fatal("encode failed")
+	}
+	t.Logf("encode: %.0f allocations per entry", allocs)
+	if allocs > maxEncodeAllocs {
+		t.Errorf("encoding one entry allocates %.0f times, gate is %d", allocs, maxEncodeAllocs)
 	}
 }

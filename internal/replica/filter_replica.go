@@ -152,24 +152,43 @@ func (r *FilterReplica) RemoveStored(q query.Query) *StoredQuery {
 	return nil
 }
 
-// ApplySync applies ReSync updates for a stored query's content.
+// ApplySync applies ReSync updates for a stored query's content as one
+// owned batch: the reference counts are updated action by action, the store
+// actions they result in are committed together (dit.Store.ApplyOwned), and
+// the replica takes ownership of every update's entry — it is stored as it
+// is, not copied, so the caller must not change it afterwards. A consumer
+// passes what it decoded off the wire; an in-process caller passes entries a
+// store or an engine handed it, which are frozen and safe to share.
 func (r *FilterReplica) ApplySync(q query.Query, updates []resync.Update) error {
 	key := ownerKey(q.Normalize())
+	ops := make([]dit.SyncOp, 0, len(updates))
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// What precedes a bad update is applied, as when updates were stored
+	// one by one.
+	var bad error
+scan:
 	for _, u := range updates {
-		switch u.Action {
-		case resync.ActionAdd, resync.ActionModify:
-			if err := r.addRefLocked(key, u.Entry); err != nil {
-				return err
+		switch {
+		case u.Action == resync.ActionDelete:
+			if d, last := r.delRefLocked(key, u.DN.Norm()); last {
+				ops = append(ops, dit.SyncOp{Remove: d})
 			}
-		case resync.ActionDelete:
-			r.delRefLocked(key, u.DN.Norm())
+		case u.Action != resync.ActionAdd && u.Action != resync.ActionModify:
+			bad = fmt.Errorf("unsupported sync action %v", u.Action)
+			break scan
+		case u.Entry == nil:
+			bad = fmt.Errorf("nil entry in sync update")
+			break scan
 		default:
-			return fmt.Errorf("unsupported sync action %v", u.Action)
+			r.addRefLocked(key, u.Entry.DN())
+			ops = append(ops, dit.SyncOp{Put: u.Entry})
 		}
 	}
-	return nil
+	if err := r.store.ApplyOwned(ops); err != nil {
+		return err
+	}
+	return bad
 }
 
 // CacheQuery inserts a just-answered user query and its result into the
@@ -195,12 +214,17 @@ func (r *FilterReplica) CacheQuery(q query.Query, result []*entry.Entry) error {
 		r.dropOwnerLocked("cache:" + ownerKey(old.Query))
 	}
 	r.cache = append(r.cache, &StoredQuery{Query: nq})
+	ops := make([]dit.SyncOp, 0, len(result))
 	for _, e := range result {
-		if err := r.addRefLocked(key, e); err != nil {
-			return err
+		if e == nil {
+			return fmt.Errorf("nil entry in cached result")
 		}
+		r.addRefLocked(key, e.DN())
+		// The result is the caller's to keep: the store gets a copy, or the
+		// entry itself when it is frozen and can be shared (Select of all).
+		ops = append(ops, dit.SyncOp{Put: e.Select(nil)})
 	}
-	return nil
+	return r.store.ApplyOwned(ops)
 }
 
 // Answer attempts to serve the query from replicated or cached content.
@@ -297,16 +321,10 @@ func (r *FilterReplica) findContainerLocked(nq query.Query) (*StoredQuery, strin
 	return nil, ""
 }
 
-// addRefLocked stores the entry and records owner coverage.
-func (r *FilterReplica) addRefLocked(key string, e *entry.Entry) error {
-	if e == nil {
-		return fmt.Errorf("nil entry in sync update")
-	}
-	if err := r.store.Upsert(e); err != nil {
-		return err
-	}
-	norm := e.DN().Norm()
-	r.dns[norm] = e.DN()
+// addRefLocked records that owner key covers the entry at d.
+func (r *FilterReplica) addRefLocked(key string, d dn.DN) {
+	norm := d.Norm()
+	r.dns[norm] = d
 	if r.refs[norm] == nil {
 		r.refs[norm] = make(map[string]bool)
 	}
@@ -315,45 +333,36 @@ func (r *FilterReplica) addRefLocked(key string, e *entry.Entry) error {
 		r.ownerDNs[key] = make(map[string]bool)
 	}
 	r.ownerDNs[key][norm] = true
-	return nil
 }
 
-// delRefLocked releases one owner's claim; the entry is removed with its
-// last reference.
-func (r *FilterReplica) delRefLocked(key, norm string) {
+// delRefLocked releases one owner's claim. With the last reference gone it
+// reports the DN whose entry the caller must remove from the store.
+func (r *FilterReplica) delRefLocked(key, norm string) (d dn.DN, last bool) {
 	if set, ok := r.refs[norm]; ok {
 		delete(set, key)
 		if len(set) == 0 {
 			delete(r.refs, norm)
-			_ = r.removeByNorm(norm)
+			d, last = r.dns[norm]
+			delete(r.dns, norm)
 		}
 	}
 	if set, ok := r.ownerDNs[key]; ok {
 		delete(set, norm)
 	}
+	return d, last
 }
 
+// dropOwnerLocked releases every claim of one owner and removes, as one
+// batch, the entries nobody else covers.
 func (r *FilterReplica) dropOwnerLocked(key string) {
+	var ops []dit.SyncOp
 	for norm := range r.ownerDNs[key] {
-		if set, ok := r.refs[norm]; ok {
-			delete(set, key)
-			if len(set) == 0 {
-				delete(r.refs, norm)
-				_ = r.removeByNorm(norm)
-			}
+		if d, last := r.delRefLocked(key, norm); last {
+			ops = append(ops, dit.SyncOp{Remove: d})
 		}
 	}
 	delete(r.ownerDNs, key)
-}
-
-// removeByNorm removes an entry from the content store by normalized DN.
-func (r *FilterReplica) removeByNorm(norm string) error {
-	d, ok := r.dns[norm]
-	if !ok {
-		return nil
-	}
-	delete(r.dns, norm)
-	return r.store.RemoveAny(d)
+	_ = r.store.ApplyOwned(ops) // removals of held entries cannot fail
 }
 
 // Metrics returns a snapshot of the counters.

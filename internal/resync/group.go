@@ -165,6 +165,11 @@ type group struct {
 	aliasKeys []string // every content key resolved to this group
 	intervals []*sharedInterval
 
+	// reload is the group's reload snapshot (reload.go), nil when none is
+	// cached; reloadMu makes building one single-flight.
+	reloadMu sync.Mutex
+	reload   atomic.Pointer[reloadSnapshot]
+
 	// Persist broadcaster state: one goroutine per group pushes update
 	// batches to all subscribers; it runs only while subscribers exist.
 	subs  map[*Subscription]*subscriber
@@ -173,12 +178,41 @@ type group struct {
 	bdone chan struct{}
 }
 
-// subscriber is one persist-mode member stream with its bounded queue.
+// subscriber is one persist-mode member stream with its bounded queue. The
+// broadcaster fills ch; the subscriber's pump goroutine empties it into the
+// consumer-facing Subscription.Updates, which puts the engine on the
+// dequeue side of the queue: it is the pump that notices a slot coming free
+// for a subscriber a cycle had to pass over.
 type subscriber struct {
 	sub    *Subscription
 	sess   *session
 	ch     chan Batch
 	missed int // consecutive cycles skipped because ch was full
+	// skipped is raised by the broadcaster before it looks at the queue and
+	// left up when it found it full; the pump lowers it at its next dequeue
+	// and kicks the cycle the subscriber is owed.
+	skipped atomic.Bool
+}
+
+// pump forwards queued batches to the consumer until the queue is closed
+// (stream end: drained, then out is closed) or the consumer closes the
+// subscription. A skipped subscriber stands at an old sync point with
+// nothing but the next store commit to move it — and when the write stream
+// stops right after the skip there is none — so the dequeue that makes room
+// again wakes the broadcaster itself.
+func (st *subscriber) pump(g *group, out chan<- Batch, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	defer close(out)
+	for b := range st.ch {
+		if st.skipped.CompareAndSwap(true, false) {
+			g.kick()
+		}
+		select {
+		case out <- b:
+		case <-stop:
+			return
+		}
+	}
 }
 
 func newGroup(e *Engine, key string, spec query.Query) *group {
@@ -268,6 +302,7 @@ func (e *Engine) leaveGroup(g *group) {
 			e.regions[g.region] = peers
 		}
 		g.intervals = nil
+		g.reload.Store(nil)
 		g.stopLocked()
 	}
 	g.mu.Unlock()
@@ -357,6 +392,7 @@ func (e *Engine) classifyFor(sess *session, changes []dit.Change) ([]Update, []u
 		return vb.updates, undo, nil
 	}
 	from, to := sess.csn, changes[len(changes)-1].CSN
+	g.dropReloadBefore(to)
 	si := g.lookupInterval(from, to)
 	if si == nil {
 		si = computeInterval(g.spec, sess.content, changes)
@@ -478,14 +514,19 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 }
 
 // attach adds a persist subscriber to the group, starting the broadcaster
-// if it is not running, and kicks a cycle so a stream resumed behind the
-// head receives its due batch promptly.
+// if it is not running, and synchronizes the subscriber once so a stream
+// resumed behind the head has its due batch queued on return.
 func (g *group) attach(sess *session) *Subscription {
 	ch := make(chan Batch, g.e.persistQueueCap)
-	sub := &Subscription{Updates: ch}
+	out := make(chan Batch)
+	stop, done := make(chan struct{}), make(chan struct{})
+	sub := &Subscription{Updates: out}
 	st := &subscriber{sub: sub, sess: sess, ch: ch}
+	go st.pump(g, out, stop, done)
 	sub.detach = func() {
 		g.remove(sub)
+		close(stop)
+		<-done
 		// Barrier: wait out any in-flight update cycle so the session is
 		// quiescent once Close returns (matching the old per-stream
 		// goroutine join).
@@ -512,7 +553,18 @@ func (g *group) attach(sess *session) *Subscription {
 	} else {
 		g.mu.Unlock()
 	}
-	g.kick()
+	// The new subscriber's first cycle runs here, before Persist returns,
+	// rather than whenever the broadcaster gets to a kick: a stream resumed
+	// behind the head has its due batch queued — and its session advanced —
+	// by the time the caller holds the subscription, so a consumer that
+	// closes it straight away leaves the session at a position that does not
+	// depend on goroutine scheduling. (It used to: whether the next poll of
+	// such a session found its interval still in a trimmed journal was a
+	// race, which `make oracle`'s shard sweep saw as traffic that differed
+	// from run to run.) cycleMu keeps the broadcaster the only other sender.
+	g.cycleMu.Lock()
+	g.syncOne(st)
+	g.cycleMu.Unlock()
 	return sub
 }
 
@@ -597,10 +649,12 @@ func (g *group) cycle() {
 //
 // Slow-consumer policy: a subscriber whose queue is full is skipped — its
 // session stays at its old sync point, so the next successful cycle emits
-// one net batch covering the whole backlog (coalescing, not buffering).
-// After demoteAfter consecutive skips the stream is closed and the
-// consumer falls back to poll mode (the wire maps this to a clean stream
-// end; the session itself stays resumable by cookie).
+// one net batch covering the whole backlog (coalescing, not buffering) —
+// and that cycle comes with the next commit or, failing one, as soon as the
+// subscriber's pump dequeues (see subscriber.skipped). After demoteAfter
+// consecutive skips the stream is closed and the consumer falls back to
+// poll mode (the wire maps this to a clean stream end; the session itself
+// stays resumable by cookie).
 func (g *group) syncOne(st *subscriber) {
 	e := g.e
 	g.mu.Lock()
@@ -608,6 +662,9 @@ func (g *group) syncOne(st *subscriber) {
 		g.mu.Unlock()
 		return
 	}
+	// Flag first, look second: a dequeue after the look finds the flag and
+	// kicks a cycle, one before it shows here as free space.
+	st.skipped.Store(true)
 	if len(st.ch) == cap(st.ch) {
 		st.missed++
 		e.stats.CoalescedCycles.Add(1)
@@ -618,6 +675,7 @@ func (g *group) syncOne(st *subscriber) {
 		g.mu.Unlock()
 		return
 	}
+	st.skipped.Store(false)
 	g.mu.Unlock()
 
 	st.sess.mu.Lock()

@@ -518,3 +518,127 @@ func TestGroupedMatchesUngrouped(t *testing.T) {
 	sweepEqualContent(t, "ungrouped sessions agree", ua, ub)
 	sweepEqualContent(t, "grouped == ungrouped", ga, ua)
 }
+
+// TestSkippedSubscriberRetriedOnDrain pins the fix for the undelivered burst
+// tail: four persist members of one group, one of which stops reading so
+// that its queue fills and the last commits of a burst pass it over. The
+// write stream then falls silent. When the stalled member resumes reading,
+// the dequeue itself must win it the cycle it is owed — the coalesced batch
+// arrives and every member converges with no further commit to trigger it.
+func TestSkippedSubscriberRetriedOnDrain(t *testing.T) {
+	master := newMaster(t)
+	eng := NewEngine(master)
+	const members = 4
+	subs := make([]*Subscription, members)
+	held := make([]map[string]bool, members)
+	var g *group
+	for i := range subs {
+		res, err := eng.Begin(specSerial04)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := eng.lookup(res.Cookie)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = sess.group
+		if subs[i], err = eng.Persist(res.Cookie); err != nil {
+			t.Fatal(err)
+		}
+		defer subs[i].Close()
+		held[i] = map[string]bool{}
+	}
+	take := func(i int, what string) {
+		t.Helper()
+		select {
+		case b, ok := <-subs[i].Updates:
+			if !ok {
+				t.Fatalf("member %d: stream closed waiting for %s", i, what)
+			}
+			for _, u := range b.Updates {
+				held[i][u.DN.Norm()] = u.Action != ActionDelete
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("member %d: timed out waiting for %s", i, what)
+		}
+	}
+
+	// Member 0 stalls. Commit one entry per cycle until cycles have passed
+	// it over, reading the other members so theirs complete; the cycle
+	// barrier makes sure each commit's cycle ran before the next commit.
+	var want []string
+	for k := 0; eng.Counters().CoalescedCycles.Load() < 2; k++ {
+		if k > 2*defaultPersistQueueCap+4 {
+			t.Fatal("the stalled member's queue never filled")
+		}
+		d := addPerson(t, master, fmt.Sprintf("burst%02d", k), fmt.Sprintf("04%02d", k), "1")
+		want = append(want, d.Norm())
+		for i := 1; i < members; i++ {
+			take(i, "burst commit")
+		}
+		g.cycleMu.Lock()
+		//lint:ignore SA2001 empty critical section is the barrier
+		g.cycleMu.Unlock()
+	}
+
+	// Silence. The stalled member now reads until it holds everything; the
+	// tail can only come from a cycle its own dequeues kicked.
+	converged := func(i int) bool {
+		for _, norm := range want {
+			if !held[i][norm] {
+				return false
+			}
+		}
+		return true
+	}
+	for !converged(0) {
+		take(0, "the coalesced tail of the burst")
+	}
+	for i := 1; i < members; i++ {
+		if !converged(i) {
+			t.Errorf("member %d did not converge", i)
+		}
+	}
+	if n := eng.Counters().SlowDemotions.Load(); n != 0 {
+		t.Errorf("SlowDemotions = %d, want 0: the member was to be retried, not demoted", n)
+	}
+}
+
+// TestPersistSyncsBeforeReturning: a stream resumed behind the head is
+// synchronized by Persist itself, not by a broadcaster cycle that may or may
+// not have run yet — so where the session stands once the caller holds the
+// subscription (and may close it again at once) does not depend on
+// scheduling.
+func TestPersistSyncsBeforeReturning(t *testing.T) {
+	master := newMaster(t)
+	eng := NewEngine(master)
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := eng.lookup(res.Cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		d := addPerson(t, master, fmt.Sprintf("behind%02d", i), fmt.Sprintf("04%02d", i), "1")
+		sub, err := eng.Persist(res.Cookie)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.mu.Lock()
+		at := sess.csn
+		_, held := sess.content[d.Norm()]
+		sess.mu.Unlock()
+		if at != master.LastCSN() || !held {
+			t.Fatalf("round %d: Persist returned with the session at CSN %d, store at %d", i, at, master.LastCSN())
+		}
+		select {
+		case b := <-sub.Updates:
+			res.Cookie = b.Cookie
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: due batch never delivered", i)
+		}
+		sub.Close()
+	}
+}

@@ -30,8 +30,8 @@ type Batch struct {
 // use; the zero value is ready.
 type SharedEnc struct {
 	mu   sync.Mutex
-	enc  map[int][]byte
-	tail map[int][]byte
+	enc  [][]byte
+	tail [][]byte
 }
 
 // Get returns the cached PDU-body encoding of update i, building and
@@ -54,16 +54,16 @@ func (s *SharedEnc) GetTail(i int, build func() ([]byte, error)) ([]byte, bool, 
 
 // memo resolves index i in *m, building on first use. The caller holds the
 // SharedEnc lock, so build must not call back into Get/GetTail.
-func memo(m *map[int][]byte, i int, build func() ([]byte, error)) ([]byte, bool, error) {
-	if b, ok := (*m)[i]; ok {
-		return b, false, nil
+func memo(m *[][]byte, i int, build func() ([]byte, error)) ([]byte, bool, error) {
+	if i < len(*m) && (*m)[i] != nil {
+		return (*m)[i], false, nil
 	}
 	b, err := build()
 	if err != nil {
 		return nil, true, err
 	}
-	if *m == nil {
-		*m = make(map[int][]byte)
+	if i >= len(*m) {
+		*m = append(*m, make([][]byte, i+1-len(*m))...)
 	}
 	(*m)[i] = b
 	return b, true, nil

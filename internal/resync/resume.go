@@ -25,22 +25,16 @@ import (
 // never correctness.
 
 // transfer is one in-flight (or just-completed) chunked reload of a
-// session. The update slice is the full DN-ordered selected content at
-// snapCSN; fps[i] is the running FNV-1a fingerprint of chunks [0, i), so
-// any acknowledged prefix can be verified when a token comes back.
+// session: the reload view it is served from (the full DN-ordered selected
+// content at snapCSN with its chunk geometry and prefix fingerprints —
+// shared with every group member that started from the same snapshot) and
+// the session's own progress through it.
 type transfer struct {
-	snapCSN   dit.CSN
-	gen       uint64 // generation of the completion cookie
-	chunkSize int
-	updates   []Update
-	fps       []uint64
-	done      bool // final chunk handed out; awaiting cookie presentation
-	hold      *dit.Hold
-}
-
-// nchunks returns the transfer's total chunk count.
-func (t *transfer) nchunks() uint32 {
-	return uint32((len(t.updates) + t.chunkSize - 1) / t.chunkSize)
+	snapCSN dit.CSN
+	gen     uint64 // generation of the completion cookie
+	view    *reloadView
+	done    bool // final chunk handed out; awaiting cookie presentation
+	hold    *dit.Hold
 }
 
 // matches verifies a presented token against the recorded transfer. Chunk
@@ -49,9 +43,9 @@ func (t *transfer) nchunks() uint32 {
 // response that superseded it.
 func (t *transfer) matches(tok proto.ResumeToken) bool {
 	return uint64(t.snapCSN) == tok.CSN &&
-		t.nchunks() == tok.Chunks &&
+		t.view.nchunks() == tok.Chunks &&
 		tok.Chunk > 0 && tok.Chunk < tok.Chunks &&
-		t.fps[tok.Chunk] == tok.Fingerprint
+		t.view.fps[tok.Chunk] == tok.Fingerprint
 }
 
 // FNV-1a, matching the oracle's traffic fingerprint fold.
@@ -80,39 +74,20 @@ func foldFPUpdate(h uint64, u Update) uint64 {
 	return h
 }
 
-// chunked reports whether a full transfer of these updates should be
-// served in resumable chunks.
-func (e *Engine) chunked(updates []Update) bool {
-	return e.chunkSize > 0 && len(updates) > e.chunkSize
-}
-
 // beginTransfer records a chunked reload for the session and emits chunk
 // zero. The session is already positioned at the transfer's final sync
 // point (content map, points, csn) — only the consumer lags, chunk by
-// chunk, until the final exchange hands it the completion cookie. The
-// caller holds sess.mu.
-func (e *Engine) beginTransfer(sess *session, updates []Update, csn dit.CSN) *PollResult {
+// chunk, until the final exchange hands it the completion cookie. The hold
+// pins the journal after the snapshot for the transfer's lifetime; the
+// view outlives the group's cached snapshot for as long as a transfer
+// references it. The caller holds sess.mu.
+func (e *Engine) beginTransfer(sess *session, view *reloadView) *PollResult {
 	e.dropTransfer(sess) // supersede any previous transfer
 	tr := &transfer{
-		snapCSN:   csn,
-		gen:       sess.genSeq,
-		chunkSize: e.chunkSize,
-		updates:   updates,
-		hold:      e.store.Hold(csn),
-	}
-	n := int(tr.nchunks())
-	tr.fps = make([]uint64, n+1)
-	h := uint64(fnvOffset64)
-	tr.fps[0] = h
-	for i := 0; i < n; i++ {
-		lo, hi := i*tr.chunkSize, (i+1)*tr.chunkSize
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		for _, u := range updates[lo:hi] {
-			h = foldFPUpdate(h, u)
-		}
-		tr.fps[i+1] = h
+		snapCSN: sess.csn,
+		gen:     sess.genSeq,
+		view:    view,
+		hold:    e.store.Hold(sess.csn),
 	}
 	sess.transfer = tr
 	e.stats.ChunkedReloads.Add(1)
@@ -123,13 +98,9 @@ func (e *Engine) beginTransfer(sess *session, updates []Update, csn dit.CSN) *Po
 // completion cookie (and marks the transfer done), every earlier one a
 // token for its successor. The caller holds sess.mu.
 func (e *Engine) emitChunk(sess *session, tr *transfer, k uint32) *PollResult {
-	lo := int(k) * tr.chunkSize
-	hi := lo + tr.chunkSize
-	if hi > len(tr.updates) {
-		hi = len(tr.updates)
-	}
-	res := &PollResult{Updates: tr.updates[lo:hi], FullReload: k == 0}
-	if hi == len(tr.updates) {
+	res := &PollResult{FullReload: k == 0}
+	res.Updates, res.Enc = tr.view.chunk(k)
+	if k+1 == tr.view.nchunks() {
 		tr.done = true
 		res.Cookie = cookieString(sess.id, tr.gen)
 		res.CSN = e.stampCSN(tr.snapCSN)
@@ -138,8 +109,8 @@ func (e *Engine) emitChunk(sess *session, tr *transfer, k uint32) *PollResult {
 			Session:     sess.id,
 			CSN:         uint64(tr.snapCSN),
 			Chunk:       k + 1,
-			Chunks:      tr.nchunks(),
-			Fingerprint: tr.fps[k+1],
+			Chunks:      tr.view.nchunks(),
+			Fingerprint: tr.view.fps[k+1],
 		}
 	}
 	e.stats.ReloadChunks.Add(1)

@@ -485,34 +485,26 @@ type PollResult struct {
 
 // Begin starts a synchronization session for the content of spec: the
 // entire current content is returned as add actions together with the
-// session cookie (the null-cookie case of Section 5.2). The sync CSN and
-// the content are read atomically (Store.Snapshot): the group cache keys
-// shared classifications by (spec, CSN) only, so a content map that did
-// not match its CSN would be replayed onto every other member standing at
-// that CSN and diverge them permanently.
+// session cookie (the null-cookie case of Section 5.2). The content, its
+// CSN and the wire-encoding memo come from the content group's reload
+// snapshot (reload.go), so members beginning side by side share one
+// materialisation of it.
 func (e *Engine) Begin(spec query.Query) (*PollResult, error) {
-	csn, entries := e.store.Snapshot(stripAttrs(spec))
-	sess := &session{spec: spec, viewKey: viewKey(spec.Attrs), genSeq: 1, csn: csn, content: make(map[string]dn.DN, len(entries))}
+	sess := &session{spec: spec, viewKey: viewKey(spec.Attrs), genSeq: 1}
 	sess.group = e.joinGroup(spec)
-	sess.points = []syncPoint{{gen: 1, csn: csn}}
-	updates := make([]Update, 0, len(entries))
-	for _, ent := range entries {
-		sess.content[ent.DN().Norm()] = ent.DN()
-		sel := ent.Select(spec.Attrs)
-		updates = append(updates, Update{Action: ActionAdd, DN: sel.DN(), Entry: sel})
-	}
+	view := e.startFull(sess)
 	e.mu.Lock()
 	e.nextID++
 	sess.id = "sess-" + strconv.FormatUint(e.nextID, 10)
 	e.sessions[sess.id] = sess
 	e.mu.Unlock()
 	e.stats.Begins.Add(1)
-	if e.chunked(updates) {
+	if view.chunkSize > 0 {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
-		return e.beginTransfer(sess, updates, csn), nil
+		return e.beginTransfer(sess, view), nil
 	}
-	res := &PollResult{Updates: updates, CSN: e.stampCSN(csn), Cookie: cookieString(sess.id, 1)}
+	res := &PollResult{Updates: view.updates, CSN: e.stampCSN(sess.csn), Cookie: cookieString(sess.id, 1), Enc: view.encs[0]}
 	e.countPDUs(res.Updates)
 	e.observe(sess.id, res.Updates, true)
 	return res, nil
@@ -589,30 +581,19 @@ func (e *Engine) poll(sess *session) (*PollResult, error) {
 
 // reload re-sends the full content and resets the session's resume history
 // to the new sync point — used when journal history no longer covers the
-// session's sync point, or the replica presented an unknown one. The sync
-// point and the content are read atomically (Store.Snapshot): content
-// purity w.r.t. CSN is load-bearing for the group's shared-interval cache,
-// so a commit between the two reads must not be able to skew the pair.
-// The caller holds sess.mu.
+// session's sync point, or the replica presented an unknown one. Like
+// Begin it is served from the group's reload snapshot. The caller holds
+// sess.mu.
 func (e *Engine) reload(sess *session) *PollResult {
 	e.stats.FullReloads.Add(1)
-	csn, entries := e.store.Snapshot(stripAttrs(sess.spec))
 	sess.genSeq++
-	sess.csn = csn
-	sess.content = make(map[string]dn.DN, len(entries))
-	sess.points = []syncPoint{{gen: sess.genSeq, csn: csn}}
-	updates := make([]Update, 0, len(entries))
-	for _, ent := range entries {
-		sess.content[ent.DN().Norm()] = ent.DN()
-		sel := ent.Select(sess.spec.Attrs)
-		updates = append(updates, Update{Action: ActionAdd, DN: sel.DN(), Entry: sel})
-	}
-	if e.chunked(updates) {
-		return e.beginTransfer(sess, updates, csn)
+	view := e.startFull(sess)
+	if view.chunkSize > 0 {
+		return e.beginTransfer(sess, view)
 	}
 	// A monolithic reload supersedes any in-flight chunked transfer.
 	e.dropTransfer(sess)
-	res := &PollResult{Cookie: cookieString(sess.id, sess.genSeq), FullReload: true, CSN: e.stampCSN(csn), Updates: updates}
+	res := &PollResult{Cookie: cookieString(sess.id, sess.genSeq), FullReload: true, CSN: e.stampCSN(sess.csn), Updates: view.updates, Enc: view.encs[0]}
 	e.countPDUs(res.Updates)
 	e.observe(sess.id, res.Updates, true)
 	return res
