@@ -13,7 +13,7 @@ SEED ?= 42
 N ?= 1000
 ORACLE_TESTS ?= TestOracleSweep|TestOracleWireSweep|TestOracleCascadeSweep|TestOracleCascadeWireSweep|TestOracleEdgeWriteSweep|TestOracleShardSweepFull|TestOracleResumeSweep|TestOracleAdaptiveSweep
 
-.PHONY: check fmt vet build test bench bench-diff oracle fuzz-smoke cover
+.PHONY: check fmt vet build test bench bench-diff oracle fuzz-smoke cover loc
 
 ## check: the full verification gate (format, vet, build, race-enabled tests).
 check: fmt vet build test
@@ -80,3 +80,14 @@ fuzz-smoke:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 30
+
+## loc: non-test Go lines per internal/ package, then the total over the
+## packages ROADMAP item 2 tracks (the sync surface and what selects for it).
+LOC_PKGS ?= ldapnet cascade replica resync selection tierctl supervisor
+loc:
+	@for d in internal/*/; do \
+		printf '%-12s %6d\n' $$(basename $$d) $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	done
+	@printf '%-12s %6d  (%s)\n' total \
+		$$(for p in $(LOC_PKGS); do find internal/$$p -name '*.go' ! -name '*_test.go' -exec cat {} +; done | wc -l) \
+		"$(LOC_PKGS)"

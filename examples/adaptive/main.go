@@ -39,8 +39,7 @@ func run() error {
 		filterdir.PrefixRule("serialnumber", workload.SerialPrefixLen))
 	sizeOf := func(q filterdir.Query) int { return len(dir.Master.MatchAll(q)) }
 	sel := filterdir.NewSelector(gen, sizeOf, dir.EmployeeCount*8/100, 500)
-	ar := filterdir.NewAdaptiveReplica(rep, sel,
-		filterdir.LocalSupplier(filterdir.NewSyncEngine(dir.Master)))
+	ar := filterdir.NewAdaptiveReplica(rep, sel, filterdir.NewSyncEngine(dir.Master))
 	defer func() {
 		if err := ar.Close(); err != nil {
 			log.Printf("close: %v", err)

@@ -60,7 +60,7 @@ func run() error {
 	gen := filterdir.NewGeneralizer(filterdir.PrefixRule("serialnumber", workload.SerialPrefixLen))
 	sizeOf := func(q filterdir.Query) int { return len(dir.Master.MatchAll(q)) }
 	sel := filterdir.NewSelector(gen, sizeOf, dir.EmployeeCount/10, 200)
-	ar := filterdir.NewAdaptiveReplica(rep, sel, filterdir.ClientSupplier(syncClient))
+	ar := filterdir.NewAdaptiveReplica(rep, sel, syncClient)
 	defer ar.Close()
 
 	// Statically replicate the hot location tree with a slow sync period

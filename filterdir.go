@@ -127,7 +127,7 @@ type (
 	// a synchronization supplier (local engine or wire client).
 	AdaptiveReplica = replica.AdaptiveReplica
 	// Supplier is the master-side synchronization interface an adaptive
-	// replica consumes.
+	// replica consumes; *SyncEngine and *Client both satisfy it.
 	Supplier = replica.Supplier
 )
 
@@ -290,12 +290,6 @@ func NewSyncEngine(master *Directory) *SyncEngine { return resync.NewEngine(mast
 func NewAdaptiveReplica(rep *FilterReplica, sel *Selector, sup Supplier) *AdaptiveReplica {
 	return replica.NewAdaptiveReplica(rep, sel, sup)
 }
-
-// LocalSupplier adapts an in-process sync engine to the Supplier interface.
-func LocalSupplier(eng *SyncEngine) Supplier { return replica.LocalSupplier{Engine: eng} }
-
-// ClientSupplier adapts a wire client to the Supplier interface.
-func ClientSupplier(c *Client) Supplier { return ldapnet.ClientSupplier{Client: c} }
 
 // NewSyncApplier wraps a replica-side store for applying sync updates.
 func NewSyncApplier(store *Directory) *SyncApplier { return resync.NewApplier(store) }

@@ -40,7 +40,6 @@ import (
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/metrics"
 	"filterdir/internal/persist"
-	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
@@ -89,8 +88,6 @@ type Config struct {
 	JournalRetention persist.JournalRetention
 	// ContentIndexes maintains equality/prefix indexes on the tier store.
 	ContentIndexes []string
-	// Checker shares a containment checker (and its compiled plans).
-	Checker *containment.Checker
 	// PollInterval, IdleTimeout, BackoffBase, BackoffMax and DialTimeout
 	// are forwarded to the upstream supervisors.
 	PollInterval, IdleTimeout time.Duration
@@ -119,9 +116,6 @@ func (c *Config) fillDefaults() {
 	if c.Depth <= 0 {
 		c.Depth = 1
 	}
-	if c.Checker == nil {
-		c.Checker = containment.NewChecker()
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -129,11 +123,12 @@ func (c *Config) fillDefaults() {
 
 // Tier is one mid-tier node: a filter replica fed by upstream supervisors,
 // plus a resync engine over the replica's store serving downstream
-// replicas, plus the containment gate between them. It implements
-// ldapnet.SyncSupplier, so wrapping it in an ldapnet.CascadeBackend and a
-// server makes it network-attachable.
+// replicas, plus the containment gate between them. It is an ldapnet.Tier,
+// so wrapping it in an ldapnet.CascadeBackend and a server makes it
+// network-attachable: the backend serves ReSync from Engine() behind Admit.
 type Tier struct {
 	cfg      Config
+	checker  *containment.Checker // shared by the replica's answers and the admission gate
 	rep      *replica.FilterReplica
 	eng      *resync.Engine
 	counters *metrics.CascadeCounters
@@ -184,10 +179,7 @@ type Tier struct {
 	startOnce sync.Once
 }
 
-var (
-	_ ldapnet.SyncSupplier  = (*Tier)(nil)
-	_ ldapnet.FilterWatcher = (*Tier)(nil)
-)
+var _ ldapnet.Tier = (*Tier)(nil)
 
 // upstreamLink is one upstream synchronization link: the normalized spec,
 // the supervisor pulling it, and the supervisor's latest reported upstream
@@ -212,8 +204,9 @@ func New(cfg Config) (*Tier, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("cascade: at least one content spec required")
 	}
+	checker := containment.NewChecker()
 	rep, err := replica.NewFilterReplica(
-		replica.WithChecker(cfg.Checker),
+		replica.WithChecker(checker),
 		replica.WithJournalLimit(cfg.JournalLimit),
 		replica.WithContentIndexes(cfg.ContentIndexes...),
 	)
@@ -222,6 +215,7 @@ func New(cfg Config) (*Tier, error) {
 	}
 	t := &Tier{
 		cfg:      cfg,
+		checker:  checker,
 		rep:      rep,
 		counters: &metrics.CascadeCounters{},
 		genCh:    make(chan struct{}),
@@ -526,7 +520,7 @@ func (t *Tier) Admit(q query.Query) error {
 	nq := q.Normalize()
 	admitted := false
 	for _, spec := range t.Specs() {
-		if t.cfg.Checker.QueryContains(nq, spec) {
+		if t.checker.QueryContains(nq, spec) {
 			admitted = true
 			break
 		}
@@ -545,56 +539,21 @@ func (t *Tier) Admit(q query.Query) error {
 	return fmt.Errorf("%w: %s", ldapnet.ErrNotContained, q.FilterString())
 }
 
-// SyncBegin implements ldapnet.SyncSupplier: containment-gated session
-// establishment against the tier engine.
-func (t *Tier) SyncBegin(q query.Query) (*resync.PollResult, error) {
-	if err := t.Admit(q); err != nil {
-		return nil, err
-	}
-	res, err := t.eng.Begin(q)
-	t.counters.DownstreamSessions.Store(int64(t.eng.Sessions()))
-	return res, err
-}
-
-// SyncPoll implements ldapnet.SyncSupplier.
-func (t *Tier) SyncPoll(cookie string) (*resync.PollResult, error) {
-	return t.eng.Poll(cookie)
-}
-
-// SyncResume implements ldapnet.SyncSupplier: chunked-reload continuation
-// against the tier engine.
-func (t *Tier) SyncResume(tok proto.ResumeToken) (*resync.PollResult, error) {
-	return t.eng.ResumeReload(tok)
-}
-
-// SyncRetain implements ldapnet.SyncSupplier (equation 3 mode).
-func (t *Tier) SyncRetain(cookie string) (*resync.PollResult, error) {
-	return t.eng.PollRetain(cookie)
-}
-
-// SyncPersist implements ldapnet.SyncSupplier.
-func (t *Tier) SyncPersist(cookie string) (*resync.Subscription, error) {
-	return t.eng.Persist(cookie)
-}
-
-// SyncEnd implements ldapnet.SyncSupplier.
-func (t *Tier) SyncEnd(cookie string) error {
-	err := t.eng.End(cookie)
-	t.counters.DownstreamSessions.Store(int64(t.eng.Sessions()))
-	return err
-}
-
-// SyncCounters implements ldapnet.SyncSupplier with the tier engine's
-// counters.
+// SyncCounters exposes the tier engine's synchronization counters.
 func (t *Tier) SyncCounters() *metrics.SyncCounters { return t.eng.Counters() }
 
-// Counters exposes the cascade counters for status reporting.
-func (t *Tier) Counters() *metrics.CascadeCounters { return t.counters }
+// Counters exposes the cascade counters for status reporting, with the
+// downstream session gauge read off the engine at this moment.
+func (t *Tier) Counters() *metrics.CascadeCounters {
+	t.counters.DownstreamSessions.Store(int64(t.eng.Sessions()))
+	return t.counters
+}
 
 // Replica exposes the tier's filter replica (searches, status).
 func (t *Tier) Replica() *replica.FilterReplica { return t.rep }
 
-// Engine exposes the downstream-facing engine (tests, status).
+// Engine exposes the downstream-facing engine: ldapnet.CascadeBackend
+// serves ReSync from it, gated by Admit.
 func (t *Tier) Engine() *resync.Engine { return t.eng }
 
 // Supervisors exposes the current upstream supervisors, one per spec, in
@@ -707,14 +666,13 @@ func (t *Tier) RetireSpec(spec query.Query) (int, error) {
 	}
 	kicked := t.eng.Kick(func(s query.Query) bool {
 		for _, spec := range remaining {
-			if t.cfg.Checker.QueryContains(s, spec) {
+			if t.checker.QueryContains(s, spec) {
 				return true
 			}
 		}
 		return false
 	})
 	t.rep.RemoveStored(nq)
-	t.counters.DownstreamSessions.Store(int64(t.eng.Sessions()))
 	t.cfg.Logf("cascade: retired spec %s (%d sessions re-referred, generation %d)",
 		nq.FilterString(), len(kicked), t.generation())
 	return len(kicked), nil

@@ -303,6 +303,20 @@ func TestPropagationThroughTier(t *testing.T) {
 	if c.TierDepth != 1 {
 		t.Errorf("tier depth = %d, want 1", c.TierDepth)
 	}
+	// The session gauge is read off the engine when the counters are: the
+	// two attached leaves now, one fewer as soon as a leaf's session ends.
+	if c.DownstreamSessions != 2 {
+		t.Errorf("downstream sessions = %d, want 2 (both attached leaves)", c.DownstreamSessions)
+	}
+	if err := supSub.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Engine().End(supSub.Cookie()); err != nil {
+		t.Fatal(err)
+	}
+	if got := tier.Counters().Snapshot().DownstreamSessions; got != 1 {
+		t.Errorf("downstream sessions after one leaf's session ended = %d, want 1", got)
+	}
 }
 
 // TestRejectionDivertsToFallback: a leaf whose spec the tier cannot prove
@@ -520,23 +534,28 @@ func TestConcurrentUpstreamApplyAndDownstream(t *testing.T) {
 	}()
 	go func() { // raw downstream sessions churning against the tier engine
 		defer wg.Done()
+		eng := tier.Engine()
 		for i := 0; i < 20; i++ {
-			res, err := tier.SyncBegin(h.tierSpec)
+			if err := tier.Admit(h.tierSpec); err != nil {
+				t.Errorf("Admit: %v", err)
+				return
+			}
+			res, err := eng.Begin(h.tierSpec)
 			if err != nil {
-				t.Errorf("SyncBegin: %v", err)
+				t.Errorf("Begin: %v", err)
 				return
 			}
 			cookie := res.Cookie
 			for j := 0; j < 3; j++ {
-				pr, err := tier.SyncPoll(cookie)
+				pr, err := eng.Poll(cookie)
 				if err != nil {
-					t.Errorf("SyncPoll: %v", err)
+					t.Errorf("Poll: %v", err)
 					return
 				}
 				cookie = pr.Cookie
 			}
-			if err := tier.SyncEnd(cookie); err != nil {
-				t.Errorf("SyncEnd: %v", err)
+			if err := eng.End(cookie); err != nil {
+				t.Errorf("End: %v", err)
 				return
 			}
 		}

@@ -84,11 +84,12 @@ func referralsFor(err error) []string {
 	return nil
 }
 
-// StoreBackend serves a dit.Store with a resync.Engine, optionally guarded
-// by a single bind credential (empty means anonymous access).
+// StoreBackend serves a dit.Store with a resync.Engine (the embedded
+// engineSync, ungated), optionally guarded by a single bind credential (empty
+// means anonymous access).
 type StoreBackend struct {
-	Store  *dit.Store
-	Engine *resync.Engine
+	engineSync
+	Store *dit.Store
 	// BindDN / BindPassword guard non-anonymous access when set.
 	BindDN       string
 	BindPassword string
@@ -117,10 +118,10 @@ const maxEdgeDedup = 65536
 // options (chunked reloads, sync-point retention) pass through.
 func NewStoreBackend(store *dit.Store, opts ...resync.EngineOption) *StoreBackend {
 	return &StoreBackend{
-		Store:    store,
-		Engine:   resync.NewEngine(store, opts...),
-		Writes:   &metrics.WriteCounters{},
-		edgeSeen: make(map[string]uint64),
+		engineSync: engineSync{Engine: resync.NewEngine(store, opts...)},
+		Store:      store,
+		Writes:     &metrics.WriteCounters{},
+		edgeSeen:   make(map[string]uint64),
 	}
 }
 
@@ -155,11 +156,6 @@ func (b *StoreBackend) EdgeApply(c dit.Change, opID string) (uint64, bool, error
 	return uint64(csn), false, nil
 }
 
-// SyncCounters implements SyncCounterSource with the engine's counters.
-func (b *StoreBackend) SyncCounters() *metrics.SyncCounters {
-	return b.Engine.Counters()
-}
-
 // Bind implements Backend.
 func (b *StoreBackend) Bind(name, password string) proto.ResultCode {
 	if b.BindDN == "" {
@@ -176,69 +172,21 @@ func (b *StoreBackend) Search(q query.Query) (*dit.Result, error) {
 	return b.Store.Search(q)
 }
 
-// ReSyncBegin implements Backend.
-func (b *StoreBackend) ReSyncBegin(q query.Query) (*resync.PollResult, error) {
-	return b.Engine.Begin(q)
-}
-
-// ReSyncPoll implements Backend.
-func (b *StoreBackend) ReSyncPoll(cookie string) (*resync.PollResult, error) {
-	return b.Engine.Poll(cookie)
-}
-
-// ReSyncResume implements Backend.
-func (b *StoreBackend) ReSyncResume(tok proto.ResumeToken) (*resync.PollResult, error) {
-	return b.Engine.ResumeReload(tok)
-}
-
-// ReSyncRetain implements Backend.
-func (b *StoreBackend) ReSyncRetain(cookie string) (*resync.PollResult, error) {
-	return b.Engine.PollRetain(cookie)
-}
-
-// ReSyncPersist implements Backend.
-func (b *StoreBackend) ReSyncPersist(cookie string) (*resync.Subscription, error) {
-	return b.Engine.Persist(cookie)
-}
-
-// ReSyncEnd implements Backend.
-func (b *StoreBackend) ReSyncEnd(cookie string) error {
-	return b.Engine.End(cookie)
-}
-
 // Add implements Backend.
-func (b *StoreBackend) Add(req *proto.AddRequest) error {
-	c, err := changeFromOp(req)
-	if err != nil {
-		return err
-	}
-	_, err = b.Store.ApplyCSN(c)
-	return err
-}
+func (b *StoreBackend) Add(req *proto.AddRequest) error { return b.apply(req) }
 
 // Delete implements Backend.
-func (b *StoreBackend) Delete(req *proto.DelRequest) error {
-	c, err := changeFromOp(req)
-	if err != nil {
-		return err
-	}
-	_, err = b.Store.ApplyCSN(c)
-	return err
-}
+func (b *StoreBackend) Delete(req *proto.DelRequest) error { return b.apply(req) }
 
 // Modify implements Backend.
-func (b *StoreBackend) Modify(req *proto.ModifyRequest) error {
-	c, err := changeFromOp(req)
-	if err != nil {
-		return err
-	}
-	_, err = b.Store.ApplyCSN(c)
-	return err
-}
+func (b *StoreBackend) Modify(req *proto.ModifyRequest) error { return b.apply(req) }
 
 // ModifyDN implements Backend.
-func (b *StoreBackend) ModifyDN(req *proto.ModifyDNRequest) error {
-	c, err := changeFromOp(req)
+func (b *StoreBackend) ModifyDN(req *proto.ModifyDNRequest) error { return b.apply(req) }
+
+// apply commits one update request to the store under the next CSN.
+func (b *StoreBackend) apply(op proto.Op) error {
+	c, err := changeFromOp(op)
 	if err != nil {
 		return err
 	}

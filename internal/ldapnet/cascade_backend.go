@@ -5,8 +5,6 @@ import (
 
 	"filterdir/internal/dit"
 	"filterdir/internal/edgewrite"
-	"filterdir/internal/metrics"
-	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
@@ -20,51 +18,49 @@ import (
 // divert to its fallback master with errors.Is.
 var ErrNotContained = errors.New("sync spec not contained in replica's stored queries")
 
-// SyncSupplier is the replica-side supplier surface of a cascade mid-tier:
-// the ReSync control served over the tier's own engine, with Begin gated by
-// query containment (internal/cascade.Tier implements it).
-type SyncSupplier interface {
-	SyncBegin(q query.Query) (*resync.PollResult, error)
-	SyncPoll(cookie string) (*resync.PollResult, error)
-	SyncResume(tok proto.ResumeToken) (*resync.PollResult, error)
-	SyncRetain(cookie string) (*resync.PollResult, error)
-	SyncPersist(cookie string) (*resync.Subscription, error)
-	SyncEnd(cookie string) error
-	SyncCounters() *metrics.SyncCounters
-}
-
-// FilterWatcher is implemented by suppliers whose admission filter set can
-// change at runtime (an adaptive cascade tier). FilterGeneration returns the
-// current generation — bumped on every adopt/retire — and a channel that is
-// closed when the generation next advances; callers re-fetch after the close.
-// A nil channel means the filter set is static.
+// FilterWatcher is implemented by backends whose admission filter set can
+// change at runtime (a cascade tier under adaptive control); the server's
+// filters-watch long-poll is served from it.
 type FilterWatcher interface {
+	// FilterGeneration returns the current generation — bumped on every
+	// adopt/retire — and a channel that is closed when the generation next
+	// advances; callers re-fetch after the close.
 	FilterGeneration() (uint64, <-chan struct{})
+	// Admit answers "would this sync spec be admitted right now?" without
+	// establishing a session. The watch's fast path uses it: a watcher whose
+	// spec is already covered by the current filter set is answered
+	// immediately instead of parked waiting for a generation bump that may
+	// never come — closing the race where the tier widens between the leaf's
+	// rejection and its watch arriving. Admission side effects (counters, the
+	// tier's admission observer) fire as for any other admission probe.
+	Admit(q query.Query) error
 }
 
-// SpecAdmitter is implemented by backends that can answer "would this sync
-// spec be admitted right now?" without establishing a session. The server's
-// filters-watch fast path uses it: a watcher whose spec is already covered
-// by the current filter set is answered immediately instead of parked
-// waiting for a generation bump that may never come — closing the race where
-// the tier widens between the leaf's rejection and its watch arriving.
-type SpecAdmitter interface {
-	AdmitSpec(q query.Query) error
+// Tier is what a CascadeBackend serves downstream replicas from: the
+// mid-tier's own engine, and the admission gate in front of it
+// (*cascade.Tier satisfies it).
+type Tier interface {
+	FilterWatcher
+	Engine() *resync.Engine
 }
 
 // CascadeBackend serves a mid-tier cascade replica over the wire: searches
 // behave exactly like ReplicaBackend (containment hit → local answer, miss
 // → referral), but ReSync operations are served from the tier's own engine
-// instead of being refused — the replica acts as a containment-gated
-// supplier for downstream replicas. The tier's own content changes only
-// through its upstream session; updates submitted here ride the embedded
-// ReplicaBackend's edge-write path, and edge-write forwards from
-// downstream replicas are relayed one hop closer to the master via
-// Upstream — the op id travels unchanged, so the master's dedup sees one
-// op no matter how many hops (or replays) it took.
+// instead of being refused (engineSync shadows the embedded replica's
+// noSync), with session establishment gated by the tier's containment check
+// — a rejection surfaces as a referral carrying ErrNotContained semantics.
+// The tier's own content changes only through its upstream session; updates
+// submitted here ride the embedded ReplicaBackend's edge-write path, and
+// edge-write forwards from downstream replicas are relayed one hop closer to
+// the master via Upstream — the op id travels unchanged, so the master's
+// dedup sees one op no matter how many hops (or replays) it took.
 type CascadeBackend struct {
 	*ReplicaBackend
-	Supplier SyncSupplier
+	engineSync
+	// FilterWatcher is the tier: its filter generation and admission gate
+	// answer the server's filters-watch control.
+	FilterWatcher
 	// Upstream relays edge-write forwards toward the sequencer; nil refuses
 	// them (downstream writers then divert to their fallback master).
 	Upstream edgewrite.Forwarder
@@ -75,12 +71,13 @@ var (
 	_ SyncCounterSource = (*CascadeBackend)(nil)
 )
 
-// NewCascadeBackend wraps a filter replica and its tier supplier. masterURL
-// is the referral target for search misses and rejected sync specs.
-func NewCascadeBackend(rep *replica.FilterReplica, sup SyncSupplier, masterURL string) *CascadeBackend {
+// NewCascadeBackend wraps a filter replica and its tier. masterURL is the
+// referral target for search misses and rejected sync specs.
+func NewCascadeBackend(rep *replica.FilterReplica, tier Tier, masterURL string) *CascadeBackend {
 	return &CascadeBackend{
 		ReplicaBackend: NewReplicaBackend(rep, masterURL),
-		Supplier:       sup,
+		engineSync:     engineSync{Engine: tier.Engine(), admit: tier.Admit},
+		FilterWatcher:  tier,
 	}
 }
 
@@ -92,69 +89,4 @@ func (b *CascadeBackend) EdgeApply(c dit.Change, opID string) (uint64, bool, err
 		return 0, false, ErrReadOnly
 	}
 	return b.Upstream.Forward(c, opID)
-}
-
-// SyncCounters implements SyncCounterSource with the tier engine's
-// counters, so the server's streaming accounting lands in the same place.
-func (b *CascadeBackend) SyncCounters() *metrics.SyncCounters {
-	return b.Supplier.SyncCounters()
-}
-
-// ReSyncBegin implements Backend: the spec is admitted only when contained
-// in the tier's stored queries; a rejection surfaces as a referral carrying
-// ErrNotContained semantics.
-func (b *CascadeBackend) ReSyncBegin(q query.Query) (*resync.PollResult, error) {
-	return b.Supplier.SyncBegin(q)
-}
-
-// ReSyncPoll implements Backend via the tier engine.
-func (b *CascadeBackend) ReSyncPoll(cookie string) (*resync.PollResult, error) {
-	return b.Supplier.SyncPoll(cookie)
-}
-
-// ReSyncResume implements Backend via the tier engine: the token names a
-// session the tier already admitted, so no containment re-check is needed.
-func (b *CascadeBackend) ReSyncResume(tok proto.ResumeToken) (*resync.PollResult, error) {
-	return b.Supplier.SyncResume(tok)
-}
-
-// ReSyncRetain implements Backend via the tier engine.
-func (b *CascadeBackend) ReSyncRetain(cookie string) (*resync.PollResult, error) {
-	return b.Supplier.SyncRetain(cookie)
-}
-
-// ReSyncPersist implements Backend via the tier engine.
-func (b *CascadeBackend) ReSyncPersist(cookie string) (*resync.Subscription, error) {
-	return b.Supplier.SyncPersist(cookie)
-}
-
-// ReSyncEnd implements Backend via the tier engine.
-func (b *CascadeBackend) ReSyncEnd(cookie string) error {
-	return b.Supplier.SyncEnd(cookie)
-}
-
-// FilterGeneration implements FilterWatcher by delegating to the tier when
-// it is adaptive; a static tier reports generation 0 with a nil channel and
-// the server refuses the watch.
-func (b *CascadeBackend) FilterGeneration() (uint64, <-chan struct{}) {
-	if fw, ok := b.Supplier.(FilterWatcher); ok {
-		return fw.FilterGeneration()
-	}
-	return 0, nil
-}
-
-// AdmitSpec implements SpecAdmitter against the tier's admission gate, so
-// the filters-watch fast path sees exactly the containment decision a
-// ReSyncBegin would. Admission side effects (counters, the tier's admission
-// observer) fire as for any other admission probe.
-func (b *CascadeBackend) AdmitSpec(q query.Query) error {
-	if adm, ok := b.Supplier.(interface{ Admit(q query.Query) error }); ok {
-		return adm.Admit(q)
-	}
-	return ErrNotContained
-}
-
-// Bind implements Backend (anonymous only, like ReplicaBackend).
-func (b *CascadeBackend) Bind(name, password string) proto.ResultCode {
-	return b.ReplicaBackend.Bind(name, password)
 }

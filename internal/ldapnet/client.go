@@ -72,22 +72,6 @@ type SearchResult struct {
 	Referrals []string
 }
 
-// SyncResult is a decoded ReSync response.
-type SyncResult struct {
-	Updates    []resync.Update
-	Cookie     string
-	FullReload bool
-	// UpstreamCSN is the supplier's commit watermark for this response (see
-	// resync.PollResult.CSN): applying the updates brings the consumer up to
-	// this position in the supplier's journal. Zero when the supplier
-	// predates the edge-write protocol.
-	UpstreamCSN uint64
-	// Resume, when non-nil, marks a partial chunked reload: Cookie is empty
-	// and the consumer continues the transfer by presenting the token
-	// (SyncResume). FullReload is set only on the transfer's first chunk.
-	Resume *proto.ResumeToken
-}
-
 // Client is a synchronous LDAP client. Methods are safe for concurrent use
 // but execute one operation at a time per connection.
 type Client struct {
@@ -139,31 +123,18 @@ func DialWith(dial DialFunc, addr string, timeout time.Duration) (*Client, error
 	return &Client{conn: conn, r: bufio.NewReader(conn), nextID: 1, timeout: timeout}, nil
 }
 
-// SetTimeout changes the per-I/O deadline for subsequent operations
-// (0 disables deadlines).
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
-}
-
 // armWrite and armRead (re-)arm the connection deadline for one I/O
 // operation; with no timeout configured any previous deadline is cleared.
 // Callers hold c.mu.
-func (c *Client) armWrite() {
-	var dl time.Time
-	if c.timeout > 0 {
-		dl = time.Now().Add(c.timeout)
-	}
-	_ = c.conn.SetWriteDeadline(dl)
-}
+func (c *Client) armWrite() { _ = c.conn.SetWriteDeadline(c.deadline()) }
 
-func (c *Client) armRead() {
-	var dl time.Time
+func (c *Client) armRead() { _ = c.conn.SetReadDeadline(c.deadline()) }
+
+func (c *Client) deadline() time.Time {
 	if c.timeout > 0 {
-		dl = time.Now().Add(c.timeout)
+		return time.Now().Add(c.timeout)
 	}
-	_ = c.conn.SetReadDeadline(dl)
+	return time.Time{}
 }
 
 // RoundTrips reports the number of request/response exchanges so far.
@@ -249,17 +220,26 @@ func (c *Client) Search(q query.Query) (*SearchResult, error) {
 // SearchWith runs a search with request controls attached (e.g. the
 // RFC 2891 server-side sort control).
 func (c *Client) SearchWith(q query.Query, controls ...proto.Control) (*SearchResult, error) {
+	res, _, err := c.search(q, controls...)
+	return res, err
+}
+
+// search runs one search exchange, collecting the streamed entries and
+// references. done is the closing SearchDone message, whose controls carry
+// what the request's controls asked for (e.g. the paging cookie); on an
+// error the partial result is returned with it.
+func (c *Client) search(q query.Query, controls ...proto.Control) (res *SearchResult, done *proto.Message, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, err := c.send(&proto.SearchRequest{Query: q}, controls...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := &SearchResult{}
+	res = &SearchResult{}
 	for {
 		m, err := c.read(id)
 		if err != nil {
-			return res, err
+			return res, nil, err
 		}
 		switch op := m.Op.(type) {
 		case *proto.SearchEntry:
@@ -268,11 +248,11 @@ func (c *Client) SearchWith(q query.Query, controls ...proto.Control) (*SearchRe
 			res.Referrals = append(res.Referrals, op.URLs...)
 		case *proto.SearchDone:
 			if op.Code != proto.ResultSuccess {
-				return res, &ResultError{Code: op.Code, Message: op.Message, Referrals: op.Referrals}
+				return res, nil, &ResultError{Code: op.Code, Message: op.Message, Referrals: op.Referrals}
 			}
-			return res, nil
+			return res, m, nil
 		default:
-			return res, fmt.Errorf("ldap search: unexpected response %T", m.Op)
+			return res, nil, fmt.Errorf("ldap search: unexpected response %T", m.Op)
 		}
 	}
 }
@@ -339,46 +319,42 @@ func (c *Client) SearchPaged(q query.Query, pageSize int) (*SearchResult, error)
 }
 
 func (c *Client) searchPage(q query.Query, pageSize int, cookie string) (*SearchResult, bool, string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(&proto.SearchRequest{Query: q}, proto.NewPagedControl(int64(pageSize), cookie))
+	res, done, err := c.search(q, proto.NewPagedControl(int64(pageSize), cookie))
 	if err != nil {
-		return nil, false, "", err
+		return res, false, "", err
 	}
-	res := &SearchResult{}
-	for {
-		m, err := c.read(id)
-		if err != nil {
-			return res, false, "", err
-		}
-		switch op := m.Op.(type) {
-		case *proto.SearchEntry:
-			res.Entries = append(res.Entries, op.Entry)
-		case *proto.SearchReference:
-			res.Referrals = append(res.Referrals, op.URLs...)
-		case *proto.SearchDone:
-			if op.Code != proto.ResultSuccess {
-				return res, false, "", &ResultError{Code: op.Code, Message: op.Message, Referrals: op.Referrals}
-			}
-			pc, ok := m.Control(proto.OIDPagedResults)
-			if !ok {
-				return res, true, "", nil
-			}
-			_, next, err := proto.ParsePaged(pc)
-			if err != nil {
-				return res, false, "", err
-			}
-			return res, next == "", next, nil
-		default:
-			return res, false, "", fmt.Errorf("ldap paged search: unexpected response %T", m.Op)
-		}
+	pc, ok := done.Control(proto.OIDPagedResults)
+	if !ok {
+		return res, true, "", nil
 	}
+	_, next, err := proto.ParsePaged(pc)
+	if err != nil {
+		return res, false, "", err
+	}
+	return res, next == "", next, nil
 }
 
 // Sync performs one ReSync exchange: an empty cookie begins a session, a
-// non-empty cookie polls it; mode selects poll or retain semantics.
-func (c *Client) Sync(q query.Query, mode proto.ReSyncMode, cookie string) (*SyncResult, error) {
+// non-empty cookie polls it; mode selects poll or retain semantics. The
+// result is the supplier engine's own, decoded: CSN is the supplier's commit
+// watermark (zero from a supplier that predates the edge-write protocol), and
+// a non-nil Resume marks one chunk of a chunked reload, to be continued with
+// SyncResume.
+func (c *Client) Sync(q query.Query, mode proto.ReSyncMode, cookie string) (*resync.PollResult, error) {
 	return c.syncExchange(q, proto.NewReSyncRequestControl(mode, cookie))
+}
+
+// Begin starts a session for the content of q. Begin, Poll and End are the
+// engine's own names for these exchanges, so a *Client is a replica.Supplier
+// exactly as a *resync.Engine is one.
+func (c *Client) Begin(q query.Query) (*resync.PollResult, error) {
+	return c.Sync(q, proto.ReSyncModePoll, "")
+}
+
+// Poll continues the session the cookie names; the server ignores the query
+// on a request for an established session.
+func (c *Client) Poll(cookie string) (*resync.PollResult, error) {
+	return c.Sync(query.Query{Scope: query.ScopeSubtree}, proto.ReSyncModePoll, cookie)
 }
 
 // SyncResume continues a chunked reload by presenting a resume token; the
@@ -386,7 +362,7 @@ func (c *Client) Sync(q query.Query, mode proto.ReSyncMode, cookie string) (*Syn
 // token, a restart from chunk zero — FullReload set). The control is
 // critical: a supplier that does not understand resumption must refuse
 // rather than silently serve a plain search.
-func (c *Client) SyncResume(tok proto.ResumeToken) (*SyncResult, error) {
+func (c *Client) SyncResume(tok proto.ResumeToken) (*resync.PollResult, error) {
 	return c.syncExchange(query.Query{Scope: query.ScopeSubtree},
 		proto.NewReSyncRequestControl(proto.ReSyncModePoll, ""),
 		proto.NewReSyncResumeControl(tok, true))
@@ -394,14 +370,14 @@ func (c *Client) SyncResume(tok proto.ResumeToken) (*SyncResult, error) {
 
 // syncExchange runs one ReSync request/response cycle with the given
 // controls.
-func (c *Client) syncExchange(q query.Query, controls ...proto.Control) (*SyncResult, error) {
+func (c *Client) syncExchange(q query.Query, controls ...proto.Control) (*resync.PollResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, err := c.send(&proto.SearchRequest{Query: q}, controls...)
 	if err != nil {
 		return nil, err
 	}
-	res := &SyncResult{}
+	res := &resync.PollResult{}
 	for {
 		m, err := c.read(id)
 		if err != nil {
@@ -419,7 +395,7 @@ func (c *Client) syncExchange(q query.Query, controls ...proto.Control) (*SyncRe
 				return res, &ResultError{Code: op.Code, Message: op.Message, Referrals: op.Referrals}
 			}
 			if dc, ok := m.Control(proto.OIDReSyncDone); ok {
-				res.Cookie, res.FullReload, res.UpstreamCSN, err = proto.ParseReSyncDone(dc)
+				res.Cookie, res.FullReload, res.CSN, err = proto.ParseReSyncDone(dc)
 				if err != nil {
 					return res, err
 				}
@@ -438,8 +414,8 @@ func (c *Client) syncExchange(q query.Query, controls ...proto.Control) (*SyncRe
 	}
 }
 
-// SyncEnd terminates a session.
-func (c *Client) SyncEnd(cookie string) error {
+// End terminates a session.
+func (c *Client) End(cookie string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, err := c.send(&proto.SearchRequest{Query: query.Query{Scope: query.ScopeBase}},
@@ -493,52 +469,26 @@ func (c *Client) Add(e *entry.Entry) error {
 	for _, name := range e.AttributeNames() {
 		req.Attrs = append(req.Attrs, proto.Attribute{Type: name, Values: e.Values(name)})
 	}
-	return c.simpleOp(req, func(m *proto.Message) (proto.Result, bool) {
-		r, ok := m.Op.(*proto.AddResponse)
-		if !ok {
-			return proto.Result{}, false
-		}
-		return r.Result, true
-	})
+	return c.simpleOp(req)
 }
 
 // Delete removes an entry.
 func (c *Client) Delete(d dn.DN) error {
-	return c.simpleOp(&proto.DelRequest{DN: d.String()}, func(m *proto.Message) (proto.Result, bool) {
-		r, ok := m.Op.(*proto.DelResponse)
-		if !ok {
-			return proto.Result{}, false
-		}
-		return r.Result, true
-	})
+	return c.simpleOp(&proto.DelRequest{DN: d.String()})
 }
 
 // Modify alters an entry.
 func (c *Client) Modify(d dn.DN, changes []proto.ModifyChange) error {
-	return c.simpleOp(&proto.ModifyRequest{DN: d.String(), Changes: changes},
-		func(m *proto.Message) (proto.Result, bool) {
-			r, ok := m.Op.(*proto.ModifyResponse)
-			if !ok {
-				return proto.Result{}, false
-			}
-			return r.Result, true
-		})
+	return c.simpleOp(&proto.ModifyRequest{DN: d.String(), Changes: changes})
 }
 
 // ModifyDN renames or moves an entry.
 func (c *Client) ModifyDN(old dn.DN, newRDN dn.RDN, newSuperior dn.DN) error {
-	req := &proto.ModifyDNRequest{
+	return c.simpleOp(&proto.ModifyDNRequest{
 		DN:           old.String(),
 		NewRDN:       newRDN.String(),
 		DeleteOldRDN: true,
 		NewSuperior:  newSuperior.String(),
-	}
-	return c.simpleOp(req, func(m *proto.Message) (proto.Result, bool) {
-		r, ok := m.Op.(*proto.ModifyDNResponse)
-		if !ok {
-			return proto.Result{}, false
-		}
-		return r.Result, true
 	})
 }
 
@@ -586,7 +536,8 @@ func writeResult(m *proto.Message) (proto.Result, bool) {
 	return proto.Result{}, false
 }
 
-func (c *Client) simpleOp(op proto.Op, extract func(*proto.Message) (proto.Result, bool)) error {
+// simpleOp sends one update request and maps its response to an error.
+func (c *Client) simpleOp(op proto.Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, err := c.send(op)
@@ -597,7 +548,7 @@ func (c *Client) simpleOp(op proto.Op, extract func(*proto.Message) (proto.Resul
 	if err != nil {
 		return err
 	}
-	r, ok := extract(m)
+	r, ok := writeResult(m)
 	if !ok {
 		return fmt.Errorf("ldap: unexpected response %T", m.Op)
 	}
@@ -655,25 +606,13 @@ func (p *PersistSession) setErr(err error) {
 	p.mu.Unlock()
 }
 
-// Persist opens a dedicated connection and runs a persist-mode sync. The
-// returned session delivers every update (initial content first). The dial
-// and request write are bounded by DefaultTimeout; the stream itself has no
-// idle timeout (persist connections legitimately sit quiet between
-// changes) — use PersistTimeout to bound it.
-func Persist(addr string, q query.Query, cookie string) (*PersistSession, error) {
-	return PersistTimeout(addr, q, cookie, DefaultTimeout, 0)
-}
-
-// PersistTimeout is Persist with explicit deadlines: dialTimeout bounds the
-// dial and the initial request write (0 = none); idleTimeout, when
-// positive, bounds the gap between streamed messages — a master stalled
-// longer than that ends the subscription.
-func PersistTimeout(addr string, q query.Query, cookie string, dialTimeout, idleTimeout time.Duration) (*PersistSession, error) {
-	return PersistWith(nil, addr, q, cookie, dialTimeout, idleTimeout)
-}
-
-// PersistWith is PersistTimeout through an explicit transport hook
-// (nil = TCP).
+// PersistWith opens a dedicated connection through the transport hook dial
+// (nil = TCP) and runs a persist-mode sync. The returned session delivers
+// every update (initial content first). dialTimeout bounds the dial and the
+// initial request write (0 = none); idleTimeout, when positive, bounds the
+// gap between streamed messages — a master stalled longer than that ends the
+// subscription — and zero leaves the stream without one (persist connections
+// legitimately sit quiet between changes).
 func PersistWith(dial DialFunc, addr string, q query.Query, cookie string, dialTimeout, idleTimeout time.Duration) (*PersistSession, error) {
 	c, err := DialWith(dial, addr, dialTimeout)
 	if err != nil {

@@ -163,23 +163,6 @@ func TestReplicaBackendChaseToMaster(t *testing.T) {
 	}
 }
 
-func TestReplicaBackendReadOnlySync(t *testing.T) {
-	rep, err := replica.NewFilterReplica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewReplicaBackend(rep, "ldap://master")
-	if _, err := b.ReSyncBegin(query.Query{}); !errors.Is(err, ErrReadOnly) {
-		t.Error("ReSyncBegin must be refused")
-	}
-	if _, err := b.ReSyncPoll("x"); !errors.Is(err, ErrReadOnly) {
-		t.Error("ReSyncPoll must be refused")
-	}
-	if err := b.ReSyncEnd("x"); !errors.Is(err, ErrReadOnly) {
-		t.Error("ReSyncEnd must be refused")
-	}
-}
-
 func TestWireSyncFullReloadAfterTrim(t *testing.T) {
 	// A journal-limited master forces a FullReload over the wire; the
 	// client-side applier recovers and converges.
@@ -256,7 +239,7 @@ func newReplicaDit() (*dit.Store, error) {
 }
 
 func TestAdaptiveReplicaOverWire(t *testing.T) {
-	// An AdaptiveReplica driven through ClientSupplier behaves like its
+	// An AdaptiveReplica supplied by a wire client behaves like its
 	// in-process twin: it learns the hot region, installs the filter over
 	// the wire, and polls updates.
 	store := newTestStore(t)
@@ -270,7 +253,7 @@ func TestAdaptiveReplicaOverWire(t *testing.T) {
 	gen := selection.NewGeneralizer(selection.PrefixRule{Attr: "serialnumber", PrefixLen: 3})
 	sizeOf := func(q query.Query) int { return len(store.MatchAll(q)) }
 	sel := selection.NewSelector(gen, sizeOf, 10, 4)
-	ar := replica.NewAdaptiveReplica(rep, sel, ClientSupplier{Client: c})
+	ar := replica.NewAdaptiveReplica(rep, sel, c)
 
 	hot := query.MustNew("", query.ScopeSubtree, "(serialnumber=0401)")
 	hits := 0
@@ -341,7 +324,7 @@ func TestConcurrentClients(t *testing.T) {
 				}
 				cookie = poll.Cookie
 			}
-			errs <- c.SyncEnd(cookie)
+			errs <- c.End(cookie)
 		}(w)
 	}
 	// A writer mutates the master concurrently.

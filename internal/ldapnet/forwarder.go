@@ -25,19 +25,17 @@ type EdgeForwarder struct {
 	// FallbackAddr, when set, receives the op after a referral or after the
 	// primary's retry budget is exhausted — normally the master.
 	FallbackAddr string
-	// Dial substitutes the transport (nil = TCP).
-	Dial DialFunc
-	// Timeout bounds dials and per-message I/O (default DefaultTimeout).
-	Timeout time.Duration
-	// Retries is the number of extra attempts after a transient failure
-	// (default 2, each on a freshly dialed connection).
-	Retries int
-	// Backoff is the delay between attempts (default 50ms).
-	Backoff time.Duration
 
 	mu      sync.Mutex
 	clients map[string]*Client
 }
+
+// Retry policy: a transient failure earns forwardRetries extra attempts,
+// each on a freshly dialed connection after forwardBackoff.
+const (
+	forwardRetries = 2
+	forwardBackoff = 50 * time.Millisecond
+)
 
 // NewEdgeForwarder creates a forwarder to the given upstream address.
 func NewEdgeForwarder(addr string) *EdgeForwarder {
@@ -77,19 +75,10 @@ func diverts(err error) bool {
 
 // forwardTo runs the exchange against one address with the retry policy.
 func (f *EdgeForwarder) forwardTo(addr string, op proto.Op, opID string) (uint64, bool, error) {
-	retries := f.Retries
-	if retries <= 0 {
-		retries = 2
-	}
-	attempts := retries + 1
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i <= forwardRetries; i++ {
 		if i > 0 {
-			backoff := f.Backoff
-			if backoff <= 0 {
-				backoff = 50 * time.Millisecond
-			}
-			time.Sleep(backoff)
+			time.Sleep(forwardBackoff)
 		}
 		cl, err := f.client(addr)
 		if err != nil {
@@ -122,11 +111,7 @@ func (f *EdgeForwarder) client(addr string) (*Client, error) {
 	if c, ok := f.clients[addr]; ok {
 		return c, nil
 	}
-	timeout := f.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	c, err := DialWith(f.Dial, addr, timeout)
+	c, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}

@@ -212,7 +212,7 @@ func TestSyncOverWire(t *testing.T) {
 	}
 
 	// End the session; a further poll errors.
-	if err := c.SyncEnd(res.Cookie); err != nil {
+	if err := c.End(res.Cookie); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Sync(spec, proto.ReSyncModePoll, res.Cookie); err == nil {
@@ -263,7 +263,7 @@ func TestPersistOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ps, err := Persist(srv.Addr(), spec, res.Cookie)
+	ps, err := PersistWith(nil, srv.Addr(), spec, res.Cookie, DefaultTimeout, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
-	"filterdir/internal/resync"
 )
 
 // Errors mapped to wire result codes by the replica backend.
@@ -25,11 +24,12 @@ var (
 // ReplicaBackend serves a filter-based replica over the wire: contained
 // queries are answered from the replicated content, everything else gets a
 // referral to the master — the behaviour Section 3 defines for filter-based
-// replicas. Synchronization requests are refused (the replica is a
-// consumer, not a supplier). Updates are refused unless an edge-write
-// Writer is attached, in which case they are journaled locally and
-// forwarded up the cascade (see internal/edgewrite).
+// replicas. Synchronization requests are refused (the embedded noSync: the
+// replica is a consumer, not a supplier). Updates are refused unless an
+// edge-write Writer is attached, in which case they are journaled locally
+// and forwarded up the cascade (see internal/edgewrite).
 type ReplicaBackend struct {
+	noSync
 	Replica *replica.FilterReplica
 	// MasterURL is the referral target for misses, e.g. "ldap://master".
 	MasterURL string
@@ -64,34 +64,6 @@ func (b *ReplicaBackend) Search(q query.Query) (*dit.Result, error) {
 	}
 	return &dit.Result{Entries: entries}, nil
 }
-
-// ReSyncBegin implements Backend (refused).
-func (b *ReplicaBackend) ReSyncBegin(query.Query) (*resync.PollResult, error) {
-	return nil, ErrReadOnly
-}
-
-// ReSyncPoll implements Backend (refused).
-func (b *ReplicaBackend) ReSyncPoll(string) (*resync.PollResult, error) {
-	return nil, ErrReadOnly
-}
-
-// ReSyncResume implements Backend (refused).
-func (b *ReplicaBackend) ReSyncResume(proto.ResumeToken) (*resync.PollResult, error) {
-	return nil, ErrReadOnly
-}
-
-// ReSyncRetain implements Backend (refused).
-func (b *ReplicaBackend) ReSyncRetain(string) (*resync.PollResult, error) {
-	return nil, ErrReadOnly
-}
-
-// ReSyncPersist implements Backend (refused).
-func (b *ReplicaBackend) ReSyncPersist(string) (*resync.Subscription, error) {
-	return nil, ErrReadOnly
-}
-
-// ReSyncEnd implements Backend (refused).
-func (b *ReplicaBackend) ReSyncEnd(string) error { return ErrReadOnly }
 
 // Add implements Backend via the edge-write path (ErrReadOnly when none).
 func (b *ReplicaBackend) Add(req *proto.AddRequest) error { return b.edgeSubmit(req) }

@@ -452,11 +452,6 @@ func sortEntries(entries []*entry.Entry, keys []proto.SortKey) {
 	})
 }
 
-// handleReSync implements the server side of Section 5.2: (i) a null cookie
-// starts a session with a full content transfer, (ii) a cookie resumes and
-// sends accumulated updates, (iii) persist mode keeps the connection open
-// streaming further changes, (iv) poll mode returns a cookie to resume. A
-// resume-token control continues a chunked reload instead (DESIGN.md §14).
 // handleFiltersWatch parks a long-poll subscription against the backend's
 // admission-filter generation. The response — a bare SearchDone carrying the
 // filters-changed control — is deferred until the generation advances past
@@ -477,12 +472,6 @@ func (s *Server) handleFiltersWatch(state *connState, conn net.Conn, id int64, o
 		return
 	}
 	gen, ch := fw.FilterGeneration()
-	if ch == nil {
-		// Backend forwards the interface but its filter set is static.
-		s.reply(state, conn, id, &proto.SearchDone{}, proto.ResultUnwillingToPerform,
-			"filter set is static on this server", nil, nil)
-		return
-	}
 	if since == 0 {
 		since = gen
 		// Fast path: if the current filter set already admits the watcher's
@@ -490,7 +479,7 @@ func (s *Server) handleFiltersWatch(state *connState, conn net.Conn, id int64, o
 		// now instead of parking for a bump that may never come. gen and ch
 		// were read before this check, so a widening that races it closes ch
 		// and wakes the parked goroutine below.
-		if adm, ok := s.backend.(SpecAdmitter); ok && adm.AdmitSpec(op.Query) == nil {
+		if fw.Admit(op.Query) == nil {
 			s.reply(state, conn, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
 				[]proto.Control{proto.NewFiltersChangedControl(gen)})
 			return
@@ -514,6 +503,11 @@ func (s *Server) handleFiltersWatch(state *connState, conn net.Conn, id int64, o
 	}()
 }
 
+// handleReSync implements the server side of Section 5.2: (i) a null cookie
+// starts a session with a full content transfer, (ii) a cookie resumes and
+// sends accumulated updates, (iii) persist mode keeps the connection open
+// streaming further changes, (iv) poll mode returns a cookie to resume. A
+// resume-token control continues a chunked reload instead (DESIGN.md §14).
 func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *proto.SearchRequest, req proto.ReSyncRequest, resume *proto.ResumeToken) {
 	if req.Mode == proto.ReSyncModeSyncEnd {
 		err := s.backend.ReSyncEnd(req.Cookie)

@@ -384,7 +384,7 @@ func checkResumeTokenSafety(hseed int64, entries, chunk int, spec query.Query, r
 
 	// complete drains a started transfer by following its tokens, returning
 	// the collected content and the total update count.
-	complete := func(c *ldapnet.Client, first *ldapnet.SyncResult) (map[string]*entry.Entry, int, *Failure) {
+	complete := func(c *ldapnet.Client, first *resync.PollResult) (map[string]*entry.Entry, int, *Failure) {
 		got := make(map[string]*entry.Entry)
 		total := 0
 		cur := first

@@ -157,8 +157,8 @@ const (
 
 // Open loads the directory state from path (creating the path if needed):
 // the snapshot is loaded if present and the journal replayed on top. A
-// torn final journal record — a crash mid-append — is recovered from: the
-// state up to the last complete record is reconstructed and the journal
+// torn final journal batch — a crash mid-append — is recovered from: the
+// state up to the last committed batch is reconstructed and the journal
 // file repaired so later appends stay parseable. The returned CSN
 // watermark tells the caller where its in-memory journal starts relative
 // to durable state (always 0 for a fresh store, since loading does not
@@ -220,18 +220,19 @@ func (d Dir) open(suffixes []string, sparse bool, opts []dit.Option) (*dit.Store
 
 // readCommitted parses journal bytes up to the batch-commit high-water
 // mark: everything after the last commit marker — an interrupted batch
-// append — is discarded, so a batch replays all-or-none. Journals written
-// before batch markers existed (no marker anywhere) fall back to
-// record-level torn-tail recovery.
+// append — is discarded, so a batch replays all-or-none. Every writer ends a
+// batch with its marker (AppendJournal), so a journal holding no marker
+// holds no committed batch: nothing is replayed, and any non-blank bytes are
+// a torn first batch for the caller to repair away.
 func readCommitted(raw []byte) ([]ldif.ChangeRecord, bool, error) {
 	prefix, torn, found := committedPrefix(raw)
 	if !found {
-		return ldif.ReadChangesTail(bytes.NewReader(raw))
+		return nil, len(bytes.TrimSpace(raw)) > 0, nil
 	}
 	recs, err := ldif.ReadChanges(bytes.NewReader(prefix))
 	if err != nil {
 		// The committed prefix should always parse (it was fsynced before
-		// its marker); treat residual damage like a legacy torn tail.
+		// its marker); recover what residual damage leaves readable.
 		return ldif.ReadChangesTail(bytes.NewReader(prefix))
 	}
 	return recs, torn, nil

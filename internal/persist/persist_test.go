@@ -325,14 +325,30 @@ func TestDirOpenRepairsTornJournal(t *testing.T) {
 	if err := home.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
+	// Two durable batches: a modify and a delete, then an add.
 	watermark := st.LastCSN()
-	burst(t, st)
+	if err := st.Modify(dn.MustParse("cn=p1,o=xyz"),
+		[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"crashed"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Delete(dn.MustParse("cn=p2,o=xyz")); err != nil {
+		t.Fatal(err)
+	}
+	watermark, err := home.AppendChanges(st, watermark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := entry.New(dn.MustParse("cn=late,o=xyz"))
+	late.Put("objectclass", "person").Put("cn", "late").Put("sn", "l")
+	if err := st.Add(late); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := home.AppendChanges(st, watermark); err != nil {
 		t.Fatal(err)
 	}
 
 	// Simulate a crash mid-append: truncate the journal file inside its
-	// final record.
+	// final record, which takes the second batch's commit marker with it.
 	jPath := filepath.Join(home.Path, "journal.ldif")
 	raw, err := os.ReadFile(jPath)
 	if err != nil {
@@ -350,7 +366,7 @@ func TestDirOpenRepairsTornJournal(t *testing.T) {
 		t.Error("torn final record was applied during recovery")
 	}
 	if _, ok := recovered.Get(dn.MustParse("cn=p2,o=xyz")); ok {
-		t.Error("complete delete record before the tear was not applied")
+		t.Error("committed batch before the tear was not applied")
 	}
 
 	// Open must also have repaired the file: the journal now parses
@@ -382,6 +398,56 @@ func TestDirOpenRepairsTornJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	identical(t, recovered, reopened)
+}
+
+// TestDirOpenJournalWithoutMarker: a journal holding complete records but no
+// commit marker is a first batch whose append never finished — every writer
+// ends a batch with its marker — so none of it is replayed (all-or-none), and
+// the file is repaired to an empty journal that later appends extend cleanly.
+func TestDirOpenJournalWithoutMarker(t *testing.T) {
+	home := Dir{Path: filepath.Join(t.TempDir(), "nomarker")}
+	st := seedStore(t)
+	if err := home.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	var records bytes.Buffer
+	if err := ldif.WriteChanges(&records, burst(t, st)...); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		journal []byte
+	}{
+		{"complete records", records.Bytes()},
+		{"torn record", tearTail(t, records.Bytes())},
+		{"blank", []byte("\n\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jPath := filepath.Join(home.Path, "journal.ldif")
+			if err := os.WriteFile(jPath, tc.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			recovered, err := home.Open([]string{"o=xyz"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			identical(t, seedStore(t), recovered)
+			if raw, err := os.ReadFile(jPath); err != nil || len(bytes.TrimSpace(raw)) != 0 {
+				t.Errorf("journal after open = %q (err %v), want blank", raw, err)
+			}
+			if err := recovered.Delete(dn.MustParse("cn=p3,o=xyz")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := home.AppendChanges(recovered, 0); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := home.Open([]string{"o=xyz"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			identical(t, recovered, reopened)
+		})
+	}
 }
 
 func TestReplaySkipMissing(t *testing.T) {

@@ -11,47 +11,19 @@ import (
 )
 
 // Supplier is the master-side synchronization interface an adaptive replica
-// consumes. It is implemented locally by resync.Engine (via LocalSupplier)
-// and remotely by the LDAP client (ldapnet.ClientSupplier), so a replica
-// adapts the same way in-process and over the wire.
+// consumes, in the engine's own vocabulary: *resync.Engine satisfies it
+// in-process and *ldapnet.Client over the wire, so a replica adapts the same
+// way against either.
 type Supplier interface {
-	// SyncBegin starts a session for the content of q, returning the
+	// Begin starts a session for the content of q; the result carries the
 	// initial content and the session cookie.
-	SyncBegin(q query.Query) (updates []resync.Update, cookie string, err error)
-	// SyncPoll returns the net updates since the last poll. fullReload
-	// reports that the content was resent from scratch.
-	SyncPoll(cookie string) (updates []resync.Update, newCookie string, fullReload bool, err error)
-	// SyncEnd terminates a session.
-	SyncEnd(cookie string) error
+	Begin(q query.Query) (*resync.PollResult, error)
+	// Poll returns the net updates since the last poll and the new cookie;
+	// FullReload reports that the content was resent from scratch.
+	Poll(cookie string) (*resync.PollResult, error)
+	// End terminates a session.
+	End(cookie string) error
 }
-
-// LocalSupplier adapts a resync.Engine to the Supplier interface.
-type LocalSupplier struct {
-	Engine *resync.Engine
-}
-
-var _ Supplier = LocalSupplier{}
-
-// SyncBegin implements Supplier.
-func (s LocalSupplier) SyncBegin(q query.Query) ([]resync.Update, string, error) {
-	res, err := s.Engine.Begin(q)
-	if err != nil {
-		return nil, "", err
-	}
-	return res.Updates, res.Cookie, nil
-}
-
-// SyncPoll implements Supplier.
-func (s LocalSupplier) SyncPoll(cookie string) ([]resync.Update, string, bool, error) {
-	res, err := s.Engine.Poll(cookie)
-	if err != nil {
-		return nil, "", false, err
-	}
-	return res.Updates, res.Cookie, res.FullReload, nil
-}
-
-// SyncEnd implements Supplier.
-func (s LocalSupplier) SyncEnd(cookie string) error { return s.Engine.End(cookie) }
 
 // AdaptiveReplica combines a FilterReplica with the Section 6.2 selection
 // loop: every answered query feeds the candidate statistics, revolutions
@@ -127,18 +99,18 @@ func (a *AdaptiveReplica) AddFilter(q query.Query) error {
 	if _, ok := a.cookies[key]; ok {
 		return nil
 	}
-	updates, cookie, err := a.Supplier.SyncBegin(q)
+	res, err := a.Supplier.Begin(q)
 	if err != nil {
 		return fmt.Errorf("begin sync %s: %w", q.FilterString(), err)
 	}
-	a.Replica.AddStored(q, cookie)
-	if err := a.Replica.ApplySync(q, updates); err != nil {
+	a.Replica.AddStored(q, res.Cookie)
+	if err := a.Replica.ApplySync(q, res.Updates); err != nil {
 		return err
 	}
-	for _, u := range updates {
+	for _, u := range res.Updates {
 		a.FetchTraffic.Add(u)
 	}
-	a.cookies[key] = cookie
+	a.cookies[key] = res.Cookie
 	a.specs[key] = q
 	return nil
 }
@@ -153,15 +125,22 @@ func (a *AdaptiveReplica) RemoveFilter(q query.Query) error {
 	delete(a.cookies, key)
 	delete(a.specs, key)
 	a.Replica.RemoveStored(q)
-	return a.Supplier.SyncEnd(cookie)
+	return a.Supplier.End(cookie)
 }
 
 // SyncAll polls every stored filter's session and applies the updates,
 // regardless of configured periods.
 func (a *AdaptiveReplica) SyncAll() error {
+	return a.syncWhere(func(string) bool { return true })
+}
+
+// syncWhere polls, in key order, every stored filter whose key is due.
+func (a *AdaptiveReplica) syncWhere(due func(key string) bool) error {
 	keys := make([]string, 0, len(a.cookies))
 	for k := range a.cookies {
-		keys = append(keys, k)
+		if due(k) {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
@@ -176,7 +155,7 @@ func (a *AdaptiveReplica) SyncAll() error {
 func (a *AdaptiveReplica) Close() error {
 	var firstErr error
 	for key, cookie := range a.cookies {
-		if err := a.Supplier.SyncEnd(cookie); err != nil && firstErr == nil {
+		if err := a.Supplier.End(cookie); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		delete(a.cookies, key)
@@ -221,37 +200,28 @@ func (a *AdaptiveReplica) SetSyncPeriod(q query.Query, period int) {
 // every tick).
 func (a *AdaptiveReplica) SyncDue() error {
 	a.tick++
-	keys := make([]string, 0, len(a.cookies))
-	for k := range a.cookies {
-		if p := a.periods[k]; p <= 1 || a.tick%p == 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if err := a.syncOne(key); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.syncWhere(func(k string) bool {
+		p := a.periods[k]
+		return p <= 1 || a.tick%p == 0
+	})
 }
 
 // syncOne polls a single filter's session and applies the updates.
 func (a *AdaptiveReplica) syncOne(key string) error {
-	updates, newCookie, fullReload, err := a.Supplier.SyncPoll(a.cookies[key])
+	res, err := a.Supplier.Poll(a.cookies[key])
 	if err != nil {
 		return fmt.Errorf("poll %s: %w", a.specs[key].FilterString(), err)
 	}
-	if fullReload {
+	if res.FullReload {
 		spec := a.specs[key]
 		a.Replica.RemoveStored(spec)
-		a.Replica.AddStored(spec, newCookie)
+		a.Replica.AddStored(spec, res.Cookie)
 	}
-	if err := a.Replica.ApplySync(a.specs[key], updates); err != nil {
+	if err := a.Replica.ApplySync(a.specs[key], res.Updates); err != nil {
 		return err
 	}
-	a.cookies[key] = newCookie
-	for _, u := range updates {
+	a.cookies[key] = res.Cookie
+	for _, u := range res.Updates {
 		a.ResyncTraffic.Add(u)
 	}
 	return nil

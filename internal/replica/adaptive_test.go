@@ -51,8 +51,7 @@ func adaptiveFixture(t *testing.T, budget, interval int) (*dit.Store, *AdaptiveR
 	gen := selection.NewGeneralizer(selection.PrefixRule{Attr: "serialnumber", PrefixLen: 3})
 	sizeOf := func(q query.Query) int { return len(master.MatchAll(q)) }
 	sel := selection.NewSelector(gen, sizeOf, budget, interval)
-	sup := LocalSupplier{Engine: resync.NewEngine(master)}
-	return master, NewAdaptiveReplica(rep, sel, sup)
+	return master, NewAdaptiveReplica(rep, sel, resync.NewEngine(master))
 }
 
 func TestAdaptiveReplicaLearnsHotRegion(t *testing.T) {
@@ -118,15 +117,15 @@ func TestAdaptiveReplicaClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sup := ar.Supplier.(LocalSupplier)
-	if sup.Engine.Sessions() == 0 {
+	eng := ar.Supplier.(*resync.Engine)
+	if eng.Sessions() == 0 {
 		t.Fatal("setup: no sessions")
 	}
 	if err := ar.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sup.Engine.Sessions() != 0 {
-		t.Errorf("sessions leaked after Close: %d", sup.Engine.Sessions())
+	if eng.Sessions() != 0 {
+		t.Errorf("sessions leaked after Close: %d", eng.Sessions())
 	}
 }
 
@@ -154,8 +153,8 @@ func TestAdaptiveReplicaEviction(t *testing.T) {
 		t.Errorf("stored set did not adapt: %s", second)
 	}
 	// Sessions track the stored set: one per filter.
-	sup := ar.Supplier.(LocalSupplier)
-	if got, want := sup.Engine.Sessions(), len(ar.StoredFilters()); got != want {
+	eng := ar.Supplier.(*resync.Engine)
+	if got, want := eng.Sessions(), len(ar.StoredFilters()); got != want {
 		t.Errorf("sessions = %d, stored filters = %d", got, want)
 	}
 }

@@ -393,19 +393,6 @@ func (r *FilterReplica) CachedCount() int {
 	return len(r.cache)
 }
 
-// StoredQueries returns the replicated queries (copies of the meta info).
-func (r *FilterReplica) StoredQueries() []StoredQuery {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []StoredQuery
-	for _, l := range r.stored {
-		for _, sq := range l {
-			out = append(out, *sq)
-		}
-	}
-	return out
-}
-
 // Store exposes the content store (read-mostly; used by experiments).
 func (r *FilterReplica) Store() *dit.Store { return r.store }
 

@@ -31,26 +31,20 @@ import (
 // full entry. The session's content map tells adds from modifies. The
 // consumer must discard held entries not mentioned in the result.
 func (e *Engine) PollRetain(cookie string) (*PollResult, error) {
-	sess, err := e.lookup(cookie)
+	sess, held, err := e.enter(cookie, exRetain)
 	if err != nil {
 		return nil, err
 	}
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.ended {
-		return nil, ErrNoSuchSession
-	}
 	e.stats.RetainPolls.Add(1)
 	// The session's content map describes the replica only if the replica
-	// is positioned at a known sync point: rewind to the presented
-	// generation, rolling back state from responses the replica evidently
-	// never applied. If the point is gone (lost response whose state was
-	// already replaced, or evicted history), nothing can be proven held —
-	// a DN-only retain would then reference an entry the replica may never
-	// have received. Degrade to a full transfer: clear the held set so
-	// every content entry ships as a full entry and nothing is retained.
-	_, gen := splitCookie(cookie)
-	if !sess.rewindTo(gen) {
+	// is positioned at a known sync point. If the presented point is gone
+	// (lost response whose state was already replaced, or evicted history),
+	// nothing can be proven held — a DN-only retain would then reference an
+	// entry the replica may never have received. Degrade to a full transfer:
+	// clear the held set so every content entry ships as a full entry and
+	// nothing is retained.
+	if !held {
 		sess.content = make(map[string]dn.DN)
 	}
 	// Which DNs changed at all since the sync point? With trimmed history,

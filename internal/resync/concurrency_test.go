@@ -164,10 +164,7 @@ func TestSlowSessionDoesNotBlockOthers(t *testing.T) {
 	}
 	cookieB = resB2.Cookie
 
-	sessA, err := eng.lookup(resA.Cookie)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sessA := sessionOf(t, eng, resA.Cookie)
 	sessA.mu.Lock() // simulate A stuck mid-full-reload
 
 	// A's own poll must block on the session lock...
@@ -228,7 +225,8 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 	master := newMaster(t)
 	// Tiny queue, hair-trigger demotion: two consecutive full-queue cycles
 	// close the stream.
-	eng := NewEngine(master, WithSlowConsumerPolicy(1, 2))
+	eng := NewEngine(master)
+	eng.persistQueueCap, eng.demoteAfter = 1, 2
 	specs := []query.Query{
 		query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=person)"),
 		query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)"),
@@ -377,4 +375,18 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 		t.Errorf("coalesced=%d < demotions=%d: demotion without prior coalescing",
 			snap.CoalescedCycles, snap.SlowDemotions)
 	}
+}
+
+// sessionOf resolves a cookie to its registered session for white-box
+// assertions on session and group state.
+func sessionOf(t *testing.T, e *Engine, cookie string) *session {
+	t.Helper()
+	id, _ := splitCookie(cookie)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	sess, ok := e.sessions[id]
+	if !ok {
+		t.Fatalf("no session for cookie %q", cookie)
+	}
+	return sess
 }

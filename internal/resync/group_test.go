@@ -253,10 +253,7 @@ func TestGroupLeaveAndTeardown(t *testing.T) {
 	if eng.Groups() != 1 {
 		t.Fatalf("Groups() = %d, want 1", eng.Groups())
 	}
-	sessA, err := eng.lookup(resA.Cookie)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sessA := sessionOf(t, eng, resA.Cookie)
 	g := sessA.group
 	if g == nil {
 		t.Fatal("session has no group")
@@ -308,10 +305,7 @@ func TestGroupLeaveAndTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessC, err := eng.lookup(resC.Cookie)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sessC := sessionOf(t, eng, resC.Cookie)
 	if sessC.group == g {
 		t.Error("new session joined the torn-down group")
 	}
@@ -537,10 +531,7 @@ func TestSkippedSubscriberRetriedOnDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := eng.lookup(res.Cookie)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := sessionOf(t, eng, res.Cookie)
 		g = sess.group
 		if subs[i], err = eng.Persist(res.Cookie); err != nil {
 			t.Fatal(err)
@@ -616,10 +607,7 @@ func TestPersistSyncsBeforeReturning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := eng.lookup(res.Cookie)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := sessionOf(t, eng, res.Cookie)
 	for i := 0; i < 20; i++ {
 		d := addPerson(t, master, fmt.Sprintf("behind%02d", i), fmt.Sprintf("04%02d", i), "1")
 		sub, err := eng.Persist(res.Cookie)

@@ -105,20 +105,12 @@ func (s *Subscription) Close() {
 // queue with the slow-consumer policy described in group.go. Ungrouped
 // sessions keep a dedicated streaming goroutine.
 func (e *Engine) Persist(cookie string) (*Subscription, error) {
-	sess, err := e.lookup(cookie)
+	sess, held, err := e.enter(cookie, exStream)
 	if err != nil {
 		return nil, err
 	}
-	_, gen := splitCookie(cookie)
-	sess.mu.Lock()
-	ok := !sess.ended && sess.rollbackTo(gen)
-	if ok {
-		// The presented cookie proves the consumer holds the content of any
-		// completed chunked transfer; release its pinned snapshot.
-		e.settleTransfer(sess)
-	}
 	sess.mu.Unlock()
-	if !ok {
+	if !held {
 		// An unknown sync point cannot be streamed from incrementally; the
 		// consumer must poll (getting a full reload) and re-subscribe.
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchSession, cookie)

@@ -167,10 +167,7 @@ func TestReloadSnapshotLifetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := eng.lookup(res.Cookie)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := sessionOf(t, eng, res.Cookie)
 		return res, sess
 	}
 

@@ -1,8 +1,6 @@
 package resync
 
 import (
-	"fmt"
-
 	"filterdir/internal/dit"
 	"filterdir/internal/proto"
 )
@@ -126,19 +124,12 @@ func (e *Engine) emitChunk(sess *session, tr *transfer, k uint32) *PollResult {
 // to a fresh reload from chunk zero. A valid token yields exactly the
 // chunk it names, so reconnecting transfers only the remainder.
 func (e *Engine) ResumeReload(tok proto.ResumeToken) (*PollResult, error) {
-	e.mu.Lock()
-	sess, ok := e.sessions[tok.Session]
-	e.mu.Unlock()
-	if !ok {
+	sess, _, err := e.enter(tok.Session, exResume)
+	if err != nil {
 		e.stats.ResumeRejects.Add(1)
-		return nil, fmt.Errorf("%w: resume %q", ErrNoSuchSession, tok.Session)
+		return nil, err
 	}
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.ended {
-		e.stats.ResumeRejects.Add(1)
-		return nil, fmt.Errorf("%w: resume %q", ErrNoSuchSession, tok.Session)
-	}
 	e.stats.Resumes.Add(1)
 	tr := sess.transfer
 	if tr == nil || !tr.matches(tok) {
@@ -146,15 +137,6 @@ func (e *Engine) ResumeReload(tok proto.ResumeToken) (*PollResult, error) {
 		return e.reload(sess), nil
 	}
 	return e.emitChunk(sess, tr, tok.Chunk), nil
-}
-
-// settleTransfer releases a completed transfer once the consumer has
-// proved — by presenting a cookie that resolved to a live sync point —
-// that it holds the transferred content. The caller holds sess.mu.
-func (e *Engine) settleTransfer(sess *session) {
-	if tr := sess.transfer; tr != nil && tr.done {
-		e.dropTransfer(sess)
-	}
 }
 
 // dropTransfer releases the session's transfer (if any) and its pinned

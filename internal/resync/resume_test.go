@@ -404,6 +404,53 @@ func TestPersistSettlesTransferHold(t *testing.T) {
 	}
 }
 
+func TestRetainDropsTransferHold(t *testing.T) {
+	// Retain mode replaces the session state wholesale, so whatever chunked
+	// transfer the session carried — completed or abandoned part-way — is
+	// over: its snapshot hold must go (it would otherwise pin the journal
+	// until End), and a token of that transfer can no longer be served a
+	// remainder.
+	for _, tc := range []struct {
+		name     string
+		complete bool
+	}{
+		{"after completed transfer", true},
+		{"after abandoned transfer", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			master, _ := chunkedMaster(t, 10)
+			eng := NewEngine(master, WithChunkSize(3))
+			res, err := eng.Begin(specSerial04)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tok := *res.Resume
+			cookie := cookieString(tok.Session, 1)
+			if tc.complete {
+				_, _, final := drainChunks(t, eng, res, make(map[string]bool))
+				cookie = final.Cookie
+			}
+			if got := master.ActiveHolds(); got != 1 {
+				t.Fatalf("holds before retain = %d, want 1", got)
+			}
+			if _, err := eng.PollRetain(cookie); err != nil {
+				t.Fatal(err)
+			}
+			if got := master.ActiveHolds(); got != 0 {
+				t.Fatalf("holds after retain poll = %d, want 0", got)
+			}
+			restart, err := eng.ResumeReload(tok)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !restart.FullReload || len(restart.Updates) != 3 {
+				t.Fatalf("token after retain: FullReload=%v with %d updates, want a chunk-zero restart of 3",
+					restart.FullReload, len(restart.Updates))
+			}
+		})
+	}
+}
+
 func TestSmallReloadStaysMonolithic(t *testing.T) {
 	master, _ := chunkedMaster(t, 3)
 	eng := NewEngine(master, WithChunkSize(8))

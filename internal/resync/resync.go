@@ -144,7 +144,8 @@ type Engine struct {
 	aliases  map[string]*group   // every resolved content key -> group
 	regions  map[string][]*group // base/scope region key -> groups in it
 
-	// Persist slow-consumer policy knobs (see group.syncOne).
+	// Persist slow-consumer policy (see group.syncOne): fixed at the defaults
+	// below; only the concurrency tests shrink them.
 	persistQueueCap int
 	demoteAfter     int
 
@@ -358,20 +359,6 @@ func WithoutGrouping() EngineOption {
 	return func(e *Engine) { e.grouping = false }
 }
 
-// WithSlowConsumerPolicy overrides the persist fan-out queue capacity and
-// the number of consecutive coalesced (skipped) cycles after which a
-// lagging subscriber is demoted to poll mode.
-func WithSlowConsumerPolicy(queueCap, demoteAfter int) EngineOption {
-	return func(e *Engine) {
-		if queueCap > 0 {
-			e.persistQueueCap = queueCap
-		}
-		if demoteAfter > 0 {
-			e.demoteAfter = demoteAfter
-		}
-	}
-}
-
 // WithSyncPointRetention sets the `keep last_n` policy for the per-session
 // resume history: a session retains at most n sync points (its newest
 // always included), and a replica presenting anything older degrades to a
@@ -430,17 +417,65 @@ func NewEngine(store *dit.Store, opts ...EngineOption) *Engine {
 // them concurrently (and the wire server adds its streaming accounting).
 func (e *Engine) Counters() *metrics.SyncCounters { return e.stats }
 
-// lookup resolves a cookie to its session under one registry-lock
-// acquisition; the generation part is ignored here.
-func (e *Engine) lookup(cookie string) (*session, error) {
-	id, _ := splitCookie(cookie)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sess, ok := e.sessions[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchSession, cookie)
+// exchange names what a consumer is asking of an established session; it
+// decides how enter positions the session before the exchange runs.
+type exchange int
+
+const (
+	// exPoll presents a cookie and acknowledges its sync point.
+	exPoll exchange = iota
+	// exRetain does the same, then replaces the session state wholesale.
+	exRetain
+	// exStream presents a cookie to stream from; nothing is acknowledged
+	// until a streamed cookie comes back.
+	exStream
+	// exResume presents a resume token's session id, which names a chunked
+	// transfer rather than a sync point.
+	exResume
+)
+
+// enter is the one way into an established session, shared by every
+// exchange that presents a cookie or a resume token. It resolves the
+// session, locks it — the caller unlocks — and refuses one that End has
+// terminated. Then it positions the session at the generation the consumer
+// presented: responses the consumer evidently never applied are rolled back
+// and, when the exchange acknowledges, everything older than the presented
+// point is dropped. held reports whether the point was found, i.e. whether
+// the session's content map now describes what the consumer provably holds.
+//
+// The chunked transfer follows from the same decision: a held point proves
+// the consumer received a completed transfer, so its pinned snapshot is
+// released; retain replaces the session state, so it drops the transfer
+// whatever its progress; in every other case the transfer is left for
+// ResumeReload to continue or reload to supersede.
+func (e *Engine) enter(cookie string, ex exchange) (sess *session, held bool, err error) {
+	id, gen := cookie, uint64(0)
+	if ex != exResume {
+		id, gen = splitCookie(cookie)
 	}
-	return sess, nil
+	e.mu.Lock()
+	sess, ok := e.sessions[id]
+	e.mu.Unlock()
+	if ok {
+		sess.mu.Lock()
+		if sess.ended {
+			sess.mu.Unlock()
+			ok = false
+		}
+	}
+	if !ok {
+		return nil, false, fmt.Errorf("%w: %q", ErrNoSuchSession, cookie)
+	}
+	switch ex {
+	case exPoll, exRetain:
+		held = sess.rewindTo(gen)
+	case exStream:
+		held = sess.rollbackTo(gen)
+	}
+	if tr := sess.transfer; tr != nil && (ex == exRetain || held && tr.done) {
+		e.dropTransfer(sess)
+	}
+	return sess, held, nil
 }
 
 // countPDUs accounts a produced update batch by action.
@@ -499,15 +534,26 @@ func (e *Engine) Begin(spec query.Query) (*PollResult, error) {
 	e.sessions[sess.id] = sess
 	e.mu.Unlock()
 	e.stats.Begins.Add(1)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return e.serveFull(sess, view, false), nil
+}
+
+// serveFull answers with the whole content of the view the session was just
+// positioned at (startFull): chunk zero of a resumable transfer when the
+// view is chunked, else everything at once under the session's current
+// generation. fullReload tells a consumer that held content to discard it
+// (chunk zero always says so). The caller holds sess.mu.
+func (e *Engine) serveFull(sess *session, view *reloadView, fullReload bool) *PollResult {
 	if view.chunkSize > 0 {
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		return e.beginTransfer(sess, view), nil
+		return e.beginTransfer(sess, view)
 	}
-	res := &PollResult{Updates: view.updates, CSN: e.stampCSN(sess.csn), Cookie: cookieString(sess.id, 1), Enc: view.encs[0]}
+	// A monolithic transfer supersedes any in-flight chunked one.
+	e.dropTransfer(sess)
+	res := &PollResult{Cookie: cookieString(sess.id, sess.genSeq), FullReload: fullReload, CSN: e.stampCSN(sess.csn), Updates: view.updates, Enc: view.encs[0]}
 	e.countPDUs(res.Updates)
 	e.observe(sess.id, res.Updates, true)
-	return res, nil
+	return res
 }
 
 // Poll returns the net content updates accumulated since the previous
@@ -515,25 +561,17 @@ func (e *Engine) Begin(spec query.Query) (*PollResult, error) {
 // longer covers the session's sync point, the full content is re-sent with
 // FullReload set.
 func (e *Engine) Poll(cookie string) (*PollResult, error) {
-	sess, err := e.lookup(cookie)
+	sess, held, err := e.enter(cookie, exPoll)
 	if err != nil {
 		return nil, err
 	}
-	_, gen := splitCookie(cookie)
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.ended {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchSession, cookie)
-	}
 	e.stats.Polls.Add(1)
-	if !sess.rewindTo(gen) {
+	if !held {
 		// The presented sync point is no longer in the resume history (or
 		// never existed): the only safe answer is the full content.
 		return e.reload(sess), nil
 	}
-	// Presenting a cookie at (or past) a completed chunked transfer proves
-	// the consumer holds its content; the pinned snapshot can be let go.
-	e.settleTransfer(sess)
 	return e.poll(sess)
 }
 
@@ -587,16 +625,7 @@ func (e *Engine) poll(sess *session) (*PollResult, error) {
 func (e *Engine) reload(sess *session) *PollResult {
 	e.stats.FullReloads.Add(1)
 	sess.genSeq++
-	view := e.startFull(sess)
-	if view.chunkSize > 0 {
-		return e.beginTransfer(sess, view)
-	}
-	// A monolithic reload supersedes any in-flight chunked transfer.
-	e.dropTransfer(sess)
-	res := &PollResult{Cookie: cookieString(sess.id, sess.genSeq), FullReload: true, CSN: e.stampCSN(sess.csn), Updates: view.updates, Enc: view.encs[0]}
-	e.countPDUs(res.Updates)
-	e.observe(sess.id, res.Updates, true)
-	return res
+	return e.serveFull(sess, e.startFull(sess), true)
 }
 
 // End terminates a session (mode "sync_end"). The session is deregistered

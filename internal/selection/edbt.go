@@ -20,9 +20,8 @@ import (
 //     actuals' by the revolution margin, both lists are combined and the
 //     best filters re-selected under the budget.
 type EvolutionSelector struct {
-	gen    *Generalizer
-	SizeOf func(query.Query) int
-	Budget int
+	pool // stored is the algorithm's "actual" list
+	gen  *Generalizer
 	// Decay multiplies all benefits each query (temporal weighting).
 	Decay float64
 	// SwapMargin is the density advantage a candidate needs to evolve in.
@@ -30,22 +29,8 @@ type EvolutionSelector struct {
 	// RevolutionMargin triggers a full re-selection when the candidate
 	// aggregate benefit exceeds the actuals' by this factor.
 	RevolutionMargin float64
-	// Contains, when non-nil, proves semantic containment (inner ⊆ outer)
-	// so observations credit a stored filter that covers the candidate
-	// instead of growing a duplicate candidate (see Selector.Contains).
-	// The live tier control plane (internal/tierctl) sets it to the
-	// containment checker's QueryContains.
-	Contains func(inner, outer query.Query) bool
-	// AdoptThreshold is the minimum benefit a candidate needs for the live
-	// Evolve path to adopt it into spare budget without evicting anything
-	// (0 means 1.0 — one undecayed rejection). The offline Observe path
-	// never adopts into spare budget, so the baseline is unaffected.
-	AdoptThreshold float64
 
-	actual     map[string]*Candidate
-	candidates map[string]*Candidate
-	benefit    map[string]float64
-	sizeCache  map[string]int
+	benefit map[string]float64
 	// pinned keys are exempt from eviction: a tier's operator-configured
 	// base specs stay replicated no matter how their benefit decays.
 	pinned map[string]bool
@@ -60,25 +45,19 @@ type EvolutionSelector struct {
 // benchmarks.
 func NewEvolutionSelector(gen *Generalizer, sizeOf func(query.Query) int, budget int) *EvolutionSelector {
 	return &EvolutionSelector{
+		pool:             newPool(sizeOf, budget),
 		gen:              gen,
-		SizeOf:           sizeOf,
-		Budget:           budget,
 		Decay:            0.95,
 		SwapMargin:       1.2,
 		RevolutionMargin: 1.5,
-		actual:           make(map[string]*Candidate),
-		candidates:       make(map[string]*Candidate),
 		benefit:          make(map[string]float64),
-		sizeCache:        make(map[string]int),
 	}
 }
 
 // Observe records a user query and returns a non-nil Delta whenever the
 // stored set changed (evolution or revolution).
 func (s *EvolutionSelector) Observe(q query.Query) *Delta {
-	for k := range s.benefit {
-		s.benefit[k] *= s.Decay
-	}
+	s.decay()
 	for _, cand := range s.gen.Generalize(q) {
 		s.credit(cand)
 	}
@@ -89,30 +68,19 @@ func (s *EvolutionSelector) Observe(q query.Query) *Delta {
 	return s.maybeEvolution()
 }
 
-// credit records one benefit unit for cand: against the exact actual
-// filter, an actual filter proven (via Contains) to cover it, or the
-// candidate list.
+// decay ages every benefit by one observation.
+func (s *EvolutionSelector) decay() {
+	for k := range s.benefit {
+		s.benefit[k] *= s.Decay
+	}
+}
+
+// credit records one benefit unit for the filter an observation of cand
+// counts for; a candidate is sized as soon as it is first seen.
 func (s *EvolutionSelector) credit(cand query.Query) {
-	key := cand.Key()
-	if _, ok := s.actual[key]; ok {
-		s.benefit[key]++
-		return
-	}
-	if s.Contains != nil {
-		for k, c := range s.actual {
-			if s.Contains(cand, c.Query) {
-				s.benefit[k]++
-				return
-			}
-		}
-	}
-	c, ok := s.candidates[key]
-	if !ok {
-		c = &Candidate{Query: cand}
-		s.candidates[key] = c
-		s.ensureSize(c)
-	}
-	s.benefit[key]++
+	k, c := s.credited(cand)
+	s.ensureSize(k, c)
+	s.benefit[k]++
 }
 
 func (s *EvolutionSelector) density(key string, size int) float64 {
@@ -123,13 +91,13 @@ func (s *EvolutionSelector) density(key string, size int) float64 {
 }
 
 func (s *EvolutionSelector) maybeEvolution() *Delta {
-	if len(s.actual) == 0 {
+	if len(s.stored) == 0 {
 		return s.maybeAdoptFirst()
 	}
 	// Worst stored filter by density (pinned filters are not evictable).
 	var worstKey string
 	worst := -1.0
-	for k, c := range s.actual {
+	for k, c := range s.stored {
 		if s.pinned[k] {
 			continue
 		}
@@ -144,7 +112,7 @@ func (s *EvolutionSelector) maybeEvolution() *Delta {
 	// Best candidate by density that fits after removing the worst.
 	var bestKey string
 	best := -1.0
-	usedWithoutWorst := s.usedBudget() - s.actual[worstKey].Size
+	usedWithoutWorst := s.usedBudget() - s.stored[worstKey].Size
 	for k, c := range s.candidates {
 		if c.Size <= 0 || usedWithoutWorst+c.Size > s.Budget {
 			continue
@@ -159,12 +127,12 @@ func (s *EvolutionSelector) maybeEvolution() *Delta {
 	s.Evolutions++
 	out := &Delta{
 		Add:    []query.Query{s.candidates[bestKey].Query},
-		Remove: []query.Query{s.actual[worstKey].Query},
+		Remove: []query.Query{s.stored[worstKey].Query},
 	}
-	s.candidates[worstKey] = s.actual[worstKey]
-	s.actual[bestKey] = s.candidates[bestKey]
-	s.actual[bestKey].Stored = true
-	delete(s.actual, worstKey)
+	s.candidates[worstKey] = s.stored[worstKey]
+	s.stored[bestKey] = s.candidates[bestKey]
+	s.stored[bestKey].Stored = true
+	delete(s.stored, worstKey)
 	delete(s.candidates, bestKey)
 	return out
 }
@@ -187,40 +155,35 @@ func (s *EvolutionSelector) maybeAdoptFirst() *Delta {
 	s.Evolutions++
 	c := s.candidates[bestKey]
 	c.Stored = true
-	s.actual[bestKey] = c
+	s.stored[bestKey] = c
 	delete(s.candidates, bestKey)
 	return &Delta{Add: []query.Query{c.Query}}
 }
 
 func (s *EvolutionSelector) maybeRevolution() *Delta {
 	var actualBenefit, candBenefit float64
-	for k := range s.actual {
+	for k := range s.stored {
 		actualBenefit += s.benefit[k]
 	}
 	for k := range s.candidates {
 		candBenefit += s.benefit[k]
 	}
-	if len(s.actual) == 0 || candBenefit <= actualBenefit*s.RevolutionMargin {
+	if len(s.stored) == 0 || candBenefit <= actualBenefit*s.RevolutionMargin {
 		return nil
 	}
 	s.Revolutions++
 
-	type scored struct {
-		key string
-		c   *Candidate
-		d   float64
-	}
-	var all []scored
-	for k, c := range s.actual {
-		all = append(all, scored{k, c, s.density(k, c.Size)})
+	all := make([]ranked, 0, len(s.stored)+len(s.candidates))
+	for k, c := range s.stored {
+		all = append(all, ranked{k, c, s.density(k, c.Size)})
 	}
 	for k, c := range s.candidates {
-		s.ensureSize(c)
-		all = append(all, scored{k, c, s.density(k, c.Size)})
+		s.ensureSize(k, c)
+		all = append(all, ranked{k, c, s.density(k, c.Size)})
 	}
 	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d > all[j].d
+		if all[i].score != all[j].score {
+			return all[i].score > all[j].score
 		}
 		return all[i].key < all[j].key
 	})
@@ -228,40 +191,25 @@ func (s *EvolutionSelector) maybeRevolution() *Delta {
 	used := 0
 	// Pinned filters are selected unconditionally, charged against the
 	// budget first; the greedy pass fills the remainder.
-	for k, c := range s.actual {
+	for k, c := range s.stored {
 		if s.pinned[k] {
 			chosen[k] = c
 			used += c.Size
 		}
 	}
-	for _, sc := range all {
-		if _, have := chosen[sc.key]; have {
-			continue
-		}
-		if sc.c.Size <= 0 || used+sc.c.Size > s.Budget {
-			continue
-		}
-		chosen[sc.key] = sc.c
-		used += sc.c.Size
-	}
-	delta := &Delta{}
-	for k, c := range s.actual {
+	s.fill(chosen, used, all)
+	delta := s.deltaTo(chosen)
+	for k, c := range s.stored {
 		if _, keep := chosen[k]; !keep {
-			delta.Remove = append(delta.Remove, c.Query)
 			c.Stored = false
 			s.candidates[k] = c
 		}
 	}
 	for k, c := range chosen {
-		if _, have := s.actual[k]; !have {
-			delta.Add = append(delta.Add, c.Query)
-			delete(s.candidates, k)
-		}
+		delete(s.candidates, k)
 		c.Stored = true
 	}
-	s.actual = chosen
-	sortQueries(delta.Add)
-	sortQueries(delta.Remove)
+	s.stored = chosen
 	if len(delta.Add) == 0 && len(delta.Remove) == 0 {
 		return nil
 	}
@@ -270,35 +218,8 @@ func (s *EvolutionSelector) maybeRevolution() *Delta {
 
 func (s *EvolutionSelector) usedBudget() int {
 	n := 0
-	for _, c := range s.actual {
+	for _, c := range s.stored {
 		n += c.Size
 	}
 	return n
-}
-
-func (s *EvolutionSelector) ensureSize(c *Candidate) {
-	if c.Size > 0 {
-		return
-	}
-	key := c.Query.Key()
-	if sz, ok := s.sizeCache[key]; ok {
-		c.Size = sz
-		return
-	}
-	sz := 0
-	if s.SizeOf != nil {
-		sz = s.SizeOf(c.Query)
-	}
-	s.sizeCache[key] = sz
-	c.Size = sz
-}
-
-// StoredSet returns the current actual list.
-func (s *EvolutionSelector) StoredSet() []query.Query {
-	out := make([]query.Query, 0, len(s.actual))
-	for _, c := range s.actual {
-		out = append(out, c.Query)
-	}
-	sortQueries(out)
-	return out
 }

@@ -17,12 +17,12 @@ func (s *EvolutionSelector) SeedStored(qs []query.Query) {
 	for _, q := range qs {
 		nq := q.Normalize()
 		key := nq.Key()
-		if _, ok := s.actual[key]; ok {
+		if _, ok := s.stored[key]; ok {
 			continue
 		}
 		c := &Candidate{Query: nq, Stored: true}
-		s.ensureSize(c)
-		s.actual[key] = c
+		s.ensureSize(key, c)
+		s.stored[key] = c
 		delete(s.candidates, key)
 	}
 }
@@ -46,9 +46,7 @@ func (s *EvolutionSelector) Pin(qs []query.Query) {
 // control loop decides when to Evolve, so a burst of rejections is
 // aggregated before the tier acts.
 func (s *EvolutionSelector) ObserveRejection(q query.Query) {
-	for k := range s.benefit {
-		s.benefit[k] *= s.Decay
-	}
+	s.decay()
 	nq := q.Normalize()
 	s.credit(nq)
 	for _, cand := range s.gen.Generalize(nq) {
@@ -66,20 +64,12 @@ func (s *EvolutionSelector) CreditStored(q query.Query, n float64) bool {
 		return false
 	}
 	nq := q.Normalize()
-	key := nq.Key()
-	if _, ok := s.actual[key]; ok {
-		s.benefit[key] += n
-		return true
+	k, st := s.covering(nq.Key(), nq)
+	if st == nil {
+		return false
 	}
-	if s.Contains != nil {
-		for k, c := range s.actual {
-			if s.Contains(nq, c.Query) {
-				s.benefit[k] += n
-				return true
-			}
-		}
-	}
-	return false
+	s.benefit[k] += n
+	return true
 }
 
 // Evolve runs the evolution/revolution checks once and returns the delta to
@@ -98,8 +88,14 @@ func (s *EvolutionSelector) Evolve() *Delta {
 	return s.maybeEvolution()
 }
 
+// adoptThreshold is the minimum benefit a candidate needs for the live Evolve
+// path to adopt it into spare budget without evicting anything: one undecayed
+// rejection. The offline Observe path never adopts into spare budget, so the
+// baseline is unaffected.
+const adoptThreshold = 1.0
+
 // maybeAdoptSpare adopts the densest candidate whose benefit has reached
-// AdoptThreshold and whose size fits the unused budget. Density ties break
+// adoptThreshold and whose size fits the unused budget. Density ties break
 // toward the candidate that covers the most other candidates (via
 // Contains): when a rejected leaf spec and its generalization are equally
 // hot, the tier widens to the generalization.
@@ -108,16 +104,12 @@ func (s *EvolutionSelector) maybeAdoptSpare() *Delta {
 	if spare <= 0 {
 		return nil
 	}
-	thresh := s.AdoptThreshold
-	if thresh <= 0 {
-		thresh = 1
-	}
 	var bestKey string
 	best := -1.0
 	bestCover := -1
 	for k, c := range s.candidates {
-		s.ensureSize(c)
-		if c.Size <= 0 || c.Size > spare || s.benefit[k] < thresh {
+		s.ensureSize(k, c)
+		if c.Size <= 0 || c.Size > spare || s.benefit[k] < adoptThreshold {
 			continue
 		}
 		d := s.density(k, c.Size)
@@ -135,7 +127,7 @@ func (s *EvolutionSelector) maybeAdoptSpare() *Delta {
 	s.Evolutions++
 	c := s.candidates[bestKey]
 	c.Stored = true
-	s.actual[bestKey] = c
+	s.stored[bestKey] = c
 	delete(s.candidates, bestKey)
 	return &Delta{Add: []query.Query{c.Query}}
 }

@@ -38,37 +38,17 @@ type Delta struct {
 // the filter set with the best benefit-to-size ratios under the replica's
 // entry budget.
 type Selector struct {
+	pool
 	gen *Generalizer
-	// SizeOf estimates the number of entries matching a candidate query
-	// (typically a master-side count). Results are cached.
-	SizeOf func(query.Query) int
-	// Budget is the replica entry budget.
-	Budget int
 	// Interval is the revolution interval R in queries.
 	Interval int
-	// Contains, when non-nil, proves semantic containment (inner ⊆ outer).
-	// Observe then credits a stored filter that covers a candidate instead
-	// of growing a duplicate candidate for content already replicated —
-	// without it only exact key matches credit the stored set.
-	Contains func(inner, outer query.Query) bool
 
-	counter    int
-	candidates map[string]*Candidate
-	stored     map[string]*Candidate
-	sizeCache  map[string]int
+	counter int
 }
 
 // NewSelector builds a selector.
 func NewSelector(gen *Generalizer, sizeOf func(query.Query) int, budget, interval int) *Selector {
-	return &Selector{
-		gen:        gen,
-		SizeOf:     sizeOf,
-		Budget:     budget,
-		Interval:   interval,
-		candidates: make(map[string]*Candidate),
-		stored:     make(map[string]*Candidate),
-		sizeCache:  make(map[string]int),
-	}
+	return &Selector{pool: newPool(sizeOf, budget), gen: gen, Interval: interval}
 }
 
 // Observe records one user query: every candidate filter that would have
@@ -76,7 +56,8 @@ func NewSelector(gen *Generalizer, sizeOf func(query.Query) int, budget, interva
 // it. It returns a non-nil Delta when the revolution interval elapses.
 func (s *Selector) Observe(q query.Query) *Delta {
 	for _, cand := range s.gen.Generalize(q) {
-		s.credit(cand)
+		_, c := s.credited(cand)
+		c.Hits++
 	}
 	s.counter++
 	if s.Interval > 0 && s.counter >= s.Interval {
@@ -84,31 +65,6 @@ func (s *Selector) Observe(q query.Query) *Delta {
 		return s.revolution()
 	}
 	return nil
-}
-
-// credit records one hit for cand: against the exact stored filter, against
-// a stored filter proven (via Contains) to cover it, or — when nothing
-// replicated covers it — against the candidate list.
-func (s *Selector) credit(cand query.Query) {
-	key := cand.Key()
-	if st, ok := s.stored[key]; ok {
-		st.Hits++
-		return
-	}
-	if s.Contains != nil {
-		for _, st := range s.stored {
-			if s.Contains(cand, st.Query) {
-				st.Hits++
-				return
-			}
-		}
-	}
-	c, ok := s.candidates[key]
-	if !ok {
-		c = &Candidate{Query: cand}
-		s.candidates[key] = c
-	}
-	c.Hits++
 }
 
 // ForceRevolution runs a revolution immediately (used to seed the initial
@@ -121,83 +77,39 @@ func (s *Selector) ForceRevolution() *Delta {
 // revolution combines stored and candidate lists and greedily selects by
 // benefit/size ratio under the budget, per Section 6.2.
 func (s *Selector) revolution() *Delta {
-	all := make([]*Candidate, 0, len(s.candidates)+len(s.stored))
-	for _, c := range s.stored {
-		s.ensureSize(c)
-		all = append(all, c)
+	all := make([]ranked, 0, len(s.candidates)+len(s.stored))
+	for k, c := range s.stored {
+		s.ensureSize(k, c)
+		all = append(all, ranked{k, c, c.Ratio()})
 	}
-	for _, c := range s.candidates {
+	for k, c := range s.candidates {
 		if c.Hits == 0 {
 			continue
 		}
-		s.ensureSize(c)
-		all = append(all, c)
+		s.ensureSize(k, c)
+		all = append(all, ranked{k, c, c.Ratio()})
 	}
 	sort.Slice(all, func(i, j int) bool {
-		ri, rj := all[i].Ratio(), all[j].Ratio()
-		if ri != rj {
-			return ri > rj
+		if all[i].score != all[j].score {
+			return all[i].score > all[j].score
 		}
 		// Tie-break deterministically: smaller first, then key order.
-		if all[i].Size != all[j].Size {
-			return all[i].Size < all[j].Size
+		if all[i].c.Size != all[j].c.Size {
+			return all[i].c.Size < all[j].c.Size
 		}
-		return all[i].Query.Key() < all[j].Query.Key()
+		return all[i].key < all[j].key
 	})
-
 	chosen := make(map[string]*Candidate)
-	used := 0
-	for _, c := range all {
-		if c.Size <= 0 {
-			continue
-		}
-		if used+c.Size > s.Budget {
-			continue
-		}
-		chosen[c.Query.Key()] = c
-		used += c.Size
-	}
-
-	delta := &Delta{}
-	for key, c := range s.stored {
-		if _, keep := chosen[key]; !keep {
-			delta.Remove = append(delta.Remove, c.Query)
-		}
-	}
-	for key, c := range chosen {
-		if _, have := s.stored[key]; !have {
-			delta.Add = append(delta.Add, c.Query)
-		}
-	}
+	s.fill(chosen, 0, all)
+	delta := s.deltaTo(chosen)
 
 	// Install the new stored set; hit counters reset for the next interval.
-	newStored := make(map[string]*Candidate, len(chosen))
+	s.stored = make(map[string]*Candidate, len(chosen))
 	for key, c := range chosen {
-		newStored[key] = &Candidate{Query: c.Query, Size: c.Size, Stored: true}
+		s.stored[key] = &Candidate{Query: c.Query, Size: c.Size, Stored: true}
 	}
-	s.stored = newStored
 	s.candidates = make(map[string]*Candidate)
-
-	sortQueries(delta.Add)
-	sortQueries(delta.Remove)
 	return delta
-}
-
-func (s *Selector) ensureSize(c *Candidate) {
-	if c.Size > 0 {
-		return
-	}
-	key := c.Query.Key()
-	if sz, ok := s.sizeCache[key]; ok {
-		c.Size = sz
-		return
-	}
-	sz := 0
-	if s.SizeOf != nil {
-		sz = s.SizeOf(c.Query)
-	}
-	s.sizeCache[key] = sz
-	c.Size = sz
 }
 
 // TopCandidates returns the n candidates with the most hits since the last
@@ -213,11 +125,11 @@ func (s *Selector) TopCandidates(n int) []query.Query {
 // only ever stores the finer ones.
 func (s *Selector) TopCandidatesLimit(n, maxSize int) []query.Query {
 	all := make([]*Candidate, 0, len(s.candidates))
-	for _, c := range s.candidates {
+	for k, c := range s.candidates {
 		if c.Hits == 0 {
 			continue
 		}
-		s.ensureSize(c)
+		s.ensureSize(k, c)
 		if maxSize > 0 && c.Size > maxSize {
 			continue
 		}
@@ -241,21 +153,4 @@ func (s *Selector) TopCandidatesLimit(n, maxSize int) []query.Query {
 		out = append(out, c.Query)
 	}
 	return out
-}
-
-// StoredSet returns the currently selected queries.
-func (s *Selector) StoredSet() []query.Query {
-	out := make([]query.Query, 0, len(s.stored))
-	for _, c := range s.stored {
-		out = append(out, c.Query)
-	}
-	sortQueries(out)
-	return out
-}
-
-// CandidateCount returns the number of tracked (non-stored) candidates.
-func (s *Selector) CandidateCount() int { return len(s.candidates) }
-
-func sortQueries(qs []query.Query) {
-	sort.Slice(qs, func(i, j int) bool { return qs[i].Key() < qs[j].Key() })
 }

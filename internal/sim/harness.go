@@ -115,7 +115,7 @@ func newFilterNode(eng *resync.Engine, checker *containment.Checker, cacheCap in
 	}
 	// The experiments drive selection explicitly (ApplyDelta), so no
 	// selector is attached here.
-	return replica.NewAdaptiveReplica(fr, nil, replica.LocalSupplier{Engine: eng}), nil
+	return replica.NewAdaptiveReplica(fr, nil, eng), nil
 }
 
 // --- Subtree-replica node -----------------------------------------------------

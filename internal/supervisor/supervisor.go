@@ -149,14 +149,6 @@ type Config struct {
 	// DialTimeout bounds dials and per-message I/O (default
 	// ldapnet.DefaultTimeout).
 	DialTimeout time.Duration
-	// DemoteAfter is the number of consecutive fast persist-stream deaths
-	// (the master's slow-consumer policy closing the stream right after it
-	// is built) after which the supervisor stops rebuilding the stream and
-	// polls for DemoteCooldown instead (default 3).
-	DemoteAfter int
-	// DemoteCooldown is how long a demoted supervisor stays in poll mode
-	// before trying the stream again (default 10×PollInterval).
-	DemoteCooldown time.Duration
 	// Seed makes the backoff jitter deterministic: it seeds the
 	// supervisor's single random source exactly once, in New, so a chaos
 	// replay with the same seed sees the same backoff schedule.
@@ -166,6 +158,16 @@ type Config struct {
 	// Logf receives progress lines (nil discards them).
 	Logf func(format string, args ...any)
 }
+
+// Persist-stream demotion policy. demoteAfter is the number of consecutive
+// fast persist-stream deaths (the master's slow-consumer policy closing the
+// stream right after it is built) after which the supervisor stops
+// rebuilding the stream and polls instead, for demoteCooldownPolls poll
+// intervals, before trying the stream again.
+const (
+	demoteAfter         = 3
+	demoteCooldownPolls = 10
+)
 
 func (c *Config) fillDefaults() {
 	if c.PollInterval <= 0 {
@@ -182,12 +184,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.RetryUpstreamAfter <= 0 {
 		c.RetryUpstreamAfter = time.Minute
-	}
-	if c.DemoteAfter <= 0 {
-		c.DemoteAfter = 3
-	}
-	if c.DemoteCooldown <= 0 {
-		c.DemoteCooldown = 10 * c.PollInterval
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -226,13 +222,12 @@ type Supervisor struct {
 	watchConn *ldapnet.Client // in-flight watch connection, closed to cancel
 	watchWG   sync.WaitGroup
 
-	mu         sync.Mutex
-	cookie     string
-	resumeTok  proto.ResumeToken // in-flight chunked reload position (zero outside one)
-	target     string            // current upstream address (Master, or Fallback when diverted)
-	state      State
-	exchanges  int64     // successful synchronization exchanges applied
-	lastSyncAt time.Time // completion time of the newest applied exchange
+	mu        sync.Mutex
+	cookie    string
+	resumeTok proto.ResumeToken // in-flight chunked reload position (zero outside one)
+	target    string            // current upstream address (Master, or Fallback when diverted)
+	state     State
+	exchanges int64 // successful synchronization exchanges applied
 
 	synced    chan struct{} // closed after the first successful exchange
 	syncOnce  sync.Once
@@ -336,7 +331,7 @@ func (s *Supervisor) releaseSession() {
 		return
 	}
 	defer client.Close()
-	if err := client.SyncEnd(cookie); err != nil {
+	if err := client.End(cookie); err != nil {
 		s.cfg.Logf("supervisor: end session at %s: %v", target, err)
 	}
 }
@@ -518,19 +513,10 @@ func (s *Supervisor) Exchanges() int64 {
 	return s.exchanges
 }
 
-// LastSyncAt reports when the newest applied exchange completed (zero
-// before the first).
-func (s *Supervisor) LastSyncAt() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSyncAt
-}
-
 // noteExchange records one fully applied exchange for the probes.
 func (s *Supervisor) noteExchange() {
 	s.mu.Lock()
 	s.exchanges++
-	s.lastSyncAt = time.Now()
 	s.mu.Unlock()
 }
 
@@ -717,7 +703,7 @@ func (s *Supervisor) syncLoop(client *ldapnet.Client, attempt *int) error {
 	s.setState(StateSyncing)
 	cookie := s.Cookie()
 	tok := s.ResumeToken()
-	var res *ldapnet.SyncResult
+	var res *resync.PollResult
 	var err error
 	switch {
 	case !tok.IsZero():
@@ -759,45 +745,29 @@ func (s *Supervisor) syncLoop(client *ldapnet.Client, attempt *int) error {
 			// Recently demoted by the master's slow-consumer policy:
 			// sit out the cooldown in poll mode, then let the outer
 			// loop rebuild the stream.
-			return s.pollFor(client, wait)
+			cooldown := time.NewTimer(wait)
+			defer cooldown.Stop()
+			return s.pollSteadyState(client, cooldown.C)
 		}
 		return s.streamSteadyState(client)
 	}
-	return s.pollSteadyState(client)
+	return s.pollSteadyState(client, nil)
 }
 
-// pollFor polls like pollSteadyState but returns cleanly once d elapses,
-// so a demoted persist supervisor re-attempts its stream after cooldown.
-func (s *Supervisor) pollFor(client *ldapnet.Client, d time.Duration) error {
-	s.setState(StatePolling)
-	ticker := time.NewTicker(s.cfg.PollInterval)
-	defer ticker.Stop()
-	deadline := time.NewTimer(d)
-	defer deadline.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return nil
-		case <-deadline.C:
-			return nil
-		case <-ticker.C:
-			if s.probeDue() {
-				return errProbeDue
-			}
-			res, err := client.Sync(s.cfg.Spec, proto.ReSyncModePoll, s.Cookie())
-			if err != nil {
-				return err
-			}
-			s.counters.Polls.Add(1)
-			if err := s.applyExchange(client, res); err != nil {
-				return err
-			}
-		}
+// pollOnce runs one poll exchange of the current session and applies it.
+func (s *Supervisor) pollOnce(client *ldapnet.Client) error {
+	res, err := client.Sync(s.cfg.Spec, proto.ReSyncModePoll, s.Cookie())
+	if err != nil {
+		return err
 	}
+	s.counters.Polls.Add(1)
+	return s.applyExchange(client, res)
 }
 
 // pollSteadyState re-polls the session on every tick until stop or error.
-func (s *Supervisor) pollSteadyState(client *ldapnet.Client) error {
+// A non-nil until ends it cleanly when it fires, so a demoted persist
+// supervisor re-attempts its stream after the cooldown.
+func (s *Supervisor) pollSteadyState(client *ldapnet.Client, until <-chan time.Time) error {
 	s.setState(StatePolling)
 	ticker := time.NewTicker(s.cfg.PollInterval)
 	defer ticker.Stop()
@@ -805,16 +775,13 @@ func (s *Supervisor) pollSteadyState(client *ldapnet.Client) error {
 		select {
 		case <-s.stop:
 			return nil
+		case <-until:
+			return nil
 		case <-ticker.C:
 			if s.probeDue() {
 				return errProbeDue
 			}
-			res, err := client.Sync(s.cfg.Spec, proto.ReSyncModePoll, s.Cookie())
-			if err != nil {
-				return err
-			}
-			s.counters.Polls.Add(1)
-			if err := s.applyExchange(client, res); err != nil {
+			if err := s.pollOnce(client); err != nil {
 				return err
 			}
 		}
@@ -889,22 +856,18 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 				s.counters.Fallbacks.Add(1)
 				if time.Since(started) < s.cfg.PollInterval {
 					s.fastDeaths++
-					if s.fastDeaths >= s.cfg.DemoteAfter {
+					if s.fastDeaths >= demoteAfter {
 						s.fastDeaths = 0
-						s.demotedUntil = time.Now().Add(s.cfg.DemoteCooldown)
+						cooldown := demoteCooldownPolls * s.cfg.PollInterval
+						s.demotedUntil = time.Now().Add(cooldown)
 						s.counters.Demotions.Add(1)
-						s.cfg.Logf("supervisor: persist stream demoted, polling for %s", s.cfg.DemoteCooldown)
+						s.cfg.Logf("supervisor: persist stream demoted, polling for %s", cooldown)
 					}
 				} else {
 					s.fastDeaths = 0
 				}
 				s.setState(StatePolling)
-				res, err := client.Sync(s.cfg.Spec, proto.ReSyncModePoll, s.Cookie())
-				if err != nil {
-					return err
-				}
-				s.counters.Polls.Add(1)
-				if err := s.applyExchange(client, res); err != nil {
+				if err := s.pollOnce(client); err != nil {
 					return err
 				}
 				return errStreamLost
@@ -932,7 +895,7 @@ var errStreamLost = errors.New("persist stream lost")
 // through its remaining exchanges on the same connection: each chunk is
 // applied and checkpointed with its successor token before the next is
 // requested, so a kill at any point resumes at the furthest applied chunk.
-func (s *Supervisor) applyExchange(client *ldapnet.Client, res *ldapnet.SyncResult) error {
+func (s *Supervisor) applyExchange(client *ldapnet.Client, res *resync.PollResult) error {
 	if res.Resume == nil && s.ResumeToken().IsZero() {
 		return s.apply(res)
 	}
@@ -957,7 +920,7 @@ func (s *Supervisor) applyExchange(client *ldapnet.Client, res *ldapnet.SyncResu
 // checkpoint, so the durable token is never newer than the durable content
 // — a crash between the two re-fetches one chunk, which re-applies
 // idempotently.
-func (s *Supervisor) applyChunk(res *ldapnet.SyncResult) error {
+func (s *Supervisor) applyChunk(res *resync.PollResult) error {
 	if res.FullReload {
 		// Chunk zero (or a monolithic restart): the transfer replaces the
 		// held content from scratch.
@@ -985,14 +948,14 @@ func (s *Supervisor) applyChunk(res *ldapnet.SyncResult) error {
 	}
 	if res.Resume == nil {
 		s.noteExchange()
-		s.noteWatermark(res.UpstreamCSN)
+		s.noteWatermark(res.CSN)
 	}
 	return nil
 }
 
 // apply installs one exchange's updates; a full reload replaces the
 // content wholesale.
-func (s *Supervisor) apply(res *ldapnet.SyncResult) error {
+func (s *Supervisor) apply(res *resync.PollResult) error {
 	if res.Cookie != "" {
 		s.setCookie(res.Cookie)
 	}
@@ -1004,7 +967,7 @@ func (s *Supervisor) apply(res *ldapnet.SyncResult) error {
 		return err
 	}
 	s.noteExchange()
-	s.noteWatermark(res.UpstreamCSN)
+	s.noteWatermark(res.CSN)
 	return nil
 }
 

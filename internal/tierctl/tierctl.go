@@ -51,9 +51,8 @@ import (
 type Config struct {
 	// Tier is the cascade mid-tier under control.
 	Tier *cascade.Tier
-	// Budget bounds the selector's stored set in SizeOf units. With the
-	// default SizeOf (1 per filter) it is simply the maximum number of
-	// replicated specs, base specs included.
+	// Budget is the maximum number of replicated specs, base specs included
+	// (every filter costs one unit).
 	Budget int
 	// Interval is the control loop cadence (default 100ms). Each tick
 	// credits live serving activity and runs one evolution/revolution
@@ -62,22 +61,6 @@ type Config struct {
 	// Rules generalize rejected specs into widening candidates (default
 	// selection.DefaultEnterpriseRules).
 	Rules []selection.Rule
-	// SizeOf estimates a filter's replication size in budget units (default
-	//: every filter costs 1). Plug in an entry-count model to budget by
-	// content volume instead.
-	SizeOf func(query.Query) int
-	// AdoptThreshold is the candidate benefit needed to widen into spare
-	// budget (default 1.0 — one undecayed rejection).
-	AdoptThreshold float64
-	// Decay, when in (0,1), overrides the selector's per-observation
-	// benefit decay (default 0.95).
-	Decay float64
-	// Checker proves containment for serving credit and candidate coverage
-	// (default: a fresh checker; share the tier's to reuse compiled plans).
-	Checker *containment.Checker
-	// Counters receives the control plane's metrics (default: a fresh set;
-	// read them back via Controller.Counters).
-	Counters *metrics.TierCounters
 	// Logf receives progress lines (nil discards them).
 	Logf func(format string, args ...any)
 }
@@ -89,19 +72,13 @@ func (c *Config) fillDefaults() {
 	if c.Rules == nil {
 		c.Rules = selection.DefaultEnterpriseRules()
 	}
-	if c.SizeOf == nil {
-		c.SizeOf = func(query.Query) int { return 1 }
-	}
-	if c.Checker == nil {
-		c.Checker = containment.NewChecker()
-	}
-	if c.Counters == nil {
-		c.Counters = &metrics.TierCounters{}
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 }
+
+// unitSize budgets by filter count: every filter costs 1.
+func unitSize(query.Query) int { return 1 }
 
 // Controller runs the adaptive control loop over one tier.
 type Controller struct {
@@ -130,15 +107,12 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("tierctl: positive budget required")
 	}
 	cfg.fillDefaults()
-	sel := selection.NewEvolutionSelector(selection.NewGeneralizer(cfg.Rules...), cfg.SizeOf, cfg.Budget)
-	sel.Contains = cfg.Checker.QueryContains
-	sel.AdoptThreshold = cfg.AdoptThreshold
-	if cfg.Decay > 0 && cfg.Decay < 1 {
-		sel.Decay = cfg.Decay
-	}
+	sel := selection.NewEvolutionSelector(selection.NewGeneralizer(cfg.Rules...), unitSize, cfg.Budget)
+	// Containment proves serving credit and candidate coverage.
+	sel.Contains = containment.NewChecker().QueryContains
 	c := &Controller{
 		cfg:        cfg,
-		counters:   cfg.Counters,
+		counters:   &metrics.TierCounters{},
 		sel:        sel,
 		rejected:   make(map[string]query.Query),
 		servedPrev: make(map[string]uint64),
