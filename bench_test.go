@@ -705,66 +705,59 @@ func BenchmarkResumableReload(b *testing.B) {
 	b.ReportMetric(resumeBytes[2], "resume75_bytes")
 }
 
-// BenchmarkSelectionPolicies compares the paper's periodic benefit/size
-// revolution against the EDBT evolution/revolution baseline on a drifting
-// workload, reporting achieved hit ratios and stored-set churn.
+// BenchmarkSelectionPolicies asks what reorganising continually costs: the
+// paper's periodic benefit/size revolution (every 500 queries) against the
+// same selector reorganising on every query, on a drifting workload,
+// reporting achieved hit ratios and stored-set churn (deltas that changed
+// the stored set, each of which costs a content transfer).
 func BenchmarkSelectionPolicies(b *testing.B) {
 	cfg := workload.DefaultDirectoryConfig(2000)
 	cfg.PayloadBytes = 64
-	var periodicHits, evoHits, evoChurn float64
+	intervals := []int{500, 1}
+	hitRatio := make([]float64, len(intervals))
+	churn := make([]float64, len(intervals))
 	for i := 0; i < b.N; i++ {
 		dir, err := workload.BuildDirectory(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		sizeOf := func(q query.Query) int { return len(dir.Master.MatchAll(q)) }
-		rules := []selection.Rule{selection.PrefixRule{Attr: "serialnumber", PrefixLen: workload.SerialPrefixLen}}
+		rule := selection.PrefixRule{Attr: "serialnumber", PrefixLen: workload.SerialPrefixLen}
 		budget := dir.EmployeeCount / 10
 
-		run := func(observe func(query.Query) *selection.Delta, stored func() map[string]bool) float64 {
-			tc := workload.DefaultTraceConfig()
-			g := workload.NewGenerator(dir, tc)
-			hits := 0
+		for k, interval := range intervals {
+			sel := selection.NewSelector(selection.NewGeneralizer(rule), sizeOf, budget, interval)
+			g := workload.NewGenerator(dir, workload.DefaultTraceConfig())
+			stored := map[string]bool{}
+			hits, changes := 0, 0
 			const n = 3000
 			for j := 0; j < n; j++ {
 				if j == n/2 {
 					g.Reshuffle(99)
 				}
-				tq := g.NextOfKind(workload.KindSerial)
-				obs := tq.Query
+				obs := g.NextOfKind(workload.KindSerial).Query
 				obs.Base = dn.Root
 				// A hit means some stored filter contains the query; with
 				// prefix candidates this is a prefix check on the key set.
-				pfx := obs.Filter.SlotValues()[0][:workload.SerialPrefixLen]
-				if stored()[pfx] {
+				if stored[obs.Filter.SlotValues()[0][:workload.SerialPrefixLen]] {
 					hits++
 				}
-				observe(obs)
-			}
-			return float64(hits) / float64(n)
-		}
-
-		storedPrefixes := func(qs []query.Query) map[string]bool {
-			out := make(map[string]bool, len(qs))
-			for _, q := range qs {
-				vals := q.Filter.SlotValues()
-				if len(vals) > 0 {
-					out[vals[0]] = true
+				if d := sel.Observe(obs); d != nil && len(d.Add)+len(d.Remove) > 0 {
+					changes++
+					stored = map[string]bool{}
+					for _, q := range sel.StoredSet() {
+						stored[q.Filter.SlotValues()[0]] = true
+					}
 				}
 			}
-			return out
+			hitRatio[k] = float64(hits) / float64(n)
+			churn[k] = float64(changes)
 		}
-
-		sel := selection.NewSelector(selection.NewGeneralizer(rules...), sizeOf, budget, 500)
-		periodicHits = run(sel.Observe, func() map[string]bool { return storedPrefixes(sel.StoredSet()) })
-
-		evo := selection.NewEvolutionSelector(selection.NewGeneralizer(rules...), sizeOf, budget)
-		evoHits = run(evo.Observe, func() map[string]bool { return storedPrefixes(evo.StoredSet()) })
-		evoChurn = float64(evo.Evolutions + evo.Revolutions)
 	}
-	b.ReportMetric(periodicHits, "periodic_hit_ratio")
-	b.ReportMetric(evoHits, "evolution_hit_ratio")
-	b.ReportMetric(evoChurn, "evolution_churn")
+	b.ReportMetric(hitRatio[0], "periodic_hit_ratio")
+	b.ReportMetric(churn[0], "periodic_churn")
+	b.ReportMetric(hitRatio[1], "continual_hit_ratio")
+	b.ReportMetric(churn[1], "continual_churn")
 }
 
 // BenchmarkCascadeFanout compares the MASTER-side cost of one update cycle
@@ -930,7 +923,7 @@ func BenchmarkAdaptiveReTier(b *testing.B) {
 	baseSpec := query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(grp=0)")
 	hotSpec := query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(grp=1)")
 
-	var pduBefore, pduAfter float64
+	var pduBefore, pduAfter, retierMs, setChanges float64
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
 		scfg := sim.SynthConfig{Seed: int64(n + 1), Entries: 60, Groups: 2, Vals: 4}
@@ -1033,6 +1026,7 @@ func BenchmarkAdaptiveReTier(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+		armed := time.Now()
 		ctrl.Start()
 		waitUntil("leaf migration", func() bool {
 			for _, l := range leaves {
@@ -1042,6 +1036,7 @@ func BenchmarkAdaptiveReTier(b *testing.B) {
 			}
 			return true
 		})
+		retierMs += float64(time.Since(armed)) / float64(time.Millisecond)
 		churn()
 		b.StopTimer()
 
@@ -1050,6 +1045,7 @@ func BenchmarkAdaptiveReTier(b *testing.B) {
 		pduAfter += (masterPDUs() - start) / cycles
 
 		ctrl.Stop()
+		setChanges += float64(ctrl.Counters().Generalizations.Load() + ctrl.Counters().FiltersRetired.Load())
 		for _, l := range leaves {
 			_ = l.sup.Stop()
 		}
@@ -1061,4 +1057,6 @@ func BenchmarkAdaptiveReTier(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(pduBefore/float64(b.N), "fallback_pdus_before/cycle")
 	b.ReportMetric(pduAfter/float64(b.N), "fallback_pdus_after/cycle")
+	b.ReportMetric(retierMs/float64(b.N), "retier_ms")
+	b.ReportMetric(setChanges/float64(b.N), "stored_set_changes")
 }

@@ -57,6 +57,7 @@ import (
 	"filterdir/internal/metrics"
 	"filterdir/internal/persist"
 	"filterdir/internal/query"
+	"filterdir/internal/replica"
 	"filterdir/internal/supervisor"
 	"filterdir/internal/tierctl"
 )
@@ -250,12 +251,23 @@ func serveLoop(srv *ldapnet.Server, statusEvery time.Duration, printStatus func(
 	}
 }
 
+// leafJournalLimit bounds a leaf's content-store journal. Nothing reads it —
+// only a tier's downstream engine and checkpoint replay their store's
+// journal — so without a bound it would hold the before- and after-image of
+// every applied update for the life of the process.
+const leafJournalLimit = 64
+
+func newLeafReplica(o options) (*filterdir.FilterReplica, error) {
+	return filterdir.NewFilterReplica(
+		filterdir.WithCacheCapacity(o.cacheCap),
+		filterdir.WithContentIndexes("serialnumber", "mail", "dept", "location", "uid"),
+		replica.WithJournalLimit(leafJournalLimit))
+}
+
 // runLeaf is the classic consumer replica: one supervisor per filter, no
 // downstream service.
 func runLeaf(o options) error {
-	rep, err := filterdir.NewFilterReplica(
-		filterdir.WithCacheCapacity(o.cacheCap),
-		filterdir.WithContentIndexes("serialnumber", "mail", "dept", "location", "uid"))
+	rep, err := newLeafReplica(o)
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // RDN is a single relative distinguished name component, e.g. "cn=John Doe".
@@ -377,22 +379,29 @@ func isAlpha(c byte) bool {
 
 const specialChars = ",=+<>#;\"\\"
 
-// escapeValue applies RFC 2253 escaping to an attribute value.
+// escapeValue applies RFC 2253 escaping to an attribute value. White space
+// at the ends of a value must survive the parser, which trims the DN string
+// as a whole (escaped or not) and bare spaces around each value: a trailing
+// white-space byte is hex-escaped, as is a leading one other than a space,
+// which keeps its backslash.
 func escapeValue(s string) string {
 	if s == "" {
 		return s
 	}
-	needs := strings.ContainsAny(s, specialChars) ||
-		s[0] == ' ' || s[0] == '#' || s[len(s)-1] == ' '
-	if !needs {
+	first, _ := utf8.DecodeRuneInString(s)
+	last, _ := utf8.DecodeLastRuneInString(s)
+	lead, trail := unicode.IsSpace(first), unicode.IsSpace(last)
+	if !lead && !trail && s[0] != '#' && !strings.ContainsAny(s, specialChars) {
 		return s
 	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if strings.IndexByte(specialChars, c) >= 0 ||
-			(c == ' ' && (i == 0 || i == len(s)-1)) ||
-			(c == '#' && i == 0) {
+		switch {
+		case i == len(s)-1 && trail, i == 0 && lead && c != ' ':
+			fmt.Fprintf(&b, "\\%02x", c)
+			continue
+		case i == 0 && (c == ' ' || c == '#'), strings.IndexByte(specialChars, c) >= 0:
 			b.WriteByte('\\')
 		}
 		b.WriteByte(c)

@@ -199,6 +199,43 @@ func TestEscapingRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEdgeWhitespaceRoundTrip: white space other than a space at either end
+// of a value prints hex-escaped, so the parser — which trims the DN string
+// as a whole — gives the value back, wherever the RDN stands.
+func TestEdgeWhitespaceRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ value, printed string }{
+		{"\t", `\09`},
+		{"\tx", `\09x`},
+		{"x\t", `x\09`},
+		{"\rx\n", `\0dx\0a`},
+		{"\n", `\0a`},
+		{"x\t ", "x\t" + `\20`},
+		{" \tx", `\ ` + "\tx"},
+		{" ", `\20`},
+		{"x\u00a0", "x\xc2" + `\a0`},
+		{"in\tside", "in\tside"},
+	} {
+		for _, d := range []DN{
+			New(RDN{Attr: "cn", Value: tc.value}),
+			New(RDN{Attr: "cn", Value: tc.value}, RDN{Attr: "o", Value: "xyz"}),
+			New(RDN{Attr: "cn", Value: "a"}, RDN{Attr: "o", Value: tc.value}),
+		} {
+			if !strings.Contains(d.String(), "="+tc.printed) {
+				t.Errorf("value %q printed as %q, want %q in it", tc.value, d.String(), tc.printed)
+			}
+			rt, err := Parse(d.String())
+			if err != nil {
+				t.Errorf("Parse(%q): %v", d.String(), err)
+				continue
+			}
+			if rt.String() != d.String() || rt.Norm() != d.Norm() {
+				t.Errorf("round trip of %q: got %q (norm %q), want %q (norm %q)",
+					tc.value, rt.String(), rt.Norm(), d.String(), d.Norm())
+			}
+		}
+	}
+}
+
 // printable ASCII value bytes for the property test, excluding nothing:
 // escaping must handle every printable character.
 func clampValue(s string) string {

@@ -17,6 +17,7 @@ func FuzzParseDN(f *testing.F) {
 	f.Add("=novalue")
 	f.Add("cn=")
 	f.Add("cn=a,,o=b")
+	f.Add("0=\\09") // a value that is a lone tab: must print hex-escaped
 
 	f.Fuzz(func(t *testing.T, s string) {
 		d, err := Parse(s)

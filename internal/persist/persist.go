@@ -76,42 +76,16 @@ func AppendJournal(w io.Writer, changes []dit.Change) error {
 	return err
 }
 
-// Replay applies LDIF change records to a store, reconstructing the state
-// they describe. Records for entries that no longer exist (e.g. replayed
-// over a newer snapshot) surface as errors unless skipMissing is set.
-func Replay(r io.Reader, st *dit.Store, skipMissing bool) (applied int, err error) {
-	records, err := ldif.ReadChanges(r)
-	if err != nil {
-		return 0, fmt.Errorf("parse journal: %w", err)
-	}
-	return applyRecords(st, records, skipMissing, false)
-}
-
-// ReplayRecover is Replay for crash recovery: a torn final record (the
-// shape an interrupted append leaves behind) is dropped and reported
-// instead of failing the whole replay; state is reconstructed up to the
-// last complete record. Corruption before the final record is still an
-// error.
-func ReplayRecover(r io.Reader, st *dit.Store, skipMissing bool) (applied int, torn bool, err error) {
-	records, torn, err := ldif.ReadChangesTail(r)
-	if err != nil {
-		return 0, torn, fmt.Errorf("parse journal: %w", err)
-	}
-	applied, err = applyRecords(st, records, skipMissing, false)
-	return applied, torn, err
-}
-
-func applyRecords(st *dit.Store, records []ldif.ChangeRecord, skipMissing, sparse bool) (applied int, err error) {
+// applyRecords replays journal records onto a store; a record that does not
+// apply (an add of a present entry, a delete of an absent one — the journal
+// does not continue the snapshot) is an error.
+func applyRecords(st *dit.Store, records []ldif.ChangeRecord, sparse bool) error {
 	for _, rec := range records {
 		if err := applyRecord(st, rec, sparse); err != nil {
-			if skipMissing && (errors.Is(err, dit.ErrNoSuchObject) || errors.Is(err, dit.ErrAlreadyExists)) {
-				continue
-			}
-			return applied, fmt.Errorf("replay %s %q: %w", rec.Type, rec.DN.String(), err)
+			return fmt.Errorf("replay %s %q: %w", rec.Type, rec.DN.String(), err)
 		}
-		applied++
 	}
-	return applied, nil
+	return nil
 }
 
 func applyRecord(st *dit.Store, rec ldif.ChangeRecord, sparse bool) error {
@@ -204,7 +178,7 @@ func (d Dir) open(suffixes []string, sparse bool, opts []dit.Option) (*dit.Store
 		if rerr != nil {
 			return nil, fmt.Errorf("parse journal: %w", rerr)
 		}
-		if _, err := applyRecords(st, records, false, sparse); err != nil {
+		if err := applyRecords(st, records, sparse); err != nil {
 			return nil, err
 		}
 		if torn {

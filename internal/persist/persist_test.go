@@ -60,54 +60,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	identical(t, st, loaded)
 }
 
-func TestReplayReconstructsUpdates(t *testing.T) {
-	st := seedStore(t)
-	baseCSN := st.LastCSN()
-
-	// A mixed update burst.
-	if err := st.Modify(dn.MustParse("cn=p1,o=xyz"),
-		[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"changed"}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(dn.MustParse("cn=p2,o=xyz")); err != nil {
-		t.Fatal(err)
-	}
-	e := entry.New(dn.MustParse("cn=new,o=xyz"))
-	e.Put("objectclass", "person").Put("cn", "new").Put("sn", "n")
-	if err := st.Add(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ModifyDN(dn.MustParse("cn=p3,o=xyz"), dn.RDN{Attr: "cn", Value: "moved"},
-		dn.MustParse("o=xyz")); err != nil {
-		t.Fatal(err)
-	}
-
-	changes, ok := st.ChangesSince(baseCSN)
-	if !ok {
-		t.Fatal("journal trimmed")
-	}
-	var journal bytes.Buffer
-	if err := AppendJournal(&journal, changes); err != nil {
-		t.Fatal(err)
-	}
-
-	// A twin starting from the pre-burst snapshot replays to equality.
-	twin := seedStore(t)
-	applied, err := Replay(&journal, twin, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != len(changes) {
-		t.Errorf("applied %d of %d", applied, len(changes))
-	}
-	identical(t, st, twin)
-}
-
 func TestDirOpenCheckpointCycle(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "dir")}
 	st := seedStore(t)
 
-	// Checkpoint, then mutate and append the delta to the journal.
+	// Checkpoint, then apply one change of every type and append the delta
+	// to the journal.
 	if err := home.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +75,15 @@ func TestDirOpenCheckpointCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := st.Delete(dn.MustParse("cn=p5,o=xyz")); err != nil {
+		t.Fatal(err)
+	}
+	e := entry.New(dn.MustParse("cn=new,o=xyz"))
+	e.Put("objectclass", "person").Put("cn", "new").Put("sn", "n")
+	if err := st.Add(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ModifyDN(dn.MustParse("cn=p3,o=xyz"), dn.RDN{Attr: "cn", Value: "moved"},
+		dn.MustParse("o=xyz")); err != nil {
 		t.Fatal(err)
 	}
 	watermark, err := home.AppendChanges(st, watermark)
@@ -265,60 +232,6 @@ func burst(t *testing.T, st *dit.Store) []dit.Change {
 	return changes
 }
 
-func TestReplayRecoverTornFinalRecord(t *testing.T) {
-	st := seedStore(t)
-	changes := burst(t, st)
-	var journal bytes.Buffer
-	if err := AppendJournal(&journal, changes); err != nil {
-		t.Fatal(err)
-	}
-	torn := tearTail(t, journal.Bytes())
-
-	// Recovery replays everything before the torn record and reports it.
-	twin := seedStore(t)
-	applied, wasTorn, err := ReplayRecover(bytes.NewReader(torn), twin, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wasTorn {
-		t.Error("truncated final record not reported as torn")
-	}
-	if applied != len(changes)-1 {
-		t.Errorf("applied %d records, want %d (all but the torn tail)", applied, len(changes)-1)
-	}
-	// The torn record's change (the final add) must not have landed.
-	if _, ok := twin.Get(dn.MustParse("cn=late,o=xyz")); ok {
-		t.Error("torn add record was applied")
-	}
-
-	// Strict Replay of the same bytes must fail: only crash recovery may
-	// drop records.
-	if _, err := Replay(bytes.NewReader(torn), seedStore(t), false); err == nil {
-		t.Error("strict replay accepted a torn journal")
-	}
-}
-
-func TestReplayRecoverMidStreamCorruption(t *testing.T) {
-	st := seedStore(t)
-	changes := burst(t, st)
-	var journal bytes.Buffer
-	if err := AppendJournal(&journal, changes[:2]); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := append(tearTail(t, journal.Bytes()), "\n\n"...)
-	var tail bytes.Buffer
-	if err := AppendJournal(&tail, changes[2:]); err != nil {
-		t.Fatal(err)
-	}
-	corrupt = append(corrupt, tail.Bytes()...)
-
-	// A damaged record followed by a complete one is corruption, not a
-	// crash tail: recovery must refuse rather than silently skip it.
-	if _, _, err := ReplayRecover(bytes.NewReader(corrupt), seedStore(t), false); err == nil {
-		t.Error("mid-stream corruption not rejected")
-	}
-}
-
 func TestDirOpenRepairsTornJournal(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "torn")}
 	st := seedStore(t)
@@ -450,26 +363,43 @@ func TestDirOpenJournalWithoutMarker(t *testing.T) {
 	}
 }
 
-func TestReplaySkipMissing(t *testing.T) {
+// TestDirOpenRejectsDamagedJournal: damage a crash cannot leave behind is
+// not recovered from. A torn record followed by a committed batch is
+// corruption in the middle, not a tail; a committed batch that appears twice
+// does not continue the snapshot. Open must refuse both instead of skipping
+// records.
+func TestDirOpenRejectsDamagedJournal(t *testing.T) {
 	st := seedStore(t)
-	base := st.LastCSN()
-	if err := st.Delete(dn.MustParse("cn=p1,o=xyz")); err != nil {
-		t.Fatal(err)
+	changes := burst(t, seedStore(t))
+	batch := func(cs []dit.Change) []byte {
+		var b bytes.Buffer
+		if err := AppendJournal(&b, cs); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	changes, _ := st.ChangesSince(base)
-	var journal bytes.Buffer
-	if err := AppendJournal(&journal, changes); err != nil {
-		t.Fatal(err)
-	}
-	// Replaying the delete twice: strict mode errors, skip mode tolerates.
-	twin := seedStore(t)
-	if _, err := Replay(bytes.NewReader(journal.Bytes()), twin, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(bytes.NewReader(journal.Bytes()), twin, false); err == nil {
-		t.Error("strict replay of a stale delete must fail")
-	}
-	if n, err := Replay(bytes.NewReader(journal.Bytes()), twin, true); err != nil || n != 0 {
-		t.Errorf("skip-missing replay: n=%d err=%v", n, err)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name    string
+		journal []byte
+	}{
+		{"torn record before a committed batch",
+			join(tearTail(t, batch(changes[:2])), []byte("\n\n"), batch(changes[2:]))},
+		{"committed batch replayed twice", join(batch(changes), batch(changes))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			home := Dir{Path: filepath.Join(t.TempDir(), "damaged")}
+			if err := home.Checkpoint(st); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(home.Path, "journal.ldif"), tc.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := home.Open([]string{"o=xyz"})
+			if err == nil {
+				t.Fatal("Open accepted the damaged journal")
+			}
+			t.Logf("refused: %v", err)
+		})
 	}
 }

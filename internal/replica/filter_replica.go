@@ -18,9 +18,6 @@ type StoredQuery struct {
 	// Cookie is the ReSync session cookie synchronizing this query's
 	// content (empty for un-synced cached queries).
 	Cookie string
-	// Hits counts incoming queries answered via this stored query; the
-	// selection algorithm's benefit statistic.
-	Hits uint64
 }
 
 // FilterReplica is the paper's proposed replica: entries matching one or
@@ -244,7 +241,6 @@ func (r *FilterReplica) Answer(q query.Query) (entries []*entry.Entry, hit bool,
 		r.mu.Unlock()
 		return nil, false, ""
 	}
-	container.Hits++
 	r.m.Hits++
 	norms := make([]string, 0, len(r.ownerDNs[ownerID]))
 	for norm := range r.ownerDNs[ownerID] {

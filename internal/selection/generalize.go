@@ -3,8 +3,7 @@
 // spatial locality, tracking per-candidate hit statistics, and periodically
 // re-selecting the stored filter set by benefit/size ratio — the paper's
 // lightweight approximation of the evolution/revolution algorithm of
-// Kapitskaia, Ng and Srivastava (EDBT 2000), which is also provided as a
-// baseline.
+// Kapitskaia, Ng and Srivastava (EDBT 2000).
 package selection
 
 import (

@@ -168,32 +168,6 @@ func TestForceRevolution(t *testing.T) {
 	}
 }
 
-func TestEvolutionSelectorAdoptsAndChurns(t *testing.T) {
-	g := NewGeneralizer(PrefixRule{Attr: "serialnumber", PrefixLen: 3})
-	s := NewEvolutionSelector(g, func(query.Query) int { return 10 }, 10)
-
-	var deltas int
-	for i := 0; i < 50; i++ {
-		// Alternate hot prefixes to provoke evolutions.
-		prefix := "0401"
-		if (i/10)%2 == 1 {
-			prefix = "0511"
-		}
-		if d := s.Observe(query.MustNew("", query.ScopeSubtree, fmt.Sprintf("(serialnumber=%s)", prefix))); d != nil {
-			deltas++
-		}
-	}
-	if len(s.StoredSet()) == 0 {
-		t.Fatal("evolution selector never adopted a filter")
-	}
-	if s.Evolutions == 0 {
-		t.Error("no evolutions recorded under an alternating workload")
-	}
-	if deltas < 2 {
-		t.Errorf("stored set churned %d times; expected more under alternation", deltas)
-	}
-}
-
 func TestDefaultEnterpriseRules(t *testing.T) {
 	g := NewGeneralizer(DefaultEnterpriseRules()...)
 	got := g.Generalize(query.MustNew("", query.ScopeSubtree, "(serialnumber=045678)"))
@@ -203,27 +177,6 @@ func TestDefaultEnterpriseRules(t *testing.T) {
 	got = g.Generalize(query.MustNew("", query.ScopeSubtree, "(&(dept=2406)(div=sw))"))
 	if len(got) != 1 {
 		t.Errorf("dept generalizations = %v", got)
-	}
-}
-
-func TestEvolutionSelectorRevolution(t *testing.T) {
-	g := NewGeneralizer(PrefixRule{Attr: "serialnumber", PrefixLen: 3})
-	s := NewEvolutionSelector(g, func(query.Query) int { return 10 }, 30)
-	// A strong trigger: three hot prefixes accumulate candidate benefit far
-	// above the single adopted filter.
-	prefixes := []string{"0401", "0511", "0621", "0731"}
-	revolutionsSeen := 0
-	for i := 0; i < 300; i++ {
-		p := prefixes[i%len(prefixes)]
-		if d := s.Observe(query.MustNew("", query.ScopeSubtree, fmt.Sprintf("(serialnumber=%s)", p))); d != nil {
-			revolutionsSeen++
-		}
-	}
-	if s.Revolutions == 0 {
-		t.Errorf("no revolutions under multi-hot workload (evolutions=%d)", s.Evolutions)
-	}
-	if n := len(s.StoredSet()); n == 0 || n > 3 {
-		t.Errorf("stored set size = %d, want 1..3 under budget 30", n)
 	}
 }
 
@@ -264,9 +217,9 @@ func TestTopCandidatesLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Observe(query.MustNew("", query.ScopeSubtree, "(serialnumber=0401)"))
 	}
-	all := s.TopCandidates(10)
+	all := s.TopCandidatesLimit(10, 0)
 	if len(all) != 2 {
-		t.Fatalf("TopCandidates = %d, want 2", len(all))
+		t.Fatalf("uncapped TopCandidatesLimit = %d, want 2", len(all))
 	}
 	capped := s.TopCandidatesLimit(10, 100)
 	if len(capped) != 1 {
@@ -274,5 +227,231 @@ func TestTopCandidatesLimit(t *testing.T) {
 	}
 	if got := capped[0].FilterString(); got != "(serialnumber=040*)" {
 		t.Errorf("capped candidate = %s", got)
+	}
+}
+
+func mustQ(t *testing.T, f string) query.Query {
+	t.Helper()
+	return query.MustNew("o=xyz", query.ScopeSubtree, f).Normalize()
+}
+
+// TestWidenRuleUnderNegation pins the rule's polarity handling: dropping a
+// predicate is only a generalization in positive positions. Under an odd
+// number of NOTs (or on a negated predicate) the rule must not fire — the
+// rewritten filter would be narrower than the input, not wider.
+func TestWidenRuleUnderNegation(t *testing.T) {
+	rule := WidenRule{DropAttr: "dept", ReplaceWith: filter.NewEQ("objectclass", "department")}
+
+	// Positive conjunction: widens as documented.
+	got := rule.Generalize(mustQ(t, "(&(dept=2406)(div=sw))"))
+	if len(got) != 1 || got[0].FilterString() != "(&(div=sw)(objectclass=department))" {
+		t.Fatalf("positive widen = %v", got)
+	}
+
+	// A dept predicate under NOT must not produce a candidate: replacing it
+	// would shrink the complement.
+	for _, f := range []string{
+		"(!(dept=2406))",
+		"(&(div=sw)(!(dept=2406)))",
+		"(!(&(dept=2406)(div=sw)))",
+	} {
+		if got := rule.Generalize(mustQ(t, f)); got != nil {
+			t.Errorf("Generalize(%s) = %v, want nil (negated context)", f, got)
+		}
+	}
+
+	// Double negation is positive again.
+	got = rule.Generalize(mustQ(t, "(!(!(dept=2406)))"))
+	if len(got) != 1 {
+		t.Fatalf("double-negated widen = %v, want one candidate", got)
+	}
+
+	// Mixed: only the positive occurrence widens; the negated one stays, and
+	// the emitted candidate still contains the input.
+	in := mustQ(t, "(&(dept=2406)(!(dept=9999)))")
+	got = rule.Generalize(in)
+	if len(got) != 1 {
+		t.Fatalf("mixed-polarity widen = %v, want one candidate", got)
+	}
+	if s := got[0].FilterString(); s != "(&(!(dept=9999))(objectclass=department))" {
+		t.Errorf("mixed-polarity candidate = %s", s)
+	}
+}
+
+// TestPrefixRuleUnderNegation: prefix-widening an equality under NOT would
+// narrow the filter, so negated occurrences are left alone. Soundness of the
+// emitted candidates is re-checked with the containment prover.
+func TestPrefixRuleUnderNegation(t *testing.T) {
+	rule := PrefixRule{Attr: "serialnumber", PrefixLen: 2}
+
+	for _, f := range []string{"(!(serialnumber=0456))", "(!(&(serialnumber=0456)(sn=x)))"} {
+		if got := rule.Generalize(mustQ(t, f)); got != nil {
+			t.Errorf("Generalize(%s) = %v, want nil (negated context)", f, got)
+		}
+	}
+
+	in := mustQ(t, "(|(serialnumber=0456)(!(serialnumber=0999)))")
+	got := rule.Generalize(in)
+	if len(got) != 1 {
+		t.Fatalf("mixed-polarity prefix = %v, want one candidate", got)
+	}
+	if s := got[0].FilterString(); s != "(|(!(serialnumber=0999))(serialnumber=04*))" {
+		t.Errorf("mixed-polarity candidate = %s", s)
+	}
+	if !containment.NewChecker().QueryContains(in, got[0]) {
+		t.Errorf("emitted candidate %s does not contain input %s", got[0], in)
+	}
+}
+
+// self makes an observed query a candidate itself, as the tier control
+// plane's identity rule does for a rejected spec.
+type self struct{}
+
+func (self) Generalize(q query.Query) []query.Query { return []query.Query{q} }
+
+func unit(query.Query) int { return 1 }
+
+// TestZeroBudgetSelectors: a selector with no budget never stores anything,
+// however hot the observed queries are — whether revolutions come from the
+// observation interval or from the caller's clock.
+func TestZeroBudgetSelectors(t *testing.T) {
+	gen := NewGeneralizer(PrefixRule{Attr: "serialnumber", PrefixLen: 2})
+	hot := mustQ(t, "(serialnumber=0456)")
+	for _, interval := range []int{1, 0} {
+		s := NewSelector(gen, unit, 0, interval)
+		for i := 0; i < 20; i++ {
+			if d := s.Observe(hot); d != nil && len(d.Add) > 0 {
+				t.Fatalf("interval %d: zero-budget Observe stored %v", interval, d.Add)
+			}
+		}
+		if d := s.ForceRevolution(); len(d.Add) > 0 {
+			t.Fatalf("interval %d: zero-budget revolution stored %v", interval, d.Add)
+		}
+		if got := s.StoredSet(); len(got) != 0 {
+			t.Fatalf("interval %d: zero-budget stored set = %v", interval, got)
+		}
+	}
+}
+
+// TestObserveCreditsCoveringStored: an observation already covered by a
+// stored filter credits that filter instead of growing a duplicate
+// candidate, and Credit reaches the same filter.
+func TestObserveCreditsCoveringStored(t *testing.T) {
+	prefixes := []Rule{
+		PrefixRule{Attr: "serialnumber", PrefixLen: 2},
+		PrefixRule{Attr: "serialnumber", PrefixLen: 3},
+	}
+	stored := mustQ(t, "(serialnumber=04*)")
+	for _, tc := range []struct {
+		name     string
+		rules    []Rule
+		feed     func(*Selector) bool
+		wantHits uint64
+	}{
+		// Both generalizations — (serialnumber=04*) exactly and the contained
+		// (serialnumber=045*) — credit the stored filter.
+		{"observation", prefixes,
+			func(s *Selector) bool { return s.Observe(mustQ(t, "(serialnumber=0456)")) == nil }, 2},
+		// The observed spec itself plus both generalizations, all covered.
+		{"observation with identity rule", append([]Rule{self{}}, prefixes...),
+			func(s *Selector) bool { return s.Observe(mustQ(t, "(serialnumber=0456)")) == nil }, 3},
+		{"credit to a covered spec", prefixes,
+			func(s *Selector) bool { return s.Credit(mustQ(t, "(serialnumber=0456)"), 5) }, 5},
+		{"credit to an uncovered spec", prefixes,
+			func(s *Selector) bool { return !s.Credit(mustQ(t, "(serialnumber=0556)"), 5) }, 0},
+	} {
+		s := NewSelector(NewGeneralizer(tc.rules...), unit, 4, 0)
+		s.Contains = containment.NewChecker().QueryContains
+		s.Seed([]query.Query{stored})
+		if !tc.feed(s) {
+			t.Errorf("%s: unexpected result", tc.name)
+		}
+		if got := s.stored[stored.Key()].Hits; got != tc.wantHits {
+			t.Errorf("%s: stored hits = %d, want %d", tc.name, got, tc.wantHits)
+		}
+		if len(s.candidates) != 0 {
+			t.Errorf("%s: grew %d candidates", tc.name, len(s.candidates))
+		}
+		if d := s.ForceRevolution(); len(d.Add)+len(d.Remove) != 0 {
+			t.Errorf("%s: revolution changed the stored set: %+v", tc.name, d)
+		}
+	}
+}
+
+// TestRevolutionOverSeededSet drives the selector the way the tier control
+// plane does — seeded and pinned filters, observations of rejected specs,
+// serving credit, one revolution — with every filter costing one unit.
+func TestRevolutionOverSeededSet(t *testing.T) {
+	type hits struct {
+		filter string
+		n      int
+	}
+	qs := func(fs []string) []query.Query {
+		out := make([]query.Query, len(fs))
+		for i, f := range fs {
+			out[i] = mustQ(t, f)
+		}
+		return out
+	}
+	filters := func(qs []query.Query) string {
+		out := make([]string, len(qs))
+		for i, q := range qs {
+			out[i] = q.FilterString()
+		}
+		return strings.Join(out, " ")
+	}
+	for _, tc := range []struct {
+		name        string
+		budget      int
+		seed, pin   []string
+		observe     []hits
+		credit      []hits
+		add, remove []string
+	}{
+		{name: "a seeded filter without hits stays while there is room",
+			budget: 2, seed: []string{"(serialnumber=04*)"}},
+		// The spec and its two generalizations tie; the widest sorts first
+		// and covers the others, so one filter is adopted, not three.
+		{name: "one rejected spec adopts its widest generalization only",
+			budget: 4, observe: []hits{{"(serialnumber=0456)", 1}},
+			add: []string{"(serialnumber=04*)"}},
+		{name: "a pinned filter is charged first and never removed",
+			budget: 1, seed: []string{"(serialnumber=04*)"}, pin: []string{"(serialnumber=04*)"},
+			observe: []hits{{"(serialnumber=0512)", 20}}},
+		{name: "a full budget trades the cold unpinned filter for the hot candidate",
+			budget: 2, seed: []string{"(serialnumber=04*)", "(serialnumber=05*)"}, pin: []string{"(serialnumber=04*)"},
+			observe: []hits{{"(serialnumber=0612)", 3}},
+			add:     []string{"(serialnumber=06*)"}, remove: []string{"(serialnumber=05*)"}},
+		{name: "serving credit holds a filter against fewer rejections",
+			budget: 2, seed: []string{"(serialnumber=04*)", "(serialnumber=05*)"}, pin: []string{"(serialnumber=04*)"},
+			observe: []hits{{"(serialnumber=0612)", 3}}, credit: []hits{{"(serialnumber=0502)", 10}}},
+		{name: "with room both the cold filter and the hot candidate are held",
+			budget: 3, seed: []string{"(serialnumber=04*)", "(serialnumber=05*)"}, pin: []string{"(serialnumber=04*)"},
+			observe: []hits{{"(serialnumber=0612)", 3}},
+			add:     []string{"(serialnumber=06*)"}},
+	} {
+		s := NewSelector(NewGeneralizer(self{},
+			PrefixRule{Attr: "serialnumber", PrefixLen: 2},
+			PrefixRule{Attr: "serialnumber", PrefixLen: 3}), unit, tc.budget, 0)
+		s.Contains = containment.NewChecker().QueryContains
+		s.Seed(qs(tc.seed))
+		s.Pin(qs(tc.pin))
+		for _, o := range tc.observe {
+			for i := 0; i < o.n; i++ {
+				if d := s.Observe(mustQ(t, o.filter)); d != nil {
+					t.Fatalf("%s: Observe with interval 0 returned %+v", tc.name, d)
+				}
+			}
+		}
+		for _, c := range tc.credit {
+			s.Credit(mustQ(t, c.filter), uint64(c.n))
+		}
+		d := s.ForceRevolution()
+		if got, want := filters(d.Add), strings.Join(tc.add, " "); got != want {
+			t.Errorf("%s: added %q, want %q", tc.name, got, want)
+		}
+		if got, want := filters(d.Remove), strings.Join(tc.remove, " "); got != want {
+			t.Errorf("%s: removed %q, want %q", tc.name, got, want)
+		}
 	}
 }

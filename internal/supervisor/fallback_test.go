@@ -1,12 +1,14 @@
 package supervisor
 
 import (
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/query"
+	"filterdir/internal/replica"
 	"filterdir/internal/resync"
 )
 
@@ -139,4 +141,74 @@ func TestRetryWithoutFallbackBacksOff(t *testing.T) {
 	gb.allow.Store(true)
 	waitSynced(t, sup)
 	waitConverged(t, h, sup, 10*time.Second)
+}
+
+// parkingBackend is a gated backend that parks filters watches the way a
+// mid-tier whose filter set never changes does.
+type parkingBackend struct{ *gatedBackend }
+
+func (parkingBackend) FilterGeneration() (uint64, <-chan struct{}) { return 1, nil }
+func (parkingBackend) Admit(query.Query) error                     { return ldapnet.ErrNotContained }
+
+// TestStopDuringWatchDial: Stop cancels the filters watch by closing its
+// connection; a watch still dialling has none yet, and must notice the
+// cancellation once it connects instead of parking on a long-poll nobody
+// will interrupt.
+func TestStopDuringWatchDial(t *testing.T) {
+	h := newHarness(t)
+	gatedSrv, err := ldapnet.Serve("127.0.0.1:0",
+		parkingBackend{&gatedBackend{StoreBackend: ldapnet.NewStoreBackend(h.store)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gatedSrv.Close() })
+
+	// The first dial to the gated upstream is the rejected Begin; the second
+	// is the watch, held until Stop has cancelled it.
+	dialling := make(chan struct{})
+	release := make(chan struct{})
+	var upstreamDials atomic.Int32
+	cfg := h.config(t)
+	cfg.Master = gatedSrv.Addr()
+	cfg.Fallback = h.srv.Addr()
+	cfg.RetryUpstreamAfter = time.Hour
+	cfg.WatchFilters = true
+	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		if addr == gatedSrv.Addr() && upstreamDials.Add(1) == 2 {
+			close(dialling)
+			<-release
+		}
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	rep, err := replica.NewFilterReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := New(cfg, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Start()
+	<-dialling
+
+	stopped := make(chan error, 1)
+	go func() { stopped <- sup.Stop() }()
+	deadline := time.Now().Add(10 * time.Second)
+	for cancelled := false; !cancelled; time.Sleep(time.Millisecond) {
+		sup.watchMu.Lock()
+		cancelled = sup.watchStop == nil
+		sup.watchMu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("Stop never cancelled the watch")
+		}
+	}
+	close(release)
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop hung on a watch that connected after it was cancelled")
+	}
 }

@@ -454,6 +454,15 @@ func (s *Supervisor) watchLoop(stop chan struct{}) {
 		client, err := ldapnet.DialWith(s.cfg.Dial, s.cfg.Master, s.cfg.DialTimeout)
 		if err == nil {
 			s.watchMu.Lock()
+			select {
+			case <-stop:
+				// stopWatch ran during the dial and found no connection to
+				// close; parking on this one would never be interrupted.
+				s.watchMu.Unlock()
+				_ = client.Close()
+				return
+			default:
+			}
 			s.watchConn = client
 			s.watchMu.Unlock()
 			gen, werr := client.WatchFilters(s.cfg.Spec, 0)
@@ -724,7 +733,7 @@ func (s *Supervisor) syncLoop(client *ldapnet.Client, attempt *int) error {
 		}
 		s.counters.Begins.Add(1)
 		if res.Resume == nil {
-			s.resetContent(res.Cookie)
+			s.resetContent()
 		}
 	default:
 		res, err = client.Sync(s.cfg.Spec, proto.ReSyncModePoll, cookie)
@@ -817,15 +826,8 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		// The batch cookie is adopted inside applyUpdates only after the
-		// updates landed, so a checkpoint never names a sync point ahead of
-		// its content.
-		err := s.applyUpdates(batch, batchCookie, false)
+		err := s.land(&resync.PollResult{Updates: batch, Cookie: batchCookie, CSN: batchCSN})
 		s.counters.StreamBatches.Add(1)
-		if err == nil {
-			s.noteExchange()
-			s.noteWatermark(batchCSN)
-		}
 		batch, batchCookie, batchCSN = batch[:0], "", 0
 		return err
 	}
@@ -891,16 +893,14 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 // persist stream died and the fallback poll succeeded.
 var errStreamLost = errors.New("persist stream lost")
 
-// applyExchange applies one exchange's result, following a chunked reload
+// applyExchange lands one exchange's result, following a chunked reload
 // through its remaining exchanges on the same connection: each chunk is
-// applied and checkpointed with its successor token before the next is
-// requested, so a kill at any point resumes at the furthest applied chunk.
+// landed (applied and checkpointed with its successor token) before the
+// next is requested, so a kill at any point resumes at the furthest applied
+// chunk.
 func (s *Supervisor) applyExchange(client *ldapnet.Client, res *resync.PollResult) error {
-	if res.Resume == nil && s.ResumeToken().IsZero() {
-		return s.apply(res)
-	}
 	for {
-		if err := s.applyChunk(res); err != nil {
+		if err := s.land(res); err != nil {
 			return err
 		}
 		if res.Resume == nil {
@@ -915,59 +915,49 @@ func (s *Supervisor) applyExchange(client *ldapnet.Client, res *resync.PollResul
 	}
 }
 
-// applyChunk lands one exchange of a resumable reload. Token adoption
-// happens strictly after the chunk's updates are applied and before the
-// checkpoint, so the durable token is never newer than the durable content
-// — a crash between the two re-fetches one chunk, which re-applies
-// idempotently.
-func (s *Supervisor) applyChunk(res *resync.PollResult) error {
+// land is the one way an exchange reaches the replica, whether it came from
+// a poll, a chunk of a resumable reload or a batch off a persist stream. The
+// position the exchange reaches — its resume token, or on a final exchange
+// its cookie — is adopted strictly after its updates are applied and before
+// the checkpoint: a failed apply leaves the supervisor presenting the
+// position it really holds, and the durable position is never newer than
+// the durable content (a crash between the two re-fetches one exchange,
+// which re-applies idempotently).
+func (s *Supervisor) land(res *resync.PollResult) error {
 	if res.FullReload {
-		// Chunk zero (or a monolithic restart): the transfer replaces the
-		// held content from scratch.
+		// A monolithic reload or chunk zero of a chunked one: the transfer
+		// replaces the held content from scratch.
 		s.counters.FullReloads.Add(1)
-		s.resetContent("")
+		s.resetContent()
 	}
-	if err := s.rep.ApplySync(s.cfg.Spec, res.Updates); err != nil {
-		return fmt.Errorf("apply updates: %w", err)
-	}
-	s.counters.UpdatesApplied.Add(int64(len(res.Updates)))
-	if res.Resume != nil {
-		s.setResumeToken(*res.Resume)
-	} else {
-		// Final exchange: the completion cookie supersedes the token.
-		s.setResumeToken(proto.ResumeToken{})
-		if res.Cookie != "" {
-			s.setCookie(res.Cookie)
+	if len(res.Updates) > 0 {
+		if err := s.rep.ApplySync(s.cfg.Spec, res.Updates); err != nil {
+			return fmt.Errorf("apply updates: %w", err)
 		}
+		s.counters.UpdatesApplied.Add(int64(len(res.Updates)))
 	}
-	if s.cfg.OnApplied != nil {
-		s.cfg.OnApplied(len(res.Updates))
+	cookie, tok := s.Cookie(), proto.ResumeToken{}
+	if res.Resume != nil {
+		tok = *res.Resume
+	} else if res.Cookie != "" {
+		// Final exchange: the completion cookie supersedes the token.
+		cookie = res.Cookie
 	}
-	if err := s.checkpoint(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	moved := res.FullReload || len(res.Updates) > 0 || cookie != s.Cookie() || tok != s.ResumeToken()
+	s.setCookie(cookie)
+	s.setResumeToken(tok)
+	if moved {
+		if s.cfg.OnApplied != nil {
+			s.cfg.OnApplied(len(res.Updates))
+		}
+		if err := s.checkpoint(); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
 	}
 	if res.Resume == nil {
 		s.noteExchange()
 		s.noteWatermark(res.CSN)
 	}
-	return nil
-}
-
-// apply installs one exchange's updates; a full reload replaces the
-// content wholesale.
-func (s *Supervisor) apply(res *resync.PollResult) error {
-	if res.Cookie != "" {
-		s.setCookie(res.Cookie)
-	}
-	if res.FullReload {
-		s.counters.FullReloads.Add(1)
-		s.resetContent(res.Cookie)
-	}
-	if err := s.applyUpdates(res.Updates, "", len(res.Updates) > 0); err != nil {
-		return err
-	}
-	s.noteExchange()
-	s.noteWatermark(res.CSN)
 	return nil
 }
 
@@ -979,36 +969,12 @@ func (s *Supervisor) noteWatermark(csn uint64) {
 	}
 }
 
-// applyUpdates applies a batch to the replica and checkpoints when
-// anything changed (or when force is set). A non-empty cookie — the sync
-// point a pushed batch reaches — is adopted between apply and checkpoint,
-// so the durable state never claims a position its content hasn't reached.
-func (s *Supervisor) applyUpdates(updates []resync.Update, cookie string, force bool) error {
-	if len(updates) == 0 && !force {
-		return nil
-	}
-	if err := s.rep.ApplySync(s.cfg.Spec, updates); err != nil {
-		return fmt.Errorf("apply updates: %w", err)
-	}
-	s.counters.UpdatesApplied.Add(int64(len(updates)))
-	if cookie != "" {
-		s.setCookie(cookie)
-	}
-	if s.cfg.OnApplied != nil {
-		s.cfg.OnApplied(len(updates))
-	}
-	if err := s.checkpoint(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
-}
-
-// resetContent drops the spec's replicated content and re-registers it
-// under the given cookie (Begin, full reload, stale session).
-func (s *Supervisor) resetContent(cookie string) {
+// resetContent drops the spec's replicated content and the sync point that
+// described it (Begin, full reload); land adopts the new one.
+func (s *Supervisor) resetContent() {
 	s.rep.RemoveStored(s.cfg.Spec)
-	s.rep.AddStored(s.cfg.Spec, cookie)
-	s.setCookie(cookie)
+	s.rep.AddStored(s.cfg.Spec, "")
+	s.setCookie("")
 }
 
 // backoff sleeps the capped, jittered exponential delay for the attempt

@@ -3,6 +3,7 @@ package supervisor
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -319,5 +320,82 @@ func TestCheckpointSurvivesSpecChange(t *testing.T) {
 	}
 	if got := sup2.Cookie(); got != "" {
 		t.Errorf("spec-mismatched checkpoint restored cookie %q, want fresh start", got)
+	}
+}
+
+// refusingBackend serves the master store and records the cookie every poll
+// presents; once armed it appends to the next poll answer that carries
+// updates one the replica refuses (a retain action, which only the
+// incomplete-history mode may send).
+type refusingBackend struct {
+	*ldapnet.StoreBackend
+	mu        sync.Mutex
+	armed     bool
+	presented []string
+	spoiled   int // index in presented of the spoiled poll, -1 before it
+}
+
+func (b *refusingBackend) ReSyncPoll(cookie string) (*resync.PollResult, error) {
+	res, err := b.StoreBackend.ReSyncPoll(cookie)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.presented = append(b.presented, cookie)
+	if err != nil || !b.armed || len(res.Updates) == 0 {
+		return res, err
+	}
+	b.armed = false
+	b.spoiled = len(b.presented) - 1
+	spoiled := *res
+	spoiled.Enc = nil
+	spoiled.Updates = append(append([]resync.Update(nil), res.Updates...),
+		resync.Update{Action: resync.ActionRetain, DN: res.Updates[0].DN})
+	return &spoiled, nil
+}
+
+// TestRefusedUpdateKeepsSyncPoint: an exchange whose updates the replica
+// refuses must not move the supervisor's sync point — the next request
+// presents the cookie it held before, so the supplier re-sends what never
+// landed, and the replica converges.
+func TestRefusedUpdateKeepsSyncPoint(t *testing.T) {
+	h := newHarness(t)
+	rb := &refusingBackend{StoreBackend: ldapnet.NewStoreBackend(h.store), spoiled: -1}
+	srv, err := ldapnet.Serve("127.0.0.1:0", rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	cfg := h.config(t)
+	cfg.Master = srv.Addr()
+	cfg.Dial = nil
+	sup := startSupervisor(t, cfg)
+	waitSynced(t, sup)
+
+	rb.mu.Lock()
+	rb.armed = true
+	rb.mu.Unlock()
+	mutate(t, h.store, 0)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rb.mu.Lock()
+		done := rb.spoiled >= 0 && len(rb.presented) > rb.spoiled+1
+		var before, after string
+		if done {
+			before, after = rb.presented[rb.spoiled], rb.presented[rb.spoiled+1]
+		}
+		rb.mu.Unlock()
+		if done {
+			if after != before {
+				t.Fatalf("poll after the refused exchange presented %q, want the cookie held before it, %q", after, before)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no poll followed the refused exchange")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	waitConverged(t, h, sup, 10*time.Second)
+	if got := sup.Counters().FullReloads.Load(); got != 0 {
+		t.Errorf("full reloads = %d, want 0: the re-sent updates must land incrementally", got)
 	}
 }

@@ -1,33 +1,37 @@
 // Package tierctl is the demand-driven adaptive control plane for a cascade
 // mid-tier: it re-tiers the cascade under shifting traffic by feeding live
-// demand signals into the filter selection machinery and applying the
-// resulting deltas to the tier's filter set.
+// demand signals into the Section 6.2 selector (selection.Selector) and
+// applying each revolution's delta to the tier's filter set.
 //
 // Three demand signals drive it:
 //
 //   - admission rejections — the diverted leaf specs themselves, reported by
 //     the tier's admission gate. A leaf the tier turned away (and which is
 //     now loading the fallback master) is direct evidence of demand the
-//     stored set does not cover; the rejected spec and its generalizations
-//     become selection candidates.
+//     stored set does not cover: each rejection is one observation, and the
+//     rejected spec and its generalizations are its candidates.
 //   - per-session serving credit — each active downstream session's spec
 //     credits the stored filter covering it every control tick, so filters
-//     that hold leaves attached keep their benefit against fresh rejections.
+//     that hold leaves attached keep their hits against fresh rejections.
 //   - per-content-group update load — the tier engine's broadcast groups
 //     report how many update PDUs each group's spec has fanned out; the
 //     per-tick delta credits the covering filter, weighting filters whose
 //     content is actually changing.
 //
-// On a generalize/adopt delta the tier widens: a new upstream link pulls
-// the widened content (containment-gated at the upstream, resumable chunked
-// reload like any other link), and once it is synced the tier bumps its
-// filter generation — the signal that fires diverted leaves' filters-changed
-// watch, so they re-probe immediately and migrate back off the fallback
-// master. On a revolution delta the tier narrows: decayed filters are
-// retired, and downstream sessions stranded by the narrowing are gracefully
-// ended — their next operation returns e-syncRefreshRequired, which their
-// supervisors treat as a referral to the fallback master with a full
-// reload, so no update is ever lost.
+// Every revolveEvery ticks the selector runs one revolution over the hits
+// of that period. For a filter the delta adds the tier widens: a new
+// upstream link pulls the widened content (containment-gated at the
+// upstream, resumable chunked reload like any other link), and once it is
+// synced the tier bumps its filter generation — the signal that fires
+// diverted leaves' filters-changed watch, so they re-probe immediately and
+// migrate back off the fallback master. For a filter the delta removes the
+// tier narrows: the filter is retired, and downstream sessions stranded by
+// the narrowing are gracefully ended — their next operation returns
+// e-syncRefreshRequired, which their supervisors treat as a referral to the
+// fallback master with a full reload, so no update is ever lost. Between
+// revolutions the filter set does not move: every change of it costs a
+// content transfer and a round of leaf re-referrals, the paper's reason for
+// reorganizing periodically.
 //
 // The operator-configured base specs are pinned: adaptation only ever adds
 // to the configuration, and a control plane gone quiet leaves exactly the
@@ -55,8 +59,8 @@ type Config struct {
 	// (every filter costs one unit).
 	Budget int
 	// Interval is the control loop cadence (default 100ms). Each tick
-	// credits live serving activity and runs one evolution/revolution
-	// check; rejections are observed inline as they happen.
+	// credits live serving activity, and every revolveEvery-th runs one
+	// revolution; rejections are observed inline as they happen.
 	Interval time.Duration
 	// Rules generalize rejected specs into widening candidates (default
 	// selection.DefaultEnterpriseRules).
@@ -77,8 +81,24 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// revolveEvery is the revolution period in control ticks (one second at the
+// default Interval), fixed from the measurement at 1, 5, 10 and 25 ticks in
+// EXPERIMENTS.md ("Revolution period of the tier control plane"): acting on
+// every tick adopts whichever leaf is rejected first and trades it away when
+// stronger demand shows up, from 5 ticks up a period's rejections are ranked
+// together, 25 more than doubles the widening latency, and 10 is the
+// shortest measured period that outlasts one widening — a filter meets its
+// first revolution with its leaves attached and earning it credit.
+const revolveEvery = 10
+
 // unitSize budgets by filter count: every filter costs 1.
 func unitSize(query.Query) int { return 1 }
+
+// identity makes an observed spec a candidate itself, beside its
+// generalizations.
+type identity struct{}
+
+func (identity) Generalize(q query.Query) []query.Query { return []query.Query{q} }
 
 // Controller runs the adaptive control loop over one tier.
 type Controller struct {
@@ -88,7 +108,8 @@ type Controller struct {
 	// mu serializes the selector (not goroutine-safe) and the rejection
 	// bookkeeping between the admission observer and the control loop.
 	mu         sync.Mutex
-	sel        *selection.EvolutionSelector
+	sel        *selection.Selector
+	ticks      int
 	rejected   map[string]query.Query // rejected spec keys not yet admitted
 	servedPrev map[string]uint64      // content-group served totals at last tick
 
@@ -107,7 +128,8 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("tierctl: positive budget required")
 	}
 	cfg.fillDefaults()
-	sel := selection.NewEvolutionSelector(selection.NewGeneralizer(cfg.Rules...), unitSize, cfg.Budget)
+	rules := append([]selection.Rule{identity{}}, cfg.Rules...)
+	sel := selection.NewSelector(selection.NewGeneralizer(rules...), unitSize, cfg.Budget, 0)
 	// Containment proves serving credit and candidate coverage.
 	sel.Contains = containment.NewChecker().QueryContains
 	c := &Controller{
@@ -128,7 +150,7 @@ func New(cfg Config) (*Controller, error) {
 func (c *Controller) Start() {
 	c.startOnce.Do(func() {
 		c.mu.Lock()
-		c.sel.SeedStored(c.cfg.Tier.Specs())
+		c.sel.Seed(c.cfg.Tier.Specs())
 		c.sel.Pin(c.cfg.Tier.BaseSpecs())
 		c.mu.Unlock()
 		c.cfg.Tier.SetAdmissionObserver(c.onAdmit)
@@ -150,14 +172,6 @@ func (c *Controller) Stop() {
 // Counters exposes the control plane's metrics.
 func (c *Controller) Counters() *metrics.TierCounters { return c.counters }
 
-// StoredSet returns the selector's current stored filter set (tests,
-// status).
-func (c *Controller) StoredSet() []query.Query {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sel.StoredSet()
-}
-
 // onAdmit is the tier's admission observer: rejections feed the selector
 // inline (cheap map work under the controller lock), and an admission of a
 // spec we previously saw rejected means a diverted leaf has migrated back.
@@ -173,7 +187,7 @@ func (c *Controller) onAdmit(q query.Query, admitted bool) {
 		return
 	}
 	c.rejected[key] = q
-	c.sel.ObserveRejection(q)
+	c.sel.Observe(q)
 	c.counters.RejectionsObserved.Add(1)
 }
 
@@ -191,15 +205,15 @@ func (c *Controller) run() {
 	}
 }
 
-// tick credits live serving activity into the selector, runs one
-// evolution/revolution check and applies the delta to the tier.
+// tick credits live serving activity into the selector and, every
+// revolveEvery-th time, runs a revolution and applies its delta to the tier.
 func (c *Controller) tick() {
 	eng := c.cfg.Tier.Engine()
 	c.mu.Lock()
 	// Attached-session credit: every active downstream spec backs the
-	// stored filter covering it, one benefit unit per tick.
+	// stored filter covering it, one hit per tick.
 	for _, ss := range eng.SessionSpecs() {
-		if c.sel.CreditStored(ss.Spec, 1) {
+		if c.sel.Credit(ss.Spec, 1) {
 			c.counters.ServingCredits.Add(1)
 		}
 	}
@@ -209,14 +223,15 @@ func (c *Controller) tick() {
 	for _, gl := range eng.GroupLoads() {
 		key := gl.Spec.Key()
 		seen[key] = gl.Updates
-		if d := gl.Updates - c.servedPrev[key]; d > 0 && gl.Updates > c.servedPrev[key] {
-			if c.sel.CreditStored(gl.Spec, float64(d)) {
-				c.counters.ServingCredits.Add(int64(d))
-			}
+		if prev := c.servedPrev[key]; gl.Updates > prev && c.sel.Credit(gl.Spec, gl.Updates-prev) {
+			c.counters.ServingCredits.Add(int64(gl.Updates - prev))
 		}
 	}
 	c.servedPrev = seen
-	delta := c.sel.Evolve()
+	var delta *selection.Delta
+	if c.ticks++; c.ticks%revolveEvery == 0 {
+		delta = c.sel.ForceRevolution()
+	}
 	c.mu.Unlock()
 	if delta != nil {
 		c.apply(delta)

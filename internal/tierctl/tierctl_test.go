@@ -3,6 +3,7 @@ package tierctl
 import (
 	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +14,10 @@ import (
 	"filterdir/internal/entry"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/query"
+	"filterdir/internal/replica"
+	"filterdir/internal/resync"
 	"filterdir/internal/selection"
+	"filterdir/internal/supervisor"
 )
 
 func person(prefix string, i int) *entry.Entry {
@@ -24,8 +28,8 @@ func person(prefix string, i int) *entry.Entry {
 	return e
 }
 
-// wire-served master with 04 and 05 serial regions, plus a tier replicating
-// only (serialnumber=04*).
+// wire-served master with 04, 05 and 06 serial regions, plus a tier
+// replicating only (serialnumber=04*).
 func newTier(t *testing.T) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
 	t.Helper()
 	st, err := dit.NewStore([]string{"o=xyz"}, dit.WithIndexes("serialnumber"))
@@ -38,11 +42,10 @@ func newTier(t *testing.T) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := st.Add(person("04", i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Add(person("05", i)); err != nil {
-			t.Fatal(err)
+		for _, region := range []string{"04", "05", "06"} {
+			if err := st.Add(person(region, i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	backend := ldapnet.NewStoreBackend(st)
@@ -106,9 +109,11 @@ func TestControllerWidensOnRejections(t *testing.T) {
 	waitFor(t, "widening adoption", 10*time.Second, func() bool {
 		return tier.Admit(hot) == nil
 	})
-	if got := ctrl.Counters().Generalizations.Load(); got < 1 {
-		t.Errorf("generalizations = %d, want >= 1", got)
-	}
+	// Admission opens inside AdoptSpec, a moment before the controller counts
+	// the widening it returned from.
+	waitFor(t, "generalizations >= 1", 10*time.Second, func() bool {
+		return ctrl.Counters().Generalizations.Load() >= 1
+	})
 	if got := ctrl.Counters().LeavesMigratedBack.Load(); got < 1 {
 		t.Errorf("leaves migrated back = %d, want >= 1", got)
 	}
@@ -163,6 +168,127 @@ func TestControllerRespectsBudget(t *testing.T) {
 	// The base spec stays pinned: no revolution may trade it away either.
 	if got := ctrl.Counters().FiltersRetired.Load(); got != 0 {
 		t.Errorf("filters retired = %d, want 0", got)
+	}
+}
+
+// TestControllerNarrowsWhenDemandMoves: with one slot beside the base spec,
+// the tier adopts (serialnumber=05*) on rejections and serves a leaf from it;
+// when rejections for the disjoint 06 region outnumber that leaf's serving
+// credit, a revolution trades 05* for 06*. The base spec stays, the leaf still
+// attached to 05* is re-referred and converges at the fallback master, the
+// diverted 06 leaf migrates back, and with demand settled no later revolution
+// changes the set again.
+func TestControllerNarrowsWhenDemandMoves(t *testing.T) {
+	st, tier, masterSrv := newTier(t)
+	tierSrv, err := ldapnet.Serve("127.0.0.1:0",
+		ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://"+masterSrv.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tierSrv.Close() })
+	ctrl, err := New(Config{Tier: tier, Budget: 2, Interval: 2 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Start()
+	defer ctrl.Stop()
+
+	startLeaf := func(filter string, watch bool) (*supervisor.Supervisor, *replica.FilterReplica, query.Query) {
+		spec := query.MustNew("o=xyz", query.ScopeSubtree, filter)
+		frep, err := replica.NewFilterReplica()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup, err := supervisor.New(supervisor.Config{
+			Master:   tierSrv.Addr(),
+			Fallback: masterSrv.Addr(),
+			// Only the filters-changed watch brings a diverted leaf back.
+			RetryUpstreamAfter: time.Hour,
+			WatchFilters:       watch,
+			Spec:               spec,
+			PollInterval:       3 * time.Millisecond,
+			BackoffBase:        time.Millisecond,
+			BackoffMax:         20 * time.Millisecond,
+			DialTimeout:        2 * time.Second,
+			Seed:               7,
+		}, frep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup.Start()
+		t.Cleanup(func() { _ = sup.Stop() })
+		return sup, frep, spec
+	}
+	servedBy := func(sup *supervisor.Supervisor, frep *replica.FilterReplica, spec query.Query, addr string) func() bool {
+		return func() bool {
+			ok, _ := resync.Converged(st, frep.Store(), spec)
+			return ok && sup.Target() == addr
+		}
+	}
+	specs := func() string {
+		var out []string
+		for _, q := range tier.Specs() {
+			out = append(out, q.FilterString())
+		}
+		sort.Strings(out)
+		return strings.Join(out, " ")
+	}
+	// reject keeps turning the spec away until the tier admits it, in bursts
+	// that outnumber the one hit per tick an attached leaf earns its filter.
+	reject := func(filter string) {
+		spec := query.MustNew("o=xyz", query.ScopeSubtree, filter)
+		waitFor(t, "adoption for "+filter, 10*time.Second, func() bool {
+			for i := 0; i < 20; i++ {
+				if tier.Admit(spec) == nil {
+					return true
+				}
+			}
+			return false
+		})
+	}
+
+	reject("(serialnumber=0502)")
+	if got := specs(); got != "(serialnumber=04*) (serialnumber=05*)" {
+		t.Fatalf("tier specs after widening = %s", got)
+	}
+	leafX, repX, specX := startLeaf("(serialnumber=0502)", false)
+	waitFor(t, "05 leaf served by the tier", 10*time.Second, servedBy(leafX, repX, specX, tierSrv.Addr()))
+
+	leafY, repY, specY := startLeaf("(serialnumber=0601)", true)
+	waitFor(t, "06 leaf diverted", 10*time.Second, servedBy(leafY, repY, specY, masterSrv.Addr()))
+	reject("(serialnumber=0601)")
+	// The revolution's delta is applied adds first: admission of the 06 spec
+	// opens a moment before 05* is retired.
+	waitFor(t, "tier holding base + 06*", 10*time.Second, func() bool {
+		return specs() == "(serialnumber=04*) (serialnumber=06*)"
+	})
+	waitFor(t, "05 leaf re-referred to the fallback", 10*time.Second, func() bool {
+		return ctrl.Counters().LeavesReferred.Load() >= 1 && leafX.Target() == masterSrv.Addr()
+	})
+	waitFor(t, "06 leaf migrated back", 10*time.Second, servedBy(leafY, repY, specY, tierSrv.Addr()))
+
+	// Updates keep reaching the re-referred leaf, and the tier has let go of
+	// the retired content.
+	if err := st.Modify(dn.MustParse("cn=05-p2,o=xyz"),
+		[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"after"}}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "05 leaf converged at the fallback", 10*time.Second, servedBy(leafX, repX, specX, masterSrv.Addr()))
+	if held := tier.Replica().Store().MatchAll(query.MustNew("", query.ScopeSubtree, "(serialnumber=05*)")); len(held) != 0 {
+		t.Errorf("tier still holds %d entries of the retired spec", len(held))
+	}
+
+	// Settled demand: three more revolution periods change nothing.
+	credits := ctrl.Counters().ServingCredits.Load()
+	waitFor(t, "three more revolution periods", 10*time.Second, func() bool {
+		return ctrl.Counters().ServingCredits.Load() >= credits+3*revolveEvery
+	})
+	c := ctrl.Counters()
+	if got := specs(); got != "(serialnumber=04*) (serialnumber=06*)" {
+		t.Errorf("tier specs after settling = %s", got)
+	}
+	if w, r := c.Generalizations.Load(), c.FiltersRetired.Load(); w != 2 || r != 1 {
+		t.Errorf("stored-set changes: %d adopted, %d retired, want 2 and 1", w, r)
 	}
 }
 
