@@ -491,7 +491,8 @@ func (t *Tier) persistLoop() {
 // without a state directory). Cookies are captured before the content is
 // written, so the durable cookie is never newer than the durable content;
 // a crash between the two leaves a slightly-older cookie whose resume
-// re-sends updates the content already holds, which applies idempotently.
+// re-sends updates the content already holds, which re-apply soundly (see
+// the supervisor's state.go on why that holds for patches too).
 func (t *Tier) Checkpoint() error {
 	if t.st == nil {
 		return nil

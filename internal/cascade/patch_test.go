@@ -1,0 +1,127 @@
+package cascade
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"filterdir/internal/dit"
+	"filterdir/internal/dn"
+	"filterdir/internal/resync"
+	"filterdir/internal/supervisor"
+)
+
+// exactlyConverged is resync.Converged plus the spelling of every value:
+// the restart bug left an entry with the right attributes and an old value.
+func exactlyConverged(t *testing.T, master, rep *dit.Store, d dn.DN, attr string) {
+	t.Helper()
+	want, _ := master.Get(d)
+	got, ok := rep.Get(d)
+	if !ok {
+		t.Fatalf("%s: not held", d)
+	}
+	if g, w := got.Values(attr), want.Values(attr); !slices.Equal(g, w) {
+		t.Errorf("%s: %s = %v, master has %v", d, attr, g, w)
+	}
+}
+
+// TestTierRestartKeepsInPlaceModifies: an entry modified in place after the
+// tier's last full snapshot — so that the change is durable only as a
+// journal record — must come back from a restart as the master has it. The
+// tier resumes from the cookie that already covers the change, so nothing
+// would ever re-send it: a journal record that lost the attribute changes
+// (a sparse store's replace used to journal none) left the tier, and every
+// leaf below it, with the snapshot's image for good.
+func TestTierRestartKeepsInPlaceModifies(t *testing.T) {
+	h := newHarness(t)
+	cfg := h.tierConfig(t)
+	cfg.StateDir = t.TempDir()
+	cfg.CheckpointEvery = time.Hour // manual checkpoints only
+
+	tier, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier.Start()
+	waitSynced(t, tier.Supervisors()[0])
+	if err := tier.Checkpoint(); err != nil { // the full snapshot
+		t.Fatal(err)
+	}
+
+	d := dn.MustParse("cn=04-p2,c=us,o=xyz")
+	if err := h.store.Modify(d, []dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"renamed"}}}); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, "tier upstream updates", 10*time.Second, tier.Counters().UpstreamUpdates.Load, 9)
+	exactlyConverged(t, h.store, tier.Replica().Store(), d, "sn")
+	if err := tier.Stop(); err != nil { // appends the modify to the journal
+		t.Fatalf("stop: %v", err)
+	}
+	if got := tier.Counters().JournalAppends.Load(); got != 1 {
+		t.Fatalf("journal appends = %d, want 1 (the modify must be durable as a journal record)", got)
+	}
+
+	tier2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Restored, not yet connected: what the disk gave back.
+	exactlyConverged(t, h.store, tier2.Replica().Store(), d, "sn")
+	tier2.Start()
+	t.Cleanup(func() { _ = tier2.Stop() })
+	waitCounter(t, "restarted tier exchanges", 10*time.Second, tier2.Supervisors()[0].Exchanges, 2)
+	exactlyConverged(t, h.store, tier2.Replica().Store(), d, "sn")
+	if eng := h.backend.Engine.Counters().Snapshot(); eng.Begins != 1 || eng.FullReloads != 0 {
+		t.Errorf("master begins/full reloads = %d/%d, want 1/0: the restart must resume, so only the disk can have restored the entry",
+			eng.Begins, eng.FullReloads)
+	}
+
+	sup, rep := startLeaf(t, h.tierSpec, serveTier(t, tier2, h), "", supervisor.ModePoll)
+	waitSynced(t, sup)
+	waitConverged(t, h.store, rep.Store(), h.tierSpec, 10*time.Second)
+	exactlyConverged(t, h.store, rep.Store(), d, "sn")
+}
+
+// TestPatchCrossesTier: an in-place modify at the master reaches a leaf two
+// hops down as a patch on both hops — the tier applies the master's patch
+// as a modify of its own store, and its engine builds the leaf's patch from
+// that journal record, not from the one the master wrote.
+func TestPatchCrossesTier(t *testing.T) {
+	h := newHarness(t)
+	tier, tierSrv := startTier(t, h.tierConfig(t), "ldap://"+h.srv.Addr())
+	waitSynced(t, tier.Supervisors()[0]) // or the tier's Begin may already carry the modify
+	sup, rep := startLeaf(t, h.tierSpec, tierSrv.Addr(), "", supervisor.ModePersist)
+	waitSynced(t, sup)
+
+	d := dn.MustParse("cn=04-p3,c=us,o=xyz")
+	mods := []dit.Mod{
+		{Op: dit.ModReplace, Attr: "sn", Values: []string{"y"}},
+		{Op: dit.ModAdd, Attr: "telephoneNumber", Values: []string{"555", "556"}},
+	}
+	if err := h.store.Modify(d, mods); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, "leaf updates applied", 10*time.Second, sup.Counters().UpdatesApplied.Load, 9)
+	if err := h.store.Modify(d, []dit.Mod{{Op: dit.ModDelete, Attr: "telephoneNumber"}}); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, "leaf updates applied", 10*time.Second, sup.Counters().UpdatesApplied.Load, 10)
+	waitConverged(t, h.store, rep.Store(), h.tierSpec, 10*time.Second)
+	if got, _ := rep.Store().Get(d); got.Has("telephoneNumber") || got.First("sn") != "y" {
+		t.Errorf("leaf holds %s", got)
+	}
+
+	m, tr := h.backend.Engine.Counters().Snapshot(), tier.Engine().Counters().Snapshot()
+	if m.PDUPatches != 2 || m.PDUModifies != 2 {
+		t.Errorf("master sent %d modifies, %d as patches; want 2, 2", m.PDUModifies, m.PDUPatches)
+	}
+	if tr.PDUPatches != 2 || tr.PDUModifies != 2 {
+		t.Errorf("tier sent %d modifies, %d as patches; want 2, 2", tr.PDUModifies, tr.PDUPatches)
+	}
+	if misses := sup.Counters().PatchMisses.Load() + tier.Supervisors()[0].Counters().PatchMisses.Load(); misses != 0 {
+		t.Errorf("patch misses = %d, want 0", misses)
+	}
+	if ok, why := resync.Converged(h.store, tier.Replica().Store(), h.tierSpec); !ok {
+		t.Errorf("tier: %s", why)
+	}
+}

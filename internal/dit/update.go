@@ -3,6 +3,7 @@ package dit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,7 +50,10 @@ type Change struct {
 	Before *entry.Entry
 	After  *entry.Entry
 	// Mods records the attribute-level modifications for ChangeModify; it is
-	// what a changelog-style consumer sees (changed attributes only).
+	// what a changelog-style consumer sees (changed attributes only). Every
+	// ChangeModify record carries them — a replace of a held entry journals
+	// the ModReplace list that turns Before into After — so the attributes a
+	// record touched are exactly the ones its Mods name, at every store.
 	Mods []Mod
 }
 
@@ -100,10 +104,11 @@ func (s *Store) ChangesSince(after CSN) (changes []Change, ok bool) {
 	if after+1 < first {
 		return nil, false
 	}
-	for _, c := range s.journal {
-		if c.CSN > after {
-			changes = append(changes, c)
-		}
+	// Journal CSNs are consecutive, so the records after a CSN are a suffix
+	// found by subtraction; the copy keeps later trims and appends away from
+	// the caller.
+	if skip := int(after + 1 - first); skip < len(s.journal) {
+		changes = append(changes, s.journal[skip:]...)
 	}
 	return changes, true
 }
@@ -226,10 +231,13 @@ func (s *Store) deleteLocked(d dn.DN) (CSN, error) {
 
 // Modify applies attribute modifications to an entry.
 func (s *Store) Modify(d dn.DN, mods []Mod) error {
-	_, err := s.submit(func() (CSN, error) { return s.modifyLocked(d, mods) })
+	_, err := s.submit(func() (CSN, error) { return s.modifyLocked(d, cloneMods(mods)) })
 	return err
 }
 
+// modifyLocked applies mods to the entry at d. The journal record keeps mods
+// as it is: a caller that does not own the slice and its values passes a
+// clone.
 func (s *Store) modifyLocked(d dn.DN, mods []Mod) (CSN, error) {
 	norm := d.Norm()
 	sh := s.shardFor(norm)
@@ -266,12 +274,58 @@ func (s *Store) modifyLocked(d dn.DN, mods []Mod) (CSN, error) {
 		}
 	}
 	after.Freeze()
+	s.replace(sh, norm, before, after, mods)
+	return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: before, After: after, Mods: mods}), nil
+}
+
+// replace swaps the stored entry at norm from before to after, which differ
+// in no attribute but the ones mods name: only those attributes' index terms
+// (and, when the object class is among them, the referral registration) are
+// rewritten.
+func (s *Store) replace(sh *shard, norm string, before, after *entry.Entry, mods []Mod) {
 	s.write(sh, func(st *shardState) {
-		st.unindexEntry(before, norm)
 		st.entries[norm] = after
-		st.indexEntry(after, norm)
+		for _, m := range mods {
+			attr := entry.NormName(m.Attr)
+			if ix := st.index(attr); ix != nil {
+				old, _ := before.Lookup(attr)
+				for _, v := range old {
+					ix.remove(v, norm)
+				}
+				cur, _ := after.Lookup(attr)
+				for _, v := range cur {
+					ix.add(v, norm)
+				}
+			}
+			if attr == entry.AttrObjectClass {
+				if after.HasObjectClass(ReferralClass) {
+					st.referrals[norm] = true
+				} else {
+					delete(st.referrals, norm)
+				}
+			}
+		}
 	})
-	return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: before, After: after, Mods: cloneMods(mods)}), nil
+}
+
+// replaceMods is the ModReplace list that turns before into after: one mod
+// per attribute whose values differ (compared exactly, in order), with no
+// values for an attribute after lacks. The values are after's own slices;
+// after is frozen, so the journal may share them.
+func replaceMods(before, after *entry.Entry) []Mod {
+	mods := []Mod{} // none is still "known": a modify record always carries its mods
+	for i := 0; i < after.NumAttrs(); i++ {
+		name, vals := after.AttrAt(i)
+		if old, ok := before.Lookup(name); !ok || !slices.Equal(old, vals) {
+			mods = append(mods, Mod{Op: ModReplace, Attr: name, Values: vals})
+		}
+	}
+	for i := 0; i < before.NumAttrs(); i++ {
+		if name, _ := before.AttrAt(i); !after.Has(name) {
+			mods = append(mods, Mod{Op: ModReplace, Attr: name})
+		}
+	}
+	return mods
 }
 
 func cloneMods(mods []Mod) []Mod {
@@ -379,7 +433,7 @@ func (s *Store) applyLocked(c Change) (CSN, error) {
 	case ChangeDelete:
 		return s.deleteLocked(c.DN)
 	case ChangeModify:
-		return s.modifyLocked(c.DN, c.Mods)
+		return s.modifyLocked(c.DN, cloneMods(c.Mods))
 	case ChangeModifyDN:
 		leaf, ok := c.NewDN.Leaf()
 		if !ok {
@@ -393,19 +447,29 @@ func (s *Store) applyLocked(c Change) (CSN, error) {
 }
 
 // SyncOp is one action of a replica-side content batch: insert or replace
-// the entry Put when it is set, else remove the entry at Remove.
+// the entry Put when it is set; else, when Patch is set, replace in the held
+// entry at Patch's DN each attribute Patch carries with the values it carries
+// (an attribute without values is removed); else remove the entry at Remove.
 type SyncOp struct {
 	Put    *entry.Entry
+	Patch  *entry.Entry
 	Remove dn.DN
 }
+
+// ErrPatchMiss reports a patch for an entry the store does not hold. A patch
+// carries only the attributes that changed, so there is nothing to build the
+// entry from: the consumer's content and its supplier's record of it have
+// diverged, and only a full transfer re-establishes them.
+var ErrPatchMiss = errors.New("patch for an entry not held")
 
 // ApplyOwned commits a batch of replica-side content actions in one pass
 // through the commit pipeline: one sequencer hold, one change signal, and
 // for every action the same journal record under its own CSN that Upsert or
 // RemoveAny would have written. Parents are not required and children do
 // not block a removal (filter replicas hold sparse content); removing an
-// absent entry is skipped. The store takes ownership of every Put entry: it
-// is frozen and stored as it is, so the caller must hold no other mutable
+// absent entry is skipped, patching one fails with ErrPatchMiss. The store
+// takes ownership of every Put and Patch entry: it is frozen and stored (or
+// its values are) as it is, so the caller must hold no other mutable
 // reference to it — a consumer hands over what it just decoded. The batch
 // stops at the first failing action and returns its error; the actions
 // before it stay committed.
@@ -417,9 +481,12 @@ func (s *Store) ApplyOwned(ops []SyncOp) error {
 		var last CSN
 		for _, op := range ops {
 			csn, err := CSN(0), error(nil)
-			if op.Put != nil {
+			switch {
+			case op.Put != nil:
 				csn, err = s.upsertLocked(op.Put.Freeze())
-			} else {
+			case op.Patch != nil:
+				csn, err = s.patchLocked(op.Patch.Freeze())
+			default:
 				csn, err = s.removeAnyLocked(op.Remove)
 			}
 			switch {
@@ -450,15 +517,34 @@ func (s *Store) upsertLocked(e *entry.Entry) (CSN, error) {
 	norm := d.Norm()
 	sh := s.shardFor(norm)
 	if prior, ok := sh.load().entries[norm]; ok {
-		s.write(sh, func(st *shardState) {
-			st.unindexEntry(prior, norm)
-			st.entries[norm] = e
-			st.indexEntry(e, norm)
-		})
-		return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: prior, After: e}), nil
+		mods := replaceMods(prior, e)
+		s.replace(sh, norm, prior, e, mods)
+		return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: prior, After: e, Mods: mods}), nil
 	}
 	s.insert(e, norm)
 	return s.commitLocked(Change{Type: ChangeAdd, DN: d, After: e}), nil
+}
+
+// PatchMods reads a patch — an entry carrying only the attributes to replace
+// — as the modify it stands for: one ModReplace per attribute, sharing the
+// patch's value slices.
+func PatchMods(p *entry.Entry) []Mod {
+	mods := make([]Mod, p.NumAttrs())
+	for i := range mods {
+		name, vals := p.AttrAt(i)
+		mods[i] = Mod{Op: ModReplace, Attr: name, Values: vals}
+	}
+	return mods
+}
+
+// patchLocked applies the frozen patch p as one modify of the held entry at
+// its DN.
+func (s *Store) patchLocked(p *entry.Entry) (CSN, error) {
+	csn, err := s.modifyLocked(p.DN(), PatchMods(p))
+	if errors.Is(err, ErrNoSuchObject) {
+		return 0, fmt.Errorf("%w: %q", ErrPatchMiss, p.DN().String())
+	}
+	return csn, err
 }
 
 // RemoveAny deletes an entry regardless of children (sparse replica content

@@ -70,7 +70,7 @@ func Assemble(d dn.DN, names []string, ends []int, vals []string) *Entry {
 		// Capped, so an Add on one attribute cannot grow into the next.
 		v := vals[lo:hi:hi]
 		lo = hi
-		n := normName(name)
+		n := NormName(name)
 		if j := e.find(n); j >= 0 {
 			e.attrs[j].vals = v
 			continue
@@ -111,8 +111,8 @@ func (e *Entry) SetDN(d dn.DN) {
 	e.dn = d
 }
 
-// normName normalizes an attribute type name.
-func normName(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
+// NormName normalizes an attribute type name to the form entries store it in.
+func NormName(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
 
 // find returns the position of the attribute with normalized name n, or -1.
 func (e *Entry) find(n string) int {
@@ -126,7 +126,7 @@ func (e *Entry) find(n string) int {
 
 // values returns the entry's own value slice of the named attribute.
 func (e *Entry) values(name string) []string {
-	if i := e.find(normName(name)); i >= 0 {
+	if i := e.find(NormName(name)); i >= 0 {
 		return e.attrs[i].vals
 	}
 	return nil
@@ -135,7 +135,7 @@ func (e *Entry) values(name string) []string {
 // Put replaces all values of the named attribute.
 func (e *Entry) Put(name string, values ...string) *Entry {
 	e.mutable()
-	n := normName(name)
+	n := NormName(name)
 	cp := make([]string, len(values))
 	copy(cp, values)
 	if i := e.find(n); i >= 0 {
@@ -150,7 +150,7 @@ func (e *Entry) Put(name string, values ...string) *Entry {
 // (case-insensitive).
 func (e *Entry) Add(name string, values ...string) *Entry {
 	e.mutable()
-	n := normName(name)
+	n := NormName(name)
 	i := e.find(n)
 	if i < 0 {
 		e.attrs = append(e.attrs, attr{name: n})
@@ -172,7 +172,7 @@ func (e *Entry) Add(name string, values ...string) *Entry {
 // absent.
 func (e *Entry) DeleteValues(name string, values ...string) error {
 	e.mutable()
-	n := normName(name)
+	n := NormName(name)
 	i := e.find(n)
 	if i < 0 {
 		return fmt.Errorf("%w: %s", ErrNoSuchAttribute, n)
@@ -202,13 +202,23 @@ func (e *Entry) removeAttr(i int) {
 
 // Values returns a copy of the values of the named attribute (nil if absent).
 func (e *Entry) Values(name string) []string {
-	i := e.find(normName(name))
+	i := e.find(NormName(name))
 	if i < 0 {
 		return nil
 	}
 	out := make([]string, len(e.attrs[i].vals))
 	copy(out, e.attrs[i].vals)
 	return out
+}
+
+// Lookup returns the named attribute's values without copying them, and
+// whether the entry carries the attribute at all. The slice is the entry's
+// own: the caller must not modify it.
+func (e *Entry) Lookup(name string) (values []string, ok bool) {
+	if i := e.find(NormName(name)); i >= 0 {
+		return e.attrs[i].vals, true
+	}
+	return nil, false
 }
 
 // First returns the first value of the named attribute, or "" when absent.
@@ -222,7 +232,7 @@ func (e *Entry) First(name string) string {
 
 // Has reports whether the entry carries the named attribute.
 func (e *Entry) Has(name string) bool {
-	return e.find(normName(name)) >= 0
+	return e.find(NormName(name)) >= 0
 }
 
 // HasValue reports whether the attribute carries the given value
@@ -293,8 +303,24 @@ func (e *Entry) Select(attrs []string) *Entry {
 	}
 	c := New(e.dn)
 	for _, a := range attrs {
-		if i := e.find(normName(a)); i >= 0 {
+		if i := e.find(NormName(a)); i >= 0 {
 			c.Put(a, e.attrs[i].vals...)
+		}
+	}
+	return c
+}
+
+// Restrict returns a frozen entry at e's DN that carries exactly the named
+// attributes (names already normalized, see NormName), each with e's current
+// values; a name e does not carry comes out as an attribute with no values.
+// e must be frozen: the result shares its value slices. This is the shape of
+// an attribute-level patch — "these attributes now hold exactly this".
+func (e *Entry) Restrict(names []string) *Entry {
+	c := &Entry{dn: e.dn, attrs: make([]attr, len(names)), frozen: true}
+	for i, n := range names {
+		c.attrs[i].name = n
+		if j := e.find(n); j >= 0 {
+			c.attrs[i].vals = e.attrs[j].vals
 		}
 	}
 	return c
@@ -330,6 +356,10 @@ func (e *Entry) Equal(o *Entry) bool {
 func (e *Entry) ByteSize() int {
 	size := len(e.dn.String()) + 8
 	for i := range e.attrs {
+		if len(e.attrs[i].vals) == 0 {
+			// Only a patch carries one: the attribute's name with no values.
+			size += len(e.attrs[i].name) + 4
+		}
 		for _, v := range e.attrs[i].vals {
 			size += len(e.attrs[i].name) + len(v) + 4
 		}

@@ -452,6 +452,8 @@ func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, strin
 		u.Action = resync.ActionAdd
 	case proto.ChangeActionModify:
 		u.Action = resync.ActionModify
+	case proto.ChangeActionPatch:
+		u.Action, u.Patch = resync.ActionModify, true
 	case proto.ChangeActionDelete:
 		u.Action = resync.ActionDelete
 	case proto.ChangeActionRetain:

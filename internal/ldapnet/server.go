@@ -595,8 +595,9 @@ var errSlowConsumer = errors.New("ldapnet: persist consumer too slow, write queu
 // wrappers; the PDU body comes from the shared memo.
 var searchEntryTag = &proto.SearchEntry{}
 
-// updateOp is the wire op of one update: the complete entry for add and
-// modify, the DN alone for delete and retain.
+// updateOp is the wire op of one update: the update's entry for add and
+// modify — the complete image, or for a patch just the attributes it
+// replaces — and the DN alone for delete and retain.
 func updateOp(u resync.Update) *proto.SearchEntry {
 	if u.Entry != nil && (u.Action == resync.ActionAdd || u.Action == resync.ActionModify) {
 		return &proto.SearchEntry{Entry: u.Entry}
@@ -628,6 +629,9 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 			action = proto.ChangeActionAdd
 		case resync.ActionModify:
 			action = proto.ChangeActionModify
+			if u.Patch {
+				action = proto.ChangeActionPatch
+			}
 		case resync.ActionDelete:
 			action = proto.ChangeActionDelete
 		case resync.ActionRetain:

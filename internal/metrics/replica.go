@@ -19,6 +19,7 @@ type ReplicaCounters struct {
 	Begins        atomic.Int64 // full Begin exchanges (null cookie)
 	Resumes       atomic.Int64 // sessions resumed by cookie after a restart or reconnect
 	StaleSessions atomic.Int64 // ErrNoSuchSession responses handled by re-Begin
+	PatchMisses   atomic.Int64 // patches for an entry not held, handled by re-Begin
 	FullReloads   atomic.Int64 // polls answered with a full content transfer
 	ChunkResumes  atomic.Int64 // chunked-reload continuations by resume token
 
@@ -52,6 +53,7 @@ func (c *ReplicaCounters) ObserveBackoff(d time.Duration) {
 type ReplicaSnapshot struct {
 	Dials, Reconnects                          int64
 	Begins, Resumes, StaleSessions             int64
+	PatchMisses                                int64
 	FullReloads, ChunkResumes                  int64
 	Polls, StreamBatches, Fallbacks, Demotions int64
 	UpdatesApplied, Checkpoints                int64
@@ -68,6 +70,7 @@ func (c *ReplicaCounters) Snapshot() ReplicaSnapshot {
 		Begins:            c.Begins.Load(),
 		Resumes:           c.Resumes.Load(),
 		StaleSessions:     c.StaleSessions.Load(),
+		PatchMisses:       c.PatchMisses.Load(),
 		FullReloads:       c.FullReloads.Load(),
 		ChunkResumes:      c.ChunkResumes.Load(),
 		Polls:             c.Polls.Load(),
@@ -85,8 +88,8 @@ func (c *ReplicaCounters) Snapshot() ReplicaSnapshot {
 // String renders a compact status line for operator output.
 func (s ReplicaSnapshot) String() string {
 	return fmt.Sprintf(
-		"replica: dials=%d reconnects=%d | begins=%d resumes=%d stale=%d full-reloads=%d chunk-resumes=%d | polls=%d stream-batches=%d fallbacks=%d demotions=%d applied=%d upstream-fallbacks=%d | checkpoints=%d backoff=%s/%d",
-		s.Dials, s.Reconnects, s.Begins, s.Resumes, s.StaleSessions, s.FullReloads, s.ChunkResumes,
+		"replica: dials=%d reconnects=%d | begins=%d resumes=%d stale=%d patch-misses=%d full-reloads=%d chunk-resumes=%d | polls=%d stream-batches=%d fallbacks=%d demotions=%d applied=%d upstream-fallbacks=%d | checkpoints=%d backoff=%s/%d",
+		s.Dials, s.Reconnects, s.Begins, s.Resumes, s.StaleSessions, s.PatchMisses, s.FullReloads, s.ChunkResumes,
 		s.Polls, s.StreamBatches, s.Fallbacks, s.Demotions, s.UpdatesApplied,
 		s.UpstreamFallbacks, s.Checkpoints, s.BackoffTotal, s.BackoffWaits)
 }

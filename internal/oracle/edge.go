@@ -319,7 +319,11 @@ func (h *edgeHarness) doPoll(lost bool) *Failure {
 		for _, u := range res.Updates {
 			switch u.Action {
 			case resync.ActionAdd, resync.ActionModify:
-				r.content[u.DN.Norm()] = u.Entry
+				img := u.Image(r.content[u.DN.Norm()])
+				if img == nil {
+					return h.fail("patch for %s, which the leaf does not hold", u.DN)
+				}
+				r.content[u.DN.Norm()] = img
 			case resync.ActionDelete:
 				delete(r.content, u.DN.Norm())
 			default:

@@ -405,7 +405,11 @@ func (h *harness) applyIncremental(r *replicaSt, updates []resync.Update) *Failu
 		norm := u.DN.Norm()
 		switch u.Action {
 		case resync.ActionAdd, resync.ActionModify:
-			r.content[norm] = u.Entry
+			img := u.Image(r.content[norm])
+			if img == nil {
+				return h.fail("patch for %s, which replica %q does not hold", u.DN, r.spec)
+			}
+			r.content[norm] = img
 		case resync.ActionDelete:
 			if !h.cfg.BreakE10 { // test-only injected consumer fault
 				delete(r.content, norm)
@@ -464,8 +468,9 @@ func (h *harness) checkMinimal(spec query.Query, before, ref map[string]*entry.E
 			if !ok {
 				return h.fail("%s for %q: redundant modify of %s (net-unchanged or unheld)", phase, spec, u.DN)
 			}
-			if !u.Entry.Equal(want) {
-				return h.fail("%s for %q: modify of %s carries wrong entry:\n  got  %s\n  want %s", phase, spec, u.DN, u.Entry, want)
+			// A patch is judged by the image it leaves on what was held.
+			if got := u.Image(before[norm]); !got.Equal(want) {
+				return h.fail("%s for %q: modify of %s carries wrong entry:\n  got  %s\n  want %s", phase, spec, u.DN, got, want)
 			}
 			mods++
 		case resync.ActionDelete:

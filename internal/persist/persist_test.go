@@ -152,6 +152,63 @@ func TestDirOpenSparseOrphanJournal(t *testing.T) {
 	identical(t, st, recovered)
 }
 
+// TestDirOpenSparseReplaysReplace pins the journal form of a sparse store's
+// in-place replace: an upsert of a held entry is journaled as a modify, and
+// the record must carry the attribute changes, or WriteChanges writes an
+// empty "changetype: modify" and replay restores the image of the last full
+// snapshot — the stale entry a restarted cascade tier then kept for good,
+// having resumed from a newer cookie.
+func TestDirOpenSparseReplaysReplace(t *testing.T) {
+	testSparseReplay(t, func(st *dit.Store, next *entry.Entry) error { return st.Upsert(next) })
+}
+
+// TestDirOpenSparseReplaysPatch: the same change applied as a patch.
+func TestDirOpenSparseReplaysPatch(t *testing.T) {
+	testSparseReplay(t, func(st *dit.Store, next *entry.Entry) error {
+		patch := entry.New(next.DN()).Put("telephoneNumber", next.Values("telephoneNumber")...).Put("fax")
+		return st.ApplyOwned([]dit.SyncOp{{Patch: patch}})
+	})
+}
+
+// testSparseReplay checkpoints a sparse store holding one entry, replaces a
+// value and removes an attribute of it through change, appends the journal
+// and expects OpenSparse to recover the store as it stands.
+func testSparseReplay(t *testing.T, change func(st *dit.Store, next *entry.Entry) error) {
+	home := Dir{Path: filepath.Join(t.TempDir(), "sparse")}
+	st, err := dit.NewStore([]string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dn.MustParse("cn=s0,o=xyz")
+	image := func(tel string) *entry.Entry {
+		return entry.New(d).Put("objectclass", "person").Put("cn", "s0").Put("telephoneNumber", tel).Put("fax", "9")
+	}
+	if err := st.Upsert(image("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	watermark := st.LastCSN()
+	v2 := image("2")
+	_ = v2.DeleteValues("fax")
+	if err := change(st, v2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := home.AppendChanges(st, watermark); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := home.OpenSparse([]string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := recovered.Get(d)
+	if tel := got.Values("telephoneNumber"); len(tel) != 1 || tel[0] != "2" {
+		t.Errorf("recovered telephoneNumber = %v, want [2]", tel)
+	}
+	identical(t, st, recovered)
+}
+
 func TestDirOpenFreshPath(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "fresh")}
 	st, err := home.Open([]string{"o=xyz"})

@@ -76,7 +76,10 @@ const (
 	OIDReSyncDone = "1.3.6.1.4.1.55555.1.2"
 	// OIDEntryChange is attached to each update PDU of a ReSync response:
 	// value = SEQUENCE { action ENUMERATED, cookie OCTET STRING OPTIONAL,
-	// csn INTEGER OPTIONAL }. The cookie appears on the last PDU of a
+	// csn INTEGER OPTIONAL }. The action says how to read the PDU's entry —
+	// add and modify carry the complete entry, patch only the attributes to
+	// replace (see ChangeActionPatch), delete and retain the DN alone — so
+	// telling a patch from an image costs no byte. The cookie appears on the last PDU of a
 	// persist-mode batch, naming the sync point the replica reaches by
 	// applying the batch; the csn rides beside it, echoing the master CSN
 	// the batch syncs the consumer to (the signal an edge-writing replica
@@ -260,6 +263,10 @@ const (
 	ChangeActionDelete
 	ChangeActionModify
 	ChangeActionRetain
+	// ChangeActionPatch is a modify whose PDU carries, instead of the whole
+	// entry, exactly the attributes to replace in the held one: each with its
+	// complete current value set, an empty set for an attribute now absent.
+	ChangeActionPatch
 )
 
 func (a ChangeAction) String() string {
@@ -272,6 +279,8 @@ func (a ChangeAction) String() string {
 		return "modify"
 	case ChangeActionRetain:
 		return "retain"
+	case ChangeActionPatch:
+		return "patch"
 	default:
 		return fmt.Sprintf("action(%d)", int(a))
 	}

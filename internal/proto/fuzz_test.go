@@ -125,3 +125,69 @@ func FuzzDecodeSearchEntry(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeEntryChange feeds arbitrary bytes to the entry-change control
+// decoder and, through the message decoder, to an update PDU carrying one —
+// seeded with a patch whose attributes include an empty value set, the wire
+// form of "this attribute is now absent". Properties: neither decoder
+// panics; a decoded control re-encodes to the value it was decoded from
+// whenever that value is canonical (re-decoding the re-encoding gives the
+// same fields); and a decoded patch keeps its empty-valued attributes across
+// a round trip — dropping one would turn a removal into a no-op.
+func FuzzDecodeEntryChange(f *testing.F) {
+	patch := entry.New(dn.MustParse("cn=emp us 17,c=us,o=xyz"))
+	patch.Put("telephoneNumber", "555-0117").Put("pager").Put("mail", "a@x", "b@x")
+	for _, c := range []Control{
+		NewEntryChangeControl(ChangeActionPatch, "", 0),
+		NewEntryChangeControl(ChangeActionPatch, "sess-1@2", 9),
+		NewEntryChangeControl(ChangeActionDelete, "sess-1@2", 0),
+	} {
+		seed, err := (&Message{ID: 7, Op: &SearchEntry{Entry: patch}, Controls: []Control{c}}).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed, c.Value)
+		f.Add(seed[:len(seed)-5], c.Value[:len(c.Value)/2])
+	}
+	f.Fuzz(func(t *testing.T, pdu, value []byte) {
+		if a, cookie, csn, err := ParseEntryChange(Control{OID: OIDEntryChange, Value: value}); err == nil {
+			again := NewEntryChangeControl(a, cookie, csn)
+			a2, cookie2, csn2, err := ParseEntryChange(again)
+			// The encoder only writes a CSN beside a cookie.
+			if err != nil || a2 != a || cookie2 != cookie || (cookie != "" && csn2 != csn) {
+				t.Fatalf("entry-change control round trip: (%v %q %d) became (%v %q %d), err %v",
+					a, cookie, csn, a2, cookie2, csn2, err)
+			}
+		}
+		m, err := Decode(pdu)
+		if err != nil {
+			return // malformed input must error, not panic
+		}
+		se, ok := m.Op.(*SearchEntry)
+		if !ok {
+			return
+		}
+		if cc, ok := m.Control(OIDEntryChange); ok {
+			_, _, _, _ = ParseEntryChange(cc) // must not panic on whatever rode along
+		}
+		enc, err := m.Encode()
+		if err != nil {
+			t.Fatalf("decoded update PDU does not re-encode: %v", err)
+		}
+		m2, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded update PDU does not decode: %v", err)
+		}
+		got := m2.Op.(*SearchEntry).Entry
+		if got.NumAttrs() != se.Entry.NumAttrs() {
+			t.Fatalf("round trip changed the attribute count %d -> %d:\n  first  %s\n  second %s",
+				se.Entry.NumAttrs(), got.NumAttrs(), se.Entry, got)
+		}
+		for i := 0; i < got.NumAttrs(); i++ {
+			name, vals := got.AttrAt(i)
+			if was, ok := se.Entry.Lookup(name); !ok || len(was) != len(vals) {
+				t.Fatalf("round trip changed attribute %q: %q -> %q", name, was, vals)
+			}
+		}
+	})
+}

@@ -541,3 +541,55 @@ func TestEncodeAllocsPerEntry(t *testing.T) {
 		t.Errorf("encoding one entry allocates %.0f times, gate is %d", allocs, maxEncodeAllocs)
 	}
 }
+
+// patchPDU is the PDU of a one-attribute modify of the Table-1 employee as
+// the master pushes it to a persist consumer: the DN, the touched attribute
+// with its current values, and the batch's cookie and CSN on the control.
+func patchPDU(t testing.TB) []byte {
+	patch := employeeEntry().Freeze().Restrict([]string{"telephonenumber"})
+	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: patch},
+		Controls: []Control{NewEntryChangeControl(ChangeActionPatch, "sess-12@3456", 123456)}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pdu
+}
+
+// TestPatchPDUBytes is the size gate of an in-place modify on the wire: what
+// a commit that replaces one attribute costs each matching replica must
+// follow the size of the change, not of the entry (the same employee as a
+// full image is several times that, and a paper-sized 6 KB entry fifty).
+func TestPatchPDUBytes(t *testing.T) {
+	const maxPatchBytes = 130 // measured 118
+	pdu := patchPDU(t)
+	image, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()},
+		Controls: []Control{NewEntryChangeControl(ChangeActionModify, "sess-12@3456", 123456)}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one-attribute modify: %d B as a patch, %d B as an image", len(pdu), len(image))
+	if len(pdu) > maxPatchBytes {
+		t.Errorf("one-attribute patch PDU is %d B with cookie, gate is %d", len(pdu), maxPatchBytes)
+	}
+}
+
+// TestDecodeAllocsPerPatch gates the consumer's decode of the same PDU: the
+// fixed costs of TestDecodeAllocsPerReloadedEntry (message, op, body string,
+// DN, entry, control with its cookie) with one attribute behind them.
+func TestDecodeAllocsPerPatch(t *testing.T) {
+	const maxPatchDecodeAllocs = 26 // measured 25: fewer attributes than a reloaded entry, one cookie more
+	pdu := patchPDU(t)
+	var sink *Message
+	allocs := testing.AllocsPerRun(200, func() { sink, _ = Decode(pdu) })
+	if sink == nil {
+		t.Fatal("decode failed")
+	}
+	t.Logf("decode: %.0f allocations per patch", allocs)
+	if allocs > maxPatchDecodeAllocs {
+		t.Errorf("decode of one patch allocates %.0f times, gate is %d", allocs, maxPatchDecodeAllocs)
+	}
+	se := sink.Op.(*SearchEntry)
+	if se.Entry.NumAttrs() != 1 || se.Entry.First("telephoneNumber") != "555-0117" {
+		t.Errorf("decoded patch = %s, want telephoneNumber alone", se.Entry)
+	}
+}

@@ -156,6 +156,11 @@ func (r *FilterReplica) RemoveStored(q query.Query) *StoredQuery {
 // is, not copied, so the caller must not change it afterwards. A consumer
 // passes what it decoded off the wire; an in-process caller passes entries a
 // store or an engine handed it, which are frozen and safe to share.
+//
+// A patch (resync.Update.Patch) replaces the attributes it names in the entry
+// this query already covers. One for an entry the query does not cover fails
+// with dit.ErrPatchMiss — a partial entry is never created — and the caller
+// re-establishes the query's content with a full transfer.
 func (r *FilterReplica) ApplySync(q query.Query, updates []resync.Update) error {
 	key := ownerKey(q.Normalize())
 	ops := make([]dit.SyncOp, 0, len(updates))
@@ -177,6 +182,12 @@ scan:
 		case u.Entry == nil:
 			bad = fmt.Errorf("nil entry in sync update")
 			break scan
+		case u.Patch:
+			if !r.refs[u.DN.Norm()][key] {
+				bad = fmt.Errorf("%w: %q", dit.ErrPatchMiss, u.DN.String())
+				break scan
+			}
+			ops = append(ops, dit.SyncOp{Patch: u.Entry})
 		default:
 			r.addRefLocked(key, u.Entry.DN())
 			ops = append(ops, dit.SyncOp{Put: u.Entry})

@@ -33,7 +33,7 @@ func (a *Applier) Apply(spec query.Query, res *PollResult) error {
 		a.Traffic.Add(u)
 		switch u.Action {
 		case ActionAdd, ActionModify:
-			if err := a.Store.Upsert(u.Entry); err != nil {
+			if err := a.put(u); err != nil {
 				return fmt.Errorf("apply %s %q: %w", u.Action, u.DN.String(), err)
 			}
 		case ActionDelete:
@@ -47,6 +47,15 @@ func (a *Applier) Apply(spec query.Query, res *PollResult) error {
 	return nil
 }
 
+// put stores an add's or a modify's entry: the image in place of whatever is
+// held, or a patch onto the held entry (dit.ErrPatchMiss when there is none).
+func (a *Applier) put(u Update) error {
+	if u.Patch {
+		return a.Store.ApplyOwned([]dit.SyncOp{{Patch: u.Entry}})
+	}
+	return a.Store.Upsert(u.Entry)
+}
+
 // ApplyRetain applies an equation-(3) retain-mode result: mentioned entries
 // are upserted or retained, and every held in-content entry that was not
 // mentioned is discarded.
@@ -57,7 +66,7 @@ func (a *Applier) ApplyRetain(spec query.Query, res *PollResult) error {
 		mentioned[u.DN.Norm()] = true
 		switch u.Action {
 		case ActionAdd, ActionModify:
-			if err := a.Store.Upsert(u.Entry); err != nil {
+			if err := a.put(u); err != nil {
 				return fmt.Errorf("apply %s %q: %w", u.Action, u.DN.String(), err)
 			}
 		case ActionRetain:

@@ -1,6 +1,7 @@
 package resync
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,12 +70,16 @@ func (e *Engine) equivalentSpecs(a, b query.Query) bool {
 // rawUpdate is one classified net change before attribute selection: add
 // and modify carry the full-attribute final entry (plus, for modify, the
 // start-of-interval snapshot that the per-view suppression check needs);
-// delete carries only the DN the replica holds.
+// delete carries only the DN the replica holds. A modify whose DN saw nothing
+// but in-place modifies over the interval is patchable: touched then lists
+// the (normalized) attributes those modifies named, in first-touch order.
 type rawUpdate struct {
-	action Action
-	dn     dn.DN
-	ent    *entry.Entry
-	prior  *entry.Entry
+	action    Action
+	dn        dn.DN
+	ent       *entry.Entry
+	prior     *entry.Entry
+	patchable bool
+	touched   []string
 }
 
 // contentOp is one content-map transition of the interval; replaying the
@@ -121,10 +126,17 @@ func (si *sharedInterval) view(key string, attrs []string) *viewBatch {
 		case ActionDelete:
 			vb.updates = append(vb.updates, Update{Action: ActionDelete, DN: r.dn})
 		case ActionModify:
-			sel := r.ent.Select(attrs)
 			// Minimal update set (equation 3): an entry whose selected view
-			// is net-unchanged over the interval — modify-then-revert, or
-			// modifies confined to unselected attributes — produces no PDU.
+			// is net-unchanged over the interval — modifies confined to
+			// unselected attributes, or modify-then-revert — produces no PDU.
+			var names []string
+			if r.patchable {
+				if names = selectedNames(r.touched, attrs); len(names) == 0 {
+					vb.suppressed++
+					continue
+				}
+			}
+			sel := r.ent.Select(attrs)
 			if r.prior != nil {
 				pv := r.prior.Select(attrs)
 				if pv.Equal(sel) && pv.DN().SameSpelling(sel.DN()) {
@@ -132,11 +144,40 @@ func (si *sharedInterval) view(key string, attrs []string) *viewBatch {
 					continue
 				}
 			}
-			vb.updates = append(vb.updates, Update{Action: ActionModify, DN: sel.DN(), Entry: sel})
+			if !r.patchable {
+				vb.updates = append(vb.updates, Update{Action: ActionModify, DN: sel.DN(), Entry: sel})
+				continue
+			}
+			// The patch names every touched attribute the view selects, not
+			// only the ones that differ from the start of the interval (see
+			// Update.Patch); the values come from the final image.
+			vb.updates = append(vb.updates, Update{Action: ActionModify, DN: r.ent.DN(), Entry: r.ent.Restrict(names), Patch: true})
 		}
 	}
 	si.views[key] = vb
 	return vb
+}
+
+// selectedNames returns the normalized attribute names of touched that the
+// attribute selection attrs covers (all of them for an empty selection or
+// one holding "*", as entry.Select reads it).
+func selectedNames(touched, attrs []string) []string {
+	if len(attrs) == 0 {
+		return touched
+	}
+	var out []string
+	for _, name := range touched {
+		for _, a := range attrs {
+			if a == "*" {
+				return touched
+			}
+			if entry.NormName(a) == name {
+				out = append(out, name)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // maxSharedIntervals bounds the per-group interval cache. Members of one
@@ -442,6 +483,12 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 	finalIn := make(map[string]bool)
 	finalDN := make(map[string]dn.DN)
 	changed := make(map[string]bool)
+	// touched[norm] unions the attributes named by the in-place modifies of a
+	// DN; whole[norm] marks a DN some other kind of record touched — an add,
+	// a delete, a rename, a replace that respelled the DN — for which only
+	// the complete image describes the change.
+	touched := make(map[string][]string)
+	whole := make(map[string]bool)
 
 	note := func(d dn.DN, before bool, prior *entry.Entry) {
 		norm := d.Norm()
@@ -464,12 +511,18 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 			note(c.DN, wasIn, c.Before)
 			finalIn[norm] = inContent(c.After)
 			finalEnt[norm] = c.After
+			if c.Type == dit.ChangeModify && c.Before != nil && c.Before.DN().SameSpelling(c.After.DN()) {
+				touched[norm] = unionNames(touched[norm], c.Mods)
+			} else {
+				whole[norm] = true
+			}
 		case dit.ChangeDelete:
 			norm := c.DN.Norm()
 			_, wasIn := content[norm]
 			note(c.DN, wasIn, c.Before)
 			finalIn[norm] = false
 			finalEnt[norm] = nil
+			whole[norm] = true
 		case dit.ChangeModifyDN:
 			oldNorm := c.DN.Norm()
 			_, wasIn := content[oldNorm]
@@ -481,6 +534,7 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 			note(c.NewDN, newWasIn, nil)
 			finalIn[newNorm] = inContent(c.After)
 			finalEnt[newNorm] = c.After
+			whole[oldNorm], whole[newNorm] = true, true
 		}
 	}
 
@@ -506,11 +560,23 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 			si.delta = append(si.delta, contentOp{norm: norm})
 		case was && is:
 			ent := finalEnt[norm]
-			si.raws = append(si.raws, rawUpdate{action: ActionModify, ent: ent, prior: firstBefore[norm]})
+			si.raws = append(si.raws, rawUpdate{action: ActionModify, ent: ent, prior: firstBefore[norm],
+				patchable: !whole[norm], touched: touched[norm]})
 			si.delta = append(si.delta, contentOp{norm: norm, dn: ent.DN(), present: true})
 		}
 	}
 	return si
+}
+
+// unionNames adds the normalized attribute names of mods to names, keeping
+// first-touch order; a modify names a handful, so a scan beats a set.
+func unionNames(names []string, mods []dit.Mod) []string {
+	for _, m := range mods {
+		if n := entry.NormName(m.Attr); !slices.Contains(names, n) {
+			names = append(names, n)
+		}
+	}
+	return names
 }
 
 // attach adds a persist subscriber to the group, starting the broadcaster

@@ -10,7 +10,10 @@
 //
 //	E01 (moved in)      → add action, full entry
 //	E10 (moved out)     → delete action, DN only
-//	E11 (changed within) → modify action, full entry
+//	E11 (changed within) → modify action: a patch — the attributes the
+//	                       interval touched, each with its current values —
+//	                       or the full entry where the journal cannot name
+//	                       what was touched (see Update.Patch)
 //
 // Changes within one poll interval are coalesced to the net difference, so
 // the update set is minimal. A modifyDN that keeps an entry inside the
@@ -67,6 +70,35 @@ type Update struct {
 	Action Action
 	DN     dn.DN
 	Entry  *entry.Entry
+	// Patch marks a modify whose Entry is not the complete image but a patch:
+	// it carries exactly the attributes to replace in the held entry, each
+	// with its complete current value set (no values: the attribute is now
+	// absent), and every other attribute stays as the consumer holds it. The
+	// engine sends one for an entry that only in-place modifies touched since
+	// the session's sync point, and the attributes are the union of what
+	// those modifies named, not their net difference: a consumer redelivered
+	// the interval from an older cookie holds some image from inside it, and
+	// replacing every attribute touched anywhere in the interval brings any
+	// such image to the final one. Without Patch a modify carries, as ever,
+	// the complete image to store in place of the held one.
+	Patch bool
+}
+
+// Image returns the complete entry a consumer holds after applying the
+// update on top of held (what it held at the DN before; nil if nothing): the
+// update's own entry, or for a patch held with the patch's attributes
+// replaced. A patch with nothing held yields nil — there is no image to
+// build, see dit.ErrPatchMiss.
+func (u Update) Image(held *entry.Entry) *entry.Entry {
+	if !u.Patch {
+		return u.Entry
+	}
+	if held == nil {
+		return nil
+	}
+	img := held.Clone()
+	applyMods(img, dit.PatchMods(u.Entry))
+	return img
 }
 
 // ByteSize estimates the PDU's wire size for traffic accounting.
@@ -488,6 +520,9 @@ func (e *Engine) countPDUs(updates []Update) {
 			e.stats.PDUDeletes.Add(1)
 		case ActionModify:
 			e.stats.PDUModifies.Add(1)
+			if u.Patch {
+				e.stats.PDUPatches.Add(1)
+			}
 		case ActionRetain:
 			e.stats.PDURetains.Add(1)
 		}

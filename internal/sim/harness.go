@@ -173,18 +173,11 @@ func (n *subtreeNode) SyncAll() error {
 			return err
 		}
 		n.cookies[i] = res.Cookie
-		for _, u := range res.Updates {
-			n.SyncTraffic.Add(u)
-			switch u.Action {
-			case resync.ActionAdd, resync.ActionModify:
-				if err := n.replica.Store().Upsert(u.Entry); err != nil {
-					return err
-				}
-			case resync.ActionDelete:
-				_ = n.replica.Store().RemoveAny(u.DN)
-			}
+		ap := resync.NewApplier(n.replica.Store())
+		if err := ap.Apply(n.specs[i], res); err != nil {
+			return err
 		}
-		_ = n.specs[i]
+		n.SyncTraffic.Merge(ap.Traffic)
 	}
 	return nil
 }

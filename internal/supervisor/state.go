@@ -22,9 +22,16 @@ import (
 //	state.json   — the session cookie and the spec key the content belongs to
 //
 // The state file is written after the content file, so its cookie is never
-// newer than the content on disk; a crash between the two writes leaves a
-// slightly-older cookie whose resume-poll re-sends updates the content
-// already holds — updates apply idempotently, so that is safe.
+// newer than the content on disk. A crash between the two writes leaves the
+// content one exchange ahead of the cookie: for each entry it holds some
+// image from inside the interval the resume-poll re-derives. Adds, deletes
+// and complete-image modifies re-apply idempotently. An in-place modify
+// arrives as a patch, which is safe because a patch names the union of the
+// attributes touched anywhere in the interval, not their net difference
+// (resync.Update.Patch): a value the content already advanced and the master
+// has since moved back is still replaced. A patch for an entry the content no
+// longer holds (it applied a move-out the older cookie has not seen) fails
+// with dit.ErrPatchMiss and the session is re-Begun.
 const (
 	contentFile = "content.ldif"
 	stateFile   = "state.json"

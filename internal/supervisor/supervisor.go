@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"filterdir/internal/dit"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
@@ -691,6 +692,18 @@ func (s *Supervisor) run() {
 			s.cfg.Logf("supervisor: session stale, re-beginning: %v", err)
 			s.clearSession()
 			attempt = 0
+		case errors.Is(err, dit.ErrPatchMiss):
+			// The upstream sent a patch for an entry this replica does not
+			// hold: its record of our content and the content disagree (a
+			// redelivery from an older cookie across a move-out, a store fed
+			// by several links), and a patch cannot rebuild the entry. Give
+			// the session up and Begin anew; as with a stale session the held
+			// content stays in service until the reload replaces it.
+			s.counters.PatchMisses.Add(1)
+			s.cfg.Logf("supervisor: %v, re-beginning", err)
+			s.releaseSession()
+			s.clearSession()
+			attempt = 0
 		case errors.Is(err, ldapnet.ErrNotContained):
 			// No fallback to divert to: keep retrying with backoff in case
 			// the upstream's stored queries grow to cover us.
@@ -922,7 +935,7 @@ func (s *Supervisor) applyExchange(client *ldapnet.Client, res *resync.PollResul
 // the checkpoint: a failed apply leaves the supervisor presenting the
 // position it really holds, and the durable position is never newer than
 // the durable content (a crash between the two re-fetches one exchange,
-// which re-applies idempotently).
+// which re-applies soundly — state.go says why).
 func (s *Supervisor) land(res *resync.PollResult) error {
 	if res.FullReload {
 		// A monolithic reload or chunk zero of a chunked one: the transfer

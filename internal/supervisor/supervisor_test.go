@@ -247,6 +247,49 @@ func TestStaleSessionReBegins(t *testing.T) {
 	}
 }
 
+// TestPatchMissReBegins: a patch names an entry the replica does not hold —
+// here because the entry was dropped behind the session's back, in the field
+// because a redelivered interval spans a move-out the replica had already
+// applied. The patch must not create a partial entry: the apply fails with
+// the typed error, the supervisor ends its session, Begins anew, and the full
+// transfer brings the entry back whole.
+func TestPatchMissReBegins(t *testing.T) {
+	for _, mode := range []Mode{ModePoll, ModePersist} {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			h := newHarness(t)
+			cfg := h.config(t)
+			cfg.Mode = mode
+			sup := startSupervisor(t, cfg)
+			waitSynced(t, sup)
+
+			d := dn.MustParse("cn=p1,c=us,o=xyz")
+			if err := sup.rep.Store().RemoveAny(d); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.store.Modify(d, []dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"patched"}}}); err != nil {
+				t.Fatal(err)
+			}
+			waitCounter(t, "patch misses", 10*time.Second, sup.Counters().PatchMisses.Load, 1)
+			waitCounter(t, "begins", 10*time.Second, sup.Counters().Begins.Load, 2)
+			waitConverged(t, h, sup, 10*time.Second)
+			got, ok := sup.rep.Store().Get(d)
+			if !ok || got.First("sn") != "patched" || got.First("cn") != "p1" || !got.Has("serialNumber") {
+				t.Errorf("after the re-Begin the replica holds %v, want the whole entry", got)
+			}
+			if n := sup.Counters().PatchMisses.Load(); n != 1 {
+				t.Errorf("patch misses = %d, want 1", n)
+			}
+			eng := h.backend.Engine.Counters().Snapshot()
+			if eng.Begins != 2 || eng.Ends != 1 {
+				t.Errorf("master begins/ends = %d/%d, want 2/1 (the given-up session is ended, not left behind)", eng.Begins, eng.Ends)
+			}
+			if n := h.backend.Engine.Sessions(); n != 1 {
+				t.Errorf("master holds %d sessions, want 1", n)
+			}
+		})
+	}
+}
+
 // TestPersistFallbackToPoll verifies the stream steady state: pushed
 // batches apply while the stream lives, and a dead stream falls back to a
 // resume-poll without losing updates or reloading.
