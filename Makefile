@@ -13,10 +13,11 @@ SEED ?= 42
 N ?= 1000
 ORACLE_TESTS ?= TestOracleSweep|TestOracleWireSweep|TestOracleCascadeSweep|TestOracleCascadeWireSweep|TestOracleEdgeWriteSweep|TestOracleShardSweepFull|TestOracleResumeSweep|TestOracleAdaptiveSweep
 
-.PHONY: check fmt vet build test bench bench-diff oracle fuzz-smoke cover loc
+.PHONY: check fmt vet build test allocs bench bench-diff oracle fuzz-smoke cover loc
 
-## check: the full verification gate (format, vet, build, race-enabled tests).
-check: fmt vet build test
+## check: the full verification gate (format, vet, build, race-enabled tests,
+## allocation gates).
+check: fmt vet build test allocs
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -32,6 +33,17 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+## allocs: every allocation gate (the Test*Allocs* functions) once, without
+## the race detector — it allocates on its own account, so under `make test`
+## the gates hold but their counts are not the ones to quote — and the
+## measured counts as one table. A failing gate fails the target.
+allocs:
+	@$(GO) test ./... -run 'Allocs' -count=1 -v | awk ' \
+		/^=== RUN/ { test = $$3 } \
+		/allocations/ { sub(/^ *[a-z_]+\.go:[0-9]+: /, ""); printf "%-34s %s\n", test, $$0 } \
+		/^(--- FAIL|FAIL|panic:)/ { print; bad = 1 } \
+		END { exit bad }'
 
 ## BENCH_COUNT: samples per benchmark; benchjson keeps the fastest run so
 ## the baseline is a min-of-N, not a single GC-perturbed sample. Shared-host
@@ -72,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ber -run '^$$' -fuzz FuzzParseTLV -fuzztime 30s
 	$(GO) test ./internal/filter -run '^$$' -fuzz FuzzParseFilter -fuzztime 30s
 	$(GO) test ./internal/dn -run '^$$' -fuzz FuzzParseDN -fuzztime 30s
+	$(GO) test ./internal/entry -run '^$$' -fuzz FuzzNormValue -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeWriteRequest -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeSearchEntry -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeEntryChange -fuzztime 30s

@@ -295,13 +295,15 @@ func (r *Reader) ReadExpect(class Class, tag int) ([]byte, error) {
 	return content, nil
 }
 
-// ReadSequence consumes a SEQUENCE and returns a Reader over its content.
-func (r *Reader) ReadSequence() (*Reader, error) {
+// ReadSequence consumes a SEQUENCE and returns a Reader over its content, by
+// value: a decoder descends several sequences per message, and a reader
+// handed back by pointer would be a heap object each time.
+func (r *Reader) ReadSequence() (Reader, error) {
 	content, err := r.ReadExpect(ClassUniversal, TagSequence)
 	if err != nil {
-		return nil, err
+		return Reader{}, err
 	}
-	return NewReader(content), nil
+	return Reader{data: content}, nil
 }
 
 // ReadInt consumes an INTEGER.

@@ -84,6 +84,7 @@ func (s *Store) flushLocked() {
 		op.csn, op.err = op.apply()
 	}
 	if s.nextCSN != first {
+		s.settleLocked()
 		s.trimLocked()
 		close(s.signal)
 		s.signal = make(chan struct{})
@@ -91,6 +92,23 @@ func (s *Store) flushLocked() {
 	s.counters.ObserveBatch(n)
 	for _, op := range batch {
 		close(op.done)
+	}
+}
+
+// settleLocked merges the index value lists this batch has let grow past
+// their threshold (attrIndex.mergeIfDue): a batch of any size costs an index
+// one merge. A state marked due was written in this batch, so it is not
+// frozen and owns the indexes that are due. Callers hold seqMu.
+func (s *Store) settleLocked() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		if st := sh.state; st.due {
+			for _, ix := range st.indexes {
+				ix.mergeIfDue()
+			}
+			st.due = false
+		}
+		sh.mu.Unlock()
 	}
 }
 

@@ -2,7 +2,7 @@ package dit
 
 import (
 	"maps"
-	"sort"
+	"slices"
 	"strings"
 
 	"filterdir/internal/entry"
@@ -10,139 +10,168 @@ import (
 )
 
 // attrIndex is an equality + ordered-prefix index over one attribute: a map
-// from normalized value to the set of entry DNs carrying it, plus a sorted
-// value list for prefix scans. Writes append new values to a small pending
-// list that is merged into the sorted list once it grows past the
-// threshold — at write time, never during lookups, because lookups may run
-// against a frozen (shared, immutable) index. Indexes are copy-on-write:
-// clone() shares the per-value DN sets until a write privatizes them.
+// from normalized value to its posting — the normalized DNs of the entries
+// carrying the value, sorted, a set by binary search — plus a sorted list of
+// the values for prefix scans. A value indexed on one entry, as a serial
+// number or a mail address is, costs its map slot and a one-string posting.
+//
+// Writes record a value new to the index in a pending list, and a value whose
+// last entry left in a dead list; the store merges the two into the sorted
+// list at the end of a commit batch in which they have grown past the
+// threshold (Store.settleLocked) — never during lookups, because lookups run
+// against a frozen (shared, immutable) index, and a frozen view, which lands
+// between batches, never holds lists longer than the threshold.
+//
+// Indexes are copy-on-write: clone() shares every posting with the frozen
+// original, and the first write to a posting copies it (owned records which
+// have been). Nothing a lookup returns may be modified.
 type attrIndex struct {
-	byValue map[string]map[string]bool // norm value -> set of norm DNs
-	sorted  []string                   // sorted norm values (may contain stale)
-	pending []string                   // unsorted recent additions
-	cow     bool                       // value sets shared with an ancestor clone
-	owned   map[string]bool            // values whose DN set this index owns
+	byValue map[string][]string // norm value -> sorted norm DNs, never empty
+	sorted  []string            // sorted norm values (may contain dead ones, each also in dead)
+	pending []string            // values added since the last merge, unsorted
+	dead    []string            // values emptied since the last merge, unsorted
+	cow     bool                // postings shared with an ancestor clone
+	owned   map[string]bool     // values whose posting this index owns
 }
 
 const pendingMergeThreshold = 256
 
 func newAttrIndex() *attrIndex {
-	return &attrIndex{byValue: make(map[string]map[string]bool)}
+	return &attrIndex{byValue: make(map[string][]string)}
 }
 
-// clone makes a writable copy sharing the per-value DN sets; sorted and
-// pending are copied eagerly since merges mutate them in place.
+// clone makes a writable copy sharing the postings and the sorted list, which
+// a merge replaces and nothing writes; the two short lists a merge sorts in
+// place are copied.
 func (ix *attrIndex) clone() *attrIndex {
 	return &attrIndex{
 		byValue: maps.Clone(ix.byValue),
-		sorted:  append([]string(nil), ix.sorted...),
-		pending: append([]string(nil), ix.pending...),
+		sorted:  ix.sorted,
+		pending: slices.Clone(ix.pending),
+		dead:    slices.Clone(ix.dead),
 		cow:     true,
 		owned:   make(map[string]bool),
 	}
 }
 
-// set returns the writable DN set for a value, privatizing a shared one.
-func (ix *attrIndex) set(v string) map[string]bool {
-	s, ok := ix.byValue[v]
-	if !ok {
-		return nil
+// shared reports whether the posting of v still belongs to an ancestor clone
+// and must be copied, not written; the copy the caller then stores is owned.
+func (ix *attrIndex) shared(v string) bool {
+	if !ix.cow || ix.owned[v] {
+		return false
 	}
-	if ix.cow && !ix.owned[v] {
-		s = maps.Clone(s)
-		ix.byValue[v] = s
-		ix.owned[v] = true
-	}
-	return s
+	ix.owned[v] = true
+	return true
 }
 
 func (ix *attrIndex) add(value, dnNorm string) {
 	v := entry.NormValue(value)
-	s := ix.set(v)
-	if s == nil {
-		s = make(map[string]bool)
-		ix.byValue[v] = s
+	p, ok := ix.byValue[v]
+	if !ok {
 		if ix.cow {
 			ix.owned[v] = true
 		}
+		ix.byValue[v] = []string{dnNorm}
 		ix.pending = append(ix.pending, v)
-		if len(ix.pending) >= pendingMergeThreshold {
-			ix.mergePending()
-		}
+		return
 	}
-	s[dnNorm] = true
+	i, found := slices.BinarySearch(p, dnNorm)
+	if found {
+		return
+	}
+	if ix.shared(v) {
+		p = slices.Clip(p) // no room to insert in place: Insert copies
+	}
+	ix.byValue[v] = slices.Insert(p, i, dnNorm)
 }
 
 func (ix *attrIndex) remove(value, dnNorm string) {
 	v := entry.NormValue(value)
-	if s := ix.set(v); s != nil {
-		delete(s, dnNorm)
-		if len(s) == 0 {
-			delete(ix.byValue, v)
-			delete(ix.owned, v)
-			// The stale value remains in sorted/pending; lookups check
-			// byValue for liveness.
-		}
+	p := ix.byValue[v]
+	i, found := slices.BinarySearch(p, dnNorm)
+	if !found {
+		return
 	}
+	if len(p) == 1 {
+		delete(ix.byValue, v)
+		delete(ix.owned, v)
+		// The value stays in sorted (or pending) until the next merge drops
+		// it; until then lookups find no posting for it.
+		ix.dead = append(ix.dead, v)
+		return
+	}
+	if ix.shared(v) {
+		p = slices.Clone(p)
+	}
+	ix.byValue[v] = slices.Delete(p, i, i+1)
 }
 
-// lookupEQ returns the DNs carrying the value. Read-only.
+// lookupEQ returns the DNs carrying the value: the posting itself.
 func (ix *attrIndex) lookupEQ(value string) []string {
-	set := ix.byValue[entry.NormValue(value)]
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	return out
+	return ix.byValue[entry.NormValue(value)]
 }
 
 // lookupPrefix returns the DNs whose value starts with the prefix.
-// Read-only: the sorted list is binary-searched and the (bounded) pending
-// list scanned linearly, so it is safe on frozen shared indexes.
+// Read-only: the sorted list is binary-searched and the pending list (short,
+// on a frozen index) scanned linearly.
 func (ix *attrIndex) lookupPrefix(prefix string) []string {
 	p := entry.NormValue(prefix)
-	var out []string
-	seen := make(map[string]bool)
-	collect := func(v string) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		for d := range ix.byValue[v] {
-			out = append(out, d)
-		}
+	lo, _ := slices.BinarySearch(ix.sorted, p)
+	hi := lo
+	for hi < len(ix.sorted) && strings.HasPrefix(ix.sorted[hi], p) {
+		hi++
 	}
-	for i := sort.SearchStrings(ix.sorted, p); i < len(ix.sorted); i++ {
-		v := ix.sorted[i]
-		if !strings.HasPrefix(v, p) {
-			break
-		}
-		collect(v)
-	}
+	vals := ix.sorted[lo:hi]
+	merged := false
 	for _, v := range ix.pending {
 		if strings.HasPrefix(v, p) {
-			collect(v)
+			if !merged {
+				vals, merged = slices.Clone(vals), true
+			}
+			vals = append(vals, v)
 		}
+	}
+	if merged {
+		// A value that died and came back sits in both lists, or twice in
+		// pending.
+		slices.Sort(vals)
+		vals = slices.Compact(vals)
+	}
+	var out []string
+	for _, v := range vals {
+		out = append(out, ix.byValue[v]...) // no posting: a dead value
 	}
 	return out
 }
 
-// mergePending folds pending values into the sorted list: the (bounded)
-// pending run is sorted and merged in, so bulk-loading n values costs
-// O(n) per merge rather than a re-sort of everything indexed so far.
-// Called only from add (writer-owned index), never from lookups.
-func (ix *attrIndex) mergePending() {
-	if len(ix.pending) == 0 {
+// mergeIfDue folds the pending and dead lists into the sorted one once they
+// have grown past the threshold: the two lists are sorted and merged in, so
+// loading n values costs one O(n) merge per batch rather than a re-sort of
+// everything indexed so far per value, and a value that no entry carries any
+// more leaves the sorted list at the first merge after its death — the
+// list's length follows the live values, not the history. Only the writer
+// that owns the index calls it.
+func (ix *attrIndex) mergeIfDue() {
+	if len(ix.pending)+len(ix.dead) < pendingMergeThreshold {
 		return
 	}
-	sort.Strings(ix.pending)
+	slices.Sort(ix.pending)
+	slices.Sort(ix.dead)
 	out := make([]string, 0, len(ix.sorted)+len(ix.pending))
-	// Exact duplicates (value reuse after deletion leaves the stale copy
-	// in sorted) are compacted as they meet.
+	dead := ix.dead
 	push := func(v string) {
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
+		if len(out) > 0 && out[len(out)-1] == v {
+			return // died, came back and was recorded again
 		}
+		for len(dead) > 0 && dead[0] < v {
+			dead = dead[1:]
+		}
+		if len(dead) > 0 && dead[0] == v {
+			if _, live := ix.byValue[v]; !live {
+				return
+			}
+		}
+		out = append(out, v)
 	}
 	i, j := 0, 0
 	for i < len(ix.sorted) && j < len(ix.pending) {
@@ -162,6 +191,7 @@ func (ix *attrIndex) mergePending() {
 	}
 	ix.sorted = out
 	ix.pending = ix.pending[:0]
+	ix.dead = ix.dead[:0]
 }
 
 // indexCandidates derives a candidate DN set from the filter using the

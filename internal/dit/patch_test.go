@@ -218,20 +218,8 @@ func TestReplaceTouchesOnlyNamedIndexes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		v := st.freeze()
-		for _, state := range v.states {
-			fresh := newShardState(st.indexAttrs)
-			for norm, e := range state.entries {
-				fresh.indexEntry(e, norm)
-			}
-			if !reflect.DeepEqual(fresh.referrals, state.referrals) {
-				t.Fatalf("step %d: referral registry %v, rebuilt %v", step, state.referrals, fresh.referrals)
-			}
-			for attr, ix := range state.indexes {
-				if !reflect.DeepEqual(ix.byValue, fresh.indexes[attr].byValue) {
-					t.Fatalf("step %d: index %s = %v, rebuilt %v", step, attr, ix.byValue, fresh.indexes[attr].byValue)
-				}
-			}
+		for _, state := range st.freeze().states {
+			assertIndexesRebuilt(t, st.indexAttrs, state, fmt.Sprintf("step %d", step))
 		}
 	}
 	// And the indexes still answer searches.

@@ -1,7 +1,6 @@
 package dit
 
 import (
-	"hash/fnv"
 	"maps"
 	"sync"
 
@@ -37,6 +36,10 @@ type shardState struct {
 	cow      bool
 	ownChild map[string]bool
 	ownIdx   map[string]bool
+	// due marks that a write of the current commit batch left an index with
+	// value lists past the merge threshold; the batch's end settles it
+	// (Store.settleLocked), so a frozen state is never due.
+	due bool
 }
 
 func newShardState(indexAttrs []string) *shardState {
@@ -117,13 +120,32 @@ func (st *shardState) unlink(parentNorm, childNorm string) {
 	}
 }
 
+// reindex moves the entry at norm from the postings of the attribute's old
+// values to those of its current ones (nil for none), and notes when that
+// leaves the index's value lists due for a merge.
+func (st *shardState) reindex(attr, norm string, old, cur []string) {
+	if len(old)+len(cur) == 0 {
+		return // and an index nothing is written to stays shared
+	}
+	ix := st.index(attr)
+	if ix == nil {
+		return
+	}
+	for _, v := range old {
+		ix.remove(v, norm)
+	}
+	for _, v := range cur {
+		ix.add(v, norm)
+	}
+	st.due = st.due || len(ix.pending)+len(ix.dead) >= pendingMergeThreshold
+}
+
 // indexEntry registers all indexed attributes of an entry, and its referral
 // class in the shard's referral registry.
 func (st *shardState) indexEntry(e *entry.Entry, norm string) {
 	for attr := range st.indexes {
-		for _, v := range e.Values(attr) {
-			st.index(attr).add(v, norm)
-		}
+		vals, _ := e.Lookup(attr)
+		st.reindex(attr, norm, nil, vals)
 	}
 	if e.HasObjectClass(ReferralClass) {
 		st.referrals[norm] = true
@@ -133,23 +155,28 @@ func (st *shardState) indexEntry(e *entry.Entry, norm string) {
 // unindexEntry removes all indexed attributes of an entry.
 func (st *shardState) unindexEntry(e *entry.Entry, norm string) {
 	for attr := range st.indexes {
-		for _, v := range e.Values(attr) {
-			st.index(attr).remove(v, norm)
-		}
+		vals, _ := e.Lookup(attr)
+		st.reindex(attr, norm, vals, nil)
 	}
 	delete(st.referrals, norm)
 }
 
-// shardFor routes a normalized DN to its shard (FNV-1a; stable across runs
-// and shard-count-independent inputs, so replication traffic cannot observe
-// the layout).
-func (s *Store) shardFor(norm string) *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
+// shardIndex routes a normalized DN to one of n shards (FNV-1a; stable across
+// runs and shard-count-independent inputs, so replication traffic cannot
+// observe the layout).
+func shardIndex(norm string, n int) int {
+	if n == 1 {
+		return 0
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(norm))
-	return s.shards[h.Sum64()%uint64(len(s.shards))]
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(norm); i++ {
+		h = (h ^ uint64(norm[i])) * 1099511628211
+	}
+	return int(h % uint64(n))
+}
+
+func (s *Store) shardFor(norm string) *shard {
+	return s.shards[shardIndex(norm, len(s.shards))]
 }
 
 // load returns the shard's current published state. Safe for the commit
@@ -206,12 +233,7 @@ func (s *Store) freeze() *view {
 }
 
 func (v *view) stateFor(norm string) *shardState {
-	if len(v.states) == 1 {
-		return v.states[0]
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(norm))
-	return v.states[h.Sum64()%uint64(len(v.states))]
+	return v.states[shardIndex(norm, len(v.states))]
 }
 
 func (v *view) get(norm string) (*entry.Entry, bool) {

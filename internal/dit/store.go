@@ -235,16 +235,24 @@ func (s *Store) LastCSN() CSN {
 
 // Get returns a copy of the entry at d.
 func (s *Store) Get(d dn.DN) (*entry.Entry, bool) {
-	sh := s.shardFor(d.Norm())
-	sh.mu.Lock()
-	e, ok := sh.state.entries[d.Norm()]
-	sh.mu.Unlock()
+	e, ok := s.Held(d.Norm())
 	if !ok {
 		return nil, false
 	}
 	// Stored entries are immutable, so the clone can happen outside the
 	// shard lock.
 	return e.Clone(), true
+}
+
+// Held returns the stored entry whose DN has the given normal form: the
+// frozen entry itself, not a copy. It is what a caller holding only a key
+// reads the entry, or the DN the store knows it by, from.
+func (s *Store) Held(norm string) (*entry.Entry, bool) {
+	sh := s.shardFor(norm)
+	sh.mu.Lock()
+	e, ok := sh.state.entries[norm]
+	sh.mu.Unlock()
+	return e, ok
 }
 
 // holdsTarget reports whether the target DN falls under one of the store's

@@ -287,16 +287,9 @@ func (s *Store) replace(sh *shard, norm string, before, after *entry.Entry, mods
 		st.entries[norm] = after
 		for _, m := range mods {
 			attr := entry.NormName(m.Attr)
-			if ix := st.index(attr); ix != nil {
-				old, _ := before.Lookup(attr)
-				for _, v := range old {
-					ix.remove(v, norm)
-				}
-				cur, _ := after.Lookup(attr)
-				for _, v := range cur {
-					ix.add(v, norm)
-				}
-			}
+			old, _ := before.Lookup(attr)
+			cur, _ := after.Lookup(attr)
+			st.reindex(attr, norm, old, cur)
 			if attr == entry.AttrObjectClass {
 				if after.HasObjectClass(ReferralClass) {
 					st.referrals[norm] = true
@@ -478,6 +471,8 @@ func (s *Store) ApplyOwned(ops []SyncOp) error {
 		return nil
 	}
 	_, err := s.submit(func() (CSN, error) {
+		// One record per action: reserved once, not by doubling on the way.
+		s.journal = slices.Grow(s.journal, len(ops))
 		var last CSN
 		for _, op := range ops {
 			csn, err := CSN(0), error(nil)
@@ -571,6 +566,7 @@ func (s *Store) removeAnyLocked(d dn.DN) (CSN, error) {
 func (s *Store) Load(entries []*entry.Entry) error {
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
+	defer s.settleLocked()
 	for _, e := range entries {
 		d := e.DN()
 		norm := d.Norm()

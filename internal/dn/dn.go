@@ -93,24 +93,34 @@ func New(rdns ...RDN) DN {
 // Parse parses an RFC 2253 style DN string. The empty string parses to the
 // root DN. Supported escapes inside values: backslash followed by one of
 // ",=+<>#;\\\"" or a space, and backslash followed by two hex digits.
+//
+// The string is walked once, component by component, and the normal form is
+// built as the walk goes: a DN costs its RDN slice plus one buffer for the
+// normal form, and not even the buffer when the string already is its own
+// normal form — lower case, single-spaced, comma-separated, nothing escaped —
+// as the DNs this system's servers put on the wire are. RDN values are
+// substrings of s wherever no escape had to be resolved.
 func Parse(s string) (DN, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return DN{}, nil
 	}
-	parts, err := splitComponents(s)
-	if err != nil {
-		return DN{}, err
-	}
-	rdns := make([]RDN, 0, len(parts))
-	for _, p := range parts {
-		r, err := parseRDN(p)
+	p := parser{src: s}
+	// An escaped separator is counted too: capacity, not length.
+	rdns := make([]RDN, 0, 1+strings.Count(s, ",")+strings.Count(s, ";"))
+	for lo := 0; lo <= len(s); {
+		hi := lo + componentLen(s[lo:])
+		if hi > len(s) {
+			return DN{}, fmt.Errorf("%w: trailing backslash in %q", ErrInvalidDN, s)
+		}
+		r, err := p.rdn(lo, hi)
 		if err != nil {
 			return DN{}, err
 		}
 		rdns = append(rdns, r)
+		lo = hi + 1
 	}
-	return DN{rdns: rdns, norm: normalize(rdns)}, nil
+	return DN{rdns: rdns, norm: p.norm()}, nil
 }
 
 // MustParse is Parse that panics on error; intended for tests and constants.
@@ -168,13 +178,19 @@ func (d DN) Leaf() (RDN, bool) {
 func (d DN) Equal(o DN) bool { return d.norm == o.norm }
 
 // Parent returns the DN with the leaf RDN removed. The parent of the root is
-// the root itself with ok=false.
+// the root itself with ok=false. The parent shares d's RDNs and its normal
+// form is the tail of d's: an ancestor's key is derived from the key, never
+// rebuilt.
 func (d DN) Parent() (DN, bool) {
 	if len(d.rdns) == 0 {
 		return DN{}, false
 	}
 	rest := d.rdns[1:]
-	return DN{rdns: rest, norm: normalize(rest)}, true
+	if len(rest) == 0 {
+		return DN{rdns: rest}, true
+	}
+	// A separator inside the leaf's value is escaped in the normal form too.
+	return DN{rdns: rest, norm: d.norm[componentLen(d.norm)+1:]}, true
 }
 
 // Child returns the DN formed by prefixing an RDN to d.
@@ -250,65 +266,169 @@ func normalize(rdns []RDN) string {
 		}
 		b.WriteString(strings.ToLower(r.Attr))
 		b.WriteByte('=')
-		b.WriteString(strings.ToLower(foldSpaces(escapeValue(r.Value))))
+		b.WriteString(normValue(r.Value))
 	}
 	return b.String()
 }
 
-// foldSpaces trims leading/trailing spaces and collapses internal runs of
-// spaces, per the caseIgnoreMatch normalization rules.
-func foldSpaces(s string) string {
-	fields := strings.Fields(s)
-	return strings.Join(fields, " ")
+// normValue is the normal form of one RDN value: printed with its escapes,
+// single-spaced, lower case.
+func normValue(v string) string {
+	return strings.ToLower(foldSpaces(escapeValue(v)))
 }
 
-// splitComponents splits a DN string on unescaped commas (and semicolons,
-// which RFC 2253 allows as a legacy separator).
-func splitComponents(s string) ([]string, error) {
-	var parts []string
-	var cur strings.Builder
-	escaped := false
+// foldSpaces trims leading/trailing spaces and collapses internal runs of
+// spaces, per the caseIgnoreMatch normalization rules. A string whose only
+// white space is single spaces between words is returned as it is.
+func foldSpaces(s string) string {
+	gap := true // at the start, or right after a space
+	for _, r := range s {
+		if r == ' ' && gap || r != ' ' && unicode.IsSpace(r) {
+			gap = true
+			break
+		}
+		gap = r == ' '
+	}
+	if gap && s != "" {
+		return strings.Join(strings.Fields(s), " ")
+	}
+	return s
+}
+
+// componentLen returns the length of the first component of s: the offset of
+// its first unescaped separator (a comma, or the semicolon RFC 2253 allows as
+// a legacy one), len(s) when there is none. A backslash that ends s escapes
+// nothing; the result then exceeds len(s).
+func componentLen(s string) int {
+	i := 0
+	for i < len(s) && s[i] != ',' && s[i] != ';' {
+		if s[i] == '\\' {
+			i++
+		}
+		i++
+	}
+	return i
+}
+
+// parser accumulates the normal form of the DN it parses. As long as every
+// component read so far is spelled exactly as its normal form nothing is
+// written: the normal form is then the source itself.
+type parser struct {
+	src      string
+	b        strings.Builder
+	diverged bool // the normal form is b, no longer a prefix of src
+}
+
+func (p *parser) norm() string {
+	if p.diverged {
+		return p.b.String()
+	}
+	return p.src
+}
+
+// begin readies the buffer for the normal form of the component at src[lo:],
+// separator included, and returns the offset that form starts at.
+func (p *parser) begin(lo int) int {
+	if !p.diverged {
+		p.diverged = true
+		p.b.Grow(len(p.src))
+		if lo > 0 {
+			p.b.WriteString(p.src[:lo-1])
+		}
+	}
+	if lo > 0 {
+		p.b.WriteByte(',')
+	}
+	return p.b.Len()
+}
+
+// rdn parses the "attr=value" component src[lo:hi] and extends the normal
+// form by it.
+func (p *parser) rdn(lo, hi int) (RDN, error) {
+	comp := p.src[lo:hi]
+	eq := indexUnescaped(comp, '=')
+	if eq < 0 {
+		return RDN{}, fmt.Errorf("%w: missing '=' in RDN %q", ErrInvalidDN, comp)
+	}
+	attr, val := comp[:eq], comp[eq+1:]
+	plain := plainBytes(attr, false) && plainBytes(val, true)
+	if plain {
+		// Printable ASCII, nothing escaped and nothing that prints escaped:
+		// the value stands for itself and folds byte by byte.
+		attr, val = strings.Trim(attr, " "), strings.Trim(val, " ")
+	} else {
+		attr = strings.ToLower(strings.TrimSpace(attr))
+		val = unescapeValue(trimValueSpace(val))
+	}
+	if !validAttrType(attr) {
+		return RDN{}, fmt.Errorf("%w: bad attribute type in RDN %q", ErrInvalidDN, comp)
+	}
+	if val == "" {
+		return RDN{}, fmt.Errorf("%w: empty value in RDN %q", ErrInvalidDN, comp)
+	}
+	if !plain {
+		p.begin(lo)
+		p.b.WriteString(attr)
+		p.b.WriteByte('=')
+		p.b.WriteString(normValue(val))
+		return RDN{Attr: attr, Value: val}, nil
+	}
+	// Spelled as its own normal form: nothing trimmed, nothing to fold, and
+	// a comma in front.
+	if !p.diverged && len(attr)+1+len(val) == len(comp) && folded(comp) && (lo == 0 || p.src[lo-1] == ',') {
+		return RDN{Attr: attr, Value: val}, nil
+	}
+	at := p.begin(lo)
+	appendFolded(&p.b, attr)
+	p.b.WriteByte('=')
+	appendFolded(&p.b, val)
+	// The folded type is read back out of the buffer, not allocated again.
+	return RDN{Attr: p.b.String()[at : at+len(attr)], Value: val}, nil
+}
+
+// plainBytes reports whether s is printable ASCII and, for a value, free of
+// every character of specialChars: escapeValue escapes those wherever they
+// stand, and an unescaped one has a meaning to the parser or prints with a
+// backslash.
+func plainBytes(s string, value bool) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < ' ' || c > '~' {
+			return false
+		}
+		if value {
+			switch c {
+			case ',', '=', '+', '<', '>', '#', ';', '"', '\\':
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// folded reports whether printable ASCII s is lower case and single-spaced.
+func folded(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; 'A' <= c && c <= 'Z' || c == ' ' && i > 0 && s[i-1] == ' ' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendFolded writes printable ASCII s, trimmed of spaces at both ends, in
+// lower case with every run of spaces collapsed to one.
+func appendFolded(b *strings.Builder, s string) {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
-		case escaped:
-			cur.WriteByte('\\')
-			cur.WriteByte(c)
-			escaped = false
-		case c == '\\':
-			escaped = true
-		case c == ',' || c == ';':
-			parts = append(parts, cur.String())
-			cur.Reset()
-		default:
-			cur.WriteByte(c)
+		case c == ' ' && i > 0 && s[i-1] == ' ':
+			continue
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
 		}
+		b.WriteByte(c)
 	}
-	if escaped {
-		return nil, fmt.Errorf("%w: trailing backslash in %q", ErrInvalidDN, s)
-	}
-	parts = append(parts, cur.String())
-	return parts, nil
-}
-
-// parseRDN parses a single "attr=value" component.
-func parseRDN(s string) (RDN, error) {
-	eq := indexUnescaped(s, '=')
-	if eq < 0 {
-		return RDN{}, fmt.Errorf("%w: missing '=' in RDN %q", ErrInvalidDN, s)
-	}
-	attr := strings.ToLower(strings.TrimSpace(s[:eq]))
-	if attr == "" || !validAttrType(attr) {
-		return RDN{}, fmt.Errorf("%w: bad attribute type in RDN %q", ErrInvalidDN, s)
-	}
-	val, err := unescapeValue(trimValueSpace(s[eq+1:]))
-	if err != nil {
-		return RDN{}, fmt.Errorf("%w: bad value in RDN %q: %v", ErrInvalidDN, s, err)
-	}
-	if val == "" {
-		return RDN{}, fmt.Errorf("%w: empty value in RDN %q", ErrInvalidDN, s)
-	}
-	return RDN{Attr: attr, Value: val}, nil
 }
 
 // trimValueSpace trims unescaped leading and trailing spaces from a raw
@@ -409,10 +529,11 @@ func escapeValue(s string) string {
 	return b.String()
 }
 
-// unescapeValue resolves RFC 2253 escapes in an attribute value.
-func unescapeValue(s string) (string, error) {
+// unescapeValue resolves RFC 2253 escapes in an attribute value. Every
+// backslash has a byte after it: componentLen ends no component on one.
+func unescapeValue(s string) string {
 	if !strings.ContainsRune(s, '\\') {
-		return s, nil
+		return s
 	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
@@ -420,9 +541,6 @@ func unescapeValue(s string) (string, error) {
 		if c != '\\' {
 			b.WriteByte(c)
 			continue
-		}
-		if i+1 >= len(s) {
-			return "", errors.New("trailing backslash")
 		}
 		n := s[i+1]
 		if isHex(n) && i+2 < len(s) && isHex(s[i+2]) {
@@ -433,7 +551,7 @@ func unescapeValue(s string) (string, error) {
 		b.WriteByte(n)
 		i++
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 func isHex(c byte) bool {

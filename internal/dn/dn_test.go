@@ -346,3 +346,49 @@ func TestSameSpelling(t *testing.T) {
 		}
 	}
 }
+
+// TestParseAllocs gates what a DN costs the ingest path. A Table-1 employee
+// DN as a server of this system writes it is its own normal form: the parse
+// is the RDN slice and nothing else. One that needs folding adds the buffer
+// the normal form is built in, in which the folded attribute types live too.
+func TestParseAllocs(t *testing.T) {
+	var sink DN
+	for _, tc := range []struct {
+		name, dn string
+		max      float64
+	}{
+		{"normal", "cn=emp us 17,c=us,o=xyz", 1},
+		{"folded", "CN=Emp US 17, C=US, O=xyz", 2},
+	} {
+		allocs := testing.AllocsPerRun(200, func() { sink, _ = Parse(tc.dn) })
+		if sink.Depth() != 3 {
+			t.Fatalf("%s: parse of %q failed", tc.name, tc.dn)
+		}
+		t.Logf("dn.Parse (%s): %.0f allocations", tc.name, allocs)
+		if allocs > tc.max {
+			t.Errorf("Parse(%q) allocates %.0f times, gate is %.0f", tc.dn, allocs, tc.max)
+		}
+	}
+}
+
+// TestParentAllocs: an ancestor is a view of its descendant — shared RDNs,
+// the tail of the normal form — at every level, whatever the spelling.
+func TestParentAllocs(t *testing.T) {
+	for _, s := range []string{"cn=emp us 17,c=us,o=xyz", "CN=Smith\\, John, OU=R\\;D ,O=xyz"} {
+		d := MustParse(s)
+		var depth int
+		allocs := testing.AllocsPerRun(200, func() {
+			depth = 0
+			for p, ok := d.Parent(); ok; p, ok = p.Parent() {
+				depth++
+			}
+		})
+		if depth != 3 {
+			t.Fatalf("%q: walked %d levels to the root, want 3", s, depth)
+		}
+		t.Logf("dn.Parent (%q): %.0f allocations for the whole ancestor chain", s, allocs)
+		if allocs != 0 {
+			t.Errorf("walking the ancestors of %q allocates %.0f times, gate is 0", s, allocs)
+		}
+	}
+}

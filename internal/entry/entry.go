@@ -14,6 +14,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"filterdir/internal/dn"
 )
@@ -398,9 +400,27 @@ func containsFold(vals []string, v string) bool {
 // --- Matching rules -------------------------------------------------------
 
 // NormValue normalizes an assertion or attribute value for matching:
-// case-folded with surrounding space trimmed and internal runs collapsed.
+// case-folded with surrounding space trimmed and internal runs collapsed. A
+// value already in that form — most stored values are — is returned as it is.
 func NormValue(s string) string {
+	if isNormValue(s) {
+		return s
+	}
 	return strings.ToLower(strings.Join(strings.Fields(s), " "))
+}
+
+// isNormValue reports whether NormValue has nothing to change in s: valid
+// UTF-8 in lower case whose only white space is single spaces between words.
+func isNormValue(s string) bool {
+	gap := true // at the start, or right after a space
+	for _, r := range s {
+		switch {
+		case r == ' ' && gap, r != ' ' && unicode.IsSpace(r), r != unicode.ToLower(r), r == utf8.RuneError:
+			return false
+		}
+		gap = r == ' '
+	}
+	return !gap || s == ""
 }
 
 // EqualValues applies the caseIgnoreMatch equality rule.

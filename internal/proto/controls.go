@@ -45,10 +45,11 @@ func parseControls(data []byte) ([]Control, error) {
 		if err != nil {
 			return nil, fmt.Errorf("control: %w", err)
 		}
-		var c Control
-		if c.OID, err = seq.ReadString(); err != nil {
+		oid, err := seq.ReadExpect(ber.ClassUniversal, ber.TagOctetString)
+		if err != nil {
 			return nil, err
 		}
+		c := Control{OID: bodyString(oid)}
 		for !seq.Empty() {
 			h, content, err := seq.Read()
 			if err != nil {
@@ -58,7 +59,7 @@ func parseControls(data []byte) ([]Control, error) {
 			case h.Is(ber.ClassUniversal, ber.TagBoolean):
 				c.Criticality = len(content) == 1 && content[0] != 0
 			case h.Is(ber.ClassUniversal, ber.TagOctetString):
-				c.Value = append([]byte(nil), content...)
+				c.Value = content // the message owns its body, see decodeMessage
 			}
 		}
 		out = append(out, c)

@@ -8,9 +8,11 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"filterdir/internal/ber"
 )
@@ -224,16 +226,22 @@ func ReadMessage(r *bufio.Reader) (*Message, error) {
 	return decodeMessage(content)
 }
 
-// Decode parses a fully-buffered encoded message.
+// Decode parses a fully-buffered encoded message. The message does not alias
+// data: the caller may reuse the buffer.
 func Decode(data []byte) (*Message, error) {
 	rd := ber.NewReader(data)
 	content, err := rd.ReadExpect(ber.ClassUniversal, ber.TagSequence)
 	if err != nil {
 		return nil, err
 	}
-	return decodeMessage(content)
+	return decodeMessage(bytes.Clone(content))
 }
 
+// decodeMessage decodes a message body and takes ownership of content: the
+// buffer is never written again, and what a received PDU keeps of it — an
+// entry's DN, names and values, a control's value — aliases it. The body is
+// therefore allocated once, by whoever read it off the wire, and copied
+// nowhere on the way into the store.
 func decodeMessage(content []byte) (*Message, error) {
 	rd := ber.NewReader(content)
 	id, err := rd.ReadInt()
@@ -266,6 +274,12 @@ func decodeMessage(content []byte) (*Message, error) {
 		}
 	}
 	return msg, nil
+}
+
+// bodyString views part of a message body as a string without copying it.
+// Sound only on a body decodeMessage owns: a string must never change.
+func bodyString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Control finds a control by OID.

@@ -496,11 +496,12 @@ func universalTLV(s string, pos, tag int) (content string, next int, err error) 
 	return content, next, nil
 }
 
-// decodeSearchEntry materialises the entry in one pass: the PDU body is
-// copied into a string once, the DN and every name and value are substrings
-// of it, and all values share one backing array sized by a counting walk.
+// decodeSearchEntry materialises the entry in one pass: the DN and every name
+// and value are substrings of the message body, which the message owns and
+// nobody writes again (see decodeMessage), and all values share one backing
+// array sized by a counting walk.
 func decodeSearchEntry(content []byte) (*SearchEntry, error) {
-	s := string(content)
+	s := bodyString(content)
 	dnStr, pos, err := universalTLV(s, 0, ber.TagOctetString)
 	if err != nil {
 		return nil, fmt.Errorf("search entry dn: %w", err)

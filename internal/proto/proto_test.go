@@ -3,6 +3,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -477,6 +478,39 @@ func TestDecodedEntryIsIndependent(t *testing.T) {
 	}
 }
 
+// TestReadMessageOwnsItsBody: an entry read off a stream aliases the body
+// ReadMessage allocated for it and nothing else — not the stream's buffer,
+// which the next message overwrites.
+func TestReadMessageOwnsItsBody(t *testing.T) {
+	var stream bytes.Buffer
+	for i := 0; i < 3; i++ {
+		e := employeeEntry()
+		e.Put("sn", fmt.Sprintf("sn-%d", i))
+		if err := (&Message{ID: int64(i + 1), Op: &SearchEntry{Entry: e},
+			Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "", 0)}}).Write(&stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bufio.NewReaderSize(&stream, 64) // far smaller than one message
+	var got []*Message
+	for i := 0; i < 3; i++ {
+		m, err := ReadMessage(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m)
+	}
+	for i, m := range got {
+		e := m.Op.(*SearchEntry).Entry
+		if e.First("sn") != fmt.Sprintf("sn-%d", i) || e.DN().String() != "cn=emp us 17,c=us,o=xyz" {
+			t.Errorf("message %d changed after later reads: %s", i, e)
+		}
+		if a, _, _, err := ParseEntryChange(m.Controls[0]); err != nil || a != ChangeActionAdd || m.Controls[0].OID != OIDEntryChange {
+			t.Errorf("message %d: control changed after later reads: %v %v", i, a, err)
+		}
+	}
+}
+
 // TestDecodeSearchEntryRejectsMalformed feeds truncated and mistagged
 // bodies to the one-pass decoder.
 func TestDecodeSearchEntryRejectsMalformed(t *testing.T) {
@@ -501,13 +535,14 @@ func TestDecodeSearchEntryRejectsMalformed(t *testing.T) {
 
 // TestDecodeAllocsPerReloadedEntry is the allocation gate of the consumer's
 // decode: a reload PDU (entry + entry-change control) becomes a message and
-// a complete *entry.Entry in a fixed, small number of allocations — the
-// message, the op, the body string every name and value is a substring of,
-// the DN (parse + normal form), the entry, its attribute slice, one backing
-// array for all values, and the control. A per-value or per-attribute copy
-// creeping back in would roughly double it.
+// a complete *entry.Entry in a fixed, small number of allocations — the body
+// every name, value and the control alias (ReadMessage reads into it; Decode,
+// on a caller's buffer, copies into it), the message, the op, the DN's RDN
+// slice (a DN off this system's wire is its own normal form), the entry, its
+// attribute slice, one backing array for all values, and the control list. A
+// per-value or per-attribute copy creeping back in would roughly double it.
 func TestDecodeAllocsPerReloadedEntry(t *testing.T) {
-	const maxDecodeAllocs = 26 // measured 25, about half of them inside dn.Parse
+	const maxDecodeAllocs = 9 // measured 8
 	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()},
 		Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "", 0)}}).Encode()
 	if err != nil {
@@ -574,10 +609,11 @@ func TestPatchPDUBytes(t *testing.T) {
 }
 
 // TestDecodeAllocsPerPatch gates the consumer's decode of the same PDU: the
-// fixed costs of TestDecodeAllocsPerReloadedEntry (message, op, body string,
-// DN, entry, control with its cookie) with one attribute behind them.
+// fixed costs of TestDecodeAllocsPerReloadedEntry (body, message, op, DN,
+// entry, control list) with one attribute behind them; the cookie is a copy
+// only once the control is parsed.
 func TestDecodeAllocsPerPatch(t *testing.T) {
-	const maxPatchDecodeAllocs = 26 // measured 25: fewer attributes than a reloaded entry, one cookie more
+	const maxPatchDecodeAllocs = 9 // measured 8
 	pdu := patchPDU(t)
 	var sink *Message
 	allocs := testing.AllocsPerRun(200, func() { sink, _ = Decode(pdu) })

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"filterdir/internal/containment"
@@ -38,11 +39,14 @@ type FilterReplica struct {
 	cacheCap int
 
 	// refs tracks which owners (stored-query keys or cache slots) cover
-	// each entry; ownerDNs is the inverse; dns maps the normalized DN back
-	// to the parsed DN for removal.
-	refs     map[string]map[string]bool
+	// each entry, keyed by normalized DN; ownerDNs is the inverse. An owner
+	// stands in refs as the small id ownerIDs gives its key for as long as
+	// it covers anything. The parsed DN of a covered entry is the store's
+	// to give back (dit.Store.Held).
+	refs     map[string]ownerSet
 	ownerDNs map[string]map[string]bool
-	dns      map[string]dn.DN
+	ownerIDs map[string]ownerID
+	lastID   ownerID
 
 	contentIndexes []string
 	journalLimit   int
@@ -90,9 +94,9 @@ func WithJournalLimit(n int) FROption {
 func NewFilterReplica(opts ...FROption) (*FilterReplica, error) {
 	r := &FilterReplica{
 		stored:   make(map[string][]*StoredQuery),
-		refs:     make(map[string]map[string]bool),
+		refs:     make(map[string]ownerSet),
 		ownerDNs: make(map[string]map[string]bool),
-		dns:      make(map[string]dn.DN),
+		ownerIDs: make(map[string]ownerID),
 	}
 	for _, o := range opts {
 		o(r)
@@ -173,8 +177,8 @@ scan:
 	for _, u := range updates {
 		switch {
 		case u.Action == resync.ActionDelete:
-			if d, last := r.delRefLocked(key, u.DN.Norm()); last {
-				ops = append(ops, dit.SyncOp{Remove: d})
+			if r.delRefLocked(key, u.DN.Norm()) {
+				ops = append(ops, dit.SyncOp{Remove: u.DN})
 			}
 		case u.Action != resync.ActionAdd && u.Action != resync.ActionModify:
 			bad = fmt.Errorf("unsupported sync action %v", u.Action)
@@ -183,7 +187,7 @@ scan:
 			bad = fmt.Errorf("nil entry in sync update")
 			break scan
 		case u.Patch:
-			if !r.refs[u.DN.Norm()][key] {
+			if !r.refs[u.DN.Norm()].has(r.ownerIDs[key]) {
 				bad = fmt.Errorf("%w: %q", dit.ErrPatchMiss, u.DN.String())
 				break scan
 			}
@@ -257,25 +261,16 @@ func (r *FilterReplica) Answer(q query.Query) (entries []*entry.Entry, hit bool,
 	for norm := range r.ownerDNs[ownerID] {
 		norms = append(norms, norm)
 	}
-	dns := make([]dn.DN, 0, len(norms))
-	for _, norm := range norms {
-		if d, ok := r.dns[norm]; ok {
-			dns = append(dns, d)
-		}
-	}
 	r.mu.Unlock()
 
 	f := nq.Filter
-	for _, d := range dns {
-		if !nq.InScope(d) {
+	for _, norm := range norms {
+		held, ok := r.store.Held(norm)
+		if !ok || !nq.InScope(held.DN()) {
 			continue
 		}
-		e, ok := r.store.Get(d)
-		if !ok {
-			continue
-		}
-		if f == nil || f.Matches(e) {
-			entries = append(entries, e.Select(nq.Attrs))
+		if f == nil || f.Matches(held) {
+			entries = append(entries, held.Clone().Select(nq.Attrs))
 		}
 	}
 	if r.overlay != nil {
@@ -328,35 +323,78 @@ func (r *FilterReplica) findContainerLocked(nq query.Query) (*StoredQuery, strin
 	return nil, ""
 }
 
+// ownerID stands for an owner key in the per-entry owner sets. Ids are never
+// reused, so a set can never take a new owner for one it forgot to drop.
+type ownerID uint64
+
+// ownerSet is the set of owners covering one entry: almost always exactly
+// one, held inline, so that an entry's bookkeeping is its slot in refs and
+// nothing on the heap. The zero value is the empty set; first is zero only
+// then.
+type ownerSet struct {
+	first ownerID
+	rest  []ownerID
+}
+
+func (s ownerSet) has(id ownerID) bool {
+	return id != 0 && (s.first == id || slices.Contains(s.rest, id))
+}
+
+// with returns the set with id in it.
+func (s ownerSet) with(id ownerID) ownerSet {
+	switch {
+	case s.first == 0:
+		s.first = id
+	case !s.has(id):
+		s.rest = append(s.rest, id)
+	}
+	return s
+}
+
+// without returns the set with id out of it.
+func (s ownerSet) without(id ownerID) ownerSet {
+	if i := slices.Index(s.rest, id); i >= 0 {
+		s.rest = slices.Delete(s.rest, i, i+1)
+	} else if s.first == id {
+		s.first = 0
+		if n := len(s.rest); n > 0 {
+			s.first, s.rest = s.rest[n-1], s.rest[:n-1]
+		}
+	}
+	return s
+}
+
 // addRefLocked records that owner key covers the entry at d.
 func (r *FilterReplica) addRefLocked(key string, d dn.DN) {
-	norm := d.Norm()
-	r.dns[norm] = d
-	if r.refs[norm] == nil {
-		r.refs[norm] = make(map[string]bool)
+	id, ok := r.ownerIDs[key]
+	if !ok {
+		r.lastID++
+		id = r.lastID
+		r.ownerIDs[key] = id
 	}
-	r.refs[norm][key] = true
+	norm := d.Norm()
+	r.refs[norm] = r.refs[norm].with(id)
 	if r.ownerDNs[key] == nil {
 		r.ownerDNs[key] = make(map[string]bool)
 	}
 	r.ownerDNs[key][norm] = true
 }
 
-// delRefLocked releases one owner's claim. With the last reference gone it
-// reports the DN whose entry the caller must remove from the store.
-func (r *FilterReplica) delRefLocked(key, norm string) (d dn.DN, last bool) {
+// delRefLocked releases one owner's claim and reports whether that was the
+// last reference: the caller must then remove the entry from the store.
+func (r *FilterReplica) delRefLocked(key, norm string) (last bool) {
 	if set, ok := r.refs[norm]; ok {
-		delete(set, key)
-		if len(set) == 0 {
+		if set = set.without(r.ownerIDs[key]); set.first == 0 {
 			delete(r.refs, norm)
-			d, last = r.dns[norm]
-			delete(r.dns, norm)
+			last = true
+		} else {
+			r.refs[norm] = set
 		}
 	}
 	if set, ok := r.ownerDNs[key]; ok {
 		delete(set, norm)
 	}
-	return d, last
+	return last
 }
 
 // dropOwnerLocked releases every claim of one owner and removes, as one
@@ -364,11 +402,14 @@ func (r *FilterReplica) delRefLocked(key, norm string) (d dn.DN, last bool) {
 func (r *FilterReplica) dropOwnerLocked(key string) {
 	var ops []dit.SyncOp
 	for norm := range r.ownerDNs[key] {
-		if d, last := r.delRefLocked(key, norm); last {
-			ops = append(ops, dit.SyncOp{Remove: d})
+		if r.delRefLocked(key, norm) {
+			if e, ok := r.store.Held(norm); ok {
+				ops = append(ops, dit.SyncOp{Remove: e.DN()})
+			}
 		}
 	}
 	delete(r.ownerDNs, key)
+	delete(r.ownerIDs, key)
 	_ = r.store.ApplyOwned(ops) // removals of held entries cannot fail
 }
 

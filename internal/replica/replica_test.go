@@ -412,6 +412,7 @@ func ownedBatch(n int) []resync.Update {
 		e.Put("objectclass", "top", "person", "inetOrgPerson")
 		e.Put("cn", fmt.Sprintf("p%04d", i)).Put("sn", "x")
 		e.Put("serialnumber", fmt.Sprintf("04%04d", i)).Put("mail", fmt.Sprintf("p%04d@us.xyz.com", i))
+		e.Put("uid", fmt.Sprintf("u04%04d", i))
 		ups[i] = resync.Update{Action: resync.ActionAdd, DN: e.DN(), Entry: e}
 	}
 	return ups
@@ -471,29 +472,104 @@ func TestApplySyncOwnsItsBatch(t *testing.T) {
 
 // TestApplySyncAllocsPerEntry is the allocation gate of the consumer's
 // apply: a 1 000-entry owned batch lands in the content store and the
-// reference-count maps at a handful of allocations per entry (the store's
-// and the replica's map growth, the journal record, the per-entry owner
-// set) — no clone of the entry, which alone costs three, let alone the
-// three clones per entry this path used to make.
+// reference-count maps at a few allocations per entry — the growth of the
+// store's and the replica's maps and nothing else per entry: no clone of the
+// entry (which alone costs three), an owner set that lives in its map slot,
+// a journal reserved once for the batch. The indexed variant is the replica
+// cmd/ldapreplica builds: it adds, per entry, the one-string posting of each
+// of the three values an employee carries among the five indexed attributes,
+// and the growth of those indexes.
 func TestApplySyncAllocsPerEntry(t *testing.T) {
-	const n, maxPerEntry = 1000, 7.0 // measured 6.2 (shard count moves it by under 0.1)
+	const n = 1000
 	spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=04*)")
 	ups := ownedBatch(n)
 	for _, u := range ups {
 		u.Entry.Freeze() // frozen entries may be handed to any number of replicas
 	}
-	perEntry := testing.AllocsPerRun(5, func() {
-		r, err := NewFilterReplica()
-		if err != nil {
+	for _, tc := range []struct {
+		name        string
+		opts        []FROption
+		maxPerEntry float64
+	}{
+		// Map growth is per shard, so the shard count moves both: measured at
+		// 1, 2 and 8 shards, plain 0.1 / 0.1 / 0.2 and indexed 3.2 / 3.3 / 3.8
+		// (18.3 before postings were slices); the gates are the largest + 1.
+		{"plain", nil, 1.2},
+		{"indexed", []FROption{WithContentIndexes("serialnumber", "mail", "dept", "location", "uid")}, 4.8},
+	} {
+		perEntry := testing.AllocsPerRun(5, func() {
+			r, err := NewFilterReplica(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.AddStored(spec, "c")
+			if err := r.ApplySync(spec, ups); err != nil {
+				t.Fatal(err)
+			}
+		}) / n
+		t.Logf("ApplySync (%s): %.1f allocations per entry of a %d-entry owned batch", tc.name, perEntry, n)
+		if perEntry > tc.maxPerEntry {
+			t.Errorf("ApplySync (%s) allocates %.1f times per entry, gate is %.1f", tc.name, perEntry, tc.maxPerEntry)
+		}
+	}
+}
+
+// TestOwnerSet: the per-entry owner set is a set whatever the order of
+// arrivals and departures, with one owner inline and the zero value empty.
+func TestOwnerSet(t *testing.T) {
+	var s ownerSet
+	if s.has(1) || s.has(0) || s.first != 0 {
+		t.Fatalf("zero set = %+v, want empty", s)
+	}
+	for _, id := range []ownerID{3, 1, 3, 2, 1} {
+		s = s.with(id)
+	}
+	if !s.has(1) || !s.has(2) || !s.has(3) || s.has(4) || len(s.rest) != 2 {
+		t.Fatalf("after adding 3,1,3,2,1: %+v", s)
+	}
+	s = s.without(4) // not a member
+	s = s.without(3) // the inline owner: another takes its place
+	if s.has(3) || !s.has(1) || !s.has(2) || s.first == 0 || len(s.rest) != 1 {
+		t.Fatalf("after removing the inline owner: %+v", s)
+	}
+	s = s.without(1).without(2)
+	if s.first != 0 || len(s.rest) != 0 {
+		t.Fatalf("after removing everything: %+v, want empty", s)
+	}
+}
+
+// TestOwnerIDsFollowLiveOwners: an owner's id lives as long as the owner
+// covers anything — a cache window that turns over for ever must not grow
+// the id table — and an entry two owners cover stays until both are gone.
+func TestOwnerIDsFollowLiveOwners(t *testing.T) {
+	r, err := NewFilterReplica(WithCacheCapacity(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=04*)")
+	r.AddStored(spec, "c")
+	ups := ownedBatch(3)
+	if err := r.ApplySync(spec, ups); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		q := query.MustNew("", query.ScopeSubtree, fmt.Sprintf("(uid=u04%04d)", i%3))
+		q.Attrs = []string{fmt.Sprint("a", i)} // a distinct owner each time
+		if err := r.CacheQuery(q, []*entry.Entry{ups[i%3].Entry}); err != nil {
 			t.Fatal(err)
 		}
-		r.AddStored(spec, "c")
-		if err := r.ApplySync(spec, ups); err != nil {
-			t.Fatal(err)
-		}
-	}) / n
-	t.Logf("ApplySync: %.1f allocations per entry of a %d-entry owned batch", perEntry, n)
-	if perEntry > maxPerEntry {
-		t.Errorf("ApplySync allocates %.1f times per entry, gate is %.0f", perEntry, maxPerEntry)
+	}
+	r.mu.Lock()
+	ids, owners := len(r.ownerIDs), len(r.ownerDNs)
+	r.mu.Unlock()
+	if ids != 3 || owners != 3 {
+		t.Errorf("after 50 cached queries through a window of 2: %d owner ids, %d owners, want 3 (stored + window)", ids, owners)
+	}
+	// Entry 1 is covered by the stored query and by a cached one.
+	if r.RemoveStored(spec) == nil {
+		t.Fatal("stored query not found")
+	}
+	if n := r.EntryCount(); n != 2 {
+		t.Errorf("entries after dropping the stored query = %d, want the 2 the cache window still covers", n)
 	}
 }
