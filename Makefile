@@ -79,7 +79,8 @@ oracle:
 	$(GO) test ./internal/oracle -race -run '$(ORACLE_TESTS)' \
 		-oracle.seed=$(SEED) -oracle.n=$(N) -v -timeout 30m
 
-## fuzz-smoke: 30 seconds of native fuzzing per wire-parser target.
+## fuzz-smoke: 30 seconds of native fuzzing per parser target: the wire
+## decoders and the durable journal's recovery.
 fuzz-smoke:
 	$(GO) test ./internal/ber -run '^$$' -fuzz FuzzParseTLV -fuzztime 30s
 	$(GO) test ./internal/filter -run '^$$' -fuzz FuzzParseFilter -fuzztime 30s
@@ -89,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeSearchEntry -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeEntryChange -fuzztime 30s
 	$(GO) test ./internal/resync -run '^$$' -fuzz FuzzResumeToken -fuzztime 30s
+	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzJournalRecover -fuzztime 30s
 
 ## cover: per-function coverage summary.
 cover:

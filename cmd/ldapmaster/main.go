@@ -105,7 +105,7 @@ func run(addr, ldifPath, dataDir string, journalEvery time.Duration, suffix stri
 	var home *persist.Dir
 	if dataDir != "" {
 		home = &persist.Dir{Path: dataDir}
-		st, err := home.Open([]string{suffix}, storeOptions(journalLimit, shards)...)
+		st, _, err := home.Open([]string{suffix}, storeOptions(journalLimit, shards)...)
 		if err != nil {
 			return err
 		}

@@ -5,9 +5,10 @@
 // replica serves contained queries on its own LDAP port (misses are
 // answered with a referral to the master).
 //
-// With -state, each filter's cookie and content are checkpointed durably;
-// a restarted replica reloads its content from disk and resumes the master
-// session with a poll instead of a full content transfer.
+// With -state, every exchange a filter lands is appended, with the cookie it
+// reached, to that filter's journal and fsynced once; a restarted replica
+// replays its content from disk and resumes the master session with a poll
+// instead of a full content transfer.
 //
 // Cascaded topologies: -upstream points the replica at a mid-tier replica
 // instead of the master (-master stays the fallback the supervisors divert
@@ -104,7 +105,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:3891", "replica listen address")
 	flag.BoolVar(&o.serve, "serve", false, "serve ReSync to downstream replicas (cascade mid-tier mode)")
 	mode := flag.String("mode", "poll", `steady-state sync mode: "poll" or "persist"`)
-	flag.StringVar(&o.stateDir, "state", "", "state directory for durable cookie+content checkpoints (empty disables)")
+	flag.StringVar(&o.stateDir, "state", "", "state directory: each filter journals the exchanges it lands, content and cookie together (empty disables)")
 	flag.DurationVar(&o.interval, "interval", 5*time.Second, "poll interval")
 	flag.DurationVar(&o.backoffBase, "backoff", 50*time.Millisecond, "reconnect backoff base")
 	flag.DurationVar(&o.backoffMax, "backoff-max", 5*time.Second, "reconnect backoff cap")
@@ -113,7 +114,7 @@ func main() {
 	flag.IntVar(&o.journalLimit, "journal-limit", 4096, "mid-tier store journal bound (with -serve): how far a downstream session may lag before a full reload")
 	flag.IntVar(&o.reloadChunk, "reload-chunk", 0, "serve downstream full reloads in resumable chunks of n entries (with -serve; 0 = monolithic)")
 	flag.IntVar(&o.keepSyncPoints, "keep-sync-points", 0, "downstream per-session resume history: keep the last n sync points (with -serve; 0 = default 64)")
-	journalRetention := flag.String("journal-retention", "", `durable journal retention policy (with -serve and -state), e.g. "bytes=64m,age=1h" (empty = fixed append cadence)`)
+	journalRetention := flag.String("journal-retention", "", `when to fold a durable journal into a fresh snapshot (with -state), e.g. "bytes=64m,age=1h" (empty = once it outgrows the snapshot it extends)`)
 	flag.DurationVar(&o.checkpointEvery, "checkpoint-every", 2*time.Second, "mid-tier durability cadence (with -serve and -state)")
 	flag.IntVar(&o.depth, "depth", 1, "tier depth below the master (with -serve; reporting only)")
 	flag.IntVar(&o.cacheCap, "cache", 64, "recent user-query cache capacity")
@@ -295,7 +296,7 @@ func runLeaf(o options) error {
 	}
 
 	// One supervisor per filter, all applying into the shared replica; each
-	// owns its own state subdirectory so checkpoints never interleave.
+	// owns its own state subdirectory, so every journal is one owner's.
 	sups := make([]*supervisor.Supervisor, 0, len(qs))
 	for i, spec := range qs {
 		cfg := supervisor.Config{
@@ -326,6 +327,7 @@ func runLeaf(o options) error {
 		if err != nil {
 			return fmt.Errorf("filter %q: %w", o.filters[i], err)
 		}
+		sup.SetJournalRetention(o.journalRetention)
 		sups = append(sups, sup)
 	}
 	for i, sup := range sups {

@@ -365,5 +365,6 @@ type DataDir = persist.Dir
 
 // OpenDataDir loads (or initializes) durable directory state at path.
 func OpenDataDir(path string, suffixes []string, opts ...DirectoryOption) (*Directory, error) {
-	return persist.Dir{Path: path}.Open(suffixes, opts...)
+	st, _, err := persist.Dir{Path: path}.Open(suffixes, opts...)
+	return st, err
 }

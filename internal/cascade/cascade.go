@@ -29,6 +29,7 @@
 package cascade
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -67,7 +68,8 @@ type Config struct {
 	// Mode selects the upstream steady state (poll or persist stream).
 	Mode supervisor.Mode
 	// StateDir durably checkpoints the store and upstream cookies when
-	// non-empty (via internal/persist: snapshot + journal + cookies file).
+	// non-empty (one internal/persist.Dir: snapshot + journal, the cookies
+	// on its commit notes).
 	StateDir string
 	// CheckpointEvery is the durability cadence (default 2s).
 	CheckpointEvery time.Duration
@@ -81,10 +83,10 @@ type Config struct {
 	// KeepSyncPoints is the downstream engine's per-session resume-history
 	// retention (0 = the engine default).
 	KeepSyncPoints int
-	// JournalRetention, when any bound is set, replaces the fixed
-	// 64-append cadence for folding the durable journal into a full
-	// snapshot: a checkpoint takes a snapshot once journal.ldif is over
-	// the policy's size or age bound.
+	// JournalRetention, when any bound is set, decides when the durable
+	// journal is folded into a full snapshot: once journal.ldif is over the
+	// policy's size or age bound, instead of once it has outgrown the
+	// snapshot it extends.
 	JournalRetention persist.JournalRetention
 	// ContentIndexes maintains equality/prefix indexes on the tier store.
 	ContentIndexes []string
@@ -175,6 +177,7 @@ type Tier struct {
 
 	stop      chan struct{}
 	stopOnce  sync.Once
+	stopErr   error
 	loopDone  chan struct{}
 	startOnce sync.Once
 }
@@ -224,17 +227,12 @@ func New(cfg Config) (*Tier, error) {
 	}
 	t.counters.TierDepth.Store(int64(cfg.Depth))
 
-	cookies := map[string]string{}
+	var cookies map[string]string
 	var adopted []query.Query
 	if cfg.StateDir != "" {
-		st, restored, err := openState(cfg, rep, t.counters)
-		if err != nil {
+		if cookies, adopted, err = t.openState(); err != nil {
 			return nil, fmt.Errorf("cascade: restore state: %w", err)
 		}
-		t.st = st
-		cookies = restored.cookies
-		adopted = restored.adopted
-		t.gen = restored.generation
 	}
 
 	// The engine runs over the same store the supervisors apply into:
@@ -449,21 +447,21 @@ func (t *Tier) Start() {
 	})
 }
 
-// Stop halts the supervisors and the checkpoint loop, then writes a final
-// checkpoint so a restart resumes from the stop point.
+// Stop halts the checkpoint loop and the supervisors, then writes a final
+// checkpoint so a restart resumes from the stop point. Every call returns the
+// one shutdown's errors.
 func (t *Tier) Stop() error {
-	t.stopOnce.Do(func() { close(t.stop) })
-	<-t.loopDone
-	var firstErr error
-	for _, link := range t.snapshotLinks() {
-		if err := link.sup.Stop(); err != nil && firstErr == nil {
-			firstErr = err
+	t.stopOnce.Do(func() {
+		close(t.stop)
+		<-t.loopDone
+		for _, link := range t.snapshotLinks() {
+			t.stopErr = errors.Join(t.stopErr, link.sup.Stop())
 		}
-	}
-	if err := t.Checkpoint(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+		if t.st != nil {
+			t.stopErr = errors.Join(t.stopErr, t.Checkpoint(), t.st.journal.Close())
+		}
+	})
+	return t.stopErr
 }
 
 // persistLoop checkpoints on the configured cadence until Stop.
@@ -485,28 +483,6 @@ func (t *Tier) persistLoop() {
 			}
 		}
 	}
-}
-
-// Checkpoint durably records the store and the upstream cookies (no-op
-// without a state directory). Cookies are captured before the content is
-// written, so the durable cookie is never newer than the durable content;
-// a crash between the two leaves a slightly-older cookie whose resume
-// re-sends updates the content already holds, which re-apply soundly (see
-// the supervisor's state.go on why that holds for patches too).
-func (t *Tier) Checkpoint() error {
-	if t.st == nil {
-		return nil
-	}
-	links := t.snapshotLinks()
-	gen, _ := t.FilterGeneration()
-	disk := diskCookies{Cookies: make(map[string]cookieEntry, len(links)), Generation: gen}
-	for _, link := range links {
-		disk.Cookies[link.spec.Key()] = cookieEntry{Cookie: link.sup.Cookie(), Addr: link.sup.Target()}
-		if !link.base {
-			disk.Adopted = append(disk.Adopted, diskSpecOf(link.spec))
-		}
-	}
-	return t.st.checkpoint(t.rep.Store(), disk, t.counters)
 }
 
 // Admit checks a downstream spec against the tier's current specs with the

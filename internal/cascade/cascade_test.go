@@ -438,10 +438,11 @@ func serveTier(t *testing.T, tier *Tier, h *harness) string {
 }
 
 // TestTornCheckpointRecovery simulates a crash mid-journal-append: the
-// journal's final record is torn off and the cookie file rolled back to
-// the previous checkpoint (the write order during a real crash). The
-// restarted tier must repair the journal, restore the surviving content
-// and recover the lost record via resume-poll — never a re-Begin.
+// journal's final record is torn off, and with it the commit line that
+// carried the newer cookie — content and cookie are one batch, so the tear
+// rolls both back to the previous checkpoint. The restarted tier must repair
+// the journal, restore the surviving content and recover the lost record via
+// resume-poll — never a re-Begin.
 func TestTornCheckpointRecovery(t *testing.T) {
 	h := newHarness(t)
 	stateDir := t.TempDir()
@@ -455,23 +456,16 @@ func TestTornCheckpointRecovery(t *testing.T) {
 	}
 	tier.Start()
 	waitSynced(t, tier.Supervisors()[0])
-	if err := tier.Checkpoint(); err != nil { // full snapshot
-		t.Fatal(err)
-	}
-	cookiesPath := filepath.Join(stateDir, "cookies.json")
-	savedCookies, err := os.ReadFile(cookiesPath)
-	if err != nil {
+	if err := tier.Checkpoint(); err != nil { // full snapshot, cookie in its header
 		t.Fatal(err)
 	}
 
 	mutate(t, h.store, 0)
 	waitConverged(t, h.store, tier.Replica().Store(), h.tierSpec, 10*time.Second)
-	if err := tier.Stop(); err != nil { // journal append + newer cookie
+	if err := tier.Stop(); err != nil { // journal batch under the newer cookie
 		t.Fatal(err)
 	}
 
-	// Tear the final journal record and roll the cookie file back, as a
-	// crash between the content append and the cookie write would leave it.
 	jPath := filepath.Join(stateDir, "store", "journal.ldif")
 	raw, err := os.ReadFile(jPath)
 	if err != nil {
@@ -482,9 +476,6 @@ func TestTornCheckpointRecovery(t *testing.T) {
 		t.Fatal("journal holds no change records to tear")
 	}
 	if err := os.WriteFile(jPath, raw[:idx+len("changety")], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cookiesPath, savedCookies, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

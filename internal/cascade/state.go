@@ -2,41 +2,28 @@ package cascade
 
 import (
 	"encoding/json"
-	"errors"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
 
 	"filterdir/internal/dit"
-	"filterdir/internal/metrics"
 	"filterdir/internal/persist"
 	"filterdir/internal/query"
-	"filterdir/internal/replica"
 	"filterdir/internal/resync"
 )
 
-// Durable tier state reuses internal/persist.Dir for the content — a
-// snapshot.ldif plus journal.ldif pair with torn-tail repair on open — and
-// adds a cookies.json recording, per spec, the upstream session cookie and
-// the address it was issued by:
+// Durable tier state is one internal/persist.Dir:
 //
 //	<StateDir>/store/snapshot.ldif   content at the last full checkpoint
-//	<StateDir>/store/journal.ldif    changes appended since
-//	<StateDir>/cookies.json          {spec key → {cookie, addr}}
+//	<StateDir>/store/journal.ldif    batches of store changes committed since
 //
-// Most checkpoints are journal appends; a full snapshot (which also
-// truncates the journal) is taken on the first checkpoint after a restart
-// — the restored store's CSNs restart from zero, so the old journal's
-// watermark is meaningless — and periodically to bound journal growth:
-// every fullCheckpointEvery appends by default, or whenever the journal
-// exceeds the configured JournalRetention size/age policy.
-const (
-	storeDirName    = "store"
-	cookiesFileName = "cookies.json"
-
-	fullCheckpointEvery = 64
-)
+// Every checkpoint is one commit of that directory with the tier's diskState
+// as its note, so content and cookies become durable together. Most are
+// journal batches; a full snapshot (which also empties the journal) is taken
+// on the first checkpoint after a restart — the restored store's CSNs restart
+// from zero, so the old journal's watermark is meaningless — and whenever the
+// journal is due for one: over the configured JournalRetention, or, without
+// one, larger than the snapshot it extends (persist.Journal.Due).
+const storeDirName = "store"
 
 // cookieEntry is one spec's durable session position.
 type cookieEntry struct {
@@ -82,73 +69,52 @@ func (d diskSpec) spec() (query.Query, error) {
 	return q.Normalize(), nil
 }
 
-// diskCookies is the JSON body of cookies.json. Generation and Adopted are
-// the adaptive control plane's durable footprint: the filter generation
-// survives restarts (watch clients never see it move backwards) and adopted
-// specs are re-linked alongside the configured ones. Older files without
-// these fields load as a purely static tier.
-type diskCookies struct {
+// diskState is the JSON of a commit note. Generation and Adopted are the
+// adaptive control plane's durable footprint: the filter generation survives
+// restarts (watch clients never see it move backwards) and adopted specs are
+// re-linked alongside the configured ones.
+type diskState struct {
 	Cookies    map[string]cookieEntry `json:"cookies"`
 	Generation uint64                 `json:"generation,omitempty"`
 	Adopted    []diskSpec             `json:"adopted,omitempty"`
 }
 
-// restoredState is openState's result: per-spec resume cookies, the adopted
-// spec set, and the filter generation at the last checkpoint.
-type restoredState struct {
-	cookies    map[string]string
-	adopted    []query.Query
-	generation uint64
-}
-
-// tierState owns the durable files and the journal watermark.
+// tierState is the durable directory's append handle and how far the store's
+// journal has been committed through it.
 type tierState struct {
-	dir         persist.Dir
-	cookiesPath string
-	retention   persist.JournalRetention
-	logf        func(string, ...any)
-
 	mu        sync.Mutex
+	journal   *persist.Journal
 	watermark dit.CSN
 	needFull  bool
-	appends   int // journal appends since the last full snapshot
+	note      string // as last committed
 }
 
-// openState loads a previous incarnation's checkpoint into rep and returns
-// the state handle plus the per-spec resume cookies. Content is restored
-// by replaying the durable store through each configured spec — MatchAll
-// selects the spec's entries, AddStored+ApplySync rebuild the replica's
-// reference counts exactly as live synchronization would have.
-func openState(cfg Config, rep *replica.FilterReplica, counters *metrics.CascadeCounters) (*tierState, restoredState, error) {
-	st := &tierState{
-		dir:         persist.Dir{Path: filepath.Join(cfg.StateDir, storeDirName)},
-		cookiesPath: filepath.Join(cfg.StateDir, cookiesFileName),
-		retention:   cfg.JournalRetention,
-		logf:        cfg.Logf,
-		needFull:    true,
-	}
-	res := restoredState{cookies: map[string]string{}}
-	var disk diskCookies
-	raw, err := os.ReadFile(st.cookiesPath)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh directory (or a crash before the first cookie write).
-	case err != nil:
-		return nil, res, err
-	default:
-		if err := json.Unmarshal(raw, &disk); err != nil {
-			// A corrupt cookie file costs a re-Begin, not the content.
-			cfg.Logf("cascade: discarding corrupt cookies file: %v", err)
-			disk = diskCookies{}
-		}
-	}
-	res.generation = disk.Generation
-
+// openState loads a previous incarnation's checkpoint into the tier's replica
+// and returns the per-spec resume cookies and the adopted specs; the filter
+// generation and the state handle are set on t. Content is restored by
+// replaying the durable store through each spec — MatchAll selects the spec's
+// entries, AddStored+ApplySync rebuild the replica's reference counts exactly
+// as live synchronization would have.
+func (t *Tier) openState() (cookies map[string]string, adopted []query.Query, err error) {
+	cfg, rep := t.cfg, t.rep
+	dir := persist.Dir{Path: filepath.Join(cfg.StateDir, storeDirName)}
 	// The tier's content is sparse — selected entries without their
 	// ancestors — so journal replay must use upsert semantics.
-	store, err := st.dir.OpenSparse([]string{""})
+	store, note, err := dir.OpenSparse([]string{""})
 	if err != nil {
-		return nil, res, err
+		return nil, nil, err
+	}
+	var disk diskState
+	if note != "" {
+		if err := json.Unmarshal([]byte(note), &disk); err != nil {
+			// An unreadable note costs a re-Begin, not the content.
+			cfg.Logf("cascade: discarding unreadable commit note: %v", err)
+			disk = diskState{}
+		}
+	}
+	t.gen, t.st = disk.Generation, &tierState{needFull: true}
+	if t.st.journal, err = dir.Journal(); err != nil {
+		return nil, nil, err
 	}
 
 	specs := make([]query.Query, 0, len(cfg.Specs)+len(disk.Adopted))
@@ -162,10 +128,10 @@ func openState(cfg Config, rep *replica.FilterReplica, counters *metrics.Cascade
 			continue
 		}
 		specs = append(specs, spec)
-		res.adopted = append(res.adopted, spec)
+		adopted = append(adopted, spec)
 	}
+	cookies = map[string]string{}
 
-	restored := false
 	for _, spec := range specs {
 		resume := ""
 		if ce, ok := disk.Cookies[spec.Key()]; ok && ce.Cookie != "" {
@@ -177,74 +143,72 @@ func openState(cfg Config, rep *replica.FilterReplica, counters *metrics.Cascade
 		}
 		sel := spec
 		sel.Attrs = nil // stored entries already carry only selected attributes
-		entries := store.MatchAll(sel)
-		if len(entries) == 0 && resume == "" {
+		updates := resync.FullReload(store, sel)
+		if len(updates) == 0 && resume == "" {
 			continue
-		}
-		updates := make([]resync.Update, 0, len(entries))
-		for _, e := range entries {
-			updates = append(updates, resync.Update{Action: resync.ActionAdd, DN: e.DN(), Entry: e})
 		}
 		rep.AddStored(spec, resume)
 		if err := rep.ApplySync(spec, updates); err != nil {
-			return nil, res, err
+			return nil, nil, err
 		}
-		res.cookies[spec.Key()] = resume
-		restored = true
+		cookies[spec.Key()] = resume
 	}
-	if restored {
-		counters.Restores.Add(1)
+	if len(cookies) > 0 {
+		t.counters.Restores.Add(1)
 		cfg.Logf("cascade: restored %d entries from %s", rep.EntryCount(), cfg.StateDir)
 	}
-	return st, res, nil
+	return cookies, adopted, nil
 }
 
-// checkpoint writes content first (full snapshot or journal append), then
-// the cookie file with values the caller captured before the content
-// write, preserving the cookie-not-newer-than-content invariant.
-func (s *tierState) checkpoint(store *dit.Store, disk diskCookies, counters *metrics.CascadeCounters) error {
+// Checkpoint durably records the store and the upstream cookies as one commit
+// (no-op without a state directory): the store's changes since the last one
+// or, when a full one is due, a snapshot of the store. Cookies are captured
+// before the store's changes are, so a committed cookie is never newer than
+// the content it is committed with; it may be slightly older, and its resume
+// then re-sends updates the content already holds, which re-apply soundly — a
+// patch names every attribute touched in the interval, not their net
+// difference (resync.Update.Patch).
+func (t *Tier) Checkpoint() error {
+	s, store := t.st, t.rep.Store()
+	if s == nil {
+		return nil
+	}
+	links := t.snapshotLinks()
+	gen, _ := t.FilterGeneration()
+	disk := diskState{Cookies: make(map[string]cookieEntry, len(links)), Generation: gen}
+	for _, link := range links {
+		disk.Cookies[link.spec.Key()] = cookieEntry{Cookie: link.sup.Cookie(), Addr: link.sup.Target()}
+		if !link.base {
+			disk.Adopted = append(disk.Adopted, diskSpecOf(link.spec))
+		}
+	}
+	note, err := json.Marshal(disk)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	full := s.needFull || s.journalOverdue()
-	if !full {
-		wm, err := s.dir.AppendChanges(store, s.watermark)
-		switch {
-		case err != nil:
-			// The store's journal no longer covers our watermark (bounded
-			// history trimmed it): fall back to a full snapshot.
-			full = true
-		case wm != s.watermark:
-			s.watermark = wm
-			s.appends++
-			counters.JournalAppends.Add(1)
-		}
-	}
-	if full {
-		if err := s.dir.Checkpoint(store); err != nil {
+	// ok is false when the store's bounded journal no longer covers the
+	// watermark: only a full snapshot can catch up.
+	changes, ok := store.ChangesSince(s.watermark)
+	switch {
+	case s.needFull || !ok || s.journal.Due(t.cfg.JournalRetention):
+		if err := s.journal.Snapshot(store.All(), string(note)); err != nil {
 			return err
 		}
-		s.watermark = store.LastCSN()
-		s.needFull = false
-		s.appends = 0
-		counters.Checkpoints.Add(1)
-	}
-	return persist.WriteAtomic(s.cookiesPath, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(disk)
-	})
-}
-
-// journalOverdue decides whether this checkpoint should take a full
-// snapshot instead of another append. With a retention policy configured
-// the on-disk journal's actual size and age decide; otherwise the fixed
-// append-count cadence applies.
-func (s *tierState) journalOverdue() bool {
-	if s.retention.Enabled() {
-		over, err := s.dir.OverRetention(s.retention)
-		if err != nil {
-			s.logf("cascade: journal retention check: %v", err)
-			return s.appends >= fullCheckpointEvery
+		// A change landing between the two reads is in neither file; the
+		// cookie captured before it has the upstream send it again.
+		s.watermark, s.needFull = store.LastCSN(), false
+		t.counters.Checkpoints.Add(1)
+	case len(changes) > 0 || string(note) != s.note:
+		if _, err := s.journal.Commit(false, changes, string(note)); err != nil {
+			return err
 		}
-		return over
+		if len(changes) > 0 {
+			s.watermark = changes[len(changes)-1].CSN
+		}
+		t.counters.JournalAppends.Add(1)
 	}
-	return s.appends >= fullCheckpointEvery
+	s.note = string(note)
+	return nil
 }

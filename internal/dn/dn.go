@@ -147,6 +147,21 @@ func (d DN) String() string {
 	return b.String()
 }
 
+// AppendString appends the String form of d to b. A writer that renders many
+// DNs into one buffer calls it in place of String, which allocates its
+// result; only a value that needs escaping still allocates.
+func (d DN) AppendString(b []byte) []byte {
+	for i, r := range d.rdns {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, r.Attr...)
+		b = append(b, '=')
+		b = append(b, escapeValue(r.Value)...)
+	}
+	return b
+}
+
 // Norm returns the normalized form (lower-cased attribute types and values,
 // single spacing) suitable for use as a map key. Two DNs are Equal exactly
 // when their Norm strings are identical.

@@ -1,6 +1,10 @@
 package dn
 
-import "testing"
+import (
+	"testing"
+
+	"filterdir/internal/dn/dntest"
+)
 
 // FuzzParseDN feeds arbitrary strings to the DN parser. Properties: Parse
 // never panics; it agrees with the parser it replaced (reference_test.go) on
@@ -10,7 +14,7 @@ import "testing"
 // same string and the same normalized form, so DNs survive a wire round trip
 // without drifting.
 func FuzzParseDN(f *testing.F) {
-	for _, s := range dnCorpus {
+	for _, s := range dntest.Corpus {
 		f.Add(s)
 	}
 

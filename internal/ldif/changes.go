@@ -1,7 +1,6 @@
 package ldif
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -17,94 +16,59 @@ import (
 // new RDN and superior. This is the interchange form a changelog-style
 // consumer would read.
 func WriteChanges(w io.Writer, changes ...dit.Change) error {
-	bw := bufio.NewWriter(w)
-	for i, c := range changes {
-		if i > 0 {
-			if _, err := bw.WriteString("\n"); err != nil {
-				return err
-			}
-		}
-		if err := writeChange(bw, c); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeRecords(w, len(changes), func(b []byte, i int) ([]byte, error) {
+		return AppendChange(b, changes[i])
+	})
 }
 
-func writeChange(w *bufio.Writer, c dit.Change) error {
-	if err := writeLine(w, "dn", c.DN.String()); err != nil {
-		return err
-	}
+// modVerbs names the modify sub-operations in a change record.
+var modVerbs = map[dit.ModOp]string{dit.ModAdd: "add", dit.ModDelete: "delete", dit.ModReplace: "replace"}
+
+// AppendChange appends c as one LDIF change record to b.
+func AppendChange(b []byte, c dit.Change) ([]byte, error) {
+	b = appendDN(b, c.DN)
 	switch c.Type {
 	case dit.ChangeAdd:
-		if err := writeLine(w, "changetype", "add"); err != nil {
-			return err
-		}
 		if c.After == nil {
-			return fmt.Errorf("add change for %q lacks the entry", c.DN.String())
+			return b, fmt.Errorf("add change for %q lacks the entry", c.DN.String())
 		}
-		for _, name := range c.After.AttributeNames() {
-			for _, v := range c.After.Values(name) {
-				if err := writeLine(w, name, v); err != nil {
-					return err
-				}
+		b = append(b, "changetype: add\n"...)
+		for i := 0; i < c.After.NumAttrs(); i++ {
+			name, vals := c.After.AttrAt(i)
+			for _, v := range vals {
+				b = appendLine(b, name, v)
 			}
 		}
 	case dit.ChangeDelete:
-		if err := writeLine(w, "changetype", "delete"); err != nil {
-			return err
-		}
+		b = append(b, "changetype: delete\n"...)
 	case dit.ChangeModify:
-		if err := writeLine(w, "changetype", "modify"); err != nil {
-			return err
-		}
+		b = append(b, "changetype: modify\n"...)
 		for _, m := range c.Mods {
-			var verb string
-			switch m.Op {
-			case dit.ModAdd:
-				verb = "add"
-			case dit.ModDelete:
-				verb = "delete"
-			case dit.ModReplace:
-				verb = "replace"
-			default:
-				return fmt.Errorf("unknown mod op %d", m.Op)
+			verb, ok := modVerbs[m.Op]
+			if !ok {
+				return b, fmt.Errorf("unknown mod op %d", m.Op)
 			}
-			if err := writeLine(w, verb, m.Attr); err != nil {
-				return err
-			}
+			b = appendLine(b, verb, m.Attr)
 			for _, v := range m.Values {
-				if err := writeLine(w, m.Attr, v); err != nil {
-					return err
-				}
+				b = appendLine(b, m.Attr, v)
 			}
-			if _, err := w.WriteString("-\n"); err != nil {
-				return err
-			}
+			b = append(b, "-\n"...)
 		}
 	case dit.ChangeModifyDN:
-		if err := writeLine(w, "changetype", "modrdn"); err != nil {
-			return err
-		}
 		leaf, ok := c.NewDN.Leaf()
 		if !ok {
-			return fmt.Errorf("modrdn change for %q lacks a new RDN", c.DN.String())
+			return b, fmt.Errorf("modrdn change for %q lacks a new RDN", c.DN.String())
 		}
-		if err := writeLine(w, "newrdn", leaf.String()); err != nil {
-			return err
-		}
-		if err := writeLine(w, "deleteoldrdn", "1"); err != nil {
-			return err
-		}
+		b = append(b, "changetype: modrdn\n"...)
+		b = appendLine(b, "newrdn", leaf.String())
+		b = append(b, "deleteoldrdn: 1\n"...)
 		if parent, ok := c.NewDN.Parent(); ok && !parent.IsRoot() {
-			if err := writeLine(w, "newsuperior", parent.String()); err != nil {
-				return err
-			}
+			b = appendLine(b, "newsuperior", parent.String())
 		}
 	default:
-		return fmt.Errorf("unknown change type %v", c.Type)
+		return b, fmt.Errorf("unknown change type %v", c.Type)
 	}
-	return nil
+	return b, nil
 }
 
 // ChangeRecord is a parsed LDIF change record.
@@ -112,8 +76,10 @@ type ChangeRecord struct {
 	Type  dit.ChangeType
 	DN    dn.DN
 	NewDN dn.DN
-	// Attrs holds the added entry's attributes for add records.
+	// Attrs holds the added entry's attributes for add records, names their
+	// order in the record.
 	Attrs map[string][]string
+	names []string
 	// Mods holds the attribute changes for modify records.
 	Mods []dit.Mod
 }
@@ -165,8 +131,8 @@ func (rec ChangeRecord) AsChange() (dit.Change, error) {
 	c := dit.Change{Type: rec.Type, DN: rec.DN, NewDN: rec.NewDN, Mods: rec.Mods}
 	if rec.Type == dit.ChangeAdd {
 		e := entry.New(rec.DN)
-		for name, vals := range rec.Attrs {
-			e.Put(name, vals...)
+		for _, name := range rec.names {
+			e.Put(name, rec.Attrs[name]...)
 		}
 		c.After = e
 	}
@@ -246,6 +212,9 @@ func parseChange(lines []string) (ChangeRecord, error) {
 				return rec, err
 			}
 			n = strings.ToLower(n)
+			if _, seen := rec.Attrs[n]; !seen {
+				rec.names = append(rec.names, n)
+			}
 			rec.Attrs[n] = append(rec.Attrs[n], v)
 		}
 	case "delete":

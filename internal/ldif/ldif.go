@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"filterdir/internal/dn"
@@ -23,49 +24,104 @@ const foldWidth = 76
 
 // Write renders entries as LDIF records separated by blank lines.
 func Write(w io.Writer, entries ...*entry.Entry) error {
-	bw := bufio.NewWriter(w)
-	for i, e := range entries {
-		if i > 0 {
-			if _, err := bw.WriteString("\n"); err != nil {
-				return err
-			}
-		}
-		if err := writeLine(bw, "dn", e.DN().String()); err != nil {
-			return err
-		}
-		for _, name := range e.AttributeNames() {
-			for _, v := range e.Values(name) {
-				if err := writeLine(bw, name, v); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
+	return writeRecords(w, len(entries), func(b []byte, i int) ([]byte, error) {
+		return AppendEntry(b, entries[i]), nil
+	})
 }
 
-func writeLine(w *bufio.Writer, name, value string) error {
-	var line string
-	if safeValue(value) {
-		line = name + ": " + value
-	} else {
-		line = name + ":: " + base64.StdEncoding.EncodeToString([]byte(value))
-	}
-	for len(line) > foldWidth {
-		if _, err := w.WriteString(line[:foldWidth] + "\n"); err != nil {
+// flushAt is how much rendered LDIF Write and WriteChanges gather before
+// they hand it to the io.Writer.
+const flushAt = 32 << 10
+
+// writeRecords renders n records, a blank line between two, through one
+// buffer that is written out whenever it holds flushAt bytes.
+func writeRecords(w io.Writer, n int, record func(b []byte, i int) ([]byte, error)) error {
+	var b []byte
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, '\n')
+		}
+		var err error
+		if b, err = record(b, i); err != nil {
 			return err
 		}
-		line = " " + line[foldWidth:]
+		if len(b) >= flushAt || i == n-1 {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
 	}
-	_, err := w.WriteString(line + "\n")
-	return err
+	return nil
+}
+
+// AppendEntry appends e as one LDIF content record — its dn line, then one
+// line per attribute value — to b. Nothing is allocated beyond b's growth,
+// except for a DN or a value that has to be escaped.
+func AppendEntry(b []byte, e *entry.Entry) []byte {
+	b = appendDN(b, e.DN())
+	for i := 0; i < e.NumAttrs(); i++ {
+		name, vals := e.AttrAt(i)
+		for _, v := range vals {
+			b = appendLine(b, name, v)
+		}
+	}
+	return b
+}
+
+// appendDN appends the "dn:" line that opens a record. The DN is rendered
+// into b first and only then judged safe or not, so the common one costs no
+// string of its own.
+func appendDN(b []byte, d dn.DN) []byte {
+	start := len(b)
+	b = append(b, "dn: "...)
+	b = d.AppendString(b)
+	if safeValue(b[start+len("dn: "):]) {
+		return finishLine(b, start)
+	}
+	return appendLine(b[:start], "dn", d.String())
+}
+
+// appendLine appends "name: value" — "name:: " and base64 for a value RFC
+// 2849 does not allow in the clear — folded at foldWidth.
+func appendLine(b []byte, name, value string) []byte {
+	start := len(b)
+	b = append(b, name...)
+	if safeValue(value) {
+		b = append(b, ": "...)
+		b = append(b, value...)
+	} else {
+		b = append(b, ":: "...)
+		b = base64.StdEncoding.AppendEncode(b, []byte(value))
+	}
+	return finishLine(b, start)
+}
+
+// finishLine ends the line that starts at b[start], folding it in place
+// when it is longer than foldWidth: a newline and a space go in after the
+// first foldWidth bytes and after every foldWidth-1 that follow, which the
+// tail makes room for by moving back, last piece first.
+func finishLine(b []byte, start int) []byte {
+	n := len(b) - start
+	if n > foldWidth {
+		const piece = foldWidth - 1
+		k := (n - foldWidth + piece - 1) / piece
+		b = slices.Grow(b, 2*k+1)[:len(b)+2*k]
+		for c := k; c >= 1; c-- {
+			src := start + foldWidth + (c-1)*piece
+			dst := src + 2*c
+			copy(b[dst:], b[src:min(src+piece, start+n)])
+			b[dst-2], b[dst-1] = '\n', ' '
+		}
+	}
+	return append(b, '\n')
 }
 
 // safeValue reports whether a value can be written without base64 per
 // RFC 2849: printable ASCII, no leading space/colon/less-than, no trailing
 // space.
-func safeValue(v string) bool {
-	if v == "" {
+func safeValue[V string | []byte](v V) bool {
+	if len(v) == 0 {
 		return true
 	}
 	if v[0] == ' ' || v[0] == ':' || v[0] == '<' {

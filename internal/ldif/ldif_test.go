@@ -2,11 +2,14 @@ package ldif
 
 import (
 	"bytes"
+	"encoding/base64"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"filterdir/internal/dn"
+	"filterdir/internal/dn/dntest"
 	"filterdir/internal/entry"
 )
 
@@ -158,5 +161,111 @@ func TestQuickValueRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refLine is the line writer the append-style one replaced, kept as its
+// reference: name, separator and value joined into a string, then cut into
+// folded pieces by further concatenation. The bytes must not have moved.
+func refLine(w *bytes.Buffer, name, value string) {
+	var line string
+	if safeValue(value) {
+		line = name + ": " + value
+	} else {
+		line = name + ":: " + base64.StdEncoding.EncodeToString([]byte(value))
+	}
+	for len(line) > foldWidth {
+		w.WriteString(line[:foldWidth] + "\n")
+		line = " " + line[foldWidth:]
+	}
+	w.WriteString(line + "\n")
+}
+
+func refEntry(w *bytes.Buffer, e *entry.Entry) {
+	refLine(w, "dn", e.DN().String())
+	for _, name := range e.AttributeNames() {
+		for _, v := range e.Values(name) {
+			refLine(w, name, v)
+		}
+	}
+}
+
+// TestWriteMatchesReference holds Write to the writer it replaced, byte for
+// byte, and to Read as its inverse, on every DN of the dn fuzz corpus that
+// parses and on values chosen around the fold width and the base64 rules.
+func TestWriteMatchesReference(t *testing.T) {
+	values := []string{"", "x", " lead", "trail ", ":colon", "<angle", "tab\tin", "café", "\x00",
+		strings.Repeat("v", foldWidth-len("description: ")-1),
+		strings.Repeat("v", foldWidth-len("description: ")),
+		strings.Repeat("v", foldWidth-len("description: ")+1),
+		strings.Repeat("v", 2*foldWidth-len("description: ")-1),
+		strings.Repeat("v", 2*foldWidth-len("description: ")),
+		strings.Repeat("w", 1000), strings.Repeat("é", 200)}
+	var entries []*entry.Entry
+	for _, s := range append([]string{"cn=" + strings.Repeat("long", 30) + ",o=xyz"}, dntest.Corpus...) {
+		d, err := dn.Parse(s)
+		if err != nil {
+			continue
+		}
+		e := entry.New(d).Put("objectclass", "person")
+		for _, v := range values {
+			e.Add("description", v)
+		}
+		entries = append(entries, e)
+	}
+	if len(entries) < 20 {
+		t.Fatalf("only %d corpus DNs parsed", len(entries))
+	}
+	var got, want bytes.Buffer
+	if err := Write(&got, entries...); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
+		if i > 0 {
+			want.WriteString("\n")
+		}
+		refEntry(&want, e)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Write differs from the reference writer:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+	}
+	back, err := Read(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(entries) {
+		t.Fatalf("read back %d entries, wrote %d", len(back), len(entries))
+	}
+	for i, e := range entries {
+		if !e.Equal(back[i]) || back[i].DN().String() != e.DN().String() {
+			t.Errorf("entry %q does not survive Write then Read: %s", e.DN().String(), back[i])
+		}
+	}
+}
+
+// TestWriteAllocsPerEntry is the allocation gate of the LDIF writer, which a
+// durable leaf runs once per landed update: a Table-1 employee — 512-byte
+// description included, so the fold is on the path — is rendered into the
+// output buffer and nowhere else. What a Write of many still allocates is
+// that buffer growing to its flush size, once.
+func TestWriteAllocsPerEntry(t *testing.T) {
+	const n = 1000
+	e := entry.New(dn.MustParse("cn=emp us 17,c=us,o=xyz"))
+	e.Put("objectclass", "top", "person", "organizationalPerson", "inetOrgPerson")
+	e.Put("cn", "emp us 17").Put("sn", "sn17").Put("serialNumber", "100017")
+	e.Put("uid", "u100017").Put("mail", "qzkxv@us.xyz.com").Put("departmentNumber", "231")
+	e.Put("telephoneNumber", "555-0117").Put("description", strings.Repeat("x", 512))
+	entries := make([]*entry.Entry, n)
+	for i := range entries {
+		entries[i] = e
+	}
+	perEntry := testing.AllocsPerRun(5, func() {
+		if err := Write(io.Discard, entries...); err != nil {
+			t.Fatal(err)
+		}
+	}) / n
+	t.Logf("Write: %.2f allocations per entry of a %d-entry snapshot", perEntry, n)
+	if perEntry >= 0.05 {
+		t.Errorf("Write allocates %.2f times per entry, want 0", perEntry)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // ReplicaCounters aggregates replica-side supervision activity: connection
 // lifecycle, session resumption, persist-stream fallbacks and durable
-// checkpointing. All fields are atomic so the supervisor's hot loop never
+// state. All fields are atomic so the supervisor's hot loop never
 // takes a lock to account an attempt.
 type ReplicaCounters struct {
 	// Connection lifecycle.
@@ -35,8 +35,12 @@ type ReplicaCounters struct {
 	// containment rejection, a stale session, or a failed upstream probe.
 	UpstreamFallbacks atomic.Int64
 
-	// Durability.
-	Checkpoints atomic.Int64 // cookie+content checkpoints written
+	// Durability: every landed exchange is one journal append; a checkpoint
+	// is a full snapshot of the content, written only when the journal has
+	// outgrown the last one.
+	Checkpoints    atomic.Int64 // full content snapshots written
+	JournalAppends atomic.Int64 // committed journal batches, one per landed exchange
+	JournalBytes   atomic.Int64 // bytes those batches wrote
 
 	// Backoff: total time slept and number of waits.
 	BackoffNanos atomic.Int64
@@ -57,6 +61,7 @@ type ReplicaSnapshot struct {
 	FullReloads, ChunkResumes                  int64
 	Polls, StreamBatches, Fallbacks, Demotions int64
 	UpdatesApplied, Checkpoints                int64
+	JournalAppends, JournalBytes               int64
 	UpstreamFallbacks                          int64
 	BackoffWaits                               int64
 	BackoffTotal                               time.Duration
@@ -80,6 +85,8 @@ func (c *ReplicaCounters) Snapshot() ReplicaSnapshot {
 		UpdatesApplied:    c.UpdatesApplied.Load(),
 		UpstreamFallbacks: c.UpstreamFallbacks.Load(),
 		Checkpoints:       c.Checkpoints.Load(),
+		JournalAppends:    c.JournalAppends.Load(),
+		JournalBytes:      c.JournalBytes.Load(),
 		BackoffWaits:      c.BackoffWaits.Load(),
 		BackoffTotal:      time.Duration(c.BackoffNanos.Load()),
 	}
@@ -88,8 +95,8 @@ func (c *ReplicaCounters) Snapshot() ReplicaSnapshot {
 // String renders a compact status line for operator output.
 func (s ReplicaSnapshot) String() string {
 	return fmt.Sprintf(
-		"replica: dials=%d reconnects=%d | begins=%d resumes=%d stale=%d patch-misses=%d full-reloads=%d chunk-resumes=%d | polls=%d stream-batches=%d fallbacks=%d demotions=%d applied=%d upstream-fallbacks=%d | checkpoints=%d backoff=%s/%d",
+		"replica: dials=%d reconnects=%d | begins=%d resumes=%d stale=%d patch-misses=%d full-reloads=%d chunk-resumes=%d | polls=%d stream-batches=%d fallbacks=%d demotions=%d applied=%d upstream-fallbacks=%d | checkpoints=%d journal-appends=%d journal-bytes=%d backoff=%s/%d",
 		s.Dials, s.Reconnects, s.Begins, s.Resumes, s.StaleSessions, s.PatchMisses, s.FullReloads, s.ChunkResumes,
 		s.Polls, s.StreamBatches, s.Fallbacks, s.Demotions, s.UpdatesApplied,
-		s.UpstreamFallbacks, s.Checkpoints, s.BackoffTotal, s.BackoffWaits)
+		s.UpstreamFallbacks, s.Checkpoints, s.JournalAppends, s.JournalBytes, s.BackoffTotal, s.BackoffWaits)
 }

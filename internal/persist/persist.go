@@ -1,8 +1,23 @@
-// Package persist makes a DIT durable with plain interchange formats: a
-// full LDIF snapshot plus an appendable journal of LDIF change records.
-// Recovery loads the snapshot and replays the journal, so a server restart
-// (or a cold replica) reconstructs the exact directory state. Checkpoints
-// are written atomically (temp file + rename).
+// Package persist makes directory content durable with plain interchange
+// formats, and is the one mechanism that does: a master's DIT, a cascade
+// tier's store and a leaf's replicated content each live in a Dir, two files
+// in one filesystem directory:
+//
+//	snapshot.ldif  "# snapshot <generation> <note>", then the content as LDIF
+//	journal.ldif   "# journal <generation>", then committed batches
+//
+// A committed batch is a blank line, an optional "# reset" line (what was
+// held before is dropped), LDIF change records and, last, a "# commit <note>"
+// line: one write, one fsync. The note is one line of the caller's — a CSN, a
+// session cookie with its resume token — and because it ends the batch it is
+// never newer than the content it stands behind: recovery replays up to the
+// last complete commit line, cuts away what follows and hands back that
+// line's note. LDIF readers skip comment lines: both files stay plain LDIF.
+//
+// A snapshot embodies the journal it replaces and takes the next generation;
+// a journal older than the snapshot beside it (a crash between the snapshot's
+// rename and the journal's truncation) is dropped, not replayed twice. Files
+// without a header line, as written before generations, are generation zero.
 package persist
 
 import (
@@ -23,87 +38,82 @@ import (
 	"filterdir/internal/ldif"
 )
 
-// Save writes a full LDIF snapshot of the store, parents before children so
-// Load can re-add entries in order.
-func Save(w io.Writer, st *dit.Store) error {
-	entries := st.All()
-	sort.Slice(entries, func(i, j int) bool {
-		if d := entries[i].DN().Depth() - entries[j].DN().Depth(); d != 0 {
-			return d < 0
+const (
+	snapshotName = "snapshot.ldif"
+	journalName  = "journal.ldif"
+
+	snapshotHeader = "# snapshot "
+	journalHeader  = "# journal "
+	resetLine      = "# reset\n"
+	commitMarker   = "# commit "
+
+	// journalFloor is the journal size under which no snapshot is worth
+	// writing when no retention policy says otherwise (Journal.Due).
+	journalFloor = 1 << 20
+)
+
+// appendBatch appends one batch to b: the blank line that sets it off, the
+// reset line if asked for, the change records, and the commit line carrying
+// note, which must be a single line.
+func appendBatch(b []byte, reset bool, changes []dit.Change, note string) ([]byte, error) {
+	if strings.ContainsAny(note, "\r\n") {
+		return b, fmt.Errorf("commit note spans lines: %q", note)
+	}
+	b = append(b, '\n')
+	if reset {
+		b = append(b, resetLine...)
+	}
+	for i, c := range changes {
+		if i > 0 {
+			b = append(b, '\n')
 		}
-		return entries[i].DN().Norm() < entries[j].DN().Norm()
-	})
-	return ldif.Write(w, entries...)
+		var err error
+		if b, err = ldif.AppendChange(b, c); err != nil {
+			return b, err
+		}
+	}
+	b = append(b, commitMarker...)
+	b = append(b, note...)
+	return append(b, '\n'), nil
 }
 
-// Load builds a store from an LDIF snapshot.
-func Load(r io.Reader, suffixes []string, opts ...dit.Option) (*dit.Store, error) {
-	st, err := dit.NewStore(suffixes, opts...)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := ldif.Read(r)
-	if err != nil {
-		return nil, fmt.Errorf("read snapshot: %w", err)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].DN().Depth() < entries[j].DN().Depth()
-	})
-	if err := st.Load(entries); err != nil {
-		return nil, fmt.Errorf("load snapshot: %w", err)
-	}
-	return st, nil
-}
+// csnNote is the note of a batch of a store's own journal: its last CSN.
+func csnNote(csn dit.CSN) string { return strconv.FormatUint(uint64(csn), 10) }
 
-// commitMarker prefixes the comment line terminating each durable batch.
-// LDIF readers skip comment lines, so marked journals stay plain LDIF;
-// recovery uses the last marker as the committed high-water mark.
-const commitMarker = "# commit "
-
-// AppendJournal writes journal changes as LDIF change records followed by a
-// commit marker: one call is one durable batch, and crash recovery replays
-// a batch all-or-none (records after the last marker are discarded).
+// AppendJournal writes journal changes as one batch with their last CSN as
+// its note: crash recovery replays a batch all-or-none (records after the
+// last commit line are discarded).
 func AppendJournal(w io.Writer, changes []dit.Change) error {
 	if len(changes) == 0 {
 		return nil
 	}
-	if err := ldif.WriteChanges(w, changes...); err != nil {
-		return err
+	b, err := appendBatch(make([]byte, 0, 512), false, changes, csnNote(changes[len(changes)-1].CSN))
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	// Terminate the batch: marker, then a blank separator so the stream
-	// stays parseable.
-	_, err := fmt.Fprintf(w, "%s%d\n\n", commitMarker, changes[len(changes)-1].CSN)
 	return err
 }
 
-// applyRecords replays journal records onto a store; a record that does not
-// apply (an add of a present entry, a delete of an absent one — the journal
-// does not continue the snapshot) is an error.
-func applyRecords(st *dit.Store, records []ldif.ChangeRecord, sparse bool) error {
-	for _, rec := range records {
-		if err := applyRecord(st, rec, sparse); err != nil {
-			return fmt.Errorf("replay %s %q: %w", rec.Type, rec.DN.String(), err)
-		}
-	}
-	return nil
-}
-
+// applyRecord replays one journal record onto a store. A record that does not
+// apply (an add of a present entry, a delete of an absent one) is an error;
+// sparse content is replayed as live synchronization applies it: adds as
+// upserts, deletes whatever lies below and whether or not the entry is there.
 func applyRecord(st *dit.Store, rec ldif.ChangeRecord, sparse bool) error {
 	switch rec.Type {
 	case dit.ChangeAdd:
-		e := entry.New(rec.DN)
-		for name, vals := range rec.Attrs {
-			e.Put(name, vals...)
-		}
+		c, _ := rec.AsChange()
 		if sparse {
-			return st.Upsert(e)
+			return st.Upsert(c.After)
 		}
-		return st.Add(e)
+		return st.Add(c.After)
 	case dit.ChangeDelete:
-		if sparse {
-			return st.RemoveAny(rec.DN)
+		if !sparse {
+			return st.Delete(rec.DN)
 		}
-		return st.Delete(rec.DN)
+		if err := st.RemoveAny(rec.DN); !errors.Is(err, dit.ErrNoSuchObject) {
+			return err
+		}
+		return nil
 	case dit.ChangeModify:
 		return st.Modify(rec.DN, rec.Mods)
 	case dit.ChangeModifyDN:
@@ -124,138 +134,252 @@ type Dir struct {
 	Path string
 }
 
-const (
-	snapshotName = "snapshot.ldif"
-	journalName  = "journal.ldif"
-)
+// Journal is the append handle on a Dir: the open journal file, its
+// generation, and the sizes Due decides by. Not safe for concurrent use.
+type Journal struct {
+	// Sync makes a Commit durable: (*os.File).Sync, unless a test replaces
+	// it to count the calls or fail them.
+	Sync func(*os.File) error
 
-// Open loads the directory state from path (creating the path if needed):
-// the snapshot is loaded if present and the journal replayed on top. A
-// torn final journal batch — a crash mid-append — is recovered from: the
-// state up to the last committed batch is reconstructed and the journal
-// file repaired so later appends stay parseable. The returned CSN
-// watermark tells the caller where its in-memory journal starts relative
-// to durable state (always 0 for a fresh store, since loading does not
-// journal).
-func (d Dir) Open(suffixes []string, opts ...dit.Option) (*dit.Store, error) {
-	return d.open(suffixes, false, opts)
+	dir      string
+	f        *os.File
+	gen      uint64 // of the snapshot the journal extends
+	size     int64  // of the journal file
+	snapSize int64
+	snapTime time.Time // zero without a snapshot
+	snapNote string
+	buf      []byte // the batch being built
 }
 
-// OpenSparse is Open for sparse replica content: stores that do not
-// maintain tree completeness (a filter replica holds matching entries
-// without their ancestors). Journal adds are applied as upserts and
-// deletes ignore children — exactly how live synchronization applies
-// updates (dit.Store.Upsert / RemoveAny) — so an add whose parent lies
-// outside the selection replays cleanly.
-func (d Dir) OpenSparse(suffixes []string, opts ...dit.Option) (*dit.Store, error) {
-	return d.open(suffixes, true, opts)
-}
+func (j *Journal) path(name string) string { return filepath.Join(j.dir, name) }
 
-func (d Dir) open(suffixes []string, sparse bool, opts []dit.Option) (*dit.Store, error) {
+// Journal opens the append handle (creating the path if needed) without
+// reading the journal — Open and OpenSparse do that, dropping a stale journal
+// and repairing a torn one, and a restart calls one of them first. The
+// snapshot's first line, "# snapshot <generation> <note>", gives both; a
+// snapshot written before generations starts otherwise and is generation zero.
+func (d Dir) Journal() (*Journal, error) {
 	if err := os.MkdirAll(d.Path, 0o755); err != nil {
 		return nil, err
 	}
-	snapPath := filepath.Join(d.Path, snapshotName)
-	var st *dit.Store
-	if f, err := os.Open(snapPath); err == nil {
+	j := &Journal{dir: d.Path, Sync: (*os.File).Sync}
+	if f, err := os.Open(j.path(snapshotName)); err == nil {
 		defer f.Close()
-		st, err = Load(bufio.NewReader(f), suffixes, opts...)
+		fi, err := f.Stat()
 		if err != nil {
 			return nil, err
 		}
-	} else if errors.Is(err, os.ErrNotExist) {
-		st, err = dit.NewStore(suffixes, opts...)
-		if err != nil {
+		j.snapSize, j.snapTime = fi.Size(), fi.ModTime()
+		line, err := bufio.NewReader(f).ReadString('\n')
+		if err != nil && err != io.EOF {
 			return nil, err
 		}
-	} else {
-		return nil, err
-	}
-
-	jPath := filepath.Join(d.Path, journalName)
-	if raw, err := os.ReadFile(jPath); err == nil {
-		records, torn, rerr := readCommitted(raw)
-		if rerr != nil {
-			return nil, fmt.Errorf("parse journal: %w", rerr)
-		}
-		if err := applyRecords(st, records, sparse); err != nil {
-			return nil, err
-		}
-		if torn {
-			if err := rewriteJournal(jPath, records); err != nil {
-				return nil, fmt.Errorf("repair torn journal: %w", err)
+		if line, ok := strings.CutPrefix(strings.TrimSuffix(line, "\n"), snapshotHeader); ok {
+			gen, note, _ := strings.Cut(line, " ")
+			if j.gen, err = strconv.ParseUint(gen, 10, 64); err != nil {
+				return nil, fmt.Errorf("snapshot header: %w", err)
 			}
+			j.snapNote = note
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	return st, nil
-}
-
-// readCommitted parses journal bytes up to the batch-commit high-water
-// mark: everything after the last commit marker — an interrupted batch
-// append — is discarded, so a batch replays all-or-none. Every writer ends a
-// batch with its marker (AppendJournal), so a journal holding no marker
-// holds no committed batch: nothing is replayed, and any non-blank bytes are
-// a torn first batch for the caller to repair away.
-func readCommitted(raw []byte) ([]ldif.ChangeRecord, bool, error) {
-	prefix, torn, found := committedPrefix(raw)
-	if !found {
-		return nil, len(bytes.TrimSpace(raw)) > 0, nil
-	}
-	recs, err := ldif.ReadChanges(bytes.NewReader(prefix))
+	f, err := os.OpenFile(j.path(journalName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		// The committed prefix should always parse (it was fsynced before
-		// its marker); recover what residual damage leaves readable.
-		return ldif.ReadChangesTail(bytes.NewReader(prefix))
+		return nil, err
 	}
-	return recs, torn, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	j.f, j.size = f, fi.Size()
+	return j, nil
 }
 
-// committedPrefix splits raw journal bytes at the end of the last commit
-// marker line. torn reports whether non-blank bytes (an unfinished batch)
-// follow the marker; found is false when the journal holds no marker.
-func committedPrefix(raw []byte) (prefix []byte, torn, found bool) {
-	marker := []byte(commitMarker)
-	i := bytes.LastIndex(raw, append([]byte("\n"), marker...))
-	switch {
-	case i >= 0:
-		i++ // first byte of the marker line
-	case bytes.HasPrefix(raw, marker):
-		i = 0
-	default:
-		return nil, false, false
+func (j *Journal) truncate(size int64) error {
+	err := j.f.Truncate(size)
+	if err == nil {
+		j.size = size
 	}
-	end := bytes.IndexByte(raw[i:], '\n')
-	if end < 0 {
-		// Marker line itself torn mid-write: the previous marker (if any)
-		// is the real high-water mark.
-		return committedPrefix(raw[:i])
-	}
-	cut := i + end + 1
-	tail := bytes.TrimSpace(raw[cut:])
-	return raw[:cut], len(tail) > 0, true
+	return err
 }
 
-// rewriteJournal atomically replaces the journal with only its complete
-// records, dropping a torn tail so subsequent appends cannot merge into
-// the partial record.
-func rewriteJournal(path string, records []ldif.ChangeRecord) error {
-	changes := make([]dit.Change, 0, len(records))
-	for _, rec := range records {
-		c, err := rec.AsChange()
+// Close releases the handle. Everything committed is durable already.
+func (j *Journal) Close() error { return j.f.Close() }
+
+// recover reads what the directory durably holds: the snapshot's entries (nil
+// past a committed reset), the change records committed on top of them, and
+// the last commit's note (the snapshot's own when nothing was committed
+// since). A torn final batch — a crash mid-append — is cut off the file.
+func (j *Journal) recover() (entries []*entry.Entry, records []ldif.ChangeRecord, note string, err error) {
+	raw, err := os.ReadFile(j.path(journalName))
+	if err != nil {
+		return nil, nil, "", err
+	}
+	hdr := 0 // length of the header line; without one the journal is generation zero
+	if nl := bytes.IndexByte(raw, '\n'); nl > 0 && bytes.HasPrefix(raw, []byte(journalHeader)) {
+		hdr = nl + 1
+		gen, err := strconv.ParseUint(string(raw[len(journalHeader):hdr-1]), 10, 64)
+		if err != nil || gen > j.gen {
+			return nil, nil, "", fmt.Errorf("journal header %q beside a snapshot of generation %d", raw[:hdr-1], j.gen)
+		}
+		if gen < j.gen {
+			hdr = 0
+		}
+	}
+	if hdr == 0 && j.gen > 0 && len(raw) > 0 {
+		// A crash between the snapshot's rename and the journal's
+		// truncation: every record here is in the snapshot already.
+		if err := j.truncate(0); err != nil {
+			return nil, nil, "", err
+		}
+		raw = nil
+	}
+	cut, note := lastCommit(raw)
+	if cut < hdr {
+		cut = hdr // nothing committed yet: the header stays
+	}
+	if cut < len(raw) {
+		if err := j.truncate(int64(cut)); err != nil {
+			return nil, nil, "", fmt.Errorf("repair torn journal: %w", err)
+		}
+	}
+	body := raw[hdr:cut]
+	if i := bytes.LastIndex(body, []byte("\n"+resetLine)); i >= 0 {
+		body = body[i+1:]
+	} else if f, err := os.Open(j.path(snapshotName)); err == nil {
+		entries, err = ldif.Read(bufio.NewReader(f))
+		f.Close()
 		if err != nil {
+			return nil, nil, "", fmt.Errorf("read snapshot: %w", err)
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, "", err
+	}
+	if cut == hdr {
+		note = j.snapNote
+	}
+	if records, err = ldif.ReadChanges(bytes.NewReader(body)); err != nil {
+		return nil, nil, "", fmt.Errorf("parse journal: %w", err)
+	}
+	return entries, records, note, nil
+}
+
+// lastCommit finds the last complete commit line of raw journal bytes: cut is
+// the offset just past it (0 when there is none: the journal then holds no
+// committed batch) and note what the line carries.
+func lastCommit(raw []byte) (cut int, note string) {
+	raw = raw[:bytes.LastIndexByte(raw, '\n')+1]
+	i := bytes.LastIndex(raw, []byte("\n"+commitMarker)) + 1
+	if i == 0 && !bytes.HasPrefix(raw, []byte(commitMarker)) {
+		return 0, ""
+	}
+	end := i + bytes.IndexByte(raw[i:], '\n')
+	return end + 1, string(raw[i+len(commitMarker) : end])
+}
+
+// Open loads the directory state from path (creating the path if needed): the
+// snapshot if present, the journal's committed batches replayed on top. The
+// last commit's note comes back with the store, whose own journal starts
+// empty, since loading does not journal.
+func (d Dir) Open(suffixes []string, opts ...dit.Option) (*dit.Store, string, error) {
+	return d.open(suffixes, false, opts)
+}
+
+// OpenSparse is Open for sparse replica content — a filter replica holds
+// matching entries without their ancestors — so that an add whose parent lies
+// outside the selection replays cleanly (applyRecord).
+func (d Dir) OpenSparse(suffixes []string, opts ...dit.Option) (*dit.Store, string, error) {
+	return d.open(suffixes, true, opts)
+}
+
+func (d Dir) open(suffixes []string, sparse bool, opts []dit.Option) (*dit.Store, string, error) {
+	j, err := d.Journal()
+	if err != nil {
+		return nil, "", err
+	}
+	defer j.Close()
+	entries, records, note, err := j.recover()
+	if err != nil {
+		return nil, "", err
+	}
+	st, err := dit.NewStore(suffixes, opts...)
+	if err != nil {
+		return nil, "", err
+	}
+	sort.SliceStable(entries, func(i, k int) bool { return entries[i].DN().Depth() < entries[k].DN().Depth() })
+	if err := st.Load(entries); err != nil {
+		return nil, "", fmt.Errorf("load snapshot: %w", err)
+	}
+	for _, rec := range records {
+		if err := applyRecord(st, rec, sparse); err != nil {
+			return nil, "", fmt.Errorf("replay %s %q: %w", rec.Type, rec.DN.String(), err)
+		}
+	}
+	return st, note, nil
+}
+
+// Commit durably appends one batch — a reset of what was held if asked for,
+// the change records, the commit line carrying note — with one write and one
+// fsync, and returns the bytes written. Without changes the note alone moves.
+// A batch that fails is taken back off the file: committing it again is safe.
+func (j *Journal) Commit(reset bool, changes []dit.Change, note string) (int, error) {
+	b := j.buf[:0]
+	if j.size == 0 {
+		b = fmt.Appendf(b, "%s%d\n", journalHeader, j.gen)
+	}
+	b, err := appendBatch(b, reset, changes, note)
+	if j.buf = b; cap(b) > 64<<10 {
+		j.buf = nil // a reload chunk's worth is not kept for the patches that follow
+	}
+	if err != nil {
+		return 0, err
+	}
+	n, err := j.f.Write(b)
+	if err == nil {
+		err = j.Sync(j.f)
+	}
+	if err != nil {
+		_ = j.truncate(j.size) // leave no batch, or half of one, that the caller was told failed
+		return 0, err
+	}
+	j.size += int64(n)
+	return n, nil
+}
+
+// Snapshot atomically writes entries, with note in the header, as the
+// snapshot of the next generation and empties the journal it embodies.
+func (j *Journal) Snapshot(entries []*entry.Entry, note string) error {
+	if strings.ContainsAny(note, "\r\n") {
+		return fmt.Errorf("snapshot note spans lines: %q", note)
+	}
+	path := j.path(snapshotName)
+	err := WriteAtomic(path, func(w io.Writer) error {
+		if _, err := fmt.Fprintf(w, "%s%d %s\n", snapshotHeader, j.gen+1, note); err != nil {
 			return err
 		}
-		changes = append(changes, c)
-	}
-	return WriteAtomic(path, func(w io.Writer) error {
-		return AppendJournal(w, changes)
+		return ldif.Write(w, entries...)
 	})
+	if err != nil {
+		return err
+	}
+	// From here a crash finds the journal emptied or of the older generation.
+	j.gen++
+	if err := j.truncate(0); err != nil {
+		return err
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	j.snapSize, j.snapTime = fi.Size(), fi.ModTime()
+	return nil
 }
 
 // WriteAtomic writes a file via temp file + fsync + rename in the target's
-// directory, so readers (and crash recovery) never observe a partial file.
+// directory, then fsyncs the directory, so readers (and crash recovery) never
+// observe a partial file and a completed write survives a crash.
 func WriteAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -267,42 +391,44 @@ func WriteAtomic(path string, write func(io.Writer) error) error {
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriter(tmp)
-	if err := write(bw); err != nil {
-		tmp.Close()
-		return err
+	if err = write(bw); err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// Checkpoint atomically writes a fresh snapshot of the store and truncates
-// the journal: the snapshot now embodies every applied change.
-func (d Dir) Checkpoint(st *dit.Store) error {
-	err := WriteAtomic(filepath.Join(d.Path, snapshotName), func(w io.Writer) error {
-		return Save(w, st)
-	})
 	if err != nil {
 		return err
 	}
-	// The journal's changes are folded into the snapshot.
-	return os.WriteFile(filepath.Join(d.Path, journalName), nil, 0o644)
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// Checkpoint atomically writes a fresh snapshot of the store and empties
+// the journal: the snapshot now embodies every applied change.
+func (d Dir) Checkpoint(st *dit.Store) error {
+	j, err := d.Journal()
+	if err != nil {
+		return err
+	}
+	defer j.Close()
+	return j.Snapshot(st.All(), csnNote(st.LastCSN()))
 }
 
 // JournalRetention bounds how much change history accumulates in the
 // on-disk journal before it is folded into a fresh snapshot. A zero value
-// disables the corresponding bound; the zero policy never forces a
-// checkpoint (journals then grow until Checkpoint is called explicitly,
-// the pre-policy behaviour).
+// disables the corresponding bound; what the zero policy means is the
+// caller's: Maintain never folds under it, Journal.Due has a rule of its own.
 type JournalRetention struct {
 	// MaxBytes checkpoints once journal.ldif exceeds this size.
 	MaxBytes int64
@@ -386,94 +512,53 @@ func parseByteSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// OverRetention reports whether the on-disk journal currently exceeds the
-// policy, meaning the next checkpoint opportunity should fold it into a
-// fresh snapshot.
-func (d Dir) OverRetention(pol JournalRetention) (bool, error) {
-	return d.retentionExceeded(pol, time.Now())
+// Due reports whether the journal should now be folded into a fresh snapshot.
+// Under a policy: when it is over the policy's size or age bound. Without one:
+// when it has outgrown both the snapshot it extends and journalFloor, so that
+// every snapshot byte written answers for a journal byte written before it.
+// An empty journal is never due.
+func (j *Journal) Due(pol JournalRetention) bool {
+	switch {
+	case j.size == 0:
+		return false
+	case !pol.Enabled():
+		return j.size > max(j.snapSize, journalFloor)
+	default:
+		return pol.MaxBytes > 0 && j.size > pol.MaxBytes ||
+			pol.MaxAge > 0 && time.Since(j.snapTime) > pol.MaxAge
+	}
 }
 
-// retentionExceeded reports whether the on-disk journal is over the
-// policy's bounds at instant now. An absent or empty journal is never
-// over; with an age bound armed, a journal that predates any snapshot is.
-func (d Dir) retentionExceeded(pol JournalRetention, now time.Time) (bool, error) {
-	ji, err := os.Stat(filepath.Join(d.Path, journalName))
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	if ji.Size() == 0 {
-		return false, nil
-	}
-	if pol.MaxBytes > 0 && ji.Size() > pol.MaxBytes {
-		return true, nil
-	}
-	if pol.MaxAge > 0 {
-		si, err := os.Stat(filepath.Join(d.Path, snapshotName))
-		if errors.Is(err, os.ErrNotExist) {
-			return true, nil // never checkpointed: the journal is all we have
-		}
-		if err != nil {
-			return false, err
-		}
-		if now.Sub(si.ModTime()) > pol.MaxAge {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// Maintain appends changes since the given CSN like AppendChanges, then
-// enforces the retention policy: a journal over its size or age bound is
-// folded into a fresh snapshot (Checkpoint), emptying it. The returned
-// watermark advances past the appended changes either way — retention
-// only moves history from the journal file into the snapshot, it never
-// discards durable state.
+// Maintain durably appends the store's journal changes since the given CSN as
+// one batch and returns the new watermark, to be handed back at the next call;
+// then a journal over the policy's size or age bound is folded into a fresh
+// snapshot, emptying it (the zero policy never folds).
 func (d Dir) Maintain(st *dit.Store, after dit.CSN, pol JournalRetention) (dit.CSN, error) {
-	w, err := d.AppendChanges(st, after)
-	if err != nil {
-		return after, err
-	}
-	if !pol.Enabled() {
-		return w, nil
-	}
-	over, err := d.retentionExceeded(pol, time.Now())
-	if err != nil || !over {
-		return w, err
-	}
-	if err := d.Checkpoint(st); err != nil {
-		return w, fmt.Errorf("retention checkpoint: %w", err)
-	}
-	return w, nil
-}
-
-// AppendChanges durably appends journal changes since the given CSN,
-// returning the new watermark. Call it periodically (or after each batch of
-// updates) with the last returned watermark.
-func (d Dir) AppendChanges(st *dit.Store, after dit.CSN) (dit.CSN, error) {
 	changes, ok := st.ChangesSince(after)
 	if !ok {
 		return after, fmt.Errorf("journal history since CSN %d no longer available; checkpoint instead", after)
 	}
-	if len(changes) == 0 {
-		return after, nil
-	}
-	f, err := os.OpenFile(filepath.Join(d.Path, journalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := d.Journal()
 	if err != nil {
 		return after, err
 	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	if err := AppendJournal(bw, changes); err != nil {
-		return after, err
+	defer j.Close()
+	if len(changes) > 0 {
+		last := changes[len(changes)-1].CSN
+		if _, err := j.Commit(false, changes, csnNote(last)); err != nil {
+			return after, err
+		}
+		after = last
 	}
-	if err := bw.Flush(); err != nil {
-		return after, err
+	if pol.Enabled() && j.Due(pol) {
+		if err := j.Snapshot(st.All(), csnNote(st.LastCSN())); err != nil {
+			return after, fmt.Errorf("retention checkpoint: %w", err)
+		}
 	}
-	if err := f.Sync(); err != nil {
-		return after, err
-	}
-	return changes[len(changes)-1].CSN, nil
+	return after, nil
+}
+
+// AppendChanges is Maintain without a retention policy.
+func (d Dir) AppendChanges(st *dit.Store, after dit.CSN) (dit.CSN, error) {
+	return d.Maintain(st, after, JournalRetention{})
 }

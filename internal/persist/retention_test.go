@@ -124,7 +124,7 @@ func TestMaintainRetention(t *testing.T) {
 			if folded != tt.wantFolded {
 				t.Errorf("journal folded = %v (size %d), want %v", folded, journalSize(t, d), tt.wantFolded)
 			}
-			reopened, err := d.Open([]string{"o=xyz"})
+			reopened, _, err := d.Open([]string{"o=xyz"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestMaintainAgeWithoutSnapshot(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(d.Path, snapshotName)); err != nil {
 		t.Errorf("no snapshot written: %v", err)
 	}
-	reopened, err := d.Open([]string{"o=xyz"})
+	reopened, _, err := d.Open([]string{"o=xyz"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMaintainWatermarkMonotone(t *testing.T) {
 		}
 		wm = w
 	}
-	reopened, err := d.Open([]string{"o=xyz"})
+	reopened, _, err := d.Open([]string{"o=xyz"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package supervisor
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"os"
@@ -11,7 +12,7 @@ import (
 
 	"filterdir/internal/chaos"
 	"filterdir/internal/ldapnet"
-	"filterdir/internal/ldif"
+	"filterdir/internal/persist"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -76,7 +77,7 @@ func TestChunkedBeginAppliesAllChunks(t *testing.T) {
 }
 
 // TestRestartMidTransferResumes is the satellite-4 regression: a replica
-// killed mid-chunked-reload checkpoints its resume token, and the next
+// killed mid-chunked-reload has committed its resume token, and the next
 // incarnation presents the token and receives only the remaining chunks —
 // it never re-Begins and the master never restarts the transfer.
 func TestRestartMidTransferResumes(t *testing.T) {
@@ -105,41 +106,29 @@ func TestRestartMidTransferResumes(t *testing.T) {
 		t.Fatalf("stop: %v", err)
 	}
 
-	// Checkpoint-ordering invariant (token never newer than content): the
-	// durable token names chunk 1 of 3, and the content file holds exactly
-	// the chunk-zero entries the token claims were absorbed.
-	raw, err := os.ReadFile(filepath.Join(stateDir, "state.json"))
+	// Token never newer than content: the last commit's note names chunk 1 of
+	// 3 and no cookie, and what is committed up to it is exactly the
+	// chunk-zero entries the token claims were absorbed.
+	content, note, err := persist.Dir{Path: stateDir}.OpenSparse([]string{""})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var state struct {
-		Cookie      string `json:"cookie"`
-		ResumeToken string `json:"resume_token"`
+	var pos position
+	if err := json.Unmarshal([]byte(note), &pos); err != nil {
+		t.Fatalf("commit note %q: %v", note, err)
 	}
-	if err := json.Unmarshal(raw, &state); err != nil {
-		t.Fatal(err)
-	}
-	tok, err := proto.ParseResumeTokenString(state.ResumeToken)
+	tok, err := proto.ParseResumeTokenString(pos.Token)
 	if err != nil {
-		t.Fatalf("checkpointed token %q: %v", state.ResumeToken, err)
+		t.Fatalf("committed token %q: %v", pos.Token, err)
 	}
 	if tok.Chunk != 1 || tok.Chunks != 3 {
 		t.Errorf("token at chunk %d/%d, want 1/3", tok.Chunk, tok.Chunks)
 	}
-	if state.Cookie != "" {
-		t.Errorf("mid-transfer checkpoint carries completion cookie %q", state.Cookie)
+	if pos.Cookie != "" {
+		t.Errorf("mid-transfer commit carries completion cookie %q", pos.Cookie)
 	}
-	f, err := os.Open(filepath.Join(stateDir, "content.ldif"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := ldif.Read(f)
-	_ = f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Errorf("content checkpoint holds %d entries, want the 3 of chunk zero", len(entries))
+	if content.Len() != 3 {
+		t.Errorf("durable content is %d entries, want the 3 of chunk zero", content.Len())
 	}
 
 	// Fresh incarnation on the same state directory: it must resume the
@@ -217,9 +206,9 @@ func TestStaleSessionKeepsServingContent(t *testing.T) {
 	waitConverged(t, h, sup, 10*time.Second)
 }
 
-// TestTornResumeTokenRestore: a checkpoint whose resume token no longer
-// parses (torn tail recovered by the atomic rename, format bump) restores
-// only what the cookie proves — and with no cookie either, nothing.
+// TestTornResumeTokenRestore: a commit whose resume token no longer parses
+// (a format bump, damage) restores only what the cookie proves — and with
+// no cookie either, nothing.
 func TestTornResumeTokenRestore(t *testing.T) {
 	h := newHarness(t)
 	stateDir := t.TempDir()
@@ -231,16 +220,18 @@ func TestTornResumeTokenRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	statePath := filepath.Join(stateDir, "state.json")
-	raw, err := os.ReadFile(statePath)
+	// rewrite replaces the note on the journal's last commit line.
+	jPath := filepath.Join(stateDir, "journal.ldif")
+	raw, err := os.ReadFile(jPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const marker = "\n# commit "
+	at := bytes.LastIndex(raw, []byte(marker)) + len(marker)
 	var state map[string]any
-	if err := json.Unmarshal(raw, &state); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(bytes.TrimSpace(raw[at:]), &state); err != nil {
+		t.Fatalf("last commit note %q: %v", raw[at:], err)
 	}
-
 	rewrite := func(mutate func(map[string]any)) {
 		t.Helper()
 		s := make(map[string]any, len(state))
@@ -248,11 +239,12 @@ func TestTornResumeTokenRestore(t *testing.T) {
 			s[k] = v
 		}
 		mutate(s)
-		out, err := json.Marshal(s)
+		note, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(statePath, out, 0o644); err != nil {
+		out := append(append(append([]byte(nil), raw[:at]...), note...), '\n')
+		if err := os.WriteFile(jPath, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +258,7 @@ func TestTornResumeTokenRestore(t *testing.T) {
 	}
 
 	// Garbage token alongside a live cookie: cookie-only restore.
-	rewrite(func(s map[string]any) { s["resume_token"] = "rt1:torn" })
+	rewrite(func(s map[string]any) { s["token"] = "rt1:torn" })
 	s2 := restore()
 	if s2.Cookie() == "" {
 		t.Error("torn token discarded the valid cookie too")
@@ -278,7 +270,7 @@ func TestTornResumeTokenRestore(t *testing.T) {
 	// Garbage token and no cookie: the checkpoint proves nothing — fresh
 	// start.
 	rewrite(func(s map[string]any) {
-		s["resume_token"] = "not-a-token"
+		s["token"] = "not-a-token"
 		s["cookie"] = ""
 	})
 	s3 := restore()

@@ -1,151 +1,150 @@
 package supervisor
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
-	"filterdir/internal/ldif"
+	"filterdir/internal/dit"
 	"filterdir/internal/persist"
 	"filterdir/internal/proto"
 	"filterdir/internal/resync"
 )
 
-// Durable replica state is two files in the state directory, both written
-// atomically (temp file + fsync + rename via internal/persist):
-//
-//	content.ldif — the replicated entries at the last checkpoint
-//	state.json   — the session cookie and the spec key the content belongs to
-//
-// The state file is written after the content file, so its cookie is never
-// newer than the content on disk. A crash between the two writes leaves the
-// content one exchange ahead of the cookie: for each entry it holds some
-// image from inside the interval the resume-poll re-derives. Adds, deletes
-// and complete-image modifies re-apply idempotently. An in-place modify
-// arrives as a patch, which is safe because a patch names the union of the
-// attributes touched anywhere in the interval, not their net difference
-// (resync.Update.Patch): a value the content already advanced and the master
-// has since moved back is still replaced. A patch for an entry the content no
-// longer holds (it applied a move-out the older cookie has not seen) fails
-// with dit.ErrPatchMiss and the session is re-Begun.
-const (
-	contentFile = "content.ldif"
-	stateFile   = "state.json"
-)
+// Durable replica state is a persist.Dir in the state directory. Every landed
+// exchange is one committed batch of its journal: the exchange's own updates
+// as change records (an image an add, a patch a modify of replaces, a reload
+// behind a reset) and, on the commit line, the position it reached — content
+// and position durable by the same fsync, never one ahead of the other. The
+// journal is this supervisor's own because the supervisors of one replica
+// share a store, whose journal cannot be split by owner. For the same reason
+// restore replays it into a store of its own and hands the replica (through
+// ApplySync, like a live exchange) only the content it ends with: an image
+// this owner once held must not overwrite what another owner has since made
+// of the entry.
 
-// diskState is the JSON body of the state file.
-type diskState struct {
-	// Cookie resumes the upstream session.
-	Cookie string `json:"cookie"`
-	// SpecKey identifies the content spec the checkpoint belongs to; a
-	// mismatch (the operator changed -filter) invalidates the checkpoint.
-	SpecKey string `json:"spec_key"`
-	// Addr is the upstream the cookie was issued by — the configured
-	// Master, or the Fallback when the supervisor was diverted at
-	// checkpoint time. A restart resumes against this address; an address
-	// matching neither side of the current configuration invalidates the
-	// checkpoint (empty means Master, for checkpoints written before
-	// cascading existed).
-	Addr string `json:"addr,omitempty"`
-	// ResumeToken, when non-empty, is the durable text form of the
-	// in-flight chunked reload's position (proto.ResumeToken.String): the
-	// content file holds the chunks received so far and the restart
-	// continues the transfer instead of re-Beginning. Written after the
-	// content file, so the token never claims a chunk the content has not
-	// durably absorbed. A token that fails to parse (torn write recovered
-	// by the atomic rename, format bump) degrades to a fresh Begin.
-	ResumeToken string `json:"resume_token,omitempty"`
+// position is the commit note: where in its upstream's history the content
+// committed with it stands.
+type position struct {
+	Cookie string `json:"cookie,omitempty"` // resumes the upstream session
+	// Token is the resume token of a chunked reload in flight: the content
+	// holds the chunks before it and a restart continues the transfer.
+	Token string `json:"token,omitempty"`
+	// Addr is the upstream that issued both, Master or Fallback. State from
+	// another address, or for another Spec (the operator changed -filter),
+	// is not restored.
+	Addr string `json:"addr"`
+	Spec string `json:"spec"`
 }
 
-// checkpoint durably records the cookie and content (no-op without a state
-// directory).
-func (s *Supervisor) checkpoint() error {
-	if s.cfg.StateDir == "" {
+// legacyFiles is the state format before the journal. It is not read — a
+// fresh Begin is always correct — and the first snapshot removes the files.
+var legacyFiles = []string{"content.ldif", "state.json"}
+
+// commit makes the exchange that just landed durable (no-op without a state
+// directory): a batch of its updates under the position now held, or, once
+// the journal is due for it, a snapshot of the spec's content in its place.
+func (s *Supervisor) commit(updates []resync.Update) error {
+	if s.journal == nil {
 		return nil
 	}
-	spec := s.cfg.Spec
-	spec.Attrs = nil // content entries already carry only selected attributes
-	entries := s.rep.Store().MatchAll(spec)
-	err := persist.WriteAtomic(filepath.Join(s.cfg.StateDir, contentFile), func(w io.Writer) error {
-		return ldif.Write(w, entries...)
-	})
-	if err != nil {
-		return err
-	}
-	state := diskState{Cookie: s.Cookie(), SpecKey: s.cfg.specKey, Addr: s.Target()}
+	pos := position{Cookie: s.Cookie(), Addr: s.Target(), Spec: s.cfg.specKey}
 	if tok := s.ResumeToken(); !tok.IsZero() {
-		state.ResumeToken = tok.String()
+		pos.Token = tok.String()
 	}
-	err = persist.WriteAtomic(filepath.Join(s.cfg.StateDir, stateFile), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(state)
-	})
+	note, err := json.Marshal(pos)
 	if err != nil {
 		return err
 	}
-	s.counters.Checkpoints.Add(1)
+	if s.journalGap || s.journal.Due(s.retention) {
+		spec := s.cfg.Spec
+		spec.Attrs = nil // content entries already carry only selected attributes
+		if err := s.journal.Snapshot(s.rep.Store().MatchAll(spec), string(note)); err != nil {
+			return err
+		}
+		s.journalGap, s.contentReset = false, false
+		s.counters.Checkpoints.Add(1)
+		for _, name := range legacyFiles {
+			_ = os.Remove(filepath.Join(s.cfg.StateDir, name)) // there only after an upgrade
+		}
+		return nil
+	}
+	changes := make([]dit.Change, len(updates))
+	for i, u := range updates {
+		switch {
+		case u.Action == resync.ActionDelete:
+			changes[i] = dit.Change{Type: dit.ChangeDelete, DN: u.DN}
+		case u.Patch:
+			changes[i] = dit.Change{Type: dit.ChangeModify, DN: u.DN, Mods: dit.PatchMods(u.Entry)}
+		default:
+			changes[i] = dit.Change{Type: dit.ChangeAdd, DN: u.DN, After: u.Entry}
+		}
+	}
+	n, err := s.journal.Commit(s.contentReset, changes, string(note))
+	if err != nil {
+		// The exchange is applied and its position adopted, but the journal
+		// does not hold it: batches after it would not continue what is there.
+		s.journalGap = true
+		return err
+	}
+	s.contentReset = false
+	s.counters.JournalAppends.Add(1)
+	s.counters.JournalBytes.Add(int64(n))
 	return nil
 }
 
-// restore loads a previous incarnation's checkpoint into the replica,
-// returning the saved cookie, the in-flight resume token (zero when the
-// checkpoint was not mid-transfer) and the upstream address they belong
-// to. A missing, unreadable, spec-mismatched or unknown-address checkpoint
-// restores nothing: the supervisor then starts with a fresh Begin, which
-// is always correct, just more expensive. A checkpoint whose resume token
-// fails to parse restores only what the cookie proves: with a live cookie
-// the session resumes by poll; without one nothing is restored.
-func (s *Supervisor) restore() (cookie string, tok proto.ResumeToken, addr string, restored bool, err error) {
-	raw, err := os.ReadFile(filepath.Join(s.cfg.StateDir, stateFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return "", tok, "", false, nil
+// restore loads a previous incarnation's state into the replica and adopts
+// its position. Missing, spec-mismatched, unknown-upstream or positionless
+// state restores nothing: the supervisor then starts with a fresh Begin, which
+// is always correct, just more expensive, and whose reset supersedes what the
+// journal held. A resume token that fails to parse restores only what the
+// cookie proves: with a live cookie the session resumes by poll; without one
+// nothing is restored.
+func (s *Supervisor) restore() error {
+	if _, err := os.Stat(filepath.Join(s.cfg.StateDir, legacyFiles[1])); err == nil {
+		s.cfg.Logf("supervisor: ignoring pre-journal state in %s (removed at the next snapshot)", s.cfg.StateDir)
 	}
+	dir := persist.Dir{Path: s.cfg.StateDir}
+	content, note, err := dir.OpenSparse([]string{""})
 	if err != nil {
-		return "", tok, "", false, err
+		return err
 	}
-	var state diskState
-	if err := json.Unmarshal(raw, &state); err != nil {
-		s.cfg.Logf("supervisor: discarding corrupt state file: %v", err)
-		return "", tok, "", false, nil
+	if s.journal, err = dir.Journal(); err != nil || note == "" {
+		return err
 	}
-	if state.ResumeToken != "" {
-		tok, err = proto.ParseResumeTokenString(state.ResumeToken)
-		if err != nil {
-			// Torn or stale token: fall back to whatever the cookie covers.
+	var pos position
+	if err := json.Unmarshal([]byte(note), &pos); err != nil {
+		s.cfg.Logf("supervisor: discarding state with an unreadable commit note: %v", err)
+		return nil
+	}
+	var tok proto.ResumeToken
+	if pos.Token != "" {
+		if tok, err = proto.ParseResumeTokenString(pos.Token); err != nil {
+			// Stale token format: fall back to whatever the cookie covers.
 			s.cfg.Logf("supervisor: discarding unparseable resume token: %v", err)
-			tok = proto.ResumeToken{}
 		}
 	}
-	if state.SpecKey != s.cfg.specKey || (state.Cookie == "" && tok.IsZero()) {
-		return "", proto.ResumeToken{}, "", false, nil
+	if pos.Spec != s.cfg.specKey || (pos.Cookie == "" && tok.IsZero()) {
+		return nil
 	}
-	if state.Addr != "" && state.Addr != s.cfg.Master && state.Addr != s.cfg.Fallback {
-		s.cfg.Logf("supervisor: discarding checkpoint for unknown upstream %s", state.Addr)
-		return "", proto.ResumeToken{}, "", false, nil
+	if pos.Addr != s.cfg.Master && pos.Addr != s.cfg.Fallback {
+		s.cfg.Logf("supervisor: discarding state for unknown upstream %s", pos.Addr)
+		return nil
 	}
-	f, err := os.Open(filepath.Join(s.cfg.StateDir, contentFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return "", proto.ResumeToken{}, "", false, nil
+	entries := content.All()
+	updates := make([]resync.Update, len(entries))
+	for i, e := range entries {
+		updates[i] = resync.Update{Action: resync.ActionAdd, DN: e.DN(), Entry: e}
 	}
-	if err != nil {
-		return "", proto.ResumeToken{}, "", false, err
-	}
-	defer f.Close()
-	entries, err := ldif.Read(bufio.NewReader(f))
-	if err != nil {
-		s.cfg.Logf("supervisor: discarding corrupt content checkpoint: %v", err)
-		return "", proto.ResumeToken{}, "", false, nil
-	}
-	updates := make([]resync.Update, 0, len(entries))
-	for _, e := range entries {
-		updates = append(updates, resync.Update{Action: resync.ActionAdd, DN: e.DN(), Entry: e})
-	}
-	s.rep.AddStored(s.cfg.Spec, state.Cookie)
+	s.rep.AddStored(s.cfg.Spec, pos.Cookie)
 	if err := s.rep.ApplySync(s.cfg.Spec, updates); err != nil {
-		return "", proto.ResumeToken{}, "", false, fmt.Errorf("reload checkpointed content: %w", err)
+		return fmt.Errorf("replay durable content: %w", err)
 	}
-	return state.Cookie, tok, state.Addr, true, nil
+	// The cookie names a session at the server that issued it: resume there
+	// even if it is the fallback (the probe-back timer re-prefers Master).
+	s.cookie, s.resumeTok, s.target = pos.Cookie, tok, pos.Addr
+	s.cfg.Logf("supervisor: restored %d entries, resuming session %q (reload chunk %d/%d) at %s",
+		len(entries), pos.Cookie, tok.Chunk, tok.Chunks, s.target)
+	return nil
 }

@@ -14,11 +14,10 @@
 // cookie and content and re-Begins. In persist mode a dead stream falls
 // back to polling and the stream is re-established on the next cycle.
 //
-// With a state directory configured, the cookie and the replicated content
-// are checkpointed through internal/persist (atomic temp-file + rename)
-// after every applied batch, so a rebooted replica reloads its content
-// locally and resumes the master session via poll — the restart costs one
-// resume exchange, not a full content transfer.
+// With a state directory configured, every landed exchange is committed to
+// an internal/persist journal (state.go), so a rebooted replica replays its
+// content locally and resumes the master session via poll: the restart costs
+// one resume exchange, not a full content transfer.
 package supervisor
 
 import (
@@ -32,6 +31,7 @@ import (
 	"filterdir/internal/dit"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/metrics"
+	"filterdir/internal/persist"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -136,7 +136,7 @@ type Config struct {
 	Spec query.Query
 	// Mode selects polling or persist-stream steady state.
 	Mode Mode
-	// StateDir durably checkpoints cookie and content when non-empty.
+	// StateDir durably journals content and cookie when non-empty.
 	StateDir string
 	// PollInterval is the steady-state poll cadence (default 1s).
 	PollInterval time.Duration
@@ -210,6 +210,12 @@ type Supervisor struct {
 	fastDeaths   int       // consecutive streams that died young
 	demotedUntil time.Time // poll-only until this instant
 
+	// Durable state (state.go); run goroutine only once started.
+	journal      *persist.Journal // nil without a StateDir
+	retention    persist.JournalRetention
+	contentReset bool // resetContent ran since the last commit
+	journalGap   bool // a commit failed: only a snapshot makes the state whole
+
 	// probeDeadline (UnixNano, 0 = disarmed) is set when the loop diverts
 	// to the fallback; the steady-state loops return errProbeDue once it
 	// passes, so a healthy fallback session still yields to re-prefer the
@@ -246,8 +252,8 @@ type config struct {
 
 // New creates a supervisor applying the spec's content into rep. With a
 // state directory configured, durable state from a previous incarnation is
-// restored immediately: the content is loaded into rep and the saved
-// cookie armed, so the first exchange after Start is a resume-poll.
+// restored immediately: the content is replayed into rep and the committed
+// position armed, so the first exchange after Start is a resume-poll.
 func New(cfg Config, rep *replica.FilterReplica) (*Supervisor, error) {
 	cfg.fillDefaults()
 	s := &Supervisor{
@@ -262,26 +268,8 @@ func New(cfg Config, rep *replica.FilterReplica) (*Supervisor, error) {
 	}
 	s.target = cfg.Master
 	if cfg.StateDir != "" {
-		cookie, tok, addr, restored, err := s.restore()
-		if err != nil {
+		if err := s.restore(); err != nil {
 			return nil, fmt.Errorf("restore replica state: %w", err)
-		}
-		if restored {
-			s.cookie = cookie
-			s.resumeTok = tok
-			if addr != "" {
-				// The cookie names a session at the server it was issued
-				// by; resume against that address even if it is the
-				// fallback (the probe-back timer re-prefers Master).
-				s.target = addr
-			}
-			if !tok.IsZero() {
-				s.cfg.Logf("supervisor: restored %d entries mid-transfer, resuming chunk %d/%d at %s",
-					rep.EntryCount(), tok.Chunk, tok.Chunks, s.target)
-			} else {
-				s.cfg.Logf("supervisor: restored %d entries, resuming session %q at %s",
-					rep.EntryCount(), cookie, s.target)
-			}
 		}
 	}
 	if s.cookie == "" && cfg.ResumeCookie != "" {
@@ -535,8 +523,13 @@ func (s *Supervisor) Start() {
 	s.startOnce.Do(func() { go s.run() })
 }
 
-// Stop terminates the loop, waits for it to exit and writes a final
-// checkpoint so a later incarnation resumes from the exact stop point.
+// SetJournalRetention replaces, before Start, the rule by which the durable
+// journal is folded into a snapshot of the content (persist.Journal.Due).
+func (s *Supervisor) SetJournalRetention(pol persist.JournalRetention) { s.retention = pol }
+
+// Stop terminates the loop and waits for it to exit. Nothing is written:
+// every landed exchange is committed already, so a later incarnation resumes
+// from the exact stop point.
 func (s *Supervisor) Stop() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
@@ -546,7 +539,7 @@ func (s *Supervisor) Stop() error {
 	s.stopWatch()
 	s.watchWG.Wait()
 	s.setState(StateStopped)
-	return s.checkpoint()
+	return nil
 }
 
 func (s *Supervisor) setState(st State) {
@@ -602,6 +595,9 @@ func (s *Supervisor) stopped() bool {
 // exchange first.
 func (s *Supervisor) run() {
 	defer close(s.done)
+	if s.journal != nil {
+		defer s.journal.Close() // every commit is fsynced: nothing left to fail
+	}
 	attempt := 0
 	var (
 		divertedAt time.Time // when the loop last moved to the fallback
@@ -908,7 +904,7 @@ var errStreamLost = errors.New("persist stream lost")
 
 // applyExchange lands one exchange's result, following a chunked reload
 // through its remaining exchanges on the same connection: each chunk is
-// landed (applied and checkpointed with its successor token) before the
+// landed (applied and committed with its successor token) before the
 // next is requested, so a kill at any point resumes at the furthest applied
 // chunk.
 func (s *Supervisor) applyExchange(client *ldapnet.Client, res *resync.PollResult) error {
@@ -931,11 +927,10 @@ func (s *Supervisor) applyExchange(client *ldapnet.Client, res *resync.PollResul
 // land is the one way an exchange reaches the replica, whether it came from
 // a poll, a chunk of a resumable reload or a batch off a persist stream. The
 // position the exchange reaches — its resume token, or on a final exchange
-// its cookie — is adopted strictly after its updates are applied and before
-// the checkpoint: a failed apply leaves the supervisor presenting the
-// position it really holds, and the durable position is never newer than
-// the durable content (a crash between the two re-fetches one exchange,
-// which re-applies soundly — state.go says why).
+// its cookie — is adopted strictly after its updates are applied, so a failed
+// apply leaves the supervisor presenting the position it really holds, and
+// is committed with those updates as one journal batch, so the durable
+// position and the durable content are never apart (state.go).
 func (s *Supervisor) land(res *resync.PollResult) error {
 	if res.FullReload {
 		// A monolithic reload or chunk zero of a chunked one: the transfer
@@ -963,8 +958,8 @@ func (s *Supervisor) land(res *resync.PollResult) error {
 		if s.cfg.OnApplied != nil {
 			s.cfg.OnApplied(len(res.Updates))
 		}
-		if err := s.checkpoint(); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
+		if err := s.commit(res.Updates); err != nil {
+			return fmt.Errorf("commit state: %w", err)
 		}
 	}
 	if res.Resume == nil {
@@ -988,6 +983,7 @@ func (s *Supervisor) resetContent() {
 	s.rep.RemoveStored(s.cfg.Spec)
 	s.rep.AddStored(s.cfg.Spec, "")
 	s.setCookie("")
+	s.contentReset = true
 }
 
 // backoff sleeps the capped, jittered exponential delay for the attempt
