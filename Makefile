@@ -97,13 +97,17 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 30
 
-## loc: non-test Go lines per internal/ package, then the total over the
-## packages ROADMAP item 2 tracks (the sync surface and what selects for it).
+## loc: non-test Go lines per internal/ package, then the totals over the
+## packages ROADMAP item 2 tracks (the sync surface and what selects for it)
+## and over the ones item 3 does (durable state and its two callers).
 LOC_PKGS ?= ldapnet cascade replica resync selection tierctl supervisor
+LOC_DURABLE ?= supervisor cascade persist
 loc:
 	@for d in internal/*/; do \
 		printf '%-12s %6d\n' $$(basename $$d) $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done
-	@printf '%-12s %6d  (%s)\n' total \
-		$$(for p in $(LOC_PKGS); do find internal/$$p -name '*.go' ! -name '*_test.go' -exec cat {} +; done | wc -l) \
-		"$(LOC_PKGS)"
+	@for pkgs in "$(LOC_PKGS)" "$(LOC_DURABLE)"; do \
+		printf '%-12s %6d  (%s)\n' total \
+			$$(for p in $$pkgs; do find internal/$$p -name '*.go' ! -name '*_test.go' -exec cat {} +; done | wc -l) \
+			"$$pkgs"; \
+	done

@@ -6,9 +6,9 @@
 // answered with a referral to the master).
 //
 // With -state, every exchange a filter lands is appended, with the cookie it
-// reached, to that filter's journal and fsynced once; a restarted replica
-// replays its content from disk and resumes the master session with a poll
-// instead of a full content transfer.
+// reached, to that filter's journal and fsynced once; a restarted replica —
+// leaf or mid-tier alike — replays its content from disk and resumes the
+// master session with a poll instead of a full content transfer.
 //
 // Cascaded topologies: -upstream points the replica at a mid-tier replica
 // instead of the master (-master stays the fallback the supervisors divert
@@ -87,7 +87,6 @@ type options struct {
 	reloadChunk            int
 	keepSyncPoints         int
 	journalRetention       persist.JournalRetention
-	checkpointEvery        time.Duration
 	depth                  int
 	cacheCap               int
 	statusEvery            time.Duration
@@ -115,7 +114,6 @@ func main() {
 	flag.IntVar(&o.reloadChunk, "reload-chunk", 0, "serve downstream full reloads in resumable chunks of n entries (with -serve; 0 = monolithic)")
 	flag.IntVar(&o.keepSyncPoints, "keep-sync-points", 0, "downstream per-session resume history: keep the last n sync points (with -serve; 0 = default 64)")
 	journalRetention := flag.String("journal-retention", "", `when to fold a durable journal into a fresh snapshot (with -state), e.g. "bytes=64m,age=1h" (empty = once it outgrows the snapshot it extends)`)
-	flag.DurationVar(&o.checkpointEvery, "checkpoint-every", 2*time.Second, "mid-tier durability cadence (with -serve and -state)")
 	flag.IntVar(&o.depth, "depth", 1, "tier depth below the master (with -serve; reporting only)")
 	flag.IntVar(&o.cacheCap, "cache", 64, "recent user-query cache capacity")
 	flag.DurationVar(&o.statusEvery, "status-every", time.Minute, "supervision-counter status report interval (0 disables)")
@@ -253,9 +251,9 @@ func serveLoop(srv *ldapnet.Server, statusEvery time.Duration, printStatus func(
 }
 
 // leafJournalLimit bounds a leaf's content-store journal. Nothing reads it —
-// only a tier's downstream engine and checkpoint replay their store's
-// journal — so without a bound it would hold the before- and after-image of
-// every applied update for the life of the process.
+// only a tier's downstream engine replays its store's journal — so without a
+// bound it would hold the before- and after-image of every applied update
+// for the life of the process.
 const leafJournalLimit = 64
 
 func newLeafReplica(o options) (*filterdir.FilterReplica, error) {
@@ -310,6 +308,7 @@ func runLeaf(o options) error {
 			BackoffBase:        o.backoffBase,
 			BackoffMax:         o.backoffMax,
 			WatchFilters:       o.watchFilters,
+			JournalRetention:   o.journalRetention,
 			Logf:               logf,
 		}
 		if o.stateDir != "" {
@@ -327,7 +326,6 @@ func runLeaf(o options) error {
 		if err != nil {
 			return fmt.Errorf("filter %q: %w", o.filters[i], err)
 		}
-		sup.SetJournalRetention(o.journalRetention)
 		sups = append(sups, sup)
 	}
 	for i, sup := range sups {
@@ -396,7 +394,6 @@ func runTier(o options) error {
 		Depth:              o.depth,
 		Mode:               o.mode,
 		StateDir:           stateDir,
-		CheckpointEvery:    o.checkpointEvery,
 		JournalLimit:       o.journalLimit,
 		ReloadChunk:        o.reloadChunk,
 		KeepSyncPoints:     o.keepSyncPoints,

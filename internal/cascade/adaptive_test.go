@@ -160,7 +160,6 @@ func TestAdoptedSpecsDurable(t *testing.T) {
 	h := newHarness(t)
 	cfg := h.tierConfig(t)
 	cfg.StateDir = t.TempDir()
-	cfg.CheckpointEvery = 5 * time.Millisecond
 
 	tier, err := New(cfg)
 	if err != nil {
@@ -181,9 +180,6 @@ func TestAdoptedSpecsDurable(t *testing.T) {
 	}, 1)
 	waitConverged(t, h.store, tier.Replica().Store(), outside, 10*time.Second)
 	gen1, _ := tier.FilterGeneration()
-	if err := tier.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
 	if err := tier.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}

@@ -31,6 +31,8 @@ package cascade
 import (
 	"errors"
 	"fmt"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,12 +69,11 @@ type Config struct {
 	Depth int
 	// Mode selects the upstream steady state (poll or persist stream).
 	Mode supervisor.Mode
-	// StateDir durably checkpoints the store and upstream cookies when
-	// non-empty (one internal/persist.Dir: snapshot + journal, the cookies
-	// on its commit notes).
+	// StateDir makes the tier durable when non-empty: every upstream link
+	// journals into a directory of its own under it, beside tier.json
+	// (state.go). The tier owns the directory and removes what it does not
+	// recognise there.
 	StateDir string
-	// CheckpointEvery is the durability cadence (default 2s).
-	CheckpointEvery time.Duration
 	// JournalLimit bounds the local store's journal, and with it how far
 	// behind a downstream session may lag before degrading to a full
 	// reload (default 4096 changes).
@@ -83,15 +84,15 @@ type Config struct {
 	// KeepSyncPoints is the downstream engine's per-session resume-history
 	// retention (0 = the engine default).
 	KeepSyncPoints int
-	// JournalRetention, when any bound is set, decides when the durable
-	// journal is folded into a full snapshot: once journal.ldif is over the
-	// policy's size or age bound, instead of once it has outgrown the
-	// snapshot it extends.
+	// JournalRetention, when any bound is set, decides when a link's durable
+	// journal is folded into a snapshot of its content: once journal.ldif is
+	// over the policy's size or age bound, instead of once it has outgrown
+	// the snapshot it extends.
 	JournalRetention persist.JournalRetention
 	// ContentIndexes maintains equality/prefix indexes on the tier store.
 	ContentIndexes []string
 	// PollInterval, IdleTimeout, BackoffBase, BackoffMax and DialTimeout
-	// are forwarded to the upstream supervisors.
+	// are forwarded, like JournalRetention, to the upstream supervisors.
 	PollInterval, IdleTimeout time.Duration
 	BackoffBase, BackoffMax   time.Duration
 	DialTimeout               time.Duration
@@ -109,9 +110,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 2 * time.Second
-	}
 	if c.JournalLimit <= 0 {
 		c.JournalLimit = 4096
 	}
@@ -146,8 +144,8 @@ type Tier struct {
 
 	// Filter generation: bumped on every adopt/retire; genCh is closed and
 	// replaced on each bump so watchers (the ldapnet filters-watch control)
-	// can long-poll for the next change.
-	genMu sync.Mutex
+	// can long-poll for the next change. Under linkMu, like the link set it
+	// is made durable with.
 	gen   uint64
 	genCh chan struct{}
 
@@ -173,12 +171,10 @@ type Tier struct {
 	edgeMu sync.Mutex
 	edge   *edgewrite.Writer
 
-	st *tierState // durable state (nil without StateDir)
-
 	stop      chan struct{}
 	stopOnce  sync.Once
 	stopErr   error
-	loopDone  chan struct{}
+	adopting  sync.WaitGroup // AdoptSpec's goroutines awaiting an initial sync
 	startOnce sync.Once
 }
 
@@ -195,10 +191,10 @@ type upstreamLink struct {
 	base bool
 }
 
-// New builds a tier: restores durable state if present (including any
-// previously adopted specs and the filter generation), then constructs the
-// engine and one upstream supervisor per spec (armed with any restored
-// resume cookie). Start launches them.
+// New builds a tier: reads the filter generation and any previously adopted
+// specs back from the state directory if there is one, then constructs the
+// engine and one upstream supervisor per spec, each restoring the content and
+// position its own journal holds. Start launches them.
 func New(cfg Config) (*Tier, error) {
 	cfg.fillDefaults()
 	if cfg.Upstream == "" {
@@ -223,14 +219,12 @@ func New(cfg Config) (*Tier, error) {
 		counters: &metrics.CascadeCounters{},
 		genCh:    make(chan struct{}),
 		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
 	}
 	t.counters.TierDepth.Store(int64(cfg.Depth))
 
-	var cookies map[string]string
 	var adopted []query.Query
 	if cfg.StateDir != "" {
-		if cookies, adopted, err = t.openState(); err != nil {
+		if adopted, err = t.openState(); err != nil {
 			return nil, fmt.Errorf("cascade: restore state: %w", err)
 		}
 	}
@@ -259,17 +253,10 @@ func New(cfg Config) (*Tier, error) {
 		}
 	})
 
-	for _, spec := range cfg.Specs {
-		nq := spec.Normalize()
-		link, err := t.newLink(nq, cookies[nq.Key()], true)
+	for i, spec := range slices.Concat(cfg.Specs, adopted) {
+		link, err := t.newLink(spec.Normalize(), i < len(cfg.Specs))
 		if err != nil {
-			return nil, err
-		}
-		t.links = append(t.links, link)
-	}
-	for _, spec := range adopted {
-		link, err := t.newLink(spec, cookies[spec.Key()], false)
-		if err != nil {
+			_ = t.Stop() // closes the journals of the links already built
 			return nil, err
 		}
 		t.links = append(t.links, link)
@@ -279,7 +266,7 @@ func New(cfg Config) (*Tier, error) {
 
 // newLink builds an upstream link (spec must be normalized); the caller
 // appends it to t.links and, on a started tier, starts its supervisor.
-func (t *Tier) newLink(spec query.Query, cookie string, base bool) (*upstreamLink, error) {
+func (t *Tier) newLink(spec query.Query, base bool) (*upstreamLink, error) {
 	link := &upstreamLink{spec: spec, base: base}
 	seq := t.nextSeq
 	t.nextSeq++
@@ -298,7 +285,8 @@ func (t *Tier) newLink(spec query.Query, cookie string, base bool) (*upstreamLin
 		Seed:               t.cfg.Seed + seq,
 		Dial:               t.cfg.Dial,
 		Logf:               t.cfg.Logf,
-		ResumeCookie:       cookie,
+		StateDir:           t.linkDir(spec),
+		JournalRetention:   t.cfg.JournalRetention,
 		OnApplied:          t.noteApply,
 		OnWatermark:        func(csn uint64) { t.noteWatermark(link, csn) },
 	}, t.rep)
@@ -346,18 +334,24 @@ func (t *Tier) BaseSpecs() []query.Query {
 // FilterGeneration implements ldapnet.FilterWatcher: the current admission
 // filter generation and a channel closed when it next changes.
 func (t *Tier) FilterGeneration() (uint64, <-chan struct{}) {
-	t.genMu.Lock()
-	defer t.genMu.Unlock()
+	t.linkMu.Lock()
+	defer t.linkMu.Unlock()
 	return t.gen, t.genCh
 }
 
-// bumpGeneration advances the filter generation and wakes all watchers.
+// bumpGeneration advances the filter generation and wakes all watchers,
+// having first made it durable with the link set as it now stands: no watcher
+// hears of a generation that a restart would take back.
 func (t *Tier) bumpGeneration() {
-	t.genMu.Lock()
+	t.linkMu.Lock()
+	err := t.writeState(t.gen + 1)
 	t.gen++
 	close(t.genCh)
 	t.genCh = make(chan struct{})
-	t.genMu.Unlock()
+	t.linkMu.Unlock()
+	if err != nil {
+		t.cfg.Logf("cascade: filter generation not durable: %v", err)
+	}
 }
 
 // SetAdmissionObserver registers a hook that sees every downstream
@@ -431,58 +425,31 @@ func (t *Tier) noteApply(n int) {
 	}
 }
 
-// Start launches the upstream supervisors and the checkpoint loop
-// (idempotent). Specs adopted after Start get their supervisors started by
-// AdoptSpec itself.
+// Start launches the upstream supervisors (idempotent). Specs adopted after
+// Start get their supervisors started by AdoptSpec itself.
 func (t *Tier) Start() {
 	t.startOnce.Do(func() {
 		t.linkMu.Lock()
+		defer t.linkMu.Unlock()
 		t.started = true
-		links := append([]*upstreamLink(nil), t.links...)
-		t.linkMu.Unlock()
-		for _, link := range links {
+		for _, link := range t.links {
 			link.sup.Start()
 		}
-		go t.persistLoop()
 	})
 }
 
-// Stop halts the checkpoint loop and the supervisors, then writes a final
-// checkpoint so a restart resumes from the stop point. Every call returns the
-// one shutdown's errors.
+// Stop halts the supervisors. Nothing is written: every exchange a link
+// landed is committed already, so a restart resumes from the stop point. Every
+// call returns the one shutdown's errors.
 func (t *Tier) Stop() error {
 	t.stopOnce.Do(func() {
 		close(t.stop)
-		<-t.loopDone
+		t.adopting.Wait()
 		for _, link := range t.snapshotLinks() {
 			t.stopErr = errors.Join(t.stopErr, link.sup.Stop())
 		}
-		if t.st != nil {
-			t.stopErr = errors.Join(t.stopErr, t.Checkpoint(), t.st.journal.Close())
-		}
 	})
 	return t.stopErr
-}
-
-// persistLoop checkpoints on the configured cadence until Stop.
-func (t *Tier) persistLoop() {
-	defer close(t.loopDone)
-	if t.st == nil {
-		<-t.stop
-		return
-	}
-	ticker := time.NewTicker(t.cfg.CheckpointEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-ticker.C:
-			if err := t.Checkpoint(); err != nil {
-				t.cfg.Logf("cascade: checkpoint: %v", err)
-			}
-		}
-	}
 }
 
 // Admit checks a downstream spec against the tier's current specs with the
@@ -495,13 +462,7 @@ func (t *Tier) persistLoop() {
 func (t *Tier) Admit(q query.Query) error {
 	t.counters.AdmitChecks.Add(1)
 	nq := q.Normalize()
-	admitted := false
-	for _, spec := range t.Specs() {
-		if t.checker.QueryContains(nq, spec) {
-			admitted = true
-			break
-		}
-	}
+	admitted := t.covered(nq, t.Specs())
 	t.admitMu.Lock()
 	obs := t.admitObserver
 	t.admitMu.Unlock()
@@ -514,6 +475,11 @@ func (t *Tier) Admit(q query.Query) error {
 	}
 	t.counters.Rejected.Add(1)
 	return fmt.Errorf("%w: %s", ldapnet.ErrNotContained, q.FilterString())
+}
+
+// covered reports whether the QC algorithm proves q contained in one of specs.
+func (t *Tier) covered(q query.Query, specs []query.Query) bool {
+	return slices.ContainsFunc(specs, func(spec query.Query) bool { return t.checker.QueryContains(q, spec) })
 }
 
 // SyncCounters exposes the tier engine's synchronization counters.
@@ -561,14 +527,19 @@ func (t *Tier) AdoptSpec(spec query.Query) (*supervisor.Supervisor, error) {
 			return nil, nil
 		}
 	}
-	link, err := t.newLink(nq, "", false)
-	if err != nil {
-		t.linkMu.Unlock()
-		return nil, err
+	link, err := t.newLink(nq, false)
+	if err == nil {
+		t.links = append(t.links, link)
+		if err = t.writeState(t.gen); err != nil {
+			t.links = t.links[:len(t.links)-1]
+			_ = link.sup.Stop() // releases the journal; the directory is swept at the next start
+		}
 	}
-	t.links = append(t.links, link)
 	started := t.started
 	t.linkMu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("cascade: adopt %s: %w", nq.FilterString(), err)
+	}
 
 	t.edgeMu.Lock()
 	edge := t.edge
@@ -585,7 +556,9 @@ func (t *Tier) AdoptSpec(spec query.Query) (*supervisor.Supervisor, error) {
 	// The generation bump — the signal that tells diverted leaves to come
 	// back — waits for the initial sync so migrating leaves find the
 	// widened content in place.
+	t.adopting.Add(1)
 	go func() {
+		defer t.adopting.Done()
 		select {
 		case <-link.sup.Synced():
 		case <-t.stop:
@@ -602,9 +575,9 @@ func (t *Tier) AdoptSpec(spec query.Query) (*supervisor.Supervisor, error) {
 // the remaining specs are gracefully ended — their next operation returns
 // e-syncRefreshRequired, which their supervisors treat as a divert-to-
 // fallback with a full reload, so no update is ever lost — and only then is
-// the content dropped and the upstream supervisor stopped. Base specs from
-// Config.Specs cannot be retired. Returns the number of downstream sessions
-// re-referred.
+// the content dropped, the upstream supervisor stopped and its journal
+// removed. Base specs from Config.Specs cannot be retired. Returns the number
+// of downstream sessions re-referred.
 func (t *Tier) RetireSpec(spec query.Query) (int, error) {
 	nq := spec.Normalize()
 	key := nq.Key()
@@ -626,11 +599,8 @@ func (t *Tier) RetireSpec(spec query.Query) (int, error) {
 		return 0, fmt.Errorf("cascade: retire %s: configured base spec", nq.FilterString())
 	}
 	t.links = append(t.links[:idx], t.links[idx+1:]...)
-	remaining := make([]query.Query, len(t.links))
-	for i, l := range t.links {
-		remaining[i] = l.spec
-	}
 	t.linkMu.Unlock()
+	remaining := t.Specs()
 
 	// Order matters: admission narrows first (no new session can attach to
 	// the doomed spec), the upstream link stops feeding it, stranded
@@ -641,15 +611,11 @@ func (t *Tier) RetireSpec(spec query.Query) (int, error) {
 	if err := link.sup.Stop(); err != nil {
 		t.cfg.Logf("cascade: retire %s: stop supervisor: %v", nq.FilterString(), err)
 	}
-	kicked := t.eng.Kick(func(s query.Query) bool {
-		for _, spec := range remaining {
-			if t.checker.QueryContains(s, spec) {
-				return true
-			}
-		}
-		return false
-	})
+	kicked := t.eng.Kick(func(s query.Query) bool { return t.covered(s, remaining) })
 	t.rep.RemoveStored(nq)
+	if err := os.RemoveAll(t.linkDir(nq)); err != nil {
+		t.cfg.Logf("cascade: retire %s: %v", nq.FilterString(), err)
+	}
 	t.cfg.Logf("cascade: retired spec %s (%d sessions re-referred, generation %d)",
 		nq.FilterString(), len(kicked), t.generation())
 	return len(kicked), nil

@@ -24,7 +24,7 @@ import (
 
 // newMasterStore builds a master directory with entries inside the tier
 // spec (serialnumber=04*) and outside it (serialnumber=05*).
-func newMasterStore(t *testing.T) *dit.Store {
+func newMasterStore(t testing.TB) *dit.Store {
 	t.Helper()
 	st, err := dit.NewStore([]string{"o=xyz"}, dit.WithIndexes("serialnumber"))
 	if err != nil {
@@ -87,10 +87,10 @@ type harness struct {
 	tierSpec query.Query
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB, opts ...resync.EngineOption) *harness {
 	t.Helper()
 	st := newMasterStore(t)
-	backend := ldapnet.NewStoreBackend(st)
+	backend := ldapnet.NewStoreBackend(st, opts...)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func newHarness(t *testing.T) *harness {
 }
 
 // tierConfig builds a fast-cadence tier config against the harness master.
-func (h *harness) tierConfig(t *testing.T) Config {
+func (h *harness) tierConfig(t testing.TB) Config {
 	t.Helper()
 	return Config{
 		Upstream:     h.srv.Addr(),
@@ -372,14 +372,13 @@ func TestRejectionDivertsToFallback(t *testing.T) {
 }
 
 // TestTierRestartResumes: a tier with durable state restarts into a
-// resume-poll against the master — content from disk, no second Begin, no
-// full reload — and downstream service continues from the restored store.
+// resume-poll against the master — content from its link's journal, no second
+// Begin, no full reload — and downstream service continues from the restored
+// store.
 func TestTierRestartResumes(t *testing.T) {
 	h := newHarness(t)
-	stateDir := t.TempDir()
 	cfg := h.tierConfig(t)
-	cfg.StateDir = stateDir
-	cfg.CheckpointEvery = 5 * time.Millisecond
+	cfg.StateDir = t.TempDir()
 
 	tier, err := New(cfg)
 	if err != nil {
@@ -404,8 +403,8 @@ func TestTierRestartResumes(t *testing.T) {
 	if tier2.Replica().EntryCount() == 0 {
 		t.Fatal("restarted tier restored no content")
 	}
-	if tier2.Counters().Restores.Load() != 1 {
-		t.Errorf("restores = %d, want 1", tier2.Counters().Restores.Load())
+	if tier2.Supervisors()[0].Cookie() != tier.Supervisors()[0].Cookie() {
+		t.Errorf("restored cookie %q, want %q", tier2.Supervisors()[0].Cookie(), tier.Supervisors()[0].Cookie())
 	}
 	tier2.Start()
 	t.Cleanup(func() { _ = tier2.Stop() })
@@ -437,54 +436,40 @@ func serveTier(t *testing.T, tier *Tier, h *harness) string {
 	return srv.Addr()
 }
 
-// TestTornCheckpointRecovery simulates a crash mid-journal-append: the
-// journal's final record is torn off, and with it the commit line that
-// carried the newer cookie — content and cookie are one batch, so the tear
-// rolls both back to the previous checkpoint. The restarted tier must repair
-// the journal, restore the surviving content and recover the lost record via
-// resume-poll — never a re-Begin.
+// TestTornCheckpointRecovery simulates a crash mid-journal-append: the link
+// journal's final record is torn off, and with it the commit line that carried
+// the newer cookie — content and cookie are one batch, so the tear rolls both
+// back to the previous commit. The restarted tier must repair the journal,
+// restore the surviving content and recover the lost record via resume-poll —
+// never a re-Begin.
 func TestTornCheckpointRecovery(t *testing.T) {
 	h := newHarness(t)
-	stateDir := t.TempDir()
 	cfg := h.tierConfig(t)
-	cfg.StateDir = stateDir
-	cfg.CheckpointEvery = time.Hour // manual checkpoints only
+	cfg.StateDir = t.TempDir()
 
 	tier, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tier.Start()
-	waitSynced(t, tier.Supervisors()[0])
-	if err := tier.Checkpoint(); err != nil { // full snapshot, cookie in its header
-		t.Fatal(err)
-	}
+	waitSynced(t, tier.Supervisors()[0]) // the Begin's batch, cookie on its commit line
 
 	mutate(t, h.store, 0)
 	waitConverged(t, h.store, tier.Replica().Store(), h.tierSpec, 10*time.Second)
-	if err := tier.Stop(); err != nil { // journal batch under the newer cookie
+	if err := tier.Stop(); err != nil { // journal batches under newer cookies
 		t.Fatal(err)
 	}
-
-	jPath := filepath.Join(stateDir, "store", "journal.ldif")
-	raw, err := os.ReadFile(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := bytes.LastIndex(raw, []byte("changetype"))
-	if idx < 0 {
-		t.Fatal("journal holds no change records to tear")
-	}
-	if err := os.WriteFile(jPath, raw[:idx+len("changety")], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tearLastRecord(t, filepath.Join(tier.linkDir(h.tierSpec.Normalize()), "journal.ldif"))
 
 	tier2, err := New(cfg)
 	if err != nil {
-		t.Fatalf("restart over torn checkpoint: %v", err)
+		t.Fatalf("restart over torn journal: %v", err)
 	}
 	if tier2.Replica().EntryCount() == 0 {
 		t.Fatal("torn recovery restored no content")
+	}
+	if ok, _ := resync.Converged(h.store, tier2.Replica().Store(), h.tierSpec); ok {
+		t.Fatal("the tear lost nothing: the scenario did not roll a batch back")
 	}
 	tier2.Start()
 	t.Cleanup(func() { _ = tier2.Stop() })
@@ -496,14 +481,30 @@ func TestTornCheckpointRecovery(t *testing.T) {
 	}
 }
 
+// tearLastRecord cuts a journal in the middle of its last change record, as a
+// crash during the append of the last batch leaves it.
+func tearLastRecord(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := bytes.LastIndex(raw, []byte("changetype"))
+	if idx < 0 {
+		t.Fatal("journal holds no change records to tear")
+	}
+	if err := os.WriteFile(path, raw[:idx+len("changety")], 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentUpstreamApplyAndDownstream races upstream applies against
-// downstream Begin/Poll, a persist stream and the durability loop; run
+// downstream Begin/Poll, a persist stream and the link's journal commits; run
 // under -race it is the memory-safety acceptance test for the tier.
 func TestConcurrentUpstreamApplyAndDownstream(t *testing.T) {
 	h := newHarness(t)
 	cfg := h.tierConfig(t)
 	cfg.StateDir = t.TempDir()
-	cfg.CheckpointEvery = 5 * time.Millisecond
 	tier, tierSrv := startTier(t, cfg, "ldap://"+h.srv.Addr())
 	waitSynced(t, tier.Supervisors()[0])
 

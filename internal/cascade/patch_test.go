@@ -26,17 +26,16 @@ func exactlyConverged(t *testing.T, master, rep *dit.Store, d dn.DN, attr string
 }
 
 // TestTierRestartKeepsInPlaceModifies: an entry modified in place after the
-// tier's last full snapshot — so that the change is durable only as a
-// journal record — must come back from a restart as the master has it. The
-// tier resumes from the cookie that already covers the change, so nothing
+// tier's reload — so that the change is durable only as a modify record of
+// the link's journal — must come back from a restart as the master has it.
+// The tier resumes from the cookie that already covers the change, so nothing
 // would ever re-send it: a journal record that lost the attribute changes
 // (a sparse store's replace used to journal none) left the tier, and every
-// leaf below it, with the snapshot's image for good.
+// leaf below it, with the reload's image for good.
 func TestTierRestartKeepsInPlaceModifies(t *testing.T) {
 	h := newHarness(t)
 	cfg := h.tierConfig(t)
 	cfg.StateDir = t.TempDir()
-	cfg.CheckpointEvery = time.Hour // manual checkpoints only
 
 	tier, err := New(cfg)
 	if err != nil {
@@ -44,9 +43,6 @@ func TestTierRestartKeepsInPlaceModifies(t *testing.T) {
 	}
 	tier.Start()
 	waitSynced(t, tier.Supervisors()[0])
-	if err := tier.Checkpoint(); err != nil { // the full snapshot
-		t.Fatal(err)
-	}
 
 	d := dn.MustParse("cn=04-p2,c=us,o=xyz")
 	if err := h.store.Modify(d, []dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"renamed"}}}); err != nil {
@@ -54,11 +50,12 @@ func TestTierRestartKeepsInPlaceModifies(t *testing.T) {
 	}
 	waitCounter(t, "tier upstream updates", 10*time.Second, tier.Counters().UpstreamUpdates.Load, 9)
 	exactlyConverged(t, h.store, tier.Replica().Store(), d, "sn")
-	if err := tier.Stop(); err != nil { // appends the modify to the journal
+	if err := tier.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	if got := tier.Counters().JournalAppends.Load(); got != 1 {
-		t.Fatalf("journal appends = %d, want 1 (the modify must be durable as a journal record)", got)
+	if c := tier.Supervisors()[0].Counters().Snapshot(); c.JournalAppends != 2 || c.Checkpoints != 0 {
+		t.Fatalf("journal appends = %d, snapshots = %d, want 2 and 0 (the reload, then the modify as a journal record)",
+			c.JournalAppends, c.Checkpoints)
 	}
 
 	tier2, err := New(cfg)

@@ -1,38 +1,35 @@
 package cascade
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
+	"os"
 	"path/filepath"
-	"sync"
 
-	"filterdir/internal/dit"
 	"filterdir/internal/persist"
 	"filterdir/internal/query"
-	"filterdir/internal/resync"
 )
 
-// Durable tier state is one internal/persist.Dir:
+// A tier's durable state is its links': each upstream link's supervisor
+// journals the exchanges it lands into a directory of its own, content and
+// position in one commit, exactly as the supervisors of a multi-filter leaf do
+// (supervisor/state.go). What no link knows is in tier.json:
 //
-//	<StateDir>/store/snapshot.ldif   content at the last full checkpoint
-//	<StateDir>/store/journal.ldif    batches of store changes committed since
+//	<StateDir>/tier.json            filter generation and adopted specs
+//	<StateDir>/links/<spec hash>/   one link's snapshot.ldif and journal.ldif
 //
-// Every checkpoint is one commit of that directory with the tier's diskState
-// as its note, so content and cookies become durable together. Most are
-// journal batches; a full snapshot (which also empties the journal) is taken
-// on the first checkpoint after a restart — the restored store's CSNs restart
-// from zero, so the old journal's watermark is meaningless — and whenever the
-// journal is due for one: over the configured JournalRetention, or, without
-// one, larger than the snapshot it extends (persist.Journal.Due).
-const storeDirName = "store"
-
-// cookieEntry is one spec's durable session position.
-type cookieEntry struct {
-	Cookie string `json:"cookie"`
-	// Addr is the upstream that issued the cookie; a restart resumes with
-	// the cookie only when it matches the configured upstream (a cookie
-	// from the fallback is dropped — the tier re-begins at its upstream).
-	Addr string `json:"addr,omitempty"`
-}
+// tier.json is rewritten atomically when a spec is adopted or retired and when
+// the generation moves. An adopt creates the link's directory first and a
+// retire removes it last, so a crash between the two leaves a directory
+// tier.json does not name, which the next start sweeps away.
+const (
+	stateName = "tier.json"
+	linksName = "links"
+)
 
 // diskSpec is the durable form of a control-plane-adopted spec: enough to
 // rebuild the query.Query on restart. Base specs come from configuration
@@ -54,9 +51,7 @@ func diskSpecOf(q query.Query) diskSpec {
 	}
 }
 
-// spec rebuilds the query; a spec that no longer parses is reported and
-// dropped (the control plane will re-adopt it from live demand if it still
-// matters).
+// spec rebuilds the query.
 func (d diskSpec) spec() (query.Query, error) {
 	scope, err := query.ParseScope(d.Scope)
 	if err != nil {
@@ -69,146 +64,85 @@ func (d diskSpec) spec() (query.Query, error) {
 	return q.Normalize(), nil
 }
 
-// diskState is the JSON of a commit note. Generation and Adopted are the
-// adaptive control plane's durable footprint: the filter generation survives
-// restarts (watch clients never see it move backwards) and adopted specs are
-// re-linked alongside the configured ones.
+// diskState is the JSON of tier.json, the adaptive control plane's durable
+// footprint: the filter generation survives restarts (watch clients never see
+// it move backwards) and adopted specs are re-linked alongside the configured
+// ones.
 type diskState struct {
-	Cookies    map[string]cookieEntry `json:"cookies"`
-	Generation uint64                 `json:"generation,omitempty"`
-	Adopted    []diskSpec             `json:"adopted,omitempty"`
+	Generation uint64     `json:"generation,omitempty"`
+	Adopted    []diskSpec `json:"adopted,omitempty"`
 }
 
-// tierState is the durable directory's append handle and how far the store's
-// journal has been committed through it.
-type tierState struct {
-	mu        sync.Mutex
-	journal   *persist.Journal
-	watermark dit.CSN
-	needFull  bool
-	note      string // as last committed
-}
-
-// openState loads a previous incarnation's checkpoint into the tier's replica
-// and returns the per-spec resume cookies and the adopted specs; the filter
-// generation and the state handle are set on t. Content is restored by
-// replaying the durable store through each spec — MatchAll selects the spec's
-// entries, AddStored+ApplySync rebuild the replica's reference counts exactly
-// as live synchronization would have.
-func (t *Tier) openState() (cookies map[string]string, adopted []query.Query, err error) {
-	cfg, rep := t.cfg, t.rep
-	dir := persist.Dir{Path: filepath.Join(cfg.StateDir, storeDirName)}
-	// The tier's content is sparse — selected entries without their
-	// ancestors — so journal replay must use upsert semantics.
-	store, note, err := dir.OpenSparse([]string{""})
-	if err != nil {
-		return nil, nil, err
+// linkDir is the state directory of spec's link: "" without a StateDir, which
+// a supervisor takes for not durable and os.RemoveAll for nothing to remove.
+func (t *Tier) linkDir(spec query.Query) string {
+	if t.cfg.StateDir == "" {
+		return ""
 	}
+	sum := sha256.Sum256([]byte(spec.Key()))
+	return filepath.Join(t.cfg.StateDir, linksName, fmt.Sprintf("%x", sum[:8]))
+}
+
+// openState reads tier.json — setting the filter generation and returning the
+// adopted specs — and removes everything else under StateDir that is not the
+// directory of a base or adopted spec's link: what a crash in the middle of an
+// adopt or a retire left, and any older layout. The links themselves are
+// restored by their supervisors.
+func (t *Tier) openState() (adopted []query.Query, err error) {
 	var disk diskState
-	if note != "" {
-		if err := json.Unmarshal([]byte(note), &disk); err != nil {
-			// An unreadable note costs a re-Begin, not the content.
-			cfg.Logf("cascade: discarding unreadable commit note: %v", err)
-			disk = diskState{}
+	if raw, err := os.ReadFile(filepath.Join(t.cfg.StateDir, stateName)); err == nil {
+		if err := json.Unmarshal(raw, &disk); err != nil {
+			return nil, fmt.Errorf("%s: %w", stateName, err)
 		}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
 	}
-	t.gen, t.st = disk.Generation, &tierState{needFull: true}
-	if t.st.journal, err = dir.Journal(); err != nil {
-		return nil, nil, err
+	t.gen = disk.Generation
+	keep := map[string]bool{
+		filepath.Join(t.cfg.StateDir, stateName): true,
+		filepath.Join(t.cfg.StateDir, linksName): true,
 	}
-
-	specs := make([]query.Query, 0, len(cfg.Specs)+len(disk.Adopted))
-	for _, spec := range cfg.Specs {
-		specs = append(specs, spec.Normalize())
+	for _, spec := range t.cfg.Specs {
+		keep[t.linkDir(spec.Normalize())] = true
 	}
 	for _, ds := range disk.Adopted {
 		spec, err := ds.spec()
 		if err != nil {
-			cfg.Logf("cascade: dropping unparsable adopted spec %q: %v", ds.Filter, err)
-			continue
+			return nil, fmt.Errorf("%s: adopted spec %q: %w", stateName, ds.Filter, err)
 		}
-		specs = append(specs, spec)
 		adopted = append(adopted, spec)
+		keep[t.linkDir(spec)] = true
 	}
-	cookies = map[string]string{}
-
-	for _, spec := range specs {
-		resume := ""
-		if ce, ok := disk.Cookies[spec.Key()]; ok && ce.Cookie != "" {
-			if ce.Addr == "" || ce.Addr == cfg.Upstream {
-				resume = ce.Cookie
-			} else {
-				cfg.Logf("cascade: dropping cookie issued by %s (upstream is %s)", ce.Addr, cfg.Upstream)
+	for _, dir := range []string{t.cfg.StateDir, filepath.Join(t.cfg.StateDir, linksName)} {
+		found, err := os.ReadDir(dir)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+		for _, f := range found {
+			if path := filepath.Join(dir, f.Name()); !keep[path] {
+				t.cfg.Logf("cascade: removing %s: no link owns it", path)
+				if err := os.RemoveAll(path); err != nil {
+					return nil, err
+				}
 			}
 		}
-		sel := spec
-		sel.Attrs = nil // stored entries already carry only selected attributes
-		updates := resync.FullReload(store, sel)
-		if len(updates) == 0 && resume == "" {
-			continue
-		}
-		rep.AddStored(spec, resume)
-		if err := rep.ApplySync(spec, updates); err != nil {
-			return nil, nil, err
-		}
-		cookies[spec.Key()] = resume
 	}
-	if len(cookies) > 0 {
-		t.counters.Restores.Add(1)
-		cfg.Logf("cascade: restored %d entries from %s", rep.EntryCount(), cfg.StateDir)
-	}
-	return cookies, adopted, nil
+	return adopted, nil
 }
 
-// Checkpoint durably records the store and the upstream cookies as one commit
-// (no-op without a state directory): the store's changes since the last one
-// or, when a full one is due, a snapshot of the store. Cookies are captured
-// before the store's changes are, so a committed cookie is never newer than
-// the content it is committed with; it may be slightly older, and its resume
-// then re-sends updates the content already holds, which re-apply soundly — a
-// patch names every attribute touched in the interval, not their net
-// difference (resync.Update.Patch).
-func (t *Tier) Checkpoint() error {
-	s, store := t.st, t.rep.Store()
-	if s == nil {
+// writeState makes gen and the adopted specs durable (no-op without a state
+// directory). The caller holds linkMu, which orders the writes.
+func (t *Tier) writeState(gen uint64) error {
+	if t.cfg.StateDir == "" {
 		return nil
 	}
-	links := t.snapshotLinks()
-	gen, _ := t.FilterGeneration()
-	disk := diskState{Cookies: make(map[string]cookieEntry, len(links)), Generation: gen}
-	for _, link := range links {
-		disk.Cookies[link.spec.Key()] = cookieEntry{Cookie: link.sup.Cookie(), Addr: link.sup.Target()}
+	disk := diskState{Generation: gen}
+	for _, link := range t.links {
 		if !link.base {
 			disk.Adopted = append(disk.Adopted, diskSpecOf(link.spec))
 		}
 	}
-	note, err := json.Marshal(disk)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// ok is false when the store's bounded journal no longer covers the
-	// watermark: only a full snapshot can catch up.
-	changes, ok := store.ChangesSince(s.watermark)
-	switch {
-	case s.needFull || !ok || s.journal.Due(t.cfg.JournalRetention):
-		if err := s.journal.Snapshot(store.All(), string(note)); err != nil {
-			return err
-		}
-		// A change landing between the two reads is in neither file; the
-		// cookie captured before it has the upstream send it again.
-		s.watermark, s.needFull = store.LastCSN(), false
-		t.counters.Checkpoints.Add(1)
-	case len(changes) > 0 || string(note) != s.note:
-		if _, err := s.journal.Commit(false, changes, string(note)); err != nil {
-			return err
-		}
-		if len(changes) > 0 {
-			s.watermark = changes[len(changes)-1].CSN
-		}
-		t.counters.JournalAppends.Add(1)
-	}
-	s.note = string(note)
-	return nil
+	return persist.WriteAtomic(filepath.Join(t.cfg.StateDir, stateName), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(disk)
+	})
 }

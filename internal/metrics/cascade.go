@@ -8,8 +8,9 @@ import (
 
 // CascadeCounters aggregates mid-tier (cascade) replica activity: the
 // containment admission gate for downstream sessions, upstream batches
-// flowing through the tier, the apply→rebroadcast latency of the
-// propagation path, and tier durability. All fields are atomic so the
+// flowing through the tier and the apply→rebroadcast latency of the
+// propagation path. (Durability is each upstream link's own: see
+// ReplicaCounters.) All fields are atomic so the
 // tier's hot paths (supervisor apply, engine emission) never take a lock
 // to account an event.
 type CascadeCounters struct {
@@ -34,11 +35,6 @@ type CascadeCounters struct {
 	RebroadcastNanos    atomic.Int64
 	Rebroadcasts        atomic.Int64
 	RebroadcastMaxNanos atomic.Int64
-
-	// Durability.
-	Checkpoints    atomic.Int64 // full snapshot checkpoints written
-	JournalAppends atomic.Int64 // incremental journal appends written
-	Restores       atomic.Int64 // cold starts that restored durable state
 }
 
 // ObserveRebroadcast records one apply→rebroadcast latency sample.
@@ -63,8 +59,6 @@ type CascadeSnapshot struct {
 	UpstreamUpdates                int64
 	Rebroadcasts                   int64
 	AvgRebroadcast, MaxRebroadcast time.Duration
-	Checkpoints, JournalAppends    int64
-	Restores                       int64
 }
 
 // Snapshot copies the current counter values.
@@ -79,9 +73,6 @@ func (c *CascadeCounters) Snapshot() CascadeSnapshot {
 		UpstreamUpdates:    c.UpstreamUpdates.Load(),
 		Rebroadcasts:       c.Rebroadcasts.Load(),
 		MaxRebroadcast:     time.Duration(c.RebroadcastMaxNanos.Load()),
-		Checkpoints:        c.Checkpoints.Load(),
-		JournalAppends:     c.JournalAppends.Load(),
-		Restores:           c.Restores.Load(),
 	}
 	if s.Rebroadcasts > 0 {
 		s.AvgRebroadcast = time.Duration(c.RebroadcastNanos.Load() / s.Rebroadcasts)
@@ -92,9 +83,8 @@ func (c *CascadeCounters) Snapshot() CascadeSnapshot {
 // String renders a compact status line for operator output.
 func (s CascadeSnapshot) String() string {
 	return fmt.Sprintf(
-		"cascade: depth=%d downstream=%d | admit=%d/%d rejected=%d | upstream-batches=%d applied=%d | rebroadcast avg=%s max=%s (%d) | ckpt=%d appends=%d restores=%d",
+		"cascade: depth=%d downstream=%d | admit=%d/%d rejected=%d | upstream-batches=%d applied=%d | rebroadcast avg=%s max=%s (%d)",
 		s.TierDepth, s.DownstreamSessions, s.Admitted, s.AdmitChecks, s.Rejected,
 		s.UpstreamBatches, s.UpstreamUpdates,
-		s.AvgRebroadcast, s.MaxRebroadcast, s.Rebroadcasts,
-		s.Checkpoints, s.JournalAppends, s.Restores)
+		s.AvgRebroadcast, s.MaxRebroadcast, s.Rebroadcasts)
 }

@@ -311,6 +311,15 @@ func (self) Generalize(q query.Query) []query.Query { return []query.Query{q} }
 
 func unit(query.Query) int { return 1 }
 
+// filters renders a delta's side as its filter strings.
+func filters(qs []query.Query) string {
+	out := make([]string, len(qs))
+	for i, q := range qs {
+		out[i] = q.FilterString()
+	}
+	return strings.Join(out, " ")
+}
+
 // TestZeroBudgetSelectors: a selector with no budget never stores anything,
 // however hot the observed queries are — whether revolutions come from the
 // observation interval or from the caller's clock.
@@ -393,13 +402,6 @@ func TestRevolutionOverSeededSet(t *testing.T) {
 		}
 		return out
 	}
-	filters := func(qs []query.Query) string {
-		out := make([]string, len(qs))
-		for i, q := range qs {
-			out[i] = q.FilterString()
-		}
-		return strings.Join(out, " ")
-	}
 	for _, tc := range []struct {
 		name        string
 		budget      int
@@ -453,5 +455,31 @@ func TestRevolutionOverSeededSet(t *testing.T) {
 		if got, want := filters(d.Remove), strings.Join(tc.remove, " "); got != want {
 			t.Errorf("%s: removed %q, want %q", tc.name, got, want)
 		}
+	}
+}
+
+// TestUnseedMakesTheFilterACandidateAgain: a filter a revolution selected and
+// the caller could not start replicating is taken back out. It frees its
+// share of the budget, stops absorbing observations of itself, and the next
+// revolution may add it again.
+func TestUnseedMakesTheFilterACandidateAgain(t *testing.T) {
+	s := NewSelector(NewGeneralizer(PrefixRule{Attr: "serialnumber", PrefixLen: 2}), unit, 1, 0)
+	s.Contains = containment.NewChecker().QueryContains
+	hot, wide := mustQ(t, "(serialnumber=0456)"), mustQ(t, "(serialnumber=04*)")
+	s.Observe(hot)
+	if d := s.ForceRevolution(); filters(d.Add) != "(serialnumber=04*)" {
+		t.Fatalf("first revolution added %q", filters(d.Add))
+	}
+	s.Observe(hot)
+	if len(s.candidates) != 0 {
+		t.Fatal("a stored filter's own observation grew a candidate")
+	}
+	s.Unseed(wide)
+	if got := s.StoredSet(); len(got) != 0 {
+		t.Fatalf("stored set after Unseed = %v", got)
+	}
+	s.Observe(hot)
+	if d := s.ForceRevolution(); filters(d.Add) != "(serialnumber=04*)" || len(d.Remove) != 0 {
+		t.Errorf("revolution after Unseed: %+v, want the filter added again and nothing removed", d)
 	}
 }

@@ -96,6 +96,14 @@ func (s *Selector) Seed(qs []query.Query) {
 	}
 }
 
+// Unseed takes q back out of the stored set without producing a delta: the
+// caller could not start replicating a filter a revolution selected. The
+// budget is no longer charged for it, and observations of it grow a candidate
+// again, which a later revolution may select.
+func (s *Selector) Unseed(q query.Query) {
+	delete(s.stored, q.Normalize().Key())
+}
+
 // Pin exempts stored filters from eviction: a revolution charges them to the
 // budget first and never emits them in a Delta.Remove. A tier pins its
 // operator-configured base specs so adaptation only ever adds to the

@@ -1,12 +1,14 @@
 package supervisor
 
 import (
+	"encoding/json"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"filterdir/internal/ldapnet"
+	"filterdir/internal/persist"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
@@ -76,7 +78,22 @@ func TestStaleSessionAtUpstreamDiverts(t *testing.T) {
 	cfg.Master = gatedSrv.Addr()
 	cfg.Fallback = h.srv.Addr()
 	cfg.RetryUpstreamAfter = time.Hour
-	cfg.ResumeCookie = "sess-999@12345" // names no session at the upstream
+	// Durable state whose cookie names no session at the upstream.
+	cfg.StateDir = t.TempDir()
+	note, err := json.Marshal(position{Cookie: "sess-999@12345", Addr: cfg.Master, Spec: h.spec.Normalize().Key()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := persist.Dir{Path: cfg.StateDir}.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Commit(false, nil, string(note)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	sup := startSupervisor(t, cfg)
 
 	waitSynced(t, sup)

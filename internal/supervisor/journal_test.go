@@ -309,55 +309,28 @@ func TestJournalWriteAmplification(t *testing.T) {
 }
 
 // TestSnapshotWhenJournalOutgrowsRetention: under a retention policy the
-// journal is folded into a snapshot of the content once over the bound, the
-// restart restores from snapshot plus the batches after it, and a state
-// directory in the format before the journal is ignored — a fresh Begin —
-// and cleaned up by that first snapshot.
+// journal is folded into a snapshot of the content once over the bound, and
+// the restart restores from snapshot plus the batches after it.
 func TestSnapshotWhenJournalOutgrowsRetention(t *testing.T) {
 	stateDir := t.TempDir()
-	for _, name := range legacyFiles {
-		if err := os.WriteFile(filepath.Join(stateDir, name), []byte(`{"cookie":"old","spec_key":"x"}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var logged []string
 	cfg := offlineConfig(t, stateDir)
-	cfg.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	cfg.JournalRetention = persist.JournalRetention{MaxBytes: 600}
 	s, err := newSupervisor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cookie() != "" || s.rep.EntryCount() != 0 {
-		t.Fatalf("pre-journal state restored cookie %q and %d entries, want a fresh start", s.Cookie(), s.rep.EntryCount())
-	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "ignoring pre-journal state") {
-		t.Errorf("logged %q, want the one line about the ignored state", logged)
-	}
-	s.SetJournalRetention(persist.JournalRetention{MaxBytes: 600})
 	for i, res := range history() {
 		if err := s.land(res); err != nil {
 			t.Fatalf("exchange %d: %v", i, err)
 		}
-		if i == 0 {
-			if c := s.counters.Checkpoints.Load(); c != 0 {
-				t.Fatalf("%d snapshots after the first exchange, want none yet", c)
-			}
-			for _, name := range legacyFiles {
-				if _, err := os.Stat(filepath.Join(stateDir, name)); err != nil {
-					t.Errorf("%s gone before the first snapshot: %v", name, err)
-				}
-			}
+		if c := s.counters.Checkpoints.Load(); i == 0 && c != 0 {
+			t.Fatalf("%d snapshots after the first exchange, want none yet", c)
 		}
 	}
 	c := s.Counters().Snapshot()
 	if c.Checkpoints == 0 || c.JournalAppends == 0 || c.Checkpoints+c.JournalAppends != int64(len(history())) {
 		t.Errorf("checkpoints=%d appends=%d over %d exchanges, want some of each and one per exchange",
 			c.Checkpoints, c.JournalAppends, len(history()))
-	}
-	for _, name := range legacyFiles {
-		if _, err := os.Stat(filepath.Join(stateDir, name)); !os.IsNotExist(err) {
-			t.Errorf("%s survived the first snapshot (stat: %v)", name, err)
-		}
 	}
 	again, err := newSupervisor(offlineConfig(t, stateDir))
 	if err != nil {

@@ -3,8 +3,6 @@ package supervisor
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/persist"
@@ -38,10 +36,6 @@ type position struct {
 	Spec string `json:"spec"`
 }
 
-// legacyFiles is the state format before the journal. It is not read — a
-// fresh Begin is always correct — and the first snapshot removes the files.
-var legacyFiles = []string{"content.ldif", "state.json"}
-
 // commit makes the exchange that just landed durable (no-op without a state
 // directory): a batch of its updates under the position now held, or, once
 // the journal is due for it, a snapshot of the spec's content in its place.
@@ -57,7 +51,7 @@ func (s *Supervisor) commit(updates []resync.Update) error {
 	if err != nil {
 		return err
 	}
-	if s.journalGap || s.journal.Due(s.retention) {
+	if s.journalGap || s.journal.Due(s.cfg.JournalRetention) {
 		spec := s.cfg.Spec
 		spec.Attrs = nil // content entries already carry only selected attributes
 		if err := s.journal.Snapshot(s.rep.Store().MatchAll(spec), string(note)); err != nil {
@@ -65,9 +59,6 @@ func (s *Supervisor) commit(updates []resync.Update) error {
 		}
 		s.journalGap, s.contentReset = false, false
 		s.counters.Checkpoints.Add(1)
-		for _, name := range legacyFiles {
-			_ = os.Remove(filepath.Join(s.cfg.StateDir, name)) // there only after an upgrade
-		}
 		return nil
 	}
 	changes := make([]dit.Change, len(updates))
@@ -102,9 +93,6 @@ func (s *Supervisor) commit(updates []resync.Update) error {
 // cookie proves: with a live cookie the session resumes by poll; without one
 // nothing is restored.
 func (s *Supervisor) restore() error {
-	if _, err := os.Stat(filepath.Join(s.cfg.StateDir, legacyFiles[1])); err == nil {
-		s.cfg.Logf("supervisor: ignoring pre-journal state in %s (removed at the next snapshot)", s.cfg.StateDir)
-	}
 	dir := persist.Dir{Path: s.cfg.StateDir}
 	content, note, err := dir.OpenSparse([]string{""})
 	if err != nil {

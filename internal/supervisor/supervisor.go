@@ -111,12 +111,6 @@ type Config struct {
 	// timer stays armed as a backstop for upstreams that do not support
 	// the control.
 	WatchFilters bool
-	// ResumeCookie arms a session cookie restored by the caller (e.g. a
-	// cascade tier that checkpoints its upstream cookie alongside its own
-	// store) so the first exchange is a resume-poll. The caller must have
-	// registered the spec's content in the replica already. Ignored when a
-	// StateDir checkpoint supplies its own cookie.
-	ResumeCookie string
 	// OnApplied, when non-nil, is called after each exchange's updates have
 	// been applied to the replica (with the update count), before the
 	// checkpoint. A cascade tier uses it to stamp apply time for its
@@ -138,6 +132,10 @@ type Config struct {
 	Mode Mode
 	// StateDir durably journals content and cookie when non-empty.
 	StateDir string
+	// JournalRetention, when any bound is set, replaces the rule by which
+	// that journal is folded into a snapshot of the content
+	// (persist.Journal.Due).
+	JournalRetention persist.JournalRetention
 	// PollInterval is the steady-state poll cadence (default 1s).
 	PollInterval time.Duration
 	// IdleTimeout bounds the gap between persist-stream messages
@@ -212,9 +210,8 @@ type Supervisor struct {
 
 	// Durable state (state.go); run goroutine only once started.
 	journal      *persist.Journal // nil without a StateDir
-	retention    persist.JournalRetention
-	contentReset bool // resetContent ran since the last commit
-	journalGap   bool // a commit failed: only a snapshot makes the state whole
+	contentReset bool             // resetContent ran since the last commit
+	journalGap   bool             // a commit failed: only a snapshot makes the state whole
 
 	// probeDeadline (UnixNano, 0 = disarmed) is set when the loop diverts
 	// to the fallback; the steady-state loops return errProbeDue once it
@@ -271,9 +268,6 @@ func New(cfg Config, rep *replica.FilterReplica) (*Supervisor, error) {
 		if err := s.restore(); err != nil {
 			return nil, fmt.Errorf("restore replica state: %w", err)
 		}
-	}
-	if s.cookie == "" && cfg.ResumeCookie != "" {
-		s.cookie = cfg.ResumeCookie
 	}
 	return s, nil
 }
@@ -523,15 +517,12 @@ func (s *Supervisor) Start() {
 	s.startOnce.Do(func() { go s.run() })
 }
 
-// SetJournalRetention replaces, before Start, the rule by which the durable
-// journal is folded into a snapshot of the content (persist.Journal.Due).
-func (s *Supervisor) SetJournalRetention(pol persist.JournalRetention) { s.retention = pol }
-
 // Stop terminates the loop and waits for it to exit. Nothing is written:
 // every landed exchange is committed already, so a later incarnation resumes
 // from the exact stop point.
 func (s *Supervisor) Stop() error {
 	s.stopOnce.Do(func() { close(s.stop) })
+	s.Start() // never started: the loop exits at once, closing the journal
 	<-s.done
 	// The run goroutine has exited, so no new watch can start; cancel any
 	// in-flight one (closing its connection unblocks a deadline-free read)

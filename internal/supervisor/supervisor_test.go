@@ -442,3 +442,26 @@ func TestRefusedUpdateKeepsSyncPoint(t *testing.T) {
 		t.Errorf("full reloads = %d, want 0: the re-sent updates must land incrementally", got)
 	}
 }
+
+// TestStopBeforeStart: a supervisor that was built, its journal open, and
+// never started stops without hanging and releases the journal — what a tier
+// does with the link of an adoption it could not record.
+func TestStopBeforeStart(t *testing.T) {
+	s, err := newSupervisor(offlineConfig(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan error, 1)
+	go func() { stopped <- s.Stop() }()
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop hung on a supervisor that was never started")
+	}
+	if _, err := s.journal.Commit(false, nil, "{}"); err == nil {
+		t.Error("journal still open after Stop")
+	}
+}

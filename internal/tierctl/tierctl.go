@@ -245,7 +245,12 @@ func (c *Controller) apply(d *selection.Delta) {
 	for _, q := range d.Add {
 		sup, err := t.AdoptSpec(q)
 		if err != nil {
+			// The tier holds no such content: the selector must not go on
+			// crediting the filter and charging the budget for it.
 			c.cfg.Logf("tierctl: adopt %s: %v", q.FilterString(), err)
+			c.mu.Lock()
+			c.sel.Unseed(q)
+			c.mu.Unlock()
 			continue
 		}
 		if sup == nil {

@@ -3,8 +3,11 @@ package tierctl
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +34,12 @@ func person(prefix string, i int) *entry.Entry {
 // wire-served master with 04, 05 and 06 serial regions, plus a tier
 // replicating only (serialnumber=04*).
 func newTier(t *testing.T) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
+	t.Helper()
+	return newTierIn(t, "")
+}
+
+// newTierIn is newTier with the tier durable in stateDir ("" for none).
+func newTierIn(t *testing.T, stateDir string) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
 	t.Helper()
 	st, err := dit.NewStore([]string{"o=xyz"}, dit.WithIndexes("serialnumber"))
 	if err != nil {
@@ -59,6 +68,7 @@ func newTier(t *testing.T) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
 	tier, err := cascade.New(cascade.Config{
 		Upstream:     masterSrv.Addr(),
 		Specs:        []query.Query{query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)")},
+		StateDir:     stateDir,
 		PollInterval: 3 * time.Millisecond,
 		BackoffBase:  time.Millisecond,
 		BackoffMax:   20 * time.Millisecond,
@@ -138,6 +148,54 @@ func TestControllerWidensOnRejections(t *testing.T) {
 	if got := ctrl.Counters().StoredFilters.Load(); got != 2 {
 		t.Errorf("stored-filters gauge = %d, want 2", got)
 	}
+}
+
+// TestFailedAdoptIsUnseeded: a tier that cannot make an adoption durable
+// refuses it, and the controller takes the filter back out of the selector's
+// stored set. Left there it would be charged to the budget and credited with
+// its own rejections, never a candidate again; taken out, a later revolution
+// selects it anew and, the tier able to adopt by then, the leaf is admitted.
+func TestFailedAdoptIsUnseeded(t *testing.T) {
+	stateDir := t.TempDir()
+	_, tier, _ := newTierIn(t, stateDir)
+	// A directory where tier.json belongs: the rename onto it fails.
+	block := filepath.Join(stateDir, "tier.json")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var refused atomic.Int64
+	ctrl, err := New(Config{Tier: tier, Budget: 2, Interval: 2 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if strings.HasPrefix(format, "tierctl: adopt") {
+				refused.Add(1)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Start()
+	defer ctrl.Stop()
+
+	hot := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=0502)")
+	waitFor(t, "a refused adoption", 10*time.Second, func() bool {
+		if tier.Admit(hot) == nil {
+			t.Fatal("the tier adopted a spec it could not record")
+		}
+		return refused.Load() >= 1
+	})
+	if got := len(tier.Specs()); got != 1 {
+		t.Fatalf("tier specs after the refused adoption = %d, want 1", got)
+	}
+
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "adoption by a later revolution", 10*time.Second, func() bool {
+		return tier.Admit(hot) == nil
+	})
+	waitFor(t, "generalizations == 1", 10*time.Second, func() bool {
+		return ctrl.Counters().Generalizations.Load() == 1
+	})
 }
 
 // TestControllerRespectsBudget: with the budget already consumed by the
