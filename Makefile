@@ -13,11 +13,11 @@ SEED ?= 42
 N ?= 1000
 ORACLE_TESTS ?= TestOracleSweep|TestOracleWireSweep|TestOracleCascadeSweep|TestOracleCascadeWireSweep|TestOracleEdgeWriteSweep|TestOracleShardSweepFull|TestOracleResumeSweep|TestOracleAdaptiveSweep
 
-.PHONY: check fmt vet build test allocs bench bench-diff oracle fuzz-smoke cover loc
+.PHONY: check fmt vet build one-writer test allocs bench bench-diff oracle fuzz-smoke cover loc
 
-## check: the full verification gate (format, vet, build, race-enabled tests,
-## allocation gates).
-check: fmt vet build test allocs
+## check: the full verification gate (format, vet, build, the one-writer gate,
+## race-enabled tests, allocation gates).
+check: fmt vet build one-writer test allocs
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -30,6 +30,16 @@ vet:
 
 build:
 	$(GO) build ./...
+
+## one-writer: internal/persist is the one package that makes bytes durable
+## (ROADMAP item 3). No other non-test file under internal/ opens a file for
+## writing or fsyncs one; a second write-ahead log would have to do both.
+one-writer:
+	@found=$$(grep -rnE 'os\.(OpenFile|WriteFile|Create)\(|\.Sync\(\)' internal --include='*.go' \
+		| grep -v -e '_test\.go:' -e '^internal/persist/'); \
+	if [ -n "$$found" ]; then \
+		echo "durable writes outside internal/persist:"; echo "$$found"; exit 1; \
+	fi
 
 test:
 	$(GO) test -race ./...

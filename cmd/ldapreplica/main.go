@@ -185,25 +185,20 @@ func logf(format string, args ...any) {
 // openEdgeWriter opens the WAL-backed edge writer over an upstream
 // forwarder. The WAL lives under the state directory when one is
 // configured — surviving restarts — and in a throwaway temp directory
-// otherwise, which still covers the accept→forward window within one run.
+// otherwise, which still covers the accept→forward window within one run;
+// closeEdge, for shutdown, closes the writer and removes that directory.
 func openEdgeWriter(o options, fwd edgewrite.Forwarder,
 	admit func(dit.Change) error, lookup func(dn.DN) (*entry.Entry, bool),
-	counters *metrics.WriteCounters) (*edgewrite.Writer, error) {
+	counters *metrics.WriteCounters) (w *edgewrite.Writer, closeEdge func(), err error) {
 
-	dir := ""
-	if o.stateDir != "" {
-		dir = filepath.Join(o.stateDir, "edgewrite")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
+	dir, remove := filepath.Join(o.stateDir, "edgewrite"), func() {}
+	if o.stateDir == "" {
+		if dir, err = os.MkdirTemp("", "filterdir-edgewrite-"); err != nil {
+			return nil, nil, err
 		}
-	} else {
-		tmp, err := os.MkdirTemp("", "filterdir-edgewrite-")
-		if err != nil {
-			return nil, err
-		}
-		dir = tmp
+		remove = func() { os.RemoveAll(dir) }
 	}
-	w, err := edgewrite.Open(edgewrite.Config{
+	w, err = edgewrite.Open(edgewrite.Config{
 		Dir:      dir,
 		Forward:  fwd,
 		Admit:    admit,
@@ -212,16 +207,17 @@ func openEdgeWriter(o options, fwd edgewrite.Forwarder,
 		Logf:     logf,
 	})
 	if err != nil {
-		return nil, err
-	}
-	if w.RecoveredTorn() {
-		logf("edge WAL %s: dropped a torn tail during recovery", dir)
+		remove()
+		return nil, nil, err
 	}
 	if n := w.Pending(); n > 0 {
 		logf("edge WAL %s: recovered %d pending op(s) for replay", dir, n)
 	}
 	fmt.Printf("ldapreplica: accepting edge writes (replica id %s, WAL %s)\n", w.ReplicaID(), dir)
-	return w, nil
+	return w, func() {
+		w.Close()
+		remove()
+	}, nil
 }
 
 // serveLoop runs the status/shutdown select shared by both modes.
@@ -280,12 +276,13 @@ func runLeaf(o options) error {
 	// config can report its applied-CSN watermark (retirement consumes the
 	// minimum across all filters).
 	var edge *edgewrite.Writer
+	var closeEdge func()
 	var fwd *ldapnet.EdgeForwarder
 	writes := &metrics.WriteCounters{}
 	if o.edgeWrites {
 		fwd = ldapnet.NewEdgeForwarder(upstream)
 		fwd.FallbackAddr = fallback
-		edge, err = openEdgeWriter(o, fwd,
+		edge, closeEdge, err = openEdgeWriter(o, fwd,
 			edgewrite.Admitter(qs, rep.Store().Get), rep.Store().Get, writes)
 		if err != nil {
 			fwd.Close()
@@ -359,14 +356,15 @@ func runLeaf(o options) error {
 		}
 	}
 	return serveLoop(srv, o.statusEvery, printStatus, func() {
-		if edge != nil {
-			edge.Close()
-			fwd.Close()
-		}
 		for i, sup := range sups {
 			if err := sup.Stop(); err != nil {
 				fmt.Fprintf(os.Stderr, "ldapreplica: stop %q: %v\n", o.filters[i], err)
 			}
+		}
+		// After the supervisors: a watermark they report retires an op in the WAL.
+		if edge != nil {
+			closeEdge()
+			fwd.Close()
 		}
 	})
 }
@@ -428,9 +426,10 @@ func runTier(o options) error {
 	fwd := ldapnet.NewEdgeForwarder(upstream)
 	fwd.FallbackAddr = fallback
 	var edge *edgewrite.Writer
+	var closeEdge func()
 	writes := &metrics.WriteCounters{}
 	if o.edgeWrites {
-		edge, err = openEdgeWriter(o, fwd, tier.AdmitWrite, tier.Replica().Store().Get, writes)
+		edge, closeEdge, err = openEdgeWriter(o, fwd, tier.AdmitWrite, tier.Replica().Store().Get, writes)
 		if err != nil {
 			fwd.Close()
 			return err
@@ -496,12 +495,13 @@ func runTier(o options) error {
 		if ctrl != nil {
 			ctrl.Stop()
 		}
-		if edge != nil {
-			edge.Close()
-		}
-		fwd.Close()
 		if err := tier.Stop(); err != nil {
 			fmt.Fprintf(os.Stderr, "ldapreplica: stop tier: %v\n", err)
 		}
+		// After the tier's links: a watermark they report retires an op in the WAL.
+		if edge != nil {
+			closeEdge()
+		}
+		fwd.Close()
 	})
 }

@@ -58,8 +58,8 @@ func (e *PermanentError) Unwrap() error { return e.Err }
 type Config struct {
 	// Dir is the durable home of the per-replica WAL.
 	Dir string
-	// ReplicaID prefixes op ids (persisted in the WAL's meta file; a random
-	// id is minted for a fresh directory when empty).
+	// ReplicaID prefixes op ids (persisted in the WAL's snapshot note; a
+	// random id is minted for a fresh directory when empty).
 	ReplicaID string
 	// Forward is the upstream commit path (required).
 	Forward Forwarder
@@ -141,9 +141,6 @@ func Open(cfg Config) (*Writer, error) {
 
 // ReplicaID returns the id prefixing this replica's op ids.
 func (w *Writer) ReplicaID() string { return w.wal.replicaID }
-
-// RecoveredTorn reports whether opening the WAL dropped a torn tail.
-func (w *Writer) RecoveredTorn() bool { return w.wal.torn }
 
 // Pending returns the number of ops on the overlay (accepted, not retired).
 func (w *Writer) Pending() int {
@@ -368,8 +365,8 @@ func (w *Writer) replayLoop() {
 	}
 }
 
-// Close stops the replay loop. The WAL needs no teardown: every append was
-// fsynced, and a reopened Writer resumes from it.
+// Close stops the replay loop and releases the WAL's journal handle. Every
+// append was fsynced, and a reopened Writer resumes from it.
 func (w *Writer) Close() {
 	w.mu.Lock()
 	started := w.started
@@ -380,4 +377,5 @@ func (w *Writer) Close() {
 		close(stop)
 		<-done
 	}
+	w.wal.close()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
@@ -84,44 +85,30 @@ type ChangeRecord struct {
 	Mods []dit.Mod
 }
 
+// scanBufs lends ReadChanges its read buffer: a journal is read one batch at
+// a time, thousands of calls of a few lines each.
+var scanBufs = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
+
 // ReadChanges parses LDIF change records.
 func ReadChanges(r io.Reader) ([]ChangeRecord, error) {
-	recs, torn, err := ReadChangesTail(r)
-	if err == nil && torn {
-		return recs, fmt.Errorf("%w: truncated final change record", ErrBadRecord)
-	}
-	return recs, err
-}
-
-// ReadChangesTail parses LDIF change records from an append-only journal,
-// tolerating a torn final record — the shape a crash mid-append leaves
-// behind. Every complete record is returned; torn reports that the last
-// record block failed to parse and was dropped. A malformed record with
-// further records after it is real corruption and still an error.
-func ReadChangesTail(r io.Reader) (recs []ChangeRecord, torn bool, err error) {
-	rd := NewReader(r)
-	var blocks [][]string
+	buf := scanBufs.Get().(*[64 * 1024]byte)
+	defer scanBufs.Put(buf)
+	rd := newReader(r, buf[:])
+	var recs []ChangeRecord
 	for {
 		lines, err := rd.nextRecordLines()
 		if err == io.EOF {
-			break
+			return recs, nil
 		}
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		blocks = append(blocks, lines)
-	}
-	for i, lines := range blocks {
 		rec, err := parseChange(lines)
 		if err != nil {
-			if i == len(blocks)-1 {
-				return recs, true, nil
-			}
-			return recs, false, err
+			return recs, err
 		}
 		recs = append(recs, rec)
 	}
-	return recs, false, nil
 }
 
 // AsChange converts a parsed record back into a journal change sufficient

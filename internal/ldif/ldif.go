@@ -166,9 +166,12 @@ type Reader struct {
 }
 
 // NewReader wraps r for streaming reads. Lines up to 1 MiB are supported.
-func NewReader(r io.Reader) *Reader {
+func NewReader(r io.Reader) *Reader { return newReader(r, make([]byte, 64*1024)) }
+
+// newReader reads through buf, which no record it returns refers to.
+func newReader(r io.Reader, buf []byte) *Reader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	sc.Buffer(buf, 1024*1024)
 	return &Reader{sc: sc}
 }
 

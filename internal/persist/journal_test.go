@@ -229,7 +229,8 @@ func TestJournalDue(t *testing.T) {
 
 // FuzzJournalRecover hands OpenSparse arbitrary bytes as journal.ldif. It
 // must not panic; whatever it recovers it recovers again unchanged from the
-// file it left behind, and that file takes a further commit.
+// file it left behind, a caller folding Batches itself ends with the records
+// and the note recover does, and the file takes a further commit.
 func FuzzJournalRecover(f *testing.F) {
 	var batch bytes.Buffer
 	st, _ := dit.NewStore([]string{""})
@@ -246,6 +247,11 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Add([]byte("# commit 1\n# commit"))
 	f.Add([]byte("# journal 7\n\n# commit x\n"))
 	f.Add([]byte("\n\n"))
+	// An edge writer's journal: one op's batch, then batches that are a note alone.
+	notes := "# journal 0\n\ndn: cn=a,o=xyz\nchangetype: add\ncn: a\n# commit op r1.0\n\n# commit commit r1.0 7\n\n# commit retire r1.0\n"
+	f.Add([]byte(notes))
+	f.Add([]byte(notes[:len(notes)-4]))
+	f.Add([]byte("\n# commit a\n\n# reset\n# commit b\n\n# commit c\n"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		home := Dir{Path: t.TempDir()}
 		jPath := filepath.Join(home.Path, journalName)
@@ -263,6 +269,32 @@ func FuzzJournalRecover(f *testing.F) {
 		identical(t, first, again)
 		if note2 != note {
 			t.Fatalf("note %q became %q on the second open", note, note2)
+		}
+		j, err := home.Journal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		var walked []ldif.ChangeRecord
+		walkedNote := ""
+		if _, err := j.Batches(func(reset bool, records []ldif.ChangeRecord, n string) error {
+			if reset {
+				walked = nil
+			}
+			walked, walkedNote = append(walked, records...), n
+			return nil
+		}); err != nil {
+			t.Fatalf("Batches over a journal that opened: %v", err)
+		}
+		_, records, rnote, err := j.recover()
+		if err != nil || rnote != walkedNote || rnote != note || len(records) != len(walked) {
+			t.Fatalf("recover ends with %d records under note %q (err %v), Batches with %d under %q, Open under %q",
+				len(records), rnote, err, len(walked), walkedNote, note)
+		}
+		for i, rec := range records {
+			if rec.Type != walked[i].Type || rec.DN.Norm() != walked[i].DN.Norm() {
+				t.Fatalf("record %d: recover read %s %q, Batches %s %q", i, rec.Type, rec.DN, walked[i].Type, walked[i].DN)
+			}
 		}
 		w := again.LastCSN()
 		if err := again.Upsert(person(99, "appended")); err != nil {

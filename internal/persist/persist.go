@@ -1,7 +1,7 @@
 // Package persist makes directory content durable with plain interchange
-// formats, and is the one mechanism that does: a master's DIT, a cascade
-// tier's store and a leaf's replicated content each live in a Dir, two files
-// in one filesystem directory:
+// formats, and is the one mechanism that does: a master's DIT, a supervisor's
+// replicated content and an edge writer's accepted writes each live in a Dir,
+// two files in one filesystem directory:
 //
 //	snapshot.ldif  "# snapshot <generation> <note>", then the content as LDIF
 //	journal.ldif   "# journal <generation>", then committed batches
@@ -9,9 +9,10 @@
 // A committed batch is a blank line, an optional "# reset" line (what was
 // held before is dropped), LDIF change records and, last, a "# commit <note>"
 // line: one write, one fsync. The note is one line of the caller's — a CSN, a
-// session cookie with its resume token — and because it ends the batch it is
-// never newer than the content it stands behind: recovery replays up to the
-// last complete commit line, cuts away what follows and hands back that
+// session cookie with its resume token, an edge write's transition — and
+// because it ends the batch it is never newer than the content it stands
+// behind: recovery (Batches, the one reader of the journal) replays up to the
+// last complete commit line and cuts away what follows; Open hands back that
 // line's note. LDIF readers skip comment lines: both files stay plain LDIF.
 //
 // A snapshot embodies the journal it replaces and takes the next generation;
@@ -44,7 +45,7 @@ const (
 
 	snapshotHeader = "# snapshot "
 	journalHeader  = "# journal "
-	resetLine      = "# reset\n"
+	resetLine      = "# reset"
 	commitMarker   = "# commit "
 
 	// journalFloor is the journal size under which no snapshot is worth
@@ -61,7 +62,7 @@ func appendBatch(b []byte, reset bool, changes []dit.Change, note string) ([]byt
 	}
 	b = append(b, '\n')
 	if reset {
-		b = append(b, resetLine...)
+		b = append(append(b, resetLine...), '\n')
 	}
 	for i, c := range changes {
 		if i > 0 {
@@ -154,8 +155,8 @@ type Journal struct {
 func (j *Journal) path(name string) string { return filepath.Join(j.dir, name) }
 
 // Journal opens the append handle (creating the path if needed) without
-// reading the journal — Open and OpenSparse do that, dropping a stale journal
-// and repairing a torn one, and a restart calls one of them first. The
+// reading the journal — Open, OpenSparse and Batches do that, dropping a stale
+// journal and repairing a torn one, and a restart calls one of them first. The
 // snapshot's first line, "# snapshot <generation> <note>", gives both; a
 // snapshot written before generations starts otherwise and is generation zero.
 func (d Dir) Journal() (*Journal, error) {
@@ -208,21 +209,22 @@ func (j *Journal) truncate(size int64) error {
 // Close releases the handle. Everything committed is durable already.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// recover reads what the directory durably holds: the snapshot's entries (nil
-// past a committed reset), the change records committed on top of them, and
-// the last commit's note (the snapshot's own when nothing was committed
-// since). A torn final batch — a crash mid-append — is cut off the file.
-func (j *Journal) recover() (entries []*entry.Entry, records []ldif.ChangeRecord, note string, err error) {
+// Batches is the one reader of journal.ldif. It drops a journal older than the
+// snapshot beside it, hands visit every committed batch in order — whether it
+// resets what was held before, its change records, its note — and cuts a torn
+// final batch, a crash mid-append, off the file. It returns the note of the
+// snapshot the batches extend ("" without one).
+func (j *Journal) Batches(visit func(reset bool, records []ldif.ChangeRecord, note string) error) (snapNote string, err error) {
 	raw, err := os.ReadFile(j.path(journalName))
 	if err != nil {
-		return nil, nil, "", err
+		return "", err
 	}
 	hdr := 0 // length of the header line; without one the journal is generation zero
 	if nl := bytes.IndexByte(raw, '\n'); nl > 0 && bytes.HasPrefix(raw, []byte(journalHeader)) {
 		hdr = nl + 1
 		gen, err := strconv.ParseUint(string(raw[len(journalHeader):hdr-1]), 10, 64)
 		if err != nil || gen > j.gen {
-			return nil, nil, "", fmt.Errorf("journal header %q beside a snapshot of generation %d", raw[:hdr-1], j.gen)
+			return "", fmt.Errorf("journal header %q beside a snapshot of generation %d", raw[:hdr-1], j.gen)
 		}
 		if gen < j.gen {
 			hdr = 0
@@ -232,51 +234,67 @@ func (j *Journal) recover() (entries []*entry.Entry, records []ldif.ChangeRecord
 		// A crash between the snapshot's rename and the journal's
 		// truncation: every record here is in the snapshot already.
 		if err := j.truncate(0); err != nil {
-			return nil, nil, "", err
+			return "", err
 		}
 		raw = nil
 	}
-	cut, note := lastCommit(raw)
-	if cut < hdr {
-		cut = hdr // nothing committed yet: the header stays
+	cut, start, reset := hdr, hdr, false // of the committed bytes, the batch being read, and whether it resets
+	for at := hdr; ; {
+		nl := bytes.IndexByte(raw[at:], '\n')
+		if nl < 0 {
+			break // a line without its newline is part of the torn tail
+		}
+		line, next := raw[at:at+nl], at+nl+1
+		if string(line) == resetLine {
+			start, reset = next, true // what the batch held before the line is dropped with the rest
+		} else if note, ok := bytes.CutPrefix(line, []byte(commitMarker)); ok {
+			var records []ldif.ChangeRecord
+			if body := bytes.TrimSpace(raw[start:at]); len(body) > 0 {
+				if records, err = ldif.ReadChanges(bytes.NewReader(body)); err != nil {
+					return "", fmt.Errorf("parse journal: %w", err)
+				}
+			}
+			if err := visit(reset, records, string(note)); err != nil {
+				return "", err
+			}
+			cut, start, reset = next, next, false
+		}
+		at = next
 	}
 	if cut < len(raw) {
 		if err := j.truncate(int64(cut)); err != nil {
-			return nil, nil, "", fmt.Errorf("repair torn journal: %w", err)
+			return "", fmt.Errorf("repair torn journal: %w", err)
 		}
 	}
-	body := raw[hdr:cut]
-	if i := bytes.LastIndex(body, []byte("\n"+resetLine)); i >= 0 {
-		body = body[i+1:]
-	} else if f, err := os.Open(j.path(snapshotName)); err == nil {
-		entries, err = ldif.Read(bufio.NewReader(f))
-		f.Close()
-		if err != nil {
-			return nil, nil, "", fmt.Errorf("read snapshot: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, "", err
-	}
-	if cut == hdr {
-		note = j.snapNote
-	}
-	if records, err = ldif.ReadChanges(bytes.NewReader(body)); err != nil {
-		return nil, nil, "", fmt.Errorf("parse journal: %w", err)
-	}
-	return entries, records, note, nil
+	return j.snapNote, nil
 }
 
-// lastCommit finds the last complete commit line of raw journal bytes: cut is
-// the offset just past it (0 when there is none: the journal then holds no
-// committed batch) and note what the line carries.
-func lastCommit(raw []byte) (cut int, note string) {
-	raw = raw[:bytes.LastIndexByte(raw, '\n')+1]
-	i := bytes.LastIndex(raw, []byte("\n"+commitMarker)) + 1
-	if i == 0 && !bytes.HasPrefix(raw, []byte(commitMarker)) {
-		return 0, ""
+// recover reads what the directory durably holds: the snapshot's entries (nil
+// past a committed reset), the change records committed on top of them, and
+// the last commit's note (the snapshot's own when nothing was committed
+// since).
+func (j *Journal) recover() (entries []*entry.Entry, records []ldif.ChangeRecord, note string, err error) {
+	reset, note := false, j.snapNote
+	if _, err := j.Batches(func(r bool, recs []ldif.ChangeRecord, n string) error {
+		if r {
+			reset, records = true, nil
+		}
+		records, note = append(records, recs...), n
+		return nil
+	}); err != nil {
+		return nil, nil, "", err
 	}
-	end := i + bytes.IndexByte(raw[i:], '\n')
-	return end + 1, string(raw[i+len(commitMarker) : end])
+	if !reset {
+		f, err := os.Open(j.path(snapshotName))
+		if err == nil {
+			entries, err = ldif.Read(bufio.NewReader(f))
+			f.Close()
+		}
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, nil, "", fmt.Errorf("read snapshot: %w", err)
+		}
+	}
+	return entries, records, note, nil
 }
 
 // Open loads the directory state from path (creating the path if needed): the
