@@ -456,7 +456,7 @@ func encodeFanoutBatch(b *testing.B, id int64, res *resync.PollResult, cookie st
 		switch {
 		case res.Enc == nil:
 			msg, err = (&proto.Message{ID: id, Op: mkOp(),
-				Controls: []proto.Control{proto.NewEntryChangeControl(action, last, 0)}}).Encode()
+				Controls: []proto.Control{proto.EntryChange{Action: action, Cookie: last}.Control()}}).Encode()
 		case last == "":
 			var tail []byte
 			tail, _, err = res.Enc.GetTail(i, func() ([]byte, error) {
@@ -465,14 +465,14 @@ func encodeFanoutBatch(b *testing.B, id int64, res *resync.PollResult, cookie st
 					return nil, berr
 				}
 				return proto.EncodeMessageTail(envelope, body,
-					[]proto.Control{proto.NewEntryChangeControl(action, "", 0)}), nil
+					[]proto.Control{proto.EntryChange{Action: action}.Control()}), nil
 			})
 			msg = proto.EncodeWithTail(id, tail)
 		default:
 			var body []byte
 			body, _, err = res.Enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(mkOp()) })
 			msg = proto.EncodeWithOpBody(id, envelope, body,
-				[]proto.Control{proto.NewEntryChangeControl(action, last, 0)})
+				[]proto.Control{proto.EntryChange{Action: action, Cookie: last}.Control()})
 		}
 		if err != nil {
 			b.Fatal(err)

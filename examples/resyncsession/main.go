@@ -31,6 +31,10 @@ func printUpdates(label string, updates []filterdir.SyncUpdate) {
 		fmt.Println("  (no updates)")
 	}
 	for _, u := range updates {
+		if u.IsMove() {
+			fmt.Printf("  %-7s %s (from %s)\n", "move", u.DN, u.OldDN)
+			continue
+		}
 		fmt.Printf("  %-7s %s\n", u.Action, u.DN)
 	}
 	fmt.Println()
@@ -94,7 +98,8 @@ func run() error {
 	printUpdates("server -> client: accumulated session history", res2.Updates)
 
 	// Persist mode: the connection stays open; E3 is renamed to E5, which
-	// within the content is a delete of the old DN plus an add of the new.
+	// within the content is a delete of the old DN plus an add of the new —
+	// sent as one move, a patch under the new DN that names the old one.
 	fmt.Println("client -> server: S, (persist, cookie)")
 	sub, err := engine.Persist(res2.Cookie)
 	if err != nil {

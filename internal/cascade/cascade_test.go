@@ -456,10 +456,19 @@ func TestTornCheckpointRecovery(t *testing.T) {
 
 	mutate(t, h.store, 0)
 	waitConverged(t, h.store, tier.Replica().Store(), h.tierSpec, 10*time.Second)
+	// The last batch, the one torn, is a move: a rename and a modify.
+	if err := h.store.ModifyDN(dn.MustParse("cn=04-p2,c=us,o=xyz"), dn.RDN{Attr: "cn", Value: "04-p2 renamed"}, dn.MustParse("c=us,o=xyz")); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, h.store, tier.Replica().Store(), h.tierSpec, 10*time.Second)
 	if err := tier.Stop(); err != nil { // journal batches under newer cookies
 		t.Fatal(err)
 	}
-	tearLastRecord(t, filepath.Join(tier.linkDir(h.tierSpec.Normalize()), "journal.ldif"))
+	jPath := filepath.Join(tier.linkDir(h.tierSpec.Normalize()), "journal.ldif")
+	if raw, err := os.ReadFile(jPath); err != nil || !bytes.Contains(raw, []byte("changetype: modrdn")) {
+		t.Fatalf("the move is not in the journal as a rename (read: %v)", err)
+	}
+	tearLastRecord(t, jPath)
 
 	tier2, err := New(cfg)
 	if err != nil {

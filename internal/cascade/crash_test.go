@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"filterdir/internal/dn"
 	"filterdir/internal/query"
 	"filterdir/internal/resync"
 	"filterdir/internal/supervisor"
@@ -41,8 +43,9 @@ func killedCopy(t *testing.T, stateDir string) string {
 }
 
 // TestKilledTierWithOverlappingLinksRestores: a tier holding a base spec and
-// an adopted spec that overlaps it is killed, and the adopted link's journal
-// is left cut in the middle of its last batch. The restart repairs that
+// an adopted spec that overlaps it — and that alone has moved an entry — is
+// killed, and the adopted link's journal is left cut in the middle of its
+// last batch. The restart repairs that
 // journal, restores each link at the last exchange it committed and converges
 // by resuming both sessions, never a Begin. Retiring the adopted spec then
 // leaves the base spec's content whole: every entry the two specs share came
@@ -76,8 +79,22 @@ func TestKilledTierWithOverlappingLinksRestores(t *testing.T) {
 		return int64(gen)
 	}, 1)
 	mutate(t, h.store, 0) // 04-p1 leaves (sn=x), 04-p100 joins both specs
+	// A move only the adopted link makes: its journal has a rename the base
+	// link's has not.
+	if err := h.store.ModifyDN(dn.MustParse("cn=05-p1,c=us,o=xyz"), dn.RDN{Attr: "cn", Value: "05-p1 renamed"}, dn.MustParse("c=us,o=xyz")); err != nil {
+		t.Fatal(err)
+	}
 	waitConverged(t, h.store, tier.Replica().Store(), h.tierSpec, 10*time.Second)
 	waitConverged(t, h.store, tier.Replica().Store(), overlap, 10*time.Second)
+	for spec, renames := range map[*query.Query]int{&h.tierSpec: 0, &overlap: 1} {
+		raw, err := os.ReadFile(filepath.Join(tier.linkDir(spec.Normalize()), "journal.ldif"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Count(raw, []byte("changetype: modrdn")); got != renames {
+			t.Errorf("link %s journaled %d renames, want %d", spec.FilterString(), got, renames)
+		}
+	}
 	// The batch to lose is one only the adopted link lands; it is on disk
 	// once counted.
 	appends := sup.Counters().JournalAppends.Load()

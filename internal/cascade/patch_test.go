@@ -122,3 +122,53 @@ func TestPatchCrossesTier(t *testing.T) {
 		t.Errorf("tier: %s", why)
 	}
 }
+
+// TestMoveCrossesTier: a rename within the content at the master reaches a
+// leaf two hops down as a move on both hops — the tier re-keys the entry in
+// its store (no parent held there) and journals a rename, from which its
+// engine builds the leaf's move — and a restarted tier replays that rename
+// from its link's journal.
+func TestMoveCrossesTier(t *testing.T) {
+	h := newHarness(t)
+	cfg := h.tierConfig(t)
+	cfg.StateDir = t.TempDir()
+	tier, tierSrv := startTier(t, cfg, "ldap://"+h.srv.Addr())
+	waitSynced(t, tier.Supervisors()[0])
+	sup, rep := startLeaf(t, h.tierSpec, tierSrv.Addr(), "", supervisor.ModePersist)
+	waitSynced(t, sup)
+
+	old, d := dn.MustParse("cn=04-p3,c=us,o=xyz"), dn.MustParse("cn=04-p3 renamed,c=us,o=xyz")
+	if err := h.store.ModifyDN(old, dn.RDN{Attr: "cn", Value: "04-p3 renamed"}, dn.MustParse("c=us,o=xyz")); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, "leaf updates applied", 10*time.Second, sup.Counters().UpdatesApplied.Load, 9)
+	waitConverged(t, h.store, rep.Store(), h.tierSpec, 10*time.Second)
+	if _, held := rep.Store().Get(old); held {
+		t.Error("leaf still holds the old DN")
+	}
+	exactlyConverged(t, h.store, rep.Store(), d, "cn")
+
+	m, tr := h.backend.Engine.Counters().Snapshot(), tier.Engine().Counters().Snapshot()
+	if m.PDUMoves != 1 || m.PDUDeletes != 0 || m.PDUAdds != 8 {
+		t.Errorf("master sent %d moves, %d deletes, %d adds; want 1, 0 and the Begin's 8", m.PDUMoves, m.PDUDeletes, m.PDUAdds)
+	}
+	if tr.PDUMoves != 1 || tr.PDUDeletes != 0 || tr.PDUAdds != 8 {
+		t.Errorf("tier sent %d moves, %d deletes, %d adds; want 1, 0 and the Begin's 8", tr.PDUMoves, tr.PDUDeletes, tr.PDUAdds)
+	}
+	if misses := sup.Counters().PatchMisses.Load() + tier.Supervisors()[0].Counters().PatchMisses.Load(); misses != 0 {
+		t.Errorf("patch misses = %d, want 0", misses)
+	}
+	if err := tier.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	tier2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart over a journaled move: %v", err)
+	}
+	if ok, why := resync.Converged(h.store, tier2.Replica().Store(), h.tierSpec); !ok {
+		t.Errorf("restored tier: %s", why)
+	}
+	if err := tier2.Stop(); err != nil {
+		t.Fatal(err)
+	}
+}

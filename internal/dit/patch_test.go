@@ -170,6 +170,108 @@ func TestPatchOp(t *testing.T) {
 	}
 }
 
+// TestMoveOp: a patch with From re-keys the entry held there to the patch's
+// DN — with no parent held at either name, and leaving what lies below the
+// old name where it is — then patches it, journaling a rename and a modify.
+// A redelivered move, its old name gone, is the patch alone; a move onto a
+// held name drops the old one; a move with neither name held is a patch miss.
+func TestMoveOp(t *testing.T) {
+	st, err := NewStore([]string{""}, WithIndexes("tel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := dn.MustParse("cn=a,ou=old,o=xyz"), dn.MustParse("cn=b,ou=new,o=xyz")
+	child := dn.MustParse("cn=kid,cn=a,ou=old,o=xyz")
+	for _, e := range []*entry.Entry{
+		entry.New(a).Put("cn", "a").Put("tel", "1").Put("fax", "9"),
+		entry.New(child).Put("cn", "kid"),
+	} {
+		if err := st.Upsert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from := st.LastCSN()
+	move := func(from dn.DN, to dn.DN, attrs ...string) SyncOp {
+		p := entry.New(to)
+		for i := 0; i+1 < len(attrs); i += 2 {
+			p.Put(attrs[i], attrs[i+1])
+		}
+		return SyncOp{From: from, Patch: p}
+	}
+	if err := st.ApplyOwned([]SyncOp{move(a, b, "cn", "b", "tel", "2")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(a); ok {
+		t.Error("old name still held")
+	}
+	if e, _ := st.Get(b); !e.Equal(entry.New(b).Put("cn", "b").Put("tel", "2").Put("fax", "9")) {
+		t.Errorf("moved entry = %v", e)
+	}
+	if _, ok := st.Get(child); !ok {
+		t.Error("the entry below the old name moved or went")
+	}
+	if got := st.MatchAll(query.MustNew("", query.ScopeSubtree, "(tel=2)")); len(got) != 1 || !got[0].DN().Equal(b) {
+		t.Errorf("index finds %v under tel=2", got)
+	}
+	changes, _ := st.ChangesSince(from)
+	if len(changes) != 2 || changes[0].Type != ChangeModifyDN || !changes[0].DN.Equal(a) || !changes[0].NewDN.Equal(b) ||
+		changes[1].Type != ChangeModify || len(changes[1].Mods) != 2 {
+		t.Fatalf("move journaled %v", changes)
+	}
+
+	// Redelivered: the old name is gone, the new one is patched.
+	if err := st.ApplyOwned([]SyncOp{move(a, b, "tel", "3")}); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := st.Get(b); e.First("tel") != "3" {
+		t.Errorf("redelivered move left %v", e)
+	}
+	// Onto a held name: the old one is dropped, the held one patched.
+	if err := st.Upsert(entry.New(a).Put("cn", "a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ApplyOwned([]SyncOp{move(a, b, "tel", "4")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(a); ok {
+		t.Error("move onto a held name kept the old one")
+	}
+	if e, _ := st.Get(b); e.First("tel") != "4" || e.First("fax") != "9" {
+		t.Errorf("move onto a held name left %v", e)
+	}
+	// A move without attributes only renames; with neither name held it misses.
+	c := dn.MustParse("cn=c,o=xyz")
+	before := st.LastCSN()
+	if err := st.ApplyOwned([]SyncOp{move(b, c)}); err != nil {
+		t.Fatal(err)
+	}
+	if changes, _ := st.ChangesSince(before); len(changes) != 1 || changes[0].Type != ChangeModifyDN {
+		t.Errorf("attribute-less move journaled %v", changes)
+	}
+	if err := st.ApplyOwned([]SyncOp{move(a, dn.MustParse("cn=d,o=xyz"), "tel", "5")}); !errors.Is(err, ErrPatchMiss) {
+		t.Errorf("move of an entry held under neither name: err = %v, want ErrPatchMiss", err)
+	}
+
+	// Keep copies the entry as the batch's earlier actions leave it, journals
+	// an add, and leaves the old name standing.
+	d := dn.MustParse("cn=d,o=xyz")
+	keep := move(c, d, "cn", "d")
+	keep.Keep = true
+	before = st.LastCSN()
+	if err := st.ApplyOwned([]SyncOp{{Patch: entry.New(c).Put("tel", "6")}, keep}); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := st.Get(c); e.First("tel") != "6" {
+		t.Errorf("kept entry = %v", e)
+	}
+	if e, _ := st.Get(d); !e.Equal(entry.New(d).Put("cn", "d").Put("tel", "6").Put("fax", "9")) {
+		t.Errorf("copy = %v", e)
+	}
+	if changes, _ := st.ChangesSince(before); len(changes) != 3 || changes[1].Type != ChangeAdd || changes[2].Type != ChangeModify {
+		t.Errorf("patch and copy journaled %v", changes)
+	}
+}
+
 // TestReplaceTouchesOnlyNamedIndexes drives random modifies, replaces and
 // patches over a store with two indexed attributes and referral entries, and
 // after every step holds the indexes and the referral registry — which are

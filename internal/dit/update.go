@@ -443,9 +443,24 @@ func (s *Store) applyLocked(c Change) (CSN, error) {
 // the entry Put when it is set; else, when Patch is set, replace in the held
 // entry at Patch's DN each attribute Patch carries with the values it carries
 // (an attribute without values is removed); else remove the entry at Remove.
+//
+// From, set beside Patch, makes the patch a move: the entry held at From is
+// first re-keyed to Patch's DN and then patched. The move is sparse — the new
+// parent need not be held, and nothing below the entry moves with it — and
+// it is journaled as a ChangeModifyDN record followed by the patch's
+// ChangeModify (none for a patch without attributes). Where From is not held
+// the patch alone applies: a redelivered move finds the entry under its new
+// name already. Where both names are held the entry at From is removed.
+//
+// Keep, set beside From, copies instead of re-keying: the entry at From
+// stays, also where both names are held, and where only From is held a copy
+// of it as it stands when the op applies goes in at Patch's DN (journaled as
+// a ChangeAdd) before the patch.
 type SyncOp struct {
 	Put    *entry.Entry
 	Patch  *entry.Entry
+	From   dn.DN
+	Keep   bool
 	Remove dn.DN
 }
 
@@ -458,14 +473,14 @@ var ErrPatchMiss = errors.New("patch for an entry not held")
 // ApplyOwned commits a batch of replica-side content actions in one pass
 // through the commit pipeline: one sequencer hold, one change signal, and
 // for every action the same journal record under its own CSN that Upsert or
-// RemoveAny would have written. Parents are not required and children do
-// not block a removal (filter replicas hold sparse content); removing an
-// absent entry is skipped, patching one fails with ErrPatchMiss. The store
-// takes ownership of every Put and Patch entry: it is frozen and stored (or
-// its values are) as it is, so the caller must hold no other mutable
-// reference to it — a consumer hands over what it just decoded. The batch
-// stops at the first failing action and returns its error; the actions
-// before it stay committed.
+// RemoveAny would have written (a move: its rename, then its patch). Parents
+// are not required and children do not block a removal (filter replicas hold
+// sparse content); removing an absent entry is skipped, patching one fails
+// with ErrPatchMiss. The store takes ownership of every Put and Patch entry:
+// it is frozen and stored (or its values are) as it is, so the caller must
+// hold no other mutable reference to it — a consumer hands over what it just
+// decoded. The batch stops at the first failing action and returns its
+// error; the actions before it stay committed.
 func (s *Store) ApplyOwned(ops []SyncOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -479,6 +494,8 @@ func (s *Store) ApplyOwned(ops []SyncOp) error {
 			switch {
 			case op.Put != nil:
 				csn, err = s.upsertLocked(op.Put.Freeze())
+			case op.Patch != nil && !op.From.IsRoot():
+				csn, err = s.moveLocked(op.From, op.Patch.Freeze(), op.Keep)
 			case op.Patch != nil:
 				csn, err = s.patchLocked(op.Patch.Freeze())
 			default:
@@ -540,6 +557,44 @@ func (s *Store) patchLocked(p *entry.Entry) (CSN, error) {
 		return 0, fmt.Errorf("%w: %q", ErrPatchMiss, p.DN().String())
 	}
 	return csn, err
+}
+
+// moveLocked applies the frozen patch p as a move from the DN from, or with
+// keep as a copy from it (see SyncOp.From).
+func (s *Store) moveLocked(from dn.DN, p *entry.Entry, keep bool) (CSN, error) {
+	to := p.DN()
+	fromNorm, toNorm := from.Norm(), to.Norm()
+	var last CSN
+	if e, ok := s.shardFor(fromNorm).load().entries[fromNorm]; ok && fromNorm != toNorm {
+		_, held := s.shardFor(toNorm).load().entries[toNorm]
+		switch {
+		case held && !keep:
+			s.remove(e, fromNorm)
+			last = s.commitLocked(Change{Type: ChangeDelete, DN: e.DN(), Before: e})
+		case held:
+		case !s.holdsTarget(to):
+			return 0, fmt.Errorf("%w: %q", ErrNoSuchContext, to.String())
+		default:
+			moved := e.Clone()
+			moved.SetDN(to)
+			moved.Freeze()
+			if keep {
+				s.insert(moved, toNorm)
+				last = s.commitLocked(Change{Type: ChangeAdd, DN: to, After: moved})
+				break
+			}
+			s.remove(e, fromNorm)
+			s.insert(moved, toNorm)
+			last = s.commitLocked(Change{Type: ChangeModifyDN, DN: e.DN(), NewDN: to, Before: e, After: moved})
+		}
+	}
+	if p.NumAttrs() > 0 {
+		return s.patchLocked(p)
+	}
+	if _, held := s.shardFor(toNorm).load().entries[toNorm]; !held {
+		return 0, fmt.Errorf("%w: %q", ErrPatchMiss, to.String())
+	}
+	return last, nil
 }
 
 // RemoveAny deletes an entry regardless of children (sparse replica content

@@ -434,35 +434,37 @@ func (c *Client) End(cookie string) error {
 }
 
 func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, string, uint64, error) {
-	action := proto.ChangeActionAdd
-	cookie := ""
-	csn := uint64(0)
+	ec := proto.EntryChange{Action: proto.ChangeActionAdd}
 	if cc, ok := m.Control(proto.OIDEntryChange); ok {
-		a, ck, n, err := proto.ParseEntryChange(cc)
-		if err != nil {
+		var err error
+		if ec, err = proto.ParseEntryChange(cc); err != nil {
 			return resync.Update{}, "", 0, err
 		}
-		action, cookie, csn = a, ck, n
 	}
 	// The decoded entry is this consumer's alone: it goes into the update
 	// as it is, and delete and retain PDUs give just their DN.
 	u := resync.Update{DN: op.Entry.DN()}
-	switch action {
+	switch ec.Action {
 	case proto.ChangeActionAdd:
-		u.Action = resync.ActionAdd
+		u.Action, u.Entry = resync.ActionAdd, op.Entry
 	case proto.ChangeActionModify:
-		u.Action = resync.ActionModify
+		u.Action, u.Entry = resync.ActionModify, op.Entry
 	case proto.ChangeActionPatch:
-		u.Action, u.Patch = resync.ActionModify, true
+		u.Action, u.Entry, u.Patch = resync.ActionModify, op.Entry, true
+	case proto.ChangeActionMove:
+		old, err := dn.Parse(ec.OldDN)
+		if err != nil {
+			return resync.Update{}, "", 0, fmt.Errorf("ldap sync: move from %q: %w", ec.OldDN, err)
+		}
+		u.Action, u.Entry, u.Patch, u.OldDN = resync.ActionModify, op.Entry, true, old
 	case proto.ChangeActionDelete:
 		u.Action = resync.ActionDelete
 	case proto.ChangeActionRetain:
 		u.Action = resync.ActionRetain
+	default:
+		return resync.Update{}, "", 0, fmt.Errorf("ldap sync: update PDU with action %v", ec.Action)
 	}
-	if u.Action == resync.ActionAdd || u.Action == resync.ActionModify {
-		u.Entry = op.Entry
-	}
-	return u, cookie, csn, nil
+	return u, ec.Cookie, ec.CSN, nil
 }
 
 // Add inserts an entry.

@@ -539,6 +539,9 @@ func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *pro
 		initialCookie = res.Cookie
 	}
 	if err := s.streamUpdates(state, conn, id, res.Updates, initialCookie, res.CSN, res.Enc, false); err != nil {
+		// Without its cookie the exchange must not look complete; on a dead
+		// connection this reply goes nowhere.
+		s.reply(state, conn, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
 		return
 	}
 
@@ -573,12 +576,15 @@ func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *pro
 			for batch := range sub.Updates {
 				if err := s.streamUpdates(state, conn, id, batch.Updates, batch.Cookie, batch.CSN, batch.Enc, true); err != nil {
 					sub.Close()
+					if !errors.Is(err, errSlowConsumer) { // else the connection is gone
+						s.streamDone(state, conn, id, "", err)
+					}
 					return
 				}
 			}
 			// The done must trail the queued batch PDUs of this stream, so
 			// it rides the same queue.
-			s.streamDone(state, conn, id, res.Cookie)
+			s.streamDone(state, conn, id, res.Cookie, nil)
 		}()
 		return
 	}
@@ -596,8 +602,8 @@ var errSlowConsumer = errors.New("ldapnet: persist consumer too slow, write queu
 var searchEntryTag = &proto.SearchEntry{}
 
 // updateOp is the wire op of one update: the update's entry for add and
-// modify — the complete image, or for a patch just the attributes it
-// replaces — and the DN alone for delete and retain.
+// modify — the complete image, or for a patch or a move just the attributes
+// it replaces — and the DN alone for delete and retain.
 func updateOp(u resync.Update) *proto.SearchEntry {
 	if u.Entry != nil && (u.Action == resync.ActionAdd || u.Action == resync.ActionModify) {
 		return &proto.SearchEntry{Entry: u.Entry}
@@ -605,10 +611,33 @@ func updateOp(u resync.Update) *proto.SearchEntry {
 	return &proto.SearchEntry{Entry: entry.New(u.DN)}
 }
 
+// changeAction is the wire action of an update.
+func changeAction(u resync.Update) (proto.ChangeAction, error) {
+	switch u.Action {
+	case resync.ActionAdd:
+		return proto.ChangeActionAdd, nil
+	case resync.ActionModify:
+		switch {
+		case u.IsMove():
+			return proto.ChangeActionMove, nil
+		case u.Patch:
+			return proto.ChangeActionPatch, nil
+		}
+		return proto.ChangeActionModify, nil
+	case resync.ActionDelete:
+		return proto.ChangeActionDelete, nil
+	case resync.ActionRetain:
+		return proto.ChangeActionRetain, nil
+	}
+	return 0, fmt.Errorf("ldapnet: update of %s has no wire action", u.DN.String())
+}
+
 // streamUpdates sends each update as a search entry PDU labelled with an
-// entry-change control; delete and retain actions carry the DN only. A
-// non-empty batchCookie is attached to the final PDU so persist-mode
-// consumers learn the sync point each pushed batch reaches.
+// entry-change control; delete and retain actions carry the DN only, a move
+// its old DN on the control. A non-empty batchCookie is attached to the final
+// PDU so persist-mode consumers learn the sync point each pushed batch
+// reaches. An update the wire has no action for ends the exchange with an
+// error: skipping it would drop, with the last update, the batch's cookie.
 //
 // When the batch carries a shared-encoding memo, the PDU is BER-encoded
 // once per content view and reused across every session fanned the batch —
@@ -623,38 +652,29 @@ func updateOp(u resync.Update) *proto.SearchEntry {
 func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, updates []resync.Update, batchCookie string, batchCSN uint64, enc *resync.SharedEnc, queued bool) error {
 	for i, u := range updates {
 		u := u
-		var action proto.ChangeAction
-		switch u.Action {
-		case resync.ActionAdd:
-			action = proto.ChangeActionAdd
-		case resync.ActionModify:
-			action = proto.ChangeActionModify
-			if u.Patch {
-				action = proto.ChangeActionPatch
-			}
-		case resync.ActionDelete:
-			action = proto.ChangeActionDelete
-		case resync.ActionRetain:
-			action = proto.ChangeActionRetain
-		default:
-			continue
+		action, err := changeAction(u)
+		if err != nil {
+			return err
 		}
-		cookie := ""
-		csn := uint64(0)
+		ec := proto.EntryChange{Action: action}
 		if i == len(updates)-1 {
-			cookie = batchCookie
-			csn = batchCSN
+			ec.Cookie, ec.CSN = batchCookie, batchCSN
+		}
+		control := func() []proto.Control {
+			if u.IsMove() {
+				ec.OldDN = u.OldDN.String()
+			}
+			return []proto.Control{ec.Control()}
 		}
 		// The op and its control are built inside the memo's build
 		// functions: on a hit neither is needed.
 		var msgBytes []byte
 		var built bool
-		var err error
 		switch {
 		case enc == nil:
 			msgBytes, err = (&proto.Message{ID: id, Op: updateOp(u),
-				Controls: []proto.Control{proto.NewEntryChangeControl(action, cookie, csn)}}).Encode()
-		case cookie == "":
+				Controls: control()}).Encode()
+		case ec.Cookie == "":
 			// Session-independent message: share the whole tail and stamp
 			// only the message ID.
 			var tail []byte
@@ -663,8 +683,7 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 				if berr != nil {
 					return nil, berr
 				}
-				return proto.EncodeMessageTail(searchEntryTag, body,
-					[]proto.Control{proto.NewEntryChangeControl(action, "", 0)}), nil
+				return proto.EncodeMessageTail(searchEntryTag, body, control()), nil
 			})
 			if err == nil {
 				msgBytes = proto.EncodeWithTail(id, tail)
@@ -675,8 +694,7 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 			var body []byte
 			body, built, err = enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(updateOp(u)) })
 			if err == nil {
-				msgBytes = proto.EncodeWithOpBody(id, searchEntryTag, body,
-					[]proto.Control{proto.NewEntryChangeControl(action, cookie, csn)})
+				msgBytes = proto.EncodeWithOpBody(id, searchEntryTag, body, control())
 			}
 		}
 		if err != nil {
@@ -707,11 +725,12 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 	return nil
 }
 
-// streamDone ends a persist stream with its SearchDone, routed through the
-// write queue so it trails the stream's queued PDUs.
-func (s *Server) streamDone(state *connState, conn net.Conn, id int64, cookie string) {
+// streamDone ends a persist stream with its SearchDone — carrying err's
+// result when it failed — routed through the write queue so it trails the
+// stream's queued PDUs.
+func (s *Server) streamDone(state *connState, conn net.Conn, id int64, cookie string, err error) {
 	op := &proto.SearchDone{}
-	setResult(op, proto.ResultSuccess, "", nil)
+	setResult(op, resultCodeFor(err), errText(err), nil)
 	m := &proto.Message{ID: id, Op: op,
 		Controls: []proto.Control{proto.NewReSyncDoneControl(cookie, false, 0)}}
 	b, err := m.Encode()

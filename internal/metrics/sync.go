@@ -24,8 +24,11 @@ type SyncCounters struct {
 	PDUModifies atomic.Int64
 	PDURetains  atomic.Int64
 	// PDUPatches counts the modifies (they are in PDUModifies too) sent as
-	// attribute-level patches; the rest carried the complete entry.
+	// attribute-level patches; the rest carried the complete entry. PDUMoves
+	// counts the patches (in PDUPatches too) that were moves: a rename within
+	// the content, one PDU where the paper sends a delete and an add.
 	PDUPatches atomic.Int64
+	PDUMoves   atomic.Int64
 
 	// SuppressedModifies counts net-unchanged modify PDUs dropped by the
 	// minimal-update-set check (e.g. modify-then-revert intervals).
@@ -122,7 +125,7 @@ func (c *SyncCounters) ObserveClassify(d time.Duration) {
 type SyncSnapshot struct {
 	Begins, Polls, RetainPolls, Ends             int64
 	PDUAdds, PDUDeletes, PDUModifies, PDURetains int64
-	PDUPatches                                   int64
+	PDUPatches, PDUMoves                         int64
 	SuppressedModifies                           int64
 	FullReloads                                  int64
 	ChunkedReloads, ReloadChunks                 int64
@@ -151,6 +154,7 @@ func (c *SyncCounters) Snapshot() SyncSnapshot {
 		PDUModifies:        c.PDUModifies.Load(),
 		PDURetains:         c.PDURetains.Load(),
 		PDUPatches:         c.PDUPatches.Load(),
+		PDUMoves:           c.PDUMoves.Load(),
 		SuppressedModifies: c.SuppressedModifies.Load(),
 		FullReloads:        c.FullReloads.Load(),
 		ChunkedReloads:     c.ChunkedReloads.Load(),
@@ -201,9 +205,9 @@ func (s SyncSnapshot) PDUs() int64 {
 // String renders a compact status line for operator output.
 func (s SyncSnapshot) String() string {
 	return fmt.Sprintf(
-		"sync: begins=%d polls=%d retain=%d ends=%d persist=%d | pdus=%d (add=%d del=%d mod=%d [patch=%d image=%d] ret=%d suppressed=%d) streamed=%d | full-reloads=%d (chunked=%d chunks=%d resumes=%d rejects=%d) reload-snapshots=%d built/%d shared classify-avg=%s | groups: joins=%d (equiv=%d) leaves=%d classify-dedup=%.2f enc-dedup=%d/%d | slow: coalesced=%d demoted=%d qdrops=%d qmax=%d",
+		"sync: begins=%d polls=%d retain=%d ends=%d persist=%d | pdus=%d (add=%d del=%d mod=%d [patch=%d (move=%d) image=%d] ret=%d suppressed=%d) streamed=%d | full-reloads=%d (chunked=%d chunks=%d resumes=%d rejects=%d) reload-snapshots=%d built/%d shared classify-avg=%s | groups: joins=%d (equiv=%d) leaves=%d classify-dedup=%.2f enc-dedup=%d/%d | slow: coalesced=%d demoted=%d qdrops=%d qmax=%d",
 		s.Begins, s.Polls, s.RetainPolls, s.Ends, s.PersistStreams,
-		s.PDUs(), s.PDUAdds, s.PDUDeletes, s.PDUModifies, s.PDUPatches, s.PDUModifies-s.PDUPatches, s.PDURetains,
+		s.PDUs(), s.PDUAdds, s.PDUDeletes, s.PDUModifies, s.PDUPatches, s.PDUMoves, s.PDUModifies-s.PDUPatches, s.PDURetains,
 		s.SuppressedModifies, s.StreamedPDUs, s.FullReloads,
 		s.ChunkedReloads, s.ReloadChunks, s.Resumes, s.ResumeRejects,
 		s.ReloadSnapshotsBuilt, s.ReloadSnapshotsShared, s.AvgClassify,

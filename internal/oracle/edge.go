@@ -319,9 +319,12 @@ func (h *edgeHarness) doPoll(lost bool) *Failure {
 		for _, u := range res.Updates {
 			switch u.Action {
 			case resync.ActionAdd, resync.ActionModify:
-				img := u.Image(r.content[u.DN.Norm()])
+				img := u.Image(heldFor(r.content, u))
 				if img == nil {
 					return h.fail("patch for %s, which the leaf does not hold", u.DN)
+				}
+				if u.IsMove() {
+					delete(r.content, u.OldDN.Norm())
 				}
 				r.content[u.DN.Norm()] = img
 			case resync.ActionDelete:

@@ -405,9 +405,12 @@ func (h *harness) applyIncremental(r *replicaSt, updates []resync.Update) *Failu
 		norm := u.DN.Norm()
 		switch u.Action {
 		case resync.ActionAdd, resync.ActionModify:
-			img := u.Image(r.content[norm])
+			img := u.Image(heldFor(r.content, u))
 			if img == nil {
 				return h.fail("patch for %s, which replica %q does not hold", u.DN, r.spec)
+			}
+			if u.IsMove() {
+				delete(r.content, u.OldDN.Norm())
 			}
 			r.content[norm] = img
 		case resync.ActionDelete:
@@ -423,9 +426,23 @@ func (h *harness) applyIncremental(r *replicaSt, updates []resync.Update) *Failu
 	return nil
 }
 
+// heldFor is what a consumer holding content applies u on top of: the entry
+// at the update's DN, or for a move the one at its old DN — at the new DN
+// only if the old one is gone (a redelivered move).
+func heldFor(content map[string]*entry.Entry, u resync.Update) *entry.Entry {
+	if u.IsMove() {
+		if held, ok := content[u.OldDN.Norm()]; ok {
+			return held
+		}
+	}
+	return content[u.DN.Norm()]
+}
+
 // checkMinimal asserts the update set is exactly the net difference between
 // the replica's pre-exchange content and the reference selection: nothing
-// missing, nothing redundant, no duplicates.
+// missing, nothing redundant, no duplicates. A move counts as the delete of
+// its old DN plus the add of its new one, and is judged by the image it
+// leaves: the entry held at the old DN, re-keyed and patched.
 func (h *harness) checkMinimal(spec query.Query, before, ref map[string]*entry.Entry, updates []resync.Update, phase string) *Failure {
 	wantAdd := make(map[string]*entry.Entry)
 	wantMod := make(map[string]*entry.Entry)
@@ -448,11 +465,28 @@ func (h *harness) checkMinimal(spec query.Query, before, ref map[string]*entry.E
 	var adds, mods, dels int
 	for _, u := range updates {
 		norm := u.DN.Norm()
-		key := u.Action.String() + " " + norm
-		if seen[key] {
-			return h.fail("%s for %q: duplicate %s", phase, spec, key)
+		keys := []string{u.Action.String() + " " + norm}
+		if u.IsMove() {
+			keys = []string{"delete " + u.OldDN.Norm(), "add " + norm}
 		}
-		seen[key] = true
+		for _, key := range keys {
+			if seen[key] {
+				return h.fail("%s for %q: duplicate %s", phase, spec, key)
+			}
+			seen[key] = true
+		}
+		if u.IsMove() {
+			want, ok := wantAdd[norm]
+			if !ok || !wantDel[u.OldDN.Norm()] {
+				return h.fail("%s for %q: redundant move %s <- %s (not a delete plus an add of the minimal set)", phase, spec, u.DN, u.OldDN)
+			}
+			if got := u.Image(before[u.OldDN.Norm()]); !got.Equal(want) {
+				return h.fail("%s for %q: move %s <- %s leaves the wrong entry:\n  got  %s\n  want %s", phase, spec, u.DN, u.OldDN, got, want)
+			}
+			adds++
+			dels++
+			continue
+		}
 		switch u.Action {
 		case resync.ActionAdd:
 			want, ok := wantAdd[norm]

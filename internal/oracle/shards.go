@@ -49,6 +49,9 @@ func foldUpdates(h uint64, ups []resync.Update) uint64 {
 	for _, u := range ups {
 		h = foldString(h, u.Action.String())
 		h = foldString(h, u.DN.Norm())
+		if u.IsMove() {
+			h = foldString(h, u.OldDN.Norm())
+		}
 		if u.Entry != nil {
 			h = foldString(h, u.Entry.String())
 		}

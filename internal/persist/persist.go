@@ -98,7 +98,9 @@ func AppendJournal(w io.Writer, changes []dit.Change) error {
 // applyRecord replays one journal record onto a store. A record that does not
 // apply (an add of a present entry, a delete of an absent one) is an error;
 // sparse content is replayed as live synchronization applies it: adds as
-// upserts, deletes whatever lies below and whether or not the entry is there.
+// upserts, deletes whatever lies below and whether or not the entry is there,
+// renames as moves — the entry alone re-keyed, its new parent not required
+// (dit.SyncOp.From).
 func applyRecord(st *dit.Store, rec ldif.ChangeRecord, sparse bool) error {
 	switch rec.Type {
 	case dit.ChangeAdd:
@@ -118,6 +120,9 @@ func applyRecord(st *dit.Store, rec ldif.ChangeRecord, sparse bool) error {
 	case dit.ChangeModify:
 		return st.Modify(rec.DN, rec.Mods)
 	case dit.ChangeModifyDN:
+		if sparse {
+			return st.ApplyOwned([]dit.SyncOp{{From: rec.DN, Patch: entry.New(rec.NewDN)}})
+		}
 		leaf, ok := rec.NewDN.Leaf()
 		if !ok {
 			return fmt.Errorf("modrdn record lacks a leaf RDN")

@@ -157,6 +157,50 @@ func TestDirOpenSparseReplaysPatch(t *testing.T) {
 	})
 }
 
+// TestDirOpenSparseReplaysMove: a move at a sparse store is journaled as a
+// rename and a modify, and the rename names a new superior the store does not
+// hold — a filter replica holds no parents. Strict replay (ModifyDN) refuses
+// it; sparse replay must re-key the entry alone, as the live move did, and
+// then patch it. A move without attributes is the rename alone.
+func TestDirOpenSparseReplaysMove(t *testing.T) {
+	home := Dir{Path: filepath.Join(t.TempDir(), "sparse")}
+	st, err := dit.NewStore([]string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"cn=s0,o=xyz", "cn=kid,cn=s0,o=xyz", "cn=s9,o=xyz"} {
+		if err := st.Upsert(entry.New(dn.MustParse(d)).Put("objectclass", "person").Put("telephoneNumber", "1").Put("fax", "9")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := home.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	watermark := st.LastCSN()
+	patch := entry.New(dn.MustParse("cn=s1,ou=elsewhere,o=xyz")).Put("cn", "s1").Put("telephoneNumber", "2").Put("fax")
+	if err := st.ApplyOwned([]dit.SyncOp{
+		{From: dn.MustParse("cn=s0,o=xyz"), Patch: patch},
+		{From: dn.MustParse("cn=s9,o=xyz"), Patch: entry.New(dn.MustParse("cn=s8,o=xyz"))},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := home.AppendChanges(st, watermark); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := home.Open([]string{""}); err == nil {
+		t.Error("strict Open replayed a rename under an absent superior without error")
+	}
+	recovered, _, err := home.OpenSparse([]string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := recovered.Get(patch.DN())
+	if got == nil || got.First("telephoneNumber") != "2" || got.Has("fax") || got.First("cn") != "s1" {
+		t.Errorf("recovered moved entry = %v", got)
+	}
+	identical(t, st, recovered)
+}
+
 // testSparseReplay checkpoints a sparse store holding one entry, replaces a
 // value and removes an attribute of it through change, appends the journal
 // and expects OpenSparse to recover the store as it stands.

@@ -77,14 +77,16 @@ const (
 	OIDReSyncDone = "1.3.6.1.4.1.55555.1.2"
 	// OIDEntryChange is attached to each update PDU of a ReSync response:
 	// value = SEQUENCE { action ENUMERATED, cookie OCTET STRING OPTIONAL,
-	// csn INTEGER OPTIONAL }. The action says how to read the PDU's entry —
-	// add and modify carry the complete entry, patch only the attributes to
-	// replace (see ChangeActionPatch), delete and retain the DN alone — so
-	// telling a patch from an image costs no byte. The cookie appears on the last PDU of a
+	// csn INTEGER OPTIONAL, oldDN [0] OCTET STRING OPTIONAL }. The action says
+	// how to read the PDU's entry — add and modify carry the complete entry,
+	// patch and move only the attributes to replace (see ChangeActionPatch,
+	// ChangeActionMove), delete and retain the DN alone — so telling a patch
+	// from an image costs no byte. The cookie appears on the last PDU of a
 	// persist-mode batch, naming the sync point the replica reaches by
-	// applying the batch; the csn rides beside it, echoing the master CSN
-	// the batch syncs the consumer to (the signal an edge-writing replica
-	// uses to retire pending ops).
+	// applying the batch; the csn rides beside it, echoing the master CSN the
+	// batch syncs the consumer to (the signal an edge-writing replica uses to
+	// retire pending ops). The old DN rides on a move alone; being tagged, it
+	// leaves cookie and csn where they were.
 	OIDEntryChange = "1.3.6.1.4.1.55555.1.3"
 	// OIDEdgeWrite is attached to an update request forwarded up the
 	// cascade by an edge-writing replica: value = SEQUENCE { opid OCTET
@@ -268,6 +270,10 @@ const (
 	// entry, exactly the attributes to replace in the held one: each with its
 	// complete current value set, an empty set for an attribute now absent.
 	ChangeActionPatch
+	// ChangeActionMove is a patch under the entry's new DN whose control
+	// carries the DN it had: the consumer re-keys the entry it holds there,
+	// then applies the patch.
+	ChangeActionMove
 )
 
 func (a ChangeAction) String() string {
@@ -282,55 +288,85 @@ func (a ChangeAction) String() string {
 		return "retain"
 	case ChangeActionPatch:
 		return "patch"
+	case ChangeActionMove:
+		return "move"
 	default:
 		return fmt.Sprintf("action(%d)", int(a))
 	}
 }
 
-// NewEntryChangeControl labels an update PDU with its action. A non-empty
-// cookie marks the PDU as the last of a pushed batch: applying everything
-// up to and including it brings the replica to the named sync point. The
-// csn (0 to omit) rides only with a cookie, echoing the master CSN the
-// batch syncs the consumer to.
-func NewEntryChangeControl(action ChangeAction, cookie string, csn uint64) Control {
+// tagOldDN is the context tag of a move's old DN in the entry-change control.
+const tagOldDN = 0
+
+// EntryChange is the content of an entry-change control (OIDEntryChange). A
+// non-empty Cookie marks the PDU as the last of a pushed batch: applying
+// everything up to and including it brings the replica to the named sync
+// point. CSN (0 to omit) rides only with a cookie, echoing the master CSN the
+// batch syncs the consumer to. OldDN is set on a move, and only there.
+type EntryChange struct {
+	Action ChangeAction
+	Cookie string
+	CSN    uint64
+	OldDN  string
+}
+
+// Control encodes the entry-change control.
+func (ec EntryChange) Control() Control {
 	var body []byte
-	body = ber.AppendEnum(body, int64(action))
-	if cookie != "" {
-		body = ber.AppendString(body, ber.ClassUniversal, ber.TagOctetString, cookie)
-		if csn > 0 {
-			body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, int64(csn))
+	body = ber.AppendEnum(body, int64(ec.Action))
+	if ec.Cookie != "" {
+		body = ber.AppendString(body, ber.ClassUniversal, ber.TagOctetString, ec.Cookie)
+		if ec.CSN > 0 {
+			body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, int64(ec.CSN))
 		}
+	}
+	if ec.OldDN != "" {
+		body = ber.AppendString(body, ber.ClassContext, tagOldDN, ec.OldDN)
 	}
 	return Control{OID: OIDEntryChange, Value: ber.AppendSequence(nil, body)}
 }
 
-// ParseEntryChange decodes an entry-change control; cookie is "" (and csn
-// 0) except on the final PDU of a pushed batch.
-func ParseEntryChange(c Control) (ChangeAction, string, uint64, error) {
+// ParseEntryChange decodes an entry-change control; Cookie is "" (and CSN 0)
+// except on the final PDU of a pushed batch. An action this package does not
+// define, a move without its old DN and an old DN on anything but a move are
+// errors: what the consumer would do with them is undefined.
+func ParseEntryChange(c Control) (EntryChange, error) {
 	rd := ber.NewReader(c.Value)
 	seq, err := rd.ReadSequence()
 	if err != nil {
-		return 0, "", 0, fmt.Errorf("entry change control: %w", err)
+		return EntryChange{}, fmt.Errorf("entry change control: %w", err)
 	}
 	a, err := seq.ReadEnum()
 	if err != nil {
-		return 0, "", 0, err
+		return EntryChange{}, err
 	}
-	var cookie string
-	var csn uint64
-	if !seq.Empty() {
-		if cookie, err = seq.ReadString(); err != nil {
-			return 0, "", 0, err
+	ec := EntryChange{Action: ChangeAction(a)}
+	if ec.Action < ChangeActionAdd || ec.Action > ChangeActionMove {
+		return EntryChange{}, fmt.Errorf("entry change control: unknown action %d", a)
+	}
+	if h, err := seq.Peek(); err == nil && h.Is(ber.ClassUniversal, ber.TagOctetString) {
+		if ec.Cookie, err = seq.ReadString(); err != nil {
+			return EntryChange{}, err
 		}
 	}
-	if !seq.Empty() {
+	if h, err := seq.Peek(); err == nil && h.Is(ber.ClassUniversal, ber.TagInteger) {
 		n, err := seq.ReadInt()
 		if err != nil {
-			return 0, "", 0, err
+			return EntryChange{}, err
 		}
-		csn = uint64(n)
+		ec.CSN = uint64(n)
 	}
-	return ChangeAction(a), cookie, csn, nil
+	if h, err := seq.Peek(); err == nil && h.Is(ber.ClassContext, tagOldDN) {
+		old, err := seq.ReadExpect(ber.ClassContext, tagOldDN)
+		if err != nil {
+			return EntryChange{}, err
+		}
+		ec.OldDN = string(old)
+	}
+	if (ec.Action == ChangeActionMove) != (ec.OldDN != "") {
+		return EntryChange{}, fmt.Errorf("entry change control: %s with old DN %q", ec.Action, ec.OldDN)
+	}
+	return ec, nil
 }
 
 // NewEdgeWriteControl marks an update request as an edge-originated write

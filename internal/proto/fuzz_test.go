@@ -93,7 +93,7 @@ func FuzzDecodeWriteRequest(f *testing.F) {
 func FuzzDecodeSearchEntry(f *testing.F) {
 	for _, e := range []*entry.Entry{employeeEntry(), entry.New(dn.MustParse("cn=gone,o=xyz"))} {
 		seed, err := (&Message{ID: 7, Op: &SearchEntry{Entry: e},
-			Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "sess-1@2", 9)}}).Encode()
+			Controls: []Control{EntryChange{Action: ChangeActionAdd, Cookie: "sess-1@2", CSN: 9}.Control()}}).Encode()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -129,18 +129,23 @@ func FuzzDecodeSearchEntry(f *testing.F) {
 // FuzzDecodeEntryChange feeds arbitrary bytes to the entry-change control
 // decoder and, through the message decoder, to an update PDU carrying one —
 // seeded with a patch whose attributes include an empty value set, the wire
-// form of "this attribute is now absent". Properties: neither decoder
-// panics; a decoded control re-encodes to the value it was decoded from
-// whenever that value is canonical (re-decoding the re-encoding gives the
-// same fields); and a decoded patch keeps its empty-valued attributes across
-// a round trip — dropping one would turn a removal into a no-op.
+// form of "this attribute is now absent", with a move and its old DN, and
+// with an action no consumer knows. Properties: neither decoder panics; a
+// decoded control re-encodes to the value it was decoded from whenever that
+// value is canonical (re-decoding the re-encoding gives the same fields); an
+// action outside the defined ones never decodes; and a decoded patch keeps
+// its empty-valued attributes across a round trip — dropping one would turn
+// a removal into a no-op.
 func FuzzDecodeEntryChange(f *testing.F) {
 	patch := entry.New(dn.MustParse("cn=emp us 17,c=us,o=xyz"))
 	patch.Put("telephoneNumber", "555-0117").Put("pager").Put("mail", "a@x", "b@x")
 	for _, c := range []Control{
-		NewEntryChangeControl(ChangeActionPatch, "", 0),
-		NewEntryChangeControl(ChangeActionPatch, "sess-1@2", 9),
-		NewEntryChangeControl(ChangeActionDelete, "sess-1@2", 0),
+		EntryChange{Action: ChangeActionPatch}.Control(),
+		EntryChange{Action: ChangeActionPatch, Cookie: "sess-1@2", CSN: 9}.Control(),
+		EntryChange{Action: ChangeActionDelete, Cookie: "sess-1@2"}.Control(),
+		EntryChange{Action: ChangeActionMove, OldDN: "cn=emp us 16,c=us,o=xyz"}.Control(),
+		EntryChange{Action: ChangeActionMove, Cookie: "sess-1@2", CSN: 9, OldDN: "cn=emp us 16,c=us,o=xyz"}.Control(),
+		EntryChange{Action: ChangeActionMove + 1, Cookie: "sess-1@2"}.Control(),
 	} {
 		seed, err := (&Message{ID: 7, Op: &SearchEntry{Entry: patch}, Controls: []Control{c}}).Encode()
 		if err != nil {
@@ -150,13 +155,15 @@ func FuzzDecodeEntryChange(f *testing.F) {
 		f.Add(seed[:len(seed)-5], c.Value[:len(c.Value)/2])
 	}
 	f.Fuzz(func(t *testing.T, pdu, value []byte) {
-		if a, cookie, csn, err := ParseEntryChange(Control{OID: OIDEntryChange, Value: value}); err == nil {
-			again := NewEntryChangeControl(a, cookie, csn)
-			a2, cookie2, csn2, err := ParseEntryChange(again)
+		if ec, err := ParseEntryChange(Control{OID: OIDEntryChange, Value: value}); err == nil {
+			if ec.Action < ChangeActionAdd || ec.Action > ChangeActionMove {
+				t.Fatalf("entry-change control with action %d decoded", ec.Action)
+			}
+			again, err := ParseEntryChange(ec.Control())
 			// The encoder only writes a CSN beside a cookie.
-			if err != nil || a2 != a || cookie2 != cookie || (cookie != "" && csn2 != csn) {
-				t.Fatalf("entry-change control round trip: (%v %q %d) became (%v %q %d), err %v",
-					a, cookie, csn, a2, cookie2, csn2, err)
+			if err != nil || again.Action != ec.Action || again.Cookie != ec.Cookie || again.OldDN != ec.OldDN ||
+				(ec.Cookie != "" && again.CSN != ec.CSN) {
+				t.Fatalf("entry-change control round trip: %+v became %+v, err %v", ec, again, err)
 			}
 		}
 		m, err := Decode(pdu)
@@ -168,7 +175,7 @@ func FuzzDecodeEntryChange(f *testing.F) {
 			return
 		}
 		if cc, ok := m.Control(OIDEntryChange); ok {
-			_, _, _, _ = ParseEntryChange(cc) // must not panic on whatever rode along
+			_, _ = ParseEntryChange(cc) // must not panic on whatever rode along
 		}
 		enc, err := m.Encode()
 		if err != nil {

@@ -209,18 +209,35 @@ func TestReSyncDoneControl(t *testing.T) {
 }
 
 func TestEntryChangeControl(t *testing.T) {
-	for _, a := range []ChangeAction{ChangeActionAdd, ChangeActionDelete, ChangeActionModify, ChangeActionRetain} {
-		c := NewEntryChangeControl(a, "", 0)
-		got, cookie, csn, err := ParseEntryChange(c)
-		if err != nil || got != a || cookie != "" || csn != 0 {
-			t.Errorf("entry change %v: got %v, %q, %d, %v", a, got, cookie, csn, err)
+	for _, a := range []ChangeAction{ChangeActionAdd, ChangeActionDelete, ChangeActionModify, ChangeActionRetain, ChangeActionPatch} {
+		c := EntryChange{Action: a}.Control()
+		got, err := ParseEntryChange(c)
+		if err != nil || got != (EntryChange{Action: a}) {
+			t.Errorf("entry change %v: got %+v, %v", a, got, err)
 		}
 	}
 	// The batch-closing form carries the sync-point cookie and watermark.
-	c := NewEntryChangeControl(ChangeActionModify, "sess-3@7", 9)
-	got, cookie, csn, err := ParseEntryChange(c)
-	if err != nil || got != ChangeActionModify || cookie != "sess-3@7" || csn != 9 {
-		t.Errorf("entry change with cookie: got %v, %q, %d, %v", got, cookie, csn, err)
+	for _, want := range []EntryChange{
+		{Action: ChangeActionModify, Cookie: "sess-3@7", CSN: 9},
+		// A move carries its old DN, with or without the cookie.
+		{Action: ChangeActionMove, OldDN: "cn=emp us 17,c=us,o=xyz"},
+		{Action: ChangeActionMove, Cookie: "sess-3@7", CSN: 9, OldDN: "cn=emp us 17,c=us,o=xyz"},
+	} {
+		got, err := ParseEntryChange(want.Control())
+		if err != nil || got != want {
+			t.Errorf("entry change: got %+v, %v; want %+v", got, err, want)
+		}
+	}
+	// What a consumer could not act on is refused.
+	for _, bad := range []EntryChange{
+		{Action: ChangeActionMove},
+		{Action: ChangeActionPatch, OldDN: "cn=a,o=xyz"},
+		{Action: 0},
+		{Action: ChangeActionMove + 1},
+	} {
+		if got, err := ParseEntryChange(bad.Control()); err == nil {
+			t.Errorf("%+v parsed as %+v", bad, got)
+		}
 	}
 }
 
@@ -354,8 +371,8 @@ func TestSharedEncodingEquivalence(t *testing.T) {
 	}
 	controlSets := [][]Control{
 		nil,
-		{NewEntryChangeControl(ChangeActionAdd, "", 0)},
-		{NewEntryChangeControl(ChangeActionDelete, "sess-9@4", 3)},
+		{EntryChange{Action: ChangeActionAdd}.Control()},
+		{EntryChange{Action: ChangeActionDelete, Cookie: "sess-9@4", CSN: 3}.Control()},
 	}
 	for _, tc := range ops {
 		for ci, controls := range controlSets {
@@ -435,7 +452,7 @@ func TestSizedEncodersMatchReference(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: sized body differs from the reference encoding (%d vs %d bytes)", name, len(got), len(want))
 		}
-		controls := []Control{NewEntryChangeControl(ChangeActionAdd, "sess-3@7", 41)}
+		controls := []Control{EntryChange{Action: ChangeActionAdd, Cookie: "sess-3@7", CSN: 41}.Control()}
 		msg, err := (&Message{ID: 300, Op: &SearchEntry{Entry: e}, Controls: controls}).Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -487,7 +504,7 @@ func TestReadMessageOwnsItsBody(t *testing.T) {
 		e := employeeEntry()
 		e.Put("sn", fmt.Sprintf("sn-%d", i))
 		if err := (&Message{ID: int64(i + 1), Op: &SearchEntry{Entry: e},
-			Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "", 0)}}).Write(&stream); err != nil {
+			Controls: []Control{EntryChange{Action: ChangeActionAdd}.Control()}}).Write(&stream); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -505,8 +522,8 @@ func TestReadMessageOwnsItsBody(t *testing.T) {
 		if e.First("sn") != fmt.Sprintf("sn-%d", i) || e.DN().String() != "cn=emp us 17,c=us,o=xyz" {
 			t.Errorf("message %d changed after later reads: %s", i, e)
 		}
-		if a, _, _, err := ParseEntryChange(m.Controls[0]); err != nil || a != ChangeActionAdd || m.Controls[0].OID != OIDEntryChange {
-			t.Errorf("message %d: control changed after later reads: %v %v", i, a, err)
+		if ec, err := ParseEntryChange(m.Controls[0]); err != nil || ec.Action != ChangeActionAdd || m.Controls[0].OID != OIDEntryChange {
+			t.Errorf("message %d: control changed after later reads: %v %v", i, ec.Action, err)
 		}
 	}
 }
@@ -544,7 +561,7 @@ func TestDecodeSearchEntryRejectsMalformed(t *testing.T) {
 func TestDecodeAllocsPerReloadedEntry(t *testing.T) {
 	const maxDecodeAllocs = 9 // measured 8
 	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()},
-		Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "", 0)}}).Encode()
+		Controls: []Control{EntryChange{Action: ChangeActionAdd}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +582,7 @@ func TestDecodeAllocsPerReloadedEntry(t *testing.T) {
 func TestEncodeAllocsPerEntry(t *testing.T) {
 	const maxEncodeAllocs = 6 // measured 5: DN.String 2, then body, tail and message
 	m := &Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry().Freeze()},
-		Controls: []Control{NewEntryChangeControl(ChangeActionAdd, "", 0)}}
+		Controls: []Control{EntryChange{Action: ChangeActionAdd}.Control()}}
 	var sink []byte
 	allocs := testing.AllocsPerRun(200, func() { sink, _ = m.Encode() })
 	if len(sink) == 0 {
@@ -583,7 +600,7 @@ func TestEncodeAllocsPerEntry(t *testing.T) {
 func patchPDU(t testing.TB) []byte {
 	patch := employeeEntry().Freeze().Restrict([]string{"telephonenumber"})
 	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: patch},
-		Controls: []Control{NewEntryChangeControl(ChangeActionPatch, "sess-12@3456", 123456)}}).Encode()
+		Controls: []Control{EntryChange{Action: ChangeActionPatch, Cookie: "sess-12@3456", CSN: 123456}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,13 +615,45 @@ func TestPatchPDUBytes(t *testing.T) {
 	const maxPatchBytes = 130 // measured 118
 	pdu := patchPDU(t)
 	image, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()},
-		Controls: []Control{NewEntryChangeControl(ChangeActionModify, "sess-12@3456", 123456)}}).Encode()
+		Controls: []Control{EntryChange{Action: ChangeActionModify, Cookie: "sess-12@3456", CSN: 123456}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("one-attribute modify: %d B as a patch, %d B as an image", len(pdu), len(image))
 	if len(pdu) > maxPatchBytes {
 		t.Errorf("one-attribute patch PDU is %d B with cookie, gate is %d", len(pdu), maxPatchBytes)
+	}
+}
+
+// TestMovePDUBytes is the size gate of a rename within the content: the
+// Table-1 employee renamed is one move — the new DN, the RDN attribute with
+// its new value, the cookie, the CSN and the old DN — not the delete of the
+// old DN plus the complete entry under the new one.
+func TestMovePDUBytes(t *testing.T) {
+	const maxMoveBytes = 160 // measured 148
+	old := employeeEntry()
+	renamed := old.Clone()
+	renamed.SetDN(dn.MustParse("cn=emp us 17 renamed,c=us,o=xyz"))
+	renamed.Put("cn", "emp us 17 renamed")
+	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: renamed.Freeze().Restrict([]string{"cn"})},
+		Controls: []Control{EntryChange{Action: ChangeActionMove, Cookie: "sess-12@3456", CSN: 123456,
+			OldDN: old.DN().String()}.Control()}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := (&Message{ID: 9, Op: &SearchEntry{Entry: entry.New(old.DN())},
+		Controls: []Control{EntryChange{Action: ChangeActionDelete}.Control()}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	add, err := (&Message{ID: 9, Op: &SearchEntry{Entry: renamed},
+		Controls: []Control{EntryChange{Action: ChangeActionAdd, Cookie: "sess-12@3456", CSN: 123456}.Control()}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rename within the content: %d B as a move, %d B as a delete plus an add", len(pdu), len(del)+len(add))
+	if len(pdu) > maxMoveBytes {
+		t.Errorf("move PDU is %d B with cookie, gate is %d", len(pdu), maxMoveBytes)
 	}
 }
 

@@ -164,7 +164,8 @@ func (r *FilterReplica) RemoveStored(q query.Query) *StoredQuery {
 // A patch (resync.Update.Patch) replaces the attributes it names in the entry
 // this query already covers. One for an entry the query does not cover fails
 // with dit.ErrPatchMiss — a partial entry is never created — and the caller
-// re-establishes the query's content with a full transfer.
+// re-establishes the query's content with a full transfer. A move
+// (resync.Update.OldDN) is applied by moveLocked.
 func (r *FilterReplica) ApplySync(q query.Query, updates []resync.Update) error {
 	key := ownerKey(q.Normalize())
 	ops := make([]dit.SyncOp, 0, len(updates))
@@ -186,6 +187,13 @@ scan:
 		case u.Entry == nil:
 			bad = fmt.Errorf("nil entry in sync update")
 			break scan
+		case u.IsMove():
+			moved, err := r.moveLocked(key, u)
+			if err != nil {
+				bad = err
+				break scan
+			}
+			ops = append(ops, moved...)
 		case u.Patch:
 			if !r.refs[u.DN.Norm()].has(r.ownerIDs[key]) {
 				bad = fmt.Errorf("%w: %q", dit.ErrPatchMiss, u.DN.String())
@@ -201,6 +209,45 @@ scan:
 		return err
 	}
 	return bad
+}
+
+// moveLocked turns one owner's move into store actions and moves the owner's
+// reference from the old DN to the new one. Who holds which name decides:
+//
+//   - the old DN is this owner's alone and nobody holds the new one: the
+//     entry is re-keyed and patched, a sparse move (dit.SyncOp.From);
+//   - another owner still holds the old DN: a copy of the entry, re-keyed and
+//     patched, goes in at the new DN and the old one stays (SyncOp.Keep);
+//   - the new DN is held already: this owner lets go of the old DN (removed
+//     if it was the last owner) and the new one is patched;
+//   - the old DN is not this owner's but the new one is — a redelivery to a
+//     consumer that is ahead: the patch alone;
+//   - this owner holds neither: dit.ErrPatchMiss.
+func (r *FilterReplica) moveLocked(key string, u resync.Update) ([]dit.SyncOp, error) {
+	me := r.ownerIDs[key]
+	oldNorm := u.OldDN.Norm()
+	oldRefs, newRefs := r.refs[oldNorm], r.refs[u.DN.Norm()]
+	switch {
+	case !oldRefs.has(me):
+		if !newRefs.has(me) {
+			return nil, fmt.Errorf("%w: move %q <- %q", dit.ErrPatchMiss, u.DN.String(), u.OldDN.String())
+		}
+		return []dit.SyncOp{{Patch: u.Entry}}, nil
+	case newRefs.first != 0:
+		var ops []dit.SyncOp
+		if r.delRefLocked(key, oldNorm) {
+			ops = append(ops, dit.SyncOp{Remove: u.OldDN})
+		}
+		r.addRefLocked(key, u.DN)
+		return append(ops, dit.SyncOp{Patch: u.Entry}), nil
+	default:
+		// With owners beside this one the entry is copied, and copied as the
+		// batch's earlier actions leave it, not as it is held during this scan.
+		shared := len(oldRefs.rest) > 0
+		r.delRefLocked(key, oldNorm)
+		r.addRefLocked(key, u.DN)
+		return []dit.SyncOp{{Patch: u.Entry, From: u.OldDN, Keep: shared}}, nil
+	}
 }
 
 // CacheQuery inserts a just-answered user query and its result into the

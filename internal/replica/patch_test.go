@@ -23,7 +23,8 @@ import (
 // feed is one replica-side consumer of one session. The imaged kind turns
 // every patch it is handed back into what the engine used to send — the
 // complete selected image, read off the supplier store, which is quiescent
-// while a consumer polls — and is the reference the patched kind is held to.
+// while a consumer polls; for a move, the delete of the old DN and the add of
+// that image — and is the reference the patched kind is held to.
 type feed struct {
 	name   string
 	eng    *resync.Engine
@@ -33,6 +34,11 @@ type feed struct {
 	imaged bool
 	cookie string
 	misses int
+	// moveMisses counts the moves that found the entry under neither name.
+	// The imaged kind re-Begins on them as the patched kind must: its delete
+	// and add would leave standing the name in between, which a consumer
+	// ahead of its cookie holds and no later exchange mentions.
+	moveMisses int
 }
 
 func (f *feed) begin(t *testing.T) {
@@ -62,24 +68,45 @@ func (f *feed) poll(t *testing.T, forget bool) {
 	if res.FullReload {
 		t.Fatalf("%s: unexpected full reload", f.name)
 	}
-	ups := res.Updates
-	if f.imaged {
-		ups = make([]resync.Update, len(res.Updates))
-		for i, u := range res.Updates {
-			if u.Patch {
-				cur, ok := f.source.Get(u.DN)
-				if !ok {
-					t.Fatalf("%s: patch for %s, which the supplier does not hold", f.name, u.DN)
-				}
-				u = resync.Update{Action: resync.ActionModify, DN: u.DN, Entry: cur.Select(f.spec.Attrs)}
-			}
-			ups[i] = u
+	// A move that finds the entry under neither name misses (see moveMisses).
+	moveMiss := false
+	me := f.rep.ownerIDs[ownerKey(f.spec.Normalize())]
+	for _, u := range res.Updates {
+		if u.IsMove() && !f.rep.refs[u.OldDN.Norm()].has(me) && !f.rep.refs[u.DN.Norm()].has(me) {
+			moveMiss = true
 		}
 	}
-	switch err := f.rep.ApplySync(f.spec, ups); {
+	ups := res.Updates
+	if f.imaged {
+		ups = nil
+		for _, u := range res.Updates {
+			if !u.Patch {
+				ups = append(ups, u)
+				continue
+			}
+			cur, ok := f.source.Get(u.DN)
+			if !ok {
+				t.Fatalf("%s: patch for %s, which the supplier does not hold", f.name, u.DN)
+			}
+			img := resync.Update{Action: resync.ActionModify, DN: u.DN, Entry: cur.Select(f.spec.Attrs)}
+			if u.IsMove() {
+				img.Action = resync.ActionAdd
+				ups = append(ups, resync.Update{Action: resync.ActionDelete, DN: u.OldDN})
+			}
+			ups = append(ups, img)
+		}
+	}
+	err = dit.ErrPatchMiss
+	if !moveMiss || !f.imaged {
+		err = f.rep.ApplySync(f.spec, ups)
+	}
+	switch {
 	case errors.Is(err, dit.ErrPatchMiss):
 		// What the supervisor does: give the session up and Begin anew.
 		f.misses++
+		if moveMiss {
+			f.moveMisses++
+		}
 		if err := f.eng.End(f.cookie); err != nil {
 			t.Fatalf("%s: end after patch miss: %v", f.name, err)
 		}
@@ -155,7 +182,7 @@ func TestPatchedAndImagedHistoriesConverge(t *testing.T) {
 	specC := query.MustNew("o=xyz", query.ScopeSubtree, "(grp=1)", "cn", "grp", "tel")
 	specWide := query.MustNew("o=xyz", query.ScopeSubtree, "(|(grp=1)(grp=2)(grp=3))")
 
-	var patches, images, suppressed, tierPatches, misses int64
+	var patches, images, suppressed, moves, tierPatches, tierMoves, misses, moveMisses int64
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		master, err := dit.NewStore([]string{"o=xyz"})
@@ -307,7 +334,8 @@ func TestPatchedAndImagedHistoriesConverge(t *testing.T) {
 			for _, f := range p.feeds {
 				f.poll(t, false)
 				misses += int64(f.misses)
-				if f.imaged && f.misses > 0 {
+				moveMisses += int64(f.moveMisses)
+				if f.imaged && f.misses > f.moveMisses {
 					t.Errorf("seed %d: an image missed its entry", seed)
 				}
 			}
@@ -326,13 +354,15 @@ func TestPatchedAndImagedHistoriesConverge(t *testing.T) {
 		patches += m.PDUPatches
 		images += m.PDUModifies - m.PDUPatches
 		suppressed += m.SuppressedModifies
+		moves += m.PDUMoves
 		tierPatches += tr.PDUPatches
+		tierMoves += tr.PDUMoves
 	}
-	t.Logf("master: %d patches, %d image modifies, %d suppressed; tier: %d patches; %d patch misses re-begun",
-		patches, images, suppressed, tierPatches, misses)
-	if patches == 0 || images == 0 || suppressed == 0 || tierPatches == 0 {
-		t.Errorf("the histories did not exercise every path: patches=%d images=%d suppressed=%d tier patches=%d",
-			patches, images, suppressed, tierPatches)
+	t.Logf("master: %d patches (%d moves), %d image modifies, %d suppressed; tier: %d patches (%d moves); %d patch misses re-begun, %d of them moves",
+		patches, moves, images, suppressed, tierPatches, tierMoves, misses, moveMisses)
+	if patches == 0 || moves == 0 || images == 0 || suppressed == 0 || tierPatches == 0 || tierMoves == 0 {
+		t.Errorf("the histories did not exercise every path: patches=%d moves=%d images=%d suppressed=%d tier patches=%d tier moves=%d",
+			patches, moves, images, suppressed, tierPatches, tierMoves)
 	}
 }
 

@@ -48,10 +48,11 @@ func (a *Applier) Apply(spec query.Query, res *PollResult) error {
 }
 
 // put stores an add's or a modify's entry: the image in place of whatever is
-// held, or a patch onto the held entry (dit.ErrPatchMiss when there is none).
+// held, or a patch onto the held entry — for a move, the entry held at its old
+// DN — (dit.ErrPatchMiss when there is none).
 func (a *Applier) put(u Update) error {
 	if u.Patch {
-		return a.Store.ApplyOwned([]dit.SyncOp{{Patch: u.Entry}})
+		return a.Store.ApplyOwned([]dit.SyncOp{{Patch: u.Entry, From: u.OldDN}})
 	}
 	return a.Store.Upsert(u.Entry)
 }

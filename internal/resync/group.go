@@ -72,10 +72,13 @@ func (e *Engine) equivalentSpecs(a, b query.Query) bool {
 // start-of-interval snapshot that the per-view suppression check needs);
 // delete carries only the DN the replica holds. A modify whose DN saw nothing
 // but in-place modifies over the interval is patchable: touched then lists
-// the (normalized) attributes those modifies named, in first-touch order.
+// the (normalized) attributes those modifies named, in first-touch order. A
+// modify with from set is a move from that DN (as the replica holds it), and
+// touched lists what the move's patch names (see Update.OldDN).
 type rawUpdate struct {
 	action    Action
 	dn        dn.DN
+	from      dn.DN
 	ent       *entry.Entry
 	prior     *entry.Entry
 	patchable bool
@@ -126,6 +129,13 @@ func (si *sharedInterval) view(key string, attrs []string) *viewBatch {
 		case ActionDelete:
 			vb.updates = append(vb.updates, Update{Action: ActionDelete, DN: r.dn})
 		case ActionModify:
+			if !r.from.IsRoot() {
+				// A move is never suppressed: whatever the view selects, the
+				// DN changed.
+				vb.updates = append(vb.updates, Update{Action: ActionModify, DN: r.ent.DN(), OldDN: r.from,
+					Entry: r.ent.Restrict(selectedNames(r.touched, attrs)), Patch: true})
+				continue
+			}
 			// Minimal update set (equation 3): an entry whose selected view
 			// is net-unchanged over the interval — modifies confined to
 			// unselected attributes, or modify-then-revert — produces no PDU.
@@ -489,6 +499,11 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 	// the complete image describes the change.
 	touched := make(map[string][]string)
 	whole := make(map[string]bool)
+	// ids follows entries through renames, only where there are any.
+	var ids *identities
+	if slices.ContainsFunc(changes, func(c dit.Change) bool { return c.Type == dit.ChangeModifyDN }) {
+		ids = &identities{at: make(map[string]*identity), by: make(map[string]*identity)}
+	}
 
 	note := func(d dn.DN, before bool, prior *entry.Entry) {
 		norm := d.Norm()
@@ -511,10 +526,14 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 			note(c.DN, wasIn, c.Before)
 			finalIn[norm] = inContent(c.After)
 			finalEnt[norm] = c.After
-			if c.Type == dit.ChangeModify && c.Before != nil && c.Before.DN().SameSpelling(c.After.DN()) {
+			inPlace := c.Type == dit.ChangeModify && c.Before != nil && c.Before.DN().SameSpelling(c.After.DN())
+			if inPlace {
 				touched[norm] = unionNames(touched[norm], c.Mods)
 			} else {
 				whole[norm] = true
+			}
+			if ids != nil {
+				ids.record(c, inPlace)
 			}
 		case dit.ChangeDelete:
 			norm := c.DN.Norm()
@@ -523,6 +542,9 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 			finalIn[norm] = false
 			finalEnt[norm] = nil
 			whole[norm] = true
+			if ids != nil {
+				ids.record(c, false)
+			}
 		case dit.ChangeModifyDN:
 			oldNorm := c.DN.Norm()
 			_, wasIn := content[oldNorm]
@@ -535,7 +557,11 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 			finalIn[newNorm] = inContent(c.After)
 			finalEnt[newNorm] = c.After
 			whole[oldNorm], whole[newNorm] = true, true
+			ids.record(c, false)
 		}
+	}
+	if ids != nil {
+		ids.settle(content, finalIn)
 	}
 
 	si := &sharedInterval{views: make(map[string]*viewBatch)}
@@ -549,14 +575,20 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 		switch {
 		case !was && is:
 			ent := finalEnt[norm]
-			si.raws = append(si.raws, rawUpdate{action: ActionAdd, ent: ent})
+			if id := ids.moved(norm); id != nil {
+				si.raws = append(si.raws, rawUpdate{action: ActionModify, ent: ent, from: content[id.start], touched: id.touched})
+			} else {
+				si.raws = append(si.raws, rawUpdate{action: ActionAdd, ent: ent})
+			}
 			si.delta = append(si.delta, contentOp{norm: norm, dn: ent.DN(), present: true})
 		case was && !is:
 			d := finalDN[norm]
 			if held, ok := content[norm]; ok {
 				d = held
 			}
-			si.raws = append(si.raws, rawUpdate{action: ActionDelete, dn: d})
+			if ids.moved(norm) == nil { // else the move's PDU, under its new DN, says it
+				si.raws = append(si.raws, rawUpdate{action: ActionDelete, dn: d})
+			}
 			si.delta = append(si.delta, contentOp{norm: norm})
 		case was && is:
 			ent := finalEnt[norm]
@@ -572,11 +604,121 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 // first-touch order; a modify names a handful, so a scan beats a set.
 func unionNames(names []string, mods []dit.Mod) []string {
 	for _, m := range mods {
-		if n := entry.NormName(m.Attr); !slices.Contains(names, n) {
-			names = append(names, n)
-		}
+		names = addName(names, m.Attr)
 	}
 	return names
+}
+
+// addName adds one attribute name, normalized, to names if it is not there.
+func addName(names []string, name string) []string {
+	if n := entry.NormName(name); !slices.Contains(names, n) {
+		names = append(names, n)
+	}
+	return names
+}
+
+// identity is one entry followed through an interval's journal from the DN
+// it was first seen at (start) to the one it was last seen at (final).
+type identity struct {
+	start, final string // normalized DNs
+	// touched is what a move's patch names: the attributes its in-place
+	// modifies named and the attribute types of every RDN it left or took.
+	touched []string
+	// broken marks an identity the interval did more to than rename and
+	// modify in place — it was added, deleted or replaced under a new
+	// spelling — or that shares a DN with another identity (a rename onto a
+	// deleted DN, a fresh add at a DN it left): a move would not describe it.
+	broken bool
+	move   bool // settled: it travels as a move
+}
+
+// identities follows the entries of one interval through its renames, so
+// that an entry renamed within the content can travel as one move instead of
+// a delete and an add (Update.OldDN).
+type identities struct {
+	at map[string]*identity // DN → the identity standing at it now
+	by map[string]*identity // DN → the identity that touched it
+}
+
+// here returns the identity standing at norm — one that was there at the
+// start of the interval when no record put another there — and marks norm
+// touched by it.
+func (ids *identities) here(norm string) *identity {
+	id := ids.at[norm]
+	if id == nil {
+		id = &identity{start: norm, final: norm}
+		ids.at[norm] = id
+	}
+	ids.touch(norm, id)
+	return id
+}
+
+// touch marks norm touched by id; a DN two identities touch breaks both.
+func (ids *identities) touch(norm string, id *identity) {
+	if other, ok := ids.by[norm]; ok && other != id {
+		other.broken, id.broken = true, true
+	}
+	ids.by[norm] = id
+}
+
+// record follows one journal record.
+func (ids *identities) record(c dit.Change, inPlace bool) {
+	norm := c.DN.Norm()
+	switch c.Type {
+	case dit.ChangeAdd:
+		id := &identity{start: norm, final: norm, broken: true}
+		ids.at[norm] = id
+		ids.touch(norm, id)
+	case dit.ChangeDelete:
+		ids.here(norm).broken = true
+		delete(ids.at, norm)
+	case dit.ChangeModify:
+		id := ids.here(norm)
+		if inPlace {
+			id.touched = unionNames(id.touched, c.Mods)
+		} else {
+			id.broken = true
+		}
+	case dit.ChangeModifyDN:
+		id := ids.here(norm)
+		delete(ids.at, norm)
+		to := c.NewDN.Norm()
+		ids.touch(to, id)
+		ids.at[to], id.final = id, to
+		for _, d := range []dn.DN{c.DN, c.NewDN} {
+			if leaf, ok := d.Leaf(); ok {
+				id.touched = addName(id.touched, leaf.Attr)
+			}
+		}
+	}
+}
+
+// settle decides which identities travel as moves: those that stood in the
+// content at the start of the interval and stand in it at its end, under a
+// DN that was not in it at the start, and that nothing but renames and
+// in-place modifies touched. Every other rename keeps the paper's delete
+// plus add (or image): renames into or out of the content, onto a deleted
+// DN, and there and back.
+func (ids *identities) settle(content map[string]dn.DN, finalIn map[string]bool) {
+	for _, id := range ids.by {
+		_, startIn := content[id.start]
+		_, finalWasIn := content[id.final]
+		id.move = !id.broken && startIn && !finalWasIn && finalIn[id.final]
+	}
+}
+
+// moved returns the move that passed through norm, if any (ids may be nil).
+// Only its start was in the content at the start of the interval and only
+// its final DN is at the end, so the classification of norm says which end
+// norm is.
+func (ids *identities) moved(norm string) *identity {
+	if ids == nil {
+		return nil
+	}
+	if id := ids.by[norm]; id != nil && id.move {
+		return id
+	}
+	return nil
 }
 
 // attach adds a persist subscriber to the group, starting the broadcaster

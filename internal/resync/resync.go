@@ -16,9 +16,11 @@
 //	                       what was touched (see Update.Patch)
 //
 // Changes within one poll interval are coalesced to the net difference, so
-// the update set is minimal. A modifyDN that keeps an entry inside the
-// content is, per the paper, a delete of the old DN followed by an add of
-// the new DN — which is exactly what per-DN net classification produces.
+// the update set is minimal. The paper ships a modifyDN that keeps an entry
+// inside the content as a delete of the old DN plus an add of the new one
+// (E10 + E01). Content-wise that is still the classification here, but on the
+// wire the pair travels as one move: a patch under the new DN that names the
+// old one (see Update.OldDN).
 package resync
 
 import (
@@ -82,13 +84,24 @@ type Update struct {
 	// such image to the final one. Without Patch a modify carries, as ever,
 	// the complete image to store in place of the held one.
 	Patch bool
+	// OldDN, set on a patch, makes it a move: the entry stood in the content
+	// under OldDN (as the consumer holds it) at the session's sync point and
+	// stands under DN now, and in between only renames and in-place modifies
+	// touched it. The consumer re-keys what it holds at OldDN to DN and then
+	// applies the patch; the patch names, beside the modifies' attributes, the
+	// attribute types of the old and new RDNs. In content terms a move is the
+	// delete of OldDN plus the add of DN (E10 + E01).
+	OldDN dn.DN
 }
 
+// IsMove reports whether the update is a move (see OldDN).
+func (u Update) IsMove() bool { return u.Patch && !u.OldDN.IsRoot() }
+
 // Image returns the complete entry a consumer holds after applying the
-// update on top of held (what it held at the DN before; nil if nothing): the
-// update's own entry, or for a patch held with the patch's attributes
-// replaced. A patch with nothing held yields nil — there is no image to
-// build, see dit.ErrPatchMiss.
+// update on top of held (what it held at the DN before — for a move, at the
+// old DN; nil if nothing): the update's own entry, or for a patch held with
+// the patch's attributes replaced, re-keyed to DN for a move. A patch with
+// nothing held yields nil — there is no image to build, see dit.ErrPatchMiss.
 func (u Update) Image(held *entry.Entry) *entry.Entry {
 	if !u.Patch {
 		return u.Entry
@@ -97,6 +110,9 @@ func (u Update) Image(held *entry.Entry) *entry.Entry {
 		return nil
 	}
 	img := held.Clone()
+	if u.IsMove() {
+		img.SetDN(u.DN)
+	}
 	applyMods(img, dit.PatchMods(u.Entry))
 	return img
 }
@@ -104,7 +120,11 @@ func (u Update) Image(held *entry.Entry) *entry.Entry {
 // ByteSize estimates the PDU's wire size for traffic accounting.
 func (u Update) ByteSize() int {
 	if u.Entry != nil {
-		return u.Entry.ByteSize() + 8
+		n := u.Entry.ByteSize() + 8
+		if u.IsMove() {
+			n += len(u.OldDN.String())
+		}
+		return n
 	}
 	return len(u.DN.String()) + 8
 }
@@ -115,7 +135,7 @@ type Traffic struct {
 	Bytes                            int
 }
 
-// Add accounts one update.
+// Add accounts one update; a move is one PDU, a modify.
 func (t *Traffic) Add(u Update) {
 	switch u.Action {
 	case ActionAdd:
@@ -522,6 +542,9 @@ func (e *Engine) countPDUs(updates []Update) {
 			e.stats.PDUModifies.Add(1)
 			if u.Patch {
 				e.stats.PDUPatches.Add(1)
+			}
+			if u.IsMove() {
+				e.stats.PDUMoves.Add(1)
 			}
 		case ActionRetain:
 			e.stats.PDURetains.Add(1)

@@ -169,9 +169,26 @@ func TestPollCoalescesToNet(t *testing.T) {
 	}
 }
 
+// assertMove checks that updates are exactly one move from old to d whose
+// patch names the RDN attribute with the new value.
+func assertMove(t *testing.T, updates []Update, old, d, cn string) {
+	t.Helper()
+	if len(updates) != 1 {
+		t.Fatalf("rename updates = %d, want one move (%v)", len(updates), updates)
+	}
+	u := updates[0]
+	if !u.IsMove() || u.Action != ActionModify || u.OldDN.String() != old || u.DN.String() != d {
+		t.Fatalf("rename = %+v, want a move %s -> %s", u, old, d)
+	}
+	if u.Entry.NumAttrs() != 1 || u.Entry.First("cn") != cn {
+		t.Errorf("move patch = %s, want cn=%s alone", u.Entry, cn)
+	}
+}
+
 func TestModifyDNWithinContent(t *testing.T) {
-	// Figure 3: a rename that keeps the entry in content is a delete of the
-	// old DN plus an add of the new DN (E3 -> E5).
+	// Figure 3: a rename that keeps the entry in content is, in content, the
+	// delete of the old DN plus the add of the new one (E3 -> E5); on the
+	// wire the pair is one move.
 	master := newMaster(t)
 	old := addPerson(t, master, "e3", "0403", "1")
 	eng := NewEngine(master)
@@ -179,31 +196,43 @@ func TestModifyDNWithinContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cookie := res.Cookie
+	replica := newReplicaStore(t)
+	ap := NewApplier(replica)
+	if err := ap.Apply(specSerial04, res); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := master.ModifyDN(old, dn.RDN{Attr: "cn", Value: "e5"}, dn.MustParse("c=us,o=xyz")); err != nil {
 		t.Fatal(err)
 	}
-	res, err = eng.Poll(cookie)
+	res, err = eng.Poll(res.Cookie)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Updates) != 2 {
-		t.Fatalf("rename updates = %d, want 2 (%v)", len(res.Updates), res.Updates)
+	assertMove(t, res.Updates, "cn=e3,c=us,o=xyz", "cn=e5,c=us,o=xyz", "e5")
+	if err := ap.Apply(specSerial04, res); err != nil {
+		t.Fatal(err)
 	}
-	acts := map[string]Action{}
-	for _, u := range res.Updates {
-		acts[u.DN.String()] = u.Action
+	if ok, why := Converged(master, replica, specSerial04); !ok {
+		t.Errorf("after the move: %s", why)
 	}
-	if acts["cn=e3,c=us,o=xyz"] != ActionDelete || acts["cn=e5,c=us,o=xyz"] != ActionAdd {
-		t.Errorf("rename classification wrong: %v", acts)
+	if _, held := replica.Get(old); held {
+		t.Error("replica still holds the old DN")
+	}
+	if s := eng.Counters().Snapshot(); s.PDUMoves != 1 || s.PDUPatches != 1 || s.PDUModifies != 1 || s.PDUAdds != 1 || s.PDUDeletes != 0 {
+		t.Errorf("counters: add=%d del=%d mod=%d patch=%d move=%d, want the Begin's add and one move",
+			s.PDUAdds, s.PDUDeletes, s.PDUModifies, s.PDUPatches, s.PDUMoves)
+	}
+	if tr := ap.Traffic; tr.Updates() != 2 || tr.Modifies != 1 {
+		t.Errorf("traffic = %+v, want the add and the move, counted once as a modify", tr)
 	}
 }
 
 func TestFigure3Session(t *testing.T) {
 	// Reproduce the message sequence of Figure 3: initial poll returns
 	// E1,E2,E3 as adds; the second poll sees E4 added, E1,E2 deleted, E3
-	// modified; persist mode then delivers E3 renamed to E5 (delete+add).
+	// modified; persist mode then delivers E3 renamed to E5 — the paper's
+	// delete + add in content, one move PDU on the wire.
 	master := newMaster(t)
 	spec := query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=inetorgperson)")
 	e1 := addPerson(t, master, "E1", "0001", "1")
@@ -219,6 +248,11 @@ func TestFigure3Session(t *testing.T) {
 		t.Fatalf("initial = %d, want 3", len(res.Updates))
 	}
 	cookie := res.Cookie
+	replica := newReplicaStore(t)
+	ap := NewApplier(replica)
+	if err := ap.Apply(spec, res); err != nil {
+		t.Fatal(err)
+	}
 
 	addPerson(t, master, "E4", "0004", "1")
 	if err := master.Delete(e1); err != nil {
@@ -242,6 +276,9 @@ func TestFigure3Session(t *testing.T) {
 	if counts[ActionAdd] != 1 || counts[ActionDelete] != 2 || counts[ActionModify] != 1 {
 		t.Fatalf("poll 2 = %v", counts)
 	}
+	if err := ap.Apply(spec, res); err != nil {
+		t.Fatal(err)
+	}
 
 	// Persist mode: rename E3 -> E5.
 	sub, err := eng.Persist(res.Cookie)
@@ -253,15 +290,19 @@ func TestFigure3Session(t *testing.T) {
 	}
 	batch := <-sub.Updates
 	sub.Close()
-	acts := map[string]Action{}
-	for _, u := range batch.Updates {
-		acts[u.DN.String()] = u.Action
-	}
 	if batch.Cookie == "" {
 		t.Error("pushed batch carried no sync-point cookie")
 	}
-	if acts["cn=E3,c=us,o=xyz"] != ActionDelete || acts["cn=E5,c=us,o=xyz"] != ActionAdd {
-		t.Errorf("persist rename = %v", acts)
+	assertMove(t, batch.Updates, "cn=E3,c=us,o=xyz", "cn=E5,c=us,o=xyz", "E5")
+	// The paper's end state: E4 and E5, the latter with E3's content.
+	if err := ap.Apply(spec, &PollResult{Updates: batch.Updates}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := Converged(master, replica, spec); !ok {
+		t.Errorf("replica after the rename: %s", why)
+	}
+	if e5, ok := replica.Get(dn.MustParse("cn=E5,c=us,o=xyz")); !ok || e5.First("dept") != "2" || replica.Len() != 2 {
+		t.Errorf("replica holds %d entries, E5 = %v", replica.Len(), e5)
 	}
 	if err := eng.End(res.Cookie); err != nil {
 		t.Fatal(err)

@@ -51,9 +51,16 @@ func patchOf(d string, attr string, vals ...string) resync.Update {
 	return resync.Update{Action: resync.ActionModify, DN: p.DN(), Entry: p, Patch: true}
 }
 
+// moveOf is the move from old to the patch's DN.
+func moveOf(old string, patch resync.Update) resync.Update {
+	patch.OldDN = dn.MustParse(old)
+	return patch
+}
+
 // history is a chunked reload cut after chunk zero's successor, completed,
-// and followed by three polls: every kind of exchange and of update a leaf
-// lands, the last one after a second full reload.
+// and followed by four polls: every kind of exchange and of update a leaf
+// lands — moves among them, one under a parent nobody holds, one without
+// attributes — the last one after a second full reload.
 func history() []*resync.PollResult {
 	tok := proto.ResumeToken{Session: "sess-1", CSN: 10, Chunk: 1, Chunks: 2, Fingerprint: 0xfeed}
 	return []*resync.PollResult{
@@ -67,6 +74,10 @@ func history() []*resync.PollResult {
 			image(resync.ActionModify, personEntry(3).Put("description", strings.Repeat("long ", 40))),
 			image(resync.ActionAdd, personEntry(5))}},
 		{Cookie: "sess-1@3"}, // the cookie alone moves
+		{Cookie: "sess-1@4", Updates: []resync.Update{
+			moveOf("cn=p4,c=us,o=xyz", patchOf("cn=p4b,ou=gone,c=us,o=xyz", "cn", "p4b")),
+			moveOf("cn=p5,c=us,o=xyz", resync.Update{Action: resync.ActionModify, DN: dn.MustParse("cn=p5b,c=us,o=xyz"),
+				Entry: entry.New(dn.MustParse("cn=p5b,c=us,o=xyz")), Patch: true})}},
 		{Cookie: "sess-2@1", FullReload: true, Updates: []resync.Update{
 			image(resync.ActionAdd, personEntry(6)), image(resync.ActionAdd, personEntry(1))}},
 		{Cookie: "sess-2@2", Updates: []resync.Update{patchOf("cn=p6,c=us,o=xyz", "sn")}},
@@ -151,7 +162,8 @@ func TestEveryByteTruncationRestoresPreviousCommit(t *testing.T) {
 }
 
 // TestOverlappingSpecsRestoreOwners: two supervisors with overlapping specs
-// feed one replica, each journalling into its own state directory. After a
+// feed one replica, each journalling into its own state directory, through a
+// history with a move only one of them makes and one both make. After a
 // restart the replica holds the same content under the same owners: dropping
 // either spec leaves exactly what it left before the restart.
 func TestOverlappingSpecsRestoreOwners(t *testing.T) {
@@ -211,6 +223,14 @@ func TestOverlappingSpecsRestoreOwners(t *testing.T) {
 		waitSynced(t, sup)
 	}
 	mutate(t, h.store, 0) // p1 leaves (sn=x), p100 joins both
+	for _, rn := range []struct{ from, to string }{
+		{"cn=p50,c=us,o=xyz", "p50b"}, // (sn=x)'s alone
+		{"cn=p3,c=us,o=xyz", "p3b"},   // both specs'
+	} {
+		if err := h.store.ModifyDN(dn.MustParse(rn.from), dn.RDN{Attr: "cn", Value: rn.to}, dn.MustParse("c=us,o=xyz")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for !converged(rep) {
 		if time.Now().After(deadline) {
@@ -223,8 +243,17 @@ func TestOverlappingSpecsRestoreOwners(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for i, renames := range []int{1, 2} {
+		raw, err := os.ReadFile(filepath.Join(dirs[i], "journal.ldif"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Count(raw, []byte("changetype: modrdn")); got != renames {
+			t.Errorf("spec %d journaled %d renames, want %d: its moves", i, got, renames)
+		}
+	}
 	want := ownership(rep)
-	if !strings.Contains(want, "cn=p50,") || !strings.Contains(want, "sn=r0") {
+	if !strings.Contains(want, "cn=p50b,") || !strings.Contains(want, "cn=p3b,") || !strings.Contains(want, "sn=r0") {
 		t.Fatalf("scenario lost its single-owner entries:\n%s", want)
 	}
 

@@ -12,15 +12,15 @@ import (
 
 // Durable replica state is a persist.Dir in the state directory. Every landed
 // exchange is one committed batch of its journal: the exchange's own updates
-// as change records (an image an add, a patch a modify of replaces, a reload
-// behind a reset) and, on the commit line, the position it reached — content
-// and position durable by the same fsync, never one ahead of the other. The
-// journal is this supervisor's own because the supervisors of one replica
-// share a store, whose journal cannot be split by owner. For the same reason
-// restore replays it into a store of its own and hands the replica (through
-// ApplySync, like a live exchange) only the content it ends with: an image
-// this owner once held must not overwrite what another owner has since made
-// of the entry.
+// as change records (an image an add, a patch a modify of replaces, a move a
+// rename and that modify, a reload behind a reset) and, on the commit line,
+// the position it reached — content and position durable by the same fsync,
+// never one ahead of the other. The journal is this supervisor's own because
+// the supervisors of one replica share a store, whose journal cannot be split
+// by owner. For the same reason restore replays it into a store of its own
+// and hands the replica (through ApplySync, like a live exchange) only the
+// content it ends with: an image this owner once held must not overwrite what
+// another owner has since made of the entry.
 
 // position is the commit note: where in its upstream's history the content
 // committed with it stands.
@@ -61,15 +61,21 @@ func (s *Supervisor) commit(updates []resync.Update) error {
 		s.counters.Checkpoints.Add(1)
 		return nil
 	}
-	changes := make([]dit.Change, len(updates))
-	for i, u := range updates {
+	changes := make([]dit.Change, 0, len(updates))
+	for _, u := range updates {
 		switch {
 		case u.Action == resync.ActionDelete:
-			changes[i] = dit.Change{Type: dit.ChangeDelete, DN: u.DN}
+			changes = append(changes, dit.Change{Type: dit.ChangeDelete, DN: u.DN})
 		case u.Patch:
-			changes[i] = dit.Change{Type: dit.ChangeModify, DN: u.DN, Mods: dit.PatchMods(u.Entry)}
+			if u.IsMove() {
+				changes = append(changes, dit.Change{Type: dit.ChangeModifyDN, DN: u.OldDN, NewDN: u.DN})
+				if u.Entry.NumAttrs() == 0 {
+					continue
+				}
+			}
+			changes = append(changes, dit.Change{Type: dit.ChangeModify, DN: u.DN, Mods: dit.PatchMods(u.Entry)})
 		default:
-			changes[i] = dit.Change{Type: dit.ChangeAdd, DN: u.DN, After: u.Entry}
+			changes = append(changes, dit.Change{Type: dit.ChangeAdd, DN: u.DN, After: u.Entry})
 		}
 	}
 	n, err := s.journal.Commit(s.contentReset, changes, string(note))
