@@ -1,7 +1,10 @@
 // Command ldapmaster serves a directory over the LDAP wire protocol. The
 // directory is loaded from a durable data directory (snapshot + journal),
-// from LDIF, or generated synthetically; with -data, updates are journaled
-// to disk and a checkpoint is written on shutdown.
+// from LDIF, or generated synthetically. With -data every write is committed
+// to the journal, one fsync per batch of concurrent writes, before it is
+// answered. After a failed commit (a full or failing disk) every write is
+// answered with its error while reads go on; a restart recovers exactly the
+// writes acknowledged before it.
 //
 // With -chaos, every accepted connection is wrapped in the fault-injection
 // layer, so replica recovery can be exercised against a real server:
@@ -18,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -36,9 +40,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:3890", "listen address")
-	ldifPath := flag.String("ldif", "", "LDIF file to load (otherwise synthetic)")
+	ldifPath := flag.String("ldif", "", "LDIF file to load, with -data on a first run only (otherwise synthetic)")
 	dataDir := flag.String("data", "", "durable data directory (snapshot + journal)")
-	journalEvery := flag.Duration("journal-every", 5*time.Second, "journal flush interval with -data")
 	suffix := flag.String("suffix", "o=xyz", "naming-context suffix")
 	employees := flag.Int("employees", 5000, "synthetic directory population")
 	seed := flag.Int64("seed", 1, "deterministic seed for the synthetic directory")
@@ -48,7 +51,7 @@ func main() {
 	chaosSpec := flag.String("chaos", "", `fault-injection plan for accepted connections, e.g. "drop-every=40,latency=1ms..5ms,seed=7" (empty disables)`)
 	reloadChunk := flag.Int("reload-chunk", 0, "serve full reloads in resumable chunks of n entries (0 = monolithic reloads)")
 	keepSyncPoints := flag.Int("keep-sync-points", 0, "per-session resume history: keep the last n sync points (0 = default 64)")
-	journalRetention := flag.String("journal-retention", "", `on-disk journal retention policy with -data, e.g. "bytes=64m,age=1h" (empty = checkpoint only on shutdown)`)
+	journalRetention := flag.String("journal-retention", "", `on-disk journal retention policy with -data, e.g. "bytes=64m,age=1h" (empty = fold once the journal outgrows the snapshot and 1 MiB)`)
 	flag.Parse()
 
 	plan, err := chaos.ParsePlan(*chaosSpec)
@@ -61,7 +64,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ldapmaster:", err)
 		os.Exit(2)
 	}
-	if err := run(*addr, *ldifPath, *dataDir, *journalEvery, *suffix, *employees, *seed, *statusEvery, *journalLimit, *shards, plan, *reloadChunk, *keepSyncPoints, retention); err != nil {
+	if err := run(*addr, *ldifPath, *dataDir, *suffix, *employees, *seed, *statusEvery, *journalLimit, *shards, plan, *reloadChunk, *keepSyncPoints, retention); err != nil {
 		fmt.Fprintln(os.Stderr, "ldapmaster:", err)
 		os.Exit(1)
 	}
@@ -100,62 +103,64 @@ func printStatus(srv *filterdir.Server, backend *ldapnet.StoreBackend, store *fi
 	}
 }
 
-func run(addr, ldifPath, dataDir string, journalEvery time.Duration, suffix string, employees int, seed int64, statusEvery time.Duration, journalLimit, shards int, plan chaos.Plan, reloadChunk, keepSyncPoints int, retention persist.JournalRetention) error {
-	var store *filterdir.Directory
-	var home *persist.Dir
-	if dataDir != "" {
-		home = &persist.Dir{Path: dataDir}
-		st, _, err := home.Open([]string{suffix}, storeOptions(journalLimit, shards)...)
-		if err != nil {
-			return err
-		}
-		store = st
-		if store.Len() == 0 && ldifPath == "" {
-			// First run: seed with the synthetic directory and checkpoint.
-			cfg := workload.DefaultDirectoryConfig(employees)
-			cfg.Seed = seed
-			cfg.JournalLimit = journalLimit
-			cfg.Shards = shards
-			dir, err := workload.BuildDirectory(cfg)
-			if err != nil {
-				return err
-			}
-			store = dir.Master
-			if err := home.Checkpoint(store); err != nil {
-				return err
-			}
-		}
-	} else if ldifPath != "" {
-		st, err := filterdir.NewDirectory([]string{suffix}, storeOptions(journalLimit, shards)...)
-		if err != nil {
-			return err
-		}
-		f, err := os.Open(ldifPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		entries, err := ldif.Read(f)
-		if err != nil {
-			return err
-		}
-		sort.Slice(entries, func(i, j int) bool {
-			return entries[i].DN().Depth() < entries[j].DN().Depth()
-		})
-		if err := st.Load(entries); err != nil {
-			return err
-		}
-		store = st
-	} else {
+// initialDirectory builds the directory a run without durable state serves,
+// and the first snapshot of a data directory: the LDIF file if one is given,
+// else the synthetic directory.
+func initialDirectory(ldifPath, suffix string, employees int, seed int64, journalLimit, shards int) (*filterdir.Directory, error) {
+	if ldifPath == "" {
 		cfg := workload.DefaultDirectoryConfig(employees)
 		cfg.Seed = seed
 		cfg.JournalLimit = journalLimit
 		cfg.Shards = shards
 		dir, err := workload.BuildDirectory(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		store = dir.Master
+		return dir.Master, nil
+	}
+	st, err := filterdir.NewDirectory([]string{suffix}, storeOptions(journalLimit, shards)...)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(ldifPath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	entries, err := ldif.Read(f)
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		return entries[i].DN().Depth() < entries[j].DN().Depth()
+	})
+	return st, st.Load(entries)
+}
+
+func run(addr, ldifPath, dataDir, suffix string, employees int, seed int64, statusEvery time.Duration, journalLimit, shards int, plan chaos.Plan, reloadChunk, keepSyncPoints int, retention persist.JournalRetention) error {
+	var store *filterdir.Directory
+	var err error
+	if dataDir == "" {
+		store, err = initialDirectory(ldifPath, suffix, employees, seed, journalLimit, shards)
+	} else {
+		home, opts := persist.Dir{Path: dataDir}, storeOptions(journalLimit, shards)
+		var journal io.Closer
+		if store, journal, err = home.Open([]string{suffix}, retention, opts...); err == nil && store.Len() == 0 {
+			// First run: the initial directory is the snapshot the store continues.
+			_ = journal.Close() // nothing was committed through it
+			if store, err = initialDirectory(ldifPath, suffix, employees, seed, journalLimit, shards); err == nil {
+				err = home.Checkpoint(store)
+			}
+			if err == nil {
+				store, journal, err = home.Open([]string{suffix}, retention, opts...)
+			}
+		}
+		if err == nil {
+			defer journal.Close() // every acknowledged write is committed already
+		}
+	}
+	if err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", addr)
@@ -190,52 +195,17 @@ func run(addr, ldifPath, dataDir string, journalEvery time.Duration, suffix stri
 		statusC = statusTicker.C
 	}
 
-	// shutdown stops accepting and drops live connections first, so no
-	// update can land mid-checkpoint, then flushes durable state and prints
-	// the final counter snapshot.
-	shutdown := func() error {
-		closeErr := srv.Close()
-		if home != nil {
-			if err := home.Checkpoint(store); err != nil {
-				fmt.Fprintf(os.Stderr, "ldapmaster: checkpoint: %v\n", err)
-			}
-		}
-		printStatus(srv, backend, store, inj)
-		return closeErr
-	}
-
-	if home == nil {
-		for {
-			select {
-			case <-statusC:
-				printStatus(srv, backend, store, inj)
-			case <-sig:
-				fmt.Println("ldapmaster: shutting down")
-				return shutdown()
-			}
-		}
-	}
-
-	// Durable mode: journal committed changes periodically (folding the
-	// journal into a fresh snapshot whenever the retention policy says it
-	// has grown too large or too old), checkpoint on shutdown.
-	watermark := store.LastCSN()
-	ticker := time.NewTicker(journalEvery)
-	defer ticker.Stop()
 	for {
 		select {
-		case <-ticker.C:
-			w, err := home.Maintain(store, watermark, retention)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ldapmaster: journal: %v\n", err)
-				continue
-			}
-			watermark = w
 		case <-statusC:
 			printStatus(srv, backend, store, inj)
 		case <-sig:
-			fmt.Println("ldapmaster: checkpointing and shutting down")
-			return shutdown()
+			// Stop accepting and drop live connections first, so no write
+			// lands after the final counter snapshot or the journal's close.
+			fmt.Println("ldapmaster: shutting down")
+			closeErr := srv.Close()
+			printStatus(srv, backend, store, inj)
+			return closeErr
 		}
 	}
 }

@@ -22,7 +22,8 @@ func main() {
 }
 
 func run() error {
-	// A durable master: state lives in a snapshot + journal directory.
+	// A durable master: state lives in a snapshot + journal directory, and
+	// every write is committed there before it returns.
 	dataPath, err := os.MkdirTemp("", "filterdir-distributed-*")
 	if err != nil {
 		return err
@@ -33,13 +34,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	home := filterdir.DataDir{Path: dataPath}
-	if err := home.Checkpoint(dir.Master); err != nil {
+	if err := (filterdir.DataDir{Path: dataPath}).Checkpoint(dir.Master); err != nil {
 		return err
 	}
-	fmt.Printf("master: %d entries, checkpointed to %s\n", dir.Master.Len(), dataPath)
+	master, journal, err := filterdir.OpenDataDir(dataPath, []string{"o=xyz"}, filterdir.WithIndexes(dir.Config.IndexAttrs...))
+	if err != nil {
+		return err
+	}
+	defer journal.Close()
+	fmt.Printf("master: %d entries, checkpointed to %s and reopened durable\n", master.Len(), dataPath)
 
-	masterSrv, err := filterdir.ServeDirectory("127.0.0.1:0", dir.Master)
+	masterSrv, err := filterdir.ServeDirectory("127.0.0.1:0", master)
 	if err != nil {
 		return err
 	}
@@ -58,7 +63,7 @@ func run() error {
 		return err
 	}
 	gen := filterdir.NewGeneralizer(filterdir.PrefixRule("serialnumber", workload.SerialPrefixLen))
-	sizeOf := func(q filterdir.Query) int { return len(dir.Master.MatchAll(q)) }
+	sizeOf := func(q filterdir.Query) int { return len(master.MatchAll(q)) }
 	sel := filterdir.NewSelector(gen, sizeOf, dir.EmployeeCount/10, 200)
 	ar := filterdir.NewAdaptiveReplica(rep, sel, syncClient)
 	defer ar.Close()

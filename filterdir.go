@@ -39,6 +39,7 @@
 package filterdir
 
 import (
+	"io"
 	"time"
 
 	"filterdir/internal/containment"
@@ -359,12 +360,18 @@ var (
 	ReadLDIF  = ldif.Read
 )
 
-// DataDir is a durable home for a directory: an LDIF snapshot plus an
-// appendable journal of LDIF change records.
+// DataDir is a durable home for a directory: an LDIF snapshot plus a journal
+// of LDIF change records, one committed batch per group of concurrent writes.
+// Its Checkpoint writes a directory no OpenDataDir holds as the snapshot,
+// the way a first run seeds it.
 type DataDir = persist.Dir
 
-// OpenDataDir loads (or initializes) durable directory state at path.
-func OpenDataDir(path string, suffixes []string, opts ...DirectoryOption) (*Directory, error) {
-	st, _, err := persist.Dir{Path: path}.Open(suffixes, opts...)
-	return st, err
+// OpenDataDir loads (or initializes) durable directory state at path and
+// returns the directory durable: every write is committed to the journal —
+// one write, one fsync per batch — before it returns, and the journal is
+// folded into a fresh snapshot once it has outgrown the one it extends. A
+// write that cannot be committed fails, and so does every write after it.
+// Closing journal releases it; the directory takes no writes after that.
+func OpenDataDir(path string, suffixes []string, opts ...DirectoryOption) (dir *Directory, journal io.Closer, err error) {
+	return persist.Dir{Path: path}.Open(suffixes, persist.JournalRetention{}, opts...)
 }

@@ -192,27 +192,33 @@ func TestPublicAPIExperiment(t *testing.T) {
 
 func TestPublicAPIDurableDirectory(t *testing.T) {
 	path := t.TempDir() + "/data"
-	master := buildMaster(t)
-	home := filterdir.DataDir{Path: path}
-	if err := home.Checkpoint(master); err != nil {
+	if err := (filterdir.DataDir{Path: path}).Checkpoint(buildMaster(t)); err != nil {
 		t.Fatal(err)
 	}
-	w := master.LastCSN()
-	if err := master.Delete(filterdir.MustParseDN("cn=p0,c=us,o=xyz")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := home.AppendChanges(master, w); err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := filterdir.OpenDataDir(path, []string{"o=xyz"})
+	dir, journal, err := filterdir.OpenDataDir(path, []string{"o=xyz"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recovered.Len() != master.Len() {
-		t.Errorf("recovered %d entries, want %d", recovered.Len(), master.Len())
+	if err := dir.Delete(filterdir.MustParseDN("cn=p0,c=us,o=xyz")); err != nil {
+		t.Fatal(err)
+	}
+	// Dropped without a checkpoint: the acknowledged delete is durable.
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, journal, err := filterdir.OpenDataDir(path, []string{"o=xyz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	if recovered.Len() != dir.Len() {
+		t.Errorf("recovered %d entries, want %d", recovered.Len(), dir.Len())
 	}
 	if _, ok := recovered.Get(filterdir.MustParseDN("cn=p0,c=us,o=xyz")); ok {
-		t.Error("journaled delete not replayed")
+		t.Error("acknowledged delete not recovered")
+	}
+	if recovered.LastCSN() != dir.LastCSN() {
+		t.Errorf("recovered LastCSN %d, want %d", recovered.LastCSN(), dir.LastCSN())
 	}
 }
 

@@ -56,8 +56,9 @@ func (s *Store) submit(apply func() (CSN, error)) (CSN, error) {
 
 // flushLocked drains up to batchLimit pending ops in arrival order and
 // applies them with seqMu held: each op validates against, and mutates,
-// the current shard states and commits its own journal record. Journal
-// trimming and the change signal fire once per batch. Callers hold seqMu.
+// the current shard states and commits its own journal record. The durable
+// commit, trimming and the change signal happen once per batch. Callers hold
+// seqMu.
 func (s *Store) flushLocked() {
 	s.pendMu.Lock()
 	n := len(s.pending)
@@ -80,17 +81,28 @@ func (s *Store) flushLocked() {
 	// An op can commit records and still fail (a content batch stopped by
 	// a later action), so "something committed" is read off the sequence.
 	first := s.nextCSN
-	for _, op := range batch {
-		op.csn, op.err = op.apply()
+	if s.failed == nil {
+		for _, op := range batch {
+			op.csn, op.err = op.apply()
+		}
 	}
 	if s.nextCSN != first {
 		s.settleLocked()
-		s.trimLocked()
-		close(s.signal)
-		s.signal = make(chan struct{})
+		if s.durable != nil {
+			// The batch's records are the journal's tail: trimming comes after.
+			s.failed = s.durable(s.journal[len(s.journal)-int(s.nextCSN-first):], s.contentLocked)
+		}
+		if s.failed == nil {
+			s.trimLocked()
+			close(s.signal)
+			s.signal = make(chan struct{})
+		}
 	}
 	s.counters.ObserveBatch(n)
 	for _, op := range batch {
+		if s.failed != nil {
+			op.csn, op.err = 0, s.failed
+		}
 		close(op.done)
 	}
 }
@@ -139,7 +151,6 @@ func (s *Store) trimLocked() {
 		return
 	}
 	s.journal = append(s.journal[:0:0], s.journal[drop:]...)
-	s.journalBase += CSN(drop)
 	s.journalTrimmed += uint64(drop)
 }
 

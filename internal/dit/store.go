@@ -81,8 +81,7 @@ type Store struct {
 	// enough to freeze a view (never across a scan), so views always land
 	// on batch boundaries.
 	seqMu          sync.Mutex
-	journal        []Change
-	journalBase    CSN // CSN of journal[0]; journal may be trimmed
+	journal        []Change // consecutive CSNs ending at nextCSN-1; may be trimmed
 	nextCSN        CSN
 	journalLimit   int
 	journalTrimmed uint64 // records dropped by the journal limit
@@ -92,7 +91,9 @@ type Store struct {
 	holdSeq uint64
 	// signal is closed and replaced once per committed batch; waiters use
 	// it for persist-mode notification.
-	signal chan struct{}
+	signal  chan struct{}
+	durable func(changes []Change, content func() []*entry.Entry) error // commits each batch (Durable)
+	failed  error                                                       // durable's first error: no write applies after it
 
 	// Commit-pipeline queue (guarded by pendMu, drained under seqMu).
 	pendMu      sync.Mutex
@@ -190,6 +191,18 @@ func NewStore(suffixes []string, opts ...Option) (*Store, error) {
 		st.shards[i] = &shard{state: newShardState(st.indexAttrs)}
 	}
 	return st, nil
+}
+
+// Durable makes the store's commits durable; its one caller is persist.Dir.Open,
+// after replay. The replay's records leave the journal (no session exists to ask
+// for them) and CSNs continue after last. Each later batch goes to commit, with
+// seqMu held, before trimming, the change signal or any writer's return; content
+// reads the store at that boundary. Once commit fails, the batch's writes and
+// every later write fail with its error: the store holds what its journal does not.
+func (s *Store) Durable(last CSN, commit func(changes []Change, content func() []*entry.Entry) error) {
+	s.seqMu.Lock()
+	defer s.seqMu.Unlock()
+	s.journal, s.nextCSN, s.durable = nil, last+1, commit
 }
 
 // defaultShards resolves the shard count when WithShards is absent.
@@ -587,6 +600,19 @@ func (s *Store) All() []*entry.Entry {
 	for _, st := range v.states {
 		for _, e := range st.entries {
 			out = append(out, e.Clone())
+		}
+	}
+	sortEntries(out)
+	return out
+}
+
+// contentLocked is All for a caller holding seqMu, under which no shard
+// state changes: the stored entries themselves, uncopied.
+func (s *Store) contentLocked() []*entry.Entry {
+	var out []*entry.Entry
+	for _, sh := range s.shards {
+		for _, e := range sh.load().entries {
+			out = append(out, e)
 		}
 	}
 	sortEntries(out)

@@ -97,7 +97,7 @@ func (s *Store) ChangeSignal() <-chan struct{} {
 func (s *Store) ChangesSince(after CSN) (changes []Change, ok bool) {
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
-	first := s.journalBase
+	first := s.nextCSN // of an empty journal: nothing committed since the start or a Durable reopen
 	if len(s.journal) > 0 {
 		first = s.journal[0].CSN
 	}

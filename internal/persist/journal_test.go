@@ -24,9 +24,23 @@ func TestCheckpointCrashBeforeJournalTruncate(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sparse=%v", sparse), func(t *testing.T) {
 			home := Dir{Path: filepath.Join(t.TempDir(), "crash")}
-			open := home.Open
-			if sparse {
-				open = home.OpenSparse
+			// open reopens home as its kind of store is opened and returns the
+			// note its state stands at: a full store's is its last CSN.
+			open := func() (*dit.Store, string) {
+				t.Helper()
+				if sparse {
+					st, note, err := home.OpenSparse([]string{"o=xyz"})
+					if err != nil {
+						t.Fatalf("open beside the pre-truncate journal: %v", err)
+					}
+					return st, note
+				}
+				st, journal, err := home.Open([]string{"o=xyz"}, JournalRetention{})
+				if err != nil {
+					t.Fatalf("open beside the pre-truncate journal: %v", err)
+				}
+				_ = journal.Close()
+				return st, csnNote(st.LastCSN())
 			}
 			st := seedStore(t)
 			if err := home.Checkpoint(st); err != nil {
@@ -34,9 +48,7 @@ func TestCheckpointCrashBeforeJournalTruncate(t *testing.T) {
 			}
 			w := st.LastCSN()
 			burst(t, st)
-			if _, err := home.AppendChanges(st, w); err != nil {
-				t.Fatal(err)
-			}
+			commitSince(t, home, st, w)
 			jPath := filepath.Join(home.Path, journalName)
 			folded, err := os.ReadFile(jPath)
 			if err != nil {
@@ -49,10 +61,7 @@ func TestCheckpointCrashBeforeJournalTruncate(t *testing.T) {
 			if err := os.WriteFile(jPath, folded, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			recovered, note, err := open([]string{"o=xyz"})
-			if err != nil {
-				t.Fatalf("open beside the pre-truncate journal: %v", err)
-			}
+			recovered, note := open()
 			identical(t, st, recovered)
 			if want := csnNote(st.LastCSN()); note != want {
 				t.Errorf("note = %q, want the snapshot's %q", note, want)
@@ -62,13 +71,8 @@ func TestCheckpointCrashBeforeJournalTruncate(t *testing.T) {
 			if err := st.Delete(dn.MustParse("cn=p3,o=xyz")); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := home.AppendChanges(st, w); err != nil {
-				t.Fatal(err)
-			}
-			reopened, _, err := open([]string{"o=xyz"})
-			if err != nil {
-				t.Fatal(err)
-			}
+			commitSince(t, home, st, w)
+			reopened, _ := open()
 			identical(t, st, reopened)
 		})
 	}
@@ -84,16 +88,16 @@ func TestJournalAheadOfSnapshotRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(home.Path, journalName), journalFile(2, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := home.Open([]string{"o=xyz"}); err == nil {
+	if _, _, err := home.Open([]string{"o=xyz"}, JournalRetention{}); err == nil {
 		t.Fatal("Open replayed a journal ahead of its snapshot")
 	}
 }
 
-// TestHeaderlessFilesAreGenerationZero: a directory written before headers
-// existed — bare snapshot, bare journal with CSN commit lines — still opens,
-// and its first checkpoint moves it to generation one.
-func TestHeaderlessFilesAreGenerationZero(t *testing.T) {
-	home := Dir{Path: t.TempDir()}
+// TestHeaderlessFilesRefused: a snapshot, or a non-empty journal, without its
+// header line is damage — nothing writes one — and refused, not read as
+// generation zero. Beside a snapshot of a later generation such a journal
+// used to be dropped unread; it is refused and left in place.
+func TestHeaderlessFilesRefused(t *testing.T) {
 	st := seedStore(t)
 	var snap, batch bytes.Buffer
 	if err := ldif.Write(&snap, st.All()...); err != nil {
@@ -102,25 +106,39 @@ func TestHeaderlessFilesAreGenerationZero(t *testing.T) {
 	if err := AppendJournal(&batch, burst(t, st)); err != nil {
 		t.Fatal(err)
 	}
-	for name, raw := range map[string][]byte{snapshotName: snap.Bytes(), journalName: batch.Bytes()} {
-		if err := os.WriteFile(filepath.Join(home.Path, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recovered, note, err := home.Open([]string{"o=xyz"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, st, recovered)
-	if want := csnNote(st.LastCSN()); note != want {
-		t.Errorf("note = %q, want %q", note, want)
-	}
-	if err := home.Checkpoint(st); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(home.Path, snapshotName))
-	if err != nil || !bytes.HasPrefix(raw, []byte(snapshotHeader+"1 ")) {
-		t.Errorf("snapshot after the first checkpoint starts %.40q (err %v), want generation 1", raw, err)
+	for _, tc := range []struct {
+		name     string
+		snapshot bool // a Checkpoint's, with its header
+		files    map[string][]byte
+	}{
+		{"bare snapshot", false, map[string][]byte{snapshotName: snap.Bytes()}},
+		{"bare journal", false, map[string][]byte{journalName: batch.Bytes()}},
+		{"bare journal beside a snapshot", true, map[string][]byte{journalName: batch.Bytes()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			home := Dir{Path: t.TempDir()}
+			if tc.snapshot {
+				if err := home.Checkpoint(seedStore(t)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, raw := range tc.files {
+				if err := os.WriteFile(filepath.Join(home.Path, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := home.Open([]string{"o=xyz"}, JournalRetention{}); err == nil {
+				t.Error("Open read a header-less file")
+			}
+			if _, _, err := home.OpenSparse([]string{"o=xyz"}); err == nil {
+				t.Error("OpenSparse read a header-less file")
+			}
+			for name, want := range tc.files {
+				if raw, err := os.ReadFile(filepath.Join(home.Path, name)); err != nil || !bytes.Equal(raw, want) {
+					t.Errorf("%s changed by the refused opens (err %v)", name, err)
+				}
+			}
+		})
 	}
 }
 
@@ -229,8 +247,8 @@ func TestJournalDue(t *testing.T) {
 
 // FuzzJournalRecover hands OpenSparse arbitrary bytes as journal.ldif. It
 // must not panic; whatever it recovers it recovers again unchanged from the
-// file it left behind, a caller folding Batches itself ends with the records
-// and the note recover does, and the file takes a further commit.
+// file it left behind, a caller folding Batches itself ends with the content
+// and the note OpenSparse does, and the file takes a further commit.
 func FuzzJournalRecover(f *testing.F) {
 	var batch bytes.Buffer
 	st, _ := dit.NewStore([]string{""})
@@ -244,14 +262,14 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Add(whole)
 	f.Add(whole[:len(whole)-9])
 	f.Add(append(append([]byte(nil), whole...), "\n# reset\ndn: cn=z,o=xyz\nchangetype: add\ncn: z\n# commit {\"cookie\":\"c\"}\n"...))
-	f.Add([]byte("# commit 1\n# commit"))
+	f.Add(journalFile(0, []byte("# commit 1\n# commit")))
 	f.Add([]byte("# journal 7\n\n# commit x\n"))
-	f.Add([]byte("\n\n"))
+	f.Add([]byte("\n\n")) // no header line: refused
 	// An edge writer's journal: one op's batch, then batches that are a note alone.
 	notes := "# journal 0\n\ndn: cn=a,o=xyz\nchangetype: add\ncn: a\n# commit op r1.0\n\n# commit commit r1.0 7\n\n# commit retire r1.0\n"
 	f.Add([]byte(notes))
 	f.Add([]byte(notes[:len(notes)-4]))
-	f.Add([]byte("\n# commit a\n\n# reset\n# commit b\n\n# commit c\n"))
+	f.Add(journalFile(0, []byte("\n# commit a\n\n# reset\n# commit b\n\n# commit c\n")))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		home := Dir{Path: t.TempDir()}
 		jPath := filepath.Join(home.Path, journalName)
@@ -275,32 +293,32 @@ func FuzzJournalRecover(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer j.Close()
-		var walked []ldif.ChangeRecord
+		walked, _ := dit.NewStore([]string{""})
 		walkedNote := ""
 		if _, err := j.Batches(func(reset bool, records []ldif.ChangeRecord, n string) error {
 			if reset {
-				walked = nil
+				walked, _ = dit.NewStore([]string{""})
 			}
-			walked, walkedNote = append(walked, records...), n
+			for _, rec := range records {
+				if err := applyRecord(walked, rec, true); err != nil {
+					return err
+				}
+			}
+			walkedNote = n
 			return nil
 		}); err != nil {
 			t.Fatalf("Batches over a journal that opened: %v", err)
 		}
-		_, records, rnote, err := j.recover()
-		if err != nil || rnote != walkedNote || rnote != note || len(records) != len(walked) {
-			t.Fatalf("recover ends with %d records under note %q (err %v), Batches with %d under %q, Open under %q",
-				len(records), rnote, err, len(walked), walkedNote, note)
-		}
-		for i, rec := range records {
-			if rec.Type != walked[i].Type || rec.DN.Norm() != walked[i].DN.Norm() {
-				t.Fatalf("record %d: recover read %s %q, Batches %s %q", i, rec.Type, rec.DN, walked[i].Type, walked[i].DN)
-			}
+		identical(t, first, walked)
+		if walkedNote != note {
+			t.Fatalf("Batches ends under note %q, OpenSparse under %q", walkedNote, note)
 		}
 		w := again.LastCSN()
 		if err := again.Upsert(person(99, "appended")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := home.AppendChanges(again, w); err != nil {
+		changes, _ := again.ChangesSince(w)
+		if _, err := j.Commit(false, changes, csnNote(again.LastCSN())); err != nil {
 			t.Fatal(err)
 		}
 		third, note3, err := home.OpenSparse([]string{""})

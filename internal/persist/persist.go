@@ -12,18 +12,20 @@
 // session cookie with its resume token, an edge write's transition — and
 // because it ends the batch it is never newer than the content it stands
 // behind: recovery (Batches, the one reader of the journal) replays up to the
-// last complete commit line and cuts away what follows; Open hands back that
-// line's note. LDIF readers skip comment lines: both files stay plain LDIF.
+// last complete commit line and cuts away what follows. LDIF readers skip
+// comment lines: both files stay plain LDIF. Every caller commits a batch
+// before acting on it — a master's store before acknowledging a write (Open).
 //
 // A snapshot embodies the journal it replaces and takes the next generation;
 // a journal older than the snapshot beside it (a crash between the snapshot's
-// rename and the journal's truncation) is dropped, not replayed twice. Files
-// without a header line, as written before generations, are generation zero.
+// rename and the journal's truncation) is dropped, not replayed twice. A file
+// without its header line is damage, and is refused.
 package persist
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -82,8 +84,8 @@ func appendBatch(b []byte, reset bool, changes []dit.Change, note string) ([]byt
 func csnNote(csn dit.CSN) string { return strconv.FormatUint(uint64(csn), 10) }
 
 // AppendJournal writes journal changes as one batch with their last CSN as
-// its note: crash recovery replays a batch all-or-none (records after the
-// last commit line are discarded).
+// its note, without a sync. The library commits through Journal.Commit; this
+// stays for the benchmark ladder (bench/loadrig/ladder.go), which times it.
 func AppendJournal(w io.Writer, changes []dit.Change) error {
 	if len(changes) == 0 {
 		return nil
@@ -96,11 +98,14 @@ func AppendJournal(w io.Writer, changes []dit.Change) error {
 }
 
 // applyRecord replays one journal record onto a store. A record that does not
-// apply (an add of a present entry, a delete of an absent one) is an error;
-// sparse content is replayed as live synchronization applies it: adds as
-// upserts, deletes whatever lies below and whether or not the entry is there,
-// renames as moves — the entry alone re-keyed, its new parent not required
-// (dit.SyncOp.From).
+// apply (an add of a present entry, a delete of an absent one, a rename under
+// an absent parent) is an error; sparse content is replayed as live
+// synchronization applies it: adds as upserts, deletes whatever lies below
+// and whether or not the entry is there, renames under any parent. A rename
+// re-keys the one entry it names (dit.SyncOp.From); a subtree rename journals
+// one per moved entry. At a full store it sets the naming attribute when the
+// leaf RDN changed, as Store.ModifyDN did; a sparse store's move journals the
+// patch it applied as the modify record that follows.
 func applyRecord(st *dit.Store, rec ldif.ChangeRecord, sparse bool) error {
 	switch rec.Type {
 	case dit.ChangeAdd:
@@ -120,15 +125,23 @@ func applyRecord(st *dit.Store, rec ldif.ChangeRecord, sparse bool) error {
 	case dit.ChangeModify:
 		return st.Modify(rec.DN, rec.Mods)
 	case dit.ChangeModifyDN:
-		if sparse {
-			return st.ApplyOwned([]dit.SyncOp{{From: rec.DN, Patch: entry.New(rec.NewDN)}})
-		}
+		oldLeaf, _ := rec.DN.Leaf()
 		leaf, ok := rec.NewDN.Leaf()
 		if !ok {
 			return fmt.Errorf("modrdn record lacks a leaf RDN")
 		}
-		superior, _ := rec.NewDN.Parent()
-		return st.ModifyDN(rec.DN, leaf, superior)
+		patch := entry.New(rec.NewDN)
+		if !sparse {
+			if superior, _ := rec.NewDN.Parent(); !superior.IsRoot() {
+				if _, held := st.Held(superior.Norm()); !held {
+					return fmt.Errorf("%w: new superior %q", dit.ErrNoSuchObject, superior.String())
+				}
+			}
+			if !strings.EqualFold(oldLeaf.Attr, leaf.Attr) || !entry.EqualValues(oldLeaf.Value, leaf.Value) {
+				patch.Put(leaf.Attr, leaf.Value)
+			}
+		}
+		return st.ApplyOwned([]dit.SyncOp{{From: rec.DN, Patch: patch}})
 	default:
 		return fmt.Errorf("unknown change type %v", rec.Type)
 	}
@@ -163,7 +176,7 @@ func (j *Journal) path(name string) string { return filepath.Join(j.dir, name) }
 // reading the journal — Open, OpenSparse and Batches do that, dropping a stale
 // journal and repairing a torn one, and a restart calls one of them first. The
 // snapshot's first line, "# snapshot <generation> <note>", gives both; a
-// snapshot written before generations starts otherwise and is generation zero.
+// snapshot that starts otherwise is refused.
 func (d Dir) Journal() (*Journal, error) {
 	if err := os.MkdirAll(d.Path, 0o755); err != nil {
 		return nil, err
@@ -180,13 +193,12 @@ func (d Dir) Journal() (*Journal, error) {
 		if err != nil && err != io.EOF {
 			return nil, err
 		}
-		if line, ok := strings.CutPrefix(strings.TrimSuffix(line, "\n"), snapshotHeader); ok {
-			gen, note, _ := strings.Cut(line, " ")
-			if j.gen, err = strconv.ParseUint(gen, 10, 64); err != nil {
-				return nil, fmt.Errorf("snapshot header: %w", err)
-			}
-			j.snapNote = note
+		header, ok := strings.CutPrefix(strings.TrimSuffix(line, "\n"), snapshotHeader)
+		gen, note, _ := strings.Cut(header, " ")
+		if j.gen, err = strconv.ParseUint(gen, 10, 64); !ok || err != nil {
+			return nil, fmt.Errorf("snapshot header %.40q: want %q<generation> <note>", line, snapshotHeader)
 		}
+		j.snapNote = note
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
@@ -224,24 +236,21 @@ func (j *Journal) Batches(visit func(reset bool, records []ldif.ChangeRecord, no
 	if err != nil {
 		return "", err
 	}
-	hdr := 0 // length of the header line; without one the journal is generation zero
-	if nl := bytes.IndexByte(raw, '\n'); nl > 0 && bytes.HasPrefix(raw, []byte(journalHeader)) {
-		hdr = nl + 1
-		gen, err := strconv.ParseUint(string(raw[len(journalHeader):hdr-1]), 10, 64)
-		if err != nil || gen > j.gen {
-			return "", fmt.Errorf("journal header %q beside a snapshot of generation %d", raw[:hdr-1], j.gen)
+	hdr := bytes.IndexByte(raw, '\n') + 1 // 0: no line is complete, all of it is torn tail
+	if hdr > 0 {
+		gen, ok := bytes.CutPrefix(raw[:hdr-1], []byte(journalHeader))
+		g, err := strconv.ParseUint(string(gen), 10, 64)
+		if !ok || err != nil || g > j.gen {
+			return "", fmt.Errorf("journal header %.40q beside a snapshot of generation %d", raw[:hdr-1], j.gen)
 		}
-		if gen < j.gen {
-			hdr = 0
+		if g < j.gen {
+			// A crash between the snapshot's rename and the journal's
+			// truncation: every record here is in the snapshot already.
+			if err := j.truncate(0); err != nil {
+				return "", err
+			}
+			raw, hdr = nil, 0
 		}
-	}
-	if hdr == 0 && j.gen > 0 && len(raw) > 0 {
-		// A crash between the snapshot's rename and the journal's
-		// truncation: every record here is in the snapshot already.
-		if err := j.truncate(0); err != nil {
-			return "", err
-		}
-		raw = nil
 	}
 	cut, start, reset := hdr, hdr, false // of the committed bytes, the batch being read, and whether it resets
 	for at := hdr; ; {
@@ -274,11 +283,55 @@ func (j *Journal) Batches(visit func(reset bool, records []ldif.ChangeRecord, no
 	return j.snapNote, nil
 }
 
-// recover reads what the directory durably holds: the snapshot's entries (nil
-// past a committed reset), the change records committed on top of them, and
-// the last commit's note (the snapshot's own when nothing was committed
-// since).
-func (j *Journal) recover() (entries []*entry.Entry, records []ldif.ChangeRecord, note string, err error) {
+// Open loads a master's directory state from path (creating the path if
+// needed) — the snapshot, the journal's committed batches replayed on top —
+// and returns the store durable by construction: each batch its commit
+// pipeline flushes is one Commit, noted with its last CSN, before any writer
+// in it returns, then a fold into a fresh snapshot if Due(pol) (dit.Store.Durable).
+// CSNs continue from the last note. A failed commit or fold fails its batch's
+// writes and every later one; so does closing the returned journal.
+func (d Dir) Open(suffixes []string, pol JournalRetention, opts ...dit.Option) (st *dit.Store, journal io.Closer, err error) {
+	j, err := d.Journal()
+	if err != nil {
+		return nil, nil, err
+	}
+	st, note, err := j.load(suffixes, false, opts)
+	last, perr := strconv.ParseUint(cmp.Or(note, "0"), 10, 64) // "": nothing committed yet
+	if perr != nil && err == nil {
+		err = fmt.Errorf("commit note %q is not a CSN", note)
+	}
+	if err != nil {
+		j.Close()
+		return nil, nil, err
+	}
+	st.Durable(dit.CSN(last), func(changes []dit.Change, content func() []*entry.Entry) error {
+		note := csnNote(changes[len(changes)-1].CSN)
+		if _, err := j.Commit(false, changes, note); err != nil || !j.Due(pol) {
+			return err
+		}
+		return j.Snapshot(content(), note)
+	})
+	return st, j, nil
+}
+
+// OpenSparse loads sparse replica content — a filter replica holds matching
+// entries without their ancestors (applyRecord) — with the last commit's
+// note. Its owner commits to the directory itself.
+func (d Dir) OpenSparse(suffixes []string, opts ...dit.Option) (*dit.Store, string, error) {
+	j, err := d.Journal()
+	if err != nil {
+		return nil, "", err
+	}
+	defer j.Close()
+	return j.load(suffixes, true, opts)
+}
+
+// load replays what the directory durably holds into a new store — the
+// snapshot's entries (none past a committed reset), then the change records
+// committed on top of them — and returns it with the last commit's note (the
+// snapshot's own when nothing was committed since).
+func (j *Journal) load(suffixes []string, sparse bool, opts []dit.Option) (*dit.Store, string, error) {
+	var records []ldif.ChangeRecord
 	reset, note := false, j.snapNote
 	if _, err := j.Batches(func(r bool, recs []ldif.ChangeRecord, n string) error {
 		if r {
@@ -287,8 +340,9 @@ func (j *Journal) recover() (entries []*entry.Entry, records []ldif.ChangeRecord
 		records, note = append(records, recs...), n
 		return nil
 	}); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
+	var entries []*entry.Entry
 	if !reset {
 		f, err := os.Open(j.path(snapshotName))
 		if err == nil {
@@ -296,36 +350,8 @@ func (j *Journal) recover() (entries []*entry.Entry, records []ldif.ChangeRecord
 			f.Close()
 		}
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, nil, "", fmt.Errorf("read snapshot: %w", err)
+			return nil, "", fmt.Errorf("read snapshot: %w", err)
 		}
-	}
-	return entries, records, note, nil
-}
-
-// Open loads the directory state from path (creating the path if needed): the
-// snapshot if present, the journal's committed batches replayed on top. The
-// last commit's note comes back with the store, whose own journal starts
-// empty, since loading does not journal.
-func (d Dir) Open(suffixes []string, opts ...dit.Option) (*dit.Store, string, error) {
-	return d.open(suffixes, false, opts)
-}
-
-// OpenSparse is Open for sparse replica content — a filter replica holds
-// matching entries without their ancestors — so that an add whose parent lies
-// outside the selection replays cleanly (applyRecord).
-func (d Dir) OpenSparse(suffixes []string, opts ...dit.Option) (*dit.Store, string, error) {
-	return d.open(suffixes, true, opts)
-}
-
-func (d Dir) open(suffixes []string, sparse bool, opts []dit.Option) (*dit.Store, string, error) {
-	j, err := d.Journal()
-	if err != nil {
-		return nil, "", err
-	}
-	defer j.Close()
-	entries, records, note, err := j.recover()
-	if err != nil {
-		return nil, "", err
 	}
 	st, err := dit.NewStore(suffixes, opts...)
 	if err != nil {
@@ -437,8 +463,11 @@ func WriteAtomic(path string, write func(io.Writer) error) error {
 	return d.Sync()
 }
 
-// Checkpoint atomically writes a fresh snapshot of the store and empties
-// the journal: the snapshot now embodies every applied change.
+// Checkpoint atomically writes a fresh snapshot of the store and empties the
+// journal: the snapshot now embodies every applied change. It seeds a first
+// run, which Open then continues, and the benchmark ladder
+// (bench/loadrig/ladder.go) times it. Never call it beside an Open of the
+// directory: that store folds its own journal.
 func (d Dir) Checkpoint(st *dit.Store) error {
 	j, err := d.Journal()
 	if err != nil {
@@ -449,9 +478,9 @@ func (d Dir) Checkpoint(st *dit.Store) error {
 }
 
 // JournalRetention bounds how much change history accumulates in the
-// on-disk journal before it is folded into a fresh snapshot. A zero value
-// disables the corresponding bound; what the zero policy means is the
-// caller's: Maintain never folds under it, Journal.Due has a rule of its own.
+// on-disk journal before it is folded into a fresh snapshot (Journal.Due). A
+// zero value disables the corresponding bound; the zero policy folds by
+// Due's own rule.
 type JournalRetention struct {
 	// MaxBytes checkpoints once journal.ldif exceeds this size.
 	MaxBytes int64
@@ -460,9 +489,6 @@ type JournalRetention struct {
 	// non-empty journal with no snapshot at all counts as over-age.
 	MaxAge time.Duration
 }
-
-// Enabled reports whether any bound is armed.
-func (p JournalRetention) Enabled() bool { return p.MaxBytes > 0 || p.MaxAge > 0 }
 
 // String renders the policy in the flag syntax ParseJournalRetention reads.
 func (p JournalRetention) String() string {
@@ -480,7 +506,7 @@ func (p JournalRetention) String() string {
 
 // ParseJournalRetention reads the -journal-retention flag syntax: a
 // comma-separated list of "bytes=<n>[k|m|g]" and "age=<duration>" terms,
-// e.g. "bytes=64m,age=1h". The empty string is the disabled policy.
+// e.g. "bytes=64m,age=1h". The empty string is the zero policy.
 func ParseJournalRetention(s string) (JournalRetention, error) {
 	var p JournalRetention
 	if s == "" {
@@ -544,44 +570,10 @@ func (j *Journal) Due(pol JournalRetention) bool {
 	switch {
 	case j.size == 0:
 		return false
-	case !pol.Enabled():
+	case pol == JournalRetention{}:
 		return j.size > max(j.snapSize, journalFloor)
 	default:
 		return pol.MaxBytes > 0 && j.size > pol.MaxBytes ||
 			pol.MaxAge > 0 && time.Since(j.snapTime) > pol.MaxAge
 	}
-}
-
-// Maintain durably appends the store's journal changes since the given CSN as
-// one batch and returns the new watermark, to be handed back at the next call;
-// then a journal over the policy's size or age bound is folded into a fresh
-// snapshot, emptying it (the zero policy never folds).
-func (d Dir) Maintain(st *dit.Store, after dit.CSN, pol JournalRetention) (dit.CSN, error) {
-	changes, ok := st.ChangesSince(after)
-	if !ok {
-		return after, fmt.Errorf("journal history since CSN %d no longer available; checkpoint instead", after)
-	}
-	j, err := d.Journal()
-	if err != nil {
-		return after, err
-	}
-	defer j.Close()
-	if len(changes) > 0 {
-		last := changes[len(changes)-1].CSN
-		if _, err := j.Commit(false, changes, csnNote(last)); err != nil {
-			return after, err
-		}
-		after = last
-	}
-	if pol.Enabled() && j.Due(pol) {
-		if err := j.Snapshot(st.All(), csnNote(st.LastCSN())); err != nil {
-			return after, fmt.Errorf("retention checkpoint: %w", err)
-		}
-	}
-	return after, nil
-}
-
-// AppendChanges is Maintain without a retention policy.
-func (d Dir) AppendChanges(st *dit.Store, after dit.CSN) (dit.CSN, error) {
-	return d.Maintain(st, after, JournalRetention{})
 }

@@ -16,12 +16,18 @@ import (
 	"filterdir/internal/resync"
 )
 
-func seedStore(t *testing.T) *dit.Store {
+func seedStore(t testing.TB) *dit.Store {
 	t.Helper()
 	st, err := dit.NewStore([]string{"o=xyz"}, dit.WithIndexes("serialnumber"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fill(t, st)
+}
+
+// fill adds the seed content — o=xyz and eight people — to st.
+func fill(t testing.TB, st *dit.Store) *dit.Store {
+	t.Helper()
 	org := entry.New(dn.MustParse("o=xyz"))
 	org.Put("objectclass", "organization").Put("o", "xyz")
 	if err := st.Add(org); err != nil {
@@ -38,6 +44,47 @@ func seedStore(t *testing.T) *dit.Store {
 	return st
 }
 
+// openDurable opens home as a master does. The journal is closed at the end
+// of the test, or sooner by the returned func.
+func openDurable(t *testing.T, home Dir, pol JournalRetention) (*dit.Store, func() error) {
+	t.Helper()
+	st, journal, err := home.Open([]string{"o=xyz"}, pol, dit.WithIndexes("serialnumber"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = journal.Close() })
+	return st, journal.Close
+}
+
+// seededDurable checkpoints the seed content into home, as a master's first
+// run does, and opens it.
+func seededDurable(t *testing.T, home Dir) (*dit.Store, func() error) {
+	t.Helper()
+	if err := home.Checkpoint(seedStore(t)); err != nil {
+		t.Fatal(err)
+	}
+	return openDurable(t, home, JournalRetention{})
+}
+
+// commitSince commits st's journal records after the given CSN to home as
+// one batch noted with the last one's CSN: what a store Open returned commits
+// for the batch, written here for a store that is not durable.
+func commitSince(t *testing.T, home Dir, st *dit.Store, after dit.CSN) {
+	t.Helper()
+	changes, ok := st.ChangesSince(after)
+	if !ok || len(changes) == 0 {
+		t.Fatalf("no changes after CSN %d to commit", after)
+	}
+	j, err := home.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, err := j.Commit(false, changes, csnNote(changes[len(changes)-1].CSN)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // identical compares two stores entry for entry.
 func identical(t *testing.T, a, b *dit.Store) {
 	t.Helper()
@@ -49,14 +96,9 @@ func identical(t *testing.T, a, b *dit.Store) {
 
 func TestDirOpenCheckpointCycle(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "dir")}
-	st := seedStore(t)
+	st, closeJournal := seededDurable(t, home)
 
-	// Checkpoint, then apply one change of every type and append the delta
-	// to the journal.
-	if err := home.Checkpoint(st); err != nil {
-		t.Fatal(err)
-	}
-	watermark := st.LastCSN()
+	// One change of every type, each committed before it returns.
 	if err := st.Modify(dn.MustParse("cn=p4,o=xyz"),
 		[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"v2"}}}); err != nil {
 		t.Fatal(err)
@@ -73,29 +115,21 @@ func TestDirOpenCheckpointCycle(t *testing.T) {
 		dn.MustParse("o=xyz")); err != nil {
 		t.Fatal(err)
 	}
-	watermark, err := home.AppendChanges(st, watermark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if watermark != st.LastCSN() {
-		t.Errorf("watermark = %d, want %d", watermark, st.LastCSN())
-	}
 
 	// Recovery: snapshot + journal replay equals the live store.
-	recovered, _, err := home.Open([]string{"o=xyz"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered, closeRecovered := openDurable(t, home, JournalRetention{})
 	identical(t, st, recovered)
+	if recovered.LastCSN() != st.LastCSN() {
+		t.Errorf("recovered LastCSN = %d, want %d", recovered.LastCSN(), st.LastCSN())
+	}
 
-	// A second checkpoint folds the journal away; reopening still matches.
+	// A checkpoint of a store no Open holds folds the journal away;
+	// reopening still matches.
+	_, _ = closeJournal(), closeRecovered()
 	if err := home.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
-	recovered2, _, err := home.Open([]string{"o=xyz"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered2, _ := openDurable(t, home, JournalRetention{})
 	identical(t, st, recovered2)
 }
 
@@ -125,11 +159,9 @@ func TestDirOpenSparseOrphanJournal(t *testing.T) {
 	if err := st.RemoveAny(dn.MustParse("cn=s2,o=xyz")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := home.AppendChanges(st, watermark); err != nil {
-		t.Fatal(err)
-	}
+	commitSince(t, home, st, watermark)
 
-	if _, _, err := home.Open([]string{""}); err == nil {
+	if _, _, err := home.Open([]string{""}, JournalRetention{}); err == nil {
 		t.Error("strict Open replayed an orphan add without error")
 	}
 	recovered, _, err := home.OpenSparse([]string{""})
@@ -159,8 +191,8 @@ func TestDirOpenSparseReplaysPatch(t *testing.T) {
 
 // TestDirOpenSparseReplaysMove: a move at a sparse store is journaled as a
 // rename and a modify, and the rename names a new superior the store does not
-// hold — a filter replica holds no parents. Strict replay (ModifyDN) refuses
-// it; sparse replay must re-key the entry alone, as the live move did, and
+// hold — a filter replica holds no parents. Strict replay refuses it;
+// sparse replay must re-key the entry alone, as the live move did, and
 // then patch it. A move without attributes is the rename alone.
 func TestDirOpenSparseReplaysMove(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "sparse")}
@@ -184,10 +216,8 @@ func TestDirOpenSparseReplaysMove(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := home.AppendChanges(st, watermark); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := home.Open([]string{""}); err == nil {
+	commitSince(t, home, st, watermark)
+	if _, _, err := home.Open([]string{""}, JournalRetention{}); err == nil {
 		t.Error("strict Open replayed a rename under an absent superior without error")
 	}
 	recovered, _, err := home.OpenSparse([]string{""})
@@ -226,9 +256,7 @@ func testSparseReplay(t *testing.T, change func(st *dit.Store, next *entry.Entry
 	if err := change(st, v2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := home.AppendChanges(st, watermark); err != nil {
-		t.Fatal(err)
-	}
+	commitSince(t, home, st, watermark)
 	recovered, _, err := home.OpenSparse([]string{""})
 	if err != nil {
 		t.Fatal(err)
@@ -242,52 +270,42 @@ func testSparseReplay(t *testing.T, change func(st *dit.Store, next *entry.Entry
 
 func TestDirOpenFreshPath(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "fresh")}
-	st, _, err := home.Open([]string{"o=xyz"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 0 {
-		t.Errorf("fresh store holds %d entries", st.Len())
+	st, _ := openDurable(t, home, JournalRetention{})
+	if st.Len() != 0 || st.LastCSN() != 0 {
+		t.Errorf("fresh store holds %d entries at CSN %d", st.Len(), st.LastCSN())
 	}
 }
 
-func TestAppendChangesIncremental(t *testing.T) {
+// TestCommitsIncremental: each write is its own batch on top of the last,
+// and a write that changes nothing commits nothing.
+func TestCommitsIncremental(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "inc")}
-	st := seedStore(t)
-	if err := home.Checkpoint(st); err != nil {
-		t.Fatal(err)
+	st, _ := seededDurable(t, home)
+	for _, sn := range []string{"a", "b"} {
+		if err := st.Modify(dn.MustParse("cn=p1,o=xyz"),
+			[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{sn}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	w := st.LastCSN()
-	// Two separate append batches.
-	var err error
-	if err = st.Modify(dn.MustParse("cn=p1,o=xyz"),
-		[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"a"}}}); err != nil {
-		t.Fatal(err)
+	size := journalSize(t, home)
+	if err := st.Delete(dn.MustParse("cn=absent,o=xyz")); err == nil {
+		t.Fatal("deleted an absent entry")
 	}
-	if w, err = home.AppendChanges(st, w); err != nil {
-		t.Fatal(err)
+	if got := journalSize(t, home); got != size {
+		t.Errorf("a failed write grew the journal %d -> %d B", size, got)
 	}
-	if err = st.Modify(dn.MustParse("cn=p1,o=xyz"),
-		[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"b"}}}); err != nil {
-		t.Fatal(err)
-	}
-	if w, err = home.AppendChanges(st, w); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent no-op append.
-	if _, err = home.AppendChanges(st, w); err != nil {
-		t.Fatal(err)
-	}
-	recovered, _, err := home.Open([]string{"o=xyz"})
+	raw, err := os.ReadFile(filepath.Join(home.Path, journalName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := bytes.Count(raw, []byte("\n"+commitMarker)); n != 2 {
+		t.Errorf("journal holds %d batches, want 2:\n%s", n, raw)
+	}
+	recovered, _ := openDurable(t, home, JournalRetention{})
 	identical(t, st, recovered)
 }
 
-// journalFile is the journal file of the given generation holding body: a
-// journal lacking the header line is generation zero, which beside any
-// snapshot a Checkpoint wrote is stale and dropped unread.
+// journalFile is the journal file of the given generation holding body.
 func journalFile(gen int, body []byte) []byte {
 	return append([]byte(fmt.Sprintf("%s%d\n", journalHeader, gen)), body...)
 }
@@ -329,34 +347,15 @@ func burst(t *testing.T, st *dit.Store) []dit.Change {
 
 func TestDirOpenRepairsTornJournal(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "torn")}
-	st := seedStore(t)
-	if err := home.Checkpoint(st); err != nil {
-		t.Fatal(err)
-	}
-	// Two durable batches: a modify and a delete, then an add.
-	watermark := st.LastCSN()
-	if err := st.Modify(dn.MustParse("cn=p1,o=xyz"),
-		[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"crashed"}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(dn.MustParse("cn=p2,o=xyz")); err != nil {
-		t.Fatal(err)
-	}
-	watermark, err := home.AppendChanges(st, watermark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	late := entry.New(dn.MustParse("cn=late,o=xyz"))
-	late.Put("objectclass", "person").Put("cn", "late").Put("sn", "l")
-	if err := st.Add(late); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := home.AppendChanges(st, watermark); err != nil {
+	st, closeJournal := seededDurable(t, home)
+	// Three durable batches: a modify, a delete, an add.
+	burst(t, st)
+	if err := closeJournal(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Simulate a crash mid-append: truncate the journal file inside its
-	// final record, which takes the second batch's commit marker with it.
+	// final record, which takes the last batch's commit marker with it.
 	jPath := filepath.Join(home.Path, "journal.ldif")
 	raw, err := os.ReadFile(jPath)
 	if err != nil {
@@ -366,10 +365,7 @@ func TestDirOpenRepairsTornJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, _, err := home.Open([]string{"o=xyz"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered, _ := openDurable(t, home, JournalRetention{})
 	if _, ok := recovered.Get(dn.MustParse("cn=late,o=xyz")); ok {
 		t.Error("torn final record was applied during recovery")
 	}
@@ -378,7 +374,7 @@ func TestDirOpenRepairsTornJournal(t *testing.T) {
 	}
 
 	// Open must also have repaired the file: the journal now parses
-	// strictly, and appends continue cleanly after the repair.
+	// strictly, and commits continue cleanly after the repair.
 	f, err := os.Open(jPath)
 	if err != nil {
 		t.Fatal(err)
@@ -391,27 +387,17 @@ func TestDirOpenRepairsTornJournal(t *testing.T) {
 	if len(recs) != 2 {
 		t.Errorf("repaired journal holds %d records, want 2", len(recs))
 	}
-	w2, err := home.AppendChanges(recovered, recovered.LastCSN())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := recovered.Delete(dn.MustParse("cn=p3,o=xyz")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := home.AppendChanges(recovered, w2); err != nil {
-		t.Fatal(err)
-	}
-	reopened, _, err := home.Open([]string{"o=xyz"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reopened, _ := openDurable(t, home, JournalRetention{})
 	identical(t, recovered, reopened)
 }
 
 // TestDirOpenJournalWithoutMarker: a journal holding complete records but no
 // commit marker is a first batch whose append never finished — every writer
 // ends a batch with its marker — so none of it is replayed (all-or-none), and
-// the file is repaired to its header line, which later appends extend cleanly.
+// the file is repaired to its header line, which later commits extend cleanly.
 func TestDirOpenJournalWithoutMarker(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "nomarker")}
 	st := seedStore(t)
@@ -435,10 +421,7 @@ func TestDirOpenJournalWithoutMarker(t *testing.T) {
 			if err := os.WriteFile(jPath, journalFile(1, tc.journal), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			recovered, _, err := home.Open([]string{"o=xyz"})
-			if err != nil {
-				t.Fatal(err)
-			}
+			recovered, _ := openDurable(t, home, JournalRetention{})
 			identical(t, seedStore(t), recovered)
 			if raw, err := os.ReadFile(jPath); err != nil || !bytes.Equal(raw, journalFile(1, nil)) {
 				t.Errorf("journal after open = %q (err %v), want the header line alone", raw, err)
@@ -446,13 +429,7 @@ func TestDirOpenJournalWithoutMarker(t *testing.T) {
 			if err := recovered.Delete(dn.MustParse("cn=p3,o=xyz")); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := home.AppendChanges(recovered, 0); err != nil {
-				t.Fatal(err)
-			}
-			reopened, _, err := home.Open([]string{"o=xyz"})
-			if err != nil {
-				t.Fatal(err)
-			}
+			reopened, _ := openDurable(t, home, JournalRetention{})
 			identical(t, recovered, reopened)
 		})
 	}
@@ -490,7 +467,7 @@ func TestDirOpenRejectsDamagedJournal(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(home.Path, "journal.ldif"), journalFile(1, tc.journal), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err := home.Open([]string{"o=xyz"})
+			_, _, err := home.Open([]string{"o=xyz"}, JournalRetention{})
 			if err == nil {
 				t.Fatal("Open accepted the damaged journal")
 			}

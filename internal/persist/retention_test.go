@@ -78,20 +78,31 @@ func journalSize(t *testing.T, d Dir) int64 {
 	return fi.Size()
 }
 
-// TestMaintainRetention drives Dir.Maintain under the policy table and
-// checks two things per case: whether the journal was folded into a fresh
-// snapshot when (and only when) the policy demands it, and that durable
-// state always reopens identical to the live store.
+// generation reads the generation of d's snapshot (0 without one).
+func generation(t *testing.T, d Dir) uint64 {
+	t.Helper()
+	j, err := d.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	return j.gen
+}
+
+// TestMaintainRetention drives a durable store's journal maintenance under
+// the policy table and checks two things per case: whether its commits folded
+// the journal into a fresh snapshot when (and only when) the policy demands
+// it, and that durable state always reopens identical to the live store.
 func TestMaintainRetention(t *testing.T) {
 	tests := []struct {
 		name string
 		pol  JournalRetention
-		// ageSnapshot backdates the snapshot file before Maintain, to
+		// ageSnapshot backdates the snapshot file before the writes, to
 		// trip (or not) the age bound.
 		ageSnapshot time.Duration
 		wantFolded  bool
 	}{
-		{name: "disabled policy never folds", pol: JournalRetention{}, wantFolded: false},
+		{name: "no policy, journal under the floor", pol: JournalRetention{}, wantFolded: false},
 		{name: "size bound under threshold", pol: JournalRetention{MaxBytes: 1 << 20}, wantFolded: false},
 		{name: "size bound exceeded", pol: JournalRetention{MaxBytes: 16}, wantFolded: true},
 		{name: "age bound, snapshot fresh", pol: JournalRetention{MaxAge: time.Hour}, wantFolded: false},
@@ -101,8 +112,7 @@ func TestMaintainRetention(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			d := Dir{Path: t.TempDir()}
-			st := seedStore(t)
-			if err := d.Checkpoint(st); err != nil {
+			if err := d.Checkpoint(seedStore(t)); err != nil {
 				t.Fatal(err)
 			}
 			if tt.ageSnapshot > 0 {
@@ -111,77 +121,62 @@ func TestMaintainRetention(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			wm := st.LastCSN()
+			st, _ := openDurable(t, d, tt.pol)
 			modifyN(t, st, 6)
-			wm2, err := d.Maintain(st, wm, tt.pol)
-			if err != nil {
-				t.Fatal(err)
+			if folded := generation(t, d) > 1; folded != tt.wantFolded {
+				t.Errorf("journal folded = %v (snapshot generation %d), want %v", folded, generation(t, d), tt.wantFolded)
 			}
-			if wm2 != st.LastCSN() {
-				t.Errorf("watermark = %d, want %d", wm2, st.LastCSN())
-			}
-			folded := journalSize(t, d) == 0
-			if folded != tt.wantFolded {
-				t.Errorf("journal folded = %v (size %d), want %v", folded, journalSize(t, d), tt.wantFolded)
-			}
-			reopened, _, err := d.Open([]string{"o=xyz"})
-			if err != nil {
-				t.Fatal(err)
-			}
+			reopened, _ := openDurable(t, d, tt.pol)
 			identical(t, st, reopened)
+			if reopened.LastCSN() != st.LastCSN() {
+				t.Errorf("reopened at CSN %d, want %d", reopened.LastCSN(), st.LastCSN())
+			}
 		})
 	}
 }
 
 // TestMaintainAgeWithoutSnapshot: a journal that predates any snapshot
-// counts as over-age the moment an age bound is armed.
+// counts as over-age the moment an age bound is armed, so the first commit
+// of a fresh directory folds it.
 func TestMaintainAgeWithoutSnapshot(t *testing.T) {
 	d := Dir{Path: t.TempDir()}
-	st := seedStore(t)
-	// Journal changes without ever checkpointing a snapshot.
-	wm, err := d.AppendChanges(st, 0)
-	if err != nil {
-		t.Fatal(err)
+	st, _ := openDurable(t, d, JournalRetention{MaxAge: time.Hour})
+	fill(t, st)
+	if gen := generation(t, d); gen != 1 {
+		t.Errorf("snapshot generation %d after the writes, want 1: folded at the first commit only", gen)
 	}
-	modifyN(t, st, 2)
-	if _, err := d.Maintain(st, wm, JournalRetention{MaxAge: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	if journalSize(t, d) != 0 {
-		t.Error("snapshot-less journal not folded under an age bound")
-	}
-	if _, err := os.Stat(filepath.Join(d.Path, snapshotName)); err != nil {
-		t.Errorf("no snapshot written: %v", err)
-	}
-	reopened, _, err := d.Open([]string{"o=xyz"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reopened, _ := openDurable(t, d, JournalRetention{})
 	identical(t, st, reopened)
 }
 
-// TestMaintainWatermarkMonotone: retention folding moves history from the
-// journal into the snapshot without disturbing the append watermark, so a
-// caller can keep handing back the returned value.
+// TestMaintainWatermarkMonotone: folding moves history from the journal into
+// the snapshot without disturbing the CSN sequence — the watermark every
+// commit and snapshot note records — so the store's last CSN only grows and
+// a reopen continues from it.
 func TestMaintainWatermarkMonotone(t *testing.T) {
 	d := Dir{Path: t.TempDir()}
-	st := seedStore(t)
-	pol := JournalRetention{MaxBytes: 1}
-	wm := dit.CSN(0)
-	for round := 0; round < 4; round++ {
-		modifyN(t, st, 3)
-		w, err := d.Maintain(st, wm, pol)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if w < wm {
-			t.Fatalf("round %d: watermark regressed %d -> %d", round, wm, w)
-		}
-		wm = w
-	}
-	reopened, _, err := d.Open([]string{"o=xyz"})
-	if err != nil {
+	if err := d.Checkpoint(seedStore(t)); err != nil {
 		t.Fatal(err)
 	}
+	pol := JournalRetention{MaxBytes: 1}
+	st, closeJournal := openDurable(t, d, pol)
+	wm := st.LastCSN()
+	for round := 0; round < 4; round++ {
+		modifyN(t, st, 3)
+		if w := st.LastCSN(); w != wm+3 {
+			t.Fatalf("round %d: watermark %d -> %d, want +3", round, wm, w)
+		}
+		wm = st.LastCSN()
+	}
+	if err := closeJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if journalSize(t, d) != 0 {
+		t.Error("journal not folded at the last commit under a 1-byte bound")
+	}
+	reopened, _ := openDurable(t, d, pol)
 	identical(t, st, reopened)
+	if reopened.LastCSN() != wm {
+		t.Errorf("reopened at CSN %d, want %d", reopened.LastCSN(), wm)
+	}
 }
