@@ -421,7 +421,8 @@ func BenchmarkResyncConcurrentPolls(b *testing.B) {
 }
 
 // encodeFanoutBatch mirrors the wire server's streamUpdates encoding work:
-// every update becomes a search-entry PDU with an entry-change control.
+// every update becomes a search-entry PDU with an entry-change control,
+// except an add without a cookie, which travels bare.
 // With a shared-encoding memo the BER body is built once per content view
 // and only the envelope (message ID + per-session cookie) is rebuilt per
 // session; without one the whole message is encoded from scratch. cookie
@@ -451,12 +452,15 @@ func encodeFanoutBatch(b *testing.B, id int64, res *resync.PollResult, cookie st
 		if i == len(res.Updates)-1 {
 			last = cookie
 		}
+		var controls []proto.Control
+		if action != proto.ChangeActionAdd || last != "" {
+			controls = []proto.Control{proto.EntryChange{Action: action, Cookie: last}.Control()}
+		}
 		var msg []byte
 		var err error
 		switch {
 		case res.Enc == nil:
-			msg, err = (&proto.Message{ID: id, Op: mkOp(),
-				Controls: []proto.Control{proto.EntryChange{Action: action, Cookie: last}.Control()}}).Encode()
+			msg, err = (&proto.Message{ID: id, Op: mkOp(), Controls: controls}).Encode()
 		case last == "":
 			var tail []byte
 			tail, _, err = res.Enc.GetTail(i, func() ([]byte, error) {
@@ -464,15 +468,13 @@ func encodeFanoutBatch(b *testing.B, id int64, res *resync.PollResult, cookie st
 				if berr != nil {
 					return nil, berr
 				}
-				return proto.EncodeMessageTail(envelope, body,
-					[]proto.Control{proto.EntryChange{Action: action}.Control()}), nil
+				return proto.EncodeMessageTail(envelope, body, controls), nil
 			})
 			msg = proto.EncodeWithTail(id, tail)
 		default:
 			var body []byte
 			body, _, err = res.Enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(mkOp()) })
-			msg = proto.EncodeWithOpBody(id, envelope, body,
-				[]proto.Control{proto.EntryChange{Action: action, Cookie: last}.Control()})
+			msg = proto.EncodeWithOpBody(id, envelope, body, controls)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -433,6 +433,10 @@ func (c *Client) End(cookie string) error {
 	return nil
 }
 
+// decodeUpdate reads one update PDU of a ReSync response, with the cookie and
+// CSN its entry-change control carries. An entry PDU without the control is
+// an add: the supplier leaves the control off every add that carries nothing
+// else, which is every PDU of a content transfer (see Server.streamUpdates).
 func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, string, uint64, error) {
 	ec := proto.EntryChange{Action: proto.ChangeActionAdd}
 	if cc, ok := m.Control(proto.OIDEntryChange); ok {

@@ -1,8 +1,11 @@
 package ldapnet
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -74,8 +77,9 @@ var reloadSpec = query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)"
 // the session that, on a grouping engine, is served entirely from the
 // shared snapshot and its encoding memo. With cutAfter > 0 the connection
 // is dropped after that many chunks and the transfer resumed by token on a
-// new one.
-func reloadWire(t *testing.T, store *dit.Store, sessions, cutAfter int, opts ...resync.EngineOption) ([]byte, *StoreBackend) {
+// new one. With persist set each session is a persist-mode Begin instead,
+// read up to the PDU that carries its cookie.
+func reloadWire(t *testing.T, store *dit.Store, sessions, cutAfter int, persist bool, opts ...resync.EngineOption) ([]byte, *StoreBackend) {
 	t.Helper()
 	backend := NewStoreBackend(store, opts...)
 	srv, err := Serve("127.0.0.1:0", backend)
@@ -86,6 +90,27 @@ func reloadWire(t *testing.T, store *dit.Store, sessions, cutAfter int, opts ...
 	var last []byte
 	for s := 0; s < sessions; s++ {
 		var got bytes.Buffer
+		if persist {
+			ps, err := PersistWith(teeDial(&got), srv.Addr(), reloadSpec, "", 5*time.Second, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, cookie := 0, ""
+			for u := range ps.Updates {
+				entries++
+				if cookie = u.Cookie; cookie != "" {
+					break
+				}
+			}
+			// Taken before Close: the abandon it sends ends the stream with a
+			// search-done the client may or may not read before it hangs up.
+			last = bytes.Clone(got.Bytes())
+			ps.Close()
+			if cookie == "" || entries != store.Len()-1 {
+				t.Fatalf("session %d: %d entries, cookie %q", s, entries, cookie)
+			}
+			continue
+		}
 		dial := func() *Client {
 			c, err := DialWith(teeDial(&got), srv.Addr(), 5*time.Second)
 			if err != nil {
@@ -121,29 +146,62 @@ func reloadWire(t *testing.T, store *dit.Store, sessions, cutAfter int, opts ...
 	return last, backend
 }
 
+// labelledEntries reads the messages of a captured transfer and counts its
+// entry PDUs and those of them that carry a control.
+func labelledEntries(t *testing.T, wire []byte) (entries, labelled int) {
+	t.Helper()
+	r := bufio.NewReader(bytes.NewReader(wire))
+	for {
+		m, err := proto.ReadMessage(r)
+		if errors.Is(err, io.EOF) {
+			return entries, labelled
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.Op.(*proto.SearchEntry); ok {
+			entries++
+			if len(m.Controls) > 0 {
+				labelled++
+			}
+		}
+	}
+}
+
 // TestSharedReloadWireEquivalence extends the shared-encoding equivalence
 // of the proto layer (TestSharedEncodingEquivalence) to whole transfers: a
 // full reload served from a content group's shared snapshot and encoding
 // memo is byte for byte the reload a per-session engine would have sent —
-// monolithic, chunked, and cut and resumed by token. Both servers hand out
-// the same session numbers, so cookies and tokens are comparable too.
+// monolithic, chunked, cut and resumed by token, and a persist-mode Begin.
+// Both servers hand out the same session numbers, so cookies and tokens are
+// comparable too. Every entry PDU of a transfer is bare but the last of a
+// persist-mode Begin, whose entry-change control carries the cookie.
 func TestSharedReloadWireEquivalence(t *testing.T) {
 	const sessions = 3
 	for _, tc := range []struct {
 		name     string
 		chunk    int
 		cutAfter int
+		persist  bool
 	}{
-		{"monolithic", 0, 0},
-		{"chunked", 7, 0},
-		{"cut-and-resumed", 7, 2},
+		{"monolithic", 0, 0, false},
+		{"chunked", 7, 0, false},
+		{"cut-and-resumed", 7, 2, false},
+		{"persist-begin", 0, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := reloadStore(t, 40)
-			shared, sb := reloadWire(t, store, sessions, tc.cutAfter, resync.WithChunkSize(tc.chunk))
-			solo, pb := reloadWire(t, store, sessions, tc.cutAfter, resync.WithChunkSize(tc.chunk), resync.WithoutGrouping())
+			shared, sb := reloadWire(t, store, sessions, tc.cutAfter, tc.persist, resync.WithChunkSize(tc.chunk))
+			solo, pb := reloadWire(t, store, sessions, tc.cutAfter, tc.persist, resync.WithChunkSize(tc.chunk), resync.WithoutGrouping())
 			if !bytes.Equal(shared, solo) {
 				t.Errorf("shared reload differs from the per-session one: %d vs %d bytes", len(shared), len(solo))
+			}
+			wantLabelled := 0
+			if tc.persist {
+				wantLabelled = 1
+			}
+			if entries, labelled := labelledEntries(t, shared); entries != store.Len()-1 || labelled != wantLabelled {
+				t.Errorf("%d of %d entry PDUs carry a control, want %d", labelled, entries, wantLabelled)
 			}
 			s, p := sb.SyncCounters().Snapshot(), pb.SyncCounters().Snapshot()
 			if s.ReloadSnapshotsBuilt != 1 || s.ReloadSnapshotsShared != sessions-1 {
@@ -198,5 +256,77 @@ func TestSharedEncodeHitAllocs(t *testing.T) {
 	t.Logf("shared-encode hit path: %.0f allocations for %.0f PDUs", total, pdus)
 	if total > pdus+2 { // per PDU the envelope; per call a couple for the loop itself
 		t.Errorf("hit path allocates %.2f times per PDU, gate is 1 (the envelope)", total/pdus)
+	}
+}
+
+// TestBareAddRule pins which update PDUs carry the entry-change control:
+// every action, alone in its batch with and without a cookie, streamed over a
+// connection with and without a shared-encoding memo. Exactly a cookie-less
+// add travels bare — a CSN without a cookie does not ride, so it does not
+// keep the control either — and every PDU decodes to the update that was
+// sent, with the cookie and CSN it was sent with.
+func TestBareAddRule(t *testing.T) {
+	emp := tableOneEmployee(t)
+	renamed := emp.Clone()
+	renamed.SetDN(dn.MustParse("cn=emp us 0 renamed,c=us,o=xyz"))
+	renamed.Put("cn", "emp us 0 renamed")
+	actions := []struct {
+		name string
+		u    resync.Update
+	}{
+		{"add", resync.Update{Action: resync.ActionAdd, DN: emp.DN(), Entry: emp}},
+		{"modify", resync.Update{Action: resync.ActionModify, DN: emp.DN(), Entry: emp}},
+		{"patch", resync.Update{Action: resync.ActionModify, DN: emp.DN(), Patch: true,
+			Entry: emp.Freeze().Restrict([]string{"telephonenumber"})}},
+		{"move", resync.Update{Action: resync.ActionModify, DN: renamed.DN(), Patch: true, OldDN: emp.DN(),
+			Entry: renamed.Freeze().Restrict([]string{"cn"})}},
+		{"delete", resync.Update{Action: resync.ActionDelete, DN: emp.DN()}},
+		{"retain", resync.Update{Action: resync.ActionRetain, DN: emp.DN()}},
+	}
+	const csn = 41
+	for _, a := range actions {
+		for _, cookie := range []string{"", "sess-3@7"} {
+			for _, shared := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/cookie=%q/shared=%v", a.name, cookie, shared), func(t *testing.T) {
+					var enc *resync.SharedEnc
+					if shared {
+						enc = &resync.SharedEnc{}
+					}
+					srvEnd, cliEnd := net.Pipe()
+					defer cliEnd.Close()
+					s := &Server{conns: map[net.Conn]bool{}}
+					state := &connState{w: newConnWriter(srvEnd, nil)}
+					defer state.w.close()
+					sent := make(chan error, 1)
+					go func() {
+						sent <- s.streamUpdates(state, srvEnd, 5, []resync.Update{a.u}, cookie, csn, enc, false)
+					}()
+					m, err := proto.ReadMessage(bufio.NewReader(cliEnd))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := <-sent; err != nil {
+						t.Fatal(err)
+					}
+					if bare := len(m.Controls) == 0; bare != (a.u.Action == resync.ActionAdd && cookie == "") {
+						t.Errorf("PDU carries %d controls", len(m.Controls))
+					}
+					got, gotCookie, gotCSN, err := decodeUpdate(m, m.Op.(*proto.SearchEntry))
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantCSN := uint64(0)
+					if cookie != "" {
+						wantCSN = csn
+					}
+					if got.Action != a.u.Action || !got.DN.Equal(a.u.DN) || got.Patch != a.u.Patch ||
+						!got.OldDN.Equal(a.u.OldDN) || (got.Entry == nil) != (a.u.Entry == nil) ||
+						(got.Entry != nil && !got.Entry.Equal(a.u.Entry)) || gotCookie != cookie || gotCSN != wantCSN {
+						t.Errorf("decoded %+v (cookie %q, csn %d), sent %+v (cookie %q, csn %d)",
+							got, gotCookie, gotCSN, a.u, cookie, wantCSN)
+					}
+				})
+			}
+		}
 	}
 }

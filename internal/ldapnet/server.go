@@ -634,21 +634,25 @@ func changeAction(u resync.Update) (proto.ChangeAction, error) {
 
 // streamUpdates sends each update as a search entry PDU labelled with an
 // entry-change control; delete and retain actions carry the DN only, a move
-// its old DN on the control. A non-empty batchCookie is attached to the final
-// PDU so persist-mode consumers learn the sync point each pushed batch
-// reaches. An update the wire has no action for ends the exchange with an
-// error: skipping it would drop, with the last update, the batch's cookie.
+// its old DN on the control. A non-empty batchCookie is attached, with
+// batchCSN, to the final PDU so persist-mode consumers learn the sync point
+// each pushed batch reaches. An add that carries nothing else — no cookie, no
+// CSN, no old DN — travels bare, without the control: a consumer reads an
+// entry PDU without one as an add, which is every PDU of a content transfer
+// (paper §5.2: the whole content "as add actions"). An update the wire has no
+// action for ends the exchange with an error: skipping it would drop, with
+// the last update, the batch's cookie.
 //
 // When the batch carries a shared-encoding memo, the PDU is BER-encoded
 // once per content view and reused across every session fanned the batch —
 // a pushed change interval and a full reload alike: for all but a
 // cookie-bearing final update the message differs between sessions only in
-// its message ID, so the whole tail (op TLV + entry-change control) is
-// cached and a hit costs one allocation, the envelope around it; the final
-// update of a persist batch carries the per-session cookie, so its control
-// is rebuilt around the cached PDU body. Queued mode routes the PDUs through
-// the connection's bounded write queue (persist pushes); otherwise they are
-// written synchronously.
+// its message ID, so the whole tail (op TLV, then the entry-change control
+// unless the add is bare) is cached and a hit costs one allocation, the
+// envelope around it; the final update of a persist batch carries the
+// per-session cookie, so its control is rebuilt around the cached PDU body.
+// Queued mode routes the PDUs through the connection's bounded write queue
+// (persist pushes); otherwise they are written synchronously.
 func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, updates []resync.Update, batchCookie string, batchCSN uint64, enc *resync.SharedEnc, queued bool) error {
 	for i, u := range updates {
 		u := u
@@ -657,12 +661,15 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 			return err
 		}
 		ec := proto.EntryChange{Action: action}
-		if i == len(updates)-1 {
+		if i == len(updates)-1 && batchCookie != "" {
 			ec.Cookie, ec.CSN = batchCookie, batchCSN
 		}
 		control := func() []proto.Control {
 			if u.IsMove() {
 				ec.OldDN = u.OldDN.String()
+			}
+			if ec == (proto.EntryChange{Action: proto.ChangeActionAdd}) {
+				return nil // a bare entry is an add
 			}
 			return []proto.Control{ec.Control()}
 		}

@@ -12,13 +12,19 @@ import (
 // Write-queue policy: a connection buffers up to streamQueueCap encoded
 // persist-stream messages; a push waits up to enqueueWait for space before
 // the stream is torn down (the engine-level slow-consumer policy usually
-// trips first — this is the transport backstop). A wedged consumer socket
-// is detected by writeTimeout on the drain goroutine's writes.
+// trips first — this is the transport backstop).
 const (
 	streamQueueCap = 64
 	enqueueWait    = 250 * time.Millisecond
-	writeTimeout   = 30 * time.Second
 )
+
+// writeTimeout bounds every write to a connection, synchronous or drained: a
+// consumer that stops reading — a half-open peer, a wedged replica — fails
+// the writer, and so closes its connection, once one message has waited for
+// the socket at least half this long and at most this long (see
+// writeLocked). A variable only so tests can shorten it; a connection reads
+// it once, when it is accepted.
+var writeTimeout = 30 * time.Second
 
 // connWriter serializes all writes to one connection. Synchronous
 // request/response traffic writes directly under mu; persist-stream pushes
@@ -29,10 +35,12 @@ const (
 // permits across message IDs; all messages of one stream use the queue, so
 // they stay ordered among themselves.
 type connWriter struct {
-	conn  net.Conn
-	stats *metrics.SyncCounters // nil when the backend exposes no counters
+	conn    net.Conn
+	stats   *metrics.SyncCounters // nil when the backend exposes no counters
+	timeout time.Duration         // writeTimeout when the connection was accepted
 
-	mu sync.Mutex // serializes writes to conn
+	mu       sync.Mutex // serializes writes to conn
+	deadline time.Time  // the write deadline last set on conn; guarded by mu
 
 	q      chan []byte
 	stop   chan struct{}
@@ -43,11 +51,12 @@ type connWriter struct {
 
 func newConnWriter(conn net.Conn, stats *metrics.SyncCounters) *connWriter {
 	w := &connWriter{
-		conn:  conn,
-		stats: stats,
-		q:     make(chan []byte, streamQueueCap),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		conn:    conn,
+		stats:   stats,
+		timeout: writeTimeout,
+		q:       make(chan []byte, streamQueueCap),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go w.drain()
 	return w
@@ -58,8 +67,7 @@ func newConnWriter(conn net.Conn, stats *metrics.SyncCounters) *connWriter {
 func (w *connWriter) writeSync(b []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	_, err := w.conn.Write(b)
-	return err
+	return w.writeLocked(b)
 }
 
 // enqueue queues one encoded stream message, waiting up to enqueueWait for
@@ -138,13 +146,27 @@ func (w *connWriter) write(b []byte) {
 		return
 	}
 	w.mu.Lock()
-	_ = w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := w.conn.Write(b)
-	_ = w.conn.SetWriteDeadline(time.Time{})
+	_ = w.writeLocked(b)
 	w.mu.Unlock()
+}
+
+// writeLocked writes one message under mu. Each write has between half the
+// writer's timeout and all of it to reach the socket: the deadline moves
+// only once half of it has passed, because setting one per write doubles
+// the cost of a small loopback write. A failed write fails the writer: a
+// message may be half on the wire, and a peer that stopped reading must not
+// hold mu — and with it every reply and the persist drain of its
+// connection — for good.
+func (w *connWriter) writeLocked(b []byte) error {
+	if now := time.Now(); w.deadline.Sub(now) < w.timeout/2 {
+		w.deadline = now.Add(w.timeout)
+		_ = w.conn.SetWriteDeadline(w.deadline)
+	}
+	_, err := w.conn.Write(b)
 	if err != nil {
 		w.fail()
 	}
+	return err
 }
 
 // fail marks the connection dead and closes it, unblocking its reader.

@@ -75,9 +75,12 @@ const (
 	// OIDReSyncDone is attached to the final search-done of a ReSync
 	// response: value = SEQUENCE { cookie OCTET STRING }.
 	OIDReSyncDone = "1.3.6.1.4.1.55555.1.2"
-	// OIDEntryChange is attached to each update PDU of a ReSync response:
-	// value = SEQUENCE { action ENUMERATED, cookie OCTET STRING OPTIONAL,
-	// csn INTEGER OPTIONAL, oldDN [0] OCTET STRING OPTIONAL }. The action says
+	// OIDEntryChange labels an update PDU of a ReSync response: value =
+	// SEQUENCE { action ENUMERATED, cookie OCTET STRING OPTIONAL, csn INTEGER
+	// OPTIONAL, oldDN [0] OCTET STRING OPTIONAL }. An add carrying no cookie
+	// (and so no csn) travels without it — an entry PDU with no entry-change
+	// control is an add — so the PDUs of a content transfer, which the paper
+	// ships "as add actions", are bare search entries. The action says
 	// how to read the PDU's entry — add and modify carry the complete entry,
 	// patch and move only the attributes to replace (see ChangeActionPatch,
 	// ChangeActionMove), delete and retain the DN alone — so telling a patch

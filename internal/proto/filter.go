@@ -121,8 +121,25 @@ func wrapNot(dst, encoded []byte) ([]byte, error) {
 	return ber.AppendTLV(dst, ber.ClassContext, true, filterNot, cp), nil
 }
 
-// decodeFilter consumes one filter element.
-func decodeFilter(rd *ber.Reader) (*filter.Node, error) {
+// maxFilterDepth bounds how deeply AND, OR and NOT may nest in a filter off
+// the wire. The decoder, and every later pass over the tree (matching,
+// normalisation, containment, String), recurses once per level, and a 16 MiB
+// message holds millions of levels: enough to overflow any goroutine's stack,
+// which kills the process rather than the one connection. The filters this
+// system builds nest a few levels (a Table-1 template is one AND or OR over
+// predicates; a tier's widened filter one OR over those), so 64 leaves ample
+// room for hand-written queries while bounding each recursion at a few tens
+// of KB of stack.
+const maxFilterDepth = 64
+
+var errFilterTooDeep = fmt.Errorf("ldap filter: nested deeper than %d levels", maxFilterDepth)
+
+// decodeFilter consumes one filter element, nested depth levels inside the
+// search request's filter.
+func decodeFilter(rd *ber.Reader, depth int) (*filter.Node, error) {
+	if depth > maxFilterDepth {
+		return nil, errFilterTooDeep
+	}
 	h, content, err := rd.Read()
 	if err != nil {
 		return nil, fmt.Errorf("ldap filter: %w", err)
@@ -135,7 +152,7 @@ func decodeFilter(rd *ber.Reader) (*filter.Node, error) {
 		inner := ber.NewReader(content)
 		var children []*filter.Node
 		for !inner.Empty() {
-			c, err := decodeFilter(inner)
+			c, err := decodeFilter(inner, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +170,7 @@ func decodeFilter(rd *ber.Reader) (*filter.Node, error) {
 		return filter.NewOr(children...), nil
 	case filterNot:
 		inner := ber.NewReader(content)
-		c, err := decodeFilter(inner)
+		c, err := decodeFilter(inner, depth+1)
 		if err != nil {
 			return nil, err
 		}

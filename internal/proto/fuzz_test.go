@@ -87,13 +87,19 @@ func FuzzDecodeWriteRequest(f *testing.F) {
 
 // FuzzDecodeSearchEntry feeds arbitrary bytes to the one-pass search-entry
 // decoder (the replication ingress surface: a consumer parses these off its
-// supplier's stream). Property: Decode never panics, and a decoded entry
+// supplier's stream), seeded with labelled PDUs and with the bare entry of a
+// content transfer. Property: Decode never panics, and a decoded entry
 // re-encodes to a PDU that decodes to an equal entry and, from there on,
 // encodes byte-identically.
 func FuzzDecodeSearchEntry(f *testing.F) {
-	for _, e := range []*entry.Entry{employeeEntry(), entry.New(dn.MustParse("cn=gone,o=xyz"))} {
-		seed, err := (&Message{ID: 7, Op: &SearchEntry{Entry: e},
-			Controls: []Control{EntryChange{Action: ChangeActionAdd, Cookie: "sess-1@2", CSN: 9}.Control()}}).Encode()
+	for _, m := range []*Message{
+		{ID: 7, Op: &SearchEntry{Entry: employeeEntry()},
+			Controls: []Control{EntryChange{Action: ChangeActionAdd, Cookie: "sess-1@2", CSN: 9}.Control()}},
+		{ID: 7, Op: &SearchEntry{Entry: entry.New(dn.MustParse("cn=gone,o=xyz"))},
+			Controls: []Control{EntryChange{Action: ChangeActionAdd, Cookie: "sess-1@2", CSN: 9}.Control()}},
+		{ID: 7, Op: &SearchEntry{Entry: employeeEntry()}},
+	} {
+		seed, err := m.Encode()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -197,4 +203,70 @@ func FuzzDecodeEntryChange(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzControl is the property of a control decoder's fuzz target, seeded with
+// the values of seeds and their first halves: decoding arbitrary bytes never
+// panics, and a value that decodes re-encodes (through reencode, which parses
+// a control and builds it again) to a control that decodes and re-encodes to
+// the same bytes.
+func fuzzControl(f *testing.F, seeds []Control, reencode func(Control) (Control, error)) {
+	for _, c := range seeds {
+		f.Add(c.Value)
+		f.Add(c.Value[:len(c.Value)/2])
+	}
+	oid := seeds[0].OID
+	f.Fuzz(func(t *testing.T, value []byte) {
+		first, err := reencode(Control{OID: oid, Value: value})
+		if err != nil {
+			return // malformed input must error, not panic
+		}
+		second, err := reencode(first)
+		if err != nil {
+			t.Fatalf("re-encoded control %x does not decode: %v", first.Value, err)
+		}
+		if first.OID != second.OID || first.Criticality != second.Criticality || !bytes.Equal(first.Value, second.Value) {
+			t.Fatalf("control round trip unstable:\n  first  %+v\n  second %+v", first, second)
+		}
+	})
+}
+
+// FuzzDecodeFiltersWatch: the filters-watch request control a diverted
+// supervisor parks on a tier.
+func FuzzDecodeFiltersWatch(f *testing.F) {
+	fuzzControl(f, []Control{NewFiltersWatchControl(0), NewFiltersWatchControl(7), NewFiltersWatchControl(^uint64(0))},
+		func(c Control) (Control, error) {
+			gen, err := ParseFiltersWatch(c)
+			return NewFiltersWatchControl(gen), err
+		})
+}
+
+// FuzzDecodeFiltersChanged: the filters-changed control on the search-done
+// that answers a watch.
+func FuzzDecodeFiltersChanged(f *testing.F) {
+	fuzzControl(f, []Control{NewFiltersChangedControl(1), NewFiltersChangedControl(1 << 40)},
+		func(c Control) (Control, error) {
+			gen, err := ParseFiltersChanged(c)
+			return NewFiltersChangedControl(gen), err
+		})
+}
+
+// FuzzDecodeEdgeWrite: the edge-write control on a write a replica forwards
+// upstream, whose op id the master dedups by.
+func FuzzDecodeEdgeWrite(f *testing.F) {
+	fuzzControl(f, []Control{NewEdgeWriteControl("r1.42"), NewEdgeWriteControl("")},
+		func(c Control) (Control, error) {
+			opID, err := ParseEdgeWrite(c)
+			return NewEdgeWriteControl(opID), err
+		})
+}
+
+// FuzzDecodeEdgeWriteDone: the edge-write-done control carrying the master's
+// CSN and duplicate flag back to the forwarding replica.
+func FuzzDecodeEdgeWriteDone(f *testing.F) {
+	fuzzControl(f, []Control{NewEdgeWriteDoneControl(123456, false), NewEdgeWriteDoneControl(0, true)},
+		func(c Control) (Control, error) {
+			csn, dup, err := ParseEdgeWriteDone(c)
+			return NewEdgeWriteDoneControl(csn, dup), err
+		})
 }

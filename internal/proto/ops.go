@@ -463,7 +463,7 @@ func decodeSearchRequest(rd *ber.Reader) (*SearchRequest, error) {
 	if s.TypesOnly, err = rd.ReadBool(); err != nil {
 		return nil, err
 	}
-	f, err := decodeFilter(rd)
+	f, err := decodeFilter(rd, 0)
 	if err != nil {
 		return nil, err
 	}

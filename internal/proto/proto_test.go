@@ -550,21 +550,44 @@ func TestDecodeSearchEntryRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocsPerReloadedEntry is the allocation gate of the consumer's
-// decode: a reload PDU (entry + entry-change control) becomes a message and
-// a complete *entry.Entry in a fixed, small number of allocations — the body
-// every name, value and the control alias (ReadMessage reads into it; Decode,
-// on a caller's buffer, copies into it), the message, the op, the DN's RDN
-// slice (a DN off this system's wire is its own normal form), the entry, its
-// attribute slice, one backing array for all values, and the control list. A
-// per-value or per-attribute copy creeping back in would roughly double it.
-func TestDecodeAllocsPerReloadedEntry(t *testing.T) {
-	const maxDecodeAllocs = 9 // measured 8
-	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()},
+// reloadPDU is the Table-1 employee as a content transfer ships it: a bare
+// search entry, the add implied.
+func reloadPDU(t testing.TB) []byte {
+	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pdu
+}
+
+// TestReloadPDUBytes is the size gate of a reloaded entry: what each entry of
+// a full reload costs on the wire is its search entry and nothing else. The
+// entry-change control saying `add` would add 34 B to every one.
+func TestReloadPDUBytes(t *testing.T) {
+	const maxReloadBytes = 810 // measured 807
+	pdu := reloadPDU(t)
+	labelled, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()},
 		Controls: []Control{EntryChange{Action: ChangeActionAdd}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("reloaded entry: %d B bare, %d B with an entry-change control", len(pdu), len(labelled))
+	if len(pdu) > maxReloadBytes {
+		t.Errorf("reload PDU is %d B, gate is %d", len(pdu), maxReloadBytes)
+	}
+}
+
+// TestDecodeAllocsPerReloadedEntry is the allocation gate of the consumer's
+// decode: a reload PDU (a bare entry) becomes a message and a complete
+// *entry.Entry in a fixed, small number of allocations — the body every name
+// and value aliases (ReadMessage reads into it; Decode, on a caller's buffer,
+// copies into it), the message, the op, the DN's RDN slice (a DN off this
+// system's wire is its own normal form), the entry, its attribute slice and
+// one backing array for all values. A per-value or per-attribute copy
+// creeping back in would roughly double it.
+func TestDecodeAllocsPerReloadedEntry(t *testing.T) {
+	const maxDecodeAllocs = 8 // measured 7
+	pdu := reloadPDU(t)
 	var sink *Message
 	allocs := testing.AllocsPerRun(200, func() { sink, _ = Decode(pdu) })
 	if sink == nil {
@@ -659,8 +682,8 @@ func TestMovePDUBytes(t *testing.T) {
 
 // TestDecodeAllocsPerPatch gates the consumer's decode of the same PDU: the
 // fixed costs of TestDecodeAllocsPerReloadedEntry (body, message, op, DN,
-// entry, control list) with one attribute behind them; the cookie is a copy
-// only once the control is parsed.
+// entry) and the control list, with one attribute behind them; the cookie is
+// a copy only once the control is parsed.
 func TestDecodeAllocsPerPatch(t *testing.T) {
 	const maxPatchDecodeAllocs = 9 // measured 8
 	pdu := patchPDU(t)
