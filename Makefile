@@ -1,8 +1,8 @@
 GO ?= go
 
-# bench pipes `go test` through benchjson; without pipefail a test failure
-# mid-suite would be masked by benchjson's exit 0 and quietly truncate the
-# baseline.
+# allocs pipes `go test` through awk; without pipefail a `go test` that exits
+# non-zero without printing a FAIL or panic line (a go command error, such as
+# a bad flag or package pattern) would be masked by awk's exit 0.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
@@ -13,7 +13,7 @@ SEED ?= 42
 N ?= 1000
 ORACLE_TESTS ?= TestOracleSweep|TestOracleWireSweep|TestOracleCascadeSweep|TestOracleCascadeWireSweep|TestOracleEdgeWriteSweep|TestOracleShardSweepFull|TestOracleResumeSweep|TestOracleAdaptiveSweep
 
-.PHONY: check fmt vet build one-writer test allocs bench bench-diff oracle fuzz-smoke cover loc
+.PHONY: check fmt vet build one-writer test allocs figures oracle fuzz-smoke cover loc
 
 ## check: the full verification gate (format, vet, build, the one-writer gate,
 ## race-enabled tests, allocation gates).
@@ -55,31 +55,11 @@ allocs:
 		/^(--- FAIL|FAIL|panic:)/ { print; bad = 1 } \
 		END { exit bad }'
 
-## BENCH_COUNT: samples per benchmark; benchjson keeps the fastest run so
-## the baseline is a min-of-N, not a single GC-perturbed sample. Shared-host
-## CI boxes drift between fast and slow phases over a few minutes, so a
-## min-of-3 min still swings ~25% between invocations; five samples span
-## enough wall clock that the min reliably lands in a comparable phase.
-BENCH_COUNT ?= 5
-
-## bench: regenerate every paper figure as benchmark metrics and write the
-## machine-readable regression baseline. -run '^$' skips unit tests (make
-## test covers those) and -p 1 serializes packages: benchmarks timed while
-## other packages' tests chew the same cores swing 30-40% run to run.
-bench:
-	$(GO) test -run '^$$' -p 1 -bench=. -benchmem -benchtime=1x -count=$(BENCH_COUNT) ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_resync.json
-
-## bench-diff: rerun the benchmarks (min-of-N, serial, matching how the
-## baseline was recorded) and compare against the checked-in baseline; fails
-## on a regression beyond -tolerance (noise-floored — see cmd/benchjson
-## -minns). 30% rather than benchjson's 20% default: measured on the
-## single-CPU shared-host CI box, identical code re-benchmarked against its
-## own fresh baseline swings 24-38% on whichever long benchmark catches a
-## slow host phase, so a 20% gate fails clean runs; a real regression that
-## matters here (the order-of-magnitude kind the fan-out and index work
-## targets) clears 30% with room to spare.
-bench-diff:
-	$(GO) test -run '^$$' -p 1 -bench=. -benchmem -benchtime=1x -count=$(BENCH_COUNT) ./... | $(GO) run ./cmd/benchjson -baseline BENCH_resync.json -tolerance 0.30
+## figures: rerun every paper figure and pinned count and rewrite
+## internal/sim/testdata/figures.golden from them; `git diff` shows what moved.
+## TestGoldenFigures (under `make test`) compares the file to the digit.
+figures:
+	$(GO) test ./internal/sim -run '^TestGoldenFigures$$' -count=1 -figures.update
 
 ## oracle: the long randomized model-checking sweep (engine level plus one
 ## wire-level history per 50 engine histories), including the three-tier
@@ -112,8 +92,8 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 30
 
 ## loc: non-test Go lines per internal/ package, then the totals over the
-## packages ROADMAP item 2 tracks (the sync surface and what selects for it)
-## and over the ones item 3 does (durable state and its two callers).
+## packages ROADMAP item 5 tracks (the sync surface and what selects for it)
+## and over the ones items 8 and 11 do (durable state and its two callers).
 LOC_PKGS ?= ldapnet cascade replica resync selection tierctl supervisor
 LOC_DURABLE ?= supervisor cascade persist
 loc:

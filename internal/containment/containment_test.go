@@ -419,18 +419,6 @@ func BenchmarkSameTemplate(b *testing.B) {
 	}
 }
 
-func BenchmarkGenericContainment(b *testing.B) {
-	f1 := filter.MustParse("(&(objectclass=inetorgperson)(departmentnumber=2406))")
-	f2 := filter.MustParse("(&(objectclass=inetorgperson)(departmentnumber=240*))")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ok, err := FilterContainsGeneric(f1, f2)
-		if err != nil || !ok {
-			b.Fatal("expected containment")
-		}
-	}
-}
-
 func BenchmarkCompiledVsGeneric(b *testing.B) {
 	f1 := filter.MustParse("(&(objectclass=inetorgperson)(departmentnumber=2406))")
 	f2 := filter.MustParse("(&(objectclass=inetorgperson)(departmentnumber=240*))")

@@ -543,10 +543,8 @@ func BenchmarkSearchIndexed(b *testing.B) {
 		org := entry.New(dn.MustParse("o=xyz"))
 		org.Put("objectclass", "organization").Put("o", "xyz")
 		_ = st.Add(org)
-		// 40k entries keeps the scan sub-benchmarks well above the
-		// bench-diff noise floor: at 10k the full scan sat right at ~5ms,
-		// where a -benchtime=1x min-of-3 swings past the 20% gate on
-		// scheduler noise alone (see cmd/benchjson -minns).
+		// 40k entries makes a full scan cost tens of milliseconds, so one
+		// scan iteration is not lost in scheduler noise.
 		var batch []*entry.Entry
 		for i := 0; i < 40000; i++ {
 			e := entry.New(dn.MustParse(fmt.Sprintf("cn=p%d,o=xyz", i)))

@@ -560,61 +560,46 @@ func MailLocation(cfg Config) (*metrics.Figure, error) {
 	return fig, nil
 }
 
+// experiments is every experiment in the order All runs them: its
+// figure/table id, the short alias ByID also accepts ("" for none) and the
+// function that runs it.
+var experiments = []struct {
+	id, alias string
+	run       func(Config) (*metrics.Figure, error)
+}{
+	{"table1", "", Table1},
+	{"figure4", "fig4", Figure4},
+	{"figure5", "fig5", Figure5},
+	{"figure6", "fig6", Figure6},
+	{"figure7", "fig7", Figure7},
+	{"figure8", "fig8", Figure8},
+	{"figure9", "fig9", Figure9},
+	{"mail-location", "", MailLocation},
+	{"overhead", "", Overhead},
+	{"containment-stats", "", ContainmentStats},
+}
+
 // All runs every experiment.
 func All(cfg Config) ([]*metrics.Figure, error) {
-	type exp struct {
-		name string
-		fn   func(Config) (*metrics.Figure, error)
-	}
-	exps := []exp{
-		{"table1", Table1},
-		{"figure4", Figure4},
-		{"figure5", Figure5},
-		{"figure6", Figure6},
-		{"figure7", Figure7},
-		{"figure8", Figure8},
-		{"figure9", Figure9},
-		{"mail-location", MailLocation},
-		{"overhead", Overhead},
-		{"containment-stats", ContainmentStats},
-	}
 	var out []*metrics.Figure
-	for _, x := range exps {
-		fig, err := x.fn(cfg)
+	for _, x := range experiments {
+		fig, err := x.run(cfg)
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", x.name, err)
+			return out, fmt.Errorf("%s: %w", x.id, err)
 		}
 		out = append(out, fig)
 	}
 	return out, nil
 }
 
-// ByID runs one experiment by its figure/table id.
+// ByID runs one experiment by its figure/table id or alias.
 func ByID(id string, cfg Config) (*metrics.Figure, error) {
-	switch id {
-	case "table1":
-		return Table1(cfg)
-	case "fig4", "figure4":
-		return Figure4(cfg)
-	case "fig5", "figure5":
-		return Figure5(cfg)
-	case "fig6", "figure6":
-		return Figure6(cfg)
-	case "fig7", "figure7":
-		return Figure7(cfg)
-	case "fig8", "figure8":
-		return Figure8(cfg)
-	case "fig9", "figure9":
-		return Figure9(cfg)
-	case "mail-location":
-		return MailLocation(cfg)
-	case "overhead":
-		return Overhead(cfg)
-	case "containment-stats":
-		return ContainmentStats(cfg)
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", id)
+	for _, x := range experiments {
+		if id == x.id || (id == x.alias && id != "") {
+			return x.run(cfg)
+		}
 	}
+	return nil, fmt.Errorf("unknown experiment %q", id)
 }
 
 func round2(x float64) float64 {

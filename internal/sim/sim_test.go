@@ -1,14 +1,17 @@
 package sim
 
 import (
+	"io"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"filterdir/internal/metrics"
 )
 
 // testConfig keeps the shape tests quick; the full-scale runs live in
-// cmd/dirsim and the root benchmarks.
+// cmd/dirsim.
 func testConfig() Config {
 	return Config{
 		Employees:       2500,
@@ -19,6 +22,26 @@ func testConfig() Config {
 		Seed:            1,
 		PayloadBytes:    128,
 	}
+}
+
+// figures runs each experiment at testConfig at most once per package run:
+// the shape tests and the golden test read the same figure.
+var figures = func() map[string]func() (*metrics.Figure, error) {
+	m := make(map[string]func() (*metrics.Figure, error), len(experiments))
+	for _, x := range experiments {
+		m[x.id] = sync.OnceValues(func() (*metrics.Figure, error) { return x.run(testConfig()) })
+	}
+	return m
+}()
+
+// figure is experiment id's figure at testConfig.
+func figure(t *testing.T, id string) *metrics.Figure {
+	t.Helper()
+	fig, err := figures[id]()
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return fig
 }
 
 func series(t *testing.T, fig *metrics.Figure, name string) *metrics.Series {
@@ -34,10 +57,7 @@ func series(t *testing.T, fig *metrics.Figure, name string) *metrics.Series {
 }
 
 func TestTable1Shape(t *testing.T) {
-	fig, err := Table1(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, "table1")
 	measured := series(t, fig, "measured %")
 	paper := series(t, fig, "paper %")
 	for _, p := range paper.Points {
@@ -52,10 +72,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	fig, err := Figure4(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, "figure4")
 	filter := series(t, fig, "filter-based")
 	subtree := series(t, fig, "subtree-based")
 
@@ -88,10 +105,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	fig, err := Figure5(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, "figure5")
 	small := series(t, fig, "filter R=6000")
 	large := series(t, fig, "filter R=10000")
 	// The smaller revolution interval adapts faster: its hit ratio is at
@@ -115,10 +129,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	fig, err := Figure6(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, "figure6")
 	filter := series(t, fig, "filter-based")
 	subtree := series(t, fig, "subtree-based")
 
@@ -148,10 +159,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	fig, err := Figure7(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, "figure7")
 	small := series(t, fig, "filter R=6000")
 	large := series(t, fig, "filter R=10000")
 	subtree := series(t, fig, "subtree-based")
@@ -210,26 +218,15 @@ func testFigure89Shape(t *testing.T, fig *metrics.Figure) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	fig, err := Figure8(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testFigure89Shape(t, fig)
+	testFigure89Shape(t, figure(t, "figure8"))
 }
 
 func TestFigure9Shape(t *testing.T) {
-	fig, err := Figure9(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testFigure89Shape(t, fig)
+	testFigure89Shape(t, figure(t, "figure9"))
 }
 
 func TestMailLocationShape(t *testing.T) {
-	fig, err := MailLocation(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, "mail-location")
 	s := series(t, fig, "hit ratio")
 	genMail, _ := s.YAt(1)
 	cacheMail, _ := s.YAt(2)
@@ -252,34 +249,17 @@ func TestByIDUnknown(t *testing.T) {
 }
 
 func TestRenderAndCSV(t *testing.T) {
-	fig, err := Table1(testConfig())
-	if err != nil {
-		t.Fatal(err)
+	fig := figure(t, "table1")
+	for _, write := range []func(io.Writer) error{fig.Render, fig.CSV} {
+		var sb strings.Builder
+		if err := write(&sb); err != nil || sb.Len() == 0 {
+			t.Errorf("%d bytes of output, error %v", sb.Len(), err)
+		}
 	}
-	var sb1, sb2 stringBuilder
-	if err := fig.Render(&sb1); err != nil {
-		t.Fatal(err)
-	}
-	if err := fig.CSV(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if len(sb1.s) == 0 || len(sb2.s) == 0 {
-		t.Error("empty render output")
-	}
-}
-
-type stringBuilder struct{ s []byte }
-
-func (b *stringBuilder) Write(p []byte) (int, error) {
-	b.s = append(b.s, p...)
-	return len(p), nil
 }
 
 func TestOverheadShape(t *testing.T) {
-	fig, err := Overhead(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, "overhead")
 	checks := series(t, fig, "containment checks per query")
 	// Per-query containment checks grow with the stored-filter count
 	// (Section 7.4: overhead proportional to the number of stored filters).
@@ -296,10 +276,7 @@ func TestOverheadShape(t *testing.T) {
 }
 
 func TestContainmentStatsShape(t *testing.T) {
-	fig, err := ContainmentStats(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, "containment-stats")
 	s := series(t, fig, "% of decisions")
 	fallback, _ := s.YAt(5)
 	if fallback > 5 {

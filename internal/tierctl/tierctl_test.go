@@ -33,13 +33,13 @@ func person(prefix string, i int) *entry.Entry {
 
 // wire-served master with 04, 05 and 06 serial regions, plus a tier
 // replicating only (serialnumber=04*).
-func newTier(t *testing.T) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
+func newTier(t testing.TB) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
 	t.Helper()
 	return newTierIn(t, "")
 }
 
 // newTierIn is newTier with the tier durable in stateDir ("" for none).
-func newTierIn(t *testing.T, stateDir string) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
+func newTierIn(t testing.TB, stateDir string) (*dit.Store, *cascade.Tier, *ldapnet.Server) {
 	t.Helper()
 	st, err := dit.NewStore([]string{"o=xyz"}, dit.WithIndexes("serialnumber"))
 	if err != nil {
@@ -84,7 +84,7 @@ func newTierIn(t *testing.T, stateDir string) (*dit.Store, *cascade.Tier, *ldapn
 	return st, tier, masterSrv
 }
 
-func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
+func waitFor(t testing.TB, what string, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for !cond() {
