@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 
 	"filterdir/internal/supervisor"
@@ -24,6 +25,8 @@ func TestOracleQuick(t *testing.T) {
 	}
 	t.Logf("oracle quick: %d histories, %d events, %d exchanges, traffic %+v",
 		rep.Histories, rep.Events, rep.Polls, rep.Traffic)
+	pin(t, fmt.Sprintf("histories=%d events=%d exchanges=%d traffic=%+v",
+		rep.Histories, rep.Events, rep.Polls, rep.Traffic))
 }
 
 // TestOracleQuickWire drives the full wire loop (ldapnet master,
@@ -81,6 +84,7 @@ func TestOracleCascadeQuick(t *testing.T) {
 	}
 	t.Logf("oracle cascade quick: %d histories, %d events, %d exchanges",
 		rep.Histories, rep.Events, rep.Polls)
+	pin(t, fmt.Sprintf("histories=%d events=%d exchanges=%d", rep.Histories, rep.Events, rep.Polls))
 }
 
 // TestOracleCascadeQuickWire stands up the real three-tier topology —
@@ -145,6 +149,8 @@ func TestOracleEdgeWriteQuick(t *testing.T) {
 	}
 	t.Logf("oracle edge quick: %d histories, %d events, %d exchanges, edge accepted=%d applied=%d dedup=%d",
 		rep.Histories, rep.Events, rep.Polls, rep.EdgeAccepted, rep.EdgeApplied, rep.EdgeDuplicates)
+	pin(t, fmt.Sprintf("histories=%d events=%d exchanges=%d accepted=%d applied=%d dedup=%d",
+		rep.Histories, rep.Events, rep.Polls, rep.EdgeAccepted, rep.EdgeApplied, rep.EdgeDuplicates))
 }
 
 // TestOracleEdgeWriteSweep is the long edge-write sweep, enabled by
@@ -186,6 +192,9 @@ func TestOracleSharedFilterHistories(t *testing.T) {
 	t.Logf("shared-filter oracle: %d histories, %d events, %d exchanges, classify hits/misses=%d/%d, reload snapshots built/shared=%d/%d",
 		rep.Histories, rep.Events, rep.Polls, rep.SharedClassifyHits, rep.SharedClassifyMisses,
 		rep.ReloadSnapshotsBuilt, rep.ReloadSnapshotsShared)
+	pin(t, fmt.Sprintf("histories=%d events=%d exchanges=%d classify=%d/%d reload-snapshots=%d/%d",
+		rep.Histories, rep.Events, rep.Polls, rep.SharedClassifyHits, rep.SharedClassifyMisses,
+		rep.ReloadSnapshotsBuilt, rep.ReloadSnapshotsShared))
 }
 
 // TestOracleSharedFilterWireDedup drives the wire loop with persist-mode
@@ -224,10 +233,13 @@ func TestOracleShardSweep(t *testing.T) {
 	if rep.Failure != nil {
 		t.Fatal(rep.Failure.Format())
 	}
+	var lines []string
 	for _, pt := range rep.Points {
-		t.Logf("%-9s shards=%d traffic=%016x content=%016x",
-			pt.Runner, pt.Shards, pt.TrafficHash, pt.ContentHash)
+		lines = append(lines, fmt.Sprintf("%s shards=%d traffic=%016x content=%016x",
+			pt.Runner, pt.Shards, pt.TrafficHash, pt.ContentHash))
+		t.Log(lines[len(lines)-1])
 	}
+	pin(t, lines...)
 }
 
 // TestOracleShardSweepFull is the long shard-equivalence sweep, enabled by
