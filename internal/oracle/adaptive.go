@@ -2,41 +2,19 @@ package oracle
 
 import (
 	"fmt"
-	"net"
 	"time"
 
-	"filterdir/internal/cascade"
-	"filterdir/internal/entry"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/query"
-	"filterdir/internal/replica"
 	"filterdir/internal/sim"
 	"filterdir/internal/supervisor"
 	"filterdir/internal/tierctl"
 )
 
-// AdaptiveConfig parameterizes the adaptive-tiering oracle: a wire-level
-// master → adaptive tier → leaves topology where the tier starts too narrow
-// for the offered traffic and the tierctl control plane must widen it live.
-type AdaptiveConfig struct {
-	Seed      int64
-	Histories int
-	// Steps is the number of synthetic master operations applied per phase
-	// (before and after the traffic shift).
-	Steps int
-}
-
-func (c *AdaptiveConfig) fillDefaults() {
-	if c.Histories <= 0 {
-		c.Histories = 1
-	}
-	if c.Steps <= 0 {
-		c.Steps = 24
-	}
-}
-
-// RunAdaptive executes adaptive-tiering histories. Each history stages a
-// mid-run locality shift — a new leaf population arrives whose spec the
+// The Adaptive preset is a wire-level master → adaptive tier → leaves
+// topology where the tier starts too narrow for the offered traffic and the
+// tierctl control plane must widen it live. Each history stages a mid-run
+// locality shift (EvShift) — a new leaf population arrives whose spec the
 // tier's configured filter set does not cover — and then checks the whole
 // adaptive loop end to end:
 //
@@ -49,141 +27,63 @@ func (c *AdaptiveConfig) fillDefaults() {
 //   - the stored set stays within budget, and the final tier content is
 //     FNV-byte-identical to a reference tier statically configured with the
 //     widened filter set from the start.
-func RunAdaptive(cfg AdaptiveConfig) *Report {
-	cfg.fillDefaults()
-	rep := &Report{}
-	for h := 0; h < cfg.Histories; h++ {
-		hseed := historySeed(cfg.Seed, h)
-		if f := runAdaptive(hseed, cfg.Steps, rep); f != nil {
-			f.Replay = replayCmd("TestOracleAdaptiveSweep", hseed, cfg.Steps)
-			rep.Failure = f
-			return rep
+//
+// No chaos: the cascade presets already cover lossy links, and adaptation
+// timing is the subject here.
+
+// genAdaptiveHistory is cfg.Steps master operations before the shift and
+// as many after it.
+func genAdaptiveHistory(cfg Config, hseed int64) []Event {
+	gen := sim.NewOpGen(synthWireConfig(hseed))
+	ops := func(events []Event) []Event {
+		for i := 0; i < cfg.Steps; i++ {
+			events = append(events, Event{Kind: EvOp, Op: gen.Next()})
 		}
-		rep.Histories++
+		return events
 	}
-	return rep
+	return ops(append(ops(nil), Event{Kind: EvShift}))
 }
 
-// adaptiveSelection is the reference content for an adaptive tier: the union
-// of the master model's selections over the tier's current filter set.
-func adaptiveSelection(mdl model, specs []query.Query) map[string]*entry.Entry {
-	out := make(map[string]*entry.Entry)
-	for _, spec := range specs {
-		for norm, e := range mdl.selection(spec) {
-			out[norm] = e
-		}
+// runAdaptive runs one Adaptive history. A history shrunk without its
+// EvShift shifts after its last operation.
+func runAdaptive(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
+	h, f := newHist(cfg, hseed, rep, synthWireConfig(hseed))
+	if f != nil {
+		return f
 	}
-	return out
-}
-
-// waitAdaptiveConverged blocks until the tier's store equals the union
-// selection of its (live, possibly changing) filter set.
-func waitAdaptiveConverged(tier *cascade.Tier, mdl model, hseed int64, what string) *Failure {
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		specs := tier.Specs()
-		ref := adaptiveSelection(mdl, specs)
-		got := make(map[string]*entry.Entry)
-		for _, e := range tier.Replica().Store().All() {
-			got[e.DN().Norm()] = e
-		}
-		diff := describeDiff(got, ref)
-		if diff == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return &Failure{HistorySeed: hseed, Msg: fmt.Sprintf(
-				"%s did not converge on %d specs within 15s:\n%s", what, len(specs), diff)}
-		}
-		time.Sleep(2 * time.Millisecond)
+	backend := ldapnet.NewStoreBackend(h.st)
+	w := &wireNet{h: h}
+	defer w.close()
+	masterAddr, _, f := w.serve(backend, false, 0)
+	if f != nil {
+		return f
 	}
-}
-
-// runAdaptive stands up one adaptive history. No chaos: the cascade oracle
-// already covers lossy links, and adaptation timing is the subject here.
-func runAdaptive(hseed int64, steps int, rep *Report) *Failure {
-	st, err := sim.BuildSynthStore(synthWireConfig(hseed))
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "build synthetic store: " + err.Error()}
-	}
-	mdl := newModel(st)
-	backend := ldapnet.NewStoreBackend(st)
-
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "listen: " + err.Error()}
-	}
-	masterAddr := lnA.Addr().String()
-	masterSrv := ldapnet.ServeListener(lnA, backend)
-	defer masterSrv.Close()
-
 	baseSpec := query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(grp=0)")
 	moverSpec := query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(grp=1)")
-
-	// The adaptive tier starts with only the base spec...
-	tier, err := cascade.New(cascade.Config{
-		Upstream:     masterAddr,
-		Specs:        []query.Query{baseSpec},
-		PollInterval: 3 * time.Millisecond,
-		BackoffBase:  2 * time.Millisecond,
-		BackoffMax:   40 * time.Millisecond,
-		DialTimeout:  2 * time.Second,
-		Seed:         hseed,
-	})
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "new tier: " + err.Error()}
+	// The adaptive tier starts with only the base spec, while the reference
+	// tier is statically widened from the start: the adapted tier's final
+	// content must be byte-identical to it.
+	tier, f := w.tier(masterAddr, nil, hseed, baseSpec)
+	if f != nil {
+		return f
 	}
-	tier.Start()
-	defer tier.Stop()
-
-	// ...while the reference tier is statically widened from the start: the
-	// adapted tier's final content must be byte-identical to it.
-	refTier, err := cascade.New(cascade.Config{
-		Upstream:     masterAddr,
-		Specs:        []query.Query{baseSpec, moverSpec},
-		PollInterval: 3 * time.Millisecond,
-		BackoffBase:  2 * time.Millisecond,
-		BackoffMax:   40 * time.Millisecond,
-		DialTimeout:  2 * time.Second,
-		Seed:         hseed + 9901,
-	})
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "new reference tier: " + err.Error()}
+	refTier, f := w.tier(masterAddr, nil, hseed+9901, baseSpec, moverSpec)
+	if f != nil {
+		return f
 	}
-	refTier.Start()
-	defer refTier.Stop()
-
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "listen: " + err.Error()}
+	tierAddr, _, f := w.serve(ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://"+masterAddr), false, 0)
+	if f != nil {
+		return f
 	}
-	tierAddr := lnB.Addr().String()
-	tierSrv := ldapnet.ServeListener(lnB,
-		ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://"+masterAddr))
-	defer tierSrv.Close()
-
-	ctrl, err := tierctl.New(tierctl.Config{
-		Tier:     tier,
-		Budget:   2,
-		Interval: 4 * time.Millisecond,
-	})
+	ctrl, err := tierctl.New(tierctl.Config{Tier: tier, Budget: 2, Interval: 4 * time.Millisecond})
 	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "new controller: " + err.Error()}
+		return h.fail("new controller: %v", err)
 	}
 	ctrl.Start()
-	defer ctrl.Stop()
+	w.stops = append(w.stops, ctrl.Stop)
 
-	type wireLeaf struct {
-		frep *replica.FilterReplica
-		sup  *supervisor.Supervisor
-		spec query.Query
-	}
-	newLeaf := func(spec query.Query, mode supervisor.Mode, i int) (*wireLeaf, *Failure) {
-		frep, err := replica.NewFilterReplica()
-		if err != nil {
-			return nil, &Failure{HistorySeed: hseed, Msg: "new replica: " + err.Error()}
-		}
-		sup, err := supervisor.New(supervisor.Config{
+	leaf := func(spec query.Query, mode supervisor.Mode, i int) (*wireLeaf, *Failure) {
+		return w.leaf(supervisor.Config{
 			Master:   tierAddr,
 			Fallback: masterAddr,
 			// Far beyond the adaptation deadline below: only the
@@ -192,179 +92,120 @@ func runAdaptive(hseed int64, steps int, rep *Report) *Failure {
 			WatchFilters:       true,
 			Spec:               spec,
 			Mode:               mode,
-			PollInterval:       3 * time.Millisecond,
-			IdleTimeout:        300 * time.Millisecond,
-			BackoffBase:        2 * time.Millisecond,
-			BackoffMax:         40 * time.Millisecond,
-			DialTimeout:        2 * time.Second,
 			Seed:               hseed + int64(i),
-		}, frep)
-		if err != nil {
-			return nil, &Failure{HistorySeed: hseed, Msg: "new supervisor: " + err.Error()}
-		}
-		sup.Start()
-		return &wireLeaf{frep: frep, sup: sup, spec: spec}, nil
+		})
 	}
-
-	var leaves []*wireLeaf
-	defer func() {
-		for _, w := range leaves {
-			_ = w.sup.Stop()
-		}
-	}()
-	if rep != nil {
-		defer func() {
-			for _, w := range leaves {
-				rep.Polls += int(w.sup.Exchanges())
-			}
-		}()
-	}
-
-	gen := sim.NewOpGen(synthWireConfig(hseed))
-	applyOps := func(n int) *Failure {
-		for i := 0; i < n; i++ {
-			op := gen.Next()
-			if !mdl.valid(op) {
-				continue
-			}
-			if err := sim.ApplyOp(st, op); err != nil {
-				return &Failure{HistorySeed: hseed, Step: i,
-					Msg: fmt.Sprintf("op %q valid in model but rejected by store: %v", op, err)}
-			}
-			mdl.apply(op)
-			if rep != nil {
-				rep.Events++
-			}
-		}
-		return nil
-	}
-	waitFor := func(what string, d time.Duration, cond func() (bool, string)) *Failure {
-		end := time.Now().Add(d)
-		for {
-			ok, detail := cond()
-			if ok {
-				return nil
-			}
-			if time.Now().After(end) {
-				return &Failure{HistorySeed: hseed,
-					Msg: fmt.Sprintf("%s not reached within %v: %s", what, d, detail)}
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	waitLeaf := func(w *wireLeaf, ri int) *Failure {
-		return waitConverged(w.frep, w.sup, mdl, w.spec, ri, hseed)
-	}
+	tierSettles := func(what string) *Failure { return h.settles(what, tier.Replica().Store(), tier.Specs) }
+	reached := func(what string, cond func() string) *Failure { return h.await(what, 10*time.Second, cond) }
 
 	// Phase A: stable traffic within the configured filter set.
-	inside, f := newLeaf(query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(&(grp=0)(val>=2))"),
-		supervisor.ModePersist, 0)
+	inside, f := leaf(query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(&(grp=0)(val>=2))"), supervisor.ModePersist, 0)
 	if f != nil {
 		return f
 	}
-	leaves = append(leaves, inside)
-	if f := applyOps(steps); f != nil {
-		return f
-	}
-	if f := waitAdaptiveConverged(tier, mdl, hseed, "adaptive tier (phase A)"); f != nil {
-		return f
-	}
-	if f := waitLeaf(inside, 0); f != nil {
-		return f
-	}
-
-	// Phase B: the locality shift. Content appears in the new region (named
-	// outside the op generator's e<N> namespace, so churn never deletes it —
-	// the widened reload below always has something to pull), and a new leaf
-	// population arrives whose spec the tier cannot serve; it must be
-	// rejected and diverted first.
-	for i := 0; i < 3; i++ {
-		op := sim.Op{Kind: sim.OpAdd, Name: fmt.Sprintf("w%d", i+1), Grp: 1, Val: i}
-		if err := sim.ApplyOp(st, op); err != nil {
-			return &Failure{HistorySeed: hseed, Msg: fmt.Sprintf("seed shift entry %q: %v", op, err)}
+	var mover *wireLeaf
+	shift := func() *Failure {
+		if f := tierSettles("adaptive tier (phase A)"); f != nil {
+			return f
 		}
-		mdl.apply(op)
-	}
-	mover, f := newLeaf(moverSpec, supervisor.ModePoll, 1)
-	if f != nil {
-		return f
-	}
-	leaves = append(leaves, mover)
-	if f := waitFor("mover divert to fallback master", 10*time.Second, func() (bool, string) {
-		if mover.sup.Counters().UpstreamFallbacks.Load() < 1 {
-			return false, "no upstream fallback recorded"
+		if f := w.settled(0, inside); f != nil {
+			return f
 		}
-		return true, ""
+		// Phase B: the locality shift. Content appears in the new region
+		// (named outside the op generator's e<N> namespace, so churn never
+		// deletes it — the widened reload below always has something to
+		// pull), and a new leaf population arrives whose spec the tier
+		// cannot serve; it must be rejected and diverted first.
+		for i := 0; i < 3; i++ {
+			op := sim.Op{Kind: sim.OpAdd, Name: fmt.Sprintf("w%d", i+1), Grp: 1, Val: i}
+			if err := sim.ApplyOp(h.st, op); err != nil {
+				return h.fail("seed shift entry %q: %v", op, err)
+			}
+			h.mdl.apply(op)
+		}
+		if mover, f = leaf(moverSpec, supervisor.ModePoll, 1); f != nil {
+			return f
+		}
+		if f := reached("mover divert to fallback master", func() string {
+			if mover.sup.Counters().UpstreamFallbacks.Load() < 1 {
+				return "no upstream fallback recorded"
+			}
+			return ""
+		}); f != nil {
+			return f
+		}
+		if got := tier.Counters().Rejected.Load(); got < 1 {
+			return h.fail("tier rejected %d sessions, want >= 1 (mover spec %q)", got, moverSpec)
+		}
+		// The control plane must now adopt the mover's spec, re-sync the
+		// widened content, bump the filter generation, and the
+		// filters-changed watch must bring the mover back — well before its
+		// 10-minute re-probe timer.
+		if f := reached("mover migration back to the tier", func() string {
+			if got := mover.sup.Target(); got != tierAddr {
+				gen, _ := tier.FilterGeneration()
+				return fmt.Sprintf("mover target = %s (tier specs %d, gen %d)", got, len(tier.Specs()), gen)
+			}
+			return ""
+		}); f != nil {
+			return f
+		}
+		// ...and the mover's fallback session at the master must be
+		// released: only the tier links and the reference-tier links remain.
+		wantSessions := len(tier.Specs()) + len(refTier.Specs())
+		return reached("fallback session release at the master", func() string {
+			if got := backend.Engine.Sessions(); got != wantSessions {
+				return fmt.Sprintf("master engine holds %d sessions, want %d", got, wantSessions)
+			}
+			return ""
+		})
+	}
+	if f := h.play(events, func(ev Event) *Failure {
+		if ev.Kind == EvShift && mover == nil {
+			return shift()
+		}
+		return nil
 	}); f != nil {
 		return f
 	}
-	if got := tier.Counters().Rejected.Load(); got < 1 {
-		return &Failure{HistorySeed: hseed,
-			Msg: fmt.Sprintf("tier rejected %d sessions, want >= 1 (mover spec %q)", got, moverSpec)}
-	}
-
-	// The control plane must now adopt the mover's spec, re-sync the widened
-	// content, bump the filter generation, and the filters-changed watch must
-	// bring the mover back — well before its 10-minute re-probe timer.
-	if f := waitFor("mover migration back to the tier", 10*time.Second, func() (bool, string) {
-		if got := mover.sup.Target(); got != tierAddr {
-			return false, fmt.Sprintf("mover target = %s (tier specs %d, gen %d)",
-				got, len(tier.Specs()), func() uint64 { g, _ := tier.FilterGeneration(); return g }())
-		}
-		return true, ""
-	}); f != nil {
-		return f
-	}
-	// ...and the mover's fallback session at the master must be released:
-	// only the two tier links and the two reference-tier links remain.
-	wantSessions := len(tier.Specs()) + len(refTier.Specs())
-	if f := waitFor("fallback session release at the master", 10*time.Second, func() (bool, string) {
-		if got := backend.Engine.Sessions(); got != wantSessions {
-			return false, fmt.Sprintf("master engine holds %d sessions, want %d", got, wantSessions)
-		}
-		return true, ""
-	}); f != nil {
-		return f
-	}
-
-	// Phase C: post-shift traffic flows through the widened tier.
-	if f := applyOps(steps); f != nil {
-		return f
-	}
-	if f := waitAdaptiveConverged(tier, mdl, hseed, "adaptive tier (phase C)"); f != nil {
-		return f
-	}
-	for ri, w := range leaves {
-		if f := waitLeaf(w, ri); f != nil {
+	if mover == nil {
+		if f := shift(); f != nil {
 			return f
 		}
 	}
-	if f := waitAdaptiveConverged(refTier, mdl, hseed, "reference tier"); f != nil {
+
+	// Phase C: post-shift traffic flowed through the widened tier.
+	if f := tierSettles("adaptive tier (phase C)"); f != nil {
+		return f
+	}
+	if f := w.allSettled(); f != nil {
+		return f
+	}
+	if f := h.settles("reference tier", refTier.Replica().Store(), refTier.Specs); f != nil {
 		return f
 	}
 
 	// Budget and control-plane accounting.
 	if got := len(tier.Specs()); got > 2 {
-		return &Failure{HistorySeed: hseed,
-			Msg: fmt.Sprintf("adaptive tier holds %d specs, budget is 2", got)}
+		return h.fail("adaptive tier holds %d specs, budget is 2", got)
 	}
 	tc := ctrl.Counters().Snapshot()
 	if tc.RejectionsObserved < 1 {
-		return &Failure{HistorySeed: hseed, Msg: "control plane observed no rejections"}
+		return h.fail("control plane observed no rejections")
 	}
 	if tc.Generalizations < 1 {
-		return &Failure{HistorySeed: hseed, Msg: "control plane never widened the tier"}
+		return h.fail("control plane never widened the tier")
 	}
 	if tc.LeavesMigratedBack < 1 {
-		return &Failure{HistorySeed: hseed, Msg: "no diverted leaf was recorded as migrated back"}
+		return h.fail("no diverted leaf was recorded as migrated back")
 	}
 	// Widening volume is accounted asynchronously, once the adopted link
 	// reports synced — wait for it rather than racing it.
-	if f := waitFor("widening re-sync accounting", 10*time.Second, func() (bool, string) {
-		if got := ctrl.Counters().WidenResyncEntries.Load(); got < 1 {
-			return false, "widening re-sync pulled no entries"
+	if f := reached("widening re-sync accounting", func() string {
+		if ctrl.Counters().WidenResyncEntries.Load() < 1 {
+			return "widening re-sync pulled no entries"
 		}
-		return true, ""
+		return ""
 	}); f != nil {
 		return f
 	}
@@ -374,10 +215,8 @@ func runAdaptive(hseed int64, steps int, rep *Report) *Failure {
 	gotFNV := foldEntries(0, tier.Replica().Store().All())
 	wantFNV := foldEntries(0, refTier.Replica().Store().All())
 	if gotFNV != wantFNV {
-		diff := describeDiff(storeSnapshot(tier.Replica()), storeSnapshot(refTier.Replica()))
-		return &Failure{HistorySeed: hseed, Msg: fmt.Sprintf(
-			"adapted tier content %016x differs from statically-widened reference %016x:\n%s",
-			gotFNV, wantFNV, diff)}
+		return h.fail("adapted tier content %016x differs from statically-widened reference %016x:\n%s",
+			gotFNV, wantFNV, describeDiff(snapshot(tier.Replica().Store()), snapshot(refTier.Replica().Store())))
 	}
 	return nil
 }

@@ -1,34 +1,26 @@
 package oracle
 
-// Cascade (three-tier) oracle: master → mid-tier → leaves.
+// Cascade (three-tier) presets: master → mid-tier → leaves.
 //
-// The engine-level harness models the mid-tier exactly as internal/cascade
-// builds it: a FilterReplica fed by a session against the master engine,
-// with its own resync.Engine over the replica's store serving the leaves.
-// After every leaf exchange the oracle asserts the leaf's content equals
-// the brute-force selection over the MID's store, and that incremental
-// responses are the exact net difference (transitive equation 3) — in
-// particular across master-side journal trims, where the mid absorbs a
-// full reload as mass delete+add and the leaves still receive minimal
-// deltas. After every mid exchange the mid itself is checked against the
-// global reference model.
+// Cascade models the mid-tier exactly as internal/cascade builds it: a
+// FilterReplica fed by a session against the master engine, with its own
+// resync.Engine over the replica's store serving the leaves. Every exchange
+// on either link is checked for exact minimality and convergence against
+// its supplier — the master's reference for the mid, the brute-force
+// selection over the MID's store for a leaf (transitive equation 3) — in
+// particular across master-side journal trims, where the mid absorbs a full
+// reload as mass delete+add and the leaves still receive minimal deltas.
 //
-// The wire-level harness stands up the real stack: an ldapnet master, a
-// cascade.Tier in the middle served through ldapnet.CascadeBackend, and
-// supervisor-driven leaves — one of them with a spec the tier cannot prove
-// contained, which must divert to the fallback master — with chaos fault
-// injection on both links.
+// CascadeWire stands up the real stack: an ldapnet master, a cascade.Tier in
+// the middle served through ldapnet.CascadeBackend, and supervisor-driven
+// leaves — one of them with a spec the tier cannot prove contained, which
+// must divert to the fallback master — with chaos fault injection on both
+// links.
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
-	"net"
 	"time"
 
-	"filterdir/internal/cascade"
-	"filterdir/internal/chaos"
-	"filterdir/internal/entry"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -36,25 +28,6 @@ import (
 	"filterdir/internal/sim"
 	"filterdir/internal/supervisor"
 )
-
-// CascadeConfig parameterizes an engine-level cascade oracle run.
-type CascadeConfig struct {
-	Seed      int64
-	Histories int
-	Steps     int
-	// Shards overrides the master store's shard count (0 = store default);
-	// see the shard sweep in shards.go.
-	Shards int
-}
-
-func (c *CascadeConfig) fillDefaults() {
-	if c.Histories <= 0 {
-		c.Histories = 8
-	}
-	if c.Steps <= 0 {
-		c.Steps = 40
-	}
-}
 
 // cascadeMidSpec is the mid-tier's replicated content: a disjunction wide
 // enough to contain every leaf spec below.
@@ -73,31 +46,12 @@ func cascadeLeafSpecs() []query.Query {
 	}
 }
 
-// midSt is the simulated mid-tier: a FilterReplica holding the mid spec's
-// content (fed from the master engine) and a downstream engine over its
-// store.
-type midSt struct {
-	spec   query.Query
-	frep   *replica.FilterReplica
-	eng    *resync.Engine
-	cookie string
-	begun  bool
-}
-
-// cascadeHarness extends the engine harness: h.eng/h.st/h.mdl are the
-// master; mid and leaves form the lower tiers.
-type cascadeHarness struct {
-	*harness
-	mid    *midSt
-	leaves []*replicaSt
-}
-
 // genCascadeHistory mixes master operations, mid-tier sync exchanges and
 // leaf polls (both with lost responses), and server-side leaf session
 // ends. Rep == len(leaves) encodes "mid sync"; lower values name a leaf. A
 // mid sync plus one poll per leaf is appended so every history ends with a
 // full transitive convergence check.
-func genCascadeHistory(cfg CascadeConfig, hseed int64) []Event {
+func genCascadeHistory(cfg Config, hseed int64) []Event {
 	gen := sim.NewOpGen(synthConfig(hseed, 0))
 	rng := rand.New(rand.NewSource(hseed*2654435761 + 17))
 	nLeaves := len(cascadeLeafSpecs())
@@ -122,494 +76,164 @@ func genCascadeHistory(cfg CascadeConfig, hseed int64) []Event {
 	return events
 }
 
-// runCascadeEngine executes one cascade history, returning the first
-// divergence (nil if the history converges throughout).
-func runCascadeEngine(hseed int64, shards int, events []Event, rep *Report) *Failure {
-	st, err := sim.BuildSynthStore(synthConfig(hseed, shards))
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "build synthetic store: " + err.Error()}
+// runCascade executes one Cascade history. The mid is a consumer of the
+// master engine that applies every answer to its FilterReplica
+// (incremental batches through ApplySync, full transfers by re-adding the
+// stored query: a mass delete+add in the mid store's journal, which the
+// downstream engine absorbs into net deltas).
+func runCascade(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
+	h, f := newHist(cfg, hseed, rep, synthConfig(hseed, cfg.Shards))
+	if f != nil {
+		return f
 	}
 	frep, err := replica.NewFilterReplica()
 	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "new mid replica: " + err.Error()}
+		return h.fail("new mid replica: %v", err)
 	}
-	h := &cascadeHarness{
-		harness: &harness{seed: hseed, st: st, eng: resync.NewEngine(st), mdl: newModel(st), rep: rep},
-		mid:     &midSt{spec: cascadeMidSpec(), frep: frep, eng: resync.NewEngine(frep.Store())},
-	}
+	mid := &consumer{spec: cascadeMidSpec(), content: make(model), frep: frep}
+	master, midEng := resync.NewEngine(h.st), resync.NewEngine(frep.Store())
 	if rep != nil {
 		// Fold both tiers' update streams: master→mid and mid→leaf traffic
 		// must be byte-identical across shard counts.
 		fold := func(_ string, ups []resync.Update, _ bool) {
 			rep.TrafficHash = foldUpdates(rep.TrafficHash, ups)
 		}
-		h.eng.SetObserver(fold)
-		h.mid.eng.SetObserver(fold)
+		master.SetObserver(fold)
+		midEng.SetObserver(fold)
 	}
-	for _, spec := range cascadeLeafSpecs() {
-		h.leaves = append(h.leaves, &replicaSt{spec: spec, content: make(map[string]*entry.Entry)})
-	}
-	nLeaves := len(h.leaves)
-	for i, ev := range events {
-		if rep != nil {
-			rep.Events++
-		}
+	leaves := consumers(cascadeLeafSpecs())
+	if f := h.play(events, func(ev Event) *Failure {
 		var f *Failure
 		switch {
-		case ev.Kind == EvOp:
-			if !h.mdl.valid(ev.Op) {
-				continue
-			}
-			if err := sim.ApplyOp(h.st, ev.Op); err != nil {
-				f = h.fail("op %q valid in model but rejected by store: %v", ev.Op, err)
-			} else {
-				h.mdl.apply(ev.Op)
-			}
-		case ev.Kind == EvPoll && ev.Rep == nLeaves:
-			f = h.midSync(ev.Lost)
+		case ev.Kind == EvPoll && ev.Rep == len(leaves):
+			_, f = h.exchange(master, mid, ev.Lost, h.mdl)
 		case ev.Kind == EvPoll:
-			f = h.leafPoll(h.leaves[ev.Rep], ev.Lost)
+			// A leaf can only be as fresh as its supplier: its reference is
+			// the selection over the mid's store, not the master's model.
+			_, f = h.exchange(midEng, leaves[ev.Rep], ev.Lost, mid.content)
 		case ev.Kind == EvEnd:
-			if r := h.leaves[ev.Rep]; r.begun {
-				_ = h.mid.eng.End(r.cookie) // leaf learns on its next poll
+			if c := leaves[ev.Rep]; c.begun {
+				_ = midEng.End(c.cookie) // leaf learns on its next poll
 			}
 		}
-		if f != nil {
-			f.Step = i
-			return f
-		}
+		return f
+	}); f != nil {
+		return f
 	}
 	// The history tail forced a mid sync and a poll per leaf, so every leaf
 	// must now transitively equal the selection over the MASTER's model —
 	// the equation-3 composition across two tiers.
-	for _, r := range h.leaves {
-		if diff := describeDiff(r.content, h.mdl.selection(r.spec)); diff != "" {
-			return h.fail("leaf %q not transitively converged to master content:\n%s", r.spec, diff)
+	for _, c := range leaves {
+		if diff := describeDiff(c.content, h.mdl.selection(c.spec)); diff != "" {
+			return h.fail("leaf %q not transitively converged to master content:\n%s", c.spec, diff)
 		}
 	}
 	if rep != nil {
-		rep.ContentHash = foldContent(rep.ContentHash, storeSnapshot(h.mid.frep))
-		for _, r := range h.leaves {
-			rep.ContentHash = foldContent(rep.ContentHash, r.content)
+		rep.ContentHash = foldContent(rep.ContentHash, mid.content)
+		for _, c := range leaves {
+			rep.ContentHash = foldContent(rep.ContentHash, c.content)
 		}
-		rep.ContentHash = foldEntries(rep.ContentHash, st.All())
+		rep.ContentHash = foldEntries(rep.ContentHash, h.st.All())
 	}
 	return nil
-}
-
-// midSync performs one mid-tier exchange against the master engine and
-// applies it to the mid replica exactly as cascade.Tier's supervisor does:
-// incremental batches through ApplySync, full transfers by re-adding the
-// stored query (a mass delete+add in the mid store's journal, which the
-// downstream engine absorbs into net deltas).
-func (h *cascadeHarness) midSync(lost bool) *Failure {
-	m := h.mid
-	var res *resync.PollResult
-	var err error
-	full := false
-	if !m.begun {
-		res, err = h.eng.Begin(m.spec)
-		full = true
-	} else {
-		res, err = h.eng.Poll(m.cookie)
-		if errors.Is(err, resync.ErrNoSuchSession) && !lost {
-			res, err = h.eng.Begin(m.spec)
-			full = true
-		}
-	}
-	if lost {
-		return nil // response dropped; mid re-polls its old sync point later
-	}
-	if err != nil {
-		return h.fail("mid sync %q: %v", m.spec, err)
-	}
-	if h.rep != nil {
-		h.rep.Polls++
-	}
-	if full || res.FullReload {
-		for _, u := range res.Updates {
-			if u.Action != resync.ActionAdd {
-				return h.fail("mid full transfer contains %s PDU for %s", u.Action, u.DN)
-			}
-		}
-		m.frep.RemoveStored(m.spec)
-		m.frep.AddStored(m.spec, res.Cookie)
-	}
-	if err := m.frep.ApplySync(m.spec, res.Updates); err != nil {
-		return h.fail("mid apply %q: %v", m.spec, err)
-	}
-	m.cookie, m.begun = res.Cookie, true
-	if diff := describeDiff(storeSnapshot(m.frep), h.mdl.selection(m.spec)); diff != "" {
-		return h.fail("mid tier diverged from master reference:\n%s", diff)
-	}
-	return nil
-}
-
-// leafSelection is the leaf's reference content: the brute-force selection
-// over the MID's store (not the master's model) — a leaf can only be as
-// fresh as its supplier.
-func (h *cascadeHarness) leafSelection(spec query.Query) map[string]*entry.Entry {
-	out := make(map[string]*entry.Entry)
-	for _, e := range h.mid.frep.Store().All() {
-		if !spec.InScope(e.DN()) {
-			continue
-		}
-		if spec.Filter != nil && !spec.Filter.Matches(e) {
-			continue
-		}
-		out[e.DN().Norm()] = e.Select(spec.Attrs)
-	}
-	return out
-}
-
-// leafPoll performs one leaf exchange against the mid-tier engine, with
-// exact-minimality and convergence checks against the mid's store.
-func (h *cascadeHarness) leafPoll(r *replicaSt, lost bool) *Failure {
-	var res *resync.PollResult
-	var err error
-	full := false
-	if !r.begun {
-		res, err = h.mid.eng.Begin(r.spec)
-		full = true
-	} else {
-		res, err = h.mid.eng.Poll(r.cookie)
-		if errors.Is(err, resync.ErrNoSuchSession) && !lost {
-			r.content = make(map[string]*entry.Entry)
-			r.begun = false
-			res, err = h.mid.eng.Begin(r.spec)
-			full = true
-		}
-	}
-	if lost {
-		return nil
-	}
-	if err != nil {
-		return h.fail("leaf poll %q: %v", r.spec, err)
-	}
-	if h.rep != nil {
-		h.rep.Polls++
-	}
-	ref := h.leafSelection(r.spec)
-	before := copyContent(r.content)
-	if full || res.FullReload {
-		r.content = make(map[string]*entry.Entry)
-		for _, u := range res.Updates {
-			if u.Action != resync.ActionAdd {
-				return h.fail("leaf full transfer for %q contains %s PDU for %s", r.spec, u.Action, u.DN)
-			}
-			r.content[u.DN.Norm()] = u.Entry
-		}
-	} else {
-		if f := h.applyIncremental(r, res.Updates); f != nil {
-			return f
-		}
-		if f := h.checkMinimal(r.spec, before, ref, res.Updates, "cascade leaf poll"); f != nil {
-			return f
-		}
-	}
-	r.cookie, r.begun = res.Cookie, true
-	if diff := describeDiff(r.content, ref); diff != "" {
-		return h.fail("leaf %q diverged from mid-tier reference:\n%s", r.spec, diff)
-	}
-	return nil
-}
-
-// storeSnapshot captures a replica store's content by normalized DN.
-func storeSnapshot(frep *replica.FilterReplica) map[string]*entry.Entry {
-	out := make(map[string]*entry.Entry)
-	for _, e := range frep.Store().All() {
-		out[e.DN().Norm()] = e
-	}
-	return out
-}
-
-// RunCascade executes an engine-level cascade oracle run.
-func RunCascade(cfg CascadeConfig) *Report {
-	cfg.fillDefaults()
-	rep := &Report{}
-	for h := 0; h < cfg.Histories; h++ {
-		hseed := historySeed(cfg.Seed, h)
-		events := genCascadeHistory(cfg, hseed)
-		if f := runCascadeEngine(hseed, cfg.Shards, events, rep); f != nil {
-			f.History = events
-			f.Minimal = shrinkEvents(events, func(ev []Event) bool {
-				return runCascadeEngine(hseed, cfg.Shards, ev, nil) != nil
-			})
-			f.Replay = replayCmd("TestOracleCascadeSweep", hseed, cfg.Steps)
-			rep.Failure = f
-			return rep
-		}
-		rep.Histories++
-	}
-	return rep
-}
-
-// --- Wire-level cascade -----------------------------------------------------
-
-// CascadeWireConfig parameterizes a wire-level three-tier run. Chaos is
-// always on, on both the master↔tier and tier↔leaf links.
-type CascadeWireConfig struct {
-	Seed      int64
-	Histories int
-	Steps     int
-}
-
-func (c *CascadeWireConfig) fillDefaults() {
-	if c.Histories <= 0 {
-		c.Histories = 1
-	}
-	if c.Steps <= 0 {
-		c.Steps = 18
-	}
 }
 
 // genCascadeWireHistory: operations, convergence checkpoints, and
 // server-side session ends against the TIER's engine (leaf sessions live
-// at the mid-tier, not the master).
-func genCascadeWireHistory(cfg CascadeWireConfig, hseed int64, nLeaves int) []Event {
-	gen := sim.NewOpGen(synthWireConfig(hseed))
-	rng := rand.New(rand.NewSource(hseed*40503 + 7))
-	events := make([]Event, 0, cfg.Steps+1)
-	for i := 0; i < cfg.Steps; i++ {
-		r := rng.Float64()
-		switch {
-		case r < 0.72:
-			events = append(events, Event{Kind: EvOp, Op: gen.Next()})
-		case r < 0.92:
-			events = append(events, Event{Kind: EvPoll})
-		default:
-			events = append(events, Event{Kind: EvEnd, Rep: rng.Intn(nLeaves)})
-		}
-	}
-	return append(events, Event{Kind: EvPoll})
-}
-
-// RunCascadeWire executes wire-level three-tier histories.
-func RunCascadeWire(cfg CascadeWireConfig) *Report {
-	cfg.fillDefaults()
-	rep := &Report{}
-	for h := 0; h < cfg.Histories; h++ {
-		hseed := historySeed(cfg.Seed, h)
-		events := genCascadeWireHistory(cfg, hseed, 2)
-		if f := runCascadeWire(hseed, events, rep); f != nil {
-			f.History = events
-			f.Replay = replayCmd("TestOracleCascadeWireSweep", hseed, cfg.Steps)
-			rep.Failure = f
-			return rep
-		}
-		rep.Histories++
-	}
-	return rep
+// at the mid-tier, not the master) for one of the two cascaded leaves.
+func genCascadeWireHistory(cfg Config, hseed int64) []Event {
+	return genCheckpoints(cfg, hseed, hseed*40503+7, 2)
 }
 
 // runCascadeWire stands up master → cascade.Tier → leaves with chaos on
 // both links, plus one leaf whose spec the tier must reject (diverting it
 // to the fallback master) and one leaf attached directly to the master for
 // the indistinguishability check.
-func runCascadeWire(hseed int64, events []Event, rep *Report) *Failure {
-	st, err := sim.BuildSynthStore(synthWireConfig(hseed))
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "build synthetic store: " + err.Error()}
+func runCascadeWire(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
+	h, f := newHist(cfg, hseed, rep, synthWireConfig(hseed))
+	if f != nil {
+		return f
 	}
-	mdl := newModel(st)
-	backend := ldapnet.NewStoreBackend(st)
-
-	chaosPlan := func(seed int64) chaos.Plan {
-		return chaos.Plan{
-			Seed:               seed,
-			DropEveryNOps:      89,
-			RefuseEveryNthConn: 9,
-			LatencyMax:         300 * time.Microsecond,
-		}
+	w := &wireNet{h: h}
+	defer w.close()
+	// Master link: the tier and the direct/fallback consumers dial dialA.
+	masterAddr, dialA, f := w.serve(ldapnet.NewStoreBackend(h.st), true, hseed)
+	if f != nil {
+		return f
 	}
-
-	// Master link (tier and direct/fallback consumers dial through injA).
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "listen: " + err.Error()}
+	tier, f := w.tier(masterAddr, dialA, hseed, cascadeMidSpec())
+	if f != nil {
+		return f
 	}
-	injA := chaos.New(chaosPlan(hseed))
-	masterAddr := lnA.Addr().String()
-	masterSrv := ldapnet.ServeListener(injA.Listener(lnA), backend)
-	defer masterSrv.Close()
-
-	// Mid-tier over the real cascade subsystem.
-	tier, err := cascade.New(cascade.Config{
-		Upstream:     masterAddr,
-		Specs:        []query.Query{cascadeMidSpec()},
-		PollInterval: 3 * time.Millisecond,
-		BackoffBase:  2 * time.Millisecond,
-		BackoffMax:   40 * time.Millisecond,
-		DialTimeout:  2 * time.Second,
-		Seed:         hseed,
-		Dial:         injA.Dial(nil),
-	})
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "new tier: " + err.Error()}
+	// Tier link: the leaves dial dialB.
+	tierAddr, dialB, f := w.serve(ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://"+masterAddr), true, hseed+101)
+	if f != nil {
+		return f
 	}
-	tier.Start()
-	defer tier.Stop()
-
-	// Tier link (leaves dial through injB).
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "listen: " + err.Error()}
+	leaf := func(spec query.Query, upstream, fallback string, mode supervisor.Mode, dial ldapnet.DialFunc, i int) (*wireLeaf, *Failure) {
+		return w.leaf(supervisor.Config{Master: upstream, Fallback: fallback, RetryUpstreamAfter: time.Hour,
+			Spec: spec, Mode: mode, Seed: hseed + int64(i), Dial: dial})
 	}
-	injB := chaos.New(chaosPlan(hseed + 101))
-	tierAddr := lnB.Addr().String()
-	tierSrv := ldapnet.ServeListener(injB.Listener(lnB),
-		ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://"+masterAddr))
-	defer tierSrv.Close()
-
-	type wireLeaf struct {
-		frep *replica.FilterReplica
-		sup  *supervisor.Supervisor
-		spec query.Query
-	}
-	newLeaf := func(spec query.Query, upstream, fallback string, mode supervisor.Mode, dial ldapnet.DialFunc, i int) (*wireLeaf, *Failure) {
-		frep, err := replica.NewFilterReplica()
-		if err != nil {
-			return nil, &Failure{HistorySeed: hseed, Msg: "new replica: " + err.Error()}
-		}
-		sup, err := supervisor.New(supervisor.Config{
-			Master:             upstream,
-			Fallback:           fallback,
-			RetryUpstreamAfter: time.Hour,
-			Spec:               spec,
-			Mode:               mode,
-			PollInterval:       3 * time.Millisecond,
-			IdleTimeout:        300 * time.Millisecond,
-			BackoffBase:        2 * time.Millisecond,
-			BackoffMax:         40 * time.Millisecond,
-			DialTimeout:        2 * time.Second,
-			Seed:               hseed + int64(i),
-			Dial:               dial,
-		}, frep)
-		if err != nil {
-			return nil, &Failure{HistorySeed: hseed, Msg: "new supervisor: " + err.Error()}
-		}
-		sup.Start()
-		return &wireLeaf{frep: frep, sup: sup, spec: spec}, nil
-	}
-
 	leafSpecs := cascadeLeafSpecs()[:2]
-	var leaves []*wireLeaf
-	defer func() {
-		for _, w := range leaves {
-			_ = w.sup.Stop()
-		}
-	}()
 	for i, spec := range leafSpecs {
 		mode := supervisor.ModePoll
 		if i%2 == 1 {
 			mode = supervisor.ModePersist
 		}
-		w, f := newLeaf(spec, tierAddr, masterAddr, mode, injB.Dial(nil), i)
-		if f != nil {
+		if _, f := leaf(spec, tierAddr, masterAddr, mode, dialB, i); f != nil {
 			return f
 		}
-		leaves = append(leaves, w)
 	}
 	// The outsider's spec is not contained in the tier's stored queries:
 	// it must be rejected and diverted to the fallback master.
 	outSpec := query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(grp=2)")
-	outsider, f := newLeaf(outSpec, tierAddr, masterAddr, supervisor.ModePoll, injB.Dial(nil), 7)
+	outsider, f := leaf(outSpec, tierAddr, masterAddr, supervisor.ModePoll, dialB, 7)
 	if f != nil {
 		return f
 	}
-	leaves = append(leaves, outsider)
-	// Control replica: same spec as leaves[0], attached directly to the
-	// master — the cascaded leaf must be indistinguishable from it.
-	direct, f := newLeaf(leafSpecs[0], masterAddr, "", supervisor.ModePoll, injA.Dial(nil), 11)
+	// Control replica: same spec as the first leaf, attached directly to
+	// the master — the cascaded leaf must be indistinguishable from it.
+	direct, f := leaf(leafSpecs[0], masterAddr, "", supervisor.ModePoll, dialA, 11)
 	if f != nil {
 		return f
 	}
-	leaves = append(leaves, direct)
 
-	if rep != nil {
-		defer func() {
-			for _, w := range leaves {
-				rep.Polls += int(w.sup.Exchanges())
-			}
-		}()
-	}
-
-	for i, ev := range events {
-		if rep != nil {
-			rep.Events++
-		}
+	if f := h.play(events, func(ev Event) *Failure {
 		switch ev.Kind {
-		case EvOp:
-			if !mdl.valid(ev.Op) {
-				continue
-			}
-			if err := sim.ApplyOp(st, ev.Op); err != nil {
-				return &Failure{HistorySeed: hseed, Step: i,
-					Msg: fmt.Sprintf("op %q valid in model but rejected by store: %v", ev.Op, err)}
-			}
-			mdl.apply(ev.Op)
 		case EvPoll: // checkpoint: tier first, then every leaf
-			if f := waitTierConverged(tier, mdl, hseed); f != nil {
-				f.Step = i
+			if f := h.settles("mid tier", tier.Replica().Store(), func() []query.Query {
+				return []query.Query{cascadeMidSpec()}
+			}); f != nil {
 				return f
 			}
-			for ri, w := range leaves {
-				if f := waitConverged(w.frep, w.sup, mdl, w.spec, ri, hseed); f != nil {
-					f.Step = i
-					return f
-				}
-			}
+			return w.allSettled()
 		case EvEnd: // operator abandons a leaf session at the TIER
-			if c := leaves[ev.Rep].sup.Cookie(); c != "" {
+			if c := w.leaves[ev.Rep].sup.Cookie(); c != "" {
 				_ = tier.Engine().End(c)
 			}
 		}
+		return nil
+	}); f != nil {
+		return f
 	}
 
 	// Topology assertions: the outsider was rejected by the tier and now
 	// synchronizes against the fallback master; the cascaded leaf is
 	// indistinguishable from the directly-attached control.
 	if got := tier.Counters().Rejected.Load(); got < 1 {
-		return &Failure{HistorySeed: hseed,
-			Msg: fmt.Sprintf("tier rejected %d sessions, want >= 1 (outsider spec %q)", got, outSpec)}
+		return h.fail("tier rejected %d sessions, want >= 1 (outsider spec %q)", got, outSpec)
 	}
 	if got := outsider.sup.Counters().UpstreamFallbacks.Load(); got < 1 {
-		return &Failure{HistorySeed: hseed, Msg: "outsider leaf never diverted to the fallback master"}
+		return h.fail("outsider leaf never diverted to the fallback master")
 	}
 	if got := outsider.sup.Target(); got != masterAddr {
-		return &Failure{HistorySeed: hseed,
-			Msg: fmt.Sprintf("outsider target = %s, want fallback master %s", got, masterAddr)}
+		return h.fail("outsider target = %s, want fallback master %s", got, masterAddr)
 	}
 	if got := tier.Counters().Admitted.Load(); got < int64(len(leafSpecs)) {
-		return &Failure{HistorySeed: hseed,
-			Msg: fmt.Sprintf("tier admitted %d sessions, want >= %d", got, len(leafSpecs))}
+		return h.fail("tier admitted %d sessions, want >= %d", got, len(leafSpecs))
 	}
-	if diff := describeDiff(wireSnapshot(leaves[0].frep), wireSnapshot(direct.frep)); diff != "" {
-		return &Failure{HistorySeed: hseed,
-			Msg: "leaf-via-tier differs from leaf-attached-direct after convergence:\n" + diff}
+	if diff := describeDiff(snapshot(w.leaves[0].frep.Store()), snapshot(direct.frep.Store())); diff != "" {
+		return h.fail("leaf-via-tier differs from leaf-attached-direct after convergence:\n%s", diff)
 	}
 	return nil
-}
-
-// waitTierConverged blocks until the tier's store equals the reference
-// selection of the mid spec.
-func waitTierConverged(tier *cascade.Tier, mdl model, hseed int64) *Failure {
-	spec := cascadeMidSpec()
-	ref := mdl.selection(spec)
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		got := make(map[string]*entry.Entry)
-		for _, e := range tier.Replica().Store().All() {
-			got[e.DN().Norm()] = e
-		}
-		diff := describeDiff(got, ref)
-		if diff == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return &Failure{HistorySeed: hseed, Msg: fmt.Sprintf(
-				"mid tier (%q) did not converge within 15s:\n%s", spec, diff)}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }

@@ -60,26 +60,7 @@ func (w EdgeWrite) String() string {
 	}
 }
 
-// EdgeConfig parameterizes an edge-write oracle run.
-type EdgeConfig struct {
-	Seed      int64
-	Histories int
-	Steps     int
-	// Shards overrides the master store's shard count (0 = store default);
-	// see the shard sweep in shards.go.
-	Shards int
-}
-
-func (c *EdgeConfig) fillDefaults() {
-	if c.Histories <= 0 {
-		c.Histories = 12
-	}
-	if c.Steps <= 0 {
-		c.Steps = 60
-	}
-}
-
-// edgeSequencer is the harness's master: it applies forwarded ops to the
+// edgeSequencer is the preset's master: it applies forwarded ops to the
 // real store under the dedup-by-op-id contract and injects the two chaos
 // faults the 2PC-style exchange must survive — a transport failure before
 // the op reaches the sequencer (kill-before-forward) and a lost commit
@@ -87,13 +68,11 @@ func (c *EdgeConfig) fillDefaults() {
 // deterministic in the forward-call count, so histories replay and shrink
 // exactly.
 type edgeSequencer struct {
-	st      *dit.Store
-	mdl     model
+	h       *hist
 	seen    map[string]uint64
 	applies map[string]int
 	calls   int
 	chaos   bool
-	rep     *Report
 }
 
 func (m *edgeSequencer) Forward(c dit.Change, opID string) (uint64, bool, error) {
@@ -102,21 +81,21 @@ func (m *edgeSequencer) Forward(c dit.Change, opID string) (uint64, bool, error)
 		return 0, false, fmt.Errorf("injected: connection lost before forward")
 	}
 	if csn, ok := m.seen[opID]; ok {
-		if m.rep != nil {
-			m.rep.EdgeDuplicates++
+		if m.h.rep != nil {
+			m.h.rep.EdgeDuplicates++
 		}
 		return csn, true, nil
 	}
-	csn, err := m.st.ApplyCSN(c)
+	csn, err := m.h.st.ApplyCSN(c)
 	if err != nil {
 		// A definitive sequencer verdict, not a transport fault.
 		return 0, false, &edgewrite.PermanentError{Err: err}
 	}
 	m.applies[opID]++
 	m.seen[opID] = uint64(csn)
-	m.mdl.applyChange(m.st, c)
-	if m.rep != nil {
-		m.rep.EdgeApplied++
+	m.h.mdl.applyChange(m.h.st, c)
+	if m.h.rep != nil {
+		m.h.rep.EdgeApplied++
 	}
 	if m.chaos && m.calls%11 == 0 {
 		// Applied and sequenced, but the replica never hears: the op stays
@@ -144,28 +123,23 @@ func (m model) applyChange(st *dit.Store, c dit.Change) {
 	}
 }
 
-// edgeHarness drives one edge-write history: a master store + engine, one
-// leaf replica polling one spec, and an edge writer journaling to a real
-// on-disk WAL that survives EvEdgeCrash reopens.
-type edgeHarness struct {
-	cfg    EdgeConfig
-	seed   int64
+// edge drives one Edge history: a master store + engine, one leaf replica
+// polling one spec, and an edge writer journaling to a real on-disk WAL
+// that survives EvEdgeCrash reopens.
+type edge struct {
+	*hist
 	seq    *edgeSequencer
 	eng    *resync.Engine
-	gen    *sim.OpGen
-	spec   query.Query
 	key    string
-	leaf   *replicaSt
+	leaf   *consumer
 	w      *edgewrite.Writer
 	walDir string
-	rep    *Report
 
 	// Own-write expectations: what the writing client must read back, by
 	// normalized DN (nil = must be absent), plus the live targets
 	// modify/delete events can pick from.
-	own     map[string]*entry.Entry
+	own     model
 	ownDNs  []dn.DN
-	wfails  int // forward failures surfaced as ErrPending (for the log)
 	mustRYW bool
 }
 
@@ -175,187 +149,110 @@ func edgeSpec() query.Query {
 	return query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(grp=1)")
 }
 
-func (h *edgeHarness) fail(format string, args ...any) *Failure {
-	return &Failure{HistorySeed: h.seed, Msg: fmt.Sprintf(format, args...)}
-}
-
 // openWriter (re)opens the edge writer over the history's WAL directory.
-func (h *edgeHarness) openWriter() error {
+func (x *edge) openWriter() error {
+	held := func(d dn.DN) (*entry.Entry, bool) {
+		e, ok := x.leaf.content[d.Norm()]
+		return e, ok
+	}
 	w, err := edgewrite.Open(edgewrite.Config{
-		Dir:       h.walDir,
+		Dir:       x.walDir,
 		ReplicaID: "oracle-leaf",
-		Forward:   h.seq,
-		Admit: edgewrite.Admitter([]query.Query{h.spec}, func(d dn.DN) (*entry.Entry, bool) {
-			e, ok := h.leaf.content[d.Norm()]
-			return e, ok
-		}),
-		Lookup: func(d dn.DN) (*entry.Entry, bool) {
-			e, ok := h.leaf.content[d.Norm()]
-			return e, ok
-		},
+		Forward:   x.seq,
+		Admit:     edgewrite.Admitter([]query.Query{x.leaf.spec}, held),
+		Lookup:    held,
 	})
 	if err != nil {
 		return err
 	}
-	w.RegisterSource(h.key)
-	h.w = w
+	w.RegisterSource(x.key)
+	x.w = w
 	return nil
 }
 
-// runEdge executes one edge-write history, returning the first divergence.
-func runEdge(cfg EdgeConfig, hseed int64, events []Event, rep *Report) *Failure {
-	st, err := sim.BuildSynthStore(synthConfig(hseed, cfg.Shards))
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "build synthetic store: " + err.Error()}
+// runEdge executes one Edge history.
+func runEdge(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
+	h, f := newHist(cfg, hseed, rep, synthConfig(hseed, cfg.Shards))
+	if f != nil {
+		return f
 	}
 	walDir, err := os.MkdirTemp("", "oracle-edgewal-")
 	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "wal dir: " + err.Error()}
+		return h.fail("wal dir: %v", err)
 	}
 	defer os.RemoveAll(walDir)
 
-	h := &edgeHarness{
-		cfg:    cfg,
-		seed:   hseed,
-		seq:    &edgeSequencer{st: st, mdl: newModel(st), seen: make(map[string]uint64), applies: make(map[string]int), chaos: true, rep: rep},
-		eng:    resync.NewEngine(st),
-		spec:   edgeSpec(),
-		leaf:   &replicaSt{content: make(map[string]*entry.Entry)},
-		own:    make(map[string]*entry.Entry),
-		rep:    rep,
+	x := &edge{
+		hist:   h,
+		seq:    &edgeSequencer{h: h, seen: make(map[string]uint64), applies: make(map[string]int), chaos: true},
+		eng:    resync.NewEngine(h.st),
+		key:    edgeSpec().Key(),
+		leaf:   consumers([]query.Query{edgeSpec()})[0],
+		own:    make(model),
 		walDir: walDir,
 	}
-	h.leaf.spec = h.spec
-	h.key = h.spec.Key()
-	if err := h.openWriter(); err != nil {
+	if err := x.openWriter(); err != nil {
 		return h.fail("open edge writer: %v", err)
 	}
-
-	for i, ev := range events {
-		if rep != nil {
-			rep.Events++
-		}
-		if f := h.exec(ev); f != nil {
-			f.Step = i
-			return f
-		}
+	if f := h.play(events, x.exec); f != nil {
+		return f
 	}
-	if f := h.finish(); f != nil {
+	if f := x.finish(); f != nil {
 		return f
 	}
 	if rep != nil {
-		rep.ContentHash = foldContent(rep.ContentHash, h.leaf.content)
-		rep.ContentHash = foldEntries(rep.ContentHash, st.All())
+		rep.ContentHash = foldContent(rep.ContentHash, x.leaf.content)
+		rep.ContentHash = foldEntries(rep.ContentHash, h.st.All())
 	}
 	return nil
 }
 
-func (h *edgeHarness) exec(ev Event) *Failure {
+func (x *edge) exec(ev Event) *Failure {
 	switch ev.Kind {
-	case EvOp:
-		if !h.seq.mdl.valid(ev.Op) {
-			return nil
-		}
-		if err := sim.ApplyOp(h.seq.st, ev.Op); err != nil {
-			return h.fail("op %q valid in model but rejected by store: %v", ev.Op, err)
-		}
-		h.seq.mdl.apply(ev.Op)
-		return nil
 	case EvPoll:
-		return h.doPoll(ev.Lost)
+		return x.poll(ev.Lost)
 	case EvEdgeWrite:
-		return h.doWrite(ev.W)
+		return x.write(ev.W)
 	case EvEdgeCrash:
-		h.w.Close()
-		if err := h.openWriter(); err != nil {
-			return h.fail("reopen edge writer after crash: %v", err)
+		x.w.Close()
+		if err := x.openWriter(); err != nil {
+			return x.fail("reopen edge writer after crash: %v", err)
 		}
-		return h.checkReadYourWrites("crash recovery")
+		return x.checkReadYourWrites("crash recovery")
 	case EvEdgeReplay:
-		h.w.Replay()
-		return h.checkReadYourWrites("replay")
+		x.w.Replay()
+		return x.checkReadYourWrites("replay")
 	}
-	return h.fail("unknown event kind %d in edge history", ev.Kind)
+	return x.fail("unknown event kind %d in edge history", ev.Kind)
 }
 
-// doPoll runs one leaf sync exchange and feeds the response's CSN
-// watermark to the writer — the echo that retires pending ops.
-func (h *edgeHarness) doPoll(lost bool) *Failure {
-	r := h.leaf
-	var res *resync.PollResult
-	var err error
-	full := false
-	if !r.begun {
-		res, err = h.eng.Begin(r.spec)
-		full = true
-	} else {
-		res, err = h.eng.Poll(r.cookie)
-		if errors.Is(err, resync.ErrNoSuchSession) && !lost {
-			r.content = make(map[string]*entry.Entry)
-			r.begun = false
-			res, err = h.eng.Begin(r.spec)
-			full = true
-		}
+// poll runs one leaf exchange and feeds the response's CSN watermark to
+// the writer — the echo that retires pending ops. The traffic fingerprint
+// folds what the leaf received.
+func (x *edge) poll(lost bool) *Failure {
+	res, f := x.exchange(x.eng, x.leaf, lost, x.mdl)
+	if f != nil || res == nil {
+		return f
 	}
-	if lost {
-		return nil
+	if x.rep != nil {
+		x.rep.TrafficHash = foldUpdates(x.rep.TrafficHash, res.Updates)
 	}
-	if err != nil {
-		return h.fail("poll %q: %v", r.spec, err)
-	}
-	if h.rep != nil {
-		h.rep.Polls++
-		h.rep.TrafficHash = foldUpdates(h.rep.TrafficHash, res.Updates)
-	}
-	if full || res.FullReload {
-		r.content = make(map[string]*entry.Entry)
-		for _, u := range res.Updates {
-			if u.Action != resync.ActionAdd {
-				return h.fail("full transfer contains %s PDU for %s", u.Action, u.DN)
-			}
-			r.content[u.DN.Norm()] = u.Entry
-		}
-	} else {
-		for _, u := range res.Updates {
-			switch u.Action {
-			case resync.ActionAdd, resync.ActionModify:
-				img := u.Image(heldFor(r.content, u))
-				if img == nil {
-					return h.fail("patch for %s, which the leaf does not hold", u.DN)
-				}
-				if u.IsMove() {
-					delete(r.content, u.OldDN.Norm())
-				}
-				r.content[u.DN.Norm()] = img
-			case resync.ActionDelete:
-				delete(r.content, u.DN.Norm())
-			default:
-				return h.fail("unexpected %s PDU in poll", u.Action)
-			}
-		}
-	}
-	r.cookie = res.Cookie
-	r.begun = true
-
 	if res.CSN == 0 {
-		return h.fail("poll response carried no CSN watermark")
+		return x.fail("poll response carried no CSN watermark")
 	}
-	h.w.SetWatermark(h.key, res.CSN)
+	x.w.SetWatermark(x.key, res.CSN)
 
-	// The poll synced the leaf to the master's current state, so the
-	// replica must converge and every committed edge op must have retired.
-	if diff := describeDiff(r.content, h.seq.mdl.selection(r.spec)); diff != "" {
-		return h.fail("replica diverged after poll:\n%s", diff)
+	// The poll synced the leaf to the master's current state, so every
+	// committed edge op must have retired.
+	if p, u := x.w.Pending(), x.w.PendingUncommitted(); p != u {
+		return x.fail("poll synced to CSN %d but %d committed ops failed to retire", res.CSN, p-u)
 	}
-	if p, u := h.w.Pending(), h.w.PendingUncommitted(); p != u {
-		return h.fail("poll synced to CSN %d but %d committed ops failed to retire", res.CSN, p-u)
-	}
-	return h.checkReadYourWrites("poll")
+	return x.checkReadYourWrites("poll")
 }
 
-// doWrite submits one edge write and records what the writing client must
+// write submits one edge write and records what the writing client must
 // now read back.
-func (h *edgeHarness) doWrite(wv EdgeWrite) *Failure {
+func (x *edge) write(wv EdgeWrite) *Failure {
 	var c dit.Change
 	var want *entry.Entry
 	var norm string
@@ -363,10 +260,10 @@ func (h *edgeHarness) doWrite(wv EdgeWrite) *Failure {
 	case edgeAdd:
 		e := sim.SynthEntry("ew"+strconv.Itoa(wv.Seq), 1, wv.Val)
 		norm = e.DN().Norm()
-		if _, ok := h.seq.mdl[norm]; ok {
+		if _, ok := x.mdl[norm]; ok {
 			return nil // replayed under shrinking with the add already live
 		}
-		if _, ok := h.own[norm]; ok {
+		if _, ok := x.own[norm]; ok {
 			return nil
 		}
 		c = dit.Change{Type: dit.ChangeAdd, DN: e.DN(), After: e}
@@ -375,12 +272,12 @@ func (h *edgeHarness) doWrite(wv EdgeWrite) *Failure {
 		// Only target settled entries (all prior writes retired and synced):
 		// the overlay computes images from synced content, so an unsettled
 		// base would make the read-your-writes expectation ambiguous.
-		if h.w.Pending() != 0 || len(h.ownDNs) == 0 {
+		if x.w.Pending() != 0 || len(x.ownDNs) == 0 {
 			return nil
 		}
-		d := h.ownDNs[wv.Pick%len(h.ownDNs)]
+		d := x.ownDNs[wv.Pick%len(x.ownDNs)]
 		norm = d.Norm()
-		base, held := h.leaf.content[norm]
+		base, held := x.leaf.content[norm]
 		if !held {
 			return nil
 		}
@@ -392,65 +289,70 @@ func (h *edgeHarness) doWrite(wv EdgeWrite) *Failure {
 			c = dit.Change{Type: dit.ChangeDelete, DN: d}
 		}
 	default:
-		return h.fail("unknown edge write kind %d", wv.Kind)
+		return x.fail("unknown edge write kind %d", wv.Kind)
 	}
 
-	_, err := h.w.Submit(c)
+	_, err := x.w.Submit(c)
 	switch {
-	case err == nil:
-	case errors.Is(err, edgewrite.ErrPending):
-		h.wfails++
+	case err == nil, errors.Is(err, edgewrite.ErrPending):
 	case errors.Is(err, edgewrite.ErrRejected):
 		return nil // target not held locally yet; a real replica refers the client
 	default:
-		return h.fail("edge %s refused: %v", wv, err)
+		return x.fail("edge %s refused: %v", wv, err)
 	}
 
-	if h.rep != nil {
-		h.rep.EdgeAccepted++
+	if x.rep != nil {
+		x.rep.EdgeAccepted++
 	}
-	h.own[norm] = want
+	x.own[norm] = want
 	switch wv.Kind {
 	case edgeAdd:
-		h.ownDNs = append(h.ownDNs, c.DN)
+		x.ownDNs = append(x.ownDNs, c.DN)
 	case edgeDelete:
-		for i, d := range h.ownDNs {
+		for i, d := range x.ownDNs {
 			if d.Norm() == norm {
-				h.ownDNs = append(h.ownDNs[:i], h.ownDNs[i+1:]...)
+				x.ownDNs = append(x.ownDNs[:i], x.ownDNs[i+1:]...)
 				break
 			}
 		}
 	}
-	h.mustRYW = true
-	return h.checkReadYourWrites("submit")
+	x.mustRYW = true
+	return x.checkReadYourWrites("submit")
+}
+
+// overlay is the writing client's answer over everything the leaf holds,
+// and the number of entries it was computed from.
+func (x *edge) overlay() (model, int) {
+	entries := make([]*entry.Entry, 0, len(x.leaf.content))
+	for _, e := range x.leaf.content {
+		entries = append(entries, e)
+	}
+	answer := x.w.Overlay(x.leaf.spec, entries)
+	byNorm := make(model, len(answer))
+	for _, e := range answer {
+		byNorm[e.DN().Norm()] = e
+	}
+	return byNorm, len(entries)
 }
 
 // checkReadYourWrites asserts the writing client's view: every own write —
 // from the moment Submit accepted it, through crash recovery and replay,
 // past retirement — is reflected in the overlaid answer, and every own
 // delete stays invisible.
-func (h *edgeHarness) checkReadYourWrites(phase string) *Failure {
-	if !h.mustRYW {
+func (x *edge) checkReadYourWrites(phase string) *Failure {
+	if !x.mustRYW {
 		return nil
 	}
-	entries := make([]*entry.Entry, 0, len(h.leaf.content))
-	for _, e := range h.leaf.content {
-		entries = append(entries, e)
-	}
-	answer := h.w.Overlay(h.spec, entries)
-	byNorm := make(map[string]*entry.Entry, len(answer))
-	for _, e := range answer {
-		byNorm[e.DN().Norm()] = e
-	}
-	for norm, want := range h.own {
+	byNorm, _ := x.overlay()
+	for norm, want := range x.own {
 		got, ok := byNorm[norm]
 		switch {
 		case want == nil && ok:
-			return h.fail("%s: own delete of %s is visible again (read-your-writes broken)", phase, norm)
+			return x.fail("%s: own delete of %s is visible again (read-your-writes broken)", phase, norm)
 		case want != nil && !ok:
-			return h.fail("%s: own write of %s invisible to the writer (read-your-writes broken)", phase, norm)
+			return x.fail("%s: own write of %s invisible to the writer (read-your-writes broken)", phase, norm)
 		case want != nil && !got.Equal(want):
-			return h.fail("%s: own write of %s reads back wrong:\n  got  %s\n  want %s", phase, norm, got, want)
+			return x.fail("%s: own write of %s reads back wrong:\n  got  %s\n  want %s", phase, norm, got, want)
 		}
 	}
 	return nil
@@ -459,53 +361,45 @@ func (h *edgeHarness) checkReadYourWrites(phase string) *Failure {
 // finish drains the history: chaos off, replay until every journaled op
 // commits, one final poll to echo the last CSN, then the convergence,
 // overlay-identity and exactly-once assertions.
-func (h *edgeHarness) finish() *Failure {
-	defer h.w.Close()
-	h.seq.chaos = false
-	for i := 0; i < 100 && h.w.PendingUncommitted() > 0; i++ {
-		h.w.Replay()
+func (x *edge) finish() *Failure {
+	defer x.w.Close()
+	x.seq.chaos = false
+	for i := 0; i < 100 && x.w.PendingUncommitted() > 0; i++ {
+		x.w.Replay()
 	}
-	if n := h.w.PendingUncommitted(); n != 0 {
-		return h.fail("drain: %d ops still uncommitted with chaos disabled", n)
+	if n := x.w.PendingUncommitted(); n != 0 {
+		return x.fail("drain: %d ops still uncommitted with chaos disabled", n)
 	}
-	if f := h.doPoll(false); f != nil {
+	if f := x.poll(false); f != nil {
 		return f
 	}
-	if n := h.w.Pending(); n != 0 {
-		return h.fail("drain: %d ops still pending after the final CSN echo", n)
+	if n := x.w.Pending(); n != 0 {
+		return x.fail("drain: %d ops still pending after the final CSN echo", n)
 	}
 
 	// With nothing pending the overlay must be the identity: the writer's
 	// view and every other client's view are byte-identical.
-	entries := make([]*entry.Entry, 0, len(h.leaf.content))
-	for _, e := range h.leaf.content {
-		entries = append(entries, e)
+	got, in := x.overlay()
+	if len(got) != in {
+		return x.fail("overlay not identity after drain: %d entries in, %d out", in, len(got))
 	}
-	answer := h.w.Overlay(h.spec, entries)
-	if len(answer) != len(entries) {
-		return h.fail("overlay not identity after drain: %d entries in, %d out", len(entries), len(answer))
-	}
-	got := make(map[string]*entry.Entry, len(answer))
-	for _, e := range answer {
-		got[e.DN().Norm()] = e
-	}
-	if diff := describeDiff(got, h.seq.mdl.selection(h.spec)); diff != "" {
-		return h.fail("writer's drained view diverged from reference:\n%s", diff)
+	if diff := describeDiff(got, x.mdl.selection(x.leaf.spec)); diff != "" {
+		return x.fail("writer's drained view diverged from reference:\n%s", diff)
 	}
 
 	// Exactly-once at the sequencer: every forwarded op id applied once, no
 	// matter how many crashes and replays its commit took.
-	for id, n := range h.seq.applies {
+	for id, n := range x.seq.applies {
 		if n != 1 {
-			return h.fail("op %s applied %d times at the sequencer (want exactly once)", id, n)
+			return x.fail("op %s applied %d times at the sequencer (want exactly once)", id, n)
 		}
 	}
 	return nil
 }
 
-// genEdgeHistory generates one edge-write history: master churn, leaf
-// polls (some lost), edge writes, replay passes and writer crashes.
-func genEdgeHistory(cfg EdgeConfig, hseed int64) []Event {
+// genEdgeHistory generates one Edge history: master churn, leaf polls
+// (some lost), edge writes, replay passes and writer crashes.
+func genEdgeHistory(cfg Config, hseed int64) []Event {
 	gen := sim.NewOpGen(synthConfig(hseed, 0))
 	rng := rand.New(rand.NewSource(hseed*2654435761 + 131))
 	seq := 0
@@ -534,29 +428,4 @@ func genEdgeHistory(cfg EdgeConfig, hseed int64) []Event {
 		}
 	}
 	return append(events, Event{Kind: EvPoll})
-}
-
-// RunEdge executes an edge-write oracle run: each history drives the edge
-// writer (real WAL on disk, crash/reopen, chaos-faulted forwards) against
-// the sequencer and the leaf's sync stream, asserting read-your-writes at
-// every step and byte-identical convergence plus exactly-once application
-// at the end.
-func RunEdge(cfg EdgeConfig) *Report {
-	cfg.fillDefaults()
-	rep := &Report{}
-	for hn := 0; hn < cfg.Histories; hn++ {
-		hseed := historySeed(cfg.Seed, hn)
-		events := genEdgeHistory(cfg, hseed)
-		if f := runEdge(cfg, hseed, events, rep); f != nil {
-			f.History = events
-			f.Minimal = shrinkEvents(events, func(ev []Event) bool {
-				return runEdge(cfg, hseed, ev, nil) != nil
-			})
-			f.Replay = replayCmd("TestOracleEdgeWriteSweep", hseed, cfg.Steps)
-			rep.Failure = f
-			return rep
-		}
-		rep.Histories++
-	}
-	return rep
 }

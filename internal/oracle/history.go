@@ -15,7 +15,8 @@ const (
 	// the master.
 	EvOp EventKind = iota + 1
 	// EvPoll performs one poll exchange for replica Rep; with Lost set the
-	// response is dropped on the wire after the server processed it.
+	// response is dropped on the wire after the server processed it. In
+	// wire histories it is a checkpoint: wait until every replica converged.
 	EvPoll
 	// EvRetain performs one incomplete-history (retain-mode) exchange.
 	EvRetain
@@ -28,12 +29,21 @@ const (
 	// EvEnd ends replica Rep's session server-side (operator abandon /
 	// restart); the replica only learns at its next exchange.
 	EvEnd
+	// EvShift is Adaptive's locality shift: content appears in a region the
+	// tier does not hold and a leaf population for it arrives.
+	EvShift
+	// EvCut cuts Resume's reload connection: once Rep chunks have applied,
+	// with journal-trimming churn committed at the cut, or with Lost set in
+	// the middle of chunk Rep's response.
+	EvCut
+	// EvBadTokens presents Resume's supplier a forged and a stale token.
+	EvBadTokens
 )
 
 // Event is one step of a history.
 type Event struct {
 	Kind EventKind
-	Rep  int    // replica index for session events
+	Rep  int    // replica index for session events; chunk index for EvCut
 	Lost bool   // EvPoll/EvRetain: response discarded in flight
 	Op   sim.Op // EvOp payload
 
@@ -59,6 +69,15 @@ func (e Event) String() string {
 		return fmt.Sprintf("poll r%d with corrupt cookie", e.Rep)
 	case EvEnd:
 		return fmt.Sprintf("sync_end r%d (server side)", e.Rep)
+	case EvShift:
+		return "locality shift: a leaf for content the tier does not hold"
+	case EvCut:
+		if e.Lost {
+			return fmt.Sprintf("cut inside chunk %d", e.Rep)
+		}
+		return fmt.Sprintf("cut after chunk %d, churn at the cut", e.Rep)
+	case EvBadTokens:
+		return "forged and stale resume tokens"
 	case EvEdgeWrite:
 		return "edge " + e.W.String()
 	case EvEdgeCrash:
@@ -70,11 +89,11 @@ func (e Event) String() string {
 	}
 }
 
-// genHistory generates the event sequence for one history,
-// deterministically from its seed. Operation generation (sim.OpGen) and
-// event-kind selection use independent streams so shrinking one does not
-// perturb the other. Every history ends with one poll per replica so the
-// final state is always convergence-checked.
+// genHistory generates a Flat history, deterministically from its seed.
+// Operation generation (sim.OpGen) and event-kind selection use independent
+// streams so shrinking one does not perturb the other. Every history ends
+// with one poll per replica so the final state is always
+// convergence-checked.
 func genHistory(cfg Config, hseed int64) []Event {
 	gen := sim.NewOpGen(synthConfig(hseed, 0))
 	rng := rand.New(rand.NewSource(hseed*2654435761 + 97))
@@ -104,4 +123,26 @@ func genHistory(cfg Config, hseed int64) []Event {
 		events = append(events, Event{Kind: EvPoll, Rep: i})
 	}
 	return events
+}
+
+// genCheckpoints generates a wire-level history: operations, convergence
+// checkpoints (EvPoll: polls themselves are driven autonomously by the
+// supervisors) and server-side session ends for one of nReps replicas. A
+// final checkpoint is appended.
+func genCheckpoints(cfg Config, hseed, rngSeed int64, nReps int) []Event {
+	gen := sim.NewOpGen(synthWireConfig(hseed))
+	rng := rand.New(rand.NewSource(rngSeed))
+	events := make([]Event, 0, cfg.Steps+1)
+	for i := 0; i < cfg.Steps; i++ {
+		r := rng.Float64()
+		switch {
+		case r < 0.72:
+			events = append(events, Event{Kind: EvOp, Op: gen.Next()})
+		case r < 0.92:
+			events = append(events, Event{Kind: EvPoll})
+		default:
+			events = append(events, Event{Kind: EvEnd, Rep: rng.Intn(nReps)})
+		}
+	}
+	return append(events, Event{Kind: EvPoll})
 }

@@ -8,18 +8,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"filterdir/internal/entry"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
-	"filterdir/internal/replica"
 	"filterdir/internal/resync"
 	"filterdir/internal/sim"
 	"filterdir/internal/supervisor"
 )
 
-// The resume oracle (this file) is the crash/resume gate for resumable
+// The Resume preset (this file) is the crash/resume gate for resumable
 // chunked full transfers (DESIGN.md §14). Per history it serializes one
 // reload shape — a synthetic DIT whose selected content spans several
 // chunks — and then replays that transfer under every interesting cut:
@@ -40,31 +38,9 @@ import (
 // reload's worth of chunks plus one re-sent chunk per cut. A cut at a
 // boundary re-sends nothing — reconnecting transfers only the remainder.
 
-// ResumeConfig parameterizes a resumable-reload oracle run.
-type ResumeConfig struct {
-	// Seed derives every history; equal seeds replay equal runs.
-	Seed int64
-	// Histories is the number of independent reload shapes swept.
-	Histories int
-	// Entries is the base synthetic DIT leaf count; each history grows it
-	// by a seed-derived amount so chunk geometries vary (default 15).
-	Entries int
-	// ChunkSize is the reload chunk size (0 = derived per history, 3..8).
-	ChunkSize int
-}
-
-func (c *ResumeConfig) fillDefaults() {
-	if c.Histories <= 0 {
-		c.Histories = 2
-	}
-	if c.Entries <= 0 {
-		c.Entries = 15
-	}
-}
-
 // resumeShape derives the history's reload geometry from its seed, so a
 // -oracle.n=1 replay reruns the same shape.
-func resumeShape(cfg ResumeConfig, hseed int64) (entries, chunk int) {
+func resumeShape(cfg Config, hseed int64) (entries, chunk int) {
 	mod := func(n int64, m int64) int {
 		r := n % m
 		if r < 0 {
@@ -94,21 +70,19 @@ func synthResumeConfig(hseed int64, entries int) sim.SynthConfig {
 // it exceeds the journal bound so an unpinned snapshot would be trimmed.
 const resumeChurn = 6
 
-// RunResume executes a resumable-reload oracle run.
-func RunResume(cfg ResumeConfig) *Report {
-	cfg.fillDefaults()
-	rep := &Report{}
-	for h := 0; h < cfg.Histories; h++ {
-		hseed := historySeed(cfg.Seed, h)
-		if f := runResume(cfg, hseed, rep); f != nil {
-			f.Replay = fmt.Sprintf(
-				"go test ./internal/oracle -run TestOracleResumeSweep -oracle.seed=%d -oracle.n=1", hseed)
-			rep.Failure = f
-			return rep
-		}
-		rep.Histories++
+// genResumeHistory lists the cuts the history's reload shape admits: after
+// every chunk but the last, inside every chunk, then the bad tokens.
+func genResumeHistory(cfg Config, hseed int64) []Event {
+	entries, chunk := resumeShape(cfg, hseed)
+	nchunks := (entries + chunk - 1) / chunk
+	var events []Event
+	for b := 1; b < nchunks; b++ {
+		events = append(events, Event{Kind: EvCut, Rep: b})
 	}
-	return rep
+	for j := 0; j < nchunks; j++ {
+		events = append(events, Event{Kind: EvCut, Rep: j, Lost: true})
+	}
+	return append(events, Event{Kind: EvBadTokens})
 }
 
 // resumeKill describes where one attempt cuts the replica's connection.
@@ -122,144 +96,158 @@ type resumeKill struct {
 // resumeResult carries one attempt's measurements.
 type resumeResult struct {
 	boundaries []int64 // cumulative conn-#1 bytes when chunk i's exchange applied
-	exchanges  int64
 	sup        metrics.ReplicaSnapshot
 	eng        metrics.SyncSnapshot
 }
 
-func runResume(cfg ResumeConfig, hseed int64, rep *Report) *Failure {
-	entries, chunk := resumeShape(cfg, hseed)
-	spec := query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(cn=e*)")
-	nchunks := (entries + chunk - 1) / chunk
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{HistorySeed: hseed, Msg: fmt.Sprintf(format, args...)}
-	}
+// resume is one Resume history: its reload shape and the uncut baseline's
+// measurements. Every attempt runs against a fresh master.
+type resume struct {
+	*hist
+	entries, chunk, nchunks int
+	spec                    query.Query
+	base                    *resumeResult
+}
+
+func runResume(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
+	r := &resume{hist: &hist{cfg: cfg, seed: hseed, rep: rep},
+		spec: query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(cn=e*)")}
+	r.entries, r.chunk = resumeShape(cfg, hseed)
+	r.nchunks = (r.entries + r.chunk - 1) / r.chunk
 
 	// Uncut baseline: pins the clean-geometry counters and measures the
-	// byte offset of every chunk boundary for the mid-chunk cuts below.
-	base, f := resumeAttempt(hseed, entries, chunk, spec, resumeKill{}, nchunks, rep)
+	// byte offset of every chunk boundary for the mid-chunk cuts.
+	base, f := r.attempt(resumeKill{})
 	if f != nil {
 		return f
 	}
-	if len(base.boundaries) != nchunks {
-		return fail("baseline applied %d chunk exchanges, want %d", len(base.boundaries), nchunks)
+	n := r.nchunks
+	if len(base.boundaries) != n {
+		return r.fail("baseline applied %d chunk exchanges, want %d", len(base.boundaries), n)
 	}
-	for i := 1; i < nchunks; i++ {
+	for i := 1; i < n; i++ {
 		if base.boundaries[i] <= base.boundaries[i-1] {
-			return fail("baseline boundary offsets not increasing: %v", base.boundaries)
+			return r.fail("baseline boundary offsets not increasing: %v", base.boundaries)
 		}
 	}
-	if base.eng.Begins != 1 || base.eng.ChunkedReloads != 1 || base.eng.ReloadChunks != int64(nchunks) ||
+	if base.eng.Begins != 1 || base.eng.ChunkedReloads != 1 || base.eng.ReloadChunks != int64(n) ||
 		base.eng.ResumeRejects != 0 || base.eng.FullReloads != 0 {
-		return fail("baseline engine counters begins=%d chunked=%d chunks=%d rejects=%d reloads=%d, want 1/1/%d/0/0",
+		return r.fail("baseline engine counters begins=%d chunked=%d chunks=%d rejects=%d reloads=%d, want 1/1/%d/0/0",
 			base.eng.Begins, base.eng.ChunkedReloads, base.eng.ReloadChunks,
-			base.eng.ResumeRejects, base.eng.FullReloads, nchunks)
+			base.eng.ResumeRejects, base.eng.FullReloads, n)
 	}
-	if base.sup.ChunkResumes != int64(nchunks-1) {
-		return fail("baseline replica resumed %d chunks, want %d", base.sup.ChunkResumes, nchunks-1)
+	if base.sup.ChunkResumes != int64(n-1) {
+		return r.fail("baseline replica resumed %d chunks, want %d", base.sup.ChunkResumes, n-1)
 	}
-
-	// Boundary cuts: the consumer has applied chunk b-1 and holds the token
-	// for chunk b when the connection dies and the churn burst lands.
-	// Reconnecting must transfer only the remaining chunks — ReloadChunks
-	// stays at exactly one full reload — and the churn must surface as
-	// incremental updates after the transfer, never as a second reload
-	// (the pinned snapshot survived the journal trim).
-	for b := 1; b < nchunks; b++ {
-		res, f := resumeAttempt(hseed, entries, chunk, spec,
-			resumeKill{afterChunks: b, churn: resumeChurn}, nchunks, rep)
-		if f != nil {
-			return f
+	r.base = base
+	return r.play(events, func(ev Event) *Failure {
+		switch {
+		case ev.Kind == EvCut && ev.Lost:
+			return r.cutInside(ev.Rep)
+		case ev.Kind == EvCut:
+			return r.cutAfter(ev.Rep)
+		case ev.Kind == EvBadTokens:
+			return r.badTokens()
 		}
-		if res.sup.Reconnects < 1 {
-			return fail("boundary cut %d/%d: replica never reconnected", b, nchunks)
-		}
-		if res.eng.Begins != 1 || res.eng.ChunkedReloads != 1 {
-			return fail("boundary cut %d/%d: transfer restarted (begins=%d chunked reloads=%d), want a resume",
-				b, nchunks, res.eng.Begins, res.eng.ChunkedReloads)
-		}
-		if res.eng.ReloadChunks != int64(nchunks) {
-			return fail("boundary cut %d/%d: served %d chunk exchanges, want exactly %d (only the remainder)",
-				b, nchunks, res.eng.ReloadChunks, nchunks)
-		}
-		if res.eng.ResumeRejects != 0 {
-			return fail("boundary cut %d/%d: %d resume tokens rejected", b, nchunks, res.eng.ResumeRejects)
-		}
-		if res.eng.FullReloads != 0 {
-			return fail("boundary cut %d/%d: catch-up degraded to %d full reloads — the transfer's snapshot hold did not pin the journal through the churn trim",
-				b, nchunks, res.eng.FullReloads)
-		}
-		// The reconnect's token presentation is accounted as a session
-		// resume; the remaining same-connection continuations as chunk
-		// resumes — together still one exchange per outstanding chunk.
-		if res.sup.Resumes < 1 || res.sup.ChunkResumes != int64(nchunks-2) {
-			return fail("boundary cut %d/%d: resumes=%d chunk resumes=%d, want >=1 and exactly %d",
-				b, nchunks, res.sup.Resumes, res.sup.ChunkResumes, nchunks-2)
-		}
-	}
-
-	// Mid-chunk cuts: the connection dies at the byte midpoint of chunk j's
-	// exchange. The interrupted chunk is the bounded per-attempt overhead —
-	// it is served twice, everything else exactly once. Inside chunk 0 no
-	// token exists yet, so the only legal recovery is a clean re-Begin.
-	for j := 0; j < nchunks; j++ {
-		at := base.boundaries[0] / 2
-		if j > 0 {
-			at = (base.boundaries[j-1] + base.boundaries[j]) / 2
-		}
-		res, f := resumeAttempt(hseed, entries, chunk, spec, resumeKill{atByte: at}, nchunks, rep)
-		if f != nil {
-			return f
-		}
-		if res.sup.Reconnects < 1 {
-			return fail("mid-chunk cut %d (byte %d): replica never reconnected", j, at)
-		}
-		if res.eng.ReloadChunks != int64(nchunks+1) {
-			return fail("mid-chunk cut %d (byte %d): served %d chunk exchanges, want %d (one full reload plus the interrupted chunk)",
-				j, at, res.eng.ReloadChunks, nchunks+1)
-		}
-		if res.eng.FullReloads != 0 || res.eng.ResumeRejects != 0 {
-			return fail("mid-chunk cut %d (byte %d): reloads=%d rejects=%d, want 0/0",
-				j, at, res.eng.FullReloads, res.eng.ResumeRejects)
-		}
-		if j == 0 {
-			if res.eng.Begins != 2 || res.eng.ChunkedReloads != 2 {
-				return fail("mid-chunk-0 cut: begins=%d chunked reloads=%d, want a clean restart (2/2): no token exists before the first chunk applies",
-					res.eng.Begins, res.eng.ChunkedReloads)
-			}
-		} else if res.eng.Begins != 1 || res.eng.ChunkedReloads != 1 ||
-			res.sup.Resumes < 1 || res.sup.ChunkResumes != int64(nchunks-2) {
-			return fail("mid-chunk cut %d: begins=%d chunked reloads=%d resumes=%d chunk resumes=%d, want 1/1/>=1/%d (the interrupted fetch is retried via the token, nothing else repeats)",
-				j, res.eng.Begins, res.eng.ChunkedReloads, res.sup.Resumes, res.sup.ChunkResumes, nchunks-2)
-		}
-	}
-
-	return checkResumeTokenSafety(hseed, entries, chunk, spec, rep)
+		return r.fail("unknown event kind %d in resume history", ev.Kind)
+	})
 }
 
-// resumeAttempt runs one supervisor-driven transfer against a fresh master
-// built from (hseed, entries) — identical stores serialize identical chunk
+// cutAfter checks a boundary cut: the consumer has applied chunk b-1 and
+// holds the token for chunk b when the connection dies and the churn burst
+// lands. Reconnecting must transfer only the remaining chunks —
+// ReloadChunks stays at exactly one full reload — and the churn must
+// surface as incremental updates after the transfer, never as a second
+// reload (the pinned snapshot survived the journal trim).
+func (r *resume) cutAfter(b int) *Failure {
+	n := r.nchunks
+	res, f := r.attempt(resumeKill{afterChunks: b, churn: resumeChurn})
+	if f != nil {
+		return f
+	}
+	if res.sup.Reconnects < 1 {
+		return r.fail("boundary cut %d/%d: replica never reconnected", b, n)
+	}
+	if res.eng.Begins != 1 || res.eng.ChunkedReloads != 1 {
+		return r.fail("boundary cut %d/%d: transfer restarted (begins=%d chunked reloads=%d), want a resume",
+			b, n, res.eng.Begins, res.eng.ChunkedReloads)
+	}
+	if res.eng.ReloadChunks != int64(n) {
+		return r.fail("boundary cut %d/%d: served %d chunk exchanges, want exactly %d (only the remainder)",
+			b, n, res.eng.ReloadChunks, n)
+	}
+	if res.eng.ResumeRejects != 0 {
+		return r.fail("boundary cut %d/%d: %d resume tokens rejected", b, n, res.eng.ResumeRejects)
+	}
+	if res.eng.FullReloads != 0 {
+		return r.fail("boundary cut %d/%d: catch-up degraded to %d full reloads — the transfer's snapshot hold did not pin the journal through the churn trim",
+			b, n, res.eng.FullReloads)
+	}
+	// The reconnect's token presentation is accounted as a session resume;
+	// the remaining same-connection continuations as chunk resumes —
+	// together still one exchange per outstanding chunk.
+	if res.sup.Resumes < 1 || res.sup.ChunkResumes != int64(n-2) {
+		return r.fail("boundary cut %d/%d: resumes=%d chunk resumes=%d, want >=1 and exactly %d",
+			b, n, res.sup.Resumes, res.sup.ChunkResumes, n-2)
+	}
+	return nil
+}
+
+// cutInside checks a mid-chunk cut: the connection dies at the byte
+// midpoint of chunk j's exchange. The interrupted chunk is the bounded
+// per-attempt overhead — it is served twice, everything else exactly once.
+// Inside chunk 0 no token exists yet, so the only legal recovery is a clean
+// re-Begin.
+func (r *resume) cutInside(j int) *Failure {
+	n, bounds := r.nchunks, r.base.boundaries
+	at := bounds[0] / 2
+	if j > 0 {
+		at = (bounds[j-1] + bounds[j]) / 2
+	}
+	res, f := r.attempt(resumeKill{atByte: at})
+	if f != nil {
+		return f
+	}
+	if res.sup.Reconnects < 1 {
+		return r.fail("mid-chunk cut %d (byte %d): replica never reconnected", j, at)
+	}
+	if res.eng.ReloadChunks != int64(n+1) {
+		return r.fail("mid-chunk cut %d (byte %d): served %d chunk exchanges, want %d (one full reload plus the interrupted chunk)",
+			j, at, res.eng.ReloadChunks, n+1)
+	}
+	if res.eng.FullReloads != 0 || res.eng.ResumeRejects != 0 {
+		return r.fail("mid-chunk cut %d (byte %d): reloads=%d rejects=%d, want 0/0",
+			j, at, res.eng.FullReloads, res.eng.ResumeRejects)
+	}
+	if j == 0 {
+		if res.eng.Begins != 2 || res.eng.ChunkedReloads != 2 {
+			return r.fail("mid-chunk-0 cut: begins=%d chunked reloads=%d, want a clean restart (2/2): no token exists before the first chunk applies",
+				res.eng.Begins, res.eng.ChunkedReloads)
+		}
+	} else if res.eng.Begins != 1 || res.eng.ChunkedReloads != 1 ||
+		res.sup.Resumes < 1 || res.sup.ChunkResumes != int64(n-2) {
+		return r.fail("mid-chunk cut %d: begins=%d chunked reloads=%d resumes=%d chunk resumes=%d, want 1/1/>=1/%d (the interrupted fetch is retried via the token, nothing else repeats)",
+			j, res.eng.Begins, res.eng.ChunkedReloads, res.sup.Resumes, res.sup.ChunkResumes, n-2)
+	}
+	return nil
+}
+
+// attempt runs one supervisor-driven transfer against a fresh master built
+// from the history's shape — identical stores serialize identical chunk
 // streams, so byte offsets measured on the baseline attempt are exact cut
 // positions on every later one.
-func resumeAttempt(hseed int64, entries, chunk int, spec query.Query, kill resumeKill, wantChunks int, rep *Report) (*resumeResult, *Failure) {
-	st, err := sim.BuildSynthStore(synthResumeConfig(hseed, entries))
-	if err != nil {
-		return nil, &Failure{HistorySeed: hseed, Msg: "build synthetic store: " + err.Error()}
+func (r *resume) attempt(kill resumeKill) (*resumeResult, *Failure) {
+	a, f := newHist(r.cfg, r.seed, r.rep, synthResumeConfig(r.seed, r.entries))
+	if f != nil {
+		return nil, f
 	}
-	mdl := newModel(st)
-	gen := sim.NewOpGen(synthResumeConfig(hseed, entries))
-	backend := ldapnet.NewStoreBackend(st, resync.WithChunkSize(chunk))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, &Failure{HistorySeed: hseed, Msg: "listen: " + err.Error()}
-	}
-	srv := ldapnet.ServeListener(ln, backend)
-	defer srv.Close()
-
-	dialer := &resumeDialer{atByte: kill.atByte}
-	frep, err := replica.NewFilterReplica()
-	if err != nil {
-		return nil, &Failure{HistorySeed: hseed, Msg: "new replica: " + err.Error()}
+	gen := sim.NewOpGen(synthResumeConfig(r.seed, r.entries))
+	backend := ldapnet.NewStoreBackend(a.st, resync.WithChunkSize(r.chunk))
+	w := &wireNet{h: a}
+	defer w.close()
+	addr, _, f := w.serve(backend, false, 0)
+	if f != nil {
+		return nil, f
 	}
 
 	// mu guards the model and the boundary samples: the OnApplied hook runs
@@ -269,23 +257,20 @@ func resumeAttempt(hseed int64, entries, chunk int, spec query.Query, kill resum
 		boundaries []int64
 		applies    int
 		cut        bool
-		churnErr   error
+		churnFail  *Failure
 	)
-	sup, err := supervisor.New(supervisor.Config{
-		Master:       ln.Addr().String(),
-		Spec:         spec,
-		Mode:         supervisor.ModePoll,
-		PollInterval: 3 * time.Millisecond,
-		BackoffBase:  2 * time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
-		DialTimeout:  2 * time.Second,
-		Seed:         hseed,
-		Dial:         dialer.dial,
+	dialer := &resumeDialer{atByte: kill.atByte}
+	l, f := w.leaf(supervisor.Config{
+		Master: addr,
+		Spec:   r.spec,
+		Mode:   supervisor.ModePoll,
+		Seed:   r.seed,
+		Dial:   dialer.dial,
 		OnApplied: func(int) {
 			mu.Lock()
 			defer mu.Unlock()
 			applies++
-			if len(boundaries) < wantChunks {
+			if len(boundaries) < r.nchunks {
 				boundaries = append(boundaries, dialer.bytes.Load())
 			}
 			if kill.afterChunks > 0 && applies == kill.afterChunks && !cut {
@@ -293,101 +278,77 @@ func resumeAttempt(hseed int64, entries, chunk int, spec query.Query, kill resum
 				// Commit the churn while the transfer's snapshot hold is the
 				// only thing pinning the bounded journal, then cut the wire.
 				for i := 0; i < kill.churn; i++ {
-					op := gen.Next()
-					if !mdl.valid(op) {
-						continue
-					}
-					if err := sim.ApplyOp(st, op); err != nil && churnErr == nil {
-						churnErr = err
+					if churnFail = a.op(gen.Next()); churnFail != nil {
 						return
 					}
-					mdl.apply(op)
 				}
 				dialer.killFirst()
 			}
 		},
-	}, frep)
-	if err != nil {
-		return nil, &Failure{HistorySeed: hseed, Msg: "new supervisor: " + err.Error()}
+	})
+	if f != nil {
+		return nil, f
 	}
-	sup.Start()
-	defer sup.Stop()
-
-	deadline := time.Now().Add(15 * time.Second)
-	for {
+	f = a.await(fmt.Sprintf("convergence after cut %+v", kill), 15*time.Second, func() string {
 		mu.Lock()
-		ref := mdl.selection(spec)
-		cerr := churnErr
-		mu.Unlock()
-		if cerr != nil {
-			return nil, &Failure{HistorySeed: hseed, Msg: "churn op rejected by store: " + cerr.Error()}
+		defer mu.Unlock()
+		if churnFail != nil {
+			return ""
 		}
-		got := wireSnapshot(frep)
-		diff := describeDiff(got, ref)
-		if diff == "" {
-			break
+		diff := describeDiff(snapshot(l.frep.Store()), a.mdl.selection(r.spec))
+		if diff != "" {
+			diff = fmt.Sprintf("state %v, %d exchanges:\n%s", l.sup.State(), l.sup.Exchanges(), diff)
 		}
-		if time.Now().After(deadline) {
-			return nil, &Failure{HistorySeed: hseed, Msg: fmt.Sprintf(
-				"replica did not converge within 15s after cut %+v (state %v, %d exchanges):\n%s",
-				kill, sup.State(), sup.Exchanges(), diff)}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := sup.Stop(); err != nil {
-		return nil, &Failure{HistorySeed: hseed, Msg: "stop supervisor: " + err.Error()}
-	}
-
-	if rep != nil {
-		rep.Events++
-		rep.Polls += int(sup.Exchanges())
-	}
+		return diff
+	})
+	_ = l.sup.Stop() // always nil; stopped first so its counters are final
 	mu.Lock()
 	defer mu.Unlock()
+	if churnFail != nil {
+		return nil, churnFail
+	}
+	if f != nil {
+		return nil, f
+	}
 	return &resumeResult{
 		boundaries: boundaries,
-		exchanges:  sup.Exchanges(),
-		sup:        sup.Counters().Snapshot(),
+		sup:        l.sup.Counters().Snapshot(),
 		eng:        backend.Engine.Counters().Snapshot(),
 	}, nil
 }
 
-// checkResumeTokenSafety drives raw-client transfers to verify token
-// verification: a forged fingerprint restarts the reload from chunk zero
-// on the same session, and a token presented to a supplier with no record
-// of the session is refused outright so the consumer re-Begins cleanly.
-// Both recoveries must still deliver exactly one full, correct content.
-func checkResumeTokenSafety(hseed int64, entries, chunk int, spec query.Query, rep *Report) *Failure {
-	fail := func(format string, args ...any) *Failure {
-		return &Failure{HistorySeed: hseed, Msg: fmt.Sprintf(format, args...)}
+// badTokens drives raw-client transfers to verify token verification: a
+// forged fingerprint restarts the reload from chunk zero on the same
+// session, and a token presented to a supplier with no record of the
+// session is refused outright so the consumer re-Begins cleanly. Both
+// recoveries must still deliver exactly one full, correct content.
+func (r *resume) badTokens() *Failure {
+	a, f := newHist(r.cfg, r.seed, r.rep, synthResumeConfig(r.seed, r.entries))
+	if f != nil {
+		return f
 	}
-	st, err := sim.BuildSynthStore(synthResumeConfig(hseed, entries))
-	if err != nil {
-		return fail("build synthetic store: %v", err)
-	}
-	ref := newModel(st).selection(spec)
-
-	serve := func() (*ldapnet.StoreBackend, *ldapnet.Client, func(), *Failure) {
-		backend := ldapnet.NewStoreBackend(st, resync.WithChunkSize(chunk))
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, nil, fail("listen: %v", err)
+	ref := a.mdl.selection(r.spec)
+	w := &wireNet{h: a}
+	defer w.close()
+	supplier := func() (*ldapnet.StoreBackend, *ldapnet.Client, *Failure) {
+		backend := ldapnet.NewStoreBackend(a.st, resync.WithChunkSize(r.chunk))
+		addr, _, f := w.serve(backend, false, 0)
+		if f != nil {
+			return nil, nil, f
 		}
-		srv := ldapnet.ServeListener(ln, backend)
-		c, err := ldapnet.Dial(ln.Addr().String())
+		c, err := ldapnet.Dial(addr)
 		if err != nil {
-			srv.Close()
-			return nil, nil, nil, fail("dial: %v", err)
+			return nil, nil, a.fail("dial: %v", err)
 		}
-		return backend, c, func() { c.Close(); srv.Close() }, nil
+		w.stops = append(w.stops, func() { c.Close() })
+		return backend, c, nil
 	}
 
-	// complete drains a started transfer by following its tokens, returning
-	// the collected content and the total update count.
-	complete := func(c *ldapnet.Client, first *resync.PollResult) (map[string]*entry.Entry, int, *Failure) {
-		got := make(map[string]*entry.Entry)
+	// complete drains a started transfer by following its tokens, checking
+	// it delivered exactly one full, correct content.
+	complete := func(what string, c *ldapnet.Client, cur *resync.PollResult) *Failure {
+		got := make(model)
 		total := 0
-		cur := first
 		for {
 			for _, u := range cur.Updates {
 				got[u.DN.Norm()] = u.Entry
@@ -398,27 +359,32 @@ func checkResumeTokenSafety(hseed int64, entries, chunk int, spec query.Query, r
 			}
 			next, err := c.SyncResume(*cur.Resume)
 			if err != nil {
-				return nil, 0, fail("continue transfer: %v", err)
+				return a.fail("continue transfer: %v", err)
 			}
 			cur = next
 		}
 		if cur.Cookie == "" {
-			return nil, 0, fail("transfer ended without a completion cookie")
+			return a.fail("transfer ended without a completion cookie")
 		}
-		return got, total, nil
+		if diff := describeDiff(got, ref); diff != "" {
+			return a.fail("content after %s restart diverged:\n%s", what, diff)
+		}
+		if total != len(ref) {
+			return a.fail("%s restart transferred %d updates, want exactly one full reload of %d", what, total, len(ref))
+		}
+		return nil
 	}
 
-	backendA, cA, closeA, f := serve()
+	backendA, cA, f := supplier()
 	if f != nil {
 		return f
 	}
-	defer closeA()
-	res, err := cA.Sync(spec, proto.ReSyncModePoll, "")
+	res, err := cA.Sync(r.spec, proto.ReSyncModePoll, "")
 	if err != nil {
-		return fail("begin: %v", err)
+		return a.fail("begin: %v", err)
 	}
 	if res.Resume == nil || !res.FullReload {
-		return fail("begin of %d entries (chunk %d) was not a chunked reload", entries, chunk)
+		return a.fail("begin of %d entries (chunk %d) was not a chunked reload", r.entries, r.chunk)
 	}
 
 	// Forged fingerprint: the supplier must not serve a remainder it cannot
@@ -426,62 +392,38 @@ func checkResumeTokenSafety(hseed int64, entries, chunk int, spec query.Query, r
 	// exactly one full content.
 	forged := *res.Resume
 	forged.Fingerprint ^= 0x6b6b6b6b6b6b6b6b
-	r, err := cA.SyncResume(forged)
+	restart, err := cA.SyncResume(forged)
 	if err != nil {
-		return fail("forged token: err=%v, want a degraded restart from chunk zero", err)
+		return a.fail("forged token: err=%v, want a degraded restart from chunk zero", err)
 	}
-	if !r.FullReload {
-		return fail("forged fingerprint resumed mid-transfer instead of restarting from chunk zero")
+	if !restart.FullReload {
+		return a.fail("forged fingerprint resumed mid-transfer instead of restarting from chunk zero")
 	}
 	if got := backendA.Engine.Counters().Snapshot().ResumeRejects; got != 1 {
-		return fail("forged token: %d resume rejects recorded, want 1", got)
+		return a.fail("forged token: %d resume rejects recorded, want 1", got)
 	}
-	got, total, f := complete(cA, r)
-	if f != nil {
+	if f := complete("forged-token", cA, restart); f != nil {
 		return f
-	}
-	if diff := describeDiff(got, ref); diff != "" {
-		return fail("content after forged-token restart diverged:\n%s", diff)
-	}
-	if total != len(ref) {
-		return fail("forged-token restart transferred %d updates, want exactly one full reload of %d", total, len(ref))
-	}
-	if rep != nil {
-		rep.Events++
 	}
 
 	// Stale token: a supplier that has no record of the session (here: a
 	// fresh incarnation) refuses the token outright; the consumer re-Begins
 	// from scratch and converges.
-	backendB, cB, closeB, f := serve()
+	backendB, cB, f := supplier()
 	if f != nil {
 		return f
 	}
-	defer closeB()
 	if _, err := cB.SyncResume(*res.Resume); !errors.Is(err, resync.ErrNoSuchSession) {
-		return fail("stale token on a fresh supplier: err=%v, want ErrNoSuchSession", err)
+		return a.fail("stale token on a fresh supplier: err=%v, want ErrNoSuchSession", err)
 	}
-	if gotRej := backendB.Engine.Counters().Snapshot().ResumeRejects; gotRej != 1 {
-		return fail("stale token: %d resume rejects recorded, want 1", gotRej)
+	if got := backendB.Engine.Counters().Snapshot().ResumeRejects; got != 1 {
+		return a.fail("stale token: %d resume rejects recorded, want 1", got)
 	}
-	r0, err := cB.Sync(spec, proto.ReSyncModePoll, "")
+	restart, err = cB.Sync(r.spec, proto.ReSyncModePoll, "")
 	if err != nil {
-		return fail("re-begin after stale token: %v", err)
+		return a.fail("re-begin after stale token: %v", err)
 	}
-	got, total, f = complete(cB, r0)
-	if f != nil {
-		return f
-	}
-	if diff := describeDiff(got, ref); diff != "" {
-		return fail("content after stale-token restart diverged:\n%s", diff)
-	}
-	if total != len(ref) {
-		return fail("stale-token restart transferred %d updates, want exactly one full reload of %d", total, len(ref))
-	}
-	if rep != nil {
-		rep.Events++
-	}
-	return nil
+	return complete("stale-token", cB, restart)
 }
 
 // resumeDialer dials plain TCP and meters connection #1: reads are counted

@@ -2,7 +2,7 @@ package oracle
 
 // Shard sweep: the sharded DIT store must be observationally identical to
 // the single-shard store. This file replays the SAME engine-level oracle
-// histories (flat, three-tier cascade, edge-write) at several shard counts
+// histories (the Flat, Cascade and Edge presets) at several shard counts
 // and asserts two fingerprints agree bit-for-bit at every count:
 //
 //   - TrafficHash: every update PDU the harness observed, folded in order —
@@ -60,7 +60,7 @@ func foldUpdates(h uint64, ups []resync.Update) uint64 {
 }
 
 // foldContent folds a replica content map in normalized-DN order.
-func foldContent(h uint64, m map[string]*entry.Entry) uint64 {
+func foldContent(h uint64, m model) uint64 {
 	norms := make([]string, 0, len(m))
 	for norm := range m {
 		norms = append(norms, norm)
@@ -81,27 +81,6 @@ func foldEntries(h uint64, entries []*entry.Entry) uint64 {
 	return h
 }
 
-// ShardSweepConfig parameterizes one sweep: each runner replays Histories
-// histories of Steps events at every shard count in Shards.
-type ShardSweepConfig struct {
-	Seed      int64
-	Histories int
-	Steps     int
-	Shards    []int
-}
-
-func (c *ShardSweepConfig) fillDefaults() {
-	if c.Histories <= 0 {
-		c.Histories = 6
-	}
-	if c.Steps <= 0 {
-		c.Steps = 40
-	}
-	if len(c.Shards) == 0 {
-		c.Shards = []int{1, 2, 8}
-	}
-}
-
 // ShardPoint is one (runner, shard count) measurement.
 type ShardPoint struct {
 	Runner      string
@@ -117,39 +96,22 @@ type ShardSweepReport struct {
 	Failure *Failure
 }
 
-// RunShardSweep replays identical flat, cascade, and edge-write histories
-// at each configured shard count and asserts byte-identical traffic and
-// final content. Any mismatch names the runner and both hash pairs.
-func RunShardSweep(cfg ShardSweepConfig) *ShardSweepReport {
-	cfg.fillDefaults()
+// RunShardSweep replays identical Flat, Cascade and Edge histories at each
+// shard count and asserts byte-identical traffic and final content. Any
+// mismatch names the preset and both hash pairs.
+func RunShardSweep(cfg Config, shards []int) *ShardSweepReport {
 	out := &ShardSweepReport{}
-	runners := []struct {
-		name string
-		run  func(shards int) (*Report, *Failure)
-	}{
-		{"flat", func(shards int) (*Report, *Failure) {
-			rep := Run(Config{Seed: cfg.Seed, Histories: cfg.Histories, Steps: cfg.Steps, Shards: shards})
-			return rep, rep.Failure
-		}},
-		{"cascade", func(shards int) (*Report, *Failure) {
-			rep := RunCascade(CascadeConfig{Seed: cfg.Seed, Histories: cfg.Histories, Steps: cfg.Steps, Shards: shards})
-			return rep, rep.Failure
-		}},
-		{"edgewrite", func(shards int) (*Report, *Failure) {
-			rep := RunEdge(EdgeConfig{Seed: cfg.Seed, Histories: cfg.Histories, Steps: cfg.Steps, Shards: shards})
-			return rep, rep.Failure
-		}},
-	}
-	for _, r := range runners {
+	for _, p := range []Preset{Flat, Cascade, Edge} {
 		var base ShardPoint
-		for i, shards := range cfg.Shards {
-			rep, f := r.run(shards)
-			if f != nil {
-				out.Failure = f
+		for i, n := range shards {
+			c := cfg
+			c.Shards = n
+			rep := Run(p, c)
+			if rep.Failure != nil {
+				out.Failure = rep.Failure
 				return out
 			}
-			pt := ShardPoint{Runner: r.name, Shards: shards,
-				TrafficHash: rep.TrafficHash, ContentHash: rep.ContentHash}
+			pt := ShardPoint{Runner: p.Name, Shards: n, TrafficHash: rep.TrafficHash, ContentHash: rep.ContentHash}
 			out.Points = append(out.Points, pt)
 			if i == 0 {
 				base = pt
@@ -158,13 +120,13 @@ func RunShardSweep(cfg ShardSweepConfig) *ShardSweepReport {
 			if pt.TrafficHash != base.TrafficHash {
 				out.Failure = &Failure{HistorySeed: cfg.Seed, Msg: fmt.Sprintf(
 					"%s runner: wire traffic diverges across shard counts: shards=%d hash=%016x, shards=%d hash=%016x",
-					r.name, base.Shards, base.TrafficHash, pt.Shards, pt.TrafficHash)}
+					p.Name, base.Shards, base.TrafficHash, pt.Shards, pt.TrafficHash)}
 				return out
 			}
 			if pt.ContentHash != base.ContentHash {
 				out.Failure = &Failure{HistorySeed: cfg.Seed, Msg: fmt.Sprintf(
 					"%s runner: final content diverges across shard counts: shards=%d hash=%016x, shards=%d hash=%016x",
-					r.name, base.Shards, base.ContentHash, pt.Shards, pt.ContentHash)}
+					p.Name, base.Shards, base.ContentHash, pt.Shards, pt.ContentHash)}
 				return out
 			}
 		}

@@ -2,134 +2,155 @@ package oracle
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
+	"filterdir/internal/cascade"
 	"filterdir/internal/chaos"
-	"filterdir/internal/entry"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
-	"filterdir/internal/sim"
 	"filterdir/internal/supervisor"
 )
 
-// WireConfig parameterizes a wire-level oracle run: a real ldapnet master
-// serving a TCP listener, one supervisor-driven FilterReplica per spec, and
-// (optionally) chaos fault injection on both sides of the connection.
-type WireConfig struct {
-	Seed      int64
-	Histories int
-	Steps     int
-	// Chaos wraps listener and dialer in a fault injector (dropped
-	// connections, refused dials, latency jitter).
-	Chaos bool
-	// Specs overrides the replicated content specifications (empty: specs()).
-	Specs []query.Query
+// wireNet is a wire-level topology under construction: the listeners,
+// servers, tiers and supervised replicas a history stands up on loopback,
+// every one with the same timings, all stopped by close.
+type wireNet struct {
+	h      *hist
+	stops  []func()
+	leaves []*wireLeaf
 }
 
-// specList resolves the run's content specifications.
-func (c WireConfig) specList() []query.Query {
-	if len(c.Specs) > 0 {
-		return c.Specs
-	}
-	return specs()
+// wireLeaf is one supervised replica and the spec it replicates.
+type wireLeaf struct {
+	frep *replica.FilterReplica
+	sup  *supervisor.Supervisor
+	spec query.Query
 }
 
-func (c *WireConfig) fillDefaults() {
-	if c.Histories <= 0 {
-		c.Histories = 2
+// close stops everything in the reverse order it started and counts the
+// supervisors' exchanges.
+func (n *wireNet) close() {
+	for i := len(n.stops) - 1; i >= 0; i-- {
+		n.stops[i]()
 	}
-	if c.Steps <= 0 {
-		c.Steps = 24
-	}
-}
-
-// synthWireConfig mirrors synthConfig but with a journal bound large
-// enough that bursts between polls fit; every third seed still forces
-// trim-induced full reloads under load.
-func synthWireConfig(hseed int64) sim.SynthConfig {
-	cfg := sim.SynthConfig{Seed: hseed}
-	if hseed%3 == 2 || hseed%3 == -2 {
-		cfg.JournalLimit = 32
-	}
-	return cfg
-}
-
-// genWireHistory generates a wire-level history: operations, convergence
-// checkpoints, and server-side stale-session injections. Polls themselves
-// are driven autonomously by the supervisors; EvPoll here means "wait
-// until every replica has converged to the reference selection".
-func genWireHistory(cfg WireConfig, hseed int64) []Event {
-	gen := sim.NewOpGen(synthWireConfig(hseed))
-	rng := rand.New(rand.NewSource(hseed*1315423911 + 31))
-	nReps := len(cfg.specList())
-	events := make([]Event, 0, cfg.Steps+1)
-	for i := 0; i < cfg.Steps; i++ {
-		r := rng.Float64()
-		switch {
-		case r < 0.72:
-			events = append(events, Event{Kind: EvOp, Op: gen.Next()})
-		case r < 0.92:
-			events = append(events, Event{Kind: EvPoll})
-		default:
-			events = append(events, Event{Kind: EvEnd, Rep: rng.Intn(nReps)})
+	if n.h.rep != nil {
+		for _, l := range n.leaves {
+			n.h.rep.Polls += int(l.sup.Exchanges())
 		}
 	}
-	return append(events, Event{Kind: EvPoll})
 }
 
-// RunWire executes a wire-level oracle run. Histories alternate between
-// poll and persist steady-state modes so both supervisor loops are
-// checked end to end.
-func RunWire(cfg WireConfig) *Report {
-	cfg.fillDefaults()
-	rep := &Report{}
-	for h := 0; h < cfg.Histories; h++ {
-		hseed := historySeed(cfg.Seed, h)
-		// Derive the mode from the history seed (odd stride alternates it
-		// across h) so a -oracle.n=1 replay reruns the same mode.
-		mode := supervisor.ModePoll
-		if hseed%2 != 0 {
-			mode = supervisor.ModePersist
-		}
-		events := genWireHistory(cfg, hseed)
-		if f := runWire(cfg, hseed, mode, events, rep); f != nil {
-			f.History = events
-			f.Minimal = shrinkWire(cfg, hseed, mode, events)
-			f.Replay = replayCmd("TestOracleWireSweep", hseed, cfg.Steps)
-			rep.Failure = f
-			return rep
-		}
-		rep.Histories++
+// serve serves backend on a loopback listener and returns its address and
+// how to dial it. With chaos set, listener and dialer share one fault
+// injector seeded with seed (dropped connections, refused dials, latency
+// jitter); otherwise the dialer is nil, plain TCP.
+func (n *wireNet) serve(backend ldapnet.Backend, withChaos bool, seed int64) (string, ldapnet.DialFunc, *Failure) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, n.h.fail("listen: %v", err)
 	}
-	return rep
+	served := net.Listener(ln)
+	var dial ldapnet.DialFunc
+	if withChaos {
+		inj := chaos.New(chaos.Plan{
+			Seed:               seed,
+			DropEveryNOps:      89,
+			RefuseEveryNthConn: 9,
+			LatencyMax:         300 * time.Microsecond,
+		})
+		served, dial = inj.Listener(ln), inj.Dial(nil)
+	}
+	srv := ldapnet.ServeListener(served, backend)
+	n.stops = append(n.stops, func() { srv.Close() })
+	return ln.Addr().String(), dial, nil
 }
 
-// shrinkWire is the bounded wire-level shrinker: re-running a wire history
-// spins up real listeners and supervisors, so the re-execution budget is
-// kept small and the original history is reported if shrinking stalls.
-func shrinkWire(cfg WireConfig, hseed int64, mode supervisor.Mode, events []Event) []Event {
-	budget := 24
-	return shrinkEvents(events, func(ev []Event) bool {
-		if budget <= 0 {
-			return false
+// tier starts a cascade tier storing specs, fed from upstream.
+func (n *wireNet) tier(upstream string, dial ldapnet.DialFunc, seed int64, specs ...query.Query) (*cascade.Tier, *Failure) {
+	tier, err := cascade.New(cascade.Config{
+		Upstream:     upstream,
+		Specs:        specs,
+		PollInterval: 3 * time.Millisecond,
+		BackoffBase:  2 * time.Millisecond,
+		BackoffMax:   40 * time.Millisecond,
+		DialTimeout:  2 * time.Second,
+		Seed:         seed,
+		Dial:         dial,
+	})
+	if err != nil {
+		return nil, n.h.fail("new tier: %v", err)
+	}
+	tier.Start()
+	n.stops = append(n.stops, func() { _ = tier.Stop() })
+	return tier, nil
+}
+
+// leaf starts a supervised replica; cfg names its master, spec, mode, seed
+// and dialer, and leaf sets the timings.
+func (n *wireNet) leaf(cfg supervisor.Config) (*wireLeaf, *Failure) {
+	frep, err := replica.NewFilterReplica()
+	if err != nil {
+		return nil, n.h.fail("new replica: %v", err)
+	}
+	cfg.PollInterval = 3 * time.Millisecond
+	cfg.IdleTimeout = 300 * time.Millisecond
+	cfg.BackoffBase = 2 * time.Millisecond
+	cfg.BackoffMax = 40 * time.Millisecond
+	cfg.DialTimeout = 2 * time.Second
+	sup, err := supervisor.New(cfg, frep)
+	if err != nil {
+		return nil, n.h.fail("new supervisor: %v", err)
+	}
+	sup.Start()
+	l := &wireLeaf{frep: frep, sup: sup, spec: cfg.Spec}
+	n.stops = append(n.stops, func() { _ = sup.Stop() })
+	n.leaves = append(n.leaves, l)
+	return l, nil
+}
+
+// settled waits for replica i to hold exactly the reference selection of
+// its spec.
+func (n *wireNet) settled(i int, l *wireLeaf) *Failure {
+	return n.h.await(fmt.Sprintf("replica r%d (%q) convergence", i, l.spec), 15*time.Second, func() string {
+		diff := describeDiff(snapshot(l.frep.Store()), n.h.mdl.selection(l.spec))
+		if diff != "" {
+			diff = fmt.Sprintf("state %v, %d exchanges:\n%s", l.sup.State(), l.sup.Exchanges(), diff)
 		}
-		budget--
-		return runWire(cfg, hseed, mode, ev, nil) != nil
+		return diff
 	})
 }
 
-func runWire(cfg WireConfig, hseed int64, mode supervisor.Mode, events []Event, rep *Report) (failure *Failure) {
-	st, err := sim.BuildSynthStore(synthWireConfig(hseed))
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "build synthetic store: " + err.Error()}
+// allSettled waits for every replica in turn.
+func (n *wireNet) allSettled() *Failure {
+	for i, l := range n.leaves {
+		if f := n.settled(i, l); f != nil {
+			return f
+		}
 	}
-	mdl := newModel(st)
-	backend := ldapnet.NewStoreBackend(st)
+	return nil
+}
+
+// genWireHistory generates a Wire history over one replica per spec.
+func genWireHistory(cfg Config, hseed int64) []Event {
+	return genCheckpoints(cfg, hseed, hseed*1315423911+31, len(cfg.specList()))
+}
+
+// runWire runs one Wire history: a real ldapnet master serving a TCP
+// listener and one supervisor-driven FilterReplica per spec, optionally
+// through chaos on both sides of the connection. The mode derives from the
+// history seed (odd stride alternates it across histories) so a
+// -oracle.n=1 replay reruns the same mode, and poll and persist steady
+// states are both checked end to end.
+func runWire(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
+	h, f := newHist(cfg, hseed, rep, synthWireConfig(hseed))
+	if f != nil {
+		return f
+	}
+	backend := ldapnet.NewStoreBackend(h.st)
 
 	// Retains must never reach a poll/persist consumer (the replica's
 	// ApplySync rejects them); count them at the source.
@@ -147,134 +168,49 @@ func runWire(cfg WireConfig, hseed int64, mode supervisor.Mode, events []Event, 
 			}
 		}
 	})
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return &Failure{HistorySeed: hseed, Msg: "listen: " + err.Error()}
-	}
-	addr := ln.Addr().String()
-	lnUse := ln
-	var dial ldapnet.DialFunc
-	if cfg.Chaos {
-		inj := chaos.New(chaos.Plan{
-			Seed:               hseed,
-			DropEveryNOps:      89,
-			RefuseEveryNthConn: 9,
-			LatencyMax:         300 * time.Microsecond,
-		})
-		lnUse = inj.Listener(ln)
-		dial = inj.Dial(nil)
-	}
-	srv := ldapnet.ServeListener(lnUse, backend)
-	defer srv.Close()
-
-	type wireRep struct {
-		frep *replica.FilterReplica
-		sup  *supervisor.Supervisor
-	}
-	var wreps []*wireRep
-	defer func() {
-		for _, w := range wreps {
-			_ = w.sup.Stop()
-		}
-		if rep != nil {
-			for _, w := range wreps {
-				rep.Polls += int(w.sup.Exchanges())
-			}
+	if rep != nil {
+		defer func() {
 			snap := backend.Engine.Counters().Snapshot()
 			rep.SharedClassifyHits += snap.SharedClassifyHits
 			rep.SharedClassifyMisses += snap.SharedClassifyMisses
 			rep.StreamEncodes += snap.StreamEncodes
 			rep.StreamDedupPDUs += snap.StreamDedupPDUs
+		}()
+	}
+	w := &wireNet{h: h}
+	defer w.close()
+	addr, dial, f := w.serve(backend, cfg.Chaos, hseed)
+	if f != nil {
+		return f
+	}
+	mode := supervisor.ModePoll
+	if cfg.Persist || hseed%2 != 0 {
+		mode = supervisor.ModePersist
+	}
+	for i, spec := range cfg.specList() {
+		if _, f := w.leaf(supervisor.Config{Master: addr, Spec: spec, Mode: mode, Seed: hseed + int64(i), Dial: dial}); f != nil {
+			return f
 		}
-	}()
-	wspecs := cfg.specList()
-	for i, spec := range wspecs {
-		frep, err := replica.NewFilterReplica()
-		if err != nil {
-			return &Failure{HistorySeed: hseed, Msg: "new replica: " + err.Error()}
-		}
-		sup, err := supervisor.New(supervisor.Config{
-			Master:       addr,
-			Spec:         spec,
-			Mode:         mode,
-			PollInterval: 3 * time.Millisecond,
-			IdleTimeout:  300 * time.Millisecond,
-			BackoffBase:  2 * time.Millisecond,
-			BackoffMax:   40 * time.Millisecond,
-			DialTimeout:  2 * time.Second,
-			Seed:         hseed + int64(i),
-			Dial:         dial,
-		}, frep)
-		if err != nil {
-			return &Failure{HistorySeed: hseed, Msg: "new supervisor: " + err.Error()}
-		}
-		sup.Start()
-		wreps = append(wreps, &wireRep{frep: frep, sup: sup})
 	}
 
-	for i, ev := range events {
-		if rep != nil {
-			rep.Events++
-		}
+	if f := h.play(events, func(ev Event) *Failure {
 		switch ev.Kind {
-		case EvOp:
-			if !mdl.valid(ev.Op) {
-				continue
-			}
-			if err := sim.ApplyOp(st, ev.Op); err != nil {
-				return &Failure{HistorySeed: hseed, Step: i,
-					Msg: fmt.Sprintf("op %q valid in model but rejected by store: %v", ev.Op, err)}
-			}
-			mdl.apply(ev.Op)
-		case EvPoll: // checkpoint: wait for every replica to converge
-			for ri, w := range wreps {
-				if f := waitConverged(w.frep, w.sup, mdl, wspecs[ri], ri, hseed); f != nil {
-					f.Step = i
-					return f
-				}
-			}
+		case EvPoll:
+			return w.allSettled()
 		case EvEnd: // operator abandons the session server-side
-			if c := wreps[ev.Rep].sup.Cookie(); c != "" {
+			if c := w.leaves[ev.Rep].sup.Cookie(); c != "" {
 				_ = backend.Engine.End(c)
 			}
 		}
+		return nil
+	}); f != nil {
+		return f
 	}
 
 	tmu.Lock()
 	defer tmu.Unlock()
 	if retains > 0 {
-		return &Failure{HistorySeed: hseed,
-			Msg: fmt.Sprintf("master emitted %d retain PDUs to poll/persist consumers", retains)}
+		return h.fail("master emitted %d retain PDUs to poll/persist consumers", retains)
 	}
 	return nil
-}
-
-// waitConverged blocks until the replica's content equals the reference
-// selection, or reports a divergence after the deadline.
-func waitConverged(frep *replica.FilterReplica, sup *supervisor.Supervisor, mdl model, spec query.Query, ri int, hseed int64) *Failure {
-	ref := mdl.selection(spec)
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		got := wireSnapshot(frep)
-		diff := describeDiff(got, ref)
-		if diff == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return &Failure{HistorySeed: hseed, Msg: fmt.Sprintf(
-				"replica r%d (%q) did not converge within 15s (state %v, %d exchanges):\n%s",
-				ri, spec, sup.State(), sup.Exchanges(), diff)}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// wireSnapshot captures the replica's held content by normalized DN.
-func wireSnapshot(frep *replica.FilterReplica) map[string]*entry.Entry {
-	out := make(map[string]*entry.Entry)
-	for _, e := range frep.Store().All() {
-		out[e.DN().Norm()] = e
-	}
-	return out
 }
