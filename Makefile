@@ -13,7 +13,7 @@ SEED ?= 42
 N ?= 1000
 ORACLE_TESTS ?= TestOracleSweep|TestOracleWireSweep|TestOracleCascadeSweep|TestOracleCascadeWireSweep|TestOracleEdgeWriteSweep|TestOracleShardSweepFull|TestOracleResumeSweep|TestOracleAdaptiveSweep
 
-.PHONY: check fmt vet build one-writer test allocs figures oracle fuzz-smoke cover loc
+.PHONY: check fmt vet build one-writer test allocs figures fingerprints oracle fuzz-smoke cover loc
 
 ## check: the full verification gate (format, vet, build, the one-writer gate,
 ## race-enabled tests, allocation gates).
@@ -61,13 +61,20 @@ allocs:
 figures:
 	$(GO) test ./internal/sim -run '^TestGoldenFigures$$' -count=1 -figures.update
 
-## oracle: the long randomized model-checking sweep (engine level plus one
-## wire-level history per 50 engine histories), including the three-tier
-## cascade sweeps (master → mid-tier → leaves). A divergence prints a
-## shrunk history and a one-line replay command.
+## oracle: the long randomized model-checking sweep: every preset of the one
+## oracle driver (flat, cascade and edge-write engine histories, their shard
+## sweep, and fewer of the wire, three-tier wire, resume and adaptive
+## histories). A divergence prints a shrunk history and a one-line replay
+## command naming the test that failed.
 oracle:
 	$(GO) test ./internal/oracle -race -run '$(ORACLE_TESTS)' \
 		-oracle.seed=$(SEED) -oracle.n=$(N) -v -timeout 30m
+
+## fingerprints: rerun the deterministic oracle tests and rewrite
+## internal/oracle/testdata/fingerprints.golden from them; `git diff` shows
+## what moved. The tests (under `make test`) compare the file to the digit.
+fingerprints:
+	$(GO) test ./internal/oracle -count=1 -oracle.update
 
 ## fuzz-smoke: 30 seconds of native fuzzing per parser target: the wire
 ## decoders and the durable journal's recovery.

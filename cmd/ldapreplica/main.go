@@ -88,7 +88,6 @@ type options struct {
 	keepSyncPoints         int
 	journalRetention       persist.JournalRetention
 	depth                  int
-	cacheCap               int
 	statusEvery            time.Duration
 	edgeWrites             bool
 	adaptive               bool
@@ -115,7 +114,6 @@ func main() {
 	flag.IntVar(&o.keepSyncPoints, "keep-sync-points", 0, "downstream per-session resume history: keep the last n sync points (with -serve; 0 = default 64)")
 	journalRetention := flag.String("journal-retention", "", `when to fold a durable journal into a fresh snapshot (with -state), e.g. "bytes=64m,age=1h" (empty = once it outgrows the snapshot it extends)`)
 	flag.IntVar(&o.depth, "depth", 1, "tier depth below the master (with -serve; reporting only)")
-	flag.IntVar(&o.cacheCap, "cache", 64, "recent user-query cache capacity")
 	flag.DurationVar(&o.statusEvery, "status-every", time.Minute, "supervision-counter status report interval (0 disables)")
 	flag.BoolVar(&o.edgeWrites, "edge-writes", false, "accept LDAP writes here: journal to a per-replica WAL, forward upstream for commit, overlay locally until the CSN echoes back")
 	flag.BoolVar(&o.adaptive, "adaptive", false, "run the demand-driven control plane over the tier's filter set: widen on admission rejections, narrow on decay (with -serve)")
@@ -252,9 +250,8 @@ func serveLoop(srv *ldapnet.Server, statusEvery time.Duration, printStatus func(
 // for the life of the process.
 const leafJournalLimit = 64
 
-func newLeafReplica(o options) (*filterdir.FilterReplica, error) {
+func newLeafReplica() (*filterdir.FilterReplica, error) {
 	return filterdir.NewFilterReplica(
-		filterdir.WithCacheCapacity(o.cacheCap),
 		filterdir.WithContentIndexes("serialnumber", "mail", "dept", "location", "uid"),
 		replica.WithJournalLimit(leafJournalLimit))
 }
@@ -262,7 +259,7 @@ func newLeafReplica(o options) (*filterdir.FilterReplica, error) {
 // runLeaf is the classic consumer replica: one supervisor per filter, no
 // downstream service.
 func runLeaf(o options) error {
-	rep, err := newLeafReplica(o)
+	rep, err := newLeafReplica()
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 // process and nothing ever reads its store's journal, so the journal must
 // stay at its bound however many updates land.
 func TestLeafJournalBounded(t *testing.T) {
-	rep, err := newLeafReplica(options{})
+	rep, err := newLeafReplica()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,7 @@ func runEdge(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
 		seq:    &edgeSequencer{h: h, seen: make(map[string]uint64), applies: make(map[string]int), chaos: true},
 		eng:    resync.NewEngine(h.st),
 		key:    edgeSpec().Key(),
-		leaf:   consumers([]query.Query{edgeSpec()})[0],
+		leaf:   &consumer{spec: edgeSpec(), content: make(model)},
 		own:    make(model),
 		walDir: walDir,
 	}

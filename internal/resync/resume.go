@@ -1,6 +1,8 @@
 package resync
 
 import (
+	"time"
+
 	"filterdir/internal/dit"
 	"filterdir/internal/proto"
 )
@@ -21,6 +23,16 @@ import (
 // chunk geometry, or a prefix fingerprint that does not match — restarts
 // the reload from chunk zero. A stale or forged token can cost wire bytes,
 // never correctness.
+//
+// A transfer nobody continues must not pin the journal forever: a consumer
+// that restarts without its state, or is diverted mid-transfer, never
+// presents its token or cookie again. Once no chunk has been emitted for
+// transferIdle the transfer and its hold are dropped; a late token then
+// restarts from chunk zero like any other the supplier cannot verify.
+
+// transferIdle is how long a transfer outlives its last emitted chunk. A
+// variable so tests can shorten it.
+var transferIdle = 10 * time.Minute
 
 // transfer is one in-flight (or just-completed) chunked reload of a
 // session: the reload view it is served from (the full DN-ordered selected
@@ -33,6 +45,7 @@ type transfer struct {
 	view    *reloadView
 	done    bool // final chunk handed out; awaiting cookie presentation
 	hold    *dit.Hold
+	idle    *time.Timer // drops the transfer transferIdle after its last chunk
 }
 
 // matches verifies a presented token against the recorded transfer. Chunk
@@ -87,6 +100,13 @@ func (e *Engine) beginTransfer(sess *session, view *reloadView) *PollResult {
 		view:    view,
 		hold:    e.store.Hold(sess.csn),
 	}
+	tr.idle = time.AfterFunc(transferIdle, func() {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		if sess.transfer == tr {
+			e.dropTransfer(sess)
+		}
+	})
 	sess.transfer = tr
 	e.stats.ChunkedReloads.Add(1)
 	return e.emitChunk(sess, tr, 0)
@@ -96,6 +116,7 @@ func (e *Engine) beginTransfer(sess *session, view *reloadView) *PollResult {
 // completion cookie (and marks the transfer done), every earlier one a
 // token for its successor. The caller holds sess.mu.
 func (e *Engine) emitChunk(sess *session, tr *transfer, k uint32) *PollResult {
+	tr.idle.Reset(transferIdle)
 	res := &PollResult{FullReload: k == 0}
 	res.Updates, res.Enc = tr.view.chunk(k)
 	if k+1 == tr.view.nchunks() {
@@ -143,6 +164,7 @@ func (e *Engine) ResumeReload(tok proto.ResumeToken) (*PollResult, error) {
 // snapshot. The caller holds sess.mu.
 func (e *Engine) dropTransfer(sess *session) {
 	if tr := sess.transfer; tr != nil {
+		tr.idle.Stop()
 		e.store.Release(tr.hold)
 		sess.transfer = nil
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
@@ -363,6 +364,45 @@ func TestTransferHoldLifecycle(t *testing.T) {
 	mustModify(t, master, dn.MustParse("cn=p001,c=us,o=xyz"), "dept", "z")
 	if _, ok := master.ChangesSince(0); ok {
 		t.Fatal("journal still covers CSN 0 after hold release; trim did not resume")
+	}
+}
+
+// TestAbandonedTransferReleasesHold: a chunked transfer whose consumer never
+// asks for another chunk (restarted without its state, or diverted) is
+// dropped once it has been idle for transferIdle, and with it the hold, so
+// the bounded journal trims again; a late token restarts from chunk zero.
+func TestAbandonedTransferReleasesHold(t *testing.T) {
+	defer func(d time.Duration) { transferIdle = d }(transferIdle)
+	transferIdle = 50 * time.Millisecond
+	master, _ := chunkedMaster(t, 10, dit.WithJournalLimit(8))
+	eng := NewEngine(master, WithChunkSize(3))
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		mustModify(t, master, dn.MustParse("cn=p000,c=us,o=xyz"), "dept", fmt.Sprintf("d%d", i))
+	}
+	if got := master.ActiveHolds(); got != 1 {
+		t.Fatalf("holds while the transfer is live = %d, want 1", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for master.ActiveHolds() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned transfer still holds the journal after its idle period")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	mustModify(t, master, dn.MustParse("cn=p001,c=us,o=xyz"), "dept", "z")
+	if _, ok := master.ChangesSince(0); ok {
+		t.Fatal("journal still covers CSN 0 after the abandoned transfer was dropped")
+	}
+	late, err := eng.ResumeReload(*res.Resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !late.FullReload {
+		t.Fatal("late token of a dropped transfer was served a remainder, want a restart from chunk zero")
 	}
 }
 

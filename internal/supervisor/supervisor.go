@@ -301,8 +301,8 @@ func (s *Supervisor) switchTo(addr string) {
 // releaseSession best-effort ends the current session at the current
 // target before the loop switches servers, so a fallback master does not
 // accumulate abandoned sessions from leaves that migrated back upstream.
-// Failure costs nothing: the switch proceeds and the old session idles out
-// server-side.
+// Failure costs the old server a session: the switch proceeds, and nothing
+// server-side expires a session, so it stays until that server restarts.
 func (s *Supervisor) releaseSession() {
 	cookie := s.Cookie()
 	if cookie == "" {
