@@ -13,11 +13,11 @@ SEED ?= 42
 N ?= 1000
 ORACLE_TESTS ?= TestOracleSweep|TestOracleWireSweep|TestOracleCascadeSweep|TestOracleCascadeWireSweep|TestOracleEdgeWriteSweep|TestOracleShardSweepFull|TestOracleResumeSweep|TestOracleAdaptiveSweep
 
-.PHONY: check fmt vet build one-writer test allocs figures fingerprints oracle fuzz-smoke cover loc
+.PHONY: check fmt vet build one-writer options test allocs figures fingerprints oracle fuzz-smoke cover loc
 
-## check: the full verification gate (format, vet, build, the one-writer gate,
-## race-enabled tests, allocation gates).
-check: fmt vet build one-writer test allocs
+## check: the full verification gate (format, vet, build, the one-writer and
+## options gates, race-enabled tests, allocation gates).
+check: fmt vet build one-writer options test allocs
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -39,6 +39,23 @@ one-writer:
 		| grep -v -e '_test\.go:' -e '^internal/persist/'); \
 	if [ -n "$$found" ]; then \
 		echo "durable writes outside internal/persist:"; echo "$$found"; exit 1; \
+	fi
+
+## options: every exported `func With*` option under internal/ has a caller
+## outside its own package that is not a test — a cmd, an example, the root
+## package, bench/ or another internal package (ROADMAP aim 2: no option
+## without something that runs it). An option only tests set is a second
+## mode of the code that no deployment exercises.
+options:
+	@found=$$(grep -rnoE '^func With[A-Za-z0-9_]*' internal --include='*.go' | grep -v '_test\.go:' | \
+		while IFS=: read -r file _ fn; do \
+			dir=$$(dirname "$$file"); name=$${fn#func }; \
+			callers=$$(grep -rlE "\b$$(basename "$$dir")\.$$name\b" . --include='*.go' \
+				| grep -v -e '_test\.go$$' -e "^\./$$dir/"); \
+			[ -n "$$callers" ] || echo "$$file: $$name"; \
+		done); \
+	if [ -n "$$found" ]; then \
+		echo "With* options no non-test code outside their package sets:"; echo "$$found"; exit 1; \
 	fi
 
 test:

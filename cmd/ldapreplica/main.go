@@ -97,52 +97,11 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.master, "master", "127.0.0.1:3890", "root master server address (the fallback when -upstream is set)")
-	flag.StringVar(&o.upstream, "upstream", "", "upstream to synchronize from when it is not the master (e.g. a mid-tier replica)")
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:3891", "replica listen address")
-	flag.BoolVar(&o.serve, "serve", false, "serve ReSync to downstream replicas (cascade mid-tier mode)")
-	mode := flag.String("mode", "poll", `steady-state sync mode: "poll" or "persist"`)
-	flag.StringVar(&o.stateDir, "state", "", "state directory: each filter journals the exchanges it lands, content and cookie together (empty disables)")
-	flag.DurationVar(&o.interval, "interval", 5*time.Second, "poll interval")
-	flag.DurationVar(&o.backoffBase, "backoff", 50*time.Millisecond, "reconnect backoff base")
-	flag.DurationVar(&o.backoffMax, "backoff-max", 5*time.Second, "reconnect backoff cap")
-	flag.DurationVar(&o.idleTimeout, "idle-timeout", 0, "persist-stream idle timeout (0 = none)")
-	flag.DurationVar(&o.retryUpstream, "retry-upstream", time.Minute, "how long a diverted supervisor stays on the fallback master before re-probing -upstream")
-	flag.IntVar(&o.journalLimit, "journal-limit", 4096, "mid-tier store journal bound (with -serve): how far a downstream session may lag before a full reload")
-	flag.IntVar(&o.reloadChunk, "reload-chunk", 0, "serve downstream full reloads in resumable chunks of n entries (with -serve; 0 = monolithic)")
-	flag.IntVar(&o.keepSyncPoints, "keep-sync-points", 0, "downstream per-session resume history: keep the last n sync points (with -serve; 0 = default 64)")
-	journalRetention := flag.String("journal-retention", "", `when to fold a durable journal into a fresh snapshot (with -state), e.g. "bytes=64m,age=1h" (empty = once it outgrows the snapshot it extends)`)
-	flag.IntVar(&o.depth, "depth", 1, "tier depth below the master (with -serve; reporting only)")
-	flag.DurationVar(&o.statusEvery, "status-every", time.Minute, "supervision-counter status report interval (0 disables)")
-	flag.BoolVar(&o.edgeWrites, "edge-writes", false, "accept LDAP writes here: journal to a per-replica WAL, forward upstream for commit, overlay locally until the CSN echoes back")
-	flag.BoolVar(&o.adaptive, "adaptive", false, "run the demand-driven control plane over the tier's filter set: widen on admission rejections, narrow on decay (with -serve)")
-	flag.IntVar(&o.tierBudget, "tier-budget", 0, "adaptive filter-set budget in specs, base filters included (with -adaptive; 0 = number of -filter flags + 2)")
-	flag.BoolVar(&o.watchFilters, "watch-filters", false, "while diverted to the fallback master, long-poll the upstream for filter-set changes and re-probe the moment it widens")
-	flag.Var(&o.filters, "filter", "replicated filter (repeatable)")
-	flag.Parse()
-	if len(o.filters) == 0 {
-		o.filters = filterList{"(objectclass=location)"}
-	}
-
-	retention, rerr := persist.ParseJournalRetention(*journalRetention)
-	if rerr != nil {
-		fmt.Fprintln(os.Stderr, "ldapreplica:", rerr)
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ldapreplica:", err)
 		os.Exit(2)
 	}
-	o.journalRetention = retention
-
-	switch *mode {
-	case "poll":
-		o.mode = supervisor.ModePoll
-	case "persist":
-		o.mode = supervisor.ModePersist
-	default:
-		fmt.Fprintf(os.Stderr, "ldapreplica: unknown -mode %q\n", *mode)
-		os.Exit(2)
-	}
-
-	var err error
 	if o.serve {
 		err = runTier(o)
 	} else {
@@ -152,6 +111,78 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ldapreplica:", err)
 		os.Exit(1)
 	}
+}
+
+// modeOnly pairs each flag that only one mode reads with the flag selecting
+// that mode: runLeaf reads none of the -serve flags, and -tier-budget sizes
+// only the -adaptive control plane.
+var modeOnly = []struct{ flag, mode string }{
+	{"journal-limit", "serve"},
+	{"reload-chunk", "serve"},
+	{"keep-sync-points", "serve"},
+	{"depth", "serve"},
+	{"adaptive", "serve"},
+	{"tier-budget", "adaptive"},
+}
+
+// parseFlags defines the command line on fs and parses args into options.
+// A flag set explicitly without the mode that reads it is an error rather
+// than silently ignored.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.master, "master", "127.0.0.1:3890", "root master server address (the fallback when -upstream is set)")
+	fs.StringVar(&o.upstream, "upstream", "", "upstream to synchronize from when it is not the master (e.g. a mid-tier replica)")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:3891", "replica listen address")
+	fs.BoolVar(&o.serve, "serve", false, "serve ReSync to downstream replicas (cascade mid-tier mode)")
+	mode := fs.String("mode", "poll", `steady-state sync mode: "poll" or "persist"`)
+	fs.StringVar(&o.stateDir, "state", "", "state directory: each filter journals the exchanges it lands, content and cookie together (empty disables)")
+	fs.DurationVar(&o.interval, "interval", 5*time.Second, "poll interval")
+	fs.DurationVar(&o.backoffBase, "backoff", 50*time.Millisecond, "reconnect backoff base")
+	fs.DurationVar(&o.backoffMax, "backoff-max", 5*time.Second, "reconnect backoff cap")
+	fs.DurationVar(&o.idleTimeout, "idle-timeout", 0, "persist-stream idle timeout (0 = none)")
+	fs.DurationVar(&o.retryUpstream, "retry-upstream", time.Minute, "how long a diverted supervisor stays on the fallback master before re-probing -upstream")
+	fs.IntVar(&o.journalLimit, "journal-limit", 4096, "mid-tier store journal bound (with -serve): how far a downstream session may lag before a full reload")
+	fs.IntVar(&o.reloadChunk, "reload-chunk", 0, "serve downstream full reloads in resumable chunks of n entries (with -serve; 0 = monolithic)")
+	fs.IntVar(&o.keepSyncPoints, "keep-sync-points", 0, "downstream per-session resume history: keep the last n sync points (with -serve; 0 = default 64)")
+	journalRetention := fs.String("journal-retention", "", `when to fold a durable journal into a fresh snapshot (with -state), e.g. "bytes=64m,age=1h" (empty = once it outgrows the snapshot it extends)`)
+	fs.IntVar(&o.depth, "depth", 1, "tier depth below the master (with -serve; reporting only)")
+	fs.DurationVar(&o.statusEvery, "status-every", time.Minute, "supervision-counter status report interval (0 disables)")
+	fs.BoolVar(&o.edgeWrites, "edge-writes", false, "accept LDAP writes here: journal to a per-replica WAL, forward upstream for commit, overlay locally until the CSN echoes back")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "run the demand-driven control plane over the tier's filter set: widen on admission rejections, narrow on decay (with -serve)")
+	fs.IntVar(&o.tierBudget, "tier-budget", 0, "adaptive filter-set budget in specs, base filters included (with -adaptive; 0 = number of -filter flags + 2)")
+	fs.BoolVar(&o.watchFilters, "watch-filters", false, "while diverted to the fallback master, long-poll the upstream for filter-set changes and re-probe the moment it widens")
+	fs.Var(&o.filters, "filter", "replicated filter (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if len(o.filters) == 0 {
+		o.filters = filterList{"(objectclass=location)"}
+	}
+
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	on := map[string]bool{"serve": o.serve, "adaptive": o.adaptive}
+	for _, m := range modeOnly {
+		if set[m.flag] && !on[m.mode] {
+			return o, fmt.Errorf("-%s is read only with -%s", m.flag, m.mode)
+		}
+	}
+
+	retention, err := persist.ParseJournalRetention(*journalRetention)
+	if err != nil {
+		return o, err
+	}
+	o.journalRetention = retention
+
+	switch *mode {
+	case "poll":
+		o.mode = supervisor.ModePoll
+	case "persist":
+		o.mode = supervisor.ModePersist
+	default:
+		return o, fmt.Errorf("unknown -mode %q", *mode)
+	}
+	return o, nil
 }
 
 // specs parses the -filter list into subtree queries.

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"testing"
 
 	"filterdir/internal/dn"
@@ -45,5 +47,34 @@ func TestLeafJournalBounded(t *testing.T) {
 	}
 	if got := st.JournalTrimmed(); got != rounds*perRound-leafJournalLimit {
 		t.Errorf("journal trimmed %d records, want %d", got, rounds*perRound-leafJournalLimit)
+	}
+}
+
+// TestModeOnlyFlagsNeedTheirMode: a flag only the mid-tier (or its adaptive
+// control plane) reads is refused when set without that mode, instead of
+// being silently ignored; with the mode, or left at its default, it parses.
+func TestModeOnlyFlagsNeedTheirMode(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		refuse bool
+	}{
+		{nil, false},
+		{[]string{"-journal-limit", "10"}, true},
+		{[]string{"-reload-chunk", "20"}, true},
+		{[]string{"-keep-sync-points", "4"}, true},
+		{[]string{"-depth", "2"}, true},
+		{[]string{"-adaptive"}, true},
+		{[]string{"-tier-budget", "5"}, true},
+		{[]string{"-serve", "-tier-budget", "5"}, true},
+		{[]string{"-serve", "-journal-limit", "10", "-reload-chunk", "20", "-keep-sync-points", "4", "-depth", "2"}, false},
+		{[]string{"-serve", "-adaptive", "-tier-budget", "5"}, false},
+		{[]string{"-mode", "persist", "-state", "dir", "-edge-writes"}, false},
+	} {
+		fs := flag.NewFlagSet("ldapreplica", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parseFlags(fs, tc.args)
+		if (err != nil) != tc.refuse {
+			t.Errorf("%q: err = %v, want refused %v", tc.args, err, tc.refuse)
+		}
 	}
 }

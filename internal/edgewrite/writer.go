@@ -71,9 +71,6 @@ type Config struct {
 	Lookup func(dn.DN) (*entry.Entry, bool)
 	// Counters receives lifecycle metrics (optional).
 	Counters *metrics.WriteCounters
-	// ReplayInterval is the background re-forward cadence for journaled but
-	// uncommitted ops (default 2s).
-	ReplayInterval time.Duration
 	// Logf receives diagnostics (optional).
 	Logf func(format string, args ...any)
 }
@@ -347,13 +344,13 @@ func (w *Writer) Start() {
 	go w.replayLoop()
 }
 
+// replayInterval is the background re-forward cadence for journaled but
+// uncommitted ops.
+const replayInterval = 2 * time.Second
+
 func (w *Writer) replayLoop() {
 	defer close(w.done)
-	iv := w.cfg.ReplayInterval
-	if iv <= 0 {
-		iv = 2 * time.Second
-	}
-	t := time.NewTicker(iv)
+	t := time.NewTicker(replayInterval)
 	defer t.Stop()
 	for {
 		select {

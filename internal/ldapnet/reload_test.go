@@ -72,17 +72,49 @@ func reloadStore(t testing.TB, n int) *dit.Store {
 
 var reloadSpec = query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)")
 
+// encStripped serves a StoreBackend's exchanges with PollResult.Enc
+// cleared, so the server BER-encodes every PDU for the session it streams
+// to — the memo-less streamUpdates path, which is the per-session reference
+// for what a shared encoding memo must reproduce.
+type encStripped struct{ *StoreBackend }
+
+func (b encStripped) ReSyncBegin(q query.Query) (*resync.PollResult, error) {
+	return withoutEnc(b.StoreBackend.ReSyncBegin(q))
+}
+
+func (b encStripped) ReSyncPoll(cookie string) (*resync.PollResult, error) {
+	return withoutEnc(b.StoreBackend.ReSyncPoll(cookie))
+}
+
+func (b encStripped) ReSyncResume(tok proto.ResumeToken) (*resync.PollResult, error) {
+	return withoutEnc(b.StoreBackend.ReSyncResume(tok))
+}
+
+func withoutEnc(res *resync.PollResult, err error) (*resync.PollResult, error) {
+	if res == nil {
+		return nil, err
+	}
+	out := *res
+	out.Enc = nil
+	return &out, err
+}
+
 // reloadWire runs `sessions` full reloads one after the other against a
 // fresh server over store and returns the bytes the last of them read —
-// the session that, on a grouping engine, is served entirely from the
-// shared snapshot and its encoding memo. With cutAfter > 0 the connection
-// is dropped after that many chunks and the transfer resumed by token on a
-// new one. With persist set each session is a persist-mode Begin instead,
-// read up to the PDU that carries its cookie.
-func reloadWire(t *testing.T, store *dit.Store, sessions, cutAfter int, persist bool, opts ...resync.EngineOption) ([]byte, *StoreBackend) {
+// the session that is served entirely from its group's shared snapshot and,
+// unless stripEnc serves the exchanges through encStripped, its encoding
+// memo. With cutAfter > 0 the connection is dropped after that many chunks
+// and the transfer resumed by token on a new one. With persist set each
+// session is a persist-mode Begin instead, read up to the PDU that carries
+// its cookie.
+func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, persist, stripEnc bool) ([]byte, *StoreBackend) {
 	t.Helper()
-	backend := NewStoreBackend(store, opts...)
-	srv, err := Serve("127.0.0.1:0", backend)
+	backend := NewStoreBackend(store, resync.WithChunkSize(chunk))
+	var served Backend = backend
+	if stripEnc {
+		served = encStripped{backend}
+	}
+	srv, err := Serve("127.0.0.1:0", served)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +203,8 @@ func labelledEntries(t *testing.T, wire []byte) (entries, labelled int) {
 // TestSharedReloadWireEquivalence extends the shared-encoding equivalence
 // of the proto layer (TestSharedEncodingEquivalence) to whole transfers: a
 // full reload served from a content group's shared snapshot and encoding
-// memo is byte for byte the reload a per-session engine would have sent —
+// memo is byte for byte the reload the server sends when it encodes every
+// PDU for the one session (the same exchanges with PollResult.Enc cleared) —
 // monolithic, chunked, cut and resumed by token, and a persist-mode Begin.
 // Both servers hand out the same session numbers, so cookies and tokens are
 // comparable too. Every entry PDU of a transfer is bare but the last of a
@@ -191,10 +224,10 @@ func TestSharedReloadWireEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := reloadStore(t, 40)
-			shared, sb := reloadWire(t, store, sessions, tc.cutAfter, tc.persist, resync.WithChunkSize(tc.chunk))
-			solo, pb := reloadWire(t, store, sessions, tc.cutAfter, tc.persist, resync.WithChunkSize(tc.chunk), resync.WithoutGrouping())
+			shared, sb := reloadWire(t, store, sessions, tc.chunk, tc.cutAfter, tc.persist, false)
+			solo, pb := reloadWire(t, store, sessions, tc.chunk, tc.cutAfter, tc.persist, true)
 			if !bytes.Equal(shared, solo) {
-				t.Errorf("shared reload differs from the per-session one: %d vs %d bytes", len(shared), len(solo))
+				t.Errorf("shared reload differs from the per-session encoding: %d vs %d bytes", len(shared), len(solo))
 			}
 			wantLabelled := 0
 			if tc.persist {
@@ -210,9 +243,9 @@ func TestSharedReloadWireEquivalence(t *testing.T) {
 			if s.StreamDedupPDUs == 0 {
 				t.Error("shared engine: no reload PDU was served from the encoding memo")
 			}
-			if p.ReloadSnapshotsBuilt != sessions || p.ReloadSnapshotsShared != 0 || p.StreamDedupPDUs != 0 {
-				t.Errorf("per-session engine shared something: built/shared/dedup = %d/%d/%d",
-					p.ReloadSnapshotsBuilt, p.ReloadSnapshotsShared, p.StreamDedupPDUs)
+			if p.StreamEncodes != 0 || p.StreamDedupPDUs != 0 {
+				t.Errorf("per-session reference touched an encoding memo: encodes/dedup = %d/%d",
+					p.StreamEncodes, p.StreamDedupPDUs)
 			}
 			if s.ResumeRejects+p.ResumeRejects != 0 {
 				t.Errorf("resume tokens refused: shared %d, per-session %d", s.ResumeRejects, p.ResumeRejects)

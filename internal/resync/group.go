@@ -277,11 +277,7 @@ func newGroup(e *Engine, key string, spec query.Query) *group {
 }
 
 // joinGroup finds or creates the content group for spec and adds a member.
-// Returns nil when grouping is disabled.
 func (e *Engine) joinGroup(spec query.Query) *group {
-	if !e.grouping {
-		return nil
-	}
 	key := contentKey(spec)
 	rkey := regionKey(spec)
 	e.groupMu.Lock()
@@ -327,9 +323,6 @@ func (e *Engine) joinGroup(spec query.Query) *group {
 // leaveGroup removes a member; the last member out frees the group's
 // cached state and stops its broadcaster.
 func (e *Engine) leaveGroup(g *group) {
-	if g == nil {
-		return
-	}
 	e.groupMu.Lock()
 	g.mu.Lock()
 	g.members--
@@ -424,24 +417,15 @@ func (g *group) storeInterval(si *sharedInterval) *sharedInterval {
 }
 
 // classifyFor produces one session's update batch and undo record for a
-// change interval: the raw classification is computed once per group (or
-// inline for ungrouped engines), the session's content map replays the
-// interval's delta, and the attribute-selected batch comes from the
-// per-view overlay. The caller holds sess.mu.
+// change interval: the raw classification is computed once per group, the
+// session's content map replays the interval's delta, and the
+// attribute-selected batch comes from the per-view overlay. The caller holds
+// sess.mu.
 func (e *Engine) classifyFor(sess *session, changes []dit.Change) ([]Update, []undoOp, *SharedEnc) {
 	if len(changes) == 0 {
 		return nil, nil, nil
 	}
 	g := sess.group
-	if g == nil {
-		si := computeInterval(sess.spec, sess.content, changes)
-		undo := applyInterval(sess, si)
-		vb := si.view(sess.viewKey, sess.spec.Attrs)
-		if vb.suppressed > 0 {
-			e.stats.SuppressedModifies.Add(vb.suppressed)
-		}
-		return vb.updates, undo, nil
-	}
 	from, to := sess.csn, changes[len(changes)-1].CSN
 	g.dropReloadBefore(to)
 	si := g.lookupInterval(from, to)

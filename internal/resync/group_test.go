@@ -414,45 +414,6 @@ func TestGroupedPersistFanout(t *testing.T) {
 	}
 }
 
-// TestUngroupedEngineStillConverges exercises the WithoutGrouping ablation
-// path end to end — it must classify per session and never hand out shared
-// state, while producing the same update stream.
-func TestUngroupedEngineStillConverges(t *testing.T) {
-	master := newMaster(t)
-	addPerson(t, master, "a", "0401", "1")
-	eng := NewEngine(master, WithoutGrouping())
-	res, err := eng.Begin(specSerial04)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Groups() != 0 {
-		t.Errorf("ungrouped engine reports %d groups", eng.Groups())
-	}
-	replica := newReplicaStore(t)
-	ap := NewApplier(replica)
-	if err := ap.Apply(specSerial04, res); err != nil {
-		t.Fatal(err)
-	}
-	addPerson(t, master, "b", "0402", "1")
-	res, err = eng.Poll(res.Cookie)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Enc != nil {
-		t.Error("ungrouped poll returned a shared encoding memo")
-	}
-	if err := ap.Apply(specSerial04, res); err != nil {
-		t.Fatal(err)
-	}
-	if ok, why := Converged(master, replica, specSerial04); !ok {
-		t.Fatalf("ungrouped engine did not converge: %s", why)
-	}
-	snap := eng.Counters().Snapshot()
-	if snap.GroupJoins != 0 || snap.SharedClassifyMisses != 0 {
-		t.Errorf("ungrouped engine touched group counters: %+v", snap)
-	}
-}
-
 // sweepEqualContent asserts two poll results carry the same update set.
 func sweepEqualContent(t *testing.T, tag string, a, b []Update) {
 	t.Helper()
@@ -470,47 +431,45 @@ func sweepEqualContent(t *testing.T, tag string, a, b []Update) {
 	}
 }
 
-// TestGroupedMatchesUngrouped is the oracle-in-miniature: the same change
-// stream polled through a grouped and an ungrouped engine must yield
-// identical update sets — the fan-out layer must be invisible.
-func TestGroupedMatchesUngrouped(t *testing.T) {
-	run := func(opts ...EngineOption) ([]Update, []Update) {
-		master := newMaster(t)
-		for i := 0; i < 6; i++ {
-			addPerson(t, master, fmt.Sprintf("s%d", i), fmt.Sprintf("04%02d", i), "1")
-		}
-		eng := NewEngine(master, opts...)
-		r1, err := eng.Begin(specSerial04)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := eng.Begin(specSerial04)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One burst: E01, E10, E11 all present.
-		addPerson(t, master, "new", "0490", "2")
-		if err := master.Modify(dn.MustParse("cn=s0,c=us,o=xyz"), []dit.Mod{{Op: dit.ModReplace, Attr: "serialNumber", Values: []string{"0900"}}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := master.Modify(dn.MustParse("cn=s1,c=us,o=xyz"), []dit.Mod{{Op: dit.ModReplace, Attr: "dept", Values: []string{"3"}}}); err != nil {
-			t.Fatal(err)
-		}
-		p1, err := eng.Poll(r1.Cookie)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := eng.Poll(r2.Cookie)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p1.Updates, p2.Updates
+// TestGroupedMatchesAlone is the oracle-in-miniature: two members of one
+// content group and a session alone in its own engine over the same store
+// must yield identical update sets for the same change stream — the shared
+// classification must be invisible.
+func TestGroupedMatchesAlone(t *testing.T) {
+	master := newMaster(t)
+	for i := 0; i < 6; i++ {
+		addPerson(t, master, fmt.Sprintf("s%d", i), fmt.Sprintf("04%02d", i), "1")
 	}
-	ga, gb := run()
-	ua, ub := run(WithoutGrouping())
-	sweepEqualContent(t, "grouped sessions agree", ga, gb)
-	sweepEqualContent(t, "ungrouped sessions agree", ua, ub)
-	sweepEqualContent(t, "grouped == ungrouped", ga, ua)
+	grouped, alone := NewEngine(master), NewEngine(master)
+	var cookies []string
+	for _, eng := range []*Engine{grouped, grouped, alone} {
+		res, err := eng.Begin(specSerial04)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cookies = append(cookies, res.Cookie)
+	}
+	// One burst: E01, E10, E11 all present.
+	addPerson(t, master, "new", "0490", "2")
+	if err := master.Modify(dn.MustParse("cn=s0,c=us,o=xyz"), []dit.Mod{{Op: dit.ModReplace, Attr: "serialNumber", Values: []string{"0900"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Modify(dn.MustParse("cn=s1,c=us,o=xyz"), []dit.Mod{{Op: dit.ModReplace, Attr: "dept", Values: []string{"3"}}}); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]Update
+	for i, eng := range []*Engine{grouped, grouped, alone} {
+		p, err := eng.Poll(cookies[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, p.Updates)
+	}
+	if snap := grouped.Counters().Snapshot(); snap.SharedClassifyHits != 1 {
+		t.Errorf("grouped SharedClassifyHits = %d, want 1 (the second member reuses the first's interval)", snap.SharedClassifyHits)
+	}
+	sweepEqualContent(t, "grouped members agree", got[0], got[1])
+	sweepEqualContent(t, "grouped == alone", got[0], got[2])
 }
 
 // TestSkippedSubscriberRetriedOnDrain pins the fix for the undelivered burst

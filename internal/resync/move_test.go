@@ -164,7 +164,9 @@ func TestMoveClassification(t *testing.T) {
 			[]string{"move cn=x,ou=in <- cn=a,ou=in [cn]", "patch cn=b,ou=in [tel]"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The same interval through a grouped and an ungrouped engine.
+			// The same interval through two members of one content group (the
+			// second replays the first's classification) and a session alone
+			// on its own engine.
 			master := moveMaster(t)
 			type consumer struct {
 				eng     *Engine
@@ -173,8 +175,9 @@ func TestMoveClassification(t *testing.T) {
 				summary string
 			}
 			var cs []*consumer
-			for _, opts := range [][]EngineOption{nil, {WithoutGrouping()}} {
-				c := &consumer{eng: NewEngine(master, opts...), ap: NewApplier(newReplicaStore(t)), summary: fmt.Sprintf("%d options", len(opts))}
+			shared := NewEngine(master)
+			for i, eng := range []*Engine{shared, shared, NewEngine(master)} {
+				c := &consumer{eng: eng, ap: NewApplier(newReplicaStore(t)), summary: []string{"group member 1", "group member 2", "session alone"}[i]}
 				res, err := c.eng.Begin(tc.spec)
 				if err != nil {
 					t.Fatal(err)
@@ -194,13 +197,13 @@ func TestMoveClassification(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := describe(res.Updates); !slices.Equal(got, tc.want) {
-					t.Errorf("engine with %s: updates\n  %q\nwant\n  %q", c.summary, got, tc.want)
+					t.Errorf("%s: updates\n  %q\nwant\n  %q", c.summary, got, tc.want)
 				}
 				if err := c.ap.Apply(tc.spec, res); err != nil {
 					t.Fatal(err)
 				}
 				if ok, why := Converged(master, c.ap.Store, tc.spec); !ok {
-					t.Errorf("engine with %s: replica after the poll: %s", c.summary, why)
+					t.Errorf("%s: replica after the poll: %s", c.summary, why)
 				}
 			}
 		})

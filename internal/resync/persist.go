@@ -100,10 +100,9 @@ func (s *Subscription) Close() {
 // it resumable by cookie (poll mode), matching the protocol's mode switch
 // in Figure 3.
 //
-// Grouped sessions are served by their group's broadcaster — one update
-// cycle per commit for the whole group — behind a bounded per-subscriber
-// queue with the slow-consumer policy described in group.go. Ungrouped
-// sessions keep a dedicated streaming goroutine.
+// The session's group broadcaster serves the stream — one update cycle per
+// commit for the whole group — behind a bounded per-subscriber queue with
+// the slow-consumer policy described in group.go.
 func (e *Engine) Persist(cookie string) (*Subscription, error) {
 	sess, held, err := e.enter(cookie, exStream)
 	if err != nil {
@@ -116,60 +115,5 @@ func (e *Engine) Persist(cookie string) (*Subscription, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchSession, cookie)
 	}
 	e.stats.PersistStreams.Add(1)
-	if sess.group != nil {
-		return sess.group.attach(sess), nil
-	}
-	return e.persistSolo(sess), nil
-}
-
-// persistSolo streams one ungrouped session from a dedicated goroutine.
-func (e *Engine) persistSolo(sess *session) *Subscription {
-	ch := make(chan Batch, 1)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	sub := &Subscription{
-		Updates: ch,
-		detach: func() {
-			close(stop)
-			<-done
-		},
-	}
-	go func() {
-		defer close(done)
-		defer close(ch)
-		for {
-			// Arm the signal before polling so commits between poll and wait
-			// are not missed.
-			sig := e.store.ChangeSignal()
-			sess.mu.Lock()
-			if sess.ended {
-				sess.mu.Unlock()
-				return
-			}
-			res, err := e.poll(sess)
-			sess.mu.Unlock()
-			if err != nil {
-				return
-			}
-			if res.FullReload {
-				// The journal no longer covers the stream position; a push
-				// stream cannot convey a reload. End the stream — the
-				// consumer's fallback poll re-delivers the content.
-				return
-			}
-			if len(res.Updates) > 0 {
-				select {
-				case ch <- Batch{Updates: res.Updates, Cookie: res.Cookie, CSN: res.CSN}:
-				case <-stop:
-					return
-				}
-			}
-			select {
-			case <-sig:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return sub
+	return sess.group.attach(sess), nil
 }

@@ -20,8 +20,7 @@ import (
 // it. The members of a content group share their group's snapshot for as
 // long as the store stays at its CSN, which is what makes N replicas
 // re-Beginning at once after a master restart cost one materialisation of
-// the content instead of N. An ungrouped engine builds a private snapshot
-// per transfer and shares nothing.
+// the content instead of N.
 
 // reloadSnapshot is the content of one spec at one CSN.
 type reloadSnapshot struct {
@@ -31,9 +30,6 @@ type reloadSnapshot struct {
 	// content is the session content map at csn; a session takes a copy,
 	// which it then advances on its own.
 	content map[string]dn.DN
-	// shared says the snapshot belongs to a content group, so its views
-	// carry encoding memos.
-	shared bool
 
 	mu    sync.Mutex
 	views map[string]*reloadView
@@ -46,7 +42,7 @@ type reloadView struct {
 	// chunkSize is the entries per chunk, 0 for a monolithic transfer.
 	chunkSize int
 	// encs[k] memoizes the wire encoding of chunk k's PDUs (of the whole
-	// transfer when monolithic); the elements are nil in a private snapshot.
+	// transfer when monolithic).
 	encs []*SharedEnc
 	// fps[i] is the running FNV-1a fingerprint of chunks [0, i), so any
 	// acknowledged prefix can be verified when a token comes back; nil for
@@ -68,13 +64,12 @@ func (v *reloadView) chunk(k uint32) ([]Update, *SharedEnc) {
 }
 
 // buildReload materialises the content of spec (attrs stripped).
-func (e *Engine) buildReload(spec query.Query, shared bool) *reloadSnapshot {
+func (e *Engine) buildReload(spec query.Query) *reloadSnapshot {
 	csn, entries := e.store.Snapshot(spec)
 	snap := &reloadSnapshot{
 		csn:     csn,
 		entries: entries,
 		content: make(map[string]dn.DN, len(entries)),
-		shared:  shared,
 		views:   make(map[string]*reloadView),
 	}
 	for _, ent := range entries {
@@ -84,8 +79,8 @@ func (e *Engine) buildReload(spec query.Query, shared bool) *reloadSnapshot {
 	return snap
 }
 
-// reloadSnapshot returns the snapshot a full transfer of spec to a member
-// of g is served from. Builders are single-flight under the group: members
+// reloadSnapshot returns the snapshot a full transfer to a member of g is
+// served from. Builders are single-flight under the group: members
 // arriving while one materialises the content wait and then share it. The
 // cached snapshot is reused only while the store is still at its CSN — a
 // session started from an older one would be correct but begin its life
@@ -95,17 +90,14 @@ func (e *Engine) buildReload(spec query.Query, shared bool) *reloadSnapshot {
 // classifications by (spec, CSN) only, so a content map that did not match
 // its CSN would be replayed onto every other member standing at that CSN
 // and diverge them permanently.
-func (e *Engine) reloadSnapshot(g *group, spec query.Query) *reloadSnapshot {
-	if g == nil {
-		return e.buildReload(stripAttrs(spec), false)
-	}
+func (e *Engine) reloadSnapshot(g *group) *reloadSnapshot {
 	g.reloadMu.Lock()
 	defer g.reloadMu.Unlock()
 	if snap := g.reload.Load(); snap != nil && snap.csn == e.store.LastCSN() {
 		e.stats.ReloadSnapshotsShared.Add(1)
 		return snap
 	}
-	snap := e.buildReload(g.spec, true)
+	snap := e.buildReload(g.spec)
 	g.reload.Store(snap)
 	return snap
 }
@@ -149,10 +141,8 @@ func (s *reloadSnapshot) view(key string, attrs []string, chunkSize int) *reload
 		}
 	}
 	v.encs = make([]*SharedEnc, n)
-	if s.shared {
-		for i := range v.encs {
-			v.encs[i] = &SharedEnc{}
-		}
+	for i := range v.encs {
+		v.encs[i] = &SharedEnc{}
 	}
 	s.views[key] = v
 	return v
@@ -163,7 +153,7 @@ func (s *reloadSnapshot) view(key string, attrs []string, chunkSize int) *reload
 // current generation — and returns the view its transfer is served from.
 // The caller holds sess.mu (or owns a session not yet registered).
 func (e *Engine) startFull(sess *session) *reloadView {
-	snap := e.reloadSnapshot(sess.group, sess.spec)
+	snap := e.reloadSnapshot(sess.group)
 	sess.csn = snap.csn
 	sess.content = maps.Clone(snap.content)
 	sess.points = []syncPoint{{gen: sess.genSeq, csn: snap.csn}}

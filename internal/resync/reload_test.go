@@ -14,7 +14,7 @@ import (
 
 // These tests pin the reload snapshot (reload.go): what a content group
 // shares between members that start a full transfer at the same store CSN,
-// when it stops sharing, and that an ungrouped engine never does.
+// and when it stops sharing.
 
 // TestConcurrentBeginsShareSnapshots is the master-restart scenario under
 // the race detector: 16 replicas of one spec Begin at once (chunked, so
@@ -229,30 +229,6 @@ func TestReloadSnapshotLifetime(t *testing.T) {
 	}
 	if g.reload.Load() != nil {
 		t.Error("emptied group still holds a reload snapshot")
-	}
-}
-
-// TestUngroupedEngineNeverSharesReloads: WithoutGrouping is the bypass — a
-// private snapshot per transfer, no encoding memo.
-func TestUngroupedEngineNeverSharesReloads(t *testing.T) {
-	master, _ := chunkedMaster(t, 10)
-	eng := NewEngine(master, WithoutGrouping(), WithChunkSize(4))
-	for i := 0; i < 3; i++ {
-		res, err := eng.Begin(specSerial04)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for res.Resume != nil {
-			if res.Enc != nil {
-				t.Fatal("ungrouped chunk carries a shared encoding memo")
-			}
-			if res, err = eng.ResumeReload(*res.Resume); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if s := eng.Counters().Snapshot(); s.ReloadSnapshotsBuilt != 3 || s.ReloadSnapshotsShared != 0 {
-		t.Errorf("built/shared = %d/%d, want 3/0", s.ReloadSnapshotsBuilt, s.ReloadSnapshotsShared)
 	}
 }
 

@@ -189,12 +189,11 @@ type Engine struct {
 
 	// Content-group fan-out (group.go). groupMu guards the registries;
 	// each group carries its own lock for member/cache/broadcast state.
-	grouping bool
-	checker  *containment.Checker
-	groupMu  sync.Mutex
-	groups   map[string]*group   // founding content key -> group
-	aliases  map[string]*group   // every resolved content key -> group
-	regions  map[string][]*group // base/scope region key -> groups in it
+	checker *containment.Checker
+	groupMu sync.Mutex
+	groups  map[string]*group   // founding content key -> group
+	aliases map[string]*group   // every resolved content key -> group
+	regions map[string][]*group // base/scope region key -> groups in it
 
 	// Persist slow-consumer policy (see group.syncOne): fixed at the defaults
 	// below; only the concurrency tests shrink them.
@@ -284,7 +283,7 @@ type session struct {
 	ended bool
 
 	spec    query.Query
-	group   *group // content group, nil when grouping is disabled
+	group   *group // content group (group.go)
 	viewKey string // attribute-selection key within the group
 	genSeq  uint64
 	csn     dit.CSN          // CSN of the newest sync point
@@ -404,13 +403,6 @@ func (sess *session) delContent(norm string, undo *[]undoOp) {
 // EngineOption configures NewEngine.
 type EngineOption func(*Engine)
 
-// WithoutGrouping disables the content-group fan-out layer: every session
-// classifies and streams independently, as in the pre-fan-out engine. Used
-// as the ablation baseline in benchmarks.
-func WithoutGrouping() EngineOption {
-	return func(e *Engine) { e.grouping = false }
-}
-
 // WithSyncPointRetention sets the `keep last_n` policy for the per-session
 // resume history: a session retains at most n sync points (its newest
 // always included), and a replica presenting anything older degrades to a
@@ -450,7 +442,6 @@ func NewEngine(store *dit.Store, opts ...EngineOption) *Engine {
 		store:           store,
 		stats:           &metrics.SyncCounters{},
 		sessions:        make(map[string]*session),
-		grouping:        true,
 		checker:         containment.NewChecker(),
 		groups:          make(map[string]*group),
 		aliases:         make(map[string]*group),
