@@ -414,6 +414,52 @@ func TestGroupedPersistFanout(t *testing.T) {
 	}
 }
 
+// TestLoneSessionIsOneMemberGroup: a session with no peers takes the same
+// path as any other — it founds a group of one, its results carry the
+// group's encoding memo, it converges through the applier, and its End
+// tears the group down.
+func TestLoneSessionIsOneMemberGroup(t *testing.T) {
+	master := newMaster(t)
+	addPerson(t, master, "a", "0401", "1")
+	eng := NewEngine(master)
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Groups() != 1 {
+		t.Errorf("lone session: Groups() = %d, want 1", eng.Groups())
+	}
+	if res.Enc == nil {
+		t.Error("lone session's initial content carries no encoding memo")
+	}
+	replica := newReplicaStore(t)
+	ap := NewApplier(replica)
+	if err := ap.Apply(specSerial04, res); err != nil {
+		t.Fatal(err)
+	}
+	addPerson(t, master, "b", "0402", "1")
+	if res, err = eng.Poll(res.Cookie); err != nil {
+		t.Fatal(err)
+	}
+	if err := ap.Apply(specSerial04, res); err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := Converged(master, replica, specSerial04); !ok {
+		t.Fatalf("lone session did not converge: %s", why)
+	}
+	snap := eng.Counters().Snapshot()
+	if snap.GroupJoins != 1 || snap.SharedClassifyMisses != 1 || snap.SharedClassifyHits != 0 {
+		t.Errorf("joins/misses/hits = %d/%d/%d, want 1/1/0",
+			snap.GroupJoins, snap.SharedClassifyMisses, snap.SharedClassifyHits)
+	}
+	if err := eng.End(res.Cookie); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Groups() != 0 {
+		t.Errorf("Groups() after End = %d, want 0", eng.Groups())
+	}
+}
+
 // sweepEqualContent asserts two poll results carry the same update set.
 func sweepEqualContent(t *testing.T, tag string, a, b []Update) {
 	t.Helper()

@@ -232,6 +232,44 @@ func TestReloadSnapshotLifetime(t *testing.T) {
 	}
 }
 
+// TestSequentialTransfersShareOneSnapshot: there is no private per-transfer
+// snapshot. Chunked transfers begun one after another on a quiet store are
+// all served from the group's one snapshot, chunk for chunk from the same
+// encoding memos.
+func TestSequentialTransfersShareOneSnapshot(t *testing.T) {
+	master, _ := chunkedMaster(t, 10)
+	eng := NewEngine(master, WithChunkSize(4))
+	var first []*SharedEnc
+	for i := 0; i < 3; i++ {
+		res, err := eng.Begin(specSerial04)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; ; k++ {
+			if res.Enc == nil {
+				t.Fatalf("transfer %d chunk %d carries no encoding memo", i, k)
+			}
+			if i == 0 {
+				first = append(first, res.Enc)
+			} else if k >= len(first) || res.Enc != first[k] {
+				t.Errorf("transfer %d chunk %d is not served from the first transfer's snapshot", i, k)
+			}
+			if res.Resume == nil {
+				break
+			}
+			if res, err = eng.ResumeReload(*res.Resume); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(first) < 2 {
+		t.Fatalf("transfer took %d chunks, want a chunked transfer", len(first))
+	}
+	if s := eng.Counters().Snapshot(); s.ReloadSnapshotsBuilt != 1 || s.ReloadSnapshotsShared != 2 {
+		t.Errorf("built/shared = %d/%d, want 1/2", s.ReloadSnapshotsBuilt, s.ReloadSnapshotsShared)
+	}
+}
+
 // TestTransferOutlivesGroupSnapshot: a chunked transfer keeps serving from
 // the view it started on after commits have made the group drop and rebuild
 // its snapshot, and its tokens keep verifying; its hold keeps the journal
