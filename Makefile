@@ -93,13 +93,15 @@ oracle:
 fingerprints:
 	$(GO) test ./internal/oracle -count=1 -oracle.update
 
-## fuzz-smoke: 30 seconds of native fuzzing per parser target: the wire
-## decoders and the durable journal's recovery.
+## fuzz-smoke: 30 seconds of native fuzzing per parser target — the wire
+## decoders and the durable journal's recovery — and per differential check
+## of the matching rule (NormValue and the in-place comparers).
 fuzz-smoke:
 	$(GO) test ./internal/ber -run '^$$' -fuzz FuzzParseTLV -fuzztime 30s
 	$(GO) test ./internal/filter -run '^$$' -fuzz FuzzParseFilter -fuzztime 30s
 	$(GO) test ./internal/dn -run '^$$' -fuzz FuzzParseDN -fuzztime 30s
 	$(GO) test ./internal/entry -run '^$$' -fuzz FuzzNormValue -fuzztime 30s
+	$(GO) test ./internal/entry -run '^$$' -fuzz FuzzEqualValues -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeWriteRequest -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeSearchEntry -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeEntryChange -fuzztime 30s

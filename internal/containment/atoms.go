@@ -226,21 +226,20 @@ func (a atomPatternSubsumed) eval(e env) bool {
 	pi, pa, pf := a.pos.resolve(e)
 	ni, na, nf := a.neg.resolve(e)
 	if a.neg.hasInit {
-		if !a.pos.hasInit || !strings.HasPrefix(entry.NormValue(pi), entry.NormValue(ni)) {
+		if !a.pos.hasInit || !entry.HasPrefixValue(pi, ni) {
 			return false
 		}
 	}
 	if a.neg.hasFin {
-		if !a.pos.hasFin || !strings.HasSuffix(entry.NormValue(pf), entry.NormValue(nf)) {
+		if !a.pos.hasFin || !entry.HasSuffixValue(pf, nf) {
 			return false
 		}
 	}
 	idx := 0
 	for _, want := range na {
-		w := entry.NormValue(want)
 		found := false
 		for idx < len(pa) {
-			if strings.Contains(entry.NormValue(pa[idx]), w) {
+			if entry.ContainsValue(pa[idx], want) {
 				found = true
 				idx++
 				break
@@ -292,27 +291,27 @@ func (a atomEmptyRange) eval(e env) bool {
 		}
 		return nlo > nhi
 	}
-	loN := entry.NormValue(lo)
-	hiN := entry.NormValue(hi)
-	hiStrict := a.hi.strict
-	if a.hi.prefixHigh {
-		succ, ok := prefixSucc(hiN)
-		if !ok {
-			return false // prefix has no successor: upper bound is +∞
-		}
-		hiN = succ
-		hiStrict = true
-	}
 	if a.lo.prefixHigh {
 		return false // a prefix-successor lower bound never arises
 	}
-	if loN > hiN {
-		return true
+	hiStrict := a.hi.strict
+	var cmp int
+	if a.hi.prefixHigh {
+		// The successor is a byte string past the normal form, not a value:
+		// build both forms and compare them bytewise.
+		succ, ok := prefixSucc(entry.NormValue(hi))
+		if !ok {
+			return false // prefix has no successor: upper bound is +∞
+		}
+		cmp = strings.Compare(entry.NormValue(lo), succ)
+		hiStrict = true
+	} else {
+		cmp, _ = entry.CompareOrdered(entry.OrderingString, lo, hi)
 	}
 	// Dense-domain approximation: equal endpoints with any strict side are
 	// empty; distinct endpoints are assumed to admit a value in between
 	// (conservative for immediate-successor string pairs).
-	return loN == hiN && (a.lo.strict || hiStrict)
+	return cmp > 0 || cmp == 0 && (a.lo.strict || hiStrict)
 }
 
 // atomHole holds when the range pins a single value (lo == hi, both
@@ -323,10 +322,8 @@ type atomHole struct {
 }
 
 func (a atomHole) eval(e env) bool {
-	lo := entry.NormValue(e.resolve(a.lo))
-	hi := entry.NormValue(e.resolve(a.hi))
-	hole := entry.NormValue(e.resolve(a.hole))
-	return lo == hi && lo == hole
+	lo := e.resolve(a.lo)
+	return entry.EqualValues(lo, e.resolve(a.hi)) && entry.EqualValues(lo, e.resolve(a.hole))
 }
 
 // atomUnparseable holds when an integer-ordering assertion value does not

@@ -2,7 +2,6 @@ package containment
 
 import (
 	"strconv"
-	"strings"
 
 	"filterdir/internal/entry"
 	"filterdir/internal/filter"
@@ -98,14 +97,11 @@ func substringContains(a, b *filter.Substring) bool {
 	if len(a.Any) != len(b.Any) {
 		return false
 	}
-	if !strings.HasPrefix(entry.NormValue(a.Initial), entry.NormValue(b.Initial)) {
-		return false
-	}
-	if !strings.HasSuffix(entry.NormValue(a.Final), entry.NormValue(b.Final)) {
+	if !entry.HasPrefixValue(a.Initial, b.Initial) || !entry.HasSuffixValue(a.Final, b.Final) {
 		return false
 	}
 	for i := range a.Any {
-		if !strings.Contains(entry.NormValue(a.Any[i]), entry.NormValue(b.Any[i])) {
+		if !entry.ContainsValue(a.Any[i], b.Any[i]) {
 			return false
 		}
 	}

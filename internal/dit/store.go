@@ -116,7 +116,7 @@ func WithSchema(s *entry.Schema) Option {
 func WithIndexes(attrs ...string) Option {
 	return func(st *Store) {
 		for _, a := range attrs {
-			st.indexAttrs = append(st.indexAttrs, entry.NormValue(a))
+			st.indexAttrs = append(st.indexAttrs, entry.NormName(a))
 		}
 	}
 }

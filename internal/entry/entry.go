@@ -12,10 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"filterdir/internal/dn"
 )
@@ -149,7 +146,7 @@ func (e *Entry) Put(name string, values ...string) *Entry {
 }
 
 // Add appends values to the named attribute, skipping duplicates
-// (case-insensitive).
+// (caseIgnoreMatch, see EqualValues).
 func (e *Entry) Add(name string, values ...string) *Entry {
 	e.mutable()
 	n := NormName(name)
@@ -160,7 +157,7 @@ func (e *Entry) Add(name string, values ...string) *Entry {
 	}
 	cur := e.attrs[i].vals
 	for _, v := range values {
-		if !containsFold(cur, v) {
+		if !containsValue(cur, v) {
 			cur = append(cur, v)
 		}
 	}
@@ -168,7 +165,7 @@ func (e *Entry) Add(name string, values ...string) *Entry {
 	return e
 }
 
-// DeleteValues removes specific values (case-insensitive) from an attribute;
+// DeleteValues removes specific values (caseIgnoreMatch) from an attribute;
 // removing the last value removes the attribute. If values is empty the whole
 // attribute is removed. Returns ErrNoSuchAttribute when the attribute is
 // absent.
@@ -186,7 +183,7 @@ func (e *Entry) DeleteValues(name string, values ...string) error {
 	cur := e.attrs[i].vals
 	kept := cur[:0]
 	for _, v := range cur {
-		if !containsFold(values, v) {
+		if !containsValue(values, v) {
 			kept = append(kept, v)
 		}
 	}
@@ -238,9 +235,9 @@ func (e *Entry) Has(name string) bool {
 }
 
 // HasValue reports whether the attribute carries the given value
-// (case-insensitive equality match).
+// (caseIgnoreMatch).
 func (e *Entry) HasValue(name, value string) bool {
-	return containsFold(e.values(name), value)
+	return containsValue(e.values(name), value)
 }
 
 // AttributeNames returns the attribute names in insertion order.
@@ -329,7 +326,7 @@ func (e *Entry) Restrict(names []string) *Entry {
 }
 
 // Equal reports deep equality of DN and attributes (value order ignored,
-// value comparison case-insensitive).
+// values compared under caseIgnoreMatch).
 func (e *Entry) Equal(o *Entry) bool {
 	if e == nil || o == nil {
 		return e == o
@@ -344,7 +341,7 @@ func (e *Entry) Equal(o *Entry) bool {
 			return false
 		}
 		for _, x := range v {
-			if !containsFold(o.attrs[j].vals, x) {
+			if !containsValue(o.attrs[j].vals, x) {
 				return false
 			}
 		}
@@ -388,102 +385,13 @@ func (e *Entry) String() string {
 	return b.String()
 }
 
-func containsFold(vals []string, v string) bool {
+// containsValue reports whether vals holds a value equal to v under
+// caseIgnoreMatch (EqualValues).
+func containsValue(vals []string, v string) bool {
 	for _, x := range vals {
-		if strings.EqualFold(x, v) {
+		if EqualValues(x, v) {
 			return true
 		}
 	}
 	return false
-}
-
-// --- Matching rules -------------------------------------------------------
-
-// NormValue normalizes an assertion or attribute value for matching:
-// case-folded with surrounding space trimmed and internal runs collapsed. A
-// value already in that form — most stored values are — is returned as it is.
-func NormValue(s string) string {
-	if isNormValue(s) {
-		return s
-	}
-	return strings.ToLower(strings.Join(strings.Fields(s), " "))
-}
-
-// isNormValue reports whether NormValue has nothing to change in s: valid
-// UTF-8 in lower case whose only white space is single spaces between words.
-func isNormValue(s string) bool {
-	gap := true // at the start, or right after a space
-	for _, r := range s {
-		switch {
-		case r == ' ' && gap, r != ' ' && unicode.IsSpace(r), r != unicode.ToLower(r), r == utf8.RuneError:
-			return false
-		}
-		gap = r == ' '
-	}
-	return !gap || s == ""
-}
-
-// EqualValues applies the caseIgnoreMatch equality rule.
-func EqualValues(a, b string) bool {
-	return NormValue(a) == NormValue(b)
-}
-
-// CompareValues orders two values: numerically when both parse as integers
-// (integerOrderingMatch), lexicographically on the normalized form otherwise.
-// Returns -1, 0, or 1.
-func CompareValues(a, b string) int {
-	na, errA := strconv.ParseInt(strings.TrimSpace(a), 10, 64)
-	nb, errB := strconv.ParseInt(strings.TrimSpace(b), 10, 64)
-	if errA == nil && errB == nil {
-		switch {
-		case na < nb:
-			return -1
-		case na > nb:
-			return 1
-		default:
-			return 0
-		}
-	}
-	an, bn := NormValue(a), NormValue(b)
-	switch {
-	case an < bn:
-		return -1
-	case an > bn:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// MatchSubstring applies the caseIgnoreSubstringsMatch rule. The pattern is
-// given as initial / any / final components per RFC 2254: initial must prefix
-// the value, each any component must occur in order, final must suffix the
-// remainder. Empty components are skipped.
-func MatchSubstring(value, initial string, any []string, final string) bool {
-	v := NormValue(value)
-	if initial != "" {
-		p := NormValue(initial)
-		if !strings.HasPrefix(v, p) {
-			return false
-		}
-		v = v[len(p):]
-	}
-	for _, a := range any {
-		if a == "" {
-			continue
-		}
-		p := NormValue(a)
-		i := strings.Index(v, p)
-		if i < 0 {
-			return false
-		}
-		v = v[i+len(p):]
-	}
-	if final != "" {
-		p := NormValue(final)
-		if !strings.HasSuffix(v, p) {
-			return false
-		}
-	}
-	return true
 }

@@ -62,3 +62,86 @@ func TestNormValueAllocs(t *testing.T) {
 		}
 	}
 }
+
+// refMatchSubstring is MatchSubstring as it was before it compared in place:
+// both normal forms built in full, then searched.
+func refMatchSubstring(value, initial string, any []string, final string) bool {
+	v := refNormValue(value)
+	if initial != "" {
+		p := refNormValue(initial)
+		if !strings.HasPrefix(v, p) {
+			return false
+		}
+		v = v[len(p):]
+	}
+	for _, a := range any {
+		if a == "" {
+			continue
+		}
+		p := refNormValue(a)
+		i := strings.Index(v, p)
+		if i < 0 {
+			return false
+		}
+		v = v[i+len(p):]
+	}
+	return final == "" || strings.HasSuffix(v, refNormValue(final))
+}
+
+// checkComparers holds every in-place comparer to the same question asked of
+// the reference normal forms of its operands.
+func checkComparers(t *testing.T, a, b, c string) {
+	t.Helper()
+	na, nb := refNormValue(a), refNormValue(b)
+	if got, want := EqualValues(a, b), na == nb; got != want {
+		t.Fatalf("EqualValues(%q, %q) = %v, reference %v", a, b, got, want)
+	}
+	if got, _ := CompareOrdered(OrderingString, a, b); got != strings.Compare(na, nb) {
+		t.Fatalf("CompareOrdered(string, %q, %q) = %d, reference %d", a, b, got, strings.Compare(na, nb))
+	}
+	if got, want := HasPrefixValue(a, b), strings.HasPrefix(na, nb); got != want {
+		t.Fatalf("HasPrefixValue(%q, %q) = %v, reference %v", a, b, got, want)
+	}
+	if got, want := HasSuffixValue(a, b), strings.HasSuffix(na, nb); got != want {
+		t.Fatalf("HasSuffixValue(%q, %q) = %v, reference %v", a, b, got, want)
+	}
+	if got, want := ContainsValue(a, b), strings.Contains(na, nb); got != want {
+		t.Fatalf("ContainsValue(%q, %q) = %v, reference %v", a, b, got, want)
+	}
+	for _, p := range []struct {
+		initial string
+		any     []string
+		final   string
+	}{
+		{b, nil, ""}, {"", []string{b}, ""}, {"", nil, b}, {b, []string{c}, ""},
+		{"", []string{b, c}, ""}, {b, nil, c}, {b, []string{c}, b},
+	} {
+		got, want := MatchSubstring(a, p.initial, p.any, p.final), refMatchSubstring(a, p.initial, p.any, p.final)
+		if got != want {
+			t.Fatalf("MatchSubstring(%q, %q, %q, %q) = %v, reference %v", a, p.initial, p.any, p.final, got, want)
+		}
+	}
+}
+
+// TestComparersMatchReference runs every pair of the corpus, and each pair
+// with one side upper-cased or padded, through checkComparers.
+func TestComparersMatchReference(t *testing.T) {
+	for _, a := range normValueCorpus {
+		for _, b := range normValueCorpus {
+			checkComparers(t, a, b, a)
+			checkComparers(t, a, strings.ToUpper(b), b)
+			checkComparers(t, " "+a+"  x", b+" ", a)
+		}
+	}
+}
+
+// FuzzEqualValues holds the in-place equality, ordering and substring
+// comparers to the reference normal form on arbitrary operands.
+func FuzzEqualValues(f *testing.F) {
+	for i, a := range normValueCorpus {
+		b := normValueCorpus[(i*7+3)%len(normValueCorpus)]
+		f.Add(a, b, a)
+		f.Add(a+" "+b, strings.ToUpper(a), b)
+	}
+	f.Fuzz(checkComparers)
+}

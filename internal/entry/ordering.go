@@ -70,13 +70,5 @@ func CompareOrdered(kind Ordering, a, b string) (cmp int, ok bool) {
 			return 0, true
 		}
 	}
-	an, bn := NormValue(a), NormValue(b)
-	switch {
-	case an < bn:
-		return -1, true
-	case an > bn:
-		return 1, true
-	default:
-		return 0, true
-	}
+	return compareNorm(a, b), true
 }

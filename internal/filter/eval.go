@@ -51,7 +51,8 @@ func (n *Node) matchesPositive(e *entry.Entry) bool {
 	case Present:
 		return e.Has(n.Attr)
 	case EQ:
-		for _, v := range e.Values(n.Attr) {
+		vals, _ := e.Lookup(n.Attr)
+		for _, v := range vals {
 			if entry.EqualValues(v, n.Value) {
 				return true
 			}
@@ -59,7 +60,8 @@ func (n *Node) matchesPositive(e *entry.Entry) bool {
 		return false
 	case GE:
 		kind := entry.OrderingFor(n.Attr)
-		for _, v := range e.Values(n.Attr) {
+		vals, _ := e.Lookup(n.Attr)
+		for _, v := range vals {
 			if cmp, ok := entry.CompareOrdered(kind, v, n.Value); ok && cmp >= 0 {
 				return true
 			}
@@ -67,7 +69,8 @@ func (n *Node) matchesPositive(e *entry.Entry) bool {
 		return false
 	case LE:
 		kind := entry.OrderingFor(n.Attr)
-		for _, v := range e.Values(n.Attr) {
+		vals, _ := e.Lookup(n.Attr)
+		for _, v := range vals {
 			if cmp, ok := entry.CompareOrdered(kind, v, n.Value); ok && cmp <= 0 {
 				return true
 			}
@@ -77,7 +80,8 @@ func (n *Node) matchesPositive(e *entry.Entry) bool {
 		if n.Sub == nil {
 			return e.Has(n.Attr)
 		}
-		for _, v := range e.Values(n.Attr) {
+		vals, _ := e.Lookup(n.Attr)
+		for _, v := range vals {
 			if entry.MatchSubstring(v, n.Sub.Initial, n.Sub.Any, n.Sub.Final) {
 				return true
 			}

@@ -484,3 +484,67 @@ func BenchmarkMatches(b *testing.B) {
 		}
 	}
 }
+
+// TestMatchesAllocs gates what a master's filter scan costs per entry: the
+// spec filters of the four benchmark workloads (serial prefixes, department
+// conjunctions, the search-mix replica's suffix and presence filters) and the
+// four Table-1 query shapes, against a Table-1 employee — whose objectClass
+// values are mixed-case and whose cn has spaces, so no operand is its own
+// normal form — and a department entry. Matching reads values in place and
+// compares them in place: nothing is copied or normalized.
+func TestMatchesAllocs(t *testing.T) {
+	emp := entry.New(dn.MustParse("cn=emp us 17,c=us,o=xyz"))
+	emp.Put("objectClass", "top", "person", "organizationalPerson", "inetOrgPerson")
+	emp.Put("cn", "emp us 17")
+	emp.Put("sn", "sn17")
+	emp.Put("serialNumber", "100030017")
+	emp.Put("uid", "u1a2b3c4d")
+	emp.Put("mail", "u1a2b3c4d@us.xyz.com")
+	emp.Put("departmentNumber", "17")
+	emp.Put("telephoneNumber", "123-4567")
+	dept := entry.New(dn.MustParse("dept=1003,ou=div00,ou=divisions,o=xyz"))
+	dept.Put("objectclass", "department")
+	dept.Put("dept", "1003")
+	dept.Put("div", "div00")
+	dept.Put("description", "department 1003 of div00")
+
+	var total float64
+	for _, tc := range []struct {
+		f             string
+		wantEmp, want bool // want: the department entry
+	}{
+		// fanout-shared, fanout-distinct, search-mix and cascade-reload specs.
+		{"(serialnumber=10*)", true, false},
+		{"(serialnumber=11*)", false, false},
+		{"(serialnumber=100*)", true, false},
+		{"(&(objectclass=department)(div=div00))", false, true},
+		{"(&(serialnumber=100*)(departmentnumber=1*))", true, false},
+		{"(mail=*@us.xyz.com)", true, false},
+		{"(dept=*)", false, true},
+		{"(location=*)", false, false},
+		// Table-1 query shapes.
+		{"(serialNumber=100030017)", true, false},
+		{"(mail=U1A2B3C4D@us.xyz.com)", true, false},
+		{"(&(dept=1003)(div=div00))", false, true},
+		{"(location=site003)", false, false},
+		// The mixed-case objectClass value itself.
+		{"(objectClass=inetorgperson)", true, false},
+	} {
+		n := MustParse(tc.f)
+		for _, c := range []struct {
+			e    *entry.Entry
+			want bool
+		}{{emp, tc.wantEmp}, {dept, tc.want}} {
+			var got bool
+			allocs := testing.AllocsPerRun(200, func() { got = n.Matches(c.e) })
+			if got != c.want {
+				t.Fatalf("%s.Matches(%s) = %v, want %v", tc.f, c.e.DN(), got, c.want)
+			}
+			if allocs != 0 {
+				t.Errorf("%s.Matches(%s) allocates %.0f times, gate is 0", tc.f, c.e.DN(), allocs)
+			}
+			total += allocs
+		}
+	}
+	t.Logf("filter.Matches (13 filters x 2 entries): %.0f allocations", total)
+}

@@ -132,13 +132,28 @@ func wrapNot(dst, encoded []byte) ([]byte, error) {
 // of KB of stack.
 const maxFilterDepth = 64
 
-var errFilterTooDeep = fmt.Errorf("ldap filter: nested deeper than %d levels", maxFilterDepth)
+// maxFilterNodes bounds how many elements (operators and predicates) a
+// filter off the wire may hold. The depth bound does not bound width: a
+// 16 MiB message holds an OR of a million presence predicates, which
+// decoded into 146 MB of nodes and would then cost every later pass a
+// million steps. The filters this system builds hold a handful of nodes
+// (three for a Table-1 query or a benchmark spec), so 4096 is far above
+// any of them and bounds a decoded filter at about half a megabyte.
+const maxFilterNodes = 4096
+
+var (
+	errFilterTooDeep = fmt.Errorf("ldap filter: nested deeper than %d levels", maxFilterDepth)
+	errFilterTooWide = fmt.Errorf("ldap filter: more than %d elements", maxFilterNodes)
+)
 
 // decodeFilter consumes one filter element, nested depth levels inside the
-// search request's filter.
-func decodeFilter(rd *ber.Reader, depth int) (*filter.Node, error) {
+// search request's filter; *nodes counts the elements decoded so far.
+func decodeFilter(rd *ber.Reader, depth int, nodes *int) (*filter.Node, error) {
 	if depth > maxFilterDepth {
 		return nil, errFilterTooDeep
+	}
+	if *nodes++; *nodes > maxFilterNodes {
+		return nil, errFilterTooWide
 	}
 	h, content, err := rd.Read()
 	if err != nil {
@@ -152,7 +167,7 @@ func decodeFilter(rd *ber.Reader, depth int) (*filter.Node, error) {
 		inner := ber.NewReader(content)
 		var children []*filter.Node
 		for !inner.Empty() {
-			c, err := decodeFilter(inner, depth+1)
+			c, err := decodeFilter(inner, depth+1, nodes)
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +185,7 @@ func decodeFilter(rd *ber.Reader, depth int) (*filter.Node, error) {
 		return filter.NewOr(children...), nil
 	case filterNot:
 		inner := ber.NewReader(content)
-		c, err := decodeFilter(inner, depth+1)
+		c, err := decodeFilter(inner, depth+1, nodes)
 		if err != nil {
 			return nil, err
 		}

@@ -463,7 +463,8 @@ func decodeSearchRequest(rd *ber.Reader) (*SearchRequest, error) {
 	if s.TypesOnly, err = rd.ReadBool(); err != nil {
 		return nil, err
 	}
-	f, err := decodeFilter(rd, 0)
+	nodes := 0
+	f, err := decodeFilter(rd, 0, &nodes)
 	if err != nil {
 		return nil, err
 	}

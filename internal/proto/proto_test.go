@@ -3,8 +3,10 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"filterdir/internal/ber"
@@ -699,5 +701,63 @@ func TestDecodeAllocsPerPatch(t *testing.T) {
 	se := sink.Op.(*SearchEntry)
 	if se.Entry.NumAttrs() != 1 || se.Entry.First("telephoneNumber") != "555-0117" {
 		t.Errorf("decoded patch = %s, want telephoneNumber alone", se.Entry)
+	}
+}
+
+// wideOrSearch encodes a subtree search whose filter is an OR of n presence
+// predicates on employeenumber, each 16 bytes on the wire, and returns the
+// message body as decodeMessage takes it.
+func wideOrSearch(t *testing.T, n int) []byte {
+	t.Helper()
+	present := ber.AppendString(nil, ber.ClassContext, filterPresent, "employeenumber")
+	or := make([]byte, 0, n*len(present))
+	for i := 0; i < n; i++ {
+		or = append(or, present...)
+	}
+	body := ber.AppendString(nil, ber.ClassUniversal, ber.TagOctetString, "o=xyz")
+	body = ber.AppendEnum(body, int64(query.ScopeSubtree))
+	body = ber.AppendEnum(body, 0)                                    // derefAliases
+	body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, 0) // sizeLimit
+	body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, 0) // timeLimit
+	body = ber.AppendBool(body, false)
+	body = ber.AppendTLV(body, ber.ClassContext, true, filterOr, or)
+	body = ber.AppendSequence(body, nil) // attributes
+	content, err := ber.NewReader(EncodeWithOpBody(1, &SearchRequest{}, body, nil)).ReadExpect(ber.ClassUniversal, ber.TagSequence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return content
+}
+
+// TestWideFilterRefused: a search whose filter is an OR of a million
+// presence predicates — 16 MiB, at the message size bound — is a decode
+// error, and the decoder gives up before it has built more than
+// maxFilterNodes nodes rather than materialising the million.
+func TestWideFilterRefused(t *testing.T) {
+	n := (maxMessageBytes - 1024) / 16
+	msg := wideOrSearch(t, n)
+	if len(msg) > maxMessageBytes {
+		t.Fatalf("the wide-filter search is %d B, above the %d B message bound", len(msg), maxMessageBytes)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := decodeMessage(msg)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errFilterTooWide) {
+		t.Fatalf("an OR of %d presence predicates decoded: %v", n, err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("OR of %d predicates, %d B: refused after %d B allocated", n, len(msg), allocated)
+	if allocated > 1<<20 {
+		t.Errorf("refusing the wide filter allocated %d B, want under 1 MiB", allocated)
+	}
+
+	// The bound counts the OR itself: maxFilterNodes elements decode.
+	if _, err := decodeMessage(wideOrSearch(t, maxFilterNodes-1)); err != nil {
+		t.Fatalf("a filter of %d elements was refused: %v", maxFilterNodes, err)
+	}
+	if _, err := decodeMessage(wideOrSearch(t, maxFilterNodes)); !errors.Is(err, errFilterTooWide) {
+		t.Fatalf("a filter of %d elements: %v, want errFilterTooWide", maxFilterNodes+1, err)
 	}
 }

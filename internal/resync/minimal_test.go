@@ -51,6 +51,37 @@ func TestModifyThenRevertSuppressed(t *testing.T) {
 	}
 }
 
+// TestFoldOnlyModifyNotSuppressed: the net-unchanged check compares values
+// under the same caseIgnoreMatch as filters and indexes. U+017F (long s)
+// folds to "s" under Unicode simple folding but lower-cases to itself, so a
+// modify from "ſ" to "s" changes what (dept=s) selects; suppressing it as
+// net-unchanged left the replica holding "ſ" for good.
+func TestFoldOnlyModifyNotSuppressed(t *testing.T) {
+	master := newMaster(t)
+	a := addPerson(t, master, "a", "0401", "\u017f")
+	eng := NewEngine(master)
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Modify(a, []dit.Mod{{Op: dit.ModReplace, Attr: "dept", Values: []string{"s"}}}); err != nil {
+		t.Fatal(err)
+	}
+	poll, err := eng.Poll(res.Cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(poll.Updates) != 1 || poll.Updates[0].Action != ActionModify {
+		t.Fatalf("modify \u017f -> s: got %+v, want one modify", poll.Updates)
+	}
+	if got := poll.Updates[0].Entry.First("dept"); got != "s" {
+		t.Errorf("modify carries dept %q, want \"s\"", got)
+	}
+	if got := eng.Counters().Snapshot().SuppressedModifies; got != 0 {
+		t.Errorf("SuppressedModifies = %d, want 0", got)
+	}
+}
+
 // TestRevertOutsideSelectedAttrs checks suppression under attribute
 // selection: a change confined to attributes outside the session's
 // requested set is invisible to the replica and must produce no update.
