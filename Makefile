@@ -119,7 +119,8 @@ cover:
 
 ## loc: non-test Go lines per internal/ package, then the totals over the
 ## packages ROADMAP item 5 tracks (the sync surface and what selects for it)
-## and over the ones items 8 and 11 do (durable state and its two callers).
+## and over the ones items 8 and 11 do (durable state and its two callers),
+## then non-test Go lines per cmd/ directory (items 13 and 16).
 LOC_PKGS ?= ldapnet cascade replica resync selection tierctl supervisor
 LOC_DURABLE ?= supervisor cascade persist
 loc:
@@ -130,4 +131,7 @@ loc:
 		printf '%-12s %6d  (%s)\n' total \
 			$$(for p in $$pkgs; do find internal/$$p -name '*.go' ! -name '*_test.go' -exec cat {} +; done | wc -l) \
 			"$$pkgs"; \
+	done
+	@for d in cmd/*/; do \
+		printf '%-16s %6d\n' $${d%/} $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done

@@ -1,21 +1,22 @@
 // Command ldapreplica runs a filter-based replica against a master served
-// by ldapmaster. Each configured filter is owned by a supervisor that
-// drives the full ReSync lifecycle — begin, steady-state poll or persist
-// stream, reconnect with capped backoff, resume by cookie — while the
-// replica serves contained queries on its own LDAP port (misses are
-// answered with a referral to the master).
+// by ldapmaster. The replica is one cascade.Tier: each configured filter is
+// an upstream link whose supervisor drives the full ReSync lifecycle —
+// begin, steady-state poll or persist stream, reconnect with capped
+// backoff, resume by cookie — while the replica serves contained queries on
+// its own LDAP port (misses are answered with a referral to the master). A
+// leaf is a tier whose sync engine no listener serves; -serve makes the same
+// tier a mid-tier that serves ReSync to downstream replicas, admitting only
+// specs provably contained in its filters.
 //
 // With -state, every exchange a filter lands is appended, with the cookie it
-// reached, to that filter's journal and fsynced once; a restarted replica —
-// leaf or mid-tier alike — replays its content from disk and resumes the
-// master session with a poll instead of a full content transfer.
+// reached, to that filter's journal under <state>/cascade/links and fsynced
+// once; a restarted replica — leaf or mid-tier alike, whichever it ran as
+// before — replays its content from disk and resumes the master session
+// with a poll instead of a full content transfer.
 //
 // Cascaded topologies: -upstream points the replica at a mid-tier replica
 // instead of the master (-master stays the fallback the supervisors divert
-// to when the upstream rejects their spec or forgets their session), and
-// -serve turns this replica into a mid-tier itself — it runs its own sync
-// engine over the replicated content and serves ReSync to downstream
-// replicas, admitting only specs provably contained in its filters.
+// to when the upstream rejects their spec or forgets their session).
 //
 // With -serve -adaptive the mid-tier re-tiers itself under shifting demand:
 // admission rejections feed a filter selector that widens the tier into
@@ -41,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -48,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"filterdir"
 	"filterdir/internal/cascade"
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
@@ -58,7 +59,6 @@ import (
 	"filterdir/internal/metrics"
 	"filterdir/internal/persist"
 	"filterdir/internal/query"
-	"filterdir/internal/replica"
 	"filterdir/internal/supervisor"
 	"filterdir/internal/tierctl"
 )
@@ -93,7 +93,7 @@ type options struct {
 	adaptive               bool
 	tierBudget             int
 	watchFilters           bool
-	filters                filterList
+	specs                  []query.Query // the -filter list as subtree queries
 }
 
 func main() {
@@ -102,10 +102,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ldapreplica:", err)
 		os.Exit(2)
 	}
-	if o.serve {
-		err = runTier(o)
-	} else {
-		err = runLeaf(o)
+	srv, stop, status, err := start(o)
+	if err == nil {
+		err = serveLoop(srv, o.statusEvery, status, stop)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ldapreplica:", err)
@@ -114,7 +113,7 @@ func main() {
 }
 
 // modeOnly pairs each flag that only one mode reads with the flag selecting
-// that mode: runLeaf reads none of the -serve flags, and -tier-budget sizes
+// that mode: a leaf reads none of the -serve flags, and -tier-budget sizes
 // only the -adaptive control plane.
 var modeOnly = []struct{ flag, mode string }{
 	{"journal-limit", "serve"},
@@ -130,6 +129,7 @@ var modeOnly = []struct{ flag, mode string }{
 // than silently ignored.
 func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
+	var filters filterList
 	fs.StringVar(&o.master, "master", "127.0.0.1:3890", "root master server address (the fallback when -upstream is set)")
 	fs.StringVar(&o.upstream, "upstream", "", "upstream to synchronize from when it is not the master (e.g. a mid-tier replica)")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:3891", "replica listen address")
@@ -151,12 +151,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.adaptive, "adaptive", false, "run the demand-driven control plane over the tier's filter set: widen on admission rejections, narrow on decay (with -serve)")
 	fs.IntVar(&o.tierBudget, "tier-budget", 0, "adaptive filter-set budget in specs, base filters included (with -adaptive; 0 = number of -filter flags + 2)")
 	fs.BoolVar(&o.watchFilters, "watch-filters", false, "while diverted to the fallback master, long-poll the upstream for filter-set changes and re-probe the moment it widens")
-	fs.Var(&o.filters, "filter", "replicated filter (repeatable)")
+	fs.Var(&filters, "filter", "replicated filter (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	if len(o.filters) == 0 {
-		o.filters = filterList{"(objectclass=location)"}
+	if len(filters) == 0 {
+		filters = filterList{"(objectclass=location)"}
 	}
 
 	set := map[string]bool{}
@@ -182,29 +182,54 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	default:
 		return o, fmt.Errorf("unknown -mode %q", *mode)
 	}
+
+	for _, f := range filters {
+		spec, err := query.New("", query.ScopeSubtree, f)
+		if err != nil {
+			return o, fmt.Errorf("filter %q: %w", f, err)
+		}
+		o.specs = append(o.specs, spec)
+	}
 	return o, nil
 }
 
-// specs parses the -filter list into subtree queries.
-func specs(filters filterList) ([]query.Query, error) {
-	out := make([]query.Query, 0, len(filters))
-	for _, f := range filters {
-		spec, err := query.New("", filterdir.ScopeSubtree, f)
-		if err != nil {
-			return nil, fmt.Errorf("filter %q: %w", f, err)
-		}
-		out = append(out, spec)
-	}
-	return out, nil
-}
+// leafJournalLimit bounds a leaf's content-store journal. Nothing reads it —
+// only a served engine replays its store's journal — so without a bound it
+// would hold the before- and after-image of every applied update for the
+// life of the process.
+const leafJournalLimit = 64
 
-// upstreamOf resolves which address the supervisors synchronize from and
-// which (if any) they fall back to.
-func upstreamOf(o options) (upstream, fallback string) {
-	if o.upstream != "" && o.upstream != o.master {
-		return o.upstream, o.master
+// tierConfig is the tier the options describe. A leaf and a mid-tier differ
+// here only in the store journal's bound; the rest of -serve is in start.
+func tierConfig(o options) cascade.Config {
+	cfg := cascade.Config{
+		Upstream:           o.master,
+		RetryUpstreamAfter: o.retryUpstream,
+		Specs:              o.specs,
+		Depth:              o.depth,
+		Mode:               o.mode,
+		JournalLimit:       o.journalLimit,
+		ReloadChunk:        o.reloadChunk,
+		KeepSyncPoints:     o.keepSyncPoints,
+		JournalRetention:   o.journalRetention,
+		ContentIndexes:     []string{"serialnumber", "mail", "dept", "location", "uid"},
+		PollInterval:       o.interval,
+		IdleTimeout:        o.idleTimeout,
+		BackoffBase:        o.backoffBase,
+		BackoffMax:         o.backoffMax,
+		WatchFilters:       o.watchFilters,
+		Logf:               logf,
 	}
-	return o.master, ""
+	if o.upstream != "" && o.upstream != o.master {
+		cfg.Upstream, cfg.Fallback = o.upstream, o.master
+	}
+	if o.stateDir != "" {
+		cfg.StateDir = filepath.Join(o.stateDir, "cascade")
+	}
+	if !o.serve {
+		cfg.JournalLimit = leafJournalLimit
+	}
+	return cfg
 }
 
 func logf(format string, args ...any) {
@@ -249,8 +274,124 @@ func openEdgeWriter(o options, fwd edgewrite.Forwarder,
 	}, nil
 }
 
-// serveLoop runs the status/shutdown select shared by both modes.
-func serveLoop(srv *ldapnet.Server, statusEvery time.Duration, printStatus func(), shutdown func()) error {
+// start builds the tier the options describe, starts its links and serves
+// it on -addr: its content to LDAP clients, and with -serve its engine to
+// downstream replicas. It returns the server, stop (everything but the
+// server, in shutdown order) and the status report.
+func start(o options) (srv *ldapnet.Server, stop func(), status func(io.Writer), err error) {
+	cfg := tierConfig(o)
+	if cfg.StateDir != "" {
+		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	tier, err := cascade.New(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	// A mid-tier relays downstream edge-write forwards one hop closer to
+	// the master; with -edge-writes any replica also forwards the writes of
+	// its own LDAP clients.
+	fwd := ldapnet.NewEdgeForwarder(cfg.Upstream)
+	fwd.FallbackAddr = cfg.Fallback
+	var ctrl *tierctl.Controller
+	var edge *edgewrite.Writer
+	var closeEdge func()
+	stop = func() {
+		if ctrl != nil {
+			ctrl.Stop()
+		}
+		if err := tier.Stop(); err != nil {
+			logf("stop tier: %v", err)
+		}
+		// After the tier's links: a watermark they report retires an op in the WAL.
+		if edge != nil {
+			closeEdge()
+		}
+		fwd.Close()
+	}
+	defer func() {
+		if err != nil {
+			stop()
+		}
+	}()
+
+	writes := &metrics.WriteCounters{}
+	if o.edgeWrites {
+		w, closeW, err := openEdgeWriter(o, fwd, tier.AdmitWrite, tier.Replica().Store().Get, writes)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		edge, closeEdge = w, closeW
+		tier.AttachEdgeWriter(edge)
+		tier.Replica().SetReadOverlay(edge.Overlay)
+	}
+
+	tier.Start()
+	for _, spec := range cfg.Specs {
+		fmt.Printf("ldapreplica: supervising %q against %s\n", spec.FilterString(), cfg.Upstream)
+	}
+	if o.adaptive {
+		budget := o.tierBudget
+		if budget <= 0 {
+			budget = len(cfg.Specs) + 2
+		}
+		if ctrl, err = tierctl.New(tierctl.Config{Tier: tier, Budget: budget, Logf: logf}); err != nil {
+			return nil, nil, nil, err
+		}
+		ctrl.Start()
+		fmt.Printf("ldapreplica: adaptive control plane armed (budget %d specs)\n", budget)
+	}
+
+	rb := ldapnet.NewReplicaBackend(tier.Replica(), "ldap://"+o.master)
+	var backend ldapnet.Backend = rb
+	role := "leaf"
+	if o.serve {
+		cb := ldapnet.NewCascadeBackend(tier.Replica(), tier, rb.MasterURL)
+		cb.Upstream = fwd
+		rb, backend = cb.ReplicaBackend, cb
+		role = fmt.Sprintf("mid-tier at depth %d", cfg.Depth)
+	}
+	if edge != nil {
+		rb.Edge = edge
+		edge.Start()
+	}
+	if srv, err = ldapnet.Serve(o.addr, backend); err != nil {
+		return nil, nil, nil, err
+	}
+	fmt.Printf("ldapreplica: %s serving on %s; %d filters in %s mode\n",
+		role, srv.Addr(), len(cfg.Specs), map[supervisor.Mode]string{
+			supervisor.ModePoll: "poll", supervisor.ModePersist: "persist"}[o.mode])
+
+	status = func(w io.Writer) {
+		rep := tier.Replica()
+		m := rep.Metrics()
+		fmt.Fprintf(w, "ldapreplica: %d entries; hit ratio %.2f (%d queries)\n",
+			rep.EntryCount(), m.HitRatio(), m.Queries)
+		if o.serve {
+			fmt.Fprintf(w, "ldapreplica: %s\n", tier.Counters().Snapshot())
+			fmt.Fprintf(w, "ldapreplica: downstream %s\n", tier.SyncCounters().Snapshot())
+		}
+		if edge != nil {
+			fmt.Fprintf(w, "ldapreplica: %s\n", writes.Snapshot())
+		}
+		if ctrl != nil {
+			fmt.Fprintf(w, "ldapreplica: %s\n", ctrl.Counters().Snapshot())
+		}
+		// Each supervisor names its own spec: the adaptive control plane
+		// adds and removes links between any two reads of the link set.
+		for _, sup := range tier.Supervisors() {
+			fmt.Fprintf(w, "ldapreplica: %q [%s→%s] %s\n",
+				sup.Spec().FilterString(), sup.State(), sup.Target(), sup.Counters().Snapshot())
+		}
+	}
+	return srv, stop, status, nil
+}
+
+// serveLoop reports status every statusEvery until SIGINT or SIGTERM, then
+// shuts down: the server first, then stop, then one last report.
+func serveLoop(srv *ldapnet.Server, statusEvery time.Duration, status func(io.Writer), stop func()) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	var statusC <-chan time.Time
@@ -262,274 +403,13 @@ func serveLoop(srv *ldapnet.Server, statusEvery time.Duration, printStatus func(
 	for {
 		select {
 		case <-statusC:
-			printStatus()
+			status(os.Stdout)
 		case <-sig:
-			// Graceful shutdown: stop serving queries, then stop the
-			// synchronization machinery and report the final counters.
 			fmt.Println("ldapreplica: shutting down")
 			closeErr := srv.Close()
-			shutdown()
-			printStatus()
+			stop()
+			status(os.Stdout)
 			return closeErr
 		}
 	}
-}
-
-// leafJournalLimit bounds a leaf's content-store journal. Nothing reads it —
-// only a tier's downstream engine replays its store's journal — so without a
-// bound it would hold the before- and after-image of every applied update
-// for the life of the process.
-const leafJournalLimit = 64
-
-func newLeafReplica() (*filterdir.FilterReplica, error) {
-	return filterdir.NewFilterReplica(
-		filterdir.WithContentIndexes("serialnumber", "mail", "dept", "location", "uid"),
-		replica.WithJournalLimit(leafJournalLimit))
-}
-
-// runLeaf is the classic consumer replica: one supervisor per filter, no
-// downstream service.
-func runLeaf(o options) error {
-	rep, err := newLeafReplica()
-	if err != nil {
-		return err
-	}
-	qs, err := specs(o.filters)
-	if err != nil {
-		return err
-	}
-	upstream, fallback := upstreamOf(o)
-
-	// The edge writer must exist before the supervisors so each filter's
-	// config can report its applied-CSN watermark (retirement consumes the
-	// minimum across all filters).
-	var edge *edgewrite.Writer
-	var closeEdge func()
-	var fwd *ldapnet.EdgeForwarder
-	writes := &metrics.WriteCounters{}
-	if o.edgeWrites {
-		fwd = ldapnet.NewEdgeForwarder(upstream)
-		fwd.FallbackAddr = fallback
-		edge, closeEdge, err = openEdgeWriter(o, fwd,
-			edgewrite.Admitter(qs, rep.Store().Get), rep.Store().Get, writes)
-		if err != nil {
-			fwd.Close()
-			return err
-		}
-	}
-
-	// One supervisor per filter, all applying into the shared replica; each
-	// owns its own state subdirectory, so every journal is one owner's.
-	sups := make([]*supervisor.Supervisor, 0, len(qs))
-	for i, spec := range qs {
-		cfg := supervisor.Config{
-			Master:             upstream,
-			Fallback:           fallback,
-			RetryUpstreamAfter: o.retryUpstream,
-			Spec:               spec,
-			Mode:               o.mode,
-			PollInterval:       o.interval,
-			IdleTimeout:        o.idleTimeout,
-			BackoffBase:        o.backoffBase,
-			BackoffMax:         o.backoffMax,
-			WatchFilters:       o.watchFilters,
-			JournalRetention:   o.journalRetention,
-			Logf:               logf,
-		}
-		if o.stateDir != "" {
-			cfg.StateDir = filepath.Join(o.stateDir, fmt.Sprintf("filter%02d", i))
-			if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
-				return err
-			}
-		}
-		if edge != nil {
-			key := spec.Key()
-			edge.RegisterSource(key)
-			cfg.OnWatermark = func(csn uint64) { edge.SetWatermark(key, csn) }
-		}
-		sup, err := supervisor.New(cfg, rep)
-		if err != nil {
-			return fmt.Errorf("filter %q: %w", o.filters[i], err)
-		}
-		sups = append(sups, sup)
-	}
-	for i, sup := range sups {
-		sup.Start()
-		fmt.Printf("ldapreplica: supervising %q against %s\n", o.filters[i], upstream)
-	}
-
-	backend := ldapnet.NewReplicaBackend(rep, "ldap://"+o.master)
-	if edge != nil {
-		rep.SetReadOverlay(edge.Overlay)
-		backend.Edge = edge
-		edge.Start()
-	}
-	srv, err := ldapnet.Serve(o.addr, backend)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ldapreplica: serving on %s; %d filters in %s mode\n",
-		srv.Addr(), len(sups), map[supervisor.Mode]string{
-			supervisor.ModePoll: "poll", supervisor.ModePersist: "persist"}[o.mode])
-
-	printStatus := func() {
-		m := rep.Metrics()
-		fmt.Printf("ldapreplica: %d entries; hit ratio %.2f (%d queries)\n",
-			rep.EntryCount(), m.HitRatio(), m.Queries)
-		if edge != nil {
-			fmt.Printf("ldapreplica: %s\n", writes.Snapshot())
-		}
-		for i, sup := range sups {
-			fmt.Printf("ldapreplica: %q [%s→%s] %s\n", o.filters[i], sup.State(), sup.Target(), sup.Counters().Snapshot())
-		}
-	}
-	return serveLoop(srv, o.statusEvery, printStatus, func() {
-		for i, sup := range sups {
-			if err := sup.Stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "ldapreplica: stop %q: %v\n", o.filters[i], err)
-			}
-		}
-		// After the supervisors: a watermark they report retires an op in the WAL.
-		if edge != nil {
-			closeEdge()
-			fwd.Close()
-		}
-	})
-}
-
-// runTier is the cascade mid-tier: the replica both consumes its filters
-// from upstream and serves ReSync to downstream replicas.
-func runTier(o options) error {
-	qs, err := specs(o.filters)
-	if err != nil {
-		return err
-	}
-	upstream, fallback := upstreamOf(o)
-	stateDir := o.stateDir
-	if stateDir != "" {
-		stateDir = filepath.Join(stateDir, "cascade")
-		if err := os.MkdirAll(stateDir, 0o755); err != nil {
-			return err
-		}
-	}
-	tier, err := cascade.New(cascade.Config{
-		Upstream:           upstream,
-		Fallback:           fallback,
-		RetryUpstreamAfter: o.retryUpstream,
-		Specs:              qs,
-		Depth:              o.depth,
-		Mode:               o.mode,
-		StateDir:           stateDir,
-		JournalLimit:       o.journalLimit,
-		ReloadChunk:        o.reloadChunk,
-		KeepSyncPoints:     o.keepSyncPoints,
-		JournalRetention:   o.journalRetention,
-		ContentIndexes:     []string{"serialnumber", "mail", "dept", "location", "uid"},
-		PollInterval:       o.interval,
-		IdleTimeout:        o.idleTimeout,
-		BackoffBase:        o.backoffBase,
-		BackoffMax:         o.backoffMax,
-		WatchFilters:       o.watchFilters,
-		Logf:               logf,
-	})
-	if err != nil {
-		return err
-	}
-
-	var ctrl *tierctl.Controller
-	if o.adaptive {
-		budget := o.tierBudget
-		if budget <= 0 {
-			budget = len(qs) + 2
-		}
-		ctrl, err = tierctl.New(tierctl.Config{Tier: tier, Budget: budget, Logf: logf})
-		if err != nil {
-			return err
-		}
-	}
-
-	// A mid-tier always relays downstream edge-write forwards one hop
-	// closer to the master; with -edge-writes it also accepts writes from
-	// its own LDAP clients through the same forwarder.
-	fwd := ldapnet.NewEdgeForwarder(upstream)
-	fwd.FallbackAddr = fallback
-	var edge *edgewrite.Writer
-	var closeEdge func()
-	writes := &metrics.WriteCounters{}
-	if o.edgeWrites {
-		edge, closeEdge, err = openEdgeWriter(o, fwd, tier.AdmitWrite, tier.Replica().Store().Get, writes)
-		if err != nil {
-			fwd.Close()
-			return err
-		}
-		tier.AttachEdgeWriter(edge)
-		tier.Replica().SetReadOverlay(edge.Overlay)
-	}
-
-	tier.Start()
-	for i := range qs {
-		fmt.Printf("ldapreplica: supervising %q against %s (serving downstream)\n", o.filters[i], upstream)
-	}
-	if ctrl != nil {
-		ctrl.Start()
-		fmt.Printf("ldapreplica: adaptive control plane armed (budget %d specs)\n",
-			func() int {
-				if o.tierBudget > 0 {
-					return o.tierBudget
-				}
-				return len(qs) + 2
-			}())
-	}
-
-	backend := ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://"+o.master)
-	backend.Upstream = fwd
-	if edge != nil {
-		backend.Edge = edge
-		edge.Start()
-	}
-	srv, err := ldapnet.Serve(o.addr, backend)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ldapreplica: mid-tier serving on %s; %d filters in %s mode, depth %d\n",
-		srv.Addr(), len(qs), map[supervisor.Mode]string{
-			supervisor.ModePoll: "poll", supervisor.ModePersist: "persist"}[o.mode], o.depth)
-
-	printStatus := func() {
-		rep := tier.Replica()
-		m := rep.Metrics()
-		fmt.Printf("ldapreplica: %d entries; hit ratio %.2f (%d queries)\n",
-			rep.EntryCount(), m.HitRatio(), m.Queries)
-		fmt.Printf("ldapreplica: %s\n", tier.Counters().Snapshot())
-		fmt.Printf("ldapreplica: downstream %s\n", tier.SyncCounters().Snapshot())
-		if edge != nil {
-			fmt.Printf("ldapreplica: %s\n", writes.Snapshot())
-		}
-		if ctrl != nil {
-			fmt.Printf("ldapreplica: %s\n", ctrl.Counters().Snapshot())
-		}
-		// The adaptive control plane adds and removes links at runtime, so
-		// labels come from the tier's live spec set, not the -filter flags.
-		liveSpecs := tier.Specs()
-		for i, sup := range tier.Supervisors() {
-			label := "?"
-			if i < len(liveSpecs) {
-				label = liveSpecs[i].FilterString()
-			}
-			fmt.Printf("ldapreplica: %q [%s→%s] %s\n", label, sup.State(), sup.Target(), sup.Counters().Snapshot())
-		}
-	}
-	return serveLoop(srv, o.statusEvery, printStatus, func() {
-		if ctrl != nil {
-			ctrl.Stop()
-		}
-		if err := tier.Stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "ldapreplica: stop tier: %v\n", err)
-		}
-		// After the tier's links: a watermark they report retires an op in the WAL.
-		if edge != nil {
-			closeEdge()
-		}
-		fwd.Close()
-	})
 }

@@ -90,6 +90,39 @@ func TestAdoptRetireLifecycle(t *testing.T) {
 	}
 }
 
+// TestSupervisorsNameLiveLinks: after a retire shifts the link set, every
+// supervisor the tier lists still names its own live link, so a status line
+// built from Supervisors() alone cannot print one filter's counters under
+// another's name.
+func TestSupervisorsNameLiveLinks(t *testing.T) {
+	h := newHarness(t)
+	tier, _ := startTier(t, h.tierConfig(t), "ldap://"+h.srv.Addr())
+	first := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)")
+	second := query.MustNew("o=xyz", query.ScopeSubtree, "(sn=x)")
+	for _, spec := range []query.Query{first, second} {
+		if _, err := tier.AdoptSpec(spec); err != nil {
+			t.Fatalf("AdoptSpec %s: %v", spec.FilterString(), err)
+		}
+	}
+	if _, err := tier.RetireSpec(first); err != nil {
+		t.Fatalf("RetireSpec: %v", err)
+	}
+
+	live := map[string]bool{}
+	for _, spec := range tier.Specs() {
+		live[spec.Key()] = true
+	}
+	sups := tier.Supervisors()
+	if len(sups) != 2 {
+		t.Fatalf("%d supervisors after retiring one of three links, want 2", len(sups))
+	}
+	for i, sup := range sups {
+		if !live[sup.Spec().Key()] {
+			t.Errorf("Supervisors()[%d] names %s, which is not a live link", i, sup.Spec().FilterString())
+		}
+	}
+}
+
 // TestFiltersChangedNotificationMigratesLeaf: a rejected leaf parked on the
 // fallback master migrates back within seconds of AdoptSpec, woken by the
 // tier's filters-changed notification — its timer path is armed at an hour,

@@ -478,6 +478,9 @@ var errProbeDue = errors.New("upstream probe due")
 // Counters exposes the supervision counters for status reporting.
 func (s *Supervisor) Counters() *metrics.ReplicaCounters { return s.counters }
 
+// Spec returns the replicated content spec the supervisor was configured with.
+func (s *Supervisor) Spec() query.Query { return s.cfg.Spec }
+
 // State reports the current lifecycle state.
 func (s *Supervisor) State() State {
 	s.mu.Lock()
