@@ -68,13 +68,11 @@ func run() error {
 	ar := filterdir.NewAdaptiveReplica(rep, sel, syncClient)
 	defer ar.Close()
 
-	// Statically replicate the hot location tree with a slow sync period
-	// (different consistency levels for different object types, §3.2).
+	// Statically replicate the hot location tree.
 	locQ := filterdir.MustParseQuery("", filterdir.ScopeSubtree, "(location=*)")
 	if err := ar.AddFilter(locQ); err != nil {
 		return err
 	}
-	ar.SetSyncPeriod(locQ, 10)
 
 	replicaSrv, err := ldapnet.Serve("127.0.0.1:0",
 		ldapnet.NewReplicaBackend(rep, "ldap://master"))

@@ -11,8 +11,7 @@
 //   - RFC 2254 filters with evaluation, templates and the query-containment
 //     algorithms of the paper (Propositions 1–3, compiled template pairs);
 //   - the two replica models: SubtreeReplica and FilterReplica;
-//   - the ReSync synchronization protocol (poll, persist and retain modes)
-//     with tombstone / changelog / full-reload baselines;
+//   - the ReSync synchronization protocol (poll, persist and retain modes);
 //   - filter generalization and benefit/size selection ("revolutions");
 //   - an LDAP v3 wire protocol (BER over TCP) with referral chasing and the
 //     ReSync request controls;

@@ -168,9 +168,6 @@ func NewReader(data []byte) *Reader {
 // Empty reports whether all input was consumed.
 func (r *Reader) Empty() bool { return r.pos >= len(r.data) }
 
-// Rest returns the unconsumed bytes.
-func (r *Reader) Rest() []byte { return r.data[r.pos:] }
-
 // Peek decodes the next header without consuming it.
 func (r *Reader) Peek() (Header, error) {
 	save := r.pos

@@ -11,7 +11,7 @@ import (
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/persist"
 	"filterdir/internal/proto"
-	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/supervisor"
 )
 
@@ -63,7 +63,7 @@ func BenchmarkDurableTierBurst(b *testing.B) {
 		}
 		_ = client.Close()
 		for ok := false; !ok; time.Sleep(200 * time.Microsecond) {
-			if ok, _ = resync.Converged(h.store, tier.Replica().Store(), h.tierSpec); time.Since(start) > time.Minute {
+			if ok, _ = resynctest.Converged(h.store, tier.Replica().Store(), h.tierSpec); time.Since(start) > time.Minute {
 				b.Fatal("tier did not converge")
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/supervisor"
 )
 
@@ -183,7 +184,7 @@ func waitConverged(t *testing.T, master, rep *dit.Store, spec query.Query, timeo
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		ok, why := resync.Converged(master, rep, spec)
+		ok, why := resynctest.Converged(master, rep, spec)
 		if ok {
 			return
 		}
@@ -278,7 +279,7 @@ func TestPropagationThroughTier(t *testing.T) {
 
 	// Leaf-through-mid is indistinguishable from direct attachment: both
 	// converged to the same master selection, so their stores agree.
-	if ok, why := resync.Converged(repDirect.Store(), repFull.Store(), fullSpec); !ok {
+	if ok, why := resynctest.Converged(repDirect.Store(), repFull.Store(), fullSpec); !ok {
 		t.Errorf("tier-attached leaf differs from direct-attached leaf: %s", why)
 	}
 
@@ -477,7 +478,7 @@ func TestTornCheckpointRecovery(t *testing.T) {
 	if tier2.Replica().EntryCount() == 0 {
 		t.Fatal("torn recovery restored no content")
 	}
-	if ok, _ := resync.Converged(h.store, tier2.Replica().Store(), h.tierSpec); ok {
+	if ok, _ := resynctest.Converged(h.store, tier2.Replica().Store(), h.tierSpec); ok {
 		t.Fatal("the tear lost nothing: the scenario did not roll a batch back")
 	}
 	tier2.Start()

@@ -14,6 +14,7 @@ import (
 	"filterdir/internal/dn"
 	"filterdir/internal/query"
 	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/supervisor"
 )
 
@@ -116,10 +117,10 @@ func TestKilledTierWithOverlappingLinksRestores(t *testing.T) {
 	if got := len(tier2.Specs()); got != 2 {
 		t.Fatalf("restarted tier specs = %d, want 2 (adopted spec lost)", got)
 	}
-	if ok, why := resync.Converged(h.store, tier2.Replica().Store(), h.tierSpec); !ok {
+	if ok, why := resynctest.Converged(h.store, tier2.Replica().Store(), h.tierSpec); !ok {
 		t.Errorf("base spec's content as restored: %s", why)
 	}
-	if ok, _ := resync.Converged(h.store, tier2.Replica().Store(), overlap); ok {
+	if ok, _ := resynctest.Converged(h.store, tier2.Replica().Store(), overlap); ok {
 		t.Fatal("the tear lost nothing: the scenario did not roll a batch back")
 	}
 	tier2.Start()
@@ -136,7 +137,7 @@ func TestKilledTierWithOverlappingLinksRestores(t *testing.T) {
 	if got := countPrefix(tier2.Replica().Store(), "05"); got != 0 {
 		t.Errorf("retired content still stored: %d 05-entries", got)
 	}
-	if ok, why := resync.Converged(h.store, tier2.Replica().Store(), h.tierSpec); !ok {
+	if ok, why := resynctest.Converged(h.store, tier2.Replica().Store(), h.tierSpec); !ok {
 		t.Errorf("retiring the adopted spec took base content with it: %s", why)
 	}
 	if _, err := os.Stat(tier2.linkDir(overlap.Normalize())); !errors.Is(err, fs.ErrNotExist) {

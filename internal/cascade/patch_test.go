@@ -7,11 +7,11 @@ import (
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
-	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/supervisor"
 )
 
-// exactlyConverged is resync.Converged plus the spelling of every value:
+// exactlyConverged is resynctest.Converged plus the spelling of every value:
 // the restart bug left an entry with the right attributes and an old value.
 func exactlyConverged(t *testing.T, master, rep *dit.Store, d dn.DN, attr string) {
 	t.Helper()
@@ -118,7 +118,7 @@ func TestPatchCrossesTier(t *testing.T) {
 	if misses := sup.Counters().PatchMisses.Load() + tier.Supervisors()[0].Counters().PatchMisses.Load(); misses != 0 {
 		t.Errorf("patch misses = %d, want 0", misses)
 	}
-	if ok, why := resync.Converged(h.store, tier.Replica().Store(), h.tierSpec); !ok {
+	if ok, why := resynctest.Converged(h.store, tier.Replica().Store(), h.tierSpec); !ok {
 		t.Errorf("tier: %s", why)
 	}
 }
@@ -165,7 +165,7 @@ func TestMoveCrossesTier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart over a journaled move: %v", err)
 	}
-	if ok, why := resync.Converged(h.store, tier2.Replica().Store(), h.tierSpec); !ok {
+	if ok, why := resynctest.Converged(h.store, tier2.Replica().Store(), h.tierSpec); !ok {
 		t.Errorf("restored tier: %s", why)
 	}
 	if err := tier2.Stop(); err != nil {

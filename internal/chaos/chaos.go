@@ -144,13 +144,6 @@ func (i *Injector) SetPlan(p Plan) {
 	i.mu.Unlock()
 }
 
-// Plan returns the active plan.
-func (i *Injector) Plan() Plan {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.plan
-}
-
 // Stats snapshots the fault counters.
 func (i *Injector) Stats() Stats {
 	i.mu.Lock()

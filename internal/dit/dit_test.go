@@ -160,11 +160,6 @@ func TestReferralObjects(t *testing.T) {
 	if len(res.Entries) != 1 || len(res.Referrals) != 1 {
 		t.Errorf("one-level: entries=%d referrals=%v", len(res.Entries), res.Referrals)
 	}
-
-	ctxs := st.Contexts()
-	if len(ctxs) != 1 || len(ctxs[0].Referrals) != 2 {
-		t.Errorf("Contexts = %+v", ctxs)
-	}
 }
 
 func TestAddErrors(t *testing.T) {
@@ -260,6 +255,49 @@ func TestModify(t *testing.T) {
 	e, _ = st.Get(d)
 	if e.Has("telephoneNumber") {
 		t.Error("replace-with-nothing did not remove attribute")
+	}
+}
+
+// TestApplyMods pins the one modify rule the store, the edge-write overlay
+// and a patch's image all apply.
+func TestApplyMods(t *testing.T) {
+	cases := []struct {
+		name  string
+		mods  []Mod
+		want  map[string][]string // attribute -> values after; nil = absent
+		fails bool
+		is    error // the error fails wraps, if a sentinel names it
+	}{
+		{"add merges, dropping values already held", []Mod{{Op: ModAdd, Attr: "cn", Values: []string{"A", "b"}}},
+			map[string][]string{"cn": {"a", "b"}}, false, nil},
+		{"replace sets the values", []Mod{{Op: ModReplace, Attr: "mail", Values: []string{"x", "y"}}},
+			map[string][]string{"mail": {"x", "y"}}, false, nil},
+		{"replace with no values removes", []Mod{{Op: ModReplace, Attr: "mail"}, {Op: ModReplace, Attr: "nosuch"}},
+			map[string][]string{"mail": nil, "nosuch": nil}, false, nil},
+		{"delete of a value the attribute lacks is no error", []Mod{{Op: ModDelete, Attr: "mail", Values: []string{"z"}}},
+			map[string][]string{"mail": {"m1", "m2"}}, false, nil},
+		{"delete of the last value removes the attribute", []Mod{{Op: ModDelete, Attr: "mail", Values: []string{"M1", "m2"}}},
+			map[string][]string{"mail": nil}, false, nil},
+		{"delete of an absent attribute errors and stops", []Mod{
+			{Op: ModAdd, Attr: "sn", Values: []string{"s"}},
+			{Op: ModDelete, Attr: "nosuch"},
+			{Op: ModAdd, Attr: "cn", Values: []string{"after"}},
+		}, map[string][]string{"sn": {"s"}, "cn": {"a"}}, true, entry.ErrNoSuchAttribute},
+		{"unknown op errors", []Mod{{Op: ModOp(9), Attr: "cn", Values: []string{"x"}}},
+			map[string][]string{"cn": {"a"}}, true, nil},
+	}
+	for _, tc := range cases {
+		e := entry.New(dn.MustParse("cn=a,o=xyz"))
+		e.Put("cn", "a").Put("mail", "m1", "m2")
+		err := ApplyMods(e, tc.mods)
+		if (err != nil) != tc.fails || tc.is != nil && !errors.Is(err, tc.is) {
+			t.Errorf("%s: error %v", tc.name, err)
+		}
+		for attr, want := range tc.want {
+			if got := e.Values(attr); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: %s = %q, want %q", tc.name, attr, got, want)
+			}
+		}
 	}
 }
 

@@ -20,14 +20,6 @@ type Hold struct {
 	csn CSN
 }
 
-// CSN returns the pinned snapshot position.
-func (h *Hold) CSN() CSN {
-	if h == nil {
-		return 0
-	}
-	return h.csn
-}
-
 // Hold registers a trim floor at csn: journal records needed to answer
 // ChangesSince(csn) survive trimming until the hold is released.
 func (s *Store) Hold(csn CSN) *Hold {

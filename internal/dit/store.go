@@ -221,13 +221,6 @@ func (s *Store) Shards() int { return len(s.shards) }
 // Counters exposes the store's commit-pipeline and snapshot counters.
 func (s *Store) Counters() *metrics.StoreCounters { return &s.counters }
 
-// Suffixes returns the naming-context suffixes the store serves.
-func (s *Store) Suffixes() []dn.DN {
-	out := make([]dn.DN, len(s.suffixes))
-	copy(out, s.suffixes)
-	return out
-}
-
 // Len returns the number of entries held.
 func (s *Store) Len() int {
 	s.seqMu.Lock()
@@ -484,32 +477,6 @@ func (v *view) crossesReferral(base, target dn.DN) bool {
 		}
 	}
 	return false
-}
-
-// Contexts describes the store's naming contexts with their terminating
-// referral objects, as used by subtree-replica metadata.
-func (s *Store) Contexts() []Context {
-	v := s.freeze()
-	var refs []dn.DN
-	for _, st := range v.states {
-		for norm := range st.referrals {
-			if e, ok := st.entries[norm]; ok {
-				refs = append(refs, e.DN())
-			}
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Norm() < refs[j].Norm() })
-	out := make([]Context, 0, len(s.suffixes))
-	for _, suf := range s.suffixes {
-		c := Context{Suffix: suf}
-		for _, d := range refs {
-			if suf.IsSuffix(d) {
-				c.Referrals = append(c.Referrals, d)
-			}
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 // MatchAll evaluates a query against the store without anchoring at the

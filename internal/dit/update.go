@@ -247,26 +247,8 @@ func (s *Store) modifyLocked(d dn.DN, mods []Mod) (CSN, error) {
 	}
 	before := e
 	after := e.Clone()
-	for _, m := range mods {
-		switch m.Op {
-		case ModAdd:
-			after.Add(m.Attr, m.Values...)
-		case ModReplace:
-			if len(m.Values) == 0 {
-				// Replace with no values removes the attribute.
-				if after.Has(m.Attr) {
-					_ = after.DeleteValues(m.Attr)
-				}
-			} else {
-				after.Put(m.Attr, m.Values...)
-			}
-		case ModDelete:
-			if err := after.DeleteValues(m.Attr, m.Values...); err != nil {
-				return 0, fmt.Errorf("modify %q: %w", d.String(), err)
-			}
-		default:
-			return 0, fmt.Errorf("modify %q: unknown mod op %d", d.String(), m.Op)
-		}
+	if err := ApplyMods(after, mods); err != nil {
+		return 0, fmt.Errorf("modify %q: %w", d.String(), err)
 	}
 	if s.schema != nil {
 		if err := s.schema.Validate(after); err != nil {
@@ -276,6 +258,36 @@ func (s *Store) modifyLocked(d dn.DN, mods []Mod) (CSN, error) {
 	after.Freeze()
 	s.replace(sh, norm, before, after, mods)
 	return s.commitLocked(Change{Type: ChangeModify, DN: d, Before: before, After: after, Mods: mods}), nil
+}
+
+// ApplyMods applies mods to e in order, with the store's modify semantics:
+// an add merges values (a value already present is not repeated), a replace
+// sets the values or, with none, removes the attribute, and a delete removes
+// the values named (all of them when none are) of an attribute e must hold.
+// It stops at the first mod that fails: a delete of an attribute e lacks, or
+// an unknown op.
+func ApplyMods(e *entry.Entry, mods []Mod) error {
+	for _, m := range mods {
+		switch m.Op {
+		case ModAdd:
+			e.Add(m.Attr, m.Values...)
+		case ModReplace:
+			if len(m.Values) == 0 {
+				if e.Has(m.Attr) {
+					_ = e.DeleteValues(m.Attr)
+				}
+			} else {
+				e.Put(m.Attr, m.Values...)
+			}
+		case ModDelete:
+			if err := e.DeleteValues(m.Attr, m.Values...); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("unknown mod op %d", m.Op)
+		}
+	}
+	return nil
 }
 
 // replace swaps the stored entry at norm from before to after, which differ

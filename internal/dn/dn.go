@@ -77,19 +77,6 @@ var Root = DN{}
 // ErrInvalidDN reports a malformed distinguished name string.
 var ErrInvalidDN = errors.New("invalid DN")
 
-// New builds a DN from leaf-first RDNs. Attribute types are normalized to
-// lower case.
-func New(rdns ...RDN) DN {
-	if len(rdns) == 0 {
-		return DN{}
-	}
-	cp := make([]RDN, len(rdns))
-	for i, r := range rdns {
-		cp[i] = RDN{Attr: strings.ToLower(strings.TrimSpace(r.Attr)), Value: r.Value}
-	}
-	return DN{rdns: cp, norm: normalize(cp)}
-}
-
 // Parse parses an RFC 2253 style DN string. The empty string parses to the
 // root DN. Supported escapes inside values: backslash followed by one of
 // ",=+<>#;\\\"" or a space, and backslash followed by two hex digits.
@@ -173,13 +160,6 @@ func (d DN) IsRoot() bool { return len(d.rdns) == 0 }
 // Depth returns the number of RDN components (0 for the root).
 func (d DN) Depth() int { return len(d.rdns) }
 
-// RDNs returns a copy of the leaf-first RDN components.
-func (d DN) RDNs() []RDN {
-	out := make([]RDN, len(d.rdns))
-	copy(out, d.rdns)
-	return out
-}
-
 // Leaf returns the leftmost (leaf) RDN. Calling Leaf on the root DN returns a
 // zero RDN and false.
 func (d DN) Leaf() (RDN, bool) {
@@ -234,11 +214,6 @@ func (d DN) IsSuffix(o DN) bool {
 		}
 	}
 	return true
-}
-
-// IsStrictSuffix reports whether d is a proper ancestor of o (d != o).
-func (d DN) IsStrictSuffix(o DN) bool {
-	return len(d.rdns) < len(o.rdns) && d.IsSuffix(o)
 }
 
 // IsParent reports whether d is the immediate parent of o.

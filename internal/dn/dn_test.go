@@ -392,3 +392,16 @@ func TestParentAllocs(t *testing.T) {
 		}
 	}
 }
+
+// New builds a DN from leaf-first RDNs. Attribute types are normalized to
+// lower case.
+func New(rdns ...RDN) DN {
+	if len(rdns) == 0 {
+		return DN{}
+	}
+	cp := make([]RDN, len(rdns))
+	for i, r := range rdns {
+		cp[i] = RDN{Attr: strings.ToLower(strings.TrimSpace(r.Attr)), Value: r.Value}
+	}
+	return DN{rdns: cp, norm: normalize(cp)}
+}

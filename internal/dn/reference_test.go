@@ -172,3 +172,10 @@ func TestFoldSpacesMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// RDNs returns a copy of the leaf-first RDN components.
+func (d DN) RDNs() []RDN {
+	out := make([]RDN, len(d.rdns))
+	copy(out, d.rdns)
+	return out
+}

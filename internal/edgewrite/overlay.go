@@ -44,9 +44,9 @@ func computeImages(c dit.Change, lookup func(dn.DN) (*entry.Entry, bool)) ([]ove
 		if !ok {
 			return nil, nil
 		}
-		after, err := applyMods(base, c.Mods)
-		if err != nil {
-			return nil, err
+		after := base.Clone()
+		if err := dit.ApplyMods(after, c.Mods); err != nil {
+			return nil, fmt.Errorf("modify %q: %w", base.DN().String(), err)
 		}
 		return []overlayImage{{d: c.DN, e: after}}, nil
 	case dit.ChangeModifyDN:
@@ -63,33 +63,6 @@ func computeImages(c dit.Change, lookup func(dn.DN) (*entry.Entry, bool)) ([]ove
 	default:
 		return nil, fmt.Errorf("unknown change type %v", c.Type)
 	}
-}
-
-// applyMods mirrors dit.Store.Modify's attribute semantics on a detached
-// entry image.
-func applyMods(base *entry.Entry, mods []dit.Mod) (*entry.Entry, error) {
-	after := base.Clone()
-	for _, m := range mods {
-		switch m.Op {
-		case dit.ModAdd:
-			after.Add(m.Attr, m.Values...)
-		case dit.ModReplace:
-			if len(m.Values) == 0 {
-				if after.Has(m.Attr) {
-					_ = after.DeleteValues(m.Attr)
-				}
-			} else {
-				after.Put(m.Attr, m.Values...)
-			}
-		case dit.ModDelete:
-			if err := after.DeleteValues(m.Attr, m.Values...); err != nil {
-				return nil, fmt.Errorf("modify %q: %w", base.DN().String(), err)
-			}
-		default:
-			return nil, fmt.Errorf("unknown mod op %d", m.Op)
-		}
-	}
-	return after, nil
 }
 
 // Overlay projects the pending ops onto a query answer, in submit order:

@@ -2,7 +2,6 @@ package entry
 
 import (
 	"bytes"
-	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -49,25 +48,6 @@ func isNormValue(s string) bool {
 // NormValue(b), decided without building either.
 func EqualValues(a, b string) bool {
 	return a == b || compareNorm(a, b) == 0
-}
-
-// CompareValues orders two values: numerically when both parse as integers
-// (integerOrderingMatch), lexicographically on the normalized form otherwise.
-// Returns -1, 0, or 1.
-func CompareValues(a, b string) int {
-	na, errA := strconv.ParseInt(strings.TrimSpace(a), 10, 64)
-	nb, errB := strconv.ParseInt(strings.TrimSpace(b), 10, 64)
-	if errA == nil && errB == nil {
-		switch {
-		case na < nb:
-			return -1
-		case na > nb:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return compareNorm(a, b)
 }
 
 // MatchSubstring applies the caseIgnoreSubstringsMatch rule. The pattern is

@@ -35,12 +35,6 @@ func (s *Schema) Register(def ObjectClassDef) {
 	s.classes[d.Name] = &d
 }
 
-// Lookup finds a class definition by name.
-func (s *Schema) Lookup(name string) (*ObjectClassDef, bool) {
-	d, ok := s.classes[strings.ToLower(name)]
-	return d, ok
-}
-
 // requiredAttrs collects Must attributes of the class and its superiors.
 func (s *Schema) requiredAttrs(name string) ([]string, error) {
 	var out []string

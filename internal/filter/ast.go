@@ -7,7 +7,6 @@ package filter
 
 import (
 	"errors"
-	"sort"
 	"strings"
 )
 
@@ -161,22 +160,6 @@ func (n *Node) IsPositive() bool {
 	return true
 }
 
-// Attrs returns the sorted set of attribute types referenced by the filter.
-func (n *Node) Attrs() []string {
-	set := make(map[string]bool)
-	n.walk(func(m *Node) {
-		if m.IsPredicate() {
-			set[m.Attr] = true
-		}
-	})
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Predicates returns the predicate nodes in left-to-right order.
 func (n *Node) Predicates() []*Node {
 	var out []*Node
@@ -186,13 +169,6 @@ func (n *Node) Predicates() []*Node {
 		}
 	})
 	return out
-}
-
-// Size returns the number of nodes in the filter.
-func (n *Node) Size() int {
-	count := 0
-	n.walk(func(*Node) { count++ })
-	return count
 }
 
 func (n *Node) walk(f func(*Node)) {

@@ -353,18 +353,8 @@ func TestSlotValues(t *testing.T) {
 	}
 }
 
-func TestAttrsAndPredicates(t *testing.T) {
+func TestPredicates(t *testing.T) {
 	n := MustParse("(&(sn=Doe)(|(age>=30)(sn=Smith))(objectclass=*))")
-	attrs := n.Attrs()
-	want := []string{"age", "objectclass", "sn"}
-	if len(attrs) != len(want) {
-		t.Fatalf("Attrs = %v", attrs)
-	}
-	for i := range want {
-		if attrs[i] != want[i] {
-			t.Errorf("Attrs[%d] = %q, want %q", i, attrs[i], want[i])
-		}
-	}
 	if len(n.Predicates()) != 4 {
 		t.Errorf("Predicates count = %d, want 4", len(n.Predicates()))
 	}

@@ -94,16 +94,6 @@ func writeSubstringTemplate(b *strings.Builder, s *Substring) {
 	}
 }
 
-// TemplateOf parses a filter string and returns its template; it is a
-// convenience for workload and metadata code.
-func TemplateOf(s string) (string, error) {
-	n, err := Parse(s)
-	if err != nil {
-		return "", err
-	}
-	return n.Normalize().Template(), nil
-}
-
 // SlotValues returns the assertion values of the filter's predicates in the
 // left-to-right order that Template visits them. Presence predicates
 // contribute no slots; substring predicates contribute one slot per

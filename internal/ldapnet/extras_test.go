@@ -13,6 +13,7 @@ import (
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/selection"
 )
 
@@ -46,25 +47,6 @@ func TestServerSideSort(t *testing.T) {
 		if res.Entries[i-1].First("serialnumber") < res.Entries[i].First("serialnumber") {
 			t.Error("not descending")
 		}
-	}
-}
-
-func TestSortControlRoundTrip(t *testing.T) {
-	c := proto.NewSortControl(
-		proto.SortKey{Attr: "sn"},
-		proto.SortKey{Attr: "serialnumber", Reverse: true},
-	)
-	keys, err := proto.ParseSortKeys(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 || keys[0].Attr != "sn" || keys[0].Reverse || !keys[1].Reverse {
-		t.Errorf("keys = %+v", keys)
-	}
-	resp := proto.NewSortResponseControl(0)
-	code, err := proto.ParseSortResponse(resp)
-	if err != nil || code != 0 {
-		t.Errorf("sort response: %d, %v", code, err)
 	}
 }
 
@@ -209,7 +191,7 @@ func TestWireSyncFullReloadAfterTrim(t *testing.T) {
 	if err := ap.Apply(spec, &resync.PollResult{Updates: res.Updates, FullReload: true}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := resync.Converged(store, repStore, spec); !ok {
+	if ok, why := resynctest.Converged(store, repStore, spec); !ok {
 		t.Fatalf("not converged after wire full reload: %s", why)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 )
 
 // startServer builds a store-backed server on a loopback port.
@@ -185,7 +186,7 @@ func TestSyncOverWire(t *testing.T) {
 	if err := ap.Apply(spec, &resync.PollResult{Updates: res.Updates}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := resync.Converged(store, rep, spec); !ok {
+	if ok, why := resynctest.Converged(store, rep, spec); !ok {
 		t.Fatalf("not converged after wire sync: %s", why)
 	}
 
@@ -207,7 +208,7 @@ func TestSyncOverWire(t *testing.T) {
 	if err := ap.Apply(spec, &resync.PollResult{Updates: res.Updates}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := resync.Converged(store, rep, spec); !ok {
+	if ok, why := resynctest.Converged(store, rep, spec); !ok {
 		t.Fatalf("not converged after poll: %s", why)
 	}
 

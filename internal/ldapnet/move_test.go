@@ -11,6 +11,7 @@ import (
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/workload"
 )
 
@@ -81,7 +82,7 @@ func TestMoveOverWire(t *testing.T) {
 	if err := ap.Apply(spec, &resync.PollResult{Updates: []resync.Update{u.Update}}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := resync.Converged(dir.Master, rep, spec); !ok {
+	if ok, why := resynctest.Converged(dir.Master, rep, spec); !ok {
 		t.Errorf("consumer after the move: %s", why)
 	}
 	if s := backend.SyncCounters().Snapshot(); s.PDUMoves != 1 || s.PDUDeletes != 0 {

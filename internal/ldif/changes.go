@@ -11,17 +11,6 @@ import (
 	"filterdir/internal/entry"
 )
 
-// WriteChanges renders journal changes as LDIF change records (RFC 2849
-// changetype syntax): add records carry the full entry, modify records the
-// attribute-level changes, delete records the DN, and modrdn records the
-// new RDN and superior. This is the interchange form a changelog-style
-// consumer would read.
-func WriteChanges(w io.Writer, changes ...dit.Change) error {
-	return writeRecords(w, len(changes), func(b []byte, i int) ([]byte, error) {
-		return AppendChange(b, changes[i])
-	})
-}
-
 // modVerbs names the modify sub-operations in a change record.
 var modVerbs = map[dit.ModOp]string{dit.ModAdd: "add", dit.ModDelete: "delete", dit.ModReplace: "replace"}
 
@@ -112,7 +101,7 @@ func ReadChanges(r io.Reader) ([]ChangeRecord, error) {
 }
 
 // AsChange converts a parsed record back into a journal change sufficient
-// for re-serialization with WriteChanges and for store replay. Before
+// for re-serialization with AppendChange and for store replay. Before
 // snapshots (not part of the interchange format) are not recovered.
 func (rec ChangeRecord) AsChange() (dit.Change, error) {
 	c := dit.Change{Type: rec.Type, DN: rec.DN, NewDN: rec.NewDN, Mods: rec.Mods}

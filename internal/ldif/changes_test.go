@@ -2,6 +2,7 @@ package ldif
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -105,4 +106,15 @@ func TestReadChangesErrors(t *testing.T) {
 			t.Errorf("ReadChanges(%q) succeeded", src)
 		}
 	}
+}
+
+// WriteChanges renders journal changes as LDIF change records (RFC 2849
+// changetype syntax): add records carry the full entry, modify records the
+// attribute-level changes, delete records the DN, and modrdn records the
+// new RDN and superior. This is the interchange form a changelog-style
+// consumer would read.
+func WriteChanges(w io.Writer, changes ...dit.Change) error {
+	return writeRecords(w, len(changes), func(b []byte, i int) ([]byte, error) {
+		return AppendChange(b, changes[i])
+	})
 }

@@ -29,8 +29,8 @@ func Write(w io.Writer, entries ...*entry.Entry) error {
 	})
 }
 
-// flushAt is how much rendered LDIF Write and WriteChanges gather before
-// they hand it to the io.Writer.
+// flushAt is how much rendered LDIF Write gathers before it hands it to the
+// io.Writer.
 const flushAt = 32 << 10
 
 // writeRecords renders n records, a blank line between two, through one

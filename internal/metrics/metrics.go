@@ -153,19 +153,3 @@ func (f *Figure) SeriesByName(name string) *Series {
 	}
 	return nil
 }
-
-// YAt returns the series' Y at the given X (ok=false when absent).
-func (s *Series) YAt(x float64) (float64, bool) {
-	return lookup(s, x)
-}
-
-// MaxY returns the largest Y value in the series (0 for empty).
-func (s *Series) MaxY() float64 {
-	max := 0.0
-	for _, p := range s.Points {
-		if p.Y > max {
-			max = p.Y
-		}
-	}
-	return max
-}

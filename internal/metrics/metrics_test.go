@@ -80,18 +80,4 @@ func TestLookups(t *testing.T) {
 	if s := fig.SeriesByName("gamma"); s != nil {
 		t.Fatal("missing series found")
 	}
-	a := fig.SeriesByName("alpha")
-	if y, ok := a.YAt(2); !ok || y != 0.7 {
-		t.Errorf("YAt(2) = %v, %v", y, ok)
-	}
-	if _, ok := a.YAt(99); ok {
-		t.Error("YAt on missing x succeeded")
-	}
-	if a.MaxY() != 0.7 {
-		t.Errorf("MaxY = %v", a.MaxY())
-	}
-	var empty Series
-	if empty.MaxY() != 0 {
-		t.Error("empty MaxY != 0")
-	}
 }

@@ -145,35 +145,6 @@ var (
 // real listeners and supervisors.
 const wireReruns = 24
 
-// Run executes cfg.Histories independent histories of preset p. On the
-// first divergence the history is shrunk and the run stops.
-func Run(p Preset, cfg Config) *Report {
-	rep := &Report{}
-	for i := 0; i < cfg.Histories; i++ {
-		hseed := historySeed(cfg.Seed, i)
-		events := p.gen(cfg, hseed)
-		f := p.run(cfg, hseed, events, rep)
-		if f == nil {
-			rep.Histories++
-			continue
-		}
-		budget := p.reruns
-		f.History = events
-		f.Minimal = shrinkEvents(events, func(ev []Event) bool {
-			if p.reruns > 0 {
-				if budget <= 0 {
-					return false
-				}
-				budget--
-			}
-			return p.run(cfg, hseed, ev, nil) != nil
-		})
-		rep.Failure = f
-		break
-	}
-	return rep
-}
-
 // historySeed derives the h-th history's seed, so a failing history is
 // replayable in isolation with -oracle.seed=<seed> -oracle.n=1.
 func historySeed(seed int64, h int) int64 { return seed + int64(h)*1_000_003 }

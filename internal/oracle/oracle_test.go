@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -408,4 +409,103 @@ func TestCorruptCookie(t *testing.T) {
 	if got := corruptCookie("nogen"); got != "nogen@999999999" {
 		t.Fatalf("corruptCookie: got %q", got)
 	}
+}
+
+// Format renders the failure for a test log: the divergence, the minimal
+// reproducing history, and the replay command.
+func (f *Failure) Format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "oracle divergence (history seed %d, step %d):\n%s\n", f.HistorySeed, f.Step, f.Msg)
+	if len(f.Minimal) > 0 {
+		fmt.Fprintf(&b, "\nminimal reproducing history (%d of %d events):\n", len(f.Minimal), len(f.History))
+		for i, ev := range f.Minimal {
+			fmt.Fprintf(&b, "  %2d. %s\n", i+1, ev)
+		}
+	}
+	if f.Replay != "" {
+		fmt.Fprintf(&b, "\nreplay: %s\n", f.Replay)
+	}
+	return b.String()
+}
+
+// ShardPoint is one (runner, shard count) measurement.
+type ShardPoint struct {
+	Runner      string
+	Shards      int
+	TrafficHash uint64
+	ContentHash uint64
+}
+
+// ShardSweepReport carries every measurement plus the first failure — a
+// divergence inside a runner, or a hash mismatch across shard counts.
+type ShardSweepReport struct {
+	Points  []ShardPoint
+	Failure *Failure
+}
+
+// RunShardSweep replays identical Flat, Cascade and Edge histories at each
+// shard count and asserts byte-identical traffic and final content. Any
+// mismatch names the preset and both hash pairs.
+func RunShardSweep(cfg Config, shards []int) *ShardSweepReport {
+	out := &ShardSweepReport{}
+	for _, p := range []Preset{Flat, Cascade, Edge} {
+		var base ShardPoint
+		for i, n := range shards {
+			c := cfg
+			c.Shards = n
+			rep := Run(p, c)
+			if rep.Failure != nil {
+				out.Failure = rep.Failure
+				return out
+			}
+			pt := ShardPoint{Runner: p.Name, Shards: n, TrafficHash: rep.TrafficHash, ContentHash: rep.ContentHash}
+			out.Points = append(out.Points, pt)
+			if i == 0 {
+				base = pt
+				continue
+			}
+			if pt.TrafficHash != base.TrafficHash {
+				out.Failure = &Failure{HistorySeed: cfg.Seed, Msg: fmt.Sprintf(
+					"%s runner: wire traffic diverges across shard counts: shards=%d hash=%016x, shards=%d hash=%016x",
+					p.Name, base.Shards, base.TrafficHash, pt.Shards, pt.TrafficHash)}
+				return out
+			}
+			if pt.ContentHash != base.ContentHash {
+				out.Failure = &Failure{HistorySeed: cfg.Seed, Msg: fmt.Sprintf(
+					"%s runner: final content diverges across shard counts: shards=%d hash=%016x, shards=%d hash=%016x",
+					p.Name, base.Shards, base.ContentHash, pt.Shards, pt.ContentHash)}
+				return out
+			}
+		}
+	}
+	return out
+}
+
+// Run executes cfg.Histories independent histories of preset p. On the
+// first divergence the history is shrunk and the run stops.
+func Run(p Preset, cfg Config) *Report {
+	rep := &Report{}
+	for i := 0; i < cfg.Histories; i++ {
+		hseed := historySeed(cfg.Seed, i)
+		events := p.gen(cfg, hseed)
+		f := p.run(cfg, hseed, events, rep)
+		if f == nil {
+			rep.Histories++
+			continue
+		}
+		budget := p.reruns
+		f.History = events
+		f.Minimal = shrinkEvents(events, func(ev []Event) bool {
+			if p.reruns > 0 {
+				if budget <= 0 {
+					return false
+				}
+				budget--
+			}
+			return p.run(cfg, hseed, ev, nil) != nil
+		})
+		rep.Failure = f
+		break
+	}
+	return rep
 }

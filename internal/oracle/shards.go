@@ -1,9 +1,10 @@
 package oracle
 
 // Shard sweep: the sharded DIT store must be observationally identical to
-// the single-shard store. This file replays the SAME engine-level oracle
-// histories (the Flat, Cascade and Edge presets) at several shard counts
-// and asserts two fingerprints agree bit-for-bit at every count:
+// the single-shard store. The sweep (RunShardSweep, beside its tests)
+// replays the SAME engine-level oracle histories (the Flat, Cascade and Edge
+// presets) at several shard counts and asserts that the two fingerprints
+// this file folds agree bit-for-bit at every count:
 //
 //   - TrafficHash: every update PDU the harness observed, folded in order —
 //     shard routing must never reorder, duplicate, or reword wire traffic;
@@ -17,7 +18,6 @@ package oracle
 // shard each entry lives on.
 
 import (
-	"fmt"
 	"sort"
 
 	"filterdir/internal/entry"
@@ -79,57 +79,4 @@ func foldEntries(h uint64, entries []*entry.Entry) uint64 {
 		h = foldString(h, e.String())
 	}
 	return h
-}
-
-// ShardPoint is one (runner, shard count) measurement.
-type ShardPoint struct {
-	Runner      string
-	Shards      int
-	TrafficHash uint64
-	ContentHash uint64
-}
-
-// ShardSweepReport carries every measurement plus the first failure — a
-// divergence inside a runner, or a hash mismatch across shard counts.
-type ShardSweepReport struct {
-	Points  []ShardPoint
-	Failure *Failure
-}
-
-// RunShardSweep replays identical Flat, Cascade and Edge histories at each
-// shard count and asserts byte-identical traffic and final content. Any
-// mismatch names the preset and both hash pairs.
-func RunShardSweep(cfg Config, shards []int) *ShardSweepReport {
-	out := &ShardSweepReport{}
-	for _, p := range []Preset{Flat, Cascade, Edge} {
-		var base ShardPoint
-		for i, n := range shards {
-			c := cfg
-			c.Shards = n
-			rep := Run(p, c)
-			if rep.Failure != nil {
-				out.Failure = rep.Failure
-				return out
-			}
-			pt := ShardPoint{Runner: p.Name, Shards: n, TrafficHash: rep.TrafficHash, ContentHash: rep.ContentHash}
-			out.Points = append(out.Points, pt)
-			if i == 0 {
-				base = pt
-				continue
-			}
-			if pt.TrafficHash != base.TrafficHash {
-				out.Failure = &Failure{HistorySeed: cfg.Seed, Msg: fmt.Sprintf(
-					"%s runner: wire traffic diverges across shard counts: shards=%d hash=%016x, shards=%d hash=%016x",
-					p.Name, base.Shards, base.TrafficHash, pt.Shards, pt.TrafficHash)}
-				return out
-			}
-			if pt.ContentHash != base.ContentHash {
-				out.Failure = &Failure{HistorySeed: cfg.Seed, Msg: fmt.Sprintf(
-					"%s runner: final content diverges across shard counts: shards=%d hash=%016x, shards=%d hash=%016x",
-					p.Name, base.Shards, base.ContentHash, pt.Shards, pt.ContentHash)}
-				return out
-			}
-		}
-	}
-	return out
 }

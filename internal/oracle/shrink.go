@@ -1,10 +1,5 @@
 package oracle
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Failure describes one divergence between the real stack and the
 // reference model.
 type Failure struct {
@@ -14,23 +9,6 @@ type Failure struct {
 	History     []Event // the full failing history
 	Minimal     []Event // shrunk reproducing subsequence
 	Replay      string  // one-line go test command replaying the history
-}
-
-// Format renders the failure for a test log: the divergence, the minimal
-// reproducing history, and the replay command.
-func (f *Failure) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "oracle divergence (history seed %d, step %d):\n%s\n", f.HistorySeed, f.Step, f.Msg)
-	if len(f.Minimal) > 0 {
-		fmt.Fprintf(&b, "\nminimal reproducing history (%d of %d events):\n", len(f.Minimal), len(f.History))
-		for i, ev := range f.Minimal {
-			fmt.Fprintf(&b, "  %2d. %s\n", i+1, ev)
-		}
-	}
-	if f.Replay != "" {
-		fmt.Fprintf(&b, "\nreplay: %s\n", f.Replay)
-	}
-	return b.String()
 }
 
 // shrinkEvents reduces a failing history to a smaller one that still

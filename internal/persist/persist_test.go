@@ -13,7 +13,7 @@ import (
 	"filterdir/internal/entry"
 	"filterdir/internal/ldif"
 	"filterdir/internal/query"
-	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 )
 
 func seedStore(t testing.TB) *dit.Store {
@@ -89,7 +89,7 @@ func commitSince(t *testing.T, home Dir, st *dit.Store, after dit.CSN) {
 func identical(t *testing.T, a, b *dit.Store) {
 	t.Helper()
 	all := query.Query{Scope: query.ScopeSubtree}
-	if ok, why := resync.Converged(a, b, all); !ok {
+	if ok, why := resynctest.Converged(a, b, all); !ok {
 		t.Fatalf("stores differ: %s", why)
 	}
 }
@@ -173,7 +173,7 @@ func TestDirOpenSparseOrphanJournal(t *testing.T) {
 
 // TestDirOpenSparseReplaysReplace pins the journal form of a sparse store's
 // in-place replace: an upsert of a held entry is journaled as a modify, and
-// the record must carry the attribute changes, or WriteChanges writes an
+// the record must carry the attribute changes, or AppendChange writes an
 // empty "changetype: modify" and replay restores the image of the last full
 // snapshot — the stale entry a restarted cascade tier then kept for good,
 // having resumed from a newer cookie.
@@ -404,16 +404,22 @@ func TestDirOpenJournalWithoutMarker(t *testing.T) {
 	if err := home.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
-	var records bytes.Buffer
-	if err := ldif.WriteChanges(&records, burst(t, st)...); err != nil {
-		t.Fatal(err)
+	var records []byte
+	for i, c := range burst(t, st) {
+		if i > 0 {
+			records = append(records, '\n')
+		}
+		var err error
+		if records, err = ldif.AppendChange(records, c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct {
 		name    string
 		journal []byte
 	}{
-		{"complete records", records.Bytes()},
-		{"torn record", tearTail(t, records.Bytes())},
+		{"complete records", records},
+		{"torn record", tearTail(t, records)},
 		{"blank", []byte("\n\n")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

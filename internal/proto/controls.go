@@ -415,13 +415,3 @@ func ParseEdgeWriteDone(c Control) (csn uint64, duplicate bool, err error) {
 	}
 	return uint64(n), duplicate, nil
 }
-
-// NewPersistentSearchControl requests plain persistent search (changes only
-// pushed on the open connection).
-func NewPersistentSearchControl() Control {
-	var body []byte
-	body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, 15) // all change types
-	body = ber.AppendBool(body, false)                                 // changesOnly
-	body = ber.AppendBool(body, false)                                 // returnECs
-	return Control{OID: OIDPersistentSearch, Criticality: true, Value: ber.AppendSequence(nil, body)}
-}

@@ -761,3 +761,32 @@ func TestWideFilterRefused(t *testing.T) {
 		t.Fatalf("a filter of %d elements: %v, want errFilterTooWide", maxFilterNodes+1, err)
 	}
 }
+
+func TestSortControlRoundTrip(t *testing.T) {
+	c := NewSortControl(
+		SortKey{Attr: "sn"},
+		SortKey{Attr: "serialnumber", Reverse: true},
+	)
+	keys, err := ParseSortKeys(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 2 || keys[0].Attr != "sn" || keys[0].Reverse || !keys[1].Reverse {
+		t.Errorf("keys = %+v", keys)
+	}
+	resp := NewSortResponseControl(0)
+	code, err := ParseSortResponse(resp)
+	if err != nil || code != 0 {
+		t.Errorf("sort response: %d, %v", code, err)
+	}
+}
+
+// ParseSortResponse decodes the response control's result code.
+func ParseSortResponse(c Control) (int64, error) {
+	rd := ber.NewReader(c.Value)
+	seq, err := rd.ReadSequence()
+	if err != nil {
+		return 0, fmt.Errorf("sort response control: %w", err)
+	}
+	return seq.ReadEnum()
+}

@@ -72,13 +72,3 @@ func NewSortResponseControl(code int64) Control {
 	body = ber.AppendEnum(body, code)
 	return Control{OID: OIDSortResponse, Value: ber.AppendSequence(nil, body)}
 }
-
-// ParseSortResponse decodes the response control's result code.
-func ParseSortResponse(c Control) (int64, error) {
-	rd := ber.NewReader(c.Value)
-	seq, err := rd.ReadSequence()
-	if err != nil {
-		return 0, fmt.Errorf("sort response control: %w", err)
-	}
-	return seq.ReadEnum()
-}

@@ -37,8 +37,6 @@ type AdaptiveReplica struct {
 
 	cookies map[string]string
 	specs   map[string]query.Query
-	periods map[string]int
-	tick    int
 
 	// ResyncTraffic accumulates component (i): keeping stored filters in
 	// sync with the master.
@@ -128,19 +126,12 @@ func (a *AdaptiveReplica) RemoveFilter(q query.Query) error {
 	return a.Supplier.End(cookie)
 }
 
-// SyncAll polls every stored filter's session and applies the updates,
-// regardless of configured periods.
+// SyncAll polls every stored filter's session, in key order, and applies
+// the updates.
 func (a *AdaptiveReplica) SyncAll() error {
-	return a.syncWhere(func(string) bool { return true })
-}
-
-// syncWhere polls, in key order, every stored filter whose key is due.
-func (a *AdaptiveReplica) syncWhere(due func(key string) bool) error {
 	keys := make([]string, 0, len(a.cookies))
 	for k := range a.cookies {
-		if due(k) {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
@@ -171,39 +162,6 @@ func (a *AdaptiveReplica) StoredFilters() []query.Query {
 		out = append(out, q)
 	}
 	return out
-}
-
-// --- Per-filter consistency levels (Section 3.2) ------------------------------
-//
-// A filter-based replica can give different object types different
-// consistency levels: the location tree may tolerate hourly staleness while
-// people data polls every few seconds. Periods are expressed in ticks of
-// the caller's clock (SyncDue is typically driven by one ticker).
-
-// SetSyncPeriod assigns a poll period (in ticks) to a replicated filter;
-// filters without a period sync on every SyncDue call. Period 0 restores
-// the default.
-func (a *AdaptiveReplica) SetSyncPeriod(q query.Query, period int) {
-	key := q.Normalize().Key()
-	if a.periods == nil {
-		a.periods = make(map[string]int)
-	}
-	if period <= 0 {
-		delete(a.periods, key)
-		return
-	}
-	a.periods[key] = period
-}
-
-// SyncDue advances the replica's clock by one tick and polls exactly the
-// filters whose period divides the new tick (filters without a period poll
-// every tick).
-func (a *AdaptiveReplica) SyncDue() error {
-	a.tick++
-	return a.syncWhere(func(k string) bool {
-		p := a.periods[k]
-		return p <= 1 || a.tick%p == 0
-	})
 }
 
 // syncOne polls a single filter's session and applies the updates.

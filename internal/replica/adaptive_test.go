@@ -158,72 +158,3 @@ func TestAdaptiveReplicaEviction(t *testing.T) {
 		t.Errorf("sessions = %d, stored filters = %d", got, want)
 	}
 }
-
-func TestPerFilterSyncPeriods(t *testing.T) {
-	// Section 3.2: a filter replica gives different object types different
-	// consistency levels. The fast filter polls every tick, the slow one
-	// every third tick.
-	master, ar := adaptiveFixture(t, 10, 0)
-	fast := query.MustNew("", query.ScopeSubtree, "(serialnumber=040*)")
-	slow := query.MustNew("", query.ScopeSubtree, "(serialnumber=050*)")
-	if err := ar.AddFilter(fast); err != nil {
-		t.Fatal(err)
-	}
-	if err := ar.AddFilter(slow); err != nil {
-		t.Fatal(err)
-	}
-	ar.SetSyncPeriod(slow, 3)
-
-	touch := func(cn string) {
-		t.Helper()
-		if err := master.Modify(dn.MustParse("cn="+cn+",c=us,o=xyz"),
-			[]dit.Mod{{Op: dit.ModAdd, Attr: "description", Values: []string{fmt.Sprintf("t%d", ar.ResyncTraffic.Updates())}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	freshFast := func() string {
-		es, _, _ := ar.Replica.Answer(query.MustNew("", query.ScopeSubtree, "(serialnumber=0401)"))
-		return es[0].First("description")
-	}
-	freshSlow := func() string {
-		es, _, _ := ar.Replica.Answer(query.MustNew("", query.ScopeSubtree, "(serialnumber=0501)"))
-		return es[0].First("description")
-	}
-
-	// Tick 1: both targets change; only the fast filter syncs.
-	touch("b4-1")
-	touch("b5-1")
-	if err := ar.SyncDue(); err != nil {
-		t.Fatal(err)
-	}
-	if freshFast() == "" {
-		t.Error("fast filter stale after tick 1")
-	}
-	if freshSlow() != "" {
-		t.Error("slow filter synced too early")
-	}
-	// Ticks 2 and 3: the slow filter becomes due on tick 3.
-	if err := ar.SyncDue(); err != nil {
-		t.Fatal(err)
-	}
-	if freshSlow() != "" {
-		t.Error("slow filter synced on tick 2")
-	}
-	if err := ar.SyncDue(); err != nil {
-		t.Fatal(err)
-	}
-	if freshSlow() == "" {
-		t.Error("slow filter still stale after its period elapsed")
-	}
-	// Clearing the period makes it sync every tick again.
-	ar.SetSyncPeriod(slow, 0)
-	touch("b5-2")
-	if err := ar.SyncDue(); err != nil {
-		t.Fatal(err)
-	}
-	es, _, _ := ar.Replica.Answer(query.MustNew("", query.ScopeSubtree, "(serialnumber=0502)"))
-	if es[0].First("description") == "" {
-		t.Error("cleared period did not restore per-tick sync")
-	}
-}

@@ -481,13 +481,6 @@ func (r *FilterReplica) StoredCount() int {
 	return n
 }
 
-// CachedCount returns the number of cached user queries.
-func (r *FilterReplica) CachedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
-}
-
 // Store exposes the content store (read-mostly; used by experiments).
 func (r *FilterReplica) Store() *dit.Store { return r.store }
 

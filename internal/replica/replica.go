@@ -135,6 +135,3 @@ func (r *SubtreeReplica) Metrics() Metrics {
 	defer r.mu.Unlock()
 	return r.m
 }
-
-// EntryCount returns the number of replicated entries.
-func (r *SubtreeReplica) EntryCount() int { return r.store.Len() }

@@ -573,3 +573,10 @@ func TestOwnerIDsFollowLiveOwners(t *testing.T) {
 		t.Errorf("entries after dropping the stored query = %d, want the 2 the cache window still covers", n)
 	}
 }
+
+// CachedCount returns the number of cached user queries.
+func (r *FilterReplica) CachedCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.cache)
+}

@@ -21,8 +21,9 @@ func NewApplier(store *dit.Store) *Applier {
 }
 
 // Apply applies a poll result for the given content spec. On FullReload the
-// spec's prior local content is discarded first. Retain updates are only
-// valid in results produced by PollRetain; use ApplyRetain for those.
+// spec's prior local content is discarded first. A retain update is an
+// error: it is valid only in a result produced by PollRetain, whose
+// consumer must also discard whatever held entry the result does not name.
 func (a *Applier) Apply(spec query.Query, res *PollResult) error {
 	if res.FullReload {
 		if err := a.dropContent(spec); err != nil {
@@ -57,37 +58,6 @@ func (a *Applier) put(u Update) error {
 	return a.Store.Upsert(u.Entry)
 }
 
-// ApplyRetain applies an equation-(3) retain-mode result: mentioned entries
-// are upserted or retained, and every held in-content entry that was not
-// mentioned is discarded.
-func (a *Applier) ApplyRetain(spec query.Query, res *PollResult) error {
-	mentioned := make(map[string]bool, len(res.Updates))
-	for _, u := range res.Updates {
-		a.Traffic.Add(u)
-		mentioned[u.DN.Norm()] = true
-		switch u.Action {
-		case ActionAdd, ActionModify:
-			if err := a.put(u); err != nil {
-				return fmt.Errorf("apply %s %q: %w", u.Action, u.DN.String(), err)
-			}
-		case ActionRetain:
-			// Nothing to do: the entry is unchanged and already held.
-		case ActionDelete:
-			if err := a.Store.RemoveAny(u.DN); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
-				return err
-			}
-		}
-	}
-	for _, held := range a.Store.MatchAll(stripAttrs(spec)) {
-		if !mentioned[held.DN().Norm()] {
-			if err := a.Store.RemoveAny(held.DN()); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // dropContent removes the spec's current local content.
 func (a *Applier) dropContent(spec query.Query) error {
 	for _, held := range a.Store.MatchAll(stripAttrs(spec)) {
@@ -96,28 +66,4 @@ func (a *Applier) dropContent(spec query.Query) error {
 		}
 	}
 	return nil
-}
-
-// Converged reports whether the replica's content for spec equals the
-// master's, entry for entry.
-func Converged(master, replica *dit.Store, spec query.Query) (bool, string) {
-	ms := master.MatchAll(stripAttrs(spec))
-	rs := replica.MatchAll(stripAttrs(spec))
-	mMap := make(map[string]int, len(ms))
-	for i, e := range ms {
-		mMap[e.DN().Norm()] = i
-	}
-	if len(ms) != len(rs) {
-		return false, fmt.Sprintf("master holds %d entries, replica %d", len(ms), len(rs))
-	}
-	for _, re := range rs {
-		i, ok := mMap[re.DN().Norm()]
-		if !ok {
-			return false, fmt.Sprintf("replica holds %q not in master content", re.DN().String())
-		}
-		if !ms[i].Select(spec.Attrs).Equal(re.Select(spec.Attrs)) {
-			return false, fmt.Sprintf("entry %q differs", re.DN().String())
-		}
-	}
-	return true, ""
 }

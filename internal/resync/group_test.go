@@ -8,6 +8,7 @@ import (
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/query"
+	"filterdir/internal/resync/resynctest"
 )
 
 // TestGroupMembership pins the content-group admission rules: grouping keys
@@ -444,7 +445,7 @@ func TestLoneSessionIsOneMemberGroup(t *testing.T) {
 	if err := ap.Apply(specSerial04, res); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := Converged(master, replica, specSerial04); !ok {
+	if ok, why := resynctest.Converged(master, replica, specSerial04); !ok {
 		t.Fatalf("lone session did not converge: %s", why)
 	}
 	snap := eng.Counters().Snapshot()

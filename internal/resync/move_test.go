@@ -10,6 +10,7 @@ import (
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
 	"filterdir/internal/query"
+	"filterdir/internal/resync/resynctest"
 )
 
 // moveMaster holds o=xyz with two containers, ou=in (the content of inSpec)
@@ -202,7 +203,7 @@ func TestMoveClassification(t *testing.T) {
 				if err := c.ap.Apply(tc.spec, res); err != nil {
 					t.Fatal(err)
 				}
-				if ok, why := Converged(master, c.ap.Store, tc.spec); !ok {
+				if ok, why := resynctest.Converged(master, c.ap.Store, tc.spec); !ok {
 					t.Errorf("%s: replica after the poll: %s", c.summary, why)
 				}
 			}
@@ -237,7 +238,7 @@ func TestRetainSendsNoMoves(t *testing.T) {
 	if err := ap.ApplyRetain(inSpec, res); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := Converged(master, replica, inSpec); !ok {
+	if ok, why := resynctest.Converged(master, replica, inSpec); !ok {
 		t.Errorf("replica after the retain poll: %s", why)
 	}
 }

@@ -113,7 +113,7 @@ func (u Update) Image(held *entry.Entry) *entry.Entry {
 	if u.IsMove() {
 		img.SetDN(u.DN)
 	}
-	applyMods(img, dit.PatchMods(u.Entry))
+	_ = dit.ApplyMods(img, dit.PatchMods(u.Entry)) // replaces only: cannot fail
 	return img
 }
 

@@ -9,6 +9,7 @@ import (
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
 	"filterdir/internal/query"
+	"filterdir/internal/resync/resynctest"
 )
 
 // newMaster builds a master with a handful of person entries under c=us.
@@ -213,7 +214,7 @@ func TestModifyDNWithinContent(t *testing.T) {
 	if err := ap.Apply(specSerial04, res); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := Converged(master, replica, specSerial04); !ok {
+	if ok, why := resynctest.Converged(master, replica, specSerial04); !ok {
 		t.Errorf("after the move: %s", why)
 	}
 	if _, held := replica.Get(old); held {
@@ -298,7 +299,7 @@ func TestFigure3Session(t *testing.T) {
 	if err := ap.Apply(spec, &PollResult{Updates: batch.Updates}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := Converged(master, replica, spec); !ok {
+	if ok, why := resynctest.Converged(master, replica, spec); !ok {
 		t.Errorf("replica after the rename: %s", why)
 	}
 	if e5, ok := replica.Get(dn.MustParse("cn=E5,c=us,o=xyz")); !ok || e5.First("dept") != "2" || replica.Len() != 2 {
@@ -364,7 +365,7 @@ func TestApplierConvergence(t *testing.T) {
 	if err := ap.Apply(specSerial04, res); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := Converged(master, replica, specSerial04); !ok {
+	if ok, why := resynctest.Converged(master, replica, specSerial04); !ok {
 		t.Fatalf("not converged after initial sync: %s", why)
 	}
 
@@ -379,7 +380,7 @@ func TestApplierConvergence(t *testing.T) {
 	if err := ap.Apply(specSerial04, res); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := Converged(master, replica, specSerial04); !ok {
+	if ok, why := resynctest.Converged(master, replica, specSerial04); !ok {
 		t.Fatalf("not converged after poll: %s", why)
 	}
 	if ap.Traffic.Updates() == 0 || ap.Traffic.Bytes == 0 {
@@ -473,7 +474,7 @@ func TestConvergenceUnderRandomStream(t *testing.T) {
 			if err := ap.Apply(specSerial04, res); err != nil {
 				t.Fatal(err)
 			}
-			if ok, why := Converged(master, replica, specSerial04); !ok {
+			if ok, why := resynctest.Converged(master, replica, specSerial04); !ok {
 				t.Fatalf("seed %d round %d: %s", seed, round, why)
 			}
 		}
@@ -506,7 +507,7 @@ func TestRetainModeConverges(t *testing.T) {
 	if err := ap.ApplyRetain(specSerial04, ret); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := Converged(master, replica, specSerial04); !ok {
+	if ok, why := resynctest.Converged(master, replica, specSerial04); !ok {
 		t.Fatalf("retain mode did not converge: %s", why)
 	}
 	// Retain actions must appear for unchanged entries.
@@ -521,159 +522,6 @@ func TestRetainModeConverges(t *testing.T) {
 	}
 	if !hasRetain {
 		t.Error("expected retain actions for unchanged entries")
-	}
-}
-
-func TestTombstoneSendsAllDeletes(t *testing.T) {
-	master := newMaster(t)
-	in := addPerson(t, master, "in", "0401", "1")
-	out := addPerson(t, master, "out", "0901", "1")
-
-	ts := NewTombstoneServer(master)
-	res, sess := ts.Begin(specSerial04)
-	if len(res.Updates) != 1 {
-		t.Fatalf("initial tombstone content = %d", len(res.Updates))
-	}
-	// Delete both: a ReSync session would ship one delete; tombstones ship
-	// both DNs.
-	if err := master.Delete(in); err != nil {
-		t.Fatal(err)
-	}
-	if err := master.Delete(out); err != nil {
-		t.Fatal(err)
-	}
-	res, ok := ts.Poll(sess)
-	if !ok {
-		t.Fatal("tombstone poll failed")
-	}
-	deletes := 0
-	for _, u := range res.Updates {
-		if u.Action == ActionDelete {
-			deletes++
-		}
-	}
-	if deletes != 2 {
-		t.Errorf("tombstone deletes = %d, want 2 (all deleted DNs)", deletes)
-	}
-}
-
-func TestChangelogDoesNotConverge(t *testing.T) {
-	// The paper's failure case inverted: an entry is modified INTO the
-	// content; the changelog record carries only the changed attributes, so
-	// a consumer that does not hold the entry cannot construct it.
-	master := newMaster(t)
-	d := addPerson(t, master, "mover", "0901", "1") // outside content
-
-	spec := specSerial04
-	cs := NewChangelogServer(master)
-	initial := master.MatchAll(query.Query{Base: spec.Base, Scope: spec.Scope, Filter: spec.Filter})
-	consumer := NewChangelogConsumer(spec, initial)
-	last := master.LastCSN()
-
-	if err := master.Modify(d, []dit.Mod{{Op: dit.ModReplace, Attr: "serialNumber", Values: []string{"0404"}}}); err != nil {
-		t.Fatal(err)
-	}
-	records, last, ok := cs.Since(spec, last)
-	if !ok {
-		t.Fatal("changelog trimmed")
-	}
-	consumer.Apply(records)
-	_ = last
-
-	// Master content now holds the mover; consumer does not.
-	masterContent := master.MatchAll(query.Query{Base: spec.Base, Scope: spec.Scope, Filter: spec.Filter})
-	if len(masterContent) != 1 {
-		t.Fatalf("master content = %d, want 1", len(masterContent))
-	}
-	if len(consumer.Entries) != 0 {
-		t.Fatalf("consumer should have missed the move-in, holds %d", len(consumer.Entries))
-	}
-}
-
-func TestChangelogModifyOutAndDelete(t *testing.T) {
-	// The paper's exact sequence: modify out of content, then delete. The
-	// consumer holding the entry applies the mods, detects the move-out,
-	// and the subsequent delete is harmless — but the server had to ship
-	// both records because it could not classify them.
-	master := newMaster(t)
-	d := addPerson(t, master, "victim", "0401", "1")
-
-	spec := specSerial04
-	cs := NewChangelogServer(master)
-	initial := master.MatchAll(query.Query{Base: spec.Base, Scope: spec.Scope, Filter: spec.Filter})
-	consumer := NewChangelogConsumer(spec, initial)
-	last := master.LastCSN()
-
-	if err := master.Modify(d, []dit.Mod{{Op: dit.ModReplace, Attr: "serialNumber", Values: []string{"0901"}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := master.Delete(d); err != nil {
-		t.Fatal(err)
-	}
-	records, _, ok := cs.Since(spec, last)
-	if !ok {
-		t.Fatal("changelog trimmed")
-	}
-	if len(records) != 2 {
-		t.Fatalf("changelog shipped %d records, want 2 (cannot classify)", len(records))
-	}
-	consumer.Apply(records)
-	if len(consumer.Entries) != 0 {
-		t.Error("consumer failed to drop the moved-out entry")
-	}
-}
-
-func TestResyncTrafficBeatsBaselines(t *testing.T) {
-	// Quantitative comparison on one workload: ReSync ships the minimal
-	// set; retain mode adds retain PDUs; full reload ships everything.
-	master := newMaster(t)
-	var people []dn.DN
-	for i := 0; i < 40; i++ {
-		people = append(people, addPerson(t, master, fmt.Sprintf("p%d", i), fmt.Sprintf("04%02d", i), "1"))
-	}
-	eng := NewEngine(master)
-	res, err := eng.Begin(specSerial04)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cookieA := res.Cookie
-	resB, err := eng.Begin(specSerial04)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cookieB := resB.Cookie
-
-	// One small change.
-	if err := master.Modify(people[0], []dit.Mod{{Op: dit.ModReplace, Attr: "dept", Values: []string{"9"}}}); err != nil {
-		t.Fatal(err)
-	}
-
-	polled, err := eng.Poll(cookieA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retained, err := eng.PollRetain(cookieB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reload := FullReload(master, specSerial04)
-
-	var tPoll, tRetain, tReload Traffic
-	for _, u := range polled.Updates {
-		tPoll.Add(u)
-	}
-	for _, u := range retained.Updates {
-		tRetain.Add(u)
-	}
-	for _, u := range reload {
-		tReload.Add(u)
-	}
-	if tPoll.Updates() != 1 {
-		t.Errorf("resync shipped %d updates, want 1", tPoll.Updates())
-	}
-	if !(tPoll.Bytes < tRetain.Bytes && tRetain.Bytes < tReload.Bytes) {
-		t.Errorf("expected resync < retain < reload bytes, got %d / %d / %d",
-			tPoll.Bytes, tRetain.Bytes, tReload.Bytes)
 	}
 }
 

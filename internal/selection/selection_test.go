@@ -483,3 +483,13 @@ func TestUnseedMakesTheFilterACandidateAgain(t *testing.T) {
 		t.Errorf("revolution after Unseed: %+v, want the filter added again and nothing removed", d)
 	}
 }
+
+// StoredSet returns the currently selected queries.
+func (s *Selector) StoredSet() []query.Query {
+	out := make([]query.Query, 0, len(s.stored))
+	for _, c := range s.stored {
+		out = append(out, c.Query)
+	}
+	sortQueries(out)
+	return out
+}

@@ -255,16 +255,6 @@ func (s *Selector) covered(c *Candidate, chosen map[string]*Candidate) bool {
 	return false
 }
 
-// StoredSet returns the currently selected queries.
-func (s *Selector) StoredSet() []query.Query {
-	out := make([]query.Query, 0, len(s.stored))
-	for _, c := range s.stored {
-		out = append(out, c.Query)
-	}
-	sortQueries(out)
-	return out
-}
-
 func sortQueries(qs []query.Query) {
 	sort.Slice(qs, func(i, j int) bool { return qs[i].Key() < qs[j].Key() })
 }

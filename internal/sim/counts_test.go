@@ -39,7 +39,7 @@ func resyncBaselines() (*metrics.Figure, error) {
 	}
 	spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=10*)")
 	eng := resync.NewEngine(dir.Master)
-	ts := resync.NewTombstoneServer(dir.Master)
+	ts := tombstoneServer{store: dir.Master}
 	resA, err := eng.Begin(spec)
 	if err != nil {
 		return nil, err
@@ -48,7 +48,7 @@ func resyncBaselines() (*metrics.Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, tsSess := ts.Begin(spec)
+	_, tsSess := ts.begin(spec)
 
 	if _, err := workload.NewUpdater(dir, workload.DefaultUpdateConfig()).Apply(burst); err != nil {
 		return nil, err
@@ -61,7 +61,7 @@ func resyncBaselines() (*metrics.Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	tombs, ok := ts.Poll(tsSess)
+	tombs, ok := ts.poll(tsSess)
 	if !ok {
 		return nil, fmt.Errorf("tombstone poll failed")
 	}
@@ -70,7 +70,7 @@ func resyncBaselines() (*metrics.Figure, error) {
 	fig.AddSeries("resync").Add(burst, wireBytes(polled.Updates))
 	fig.AddSeries("retain").Add(burst, wireBytes(retained.Updates))
 	fig.AddSeries("tombstone").Add(burst, wireBytes(tombs.Updates))
-	fig.AddSeries("full reload").Add(burst, wireBytes(resync.FullReload(dir.Master, spec)))
+	fig.AddSeries("full reload").Add(burst, wireBytes(fullReload(dir.Master, spec)))
 	return fig, nil
 }
 
@@ -158,8 +158,10 @@ func selectionPolicies() (*metrics.Figure, error) {
 			}
 			if d := sel.Observe(obs); d != nil && len(d.Add)+len(d.Remove) > 0 {
 				changes++
-				stored = map[string]bool{}
-				for _, q := range sel.StoredSet() {
+				for _, q := range d.Remove {
+					delete(stored, q.Filter.SlotValues()[0])
+				}
+				for _, q := range d.Add {
 					stored[q.Filter.SlotValues()[0]] = true
 				}
 			}

@@ -44,6 +44,27 @@ func figure(t *testing.T, id string) *metrics.Figure {
 	return fig
 }
 
+// yAt returns s's Y at x (ok=false when s has no point there).
+func yAt(s *metrics.Series, x float64) (float64, bool) {
+	for _, p := range s.Points {
+		if p.X == x {
+			return p.Y, true
+		}
+	}
+	return 0, false
+}
+
+// maxY returns the largest Y of s (0 for none).
+func maxY(s *metrics.Series) float64 {
+	max := 0.0
+	for _, p := range s.Points {
+		if p.Y > max {
+			max = p.Y
+		}
+	}
+	return max
+}
+
 func series(t *testing.T, fig *metrics.Figure, name string) *metrics.Series {
 	t.Helper()
 	s := fig.SeriesByName(name)
@@ -61,7 +82,7 @@ func TestTable1Shape(t *testing.T) {
 	measured := series(t, fig, "measured %")
 	paper := series(t, fig, "paper %")
 	for _, p := range paper.Points {
-		got, ok := measured.YAt(p.X)
+		got, ok := yAt(measured, p.X)
 		if !ok {
 			t.Fatalf("measured missing x=%v", p.X)
 		}
@@ -78,7 +99,7 @@ func TestFigure4Shape(t *testing.T) {
 
 	// Filter beats subtree at every replica size.
 	for _, p := range filter.Points {
-		sv, ok := subtree.YAt(p.X)
+		sv, ok := yAt(subtree, p.X)
 		if !ok {
 			t.Fatalf("subtree missing x=%v", p.X)
 		}
@@ -87,7 +108,7 @@ func TestFigure4Shape(t *testing.T) {
 		}
 	}
 	// The paper's headline: hit ratio at least 0.5 replicating under 10 %.
-	if y, ok := filter.YAt(0.10); !ok || y < 0.5 {
+	if y, ok := yAt(filter, 0.10); !ok || y < 0.5 {
 		t.Errorf("filter hit ratio at 10%% = %.3f, want >= 0.5", y)
 	}
 	// Filter curve is monotone non-decreasing within noise.
@@ -99,7 +120,7 @@ func TestFigure4Shape(t *testing.T) {
 	}
 	// Subtree replicas cannot selectively replicate a flat namespace: at
 	// small sizes they answer (almost) nothing.
-	if y, _ := subtree.YAt(0.02); y > 0.05 {
+	if y, _ := yAt(subtree, 0.02); y > 0.05 {
 		t.Errorf("subtree hit ratio at 2%% = %.3f, want ~0", y)
 	}
 }
@@ -112,7 +133,7 @@ func TestFigure5Shape(t *testing.T) {
 	// least as high at every budget (within noise).
 	better := 0
 	for _, p := range small.Points {
-		lv, ok := large.YAt(p.X)
+		lv, ok := yAt(large, p.X)
 		if !ok {
 			t.Fatalf("R=10000 missing x=%v", p.X)
 		}
@@ -166,8 +187,8 @@ func TestFigure7Shape(t *testing.T) {
 
 	// Department entries barely change: subtree traffic stays tiny
 	// compared to the filter replica's revolution-driven traffic.
-	if subtree.MaxY() >= small.MaxY() {
-		t.Errorf("subtree traffic %.0f not below filter traffic %.0f", subtree.MaxY(), small.MaxY())
+	if maxY(subtree) >= maxY(small) {
+		t.Errorf("subtree traffic %.0f not below filter traffic %.0f", maxY(subtree), maxY(small))
 	}
 	// The smaller interval pays at least as much total traffic.
 	sumS, sumL := 0.0, 0.0
@@ -201,9 +222,9 @@ func testFigure89Shape(t *testing.T, fig *metrics.Figure) {
 	// is at least as good as either (within noise) at the largest sweep
 	// point.
 	last := user.Points[len(user.Points)-1].X
-	uy, _ := user.YAt(last)
-	gy, _ := gen.YAt(last)
-	by, _ := both.YAt(last)
+	uy, _ := yAt(user, last)
+	gy, _ := yAt(gen, last)
+	by, _ := yAt(both, last)
 	if gy <= uy {
 		t.Errorf("%s: generalized %.3f not above user-only %.3f", fig.ID, gy, uy)
 	}
@@ -211,7 +232,7 @@ func testFigure89Shape(t *testing.T, fig *metrics.Figure) {
 		t.Errorf("%s: combined %.3f below components (user %.3f, gen %.3f)", fig.ID, by, uy, gy)
 	}
 	// The user-query curve saturates: the last doubling adds little.
-	mid, _ := user.YAt(150)
+	mid, _ := yAt(user, 150)
 	if uy-mid > 0.15 {
 		t.Errorf("%s: user-query curve still climbing steeply: %.3f -> %.3f", fig.ID, mid, uy)
 	}
@@ -228,9 +249,9 @@ func TestFigure9Shape(t *testing.T) {
 func TestMailLocationShape(t *testing.T) {
 	fig := figure(t, "mail-location")
 	s := series(t, fig, "hit ratio")
-	genMail, _ := s.YAt(1)
-	cacheMail, _ := s.YAt(2)
-	loc, _ := s.YAt(3)
+	genMail, _ := yAt(s, 1)
+	cacheMail, _ := yAt(s, 2)
+	loc, _ := yAt(s, 3)
 	// Unorganized mail local parts: prefix generalization buys little over
 	// caching; most of its "hits" are just repeats.
 	if genMail > cacheMail+0.25 {
@@ -270,7 +291,7 @@ func TestOverheadShape(t *testing.T) {
 		}
 	}
 	times := series(t, fig, "us per query (templates)")
-	if times.MaxY() <= 0 {
+	if maxY(times) <= 0 {
 		t.Error("no time measured")
 	}
 }
@@ -278,17 +299,17 @@ func TestOverheadShape(t *testing.T) {
 func TestContainmentStatsShape(t *testing.T) {
 	fig := figure(t, "containment-stats")
 	s := series(t, fig, "% of decisions")
-	fallback, _ := s.YAt(5)
+	fallback, _ := yAt(s, 5)
 	if fallback > 5 {
 		t.Errorf("generic fallback handles %.1f%% of decisions; templates should cover the workload", fallback)
 	}
-	pruned, _ := s.YAt(3)
-	compiled, _ := s.YAt(2)
+	pruned, _ := yAt(s, 3)
+	compiled, _ := yAt(s, 2)
 	if pruned+compiled < 50 {
 		t.Errorf("template machinery resolves only %.1f%% of cross-template decisions", pruned+compiled)
 	}
 	plans := series(t, fig, "plans compiled")
-	if plans.MaxY() < 1 || plans.MaxY() > 100 {
-		t.Errorf("plans compiled = %.0f, want a small per-pair count", plans.MaxY())
+	if maxY(plans) < 1 || maxY(plans) > 100 {
+		t.Errorf("plans compiled = %.0f, want a small per-pair count", maxY(plans))
 	}
 }

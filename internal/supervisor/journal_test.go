@@ -18,6 +18,7 @@ import (
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 )
 
 // offlineConfig is a supervisor that is never started: tests land exchanges
@@ -192,7 +193,7 @@ func TestOverlappingSpecsRestoreOwners(t *testing.T) {
 	everything := query.Query{Scope: query.ScopeSubtree}
 	converged := func(rep *replica.FilterReplica) bool {
 		for _, spec := range specs {
-			if ok, _ := resync.Converged(h.store, rep.Store(), spec); !ok {
+			if ok, _ := resynctest.Converged(h.store, rep.Store(), spec); !ok {
 				return false
 			}
 		}

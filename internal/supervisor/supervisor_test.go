@@ -15,6 +15,7 @@ import (
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 )
 
 // newMasterStore builds a small master directory with entries matching the
@@ -123,7 +124,7 @@ func waitConverged(t *testing.T, h *harness, sup *Supervisor, timeout time.Durat
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		ok, why := resync.Converged(h.store, sup.rep.Store(), h.spec)
+		ok, why := resynctest.Converged(h.store, sup.rep.Store(), h.spec)
 		if ok {
 			return
 		}

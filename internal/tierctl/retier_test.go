@@ -10,7 +10,7 @@ import (
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
-	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/supervisor"
 )
 
@@ -59,7 +59,7 @@ func BenchmarkAdaptiveReTier(b *testing.B) {
 		}
 		converged := func() bool {
 			for i, rep := range reps {
-				if ok, _ := resync.Converged(st, rep.Store(), spec(i)); !ok {
+				if ok, _ := resynctest.Converged(st, rep.Store(), spec(i)); !ok {
 					return false
 				}
 			}

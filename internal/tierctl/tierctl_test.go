@@ -18,7 +18,7 @@ import (
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
-	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/selection"
 	"filterdir/internal/supervisor"
 )
@@ -279,7 +279,7 @@ func TestControllerNarrowsWhenDemandMoves(t *testing.T) {
 	}
 	servedBy := func(sup *supervisor.Supervisor, frep *replica.FilterReplica, spec query.Query, addr string) func() bool {
 		return func() bool {
-			ok, _ := resync.Converged(st, frep.Store(), spec)
+			ok, _ := resynctest.Converged(st, frep.Store(), spec)
 			return ok && sup.Target() == addr
 		}
 	}

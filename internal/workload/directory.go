@@ -251,12 +251,5 @@ func BuildDirectory(cfg DirectoryConfig) (*Directory, error) {
 	return d, nil
 }
 
-// SerialPrefix returns the block-granularity serial prefix for country ci,
-// block b — the value space of the generalized filters
-// (serialNumber=<prefix>*).
-func (d *Directory) SerialPrefix(ci, block int) string {
-	return fmt.Sprintf("%02d%03d", ci+10, block)
-}
-
 // SerialPrefixLen is the length of the block-granularity serial prefix.
 const SerialPrefixLen = 5

@@ -194,10 +194,6 @@ func (g *Generator) advancePhase() {
 	g.ops++
 }
 
-// PhaseIndex reports how many phase transitions have been applied (0 = the
-// base configuration is still in effect).
-func (g *Generator) PhaseIndex() int { return g.nextPhase }
-
 // Next produces the next trace query.
 func (g *Generator) Next() TraceQuery {
 	g.advancePhase()

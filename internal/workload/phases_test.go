@@ -127,3 +127,7 @@ func TestPhasedTraceDeterministic(t *testing.T) {
 		t.Fatal("differently-seeded phased traces are identical")
 	}
 }
+
+// PhaseIndex reports how many phase transitions have been applied (0 = the
+// base configuration is still in effect).
+func (g *Generator) PhaseIndex() int { return g.nextPhase }

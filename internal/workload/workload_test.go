@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -240,4 +241,11 @@ func TestEntryPayloadSize(t *testing.T) {
 	if e.ByteSize() < 2048 {
 		t.Errorf("entry size = %d, want ≥ payload", e.ByteSize())
 	}
+}
+
+// SerialPrefix returns the block-granularity serial prefix for country ci,
+// block b — the value space of the generalized filters
+// (serialNumber=<prefix>*).
+func (d *Directory) SerialPrefix(ci, block int) string {
+	return fmt.Sprintf("%02d%03d", ci+10, block)
 }
