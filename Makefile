@@ -13,12 +13,12 @@ SEED ?= 42
 N ?= 1000
 ORACLE_TESTS ?= TestOracleSweep|TestOracleWireSweep|TestOracleCascadeSweep|TestOracleCascadeWireSweep|TestOracleEdgeWriteSweep|TestOracleShardSweepFull|TestOracleResumeSweep|TestOracleAdaptiveSweep
 
-.PHONY: check fmt vet build one-writer test allocs figures fingerprints oracle fuzz-smoke cover loc
+.PHONY: check fmt vet build one-writer test allocs examples figures fingerprints oracle fuzz-smoke cover loc
 
 ## check: the full verification gate (format, vet, build, the one-writer
 ## gate, race-enabled tests — TestNoTestOnlyExports among them, the gate on
-## exported code only tests reach — and allocation gates).
-check: fmt vet build one-writer test allocs
+## exported code only tests reach — allocation gates and the examples).
+check: fmt vet build one-writer test allocs examples
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -55,6 +55,17 @@ allocs:
 		/allocations/ { sub(/^ *[a-z_]+\.go:[0-9]+: /, ""); printf "%-34s %s\n", test, $$0 } \
 		/^(--- FAIL|FAIL|panic:)/ { print; bad = 1 } \
 		END { exit bad }'
+
+## examples: run each examples/* program once; its output is printed only
+## when it exits non-zero, which fails the target.
+examples:
+	@for d in examples/*/; do \
+		if out=$$($(GO) run ./$$d 2>&1); then \
+			echo "ok   $$d"; \
+		else \
+			echo "$$out"; echo "FAIL $$d"; exit 1; \
+		fi; \
+	done
 
 ## figures: rerun every paper figure and pinned count and rewrite
 ## internal/sim/testdata/figures.golden from them; `git diff` shows what moved.

@@ -39,7 +39,6 @@ package filterdir
 
 import (
 	"io"
-	"time"
 
 	"filterdir/internal/containment"
 	"filterdir/internal/dit"
@@ -68,8 +67,6 @@ type (
 	RDN = dn.RDN
 	// Entry is a directory entry.
 	Entry = entry.Entry
-	// Schema validates entries against object-class definitions.
-	Schema = entry.Schema
 	// Filter is an LDAP search filter AST.
 	Filter = filter.Node
 	// Query is an LDAP search request (base, scope, filter, attrs) — the
@@ -225,10 +222,6 @@ func MustParseQuery(base string, scope Scope, filterStr string, attrs ...string)
 // NewEntry creates an empty entry at the given DN.
 func NewEntry(d DN) *Entry { return entry.New(d) }
 
-// DefaultSchema returns the enterprise object classes used by the paper's
-// directory.
-func DefaultSchema() *Schema { return entry.DefaultSchema() }
-
 // NewDirectory creates a directory serving the given naming-context
 // suffixes ("" for the whole DIT).
 func NewDirectory(suffixes []string, opts ...DirectoryOption) (*Directory, error) {
@@ -237,9 +230,6 @@ func NewDirectory(suffixes []string, opts ...DirectoryOption) (*Directory, error
 
 // WithIndexes maintains equality/prefix indexes on the named attributes.
 func WithIndexes(attrs ...string) DirectoryOption { return dit.WithIndexes(attrs...) }
-
-// WithSchema enables schema validation on updates.
-func WithSchema(s *Schema) DirectoryOption { return dit.WithSchema(s) }
 
 // WithDefaultReferral sets the superior referral URL for foreign targets.
 func WithDefaultReferral(url string) DirectoryOption { return dit.WithDefaultReferral(url) }
@@ -252,14 +242,6 @@ func WithJournalLimit(n int) DirectoryOption { return dit.WithJournalLimit(n) }
 // the default: $FILTERDIR_SHARDS, else GOMAXPROCS). Shard count never
 // changes replication traffic or read results — only contention.
 func WithShards(n int) DirectoryOption { return dit.WithShards(n) }
-
-// WithBatchLimit bounds how many pending updates one commit-pipeline batch
-// applies per flush.
-func WithBatchLimit(n int) DirectoryOption { return dit.WithBatchLimit(n) }
-
-// WithBatchWindow makes writers linger before contending for the commit
-// sequencer so concurrent updates accumulate into fewer, larger batches.
-func WithBatchWindow(d time.Duration) DirectoryOption { return dit.WithBatchWindow(d) }
 
 // NewFilterReplica creates an empty filter-based replica.
 func NewFilterReplica(opts ...replica.FROption) (*FilterReplica, error) {

@@ -13,8 +13,7 @@ import (
 func buildMaster(t *testing.T) *filterdir.Directory {
 	t.Helper()
 	master, err := filterdir.NewDirectory([]string{"o=xyz"},
-		filterdir.WithIndexes("serialnumber", "mail"),
-		filterdir.WithSchema(filterdir.DefaultSchema()))
+		filterdir.WithIndexes("serialnumber", "mail"))
 	if err != nil {
 		t.Fatal(err)
 	}

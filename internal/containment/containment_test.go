@@ -279,10 +279,24 @@ func TestQueryContains(t *testing.T) {
 			want: false,
 		},
 		{
-			name: "attrs subset",
+			// The stored images lack sn, so (sn=Doe) matches none of them
+			// at the replica while the master's entries carry it.
+			name: "attrs subset, filter attribute not kept",
 			q:    sub("o=xyz", "(sn=Doe)", "cn", "mail"),
 			qs:   sub("o=xyz", "(sn=Doe)", "cn", "mail", "telephonenumber"),
+			want: false,
+		},
+		{
+			name: "attrs subset, filter attribute kept",
+			q:    sub("o=xyz", "(sn=Doe)", "cn", "mail"),
+			qs:   sub("o=xyz", "(sn=Doe)", "cn", "mail", "SN"),
 			want: true,
+		},
+		{
+			name: "narrower filter names an attribute the stored query drops",
+			q:    sub("o=xyz", "(&(serialnumber=0401)(sn=y))", "cn"),
+			qs:   sub("o=xyz", "(serialnumber=04*)", "cn"),
+			want: false,
 		},
 		{
 			name: "attrs not subset",

@@ -66,7 +66,7 @@ func (s *Store) flushLocked() {
 		s.pendMu.Unlock()
 		return
 	}
-	if s.batchLimit > 0 && n > s.batchLimit {
+	if n > s.batchLimit {
 		n = s.batchLimit
 	}
 	batch := make([]*writeOp, n)

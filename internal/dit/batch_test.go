@@ -46,7 +46,8 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			t.Parallel()
-			st := batchTestStore(t, WithShards(shards), WithBatchWindow(100*time.Microsecond))
+			st := batchTestStore(t, WithShards(shards))
+			st.batchWindow = 100 * time.Microsecond
 
 			const workers, opsPer = 8, 60
 			var wg sync.WaitGroup
@@ -101,10 +102,11 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 			}
 
 			// Serial replay into an unsharded, unbatched reference store.
-			ref, err := NewStore([]string{"o=xyz"}, WithShards(1), WithBatchLimit(1))
+			ref, err := NewStore([]string{"o=xyz"}, WithShards(1))
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref.batchLimit = 1
 			for _, c := range changes {
 				csn, err := ref.ApplyCSN(c)
 				if err != nil {
@@ -142,7 +144,8 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 // batchLimit ops per flush but every submitter still completes (FIFO drain
 // guarantees progress past the limit).
 func TestBatchLimitBoundsFlush(t *testing.T) {
-	st := batchTestStore(t, WithShards(2), WithBatchLimit(4), WithBatchWindow(200*time.Microsecond))
+	st := batchTestStore(t, WithShards(2))
+	st.batchLimit, st.batchWindow = 4, 200*time.Microsecond
 	const n = 64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -170,7 +173,8 @@ func TestBatchLimitBoundsFlush(t *testing.T) {
 // its own submitter: the other ops in the batch commit normally and the
 // journal stays gapless.
 func TestBatchErrorIsolation(t *testing.T) {
-	st := batchTestStore(t, WithShards(4), WithBatchWindow(200*time.Microsecond))
+	st := batchTestStore(t, WithShards(4))
+	st.batchWindow = 200 * time.Microsecond
 	const n = 32
 	var wg sync.WaitGroup
 	errs := make([]error, n)

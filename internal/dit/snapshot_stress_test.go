@@ -24,12 +24,11 @@ func TestSnapshotImmutableUnderCommits(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			t.Parallel()
-			st, err := NewStore([]string{"o=xyz"},
-				WithShards(shards), WithIndexes("serialnumber"),
-				WithBatchWindow(50*time.Microsecond))
+			st, err := NewStore([]string{"o=xyz"}, WithShards(shards), WithIndexes("serialnumber"))
 			if err != nil {
 				t.Fatal(err)
 			}
+			st.batchWindow = 50 * time.Microsecond
 			org := entry.New(dn.MustParse("o=xyz"))
 			org.Put("objectclass", "organization").Put("o", "xyz")
 			if err := st.Add(org); err != nil {

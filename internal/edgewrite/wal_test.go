@@ -45,7 +45,6 @@ func walHistory(t *testing.T) (gens []generation, want [][]string) {
 	m := newFakeMaster()
 	w := openTestWriter(t, dir, m)
 	defer w.Close()
-	w.RegisterSource("f0")
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -78,7 +77,7 @@ func walHistory(t *testing.T) (gens []generation, want [][]string) {
 	if _, err := w.Submit(personAdd("cn=b,o=xyz", "b")); !errors.Is(err, ErrPending) { // op r1.1
 		t.Fatal(err)
 	}
-	w.SetWatermark("f0", 1) // retire r1.0
+	w.SetWatermark(1) // retire r1.0
 	m.setFail(nil)
 	w.Replay() // commit r1.1 2
 	m.setFail(&PermanentError{Err: errors.New("refused")})
@@ -87,15 +86,15 @@ func walHistory(t *testing.T) (gens []generation, want [][]string) {
 	}
 	m.setFail(nil)
 	submit(dit.Change{Type: dit.ChangeDelete, DN: personAdd("cn=d,o=xyz", "d").DN}) // op r1.3, commit r1.3 3
-	w.SetWatermark("f0", 3)                                                         // retire r1.1, retire r1.3
+	w.SetWatermark(3)                                                               // retire r1.1, retire r1.3
 	// Past the size under which a journal is not worth folding, in values short
 	// enough to parse quickly: retiring this write folds the journal.
 	big := personAdd("cn=e,o=xyz", "e")
 	for i := 0; i < 1100; i++ {
 		big.After.Add("description", fmt.Sprintf("%04d%s", i, strings.Repeat("x", 1000)))
 	}
-	w.SetWatermark("f0", submit(big))                          // op r1.4, commit r1.4 4, retire r1.4
-	w.SetWatermark("f0", submit(personAdd("cn=f,o=xyz", "f"))) // op r1.5, commit r1.5 5, retire r1.5
+	w.SetWatermark(submit(big))                          // op r1.4, commit r1.4 4, retire r1.4
+	w.SetWatermark(submit(personAdd("cn=f,o=xyz", "f"))) // op r1.5, commit r1.5 5, retire r1.5
 
 	want = [][]string{{
 		"",
@@ -233,7 +232,6 @@ func TestFailedAppendLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
 	m := newFakeMaster()
 	w := openTestWriter(t, dir, m)
-	w.RegisterSource("f0")
 	syncs := 0
 	w.wal.j.Sync = func(f *os.File) error {
 		if syncs++; syncs == 1 {
@@ -269,8 +267,7 @@ func TestFailedAppendLeavesNothing(t *testing.T) {
 	}
 	w = openTestWriter(t, dir, m)
 	defer w.Close()
-	w.RegisterSource("f0")
-	w.SetWatermark("f0", csn)
+	w.SetWatermark(csn)
 	if n := len(w.wal.ops); w.Pending() != 0 || n != 0 {
 		t.Fatalf("after the echo %d pending, %d ops in the WAL's table: want none, or it never folds", w.Pending(), n)
 	}

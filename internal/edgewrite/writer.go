@@ -3,7 +3,6 @@ package edgewrite
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -93,12 +92,12 @@ type Writer struct {
 	wal *wal
 	c   *metrics.WriteCounters
 
-	mu      sync.Mutex
-	pending []*pendingOp
-	sources map[string]uint64
-	started bool
-	stop    chan struct{}
-	done    chan struct{}
+	mu        sync.Mutex
+	pending   []*pendingOp
+	watermark uint64 // SetWatermark's bound: committed ops at or below it retire
+	started   bool
+	stop      chan struct{}
+	done      chan struct{}
 }
 
 // Open opens (or creates) the WAL in cfg.Dir and re-arms the pending set: a
@@ -117,7 +116,7 @@ func Open(cfg Config) (*Writer, error) {
 	if c == nil {
 		c = &metrics.WriteCounters{}
 	}
-	w := &Writer{cfg: cfg, wal: wl, c: c, sources: make(map[string]uint64)}
+	w := &Writer{cfg: cfg, wal: wl, c: c}
 	for _, op := range wl.recovered() {
 		images, err := computeImages(op.Change, cfg.Lookup)
 		if err != nil {
@@ -245,49 +244,23 @@ func (w *Writer) abort(p *pendingOp) {
 	w.c.Rejected.Add(1)
 }
 
-// RegisterSource declares a sync source (one per stored filter's
-// supervisor) whose watermark gates retirement. Until every registered
-// source has reported a watermark at or past an op's CSN, the op stays on
-// the overlay: a query answered via any stored filter only reflects that
-// filter's sync position, so the most conservative source governs.
-func (w *Writer) RegisterSource(name string) {
+// SetWatermark records the master CSN the replica's content has synced to
+// and retires the committed ops at or below it. The replica owns the bound:
+// a query answered via any of its stored filters reflects only that filter's
+// sync position, so the owner passes the minimum over its live filters, and 0
+// while any of them has not reported (nothing retires). It may regress (a
+// link falling back to a lagging upstream re-reports from the new session).
+func (w *Writer) SetWatermark(csn uint64) {
 	w.mu.Lock()
-	if _, ok := w.sources[name]; !ok {
-		w.sources[name] = 0
-	}
-	w.mu.Unlock()
-}
-
-// SetWatermark records a source's latest synced master CSN and retires
-// pending ops the slowest source has caught up to. Watermarks may regress
-// (a supervisor falling back to a lagging upstream re-reports from the new
-// session); retirement only ever consumes the current minimum.
-func (w *Writer) SetWatermark(source string, csn uint64) {
-	w.mu.Lock()
-	w.sources[source] = csn
+	w.watermark = csn
 	w.mu.Unlock()
 	w.retireEligible()
 }
 
-// watermarkLocked is the retirement bound: the minimum over all registered
-// sources (0 when none have been registered — nothing retires).
-func (w *Writer) watermarkLocked() uint64 {
-	if len(w.sources) == 0 {
-		return 0
-	}
-	min := uint64(math.MaxUint64)
-	for _, v := range w.sources {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// retireEligible drops committed ops whose CSN every source has synced past.
+// retireEligible drops committed ops whose CSN the watermark has reached.
 func (w *Writer) retireEligible() {
 	w.mu.Lock()
-	wm := w.watermarkLocked()
+	wm := w.watermark
 	var retire []*pendingOp
 	keep := w.pending[:0]
 	for _, p := range w.pending {

@@ -89,7 +89,6 @@ func TestSubmitCommitRetire(t *testing.T) {
 	dir := t.TempDir()
 	m := newFakeMaster()
 	w := openTestWriter(t, dir, m)
-	w.RegisterSource("f0")
 
 	csn, err := w.Submit(personAdd("cn=new,o=xyz", "new"))
 	if err != nil {
@@ -108,7 +107,7 @@ func TestSubmitCommitRetire(t *testing.T) {
 
 	// The CSN echoes back down the sync stream: the op retires and the
 	// overlay empties.
-	w.SetWatermark("f0", csn)
+	w.SetWatermark(csn)
 	if n := w.Pending(); n != 0 {
 		t.Fatalf("pending after echo = %d, want 0", n)
 	}
@@ -131,7 +130,7 @@ func TestSubmitCommitRetire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SetWatermark("f0", csn)
+		w.SetWatermark(csn)
 	}
 	snap, err := os.ReadFile(filepath.Join(dir, "snapshot.ldif"))
 	if want := fmt.Sprintf("# snapshot 2 r1 %d\n", ops); err != nil || string(snap) != want {
@@ -148,31 +147,31 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestWatermarkMinOverSources pins retirement to the slowest sync source: a
-// query may be answered via any stored filter, so an op stays on the
-// overlay until every filter's session has synced past its CSN.
-func TestWatermarkMinOverSources(t *testing.T) {
+// TestWatermarkBoundsRetirement pins retirement to the one watermark the
+// writer's owner sets: a committed op stays on the overlay while the
+// watermark is below its CSN, also after the watermark regresses, and
+// retires once it reaches the CSN.
+func TestWatermarkBoundsRetirement(t *testing.T) {
 	m := newFakeMaster()
 	w := openTestWriter(t, t.TempDir(), m)
-	w.RegisterSource("f0")
-	w.RegisterSource("f1")
 
 	csn, err := w.Submit(personAdd("cn=a,o=xyz", "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetWatermark("f0", csn)
+	w.SetWatermark(csn - 1)
 	if n := w.Pending(); n != 1 {
-		t.Fatalf("pending with one lagging source = %d, want 1", n)
+		t.Fatalf("pending with the watermark short of the op = %d, want 1", n)
 	}
-	// A regressed watermark must not retire anything either.
-	w.SetWatermark("f1", 0)
+	// A regressed watermark (a lagging link not yet reported) must not
+	// retire anything either.
+	w.SetWatermark(0)
 	if n := w.Pending(); n != 1 {
 		t.Fatalf("pending after regression = %d, want 1", n)
 	}
-	w.SetWatermark("f1", csn)
+	w.SetWatermark(csn)
 	if n := w.Pending(); n != 0 {
-		t.Fatalf("pending with all sources past = %d, want 0", n)
+		t.Fatalf("pending with the watermark at the op = %d, want 0", n)
 	}
 }
 
@@ -216,7 +215,6 @@ func TestCrashBetweenCommitAndRetire(t *testing.T) {
 	dir := t.TempDir()
 	m := newFakeMaster()
 	w := openTestWriter(t, dir, m)
-	w.RegisterSource("f0")
 	csn, err := w.Submit(personAdd("cn=c,o=xyz", "c"))
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +222,6 @@ func TestCrashBetweenCommitAndRetire(t *testing.T) {
 	w.Close() // crash after the commit ack, before the CSN echoed back
 
 	w2 := openTestWriter(t, dir, m)
-	w2.RegisterSource("f0")
 	if n, u := w2.Pending(), w2.PendingUncommitted(); n != 1 || u != 0 {
 		t.Fatalf("recovered pending=%d uncommitted=%d, want 1/0", n, u)
 	}
@@ -236,7 +233,7 @@ func TestCrashBetweenCommitAndRetire(t *testing.T) {
 	if got := m.applied(); got != 1 {
 		t.Fatalf("master applied %d times, want exactly 1", got)
 	}
-	w2.SetWatermark("f0", csn)
+	w2.SetWatermark(csn)
 	if n := w2.Pending(); n != 0 {
 		t.Fatalf("pending after echo = %d, want 0", n)
 	}
@@ -400,7 +397,6 @@ func BenchmarkEdgeWrite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w.RegisterSource("f0")
 	fsyncs := 0
 	w.wal.j.Sync = func(f *os.File) error {
 		fsyncs++
@@ -413,7 +409,7 @@ func BenchmarkEdgeWrite(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		w.SetWatermark("f0", csn) // immediate echo: steady-state retirement
+		w.SetWatermark(csn) // immediate echo: steady-state retirement
 	}
 	b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/op")
 }

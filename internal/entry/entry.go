@@ -259,9 +259,6 @@ func (e *Entry) AttrAt(i int) (name string, values []string) {
 	return e.attrs[i].name, e.attrs[i].vals
 }
 
-// ObjectClasses returns the entry's objectclass values.
-func (e *Entry) ObjectClasses() []string { return e.Values(AttrObjectClass) }
-
 // HasObjectClass reports whether the entry belongs to the named class.
 func (e *Entry) HasObjectClass(oc string) bool { return e.HasValue(AttrObjectClass, oc) }
 

@@ -172,54 +172,6 @@ func TestQuickSubstringPrefixConsistent(t *testing.T) {
 	}
 }
 
-func TestSchemaValidate(t *testing.T) {
-	s := DefaultSchema()
-	e := person(t)
-	if err := s.Validate(e); err != nil {
-		t.Fatalf("valid inetOrgPerson rejected: %v", err)
-	}
-	bad := person(t)
-	bad.DeleteValues("sn")
-	if err := s.Validate(bad); err == nil {
-		t.Error("missing required sn must fail validation")
-	}
-	noClass := New(dn.MustParse("cn=x,o=xyz"))
-	noClass.Put("cn", "x")
-	if err := s.Validate(noClass); err == nil {
-		t.Error("entry without objectclass must fail validation")
-	}
-	unknown := New(dn.MustParse("cn=x,o=xyz"))
-	unknown.Put("objectclass", "martian").Put("cn", "x")
-	if err := s.Validate(unknown); err == nil {
-		t.Error("unknown objectclass must fail validation")
-	}
-}
-
-func TestSchemaInheritance(t *testing.T) {
-	s := DefaultSchema()
-	// inetOrgPerson inherits Must cn,sn from person.
-	e := New(dn.MustParse("cn=x,o=xyz"))
-	e.Put("objectclass", "inetOrgPerson").Put("cn", "x")
-	if err := s.Validate(e); err == nil {
-		t.Error("inherited required attribute sn must be enforced")
-	}
-	e.Put("sn", "x")
-	if err := s.Validate(e); err != nil {
-		t.Errorf("entry with inherited requirements satisfied rejected: %v", err)
-	}
-}
-
-func TestSchemaCycleDetection(t *testing.T) {
-	s := NewSchema()
-	s.Register(ObjectClassDef{Name: "a", Super: "b"})
-	s.Register(ObjectClassDef{Name: "b", Super: "a"})
-	e := New(dn.MustParse("cn=x,o=xyz"))
-	e.Put("objectclass", "a").Put("cn", "x")
-	if err := s.Validate(e); err == nil {
-		t.Error("class cycle must be reported")
-	}
-}
-
 // TestFrozenEntryContract: a frozen entry refuses every mutator, is shared
 // rather than copied by a whole-entry Select, and is left only by Clone.
 func TestFrozenEntryContract(t *testing.T) {

@@ -7,7 +7,9 @@ import (
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
+	"filterdir/internal/edgewrite"
 	"filterdir/internal/entry"
+	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/resync"
@@ -416,5 +418,63 @@ func TestParseURL(t *testing.T) {
 	}
 	if _, _, err := ParseURL("ldap:///dn"); err == nil {
 		t.Error("missing host accepted")
+	}
+}
+
+// TestMasterRefusesEntryWithoutObjectClass: a master refuses a wire add
+// without an objectclass value, and a wire modify that removes the last one,
+// with objectClassViolation (65) and without changing; an edge write
+// forwarded to it that breaks the rule is aborted at the replica as a
+// permanent verdict.
+func TestMasterRefusesEntryWithoutObjectClass(t *testing.T) {
+	store := newTestStore(t)
+	srv, _ := startServer(t, store)
+	c := dialT(t, srv.Addr())
+	csn := store.LastCSN()
+	refused := func(what string, err error) {
+		t.Helper()
+		var re *ResultError
+		if !errors.As(err, &re) || re.Code != proto.ResultObjectClassViolation {
+			t.Errorf("%s: %v, want objectClassViolation", what, err)
+		}
+		if store.LastCSN() != csn {
+			t.Errorf("%s: master committed CSN %d", what, store.LastCSN())
+		}
+	}
+
+	bare := entry.New(dn.MustParse("cn=x,c=us,o=xyz"))
+	bare.Put("cn", "x")
+	refused("add without objectclass", c.Add(bare))
+	if _, ok := store.Get(bare.DN()); ok {
+		t.Error("master holds the refused add")
+	}
+	p0 := dn.MustParse("cn=p0,c=us,o=xyz")
+	refused("modify removing objectclass", c.Modify(p0, []proto.ModifyChange{
+		{Op: proto.ModifyOpDelete, Attr: proto.Attribute{Type: "objectClass"}},
+	}))
+	if e, _ := store.Get(p0); !e.HasObjectClass("person") {
+		t.Errorf("refused modify changed %s: %s", p0, e)
+	}
+
+	fwd := NewEdgeForwarder(srv.Addr())
+	defer fwd.Close()
+	counters := &metrics.WriteCounters{}
+	w, err := edgewrite.Open(edgewrite.Config{
+		Dir:      t.TempDir(),
+		Forward:  fwd,
+		Lookup:   store.Get,
+		Counters: counters,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	_, err = w.Submit(dit.Change{Type: dit.ChangeAdd, DN: bare.DN(), After: bare})
+	refused("edge-forwarded add without objectclass", err)
+	if got := counters.Rejected.Load(); got != 1 {
+		t.Errorf("writer rejected %d ops, want 1", got)
+	}
+	if n := w.Pending(); n != 0 {
+		t.Errorf("%d ops pending after the master's verdict, want 0", n)
 	}
 }

@@ -130,7 +130,6 @@ type edge struct {
 	*hist
 	seq    *edgeSequencer
 	eng    *resync.Engine
-	key    string
 	leaf   *consumer
 	w      *edgewrite.Writer
 	walDir string
@@ -165,7 +164,6 @@ func (x *edge) openWriter() error {
 	if err != nil {
 		return err
 	}
-	w.RegisterSource(x.key)
 	x.w = w
 	return nil
 }
@@ -186,7 +184,6 @@ func runEdge(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
 		hist:   h,
 		seq:    &edgeSequencer{h: h, seen: make(map[string]uint64), applies: make(map[string]int), chaos: true},
 		eng:    resync.NewEngine(h.st),
-		key:    edgeSpec().Key(),
 		leaf:   &consumer{spec: edgeSpec(), content: make(model)},
 		own:    make(model),
 		walDir: walDir,
@@ -240,7 +237,7 @@ func (x *edge) poll(lost bool) *Failure {
 	if res.CSN == 0 {
 		return x.fail("poll response carried no CSN watermark")
 	}
-	x.w.SetWatermark(x.key, res.CSN)
+	x.w.SetWatermark(res.CSN)
 
 	// The poll synced the leaf to the master's current state, so every
 	// committed edge op must have retired.

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -579,4 +580,45 @@ func (r *FilterReplica) CachedCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.cache)
+}
+
+// TestMatchAllReplicaAgreesWithMaster replays what an objectclass-less add
+// used to do to a replica holding (objectclass=*), which answers every query
+// under its base as a hit because containment reads the presence test as
+// match-all: the master held an entry the replica never received, so
+// (cn=x) was a hit with no entries while the master returned one. The
+// master now refuses the entry, and both answer alike.
+func TestMatchAllReplicaAgreesWithMaster(t *testing.T) {
+	master := buildMaster(t)
+	eng := resync.NewEngine(master)
+	r, err := NewFilterReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=*)")
+	cookie := syncStored(t, master, eng, r, all)
+
+	bare := entry.New(dn.MustParse("cn=x,c=us,o=xyz")).Put("cn", "x")
+	if _, err := master.ApplyCSN(dit.Change{Type: dit.ChangeAdd, DN: bare.DN(), After: bare}); !errors.Is(err, dit.ErrSchema) {
+		t.Fatalf("master add without objectclass: %v, want ErrSchema", err)
+	}
+	poll, err := eng.Poll(cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ApplySync(all, poll.Updates); err != nil {
+		t.Fatal(err)
+	}
+	q := query.MustNew("o=xyz", query.ScopeSubtree, "(cn=x)")
+	got, hit, _ := r.Answer(q)
+	if !hit {
+		t.Fatal("(cn=x) missed a replica holding (objectclass=*)")
+	}
+	want, err := master.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want.Entries) {
+		t.Errorf("replica answered %d entries, master %d", len(got), len(want.Entries))
+	}
 }
