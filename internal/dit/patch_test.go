@@ -84,8 +84,8 @@ func TestEveryModifyRecordCarriesMods(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dn.MustParse("cn=a,o=xyz")
-	v1 := entry.New(d).Put("cn", "a").Put("tel", "1").Put("mail", "a@x", "b@x").Put("fax", "9")
-	v2 := entry.New(d).Put("cn", "a").Put("tel", "2").Put("mail", "b@x", "a@x").Put("pager", "7")
+	v1 := entry.New(d).Put("objectclass", "person").Put("cn", "a").Put("tel", "1").Put("mail", "a@x", "b@x").Put("fax", "9")
+	v2 := entry.New(d).Put("objectclass", "person").Put("cn", "a").Put("tel", "2").Put("mail", "b@x", "a@x").Put("pager", "7")
 	for _, e := range []*entry.Entry{v1, v2, v2} {
 		if err := st.Upsert(e); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -153,16 +154,18 @@ func (q Query) AttrsSubsetOf(o Query) bool {
 	if q.WantsAllAttrs() {
 		return false
 	}
-	set := make(map[string]bool, len(o.Attrs))
-	for _, a := range o.Attrs {
-		set[strings.ToLower(a)] = true
-	}
 	for _, a := range q.Attrs {
-		if !set[strings.ToLower(a)] {
+		if !o.Keeps(a) {
 			return false
 		}
 	}
 	return true
+}
+
+// Keeps reports whether the entries q returns carry attribute a: q selects
+// all attributes or names a (compared case-insensitively).
+func (q Query) Keeps(a string) bool {
+	return q.WantsAllAttrs() || slices.ContainsFunc(q.Attrs, func(k string) bool { return strings.EqualFold(k, a) })
 }
 
 // Normalize returns the query with a normalized filter and sorted,
