@@ -4,7 +4,9 @@
 // to the journal, one fsync per batch of concurrent writes, before it is
 // answered. After a failed commit (a full or failing disk) every write is
 // answered with its error while reads go on; a restart recovers exactly the
-// writes acknowledged before it.
+// writes acknowledged before it. The in-memory change journal keeps the last
+// -journal-limit changes (4096; 0 keeps all): a session further behind is
+// answered with a full reload.
 //
 // With -chaos, every accepted connection is wrapped in the fault-injection
 // layer, so replica recovery can be exercised against a real server:
@@ -38,36 +40,47 @@ import (
 	"filterdir/internal/workload"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:3890", "listen address")
-	ldifPath := flag.String("ldif", "", "LDIF file to load, with -data on a first run only (otherwise synthetic)")
-	dataDir := flag.String("data", "", "durable data directory (snapshot + journal)")
-	suffix := flag.String("suffix", "o=xyz", "naming-context suffix")
-	employees := flag.Int("employees", 5000, "synthetic directory population")
-	seed := flag.Int64("seed", 1, "deterministic seed for the synthetic directory")
-	statusEvery := flag.Duration("status-every", time.Minute, "sync-counter status report interval (0 disables)")
-	journalLimit := flag.Int("journal-limit", 0, "bound the in-memory update journal to the most recent n changes (0 = unbounded)")
-	shards := flag.Int("shards", 0, "DIT store shard count (0 = GOMAXPROCS, or the FILTERDIR_SHARDS environment override)")
-	chaosSpec := flag.String("chaos", "", `fault-injection plan for accepted connections, e.g. "drop-every=40,latency=1ms..5ms,seed=7" (empty disables)`)
-	reloadChunk := flag.Int("reload-chunk", 0, "serve full reloads in resumable chunks of n entries (0 = monolithic reloads)")
-	keepSyncPoints := flag.Int("keep-sync-points", 0, "per-session resume history: keep the last n sync points (0 = default 64)")
-	journalRetention := flag.String("journal-retention", "", `on-disk journal retention policy with -data, e.g. "bytes=64m,age=1h" (empty = fold once the journal outgrows the snapshot and 1 MiB)`)
-	flag.Parse()
+// options carries the parsed command line.
+type options struct {
+	addr, ldifPath, dataDir, suffix              string
+	employees, journalLimit, shards, reloadChunk int
+	seed                                         int64
+	statusEvery                                  time.Duration
+	plan                                         chaos.Plan
+}
 
-	plan, err := chaos.ParsePlan(*chaosSpec)
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ldapmaster:", err)
 		os.Exit(2)
 	}
-	retention, err := persist.ParseJournalRetention(*journalRetention)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ldapmaster:", err)
-		os.Exit(2)
-	}
-	if err := run(*addr, *ldifPath, *dataDir, *suffix, *employees, *seed, *statusEvery, *journalLimit, *shards, plan, *reloadChunk, *keepSyncPoints, retention); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "ldapmaster:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags defines the command line on fs and parses args into options.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:3890", "listen address")
+	fs.StringVar(&o.ldifPath, "ldif", "", "LDIF file to load, with -data on a first run only (otherwise synthetic)")
+	fs.StringVar(&o.dataDir, "data", "", "durable data directory (snapshot + journal)")
+	fs.StringVar(&o.suffix, "suffix", "o=xyz", "naming-context suffix")
+	fs.IntVar(&o.employees, "employees", 5000, "synthetic directory population")
+	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed for the synthetic directory")
+	fs.DurationVar(&o.statusEvery, "status-every", time.Minute, "sync-counter status report interval (0 disables)")
+	fs.IntVar(&o.journalLimit, "journal-limit", resync.DefaultJournalLimit, "bound the in-memory update journal to the most recent n changes: how far a session may lag before a full reload (0 = unbounded)")
+	fs.IntVar(&o.shards, "shards", 0, "DIT store shard count (0 = GOMAXPROCS, or the FILTERDIR_SHARDS environment override)")
+	chaosSpec := fs.String("chaos", "", `fault-injection plan for accepted connections, e.g. "drop-every=40,latency=1ms..5ms,seed=7" (empty disables)`)
+	fs.IntVar(&o.reloadChunk, "reload-chunk", 0, "serve full reloads in resumable chunks of n entries (0 = monolithic reloads)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	o.plan, err = chaos.ParsePlan(*chaosSpec)
+	return o, err
 }
 
 // storeOptions assembles the directory options common to every load path.
@@ -137,22 +150,22 @@ func initialDirectory(ldifPath, suffix string, employees int, seed int64, journa
 	return st, st.Load(entries)
 }
 
-func run(addr, ldifPath, dataDir, suffix string, employees int, seed int64, statusEvery time.Duration, journalLimit, shards int, plan chaos.Plan, reloadChunk, keepSyncPoints int, retention persist.JournalRetention) error {
+func run(o options) error {
 	var store *filterdir.Directory
 	var err error
-	if dataDir == "" {
-		store, err = initialDirectory(ldifPath, suffix, employees, seed, journalLimit, shards)
+	if o.dataDir == "" {
+		store, err = initialDirectory(o.ldifPath, o.suffix, o.employees, o.seed, o.journalLimit, o.shards)
 	} else {
-		home, opts := persist.Dir{Path: dataDir}, storeOptions(journalLimit, shards)
+		home, opts := persist.Dir{Path: o.dataDir}, storeOptions(o.journalLimit, o.shards)
 		var journal io.Closer
-		if store, journal, err = home.Open([]string{suffix}, retention, opts...); err == nil && store.Len() == 0 {
+		if store, journal, err = home.Open([]string{o.suffix}, opts...); err == nil && store.Len() == 0 {
 			// First run: the initial directory is the snapshot the store continues.
 			_ = journal.Close() // nothing was committed through it
-			if store, err = initialDirectory(ldifPath, suffix, employees, seed, journalLimit, shards); err == nil {
+			if store, err = initialDirectory(o.ldifPath, o.suffix, o.employees, o.seed, o.journalLimit, o.shards); err == nil {
 				err = home.Checkpoint(store)
 			}
 			if err == nil {
-				store, journal, err = home.Open([]string{suffix}, retention, opts...)
+				store, journal, err = home.Open([]string{o.suffix}, opts...)
 			}
 		}
 		if err == nil {
@@ -163,34 +176,31 @@ func run(addr, ldifPath, dataDir, suffix string, employees int, seed int64, stat
 		return err
 	}
 
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
 	var inj *chaos.Injector
-	if plan.Active() {
-		inj = chaos.New(plan)
+	if o.plan.Active() {
+		inj = chaos.New(o.plan)
 		ln = inj.Listener(ln)
 		fmt.Println("ldapmaster: chaos plan armed; injected faults count against every connection")
 	}
 	var engineOpts []resync.EngineOption
-	if reloadChunk > 0 {
-		engineOpts = append(engineOpts, resync.WithChunkSize(reloadChunk))
-	}
-	if keepSyncPoints > 0 {
-		engineOpts = append(engineOpts, resync.WithSyncPointRetention(keepSyncPoints))
+	if o.reloadChunk > 0 {
+		engineOpts = append(engineOpts, resync.WithChunkSize(o.reloadChunk))
 	}
 	backend := ldapnet.NewStoreBackend(store, engineOpts...)
 	srv := ldapnet.ServeListener(ln, backend)
-	fmt.Printf("ldapmaster: serving %d entries on %s (suffix %s)\n", store.Len(), srv.Addr(), suffix)
+	fmt.Printf("ldapmaster: serving %d entries on %s (suffix %s)\n", store.Len(), srv.Addr(), o.suffix)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	// Periodic sync-counter status reports.
 	var statusC <-chan time.Time
-	if statusEvery > 0 {
-		statusTicker := time.NewTicker(statusEvery)
+	if o.statusEvery > 0 {
+		statusTicker := time.NewTicker(o.statusEvery)
 		defer statusTicker.Stop()
 		statusC = statusTicker.C
 	}

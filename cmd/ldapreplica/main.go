@@ -57,8 +57,8 @@ import (
 	"filterdir/internal/entry"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/metrics"
-	"filterdir/internal/persist"
 	"filterdir/internal/query"
+	"filterdir/internal/resync"
 	"filterdir/internal/supervisor"
 	"filterdir/internal/tierctl"
 )
@@ -85,8 +85,6 @@ type options struct {
 	retryUpstream          time.Duration
 	journalLimit           int
 	reloadChunk            int
-	keepSyncPoints         int
-	journalRetention       persist.JournalRetention
 	depth                  int
 	statusEvery            time.Duration
 	edgeWrites             bool
@@ -118,7 +116,6 @@ func main() {
 var modeOnly = []struct{ flag, mode string }{
 	{"journal-limit", "serve"},
 	{"reload-chunk", "serve"},
-	{"keep-sync-points", "serve"},
 	{"depth", "serve"},
 	{"adaptive", "serve"},
 	{"tier-budget", "adaptive"},
@@ -141,10 +138,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.DurationVar(&o.backoffMax, "backoff-max", 5*time.Second, "reconnect backoff cap")
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", 0, "persist-stream idle timeout (0 = none)")
 	fs.DurationVar(&o.retryUpstream, "retry-upstream", time.Minute, "how long a diverted supervisor stays on the fallback master before re-probing -upstream")
-	fs.IntVar(&o.journalLimit, "journal-limit", 4096, "mid-tier store journal bound (with -serve): how far a downstream session may lag before a full reload")
+	fs.IntVar(&o.journalLimit, "journal-limit", resync.DefaultJournalLimit, "mid-tier store journal bound (with -serve): how far a downstream session may lag before a full reload")
 	fs.IntVar(&o.reloadChunk, "reload-chunk", 0, "serve downstream full reloads in resumable chunks of n entries (with -serve; 0 = monolithic)")
-	fs.IntVar(&o.keepSyncPoints, "keep-sync-points", 0, "downstream per-session resume history: keep the last n sync points (with -serve; 0 = default 64)")
-	journalRetention := fs.String("journal-retention", "", `when to fold a durable journal into a fresh snapshot (with -state), e.g. "bytes=64m,age=1h" (empty = once it outgrows the snapshot it extends)`)
 	fs.IntVar(&o.depth, "depth", 1, "tier depth below the master (with -serve; reporting only)")
 	fs.DurationVar(&o.statusEvery, "status-every", time.Minute, "supervision-counter status report interval (0 disables)")
 	fs.BoolVar(&o.edgeWrites, "edge-writes", false, "accept LDAP writes here: journal to a per-replica WAL, forward upstream for commit, overlay locally until the CSN echoes back")
@@ -167,12 +162,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 			return o, fmt.Errorf("-%s is read only with -%s", m.flag, m.mode)
 		}
 	}
-
-	retention, err := persist.ParseJournalRetention(*journalRetention)
-	if err != nil {
-		return o, err
-	}
-	o.journalRetention = retention
 
 	switch *mode {
 	case "poll":
@@ -210,8 +199,6 @@ func tierConfig(o options) cascade.Config {
 		Mode:               o.mode,
 		JournalLimit:       o.journalLimit,
 		ReloadChunk:        o.reloadChunk,
-		KeepSyncPoints:     o.keepSyncPoints,
-		JournalRetention:   o.journalRetention,
 		ContentIndexes:     []string{"serialnumber", "mail", "dept", "location", "uid"},
 		PollInterval:       o.interval,
 		IdleTimeout:        o.idleTimeout,

@@ -84,6 +84,7 @@ func TestLeafJournalBounded(t *testing.T) {
 // TestModeOnlyFlagsNeedTheirMode: a flag only the mid-tier (or its adaptive
 // control plane) reads is refused when set without that mode, instead of
 // being silently ignored; with the mode, or left at its default, it parses.
+// A deleted flag is refused with any mode.
 func TestModeOnlyFlagsNeedTheirMode(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -92,12 +93,14 @@ func TestModeOnlyFlagsNeedTheirMode(t *testing.T) {
 		{nil, false},
 		{[]string{"-journal-limit", "10"}, true},
 		{[]string{"-reload-chunk", "20"}, true},
-		{[]string{"-keep-sync-points", "4"}, true},
 		{[]string{"-depth", "2"}, true},
 		{[]string{"-adaptive"}, true},
 		{[]string{"-tier-budget", "5"}, true},
 		{[]string{"-serve", "-tier-budget", "5"}, true},
-		{[]string{"-serve", "-journal-limit", "10", "-reload-chunk", "20", "-keep-sync-points", "4", "-depth", "2"}, false},
+		{[]string{"-serve", "-journal-limit", "10", "-reload-chunk", "20", "-depth", "2"}, false},
+		// The history knobs are gone in every mode.
+		{[]string{"-serve", "-keep-sync-points", "4"}, true},
+		{[]string{"-state", "dir", "-journal-retention", "bytes=64m"}, true},
 		{[]string{"-serve", "-adaptive", "-tier-budget", "5"}, false},
 		{[]string{"-mode", "persist", "-state", "dir", "-edge-writes"}, false},
 	} {

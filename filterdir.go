@@ -354,5 +354,5 @@ type DataDir = persist.Dir
 // write that cannot be committed fails, and so does every write after it.
 // Closing journal releases it; the directory takes no writes after that.
 func OpenDataDir(path string, suffixes []string, opts ...DirectoryOption) (dir *Directory, journal io.Closer, err error) {
-	return persist.Dir{Path: path}.Open(suffixes, persist.JournalRetention{}, opts...)
+	return persist.Dir{Path: path}.Open(suffixes, opts...)
 }

@@ -2,14 +2,11 @@ package cascade
 
 import (
 	"fmt"
-	"io/fs"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"filterdir/internal/dn"
 	"filterdir/internal/ldapnet"
-	"filterdir/internal/persist"
 	"filterdir/internal/proto"
 	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/supervisor"
@@ -22,12 +19,11 @@ import (
 // master at a wire's pace and not a loop's. Per burst it reports the fsyncs
 // the tier's links made (one per journal append, two per snapshot), the
 // journal bytes they wrote, the exchanges they landed, the wall time from the
-// first commit to the tier holding the master's content, and what the state
-// directory weighs once a restart has folded every journal into a snapshot.
-// Run it with -benchtime=1x.
+// first commit to the tier holding the master's content. Run it with
+// -benchtime=1x.
 func BenchmarkDurableTierBurst(b *testing.B) {
 	const commits = 1000
-	var fsyncs, journalBytes, exchanges, diskBytes int64
+	var fsyncs, journalBytes, exchanges int64
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {
 		h := newHarness(b)
@@ -77,42 +73,10 @@ func BenchmarkDurableTierBurst(b *testing.B) {
 			journalBytes += c.JournalBytes
 			exchanges += c.StreamBatches + c.Polls + c.Begins
 		}
-
-		// A restart under a retention bound of one byte snapshots at the next
-		// exchange that lands.
-		cfg.JournalRetention = persist.JournalRetention{MaxBytes: 1}
-		if tier, err = New(cfg); err != nil {
-			b.Fatal(err)
-		}
-		tier.Start()
-		<-tier.Supervisors()[0].Synced()
-		if err := h.store.Add(personEntry("04", 9999)); err != nil {
-			b.Fatal(err)
-		}
-		for tier.Supervisors()[0].Counters().Checkpoints.Load() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		if err := tier.Stop(); err != nil {
-			b.Fatal(err)
-		}
-		err = filepath.WalkDir(cfg.StateDir, func(_ string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				fi, err := d.Info()
-				if err != nil {
-					return err
-				}
-				diskBytes += fi.Size()
-			}
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 	n := float64(b.N)
 	b.ReportMetric(float64(fsyncs)/n, "fsyncs/burst")
 	b.ReportMetric(float64(journalBytes)/n, "journal-B/burst")
 	b.ReportMetric(float64(exchanges)/n, "exchanges/burst")
 	b.ReportMetric(float64(wall.Microseconds())/1e3/n, "converge-ms/burst")
-	b.ReportMetric(float64(diskBytes)/n, "disk-B")
 }

@@ -42,7 +42,6 @@ import (
 	"filterdir/internal/edgewrite"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/metrics"
-	"filterdir/internal/persist"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
@@ -76,23 +75,15 @@ type Config struct {
 	StateDir string
 	// JournalLimit bounds the local store's journal, and with it how far
 	// behind a downstream session may lag before degrading to a full
-	// reload (default 4096 changes).
+	// reload (default resync.DefaultJournalLimit).
 	JournalLimit int
 	// ReloadChunk serves downstream full reloads in resumable chunks of
 	// this many entries (0 = monolithic).
 	ReloadChunk int
-	// KeepSyncPoints is the downstream engine's per-session resume-history
-	// retention (0 = the engine default).
-	KeepSyncPoints int
-	// JournalRetention, when any bound is set, decides when a link's durable
-	// journal is folded into a snapshot of its content: once journal.ldif is
-	// over the policy's size or age bound, instead of once it has outgrown
-	// the snapshot it extends.
-	JournalRetention persist.JournalRetention
 	// ContentIndexes maintains equality/prefix indexes on the tier store.
 	ContentIndexes []string
 	// PollInterval, IdleTimeout, BackoffBase, BackoffMax and DialTimeout
-	// are forwarded, like JournalRetention, to the upstream supervisors.
+	// are forwarded to the upstream supervisors.
 	PollInterval, IdleTimeout time.Duration
 	BackoffBase, BackoffMax   time.Duration
 	DialTimeout               time.Duration
@@ -111,7 +102,7 @@ type Config struct {
 
 func (c *Config) fillDefaults() {
 	if c.JournalLimit <= 0 {
-		c.JournalLimit = 4096
+		c.JournalLimit = resync.DefaultJournalLimit
 	}
 	if c.Depth <= 0 {
 		c.Depth = 1
@@ -240,9 +231,6 @@ func New(cfg Config) (*Tier, error) {
 	if cfg.ReloadChunk > 0 {
 		engOpts = append(engOpts, resync.WithChunkSize(cfg.ReloadChunk))
 	}
-	if cfg.KeepSyncPoints > 0 {
-		engOpts = append(engOpts, resync.WithSyncPointRetention(cfg.KeepSyncPoints))
-	}
 	t.eng = resync.NewEngine(rep.Store(), engOpts...)
 	t.eng.SetWatermarkFunc(t.wm.lookup)
 	t.eng.SetObserver(func(_ string, updates []resync.Update, fullReload bool) {
@@ -288,7 +276,6 @@ func (t *Tier) newLink(spec query.Query, base bool) (*upstreamLink, error) {
 		Dial:               t.cfg.Dial,
 		Logf:               t.cfg.Logf,
 		StateDir:           t.linkDir(spec),
-		JournalRetention:   t.cfg.JournalRetention,
 		OnApplied:          t.noteApply,
 		OnWatermark:        func(csn uint64) { t.noteWatermark(link, csn) },
 	}, t.rep)

@@ -16,9 +16,10 @@
 //
 // The snapshot holds no entries: its header note, "<replicaID> <nextSeq>",
 // names the replica and the first sequence number not minted when the journal
-// was last folded. An id that was handed to Forward is never minted again: a
-// write is forwarded only after its op batch is committed, a committed batch
-// survives recovery, and recovery starts past every id it finds.
+// was last folded; it carries the op and commit batches of the ops live then.
+// An id that was handed to Forward is never minted again: a write is forwarded
+// only after its op batch is committed, a committed batch survives recovery,
+// and recovery starts past every id it finds.
 package edgewrite
 
 import (
@@ -143,9 +144,17 @@ func (w *wal) adopt(note string) error {
 	return nil
 }
 
-// snapshot folds the journal, which must hold no op that has not retired.
+// snapshot folds the journal into a snapshot carrying each live op as the
+// batches that made it: its op and, once committed, its commit.
 func (w *wal) snapshot() error {
-	return w.j.Snapshot(nil, w.replicaID+" "+strconv.FormatUint(w.nextSeq, 10))
+	var carried []persist.Batch
+	for _, op := range w.live() {
+		carried = append(carried, persist.Batch{Changes: []dit.Change{op.Change}, Note: "op " + op.ID})
+		if op.Committed {
+			carried = append(carried, persist.Batch{Note: "commit " + op.ID + " " + strconv.FormatUint(op.CSN, 10)})
+		}
+	}
+	return w.j.Snapshot(nil, w.replicaID+" "+strconv.FormatUint(w.nextSeq, 10), carried...)
 }
 
 // recovered returns the journaled ops in append order — the pending set a
@@ -154,6 +163,11 @@ func (w *wal) snapshot() error {
 func (w *wal) recovered() []*walOp {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.live()
+}
+
+// live returns the ops not yet retired, in append order; w.mu is held.
+func (w *wal) live() []*walOp {
 	out := make([]*walOp, 0, len(w.ops))
 	for _, op := range w.ops {
 		out = append(out, op)
@@ -194,8 +208,8 @@ func (w *wal) markCommitted(id string, csn uint64) error {
 }
 
 // markRetired durably records that an op's CSN echoed back down the sync
-// stream, or that the master refused it for good. Once no op is left and the
-// journal is due for it by the rule a leaf folds by, the journal is folded.
+// stream, or that the master refused it for good. Once the journal is due for
+// it, it is folded, carrying the ops still live.
 func (w *wal) markRetired(id string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -206,7 +220,7 @@ func (w *wal) markRetired(id string) error {
 		return err
 	}
 	delete(w.ops, id)
-	if len(w.ops) == 0 && w.j.Due(persist.JournalRetention{}) {
+	if w.j.Due() {
 		return w.snapshot()
 	}
 	return nil

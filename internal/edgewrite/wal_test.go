@@ -36,9 +36,11 @@ type generation struct {
 
 // walHistory drives a writer through every transition — accept, commit,
 // retire, a forward that fails and is replayed, a permanent refusal, and one
-// write large enough that its retirement folds the journal — and returns the
-// directory as each batch left it, with the pending set each batch must
-// restore (want[g][k] after batch k of generation g; batch 0 is none).
+// write large enough that the next retirement folds the journal while a
+// committed and an uncommitted op are pending — and returns the directory as
+// each batch left it, with the pending set each batch must restore
+// (want[g][k] after batch k of generation g; batch 0 is none, or what the
+// snapshot carries).
 func walHistory(t *testing.T) (gens []generation, want [][]string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -87,14 +89,22 @@ func walHistory(t *testing.T) (gens []generation, want [][]string) {
 	m.setFail(nil)
 	submit(dit.Change{Type: dit.ChangeDelete, DN: personAdd("cn=d,o=xyz", "d").DN}) // op r1.3, commit r1.3 3
 	w.SetWatermark(3)                                                               // retire r1.1, retire r1.3
+	submit(personAdd("cn=g,o=xyz", "g"))                                            // op r1.4, commit r1.4 4
+	m.setFail(errors.New("down"))
+	if _, err := w.Submit(personAdd("cn=h,o=xyz", "h")); !errors.Is(err, ErrPending) { // op r1.5
+		t.Fatal(err)
+	}
+	m.setFail(nil)
 	// Past the size under which a journal is not worth folding, in values short
-	// enough to parse quickly: retiring this write folds the journal.
+	// enough to parse quickly: the next retirement folds the journal, carrying
+	// the ops still pending.
 	big := personAdd("cn=e,o=xyz", "e")
 	for i := 0; i < 1100; i++ {
 		big.After.Add("description", fmt.Sprintf("%04d%s", i, strings.Repeat("x", 1000)))
 	}
-	w.SetWatermark(submit(big))                          // op r1.4, commit r1.4 4, retire r1.4
-	w.SetWatermark(submit(personAdd("cn=f,o=xyz", "f"))) // op r1.5, commit r1.5 5, retire r1.5
+	w.SetWatermark(submit(big))                          // op r1.6, commit r1.6 5, retire r1.4, fold, retire r1.6
+	w.Replay()                                           // commit r1.5 6
+	w.SetWatermark(submit(personAdd("cn=f,o=xyz", "f"))) // op r1.7, commit r1.7 7, retire r1.5, retire r1.7
 
 	want = [][]string{{
 		"",
@@ -105,10 +115,16 @@ func walHistory(t *testing.T) (gens []generation, want [][]string) {
 		"r1.1:2 r1.2:pending", "r1.1:2",
 		"r1.1:2 r1.3:pending", "r1.1:2 r1.3:3",
 		"r1.3:3", "",
-		"r1.4:pending", "r1.4:4", "",
+		"r1.4:pending", "r1.4:4",
+		"r1.4:4 r1.5:pending",
+		"r1.4:4 r1.5:pending r1.6:pending", "r1.4:4 r1.5:pending r1.6:5",
+		"r1.5:pending r1.6:5",
 	}, {
-		"",
-		"r1.5:pending", "r1.5:5", "",
+		"r1.5:pending r1.6:5",
+		"r1.5:pending",
+		"r1.5:6",
+		"r1.5:6 r1.7:pending", "r1.5:6 r1.7:7",
+		"r1.7:7", "",
 	}}
 	if len(gens) != len(want) {
 		t.Fatalf("history spans %d generations, want %d", len(gens), len(want))
@@ -202,24 +218,86 @@ func TestEveryByteTruncationRestoresLastBatch(t *testing.T) {
 
 // TestFoldCrashBeforeJournalTruncate: a crash between the fold's snapshot
 // rename and its journal truncation leaves the new snapshot beside the journal
-// it replaces. Every op in that journal had retired: none comes back, and the
+// it replaces. The ops pending at the fold, committed or not, come back from
+// what the snapshot carries; the ones that had retired do not; and the
 // snapshot's note still keeps the next id past all of theirs.
 func TestFoldCrashBeforeJournalTruncate(t *testing.T) {
 	gens, _ := walHistory(t)
-	offered := map[string]bool{"r1.0": true, "r1.1": true, "r1.2": true, "r1.3": true, "r1.4": true}
+	offered := map[string]bool{}
+	for i := 0; i <= 6; i++ {
+		offered[fmt.Sprintf("r1.%d", i)] = true
+	}
 	w, m := reopenAt(t, gens[1].snapshot, gens[0].journal, offered)
-	if got := pendingState(w); got != "" {
-		t.Fatalf("restored %q from a journal its snapshot replaces, want nothing", got)
+	const carried = "r1.5:pending r1.6:5"
+	if got := pendingState(w); got != carried {
+		t.Fatalf("restored %q beside a journal its snapshot replaces, want what the snapshot carries: %q", got, carried)
 	}
 	if _, err := w.Submit(personAdd("cn=z,o=xyz", "z")); err != nil {
 		t.Fatal(err)
 	}
-	if got := pendingState(w); got != "r1.5:1" || m.applied() != 1 {
-		t.Fatalf("the write after the crash is %q, applied %d times: want r1.5, applied afresh", got, m.applied())
+	const want = carried + " r1.7:1"
+	if got := pendingState(w); got != want || m.applied() != 1 {
+		t.Fatalf("the write after the crash is %q, applied %d times: want r1.7, applied afresh", got, m.applied())
 	}
 	w.Close()
-	if again := openTestWriter(t, w.cfg.Dir, m); pendingState(again) != "r1.5:1" {
-		t.Fatalf("restart restored %q, want r1.5:1", pendingState(again))
+	if again := openTestWriter(t, w.cfg.Dir, m); pendingState(again) != want {
+		t.Fatalf("restart restored %q, want %q", pendingState(again), want)
+	}
+}
+
+// TestJournalBoundedUnderSteadyWrites: a leaf that takes writes faster than
+// their CSNs echo back has an op pending whenever one retires. Driven with the
+// watermark one op behind, the journal still folds once it outgrows its bound,
+// so it stays within one write of max(snapshot, 1 MiB); and a restart restores
+// the op still pending.
+func TestJournalBoundedUnderSteadyWrites(t *testing.T) {
+	dir := t.TempDir()
+	m := newFakeMaster()
+	w := openTestWriter(t, dir, m)
+	size := func(name string) int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	value := strings.Repeat("v", 16<<10)
+	var prev uint64
+	var step, folds int64 // the most one write adds to the journal, and the folds seen
+	for i := 0; i < 160; i++ {
+		c := personAdd(fmt.Sprintf("cn=w%d,o=xyz", i), "w")
+		c.After.Add("description", value)
+		before := size("journal.ldif")
+		csn, err := w.Submit(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetWatermark(prev)
+		prev = csn
+		j, snap := size("journal.ldif"), size("snapshot.ldif")
+		if j < before {
+			folds++
+		} else {
+			step = max(step, j-before)
+		}
+		if bound := max(snap, 1<<20) + step; j > bound {
+			t.Fatalf("after write %d with one op pending: journal.ldif is %d B, over max(snapshot %d B, 1 MiB) + one write's %d B",
+				i, j, snap, step)
+		}
+	}
+	if folds == 0 {
+		t.Fatal("the journal never folded")
+	}
+	pending := pendingState(w)
+	if w.Pending() != 1 {
+		t.Fatalf("pending after the writes: %q, want the last write alone", pending)
+	}
+	w.Close()
+	again := openTestWriter(t, dir, m)
+	defer again.Close()
+	if got := pendingState(again); got != pending {
+		t.Fatalf("restart restored %q, want %q", got, pending)
 	}
 }
 

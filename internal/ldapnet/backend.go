@@ -22,10 +22,8 @@ import (
 // parseDN parses a wire DN string.
 func parseDN(s string) (dn.DN, error) { return dn.Parse(s) }
 
-// Backend is the server-side service interface.
+// Backend is the server-side service interface; the server answers binds.
 type Backend interface {
-	// Bind authenticates a connection.
-	Bind(name, password string) proto.ResultCode
 	// Search evaluates a search, returning entries and referrals.
 	Search(q query.Query) (*dit.Result, error)
 	// ReSyncBegin starts a synchronization session.
@@ -85,14 +83,10 @@ func referralsFor(err error) []string {
 }
 
 // StoreBackend serves a dit.Store with a resync.Engine (the embedded
-// engineSync, ungated), optionally guarded by a single bind credential (empty
-// means anonymous access).
+// engineSync, ungated).
 type StoreBackend struct {
 	engineSync
 	Store *dit.Store
-	// BindDN / BindPassword guard non-anonymous access when set.
-	BindDN       string
-	BindPassword string
 	// Writes counts the sequencer side of the edge-write protocol.
 	Writes *metrics.WriteCounters
 
@@ -115,7 +109,7 @@ var (
 const maxEdgeDedup = 65536
 
 // NewStoreBackend wraps a store and creates its sync engine; engine
-// options (chunked reloads, sync-point retention) pass through.
+// options (chunked reloads) pass through.
 func NewStoreBackend(store *dit.Store, opts ...resync.EngineOption) *StoreBackend {
 	return &StoreBackend{
 		engineSync: engineSync{Engine: resync.NewEngine(store, opts...)},
@@ -154,17 +148,6 @@ func (b *StoreBackend) EdgeApply(c dit.Change, opID string) (uint64, bool, error
 		b.Writes.Applied.Add(1)
 	}
 	return uint64(csn), false, nil
-}
-
-// Bind implements Backend.
-func (b *StoreBackend) Bind(name, password string) proto.ResultCode {
-	if b.BindDN == "" {
-		return proto.ResultSuccess
-	}
-	if name == b.BindDN && password == b.BindPassword {
-		return proto.ResultSuccess
-	}
-	return proto.ResultInvalidCredentials
 }
 
 // Search implements Backend.

@@ -46,11 +46,6 @@ func NewReplicaBackend(rep *replica.FilterReplica, masterURL string) *ReplicaBac
 	return &ReplicaBackend{Replica: rep, MasterURL: masterURL}
 }
 
-// Bind implements Backend (anonymous only).
-func (b *ReplicaBackend) Bind(name, password string) proto.ResultCode {
-	return proto.ResultSuccess
-}
-
 // Search implements Backend: a containment hit is served locally; a miss
 // produces a referral to the master.
 func (b *ReplicaBackend) Search(q query.Query) (*dit.Result, error) {

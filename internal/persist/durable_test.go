@@ -61,7 +61,7 @@ func TestConcurrentWritersSurviveDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, _ := openDurable(t, home, JournalRetention{})
+	reopened, _ := openDurable(t, home)
 	var top dit.CSN
 	for w, acked := range csns {
 		for i, csn := range acked {
@@ -92,7 +92,7 @@ func TestReopenKeepsLastCSN(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := seed.LastCSN()
-	st, _ := openDurable(t, home, JournalRetention{})
+	st, _ := openDurable(t, home)
 	if st.LastCSN() != last {
 		t.Fatalf("reopened at CSN %d, the snapshot's note says %d", st.LastCSN(), last)
 	}
@@ -167,7 +167,7 @@ func TestEveryByteCutReopensToABatchPrefix(t *testing.T) {
 				want = s
 			}
 		}
-		got, journal, err := cut.Open([]string{"o=xyz"}, JournalRetention{})
+		got, journal, err := cut.Open([]string{"o=xyz"})
 		if err != nil {
 			t.Fatalf("cut at byte %d of %d: %v", at, len(raw), err)
 		}
@@ -187,7 +187,7 @@ func TestFailedCommitFailsLaterWrites(t *testing.T) {
 	if err := home.Checkpoint(seedStore(t)); err != nil {
 		t.Fatal(err)
 	}
-	st, journal, err := home.Open([]string{"o=xyz"}, JournalRetention{})
+	st, journal, err := home.Open([]string{"o=xyz"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFailedCommitFailsLaterWrites(t *testing.T) {
 	if err := want.Modify(dn.MustParse("cn=p1,o=xyz"), acked); err != nil {
 		t.Fatal(err)
 	}
-	reopened, _ := openDurable(t, home, JournalRetention{})
+	reopened, _ := openDurable(t, home)
 	identical(t, want, reopened)
 }
 
@@ -236,7 +236,7 @@ func TestSubtreeRenameReopens(t *testing.T) {
 	if err := home.Checkpoint(seedStore(t)); err != nil {
 		t.Fatal(err)
 	}
-	st, journal, err := home.Open([]string{"o=xyz"}, JournalRetention{}, dit.WithJournalLimit(1))
+	st, journal, err := home.Open([]string{"o=xyz"}, dit.WithJournalLimit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSubtreeRenameReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, _ := openDurable(t, home, JournalRetention{})
+	reopened, _ := openDurable(t, home)
 	identical(t, st, reopened)
 	if got, _ := reopened.Get(dn.MustParse("ou=b,o=xyz")); got == nil || got.First("ou") != "b" {
 		t.Errorf("renamed OU = %v, want ou: b", got)
@@ -275,7 +275,7 @@ func TestSubtreeRenameReopens(t *testing.T) {
 			t.Fatalf("delete %s: %v", d, err)
 		}
 	}
-	again, _ := openDurable(t, home, JournalRetention{})
+	again, _ := openDurable(t, home)
 	identical(t, reopened, again)
 }
 
@@ -309,7 +309,7 @@ func benchmarkMasterCommit(b *testing.B, writers int, durable bool) {
 		}
 		var journal io.Closer
 		var err error
-		if st, journal, err = home.Open([]string{"o=xyz"}, JournalRetention{}, dit.WithIndexes("serialnumber")); err != nil {
+		if st, journal, err = home.Open([]string{"o=xyz"}, dit.WithIndexes("serialnumber")); err != nil {
 			b.Fatal(err)
 		}
 		defer journal.Close()

@@ -35,7 +35,7 @@ func TestCheckpointCrashBeforeJournalTruncate(t *testing.T) {
 					}
 					return st, note
 				}
-				st, journal, err := home.Open([]string{"o=xyz"}, JournalRetention{})
+				st, journal, err := home.Open([]string{"o=xyz"})
 				if err != nil {
 					t.Fatalf("open beside the pre-truncate journal: %v", err)
 				}
@@ -88,7 +88,7 @@ func TestJournalAheadOfSnapshotRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(home.Path, journalName), journalFile(2, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := home.Open([]string{"o=xyz"}, JournalRetention{}); err == nil {
+	if _, _, err := home.Open([]string{"o=xyz"}); err == nil {
 		t.Fatal("Open replayed a journal ahead of its snapshot")
 	}
 }
@@ -127,7 +127,7 @@ func TestHeaderlessFilesRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, _, err := home.Open([]string{"o=xyz"}, JournalRetention{}); err == nil {
+			if _, _, err := home.Open([]string{"o=xyz"}); err == nil {
 				t.Error("Open read a header-less file")
 			}
 			if _, _, err := home.OpenSparse([]string{"o=xyz"}); err == nil {
@@ -217,30 +217,85 @@ func TestCommitNotesResetAndSnapshot(t *testing.T) {
 	_ = j.Close()
 }
 
-// TestJournalDue: without a policy a snapshot is due once the journal has
-// outgrown the floor and the snapshot it extends — so snapshot bytes written
-// never exceed journal bytes written before them — and a policy's bounds
-// replace that rule.
+// TestSnapshotCarriesBatches: a snapshot that carries batches hands them to
+// Batches ahead of the journal's, beside a journal of its own generation or
+// one it replaces (dropped unread), and a carried batch cut short is damage.
+func TestSnapshotCarriesBatches(t *testing.T) {
+	home := Dir{Path: t.TempDir()}
+	j, err := home.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Commit(false, nil, "stale"); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := os.ReadFile(filepath.Join(home.Path, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := dit.Change{Type: dit.ChangeAdd, DN: person(1, "x").DN(), After: person(1, "x")}
+	if err := j.Snapshot(nil, "snap", Batch{Changes: []dit.Change{add}, Note: "op 1"}, Batch{Note: "commit 1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Commit(false, nil, "after"); err != nil {
+		t.Fatal(err)
+	}
+	_ = j.Close()
+	visited := func() (string, error) {
+		t.Helper()
+		j, err := home.Journal()
+		if err != nil {
+			return "", err
+		}
+		defer j.Close()
+		var notes []string
+		snap, err := j.Batches(func(_ bool, records []ldif.ChangeRecord, note string) error {
+			notes = append(notes, fmt.Sprintf("%s/%d", note, len(records)))
+			return nil
+		})
+		return snap + ": " + strings.Join(notes, " "), err
+	}
+	if got, err := visited(); err != nil || got != "snap: op 1/1 commit 1/0 after/0" {
+		t.Fatalf("visited %q (err %v), want the carried batches, then the journal's", got, err)
+	}
+	jPath, sPath := filepath.Join(home.Path, journalName), filepath.Join(home.Path, snapshotName)
+	if err := os.WriteFile(jPath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := visited(); err != nil || got != "snap: op 1/1 commit 1/0" {
+		t.Fatalf("beside the journal it replaces: visited %q (err %v), want the carried batches alone", got, err)
+	}
+	snap, err := os.ReadFile(sPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sPath, snap[:len(snap)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := visited(); err == nil {
+		t.Fatalf("a snapshot cut inside a carried batch was read: %q", got)
+	}
+}
+
+// TestJournalDue: a snapshot is due once the journal has outgrown the floor
+// and the snapshot it extends — so snapshot bytes written never exceed
+// journal bytes written before them.
 func TestJournalDue(t *testing.T) {
 	j := &Journal{}
 	for _, tc := range []struct {
 		size, snap int64
-		pol        JournalRetention
 		want       bool
 	}{
-		{0, 0, JournalRetention{}, false},
-		{journalFloor, 0, JournalRetention{}, false},
-		{journalFloor + 1, 0, JournalRetention{}, true},
-		{journalFloor + 1, 2 * journalFloor, JournalRetention{}, false},
-		{2*journalFloor + 1, 2 * journalFloor, JournalRetention{}, true},
-		{100, 1 << 30, JournalRetention{MaxBytes: 99}, true},
-		{100, 0, JournalRetention{MaxBytes: 100}, false},
-		{0, 0, JournalRetention{MaxBytes: 1}, false},
+		{0, 0, false},
+		{journalFloor, 0, false},
+		{journalFloor + 1, 0, true},
+		{journalFloor + 1, 2 * journalFloor, false},
+		{2*journalFloor + 1, 2 * journalFloor, true},
 	} {
 		j.size, j.snapSize = tc.size, tc.snap
-		if got := j.Due(tc.pol); got != tc.want {
-			t.Errorf("journal of %d B on a snapshot of %d B under %q: due = %v, want %v",
-				tc.size, tc.snap, tc.pol, got, tc.want)
+		if got := j.Due(); got != tc.want {
+			t.Errorf("journal of %d B on a snapshot of %d B: due = %v, want %v",
+				tc.size, tc.snap, got, tc.want)
 		}
 	}
 }

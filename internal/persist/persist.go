@@ -3,7 +3,7 @@
 // replicated content and an edge writer's accepted writes each live in a Dir,
 // two files in one filesystem directory:
 //
-//	snapshot.ldif  "# snapshot <generation> <note>", then the content as LDIF
+//	snapshot.ldif  "# snapshot <generation> <note>", then LDIF entries or batches
 //	journal.ldif   "# journal <generation>", then committed batches
 //
 // A committed batch is a blank line, an optional "# reset" line (what was
@@ -19,7 +19,8 @@
 // A snapshot embodies the journal it replaces and takes the next generation;
 // a journal older than the snapshot beside it (a crash between the snapshot's
 // rename and the journal's truncation) is dropped, not replayed twice. A file
-// without its header line is damage, and is refused.
+// without its header line is damage, and is refused. A log whose content is its
+// batches (an edge writer's live ops) has its snapshot carry those still live.
 package persist
 
 import (
@@ -34,7 +35,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/entry"
@@ -51,7 +51,7 @@ const (
 	commitMarker   = "# commit "
 
 	// journalFloor is the journal size under which no snapshot is worth
-	// writing when no retention policy says otherwise (Journal.Due).
+	// writing (Journal.Due).
 	journalFloor = 1 << 20
 )
 
@@ -177,9 +177,15 @@ type Journal struct {
 	gen      uint64 // of the snapshot the journal extends
 	size     int64  // of the journal file
 	snapSize int64
-	snapTime time.Time // zero without a snapshot
 	snapNote string
+	carried  []byte // the batches the snapshot carries
 	buf      []byte // the batch being built
+}
+
+// Batch is one batch a snapshot carries: its change records and its note.
+type Batch struct {
+	Changes []dit.Change
+	Note    string
 }
 
 func (j *Journal) path(name string) string { return filepath.Join(j.dir, name) }
@@ -200,8 +206,9 @@ func (d Dir) Journal() (*Journal, error) {
 		if err != nil {
 			return nil, err
 		}
-		j.snapSize, j.snapTime = fi.Size(), fi.ModTime()
-		line, err := bufio.NewReader(f).ReadString('\n')
+		j.snapSize = fi.Size()
+		r := bufio.NewReader(f)
+		line, err := r.ReadString('\n')
 		if err != nil && err != io.EOF {
 			return nil, err
 		}
@@ -211,6 +218,14 @@ func (d Dir) Journal() (*Journal, error) {
 			return nil, fmt.Errorf("snapshot header %.40q: want %q<generation> <note>", line, snapshotHeader)
 		}
 		j.snapNote = note
+		// A body that opens with the blank line setting off a batch carries batches.
+		if b, err := r.Peek(1); err != nil && err != io.EOF {
+			return nil, err
+		} else if len(b) == 1 && b[0] == '\n' {
+			if j.carried, err = io.ReadAll(r); err != nil {
+				return nil, err
+			}
+		}
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
@@ -239,10 +254,11 @@ func (j *Journal) truncate(size int64) error {
 func (j *Journal) Close() error { return j.f.Close() }
 
 // Batches is the one reader of journal.ldif. It drops a journal older than the
-// snapshot beside it, hands visit every committed batch in order — whether it
-// resets what was held before, its change records, its note — and cuts a torn
-// final batch, a crash mid-append, off the file. It returns the note of the
-// snapshot the batches extend ("" without one).
+// snapshot beside it, hands visit every batch the snapshot carries and then
+// every committed batch of the journal, in order — whether it resets what was
+// held before, its change records, its note — and cuts a torn final batch, a
+// crash mid-append, off the file. It returns the note of the snapshot the
+// batches extend ("" without one).
 func (j *Journal) Batches(visit func(reset bool, records []ldif.ChangeRecord, note string) error) (snapNote string, err error) {
 	raw, err := os.ReadFile(j.path(journalName))
 	if err != nil {
@@ -264,30 +280,14 @@ func (j *Journal) Batches(visit func(reset bool, records []ldif.ChangeRecord, no
 			raw, hdr = nil, 0
 		}
 	}
-	cut, start, reset := hdr, hdr, false // of the committed bytes, the batch being read, and whether it resets
-	for at := hdr; ; {
-		nl := bytes.IndexByte(raw[at:], '\n')
-		if nl < 0 {
-			break // a line without its newline is part of the torn tail
-		}
-		line, next := raw[at:at+nl], at+nl+1
-		if string(line) == resetLine {
-			start, reset = next, true // what the batch held before the line is dropped with the rest
-		} else if note, ok := bytes.CutPrefix(line, []byte(commitMarker)); ok {
-			var records []ldif.ChangeRecord
-			if body := bytes.TrimSpace(raw[start:at]); len(body) > 0 {
-				if records, err = ldif.ReadChanges(bytes.NewReader(body)); err != nil {
-					return "", fmt.Errorf("parse journal: %w", err)
-				}
-			}
-			if err := visit(reset, records, string(note)); err != nil {
-				return "", err
-			}
-			cut, start, reset = next, next, false
-		}
-		at = next
+	if cut, err := eachBatch(j.carried, 0, visit); err != nil {
+		return "", err
+	} else if cut < len(j.carried) {
+		return "", fmt.Errorf("snapshot ends inside a batch it carries")
 	}
-	if cut < len(raw) {
+	if cut, err := eachBatch(raw, hdr, visit); err != nil {
+		return "", err
+	} else if cut < len(raw) {
 		if err := j.truncate(int64(cut)); err != nil {
 			return "", fmt.Errorf("repair torn journal: %w", err)
 		}
@@ -295,14 +295,43 @@ func (j *Journal) Batches(visit func(reset bool, records []ldif.ChangeRecord, no
 	return j.snapNote, nil
 }
 
+// eachBatch hands visit each committed batch of raw from offset at on, and
+// returns the offset past the last one.
+func eachBatch(raw []byte, at int, visit func(reset bool, records []ldif.ChangeRecord, note string) error) (int, error) {
+	cut, start, reset := at, at, false // of the committed bytes, the batch being read, and whether it resets
+	for {
+		nl := bytes.IndexByte(raw[at:], '\n')
+		if nl < 0 {
+			return cut, nil // a line without its newline is part of the torn tail
+		}
+		line, next := raw[at:at+nl], at+nl+1
+		if string(line) == resetLine {
+			start, reset = next, true // what the batch held before the line is dropped with the rest
+		} else if note, ok := bytes.CutPrefix(line, []byte(commitMarker)); ok {
+			var records []ldif.ChangeRecord
+			if body := bytes.TrimSpace(raw[start:at]); len(body) > 0 {
+				var err error
+				if records, err = ldif.ReadChanges(bytes.NewReader(body)); err != nil {
+					return cut, fmt.Errorf("parse journal: %w", err)
+				}
+			}
+			if err := visit(reset, records, string(note)); err != nil {
+				return cut, err
+			}
+			cut, start, reset = next, next, false
+		}
+		at = next
+	}
+}
+
 // Open loads a master's directory state from path (creating the path if
 // needed) — the snapshot, the journal's committed batches replayed on top —
 // and returns the store durable by construction: each batch its commit
 // pipeline flushes is one Commit, noted with its last CSN, before any writer
-// in it returns, then a fold into a fresh snapshot if Due(pol) (dit.Store.Durable).
+// in it returns, then a fold into a fresh snapshot if Due (dit.Store.Durable).
 // CSNs continue from the last note. A failed commit or fold fails its batch's
 // writes and every later one; so does closing the returned journal.
-func (d Dir) Open(suffixes []string, pol JournalRetention, opts ...dit.Option) (st *dit.Store, journal io.Closer, err error) {
+func (d Dir) Open(suffixes []string, opts ...dit.Option) (st *dit.Store, journal io.Closer, err error) {
 	j, err := d.Journal()
 	if err != nil {
 		return nil, nil, err
@@ -318,7 +347,7 @@ func (d Dir) Open(suffixes []string, pol JournalRetention, opts ...dit.Option) (
 	}
 	st.Durable(dit.CSN(last), func(changes []dit.Change, content func() []*entry.Entry) error {
 		note := csnNote(changes[len(changes)-1].CSN)
-		if _, err := j.Commit(false, changes, note); err != nil || !j.Due(pol) {
+		if _, err := j.Commit(false, changes, note); err != nil || !j.Due() {
 			return err
 		}
 		return j.Snapshot(content(), note)
@@ -355,7 +384,7 @@ func (j *Journal) load(suffixes []string, sparse bool, opts []dit.Option) (*dit.
 		return nil, "", err
 	}
 	var entries []*entry.Entry
-	if !reset {
+	if !reset && j.carried == nil {
 		f, err := os.Open(j.path(snapshotName))
 		if err == nil {
 			entries, err = ldif.Read(bufio.NewReader(f))
@@ -422,14 +451,26 @@ func (j *Journal) Commit(reset bool, changes []dit.Change, note string) (int, er
 }
 
 // Snapshot atomically writes entries, with note in the header, as the
-// snapshot of the next generation and empties the journal it embodies.
-func (j *Journal) Snapshot(entries []*entry.Entry, note string) error {
+// snapshot of the next generation and empties the journal it embodies. A log
+// whose content is its batches passes those still live as carried instead:
+// a snapshot holds entries or carries batches, not both.
+func (j *Journal) Snapshot(entries []*entry.Entry, note string, carried ...Batch) error {
 	if strings.ContainsAny(note, "\r\n") {
 		return fmt.Errorf("snapshot note spans lines: %q", note)
+	}
+	var batches []byte
+	for _, c := range carried {
+		var err error
+		if batches, err = appendBatch(batches, false, c.Changes, c.Note); err != nil {
+			return err
+		}
 	}
 	path := j.path(snapshotName)
 	err := WriteAtomic(path, func(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "%s%d %s\n", snapshotHeader, j.gen+1, note); err != nil {
+			return err
+		}
+		if _, err := w.Write(batches); err != nil {
 			return err
 		}
 		return ldif.Write(w, entries...)
@@ -446,7 +487,7 @@ func (j *Journal) Snapshot(entries []*entry.Entry, note string) error {
 	if err != nil {
 		return err
 	}
-	j.snapSize, j.snapTime = fi.Size(), fi.ModTime()
+	j.snapSize, j.carried = fi.Size(), batches
 	return nil
 }
 
@@ -501,103 +542,8 @@ func (d Dir) Checkpoint(st *dit.Store) error {
 	return j.Snapshot(st.All(), csnNote(st.LastCSN()))
 }
 
-// JournalRetention bounds how much change history accumulates in the
-// on-disk journal before it is folded into a fresh snapshot (Journal.Due). A
-// zero value disables the corresponding bound; the zero policy folds by
-// Due's own rule.
-type JournalRetention struct {
-	// MaxBytes checkpoints once journal.ldif exceeds this size.
-	MaxBytes int64
-	// MaxAge checkpoints once the journal has been accumulating for this
-	// long — measured as time since the last snapshot checkpoint. A
-	// non-empty journal with no snapshot at all counts as over-age.
-	MaxAge time.Duration
-}
-
-// String renders the policy in the flag syntax ParseJournalRetention reads.
-func (p JournalRetention) String() string {
-	switch {
-	case p.MaxBytes > 0 && p.MaxAge > 0:
-		return fmt.Sprintf("bytes=%d,age=%s", p.MaxBytes, p.MaxAge)
-	case p.MaxBytes > 0:
-		return fmt.Sprintf("bytes=%d", p.MaxBytes)
-	case p.MaxAge > 0:
-		return fmt.Sprintf("age=%s", p.MaxAge)
-	default:
-		return ""
-	}
-}
-
-// ParseJournalRetention reads the -journal-retention flag syntax: a
-// comma-separated list of "bytes=<n>[k|m|g]" and "age=<duration>" terms,
-// e.g. "bytes=64m,age=1h". The empty string is the zero policy.
-func ParseJournalRetention(s string) (JournalRetention, error) {
-	var p JournalRetention
-	if s == "" {
-		return p, nil
-	}
-	for _, term := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(term), "=")
-		if !ok {
-			return p, fmt.Errorf("journal retention: term %q is not key=value", term)
-		}
-		switch key {
-		case "bytes":
-			n, err := parseByteSize(val)
-			if err != nil {
-				return p, fmt.Errorf("journal retention: %w", err)
-			}
-			p.MaxBytes = n
-		case "age":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return p, fmt.Errorf("journal retention: age %q: %w", val, err)
-			}
-			if d < 0 {
-				return p, fmt.Errorf("journal retention: age %q is negative", val)
-			}
-			p.MaxAge = d
-		default:
-			return p, fmt.Errorf("journal retention: unknown term %q (want bytes= or age=)", key)
-		}
-	}
-	return p, nil
-}
-
-// parseByteSize reads a non-negative integer with an optional k/m/g
-// (binary) suffix.
-func parseByteSize(s string) (int64, error) {
-	mult := int64(1)
-	if n := len(s); n > 0 {
-		switch s[n-1] {
-		case 'k', 'K':
-			mult, s = 1<<10, s[:n-1]
-		case 'm', 'M':
-			mult, s = 1<<20, s[:n-1]
-		case 'g', 'G':
-			mult, s = 1<<30, s[:n-1]
-		}
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad byte size %q", s)
-	}
-	return n * mult, nil
-}
-
-// Due reports whether the journal should now be folded into a fresh snapshot.
-// Under a policy: when it is over the policy's size or age bound. Without one:
-// when it has outgrown both the snapshot it extends and journalFloor, so that
-// every snapshot byte written answers for a journal byte written before it.
-// An empty journal is never due.
-func (j *Journal) Due(pol JournalRetention) bool {
-	switch {
-	case j.size == 0:
-		return false
-	case pol == JournalRetention{}:
-		return j.size > max(j.snapSize, journalFloor)
-	default:
-		return pol.MaxBytes > 0 && j.size > pol.MaxBytes ||
-			pol.MaxAge > 0 && time.Since(j.snapTime) > pol.MaxAge
-	}
-}
+// Due reports whether the journal should now be folded into a fresh
+// snapshot: when it has outgrown both the snapshot it extends and
+// journalFloor, so that every snapshot byte written answers for a journal
+// byte written before it.
+func (j *Journal) Due() bool { return j.size > max(j.snapSize, journalFloor) }

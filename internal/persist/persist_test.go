@@ -48,9 +48,9 @@ func fill(t testing.TB, st *dit.Store) *dit.Store {
 
 // openDurable opens home as a master does. The journal is closed at the end
 // of the test, or sooner by the returned func.
-func openDurable(t *testing.T, home Dir, pol JournalRetention) (*dit.Store, func() error) {
+func openDurable(t *testing.T, home Dir) (*dit.Store, func() error) {
 	t.Helper()
-	st, journal, err := home.Open([]string{"o=xyz"}, pol, dit.WithIndexes("serialnumber"))
+	st, journal, err := home.Open([]string{"o=xyz"}, dit.WithIndexes("serialnumber"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func seededDurable(t *testing.T, home Dir) (*dit.Store, func() error) {
 	if err := home.Checkpoint(seedStore(t)); err != nil {
 		t.Fatal(err)
 	}
-	return openDurable(t, home, JournalRetention{})
+	return openDurable(t, home)
 }
 
 // commitSince commits st's journal records after the given CSN to home as
@@ -119,7 +119,7 @@ func TestDirOpenCheckpointCycle(t *testing.T) {
 	}
 
 	// Recovery: snapshot + journal replay equals the live store.
-	recovered, closeRecovered := openDurable(t, home, JournalRetention{})
+	recovered, closeRecovered := openDurable(t, home)
 	identical(t, st, recovered)
 	if recovered.LastCSN() != st.LastCSN() {
 		t.Errorf("recovered LastCSN = %d, want %d", recovered.LastCSN(), st.LastCSN())
@@ -131,7 +131,7 @@ func TestDirOpenCheckpointCycle(t *testing.T) {
 	if err := home.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
-	recovered2, _ := openDurable(t, home, JournalRetention{})
+	recovered2, _ := openDurable(t, home)
 	identical(t, st, recovered2)
 }
 
@@ -163,7 +163,7 @@ func TestDirOpenSparseOrphanJournal(t *testing.T) {
 	}
 	commitSince(t, home, st, watermark)
 
-	if _, _, err := home.Open([]string{""}, JournalRetention{}); err == nil {
+	if _, _, err := home.Open([]string{""}); err == nil {
 		t.Error("strict Open replayed an orphan add without error")
 	}
 	recovered, _, err := home.OpenSparse([]string{""})
@@ -219,7 +219,7 @@ func TestDirOpenSparseReplaysMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitSince(t, home, st, watermark)
-	if _, _, err := home.Open([]string{""}, JournalRetention{}); err == nil {
+	if _, _, err := home.Open([]string{""}); err == nil {
 		t.Error("strict Open replayed a rename under an absent superior without error")
 	}
 	recovered, _, err := home.OpenSparse([]string{""})
@@ -272,7 +272,7 @@ func testSparseReplay(t *testing.T, change func(st *dit.Store, next *entry.Entry
 
 func TestDirOpenFreshPath(t *testing.T) {
 	home := Dir{Path: filepath.Join(t.TempDir(), "fresh")}
-	st, _ := openDurable(t, home, JournalRetention{})
+	st, _ := openDurable(t, home)
 	if st.Len() != 0 || st.LastCSN() != 0 {
 		t.Errorf("fresh store holds %d entries at CSN %d", st.Len(), st.LastCSN())
 	}
@@ -303,7 +303,7 @@ func TestCommitsIncremental(t *testing.T) {
 	if n := bytes.Count(raw, []byte("\n"+commitMarker)); n != 2 {
 		t.Errorf("journal holds %d batches, want 2:\n%s", n, raw)
 	}
-	recovered, _ := openDurable(t, home, JournalRetention{})
+	recovered, _ := openDurable(t, home)
 	identical(t, st, recovered)
 }
 
@@ -367,7 +367,7 @@ func TestDirOpenRepairsTornJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, _ := openDurable(t, home, JournalRetention{})
+	recovered, _ := openDurable(t, home)
 	if _, ok := recovered.Get(dn.MustParse("cn=late,o=xyz")); ok {
 		t.Error("torn final record was applied during recovery")
 	}
@@ -392,7 +392,7 @@ func TestDirOpenRepairsTornJournal(t *testing.T) {
 	if err := recovered.Delete(dn.MustParse("cn=p3,o=xyz")); err != nil {
 		t.Fatal(err)
 	}
-	reopened, _ := openDurable(t, home, JournalRetention{})
+	reopened, _ := openDurable(t, home)
 	identical(t, recovered, reopened)
 }
 
@@ -429,7 +429,7 @@ func TestDirOpenJournalWithoutMarker(t *testing.T) {
 			if err := os.WriteFile(jPath, journalFile(1, tc.journal), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			recovered, _ := openDurable(t, home, JournalRetention{})
+			recovered, _ := openDurable(t, home)
 			identical(t, seedStore(t), recovered)
 			if raw, err := os.ReadFile(jPath); err != nil || !bytes.Equal(raw, journalFile(1, nil)) {
 				t.Errorf("journal after open = %q (err %v), want the header line alone", raw, err)
@@ -437,7 +437,7 @@ func TestDirOpenJournalWithoutMarker(t *testing.T) {
 			if err := recovered.Delete(dn.MustParse("cn=p3,o=xyz")); err != nil {
 				t.Fatal(err)
 			}
-			reopened, _ := openDurable(t, home, JournalRetention{})
+			reopened, _ := openDurable(t, home)
 			identical(t, recovered, reopened)
 		})
 	}
@@ -475,7 +475,7 @@ func TestDirOpenRejectsDamagedJournal(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(home.Path, "journal.ldif"), journalFile(1, tc.journal), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err := home.Open([]string{"o=xyz"}, JournalRetention{})
+			_, _, err := home.Open([]string{"o=xyz"})
 			if err == nil {
 				t.Fatal("Open accepted the damaged journal")
 			}
@@ -514,7 +514,7 @@ func TestDirOpenSparseImagesWithoutObjectClass(t *testing.T) {
 	if got := st.All(); note != "s2" || len(got) != 1 || !got[0].Equal(want) {
 		t.Fatalf("OpenSparse restored %v under note %q, want %s under s2", got, note, want)
 	}
-	_, _, err = home.Open([]string{""}, JournalRetention{})
+	_, _, err = home.Open([]string{""})
 	if !errors.Is(err, dit.ErrSchema) || !strings.Contains(err.Error(), "cn=s0,o=xyz") {
 		t.Errorf("strict Open of an objectclass-less snapshot: %v, want ErrSchema naming the entry", err)
 	}

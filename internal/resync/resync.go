@@ -200,10 +200,9 @@ type Engine struct {
 	persistQueueCap int
 	demoteAfter     int
 
-	// Retention and resumability knobs: keepPoints is the `keep last_n`
-	// sync-point history policy (replacing the old fixed 64-point bound);
-	// chunkSize > 0 serializes full reloads into resumable chunks of that
-	// many entries (resume.go).
+	// keepPoints bounds each session's sync points (only the retention tests
+	// shrink it); chunkSize > 0 serializes full reloads into resumable chunks
+	// of that many entries (resume.go).
 	keepPoints int
 	chunkSize  int
 
@@ -310,11 +309,14 @@ type undoOp struct {
 	present bool
 }
 
-// defaultSyncPointRetention bounds the per-session resume history when no
-// WithSyncPointRetention policy is configured. A replica further behind
-// than the retained window (e.g. a persist stream that outlived many
-// unacknowledged batches) falls back to a full reload.
+// defaultSyncPointRetention bounds the per-session resume history. A replica
+// further behind than the retained window (e.g. a persist stream that outlived
+// many unacknowledged batches) falls back to a full reload.
 const defaultSyncPointRetention = 64
+
+// DefaultJournalLimit is the store journal bound of a node that serves an
+// engine: how far a session may lag before it gets a full reload.
+const DefaultJournalLimit = 4096
 
 // cookieString renders the wire cookie for a sync point of a session.
 func cookieString(id string, gen uint64) string {
@@ -402,19 +404,6 @@ func (sess *session) delContent(norm string, undo *[]undoOp) {
 
 // EngineOption configures NewEngine.
 type EngineOption func(*Engine)
-
-// WithSyncPointRetention sets the `keep last_n` policy for the per-session
-// resume history: a session retains at most n sync points (its newest
-// always included), and a replica presenting anything older degrades to a
-// full reload. Values < 1 restore the default (64).
-func WithSyncPointRetention(n int) EngineOption {
-	return func(e *Engine) {
-		if n < 1 {
-			n = defaultSyncPointRetention
-		}
-		e.keepPoints = n
-	}
-}
 
 // WithChunkSize makes full reloads resumable: a reload larger than n
 // entries is served as deterministic DN-ordered chunks of n, each exchange

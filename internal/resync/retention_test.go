@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// These tests pin the `keep last_n` sync-point retention policy
-// (WithSyncPointRetention). Sync points accumulate only while
+// These tests pin the `keep last_n` sync-point retention bound (the engine's
+// keepPoints, shrunk here from its fixed default of 64). Sync points accumulate only while
 // unacknowledged — persist-mode pushes append one point per batch until
 // the consumer proves a position by presenting its cookie — so the window
 // is exercised by streaming batches to a consumer that never acknowledges
@@ -42,7 +42,8 @@ func TestSyncPointRetentionUnacked(t *testing.T) {
 	for _, keep := range []int{2, 3, 5} {
 		t.Run(fmt.Sprintf("keep=%d within window", keep), func(t *testing.T) {
 			master, _ := chunkedMaster(t, 4)
-			eng := NewEngine(master, WithSyncPointRetention(keep))
+			eng := NewEngine(master)
+			eng.keepPoints = keep
 			res, err := eng.Begin(specSerial04)
 			if err != nil {
 				t.Fatal(err)
@@ -66,7 +67,8 @@ func TestSyncPointRetentionUnacked(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("keep=%d evicted", keep), func(t *testing.T) {
 			master, _ := chunkedMaster(t, 4)
-			eng := NewEngine(master, WithSyncPointRetention(keep))
+			eng := NewEngine(master)
+			eng.keepPoints = keep
 			res, err := eng.Begin(specSerial04)
 			if err != nil {
 				t.Fatal(err)
@@ -105,7 +107,8 @@ func TestSyncPointRetentionUnacked(t *testing.T) {
 // retention window is.
 func TestAcknowledgedCookieCollapsesHistory(t *testing.T) {
 	master, _ := chunkedMaster(t, 4)
-	eng := NewEngine(master, WithSyncPointRetention(32))
+	eng := NewEngine(master)
+	eng.keepPoints = 32
 	res, err := eng.Begin(specSerial04)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +142,8 @@ func TestAcknowledgedCookieCollapsesHistory(t *testing.T) {
 	}
 }
 
-// TestSyncPointRetentionDefault: without the option the engine keeps the
-// documented default of 64 points, so a consumer can lag a long push
+// TestSyncPointRetentionDefault: the engine keeps the documented default of
+// 64 points, so a consumer can lag a long push
 // backlog and still resume incrementally.
 func TestSyncPointRetentionDefault(t *testing.T) {
 	master, _ := chunkedMaster(t, 4)

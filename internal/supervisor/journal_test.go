@@ -13,7 +13,6 @@ import (
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
 	"filterdir/internal/ldif"
-	"filterdir/internal/persist"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -338,36 +337,47 @@ func TestJournalWriteAmplification(t *testing.T) {
 	}
 }
 
-// TestSnapshotWhenJournalOutgrowsRetention: under a retention policy the
-// journal is folded into a snapshot of the content once over the bound, and
-// the restart restores from snapshot plus the batches after it.
+// TestSnapshotWhenJournalOutgrowsRetention: once an exchange has taken the
+// journal past both the snapshot it extends and the floor under which no
+// snapshot is worth writing (persist.Journal.Due), the next exchange folds it
+// into a snapshot of the content, and the restart restores from snapshot plus
+// the batches after it.
 func TestSnapshotWhenJournalOutgrowsRetention(t *testing.T) {
 	stateDir := t.TempDir()
-	cfg := offlineConfig(t, stateDir)
-	cfg.JournalRetention = persist.JournalRetention{MaxBytes: 600}
-	s, err := newSupervisor(cfg)
+	s, err := newSupervisor(offlineConfig(t, stateDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, res := range history() {
+	// Past the floor, in values short enough to parse quickly.
+	big := personEntry(8)
+	for i := 0; i < 1100; i++ {
+		big.Add("description", fmt.Sprintf("%04d%s", i, strings.Repeat("x", 1000)))
+	}
+	h := history()
+	exchanges := append(h[:2:2], &resync.PollResult{Cookie: "sess-1@big", Updates: []resync.Update{image(resync.ActionAdd, big)}})
+	exchanges = append(exchanges, h[2:]...)
+	for i, res := range exchanges {
 		if err := s.land(res); err != nil {
 			t.Fatalf("exchange %d: %v", i, err)
 		}
-		if c := s.counters.Checkpoints.Load(); i == 0 && c != 0 {
-			t.Fatalf("%d snapshots after the first exchange, want none yet", c)
+		if c := s.counters.Checkpoints.Load(); i <= 2 && c != 0 {
+			t.Fatalf("%d snapshots after exchange %d, want none before the journal outgrows the floor", c, i)
 		}
 	}
 	c := s.Counters().Snapshot()
-	if c.Checkpoints == 0 || c.JournalAppends == 0 || c.Checkpoints+c.JournalAppends != int64(len(history())) {
-		t.Errorf("checkpoints=%d appends=%d over %d exchanges, want some of each and one per exchange",
-			c.Checkpoints, c.JournalAppends, len(history()))
+	if c.Checkpoints != 1 || c.Checkpoints+c.JournalAppends != int64(len(exchanges)) {
+		t.Errorf("checkpoints=%d appends=%d over %d exchanges, want one snapshot and one append for each other exchange",
+			c.Checkpoints, c.JournalAppends, len(exchanges))
+	}
+	if _, err := os.Stat(filepath.Join(stateDir, "snapshot.ldif")); err != nil {
+		t.Errorf("no snapshot was written: %v", err)
 	}
 	again, err := newSupervisor(offlineConfig(t, stateDir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := held(t, again), held(t, s); got != want {
-		t.Errorf("restored from snapshot and journal:\n%s\nwant:\n%s", got, want)
+		t.Errorf("restored from snapshot and journal:\n%.300s\nwant:\n%.300s", got, want)
 	}
 }
 

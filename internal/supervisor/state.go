@@ -51,7 +51,7 @@ func (s *Supervisor) commit(updates []resync.Update) error {
 	if err != nil {
 		return err
 	}
-	if s.journalGap || s.journal.Due(s.cfg.JournalRetention) {
+	if s.journalGap || s.journal.Due() {
 		spec := s.cfg.Spec
 		spec.Attrs = nil // content entries already carry only selected attributes
 		if err := s.journal.Snapshot(s.rep.Store().MatchAll(spec), string(note)); err != nil {

@@ -132,10 +132,6 @@ type Config struct {
 	Mode Mode
 	// StateDir durably journals content and cookie when non-empty.
 	StateDir string
-	// JournalRetention, when any bound is set, replaces the rule by which
-	// that journal is folded into a snapshot of the content
-	// (persist.Journal.Due).
-	JournalRetention persist.JournalRetention
 	// PollInterval is the steady-state poll cadence (default 1s).
 	PollInterval time.Duration
 	// IdleTimeout bounds the gap between persist-stream messages

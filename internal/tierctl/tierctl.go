@@ -62,9 +62,6 @@ type Config struct {
 	// credits live serving activity, and every revolveEvery-th runs one
 	// revolution; rejections are observed inline as they happen.
 	Interval time.Duration
-	// Rules generalize rejected specs into widening candidates (default
-	// selection.DefaultEnterpriseRules).
-	Rules []selection.Rule
 	// Logf receives progress lines (nil discards them).
 	Logf func(format string, args ...any)
 }
@@ -72,9 +69,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond
-	}
-	if c.Rules == nil {
-		c.Rules = selection.DefaultEnterpriseRules()
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -128,7 +122,7 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("tierctl: positive budget required")
 	}
 	cfg.fillDefaults()
-	rules := append([]selection.Rule{identity{}}, cfg.Rules...)
+	rules := append([]selection.Rule{identity{}}, selection.DefaultEnterpriseRules()...)
 	sel := selection.NewSelector(selection.NewGeneralizer(rules...), unitSize, cfg.Budget, 0)
 	// Containment proves serving credit and candidate coverage.
 	sel.Contains = containment.NewChecker().QueryContains

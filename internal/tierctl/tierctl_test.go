@@ -19,7 +19,6 @@ import (
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync/resynctest"
-	"filterdir/internal/selection"
 	"filterdir/internal/supervisor"
 )
 
@@ -364,8 +363,7 @@ func TestControllerConfigValidation(t *testing.T) {
 		t.Error("New accepted a negative budget")
 	}
 
-	ctrl, err := New(Config{Tier: tier, Budget: 2, Interval: 2 * time.Millisecond,
-		Rules: []selection.Rule{selection.PrefixRule{Attr: "serialnumber", PrefixLen: 2}}})
+	ctrl, err := New(Config{Tier: tier, Budget: 2, Interval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
