@@ -18,38 +18,41 @@ import (
 func TestJournalLimitDefault(t *testing.T) {
 	const writes = resync.DefaultJournalLimit + 100
 	for _, tc := range []struct {
+		name string
 		args []string
 		held int
 	}{
-		{nil, resync.DefaultJournalLimit},
-		{[]string{"-journal-limit", "100"}, 100},
-		{[]string{"-journal-limit", "0"}, writes},
+		{"default", nil, resync.DefaultJournalLimit},
+		{"set", []string{"-journal-limit", "100"}, 100},
+		{"unbounded", []string{"-journal-limit", "0"}, writes},
 	} {
-		fs := flag.NewFlagSet("ldapmaster", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		o, err := parseFlags(fs, append([]string{"-employees", "20"}, tc.args...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := initialDirectory(o.ldifPath, o.suffix, o.employees, o.seed, o.journalLimit, o.shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe := entry.New(dn.MustParse("cn=probe,o=xyz")).Put("objectclass", "person").Put("cn", "probe").Put("sn", "0")
-		if err := st.Add(probe); err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < writes; i++ {
-			if err := st.Modify(probe.DN(), []dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"x"}}}); err != nil {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("ldapmaster", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			o, err := parseFlags(fs, append([]string{"-employees", "20"}, tc.args...))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if _, ok := st.ChangesSince(st.LastCSN() - dit.CSN(tc.held) - 1); ok {
-			t.Errorf("%q: journal holds more than the last %d changes", tc.args, tc.held)
-		}
-		if held, ok := st.ChangesSince(st.LastCSN() - dit.CSN(tc.held)); !ok || len(held) != tc.held {
-			t.Errorf("%q: journal holds %d changes (covered=%v), want the last %d", tc.args, len(held), ok, tc.held)
-		}
+			st, err := initialDirectory(o.ldifPath, o.suffix, o.employees, o.seed, o.journalLimit, o.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := entry.New(dn.MustParse("cn=probe,o=xyz")).Put("objectclass", "person").Put("cn", "probe").Put("sn", "0")
+			if err := st.Add(probe); err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < writes; i++ {
+				if err := st.Modify(probe.DN(), []dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"x"}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, ok := st.ChangesSince(st.LastCSN() - dit.CSN(tc.held) - 1); ok {
+				t.Errorf("%q: journal holds more than the last %d changes", tc.args, tc.held)
+			}
+			if held, ok := st.ChangesSince(st.LastCSN() - dit.CSN(tc.held)); !ok || len(held) != tc.held {
+				t.Errorf("%q: journal holds %d changes (covered=%v), want the last %d", tc.args, len(held), ok, tc.held)
+			}
+		})
 	}
 }
 
@@ -60,10 +63,12 @@ func TestDeletedFlagsRefused(t *testing.T) {
 		{"-keep-sync-points", "128"},
 		{"-data", "dir", "-journal-retention", "bytes=64m"},
 	} {
-		fs := flag.NewFlagSet("ldapmaster", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		if _, err := parseFlags(fs, args); err == nil {
-			t.Errorf("%q parsed", args)
-		}
+		t.Run(args[len(args)-2], func(t *testing.T) {
+			fs := flag.NewFlagSet("ldapmaster", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			if _, err := parseFlags(fs, args); err == nil {
+				t.Errorf("%q parsed", args)
+			}
+		})
 	}
 }

@@ -104,12 +104,18 @@ func TestModeOnlyFlagsNeedTheirMode(t *testing.T) {
 		{[]string{"-serve", "-adaptive", "-tier-budget", "5"}, false},
 		{[]string{"-mode", "persist", "-state", "dir", "-edge-writes"}, false},
 	} {
-		fs := flag.NewFlagSet("ldapreplica", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		_, err := parseFlags(fs, tc.args)
-		if (err != nil) != tc.refuse {
-			t.Errorf("%q: err = %v, want refused %v", tc.args, err, tc.refuse)
+		name := strings.Join(tc.args, " ")
+		if name == "" {
+			name = "no flags"
 		}
+		t.Run(name, func(t *testing.T) {
+			fs := flag.NewFlagSet("ldapreplica", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			_, err := parseFlags(fs, tc.args)
+			if (err != nil) != tc.refuse {
+				t.Errorf("%q: err = %v, want refused %v", tc.args, err, tc.refuse)
+			}
+		})
 	}
 }
 

@@ -70,22 +70,28 @@ func dialT(t *testing.T, addr string) *Client {
 // or not, and a search on the connection follows.
 func TestBindAndSearch(t *testing.T) {
 	srv, _ := startServer(t, newTestStore(t))
-	c := dialT(t, srv.Addr())
-	for _, cred := range [][2]string{{"", ""}, {"cn=admin", "anything"}} {
-		if err := c.Bind(cred[0], cred[1]); err != nil {
-			t.Fatalf("bind as %q: %v", cred[0], err)
-		}
-	}
-	res, err := c.Search(query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 5 {
-		t.Errorf("entries = %d, want 5", len(res.Entries))
-	}
-	// Entries carry attributes.
-	if res.Entries[0].First("objectclass") == "" {
-		t.Error("entry attributes missing")
+	for _, tc := range []struct{ name, dn, password string }{
+		{"anonymous", "", ""},
+		{"admin, any password", "cn=admin", "anything"},
+		{"unknown dn", "cn=nobody,o=xyz", "secret"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := dialT(t, srv.Addr())
+			if err := c.Bind(tc.dn, tc.password); err != nil {
+				t.Fatalf("bind as %q: %v", tc.dn, err)
+			}
+			res, err := c.Search(query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Entries) != 5 {
+				t.Fatalf("entries = %d, want 5", len(res.Entries))
+			}
+			// Entries carry attributes.
+			if res.Entries[0].First("objectclass") == "" {
+				t.Error("entry attributes missing")
+			}
+		})
 	}
 }
 

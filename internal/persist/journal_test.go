@@ -281,22 +281,24 @@ func TestSnapshotCarriesBatches(t *testing.T) {
 // and the snapshot it extends — so snapshot bytes written never exceed
 // journal bytes written before them.
 func TestJournalDue(t *testing.T) {
-	j := &Journal{}
 	for _, tc := range []struct {
+		name       string
 		size, snap int64
 		want       bool
 	}{
-		{0, 0, false},
-		{journalFloor, 0, false},
-		{journalFloor + 1, 0, true},
-		{journalFloor + 1, 2 * journalFloor, false},
-		{2*journalFloor + 1, 2 * journalFloor, true},
+		{"empty", 0, 0, false},
+		{"at the floor", journalFloor, 0, false},
+		{"past the floor", journalFloor + 1, 0, true},
+		{"past the floor, under the snapshot", journalFloor + 1, 2 * journalFloor, false},
+		{"past the snapshot", 2*journalFloor + 1, 2 * journalFloor, true},
 	} {
-		j.size, j.snapSize = tc.size, tc.snap
-		if got := j.Due(); got != tc.want {
-			t.Errorf("journal of %d B on a snapshot of %d B: due = %v, want %v",
-				tc.size, tc.snap, got, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			j := &Journal{size: tc.size, snapSize: tc.snap}
+			if got := j.Due(); got != tc.want {
+				t.Errorf("journal of %d B on a snapshot of %d B: due = %v, want %v",
+					tc.size, tc.snap, got, tc.want)
+			}
+		})
 	}
 }
 

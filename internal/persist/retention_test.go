@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,6 +44,55 @@ func generation(t *testing.T, d Dir) uint64 {
 	}
 	defer j.Close()
 	return j.gen
+}
+
+// TestMaintainRetention drives a durable store's journal maintenance over
+// the one fold rule and checks two things per case: whether its commits
+// folded the journal into a fresh snapshot when (and only when) it outgrew
+// both the floor and the snapshot it extends, and that durable state always
+// reopens identical to the live store. Each write is a quarter of the floor.
+func TestMaintainRetention(t *testing.T) {
+	tests := []struct {
+		name string
+		// snapshotPad is the size of the values added to the seed before
+		// its checkpoint, to make the snapshot outweigh the floor.
+		snapshotPad int
+		writes      int
+		wantGen     uint64
+	}{
+		{name: "journal under the floor", writes: 3, wantGen: 1},
+		{name: "journal outgrows the floor", writes: 5, wantGen: 2},
+		{name: "journal under a larger snapshot", snapshotPad: 2 * journalFloor, writes: 6, wantGen: 1},
+		{name: "journal outgrows a larger snapshot", snapshotPad: 2 * journalFloor, writes: 9, wantGen: 2},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			d := Dir{Path: t.TempDir()}
+			seed := seedStore(t)
+			if tt.snapshotPad > 0 {
+				pad := dit.Mod{Op: dit.ModAdd, Attr: "description"}
+				for i := 0; i < tt.snapshotPad>>12; i++ {
+					pad.Values = append(pad.Values, fmt.Sprintf("%d %s", i, strings.Repeat("p", 1<<12)))
+				}
+				if err := seed.Modify(dn.MustParse("cn=p1,o=xyz"), []dit.Mod{pad}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Checkpoint(seed); err != nil {
+				t.Fatal(err)
+			}
+			st, _ := openDurable(t, d)
+			modifyN(t, st, tt.writes, strings.Repeat("q", journalFloor/4))
+			if gen := generation(t, d); gen != tt.wantGen {
+				t.Errorf("snapshot generation %d after %d writes, want %d", gen, tt.writes, tt.wantGen)
+			}
+			reopened, _ := openDurable(t, d)
+			identical(t, st, reopened)
+			if reopened.LastCSN() != st.LastCSN() {
+				t.Errorf("reopened at CSN %d, want %d", reopened.LastCSN(), st.LastCSN())
+			}
+		})
+	}
 }
 
 // TestMaintainWatermarkMonotone: folding moves history from the journal into
