@@ -77,10 +77,12 @@ type SearchResult struct {
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	r      *bufio.Reader
+	r      *bufio.Reader // respBufSize: a server writes up to that at once
 	nextID int64
 	// timeout bounds each network read and write (0 = no deadline).
 	timeout time.Duration
+	// readDeadline arms reads with timeout, lazily (see read).
+	readDeadline lazyDeadline
 	// RoundTrips counts request/response exchanges with the server; the
 	// referral experiments read it.
 	roundTrips int
@@ -120,21 +122,18 @@ func DialWith(dial DialFunc, addr string, timeout time.Duration) (*Client, error
 	if err != nil {
 		return nil, fmt.Errorf("ldap dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), nextID: 1, timeout: timeout}, nil
+	return &Client{conn: conn, r: bufio.NewReaderSize(conn, respBufSize), nextID: 1,
+		timeout: timeout, readDeadline: lazyDeadline{timeout: timeout}}, nil
 }
 
-// armWrite and armRead (re-)arm the connection deadline for one I/O
-// operation; with no timeout configured any previous deadline is cleared.
-// Callers hold c.mu.
-func (c *Client) armWrite() { _ = c.conn.SetWriteDeadline(c.deadline()) }
-
-func (c *Client) armRead() { _ = c.conn.SetReadDeadline(c.deadline()) }
-
-func (c *Client) deadline() time.Time {
+// armWrite (re-)arms the connection's write deadline for one request; with
+// no timeout configured any previous deadline is cleared. Callers hold c.mu.
+func (c *Client) armWrite() {
+	var dl time.Time
 	if c.timeout > 0 {
-		return time.Now().Add(c.timeout)
+		dl = time.Now().Add(c.timeout)
 	}
-	return time.Time{}
+	_ = c.conn.SetWriteDeadline(dl)
 }
 
 // RoundTrips reports the number of request/response exchanges so far.
@@ -171,12 +170,18 @@ func (c *Client) send(op proto.Op, controls ...proto.Control) (int64, error) {
 	return id, nil
 }
 
-// read returns the next message for the given ID. The deadline is re-armed
-// per message, so the timeout bounds the idle gap between responses rather
-// than the total length of a streamed result.
+// read returns the next message for the given ID. The read deadline moves by
+// the connection writer's lazy rule (lazyDeadline): only once half the
+// timeout has passed, not once per message. The timeout therefore bounds a
+// stall, not the total length of a streamed result: a server that stops
+// sending mid-response for the timeout fails the exchange within the
+// timeout of when it stopped, and one that pauses for less than half the
+// timeout between messages never does.
 func (c *Client) read(id int64) (*proto.Message, error) {
 	for {
-		c.armRead()
+		if dl, ok := c.readDeadline.renew(); ok {
+			_ = c.conn.SetReadDeadline(dl)
+		}
 		m, err := proto.ReadMessage(c.r)
 		if err != nil {
 			return nil, err
@@ -271,9 +276,11 @@ func (c *Client) WatchFilters(q query.Query, since uint64) (uint64, error) {
 		c.mu.Unlock()
 		return 0, err
 	}
-	// Clear the per-op read deadline for the watch's duration and read
-	// outside the client lock, so a concurrent Close can cancel the wait.
+	// Clear the read deadline for the watch's duration (the next exchange
+	// sets it afresh) and read outside the client lock, so a concurrent
+	// Close can cancel the wait.
 	_ = c.conn.SetReadDeadline(time.Time{})
+	c.readDeadline.at = time.Time{}
 	r := c.r
 	c.mu.Unlock()
 	for {
@@ -641,11 +648,9 @@ func PersistWith(dial DialFunc, addr string, q query.Query, cookie string, dialT
 		defer close(ch)
 		defer close(ps.done)
 		for {
-			var dl time.Time
 			if idleTimeout > 0 {
-				dl = time.Now().Add(idleTimeout)
+				_ = c.conn.SetReadDeadline(time.Now().Add(idleTimeout))
 			}
-			_ = c.conn.SetReadDeadline(dl)
 			m, err := proto.ReadMessage(c.r)
 			if err != nil {
 				ps.setErr(err)

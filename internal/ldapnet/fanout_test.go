@@ -14,29 +14,36 @@ import (
 	"filterdir/internal/workload"
 )
 
-// wireConn counts the bytes written to it and hands each write — one whole
-// message, as the connection writer writes them — to emit, if set.
+// wireConn counts the bytes written to it and, if emit is set, splits each
+// write into the messages it carries — the connection writer puts a whole
+// response buffer, many messages, into one write — and hands emit each.
 type wireConn struct {
 	discardConn
 	n    int
-	emit func([]byte)
+	emit func(*proto.Message)
 }
 
 func (c *wireConn) Write(p []byte) (int, error) {
 	c.n += len(p)
 	if c.emit != nil {
-		c.emit(p)
+		msgs, err := splitMessages(p)
+		if err != nil {
+			return 0, err
+		}
+		for _, m := range msgs {
+			c.emit(m)
+		}
 	}
 	return len(p), nil
 }
 
 // fanoutWire is a server writing synchronously to one wireConn, which every
 // session of a fan-out benchmark streams through Server.streamUpdates.
-func fanoutWire(b *testing.B) (*Server, *connState, *wireConn) {
+func fanoutWire(b *testing.B) (*Server, *connWriter, *wireConn) {
 	conn := &wireConn{}
-	state := &connState{w: newConnWriter(conn, nil)}
-	b.Cleanup(state.w.close)
-	return &Server{conns: map[net.Conn]bool{}}, state, conn
+	w := newConnWriter(conn, nil)
+	b.Cleanup(w.close)
+	return &Server{conns: map[net.Conn]bool{}}, w, conn
 }
 
 // BenchmarkReloadFanout measures a master restart as the replicas see it:
@@ -62,13 +69,9 @@ func BenchmarkReloadFanout(b *testing.B) {
 				specs[i] = query.MustNew("", query.ScopeSubtree, f)
 			}
 			b.Run(fmt.Sprintf("sessions=%d/%s", sessions, mode), func(b *testing.B) {
-				srv, state, conn := fanoutWire(b)
+				srv, w, conn := fanoutWire(b)
 				var updates []resync.Update
-				conn.emit = func(pdu []byte) {
-					m, err := proto.Decode(pdu)
-					if err != nil {
-						b.Fatal(err)
-					}
+				conn.emit = func(m *proto.Message) {
 					u, _, _, err := decodeUpdate(m, m.Op.(*proto.SearchEntry))
 					if err != nil {
 						b.Fatal(err)
@@ -85,8 +88,11 @@ func BenchmarkReloadFanout(b *testing.B) {
 							b.Fatal(err)
 						}
 						updates = make([]resync.Update, 0, len(res.Updates))
-						if err := srv.streamUpdates(state, conn, int64(s+1), res.Updates, "", res.CSN, res.Enc, false); err != nil {
+						if err := streamSync(srv, w, int64(s+1), res.Updates, "", res.CSN, res.Enc); err != nil {
 							b.Fatal(err)
+						}
+						if len(updates) != len(res.Updates) {
+							b.Fatalf("session %d: %d updates decoded off the wire, Begin sent %d", s, len(updates), len(res.Updates))
 						}
 						rep, err := replica.NewFilterReplica(replica.WithContentIndexes(cfg.IndexAttrs...))
 						if err != nil {
@@ -95,6 +101,9 @@ func BenchmarkReloadFanout(b *testing.B) {
 						rep.AddStored(spec, res.Cookie)
 						if err := rep.ApplySync(spec, updates); err != nil {
 							b.Fatal(err)
+						}
+						if rep.EntryCount() != len(res.Updates) {
+							b.Fatalf("session %d: replica holds %d entries, Begin sent %d", s, rep.EntryCount(), len(res.Updates))
 						}
 						entries += rep.EntryCount()
 					}
@@ -139,7 +148,7 @@ func BenchmarkPersistFanout(b *testing.B) {
 					cookies[i] = res.Cookie
 				}
 				upd := workload.NewUpdater(dir, workload.DefaultUpdateConfig())
-				srv, state, conn := fanoutWire(b)
+				srv, w, conn := fanoutWire(b)
 
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -155,7 +164,7 @@ func BenchmarkPersistFanout(b *testing.B) {
 							b.Fatal(err)
 						}
 						cookies[s] = res.Cookie
-						if err := srv.streamUpdates(state, conn, int64(s+1), res.Updates, res.Cookie, res.CSN, res.Enc, false); err != nil {
+						if err := streamSync(srv, w, int64(s+1), res.Updates, res.Cookie, res.CSN, res.Enc); err != nil {
 							b.Fatal(err)
 						}
 					}

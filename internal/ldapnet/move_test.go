@@ -96,11 +96,11 @@ func TestMoveOverWire(t *testing.T) {
 // not know is refused at decode, before anything of its batch is applied.
 func TestUnencodableUpdateEndsTheExchange(t *testing.T) {
 	s := &Server{conns: map[net.Conn]bool{}}
-	state := &connState{w: newConnWriter(discardConn{}, nil)}
-	defer state.w.close()
+	w := newConnWriter(discardConn{}, nil)
+	defer w.close()
 	e := tableOneEmployee(t)
 	updates := []resync.Update{{Action: resync.ActionAdd, DN: e.DN(), Entry: e}, {DN: e.DN()}}
-	if err := s.streamUpdates(state, discardConn{}, 5, updates, "sess-1@2", 7, nil, false); err == nil {
+	if err := streamSync(s, w, 5, updates, "sess-1@2", 7, nil); err == nil {
 		t.Error("an update without a wire action was streamed without error")
 	}
 

@@ -3,9 +3,7 @@ package ldapnet
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -182,15 +180,11 @@ func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, p
 // entry PDUs and those of them that carry a control.
 func labelledEntries(t *testing.T, wire []byte) (entries, labelled int) {
 	t.Helper()
-	r := bufio.NewReader(bytes.NewReader(wire))
-	for {
-		m, err := proto.ReadMessage(r)
-		if errors.Is(err, io.EOF) {
-			return entries, labelled
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	msgs, err := splitMessages(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
 		if _, ok := m.Op.(*proto.SearchEntry); ok {
 			entries++
 			if len(m.Controls) > 0 {
@@ -198,6 +192,7 @@ func labelledEntries(t *testing.T, wire []byte) (entries, labelled int) {
 			}
 		}
 	}
+	return entries, labelled
 }
 
 // TestSharedReloadWireEquivalence extends the shared-encoding equivalence
@@ -261,10 +256,23 @@ func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 func (discardConn) Close() error                     { return nil }
 
+// streamSync streams updates to w as one synchronous response, the way the
+// server writes a Begin, poll or resume answer, and ends the response.
+func streamSync(s *Server, w *connWriter, id int64, updates []resync.Update, cookie string, csn uint64, enc *resync.SharedEnc) error {
+	out := &response{w: w}
+	err := s.streamUpdates(id, updates, cookie, csn, enc, out.putTail)
+	if endErr := out.end(); err == nil {
+		err = endErr
+	}
+	return err
+}
+
 // TestSharedEncodeHitAllocs is the allocation gate of the supplier's hit
-// path: streaming a reload whose PDUs are already in the shared memo costs
-// one allocation per PDU — the envelope carrying the session's message ID
-// around the shared tail. No op, no control, no copy of the entry.
+// path: streaming a reload whose PDUs are already in the shared memo
+// allocates a small constant per exchange, however many PDUs it carries.
+// Each message is its session's message ID around the shared tail, appended
+// into the connection's pooled response buffer: no envelope of its own, no
+// op, no control, no copy of the entry.
 func TestSharedEncodeHitAllocs(t *testing.T) {
 	store := reloadStore(t, 200)
 	backend := NewStoreBackend(store)
@@ -275,20 +283,19 @@ func TestSharedEncodeHitAllocs(t *testing.T) {
 	if res.Enc == nil {
 		t.Fatal("Begin result carries no shared encoding memo")
 	}
-	conn := discardConn{}
 	s := &Server{backend: backend, syncStats: backend.SyncCounters(), conns: map[net.Conn]bool{}}
-	state := &connState{w: newConnWriter(conn, s.syncStats)}
-	defer state.w.close()
+	w := newConnWriter(discardConn{}, s.syncStats)
+	defer w.close()
 	stream := func() {
-		if err := s.streamUpdates(state, conn, 5, res.Updates, "", res.CSN, res.Enc, false); err != nil {
+		if err := streamSync(s, w, 5, res.Updates, "", res.CSN, res.Enc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	stream() // the first member pays for the encoding
 	total, pdus := testing.AllocsPerRun(20, stream), float64(len(res.Updates))
 	t.Logf("shared-encode hit path: %.0f allocations for %.0f PDUs", total, pdus)
-	if total > pdus+2 { // per PDU the envelope; per call a couple for the loop itself
-		t.Errorf("hit path allocates %.2f times per PDU, gate is 1 (the envelope)", total/pdus)
+	if total > 2 { // per exchange at most the response and a pooled buffer; nothing per PDU
+		t.Errorf("hit path allocates %.0f times for %.0f PDUs, gate is 2 per exchange", total, pdus)
 	}
 }
 
@@ -328,11 +335,11 @@ func TestBareAddRule(t *testing.T) {
 					srvEnd, cliEnd := net.Pipe()
 					defer cliEnd.Close()
 					s := &Server{conns: map[net.Conn]bool{}}
-					state := &connState{w: newConnWriter(srvEnd, nil)}
-					defer state.w.close()
+					w := newConnWriter(srvEnd, nil)
+					defer w.close()
 					sent := make(chan error, 1)
 					go func() {
-						sent <- s.streamUpdates(state, srvEnd, 5, []resync.Update{a.u}, cookie, csn, enc, false)
+						sent <- streamSync(s, w, 5, []resync.Update{a.u}, cookie, csn, enc)
 					}()
 					m, err := proto.ReadMessage(bufio.NewReader(cliEnd))
 					if err != nil {

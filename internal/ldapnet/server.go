@@ -208,11 +208,14 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
+		// Every PDU a request is answered with goes into one response,
+		// written as it fills and once when the request is done.
+		out := &response{w: state.w}
 		switch op := msg.Op.(type) {
 		case *proto.UnbindRequest:
 			return
 		case *proto.BindRequest:
-			s.reply(state, conn, msg.ID, &proto.BindResponse{}, proto.ResultSuccess, "", nil, nil)
+			s.reply(out, msg.ID, &proto.BindResponse{}, proto.ResultSuccess, "", nil, nil)
 		case *proto.AbandonRequest:
 			if sub := state.takePersist(op.MessageID); sub != nil {
 				sub.Close()
@@ -220,18 +223,19 @@ func (s *Server) handle(conn net.Conn) {
 			state.cancelWatch(op.MessageID)
 			// Abandon has no response.
 		case *proto.SearchRequest:
-			s.handleSearch(state, conn, msg, op)
+			s.handleSearch(out, state, msg, op)
 		case *proto.AddRequest:
-			s.handleWrite(state, conn, msg, &proto.AddResponse{}, func() error { return s.backend.Add(op) })
+			s.handleWrite(out, msg, &proto.AddResponse{}, func() error { return s.backend.Add(op) })
 		case *proto.DelRequest:
-			s.handleWrite(state, conn, msg, &proto.DelResponse{}, func() error { return s.backend.Delete(op) })
+			s.handleWrite(out, msg, &proto.DelResponse{}, func() error { return s.backend.Delete(op) })
 		case *proto.ModifyRequest:
-			s.handleWrite(state, conn, msg, &proto.ModifyResponse{}, func() error { return s.backend.Modify(op) })
+			s.handleWrite(out, msg, &proto.ModifyResponse{}, func() error { return s.backend.Modify(op) })
 		case *proto.ModifyDNRequest:
-			s.handleWrite(state, conn, msg, &proto.ModifyDNResponse{}, func() error { return s.backend.ModifyDN(op) })
+			s.handleWrite(out, msg, &proto.ModifyDNResponse{}, func() error { return s.backend.ModifyDN(op) })
 		default:
-			s.reply(state, conn, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, "unsupported operation", nil, nil)
+			s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, "unsupported operation", nil, nil)
 		}
+		_ = out.end()
 	}
 }
 
@@ -251,45 +255,43 @@ func errText(err error) string {
 // forward the op themselves. Either way, errors carrying referral URLs (a
 // replica refusing a write it does not track) surface as LDAP referrals the
 // client can chase.
-func (s *Server) handleWrite(state *connState, conn net.Conn, msg *proto.Message, resp proto.Op, apply func() error) {
+func (s *Server) handleWrite(out *response, msg *proto.Message, resp proto.Op, apply func() error) {
 	if c, ok := msg.Control(proto.OIDEdgeWrite); ok {
 		opID, err := proto.ParseEdgeWrite(c)
 		if err != nil {
-			s.reply(state, conn, msg.ID, resp, proto.ResultProtocolError, err.Error(), nil, nil)
+			s.reply(out, msg.ID, resp, proto.ResultProtocolError, err.Error(), nil, nil)
 			return
 		}
 		ea, ok := s.backend.(EdgeApplier)
 		if !ok {
-			s.reply(state, conn, msg.ID, resp, proto.ResultUnwillingToPerform,
+			s.reply(out, msg.ID, resp, proto.ResultUnwillingToPerform,
 				"edge-write forwarding not supported by this server", nil, nil)
 			return
 		}
 		ch, err := changeFromOp(msg.Op)
 		if err != nil {
-			s.reply(state, conn, msg.ID, resp, proto.ResultProtocolError, err.Error(), nil, nil)
+			s.reply(out, msg.ID, resp, proto.ResultProtocolError, err.Error(), nil, nil)
 			return
 		}
 		csn, dup, err := ea.EdgeApply(ch, opID)
 		if err != nil {
-			s.reply(state, conn, msg.ID, resp, resultCodeFor(err), errText(err), referralsFor(err), nil)
+			s.reply(out, msg.ID, resp, resultCodeFor(err), errText(err), referralsFor(err), nil)
 			return
 		}
-		s.reply(state, conn, msg.ID, resp, proto.ResultSuccess, "", nil,
+		s.reply(out, msg.ID, resp, proto.ResultSuccess, "", nil,
 			[]proto.Control{proto.NewEdgeWriteDoneControl(csn, dup)})
 		return
 	}
 	err := apply()
-	s.reply(state, conn, msg.ID, resp, resultCodeFor(err), errText(err), referralsFor(err), nil)
+	s.reply(out, msg.ID, resp, resultCodeFor(err), errText(err), referralsFor(err), nil)
 }
 
-// reply sends a single result-bearing response.
-func (s *Server) reply(state *connState, conn net.Conn, id int64, op proto.Op,
+// reply adds a result-bearing PDU to out: the whole answer to most
+// requests, the trailing SearchDone of a search or a ReSync exchange.
+func (s *Server) reply(out *response, id int64, op proto.Op,
 	code proto.ResultCode, msg string, referrals []string, controls []proto.Control) {
 	setResult(op, code, msg, referrals)
-	m := &proto.Message{ID: id, Op: op, Controls: controls}
-	if enc, err := m.Encode(); err == nil {
-		_ = state.w.writeSync(enc)
-	}
+	_ = s.send(out, &proto.Message{ID: id, Op: op, Controls: controls})
 }
 
 // setResult injects the LDAPResult into a response op.
@@ -311,35 +313,36 @@ func setResult(op proto.Op, code proto.ResultCode, msg string, referrals []strin
 	}
 }
 
-func (s *Server) send(state *connState, conn net.Conn, m *proto.Message) error {
+// send adds one message to out.
+func (s *Server) send(out *response, m *proto.Message) error {
 	enc, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	return state.w.writeSync(enc)
+	return out.put(enc)
 }
 
-func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Message, op *proto.SearchRequest) {
+func (s *Server) handleSearch(out *response, state *connState, msg *proto.Message, op *proto.SearchRequest) {
 	if c, ok := msg.Control(proto.OIDFiltersWatch); ok {
-		s.handleFiltersWatch(state, conn, msg.ID, op, c)
+		s.handleFiltersWatch(out, state, msg.ID, op, c)
 		return
 	}
 	if c, ok := msg.Control(proto.OIDReSyncRequest); ok {
 		req, err := proto.ParseReSyncRequest(c)
 		if err != nil {
-			s.reply(state, conn, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, err.Error(), nil, nil)
+			s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, err.Error(), nil, nil)
 			return
 		}
 		var resume *proto.ResumeToken
 		if rc, ok := msg.Control(proto.OIDReSyncResume); ok {
 			tok, err := proto.ParseReSyncResume(rc)
 			if err != nil {
-				s.reply(state, conn, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, err.Error(), nil, nil)
+				s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, err.Error(), nil, nil)
 				return
 			}
 			resume = &tok
 		}
-		s.handleReSync(state, conn, msg.ID, op, req, resume)
+		s.handleReSync(out, state, msg.ID, op, req, resume)
 		return
 	}
 
@@ -350,7 +353,7 @@ func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Messag
 		if res != nil {
 			refs = res.Referrals
 		}
-		s.reply(state, conn, msg.ID, &proto.SearchDone{}, code, errText(err), refs, nil)
+		s.reply(out, msg.ID, &proto.SearchDone{}, code, errText(err), refs, nil)
 		return
 	}
 	// RFC 2891 server-side sorting, applied before streaming (and before
@@ -370,7 +373,7 @@ func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Messag
 	if c, ok := msg.Control(proto.OIDPagedResults); ok {
 		pageSize, cookie, perr := proto.ParsePaged(c)
 		if perr != nil || pageSize <= 0 {
-			s.reply(state, conn, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, "bad paged-results control", nil, nil)
+			s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, "bad paged-results control", nil, nil)
 			return
 		}
 		if _, sorted := msg.Control(proto.OIDSortRequest); !sorted {
@@ -382,7 +385,7 @@ func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Messag
 		if cookie != "" {
 			n, err := strconv.Atoi(cookie)
 			if err != nil || n < 0 || n > len(res.Entries) {
-				s.reply(state, conn, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, "bad paging cookie", nil, nil)
+				s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, "bad paging cookie", nil, nil)
 				return
 			}
 			offset = n
@@ -392,7 +395,7 @@ func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Messag
 			end = len(res.Entries)
 		}
 		for _, e := range res.Entries[offset:end] {
-			if err := s.send(state, conn, &proto.Message{ID: msg.ID, Op: &proto.SearchEntry{Entry: e}}); err != nil {
+			if err := s.send(out, &proto.Message{ID: msg.ID, Op: &proto.SearchEntry{Entry: e}}); err != nil {
 				return
 			}
 		}
@@ -401,7 +404,7 @@ func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Messag
 			next = strconv.Itoa(end)
 		}
 		doneControls = append(doneControls, proto.NewPagedControl(int64(len(res.Entries)), next))
-		s.reply(state, conn, msg.ID, &proto.SearchDone{}, proto.ResultSuccess, "", nil, doneControls)
+		s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultSuccess, "", nil, doneControls)
 		return
 	}
 	limit := int(op.SizeLimit)
@@ -409,16 +412,16 @@ func (s *Server) handleSearch(state *connState, conn net.Conn, msg *proto.Messag
 		if limit > 0 && i >= limit {
 			break
 		}
-		if err := s.send(state, conn, &proto.Message{ID: msg.ID, Op: &proto.SearchEntry{Entry: e}}); err != nil {
+		if err := s.send(out, &proto.Message{ID: msg.ID, Op: &proto.SearchEntry{Entry: e}}); err != nil {
 			return
 		}
 	}
 	for _, ref := range res.Referrals {
-		if err := s.send(state, conn, &proto.Message{ID: msg.ID, Op: &proto.SearchReference{URLs: []string{ref}}}); err != nil {
+		if err := s.send(out, &proto.Message{ID: msg.ID, Op: &proto.SearchReference{URLs: []string{ref}}}); err != nil {
 			return
 		}
 	}
-	s.reply(state, conn, msg.ID, &proto.SearchDone{}, proto.ResultSuccess, "", nil, doneControls)
+	s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultSuccess, "", nil, doneControls)
 }
 
 // sortEntries orders search results by the RFC 2891 sort keys using the
@@ -458,16 +461,16 @@ func sortEntries(entries []*entry.Entry, keys []proto.SortKey) {
 // a diverted leaf learns the tier widened without polling. The wait runs in
 // its own goroutine: the connection's read loop stays free to process
 // abandons, and teardown cancels via connState.closeAll.
-func (s *Server) handleFiltersWatch(state *connState, conn net.Conn, id int64, op *proto.SearchRequest, c proto.Control) {
+func (s *Server) handleFiltersWatch(out *response, state *connState, id int64, op *proto.SearchRequest, c proto.Control) {
 	fw, ok := s.backend.(FilterWatcher)
 	if !ok {
-		s.reply(state, conn, id, &proto.SearchDone{}, proto.ResultUnwillingToPerform,
+		s.reply(out, id, &proto.SearchDone{}, proto.ResultUnwillingToPerform,
 			"filters watch not supported by this server", nil, nil)
 		return
 	}
 	since, err := proto.ParseFiltersWatch(c)
 	if err != nil {
-		s.reply(state, conn, id, &proto.SearchDone{}, proto.ResultProtocolError, err.Error(), nil, nil)
+		s.reply(out, id, &proto.SearchDone{}, proto.ResultProtocolError, err.Error(), nil, nil)
 		return
 	}
 	gen, ch := fw.FilterGeneration()
@@ -479,7 +482,7 @@ func (s *Server) handleFiltersWatch(state *connState, conn net.Conn, id int64, o
 		// were read before this check, so a widening that races it closes ch
 		// and wakes the parked goroutine below.
 		if fw.Admit(op.Query) == nil {
-			s.reply(state, conn, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
+			s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
 				[]proto.Control{proto.NewFiltersChangedControl(gen)})
 			return
 		}
@@ -497,8 +500,10 @@ func (s *Server) handleFiltersWatch(state *connState, conn net.Conn, id int64, o
 			}
 			gen, ch = fw.FilterGeneration()
 		}
-		s.reply(state, conn, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
+		late := &response{w: state.w}
+		s.reply(late, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
 			[]proto.Control{proto.NewFiltersChangedControl(gen)})
+		_ = late.end()
 	}()
 }
 
@@ -507,10 +512,10 @@ func (s *Server) handleFiltersWatch(state *connState, conn net.Conn, id int64, o
 // sends accumulated updates, (iii) persist mode keeps the connection open
 // streaming further changes, (iv) poll mode returns a cookie to resume. A
 // resume-token control continues a chunked reload instead (DESIGN.md §14).
-func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *proto.SearchRequest, req proto.ReSyncRequest, resume *proto.ResumeToken) {
+func (s *Server) handleReSync(out *response, state *connState, id int64, op *proto.SearchRequest, req proto.ReSyncRequest, resume *proto.ResumeToken) {
 	if req.Mode == proto.ReSyncModeSyncEnd {
 		err := s.backend.ReSyncEnd(req.Cookie)
-		s.reply(state, conn, id, &proto.SearchDone{}, resultCodeFor(err), errText(err), nil, nil)
+		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), errText(err), nil, nil)
 		return
 	}
 
@@ -527,7 +532,7 @@ func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *pro
 		res, err = s.backend.ReSyncPoll(req.Cookie)
 	}
 	if err != nil {
-		s.reply(state, conn, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
+		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
 		return
 	}
 	// In persist mode the done control only arrives at stream end, so each
@@ -537,10 +542,10 @@ func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *pro
 	if req.Mode == proto.ReSyncModePersist {
 		initialCookie = res.Cookie
 	}
-	if err := s.streamUpdates(state, conn, id, res.Updates, initialCookie, res.CSN, res.Enc, false); err != nil {
+	if err := s.streamUpdates(id, res.Updates, initialCookie, res.CSN, res.Enc, out.putTail); err != nil {
 		// Without its cookie the exchange must not look complete; on a dead
 		// connection this reply goes nowhere.
-		s.reply(state, conn, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
+		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
 		return
 	}
 
@@ -549,7 +554,7 @@ func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *pro
 		// cookie, handing the consumer a token for the remainder. A
 		// persist-mode consumer drains the chunks the same way and
 		// re-subscribes with the completion cookie.
-		s.reply(state, conn, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
+		s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
 			[]proto.Control{
 				proto.NewReSyncDoneControl("", res.FullReload, res.CSN),
 				proto.NewReSyncResumeControl(*res.Resume, false),
@@ -558,9 +563,14 @@ func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *pro
 	}
 
 	if req.Mode == proto.ReSyncModePersist {
+		// The initial delivery reaches the socket before the stream's first
+		// pushed batch, which the drain goroutine writes.
+		if out.flush() != nil {
+			return
+		}
 		sub, err := s.backend.ReSyncPersist(res.Cookie)
 		if err != nil {
-			s.reply(state, conn, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
+			s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
 			return
 		}
 		state.addPersist(id, sub)
@@ -572,23 +582,24 @@ func (s *Server) handleReSync(state *connState, conn net.Conn, id int64, op *pro
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			push := func(id int64, tail []byte) error { return s.push(state.w, proto.EncodeWithTail(id, tail)) }
 			for batch := range sub.Updates {
-				if err := s.streamUpdates(state, conn, id, batch.Updates, batch.Cookie, batch.CSN, batch.Enc, true); err != nil {
+				if err := s.streamUpdates(id, batch.Updates, batch.Cookie, batch.CSN, batch.Enc, push); err != nil {
 					sub.Close()
 					if !errors.Is(err, errSlowConsumer) { // else the connection is gone
-						s.streamDone(state, conn, id, "", err)
+						s.streamDone(state.w, id, "", err)
 					}
 					return
 				}
 			}
 			// The done must trail the queued batch PDUs of this stream, so
 			// it rides the same queue.
-			s.streamDone(state, conn, id, res.Cookie, nil)
+			s.streamDone(state.w, id, res.Cookie, nil)
 		}()
 		return
 	}
 
-	s.reply(state, conn, id, &proto.SearchDone{}, proto.ResultSuccess, "",
+	s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "",
 		nil, []proto.Control{proto.NewReSyncDoneControl(res.Cookie, res.FullReload, res.CSN)})
 }
 
@@ -631,28 +642,31 @@ func changeAction(u resync.Update) (proto.ChangeAction, error) {
 	return 0, fmt.Errorf("ldapnet: update of %s has no wire action", u.DN.String())
 }
 
-// streamUpdates sends each update as a search entry PDU labelled with an
-// entry-change control; delete and retain actions carry the DN only, a move
-// its old DN on the control. A non-empty batchCookie is attached, with
-// batchCSN, to the final PDU so persist-mode consumers learn the sync point
-// each pushed batch reaches. An add that carries nothing else — no cookie, no
-// CSN, no old DN — travels bare, without the control: a consumer reads an
-// entry PDU without one as an add, which is every PDU of a content transfer
-// (paper §5.2: the whole content "as add actions"). An update the wire has no
-// action for ends the exchange with an error: skipping it would drop, with
-// the last update, the batch's cookie.
+// streamUpdates hands each update to emit as the tail of a search entry
+// PDU (proto.EncodeMessageTail) labelled with an entry-change control;
+// delete and retain actions carry the DN only, a move its old DN on the
+// control. emit wraps the tail in the message envelope: a synchronous
+// exchange appends it to the connection's response buffer
+// (response.putTail), a persist push encodes it and queues it on the
+// connection's bounded write queue (Server.push). A non-empty batchCookie is
+// attached, with batchCSN, to the final PDU so persist-mode consumers learn
+// the sync point each pushed batch reaches. An add that carries nothing
+// else — no cookie, no CSN, no old DN — travels bare, without the control: a
+// consumer reads an entry PDU without one as an add, which is every PDU of a
+// content transfer (paper §5.2: the whole content "as add actions"). An
+// update the wire has no action for ends the exchange with an error:
+// skipping it would drop, with the last update, the batch's cookie.
 //
-// When the batch carries a shared-encoding memo, the PDU is BER-encoded
+// When the batch carries a shared-encoding memo, the tail is BER-encoded
 // once per content view and reused across every session fanned the batch —
 // a pushed change interval and a full reload alike: for all but a
 // cookie-bearing final update the message differs between sessions only in
 // its message ID, so the whole tail (op TLV, then the entry-change control
-// unless the add is bare) is cached and a hit costs one allocation, the
-// envelope around it; the final update of a persist batch carries the
-// per-session cookie, so its control is rebuilt around the cached PDU body.
-// Queued mode routes the PDUs through the connection's bounded write queue
-// (persist pushes); otherwise they are written synchronously.
-func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, updates []resync.Update, batchCookie string, batchCSN uint64, enc *resync.SharedEnc, queued bool) error {
+// unless the add is bare) is cached, and a hit on a synchronous exchange
+// allocates nothing: the tail is copied once, into the response buffer. The
+// final update of a persist batch carries the per-session cookie, so its
+// control is rebuilt around the cached PDU body.
+func (s *Server) streamUpdates(id int64, updates []resync.Update, batchCookie string, batchCSN uint64, enc *resync.SharedEnc, emit func(id int64, tail []byte) error) error {
 	for i, u := range updates {
 		u := u
 		action, err := changeAction(u)
@@ -674,33 +688,29 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 		}
 		// The op and its control are built inside the memo's build
 		// functions: on a hit neither is needed.
-		var msgBytes []byte
+		encodeTail := func() ([]byte, error) {
+			body, err := proto.EncodeOpBody(updateOp(u))
+			if err != nil {
+				return nil, err
+			}
+			return proto.EncodeMessageTail(searchEntryTag, body, control()), nil
+		}
+		var tail []byte
 		var built bool
 		switch {
 		case enc == nil:
-			msgBytes, err = (&proto.Message{ID: id, Op: updateOp(u),
-				Controls: control()}).Encode()
+			tail, err = encodeTail()
 		case ec.Cookie == "":
-			// Session-independent message: share the whole tail and stamp
-			// only the message ID.
-			var tail []byte
-			tail, built, err = enc.GetTail(i, func() ([]byte, error) {
-				body, berr := proto.EncodeOpBody(updateOp(u))
-				if berr != nil {
-					return nil, berr
-				}
-				return proto.EncodeMessageTail(searchEntryTag, body, control()), nil
-			})
-			if err == nil {
-				msgBytes = proto.EncodeWithTail(id, tail)
-			}
+			// Session-independent message: share the whole tail; emit
+			// stamps only the message ID.
+			tail, built, err = enc.GetTail(i, encodeTail)
 		default:
 			// The per-session cookie control forces a per-session tail;
 			// the PDU body is still shared.
 			var body []byte
 			body, built, err = enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(updateOp(u)) })
 			if err == nil {
-				msgBytes = proto.EncodeWithOpBody(id, searchEntryTag, body, control())
+				tail = proto.EncodeMessageTail(searchEntryTag, body, control())
 			}
 		}
 		if err != nil {
@@ -713,15 +723,7 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 				s.syncStats.StreamDedupPDUs.Add(1)
 			}
 		}
-		if queued {
-			if !state.w.enqueue(msgBytes) {
-				if s.syncStats != nil {
-					s.syncStats.StreamQueueDrops.Add(1)
-				}
-				s.dropConn(conn)
-				return errSlowConsumer
-			}
-		} else if err := state.w.writeSync(msgBytes); err != nil {
+		if err := emit(id, tail); err != nil {
 			return err
 		}
 		if s.syncStats != nil {
@@ -731,10 +733,23 @@ func (s *Server) streamUpdates(state *connState, conn net.Conn, id int64, update
 	return nil
 }
 
+// push queues one persist-stream message on w, dropping the connection
+// when the queue stays full.
+func (s *Server) push(w *connWriter, b []byte) error {
+	if !w.enqueue(b) {
+		if s.syncStats != nil {
+			s.syncStats.StreamQueueDrops.Add(1)
+		}
+		s.dropConn(w.conn)
+		return errSlowConsumer
+	}
+	return nil
+}
+
 // streamDone ends a persist stream with its SearchDone — carrying err's
 // result when it failed — routed through the write queue so it trails the
 // stream's queued PDUs.
-func (s *Server) streamDone(state *connState, conn net.Conn, id int64, cookie string, err error) {
+func (s *Server) streamDone(w *connWriter, id int64, cookie string, err error) {
 	op := &proto.SearchDone{}
 	setResult(op, resultCodeFor(err), errText(err), nil)
 	m := &proto.Message{ID: id, Op: op,
@@ -743,7 +758,7 @@ func (s *Server) streamDone(state *connState, conn net.Conn, id int64, cookie st
 	if err != nil {
 		return
 	}
-	if !state.w.enqueue(b) {
-		s.dropConn(conn)
+	if !w.enqueue(b) {
+		s.dropConn(w.conn)
 	}
 }

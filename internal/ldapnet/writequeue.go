@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"filterdir/internal/metrics"
+	"filterdir/internal/proto"
 )
 
 // Write-queue policy: a connection buffers up to streamQueueCap encoded
@@ -18,29 +19,67 @@ const (
 	enqueueWait    = 250 * time.Millisecond
 )
 
+// respBufSize bounds what one Write carries: a synchronous response is
+// written once per respBufSize bytes of PDUs and once at its end, and a
+// drain pass writes what is queued up to it. A Client reads through a
+// buffer of the same size. A constant, not a knob.
+const respBufSize = 64 << 10
+
+// respBufs pools the response buffers, so a connection holds one only while
+// it writes.
+var respBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, respBufSize)
+	return &b
+}}
+
 // writeTimeout bounds every write to a connection, synchronous or drained: a
 // consumer that stops reading — a half-open peer, a wedged replica — fails
-// the writer, and so closes its connection, once one message has waited for
+// the writer, and so closes its connection, once one write has waited for
 // the socket at least half this long and at most this long (see
-// writeLocked). A variable only so tests can shorten it; a connection reads
+// lazyDeadline). A variable only so tests can shorten it; a connection reads
 // it once, when it is accepted.
 var writeTimeout = 30 * time.Second
 
+// lazyDeadline is an I/O deadline that moves only once half its timeout has
+// passed, because setting one per message doubles the cost of a small
+// loopback write. An operation started right after a move has the whole
+// timeout; any operation has at least half of it. So a peer that stalls for
+// the timeout fails the operation within the timeout, and one that pauses
+// for less than half of it never does. A zero timeout sets no deadline. The
+// connection writer arms its writes with one, a Client its reads.
+type lazyDeadline struct {
+	timeout time.Duration
+	at      time.Time // the deadline last set
+}
+
+// renew returns the deadline to set and true when it is due to move.
+func (d *lazyDeadline) renew() (time.Time, bool) {
+	if d.timeout <= 0 {
+		return time.Time{}, false
+	}
+	now := time.Now()
+	if d.at.Sub(now) >= d.timeout/2 {
+		return d.at, false
+	}
+	d.at = now.Add(d.timeout)
+	return d.at, true
+}
+
 // connWriter serializes all writes to one connection. Synchronous
-// request/response traffic writes directly under mu; persist-stream pushes
-// go through a bounded queue drained by a dedicated goroutine, so one
-// connection's slow consumer exerts backpressure on its own stream instead
-// of blocking the engine's broadcaster or other sessions sharing the
-// process. Interleaving is at whole-message granularity, which LDAP
+// request/response traffic is written under mu by the response that builds
+// it; persist-stream pushes go through a bounded queue drained by a
+// dedicated goroutine, so one connection's slow consumer exerts
+// backpressure on its own stream instead of blocking the engine's
+// broadcaster or other sessions sharing the process. Every Write carries
+// whole messages, so interleaving is at message granularity, which LDAP
 // permits across message IDs; all messages of one stream use the queue, so
 // they stay ordered among themselves.
 type connWriter struct {
-	conn    net.Conn
-	stats   *metrics.SyncCounters // nil when the backend exposes no counters
-	timeout time.Duration         // writeTimeout when the connection was accepted
+	conn  net.Conn
+	stats *metrics.SyncCounters // nil when the backend exposes no counters
 
-	mu       sync.Mutex // serializes writes to conn
-	deadline time.Time  // the write deadline last set on conn; guarded by mu
+	mu       sync.Mutex   // serializes writes to conn
+	deadline lazyDeadline // the write deadline; guarded by mu
 
 	q      chan []byte
 	stop   chan struct{}
@@ -51,23 +90,98 @@ type connWriter struct {
 
 func newConnWriter(conn net.Conn, stats *metrics.SyncCounters) *connWriter {
 	w := &connWriter{
-		conn:    conn,
-		stats:   stats,
-		timeout: writeTimeout,
-		q:       make(chan []byte, streamQueueCap),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		conn:     conn,
+		stats:    stats,
+		deadline: lazyDeadline{timeout: writeTimeout},
+		q:        make(chan []byte, streamQueueCap),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go w.drain()
 	return w
 }
 
-// writeSync writes one encoded message directly; used for synchronous
-// request/response traffic.
-func (w *connWriter) writeSync(b []byte) error {
+// response is one synchronous response under construction: every PDU a
+// request is answered with, a trailing SearchDone included. The PDUs are
+// appended into a pooled buffer, taken with the first of them, which is
+// written under the writer's lock whenever the next PDU would not fit and
+// once at end — one Write per respBufSize bytes rather than one per PDU; a
+// PDU larger than the buffer is written alone. A failed write fails the
+// writer; it is returned by every later put and by end, and the PDUs after
+// it go nowhere.
+type response struct {
+	w   *connWriter
+	buf []byte
+	bp  *[]byte // the pooled buffer, nil until the first PDU
+	err error
+}
+
+// reserve makes room for a PDU of at most n bytes, writing out the buffer
+// first when the PDU would not fit in it.
+func (r *response) reserve(n int) error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.bp == nil {
+		r.bp = respBufs.Get().(*[]byte)
+		r.buf = *r.bp
+	}
+	if len(r.buf) > 0 && len(r.buf)+n > respBufSize {
+		return r.flush()
+	}
+	return nil
+}
+
+// put appends one encoded message.
+func (r *response) put(b []byte) error {
+	if err := r.reserve(len(b)); err != nil {
+		return err
+	}
+	r.buf = append(r.buf, b...)
+	return nil
+}
+
+// putTail appends the message id around a pre-encoded tail: the tail is
+// copied into the buffer, not wrapped in a message of its own.
+func (r *response) putTail(id int64, tail []byte) error {
+	if err := r.reserve(len(tail) + proto.MaxEnvelopeLen); err != nil {
+		return err
+	}
+	r.buf = proto.AppendWithTail(r.buf, id, tail)
+	return nil
+}
+
+// flush writes what the buffer holds under the writer's lock, armed with
+// its lazy deadline. A failed write fails the writer: a message may be half
+// on the wire, and a peer that stopped reading must not hold the lock — and
+// with it every reply and the persist drain of its connection — for good.
+func (r *response) flush() error {
+	if r.err != nil || len(r.buf) == 0 {
+		return r.err
+	}
+	w := r.w
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writeLocked(b)
+	if t, ok := w.deadline.renew(); ok {
+		_ = w.conn.SetWriteDeadline(t)
+	}
+	if _, r.err = w.conn.Write(r.buf); r.err != nil {
+		w.fail() // before another write can follow a torn one
+	}
+	w.mu.Unlock()
+	r.buf = r.buf[:0]
+	return r.err
+}
+
+// end writes the rest of the response and hands the buffer back to the
+// pool. The pooled buffer is the one taken, even if a PDU larger than it
+// moved the response to a bigger one.
+func (r *response) end() error {
+	err := r.flush()
+	if r.bp != nil {
+		respBufs.Put(r.bp)
+		r.bp, r.buf = nil, nil
+	}
+	return err
 }
 
 // enqueue queues one encoded stream message, waiting up to enqueueWait for
@@ -125,48 +239,29 @@ func (w *connWriter) drain() {
 	for {
 		select {
 		case b := <-w.q:
-			w.write(b)
+			w.writeQueued(b)
 		case <-w.stop:
-			for {
-				select {
-				case b := <-w.q:
-					w.write(b)
-				default:
-					return
-				}
+			for len(w.q) > 0 { // drain is the queue's only receiver
+				w.writeQueued(<-w.q)
 			}
+			return
 		}
 	}
 }
 
-// write sends one queued message to the connection, failing the writer on
-// error; writes after a failure are discarded.
-func (w *connWriter) write(b []byte) {
+// writeQueued is one drain pass: b and the messages already queued behind
+// it go out as one response — in one Write up to respBufSize bytes. The
+// pass never waits for more.
+func (w *connWriter) writeQueued(b []byte) {
 	if w.failed.Load() {
 		return
 	}
-	w.mu.Lock()
-	_ = w.writeLocked(b)
-	w.mu.Unlock()
-}
-
-// writeLocked writes one message under mu. Each write has between half the
-// writer's timeout and all of it to reach the socket: the deadline moves
-// only once half of it has passed, because setting one per write doubles
-// the cost of a small loopback write. A failed write fails the writer: a
-// message may be half on the wire, and a peer that stopped reading must not
-// hold mu — and with it every reply and the persist drain of its
-// connection — for good.
-func (w *connWriter) writeLocked(b []byte) error {
-	if now := time.Now(); w.deadline.Sub(now) < w.timeout/2 {
-		w.deadline = now.Add(w.timeout)
-		_ = w.conn.SetWriteDeadline(w.deadline)
+	out := &response{w: w}
+	_ = out.put(b)
+	for n := len(w.q); n > 0; n-- {
+		_ = out.put(<-w.q)
 	}
-	_, err := w.conn.Write(b)
-	if err != nil {
-		w.fail()
-	}
-	return err
+	_ = out.end()
 }
 
 // fail marks the connection dead and closes it, unblocking its reader.

@@ -1,0 +1,367 @@
+package ldapnet
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"filterdir/internal/chaos"
+	"filterdir/internal/dit"
+	"filterdir/internal/dn"
+	"filterdir/internal/entry"
+	"filterdir/internal/proto"
+	"filterdir/internal/query"
+)
+
+// writeLog records every Write the server makes on the connections of a
+// recordingListener, one copy per call. before, if set, sees each write
+// first, while the connection writer holds its lock.
+type writeLog struct {
+	mu     sync.Mutex
+	writes [][]byte
+	before func(p []byte)
+}
+
+func (l *writeLog) all() [][]byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([][]byte(nil), l.writes...)
+}
+
+type recordingListener struct {
+	net.Listener
+	log *writeLog
+}
+
+func (l recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &recordingConn{Conn: c, log: l.log}, nil
+}
+
+type recordingConn struct {
+	net.Conn
+	log *writeLog
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	if c.log.before != nil {
+		c.log.before(p)
+	}
+	c.log.mu.Lock()
+	c.log.writes = append(c.log.writes, bytes.Clone(p))
+	c.log.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// splitMessages decodes a buffer that must hold whole messages only.
+func splitMessages(b []byte) ([]*proto.Message, error) {
+	r := bufio.NewReader(bytes.NewReader(b))
+	var out []*proto.Message
+	for {
+		m, err := proto.ReadMessage(r)
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, m)
+	}
+}
+
+func writeRequest(t *testing.T, conn net.Conn, m *proto.Message) {
+	t.Helper()
+	if err := m.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCoalescedResponseFraming: a Begin whose answer spans several response
+// buffers, on a connection whose persist stream pushes batches while the
+// answer is being written — the first write of the answer commits them and
+// holds the writer's lock until they are queued. Every message the client
+// reads decodes; each response's PDUs arrive in the order they were
+// produced and end with its SearchDone; and on the server side every Write
+// is whole messages of one response or of the stream, so the two interleave
+// at message granularity, and none is larger than the response buffer
+// unless it is a single PDU.
+func TestCoalescedResponseFraming(t *testing.T) {
+	store := reloadStore(t, 900)
+	backend := NewStoreBackend(store)
+	ref, err := backend.Engine.Begin(reloadSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pushes = 40
+	var once sync.Once
+	pushed := make(chan error, 1)
+	log := &writeLog{before: func(p []byte) {
+		if msgs, _ := splitMessages(p); len(msgs) == 0 || msgs[0].ID != 2 {
+			return
+		}
+		once.Do(func() { pushed <- pushWhileWriting(store, backend, pushes) })
+	}}
+	srv := ServeListener(recordingListener{ln, log}, backend)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+
+	streamSpec := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)")
+	writeRequest(t, conn, &proto.Message{ID: 1, Op: &proto.SearchRequest{Query: streamSpec},
+		Controls: []proto.Control{proto.NewReSyncRequestControl(proto.ReSyncModePersist, "")}})
+	for backend.SyncCounters().PersistStreams.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	writeRequest(t, conn, &proto.Message{ID: 2, Op: &proto.SearchRequest{Query: reloadSpec},
+		Controls: []proto.Control{proto.NewReSyncRequestControl(proto.ReSyncModePoll, "")}})
+
+	// Read until both responses are done; abandon the stream once every
+	// push has arrived, which ends it with its SearchDone.
+	got := map[int64][]*proto.Message{}
+	r := bufio.NewReader(conn)
+	for done := 0; done < 2; {
+		m, err := proto.ReadMessage(r)
+		if err != nil {
+			t.Fatalf("after %d stream and %d Begin messages: %v", len(got[1]), len(got[2]), err)
+		}
+		got[m.ID] = append(got[m.ID], m)
+		if _, ok := m.Op.(*proto.SearchDone); ok {
+			done++
+		} else if m.ID == 1 && len(got[1]) == pushes {
+			writeRequest(t, conn, &proto.Message{ID: 3, Op: &proto.AbandonRequest{MessageID: 1}})
+		}
+	}
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(id int64, wantDNs []string, cookieOnLast bool) {
+		t.Helper()
+		msgs := got[id]
+		if len(msgs) != len(wantDNs)+1 {
+			t.Fatalf("response %d: %d messages, want %d entries and a SearchDone", id, len(msgs), len(wantDNs))
+		}
+		for i, want := range wantDNs {
+			se, ok := msgs[i].Op.(*proto.SearchEntry)
+			if !ok {
+				t.Fatalf("response %d: message %d is %T before the last", id, i, msgs[i].Op)
+			}
+			if se.Entry.DN().String() != want {
+				t.Fatalf("response %d: entry %d is %s, want %s", id, i, se.Entry.DN(), want)
+			}
+		}
+		done, ok := msgs[len(msgs)-1].Op.(*proto.SearchDone)
+		if !ok || done.Code != proto.ResultSuccess {
+			t.Fatalf("response %d does not end with a successful SearchDone: %+v", id, msgs[len(msgs)-1].Op)
+		}
+		last := msgs[len(msgs)-2]
+		if _, cookie, _, err := decodeUpdate(last, last.Op.(*proto.SearchEntry)); err != nil || (cookie != "") != cookieOnLast {
+			t.Errorf("response %d: last entry carries cookie %q (%v)", id, cookie, err)
+		}
+	}
+	var beginDNs, streamDNs []string
+	for _, u := range ref.Updates {
+		beginDNs = append(beginDNs, u.DN.String())
+	}
+	for i := 0; i < pushes; i++ {
+		streamDNs = append(streamDNs, fmt.Sprintf("cn=q%03d,o=xyz", i))
+	}
+	check(2, beginDNs, false)
+	check(1, streamDNs, true)
+
+	// owner[i] is the response write i belongs to.
+	var owner []int64
+	maxWrite := 0
+	for i, w := range log.all() {
+		msgs, err := splitMessages(w)
+		if err != nil || len(msgs) == 0 {
+			t.Fatalf("write %d (%d B) is not whole messages: %d decoded, %v", i, len(w), len(msgs), err)
+		}
+		for _, m := range msgs[1:] {
+			if m.ID != msgs[0].ID {
+				t.Fatalf("write %d mixes messages of %d and %d", i, msgs[0].ID, m.ID)
+			}
+		}
+		if len(w) > respBufSize && len(msgs) > 1 {
+			t.Errorf("write %d: %d B in %d messages, bound %d B", i, len(w), len(msgs), respBufSize)
+		}
+		maxWrite = max(maxWrite, len(w))
+		owner = append(owner, msgs[0].ID)
+	}
+	first, last, between := slices.Index(owner, 2), 0, 0
+	for i, id := range owner {
+		if id == 2 {
+			last = i
+		}
+	}
+	for _, id := range owner[first:last] {
+		if id == 1 {
+			between++
+		}
+	}
+	if between == 0 {
+		t.Errorf("no stream write between the Begin's first and last: %v", owner)
+	}
+	t.Logf("Begin: %d entries in %d writes (largest %d B); %d stream writes among them",
+		len(ref.Updates), last-first+1-between, maxWrite, between)
+}
+
+// pushWhileWriting commits n entries the persist stream's spec selects and
+// waits until the stream has queued them all, then a little longer, so the
+// drain goroutine is waiting for the writer's lock the caller holds and
+// takes it next.
+func pushWhileWriting(store *dit.Store, backend *StoreBackend, n int) error {
+	stats := backend.SyncCounters()
+	base := stats.StreamedPDUs.Load()
+	for i := 0; i < n; i++ {
+		e := entry.New(dn.MustParse(fmt.Sprintf("cn=q%03d,o=xyz", i)))
+		e.Put("objectclass", "person").Put("cn", fmt.Sprintf("q%03d", i)).Put("sn", "q").
+			Put("serialNumber", fmt.Sprintf("05%03d", i))
+		if err := store.Add(e); err != nil {
+			return err
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); stats.StreamedPDUs.Load() < base+int64(n); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%d of %d pushes queued", stats.StreamedPDUs.Load()-base, n)
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
+	return nil
+}
+
+// TestTornCoalescedWriteFailsTheExchange: a write torn halfway through a
+// response buffer fails the writer — the server drops the connection — and
+// the client's exchange ends in a transport error without the done control,
+// so there is no cookie a consumer could adopt for the half it received.
+// The same Begin on a fresh connection is whole.
+func TestTornCoalescedWriteFailsTheExchange(t *testing.T) {
+	store := reloadStore(t, 900)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Operation 1 is the server's read of the Begin, 2 and 3 the first two
+	// writes of its answer: the second is torn.
+	inj := chaos.New(chaos.Plan{TornWriteEveryNOps: 3})
+	srv := ServeListener(inj.Listener(ln), NewStoreBackend(store))
+	defer srv.Close()
+
+	c := dialT(t, srv.Addr())
+	res, err := c.Sync(reloadSpec, proto.ReSyncModePoll, "")
+	if err == nil {
+		t.Fatalf("a Begin whose answer was torn succeeded with %d updates", len(res.Updates))
+	}
+	if !IsTransient(err) {
+		t.Errorf("torn answer: %v, want a transport error", err)
+	}
+	if res.Cookie != "" || len(res.Updates) >= store.Len()-1 {
+		t.Errorf("torn answer delivered %d updates and cookie %q", len(res.Updates), res.Cookie)
+	}
+	if s := inj.Stats(); s.TornWrites != 1 {
+		t.Fatalf("%d torn writes, want 1", s.TornWrites)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.ActiveConns() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the server kept the connection whose write was torn")
+		}
+	}
+
+	inj.SetPlan(chaos.Plan{})
+	res, err = dialT(t, srv.Addr()).Sync(reloadSpec, proto.ReSyncModePoll, "")
+	if err != nil || res.Cookie == "" || len(res.Updates) != store.Len()-1 {
+		t.Fatalf("fresh Begin: %v, %d updates, cookie %q", err, len(res.Updates), res.Cookie)
+	}
+}
+
+// TestClientReadDeadlineBoundsAStall pins the bound of the client's lazy
+// read deadline: a server that stops sending mid-response for the timeout
+// fails the exchange within twice the timeout of when it stopped, and one
+// that pauses for less than half the timeout between PDUs — for longer
+// than the timeout in total — does not.
+func TestClientReadDeadlineBoundsAStall(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	e := tableOneEmployee(t)
+	// serve answers one search on a pipe with entries, waiting pause before
+	// each; a negative pause stalls until the client hangs up, or for five
+	// timeouts, after which it hangs up itself.
+	serve := func(srvEnd net.Conn, pauses []time.Duration, stalled chan<- time.Time) {
+		defer srvEnd.Close()
+		req, err := proto.ReadMessage(bufio.NewReader(srvEnd))
+		if err != nil {
+			return
+		}
+		for _, p := range pauses {
+			if p < 0 {
+				stalled <- time.Now()
+				_ = srvEnd.SetReadDeadline(time.Now().Add(5 * timeout))
+				_, _ = io.Copy(io.Discard, srvEnd)
+				return
+			}
+			time.Sleep(p)
+			if (&proto.Message{ID: req.ID, Op: &proto.SearchEntry{Entry: e}}).Write(srvEnd) != nil {
+				return
+			}
+		}
+		_ = (&proto.Message{ID: req.ID, Op: &proto.SearchDone{}}).Write(srvEnd)
+	}
+	search := func(pauses []time.Duration, stalled chan time.Time) (*SearchResult, error) {
+		served := make(chan struct{})
+		dial := func(string, time.Duration) (net.Conn, error) {
+			srvEnd, cliEnd := net.Pipe()
+			go func() { defer close(served); serve(srvEnd, pauses, stalled) }()
+			return cliEnd, nil
+		}
+		c, err := DialWith(dial, "pipe", timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Search(reloadSpec)
+		_ = c.conn.Close()
+		<-served
+		return res, err
+	}
+
+	t.Run("stall", func(t *testing.T) {
+		stalled := make(chan time.Time, 1)
+		_, err := search([]time.Duration{0, 0, -1}, stalled)
+		since := time.Since(<-stalled)
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("stalled mid-response: %v, want a timeout", err)
+		}
+		if since > 2*timeout {
+			t.Errorf("stall detected %v after it began, bound %v", since.Round(time.Millisecond), 2*timeout)
+		}
+		t.Logf("stall detected %v after it began (timeout %v)", since.Round(time.Millisecond), timeout)
+	})
+	t.Run("paced", func(t *testing.T) {
+		pauses := make([]time.Duration, 7)
+		for i := range pauses {
+			pauses[i] = timeout / 5
+		}
+		start := time.Now()
+		res, err := search(pauses, nil)
+		if err != nil || len(res.Entries) != len(pauses) {
+			t.Fatalf("paced response over %v: %v, %d entries", time.Since(start).Round(time.Millisecond), err, len(res.Entries))
+		}
+	})
+}

@@ -135,7 +135,7 @@ func EncodeOpBody(op Op) ([]byte, error) {
 // message: the operation TLV (around a pre-encoded body from EncodeOpBody)
 // followed by the controls TLV. A PDU fanned out to many consumers whose
 // messages differ only in message ID caches this tail once and wraps it
-// per consumer with EncodeWithTail. op supplies only the application tag;
+// per consumer with AppendWithTail. op supplies only the application tag;
 // its fields are not re-encoded.
 func EncodeMessageTail(op Op, opBody []byte, controls []Control) []byte {
 	csLen := 0
@@ -157,15 +157,29 @@ func EncodeMessageTail(op Op, opBody []byte, controls []Control) []byte {
 	return tail
 }
 
-// EncodeWithTail serializes a complete message around a pre-encoded tail
-// (from EncodeMessageTail): just the message-ID TLV and the outer envelope
-// are built here, in one allocation of the message's exact size.
-func EncodeWithTail(id int64, tail []byte) []byte {
+// MaxEnvelopeLen bounds what AppendWithTail adds around a tail: the outer
+// SEQUENCE header (at most 6 bytes) and the message-ID TLV (at most 10).
+const MaxEnvelopeLen = 16
+
+// AppendWithTail appends a complete message around a pre-encoded tail (from
+// EncodeMessageTail) to dst: just the message-ID TLV and the outer envelope
+// are built here. A connection's response buffer takes a shared tail this
+// way, so serving it to one more session copies it once, into that buffer,
+// and allocates nothing while the buffer has room.
+func AppendWithTail(dst []byte, id int64, tail []byte) []byte {
 	bodyLen := ber.TLVLen(ber.IntLen(id)) + len(tail)
-	msg := make([]byte, 0, ber.TLVLen(bodyLen))
-	msg = ber.AppendHeader(msg, ber.ClassUniversal, true, ber.TagSequence, bodyLen)
-	msg = ber.AppendInt(msg, ber.ClassUniversal, ber.TagInteger, id)
-	return append(msg, tail...)
+	if n := ber.TLVLen(bodyLen); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...) // sized once
+	}
+	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, bodyLen)
+	dst = ber.AppendInt(dst, ber.ClassUniversal, ber.TagInteger, id)
+	return append(dst, tail...)
+}
+
+// EncodeWithTail is AppendWithTail into a new buffer of the message's exact
+// size: one allocation per message.
+func EncodeWithTail(id int64, tail []byte) []byte {
+	return AppendWithTail(nil, id, tail)
 }
 
 // EncodeWithOpBody serializes a message around a pre-encoded operation

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -358,7 +359,8 @@ func TestOversizeMessageRejected(t *testing.T) {
 
 // TestSharedEncodingEquivalence pins the fan-out encoding contract: a
 // message assembled from a pre-encoded op body (EncodeWithOpBody) or from a
-// pre-encoded message tail (EncodeMessageTail + EncodeWithTail) must be
+// pre-encoded message tail (EncodeMessageTail + EncodeWithTail or
+// AppendWithTail) must be
 // byte-identical to the message encoded whole — a divergence would corrupt
 // every session served from the shared memo.
 func TestSharedEncodingEquivalence(t *testing.T) {
@@ -401,6 +403,15 @@ func TestSharedEncodingEquivalence(t *testing.T) {
 			}
 			if got := EncodeWithTail(123456, tail); !bytes.Equal(got, want2) {
 				t.Errorf("%s/%d: tail rewrap under new ID diverges", tc.name, ci)
+			}
+			// Appended behind another message, the tail makes the same bytes,
+			// and the envelope stays within MaxEnvelopeLen at the widest ID.
+			got := AppendWithTail(append([]byte(nil), want...), 123456, tail)
+			if !bytes.Equal(got, append(append([]byte(nil), want...), want2...)) {
+				t.Errorf("%s/%d: AppendWithTail diverges from Message.Encode", tc.name, ci)
+			}
+			if n := len(AppendWithTail(nil, math.MaxInt64, tail)) - len(tail); n > MaxEnvelopeLen {
+				t.Errorf("%s/%d: envelope of %d bytes exceeds MaxEnvelopeLen", tc.name, ci, n)
 			}
 		}
 	}
