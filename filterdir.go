@@ -228,7 +228,9 @@ func NewDirectory(suffixes []string, opts ...DirectoryOption) (*Directory, error
 	return dit.NewStore(suffixes, opts...)
 }
 
-// WithIndexes maintains equality/prefix indexes on the named attributes.
+// WithIndexes declares equality/prefix indexes on the named attributes. Each
+// is built at the first search whose filter it would answer, and maintained
+// by every write after that (dit.WithIndexes).
 func WithIndexes(attrs ...string) DirectoryOption { return dit.WithIndexes(attrs...) }
 
 // WithDefaultReferral sets the superior referral URL for foreign targets.
@@ -254,7 +256,9 @@ func WithCacheCapacity(n int) replica.FROption { return replica.WithCacheCapacit
 // WithChecker shares a containment checker across replicas.
 func WithChecker(c *Checker) replica.FROption { return replica.WithChecker(c) }
 
-// WithContentIndexes indexes the replica's content store.
+// WithContentIndexes declares indexes on the replica's content store: each
+// is built at the first read of the store it would answer, so a replica that
+// only applies updates never builds one (replica.WithContentIndexes).
 func WithContentIndexes(attrs ...string) replica.FROption {
 	return replica.WithContentIndexes(attrs...)
 }

@@ -80,7 +80,9 @@ type Config struct {
 	// ReloadChunk serves downstream full reloads in resumable chunks of
 	// this many entries (0 = monolithic).
 	ReloadChunk int
-	// ContentIndexes maintains equality/prefix indexes on the tier store.
+	// ContentIndexes declares equality/prefix indexes on the tier store
+	// (replica.WithContentIndexes): each is built at the first downstream
+	// read it would answer, so a tier serving no one never builds one.
 	ContentIndexes []string
 	// PollInterval, IdleTimeout, BackoffBase, BackoffMax and DialTimeout
 	// are forwarded to the upstream supervisors.

@@ -228,11 +228,13 @@ func (v *view) indexCandidates(f *filter.Node) ([]string, bool) {
 		return best, found
 	case filter.Or:
 		// A union is a valid candidate set only if every branch is
-		// indexable.
+		// indexable: otherwise no index the branches wanted is wanted.
 		seen := make(map[string]bool)
+		wanted := len(v.unbuilt)
 		for _, c := range f.Children {
 			cands, ok := v.indexCandidates(c)
 			if !ok {
+				v.unbuilt = v.unbuilt[:wanted]
 				return nil, false
 			}
 			for _, d := range cands {
@@ -250,15 +252,145 @@ func (v *view) indexCandidates(f *filter.Node) ([]string, bool) {
 
 // lookupAll unions one index lookup across every shard of the view; ok is
 // false when the attribute is not indexed. Per-shard results are disjoint
-// (each shard indexes only its own entries), so no dedup is needed.
+// (each shard indexes only its own entries), so no dedup is needed. A declared
+// index the view lacks (in every shard) is noted in v.unbuilt and answers empty.
 func (v *view) lookupAll(attr string, lookup func(*attrIndex) []string) ([]string, bool) {
 	var out []string
 	for _, st := range v.states {
 		ix, ok := st.indexes[attr]
 		if !ok {
-			return nil, false
+			if !slices.Contains(v.s.indexAttrs, attr) {
+				return nil, false
+			}
+			v.unbuilt = append(v.unbuilt, attr)
+			return nil, true
 		}
 		out = append(out, lookup(ix)...)
 	}
 	return out, true
+}
+
+// indexedView freezes a view and derives f's index candidates from it; if
+// that wanted unbuilt indexes, it builds them and freezes again, so a read
+// takes the path, index or scan, it would take had they always existed.
+func (s *Store) indexedView(f *filter.Node) (*view, []string, bool) {
+	for {
+		v := s.freeze()
+		cands, ok := v.indexCandidates(f)
+		if len(v.unbuilt) == 0 {
+			return v, cands, ok
+		}
+		s.buildIndexes(v.unbuilt)
+	}
+}
+
+// buildIndexes builds the indexes of attrs no shard holds yet. Builds run one
+// at a time, so an index is built once and a reader needing one being built
+// waits for it. The builder takes a hold, freezes a view — the journal keeps
+// every record after it — and builds from the view outside seqMu. Under seqMu
+// it replays the records committed since (Before and After images, routed by
+// shard, as the writers applied them) and installs the indexes in every shard:
+// writers wait for that catch-up, never for the build. A Load or Durable in
+// between left changes no record shows, and the build starts over.
+func (s *Store) buildIndexes(attrs []string) {
+	s.buildMu.Lock()
+	defer s.buildMu.Unlock()
+	for {
+		s.seqMu.Lock()
+		built := s.shards[0].load().indexes // every shard holds the same ones
+		attrs = slices.DeleteFunc(attrs, func(a string) bool { return built[a] != nil })
+		epoch := s.unjournaled
+		s.seqMu.Unlock()
+		if len(attrs) == 0 {
+			return
+		}
+		h := s.Hold(s.LastCSN()) // at or before the view's CSN
+		v := s.freeze()
+		if s.buildHook != nil {
+			s.buildHook(attrs)
+		}
+		fresh := make([]*shardState, len(v.states))
+		for i, st := range v.states {
+			fresh[i] = &shardState{indexes: make(map[string]*attrIndex), referrals: make(map[string]bool)}
+			for _, a := range attrs {
+				fresh[i].indexes[a] = bulkIndex(st, a)
+			}
+		}
+
+		s.seqMu.Lock()
+		delete(s.holds, h.id)
+		if s.unjournaled == epoch {
+			first := s.nextCSN
+			if len(s.journal) > 0 {
+				first = s.journal[0].CSN
+			}
+			replay(fresh, s.journal[v.csn+1-first:])
+			s.installLocked(fresh)
+		}
+		s.seqMu.Unlock()
+	}
+}
+
+// replay applies journal records to fresh's indexes, then merges any due.
+func replay(fresh []*shardState, recs []Change) {
+	for _, c := range recs {
+		if c.Before != nil {
+			norm := c.Before.DN().Norm()
+			fresh[shardIndex(norm, len(fresh))].unindexEntry(c.Before, norm)
+		}
+		if c.After != nil {
+			norm := c.After.DN().Norm()
+			fresh[shardIndex(norm, len(fresh))].indexEntry(c.After, norm)
+		}
+	}
+	for _, st := range fresh {
+		for _, ix := range st.indexes {
+			ix.mergeIfDue()
+		}
+	}
+}
+
+// bulkIndex indexes the attribute over a frozen state's entries at once:
+// every posting is collected, then sorted, and the values sorted once.
+func bulkIndex(st *shardState, attr string) *attrIndex {
+	ix := newAttrIndex()
+	for norm, e := range st.entries {
+		vals, _ := e.Lookup(attr)
+		for _, val := range vals {
+			v := entry.NormValue(val)
+			ix.byValue[v] = append(ix.byValue[v], norm)
+		}
+	}
+	ix.sorted = make([]string, 0, len(ix.byValue))
+	for v, p := range ix.byValue {
+		slices.Sort(p)
+		ix.byValue[v] = slices.Compact(p) // two values of one entry normalizing alike
+		ix.sorted = append(ix.sorted, v)
+	}
+	slices.Sort(ix.sorted)
+	return ix
+}
+
+// installLocked puts the fresh indexes into every shard's live state in a new
+// map. A frozen state is replaced by a frozen copy sharing its other maps, so
+// the next write clones it as it would have anyway. Callers hold seqMu.
+func (s *Store) installLocked(fresh []*shardState) {
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		st := sh.state
+		if st.frozen {
+			cp := *st
+			st, sh.state = &cp, &cp
+		}
+		idx := make(map[string]*attrIndex, len(st.indexes)+len(fresh[i].indexes))
+		maps.Copy(idx, st.indexes)
+		maps.Copy(idx, fresh[i].indexes)
+		st.indexes = idx
+		if st.cow && !st.frozen {
+			for a := range fresh[i].indexes {
+				st.ownIdx[a] = true
+			}
+		}
+		sh.mu.Unlock()
+	}
 }

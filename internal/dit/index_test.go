@@ -19,7 +19,14 @@ import (
 // posting through a prefix scan.
 func assertIndexesRebuilt(t *testing.T, indexAttrs []string, state *shardState, when string) {
 	t.Helper()
-	fresh := newShardState(indexAttrs)
+	if len(state.indexes) != len(indexAttrs) {
+		t.Fatalf("%s: %d of the %d declared indexes built", when, len(state.indexes), len(indexAttrs))
+	}
+	fresh := newShardState()
+	fresh.indexes = make(map[string]*attrIndex)
+	for _, a := range indexAttrs {
+		fresh.indexes[a] = newAttrIndex()
+	}
 	for norm, e := range state.entries {
 		fresh.indexEntry(e, norm)
 	}
@@ -85,6 +92,8 @@ func TestIndexMatchesEntriesAcrossFreezes(t *testing.T) {
 	if err := st.Upsert(entry.New(dn.MustParse("o=xyz")).Put("objectclass", "organization").Put("o", "xyz")); err != nil {
 		t.Fatal(err)
 	}
+	// One indexed read builds both indexes; every write after it maintains them.
+	st.MatchAll(query.MustNew("", query.ScopeSubtree, "(|(tel=v1)(dept=d0))"))
 	values := func() []string {
 		// Few distinct values: postings of several DNs, shared across entries.
 		return [][]string{nil, {fmt.Sprint("v", r.Intn(4))}, {fmt.Sprint("v", r.Intn(4)), "w"}, {"V1", "v1"}}[r.Intn(4)]
@@ -181,6 +190,8 @@ func TestIndexDropsDeadValues(t *testing.T) {
 	if err := st.Load(base); err != nil {
 		t.Fatal(err)
 	}
+	// One indexed read builds the index; the churn below maintains it.
+	st.MatchAll(query.MustNew("o=xyz", query.ScopeSubtree, "(uid=u000000)"))
 	for i := 100; i < 20100; i++ {
 		e := person(i)
 		if err := st.Add(e); err != nil {

@@ -23,10 +23,12 @@ type shard struct {
 // clone shares inner structures (child sets, per-attribute indexes) with
 // its parent until they are written, tracked by the own* maps.
 type shardState struct {
-	entries   map[string]*entry.Entry    // norm DN -> entry (entries are immutable)
-	children  map[string]map[string]bool // parent norm -> child norms
-	indexes   map[string]*attrIndex      // indexed attr -> index
-	referrals map[string]bool            // norm DNs of referral entries in this shard
+	entries  map[string]*entry.Entry    // norm DN -> entry (entries are immutable)
+	children map[string]map[string]bool // parent norm -> child norms
+	// indexes holds the declared indexes a read has asked for (nil before
+	// the first, Store.buildIndexes); writers maintain those present.
+	indexes   map[string]*attrIndex
+	referrals map[string]bool // norm DNs of referral entries in this shard
 
 	// frozen marks the state as pinned by a reader view; set under the
 	// shard lock, checked by writers before mutating.
@@ -42,17 +44,12 @@ type shardState struct {
 	due bool
 }
 
-func newShardState(indexAttrs []string) *shardState {
-	st := &shardState{
+func newShardState() *shardState {
+	return &shardState{
 		entries:   make(map[string]*entry.Entry),
 		children:  make(map[string]map[string]bool),
-		indexes:   make(map[string]*attrIndex),
 		referrals: make(map[string]bool),
 	}
-	for _, a := range indexAttrs {
-		st.indexes[a] = newAttrIndex()
-	}
-	return st
 }
 
 // clone makes a writable copy of a frozen state: outer maps are copied,
@@ -208,9 +205,10 @@ func (s *Store) write(sh *shard, fn func(st *shardState)) {
 // view is a frozen multi-shard snapshot: one immutable state per shard plus
 // the CSN it reflects. Scans over a view take no locks.
 type view struct {
-	s      *Store
-	states []*shardState
-	csn    CSN
+	s       *Store
+	states  []*shardState
+	csn     CSN
+	unbuilt []string // declared attributes a lookup wanted an index of and found none
 }
 
 // freeze pins the current state of every shard under the sequencer lock, so

@@ -87,13 +87,13 @@ func TestSnapshotImmutableUnderCommits(t *testing.T) {
 					defer readers.Done()
 					for round := 0; round < 20; round++ {
 						v := st.freeze()
-						entries := v.matchAll(q)
+						entries := v.scan(q, q.Filter)
 						fp := make([]string, len(entries))
 						for i, e := range entries {
 							fp[i] = e.String()
 						}
 						for check := 0; check < 10; check++ {
-							again := v.matchAll(q)
+							again := v.scan(q, q.Filter)
 							if len(again) != len(fp) {
 								t.Errorf("frozen view at CSN %d changed size: %d -> %d entries",
 									v.csn, len(fp), len(again))

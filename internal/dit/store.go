@@ -115,13 +115,21 @@ type Store struct {
 	batchLimit  int
 	batchWindow time.Duration
 
+	// buildMu serializes index builds; unjournaled counts Loads and Durables,
+	// which no journal record shows; buildHook (tests) runs at a build's view.
+	buildMu     sync.Mutex
+	unjournaled uint64
+	buildHook   func(attrs []string)
+
 	counters metrics.StoreCounters
 }
 
 // Option configures a Store.
 type Option func(*Store)
 
-// WithIndexes maintains equality/prefix indexes for the named attributes.
+// WithIndexes declares equality/prefix indexes on the named attributes. Each
+// is built at the first Search, MatchAll or Snapshot it would answer, and
+// maintained by every write after that: a store nothing reads never pays.
 func WithIndexes(attrs ...string) Option {
 	return func(st *Store) {
 		for _, a := range attrs {
@@ -179,7 +187,7 @@ func NewStore(suffixes []string, opts ...Option) (*Store, error) {
 	st.nshards = n
 	st.shards = make([]*shard, n)
 	for i := range st.shards {
-		st.shards[i] = &shard{state: newShardState(st.indexAttrs)}
+		st.shards[i] = &shard{state: newShardState()}
 	}
 	return st, nil
 }
@@ -194,6 +202,7 @@ func (s *Store) Durable(last CSN, commit func(changes []Change, content func() [
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
 	s.journal, s.nextCSN, s.durable = nil, last+1, commit
+	s.unjournaled++
 }
 
 // defaultShards resolves the shard count when WithShards is absent.
@@ -285,7 +294,8 @@ func (s *Store) Search(q query.Query) (*Result, error) {
 		}
 		return res, fmt.Errorf("%w: %q", ErrNoSuchContext, q.Base.String())
 	}
-	v := s.freeze()
+	f := queryFilter(q)
+	v, cands, indexed := s.indexedView(f)
 	baseEntry, ok := v.get(q.Base.Norm())
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchObject, q.Base.String())
@@ -298,12 +308,7 @@ func (s *Store) Search(q query.Query) (*Result, error) {
 		return res, nil
 	}
 
-	f := q.Filter
-	if f == nil {
-		f = filter.NewPresent(entry.AttrObjectClass)
-	}
-
-	if cands, ok := v.indexCandidates(f); ok {
+	if indexed {
 		for _, norm := range cands {
 			e, ok := v.get(norm)
 			if !ok {
@@ -328,8 +333,8 @@ func (s *Store) Search(q query.Query) (*Result, error) {
 		// No referral anywhere in the view: the walk's referral pruning and
 		// reachability checks are vacuous (a consistent store has no
 		// orphans), so region membership reduces to the scope check and the
-		// scan can fan out across shards (matchAll's parallel path).
-		res.Entries = v.matchAll(q)
+		// scan can fan out across shards.
+		res.Entries = v.scan(q, f)
 		return res, nil
 	}
 	v.walkRegion(q, baseEntry, res, f)
@@ -477,7 +482,8 @@ func (v *view) crossesReferral(base, target dn.DN) bool {
 // ancestor chain — so the base of an answerable query need not itself be
 // present.
 func (s *Store) MatchAll(q query.Query) []*entry.Entry {
-	return s.freeze().matchAll(q)
+	_, out := s.match(q)
+	return out
 }
 
 // Snapshot returns the last committed CSN together with the entries
@@ -489,33 +495,45 @@ func (s *Store) MatchAll(q query.Query) []*entry.Entry {
 // history. Freezing happens under the sequencer lock, so the view also
 // always lands on a commit-batch boundary.
 func (s *Store) Snapshot(q query.Query) (CSN, []*entry.Entry) {
-	v := s.freeze()
-	return v.csn, v.matchAll(q)
+	return s.match(q)
 }
 
-// parallelScanThreshold is the store size above which the non-indexed
-// matchAll path fans the scan out across shards.
-const parallelScanThreshold = 2048
-
-func (v *view) matchAll(q query.Query) []*entry.Entry {
-	f := q.Filter
-	if f == nil {
-		f = filter.NewPresent(entry.AttrObjectClass)
+// match is MatchAll answered from one view, with the CSN the view reflects.
+func (s *Store) match(q query.Query) (CSN, []*entry.Entry) {
+	f := queryFilter(q)
+	v, cands, indexed := s.indexedView(f)
+	if !indexed {
+		return v.csn, v.scan(q, f)
 	}
 	var out []*entry.Entry
-	if cands, ok := v.indexCandidates(f); ok {
-		for _, norm := range cands {
-			e, ok := v.get(norm)
-			if !ok {
-				continue
-			}
-			if q.InScope(e.DN()) && f.Matches(e) {
-				out = append(out, e.Select(q.Attrs))
-			}
+	for _, norm := range cands {
+		e, ok := v.get(norm)
+		if !ok {
+			continue
 		}
-		sortEntries(out)
-		return out
+		if q.InScope(e.DN()) && f.Matches(e) {
+			out = append(out, e.Select(q.Attrs))
+		}
 	}
+	sortEntries(out)
+	return v.csn, out
+}
+
+// queryFilter is q's filter, (objectclass=*) when it has none.
+func queryFilter(q query.Query) *filter.Node {
+	if q.Filter == nil {
+		return filter.NewPresent(entry.AttrObjectClass)
+	}
+	return q.Filter
+}
+
+// parallelScanThreshold is the store size above which a scan fans out
+// across shards.
+const parallelScanThreshold = 2048
+
+// scan returns the view's entries in q's scope matching f, in DN order.
+func (v *view) scan(q query.Query, f *filter.Node) []*entry.Entry {
+	var out []*entry.Entry
 	scan := func(st *shardState) []*entry.Entry {
 		var part []*entry.Entry
 		for _, e := range st.entries {

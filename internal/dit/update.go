@@ -636,6 +636,7 @@ func (s *Store) Load(entries []*entry.Entry) error {
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
 	defer s.settleLocked()
+	s.unjournaled++
 	for _, e := range entries {
 		d := e.DN()
 		norm := d.Norm()

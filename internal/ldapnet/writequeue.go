@@ -67,21 +67,24 @@ func (d *lazyDeadline) renew() (time.Time, bool) {
 
 // connWriter serializes all writes to one connection. Synchronous
 // request/response traffic is written under mu by the response that builds
-// it; persist-stream pushes go through a bounded queue drained by a
-// dedicated goroutine, so one connection's slow consumer exerts
-// backpressure on its own stream instead of blocking the engine's
-// broadcaster or other sessions sharing the process. Every Write carries
-// whole messages, so interleaving is at message granularity, which LDAP
-// permits across message IDs; all messages of one stream use the queue, so
-// they stay ordered among themselves.
+// it; persist-stream pushes go through a bounded queue, so one connection's
+// slow consumer exerts backpressure on its own stream instead of blocking
+// the engine's broadcaster or other sessions sharing the process. Queued
+// messages leave the queue only under mu, written by whoever holds it: a
+// dedicated drain goroutine, or a response at each of its buffer
+// boundaries, which writes what is queued first. Every Write carries whole
+// messages, so interleaving is at message granularity, which LDAP permits
+// across message IDs; all messages of one stream use the queue, so they stay
+// ordered among themselves.
 type connWriter struct {
 	conn  net.Conn
 	stats *metrics.SyncCounters // nil when the backend exposes no counters
 
-	mu       sync.Mutex   // serializes writes to conn
+	mu       sync.Mutex   // serializes writes to conn and receives from q
 	deadline lazyDeadline // the write deadline; guarded by mu
 
 	q      chan []byte
+	kick   chan struct{} // a message was queued; wakes the drain
 	stop   chan struct{}
 	done   chan struct{}
 	once   sync.Once
@@ -94,6 +97,7 @@ func newConnWriter(conn net.Conn, stats *metrics.SyncCounters) *connWriter {
 		stats:    stats,
 		deadline: lazyDeadline{timeout: writeTimeout},
 		q:        make(chan []byte, streamQueueCap),
+		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -151,25 +155,63 @@ func (r *response) putTail(id int64, tail []byte) error {
 	return nil
 }
 
-// flush writes what the buffer holds under the writer's lock, armed with
-// its lazy deadline. A failed write fails the writer: a message may be half
-// on the wire, and a peer that stopped reading must not hold the lock — and
-// with it every reply and the persist drain of its connection — for good.
+// flush writes what the buffer holds under the writer's lock. Stream
+// messages queued by then are written first, in writes of their own: at
+// every buffer boundary of a long response the connection's persist streams
+// get their turn, whichever goroutine the scheduler favours.
 func (r *response) flush() error {
 	if r.err != nil || len(r.buf) == 0 {
 		return r.err
 	}
 	w := r.w
 	w.mu.Lock()
-	if t, ok := w.deadline.renew(); ok {
-		_ = w.conn.SetWriteDeadline(t)
-	}
-	if _, r.err = w.conn.Write(r.buf); r.err != nil {
-		w.fail() // before another write can follow a torn one
-	}
+	w.writeQueuedLocked()
+	r.err = w.writeLocked(r.buf)
 	w.mu.Unlock()
 	r.buf = r.buf[:0]
 	return r.err
+}
+
+// writeLocked writes b armed with the lazy deadline. A failed write fails
+// the writer: a message may be half on the wire, and a peer that stopped
+// reading must not hold the lock — and with it every reply and the persist
+// stream of its connection — for good. Callers hold mu.
+func (w *connWriter) writeLocked(b []byte) error {
+	if t, ok := w.deadline.renew(); ok {
+		_ = w.conn.SetWriteDeadline(t)
+	}
+	_, err := w.conn.Write(b)
+	if err != nil {
+		w.fail() // before another write can follow a torn one
+	}
+	return err
+}
+
+// writeQueuedLocked writes the stream messages queued now, whole, in one
+// Write per respBufSize bytes, and never waits for more; once the writer has
+// failed it only empties the queue, so enqueuers are never blocked by a dead
+// consumer. Callers hold mu.
+func (w *connWriter) writeQueuedLocked() {
+	n := len(w.q)
+	if n == 0 {
+		return
+	}
+	bp := respBufs.Get().(*[]byte)
+	buf := *bp
+	for ; n > 0; n-- {
+		b := <-w.q
+		if len(buf) > 0 && len(buf)+len(b) > respBufSize {
+			if !w.failed.Load() {
+				_ = w.writeLocked(buf)
+			}
+			buf = buf[:0]
+		}
+		buf = append(buf, b...)
+	}
+	if !w.failed.Load() {
+		_ = w.writeLocked(buf)
+	}
+	respBufs.Put(bp)
 }
 
 // end writes the rest of the response and hands the buffer back to the
@@ -226,42 +268,29 @@ func (w *connWriter) enqueue(b []byte) bool {
 	if w.stats != nil {
 		w.stats.ObserveQueueDepth(len(w.q))
 	}
+	select {
+	case w.kick <- struct{}{}:
+	default: // the drain is already due to look
+	}
 	return true
 }
 
-// drain writes queued stream messages in order. After a write failure the
-// connection is closed and remaining messages are discarded, so enqueuers
-// are never blocked by a dead consumer. On stop, messages already queued
-// are flushed before exiting — a successful enqueue promises delivery to
-// the socket (unless the connection fails).
+// drain writes queued stream messages, in order, whenever one is queued and
+// no response has written it first. On stop, messages already queued are
+// written before exiting — a successful enqueue promises delivery to the
+// socket (unless the connection fails).
 func (w *connWriter) drain() {
 	defer close(w.done)
-	for {
+	for stopped := false; !stopped; {
 		select {
-		case b := <-w.q:
-			w.writeQueued(b)
+		case <-w.kick:
 		case <-w.stop:
-			for len(w.q) > 0 { // drain is the queue's only receiver
-				w.writeQueued(<-w.q)
-			}
-			return
+			stopped = true
 		}
+		w.mu.Lock()
+		w.writeQueuedLocked()
+		w.mu.Unlock()
 	}
-}
-
-// writeQueued is one drain pass: b and the messages already queued behind
-// it go out as one response — in one Write up to respBufSize bytes. The
-// pass never waits for more.
-func (w *connWriter) writeQueued(b []byte) {
-	if w.failed.Load() {
-		return
-	}
-	out := &response{w: w}
-	_ = out.put(b)
-	for n := len(w.q); n > 0; n-- {
-		_ = out.put(<-w.q)
-	}
-	_ = out.end()
 }
 
 // fail marks the connection dead and closes it, unblocking its reader.

@@ -89,7 +89,8 @@ func writeRequest(t *testing.T, conn net.Conn, m *proto.Message) {
 // TestCoalescedResponseFraming: a Begin whose answer spans several response
 // buffers, on a connection whose persist stream pushes batches while the
 // answer is being written — the first write of the answer commits them and
-// holds the writer's lock until they are queued. Every message the client
+// holds the writer's lock until they are queued, so the answer's next
+// buffer boundary finds them queued and writes them first. Every message the client
 // reads decodes; each response's PDUs arrive in the order they were
 // produced and end with its SearchDone; and on the server side every Write
 // is whole messages of one response or of the stream, so the two interleave
@@ -225,12 +226,163 @@ func TestCoalescedResponseFraming(t *testing.T) {
 }
 
 // pushWhileWriting commits n entries the persist stream's spec selects and
-// waits until the stream has queued them all, then a little longer, so the
-// drain goroutine is waiting for the writer's lock the caller holds and
-// takes it next.
+// waits until the stream has queued them all (StreamedPDUs counts a push once
+// it is queued). Messages leave the queue only under the writer's lock, which
+// the caller holds, so they are all still queued when it returns, and the
+// answer's next buffer boundary writes them before its own next buffer.
 func pushWhileWriting(store *dit.Store, backend *StoreBackend, n int) error {
 	stats := backend.SyncCounters()
 	base := stats.StreamedPDUs.Load()
+	if err := pushEntries(store, n); err != nil {
+		return err
+	}
+	for deadline := time.Now().Add(10 * time.Second); stats.StreamedPDUs.Load() < base+int64(n); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%d of %d pushes queued", stats.StreamedPDUs.Load()-base, n)
+		}
+	}
+	return nil
+}
+
+// pacedReader reads at most 64 KiB per call and 20 ms apart: a consumer
+// slower than the server can write.
+type pacedReader struct{ r io.Reader }
+
+func (p pacedReader) Read(b []byte) (int, error) {
+	time.Sleep(20 * time.Millisecond)
+	return p.r.Read(b[:min(len(b), 64<<10)])
+}
+
+// smallBufListener gives each accepted TCP connection a 64 KiB send buffer,
+// so the server's writes wait for its peer instead of the kernel absorbing
+// the whole answer.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(64 << 10)
+	}
+	return c, err
+}
+
+// TestSlowReaderKeepsItsStream: a Begin answer of over 4 MB to a client that
+// reads 64 KiB every 20 ms, while the persist stream on the same connection
+// pushes more messages than its queue holds. The answer's first write fills
+// the queue; every push after that waits for space, which only the answer's
+// buffer boundaries make while it holds the writer. The stream is not torn
+// down: every push arrives, in order, a full queue of them before the answer
+// ends, and the answer is whole.
+func TestSlowReaderKeepsItsStream(t *testing.T) {
+	store := reloadStore(t, 2900)
+	backend := NewStoreBackend(store)
+	ref, err := backend.Engine.Begin(reloadSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pushes = 3 * streamQueueCap
+	stats := backend.SyncCounters()
+	var once sync.Once
+	pushed := make(chan error, 1)
+	log := &writeLog{before: func(p []byte) {
+		if msgs, _ := splitMessages(p); len(msgs) == 0 || msgs[0].ID != 2 {
+			return
+		}
+		once.Do(func() {
+			base := stats.StreamedPDUs.Load()
+			go func() { pushed <- pushEntries(store, pushes) }()
+			// Hold the writer until the queue is full.
+			for deadline := time.Now().Add(10 * time.Second); stats.StreamedPDUs.Load() < base+streamQueueCap; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("%d of %d pushes queued", stats.StreamedPDUs.Load()-base, streamQueueCap)
+					return
+				}
+			}
+		})
+	}}
+	srv := ServeListener(recordingListener{smallBufListener{ln}, log}, backend)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetReadBuffer(64 << 10)
+	_ = conn.SetDeadline(time.Now().Add(60 * time.Second))
+
+	streamSpec := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)")
+	writeRequest(t, conn, &proto.Message{ID: 1, Op: &proto.SearchRequest{Query: streamSpec},
+		Controls: []proto.Control{proto.NewReSyncRequestControl(proto.ReSyncModePersist, "")}})
+	for stats.PersistStreams.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	writeRequest(t, conn, &proto.Message{ID: 2, Op: &proto.SearchRequest{Query: reloadSpec},
+		Controls: []proto.Control{proto.NewReSyncRequestControl(proto.ReSyncModePoll, "")}})
+
+	got := map[int64][]*proto.Message{}
+	streamBeforeDone := 0
+	r := bufio.NewReaderSize(pacedReader{conn}, 64<<10)
+	for done := 0; done < 2; {
+		m, err := proto.ReadMessage(r)
+		if err != nil {
+			t.Fatalf("after %d stream and %d Begin messages: %v", len(got[1]), len(got[2]), err)
+		}
+		got[m.ID] = append(got[m.ID], m)
+		if _, ok := m.Op.(*proto.SearchDone); ok {
+			done++
+			if m.ID == 2 {
+				streamBeforeDone = len(got[1])
+			}
+		} else if m.ID == 1 && len(got[1]) == pushes {
+			writeRequest(t, conn, &proto.Message{ID: 3, Op: &proto.AbandonRequest{MessageID: 1}})
+		}
+	}
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+	if n := stats.StreamQueueDrops.Load(); n != 0 {
+		t.Fatalf("%d stream drops", n)
+	}
+	for id, want := range map[int64]int{1: pushes, 2: len(ref.Updates)} {
+		msgs := got[id]
+		if len(msgs) != want+1 {
+			t.Fatalf("response %d: %d messages, want %d entries and a SearchDone", id, len(msgs), want)
+		}
+		for i, m := range msgs[:want] {
+			se, ok := m.Op.(*proto.SearchEntry)
+			if !ok {
+				t.Fatalf("response %d: message %d is %T", id, i, m.Op)
+			}
+			wantDN := fmt.Sprintf("cn=q%03d,o=xyz", i)
+			if id == 2 {
+				wantDN = ref.Updates[i].DN.String()
+			}
+			if se.Entry.DN().String() != wantDN {
+				t.Fatalf("response %d: entry %d is %s, want %s", id, i, se.Entry.DN(), wantDN)
+			}
+		}
+	}
+	if streamBeforeDone < streamQueueCap {
+		t.Errorf("%d stream messages arrived before the answer ended, want at least the %d queued at its first write", streamBeforeDone, streamQueueCap)
+	}
+	answer := 0
+	for _, w := range log.all() {
+		if msgs, _ := splitMessages(w); len(msgs) > 0 && msgs[0].ID == 2 {
+			answer += len(w)
+		}
+	}
+	if answer < 4<<20 {
+		t.Fatalf("the answer is %d B, want at least 4 MiB", answer)
+	}
+	t.Logf("answer %d B; %d of %d pushes arrived before it ended", answer, streamBeforeDone, pushes)
+}
+
+// pushEntries commits n entries the persist stream's spec selects.
+func pushEntries(store *dit.Store, n int) error {
 	for i := 0; i < n; i++ {
 		e := entry.New(dn.MustParse(fmt.Sprintf("cn=q%03d,o=xyz", i)))
 		e.Put("objectclass", "person").Put("cn", fmt.Sprintf("q%03d", i)).Put("sn", "q").
@@ -239,12 +391,6 @@ func pushWhileWriting(store *dit.Store, backend *StoreBackend, n int) error {
 			return err
 		}
 	}
-	for deadline := time.Now().Add(10 * time.Second); stats.StreamedPDUs.Load() < base+int64(n); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%d of %d pushes queued", stats.StreamedPDUs.Load()-base, n)
-		}
-	}
-	time.Sleep(10 * time.Millisecond)
 	return nil
 }
 

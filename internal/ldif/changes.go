@@ -115,46 +115,6 @@ func (rec ChangeRecord) AsChange() (dit.Change, error) {
 	return c, nil
 }
 
-// nextRecordLines exposes the reader's logical-line collection for change
-// parsing.
-func (r *Reader) nextRecordLines() ([]string, error) {
-	var logical []string
-	for {
-		line, ok := r.nextLine()
-		if !ok {
-			break
-		}
-		trimmed := strings.TrimRight(line, "\r")
-		if trimmed == "" {
-			if len(logical) == 0 {
-				continue
-			}
-			break
-		}
-		if strings.HasPrefix(trimmed, "#") {
-			continue
-		}
-		if strings.HasPrefix(trimmed, "version:") && len(logical) == 0 {
-			continue
-		}
-		if strings.HasPrefix(trimmed, " ") {
-			if len(logical) == 0 {
-				return nil, fmt.Errorf("%w: continuation with no preceding line", ErrBadRecord)
-			}
-			logical[len(logical)-1] += trimmed[1:]
-			continue
-		}
-		logical = append(logical, trimmed)
-	}
-	if len(logical) == 0 {
-		if err := r.sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, io.EOF
-	}
-	return logical, nil
-}
-
 func parseChange(lines []string) (ChangeRecord, error) {
 	var rec ChangeRecord
 	name, value, err := splitLine(lines[0])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,5 +268,43 @@ func TestWriteAllocsPerEntry(t *testing.T) {
 	t.Logf("Write: %.2f allocations per entry of a %d-entry snapshot", perEntry, n)
 	if perEntry >= 0.05 {
 		t.Errorf("Write allocates %.2f times per entry, want 0", perEntry)
+	}
+}
+
+// TestReadAllocsLinearInValue is the allocation gate of the LDIF reader on
+// one long value, which every durable reopen parses and a single client add
+// can plant: the bytes ldif.Read allocates for one entry whose value, folded
+// over thousands of lines, is 256 KiB, 1 MiB or 4 MiB stay within 4× the
+// input. Joining each continuation onto a copy of the line so far allocated
+// bytes that grew with the square of the value's length.
+func TestReadAllocsLinearInValue(t *testing.T) {
+	for _, size := range []int{256 << 10, 1 << 20, 4 << 20} {
+		value := make([]byte, size)
+		for i := range value {
+			value[i] = 'a' + byte(i%26)
+		}
+		e := entry.New(dn.MustParse("cn=big,o=xyz")).Put("objectclass", "person").Put("description", string(value))
+		var in bytes.Buffer
+		if err := Write(&in, e); err != nil {
+			t.Fatal(err)
+		}
+		var least uint64
+		for run := 0; run < 3; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := Read(bytes.NewReader(in.Bytes()))
+			runtime.ReadMemStats(&after)
+			if err != nil || len(got) != 1 || got[0].First("description") != string(value) {
+				t.Fatalf("%d KiB value: read %d entries, %v", size>>10, len(got), err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; run == 0 || n < least {
+				least = n
+			}
+		}
+		ratio := float64(least) / float64(in.Len())
+		t.Logf("Read, one %d KiB value: %.2f× the input's %d B in bytes of allocations", size>>10, ratio, in.Len())
+		if ratio > 4 {
+			t.Errorf("Read of one %d KiB value allocates %.2f× its input, gate 4×", size>>10, ratio)
+		}
 	}
 }

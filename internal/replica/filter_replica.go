@@ -75,8 +75,11 @@ func WithCacheCapacity(n int) FROption {
 	return func(r *FilterReplica) { r.cacheCap = n }
 }
 
-// WithContentIndexes maintains equality/prefix indexes on the replica's
-// content store.
+// WithContentIndexes declares equality/prefix indexes on the replica's
+// content store (dit.WithIndexes): each is built at the first Search,
+// MatchAll or Snapshot of the store it would answer — at a mid-tier, its
+// first downstream Begin — and maintained by every apply after that. A leaf
+// nothing reads from never builds one, and pays nothing for declaring them.
 func WithContentIndexes(attrs ...string) FROption {
 	return func(r *FilterReplica) { r.contentIndexes = attrs }
 }

@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"filterdir/internal/dit"
@@ -477,9 +478,10 @@ func TestApplySyncOwnsItsBatch(t *testing.T) {
 // store's and the replica's maps and nothing else per entry: no clone of the
 // entry (which alone costs three), an owner set that lives in its map slot,
 // a journal reserved once for the batch. The indexed variant is the replica
-// cmd/ldapreplica builds: it adds, per entry, the one-string posting of each
-// of the three values an employee carries among the five indexed attributes,
-// and the growth of those indexes.
+// cmd/ldapreplica builds once a read has asked for all five of its indexes,
+// as a mid-tier's downstream Begin does: it adds, per entry, the one-string
+// posting of each of the three values an employee carries among the five
+// indexed attributes, and the growth of those indexes.
 func TestApplySyncAllocsPerEntry(t *testing.T) {
 	const n = 1000
 	spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=04*)")
@@ -495,6 +497,9 @@ func TestApplySyncAllocsPerEntry(t *testing.T) {
 		// Map growth is per shard, so the shard count moves both: measured at
 		// 1, 2 and 8 shards, plain 0.1 / 0.1 / 0.2 and indexed 3.2 / 3.3 / 3.8
 		// (18.3 before postings were slices); the gates are the largest + 1.
+		// Since indexes are built at a first read, the indexed variant starts
+		// with one, whose view the batch's first writes copy-on-write away
+		// from: 3.4 / 3.5 / 4.3.
 		{"plain", nil, 1.2},
 		{"indexed", []FROption{WithContentIndexes("serialnumber", "mail", "dept", "location", "uid")}, 4.8},
 	} {
@@ -502,6 +507,10 @@ func TestApplySyncAllocsPerEntry(t *testing.T) {
 			r, err := NewFilterReplica(tc.opts...)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.name == "indexed" {
+				r.Store().MatchAll(query.MustNew("", query.ScopeSubtree,
+					"(|(serialnumber=0)(mail=0)(dept=0)(location=0)(uid=0))"))
 			}
 			r.AddStored(spec, "c")
 			if err := r.ApplySync(spec, ups); err != nil {
@@ -512,6 +521,51 @@ func TestApplySyncAllocsPerEntry(t *testing.T) {
 		if perEntry > tc.maxPerEntry {
 			t.Errorf("ApplySync (%s) allocates %.1f times per entry, gate is %.1f", tc.name, perEntry, tc.maxPerEntry)
 		}
+	}
+}
+
+// TestApplySyncAllocsUnreadIndexes is the allocation gate of a replica
+// nothing reads from, a leaf: a 3 000-entry reload lands in a replica that
+// declares cmd/ldapreplica's five content indexes at the allocations of one
+// that declares none — no index is built until a read wants it, where
+// maintaining all five cost about three allocations per entry. The first
+// indexed read then builds the index it wants and answers as a scan does.
+func TestApplySyncAllocsUnreadIndexes(t *testing.T) {
+	const n = 3000
+	spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=04*)")
+	ups := ownedBatch(n)
+	for _, u := range ups {
+		u.Entry.Freeze()
+	}
+	var r *FilterReplica
+	perEntry := testing.AllocsPerRun(5, func() {
+		var err error
+		if r, err = NewFilterReplica(WithContentIndexes("serialnumber", "mail", "dept", "location", "uid")); err != nil {
+			t.Fatal(err)
+		}
+		r.AddStored(spec, "c")
+		if err := r.ApplySync(spec, ups); err != nil {
+			t.Fatal(err)
+		}
+	}) / n
+	t.Logf("ApplySync (five indexes, unread): %.3f allocations per entry of a %d-entry reload", perEntry, n)
+	if perEntry > 0.1 {
+		t.Errorf("ApplySync into an unread replica allocates %.2f times per entry, gate 0.1", perEntry)
+	}
+
+	q := query.MustNew("", query.ScopeSubtree, "(serialnumber=041*)")
+	var scan []string
+	for _, e := range r.Store().All() {
+		if q.Filter.Matches(e) {
+			scan = append(scan, e.DN().String())
+		}
+	}
+	var got []string
+	for _, e := range r.Store().MatchAll(q) {
+		got = append(got, e.DN().String())
+	}
+	if len(scan) != 1000 || !slices.Equal(got, scan) {
+		t.Errorf("indexed read: %d entries, scan %d (want 1000)", len(got), len(scan))
 	}
 }
 
