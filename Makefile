@@ -115,9 +115,12 @@ cover:
 ## loc: non-test Go lines per internal/ package, then the totals over the
 ## packages ROADMAP item 5 tracks (the sync surface and what selects for it)
 ## and over the ones items 8 and 11 do (durable state and its two callers),
-## then non-test Go lines per cmd/ directory (items 13 and 16).
+## then non-test Go lines per cmd/ directory (items 13 and 16), then the
+## root filterdir facade's non-test lines and exported names (item 21; the
+## name count is the one TestNoTestOnlyExports logs, so the gate defines it).
 LOC_PKGS ?= ldapnet cascade replica resync selection tierctl supervisor
 LOC_DURABLE ?= supervisor cascade persist
+ROOT_GO = $(filter-out %_test.go,$(wildcard *.go))
 loc:
 	@for d in internal/*/; do \
 		printf '%-12s %6d\n' $$(basename $$d) $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -130,3 +133,5 @@ loc:
 	@for d in cmd/*/; do \
 		printf '%-16s %6d\n' $${d%/} $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done
+	@printf '%-16s %6d  (%s exported names)\n' root $$(cat $(ROOT_GO) | wc -l) \
+		"$$($(GO) test . -run '^TestNoTestOnlyExports$$' -count=1 -v | sed -n 's/.*root package: \([0-9]*\) exported names/\1/p')"

@@ -4,13 +4,17 @@
 //
 // Instead of replicating whole subtrees of a Directory Information Tree,
 // a filter-based replica stores exactly the entries matching one or more
-// LDAP queries. The package provides:
+// LDAP queries. This package is the facade over the system's internal
+// packages, and exports what the commands and examples use:
 //
 //   - an in-memory LDAP directory (DIT) with indexes, the four update
-//     operations, naming contexts, referral objects and an update journal;
-//   - RFC 2254 filters with evaluation, templates and the query-containment
-//     algorithms of the paper (Propositions 1–3, compiled template pairs);
-//   - the two replica models: SubtreeReplica and FilterReplica;
+//     operations, naming contexts, referral objects, an update journal and
+//     durable state (OpenDataDir);
+//   - the filter-based replica (FilterReplica), which answers a query when
+//     the paper's containment algorithms (Propositions 1–3, compiled
+//     template pairs) show a stored or cached query holds its answer; the
+//     subtree replica it is measured against is internal to the
+//     experiments;
 //   - the ReSync synchronization protocol (poll, persist and retain modes);
 //   - filter generalization and benefit/size selection ("revolutions");
 //   - an LDAP v3 wire protocol (BER over TCP) with referral chasing and the
@@ -20,34 +24,18 @@
 //
 // # Quick start
 //
-//	store, _ := filterdir.NewDirectory([]string{"o=xyz"})
-//	e := filterdir.NewEntry(filterdir.MustParseDN("cn=a,o=xyz"))
-//	e.Put("objectclass", "person").Put("cn", "a").Put("sn", "a")
-//	_ = store.Add(e)
-//
-//	rep, _ := filterdir.NewFilterReplica()
-//	eng := filterdir.NewSyncEngine(store)
-//	q := filterdir.MustParseQuery("", filterdir.ScopeSubtree, "(sn=a)")
-//	res, _ := eng.Begin(q)
-//	rep.AddStored(q, res.Cookie)
-//	_ = rep.ApplySync(q, res.Updates)
-//	entries, hit, _ := rep.Answer(q)
-//
-// See the examples directory for runnable scenarios and DESIGN.md for the
-// system inventory.
+// Example_quickStart (filterdir_test.go) builds a directory, replicates one
+// query to a filter replica and answers it there. See the examples directory
+// for runnable scenarios and DESIGN.md for the system inventory.
 package filterdir
 
 import (
 	"io"
 
-	"filterdir/internal/containment"
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
-	"filterdir/internal/edgewrite"
 	"filterdir/internal/entry"
-	"filterdir/internal/filter"
 	"filterdir/internal/ldapnet"
-	"filterdir/internal/ldif"
 	"filterdir/internal/metrics"
 	"filterdir/internal/persist"
 	"filterdir/internal/proto"
@@ -67,8 +55,6 @@ type (
 	RDN = dn.RDN
 	// Entry is a directory entry.
 	Entry = entry.Entry
-	// Filter is an LDAP search filter AST.
-	Filter = filter.Node
 	// Query is an LDAP search request (base, scope, filter, attrs) — the
 	// paper's unit of replication.
 	Query = query.Query
@@ -76,12 +62,8 @@ type (
 	Scope = query.Scope
 )
 
-// Search scopes.
-const (
-	ScopeBase        = query.ScopeBase
-	ScopeSingleLevel = query.ScopeSingleLevel
-	ScopeSubtree     = query.ScopeSubtree
-)
+// ScopeSubtree searches the base entry and everything under it.
+const ScopeSubtree = query.ScopeSubtree
 
 // Directory storage and search.
 type (
@@ -90,10 +72,6 @@ type (
 	Directory = dit.Store
 	// DirectoryOption configures a Directory.
 	DirectoryOption = dit.Option
-	// SearchResult is a directory search outcome: entries plus referrals.
-	SearchResult = dit.Result
-	// Context is a naming context (suffix + subordinate referrals).
-	Context = dit.Context
 )
 
 // Replication.
@@ -101,21 +79,10 @@ type (
 	// FilterReplica is the paper's proposed replica: entries matching
 	// stored LDAP queries plus a cached window of recent user queries.
 	FilterReplica = replica.FilterReplica
-	// SubtreeReplica is the conventional whole-subtree replica baseline.
-	SubtreeReplica = replica.SubtreeReplica
-	// ReplicaMetrics counts replica hits, misses and partial answers.
-	ReplicaMetrics = replica.Metrics
 	// SyncEngine is the master-side ReSync protocol engine.
 	SyncEngine = resync.Engine
 	// SyncUpdate is one synchronization action (add/delete/modify/retain).
 	SyncUpdate = resync.Update
-	// SyncApplier applies updates to a replica-side store.
-	SyncApplier = resync.Applier
-	// Traffic accounts synchronization cost in PDUs and bytes.
-	Traffic = resync.Traffic
-	// Checker decides query containment with the paper's template
-	// optimizations.
-	Checker = containment.Checker
 	// Selector picks replicated filters by benefit/size ratio.
 	Selector = selection.Selector
 	// Generalizer derives candidate filters from user queries.
@@ -140,8 +107,6 @@ type (
 	ModifyChange = proto.ModifyChange
 	// WireAttribute is an attribute carried on the wire.
 	WireAttribute = proto.Attribute
-	// ReSyncMode selects the synchronization mode of a wire Sync call.
-	ReSyncMode = proto.ReSyncMode
 	// WireControl is a raw LDAP request control.
 	WireControl = proto.Control
 	// SortKey is one key of an RFC 2891 server-side sort request.
@@ -153,14 +118,6 @@ const (
 	ModifyOpAdd     = proto.ModifyOpAdd
 	ModifyOpDelete  = proto.ModifyOpDelete
 	ModifyOpReplace = proto.ModifyOpReplace
-)
-
-// ReSync modes for Client.Sync.
-const (
-	ReSyncModePoll    = proto.ReSyncModePoll
-	ReSyncModePersist = proto.ReSyncModePersist
-	ReSyncModeSyncEnd = proto.ReSyncModeSyncEnd
-	ReSyncModeRetain  = proto.ReSyncModeRetain
 )
 
 // NewSortControl builds an RFC 2891 server-side sort request control for
@@ -175,26 +132,6 @@ type (
 	ExperimentConfig = sim.Config
 	// Figure is one reproduced table or figure.
 	Figure = metrics.Figure
-	// SyncCounters aggregates master-side synchronization activity
-	// (polls, PDUs by action, full reloads, classify latency).
-	SyncCounters = metrics.SyncCounters
-	// SyncSnapshot is a point-in-time copy of SyncCounters.
-	SyncSnapshot = metrics.SyncSnapshot
-
-	// EdgeWriter accepts writes at a replica: WAL journal, upstream
-	// forwarding to the master sequencer, and a pending overlay giving the
-	// writer read-your-writes until the CSN echoes back.
-	EdgeWriter = edgewrite.Writer
-	// EdgeWriteConfig parameterizes an EdgeWriter.
-	EdgeWriteConfig = edgewrite.Config
-	// EdgeForwarder carries accepted edge writes upstream over the wire.
-	EdgeForwarder = ldapnet.EdgeForwarder
-	// WriteCounters tracks the edge-write lifecycle (accepted, forwarded,
-	// committed, retired, pending depth, WAL replays).
-	WriteCounters = metrics.WriteCounters
-	// WireResultError is a server's non-success answer, carrying the result
-	// code and any referral URLs.
-	WireResultError = ldapnet.ResultError
 )
 
 // ParseDN parses an RFC 2253 distinguished name.
@@ -203,18 +140,8 @@ func ParseDN(s string) (DN, error) { return dn.Parse(s) }
 // MustParseDN is ParseDN that panics on error.
 func MustParseDN(s string) DN { return dn.MustParse(s) }
 
-// ParseFilter parses an RFC 2254 filter string.
-func ParseFilter(s string) (*Filter, error) { return filter.Parse(s) }
-
-// MustParseFilter is ParseFilter that panics on error.
-func MustParseFilter(s string) *Filter { return filter.MustParse(s) }
-
-// NewQuery builds a search request from string forms.
-func NewQuery(base string, scope Scope, filterStr string, attrs ...string) (Query, error) {
-	return query.New(base, scope, filterStr, attrs...)
-}
-
-// MustParseQuery is NewQuery that panics on error.
+// MustParseQuery builds a search request from string forms and panics on
+// error.
 func MustParseQuery(base string, scope Scope, filterStr string, attrs ...string) Query {
 	return query.MustNew(base, scope, filterStr, attrs...)
 }
@@ -253,19 +180,11 @@ func NewFilterReplica(opts ...replica.FROption) (*FilterReplica, error) {
 // WithCacheCapacity bounds the replica's recent-user-query window.
 func WithCacheCapacity(n int) replica.FROption { return replica.WithCacheCapacity(n) }
 
-// WithChecker shares a containment checker across replicas.
-func WithChecker(c *Checker) replica.FROption { return replica.WithChecker(c) }
-
 // WithContentIndexes declares indexes on the replica's content store: each
 // is built at the first read of the store it would answer, so a replica that
 // only applies updates never builds one (replica.WithContentIndexes).
 func WithContentIndexes(attrs ...string) replica.FROption {
 	return replica.WithContentIndexes(attrs...)
-}
-
-// NewSubtreeReplica creates a subtree replica for the given contexts.
-func NewSubtreeReplica(contexts []Context) (*SubtreeReplica, error) {
-	return replica.NewSubtreeReplica(contexts)
 }
 
 // NewSyncEngine creates the master-side ReSync engine over a directory.
@@ -277,16 +196,6 @@ func NewAdaptiveReplica(rep *FilterReplica, sel *Selector, sup Supplier) *Adapti
 	return replica.NewAdaptiveReplica(rep, sel, sup)
 }
 
-// NewSyncApplier wraps a replica-side store for applying sync updates.
-func NewSyncApplier(store *Directory) *SyncApplier { return resync.NewApplier(store) }
-
-// NewChecker creates a containment checker with an empty plan cache.
-func NewChecker() *Checker { return containment.NewChecker() }
-
-// QueryContained reports whether q is semantically contained in qs using a
-// fresh checker; reuse a Checker for repeated decisions.
-func QueryContained(q, qs Query) bool { return containment.NewChecker().QueryContains(q, qs) }
-
 // NewGeneralizer builds a filter generalizer from rules.
 func NewGeneralizer(rules ...selection.Rule) *Generalizer {
 	return selection.NewGeneralizer(rules...)
@@ -295,11 +204,6 @@ func NewGeneralizer(rules ...selection.Rule) *Generalizer {
 // PrefixRule generalizes equality values to prefixes of the given length.
 func PrefixRule(attr string, prefixLen int) selection.Rule {
 	return selection.PrefixRule{Attr: attr, PrefixLen: prefixLen}
-}
-
-// WidenRule drops predicates on an attribute from conjunctions.
-func WidenRule(dropAttr string) selection.Rule {
-	return selection.WidenRule{DropAttr: dropAttr}
 }
 
 // NewSelector builds a benefit/size filter selector: sizeOf estimates a
@@ -338,12 +242,6 @@ func RunExperiment(id string, cfg ExperimentConfig) (*Figure, error) {
 
 // RunAllExperiments regenerates every table and figure.
 func RunAllExperiments(cfg ExperimentConfig) ([]*Figure, error) { return sim.All(cfg) }
-
-// WriteLDIF and ReadLDIF move entries through the LDIF interchange format.
-var (
-	WriteLDIF = ldif.Write
-	ReadLDIF  = ldif.Read
-)
 
 // DataDir is a durable home for a directory: an LDIF snapshot plus a journal
 // of LDIF change records, one committed batch per group of concurrent writes.

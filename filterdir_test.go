@@ -2,12 +2,39 @@ package filterdir_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"filterdir"
+	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
 	"filterdir/internal/resync"
 )
+
+// Example_quickStart replicates one query from a directory to a filter
+// replica and answers it there. The suffix entry goes in first: an entry's
+// parent must exist before it.
+func Example_quickStart() {
+	store, _ := filterdir.NewDirectory([]string{"o=xyz"})
+	suffix := filterdir.NewEntry(filterdir.MustParseDN("o=xyz"))
+	suffix.Put("objectclass", "organization").Put("o", "xyz")
+	e := filterdir.NewEntry(filterdir.MustParseDN("cn=a,o=xyz"))
+	e.Put("objectclass", "person").Put("cn", "a").Put("sn", "a")
+	fmt.Println(store.Add(suffix), store.Add(e))
+
+	rep, _ := filterdir.NewFilterReplica()
+	eng := filterdir.NewSyncEngine(store)
+	q := filterdir.MustParseQuery("", filterdir.ScopeSubtree, "(sn=a)")
+	res, _ := eng.Begin(q)
+	rep.AddStored(q, res.Cookie)
+	fmt.Println(rep.ApplySync(q, res.Updates))
+	entries, hit, _ := rep.Answer(q)
+	fmt.Println(len(entries), hit)
+	// Output:
+	// <nil> <nil>
+	// <nil>
+	// 1 true
+}
 
 // buildMaster populates a small enterprise master through the public API.
 func buildMaster(t *testing.T) *filterdir.Directory {
@@ -63,9 +90,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if err := client.Bind("", ""); err != nil {
-		t.Fatal(err)
-	}
 
 	// Replicate the cross-country generalized filter over the wire.
 	rep, err := filterdir.NewFilterReplica(filterdir.WithCacheCapacity(4))
@@ -112,45 +136,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("replica holds %d entries after delete", rep.EntryCount())
 	}
 
-	// Containment also works standalone through the facade.
+	// A query scoped under one country is contained in the null-base
+	// stored query.
 	q := filterdir.MustParseQuery("c=us,o=xyz", filterdir.ScopeSubtree, "(serialNumber=100400)")
-	if !filterdir.QueryContained(q, spec) {
-		t.Error("QueryContained: scoped query not contained in null-base stored query")
-	}
-}
-
-func TestPublicAPISubtreeReplica(t *testing.T) {
-	master := buildMaster(t)
-	us := filterdir.MustParseDN("c=us,o=xyz")
-	sub, err := filterdir.NewSubtreeReplica([]filterdir.Context{{Suffix: us}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := filterdir.NewSyncEngine(master)
-	spec := filterdir.Query{Base: us, Scope: filterdir.ScopeSubtree}
-	res, err := eng.Begin(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Load parents-first.
-	for depth := 0; depth <= 4; depth++ {
-		for _, u := range res.Updates {
-			if u.DN.Depth() == depth {
-				if err := sub.Store().Upsert(u.Entry); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if _, hit := sub.Answer(filterdir.MustParseQuery("c=us,o=xyz", filterdir.ScopeSubtree, "(sn=s0)")); !hit {
-		t.Error("scoped query inside the replicated subtree must hit")
-	}
-	if _, hit := sub.Answer(filterdir.MustParseQuery("", filterdir.ScopeSubtree, "(sn=s0)")); hit {
-		t.Error("null-base query must miss a subtree replica")
-	}
-	m := sub.Metrics()
-	if m.Queries != 2 || m.Hits != 1 {
-		t.Errorf("metrics = %+v", m)
+	if entries, hit, _ := rep.Answer(q); !hit || len(entries) != 1 {
+		t.Errorf("scoped answer: hit=%v entries=%v", hit, entries)
 	}
 }
 
@@ -184,7 +174,7 @@ func TestPublicAPIExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.SeriesByName("measured %") == nil {
+	if !slices.ContainsFunc(fig.Series, func(s *metrics.Series) bool { return s.Name == "measured %" }) {
 		t.Error("experiment produced no measured series")
 	}
 }

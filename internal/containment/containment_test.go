@@ -11,11 +11,20 @@ import (
 	"filterdir/internal/query"
 )
 
+// mustParse parses a filter the test spells out, panicking on a typo.
+func mustParse(s string) *filter.Node {
+	n, err := filter.Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 // contains runs the generic Proposition 1 check, failing the test on
 // complexity errors.
 func contains(t *testing.T, f1, f2 string) bool {
 	t.Helper()
-	got, err := FilterContainsGeneric(filter.MustParse(f1), filter.MustParse(f2))
+	got, err := FilterContainsGeneric(mustParse(f1), mustParse(f2))
 	if err != nil {
 		t.Fatalf("FilterContainsGeneric(%s, %s): %v", f1, f2, err)
 	}
@@ -140,7 +149,7 @@ func TestSameTemplateContains(t *testing.T) {
 		{"(sn=a*bcd*e)", "(sn=a*x*e)", false},
 	}
 	for _, tt := range tests {
-		f1, f2 := filter.MustParse(tt.f1), filter.MustParse(tt.f2)
+		f1, f2 := mustParse(tt.f1), mustParse(tt.f2)
 		if f1.Template() != f2.Template() {
 			t.Fatalf("test setup: templates differ for %s / %s", tt.f1, tt.f2)
 		}
@@ -164,7 +173,7 @@ func TestCheckerAgreesWithGeneric(t *testing.T) {
 	c := NewChecker()
 	for _, s1 := range pool {
 		for _, s2 := range pool {
-			f1, f2 := filter.MustParse(s1), filter.MustParse(s2)
+			f1, f2 := mustParse(s1), mustParse(s2)
 			want, err := FilterContainsGeneric(f1, f2)
 			if err != nil {
 				t.Fatalf("generic(%s, %s): %v", s1, s2, err)
@@ -187,8 +196,8 @@ func TestCheckerPlanCacheReuse(t *testing.T) {
 	c := NewChecker()
 	// Same template pair, different values: one plan, many evaluations.
 	for i := 0; i < 50; i++ {
-		f1 := filter.MustParse(fmt.Sprintf("(serialnumber=0%d)", i))
-		f2 := filter.MustParse(fmt.Sprintf("(serialnumber=0%d*)", i%7))
+		f1 := mustParse(fmt.Sprintf("(serialnumber=0%d)", i))
+		f2 := mustParse(fmt.Sprintf("(serialnumber=0%d*)", i%7))
 		c.FilterContains(f1, f2)
 	}
 	st := c.Stats()
@@ -202,8 +211,8 @@ func TestCheckerPlanCacheReuse(t *testing.T) {
 
 func TestImpossiblePairPruned(t *testing.T) {
 	c := NewChecker()
-	f1 := filter.MustParse("(sn=Doe)")
-	f2 := filter.MustParse("(&(sn=Doe)(ou=research))")
+	f1 := mustParse("(sn=Doe)")
+	f2 := mustParse("(&(sn=Doe)(ou=research))")
 	for i := 0; i < 10; i++ {
 		if c.FilterContains(f1, f2) {
 			t.Fatal("(sn=_) can never be contained in (&(sn=_)(ou=_))")
@@ -422,8 +431,8 @@ func TestScopeContainsSelf(t *testing.T) {
 
 func BenchmarkSameTemplate(b *testing.B) {
 	c := NewChecker()
-	f1 := filter.MustParse("(serialnumber=045678)")
-	f2 := filter.MustParse("(serialnumber=04*)")
+	f1 := mustParse("(serialnumber=045678)")
+	f2 := mustParse("(serialnumber=04*)")
 	// Different templates: EQ vs prefix — compiled path.
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -434,8 +443,8 @@ func BenchmarkSameTemplate(b *testing.B) {
 }
 
 func BenchmarkCompiledVsGeneric(b *testing.B) {
-	f1 := filter.MustParse("(&(objectclass=inetorgperson)(departmentnumber=2406))")
-	f2 := filter.MustParse("(&(objectclass=inetorgperson)(departmentnumber=240*))")
+	f1 := mustParse("(&(objectclass=inetorgperson)(departmentnumber=2406))")
+	f2 := mustParse("(&(objectclass=inetorgperson)(departmentnumber=240*))")
 	b.Run("compiled", func(b *testing.B) {
 		c := NewChecker()
 		c.FilterContains(f1, f2) // warm the plan cache

@@ -46,8 +46,8 @@ func TestPrefixSucc(t *testing.T) {
 
 func TestConditionAtomCounts(t *testing.T) {
 	// The compiled plan for EQ-in-prefix has a small, fixed condition.
-	f1 := filter.MustParse("(serialnumber=0456)")
-	f2 := filter.MustParse("(serialnumber=04*)")
+	f1 := mustParse("(serialnumber=0456)")
+	f2 := mustParse("(serialnumber=04*)")
 	m1 := withMarkers(f1, markerA)
 	m2 := withMarkers(f2, markerB)
 	expr := filter.NewAnd(m1, filter.NewNot(m2))
@@ -70,7 +70,7 @@ func TestConditionAtomCounts(t *testing.T) {
 }
 
 func TestWithMarkersMatchesSlotOrder(t *testing.T) {
-	f := filter.MustParse("(&(sn=Doe)(serialnumber=04*)(age>=30))")
+	f := mustParse("(&(sn=Doe)(serialnumber=04*)(age>=30))")
 	m := withMarkers(f, markerA)
 	slots := m.SlotValues()
 	for i, s := range slots {
@@ -103,8 +103,8 @@ func TestCheckerConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				f1 := filter.MustParse("(serialnumber=04" + itoa(i%10) + itoa(w) + ")")
-				f2 := filter.MustParse("(serialnumber=04" + itoa(i%10) + "*)")
+				f1 := mustParse("(serialnumber=04" + itoa(i%10) + itoa(w) + ")")
+				f2 := mustParse("(serialnumber=04" + itoa(i%10) + "*)")
 				if !c.FilterContains(f1, f2) {
 					panic("containment must hold")
 				}
@@ -136,7 +136,7 @@ func TestAtomEmptyRangeIntegerDiscrete(t *testing.T) {
 
 func contains2(t *testing.T, a, b string) bool {
 	t.Helper()
-	ok, err := FilterContainsGeneric(filter.MustParse(a), filter.MustParse(b))
+	ok, err := FilterContainsGeneric(mustParse(a), mustParse(b))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,15 @@ import (
 	"filterdir/internal/entry"
 )
 
+// mustParse is Parse for filters the test spells out: it panics on error.
+func mustParse(s string) *Node {
+	n, err := Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func TestParseValid(t *testing.T) {
 	tests := []struct {
 		in  string
@@ -151,7 +160,7 @@ func TestMatches(t *testing.T) {
 		{"(serialNumber<=0100)", false},
 	}
 	for _, tt := range tests {
-		n := MustParse(tt.f)
+		n := mustParse(tt.f)
 		if got := n.Matches(e); got != tt.want {
 			t.Errorf("Matches(%s) = %v, want %v", tt.f, got, tt.want)
 		}
@@ -174,7 +183,7 @@ func TestNormalize(t *testing.T) {
 		{"(&(b=2)(a=1)(b=2))", "(&(a=1)(b=2))"},
 	}
 	for _, tt := range tests {
-		got := MustParse(tt.in).Normalize().String()
+		got := mustParse(tt.in).Normalize().String()
 		if got != tt.want {
 			t.Errorf("Normalize(%s) = %s, want %s", tt.in, got, tt.want)
 		}
@@ -191,7 +200,7 @@ func TestNNF(t *testing.T) {
 		"(!(&(a=1)(|(b=2)(!(c=3)))))",
 	}
 	for _, f := range filters {
-		n := MustParse(f)
+		n := mustParse(f)
 		nn := n.NNF()
 		// NNF must contain no Not nodes.
 		nn.walk(func(m *Node) {
@@ -206,7 +215,7 @@ func TestNNF(t *testing.T) {
 }
 
 func TestDNF(t *testing.T) {
-	n := MustParse("(&(|(a=1)(b=2))(|(c=3)(d=4)))")
+	n := mustParse("(&(|(a=1)(b=2))(|(c=3)(d=4)))")
 	d, err := n.DNF()
 	if err != nil {
 		t.Fatal(err)
@@ -221,18 +230,18 @@ func TestDNF(t *testing.T) {
 	}
 
 	// False has empty DNF.
-	d, err = MustParse("(|)").DNF()
+	d, err = mustParse("(|)").DNF()
 	if err != nil || len(d) != 0 {
 		t.Errorf("DNF(false) = %v, %v", d, err)
 	}
 	// True has one empty conjunct.
-	d, err = MustParse("(&)").DNF()
+	d, err = mustParse("(&)").DNF()
 	if err != nil || len(d) != 1 || len(d[0]) != 0 {
 		t.Errorf("DNF(true) = %v, %v", d, err)
 	}
 
 	// Negation distributes.
-	d, err = MustParse("(!(&(a=1)(b=2)))").DNF()
+	d, err = mustParse("(!(&(a=1)(b=2)))").DNF()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +252,7 @@ func TestDNF(t *testing.T) {
 
 func TestDNFTooComplex(t *testing.T) {
 	// (|(a=1)(a=2)) ^ 13 under AND explodes past the cap.
-	or := MustParse("(|(a=1)(a=2))")
+	or := mustParse("(|(a=1)(a=2))")
 	and := &Node{Op: And}
 	for i := 0; i < 13; i++ {
 		and.Children = append(and.Children, or.Clone())
@@ -262,7 +271,7 @@ func TestDNFPreservesSemantics(t *testing.T) {
 		"(&(objectclass=inetOrgPerson)(|(serialNumber=04*)(serialNumber=05*)))",
 	}
 	for _, f := range filters {
-		n := MustParse(f)
+		n := mustParse(f)
 		d, err := n.DNF()
 		if err != nil {
 			t.Fatalf("DNF(%s): %v", f, err)
@@ -309,7 +318,7 @@ func TestTemplate(t *testing.T) {
 		{"(serialNumber=04*)", "(serialnumber=_*)"},
 	}
 	for _, tt := range tests {
-		got := MustParse(tt.in).Template()
+		got := mustParse(tt.in).Template()
 		if got != tt.want {
 			t.Errorf("Template(%s) = %s, want %s", tt.in, got, tt.want)
 		}
@@ -318,19 +327,19 @@ func TestTemplate(t *testing.T) {
 
 func TestTemplateGroupsPrototypes(t *testing.T) {
 	// Queries from the same prototype share a template.
-	a := MustParse("(&(dept=2406)(div=software))").Normalize().Template()
-	b := MustParse("(&(div=hardware)(dept=11))").Normalize().Template()
+	a := mustParse("(&(dept=2406)(div=software))").Normalize().Template()
+	b := mustParse("(&(div=hardware)(dept=11))").Normalize().Template()
 	if a != b {
 		t.Errorf("same-prototype queries differ: %q vs %q", a, b)
 	}
-	c := MustParse("(dept=2406)").Normalize().Template()
+	c := mustParse("(dept=2406)").Normalize().Template()
 	if a == c {
 		t.Error("different prototypes must not share a template")
 	}
 }
 
 func TestSlotValues(t *testing.T) {
-	n := MustParse("(&(sn=Doe)(age>=30)(mail=*@us.xyz.com))")
+	n := mustParse("(&(sn=Doe)(age>=30)(mail=*@us.xyz.com))")
 	got := n.SlotValues()
 	want := []string{"Doe", "30", "@us.xyz.com"}
 	if len(got) != len(want) {
@@ -342,11 +351,11 @@ func TestSlotValues(t *testing.T) {
 		}
 	}
 	// Presence contributes no slots.
-	if n := MustParse("(objectclass=*)"); len(n.SlotValues()) != 0 {
+	if n := mustParse("(objectclass=*)"); len(n.SlotValues()) != 0 {
 		t.Error("presence predicate must have no slots")
 	}
 	// Substring slots in order.
-	sub := MustParse("(sn=a*b*c)")
+	sub := mustParse("(sn=a*b*c)")
 	gotSub := sub.SlotValues()
 	if len(gotSub) != 3 || gotSub[0] != "a" || gotSub[1] != "b" || gotSub[2] != "c" {
 		t.Errorf("substring slots = %v", gotSub)
@@ -354,23 +363,23 @@ func TestSlotValues(t *testing.T) {
 }
 
 func TestPredicates(t *testing.T) {
-	n := MustParse("(&(sn=Doe)(|(age>=30)(sn=Smith))(objectclass=*))")
+	n := mustParse("(&(sn=Doe)(|(age>=30)(sn=Smith))(objectclass=*))")
 	if len(n.Predicates()) != 4 {
 		t.Errorf("Predicates count = %d, want 4", len(n.Predicates()))
 	}
 }
 
 func TestIsPositive(t *testing.T) {
-	if !MustParse("(&(a=1)(b=2))").IsPositive() {
+	if !mustParse("(&(a=1)(b=2))").IsPositive() {
 		t.Error("conjunction of predicates is positive")
 	}
-	if MustParse("(!(a=1))").IsPositive() {
+	if mustParse("(!(a=1))").IsPositive() {
 		t.Error("negation is not positive")
 	}
-	if MustParse("(&(a=1)(!(b=2)))").IsPositive() {
+	if mustParse("(&(a=1)(!(b=2)))").IsPositive() {
 		t.Error("nested negation is not positive")
 	}
-	nn := MustParse("(!(a=1))").NNF()
+	nn := mustParse("(!(a=1))").NNF()
 	if nn.IsPositive() {
 		t.Error("NNF-negated predicate is not positive")
 	}
@@ -466,7 +475,7 @@ func BenchmarkParse(b *testing.B) {
 
 func BenchmarkMatches(b *testing.B) {
 	e := testEntry()
-	n := MustParse("(&(objectclass=inetOrgPerson)(serialNumber=04*)(age>=30))")
+	n := mustParse("(&(objectclass=inetOrgPerson)(serialNumber=04*)(age>=30))")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if !n.Matches(e) {
@@ -520,7 +529,7 @@ func TestMatchesAllocs(t *testing.T) {
 		// The mixed-case objectClass value itself.
 		{"(objectClass=inetorgperson)", true, false},
 	} {
-		n := MustParse(tc.f)
+		n := mustParse(tc.f)
 		for _, c := range []struct {
 			e    *entry.Entry
 			want bool

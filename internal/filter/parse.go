@@ -25,15 +25,6 @@ func Parse(s string) (*Node, error) {
 	return n, nil
 }
 
-// MustParse is Parse that panics on error; intended for tests and constants.
-func MustParse(s string) *Node {
-	n, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 type parser struct {
 	s   string
 	pos int

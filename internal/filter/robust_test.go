@@ -63,7 +63,7 @@ func TestNormalizeIdempotent(t *testing.T) {
 		"(|)",
 	}
 	for _, s := range filters {
-		once := MustParse(s).Normalize()
+		once := mustParse(s).Normalize()
 		twice := once.Normalize()
 		if once.String() != twice.String() {
 			t.Errorf("Normalize not idempotent for %s: %s vs %s", s, once, twice)
@@ -74,8 +74,8 @@ func TestNormalizeIdempotent(t *testing.T) {
 // TestTemplateStableUnderNormalize checks that equal filters modulo value
 // differences keep equal templates after normalization.
 func TestTemplateStableUnderNormalize(t *testing.T) {
-	a := MustParse("(&(div=sw)(dept=2406))").Normalize().Template()
-	b := MustParse("(&(dept=11)(div=hw))").Normalize().Template()
+	a := mustParse("(&(div=sw)(dept=2406))").Normalize().Template()
+	b := mustParse("(&(dept=11)(div=hw))").Normalize().Template()
 	if a != b {
 		t.Errorf("templates diverge after normalize: %q vs %q", a, b)
 	}

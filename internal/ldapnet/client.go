@@ -193,28 +193,6 @@ func (c *Client) read(id int64) (*proto.Message, error) {
 	}
 }
 
-// Bind authenticates.
-func (c *Client) Bind(name, password string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(&proto.BindRequest{Version: 3, Name: name, Password: password})
-	if err != nil {
-		return err
-	}
-	m, err := c.read(id)
-	if err != nil {
-		return err
-	}
-	resp, ok := m.Op.(*proto.BindResponse)
-	if !ok {
-		return fmt.Errorf("ldap bind: unexpected response %T", m.Op)
-	}
-	if resp.Code != proto.ResultSuccess {
-		return &ResultError{Code: resp.Code, Message: resp.Message}
-	}
-	return nil
-}
-
 // Search runs a search and collects the streamed results. A referral result
 // code surfaces as a *ResultError carrying the referral URLs together with
 // the partial result.

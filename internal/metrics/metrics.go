@@ -142,14 +142,3 @@ func lookup(s *Series, x float64) (float64, bool) {
 	}
 	return 0, false
 }
-
-// SeriesByName finds a series in the figure (nil if absent); used by tests
-// asserting curve shapes.
-func (f *Figure) SeriesByName(name string) *Series {
-	for _, s := range f.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}

@@ -71,13 +71,3 @@ func TestCSV(t *testing.T) {
 		t.Errorf("csv sparse row = %q", lines[2])
 	}
 }
-
-func TestLookups(t *testing.T) {
-	fig := sample()
-	if s := fig.SeriesByName("alpha"); s == nil {
-		t.Fatal("SeriesByName failed")
-	}
-	if s := fig.SeriesByName("gamma"); s != nil {
-		t.Fatal("missing series found")
-	}
-}

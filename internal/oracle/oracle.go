@@ -6,11 +6,12 @@
 // the real stack with them.
 //
 // One driver (Run) runs every tier. A tier is a Preset: a history
-// generator, a topology and the checks only that tier makes. The engine
-// presets (Flat, Cascade, Edge) drive in-process resync.Engines event by
-// event through one consumer exchange (exchange.go); the wire presets (Wire,
-// CascadeWire, Resume, Adaptive) stand up ldapnet masters, cascade tiers and
-// supervised replicas on loopback (wire.go).
+// generator, a topology and the checks only that tier makes. Run, Preset
+// and the seven presets are declared with the tests (oracle_test.go). The
+// engine presets (Flat, Cascade, Edge) drive in-process resync.Engines
+// event by event through one consumer exchange (exchange.go); the wire
+// presets (Wire, CascadeWire, Resume, Adaptive) stand up ldapnet masters,
+// cascade tiers and supervised replicas on loopback (wire.go).
 //
 // After every sync point a preset asserts that replica content equals the
 // reference selection and that update traffic never exceeds the minimal net
@@ -113,37 +114,6 @@ type Report struct {
 	TrafficHash uint64
 	ContentHash uint64
 }
-
-// A Preset is one tier of the oracle: how a history is generated, the
-// topology it runs on and the checks only that tier makes. Run drives every
-// preset the same way.
-type Preset struct {
-	// Name labels the preset's shard-sweep fingerprints.
-	Name string
-	gen  func(cfg Config, hseed int64) []Event
-	// run executes one history, returning its first divergence; rep is nil
-	// during shrinking re-runs.
-	run func(cfg Config, hseed int64, events []Event, rep *Report) *Failure
-	// reruns bounds shrinking's re-executions for presets whose histories
-	// stand up real listeners and supervisors (0: shrinkEvents' own budget);
-	// the original history is reported if shrinking stalls.
-	reruns int
-}
-
-// The presets: one per tier of the oracle.
-var (
-	Flat        = Preset{Name: "flat", gen: genHistory, run: runFlat}
-	Cascade     = Preset{Name: "cascade", gen: genCascadeHistory, run: runCascade}
-	Edge        = Preset{Name: "edgewrite", gen: genEdgeHistory, run: runEdge}
-	Wire        = Preset{Name: "wire", gen: genWireHistory, run: runWire, reruns: wireReruns}
-	CascadeWire = Preset{Name: "cascadewire", gen: genCascadeWireHistory, run: runCascadeWire, reruns: wireReruns}
-	Resume      = Preset{Name: "resume", gen: genResumeHistory, run: runResume, reruns: wireReruns}
-	Adaptive    = Preset{Name: "adaptive", gen: genAdaptiveHistory, run: runAdaptive, reruns: wireReruns}
-)
-
-// wireReruns is the wire presets' shrinking budget: every re-run spins up
-// real listeners and supervisors.
-const wireReruns = 24
 
 // historySeed derives the h-th history's seed, so a failing history is
 // replayable in isolation with -oracle.seed=<seed> -oracle.n=1.

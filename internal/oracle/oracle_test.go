@@ -18,6 +18,37 @@ var (
 	oracleSteps = flag.Int("oracle.steps", 80, "events per sweep history")
 )
 
+// A Preset is one tier of the oracle: how a history is generated, the
+// topology it runs on and the checks only that tier makes. Run drives every
+// preset the same way.
+type Preset struct {
+	// Name labels the preset's shard-sweep fingerprints.
+	Name string
+	gen  func(cfg Config, hseed int64) []Event
+	// run executes one history, returning its first divergence; rep is nil
+	// during shrinking re-runs.
+	run func(cfg Config, hseed int64, events []Event, rep *Report) *Failure
+	// reruns bounds shrinking's re-executions for presets whose histories
+	// stand up real listeners and supervisors (0: shrinkEvents' own budget);
+	// the original history is reported if shrinking stalls.
+	reruns int
+}
+
+// wireReruns is the wire presets' shrinking budget: every re-run spins up
+// real listeners and supervisors.
+const wireReruns = 24
+
+// The presets: one per tier of the oracle.
+var (
+	Flat        = Preset{Name: "flat", gen: genHistory, run: runFlat}
+	Cascade     = Preset{Name: "cascade", gen: genCascadeHistory, run: runCascade}
+	Edge        = Preset{Name: "edgewrite", gen: genEdgeHistory, run: runEdge}
+	Wire        = Preset{Name: "wire", gen: genWireHistory, run: runWire, reruns: wireReruns}
+	CascadeWire = Preset{Name: "cascadewire", gen: genCascadeWireHistory, run: runCascadeWire, reruns: wireReruns}
+	Resume      = Preset{Name: "resume", gen: genResumeHistory, run: runResume, reruns: wireReruns}
+	Adaptive    = Preset{Name: "adaptive", gen: genAdaptiveHistory, run: runAdaptive, reruns: wireReruns}
+)
+
 // tier is how one oracle test configures its preset from the sweep flags:
 // the seed is -oracle.seed; a quick test runs its own history count, or
 // -oracle.n histories when that is set (a replay); a sweep runs -oracle.n

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,8 +53,8 @@ func generation(t *testing.T, d Dir) uint64 {
 func TestMaintainRetention(t *testing.T) {
 	tests := []struct {
 		name string
-		// snapshotPad is the size of the values added to the seed before
-		// its checkpoint, to make the snapshot outweigh the floor.
+		// snapshotPad is the size of one value added to the seed before its
+		// checkpoint, to make the snapshot outweigh the floor.
 		snapshotPad int
 		writes      int
 		wantGen     uint64
@@ -70,10 +69,7 @@ func TestMaintainRetention(t *testing.T) {
 			d := Dir{Path: t.TempDir()}
 			seed := seedStore(t)
 			if tt.snapshotPad > 0 {
-				pad := dit.Mod{Op: dit.ModAdd, Attr: "description"}
-				for i := 0; i < tt.snapshotPad>>12; i++ {
-					pad.Values = append(pad.Values, fmt.Sprintf("%d %s", i, strings.Repeat("p", 1<<12)))
-				}
+				pad := dit.Mod{Op: dit.ModAdd, Attr: "description", Values: []string{strings.Repeat("p", tt.snapshotPad)}}
 				if err := seed.Modify(dn.MustParse("cn=p1,o=xyz"), []dit.Mod{pad}); err != nil {
 					t.Fatal(err)
 				}

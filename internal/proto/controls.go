@@ -114,9 +114,6 @@ const (
 	// watch: value = SEQUENCE { generation INTEGER }, the server's current
 	// filter generation.
 	OIDFiltersChanged = "1.3.6.1.4.1.55555.1.9"
-	// OIDPersistentSearch requests change notification on a plain search,
-	// per the persistent-search draft the paper builds on.
-	OIDPersistentSearch = "2.16.840.1.113730.3.4.3"
 )
 
 // NewFiltersWatchControl subscribes to the server's admission-filter

@@ -13,7 +13,6 @@ import (
 	"filterdir/internal/ber"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
-	"filterdir/internal/filter"
 	"filterdir/internal/query"
 )
 
@@ -76,7 +75,7 @@ func TestSearchRequestRoundTrip(t *testing.T) {
 		if !sr.Query.Base.Equal(q.Base) || sr.Query.Scope != q.Scope {
 			t.Errorf("base/scope mismatch for %s", f)
 		}
-		want := filter.MustParse(f).String()
+		want := q.Filter.String()
 		if sr.Query.Filter.String() != want {
 			t.Errorf("filter round trip: got %s, want %s", sr.Query.Filter, want)
 		}
@@ -288,7 +287,7 @@ func TestDecodeGarbage(t *testing.T) {
 
 func TestNegatedPredicateEncoding(t *testing.T) {
 	// An NNF filter with Neg flags must encode as (!(...)) on the wire.
-	f := filter.MustParse("(!(sn=Doe))").NNF()
+	f := query.MustNew("", query.ScopeSubtree, "(!(sn=Doe))").Filter.NNF()
 	q := query.Query{Scope: query.ScopeSubtree, Filter: f}
 	m := &Message{ID: 12, Op: &SearchRequest{Query: q}}
 	got := roundTrip(t, m)

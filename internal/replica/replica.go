@@ -13,8 +13,6 @@
 package replica
 
 import (
-	"sync"
-
 	"filterdir/internal/dit"
 	"filterdir/internal/query"
 )
@@ -25,9 +23,6 @@ type Metrics struct {
 	Queries uint64
 	Hits    uint64
 	Misses  uint64
-	// Partial counts subtree-replica answers that produced referrals
-	// (Section 3.1.3) — they are not hits.
-	Partial uint64
 	// ContainmentChecks counts stored/cached queries examined.
 	ContainmentChecks uint64
 	// EntriesReturned counts entries served from the replica.
@@ -46,9 +41,6 @@ func (m Metrics) HitRatio() float64 {
 type SubtreeReplica struct {
 	store    *dit.Store
 	contexts []dit.Context
-
-	mu sync.Mutex
-	m  Metrics
 }
 
 // NewSubtreeReplica creates a replica for the given replication contexts.
@@ -98,40 +90,14 @@ func (r *SubtreeReplica) CanAnswer(q query.Query) bool {
 // answer (no referrals); on a miss or partial answer the caller must chase
 // the master.
 func (r *SubtreeReplica) Answer(q query.Query) (res *dit.Result, hit bool) {
-	r.mu.Lock()
-	r.m.Queries++
-	r.mu.Unlock()
 	if !r.CanAnswer(q) {
-		r.miss()
 		return nil, false
 	}
 	res, err := r.store.Search(q)
 	if err != nil {
-		r.miss()
 		return nil, false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(res.Referrals) > 0 {
-		// Partially answered (Section 3.1.3): referrals for subordinate
-		// contexts do not contribute to hit-ratio.
-		r.m.Partial++
-		return res, false
-	}
-	r.m.Hits++
-	r.m.EntriesReturned += uint64(len(res.Entries))
-	return res, true
-}
-
-func (r *SubtreeReplica) miss() {
-	r.mu.Lock()
-	r.m.Misses++
-	r.mu.Unlock()
-}
-
-// Metrics returns a snapshot of the counters.
-func (r *SubtreeReplica) Metrics() Metrics {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m
+	// Partially answered (Section 3.1.3): referrals for subordinate
+	// contexts do not contribute to hit-ratio.
+	return res, len(res.Referrals) == 0
 }

@@ -67,14 +67,16 @@ func maxY(s *metrics.Series) float64 {
 
 func series(t *testing.T, fig *metrics.Figure, name string) *metrics.Series {
 	t.Helper()
-	s := fig.SeriesByName(name)
-	if s == nil {
-		t.Fatalf("%s: series %q missing", fig.ID, name)
+	for _, s := range fig.Series {
+		if s.Name == name {
+			if len(s.Points) == 0 {
+				t.Fatalf("%s: series %q empty", fig.ID, name)
+			}
+			return s
+		}
 	}
-	if len(s.Points) == 0 {
-		t.Fatalf("%s: series %q empty", fig.ID, name)
-	}
-	return s
+	t.Fatalf("%s: series %q missing", fig.ID, name)
+	return nil
 }
 
 func TestTable1Shape(t *testing.T) {

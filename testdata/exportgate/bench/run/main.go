@@ -1,5 +1,8 @@
 package main
 
-import "gatefixture/internal/lib"
+import (
+	"gatefixture"
+	"gatefixture/internal/lib"
+)
 
-func main() { _ = lib.OnlyBench() }
+func main() { _ = lib.OnlyBench() + gatefixture.Limit }

@@ -3,10 +3,11 @@ package main
 import (
 	"io"
 
+	"gatefixture"
 	"gatefixture/internal/lib"
 )
 
 func main() {
-	_ = lib.New()
+	_ = gatefixture.NewThing()
 	_, _ = io.ReadAll(lib.Source())
 }

@@ -19,7 +19,19 @@ func New(opts ...Option) *Thing {
 }
 
 // WithOwnOnly is an option only its own package sets: flagged.
-func WithOwnOnly() Option { return func(t *Thing) { t.opts++ } }
+func WithOwnOnly() Option { return func(t *Thing) { t.opts += Step } }
+
+// Step is referenced only by its own package: used.
+const Step = 1
+
+// Unreferenced is a constant nothing references: flagged.
+const Unreferenced = 4
+
+// OnlyTestedVar is read only by lib_test.go: flagged.
+var OnlyTestedVar = 5
+
+// OnlyTestedType is named only in lib_test.go: flagged.
+type OnlyTestedType struct{}
 
 // OnlyTested is called only from lib_test.go: flagged.
 func OnlyTested() int { return 1 }

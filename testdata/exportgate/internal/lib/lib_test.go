@@ -3,7 +3,8 @@ package lib
 import "testing"
 
 func TestOnlyTested(t *testing.T) {
-	if OnlyTested() != 1 {
+	var _ OnlyTestedType
+	if OnlyTested() != 1 || OnlyTestedVar != 5 {
 		t.Fatal("OnlyTested")
 	}
 }
