@@ -150,7 +150,12 @@ func (s *Store) trimLocked() {
 	if drop <= 0 {
 		return
 	}
-	s.journal = append(s.journal[:0:0], s.journal[drop:]...)
+	// Dropped in place, in O(drop): the slots are cleared so that their
+	// entries can be collected, and the next append that outgrows the array
+	// moves only the kept records to a new one. Copying the kept records
+	// here instead would cost O(limit) on every batch.
+	clear(s.journal[:drop])
+	s.journal = s.journal[drop:]
 	s.journalTrimmed += uint64(drop)
 }
 

@@ -3,6 +3,7 @@ package dit
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"filterdir/internal/dn"
@@ -479,6 +480,39 @@ func TestJournalTrim(t *testing.T) {
 	}
 }
 
+// TestBoundedJournalModifyAllocs gates what a bounded journal costs a
+// commit once it is full: the bytes one Modify allocates at the default
+// limit of 4096 records stay within twice those of an unbounded store.
+// Trimming by copying every kept record into a new array cost a copy of the
+// whole journal per commit (≈ 1.3 MB per Modify at 4096).
+func TestBoundedJournalModifyAllocs(t *testing.T) {
+	const limit, n = 4096, 4096
+	perModify := func(opts ...Option) float64 {
+		st := buildSmallDIT(t, opts...)
+		d := dn.MustParse("cn=Fred Jones,c=us,o=xyz")
+		modify := func(i int) {
+			if err := st.Modify(d, []Mod{{Op: ModReplace, Attr: "mail", Values: []string{fmt.Sprintf("f%d@x", i)}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < limit+1; i++ { // past the bound: the journal is full
+			modify(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			modify(i)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	unbounded, bounded := perModify(), perModify(WithJournalLimit(limit))
+	t.Logf("Modify on a full journal: %.0f B of allocations at limit %d, %.0f B unbounded", bounded, limit, unbounded)
+	if bounded > 2*unbounded {
+		t.Errorf("a Modify allocates %.0f B at journal limit %d, gate is 2× the unbounded store's %.0f B", bounded, limit, unbounded)
+	}
+}
+
 func TestChangeSignal(t *testing.T) {
 	st := buildSmallDIT(t)
 	sig := st.ChangeSignal()
@@ -623,6 +657,33 @@ func TestLoadBulk(t *testing.T) {
 	}
 	if st.LastCSN() != 0 {
 		t.Errorf("Load must not journal, LastCSN = %d", st.LastCSN())
+	}
+}
+
+// TestLoadTakesOwnership: Load stores the caller's entries themselves,
+// frozen, not frozen clones of them; a read that does not clone hands the
+// same objects back.
+func TestLoadTakesOwnership(t *testing.T) {
+	st, err := NewStore([]string{"o=xyz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	org := entry.New(dn.MustParse("o=xyz")).Put("objectclass", "organization").Put("o", "xyz")
+	kid := entry.New(dn.MustParse("cn=p,o=xyz")).Put("objectclass", "person").Put("cn", "p")
+	if err := st.Load([]*entry.Entry{org, kid}); err != nil {
+		t.Fatal(err)
+	}
+	if !org.Frozen() || !kid.Frozen() {
+		t.Fatalf("loaded entries frozen: %v %v", org.Frozen(), kid.Frozen())
+	}
+	stored := st.MatchAll(query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=*)"))
+	if len(stored) != 2 {
+		t.Fatalf("%d entries stored", len(stored))
+	}
+	for _, e := range stored {
+		if e != org && e != kid {
+			t.Errorf("%s is stored as a copy, not the entry Load was given", e.DN().String())
+		}
 	}
 }
 

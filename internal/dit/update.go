@@ -630,8 +630,11 @@ func (s *Store) removeAnyLocked(d dn.DN) (CSN, error) {
 }
 
 // Load bulk-inserts entries without journaling (initial population of a
-// master). Parents must precede children in the slice; every entry must
-// carry an objectclass value (ErrSchema).
+// master, a durable reopen). Parents must precede children in the slice;
+// every entry must carry an objectclass value (ErrSchema). The store takes
+// ownership of the entries, as ApplyOwned does: each is frozen and stored as
+// it is, not cloned, so the caller must hold no other mutable reference to
+// one — a loader hands over what it just built or read.
 func (s *Store) Load(entries []*entry.Entry) error {
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
@@ -649,7 +652,7 @@ func (s *Store) Load(entries []*entry.Entry) error {
 		if err := requireClass(e); err != nil {
 			return err
 		}
-		s.insert(published(e), norm)
+		s.insert(e.Freeze(), norm)
 	}
 	return nil
 }

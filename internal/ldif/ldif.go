@@ -271,13 +271,30 @@ func buildEntry(lines []string) (*entry.Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
-	e := entry.New(d)
-	for _, line := range lines[1:] {
+	type field struct{ name, value string }
+	fields := make([]field, len(lines)-1)
+	for i, line := range lines[1:] {
 		name, value, err := splitLine(line)
 		if err != nil {
 			return nil, err
 		}
-		e.Add(name, value)
+		fields[i] = field{entry.NormName(name), value}
+	}
+	// One Add per attribute, at its first line, with every value its lines
+	// carry: an Add per line would check each value against all before it.
+	e := entry.New(d)
+	var vals []string
+	for i, f := range fields {
+		if e.Has(f.name) {
+			continue
+		}
+		vals = vals[:0]
+		for _, g := range fields[i:] {
+			if g.name == f.name {
+				vals = append(vals, g.value)
+			}
+		}
+		e.Add(f.name, vals...)
 	}
 	return e, nil
 }

@@ -3,6 +3,7 @@ package ldif
 import (
 	"bytes"
 	"encoding/base64"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -43,6 +44,77 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if !in[i].Equal(out[i]) {
 			t.Errorf("entry %d mismatch:\n in: %s\nout: %s", i, in[i], out[i])
 		}
+	}
+}
+
+// TestReadGroupsValuesPerAttribute: a record whose lines repeat an
+// attribute, under any spelling and not next to each other, reads back as
+// one attribute per name, in the order the names first appear, with the
+// values in the order they appear and duplicates under caseIgnoreMatch
+// collapsed onto the first.
+func TestReadGroupsValuesPerAttribute(t *testing.T) {
+	in := "dn: cn=x,o=xyz\n" +
+		"objectClass: top\n" +
+		"cn: x\n" +
+		"OBJECTCLASS: person\n" +
+		"mail: a@x\n" +
+		"objectclass: TOP\n" +
+		"cn: X\n" +
+		"ObjectClass : inetOrgPerson\n" +
+		"mail:: Yi14\n" + // b-x
+		"cn: y\n"
+	got, err := Read(strings.NewReader(in))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("read %d entries, %v", len(got), err)
+	}
+	want := []struct {
+		name string
+		vals []string
+	}{
+		{"objectclass", []string{"top", "person", "inetOrgPerson"}},
+		{"cn", []string{"x", "y"}},
+		{"mail", []string{"a@x", "b-x"}},
+	}
+	e := got[0]
+	if e.NumAttrs() != len(want) {
+		t.Fatalf("%d attributes: %s", e.NumAttrs(), e)
+	}
+	for i, w := range want {
+		if name, vals := e.AttrAt(i); name != w.name || strings.Join(vals, "|") != strings.Join(w.vals, "|") {
+			t.Errorf("attribute %d = %s %q, want %s %q", i, name, vals, w.name, w.vals)
+		}
+	}
+}
+
+// TestManyValuesRoundTrip: one attribute with 65,536 distinct values, the
+// shape that made a reopen quadratic in the value count, reads back exactly
+// as written, in order.
+func TestManyValuesRoundTrip(t *testing.T) {
+	const k = 1 << 16
+	vals := make([]string, k)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("cn=member %d,o=xyz", i)
+	}
+	e := entry.New(dn.MustParse("cn=group,o=xyz")).Put("objectclass", "groupOfNames").Put("member", vals...)
+	var buf bytes.Buffer
+	if err := Write(&buf, e); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("read %d entries, %v", len(got), err)
+	}
+	back, _ := got[0].Lookup("member")
+	if len(back) != k {
+		t.Fatalf("read back %d values, wrote %d", len(back), k)
+	}
+	for i := range vals {
+		if back[i] != vals[i] {
+			t.Fatalf("value %d read back as %q, wrote %q", i, back[i], vals[i])
+		}
+	}
+	if !got[0].HasObjectClass("groupOfNames") || got[0].NumAttrs() != 2 {
+		t.Errorf("read back %d attributes", got[0].NumAttrs())
 	}
 }
 

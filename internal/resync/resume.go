@@ -1,9 +1,11 @@
 package resync
 
 import (
+	"sort"
 	"time"
 
 	"filterdir/internal/dit"
+	"filterdir/internal/entry"
 	"filterdir/internal/proto"
 )
 
@@ -66,10 +68,19 @@ const (
 )
 
 func foldFPString(h uint64, s string) uint64 {
+	return foldFPEnd(foldFPBytes(h, s))
+}
+
+func foldFPBytes[S string | []byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime64
 	}
+	return h
+}
+
+// foldFPEnd closes one folded string.
+func foldFPEnd(h uint64) uint64 {
 	h ^= 0xff
 	h *= fnvPrime64
 	return h
@@ -80,7 +91,28 @@ func foldFPUpdate(h uint64, u Update) uint64 {
 	h = foldFPString(h, u.Action.String())
 	h = foldFPString(h, u.DN.Norm())
 	if u.Entry != nil {
-		h = foldFPString(h, u.Entry.String())
+		h = foldFPEnd(foldFPEntry(h, u.Entry))
+	}
+	return h
+}
+
+// foldFPEntry folds the bytes of e.String() — "dn: " and the DN, then
+// "; name: value" for every value with the names in sorted order — without
+// building that string.
+func foldFPEntry(h uint64, e *entry.Entry) uint64 {
+	var dnBuf [128]byte
+	h = foldFPBytes(h, "dn: ")
+	h = foldFPBytes(h, e.DN().AppendString(dnBuf[:0]))
+	names := e.AttributeNames()
+	sort.Strings(names)
+	for _, name := range names {
+		vals, _ := e.Lookup(name)
+		for _, v := range vals {
+			h = foldFPBytes(h, "; ")
+			h = foldFPBytes(h, name)
+			h = foldFPBytes(h, ": ")
+			h = foldFPBytes(h, v)
+		}
 	}
 	return h
 }

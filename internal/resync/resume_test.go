@@ -8,6 +8,7 @@ import (
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
+	"filterdir/internal/entry"
 	"filterdir/internal/proto"
 )
 
@@ -541,5 +542,46 @@ func TestTrimTriggeredReloadIsChunked(t *testing.T) {
 	held, _, final = drainChunks(t, eng, res, held)
 	if len(held) != 10 {
 		t.Fatalf("consumer holds %d entries after chunked reload, want 10", len(held))
+	}
+}
+
+// TestFoldFPEntryMatchesString: resume tokens carry the content fingerprint,
+// so folding an entry in place must give exactly the value that folding its
+// String() rendering gave — kept here as the oracle — for entries with many
+// attributes, multi-valued and mixed-case ones, DNs that need escaping,
+// forty attributes inserted in reverse name order, and a patch's valueless
+// attribute.
+func TestFoldFPEntryMatchesString(t *testing.T) {
+	state := uint32(7)
+	rnd := func(n int) int {
+		state = state*1664525 + 1013904223
+		return int(state>>8) % n
+	}
+	names := []string{"cn", "sn", "objectClass", "mail", "serialNumber", "telephoneNumber", "description", "uid", "Dept", "member"}
+	values := []string{"Emp US 17", "emp us 17", "100017", "a@x", "Top", "person", "", "x  y", "ümlaut", "with, comma"}
+	var entries []*entry.Entry
+	for i := 0; i < 200; i++ {
+		e := entry.New(dn.MustParse(fmt.Sprintf("cn=emp %d\\, jr,c=us,o=xyz", i)))
+		for k := rnd(len(names) + 1); k > 0; k-- {
+			vals := make([]string, 1+rnd(4))
+			for j := range vals {
+				vals[j] = values[rnd(len(values))]
+			}
+			e.Put(names[rnd(len(names))], vals...)
+		}
+		entries = append(entries, e)
+	}
+	wide := entry.New(dn.MustParse("cn=wide,o=xyz"))
+	for i := 40; i > 0; i-- {
+		wide.Put(fmt.Sprintf("Attr%02d", i), fmt.Sprint(i), "v")
+	}
+	entries = append(entries, wide, wide.Freeze().Restrict([]string{"attr07", "absent", "attr03"}))
+	h := uint64(fnvOffset64)
+	for _, e := range entries {
+		want := foldFPString(h, e.String())
+		if got := foldFPEnd(foldFPEntry(h, e)); got != want {
+			t.Fatalf("%s: folded in place %#x, through String %#x", e, got, want)
+		}
+		h = want
 	}
 }
