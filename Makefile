@@ -103,7 +103,6 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeSearchEntry -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeEntryChange -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeFiltersWatch -fuzztime 30s
-	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeFiltersChanged -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzDecodeEdgeWrite$$' -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeEdgeWriteDone -fuzztime 30s
 	$(GO) test ./internal/resync -run '^$$' -fuzz FuzzResumeToken -fuzztime 30s

@@ -18,11 +18,15 @@
 // instead of the master (-master stays the fallback the supervisors divert
 // to when the upstream rejects their spec or forgets their session).
 //
+// A leaf diverted to -master holds one filters watch on -upstream and moves
+// back when the upstream answers it: when the upstream admits the leaf's
+// filter and a link of its own that contains the filter has loaded.
+//
 // With -serve -adaptive the mid-tier re-tiers itself under shifting demand:
 // admission rejections feed a filter selector that widens the tier into
-// spare -tier-budget (pulling the widened content from upstream and bumping
-// the filter generation so diverted leaves running -watch-filters migrate
-// back), and narrows it again when adopted filters decay.
+// spare -tier-budget (pulling the widened content from upstream, whose first
+// exchange answers the watches of the diverted leaves it covers), and narrows
+// it again when adopted filters decay.
 //
 // Usage:
 //
@@ -82,7 +86,6 @@ type options struct {
 	backoffBase            time.Duration
 	backoffMax             time.Duration
 	idleTimeout            time.Duration
-	retryUpstream          time.Duration
 	journalLimit           int
 	reloadChunk            int
 	depth                  int
@@ -90,7 +93,6 @@ type options struct {
 	edgeWrites             bool
 	adaptive               bool
 	tierBudget             int
-	watchFilters           bool
 	specs                  []query.Query // the -filter list as subtree queries
 }
 
@@ -137,7 +139,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.DurationVar(&o.backoffBase, "backoff", 50*time.Millisecond, "reconnect backoff base")
 	fs.DurationVar(&o.backoffMax, "backoff-max", 5*time.Second, "reconnect backoff cap")
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", 0, "persist-stream idle timeout (0 = none)")
-	fs.DurationVar(&o.retryUpstream, "retry-upstream", time.Minute, "how long a diverted supervisor stays on the fallback master before re-probing -upstream")
 	fs.IntVar(&o.journalLimit, "journal-limit", resync.DefaultJournalLimit, "mid-tier store journal bound (with -serve): how far a downstream session may lag before a full reload")
 	fs.IntVar(&o.reloadChunk, "reload-chunk", 0, "serve downstream full reloads in resumable chunks of n entries (with -serve; 0 = monolithic)")
 	fs.IntVar(&o.depth, "depth", 1, "tier depth below the master (with -serve; reporting only)")
@@ -145,7 +146,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.edgeWrites, "edge-writes", false, "accept LDAP writes here: journal to a per-replica WAL, forward upstream for commit, overlay locally until the CSN echoes back")
 	fs.BoolVar(&o.adaptive, "adaptive", false, "run the demand-driven control plane over the tier's filter set: widen on admission rejections, narrow on decay (with -serve)")
 	fs.IntVar(&o.tierBudget, "tier-budget", 0, "adaptive filter-set budget in specs, base filters included (with -adaptive; 0 = number of -filter flags + 2)")
-	fs.BoolVar(&o.watchFilters, "watch-filters", false, "while diverted to the fallback master, long-poll the upstream for filter-set changes and re-probe the moment it widens")
 	fs.Var(&filters, "filter", "replicated filter (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -192,20 +192,18 @@ const leafJournalLimit = 64
 // here only in the store journal's bound; the rest of -serve is in start.
 func tierConfig(o options) cascade.Config {
 	cfg := cascade.Config{
-		Upstream:           o.master,
-		RetryUpstreamAfter: o.retryUpstream,
-		Specs:              o.specs,
-		Depth:              o.depth,
-		Mode:               o.mode,
-		JournalLimit:       o.journalLimit,
-		ReloadChunk:        o.reloadChunk,
-		ContentIndexes:     []string{"serialnumber", "mail", "dept", "location", "uid"},
-		PollInterval:       o.interval,
-		IdleTimeout:        o.idleTimeout,
-		BackoffBase:        o.backoffBase,
-		BackoffMax:         o.backoffMax,
-		WatchFilters:       o.watchFilters,
-		Logf:               logf,
+		Upstream:       o.master,
+		Specs:          o.specs,
+		Depth:          o.depth,
+		Mode:           o.mode,
+		JournalLimit:   o.journalLimit,
+		ReloadChunk:    o.reloadChunk,
+		ContentIndexes: []string{"serialnumber", "mail", "dept", "location", "uid"},
+		PollInterval:   o.interval,
+		IdleTimeout:    o.idleTimeout,
+		BackoffBase:    o.backoffBase,
+		BackoffMax:     o.backoffMax,
+		Logf:           logf,
 	}
 	if o.upstream != "" && o.upstream != o.master {
 		cfg.Upstream, cfg.Fallback = o.upstream, o.master

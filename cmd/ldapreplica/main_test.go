@@ -101,6 +101,10 @@ func TestModeOnlyFlagsNeedTheirMode(t *testing.T) {
 		// The history knobs are gone in every mode.
 		{[]string{"-serve", "-keep-sync-points", "4"}, true},
 		{[]string{"-state", "dir", "-journal-retention", "bytes=64m"}, true},
+		// So are the re-probe timer and the opt-in watch: a diverted leaf
+		// always watches its upstream and returns when it answers.
+		{[]string{"-upstream", "127.0.0.1:3892", "-retry-upstream", "1m"}, true},
+		{[]string{"-upstream", "127.0.0.1:3892", "-watch-filters"}, true},
 		{[]string{"-serve", "-adaptive", "-tier-budget", "5"}, false},
 		{[]string{"-mode", "persist", "-state", "dir", "-edge-writes"}, false},
 	} {

@@ -44,7 +44,11 @@ func TestAdoptRetireLifecycle(t *testing.T) {
 	if err := tier.Admit(outside); err == nil {
 		t.Fatal("tier admitted (serialnumber=05*) before adoption")
 	}
-	gen0, _ := tier.FilterGeneration()
+	narrower := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=0501)")
+	ready, changed := tier.Ready(narrower)
+	if ready {
+		t.Fatal("tier ready for (serialnumber=0501) before adoption")
+	}
 
 	sup, err := tier.AdoptSpec(outside)
 	if err != nil {
@@ -56,14 +60,19 @@ func TestAdoptRetireLifecycle(t *testing.T) {
 	waitSynced(t, sup)
 	waitConverged(t, h.store, tier.Replica().Store(), outside, 10*time.Second)
 
-	// Admission widens immediately; the generation bump follows the sync.
-	if err := tier.Admit(query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=0501)")); err != nil {
+	// Admission widens immediately; the watch is answered once the new
+	// link's first exchange has landed, which closes the channel it parked on.
+	if err := tier.Admit(narrower); err != nil {
 		t.Errorf("narrower spec rejected after adoption: %v", err)
 	}
-	waitCounter(t, "filter generation", 10*time.Second, func() int64 {
-		gen, _ := tier.FilterGeneration()
-		return int64(gen)
-	}, int64(gen0)+1)
+	select {
+	case <-changed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the adopted link's first sync did not wake the watchers")
+	}
+	if ready, _ := tier.Ready(narrower); !ready {
+		t.Error("tier not ready for (serialnumber=0501) once the adopted link synced")
+	}
 
 	// Duplicate adopt (same normalized key, different spelling) is a no-op.
 	dup, err := tier.AdoptSpec(query.MustNew("o=xyz", query.ScopeSubtree, "(serialNumber=05*)"))
@@ -131,8 +140,7 @@ func TestSupervisorsNameLiveLinks(t *testing.T) {
 
 // TestFiltersChangedNotificationMigratesLeaf: a rejected leaf parked on the
 // fallback master migrates back within seconds of AdoptSpec, woken by the
-// tier's filters-changed notification — its timer path is armed at an hour,
-// so only the watch can explain the migration.
+// tier's answer to its filters watch once the adopted link has synced.
 func TestFiltersChangedNotificationMigratesLeaf(t *testing.T) {
 	h := newHarness(t)
 	tier, tierSrv := startTier(t, h.tierConfig(t), "ldap://"+h.srv.Addr())
@@ -144,17 +152,15 @@ func TestFiltersChangedNotificationMigratesLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup, err := supervisor.New(supervisor.Config{
-		Master:             tierSrv.Addr(),
-		Fallback:           h.srv.Addr(),
-		RetryUpstreamAfter: time.Hour, // timer path out of reach: the watch must do it
-		WatchFilters:       true,
-		Spec:               outside,
-		PollInterval:       3 * time.Millisecond,
-		BackoffBase:        time.Millisecond,
-		BackoffMax:         20 * time.Millisecond,
-		DialTimeout:        2 * time.Second,
-		Seed:               5,
-		Logf:               t.Logf,
+		Master:       tierSrv.Addr(),
+		Fallback:     h.srv.Addr(),
+		Spec:         outside,
+		PollInterval: 3 * time.Millisecond,
+		BackoffBase:  time.Millisecond,
+		BackoffMax:   20 * time.Millisecond,
+		DialTimeout:  2 * time.Second,
+		Seed:         5,
+		Logf:         t.Logf,
 	}, rep)
 	if err != nil {
 		t.Fatal(err)
@@ -192,9 +198,8 @@ func TestFiltersChangedNotificationMigratesLeaf(t *testing.T) {
 	}
 }
 
-// TestAdoptedSpecsDurable: adopted specs and the filter generation are part
-// of the tier's durable footprint — a restart re-links them and watch
-// clients never see the generation move backwards.
+// TestAdoptedSpecsDurable: adopted specs are part of the tier's durable
+// footprint — a restart re-links them.
 func TestAdoptedSpecsDurable(t *testing.T) {
 	h := newHarness(t)
 	cfg := h.tierConfig(t)
@@ -213,12 +218,7 @@ func TestAdoptedSpecsDurable(t *testing.T) {
 		t.Fatalf("AdoptSpec: %v", err)
 	}
 	waitSynced(t, sup)
-	waitCounter(t, "filter generation", 10*time.Second, func() int64 {
-		gen, _ := tier.FilterGeneration()
-		return int64(gen)
-	}, 1)
 	waitConverged(t, h.store, tier.Replica().Store(), outside, 10*time.Second)
-	gen1, _ := tier.FilterGeneration()
 	if err := tier.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
@@ -232,9 +232,6 @@ func TestAdoptedSpecsDurable(t *testing.T) {
 	}
 	if err := tier2.Admit(outside); err != nil {
 		t.Errorf("restarted tier rejects the adopted spec: %v", err)
-	}
-	if gen2, _ := tier2.FilterGeneration(); gen2 < gen1 {
-		t.Errorf("filter generation moved backwards across restart: %d -> %d", gen1, gen2)
 	}
 	if got := countPrefix(tier2.Replica().Store(), "05"); got == 0 {
 		t.Error("restarted tier restored no adopted-spec content")

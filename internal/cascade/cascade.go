@@ -57,9 +57,6 @@ type Config struct {
 	// divert to it when Upstream rejects or forgets them (see
 	// supervisor.Config.Fallback); leave empty when Upstream is the master.
 	Fallback string
-	// RetryUpstreamAfter is forwarded to the supervisors (how long a
-	// diverted supervisor stays on the fallback before re-probing).
-	RetryUpstreamAfter time.Duration
 	// Specs are the tier's replicated content specs — both what it pulls
 	// from upstream and the admission universe for downstream sessions.
 	Specs []query.Query
@@ -89,10 +86,6 @@ type Config struct {
 	PollInterval, IdleTimeout time.Duration
 	BackoffBase, BackoffMax   time.Duration
 	DialTimeout               time.Duration
-	// WatchFilters arms each upstream supervisor's filters-changed
-	// long-poll while diverted: a widened upstream triggers an immediate
-	// re-probe instead of waiting out RetryUpstreamAfter.
-	WatchFilters bool
 	// Seed makes supervisor backoff jitter deterministic (supervisor i
 	// gets Seed+i; adopted specs continue the sequence).
 	Seed int64
@@ -135,12 +128,10 @@ type Tier struct {
 	nextSeq int64 // supervisor seed sequence, monotonic across adopt/retire
 	started bool
 
-	// Filter generation: bumped on every adopt/retire; genCh is closed and
-	// replaced on each bump so watchers (the ldapnet filters-watch control)
-	// can long-poll for the next change. Under linkMu, like the link set it
-	// is made durable with.
-	gen   uint64
-	genCh chan struct{}
+	// linkSynced is closed and replaced each time a link finishes its first
+	// exchange, the one event that can make a parked filters watch ready
+	// (Ready). Under linkMu.
+	linkSynced chan struct{}
 
 	// admitObserver, when set, sees every downstream admission decision —
 	// the control plane's demand signal for widening.
@@ -166,11 +157,11 @@ type Tier struct {
 	edgeMu sync.Mutex
 	edge   *edgewrite.Writer
 
-	stop      chan struct{}
-	stopOnce  sync.Once
-	stopErr   error
-	adopting  sync.WaitGroup // AdoptSpec's goroutines awaiting an initial sync
-	startOnce sync.Once
+	stop       chan struct{}
+	stopOnce   sync.Once
+	stopErr    error
+	signalling sync.WaitGroup // startLink's goroutines awaiting a first sync
+	startOnce  sync.Once
 }
 
 var _ ldapnet.Tier = (*Tier)(nil)
@@ -178,18 +169,29 @@ var _ ldapnet.Tier = (*Tier)(nil)
 // upstreamLink is one upstream synchronization link: the normalized spec,
 // the supervisor pulling it, and the supervisor's latest reported upstream
 // watermark. base marks specs from Config.Specs, which the adaptive control
-// plane may never retire.
+// plane may never retire; retired is closed when it retires one.
 type upstreamLink struct {
-	spec query.Query
-	sup  *supervisor.Supervisor
-	wm   atomic.Uint64
-	base bool
+	spec    query.Query
+	sup     *supervisor.Supervisor
+	wm      atomic.Uint64
+	base    bool
+	retired chan struct{}
 }
 
-// New builds a tier: reads the filter generation and any previously adopted
-// specs back from the state directory if there is one, then constructs the
-// engine and one upstream supervisor per spec, each restoring the content and
-// position its own journal holds. Start launches them.
+// synced reports whether the link has finished its first exchange.
+func (l *upstreamLink) synced() bool {
+	select {
+	case <-l.sup.Synced():
+		return true
+	default:
+		return false
+	}
+}
+
+// New builds a tier: reads any previously adopted specs back from the state
+// directory if there is one, then constructs the engine and one upstream
+// supervisor per spec, each restoring the content and position its own
+// journal holds. Start launches them.
 func New(cfg Config) (*Tier, error) {
 	cfg.fillDefaults()
 	if cfg.Upstream == "" {
@@ -208,12 +210,12 @@ func New(cfg Config) (*Tier, error) {
 		return nil, err
 	}
 	t := &Tier{
-		cfg:      cfg,
-		checker:  checker,
-		rep:      rep,
-		counters: &metrics.CascadeCounters{},
-		genCh:    make(chan struct{}),
-		stop:     make(chan struct{}),
+		cfg:        cfg,
+		checker:    checker,
+		rep:        rep,
+		counters:   &metrics.CascadeCounters{},
+		linkSynced: make(chan struct{}),
+		stop:       make(chan struct{}),
 	}
 	t.counters.TierDepth.Store(int64(cfg.Depth))
 
@@ -257,29 +259,27 @@ func New(cfg Config) (*Tier, error) {
 }
 
 // newLink builds an upstream link (spec must be normalized); the caller
-// appends it to t.links and, on a started tier, starts its supervisor.
+// appends it to t.links and, on a started tier, starts it (startLink).
 func (t *Tier) newLink(spec query.Query, base bool) (*upstreamLink, error) {
-	link := &upstreamLink{spec: spec, base: base}
+	link := &upstreamLink{spec: spec, base: base, retired: make(chan struct{})}
 	seq := t.nextSeq
 	t.nextSeq++
 	sup, err := supervisor.New(supervisor.Config{
-		Master:             t.cfg.Upstream,
-		Fallback:           t.cfg.Fallback,
-		RetryUpstreamAfter: t.cfg.RetryUpstreamAfter,
-		WatchFilters:       t.cfg.WatchFilters,
-		Spec:               spec,
-		Mode:               t.cfg.Mode,
-		PollInterval:       t.cfg.PollInterval,
-		IdleTimeout:        t.cfg.IdleTimeout,
-		BackoffBase:        t.cfg.BackoffBase,
-		BackoffMax:         t.cfg.BackoffMax,
-		DialTimeout:        t.cfg.DialTimeout,
-		Seed:               t.cfg.Seed + seq,
-		Dial:               t.cfg.Dial,
-		Logf:               t.cfg.Logf,
-		StateDir:           t.linkDir(spec),
-		OnApplied:          t.noteApply,
-		OnWatermark:        func(csn uint64) { t.noteWatermark(link, csn) },
+		Master:       t.cfg.Upstream,
+		Fallback:     t.cfg.Fallback,
+		Spec:         spec,
+		Mode:         t.cfg.Mode,
+		PollInterval: t.cfg.PollInterval,
+		IdleTimeout:  t.cfg.IdleTimeout,
+		BackoffBase:  t.cfg.BackoffBase,
+		BackoffMax:   t.cfg.BackoffMax,
+		DialTimeout:  t.cfg.DialTimeout,
+		Seed:         t.cfg.Seed + seq,
+		Dial:         t.cfg.Dial,
+		Logf:         t.cfg.Logf,
+		StateDir:     t.linkDir(spec),
+		OnApplied:    t.noteApply,
+		OnWatermark:  func(csn uint64) { t.noteWatermark(link, csn) },
 	}, t.rep)
 	if err != nil {
 		return nil, err
@@ -322,27 +322,24 @@ func (t *Tier) BaseSpecs() []query.Query {
 	return out
 }
 
-// FilterGeneration implements ldapnet.FilterWatcher: the current admission
-// filter generation and a channel closed when it next changes.
-func (t *Tier) FilterGeneration() (uint64, <-chan struct{}) {
+// Ready implements ldapnet.FilterWatcher: the tier can serve q once it admits
+// q (Admit, whose counters and admission observer see every check) and a link
+// whose spec contains q has finished its first exchange, so a leaf that moves
+// here finds the content in place rather than a link still loading. The
+// returned channel closes at the next link's first sync: nothing else can
+// make a false answer true, since an adopt starts unsynced and a retire only
+// narrows.
+func (t *Tier) Ready(q query.Query) (bool, <-chan struct{}) {
 	t.linkMu.Lock()
-	defer t.linkMu.Unlock()
-	return t.gen, t.genCh
-}
-
-// bumpGeneration advances the filter generation and wakes all watchers,
-// having first made it durable with the link set as it now stands: no watcher
-// hears of a generation that a restart would take back.
-func (t *Tier) bumpGeneration() {
-	t.linkMu.Lock()
-	err := t.writeState(t.gen + 1)
-	t.gen++
-	close(t.genCh)
-	t.genCh = make(chan struct{})
-	t.linkMu.Unlock()
-	if err != nil {
-		t.cfg.Logf("cascade: filter generation not durable: %v", err)
+	changed := t.linkSynced
+	var synced []query.Query
+	for _, link := range t.links {
+		if link.synced() {
+			synced = append(synced, link.spec)
+		}
 	}
+	t.linkMu.Unlock()
+	return t.Admit(q) == nil && t.covered(q.Normalize(), synced), changed
 }
 
 // SetAdmissionObserver registers a hook that sees every downstream
@@ -426,9 +423,30 @@ func (t *Tier) Start() {
 		defer t.linkMu.Unlock()
 		t.started = true
 		for _, link := range t.links {
-			link.sup.Start()
+			t.startLink(link)
 		}
 	})
+}
+
+// startLink starts link's supervisor and, when it finishes its first
+// exchange, wakes every parked filters watch to ask Ready again.
+func (t *Tier) startLink(link *upstreamLink) {
+	link.sup.Start()
+	t.signalling.Add(1)
+	go func() {
+		defer t.signalling.Done()
+		select {
+		case <-link.sup.Synced():
+		case <-link.retired:
+			return
+		case <-t.stop:
+			return
+		}
+		t.linkMu.Lock()
+		close(t.linkSynced)
+		t.linkSynced = make(chan struct{})
+		t.linkMu.Unlock()
+	}()
 }
 
 // Stop halts the supervisors. Nothing is written: every exchange a link
@@ -437,7 +455,7 @@ func (t *Tier) Start() {
 func (t *Tier) Stop() error {
 	t.stopOnce.Do(func() {
 		close(t.stop)
-		t.adopting.Wait()
+		t.signalling.Wait()
 		for _, link := range t.snapshotLinks() {
 			t.stopErr = errors.Join(t.stopErr, link.sup.Stop())
 		}
@@ -504,12 +522,12 @@ func (t *Tier) Supervisors() []*supervisor.Supervisor {
 }
 
 // AdoptSpec widens the tier: a new upstream link is created for spec (the
-// control plane's generalize/adopt action), its supervisor starts pulling
-// the widened content immediately, and — once the initial synchronization
-// completes — the filter generation is bumped so diverted leaves watching
-// it re-probe while the content is actually present. Adopting a spec
-// already linked (same normalized key) is a no-op. Returns the link's
-// supervisor (nil for a duplicate).
+// control plane's generalize/adopt action) and its supervisor starts pulling
+// the widened content immediately. Admission widens at once; diverted leaves
+// watching the tier are answered only once the link's first exchange has
+// landed (Ready), so they come back to the widened content in place.
+// Adopting a spec already linked (same normalized key) is a no-op. Returns
+// the link's supervisor (nil for a duplicate).
 func (t *Tier) AdoptSpec(spec query.Query) (*supervisor.Supervisor, error) {
 	nq := spec.Normalize()
 	key := nq.Key()
@@ -523,42 +541,25 @@ func (t *Tier) AdoptSpec(spec query.Query) (*supervisor.Supervisor, error) {
 	link, err := t.newLink(nq, false)
 	if err == nil {
 		t.links = append(t.links, link)
-		if err = t.writeState(t.gen); err != nil {
+		if err = t.writeState(); err != nil {
 			t.links = t.links[:len(t.links)-1]
 			_ = link.sup.Stop() // releases the journal; the directory is swept at the next start
 		}
 	}
-	started := t.started
+	if err == nil && t.started {
+		t.startLink(link)
+	}
 	t.linkMu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("cascade: adopt %s: %w", nq.FilterString(), err)
 	}
-
 	t.publishWatermark() // the new link has not reported: nothing retires until it has
-	if started {
-		link.sup.Start()
-	}
-	// Admission already passes for specs under nq (Specs includes the new
-	// link), so an early downstream attach converges via incremental adds.
-	// The generation bump — the signal that tells diverted leaves to come
-	// back — waits for the initial sync so migrating leaves find the
-	// widened content in place.
-	t.adopting.Add(1)
-	go func() {
-		defer t.adopting.Done()
-		select {
-		case <-link.sup.Synced():
-		case <-t.stop:
-			return
-		}
-		t.bumpGeneration()
-		t.cfg.Logf("cascade: adopted spec %s (generation %d)", nq.FilterString(), t.generation())
-	}()
+	t.cfg.Logf("cascade: adopted spec %s", nq.FilterString())
 	return link.sup, nil
 }
 
 // RetireSpec narrows the tier: the spec's upstream link is removed from
-// admission (generation bump), downstream sessions no longer contained in
+// admission and from tier.json, downstream sessions no longer contained in
 // the remaining specs are gracefully ended — their next operation returns
 // e-syncRefreshRequired, which their supervisors treat as a divert-to-
 // fallback with a full reload, so no update is ever lost — and only then is
@@ -586,7 +587,12 @@ func (t *Tier) RetireSpec(spec query.Query) (int, error) {
 		return 0, fmt.Errorf("cascade: retire %s: configured base spec", nq.FilterString())
 	}
 	t.links = append(t.links[:idx], t.links[idx+1:]...)
+	close(link.retired)
+	err := t.writeState()
 	t.linkMu.Unlock()
+	if err != nil {
+		t.cfg.Logf("cascade: retire %s: %v", nq.FilterString(), err)
+	}
 	remaining := t.Specs()
 
 	// Order matters: admission narrows first (no new session can attach to
@@ -594,7 +600,6 @@ func (t *Tier) RetireSpec(spec query.Query) (int, error) {
 	// downstream sessions are ended while their content is still present,
 	// and the content removal last — its journaled deletes fire the store's
 	// change signal, which wakes and reaps any ended persist streams.
-	t.bumpGeneration()
 	if err := link.sup.Stop(); err != nil {
 		t.cfg.Logf("cascade: retire %s: stop supervisor: %v", nq.FilterString(), err)
 	}
@@ -604,13 +609,6 @@ func (t *Tier) RetireSpec(spec query.Query) (int, error) {
 	if err := os.RemoveAll(t.linkDir(nq)); err != nil {
 		t.cfg.Logf("cascade: retire %s: %v", nq.FilterString(), err)
 	}
-	t.cfg.Logf("cascade: retired spec %s (%d sessions re-referred, generation %d)",
-		nq.FilterString(), len(kicked), t.generation())
+	t.cfg.Logf("cascade: retired spec %s (%d sessions re-referred)", nq.FilterString(), len(kicked))
 	return len(kicked), nil
-}
-
-// generation returns the current filter generation (logging helper).
-func (t *Tier) generation() uint64 {
-	gen, _ := t.FilterGeneration()
-	return gen
 }

@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -16,6 +17,7 @@ import (
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
 	"filterdir/internal/ldapnet"
+	"filterdir/internal/persist"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
@@ -150,17 +152,16 @@ func startLeaf(t *testing.T, spec query.Query, upstream, fallback string, mode s
 		t.Fatal(err)
 	}
 	sup, err := supervisor.New(supervisor.Config{
-		Master:             upstream,
-		Fallback:           fallback,
-		RetryUpstreamAfter: time.Hour, // tests opt in to probing explicitly
-		Spec:               spec,
-		Mode:               mode,
-		PollInterval:       3 * time.Millisecond,
-		BackoffBase:        time.Millisecond,
-		BackoffMax:         20 * time.Millisecond,
-		DialTimeout:        2 * time.Second,
-		Seed:               2,
-		Logf:               t.Logf,
+		Master:       upstream,
+		Fallback:     fallback,
+		Spec:         spec,
+		Mode:         mode,
+		PollInterval: 3 * time.Millisecond,
+		BackoffBase:  time.Millisecond,
+		BackoffMax:   20 * time.Millisecond,
+		DialTimeout:  2 * time.Second,
+		Seed:         2,
+		Logf:         t.Logf,
 	}, rep)
 	if err != nil {
 		t.Fatal(err)
@@ -321,28 +322,99 @@ func TestPropagationThroughTier(t *testing.T) {
 }
 
 // TestRejectionDivertsToFallback: a leaf whose spec the tier cannot prove
-// contained must end up synchronized against the fallback master, and a
-// later probe of the tier must divert straight back.
+// contained must end up synchronized against the fallback master, its
+// filters watch parked at the tier: a tier that never comes to cover the spec
+// is never probed again.
 func TestRejectionDivertsToFallback(t *testing.T) {
 	h := newHarness(t)
 	tier, tierSrv := startTier(t, h.tierConfig(t), "ldap://"+h.srv.Addr())
+	// Every link's first sync makes the tier check its parked watches
+	// again; with that wake-up behind us the watch is checked once, when it
+	// lands. The wake-up follows the sync on its own goroutine, so wait for
+	// that goroutine too, not the sync alone.
+	waitSynced(t, tier.Supervisors()[0])
+	tier.signalling.Wait()
 
 	outside := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)")
+	sup, rep := startLeaf(t, outside, tierSrv.Addr(), h.srv.Addr(), supervisor.ModePoll)
+
+	waitSynced(t, sup)
+	if got := sup.Target(); got != h.srv.Addr() {
+		t.Errorf("leaf target = %s, want fallback master %s", got, h.srv.Addr())
+	}
+	// The rejected Begin, then the watch the tier parks.
+	waitCounter(t, "tier rejections", 10*time.Second,
+		func() int64 { return tier.Counters().Rejected.Load() }, 2)
+	mutate(t, h.store, 0)
+	if err := h.store.Add(personEntry("05", 50)); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, h.store, rep.Store(), outside, 10*time.Second)
+
+	if got := sup.Counters().UpstreamFallbacks.Load(); got != 1 {
+		t.Errorf("upstream fallbacks = %d, want 1 (a parked watch never probes)", got)
+	}
+	if got := tier.Counters().Rejected.Load(); got != 2 {
+		t.Errorf("tier rejected = %d, want 2 (the Begin and the watch)", got)
+	}
+	if begins := tier.SyncCounters().Snapshot().Begins; begins != 0 {
+		t.Errorf("tier engine begins = %d, want 0 (rejected spec must never establish)", begins)
+	}
+}
+
+// TestDivertedLeafWaitsForLoadedLink: a leaf diverted by a stale session at a
+// tier that admits its spec stays on the fallback master while the tier's
+// covering link is held back before its first exchange — admission alone
+// would hand the leaf a tier with nothing loaded. Once that exchange lands
+// the tier answers the leaf's watch, and the leaf moves back without a
+// second Begin at the master.
+func TestDivertedLeafWaitsForLoadedLink(t *testing.T) {
+	h := newHarness(t)
+	cfg := h.tierConfig(t)
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	dial := cfg.Dial
+	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		<-release
+		return dial(addr, timeout)
+	}
+	tier, tierSrv := startTier(t, cfg, "ldap://"+h.srv.Addr())
+	t.Cleanup(open) // before the tier stops: its link may still be dialling
+
+	// The leaf's durable state names a session the tier does not hold.
+	inside := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=040*)")
+	stateDir := t.TempDir()
+	note, err := json.Marshal(map[string]string{
+		"cookie": "sess-999@1", "addr": tierSrv.Addr(), "spec": inside.Normalize().Key()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := persist.Dir{Path: stateDir}.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Commit(false, nil, string(note)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := replica.NewFilterReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup, err := supervisor.New(supervisor.Config{
-		Master:             tierSrv.Addr(),
-		Fallback:           h.srv.Addr(),
-		RetryUpstreamAfter: 50 * time.Millisecond,
-		Spec:               outside,
-		PollInterval:       3 * time.Millisecond,
-		BackoffBase:        time.Millisecond,
-		BackoffMax:         20 * time.Millisecond,
-		DialTimeout:        2 * time.Second,
-		Seed:               3,
-		Logf:               t.Logf,
+		Master:       tierSrv.Addr(),
+		Fallback:     h.srv.Addr(),
+		Spec:         inside,
+		StateDir:     stateDir,
+		PollInterval: 3 * time.Millisecond,
+		BackoffBase:  time.Millisecond,
+		BackoffMax:   20 * time.Millisecond,
+		DialTimeout:  2 * time.Second,
+		Seed:         4,
+		Logf:         t.Logf,
 	}, rep)
 	if err != nil {
 		t.Fatal(err)
@@ -351,25 +423,104 @@ func TestRejectionDivertsToFallback(t *testing.T) {
 	t.Cleanup(func() { _ = sup.Stop() })
 
 	waitSynced(t, sup)
+	waitCounter(t, "stale sessions", 10*time.Second,
+		func() int64 { return sup.Counters().StaleSessions.Load() }, 1)
+	// The watch has landed once the tier has checked admission for it; the
+	// tier admits the spec but has loaded nothing, so the watch parks.
+	waitCounter(t, "tier admission checks", 10*time.Second,
+		func() int64 { return tier.Counters().AdmitChecks.Load() }, 1)
+	waitConverged(t, h.store, rep.Store(), inside, 10*time.Second)
+	// A watch answered now would move the leaf within a poll tick: five more
+	// exchanges at the fallback give it the time.
+	held := sup.Exchanges()
+	waitCounter(t, "exchanges while the link is held", 10*time.Second, sup.Exchanges, held+5)
 	if got := sup.Target(); got != h.srv.Addr() {
-		t.Errorf("leaf target = %s, want fallback master %s", got, h.srv.Addr())
+		t.Fatalf("leaf target = %s while the tier's link is unloaded, want the fallback %s", got, h.srv.Addr())
 	}
-	waitCounter(t, "upstream fallbacks", 10*time.Second,
-		func() int64 { return sup.Counters().UpstreamFallbacks.Load() }, 1)
-	waitConverged(t, h.store, rep.Store(), outside, 10*time.Second)
+	if got := tier.SyncCounters().Snapshot().Begins; got != 0 {
+		t.Fatalf("tier begins = %d while its link is unloaded, want 0", got)
+	}
+	if got := tier.Replica().EntryCount(); got != 0 {
+		t.Fatalf("tier holds %d entries before its link's first exchange", got)
+	}
 
-	// After the cooldown the supervisor probes the tier again, is rejected
-	// again, and diverts back without losing convergence.
-	waitCounter(t, "re-probe fallbacks", 10*time.Second,
-		func() int64 { return sup.Counters().UpstreamFallbacks.Load() }, 2)
-	waitConverged(t, h.store, rep.Store(), outside, 10*time.Second)
+	open()
+	deadline := time.Now().Add(10 * time.Second)
+	for sup.Target() != tierSrv.Addr() {
+		if time.Now().After(deadline) {
+			t.Fatalf("leaf never moved back to the tier (target %s)", sup.Target())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	mutate(t, h.store, 0)
+	waitConverged(t, h.store, rep.Store(), inside, 10*time.Second)
+	if got := h.backend.Engine.Counters().Snapshot().Begins; got != 2 {
+		t.Errorf("master begins = %d, want 2 (the leaf's one and the tier link's)", got)
+	}
+	if got := tier.SyncCounters().Snapshot().Begins; got != 1 {
+		t.Errorf("tier begins = %d, want 1", got)
+	}
+	if got := sup.Counters().UpstreamFallbacks.Load(); got != 1 {
+		t.Errorf("upstream fallbacks = %d, want 1", got)
+	}
+}
 
-	if rejected := tier.Counters().Rejected.Load(); rejected < 1 {
-		t.Errorf("tier rejected = %d, want >= 1", rejected)
+// TestReadyNeedsAdmissionAndALoadedLink: Ready says yes only to a spec the
+// tier admits whose covering link has finished its first exchange. The tier's
+// one link is held at its dial, so every spec is first asked while nothing is
+// loaded; the channel Ready hands back closes at the link's first sync, and
+// from then on the specs the tier admits are ready and the one outside is not.
+func TestReadyNeedsAdmissionAndALoadedLink(t *testing.T) {
+	h := newHarness(t)
+	cfg := h.tierConfig(t)
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	dial := cfg.Dial
+	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		<-release
+		return dial(addr, timeout)
 	}
-	if begins := tier.SyncCounters().Snapshot().Begins; begins != 0 {
-		t.Errorf("tier engine begins = %d, want 0 (rejected spec must never establish)", begins)
+	tier, _ := startTier(t, cfg, "ldap://"+h.srv.Addr())
+	t.Cleanup(open) // before the tier stops: its link may still be dialling
+
+	cases := []struct {
+		name     string
+		spec     query.Query
+		admitted bool
+	}{
+		{"link spec", h.tierSpec, true},
+		{"narrower", query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=040*)"), true},
+		{"outside", query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)"), false},
 	}
+	var changed <-chan struct{}
+	t.Run("held", func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				var ready bool
+				if ready, changed = tier.Ready(c.spec); ready {
+					t.Error("ready before the link's first exchange")
+				}
+			})
+		}
+	})
+
+	open()
+	waitSynced(t, tier.Supervisors()[0])
+	select {
+	case <-changed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the link's first sync did not close the channel Ready handed back")
+	}
+	t.Run("loaded", func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				if ready, _ := tier.Ready(c.spec); ready != c.admitted {
+					t.Errorf("ready = %v, want %v", ready, c.admitted)
+				}
+			})
+		}
+	})
 }
 
 // TestTierRestartResumes: a tier with durable state restarts into a

@@ -75,10 +75,6 @@ func TestKilledTierWithOverlappingLinksRestores(t *testing.T) {
 		t.Fatalf("AdoptSpec: %v", err)
 	}
 	waitSynced(t, sup)
-	waitCounter(t, "filter generation", 10*time.Second, func() int64 {
-		gen, _ := tier.FilterGeneration()
-		return int64(gen)
-	}, 1)
 	mutate(t, h.store, 0) // 04-p1 leaves (sn=x), 04-p100 joins both specs
 	// A move only the adopted link makes: its journal has a rename the base
 	// link's has not.

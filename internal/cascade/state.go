@@ -19,11 +19,10 @@ import (
 // position in one commit, exactly as the supervisors of a multi-filter leaf do
 // (supervisor/state.go). What no link knows is in tier.json:
 //
-//	<StateDir>/tier.json            filter generation and adopted specs
+//	<StateDir>/tier.json            adopted specs
 //	<StateDir>/links/<spec hash>/   one link's snapshot.ldif and journal.ldif
 //
-// tier.json is rewritten atomically when a spec is adopted or retired and when
-// the generation moves. An adopt creates the link's directory first and a
+// tier.json is rewritten atomically when a spec is adopted or retired. An adopt creates the link's directory first and a
 // retire removes it last, so a crash between the two leaves a directory
 // tier.json does not name, which the next start sweeps away.
 const (
@@ -65,12 +64,9 @@ func (d diskSpec) spec() (query.Query, error) {
 }
 
 // diskState is the JSON of tier.json, the adaptive control plane's durable
-// footprint: the filter generation survives restarts (watch clients never see
-// it move backwards) and adopted specs are re-linked alongside the configured
-// ones.
+// footprint: adopted specs are re-linked alongside the configured ones.
 type diskState struct {
-	Generation uint64     `json:"generation,omitempty"`
-	Adopted    []diskSpec `json:"adopted,omitempty"`
+	Adopted []diskSpec `json:"adopted,omitempty"`
 }
 
 // linkDir is the state directory of spec's link: "" without a StateDir, which
@@ -83,8 +79,7 @@ func (t *Tier) linkDir(spec query.Query) string {
 	return filepath.Join(t.cfg.StateDir, linksName, fmt.Sprintf("%x", sum[:8]))
 }
 
-// openState reads tier.json — setting the filter generation and returning the
-// adopted specs — and removes everything else under StateDir that is not the
+// openState reads tier.json, returning the adopted specs, and removes everything else under StateDir that is not the
 // directory of a base or adopted spec's link: what a crash in the middle of an
 // adopt or a retire left, and any older layout. The links themselves are
 // restored by their supervisors.
@@ -97,7 +92,6 @@ func (t *Tier) openState() (adopted []query.Query, err error) {
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	t.gen = disk.Generation
 	keep := map[string]bool{
 		filepath.Join(t.cfg.StateDir, stateName): true,
 		filepath.Join(t.cfg.StateDir, linksName): true,
@@ -130,13 +124,13 @@ func (t *Tier) openState() (adopted []query.Query, err error) {
 	return adopted, nil
 }
 
-// writeState makes gen and the adopted specs durable (no-op without a state
+// writeState makes the adopted specs durable (no-op without a state
 // directory). The caller holds linkMu, which orders the writes.
-func (t *Tier) writeState(gen uint64) error {
+func (t *Tier) writeState() error {
 	if t.cfg.StateDir == "" {
 		return nil
 	}
-	disk := diskState{Generation: gen}
+	var disk diskState
 	for _, link := range t.links {
 		if !link.base {
 			disk.Adopted = append(disk.Adopted, diskSpecOf(link.spec))

@@ -18,29 +18,23 @@ import (
 // divert to its fallback master with errors.Is.
 var ErrNotContained = errors.New("sync spec not contained in replica's stored queries")
 
-// FilterWatcher is implemented by backends whose admission filter set can
-// change at runtime (a cascade tier under adaptive control); the server's
-// filters-watch long-poll is served from it.
+// FilterWatcher is implemented by backends whose ability to serve a sync spec
+// changes at runtime (a cascade tier, whose links load and whose filter set
+// an adaptive control plane moves); the server's filters-watch long-poll is
+// served from it.
 type FilterWatcher interface {
-	// FilterGeneration returns the current generation — bumped on every
-	// adopt/retire — and a channel that is closed when the generation next
-	// advances; callers re-fetch after the close.
-	FilterGeneration() (uint64, <-chan struct{})
-	// Admit answers "would this sync spec be admitted right now?" without
-	// establishing a session. The watch's fast path uses it: a watcher whose
-	// spec is already covered by the current filter set is answered
-	// immediately instead of parked waiting for a generation bump that may
-	// never come — closing the race where the tier widens between the leaf's
-	// rejection and its watch arriving. Admission side effects (counters, the
-	// tier's admission observer) fire as for any other admission probe.
-	Admit(q query.Query) error
+	// Ready reports whether q can be served as a sync spec now, and returns
+	// a channel closed at the next event that could make it so; the caller
+	// asks again after the close.
+	Ready(q query.Query) (ready bool, changed <-chan struct{})
 }
 
 // Tier is what a CascadeBackend serves downstream replicas from: the
-// mid-tier's own engine, and the admission gate in front of it
-// (*cascade.Tier satisfies it).
+// mid-tier's own engine, the admission gate in front of it, and the watch
+// diverted leaves wait on (*cascade.Tier satisfies it).
 type Tier interface {
 	FilterWatcher
+	Admit(q query.Query) error
 	Engine() *resync.Engine
 }
 
@@ -58,8 +52,8 @@ type Tier interface {
 type CascadeBackend struct {
 	*ReplicaBackend
 	engineSync
-	// FilterWatcher is the tier: its filter generation and admission gate
-	// answer the server's filters-watch control.
+	// FilterWatcher is the tier: it answers the server's filters-watch
+	// control.
 	FilterWatcher
 	// Upstream relays edge-write forwards toward the sequencer; nil refuses
 	// them (downstream writers then divert to their fallback master).

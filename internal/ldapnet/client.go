@@ -240,19 +240,17 @@ func (c *Client) search(q query.Query, controls ...proto.Control) (res *SearchRe
 	}
 }
 
-// WatchFilters subscribes to the server's admission-filter generation (the
-// OIDFiltersWatch control) and blocks until it advances past since (0 =
-// whatever generation is current when the watch is established), returning
-// the new generation. The wait is deadline-free — the response arrives only
-// when the server's filter set actually changes — so use a dedicated
-// client; Close from another goroutine cancels the wait. A server that does
-// not support the control answers unwillingToPerform immediately.
-func (c *Client) WatchFilters(q query.Query, since uint64) (uint64, error) {
+// WatchFilters blocks until the server can serve q as a sync spec (the
+// OIDFiltersWatch control): until it admits q and a link whose spec contains
+// q has finished its first exchange. The wait is deadline-free, so use a
+// dedicated client; Close from another goroutine cancels it. A server that
+// does not support the control answers unwillingToPerform at once.
+func (c *Client) WatchFilters(q query.Query) error {
 	c.mu.Lock()
-	id, err := c.send(&proto.SearchRequest{Query: q}, proto.NewFiltersWatchControl(since))
+	id, err := c.send(&proto.SearchRequest{Query: q}, proto.NewFiltersWatchControl())
 	if err != nil {
 		c.mu.Unlock()
-		return 0, err
+		return err
 	}
 	// Clear the read deadline for the watch's duration (the next exchange
 	// sets it afresh) and read outside the client lock, so a concurrent
@@ -264,7 +262,7 @@ func (c *Client) WatchFilters(q query.Query, since uint64) (uint64, error) {
 	for {
 		m, err := proto.ReadMessage(r)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if m.ID != id {
 			continue
@@ -274,13 +272,9 @@ func (c *Client) WatchFilters(q query.Query, since uint64) (uint64, error) {
 			continue
 		}
 		if done.Code != proto.ResultSuccess {
-			return 0, &ResultError{Code: done.Code, Message: done.Message, Referrals: done.Referrals}
+			return &ResultError{Code: done.Code, Message: done.Message, Referrals: done.Referrals}
 		}
-		ctrl, ok := m.Control(proto.OIDFiltersChanged)
-		if !ok {
-			return 0, fmt.Errorf("filters watch: response missing filters-changed control")
-		}
-		return proto.ParseFiltersChanged(ctrl)
+		return nil
 	}
 }
 

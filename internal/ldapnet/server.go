@@ -13,6 +13,7 @@ import (
 	"filterdir/internal/entry"
 	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
+	"filterdir/internal/query"
 	"filterdir/internal/resync"
 )
 
@@ -113,8 +114,8 @@ func (s *Server) dropConn(conn net.Conn) {
 	_ = conn.Close()
 }
 
-// connState tracks per-connection persistent searches and filter-generation
-// watches for abandon, plus the connection's write queue.
+// connState tracks per-connection persistent searches and filters watches
+// for abandon, plus the connection's write queue.
 type connState struct {
 	mu       sync.Mutex
 	persists map[int64]*resync.Subscription
@@ -136,7 +137,7 @@ func (cs *connState) takePersist(id int64) *resync.Subscription {
 	return sub
 }
 
-// addWatch registers a filter-generation watch; the returned channel is
+// addWatch registers a filters watch; the returned channel is
 // closed when the watch is cancelled (abandon or connection teardown).
 func (cs *connState) addWatch(id int64) chan struct{} {
 	cancel := make(chan struct{})
@@ -323,8 +324,8 @@ func (s *Server) send(out *response, m *proto.Message) error {
 }
 
 func (s *Server) handleSearch(out *response, state *connState, msg *proto.Message, op *proto.SearchRequest) {
-	if c, ok := msg.Control(proto.OIDFiltersWatch); ok {
-		s.handleFiltersWatch(out, state, msg.ID, op, c)
+	if _, ok := msg.Control(proto.OIDFiltersWatch); ok {
+		s.handleFiltersWatch(out, state, msg.ID, op.Query)
 		return
 	}
 	if c, ok := msg.Control(proto.OIDReSyncRequest); ok {
@@ -454,55 +455,39 @@ func sortEntries(entries []*entry.Entry, keys []proto.SortKey) {
 	})
 }
 
-// handleFiltersWatch parks a long-poll subscription against the backend's
-// admission-filter generation. The response — a bare SearchDone carrying the
-// filters-changed control — is deferred until the generation advances past
-// the client's `since` (0 = the generation current when the watch lands), so
-// a diverted leaf learns the tier widened without polling. The wait runs in
-// its own goroutine: the connection's read loop stays free to process
-// abandons, and teardown cancels via connState.closeAll.
-func (s *Server) handleFiltersWatch(out *response, state *connState, id int64, op *proto.SearchRequest, c proto.Control) {
+// handleFiltersWatch parks a long-poll until the backend can serve q as a
+// sync spec, then answers a bare SearchDone, so a diverted leaf learns when
+// to come back without polling. The backend says what to wait on: the wait
+// runs in its own goroutine, re-asking each time the backend's channel
+// closes, so the connection's read loop stays free to process abandons, and
+// teardown cancels via connState.closeAll.
+func (s *Server) handleFiltersWatch(out *response, state *connState, id int64, q query.Query) {
 	fw, ok := s.backend.(FilterWatcher)
 	if !ok {
 		s.reply(out, id, &proto.SearchDone{}, proto.ResultUnwillingToPerform,
 			"filters watch not supported by this server", nil, nil)
 		return
 	}
-	since, err := proto.ParseFiltersWatch(c)
-	if err != nil {
-		s.reply(out, id, &proto.SearchDone{}, proto.ResultProtocolError, err.Error(), nil, nil)
+	ready, changed := fw.Ready(q)
+	if ready {
+		s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil, nil)
 		return
-	}
-	gen, ch := fw.FilterGeneration()
-	if since == 0 {
-		since = gen
-		// Fast path: if the current filter set already admits the watcher's
-		// spec, the widening it is waiting for has already happened — answer
-		// now instead of parking for a bump that may never come. gen and ch
-		// were read before this check, so a widening that races it closes ch
-		// and wakes the parked goroutine below.
-		if fw.Admit(op.Query) == nil {
-			s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
-				[]proto.Control{proto.NewFiltersChangedControl(gen)})
-			return
-		}
 	}
 	cancel := state.addWatch(id)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer state.dropWatch(id)
-		for gen <= since {
+		for !ready {
 			select {
-			case <-ch:
+			case <-changed:
 			case <-cancel:
 				return
 			}
-			gen, ch = fw.FilterGeneration()
+			ready, changed = fw.Ready(q)
 		}
 		late := &response{w: state.w}
-		s.reply(late, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
-			[]proto.Control{proto.NewFiltersChangedControl(gen)})
+		s.reply(late, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil, nil)
 		_ = late.end()
 	}()
 }

@@ -275,31 +275,23 @@ func wireExchanges(t *testing.T, addr string, master *dit.Store) map[string]erro
 }
 
 // TestFiltersWatchThroughCascadeBackend drives the filters-watch control
-// through NewCascadeBackend: a watcher whose spec the tier already admits is
-// answered at once; one it does not admit stays parked on a tier whose filter
-// set never changes, and is woken with the new generation when an adaptive
-// tier adopts a spec covering it. A backend with no filter set to watch
-// refuses the control.
+// through NewCascadeBackend: a watcher whose spec the tier admits and a loaded
+// link holds is answered at once; one it does not admit stays parked on a
+// tier whose filter set never changes, and is answered once an adaptive tier
+// adopts a spec covering it and that link's first exchange lands. A backend
+// with no filter set to wait on refuses the control.
 func TestFiltersWatchThroughCascadeBackend(t *testing.T) {
 	store := surfaceStore(t)
 	tier := startTier(t, store)
 	srv := serve(t, ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://master"))
-	gen0, _ := tier.FilterGeneration()
 
-	if gen, err := dial(t, srv.Addr()).WatchFilters(inSpec, 0); err != nil || gen != gen0 {
-		t.Fatalf("watch of an admitted spec = (%d, %v), want (%d, nil) at once", gen, err, gen0)
+	if err := dial(t, srv.Addr()).WatchFilters(inSpec); err != nil {
+		t.Fatalf("watch of a served spec = %v, want an answer at once", err)
 	}
 
-	type result struct {
-		gen uint64
-		err error
-	}
-	watch := func(c *ldapnet.Client) <-chan result {
-		done := make(chan result, 1)
-		go func() {
-			gen, err := c.WatchFilters(outSpec, 0)
-			done <- result{gen, err}
-		}()
+	watch := func(c *ldapnet.Client) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- c.WatchFilters(outSpec) }()
 		return done
 	}
 
@@ -307,43 +299,44 @@ func TestFiltersWatchThroughCascadeBackend(t *testing.T) {
 	static := dial(t, srv.Addr())
 	parked := watch(static)
 	select {
-	case r := <-parked:
-		t.Fatalf("watch of an unadmitted spec on a static tier returned (%d, %v)", r.gen, r.err)
+	case err := <-parked:
+		t.Fatalf("watch of an unadmitted spec on a static tier returned %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	_ = static.Close()
-	if r := <-parked; r.err == nil {
-		t.Fatalf("cancelled watch returned generation %d, want an error", r.gen)
+	if err := <-parked; err == nil {
+		t.Fatal("cancelled watch answered, want an error")
 	}
 
-	// Adaptive: the control plane's adopt action bumps the generation once
-	// the widened content is in place, which answers the parked watch. (A
-	// watch that reaches the server only after the adopt is answered at once
-	// with the generation it finds; either way it returns admitted.)
+	// Adaptive: the adopted link's first exchange answers the parked watch.
+	// (A watch that reaches the server only after that is answered at once.)
 	woken := watch(dial(t, srv.Addr()))
 	select {
-	case r := <-woken:
-		t.Fatalf("watch returned (%d, %v) before anything was adopted", r.gen, r.err)
+	case err := <-woken:
+		t.Fatalf("watch returned %v before anything was adopted", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if _, err := tier.AdoptSpec(outSpec); err != nil {
+	sup, err := tier.AdoptSpec(outSpec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case r := <-woken:
-		if r.err != nil || r.gen < gen0 || r.gen > gen0+1 {
-			t.Fatalf("watch across an adopt = (%d, %v), want generation %d", r.gen, r.err, gen0+1)
+	case err := <-woken:
+		if err != nil {
+			t.Fatalf("watch across an adopt = %v, want an answer", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("adopt did not wake the parked watch")
 	}
-	if err := tier.Admit(outSpec); err != nil {
-		t.Errorf("woken watcher's spec still rejected: %v", err)
+	select {
+	case <-sup.Synced():
+	default:
+		t.Error("watch answered before the adopted link's first exchange")
 	}
 
 	// A master has no admission filter set.
 	master := serve(t, ldapnet.NewStoreBackend(store))
-	_, err := dial(t, master.Addr()).WatchFilters(inSpec, 0)
+	err = dial(t, master.Addr()).WatchFilters(inSpec)
 	var re *ldapnet.ResultError
 	if !errors.As(err, &re) || re.Code != proto.ResultUnwillingToPerform {
 		t.Errorf("watch at a master = %v, want unwillingToPerform", err)

@@ -12,9 +12,6 @@ import (
 // cost. All fields are atomic; the control loop and status reporting never
 // contend.
 type TierCounters struct {
-	// FilterGeneration mirrors the tier's current filter generation
-	// (gauge; bumps on every adopt/retire).
-	FilterGeneration atomic.Int64
 	// StoredFilters is the current size of the tier's filter set (gauge).
 	StoredFilters atomic.Int64
 
@@ -36,7 +33,7 @@ type TierCounters struct {
 
 // TierSnapshot is a point-in-time copy of the counters.
 type TierSnapshot struct {
-	FilterGeneration, StoredFilters      int64
+	StoredFilters                        int64
 	RejectionsObserved, ServingCredits   int64
 	Generalizations, Revolutions         int64
 	FiltersRetired                       int64
@@ -47,7 +44,6 @@ type TierSnapshot struct {
 // Snapshot copies the current counter values.
 func (c *TierCounters) Snapshot() TierSnapshot {
 	return TierSnapshot{
-		FilterGeneration:   c.FilterGeneration.Load(),
 		StoredFilters:      c.StoredFilters.Load(),
 		RejectionsObserved: c.RejectionsObserved.Load(),
 		ServingCredits:     c.ServingCredits.Load(),
@@ -64,8 +60,8 @@ func (c *TierCounters) Snapshot() TierSnapshot {
 // String renders a compact status line for operator output.
 func (s TierSnapshot) String() string {
 	return fmt.Sprintf(
-		"tierctl: gen=%d filters=%d | rejections=%d credits=%d | widened=%d revolutions=%d retired=%d | migrated-back=%d referred=%d | widen-resync=%d entries/%dB",
-		s.FilterGeneration, s.StoredFilters,
+		"tierctl: filters=%d | rejections=%d credits=%d | widened=%d revolutions=%d retired=%d | migrated-back=%d referred=%d | widen-resync=%d entries/%dB",
+		s.StoredFilters,
 		s.RejectionsObserved, s.ServingCredits,
 		s.Generalizations, s.Revolutions, s.FiltersRetired,
 		s.LeavesMigratedBack, s.LeavesReferred,

@@ -21,9 +21,9 @@ import (
 //   - the rejected leaf diverts to the fallback master (static behavior);
 //   - the control plane observes the rejection, adopts the uncovered spec
 //     into spare budget and re-syncs the widened content from upstream;
-//   - the filters-changed notification (not the re-probe timer, which is set
-//     far beyond the test deadline) brings the diverted leaf back, and its
-//     fallback session at the master is released;
+//   - the tier's answer to the diverted leaf's filters watch, once the
+//     adopted link has synced, brings the leaf back, and its fallback
+//     session at the master is released;
 //   - the stored set stays within budget, and the final tier content is
 //     FNV-byte-identical to a reference tier statically configured with the
 //     widened filter set from the start.
@@ -86,13 +86,9 @@ func runAdaptive(cfg Config, hseed int64, events []Event, rep *Report) *Failure 
 		return w.leaf(supervisor.Config{
 			Master:   tierAddr,
 			Fallback: masterAddr,
-			// Far beyond the adaptation deadline below: only the
-			// filters-changed watch can bring a diverted leaf back in time.
-			RetryUpstreamAfter: 10 * time.Minute,
-			WatchFilters:       true,
-			Spec:               spec,
-			Mode:               mode,
-			Seed:               hseed + int64(i),
+			Spec:     spec,
+			Mode:     mode,
+			Seed:     hseed + int64(i),
 		})
 	}
 	tierSettles := func(what string) *Failure { return h.settles(what, tier.Replica().Store(), tier.Specs) }
@@ -137,14 +133,13 @@ func runAdaptive(cfg Config, hseed int64, events []Event, rep *Report) *Failure 
 		if got := tier.Counters().Rejected.Load(); got < 1 {
 			return h.fail("tier rejected %d sessions, want >= 1 (mover spec %q)", got, moverSpec)
 		}
-		// The control plane must now adopt the mover's spec, re-sync the
-		// widened content, bump the filter generation, and the
-		// filters-changed watch must bring the mover back — well before its
-		// 10-minute re-probe timer.
+		// The control plane must now adopt the mover's spec and re-sync the
+		// widened content, and the tier's answer to the mover's filters
+		// watch — the one way a diverted leaf comes back — must bring it
+		// back.
 		if f := reached("mover migration back to the tier", func() string {
 			if got := mover.sup.Target(); got != tierAddr {
-				gen, _ := tier.FilterGeneration()
-				return fmt.Sprintf("mover target = %s (tier specs %d, gen %d)", got, len(tier.Specs()), gen)
+				return fmt.Sprintf("mover target = %s (tier specs %d)", got, len(tier.Specs()))
 			}
 			return ""
 		}); f != nil {

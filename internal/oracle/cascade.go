@@ -19,7 +19,6 @@ package oracle
 
 import (
 	"math/rand"
-	"time"
 
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/query"
@@ -171,7 +170,7 @@ func runCascadeWire(cfg Config, hseed int64, events []Event, rep *Report) *Failu
 		return f
 	}
 	leaf := func(spec query.Query, upstream, fallback string, mode supervisor.Mode, dial ldapnet.DialFunc, i int) (*wireLeaf, *Failure) {
-		return w.leaf(supervisor.Config{Master: upstream, Fallback: fallback, RetryUpstreamAfter: time.Hour,
+		return w.leaf(supervisor.Config{Master: upstream, Fallback: fallback,
 			Spec: spec, Mode: mode, Seed: hseed + int64(i), Dial: dial})
 	}
 	leafSpecs := cascadeLeafSpecs()[:2]

@@ -347,7 +347,7 @@ func TestOracleResumeSweep(t *testing.T) {
 // TestOracleAdaptiveQuick is the tier-1 adaptive-tiering gate: a wire-level
 // master → adaptive tier → leaves run where the tier starts too narrow, a
 // mid-run locality shift diverts a leaf to the fallback master, and the
-// tierctl control plane must widen the tier, fire the filters-changed watch,
+// tierctl control plane must widen the tier, answer the leaf's filters watch,
 // migrate the leaf back, release its fallback session, and end up
 // byte-identical to a statically-widened reference tier — all within budget.
 func TestOracleAdaptiveQuick(t *testing.T) {

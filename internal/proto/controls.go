@@ -101,63 +101,20 @@ const (
 	// master-assigned sequence number the origin replica matches against
 	// its ReSync stream; duplicate reports the op id was already applied.
 	OIDEdgeWriteDone = "1.3.6.1.4.1.55555.1.5"
-	// OIDFiltersWatch is attached to a search request to subscribe to the
-	// server's admission-filter generation: value = SEQUENCE { generation
-	// INTEGER }. The server holds the operation open until its stored
-	// filter set advances past the presented generation (0 = whatever
-	// generation is current when the watch is established), then answers
-	// the search-done carrying OIDFiltersChanged. A diverted supervisor
-	// uses it to re-probe a tier the moment it widens, instead of waiting
-	// out the retry timer.
+	// OIDFiltersWatch is attached to a search request to wait until the
+	// server can serve the request's query as a sync spec. It has no value.
+	// The server holds the operation open until it admits the spec and a
+	// link whose spec contains it has finished its first exchange, then
+	// answers a bare search-done. A diverted supervisor uses it to learn
+	// when to probe its preferred upstream again. A server with no filter
+	// set to wait on answers unwillingToPerform.
 	OIDFiltersWatch = "1.3.6.1.4.1.55555.1.8"
-	// OIDFiltersChanged is attached to the search-done answering a filters
-	// watch: value = SEQUENCE { generation INTEGER }, the server's current
-	// filter generation.
-	OIDFiltersChanged = "1.3.6.1.4.1.55555.1.9"
 )
 
-// NewFiltersWatchControl subscribes to the server's admission-filter
-// generation (see OIDFiltersWatch).
-func NewFiltersWatchControl(generation uint64) Control {
-	var body []byte
-	body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, int64(generation))
-	return Control{OID: OIDFiltersWatch, Criticality: true, Value: ber.AppendSequence(nil, body)}
-}
-
-// ParseFiltersWatch decodes a filters-watch request control.
-func ParseFiltersWatch(c Control) (generation uint64, err error) {
-	rd := ber.NewReader(c.Value)
-	seq, err := rd.ReadSequence()
-	if err != nil {
-		return 0, fmt.Errorf("filters watch control: %w", err)
-	}
-	n, err := seq.ReadInt()
-	if err != nil {
-		return 0, err
-	}
-	return uint64(n), nil
-}
-
-// NewFiltersChangedControl carries the server's current filter generation on
-// the search-done answering a watch (see OIDFiltersChanged).
-func NewFiltersChangedControl(generation uint64) Control {
-	var body []byte
-	body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, int64(generation))
-	return Control{OID: OIDFiltersChanged, Value: ber.AppendSequence(nil, body)}
-}
-
-// ParseFiltersChanged decodes a filters-changed response control.
-func ParseFiltersChanged(c Control) (generation uint64, err error) {
-	rd := ber.NewReader(c.Value)
-	seq, err := rd.ReadSequence()
-	if err != nil {
-		return 0, fmt.Errorf("filters changed control: %w", err)
-	}
-	n, err := seq.ReadInt()
-	if err != nil {
-		return 0, err
-	}
-	return uint64(n), nil
+// NewFiltersWatchControl asks the server to answer once it can serve the
+// search's query (see OIDFiltersWatch).
+func NewFiltersWatchControl() Control {
+	return Control{OID: OIDFiltersWatch, Criticality: true}
 }
 
 // ReSyncMode is the synchronization mode requested by a replica.

@@ -6,6 +6,7 @@ import (
 
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
+	"filterdir/internal/query"
 )
 
 // writeRequestSeeds builds one well-formed PDU per write operation —
@@ -231,24 +232,49 @@ func fuzzControl(f *testing.F, seeds []Control, reencode func(Control) (Control,
 	})
 }
 
-// FuzzDecodeFiltersWatch: the filters-watch request control a diverted
-// supervisor parks on a tier.
+// FuzzDecodeFiltersWatch feeds arbitrary bytes to the message decoder with
+// the filters watch a diverted supervisor parks on a tier: a search request
+// carrying the valueless watch control, and the same request whose control
+// still carries a generation, as older clients sent it. A server knows a
+// watch by the control's presence alone. Property: Decode never panics, and
+// a decoded search request re-encodes to a PDU that decodes with the watch
+// still present or still absent and, from there on, encodes byte-identically.
 func FuzzDecodeFiltersWatch(f *testing.F) {
-	fuzzControl(f, []Control{NewFiltersWatchControl(0), NewFiltersWatchControl(7), NewFiltersWatchControl(^uint64(0))},
-		func(c Control) (Control, error) {
-			gen, err := ParseFiltersWatch(c)
-			return NewFiltersWatchControl(gen), err
-		})
-}
-
-// FuzzDecodeFiltersChanged: the filters-changed control on the search-done
-// that answers a watch.
-func FuzzDecodeFiltersChanged(f *testing.F) {
-	fuzzControl(f, []Control{NewFiltersChangedControl(1), NewFiltersChangedControl(1 << 40)},
-		func(c Control) (Control, error) {
-			gen, err := ParseFiltersChanged(c)
-			return NewFiltersChangedControl(gen), err
-		})
+	q := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)")
+	legacy := NewFiltersWatchControl()
+	legacy.Value = []byte{0x30, 0x03, 0x02, 0x01, 0x07} // SEQUENCE { generation 7 }
+	for _, c := range []Control{NewFiltersWatchControl(), legacy} {
+		seed, err := (&Message{ID: 3, Op: &SearchRequest{Query: q}, Controls: []Control{c}}).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return // malformed input must error, not panic
+		}
+		if _, ok := m.Op.(*SearchRequest); !ok {
+			return
+		}
+		_, watch := m.Control(OIDFiltersWatch)
+		enc1, err := m.Encode()
+		if err != nil {
+			t.Fatalf("decoded search request does not re-encode: %v", err)
+		}
+		m2, err := Decode(enc1)
+		if err != nil {
+			t.Fatalf("re-encoded search request does not decode: %v", err)
+		}
+		if _, ok := m2.Control(OIDFiltersWatch); ok != watch {
+			t.Fatalf("round trip changed the watch's presence: %v -> %v", watch, ok)
+		}
+		if enc2, _ := m2.Encode(); !bytes.Equal(enc1, enc2) {
+			t.Fatalf("search request round trip unstable:\n  first  %x\n  second %x", enc1, enc2)
+		}
+	})
 }
 
 // FuzzDecodeEdgeWrite: the edge-write control on a write a replica forwards

@@ -290,6 +290,9 @@ type session struct {
 	// points is the resumable history, oldest (last acknowledged) first;
 	// the final element matches csn/content.
 	points []syncPoint
+	// rolledBack is the newest point the last rollback discarded (zero when
+	// none): a poll that rebuilds it reissues its name (nextGen).
+	rolledBack syncPoint
 	// transfer is the session's in-flight (or just-completed) chunked
 	// reload, nil outside one (resume.go).
 	transfer *transfer
@@ -353,6 +356,9 @@ func (sess *session) rollbackTo(gen uint64) bool {
 	if idx < 0 {
 		return false
 	}
+	if newest := sess.points[len(sess.points)-1]; newest.gen != gen {
+		sess.rolledBack = syncPoint{gen: newest.gen, csn: newest.csn}
+	}
 	for j := len(sess.points) - 1; j > idx; j-- {
 		for _, u := range sess.points[j].undo {
 			if u.present {
@@ -365,6 +371,23 @@ func (sess *session) rollbackTo(gen uint64) bool {
 	sess.points = sess.points[:idx+1]
 	sess.csn = sess.points[idx].csn
 	return true
+}
+
+// nextGen names a new sync point at csn. The content a spec selects at a
+// CSN is fixed, so a point rebuilt at the CSN of the point the last rollback
+// discarded is that point, and takes its name back. That is what keeps a
+// late duplicate of a poll harmless: handled after its consumer's retry was
+// answered, it rolls back the point the consumer now holds and rebuilds the
+// same one, and the consumer's next poll still finds it instead of costing a
+// full reload.
+func (sess *session) nextGen(csn dit.CSN) uint64 {
+	back := sess.rolledBack
+	sess.rolledBack = syncPoint{}
+	if back.gen != 0 && back.csn == csn {
+		return back.gen
+	}
+	sess.genSeq++
+	return sess.genSeq
 }
 
 // rewindTo repositions the session at the sync point the replica proved it
@@ -640,14 +663,14 @@ func (e *Engine) poll(sess *session) (*PollResult, error) {
 		sess.csn = csn
 		res.Cookie = cookieString(sess.id, last.gen)
 	} else {
-		sess.genSeq++
+		gen := sess.nextGen(csn)
 		sess.csn = csn
-		sess.points = append(sess.points, syncPoint{gen: sess.genSeq, csn: csn, undo: undo})
+		sess.points = append(sess.points, syncPoint{gen: gen, csn: csn, undo: undo})
 		if len(sess.points) > e.keepPoints {
 			sess.points = sess.points[1:]
 			sess.points[0].undo = nil
 		}
-		res.Cookie = cookieString(sess.id, sess.genSeq)
+		res.Cookie = cookieString(sess.id, gen)
 	}
 	res.CSN = e.stampCSN(csn)
 	e.countPDUs(res.Updates)

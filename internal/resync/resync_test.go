@@ -595,3 +595,60 @@ func TestActionStrings(t *testing.T) {
 		t.Error("unknown action must still render")
 	}
 }
+
+// TestLateDuplicatePollKeepsConsumerPoint: a poll handled after its
+// consumer's retry of it was answered — a request left on a dead connection —
+// rolls back the point the consumer now holds, rebuilds it and names it as
+// before, so the consumer's next poll resumes instead of taking a full
+// reload. A commit in between makes the rebuilt point a different one, with
+// a name of its own.
+func TestLateDuplicatePollKeepsConsumerPoint(t *testing.T) {
+	master := newMaster(t)
+	addPerson(t, master, "a", "0401", "1")
+	eng := NewEngine(master)
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := res.Cookie
+
+	addPerson(t, master, "b", "0402", "1")
+	retry, err := eng.Poll(base) // the consumer's retry, answered
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := eng.Poll(base) // the original, handled late; its answer is lost
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Cookie != retry.Cookie {
+		t.Fatalf("late duplicate named the rebuilt point %s, want %s", late.Cookie, retry.Cookie)
+	}
+	next, err := eng.Poll(retry.Cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.FullReload || len(next.Updates) != 0 {
+		t.Fatalf("consumer's next poll = %d updates (reload=%v), want an empty resume", len(next.Updates), next.FullReload)
+	}
+	if got := eng.Counters().Snapshot().FullReloads; got != 0 {
+		t.Fatalf("full reloads = %d, want 0", got)
+	}
+
+	addPerson(t, master, "c", "0403", "1")
+	retry, err = eng.Poll(next.Cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addPerson(t, master, "d", "0404", "1")
+	late, err = eng.Poll(next.Cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Cookie == retry.Cookie {
+		t.Fatalf("point rebuilt past a later commit reused the name %s", retry.Cookie)
+	}
+	if len(late.Updates) != 2 {
+		t.Fatalf("rebuilt point carries %d updates, want 2 (c and d)", len(late.Updates))
+	}
+}

@@ -3,6 +3,7 @@ package supervisor
 import (
 	"encoding/json"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,17 +17,60 @@ import (
 
 // gatedBackend serves the master store but answers new sync sessions with
 // the containment rejection until allowed — a stand-in for a mid-tier whose
-// stored queries do not (yet) cover the leaf's spec.
+// stored queries do not (yet) cover the leaf's spec. It refuses the filters
+// watch, as any backend that is not a tier does.
 type gatedBackend struct {
 	*ldapnet.StoreBackend
-	allow atomic.Bool
+	allow   atomic.Bool
+	refused atomic.Int64 // Begins answered with the rejection
 }
 
 func (b *gatedBackend) ReSyncBegin(q query.Query) (*resync.PollResult, error) {
 	if !b.allow.Load() {
+		b.refused.Add(1)
 		return nil, ldapnet.ErrNotContained
 	}
 	return b.StoreBackend.ReSyncBegin(q)
+}
+
+// watchedBackend is a gated backend that answers the filters watch as a tier
+// does: ready once it admits the spec, and open wakes the parked watches.
+type watchedBackend struct {
+	*gatedBackend
+	asked   atomic.Int64 // Ready calls: watches landed or woken
+	mu      sync.Mutex
+	changed chan struct{}
+}
+
+func (b *watchedBackend) Ready(query.Query) (bool, <-chan struct{}) {
+	b.asked.Add(1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.allow.Load(), b.changed
+}
+
+// open starts admitting the spec and signals the watchers.
+func (b *watchedBackend) open() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.allow.Store(true)
+	close(b.changed)
+	b.changed = make(chan struct{})
+}
+
+// serveWatched serves a watched backend over the harness store.
+func serveWatched(t *testing.T, h *harness) (*watchedBackend, *ldapnet.Server) {
+	t.Helper()
+	wb := &watchedBackend{
+		gatedBackend: &gatedBackend{StoreBackend: ldapnet.NewStoreBackend(h.store)},
+		changed:      make(chan struct{}),
+	}
+	srv, err := ldapnet.Serve("127.0.0.1:0", wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return wb, srv
 }
 
 // serveGated serves a gated backend over the harness store on its own
@@ -51,7 +95,6 @@ func TestContainmentRejectionDiverts(t *testing.T) {
 	cfg := h.config(t)
 	cfg.Master = gatedSrv.Addr()
 	cfg.Fallback = h.srv.Addr()
-	cfg.RetryUpstreamAfter = time.Hour
 	sup := startSupervisor(t, cfg)
 
 	waitSynced(t, sup)
@@ -77,7 +120,6 @@ func TestStaleSessionAtUpstreamDiverts(t *testing.T) {
 	cfg := h.config(t)
 	cfg.Master = gatedSrv.Addr()
 	cfg.Fallback = h.srv.Addr()
-	cfg.RetryUpstreamAfter = time.Hour
 	// Durable state whose cookie names no session at the upstream.
 	cfg.StateDir = t.TempDir()
 	note, err := json.Marshal(position{Cookie: "sess-999@12345", Addr: cfg.Master, Spec: h.spec.Normalize().Key()})
@@ -107,36 +149,89 @@ func TestStaleSessionAtUpstreamDiverts(t *testing.T) {
 	waitConverged(t, h, sup, 10*time.Second)
 }
 
-// TestProbeReturnsToPreferredUpstream: after RetryUpstreamAfter on the
-// fallback, the supervisor probes the preferred upstream again; once the
-// upstream admits the spec the supervisor stays there for good.
+// TestProbeReturnsToPreferredUpstream: a diverted supervisor probes the
+// preferred upstream again when the upstream answers its filters watch, and
+// stays there for good.
 func TestProbeReturnsToPreferredUpstream(t *testing.T) {
 	h := newHarness(t)
-	gb, gatedSrv := serveGated(t, h)
+	wb, upstream := serveWatched(t, h)
 
 	cfg := h.config(t)
-	cfg.Master = gatedSrv.Addr()
+	cfg.Master = upstream.Addr()
 	cfg.Fallback = h.srv.Addr()
-	cfg.RetryUpstreamAfter = 40 * time.Millisecond
 	sup := startSupervisor(t, cfg)
 
 	waitSynced(t, sup) // first exchange lands on the fallback
 	waitCounter(t, "upstream fallbacks", 10*time.Second,
 		func() int64 { return sup.Counters().UpstreamFallbacks.Load() }, 1)
 
-	// The upstream starts admitting the spec; the next probe must stick.
-	gb.allow.Store(true)
-	waitCounter(t, "upstream begins", 10*time.Second,
-		func() int64 { return gb.Engine.Counters().Snapshot().Begins }, 1)
+	// The upstream starts admitting the spec and answers the watch.
+	wb.open()
+	waitTarget(t, sup, upstream.Addr())
+	mutate(t, h.store, 0)
+	waitConverged(t, h, sup, 10*time.Second)
+	if got := sup.Counters().UpstreamFallbacks.Load(); got != 1 {
+		t.Errorf("upstream fallbacks = %d, want 1 (the probe must stick)", got)
+	}
+}
+
+// TestRefusingUpstreamCostsOneBegin: while the preferred upstream refuses the
+// spec, a diverted supervisor does not probe it at all — the fallback master
+// serves one Begin however long the refusal lasts, and the upstream sees only
+// the Begin it refused. When the upstream admits the spec and signals its
+// watchers, the supervisor moves there with one Begin and ends its session at
+// the master.
+func TestRefusingUpstreamCostsOneBegin(t *testing.T) {
+	h := newHarness(t)
+	wb, upstream := serveWatched(t, h)
+
+	cfg := h.config(t)
+	cfg.Master = upstream.Addr()
+	cfg.Fallback = h.srv.Addr()
+	sup := startSupervisor(t, cfg)
+
+	waitSynced(t, sup)
+	time.Sleep(2 * time.Second) // the refusal lasts: nothing may re-probe it
+	if got := h.backend.Engine.Counters().Snapshot().Begins; got != 1 {
+		t.Errorf("master begins while the upstream refused = %d, want 1", got)
+	}
+	if got := wb.refused.Load(); got != 1 {
+		t.Errorf("refused begins at the upstream = %d, want 1", got)
+	}
+	if got := h.backend.Engine.Sessions(); got != 1 {
+		t.Fatalf("master sessions while diverted = %d, want 1", got)
+	}
+
+	wb.open()
+	waitTarget(t, sup, upstream.Addr())
+	// Only an exchange at the upstream can bring the leaf this change.
+	mutate(t, h.store, 0)
+	waitConverged(t, h, sup, 10*time.Second)
+	if got := wb.Engine.Counters().Snapshot().Begins; got != 1 {
+		t.Errorf("upstream begins = %d, want 1", got)
+	}
+	// The fallback session is ended before the probe dials the upstream.
+	if got := h.backend.Engine.Sessions(); got != 0 {
+		t.Errorf("master sessions after the move = %d, want 0", got)
+	}
+	if got := h.backend.Engine.Counters().Snapshot().Begins; got != 1 {
+		t.Errorf("master begins = %d, want 1", got)
+	}
+	if got := wb.refused.Load(); got != 1 {
+		t.Errorf("refused begins at the upstream = %d, want 1", got)
+	}
+}
+
+// waitTarget waits for the supervisor to synchronize against addr.
+func waitTarget(t *testing.T, sup *Supervisor, addr string) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for sup.Target() != gatedSrv.Addr() {
+	for sup.Target() != addr {
 		if time.Now().After(deadline) {
-			t.Fatalf("target = %s, want preferred upstream %s", sup.Target(), gatedSrv.Addr())
+			t.Fatalf("target = %s, want %s", sup.Target(), addr)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	mutate(t, h.store, 0)
-	waitConverged(t, h, sup, 10*time.Second)
 }
 
 // TestRetryWithoutFallbackBacksOff: with no fallback configured, a
@@ -161,11 +256,10 @@ func TestRetryWithoutFallbackBacksOff(t *testing.T) {
 }
 
 // parkingBackend is a gated backend that parks filters watches the way a
-// mid-tier whose filter set never changes does.
+// mid-tier that never comes to serve the spec does.
 type parkingBackend struct{ *gatedBackend }
 
-func (parkingBackend) FilterGeneration() (uint64, <-chan struct{}) { return 1, nil }
-func (parkingBackend) Admit(query.Query) error                     { return ldapnet.ErrNotContained }
+func (parkingBackend) Ready(query.Query) (bool, <-chan struct{}) { return false, nil }
 
 // TestStopDuringWatchDial: Stop cancels the filters watch by closing its
 // connection; a watch still dialling has none yet, and must notice the
@@ -188,8 +282,6 @@ func TestStopDuringWatchDial(t *testing.T) {
 	cfg := h.config(t)
 	cfg.Master = gatedSrv.Addr()
 	cfg.Fallback = h.srv.Addr()
-	cfg.RetryUpstreamAfter = time.Hour
-	cfg.WatchFilters = true
 	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 		if addr == gatedSrv.Addr() && upstreamDials.Add(1) == 2 {
 			close(dialling)

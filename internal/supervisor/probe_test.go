@@ -1,107 +1,135 @@
 package supervisor
 
 import (
-	"math/rand"
+	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"filterdir/internal/replica"
 )
 
-// TestProbeJitterBounds: the re-probe delay is drawn uniformly from
-// [0.8d, 1.2d]. A draw outside that window would either hammer the upstream
-// early or let a diverted leaf linger on the fallback far past its window.
-func TestProbeJitterBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := 10 * time.Second
-	lo, hi := 8*time.Second, 12*time.Second
-	sawLow, sawHigh := false, false
-	for i := 0; i < 10000; i++ {
-		j := probeJitter(rng, d)
-		if j < lo || j > hi {
-			t.Fatalf("probeJitter draw %v outside [%v, %v]", j, lo, hi)
-		}
-		if j < 9*time.Second {
-			sawLow = true
-		}
-		if j > 11*time.Second {
-			sawHigh = true
+// newIdle builds a supervisor that is never started, so a test drives its
+// filters watch directly.
+func newIdle(t *testing.T, cfg Config) *Supervisor {
+	t.Helper()
+	rep, err := replica.NewFilterReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := New(cfg, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sup.Stop() })
+	return sup
+}
+
+// TestWatchAsksForProbe: no probe is due while the watch is parked, nor
+// after a cancelled watch's upstream comes to serve the spec; an answer to
+// the current watch makes one due, and stopping the watch — what the loop
+// does as it starts the probe — clears it.
+func TestWatchAsksForProbe(t *testing.T) {
+	h := newHarness(t)
+	wb, upstream := serveWatched(t, h)
+	cfg := h.config(t)
+	cfg.Master = upstream.Addr()
+	cfg.Fallback = h.srv.Addr()
+	sup := newIdle(t, cfg)
+
+	parked := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for wb.asked.Load() < n {
+			if time.Now().After(deadline) {
+				t.Fatal("the watch never reached the upstream")
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
-	if !sawLow || !sawHigh {
-		t.Errorf("jitter not spread across the window: sawLow=%v sawHigh=%v", sawLow, sawHigh)
+	sup.startWatch()
+	parked(1)
+	sup.stopWatch()
+	sup.watchWG.Wait()
+	wb.open()
+	if sup.probeDue.Load() {
+		t.Fatal("a cancelled watch made a probe due")
+	}
+
+	wb.mu.Lock()
+	wb.allow.Store(false)
+	wb.mu.Unlock()
+	sup.startWatch()
+	parked(2)
+	if sup.probeDue.Load() {
+		t.Fatal("probe due before the upstream answered the watch")
+	}
+	wb.open()
+	deadline := time.Now().Add(10 * time.Second)
+	for !sup.probeDue.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("the watch's answer never made a probe due")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sup.stopWatch()
+	if sup.probeDue.Load() {
+		t.Fatal("stopWatch left the probe due")
 	}
 }
 
-// TestProbeJitterZeroAndNegative: non-positive intervals pass through
-// unchanged (RetryUpstreamAfter <= 0 means "probe every tick" and must not
-// panic rand.Int63n).
-func TestProbeJitterZeroAndNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if got := probeJitter(rng, 0); got != 0 {
-		t.Errorf("probeJitter(0) = %v", got)
+// TestRefusedWatchIsNotRetried: an upstream that refuses the filters watch
+// is not a tier; the watch ends at the refusal, asks for no probe, and does
+// not dial the upstream again.
+func TestRefusedWatchIsNotRetried(t *testing.T) {
+	h := newHarness(t)
+	_, upstream := serveGated(t, h)
+	var dials atomic.Int32
+	cfg := h.config(t)
+	cfg.Master = upstream.Addr()
+	cfg.Fallback = h.srv.Addr()
+	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		dials.Add(1)
+		return net.DialTimeout("tcp", addr, timeout)
 	}
-	if got := probeJitter(rng, -time.Second); got != -time.Second {
-		t.Errorf("probeJitter(-1s) = %v", got)
+	sup := newIdle(t, cfg)
+
+	sup.startWatch()
+	sup.watchWG.Wait() // the refusal ends the watch
+	if sup.probeDue.Load() {
+		t.Error("a refused watch made a probe due")
+	}
+	time.Sleep(20 * cfg.PollInterval) // a retry would come after one interval
+	if got := dials.Load(); got != 1 {
+		t.Errorf("watch dialled the upstream %d times, want 1", got)
 	}
 }
 
-// TestProbeJitterDesynchronizesLeaves is the lockstep regression test: two
-// supervisors armed at the same instant with different seeds must not draw
-// identical probe schedules. Before jitter was added, a mass divert put
-// every leaf on the same retry clock — they re-probed, overloaded the
-// recovering upstream, re-diverted, and repeated in lockstep forever.
-func TestProbeJitterDesynchronizesLeaves(t *testing.T) {
-	d := 30 * time.Second
-	a := rand.New(rand.NewSource(2))
-	b := rand.New(rand.NewSource(3))
-	distinct := false
-	for i := 0; i < 8; i++ {
-		if probeJitter(a, d) != probeJitter(b, d) {
-			distinct = true
-			break
+// TestWatchRetriesAfterTransportFailure: a watch whose upstream is down
+// retries after a poll interval and is answered once the upstream is back.
+func TestWatchRetriesAfterTransportFailure(t *testing.T) {
+	h := newHarness(t)
+	wb, upstream := serveWatched(t, h)
+	wb.open()
+	var dials atomic.Int32
+	cfg := h.config(t)
+	cfg.Master = upstream.Addr()
+	cfg.Fallback = h.srv.Addr()
+	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		if dials.Add(1) < 3 {
+			return nil, errors.New("upstream down")
 		}
+		return net.DialTimeout("tcp", addr, timeout)
 	}
-	if !distinct {
-		t.Fatal("two differently-seeded leaves drew identical probe schedules for 8 rounds")
-	}
-}
+	sup := newIdle(t, cfg)
 
-// TestArmProbeDeadlineWindow: armProbe stores a wall-clock deadline inside
-// the jitter window, probeDue fires only after it passes, ProbeNow pulls it
-// to the present, and disarmProbe clears it.
-func TestArmProbeDeadlineWindow(t *testing.T) {
-	s := &Supervisor{
-		cfg:      config{Config: Config{RetryUpstreamAfter: time.Hour, Logf: t.Logf}},
-		probeRng: rand.New(rand.NewSource(7)),
+	sup.startWatch()
+	sup.watchWG.Wait() // answered on the third dial
+	if !sup.probeDue.Load() {
+		t.Error("the watch ended without making a probe due")
 	}
-
-	before := time.Now()
-	s.armProbe()
-	dl := time.Unix(0, s.probeDeadline.Load())
-	if min, max := before.Add(48*time.Minute), time.Now().Add(72*time.Minute); dl.Before(min) || dl.After(max) {
-		t.Fatalf("armed deadline %v outside jitter window [%v, %v]", dl, min, max)
-	}
-	if s.probeDue() {
-		t.Fatal("probe due immediately after arming with a 1h interval")
-	}
-
-	s.ProbeNow()
-	if !s.probeDue() {
-		t.Fatal("probe not due after ProbeNow")
-	}
-	// ProbeNow on an already-due deadline is a no-op, not a re-push.
-	d := s.probeDeadline.Load()
-	s.ProbeNow()
-	if got := s.probeDeadline.Load(); got != d {
-		t.Errorf("ProbeNow moved an already-due deadline: %d -> %d", d, got)
-	}
-
-	s.disarmProbe()
-	if s.probeDeadline.Load() != 0 || s.probeDue() {
-		t.Fatal("disarmProbe did not clear the deadline")
-	}
-	// ProbeNow with no armed probe stays a no-op.
-	s.ProbeNow()
-	if s.probeDeadline.Load() != 0 {
-		t.Fatal("ProbeNow armed a probe on an undiverted supervisor")
+	if got := dials.Load(); got != 3 {
+		t.Errorf("watch dialled %d times, want 3 (two failures, then the answer)", got)
 	}
 }

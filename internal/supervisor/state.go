@@ -136,7 +136,7 @@ func (s *Supervisor) restore() error {
 		return fmt.Errorf("replay durable content: %w", err)
 	}
 	// The cookie names a session at the server that issued it: resume there
-	// even if it is the fallback (the probe-back timer re-prefers Master).
+	// even if it is the fallback (run then watches Master, as after a divert).
 	s.cookie, s.resumeTok, s.target = pos.Cookie, tok, pos.Addr
 	s.cfg.Logf("supervisor: restored %d entries, resuming session %q (reload chunk %d/%d) at %s",
 		len(entries), pos.Cookie, tok.Chunk, tok.Chunks, s.target)

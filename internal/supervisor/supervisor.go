@@ -93,24 +93,14 @@ type Config struct {
 	// Fallback is the root master's address for cascaded topologies. When
 	// the configured upstream rejects the spec as not contained (wire
 	// referral → ldapnet.ErrNotContained) or answers with a stale-session
-	// error, the supervisor diverts to the fallback and re-Begins there;
-	// after RetryUpstreamAfter it probes the preferred upstream again.
-	// Empty disables diversion (any upstream error is handled in place).
+	// error, the supervisor diverts to the fallback and re-Begins there.
+	// While diverted it holds one filters watch (the OIDFiltersWatch
+	// control) on the preferred upstream and probes it again when the
+	// watch answers: when the tier can serve the spec. An upstream that
+	// refuses the watch is not a tier, and the supervisor stays on the
+	// fallback. Empty disables diversion (any upstream error is handled in
+	// place).
 	Fallback string
-	// RetryUpstreamAfter is how long a diverted supervisor stays on the
-	// fallback before probing the preferred upstream again (default 1m).
-	// Each armed probe is jittered to ±20% of this so a mass divert (a
-	// tier restart rejecting every leaf at once) does not re-probe the
-	// tier in lockstep.
-	RetryUpstreamAfter time.Duration
-	// WatchFilters arms the notification-driven re-probe: while diverted
-	// to the fallback, a dedicated watch connection long-polls the
-	// preferred upstream for an admission-filter change (the
-	// OIDFiltersWatch control) and fires the probe the moment the tier
-	// widens, instead of waiting out RetryUpstreamAfter. The jittered
-	// timer stays armed as a backstop for upstreams that do not support
-	// the control.
-	WatchFilters bool
 	// OnApplied, when non-nil, is called after each exchange's updates have
 	// been applied to the replica (with the update count), before the
 	// checkpoint. A cascade tier uses it to stamp apply time for its
@@ -177,9 +167,6 @@ func (c *Config) fillDefaults() {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = ldapnet.DefaultTimeout
 	}
-	if c.RetryUpstreamAfter <= 0 {
-		c.RetryUpstreamAfter = time.Minute
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -195,10 +182,6 @@ type Supervisor struct {
 	// per retry would make every jitter draw the source's first value and
 	// break deterministic chaos replays.
 	rng *rand.Rand
-	// probeRng jitters the upstream re-probe deadline. It is a separate
-	// seeded source so arming probes does not perturb the backoff
-	// schedule above (chaos replays depend on its draw order).
-	probeRng *rand.Rand
 
 	// Persist-stream demotion tracking; run goroutine only.
 	fastDeaths   int       // consecutive streams that died young
@@ -209,18 +192,16 @@ type Supervisor struct {
 	contentReset bool             // resetContent ran since the last commit
 	journalGap   bool             // a commit failed: only a snapshot makes the state whole
 
-	// probeDeadline (UnixNano, 0 = disarmed) is set when the loop diverts
-	// to the fallback; the steady-state loops return errProbeDue once it
-	// passes, so a healthy fallback session still yields to re-prefer the
-	// configured Master.
-	probeDeadline atomic.Int64
-
-	// Filters-watch state (run goroutine arms/disarms; the watcher
-	// goroutine clears itself on exit).
+	// Filters-watch state (the run goroutine starts and stops the watch;
+	// the watch goroutine clears itself on exit). probeDue is set, under
+	// watchMu, only by the watch still current when its answer arrives; the
+	// steady-state loops then return errProbeDue, so a healthy fallback
+	// session still yields to re-prefer the configured Master.
 	watchMu   sync.Mutex
-	watchStop chan struct{}   // non-nil while a watcher is running
+	watchStop chan struct{}   // non-nil while a watch is running
 	watchConn *ldapnet.Client // in-flight watch connection, closed to cancel
 	watchWG   sync.WaitGroup
+	probeDue  atomic.Bool
 
 	mu        sync.Mutex
 	cookie    string
@@ -254,7 +235,6 @@ func New(cfg Config, rep *replica.FilterReplica) (*Supervisor, error) {
 		rep:      rep,
 		counters: &metrics.ReplicaCounters{},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		probeRng: rand.New(rand.NewSource(cfg.Seed ^ 0x70726f6265)), // distinct stream per seed
 		synced:   make(chan struct{}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -316,70 +296,19 @@ func (s *Supervisor) releaseSession() {
 }
 
 // divert moves the loop to the fallback master after the preferred
-// upstream proved unusable.
+// upstream proved unusable, and starts the watch that says when to return.
 func (s *Supervisor) divert(reason string) {
 	s.counters.UpstreamFallbacks.Add(1)
 	s.cfg.Logf("supervisor: diverting to fallback %s: %s", s.cfg.Fallback, reason)
 	s.switchTo(s.cfg.Fallback)
-}
-
-// armProbe schedules the next upstream probe, jittered to ±20% of
-// RetryUpstreamAfter (probeJitter): after a mass divert every leaf arms at
-// the same instant, and without jitter they would all re-probe — and, on
-// failure, re-divert and re-arm — in lockstep forever. With the watch
-// enabled it also (re)starts the filters-watch connection so a tier-side
-// change fires the probe early. disarmProbe cancels both (the loop is back
-// on the preferred upstream). Both run on the supervision goroutine.
-func (s *Supervisor) armProbe() {
-	s.probeDeadline.Store(time.Now().Add(probeJitter(s.probeRng, s.cfg.RetryUpstreamAfter)).UnixNano())
-	if s.cfg.WatchFilters {
-		s.startWatch()
-	}
-}
-func (s *Supervisor) disarmProbe() {
-	s.probeDeadline.Store(0)
-	s.stopWatch()
-}
-
-// probeJitter draws a duration uniformly from [0.8d, 1.2d].
-func probeJitter(rng *rand.Rand, d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	spread := int64(2 * d / 5) // 40% of d
-	return d - d/5 + time.Duration(rng.Int63n(spread+1))
-}
-
-// probeDue reports whether a scheduled upstream probe has come due.
-func (s *Supervisor) probeDue() bool {
-	d := s.probeDeadline.Load()
-	return d != 0 && time.Now().UnixNano() >= d
-}
-
-// ProbeNow pulls an armed probe deadline forward to the present: the
-// steady-state loop yields its fallback session at the next tick and the
-// outer loop re-probes the preferred upstream immediately. A no-op when no
-// probe is armed (not diverted) or the deadline already passed. Safe from
-// any goroutine — the filters-watch path calls it when the upstream
-// announces a filter-set change.
-func (s *Supervisor) ProbeNow() {
-	now := time.Now().UnixNano()
-	for {
-		d := s.probeDeadline.Load()
-		if d == 0 || d <= now {
-			return
-		}
-		if s.probeDeadline.CompareAndSwap(d, now) {
-			return
-		}
-	}
+	s.startWatch()
 }
 
 // startWatch launches the filters-watch goroutine if none is running: it
-// dials the preferred upstream and long-polls for an admission-filter
-// change, firing ProbeNow when one arrives. One watch per divert episode —
-// the goroutine exits after a successful notification (the probe either
-// re-attaches, or re-diverts and re-arms a fresh watch).
+// dials the preferred upstream and waits there until the upstream can serve
+// the spec, then sets probeDue. One watch per divert episode: the goroutine
+// exits once answered, and the probe either re-attaches or diverts again,
+// which starts a fresh watch.
 func (s *Supervisor) startWatch() {
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
@@ -392,10 +321,12 @@ func (s *Supervisor) startWatch() {
 	go s.watchLoop(stop)
 }
 
-// stopWatch cancels a running watch, unblocking its in-flight read.
+// stopWatch cancels a running watch, unblocking its in-flight read, and
+// clears a probe it asked for.
 func (s *Supervisor) stopWatch() {
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
+	s.probeDue.Store(false)
 	if s.watchStop == nil {
 		return
 	}
@@ -407,11 +338,11 @@ func (s *Supervisor) stopWatch() {
 	}
 }
 
-// watchLoop is the filters-watch goroutine: dial the preferred upstream,
-// subscribe to its filter generation, and on a change fire the probe. Dial
-// or subscribe failures (upstream down, control unsupported) back off for a
-// poll interval and retry; the jittered timer remains the backstop either
-// way.
+// watchLoop is the filters-watch goroutine: dial the preferred upstream and
+// wait there until it can serve the spec, then ask for the probe. A dial or
+// transport failure (upstream down) retries after a poll interval; a refusal
+// of the control means the upstream is no tier to return to, and the watch
+// ends with the supervisor on its fallback.
 func (s *Supervisor) watchLoop(stop chan struct{}) {
 	defer s.watchWG.Done()
 	defer func() {
@@ -419,7 +350,6 @@ func (s *Supervisor) watchLoop(stop chan struct{}) {
 		if s.watchStop == stop {
 			s.watchStop = nil
 		}
-		s.watchConn = nil
 		s.watchMu.Unlock()
 	}()
 	for {
@@ -444,17 +374,25 @@ func (s *Supervisor) watchLoop(stop chan struct{}) {
 			}
 			s.watchConn = client
 			s.watchMu.Unlock()
-			gen, werr := client.WatchFilters(s.cfg.Spec, 0)
-			s.watchMu.Lock()
-			s.watchConn = nil
-			s.watchMu.Unlock()
+			err = client.WatchFilters(s.cfg.Spec)
 			_ = client.Close()
-			if werr == nil {
-				s.cfg.Logf("supervisor: upstream %s filters changed (gen %d), probing now", s.cfg.Master, gen)
-				s.ProbeNow()
+			s.watchMu.Lock()
+			if s.watchConn == client { // a watch started since owns it otherwise
+				s.watchConn = nil
+			}
+			if err == nil && s.watchStop == stop {
+				s.probeDue.Store(true)
+			}
+			s.watchMu.Unlock()
+			if err == nil {
+				s.cfg.Logf("supervisor: upstream %s can serve the spec", s.cfg.Master)
 				return
 			}
-			err = werr
+			var re *ldapnet.ResultError
+			if errors.As(err, &re) && re.Code == proto.ResultUnwillingToPerform {
+				s.cfg.Logf("supervisor: upstream %s refuses the filters watch, staying on the fallback: %v", s.cfg.Master, err)
+				return
+			}
 		}
 		s.cfg.Logf("supervisor: filters watch at %s: %v", s.cfg.Master, err)
 		select {
@@ -580,7 +518,7 @@ func (s *Supervisor) stopped() bool {
 // run is the outer supervision loop: each cycle dials, synchronizes until
 // an error, classifies the error and backs off. With a fallback configured,
 // a containment rejection or stale session at the preferred upstream
-// diverts the loop to the fallback master; after RetryUpstreamAfter it
+// diverts the loop to the fallback master; when the filters watch answers it
 // probes the upstream again and sticks with whichever side completes an
 // exchange first.
 func (s *Supervisor) run() {
@@ -590,22 +528,18 @@ func (s *Supervisor) run() {
 	}
 	attempt := 0
 	var (
-		divertedAt time.Time // when the loop last moved to the fallback
-		probing    bool      // currently trying the preferred upstream again
-		probeStart int64     // Exchanges() when the probe began
+		probing    bool  // currently trying the preferred upstream again
+		probeStart int64 // Exchanges() when the probe began
 	)
 	if s.cfg.Fallback != "" && s.Target() == s.cfg.Fallback && s.cfg.Fallback != s.cfg.Master {
-		divertedAt = time.Now() // restored onto the fallback: start the timer
-		s.armProbe()
+		s.startWatch() // restored onto the fallback: watch for the way back
 	}
 	for !s.stopped() {
-		if !probing && !divertedAt.IsZero() && s.Target() == s.cfg.Fallback &&
-			s.cfg.Fallback != s.cfg.Master &&
-			s.probeDue() {
+		if s.probeDue.Load() {
 			s.cfg.Logf("supervisor: probing preferred upstream %s", s.cfg.Master)
+			s.stopWatch()
 			s.releaseSession()
 			s.switchTo(s.cfg.Master)
-			s.disarmProbe()
 			probing, probeStart = true, s.Exchanges()
 		}
 		target := s.Target()
@@ -618,9 +552,7 @@ func (s *Supervisor) run() {
 				// Upstream still unreachable: go straight back to the
 				// fallback instead of backing off against a dead server.
 				s.divert("upstream probe dial failed: " + err.Error())
-				divertedAt, probing = time.Now(), false
-				s.armProbe()
-				attempt = 0
+				probing, attempt = false, 0
 				continue
 			}
 			s.backoff(&attempt)
@@ -632,40 +564,31 @@ func (s *Supervisor) run() {
 			return
 		}
 		if probing {
-			if s.Exchanges() > probeStart {
-				// The upstream completed at least one exchange: the probe
-				// succeeded, stay here and forget the diversion.
-				probing, divertedAt = false, time.Time{}
-				s.disarmProbe()
-			} else if err != nil {
+			// An exchange at the upstream settles the probe: stay there.
+			probing = false
+			if s.Exchanges() == probeStart && err != nil {
 				// The probe died before a single exchange (rejection,
 				// stale session, transport): divert back immediately.
 				s.divert("upstream probe failed: " + err.Error())
-				divertedAt, probing = time.Now(), false
-				s.armProbe()
 				attempt = 0
 				continue
 			}
 		}
 		switch {
 		case errors.Is(err, errProbeDue):
-			// The fallback session yielded for a scheduled probe; the next
-			// iteration's deadline check performs the switch.
+			// The fallback session yielded for the probe the watch asked
+			// for; the next iteration performs the switch.
 			attempt = 0
 		case errors.Is(err, ldapnet.ErrNotContained) && s.canFallback():
 			// The upstream replica cannot prove containment for our spec:
 			// it will never serve this session, so take it to the master.
 			s.divert("spec not contained at upstream: " + err.Error())
-			divertedAt = time.Now()
-			s.armProbe()
 			attempt = 0
 		case errors.Is(err, resync.ErrNoSuchSession) && s.canFallback():
 			// A mid-tier that lost our session likely restarted empty or
 			// trimmed past us; the fallback master can always serve us.
 			s.counters.StaleSessions.Add(1)
 			s.divert("stale session at upstream: " + err.Error())
-			divertedAt = time.Now()
-			s.armProbe()
 			attempt = 0
 		case errors.Is(err, resync.ErrNoSuchSession):
 			// The master no longer knows our cookie (restart, expiry,
@@ -786,7 +709,7 @@ func (s *Supervisor) pollSteadyState(client *ldapnet.Client, until <-chan time.T
 		case <-until:
 			return nil
 		case <-ticker.C:
-			if s.probeDue() {
+			if s.probeDue.Load() {
 				return errProbeDue
 			}
 			if err := s.pollOnce(client); err != nil {
@@ -835,7 +758,7 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 		case <-s.stop:
 			return flush()
 		case <-probeTick.C:
-			if s.probeDue() {
+			if s.probeDue.Load() {
 				if err := flush(); err != nil {
 					return err
 				}

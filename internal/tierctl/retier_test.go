@@ -41,16 +41,14 @@ func BenchmarkAdaptiveReTier(b *testing.B) {
 				b.Fatal(err)
 			}
 			sups[i], err = supervisor.New(supervisor.Config{
-				Master:             tierSrv.Addr(),
-				Fallback:           masterSrv.Addr(),
-				RetryUpstreamAfter: 60 * time.Millisecond,
-				WatchFilters:       true,
-				Spec:               spec(i),
-				PollInterval:       2 * time.Millisecond,
-				BackoffBase:        time.Millisecond,
-				BackoffMax:         20 * time.Millisecond,
-				DialTimeout:        2 * time.Second,
-				Seed:               int64(i + 1),
+				Master:       tierSrv.Addr(),
+				Fallback:     masterSrv.Addr(),
+				Spec:         spec(i),
+				PollInterval: 2 * time.Millisecond,
+				BackoffBase:  time.Millisecond,
+				BackoffMax:   20 * time.Millisecond,
+				DialTimeout:  2 * time.Second,
+				Seed:         int64(i + 1),
 			}, reps[i])
 			if err != nil {
 				b.Fatal(err)

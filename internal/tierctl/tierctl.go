@@ -21,10 +21,10 @@
 // Every revolveEvery ticks the selector runs one revolution over the hits
 // of that period. For a filter the delta adds the tier widens: a new
 // upstream link pulls the widened content (containment-gated at the
-// upstream, resumable chunked reload like any other link), and once it is
-// synced the tier bumps its filter generation — the signal that fires
-// diverted leaves' filters-changed watch, so they re-probe immediately and
-// migrate back off the fallback master. For a filter the delta removes the
+// upstream, resumable chunked reload like any other link), and once its
+// first exchange lands the tier answers the filters watch of every diverted
+// leaf the widened set covers, so they re-probe at once and migrate back off
+// the fallback master. For a filter the delta removes the
 // tier narrows: the filter is retired, and downstream sessions stranded by
 // the narrowing are gracefully ended — their next operation returns
 // e-syncRefreshRequired, which their supervisors treat as a referral to the
@@ -288,9 +288,7 @@ func (c *Controller) noteWidened(q query.Query, sup *supervisor.Supervisor) {
 	c.updateGauges()
 }
 
-// updateGauges mirrors the tier's generation and filter count.
+// updateGauges mirrors the tier's filter count.
 func (c *Controller) updateGauges() {
-	gen, _ := c.cfg.Tier.FilterGeneration()
-	c.counters.FilterGeneration.Store(int64(gen))
 	c.counters.StoredFilters.Store(int64(len(c.cfg.Tier.Specs())))
 }

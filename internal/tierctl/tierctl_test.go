@@ -250,24 +250,21 @@ func TestControllerNarrowsWhenDemandMoves(t *testing.T) {
 	ctrl.Start()
 	defer ctrl.Stop()
 
-	startLeaf := func(filter string, watch bool) (*supervisor.Supervisor, *replica.FilterReplica, query.Query) {
+	startLeaf := func(filter string) (*supervisor.Supervisor, *replica.FilterReplica, query.Query) {
 		spec := query.MustNew("o=xyz", query.ScopeSubtree, filter)
 		frep, err := replica.NewFilterReplica()
 		if err != nil {
 			t.Fatal(err)
 		}
 		sup, err := supervisor.New(supervisor.Config{
-			Master:   tierSrv.Addr(),
-			Fallback: masterSrv.Addr(),
-			// Only the filters-changed watch brings a diverted leaf back.
-			RetryUpstreamAfter: time.Hour,
-			WatchFilters:       watch,
-			Spec:               spec,
-			PollInterval:       3 * time.Millisecond,
-			BackoffBase:        time.Millisecond,
-			BackoffMax:         20 * time.Millisecond,
-			DialTimeout:        2 * time.Second,
-			Seed:               7,
+			Master:       tierSrv.Addr(),
+			Fallback:     masterSrv.Addr(),
+			Spec:         spec,
+			PollInterval: 3 * time.Millisecond,
+			BackoffBase:  time.Millisecond,
+			BackoffMax:   20 * time.Millisecond,
+			DialTimeout:  2 * time.Second,
+			Seed:         7,
 		}, frep)
 		if err != nil {
 			t.Fatal(err)
@@ -308,10 +305,10 @@ func TestControllerNarrowsWhenDemandMoves(t *testing.T) {
 	if got := specs(); got != "(serialnumber=04*) (serialnumber=05*)" {
 		t.Fatalf("tier specs after widening = %s", got)
 	}
-	leafX, repX, specX := startLeaf("(serialnumber=0502)", false)
+	leafX, repX, specX := startLeaf("(serialnumber=0502)")
 	waitFor(t, "05 leaf served by the tier", 10*time.Second, servedBy(leafX, repX, specX, tierSrv.Addr()))
 
-	leafY, repY, specY := startLeaf("(serialnumber=0601)", true)
+	leafY, repY, specY := startLeaf("(serialnumber=0601)")
 	waitFor(t, "06 leaf diverted", 10*time.Second, servedBy(leafY, repY, specY, masterSrv.Addr()))
 	reject("(serialnumber=0601)")
 	// The revolution's delta is applied adds first: admission of the 06 spec
