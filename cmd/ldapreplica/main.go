@@ -16,7 +16,8 @@
 //
 // Cascaded topologies: -upstream points the replica at a mid-tier replica
 // instead of the master (-master stays the fallback the supervisors divert
-// to when the upstream rejects their spec or forgets their session).
+// to when the upstream rejects their spec, forgets their session, or is a
+// replica run without -serve, which supplies nobody).
 //
 // A leaf diverted to -master holds one filters watch on -upstream and moves
 // back when the upstream answers it: when the upstream admits the leaf's

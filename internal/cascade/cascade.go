@@ -322,10 +322,12 @@ func (t *Tier) BaseSpecs() []query.Query {
 	return out
 }
 
-// Ready implements ldapnet.FilterWatcher: the tier can serve q once it admits
-// q (Admit, whose counters and admission observer see every check) and a link
+// Ready implements ldapnet.FilterWatcher: the tier can serve q once a link
 // whose spec contains q has finished its first exchange, so a leaf that moves
-// here finds the content in place rather than a link still loading. The
+// here finds the content in place rather than a link still loading. A link's
+// spec is one of the tier's specs, so such a q is one Admit admits. Ready
+// decides no admission: it moves no counter and calls no admission observer,
+// however often a parked watch asks — only a Begin (Admit) is a decision. The
 // returned channel closes at the next link's first sync: nothing else can
 // make a false answer true, since an adopt starts unsynced and a retire only
 // narrows.
@@ -339,7 +341,7 @@ func (t *Tier) Ready(q query.Query) (bool, <-chan struct{}) {
 		}
 	}
 	t.linkMu.Unlock()
-	return t.Admit(q) == nil && t.covered(q.Normalize(), synced), changed
+	return t.covered(q.Normalize(), synced), changed
 }
 
 // SetAdmissionObserver registers a hook that sees every downstream

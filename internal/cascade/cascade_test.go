@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +130,26 @@ func (h *harness) tierConfig(t testing.TB) Config {
 // startTier builds, starts and serves a tier, returning it with its server.
 func startTier(t *testing.T, cfg Config, masterURL string) (*Tier, *ldapnet.Server) {
 	t.Helper()
+	tier, srv, _ := startWatchedTier(t, cfg, masterURL)
+	return tier, srv
+}
+
+// askedWatcher counts the times the server asks the tier whether a filters
+// watch can be answered: a watch that has landed has been asked once.
+type askedWatcher struct {
+	ldapnet.FilterWatcher
+	asked atomic.Int64
+}
+
+func (w *askedWatcher) Ready(q query.Query) (bool, <-chan struct{}) {
+	w.asked.Add(1)
+	return w.FilterWatcher.Ready(q)
+}
+
+// startWatchedTier is startTier with the server's filters-watch checks
+// counted.
+func startWatchedTier(t *testing.T, cfg Config, masterURL string) (*Tier, *ldapnet.Server, *askedWatcher) {
+	t.Helper()
 	tier, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -136,12 +157,29 @@ func startTier(t *testing.T, cfg Config, masterURL string) (*Tier, *ldapnet.Serv
 	tier.Start()
 	t.Cleanup(func() { _ = tier.Stop() })
 	backend := ldapnet.NewCascadeBackend(tier.Replica(), tier, masterURL)
+	watcher := &askedWatcher{FilterWatcher: tier}
+	backend.FilterWatcher = watcher
 	srv, err := ldapnet.Serve("127.0.0.1:0", backend)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return tier, srv
+	return tier, srv, watcher
+}
+
+// holdDials makes the tier's link dials wait until the returned open is
+// called, so the tier has loaded nothing until then. Register open with
+// t.Cleanup after starting the tier: it must run before the tier stops, as its
+// link may still be dialling.
+func holdDials(cfg *Config) (open func()) {
+	release := make(chan struct{})
+	var once sync.Once
+	dial := cfg.Dial
+	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		<-release
+		return dial(addr, timeout)
+	}
+	return func() { once.Do(func() { close(release) }) }
 }
 
 // startLeaf attaches a leaf supervisor to upstream (with optional fallback).
@@ -324,16 +362,11 @@ func TestPropagationThroughTier(t *testing.T) {
 // TestRejectionDivertsToFallback: a leaf whose spec the tier cannot prove
 // contained must end up synchronized against the fallback master, its
 // filters watch parked at the tier: a tier that never comes to cover the spec
-// is never probed again.
+// is never probed again. The Begin is the one admission decision; the watch,
+// however often the tier asks about it again, is none.
 func TestRejectionDivertsToFallback(t *testing.T) {
 	h := newHarness(t)
-	tier, tierSrv := startTier(t, h.tierConfig(t), "ldap://"+h.srv.Addr())
-	// Every link's first sync makes the tier check its parked watches
-	// again; with that wake-up behind us the watch is checked once, when it
-	// lands. The wake-up follows the sync on its own goroutine, so wait for
-	// that goroutine too, not the sync alone.
-	waitSynced(t, tier.Supervisors()[0])
-	tier.signalling.Wait()
+	tier, tierSrv, watcher := startWatchedTier(t, h.tierConfig(t), "ldap://"+h.srv.Addr())
 
 	outside := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)")
 	sup, rep := startLeaf(t, outside, tierSrv.Addr(), h.srv.Addr(), supervisor.ModePoll)
@@ -343,8 +376,7 @@ func TestRejectionDivertsToFallback(t *testing.T) {
 		t.Errorf("leaf target = %s, want fallback master %s", got, h.srv.Addr())
 	}
 	// The rejected Begin, then the watch the tier parks.
-	waitCounter(t, "tier rejections", 10*time.Second,
-		func() int64 { return tier.Counters().Rejected.Load() }, 2)
+	waitCounter(t, "filters-watch checks", 10*time.Second, watcher.asked.Load, 1)
 	mutate(t, h.store, 0)
 	if err := h.store.Add(personEntry("05", 50)); err != nil {
 		t.Fatal(err)
@@ -354,8 +386,8 @@ func TestRejectionDivertsToFallback(t *testing.T) {
 	if got := sup.Counters().UpstreamFallbacks.Load(); got != 1 {
 		t.Errorf("upstream fallbacks = %d, want 1 (a parked watch never probes)", got)
 	}
-	if got := tier.Counters().Rejected.Load(); got != 2 {
-		t.Errorf("tier rejected = %d, want 2 (the Begin and the watch)", got)
+	if got := tier.Counters().Rejected.Load(); got != 1 {
+		t.Errorf("tier rejected = %d, want 1 (the Begin)", got)
 	}
 	if begins := tier.SyncCounters().Snapshot().Begins; begins != 0 {
 		t.Errorf("tier engine begins = %d, want 0 (rejected spec must never establish)", begins)
@@ -371,15 +403,8 @@ func TestRejectionDivertsToFallback(t *testing.T) {
 func TestDivertedLeafWaitsForLoadedLink(t *testing.T) {
 	h := newHarness(t)
 	cfg := h.tierConfig(t)
-	release := make(chan struct{})
-	var once sync.Once
-	open := func() { once.Do(func() { close(release) }) }
-	dial := cfg.Dial
-	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-		<-release
-		return dial(addr, timeout)
-	}
-	tier, tierSrv := startTier(t, cfg, "ldap://"+h.srv.Addr())
+	open := holdDials(&cfg)
+	tier, tierSrv, watcher := startWatchedTier(t, cfg, "ldap://"+h.srv.Addr())
 	t.Cleanup(open) // before the tier stops: its link may still be dialling
 
 	// The leaf's durable state names a session the tier does not hold.
@@ -425,10 +450,9 @@ func TestDivertedLeafWaitsForLoadedLink(t *testing.T) {
 	waitSynced(t, sup)
 	waitCounter(t, "stale sessions", 10*time.Second,
 		func() int64 { return sup.Counters().StaleSessions.Load() }, 1)
-	// The watch has landed once the tier has checked admission for it; the
-	// tier admits the spec but has loaded nothing, so the watch parks.
-	waitCounter(t, "tier admission checks", 10*time.Second,
-		func() int64 { return tier.Counters().AdmitChecks.Load() }, 1)
+	// The watch has landed once the tier has been asked about it; the tier
+	// admits the spec but has loaded nothing, so the watch parks.
+	waitCounter(t, "filters-watch checks", 10*time.Second, watcher.asked.Load, 1)
 	waitConverged(t, h.store, rep.Store(), inside, 10*time.Second)
 	// A watch answered now would move the leaf within a poll tick: five more
 	// exchanges at the fallback give it the time.
@@ -473,14 +497,7 @@ func TestDivertedLeafWaitsForLoadedLink(t *testing.T) {
 func TestReadyNeedsAdmissionAndALoadedLink(t *testing.T) {
 	h := newHarness(t)
 	cfg := h.tierConfig(t)
-	release := make(chan struct{})
-	var once sync.Once
-	open := func() { once.Do(func() { close(release) }) }
-	dial := cfg.Dial
-	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-		<-release
-		return dial(addr, timeout)
-	}
+	open := holdDials(&cfg)
 	tier, _ := startTier(t, cfg, "ldap://"+h.srv.Addr())
 	t.Cleanup(open) // before the tier stops: its link may still be dialling
 
@@ -521,6 +538,43 @@ func TestReadyNeedsAdmissionAndALoadedLink(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestReadyDecidesNoAdmission: asking Ready — as the server does for every
+// parked filters watch at each link's first sync — is no admission decision.
+// It moves none of the admission counters and never reaches the admission
+// observer (the adaptive control plane's demand signal), for a spec the tier
+// admits or one it rejects, before its link has loaded and after.
+func TestReadyDecidesNoAdmission(t *testing.T) {
+	h := newHarness(t)
+	cfg := h.tierConfig(t)
+	open := holdDials(&cfg)
+	tier, _ := startTier(t, cfg, "ldap://"+h.srv.Addr())
+	t.Cleanup(open) // before the tier stops: its link may still be dialling
+	var observed atomic.Int64
+	tier.SetAdmissionObserver(func(query.Query, bool) { observed.Add(1) })
+
+	specs := []query.Query{
+		query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=040*)"),
+		query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)"),
+	}
+	ask := func(when string) {
+		t.Helper()
+		for _, q := range specs {
+			tier.Ready(q)
+		}
+		c := tier.Counters()
+		if checks, admitted, rejected := c.AdmitChecks.Load(), c.Admitted.Load(), c.Rejected.Load(); checks+admitted+rejected != 0 {
+			t.Errorf("%s: Ready counted %d admission checks, %d admitted, %d rejected; want none", when, checks, admitted, rejected)
+		}
+		if got := observed.Load(); got != 0 {
+			t.Errorf("%s: Ready reached the admission observer %d times, want 0", when, got)
+		}
+	}
+	ask("link held")
+	open()
+	waitSynced(t, tier.Supervisors()[0])
+	ask("link loaded")
 }
 
 // TestTierRestartResumes: a tier with durable state restarts into a

@@ -64,16 +64,9 @@ const (
 // invalid falls back to GOMAXPROCS.
 const ShardsEnv = "FILTERDIR_SHARDS"
 
-// Context is a naming context held by a store: a subtree suffix plus the
-// referral objects that terminate it (Section 2.3: C = (S, R1..Rn)).
-type Context struct {
-	Suffix    dn.DN
-	Referrals []dn.DN
-}
-
 // Store is an in-memory DIT partition sharded by DN hash. All methods are
 // safe for concurrent use. Multi-entry reads (Search, MatchAll, Snapshot,
-// All, Contexts) freeze an immutable copy-on-write view and scan it
+// All) freeze an immutable copy-on-write view and scan it
 // lock-free; updates flow through a batched commit pipeline serialized by
 // the global CSN sequencer, so replication consumers observe exactly one
 // journal record per update in one global order regardless of shard count.

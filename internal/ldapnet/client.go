@@ -38,16 +38,20 @@ func (e *ResultError) Error() string {
 // Unwrap maps distinguished result codes back to their typed sentinel, so
 // errors.Is works identically against a local engine and over the wire: an
 // e-syncRefreshRequired response is resync.ErrNoSuchSession (the consumer
-// must re-Begin rather than retry its cookie), and a referral result is
+// must re-Begin rather than retry its cookie), a referral result is
 // ErrNotContained (a mid-tier replica refusing to supply a sync spec it
 // cannot prove containment for — the supervisor diverts to its fallback
-// master).
+// master), and unwillingToPerform is ErrReadOnly (a server that supplies
+// nobody: a replica run without a tier refuses every sync and every filters
+// watch).
 func (e *ResultError) Unwrap() error {
 	switch e.Code {
 	case proto.ResultESyncRefreshRequired:
 		return resync.ErrNoSuchSession
 	case proto.ResultReferral:
 		return ErrNotContained
+	case proto.ResultUnwillingToPerform:
+		return ErrReadOnly
 	default:
 		return nil
 	}

@@ -12,7 +12,6 @@ import (
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
-	"filterdir/internal/resync"
 	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/selection"
 )
@@ -147,7 +146,8 @@ func TestReplicaBackendChaseToMaster(t *testing.T) {
 
 func TestWireSyncFullReloadAfterTrim(t *testing.T) {
 	// A journal-limited master forces a FullReload over the wire; the
-	// client-side applier recovers and converges.
+	// consumer replaces the spec's content, as the supervisor does, and
+	// converges.
 	store, err := newTrimStore()
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +164,12 @@ func TestWireSyncFullReloadAfterTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repStore, err := newReplicaDit()
+	rep, err := replica.NewFilterReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := resync.NewApplier(repStore)
-	if err := ap.Apply(spec, &resync.PollResult{Updates: res.Updates}); err != nil {
+	rep.AddStored(spec, res.Cookie)
+	if err := rep.ApplySync(spec, res.Updates); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,10 +188,12 @@ func TestWireSyncFullReloadAfterTrim(t *testing.T) {
 	if !res.FullReload {
 		t.Fatal("expected FullReload flag over the wire")
 	}
-	if err := ap.Apply(spec, &resync.PollResult{Updates: res.Updates, FullReload: true}); err != nil {
+	rep.RemoveStored(spec)
+	rep.AddStored(spec, res.Cookie)
+	if err := rep.ApplySync(spec, res.Updates); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := resynctest.Converged(store, repStore, spec); !ok {
+	if ok, why := resynctest.Converged(store, rep.Store(), spec); !ok {
 		t.Fatalf("not converged after wire full reload: %s", why)
 	}
 }
@@ -213,11 +215,6 @@ func newTrimStore() (*dit.Store, error) {
 		return nil, err
 	}
 	return store, nil
-}
-
-// newReplicaDit builds an empty whole-DIT replica store.
-func newReplicaDit() (*dit.Store, error) {
-	return dit.NewStore([]string{""})
 }
 
 func TestAdaptiveReplicaOverWire(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
+	"filterdir/internal/replica"
 	"filterdir/internal/resync"
 	"filterdir/internal/resync/resynctest"
 )
@@ -192,16 +193,16 @@ func TestSyncOverWire(t *testing.T) {
 		t.Fatalf("initial sync: %d updates, cookie %q", len(res.Updates), res.Cookie)
 	}
 
-	// Replica store applies the wire updates.
-	rep, err := dit.NewStore([]string{""})
+	// The replica applies the wire updates.
+	rep, err := replica.NewFilterReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := resync.NewApplier(rep)
-	if err := ap.Apply(spec, &resync.PollResult{Updates: res.Updates}); err != nil {
+	rep.AddStored(spec, res.Cookie)
+	if err := rep.ApplySync(spec, res.Updates); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := resynctest.Converged(store, rep, spec); !ok {
+	if ok, why := resynctest.Converged(store, rep.Store(), spec); !ok {
 		t.Fatalf("not converged after wire sync: %s", why)
 	}
 
@@ -220,10 +221,10 @@ func TestSyncOverWire(t *testing.T) {
 	if len(res.Updates) != 2 {
 		t.Fatalf("poll updates = %d, want 2", len(res.Updates))
 	}
-	if err := ap.Apply(spec, &resync.PollResult{Updates: res.Updates}); err != nil {
+	if err := rep.ApplySync(spec, res.Updates); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := resynctest.Converged(store, rep, spec); !ok {
+	if ok, why := resynctest.Converged(store, rep.Store(), spec); !ok {
 		t.Fatalf("not converged after poll: %s", why)
 	}
 

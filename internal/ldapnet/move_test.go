@@ -10,6 +10,7 @@ import (
 	"filterdir/internal/entry"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
+	"filterdir/internal/replica"
 	"filterdir/internal/resync"
 	"filterdir/internal/resync/resynctest"
 	"filterdir/internal/workload"
@@ -44,12 +45,12 @@ func TestMoveOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := newReplicaDit()
+	rep, err := replica.NewFilterReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := resync.NewApplier(rep)
-	if err := ap.Apply(spec, res); err != nil {
+	rep.AddStored(spec, res.Cookie)
+	if err := rep.ApplySync(spec, res.Updates); err != nil {
 		t.Fatal(err)
 	}
 	var read atomic.Int64
@@ -79,10 +80,10 @@ func TestMoveOverWire(t *testing.T) {
 	if pdu > maxMoveWireBytes {
 		t.Errorf("move PDU is %d B on the wire, gate is %d", pdu, maxMoveWireBytes)
 	}
-	if err := ap.Apply(spec, &resync.PollResult{Updates: []resync.Update{u.Update}}); err != nil {
+	if err := rep.ApplySync(spec, []resync.Update{u.Update}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := resynctest.Converged(dir.Master, rep, spec); !ok {
+	if ok, why := resynctest.Converged(dir.Master, rep.Store(), spec); !ok {
 		t.Errorf("consumer after the move: %s", why)
 	}
 	if s := backend.SyncCounters().Snapshot(); s.PDUMoves != 1 || s.PDUDeletes != 0 {

@@ -49,82 +49,62 @@ func buildMaster(t testing.TB) *dit.Store {
 	return st
 }
 
-func TestSubtreeReplicaCanAnswer(t *testing.T) {
-	us := dn.MustParse("c=us,o=xyz")
-	research := dn.MustParse("ou=research,c=us,o=xyz")
-	r, err := NewSubtreeReplica([]dit.Context{{Suffix: us, Referrals: []dn.DN{research}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		base string
-		want bool
-	}{
-		{"c=us,o=xyz", true},                   // suffix itself
-		{"cn=p1,c=us,o=xyz", true},             // inside
-		{"ou=research,c=us,o=xyz", false},      // at subordinate referral
-		{"cn=x,ou=research,c=us,o=xyz", false}, // under subordinate referral
-		{"c=in,o=xyz", false},                  // other subtree
-		{"o=xyz", false},                       // above suffix
-		{"", false},                            // null base (minimally enabled apps)
-	}
-	for _, tt := range tests {
-		q := query.MustNew(tt.base, query.ScopeSubtree, "(objectclass=*)")
-		if got := r.CanAnswer(q); got != tt.want {
-			t.Errorf("CanAnswer(base=%q) = %v, want %v", tt.base, got, tt.want)
-		}
-	}
-}
-
-func TestSubtreeReplicaAnswerAndPartial(t *testing.T) {
+// TestSubtreeQueriesAnswerAsIsContained: a replica holding whole subtrees as
+// (suffix, subtree, match-all) queries — the subtree baseline of the
+// experiments — hits exactly when the paper's isContained(b, C) (Section
+// 3.4.1) holds for contexts without subordinate referrals, whatever the
+// query's scope and filter, and a hit returns what the master returns.
+func TestSubtreeQueriesAnswerAsIsContained(t *testing.T) {
 	master := buildMaster(t)
-	us := dn.MustParse("c=us,o=xyz")
-	r, err := NewSubtreeReplica([]dit.Context{{Suffix: us}})
+	eng := resync.NewEngine(master)
+	r, err := NewFilterReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replicate the us subtree.
-	usContent := master.MatchAll(query.MustNew("c=us,o=xyz", query.ScopeSubtree, ""))
-	if err := r.Store().Load(sortParentsFirst(usContent)); err != nil {
-		t.Fatal(err)
+	suffixes := []dn.DN{dn.MustParse("c=us,o=xyz"), dn.MustParse("cn=p7,c=in,o=xyz")}
+	for _, s := range suffixes {
+		syncStored(t, master, eng, r, query.Query{Base: s, Scope: query.ScopeSubtree})
 	}
-
-	// Complete answer.
-	res, hit := r.Answer(query.MustNew("c=us,o=xyz", query.ScopeSubtree, "(serialnumber=0401)"))
-	if !hit || len(res.Entries) != 1 {
-		t.Fatalf("hit=%v entries=%v", hit, res)
+	// The reference: the base equals a suffix or lies under one.
+	isContained := func(b dn.DN) bool {
+		return slices.ContainsFunc(suffixes, func(s dn.DN) bool { return s.Equal(b) || s.IsSuffix(b) })
 	}
-	// Null-base miss.
-	if _, hit := r.Answer(query.MustNew("", query.ScopeSubtree, "(serialnumber=0401)")); hit {
-		t.Error("null-base query must miss a subtree replica")
+	bases := []struct{ where, base string }{
+		{"null base", ""},
+		{"above both suffixes", "o=xyz"},
+		{"at a suffix", "c=us,o=xyz"},
+		{"under a suffix", "cn=p1,c=us,o=xyz"},
+		{"under a suffix, no entry there", "cn=x,cn=p1,c=us,o=xyz"},
+		{"above one suffix, beside the other", "c=in,o=xyz"},
+		{"at a leaf suffix", "cn=p7,c=in,o=xyz"},
+		{"beside a leaf suffix", "cn=p8,c=in,o=xyz"},
 	}
-}
-
-func TestSubtreeReplicaPartialAnswer(t *testing.T) {
-	// A replica whose context contains a subordinate referral: queries
-	// whose region touches the referral are only partially answered.
-	us := dn.MustParse("c=us,o=xyz")
-	research := dn.MustParse("ou=research,c=us,o=xyz")
-	r, err := NewSubtreeReplica([]dit.Context{{Suffix: us, Referrals: []dn.DN{research}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	country := entry.New(us)
-	country.Put("objectclass", "country").Put("c", "us")
-	ref := entry.New(research)
-	ref.Put("objectclass", dit.ReferralClass).Put(dit.RefAttr, "ldap://hostB")
-	person := entry.New(dn.MustParse("cn=p1,c=us,o=xyz"))
-	person.Put("objectclass", "person").Put("cn", "p1").Put("sn", "x")
-	if err := r.Store().Load([]*entry.Entry{country, ref, person}); err != nil {
-		t.Fatal(err)
-	}
-
-	res, hit := r.Answer(query.MustNew("c=us,o=xyz", query.ScopeSubtree, "(objectclass=*)"))
-	if hit {
-		t.Error("query over a region with a subordinate referral must not be a hit")
-	}
-	if res == nil || len(res.Referrals) != 1 {
-		t.Fatalf("expected partial answer with referral, got %+v", res)
+	for _, b := range bases {
+		for _, scope := range []query.Scope{query.ScopeBase, query.ScopeSingleLevel, query.ScopeSubtree} {
+			for _, f := range []string{"(objectclass=*)", "(serialnumber=04*)"} {
+				q := query.MustNew(b.base, scope, f)
+				got, hit, _ := r.Answer(q)
+				if want := isContained(q.Base); hit != want {
+					t.Errorf("%s, %s %s: hit = %v, isContained = %v", b.where, scope, f, hit, want)
+					continue
+				}
+				if !hit {
+					continue
+				}
+				var gotDNs, wantDNs []string
+				for _, e := range got {
+					gotDNs = append(gotDNs, e.DN().Norm())
+				}
+				for _, e := range master.MatchAll(q) {
+					wantDNs = append(wantDNs, e.DN().Norm())
+				}
+				slices.Sort(gotDNs)
+				slices.Sort(wantDNs)
+				if !slices.Equal(gotDNs, wantDNs) {
+					t.Errorf("%s, %s %s: replica answered %v, master %v", b.where, scope, f, gotDNs, wantDNs)
+				}
+			}
+		}
 	}
 }
 
@@ -339,17 +319,6 @@ func TestFilterReplicaFlatNamespaceSelective(t *testing.T) {
 	if _, hit, _ := r.Answer(query.MustNew("c=us,o=xyz", query.ScopeSubtree, "(serialnumber=0402)")); !hit {
 		t.Error("selective content must answer contained query")
 	}
-}
-
-// sortParentsFirst orders entries by DN depth so Load sees parents first.
-func sortParentsFirst(entries []*entry.Entry) []*entry.Entry {
-	out := append([]*entry.Entry(nil), entries...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].DN().Depth() < out[j-1].DN().Depth(); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 func TestStaleCachedEntryDoesNotLeakIntoFreshAnswers(t *testing.T) {

@@ -153,15 +153,6 @@ func (t *Traffic) Add(u Update) {
 // Updates returns the total number of update PDUs.
 func (t *Traffic) Updates() int { return t.Adds + t.Deletes + t.Modifies + t.Retains }
 
-// Merge adds another traffic record into t.
-func (t *Traffic) Merge(o Traffic) {
-	t.Adds += o.Adds
-	t.Deletes += o.Deletes
-	t.Modifies += o.Modifies
-	t.Retains += o.Retains
-	t.Bytes += o.Bytes
-}
-
 // Errors returned by the engine.
 var (
 	ErrNoSuchSession = errors.New("no such resync session")

@@ -73,9 +73,9 @@ func Table1(cfg Config) (*metrics.Figure, error) {
 	return fig, nil
 }
 
-// runHits measures the hit ratio of a filter node over n queries of one
-// kind. cache controls whether misses are cached as user queries (with the
-// master result, as a client-side proxy would).
+// runHits measures the hit ratio of a filter or subtree node over n queries
+// of one kind. cache controls whether misses are cached as user queries
+// (with the master result, as a client-side proxy would).
 func (e *env) runHits(node *filterNode, g *workload.Generator, kind workload.QueryKind, n int, cache bool) float64 {
 	hits := 0
 	for i := 0; i < n; i++ {
@@ -156,14 +156,7 @@ func Figure4(cfg Config) (*metrics.Figure, error) {
 			return nil, err
 		}
 		gs := workload.NewGenerator(e.dir, e.traceConfig())
-		hits := 0
-		for i := 0; i < cfg.MeasureQueries; i++ {
-			tq := gs.NextOfKind(workload.KindSerial)
-			if _, hit := sub.replica.Answer(tq.Query); hit {
-				hits++
-			}
-		}
-		subtreeS.Add(frac, float64(hits)/float64(cfg.MeasureQueries))
+		subtreeS.Add(frac, e.runHits(sub, gs, workload.KindSerial, cfg.MeasureQueries, false))
 	}
 	return fig, nil
 }
@@ -308,13 +301,7 @@ func Figure6(cfg Config) (*metrics.Figure, error) {
 			return nil, err
 		}
 		gs := workload.NewGenerator(e.dir, e.traceConfig())
-		subHits := 0
-		for i := 0; i < cfg.MeasureQueries; i++ {
-			if _, hit := sub.replica.Answer(gs.NextOfKind(workload.KindSerial).Query); hit {
-				subHits++
-			}
-		}
-		hrSub := float64(subHits) / float64(cfg.MeasureQueries)
+		hrSub := e.runHits(sub, gs, workload.KindSerial, cfg.MeasureQueries, false)
 
 		// One update burst, synced by both replicas.
 		upd := e.updater()
@@ -328,7 +315,7 @@ func Figure6(cfg Config) (*metrics.Figure, error) {
 			return nil, err
 		}
 		filterS.Add(round2(hrFilter), float64(node.ResyncTraffic.Updates()))
-		subtreeS.Add(round2(hrSub), float64(sub.SyncTraffic.Updates()))
+		subtreeS.Add(round2(hrSub), float64(sub.ResyncTraffic.Updates()))
 	}
 	return fig, nil
 }
@@ -393,19 +380,14 @@ func Figure7(cfg Config) (*metrics.Figure, error) {
 			return nil, err
 		}
 		gs := workload.NewGenerator(e.dir, e.traceConfig())
-		subHits := 0
-		for i := 0; i < cfg.MeasureQueries; i++ {
-			if _, hit := sub.replica.Answer(gs.NextOfKind(workload.KindDept).Query); hit {
-				subHits++
-			}
-		}
+		hrSub := e.runHits(sub, gs, workload.KindDept, cfg.MeasureQueries, false)
 		if _, err := e.updater().Apply(cfg.Updates); err != nil {
 			return nil, err
 		}
 		if err := sub.SyncAll(); err != nil {
 			return nil, err
 		}
-		sSub.Add(round2(float64(subHits)/float64(cfg.MeasureQueries)), float64(sub.SyncTraffic.Updates()))
+		sSub.Add(round2(hrSub), float64(sub.ResyncTraffic.Updates()))
 	}
 	return fig, nil
 }

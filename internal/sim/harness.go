@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"filterdir/internal/containment"
-	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -120,66 +119,22 @@ func newFilterNode(eng *resync.Engine, checker *containment.Checker, cacheCap in
 
 // --- Subtree-replica node -----------------------------------------------------
 
-// subtreeNode bundles a subtree replica with one ReSync session per
-// replicated context for uniform traffic accounting.
-type subtreeNode struct {
-	replica *replica.SubtreeReplica
-	eng     *resync.Engine
-	cookies []string
-	specs   []query.Query
-
-	SyncTraffic resync.Traffic
-}
-
-// newSubtreeNode replicates the given subtree suffixes in full.
-func newSubtreeNode(eng *resync.Engine, suffixes []dn.DN) (*subtreeNode, error) {
-	ctxs := make([]dit.Context, len(suffixes))
-	for i, s := range suffixes {
-		ctxs[i] = dit.Context{Suffix: s}
-	}
-	sr, err := replica.NewSubtreeReplica(ctxs)
+// newSubtreeNode is the paper's subtree baseline (Section 3.4.1): a filter
+// node replicating each given subtree whole, as the stored query (suffix,
+// subtree, match-all). No context the experiments build has subordinate
+// referrals, and for such a context isContained(b, C) is exactly query
+// containment in that stored query. Its update traffic is ResyncTraffic.
+func newSubtreeNode(eng *resync.Engine, suffixes []dn.DN) (*filterNode, error) {
+	node, err := newFilterNode(eng, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	n := &subtreeNode{replica: sr, eng: eng}
 	for _, s := range suffixes {
-		spec := query.Query{Base: s, Scope: query.ScopeSubtree}
-		res, err := eng.Begin(spec)
-		if err != nil {
+		if err := node.AddFilter(query.Query{Base: s, Scope: query.ScopeSubtree}); err != nil {
 			return nil, err
 		}
-		// Initial load: parents before children.
-		updates := res.Updates
-		sort.Slice(updates, func(i, j int) bool {
-			return updates[i].DN.Depth() < updates[j].DN.Depth()
-		})
-		for _, u := range updates {
-			if err := sr.Store().Upsert(u.Entry); err != nil {
-				return nil, err
-			}
-		}
-		n.cookies = append(n.cookies, res.Cookie)
-		n.specs = append(n.specs, spec)
 	}
-	return n, nil
-}
-
-// SyncAll polls every context session, adopting each returned cookie —
-// presenting it on the next poll acknowledges this exchange.
-func (n *subtreeNode) SyncAll() error {
-	for i, cookie := range n.cookies {
-		res, err := n.eng.Poll(cookie)
-		if err != nil {
-			return err
-		}
-		n.cookies[i] = res.Cookie
-		ap := resync.NewApplier(n.replica.Store())
-		if err := ap.Apply(n.specs[i], res); err != nil {
-			return err
-		}
-		n.SyncTraffic.Merge(ap.Traffic)
-	}
-	return nil
+	return node, nil
 }
 
 // subtreeCand is one subtree a subtree replica could hold, with its size

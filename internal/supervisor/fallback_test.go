@@ -108,6 +108,72 @@ func TestContainmentRejectionDiverts(t *testing.T) {
 	waitConverged(t, h, sup, 10*time.Second)
 }
 
+// readOnlyBackend is a replica served without a tier, as ldapreplica runs
+// without -serve: it refuses every sync and every filters watch as
+// unwillingToPerform.
+type readOnlyBackend struct {
+	*ldapnet.ReplicaBackend
+	refused atomic.Int64 // Begins refused
+}
+
+func (b *readOnlyBackend) ReSyncBegin(q query.Query) (*resync.PollResult, error) {
+	b.refused.Add(1)
+	return b.ReplicaBackend.ReSyncBegin(q)
+}
+
+// TestReadOnlyUpstreamDiverts: an upstream that supplies nobody is no lost
+// connection to back off from. The supervisor diverts to the fallback master
+// after the one refused Begin, and its filters watch, refused the same way,
+// is not retried.
+func TestReadOnlyUpstreamDiverts(t *testing.T) {
+	h := newHarness(t)
+	rep, err := replica.NewFilterReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := &readOnlyBackend{ReplicaBackend: ldapnet.NewReplicaBackend(rep, "ldap://"+h.srv.Addr())}
+	upstream, err := ldapnet.Serve("127.0.0.1:0", ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = upstream.Close() })
+
+	var upstreamDials atomic.Int64
+	cfg := h.config(t)
+	cfg.Master = upstream.Addr()
+	cfg.Fallback = h.srv.Addr()
+	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		if addr == upstream.Addr() {
+			upstreamDials.Add(1)
+		}
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	sup := startSupervisor(t, cfg)
+
+	waitSynced(t, sup)
+	if got := sup.Target(); got != h.srv.Addr() {
+		t.Errorf("target = %s, want fallback %s", got, h.srv.Addr())
+	}
+	// The refused Begin, then the refused watch; a retry of either would
+	// come within a few poll intervals.
+	waitCounter(t, "upstream dials", 10*time.Second, upstreamDials.Load, 2)
+	time.Sleep(20 * cfg.PollInterval)
+	if got := upstreamDials.Load(); got != 2 {
+		t.Errorf("upstream dials = %d, want 2 (the Begin and the watch)", got)
+	}
+	if got := ro.refused.Load(); got != 1 {
+		t.Errorf("refused begins at the upstream = %d, want 1", got)
+	}
+	if got := h.backend.Engine.Counters().Snapshot().Begins; got != 1 {
+		t.Errorf("master begins = %d, want 1", got)
+	}
+	if got := sup.Counters().UpstreamFallbacks.Load(); got != 1 {
+		t.Errorf("upstream fallbacks = %d, want 1", got)
+	}
+	mutate(t, h.store, 0)
+	waitConverged(t, h, sup, 10*time.Second)
+}
+
 // TestStaleSessionAtUpstreamDiverts: a resume rejected with
 // e-syncRefreshRequired at the preferred upstream (a mid-tier that
 // restarted empty or trimmed past us) diverts to the fallback instead of

@@ -92,8 +92,10 @@ type Config struct {
 	Master string
 	// Fallback is the root master's address for cascaded topologies. When
 	// the configured upstream rejects the spec as not contained (wire
-	// referral → ldapnet.ErrNotContained) or answers with a stale-session
-	// error, the supervisor diverts to the fallback and re-Begins there.
+	// referral → ldapnet.ErrNotContained), refuses to supply any sync
+	// (unwillingToPerform → ldapnet.ErrReadOnly: a replica run without a
+	// tier) or answers with a stale-session error, the supervisor diverts to
+	// the fallback and re-Begins there.
 	// While diverted it holds one filters watch (the OIDFiltersWatch
 	// control) on the preferred upstream and probes it again when the
 	// watch answers: when the tier can serve the spec. An upstream that
@@ -388,8 +390,7 @@ func (s *Supervisor) watchLoop(stop chan struct{}) {
 				s.cfg.Logf("supervisor: upstream %s can serve the spec", s.cfg.Master)
 				return
 			}
-			var re *ldapnet.ResultError
-			if errors.As(err, &re) && re.Code == proto.ResultUnwillingToPerform {
+			if errors.Is(err, ldapnet.ErrReadOnly) {
 				s.cfg.Logf("supervisor: upstream %s refuses the filters watch, staying on the fallback: %v", s.cfg.Master, err)
 				return
 			}
@@ -517,10 +518,10 @@ func (s *Supervisor) stopped() bool {
 
 // run is the outer supervision loop: each cycle dials, synchronizes until
 // an error, classifies the error and backs off. With a fallback configured,
-// a containment rejection or stale session at the preferred upstream
-// diverts the loop to the fallback master; when the filters watch answers it
-// probes the upstream again and sticks with whichever side completes an
-// exchange first.
+// a containment rejection, a read-only refusal or a stale session at the
+// preferred upstream diverts the loop to the fallback master; when the
+// filters watch answers it probes the upstream again and sticks with
+// whichever side completes an exchange first.
 func (s *Supervisor) run() {
 	defer close(s.done)
 	if s.journal != nil {
@@ -583,6 +584,11 @@ func (s *Supervisor) run() {
 			// The upstream replica cannot prove containment for our spec:
 			// it will never serve this session, so take it to the master.
 			s.divert("spec not contained at upstream: " + err.Error())
+			attempt = 0
+		case errors.Is(err, ldapnet.ErrReadOnly) && s.canFallback():
+			// The upstream is a replica that supplies nobody: it refuses
+			// every Begin, so take the session to the master.
+			s.divert("upstream supplies no sync: " + err.Error())
 			attempt = 0
 		case errors.Is(err, resync.ErrNoSuchSession) && s.canFallback():
 			// A mid-tier that lost our session likely restarted empty or
