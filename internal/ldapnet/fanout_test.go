@@ -37,21 +37,19 @@ func (c *wireConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// fanoutWire is a server writing synchronously to one wireConn, which every
-// session of a fan-out benchmark streams through Server.streamUpdates.
-func fanoutWire(b *testing.B) (*Server, *connWriter, *wireConn) {
+// fanoutWire is a server writing to one wireConn, to which every session of
+// a fan-out benchmark is written through Server.writeBatch, the server's
+// write of a pushed batch.
+func fanoutWire() (*Server, *connWriter, *wireConn) {
 	conn := &wireConn{}
-	w := newConnWriter(conn, nil)
-	b.Cleanup(w.close)
-	return &Server{conns: map[net.Conn]bool{}}, w, conn
+	return &Server{conns: map[net.Conn]bool{}}, newConnWriter(conn), conn
 }
 
 // BenchmarkReloadFanout measures a master restart as the replicas see it:
 // each of `sessions` replicas Begins, is streamed its full content, decodes it
 // and applies it. "shared" puts them on one spec, whose content group encodes
-// the content once; "distinct" on specs of the same content that containment
-// cannot prove equivalent, so nothing is shared. wire_bytes/op is what
-// streamUpdates wrote.
+// the content once; "distinct" on specs of the same content whose normalized
+// keys differ, so nothing is shared. wire_bytes/op is what writeBatch wrote.
 func BenchmarkReloadFanout(b *testing.B) {
 	cfg := workload.DefaultDirectoryConfig(1000)
 	dir, err := workload.BuildDirectory(cfg)
@@ -69,7 +67,7 @@ func BenchmarkReloadFanout(b *testing.B) {
 				specs[i] = query.MustNew("", query.ScopeSubtree, f)
 			}
 			b.Run(fmt.Sprintf("sessions=%d/%s", sessions, mode), func(b *testing.B) {
-				srv, w, conn := fanoutWire(b)
+				srv, w, conn := fanoutWire()
 				var updates []resync.Update
 				conn.emit = func(m *proto.Message) {
 					u, _, _, err := decodeUpdate(m, m.Op.(*proto.SearchEntry))
@@ -88,7 +86,7 @@ func BenchmarkReloadFanout(b *testing.B) {
 							b.Fatal(err)
 						}
 						updates = make([]resync.Update, 0, len(res.Updates))
-						if err := streamSync(srv, w, int64(s+1), res.Updates, "", res.CSN, res.Enc); err != nil {
+						if err := srv.writeBatch(w, int64(s+1), resync.Batch{Updates: res.Updates, CSN: res.CSN, Enc: res.Enc}); err != nil {
 							b.Fatal(err)
 						}
 						if len(updates) != len(res.Updates) {
@@ -148,7 +146,7 @@ func BenchmarkPersistFanout(b *testing.B) {
 					cookies[i] = res.Cookie
 				}
 				upd := workload.NewUpdater(dir, workload.DefaultUpdateConfig())
-				srv, w, conn := fanoutWire(b)
+				srv, w, conn := fanoutWire()
 
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -164,7 +162,7 @@ func BenchmarkPersistFanout(b *testing.B) {
 							b.Fatal(err)
 						}
 						cookies[s] = res.Cookie
-						if err := streamSync(srv, w, int64(s+1), res.Updates, res.Cookie, res.CSN, res.Enc); err != nil {
+						if err := srv.writeBatch(w, int64(s+1), resync.Batch{Updates: res.Updates, Cookie: res.Cookie, CSN: res.CSN, Enc: res.Enc}); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -97,11 +97,10 @@ func TestMoveOverWire(t *testing.T) {
 // not know is refused at decode, before anything of its batch is applied.
 func TestUnencodableUpdateEndsTheExchange(t *testing.T) {
 	s := &Server{conns: map[net.Conn]bool{}}
-	w := newConnWriter(discardConn{}, nil)
-	defer w.close()
+	w := newConnWriter(discardConn{})
 	e := tableOneEmployee(t)
 	updates := []resync.Update{{Action: resync.ActionAdd, DN: e.DN(), Entry: e}, {DN: e.DN()}}
-	if err := streamSync(s, w, 5, updates, "sess-1@2", 7, nil); err == nil {
+	if err := s.writeBatch(w, 5, resync.Batch{Updates: updates, Cookie: "sess-1@2", CSN: 7}); err == nil {
 		t.Error("an update without a wire action was streamed without error")
 	}
 

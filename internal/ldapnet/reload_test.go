@@ -256,23 +256,14 @@ func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 func (discardConn) Close() error                     { return nil }
 
-// streamSync streams updates to w as one synchronous response, the way the
-// server writes a Begin, poll or resume answer, and ends the response.
-func streamSync(s *Server, w *connWriter, id int64, updates []resync.Update, cookie string, csn uint64, enc *resync.SharedEnc) error {
-	out := &response{w: w}
-	err := s.streamUpdates(id, updates, cookie, csn, enc, out.putTail)
-	if endErr := out.end(); err == nil {
-		err = endErr
-	}
-	return err
-}
-
 // TestSharedEncodeHitAllocs is the allocation gate of the supplier's hit
-// path: streaming a reload whose PDUs are already in the shared memo
-// allocates a small constant per exchange, however many PDUs it carries.
-// Each message is its session's message ID around the shared tail, appended
-// into the connection's pooled response buffer: no envelope of its own, no
-// op, no control, no copy of the entry.
+// path: writing a batch whose PDUs are already in the shared memo allocates
+// a small constant per batch, however many PDUs it carries. Each message is
+// its session's message ID around the shared tail, appended into the pooled
+// response buffer: no envelope of its own, no op, no control, no copy of the
+// entry. "reload" is a Begin's content; "pushed batch" is a persist batch,
+// whose last PDU carries the session's cookie and so has its control, and
+// its tail, built for the session.
 func TestSharedEncodeHitAllocs(t *testing.T) {
 	store := reloadStore(t, 200)
 	backend := NewStoreBackend(store)
@@ -284,18 +275,31 @@ func TestSharedEncodeHitAllocs(t *testing.T) {
 		t.Fatal("Begin result carries no shared encoding memo")
 	}
 	s := &Server{backend: backend, syncStats: backend.SyncCounters(), conns: map[net.Conn]bool{}}
-	w := newConnWriter(discardConn{}, s.syncStats)
-	defer w.close()
-	stream := func() {
-		if err := streamSync(s, w, 5, res.Updates, "", res.CSN, res.Enc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stream() // the first member pays for the encoding
-	total, pdus := testing.AllocsPerRun(20, stream), float64(len(res.Updates))
-	t.Logf("shared-encode hit path: %.0f allocations for %.0f PDUs", total, pdus)
-	if total > 2 { // per exchange at most the response and a pooled buffer; nothing per PDU
-		t.Errorf("hit path allocates %.0f times for %.0f PDUs, gate is 2 per exchange", total, pdus)
+	w := newConnWriter(discardConn{})
+	for _, tt := range []struct {
+		name   string
+		cookie string
+		// gate is the allocations per batch: the response and a pooled
+		// buffer, and for a cookie the last PDU's control and tail (six).
+		gate float64
+	}{
+		{"reload", "", 2},
+		{"pushed batch", "sess-1@9", 8},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			batch := resync.Batch{Updates: res.Updates, Cookie: tt.cookie, CSN: res.CSN, Enc: res.Enc}
+			write := func() {
+				if err := s.writeBatch(w, 5, batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write() // the first member pays for the encoding
+			total, pdus := testing.AllocsPerRun(20, write), float64(len(batch.Updates))
+			t.Logf("shared-encode hit path, %s: %.0f allocations for %.0f PDUs", tt.name, total, pdus)
+			if total > tt.gate {
+				t.Errorf("hit path allocates %.0f times for %.0f PDUs, gate is %.0f per batch", total, pdus, tt.gate)
+			}
+		})
 	}
 }
 
@@ -335,11 +339,10 @@ func TestBareAddRule(t *testing.T) {
 					srvEnd, cliEnd := net.Pipe()
 					defer cliEnd.Close()
 					s := &Server{conns: map[net.Conn]bool{}}
-					w := newConnWriter(srvEnd, nil)
-					defer w.close()
+					w := newConnWriter(srvEnd)
 					sent := make(chan error, 1)
 					go func() {
-						sent <- streamSync(s, w, 5, []resync.Update{a.u}, cookie, csn, enc)
+						sent <- s.writeBatch(w, 5, resync.Batch{Updates: []resync.Update{a.u}, Cookie: cookie, CSN: csn, Enc: enc})
 					}()
 					m, err := proto.ReadMessage(bufio.NewReader(cliEnd))
 					if err != nil {

@@ -102,31 +102,99 @@ func (l *pipeListener) Close() error {
 
 func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
 
-// TestNeverReadingPeerIsDropped: a consumer that asks for a reload and never
-// reads a byte of it — a half-open peer — holds the handler's synchronous
-// write only until the write timeout; then the server closes the connection.
+// TestNeverReadingPeerIsDropped: a consumer that stops reading — a
+// half-open peer — holds the server's write only until the write timeout;
+// then the server closes the connection. "reload" asks for a reload and never
+// reads a byte of it. "persist stream" opens a persist stream, takes its
+// first pushes and stops reading; its session outlives the connection and
+// answers a poll by the cookie the peer last took with what it missed.
 func TestNeverReadingPeerIsDropped(t *testing.T) {
 	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
 	writeTimeout = 250 * time.Millisecond
-	l := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
-	srv := ServeListener(l, NewStoreBackend(reloadStore(t, 40)))
-	defer srv.Close()
-
-	srvEnd, peer := net.Pipe()
-	defer peer.Close()
-	l.conns <- srvEnd
-	begin := &proto.Message{ID: 1, Op: &proto.SearchRequest{Query: reloadSpec},
-		Controls: []proto.Control{proto.NewReSyncRequestControl(proto.ReSyncModePoll, "")}}
-	if err := begin.Write(peer); err != nil {
-		t.Fatal(err)
+	// serve starts a server on backend and hands it the server end of a
+	// pipe, whose other end it returns.
+	serve := func(t *testing.T, backend Backend) (*Server, net.Conn) {
+		l := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+		srv := ServeListener(l, backend)
+		t.Cleanup(func() { _ = srv.Close() })
+		srvEnd, peer := net.Pipe()
+		t.Cleanup(func() { _ = peer.Close() })
+		l.conns <- srvEnd
+		return srv, peer
 	}
-	sent := time.Now()
-	for srv.ActiveConns() > 0 {
-		if time.Since(sent) > 2*writeTimeout {
-			t.Fatalf("the server still holds the connection %v after the Begin; write timeout %v",
-				time.Since(sent).Round(time.Millisecond), writeTimeout)
+	// dropped waits for srv to drop its connection, within two write
+	// timeouts of since.
+	dropped := func(t *testing.T, srv *Server, since time.Time) {
+		for srv.ActiveConns() > 0 {
+			if time.Since(since) > 2*writeTimeout {
+				t.Fatalf("the server still holds the connection %v after the peer stopped reading; write timeout %v",
+					time.Since(since).Round(time.Millisecond), writeTimeout)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
+		t.Logf("never-reading peer dropped %v after it stopped reading", time.Since(since).Round(time.Millisecond))
 	}
-	t.Logf("never-reading peer dropped %v after its Begin", time.Since(sent).Round(time.Millisecond))
+
+	t.Run("reload", func(t *testing.T) {
+		srv, peer := serve(t, NewStoreBackend(reloadStore(t, 40)))
+		begin := &proto.Message{ID: 1, Op: &proto.SearchRequest{Query: reloadSpec},
+			Controls: []proto.Control{proto.NewReSyncRequestControl(proto.ReSyncModePoll, "")}}
+		if err := begin.Write(peer); err != nil {
+			t.Fatal(err)
+		}
+		dropped(t, srv, time.Now())
+	})
+
+	t.Run("persist stream", func(t *testing.T) {
+		store := reloadStore(t, 40)
+		backend := NewStoreBackend(store)
+		srv, peer := serve(t, backend)
+		_ = peer.SetReadDeadline(time.Now().Add(10 * time.Second))
+		streamSpec := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=05*)")
+		begin := &proto.Message{ID: 1, Op: &proto.SearchRequest{Query: streamSpec},
+			Controls: []proto.Control{proto.NewReSyncRequestControl(proto.ReSyncModePersist, "")}}
+		if err := begin.Write(peer); err != nil {
+			t.Fatal(err)
+		}
+		for backend.SyncCounters().PersistStreams.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		const taken, missed = 5, 3
+		if err := pushEntries(store, 0, taken, taken); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(peer)
+		var cookie string
+		for i := 0; i < taken; i++ {
+			m, err := proto.ReadMessage(r)
+			if err != nil {
+				t.Fatalf("push %d: %v", i, err)
+			}
+			se, ok := m.Op.(*proto.SearchEntry)
+			if !ok {
+				t.Fatalf("push %d is %T", i, m.Op)
+			}
+			_, c, _, err := decodeUpdate(m, se)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c != "" {
+				cookie = c
+			}
+		}
+		if cookie == "" {
+			t.Fatal("no push carried a cookie")
+		}
+		if err := pushEntries(store, taken, missed, missed); err != nil {
+			t.Fatal(err)
+		}
+		dropped(t, srv, time.Now())
+		res, err := backend.Engine.Poll(cookie)
+		if err != nil {
+			t.Fatalf("poll by the last cookie taken: %v", err)
+		}
+		if len(res.Updates) != missed {
+			t.Errorf("poll by the last cookie taken ships %d updates, want the %d missed", len(res.Updates), missed)
+		}
+	})
 }

@@ -115,7 +115,7 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // connState tracks per-connection persistent searches and filters watches
-// for abandon, plus the connection's write queue.
+// for abandon, plus the connection's writer.
 type connState struct {
 	mu       sync.Mutex
 	persists map[int64]*resync.Subscription
@@ -195,9 +195,8 @@ func (s *Server) handle(conn net.Conn) {
 	state := &connState{
 		persists: make(map[int64]*resync.Subscription),
 		watches:  make(map[int64]chan struct{}),
-		w:        newConnWriter(conn, s.syncStats),
+		w:        newConnWriter(conn),
 	}
-	defer state.w.close()
 	defer state.closeAll()
 	r := bufio.NewReader(conn)
 	for {
@@ -527,7 +526,7 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 	if req.Mode == proto.ReSyncModePersist {
 		initialCookie = res.Cookie
 	}
-	if err := s.streamUpdates(id, res.Updates, initialCookie, res.CSN, res.Enc, out.putTail); err != nil {
+	if err := s.streamUpdates(out, id, resync.Batch{Updates: res.Updates, Cookie: initialCookie, CSN: res.CSN, Enc: res.Enc}); err != nil {
 		// Without its cookie the exchange must not look complete; on a dead
 		// connection this reply goes nowhere.
 		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
@@ -549,7 +548,7 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 
 	if req.Mode == proto.ReSyncModePersist {
 		// The initial delivery reaches the socket before the stream's first
-		// pushed batch, which the drain goroutine writes.
+		// pushed batch, which the stream's goroutine writes.
 		if out.flush() != nil {
 			return
 		}
@@ -560,25 +559,21 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 		}
 		state.addPersist(id, sub)
 		// Stream in a separate goroutine so the connection's read loop keeps
-		// processing abandon and unbind requests. Pushed batches go through
-		// the connection's bounded write queue; the subscription ends via
-		// abandon (takePersist), connection teardown (closeAll), engine-side
-		// slow-consumer demotion (channel close) or a write failure here.
+		// processing abandon and unbind requests. Each pushed batch is
+		// written as a response of its own; the subscription ends via abandon
+		// (takePersist), connection teardown (closeAll), engine-side
+		// slow-consumer demotion (channel close) or a failed write here,
+		// whose stream done then goes nowhere.
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			push := func(id int64, tail []byte) error { return s.push(state.w, proto.EncodeWithTail(id, tail)) }
 			for batch := range sub.Updates {
-				if err := s.streamUpdates(id, batch.Updates, batch.Cookie, batch.CSN, batch.Enc, push); err != nil {
+				if err := s.writeBatch(state.w, id, batch); err != nil {
 					sub.Close()
-					if !errors.Is(err, errSlowConsumer) { // else the connection is gone
-						s.streamDone(state.w, id, "", err)
-					}
+					s.streamDone(state.w, id, "", err)
 					return
 				}
 			}
-			// The done must trail the queued batch PDUs of this stream, so
-			// it rides the same queue.
 			s.streamDone(state.w, id, res.Cookie, nil)
 		}()
 		return
@@ -587,10 +582,6 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 	s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "",
 		nil, []proto.Control{proto.NewReSyncDoneControl(res.Cookie, res.FullReload, res.CSN)})
 }
-
-// errSlowConsumer tears down a persist stream whose connection write queue
-// stayed full past the enqueue deadline.
-var errSlowConsumer = errors.New("ldapnet: persist consumer too slow, write queue full")
 
 // searchEntryTag supplies only the application tag to the pre-encoded-body
 // wrappers; the PDU body comes from the shared memo.
@@ -627,40 +618,39 @@ func changeAction(u resync.Update) (proto.ChangeAction, error) {
 	return 0, fmt.Errorf("ldapnet: update of %s has no wire action", u.DN.String())
 }
 
-// streamUpdates hands each update to emit as the tail of a search entry
-// PDU (proto.EncodeMessageTail) labelled with an entry-change control;
-// delete and retain actions carry the DN only, a move its old DN on the
-// control. emit wraps the tail in the message envelope: a synchronous
-// exchange appends it to the connection's response buffer
-// (response.putTail), a persist push encodes it and queues it on the
-// connection's bounded write queue (Server.push). A non-empty batchCookie is
-// attached, with batchCSN, to the final PDU so persist-mode consumers learn
-// the sync point each pushed batch reaches. An add that carries nothing
-// else — no cookie, no CSN, no old DN — travels bare, without the control: a
-// consumer reads an entry PDU without one as an add, which is every PDU of a
-// content transfer (paper §5.2: the whole content "as add actions"). An
-// update the wire has no action for ends the exchange with an error:
-// skipping it would drop, with the last update, the batch's cookie.
+// streamUpdates puts each update of b into out (response.putTail) as the
+// tail of a search entry PDU (proto.EncodeMessageTail) labelled with an
+// entry-change control; delete and retain actions carry the DN only, a move
+// its old DN on the control. A synchronous exchange puts them into the
+// response it answers with, a persist push into one of its own
+// (Server.writeBatch). A non-empty b.Cookie is attached, with b.CSN, to the
+// final PDU so persist-mode consumers learn the sync point each pushed batch
+// reaches. An add that carries nothing else — no cookie, no CSN, no old DN —
+// travels bare, without the control: a consumer reads an entry PDU without
+// one as an add, which is every PDU of a content transfer (paper §5.2: the
+// whole content "as add actions"). An update the wire has no action for ends
+// the exchange with an error: skipping it would drop, with the last update,
+// the batch's cookie.
 //
 // When the batch carries a shared-encoding memo, the tail is BER-encoded
 // once per content view and reused across every session fanned the batch —
 // a pushed change interval and a full reload alike: for all but a
 // cookie-bearing final update the message differs between sessions only in
 // its message ID, so the whole tail (op TLV, then the entry-change control
-// unless the add is bare) is cached, and a hit on a synchronous exchange
-// allocates nothing: the tail is copied once, into the response buffer. The
-// final update of a persist batch carries the per-session cookie, so its
-// control is rebuilt around the cached PDU body.
-func (s *Server) streamUpdates(id int64, updates []resync.Update, batchCookie string, batchCSN uint64, enc *resync.SharedEnc, emit func(id int64, tail []byte) error) error {
-	for i, u := range updates {
+// unless the add is bare) is cached, and a hit allocates nothing: the tail
+// is copied once, into the response buffer. The final update of a persist
+// batch carries the per-session cookie, so its control is rebuilt around the
+// cached PDU body.
+func (s *Server) streamUpdates(out *response, id int64, b resync.Batch) error {
+	for i, u := range b.Updates {
 		u := u
 		action, err := changeAction(u)
 		if err != nil {
 			return err
 		}
 		ec := proto.EntryChange{Action: action}
-		if i == len(updates)-1 && batchCookie != "" {
-			ec.Cookie, ec.CSN = batchCookie, batchCSN
+		if i == len(b.Updates)-1 && b.Cookie != "" {
+			ec.Cookie, ec.CSN = b.Cookie, b.CSN
 		}
 		control := func() []proto.Control {
 			if u.IsMove() {
@@ -683,17 +673,17 @@ func (s *Server) streamUpdates(id int64, updates []resync.Update, batchCookie st
 		var tail []byte
 		var built bool
 		switch {
-		case enc == nil:
+		case b.Enc == nil:
 			tail, err = encodeTail()
 		case ec.Cookie == "":
-			// Session-independent message: share the whole tail; emit
+			// Session-independent message: share the whole tail; putTail
 			// stamps only the message ID.
-			tail, built, err = enc.GetTail(i, encodeTail)
+			tail, built, err = b.Enc.GetTail(i, encodeTail)
 		default:
 			// The per-session cookie control forces a per-session tail;
 			// the PDU body is still shared.
 			var body []byte
-			body, built, err = enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(updateOp(u)) })
+			body, built, err = b.Enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(updateOp(u)) })
 			if err == nil {
 				tail = proto.EncodeMessageTail(searchEntryTag, body, control())
 			}
@@ -701,14 +691,14 @@ func (s *Server) streamUpdates(id int64, updates []resync.Update, batchCookie st
 		if err != nil {
 			return err
 		}
-		if enc != nil && s.syncStats != nil {
+		if b.Enc != nil && s.syncStats != nil {
 			if built {
 				s.syncStats.StreamEncodes.Add(1)
 			} else {
 				s.syncStats.StreamDedupPDUs.Add(1)
 			}
 		}
-		if err := emit(id, tail); err != nil {
+		if err := out.putTail(id, tail); err != nil {
 			return err
 		}
 		if s.syncStats != nil {
@@ -718,32 +708,23 @@ func (s *Server) streamUpdates(id int64, updates []resync.Update, batchCookie st
 	return nil
 }
 
-// push queues one persist-stream message on w, dropping the connection
-// when the queue stays full.
-func (s *Server) push(w *connWriter, b []byte) error {
-	if !w.enqueue(b) {
-		if s.syncStats != nil {
-			s.syncStats.StreamQueueDrops.Add(1)
-		}
-		s.dropConn(w.conn)
-		return errSlowConsumer
+// writeBatch writes one batch of updates to w as a response of its own: a
+// pushed persist batch, with its cookie on the last PDU. The synchronous
+// exchanges put their updates into the response they answer with instead.
+func (s *Server) writeBatch(w *connWriter, id int64, b resync.Batch) error {
+	out := &response{w: w}
+	err := s.streamUpdates(out, id, b)
+	if endErr := out.end(); err == nil {
+		err = endErr
 	}
-	return nil
+	return err
 }
 
-// streamDone ends a persist stream with its SearchDone — carrying err's
-// result when it failed — routed through the write queue so it trails the
-// stream's queued PDUs.
+// streamDone ends a persist stream with its SearchDone, carrying err's
+// result when it failed.
 func (s *Server) streamDone(w *connWriter, id int64, cookie string, err error) {
-	op := &proto.SearchDone{}
-	setResult(op, resultCodeFor(err), errText(err), nil)
-	m := &proto.Message{ID: id, Op: op,
-		Controls: []proto.Control{proto.NewReSyncDoneControl(cookie, false, 0)}}
-	b, err := m.Encode()
-	if err != nil {
-		return
-	}
-	if !w.enqueue(b) {
-		s.dropConn(w.conn)
-	}
+	out := &response{w: w}
+	s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), errText(err), nil,
+		[]proto.Control{proto.NewReSyncDoneControl(cookie, false, 0)})
+	_ = out.end()
 }

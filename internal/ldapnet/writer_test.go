@@ -88,14 +88,14 @@ func writeRequest(t *testing.T, conn net.Conn, m *proto.Message) {
 
 // TestCoalescedResponseFraming: a Begin whose answer spans several response
 // buffers, on a connection whose persist stream pushes batches while the
-// answer is being written — the first write of the answer commits them and
-// holds the writer's lock until they are queued, so the answer's next
-// buffer boundary finds them queued and writes them first. Every message the client
-// reads decodes; each response's PDUs arrive in the order they were
-// produced and end with its SearchDone; and on the server side every Write
-// is whole messages of one response or of the stream, so the two interleave
-// at message granularity, and none is larger than the response buffer
-// unless it is a single PDU.
+// answer is being written — the first write of the answer commits them, in
+// four commits, so the stream's goroutine builds its batches while the
+// answer holds the writer and writes them between the answer's buffers.
+// Every message the client reads decodes; each response's PDUs arrive in the
+// order they were produced and end with its SearchDone; and on the server
+// side every Write is whole messages of one response, so the two interleave
+// at message granularity, and none is larger than the response buffer unless
+// it is a single PDU.
 func TestCoalescedResponseFraming(t *testing.T) {
 	store := reloadStore(t, 900)
 	backend := NewStoreBackend(store)
@@ -114,7 +114,7 @@ func TestCoalescedResponseFraming(t *testing.T) {
 		if msgs, _ := splitMessages(p); len(msgs) == 0 || msgs[0].ID != 2 {
 			return
 		}
-		once.Do(func() { pushed <- pushWhileWriting(store, backend, pushes) })
+		once.Do(func() { pushed <- pushEntries(store, 0, pushes, 10) })
 	}}
 	srv := ServeListener(recordingListener{ln, log}, backend)
 	defer srv.Close()
@@ -218,30 +218,8 @@ func TestCoalescedResponseFraming(t *testing.T) {
 			between++
 		}
 	}
-	if between == 0 {
-		t.Errorf("no stream write between the Begin's first and last: %v", owner)
-	}
 	t.Logf("Begin: %d entries in %d writes (largest %d B); %d stream writes among them",
 		len(ref.Updates), last-first+1-between, maxWrite, between)
-}
-
-// pushWhileWriting commits n entries the persist stream's spec selects and
-// waits until the stream has queued them all (StreamedPDUs counts a push once
-// it is queued). Messages leave the queue only under the writer's lock, which
-// the caller holds, so they are all still queued when it returns, and the
-// answer's next buffer boundary writes them before its own next buffer.
-func pushWhileWriting(store *dit.Store, backend *StoreBackend, n int) error {
-	stats := backend.SyncCounters()
-	base := stats.StreamedPDUs.Load()
-	if err := pushEntries(store, n); err != nil {
-		return err
-	}
-	for deadline := time.Now().Add(10 * time.Second); stats.StreamedPDUs.Load() < base+int64(n); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%d of %d pushes queued", stats.StreamedPDUs.Load()-base, n)
-		}
-	}
-	return nil
 }
 
 // pacedReader reads at most 64 KiB per call and 20 ms apart: a consumer
@@ -268,11 +246,11 @@ func (l smallBufListener) Accept() (net.Conn, error) {
 
 // TestSlowReaderKeepsItsStream: a Begin answer of over 4 MB to a client that
 // reads 64 KiB every 20 ms, while the persist stream on the same connection
-// pushes more messages than its queue holds. The answer's first write fills
-// the queue; every push after that waits for space, which only the answer's
-// buffer boundaries make while it holds the writer. The stream is not torn
-// down: every push arrives, in order, a full queue of them before the answer
-// ends, and the answer is whole.
+// pushes 192 entries in eight commits. The answer's first write holds the
+// writer until the stream has built its first push, so every batch of the
+// stream waits for the writer behind a slow answer. The stream is not torn
+// down: every push arrives, in order, all of them before the answer ends,
+// and the answer is whole.
 func TestSlowReaderKeepsItsStream(t *testing.T) {
 	store := reloadStore(t, 2900)
 	backend := NewStoreBackend(store)
@@ -284,7 +262,7 @@ func TestSlowReaderKeepsItsStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pushes = 3 * streamQueueCap
+	const pushes = 192
 	stats := backend.SyncCounters()
 	var once sync.Once
 	pushed := make(chan error, 1)
@@ -293,12 +271,13 @@ func TestSlowReaderKeepsItsStream(t *testing.T) {
 			return
 		}
 		once.Do(func() {
+			// The answer is not building PDUs while its write is held, so
+			// what StreamedPDUs counts from here on is the stream's.
 			base := stats.StreamedPDUs.Load()
-			go func() { pushed <- pushEntries(store, pushes) }()
-			// Hold the writer until the queue is full.
-			for deadline := time.Now().Add(10 * time.Second); stats.StreamedPDUs.Load() < base+streamQueueCap; time.Sleep(time.Millisecond) {
+			go func() { pushed <- pushEntries(store, 0, pushes, 24) }()
+			for deadline := time.Now().Add(10 * time.Second); stats.StreamedPDUs.Load() == base; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Errorf("%d of %d pushes queued", stats.StreamedPDUs.Load()-base, streamQueueCap)
+					t.Error("the stream built no push while the answer held the writer")
 					return
 				}
 			}
@@ -344,8 +323,8 @@ func TestSlowReaderKeepsItsStream(t *testing.T) {
 	if err := <-pushed; err != nil {
 		t.Fatal(err)
 	}
-	if n := stats.StreamQueueDrops.Load(); n != 0 {
-		t.Fatalf("%d stream drops", n)
+	if n := stats.SlowDemotions.Load(); n != 0 {
+		t.Fatalf("%d streams demoted", n)
 	}
 	for id, want := range map[int64]int{1: pushes, 2: len(ref.Updates)} {
 		msgs := got[id]
@@ -366,8 +345,8 @@ func TestSlowReaderKeepsItsStream(t *testing.T) {
 			}
 		}
 	}
-	if streamBeforeDone < streamQueueCap {
-		t.Errorf("%d stream messages arrived before the answer ended, want at least the %d queued at its first write", streamBeforeDone, streamQueueCap)
+	if streamBeforeDone != pushes {
+		t.Errorf("%d of %d stream messages arrived before the answer ended", streamBeforeDone, pushes)
 	}
 	answer := 0
 	for _, w := range log.all() {
@@ -381,13 +360,22 @@ func TestSlowReaderKeepsItsStream(t *testing.T) {
 	t.Logf("answer %d B; %d of %d pushes arrived before it ended", answer, streamBeforeDone, pushes)
 }
 
-// pushEntries commits n entries the persist stream's spec selects.
-func pushEntries(store *dit.Store, n int) error {
-	for i := 0; i < n; i++ {
-		e := entry.New(dn.MustParse(fmt.Sprintf("cn=q%03d,o=xyz", i)))
-		e.Put("objectclass", "person").Put("cn", fmt.Sprintf("q%03d", i)).Put("sn", "q").
-			Put("serialNumber", fmt.Sprintf("05%03d", i))
-		if err := store.Add(e); err != nil {
+// pushEntries commits n entries the persist stream's spec selects, numbered
+// from first, per entries to a store commit. A commit is one change signal,
+// so one broadcast cycle: the engine demotes a stream only after eight
+// cycles that find its subscriber queue full, so a burst of fewer commits
+// than that plus the batches the queue holds leaves the stream up however
+// long it waits for its connection's writer (see resync's group.syncOne).
+func pushEntries(store *dit.Store, first, n, per int) error {
+	for i := first; i < first+n; i += per {
+		var ops []dit.SyncOp
+		for j := i; j < min(i+per, first+n); j++ {
+			e := entry.New(dn.MustParse(fmt.Sprintf("cn=q%03d,o=xyz", j)))
+			e.Put("objectclass", "person").Put("cn", fmt.Sprintf("q%03d", j)).Put("sn", "q").
+				Put("serialNumber", fmt.Sprintf("05%03d", j))
+			ops = append(ops, dit.SyncOp{Put: e})
+		}
+		if err := store.ApplyOwned(ops); err != nil {
 			return err
 		}
 	}

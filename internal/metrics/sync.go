@@ -68,12 +68,9 @@ type SyncCounters struct {
 	Classifies    atomic.Int64
 
 	// Content-group fan-out. GroupJoins counts sessions that joined a
-	// content group (GroupEquivJoins the subset admitted by containment
-	// equivalence rather than an identical key); GroupLeaves counts
-	// departures on sync_end.
-	GroupJoins      atomic.Int64
-	GroupEquivJoins atomic.Int64
-	GroupLeaves     atomic.Int64
+	// content group; GroupLeaves counts departures on sync_end.
+	GroupJoins  atomic.Int64
+	GroupLeaves atomic.Int64
 
 	// Shared-classification cache: a miss classifies a change interval for
 	// real; a hit reuses another group member's result. The dedup ratio of
@@ -95,15 +92,12 @@ type SyncCounters struct {
 	StreamEncodes   atomic.Int64
 	StreamDedupPDUs atomic.Int64
 
-	// Per-connection write-queue pressure: StreamQueueDrops counts persist
-	// streams torn down because the connection's bounded write queue stayed
-	// full past the enqueue deadline; StreamQueueHighWater is the deepest
-	// queue observed.
-	StreamQueueDrops     atomic.Int64
+	// StreamQueueHighWater is the deepest persist subscriber queue observed
+	// when the broadcaster queues a batch (at most the queue's capacity).
 	StreamQueueHighWater atomic.Int64
 }
 
-// ObserveQueueDepth folds one observed write-queue depth into the
+// ObserveQueueDepth folds one observed subscriber-queue depth into the
 // high-water mark.
 func (c *SyncCounters) ObserveQueueDepth(depth int) {
 	d := int64(depth)
@@ -135,11 +129,11 @@ type SyncSnapshot struct {
 	Classifies                                   int64
 	AvgClassify                                  time.Duration
 
-	GroupJoins, GroupEquivJoins, GroupLeaves int64
+	GroupJoins, GroupLeaves                  int64
 	SharedClassifyHits, SharedClassifyMisses int64
 	CoalescedCycles, SlowDemotions           int64
 	StreamEncodes, StreamDedupPDUs           int64
-	StreamQueueDrops, StreamQueueHighWater   int64
+	StreamQueueHighWater                     int64
 }
 
 // Snapshot copies the current counter values.
@@ -170,7 +164,6 @@ func (c *SyncCounters) Snapshot() SyncSnapshot {
 		Classifies:     c.Classifies.Load(),
 
 		GroupJoins:           c.GroupJoins.Load(),
-		GroupEquivJoins:      c.GroupEquivJoins.Load(),
 		GroupLeaves:          c.GroupLeaves.Load(),
 		SharedClassifyHits:   c.SharedClassifyHits.Load(),
 		SharedClassifyMisses: c.SharedClassifyMisses.Load(),
@@ -178,7 +171,6 @@ func (c *SyncCounters) Snapshot() SyncSnapshot {
 		SlowDemotions:        c.SlowDemotions.Load(),
 		StreamEncodes:        c.StreamEncodes.Load(),
 		StreamDedupPDUs:      c.StreamDedupPDUs.Load(),
-		StreamQueueDrops:     c.StreamQueueDrops.Load(),
 		StreamQueueHighWater: c.StreamQueueHighWater.Load(),
 	}
 	if s.Classifies > 0 {
@@ -205,13 +197,13 @@ func (s SyncSnapshot) PDUs() int64 {
 // String renders a compact status line for operator output.
 func (s SyncSnapshot) String() string {
 	return fmt.Sprintf(
-		"sync: begins=%d polls=%d retain=%d ends=%d persist=%d | pdus=%d (add=%d del=%d mod=%d [patch=%d (move=%d) image=%d] ret=%d suppressed=%d) streamed=%d | full-reloads=%d (chunked=%d chunks=%d resumes=%d rejects=%d) reload-snapshots=%d built/%d shared classify-avg=%s | groups: joins=%d (equiv=%d) leaves=%d classify-dedup=%.2f enc-dedup=%d/%d | slow: coalesced=%d demoted=%d qdrops=%d qmax=%d",
+		"sync: begins=%d polls=%d retain=%d ends=%d persist=%d | pdus=%d (add=%d del=%d mod=%d [patch=%d (move=%d) image=%d] ret=%d suppressed=%d) streamed=%d | full-reloads=%d (chunked=%d chunks=%d resumes=%d rejects=%d) reload-snapshots=%d built/%d shared classify-avg=%s | groups: joins=%d leaves=%d classify-dedup=%.2f enc-dedup=%d/%d | slow: coalesced=%d demoted=%d qmax=%d",
 		s.Begins, s.Polls, s.RetainPolls, s.Ends, s.PersistStreams,
 		s.PDUs(), s.PDUAdds, s.PDUDeletes, s.PDUModifies, s.PDUPatches, s.PDUMoves, s.PDUModifies-s.PDUPatches, s.PDURetains,
 		s.SuppressedModifies, s.StreamedPDUs, s.FullReloads,
 		s.ChunkedReloads, s.ReloadChunks, s.Resumes, s.ResumeRejects,
 		s.ReloadSnapshotsBuilt, s.ReloadSnapshotsShared, s.AvgClassify,
-		s.GroupJoins, s.GroupEquivJoins, s.GroupLeaves, s.ClassifyDedupRatio(),
+		s.GroupJoins, s.GroupLeaves, s.ClassifyDedupRatio(),
 		s.StreamDedupPDUs, s.StreamEncodes,
-		s.CoalescedCycles, s.SlowDemotions, s.StreamQueueDrops, s.StreamQueueHighWater)
+		s.CoalescedCycles, s.SlowDemotions, s.StreamQueueHighWater)
 }

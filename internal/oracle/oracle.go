@@ -157,10 +157,10 @@ func specs() []query.Query {
 
 // sharedSpecs builds the fan-out stress spec set: n replicas over ONE
 // content — cycling through the plain spelling, an attribute-selected view
-// of it, and a containment-equivalent (absorption) spelling — plus a final
-// odd-one-out replica whose filter shares no group with the rest. The
-// grouped engine must be observationally identical to per-session
-// classification for every one of them.
+// of it, and a spelling whose text differs but whose normalized key is the
+// same — plus a final odd-one-out replica whose filter shares no group with
+// the rest. The grouped engine must be observationally identical to
+// per-session classification for every one of them.
 func sharedSpecs(n int) []query.Query {
 	out := make([]query.Query, 0, n+1)
 	for i := 0; i < n; i++ {
@@ -170,7 +170,7 @@ func sharedSpecs(n int) []query.Query {
 		case 1:
 			out = append(out, query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(grp=1)", "cn", "grp"))
 		default:
-			out = append(out, query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(|(grp=1)(&(grp=1)(val>=0)))"))
+			out = append(out, query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(&(grp=1)(!(!(grp=1))))"))
 		}
 	}
 	return append(out, query.MustNew(sim.SynthSuffix, query.ScopeSubtree, "(&(grp=0)(val>=2))"))

@@ -247,7 +247,7 @@ func TestOracleEdgeWriteSweep(t *testing.T) {
 
 // TestOracleSharedFilterHistories runs the fan-out stress spec set — many
 // replicas over one shared filter (including an attribute-selected view and
-// a containment-equivalent spelling) plus one odd-one-out — through the
+// a respelling with the same normalized key) plus one odd-one-out — through the
 // engine-level oracle. The grouped engine must be observationally
 // indistinguishable from per-session classification: every replica
 // converges at every sync point and every incremental batch stays minimal.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"filterdir/internal/containment"
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
@@ -14,30 +13,20 @@ import (
 )
 
 // Content-group fan-out (DESIGN.md §10). Sessions whose (base, scope,
-// filter) triples are equal — or provably equivalent via the containment
-// checker — share a content group. A session's content map is a pure
-// function of (spec, CSN), so every member standing at the same sync CSN
-// classifies the same change interval to the same result; the group caches
-// that classification and each member applies it as a cheap content-map
-// delta replay, keeping its own generation cookies and undo history intact.
-// Attribute selection stays per-session: members are sub-grouped into
-// views (one per distinct attrs list) and the selected update batch is
-// built once per view.
+// filter) triples are equal after normalization share a content group, and
+// no others do. A session's content map is a pure function of (spec, CSN),
+// so every member standing at the same sync CSN classifies the same change
+// interval to the same result; the group caches that classification and
+// each member applies it as a cheap content-map delta replay, keeping its
+// own generation cookies and undo history intact. Attribute selection stays
+// per-session: members are sub-grouped into views (one per distinct attrs
+// list) and the selected update batch is built once per view.
 
 // contentKey canonicalizes the part of a spec that determines content
 // membership — attrs are a per-session presentation concern.
 func contentKey(q query.Query) string {
 	n := stripAttrs(q).Normalize()
 	return n.Base.Norm() + "\x00" + n.Scope.String() + "\x00" + n.FilterString()
-}
-
-// regionKey canonicalizes a spec's base/scope region. Two specs can only be
-// content-equivalent if their regions contain each other, and mutual
-// ScopeContains holds exactly for an identical normalized (base, scope) —
-// so the equivalence probe in joinGroup need only consider groups sharing
-// this key, instead of running the containment checker against every group.
-func regionKey(q query.Query) string {
-	return q.Base.Norm() + "\x00" + q.Scope.String()
 }
 
 // viewKey canonicalizes an attribute selection within a group.
@@ -56,15 +45,6 @@ func viewKey(attrs []string) string {
 		key += a
 	}
 	return key
-}
-
-// equivalentSpecs reports whether two specs denote the same content: their
-// base/scope regions contain each other and their filters contain each
-// other (both decided by the paper's containment machinery).
-func (e *Engine) equivalentSpecs(a, b query.Query) bool {
-	return containment.ScopeContains(a, b) && containment.ScopeContains(b, a) &&
-		e.checker.FilterContains(a.Filter, b.Filter) &&
-		e.checker.FilterContains(b.Filter, a.Filter)
 }
 
 // rawUpdate is one classified net change before attribute selection: add
@@ -197,10 +177,9 @@ const maxSharedIntervals = 8
 
 // group is one shared-content fan-out unit.
 type group struct {
-	e      *Engine
-	key    string      // content key of the founding member
-	region string      // base/scope region key, for the engine's region index
-	spec   query.Query // founding spec, attrs stripped
+	e    *Engine
+	key  string      // content key
+	spec query.Query // founding spec, attrs stripped
 
 	// cycleMu is held by the broadcaster for the span of one update cycle;
 	// Subscription.Close takes it (empty) so that after Close returns the
@@ -213,7 +192,6 @@ type group struct {
 
 	mu        sync.Mutex
 	members   int
-	aliasKeys []string // every content key resolved to this group
 	intervals []*sharedInterval
 
 	// reload is the group's reload snapshot (reload.go), nil when none is
@@ -279,44 +257,17 @@ func newGroup(e *Engine, key string, spec query.Query) *group {
 // joinGroup finds or creates the content group for spec and adds a member.
 func (e *Engine) joinGroup(spec query.Query) *group {
 	key := contentKey(spec)
-	rkey := regionKey(spec)
 	e.groupMu.Lock()
-	g := e.aliases[key]
-	equiv := false
-	if g == nil {
-		// No identical group: probe same-region groups for provable filter
-		// equivalence, so e.g. (&(a=1)(b=2)) joins (&(b=2)(a=1)). The
-		// region index keeps this proportional to groups over the same
-		// base/scope rather than all groups, since the containment checks
-		// run under groupMu on every first-of-its-key Begin.
-		for _, cand := range e.regions[rkey] {
-			if e.equivalentSpecs(spec, cand.spec) {
-				g = cand
-				equiv = true
-				break
-			}
-		}
-		if g != nil {
-			e.aliases[key] = g
-			g.aliasKeys = append(g.aliasKeys, key)
-		}
-	}
+	g := e.groups[key]
 	if g == nil {
 		g = newGroup(e, key, stripAttrs(spec))
-		g.aliasKeys = []string{key}
-		g.region = rkey
 		e.groups[key] = g
-		e.aliases[key] = g
-		e.regions[rkey] = append(e.regions[rkey], g)
 	}
 	g.mu.Lock()
 	g.members++
 	g.mu.Unlock()
 	e.groupMu.Unlock()
 	e.stats.GroupJoins.Add(1)
-	if equiv {
-		e.stats.GroupEquivJoins.Add(1)
-	}
 	return g
 }
 
@@ -326,25 +277,8 @@ func (e *Engine) leaveGroup(g *group) {
 	e.groupMu.Lock()
 	g.mu.Lock()
 	g.members--
-	last := g.members == 0
-	if last {
-		for _, k := range g.aliasKeys {
-			delete(e.aliases, k)
-		}
+	if g.members == 0 {
 		delete(e.groups, g.key)
-		peers := e.regions[g.region]
-		for i, cand := range peers {
-			if cand == g {
-				peers[i] = peers[len(peers)-1]
-				peers = peers[:len(peers)-1]
-				break
-			}
-		}
-		if len(peers) == 0 {
-			delete(e.regions, g.region)
-		} else {
-			e.regions[g.region] = peers
-		}
 		g.intervals = nil
 		g.reload.Store(nil)
 		g.stopLocked()
@@ -892,7 +826,9 @@ func (g *group) syncOne(st *subscriber) {
 	g.mu.Lock()
 	if _, live := g.subs[st.sub]; live {
 		// Space was observed above and this goroutine is the only sender,
-		// so the send cannot block.
+		// so the send cannot block, and the batch joins at most len(st.ch)
+		// others (the pump only takes from the queue).
+		e.stats.ObserveQueueDepth(len(st.ch) + 1)
 		select {
 		case st.ch <- batch:
 		default:

@@ -7,23 +7,26 @@ import (
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
+	"filterdir/internal/entry"
 	"filterdir/internal/query"
 	"filterdir/internal/resync/resynctest"
 )
 
-// TestGroupMembership pins the content-group admission rules: grouping keys
-// on (base, scope, filter) after normalization, falls back to the
-// containment checker for equivalent-but-not-identical filters, and ignores
-// the attribute selection entirely.
+// TestGroupMembership pins the content-group admission rule: grouping keys
+// on (base, scope, filter) after normalization and on nothing else — not on
+// the attribute selection, and not on what containment claims of two
+// filters whose keys differ.
 func TestGroupMembership(t *testing.T) {
 	mk := func(base string, scope query.Scope, f string, attrs ...string) query.Query {
 		return query.MustNew(base, scope, f, attrs...)
 	}
 	tests := []struct {
 		name       string
+		setup      func(t *testing.T, st *dit.Store) // entries beyond newMaster's
 		specs      []query.Query
 		wantGroups int
-		wantEquiv  int64 // joins resolved via the containment probe
+		// wantUpdates, when set, is the number of updates each Begin ships.
+		wantUpdates []int
 	}{
 		{
 			name: "identical specs share a group",
@@ -34,7 +37,7 @@ func TestGroupMembership(t *testing.T) {
 			wantGroups: 1,
 		},
 		{
-			name: "normalization-equal filters alias without a containment probe",
+			name: "normalization-equal filters share a group",
 			specs: []query.Query{
 				mk("o=xyz", query.ScopeSubtree, "(&(dept=eng)(serialnumber=04*))"),
 				mk("O=XYZ", query.ScopeSubtree, "(&(serialnumber=04*)(dept=eng))"),
@@ -42,16 +45,41 @@ func TestGroupMembership(t *testing.T) {
 			wantGroups: 1,
 		},
 		{
-			name: "containment-equivalent filters join one group",
+			name: "double negation normalizes away",
 			specs: []query.Query{
 				mk("o=xyz", query.ScopeSubtree, "(dept=eng)"),
-				// Absorption: (a) == (|(a)(&(a)(b))). Normalization does not
-				// reduce this, so only the mutual-containment probe can admit
-				// it to the existing group.
-				mk("o=xyz", query.ScopeSubtree, "(|(dept=eng)(&(dept=eng)(sn=a*)))"),
+				mk("o=xyz", query.ScopeSubtree, "(&(dept=eng)(!(!(dept=eng))))"),
 			},
 			wantGroups: 1,
-			wantEquiv:  1,
+		},
+		{
+			name: "an absorption spelling founds its own group",
+			specs: []query.Query{
+				mk("o=xyz", query.ScopeSubtree, "(dept=eng)"),
+				// (a) selects what (|(a)(&(a)(b))) does, but normalization
+				// does not reduce the second to the first, so the keys differ.
+				mk("o=xyz", query.ScopeSubtree, "(|(dept=eng)(&(dept=eng)(sn=a*)))"),
+			},
+			wantGroups: 2,
+		},
+		{
+			// Containment reasoning that takes an attribute to hold one value
+			// finds both filters unsatisfiable, so equal; an entry holding sn
+			// a and b is selected by the first and not by the second.
+			name: "filters empty only for single-valued attributes split groups",
+			setup: func(t *testing.T, st *dit.Store) {
+				e := entry.New(dn.MustParse("cn=multi,c=us,o=xyz"))
+				e.Put("objectclass", "person").Put("cn", "multi").Put("sn", "a", "b")
+				if err := st.Add(e); err != nil {
+					t.Fatal(err)
+				}
+			},
+			specs: []query.Query{
+				mk("o=xyz", query.ScopeSubtree, "(&(sn=a)(sn=b))"),
+				mk("o=xyz", query.ScopeSubtree, "(&(cn=x)(cn=y))"),
+			},
+			wantGroups:  2,
+			wantUpdates: []int{1, 0},
 		},
 		{
 			name: "different filters get separate groups",
@@ -89,12 +117,19 @@ func TestGroupMembership(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			eng := NewEngine(newMaster(t))
+			master := newMaster(t)
+			if tt.setup != nil {
+				tt.setup(t, master)
+			}
+			eng := NewEngine(master)
 			var cookies []string
 			for i, spec := range tt.specs {
 				res, err := eng.Begin(spec)
 				if err != nil {
 					t.Fatalf("begin %d: %v", i, err)
+				}
+				if tt.wantUpdates != nil && len(res.Updates) != tt.wantUpdates[i] {
+					t.Errorf("begin %d (%s) ships %d updates, want %d", i, spec.FilterString(), len(res.Updates), tt.wantUpdates[i])
 				}
 				cookies = append(cookies, res.Cookie)
 			}
@@ -104,9 +139,6 @@ func TestGroupMembership(t *testing.T) {
 			snap := eng.Counters().Snapshot()
 			if snap.GroupJoins != int64(len(tt.specs)) {
 				t.Errorf("GroupJoins = %d, want %d", snap.GroupJoins, len(tt.specs))
-			}
-			if snap.GroupEquivJoins != tt.wantEquiv {
-				t.Errorf("GroupEquivJoins = %d, want %d", snap.GroupEquivJoins, tt.wantEquiv)
 			}
 			for _, c := range cookies {
 				if err := eng.End(c); err != nil {
@@ -121,21 +153,6 @@ func TestGroupMembership(t *testing.T) {
 				t.Errorf("GroupLeaves = %d, want %d", snap.GroupLeaves, len(tt.specs))
 			}
 		})
-	}
-}
-
-// TestGroupEquivalentKeysDiffer guards the premise of the containment-probe
-// case above: the absorption pair must NOT collapse to one normalized key,
-// or the table test would silently stop exercising the equivalence path.
-func TestGroupEquivalentKeysDiffer(t *testing.T) {
-	a := query.MustNew("o=xyz", query.ScopeSubtree, "(dept=eng)")
-	b := query.MustNew("o=xyz", query.ScopeSubtree, "(|(dept=eng)(&(dept=eng)(sn=a*)))")
-	if contentKey(a) == contentKey(b) {
-		t.Fatalf("absorption pair normalized to one key %q; pick a harder equivalence", contentKey(a))
-	}
-	eng := NewEngine(newMaster(t))
-	if !eng.equivalentSpecs(a, b) {
-		t.Fatal("containment checker cannot prove the absorption pair equivalent")
 	}
 }
 
@@ -233,7 +250,7 @@ func TestGroupSharedClassificationDistinctViews(t *testing.T) {
 
 // TestGroupLeaveAndTeardown verifies sync_end group bookkeeping: a leaving
 // member does not disturb the group while peers remain, the last member out
-// frees all registry state (groups, aliases, cached intervals), and a later
+// frees all registry state (the group, its cached intervals), and a later
 // Begin founds a fresh group.
 func TestGroupLeaveAndTeardown(t *testing.T) {
 	master := newMaster(t)
@@ -244,10 +261,9 @@ func TestGroupLeaveAndTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second member joins through a containment-equivalent spelling so the
-	// teardown must also clear its alias key.
-	equiv := query.MustNew("o=xyz", query.ScopeSubtree, "(|(serialnumber=04*)(&(serialnumber=04*)(sn=zz*)))")
-	resB, err := eng.Begin(equiv)
+	// Second member joins through another spelling of the same key.
+	respelled := query.MustNew("O=XYZ", query.ScopeSubtree, "(&(serialnumber=04*)(!(!(serialnumber=04*))))")
+	resB, err := eng.Begin(respelled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,12 +303,6 @@ func TestGroupLeaveAndTeardown(t *testing.T) {
 	}
 	if eng.Groups() != 0 {
 		t.Errorf("Groups() after last leave = %d, want 0", eng.Groups())
-	}
-	eng.groupMu.Lock()
-	aliases := len(eng.aliases)
-	eng.groupMu.Unlock()
-	if aliases != 0 {
-		t.Errorf("alias registry holds %d keys after teardown, want 0", aliases)
 	}
 	g.mu.Lock()
 	cached = len(g.intervals)

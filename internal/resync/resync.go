@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"filterdir/internal/containment"
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
@@ -178,13 +177,10 @@ type Engine struct {
 	obsMu sync.Mutex // guards obs; separate so observe never touches mu
 	obs   Observer
 
-	// Content-group fan-out (group.go). groupMu guards the registries;
+	// Content-group fan-out (group.go). groupMu guards the registry;
 	// each group carries its own lock for member/cache/broadcast state.
-	checker *containment.Checker
 	groupMu sync.Mutex
-	groups  map[string]*group   // founding content key -> group
-	aliases map[string]*group   // every resolved content key -> group
-	regions map[string][]*group // base/scope region key -> groups in it
+	groups  map[string]*group // content key -> group
 
 	// Persist slow-consumer policy (see group.syncOne): fixed at the defaults
 	// below; only the concurrency tests shrink them.
@@ -445,10 +441,7 @@ func NewEngine(store *dit.Store, opts ...EngineOption) *Engine {
 		store:           store,
 		stats:           &metrics.SyncCounters{},
 		sessions:        make(map[string]*session),
-		checker:         containment.NewChecker(),
 		groups:          make(map[string]*group),
-		aliases:         make(map[string]*group),
-		regions:         make(map[string][]*group),
 		persistQueueCap: defaultPersistQueueCap,
 		demoteAfter:     defaultDemoteAfter,
 		keepPoints:      defaultSyncPointRetention,
