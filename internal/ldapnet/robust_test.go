@@ -160,7 +160,7 @@ func TestNeverReadingPeerIsDropped(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		const taken, missed = 5, 3
-		if err := pushEntries(store, 0, taken, taken); err != nil {
+		if err := pushEntries(store, 0, taken); err != nil {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(peer)
@@ -185,7 +185,7 @@ func TestNeverReadingPeerIsDropped(t *testing.T) {
 		if cookie == "" {
 			t.Fatal("no push carried a cookie")
 		}
-		if err := pushEntries(store, taken, missed, missed); err != nil {
+		if err := pushEntries(store, taken, missed); err != nil {
 			t.Fatal(err)
 		}
 		dropped(t, srv, time.Now())

@@ -58,15 +58,20 @@ func (d *lazyDeadline) renew() (time.Time, bool) {
 // connWriter serializes all writes to one connection. Everything written is
 // a response: the answer to a request, written by the request loop, or one
 // batch of a persist stream, or its closing SearchDone, written by the
-// stream's goroutine. Each is written under mu, whole messages per Write, so
-// the responses of one connection interleave at message granularity, which
-// LDAP permits across message IDs; one goroutine writes a stream's batches,
-// in order. A consumer slower than its stream holds that goroutine in its
-// write, and the engine's subscriber queue behind it coalesces the backlog.
+// stream's goroutine. Each is written whole messages per Write, one Write at
+// a time, so the responses of one connection interleave at message
+// granularity, which LDAP permits across message IDs; one goroutine writes a
+// stream's batches, in order. The connection passes from one Write to the
+// oldest waiting one, so a pushed batch waits behind at most one buffer of a
+// long answer, never the rest of it. A consumer slower than its stream holds
+// that goroutine in its write, and the engine's subscriber queue behind it
+// coalesces the backlog.
 type connWriter struct {
 	conn     net.Conn
-	mu       sync.Mutex   // serializes writes to conn
-	deadline lazyDeadline // the write deadline; guarded by mu
+	mu       sync.Mutex      // guards busy and waiting
+	busy     bool            // a Write holds conn
+	waiting  []chan struct{} // the Writes waiting for conn, oldest first
+	deadline lazyDeadline    // the write deadline; guarded by holding conn
 }
 
 func newConnWriter(conn net.Conn) *connWriter {
@@ -76,7 +81,7 @@ func newConnWriter(conn net.Conn) *connWriter {
 // response is one response under construction: every PDU a request is
 // answered with, a trailing SearchDone included, or one persist batch. The
 // PDUs are appended into a pooled buffer, taken with the first of them,
-// which is written under the writer's lock whenever the next PDU would not
+// which is written to the connection whenever the next PDU would not
 // fit and once at end — one Write per respBufSize bytes rather than one per
 // PDU; a PDU larger than the buffer is written alone. A failed write fails
 // the writer; it is returned by every later put and by end, and the PDUs
@@ -123,24 +128,24 @@ func (r *response) putTail(id int64, tail []byte) error {
 	return nil
 }
 
-// flush writes what the buffer holds under the writer's lock.
+// flush writes what the buffer holds.
 func (r *response) flush() error {
 	if r.err != nil || len(r.buf) == 0 {
 		return r.err
 	}
-	w := r.w
-	w.mu.Lock()
-	r.err = w.writeLocked(r.buf)
-	w.mu.Unlock()
+	r.err = r.w.write(r.buf)
 	r.buf = r.buf[:0]
 	return r.err
 }
 
-// writeLocked writes b armed with the lazy deadline. A failed write closes
-// the connection: a message may be half on the wire, and a peer that stopped
-// reading must not hold the lock — and with it every reply and the persist
-// streams of its connection — for good. Callers hold mu.
-func (w *connWriter) writeLocked(b []byte) error {
+// write writes b armed with the lazy deadline once every Write that was
+// waiting before it is done. A failed write closes the connection: a message
+// may be half on the wire, and a peer that stopped reading must not hold the
+// connection — and with it every reply and the persist streams on it — for
+// good.
+func (w *connWriter) write(b []byte) error {
+	w.take()
+	defer w.pass()
 	if t, ok := w.deadline.renew(); ok {
 		_ = w.conn.SetWriteDeadline(t)
 	}
@@ -149,6 +154,35 @@ func (w *connWriter) writeLocked(b []byte) error {
 		_ = w.conn.Close() // before another write can follow a torn one
 	}
 	return err
+}
+
+// take waits until conn is free and every Write that asked for it earlier
+// has had it, then holds it.
+func (w *connWriter) take() {
+	w.mu.Lock()
+	if !w.busy {
+		w.busy = true
+		w.mu.Unlock()
+		return
+	}
+	turn := make(chan struct{})
+	w.waiting = append(w.waiting, turn)
+	w.mu.Unlock()
+	<-turn
+}
+
+// pass hands conn to the oldest waiting Write, or frees it.
+func (w *connWriter) pass() {
+	w.mu.Lock()
+	if len(w.waiting) == 0 {
+		w.busy = false
+		w.mu.Unlock()
+		return
+	}
+	turn := w.waiting[0]
+	w.waiting = w.waiting[1:]
+	w.mu.Unlock()
+	close(turn)
 }
 
 // end writes the rest of the response and hands the buffer back to the

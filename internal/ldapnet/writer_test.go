@@ -88,9 +88,9 @@ func writeRequest(t *testing.T, conn net.Conn, m *proto.Message) {
 
 // TestCoalescedResponseFraming: a Begin whose answer spans several response
 // buffers, on a connection whose persist stream pushes batches while the
-// answer is being written — the first write of the answer commits them, in
-// four commits, so the stream's goroutine builds its batches while the
-// answer holds the writer and writes them between the answer's buffers.
+// answer is being written — the first write of the answer commits them, one
+// store commit each, so the stream's goroutine builds its batches while the
+// answer holds the connection and writes them between the answer's buffers.
 // Every message the client reads decodes; each response's PDUs arrive in the
 // order they were produced and end with its SearchDone; and on the server
 // side every Write is whole messages of one response, so the two interleave
@@ -114,7 +114,7 @@ func TestCoalescedResponseFraming(t *testing.T) {
 		if msgs, _ := splitMessages(p); len(msgs) == 0 || msgs[0].ID != 2 {
 			return
 		}
-		once.Do(func() { pushed <- pushEntries(store, 0, pushes, 10) })
+		once.Do(func() { pushed <- pushEntries(store, 0, pushes) })
 	}}
 	srv := ServeListener(recordingListener{ln, log}, backend)
 	defer srv.Close()
@@ -246,10 +246,12 @@ func (l smallBufListener) Accept() (net.Conn, error) {
 
 // TestSlowReaderKeepsItsStream: a Begin answer of over 4 MB to a client that
 // reads 64 KiB every 20 ms, while the persist stream on the same connection
-// pushes 192 entries in eight commits. The answer's first write holds the
-// writer until the stream has built its first push, so every batch of the
-// stream waits for the writer behind a slow answer. The stream is not torn
-// down: every push arrives, in order, all of them before the answer ends,
+// pushes 192 entries, one store commit each. The answer's first write holds
+// the connection until the stream has built its first push, so every batch
+// of the stream waits for the connection behind a slow answer, and the
+// subscriber queue fills and coalesces meanwhile. The stream is not demoted:
+// its consumer keeps taking batches, each after at most one buffer of the
+// answer. Every push arrives, in order, all of them before the answer ends,
 // and the answer is whole.
 func TestSlowReaderKeepsItsStream(t *testing.T) {
 	store := reloadStore(t, 2900)
@@ -274,7 +276,7 @@ func TestSlowReaderKeepsItsStream(t *testing.T) {
 			// The answer is not building PDUs while its write is held, so
 			// what StreamedPDUs counts from here on is the stream's.
 			base := stats.StreamedPDUs.Load()
-			go func() { pushed <- pushEntries(store, 0, pushes, 24) }()
+			go func() { pushed <- pushEntries(store, 0, pushes) }()
 			for deadline := time.Now().Add(10 * time.Second); stats.StreamedPDUs.Load() == base; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Error("the stream built no push while the answer held the writer")
@@ -361,21 +363,13 @@ func TestSlowReaderKeepsItsStream(t *testing.T) {
 }
 
 // pushEntries commits n entries the persist stream's spec selects, numbered
-// from first, per entries to a store commit. A commit is one change signal,
-// so one broadcast cycle: the engine demotes a stream only after eight
-// cycles that find its subscriber queue full, so a burst of fewer commits
-// than that plus the batches the queue holds leaves the stream up however
-// long it waits for its connection's writer (see resync's group.syncOne).
-func pushEntries(store *dit.Store, first, n, per int) error {
-	for i := first; i < first+n; i += per {
-		var ops []dit.SyncOp
-		for j := i; j < min(i+per, first+n); j++ {
-			e := entry.New(dn.MustParse(fmt.Sprintf("cn=q%03d,o=xyz", j)))
-			e.Put("objectclass", "person").Put("cn", fmt.Sprintf("q%03d", j)).Put("sn", "q").
-				Put("serialNumber", fmt.Sprintf("05%03d", j))
-			ops = append(ops, dit.SyncOp{Put: e})
-		}
-		if err := store.ApplyOwned(ops); err != nil {
+// from first, one store commit each.
+func pushEntries(store *dit.Store, first, n int) error {
+	for i := first; i < first+n; i++ {
+		e := entry.New(dn.MustParse(fmt.Sprintf("cn=q%03d,o=xyz", i)))
+		e.Put("objectclass", "person").Put("cn", fmt.Sprintf("q%03d", i)).Put("sn", "q").
+			Put("serialNumber", fmt.Sprintf("05%03d", i))
+		if err := store.Add(e); err != nil {
 			return err
 		}
 	}

@@ -81,8 +81,9 @@ type SyncCounters struct {
 	// Persist fan-out slow-consumer policy: CoalescedCycles counts update
 	// cycles deferred because a subscriber's queue was full (the lagging
 	// session is left at its old sync point, so the next batch coalesces
-	// the backlog); SlowDemotions counts subscriptions closed after too
-	// many consecutive deferrals, demoting the consumer to poll mode.
+	// the backlog); SlowDemotions counts subscriptions closed by a deferral
+	// that found the consumer had taken nothing from its queue for the
+	// engine's demotion interval, demoting the consumer to poll mode.
 	CoalescedCycles atomic.Int64
 	SlowDemotions   atomic.Int64
 

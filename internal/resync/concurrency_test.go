@@ -223,10 +223,10 @@ func TestSlowSessionDoesNotBlockOthers(t *testing.T) {
 // stream's channel closes, and the registries drain to empty.
 func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 	master := newMaster(t)
-	// Tiny queue, hair-trigger demotion: two consecutive full-queue cycles
-	// close the stream.
+	// Tiny queue, hair-trigger demotion: a full queue its consumer has not
+	// taken from for 10 ms closes the stream.
 	eng := NewEngine(master)
-	eng.persistQueueCap, eng.demoteAfter = 1, 2
+	eng.persistQueueCap, eng.demoteAfter = 1, 10*time.Millisecond
 	specs := []query.Query{
 		query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=person)"),
 		query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)"),
@@ -307,14 +307,14 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 					sub.Close()
 				case 1:
 					// Slow consumer: subscribe, then drain with exponentially
-					// growing gaps. Demotion fires only when the 1-deep queue
-					// stays full across consecutive update cycles, i.e. when
-					// the consumer's drain gap exceeds a few cycle periods —
-					// a fixed gap would bake in an assumption about how fast
-					// the contended broadcaster cycles, so the gap doubles
-					// until it is slower than any plausible cycle rate and
-					// the engine must demote the stream by closing the
-					// channel.
+					// growing gaps. Demotion fires only when a cycle finds the
+					// 1-deep queue full after the consumer has taken nothing
+					// for demoteAfter, i.e. when the drain gap exceeds it by
+					// at least the time to the next cycle — a fixed gap would
+					// bake in an assumption about how fast the contended
+					// broadcaster cycles, so the gap doubles until it is
+					// slower than any plausible cycle rate and the engine
+					// must demote the stream by closing the channel.
 					sub, err := eng.Persist(cookie)
 					if err != nil {
 						t.Errorf("persist: %v", err)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
@@ -213,10 +214,12 @@ type group struct {
 // dequeue side of the queue: it is the pump that notices a slot coming free
 // for a subscriber a cycle had to pass over.
 type subscriber struct {
-	sub    *Subscription
-	sess   *session
-	ch     chan Batch
-	missed int // consecutive cycles skipped because ch was full
+	sub  *Subscription
+	sess *session
+	ch   chan Batch
+	// took is when the pump last took a batch from ch (UnixNano), or when
+	// the subscriber attached: how long the consumer has made no progress.
+	took atomic.Int64
 	// skipped is raised by the broadcaster before it looks at the queue and
 	// left up when it found it full; the pump lowers it at its next dequeue
 	// and kicks the cycle the subscriber is owed.
@@ -233,6 +236,7 @@ func (st *subscriber) pump(g *group, out chan<- Batch, stop <-chan struct{}, don
 	defer close(done)
 	defer close(out)
 	for b := range st.ch {
+		st.took.Store(time.Now().UnixNano())
 		if st.skipped.CompareAndSwap(true, false) {
 			g.kick()
 		}
@@ -648,6 +652,7 @@ func (g *group) attach(sess *session) *Subscription {
 	stop, done := make(chan struct{}), make(chan struct{})
 	sub := &Subscription{Updates: out}
 	st := &subscriber{sub: sub, sess: sess, ch: ch}
+	st.took.Store(time.Now().UnixNano())
 	go st.pump(g, out, stop, done)
 	sub.detach = func() {
 		g.remove(sub)
@@ -777,10 +782,13 @@ func (g *group) cycle() {
 // session stays at its old sync point, so the next successful cycle emits
 // one net batch covering the whole backlog (coalescing, not buffering) —
 // and that cycle comes with the next commit or, failing one, as soon as the
-// subscriber's pump dequeues (see subscriber.skipped). After demoteAfter
-// consecutive skips the stream is closed and the consumer falls back to
-// poll mode (the wire maps this to a clean stream end; the session itself
-// stays resumable by cookie).
+// subscriber's pump dequeues (see subscriber.skipped). A skip that finds
+// the consumer has taken nothing for demoteAfter closes the stream, and the
+// consumer falls back to poll mode (the wire maps this to a clean stream
+// end; the session itself stays resumable by cookie). The lag is measured
+// in time, not in skipped cycles: a cycle runs per store commit, so a count
+// of them would demote a consumer that waits briefly — behind a long answer
+// on its connection, say — during a burst of commits.
 func (g *group) syncOne(st *subscriber) {
 	e := g.e
 	g.mu.Lock()
@@ -792,9 +800,8 @@ func (g *group) syncOne(st *subscriber) {
 	// kicks a cycle, one before it shows here as free space.
 	st.skipped.Store(true)
 	if len(st.ch) == cap(st.ch) {
-		st.missed++
 		e.stats.CoalescedCycles.Add(1)
-		if st.missed >= e.demoteAfter {
+		if time.Since(time.Unix(0, st.took.Load())) >= e.demoteAfter {
 			e.stats.SlowDemotions.Add(1)
 			g.removeLocked(st.sub)
 		}
@@ -818,21 +825,25 @@ func (g *group) syncOne(st *subscriber) {
 		g.remove(st.sub)
 		return
 	}
-	st.missed = 0
 	if len(res.Updates) == 0 {
 		return
 	}
 	batch := Batch{Updates: res.Updates, Cookie: res.Cookie, CSN: res.CSN, Enc: res.Enc}
+	depth := 0
 	g.mu.Lock()
 	if _, live := g.subs[st.sub]; live {
 		// Space was observed above and this goroutine is the only sender,
 		// so the send cannot block, and the batch joins at most len(st.ch)
 		// others (the pump only takes from the queue).
-		e.stats.ObserveQueueDepth(len(st.ch) + 1)
+		depth = len(st.ch) + 1
 		select {
 		case st.ch <- batch:
 		default:
+			depth = 0
 		}
 	}
 	g.mu.Unlock()
+	if depth > 0 {
+		e.stats.ObserveQueueDepth(depth)
+	}
 }

@@ -185,7 +185,7 @@ type Engine struct {
 	// Persist slow-consumer policy (see group.syncOne): fixed at the defaults
 	// below; only the concurrency tests shrink them.
 	persistQueueCap int
-	demoteAfter     int
+	demoteAfter     time.Duration
 
 	// keepPoints bounds each session's sync points (only the retention tests
 	// shrink it); chunkSize > 0 serializes full reloads into resumable chunks
@@ -429,10 +429,11 @@ func WithChunkSize(n int) EngineOption {
 }
 
 // Default slow-consumer policy: a subscriber buffers up to 4 batches; a
-// subscriber that stays full for 8 consecutive update cycles is demoted.
+// subscriber whose queue is full when its consumer has taken nothing from it
+// for a second is demoted.
 const (
 	defaultPersistQueueCap = 4
-	defaultDemoteAfter     = 8
+	defaultDemoteAfter     = time.Second
 )
 
 // NewEngine creates an engine over the master store.
