@@ -138,6 +138,12 @@ type Tier struct {
 	admitMu       sync.Mutex
 	admitObserver func(q query.Query, admitted bool)
 
+	// waiting holds the spec of every filters watch parked on the tier
+	// (Park): a leaf diverted for want of a filter, which the control plane
+	// reads as demand.
+	waitMu  sync.Mutex
+	waiting map[*query.Query]bool
+
 	// Apply→rebroadcast latency: the supervisor's OnApplied stamps
 	// lastApply and arms applyPending; the engine observer consumes the
 	// flag on the first downstream delivery that follows.
@@ -215,6 +221,7 @@ func New(cfg Config) (*Tier, error) {
 		rep:        rep,
 		counters:   &metrics.CascadeCounters{},
 		linkSynced: make(chan struct{}),
+		waiting:    make(map[*query.Query]bool),
 		stop:       make(chan struct{}),
 	}
 	t.counters.TierDepth.Store(int64(cfg.Depth))
@@ -342,6 +349,33 @@ func (t *Tier) Ready(q query.Query) (bool, <-chan struct{}) {
 	}
 	t.linkMu.Unlock()
 	return t.covered(q.Normalize(), synced), changed
+}
+
+// Park implements ldapnet.FilterWatcher: the watch for q counts as waiting
+// on the tier until release is called.
+func (t *Tier) Park(q query.Query) (release func()) {
+	nq := q.Normalize()
+	t.waitMu.Lock()
+	t.waiting[&nq] = true
+	t.waitMu.Unlock()
+	return func() {
+		t.waitMu.Lock()
+		delete(t.waiting, &nq)
+		t.waitMu.Unlock()
+	}
+}
+
+// Waiting returns the specs of the filters watches parked on the tier, one
+// per watch: the leaves diverted because the tier could not serve them, for
+// as long as they wait.
+func (t *Tier) Waiting() []query.Query {
+	t.waitMu.Lock()
+	defer t.waitMu.Unlock()
+	out := make([]query.Query, 0, len(t.waiting))
+	for q := range t.waiting {
+		out = append(out, *q)
+	}
+	return out
 }
 
 // SetAdmissionObserver registers a hook that sees every downstream

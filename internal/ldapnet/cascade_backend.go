@@ -27,6 +27,11 @@ type FilterWatcher interface {
 	// a channel closed at the next event that could make it so; the caller
 	// asks again after the close.
 	Ready(q query.Query) (ready bool, changed <-chan struct{})
+	// Park tells the backend that a watch for q, not ready when it came,
+	// waits on it until release is called: once the watch is answered,
+	// abandoned or its connection closes. A tier's control plane reads what
+	// waits as the demand of the leaves diverted for want of a filter.
+	Park(q query.Query) (release func())
 }
 
 // Tier is what a CascadeBackend serves downstream replicas from: the

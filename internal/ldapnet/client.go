@@ -374,27 +374,34 @@ func (c *Client) syncExchange(q query.Query, controls ...proto.Control) (*resync
 			}
 			res.Updates = append(res.Updates, u)
 		case *proto.SearchDone:
-			if op.Code != proto.ResultSuccess {
-				return res, &ResultError{Code: op.Code, Message: op.Message, Referrals: op.Referrals}
-			}
-			if dc, ok := m.Control(proto.OIDReSyncDone); ok {
-				res.Cookie, res.FullReload, res.CSN, err = proto.ParseReSyncDone(dc)
-				if err != nil {
-					return res, err
-				}
-			}
-			if rc, ok := m.Control(proto.OIDReSyncResume); ok {
-				tok, err := proto.ParseReSyncResume(rc)
-				if err != nil {
-					return res, err
-				}
-				res.Resume = &tok
-			}
-			return res, nil
+			return res, syncDone(m, op, res)
 		default:
 			return res, fmt.Errorf("ldap sync: unexpected response %T", m.Op)
 		}
 	}
+}
+
+// syncDone reads the SearchDone that ends a ReSync exchange into res: its
+// result, then the cookie, reload flag and CSN of its done control and the
+// resume token of a chunk.
+func syncDone(m *proto.Message, op *proto.SearchDone, res *resync.PollResult) error {
+	if op.Code != proto.ResultSuccess {
+		return &ResultError{Code: op.Code, Message: op.Message, Referrals: op.Referrals}
+	}
+	if dc, ok := m.Control(proto.OIDReSyncDone); ok {
+		var err error
+		if res.Cookie, res.FullReload, res.CSN, err = proto.ParseReSyncDone(dc); err != nil {
+			return err
+		}
+	}
+	if rc, ok := m.Control(proto.OIDReSyncResume); ok {
+		tok, err := proto.ParseReSyncResume(rc)
+		if err != nil {
+			return err
+		}
+		res.Resume = &tok
+	}
+	return nil
 }
 
 // End terminates a session.
@@ -551,123 +558,110 @@ func (c *Client) simpleOp(op proto.Op) error {
 
 // --- Persist mode -------------------------------------------------------------
 
-// StreamUpdate is one pushed update of a persist stream. Cookie is
-// non-empty on the final update of each pushed batch: a consumer that has
-// applied everything up to and including that update holds the named sync
-// point and may adopt the cookie as its resume position. CSN rides with the
-// cookie (zero elsewhere): the supplier's commit watermark at that sync
-// point, used to retire edge-originated writes once they echo back.
-type StreamUpdate struct {
-	resync.Update
-	Cookie string
-	CSN    uint64
-}
+// streamBuffer is how many pushed batches a stream holds for a consumer that
+// has not taken them yet; behind it the connection, and then the supplier's
+// subscriber queue, hold the rest.
+const streamBuffer = 16
 
-// PersistSession is a persist-mode synchronization over a dedicated
-// connection: initial content and subsequent change batches arrive on
-// Updates until Close.
-type PersistSession struct {
-	Updates <-chan StreamUpdate
+// Stream is a persist-mode synchronization on a client's connection
+// (Client.Persist).
+type Stream struct {
+	// Batches delivers one result per batch: the initial delivery, then each
+	// pushed batch, with its updates up to and including the PDU that
+	// carries its cookie, and that cookie and CSN. A request the supplier
+	// cannot stream from gets the answer a poll gets instead — a full
+	// reload, FullReload set, with the resume token of a chunked one — as
+	// the last result, after which the client is the caller's again. The
+	// channel is closed when the stream ends.
+	Batches <-chan *resync.PollResult
 
 	client *Client
-	id     int64
-	once   sync.Once
-	stop   chan struct{}
-	done   chan struct{}
-
-	mu  sync.Mutex
-	err error
+	err    error // written before Batches is closed
 }
 
-// Err reports why the stream ended (nil while it is live or after a clean
-// SearchDone). A *ResultError carrying e-syncRefreshRequired means the
-// session is stale and the consumer must re-Begin; transport errors mean
-// the same cookie is retryable.
-func (p *PersistSession) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
+// Err reports, once Batches is closed, why the stream ended: nil after a
+// clean SearchDone and after a poll answer. A *ResultError carrying
+// e-syncRefreshRequired means the session is stale and the consumer must
+// re-Begin; transport errors mean the same cookie is retryable.
+func (st *Stream) Err() error { return st.err }
 
-func (p *PersistSession) setErr(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-// PersistWith opens a dedicated connection through the transport hook dial
-// (nil = TCP) and runs a persist-mode sync. The returned session delivers
-// every update (initial content first). dialTimeout bounds the dial and the
-// initial request write (0 = none); idleTimeout, when positive, bounds the
-// gap between streamed messages — a master stalled longer than that ends the
-// subscription — and zero leaves the stream without one (persist connections
-// legitimately sit quiet between changes).
-func PersistWith(dial DialFunc, addr string, q query.Query, cookie string, dialTimeout, idleTimeout time.Duration) (*PersistSession, error) {
-	c, err := DialWith(dial, addr, dialTimeout)
-	if err != nil {
-		return nil, err
-	}
+// Persist asks for the session's persist stream on c's own connection: the
+// updates since cookie (an empty cookie begins a session with its content),
+// then every batch the supplier pushes. The stream holds the connection
+// until it ends; Close ends it early by closing the client. idleTimeout,
+// when positive, bounds the gap between streamed messages — a supplier quiet
+// for longer ends the stream — and zero leaves the stream without one (a
+// stream legitimately sits quiet between changes).
+func (c *Client) Persist(q query.Query, cookie string, idleTimeout time.Duration) (*Stream, error) {
 	c.mu.Lock()
 	id, err := c.send(&proto.SearchRequest{Query: q},
 		proto.NewReSyncRequestControl(proto.ReSyncModePersist, cookie))
-	c.mu.Unlock()
 	if err != nil {
-		_ = c.Close()
+		c.mu.Unlock()
 		return nil, err
 	}
-	ch := make(chan StreamUpdate, 64)
-	ps := &PersistSession{Updates: ch, client: c, id: id,
-		stop: make(chan struct{}), done: make(chan struct{})}
+	// The stream reads outside the client lock, so a concurrent Close can
+	// cancel it, and under its own deadline; the next exchange arms the
+	// client's afresh.
+	_ = c.conn.SetReadDeadline(time.Time{})
+	c.readDeadline.at = time.Time{}
+	c.mu.Unlock()
+	ch := make(chan *resync.PollResult, streamBuffer)
+	st := &Stream{Batches: ch, client: c}
 	go func() {
-		defer close(ch)
-		defer close(ps.done)
-		for {
-			if idleTimeout > 0 {
-				_ = c.conn.SetReadDeadline(time.Now().Add(idleTimeout))
-			}
-			m, err := proto.ReadMessage(c.r)
-			if err != nil {
-				ps.setErr(err)
-				return
-			}
-			if m.ID != id {
-				continue
-			}
-			switch op := m.Op.(type) {
-			case *proto.SearchEntry:
-				u, cookie, csn, err := decodeUpdate(m, op)
-				if err != nil {
-					ps.setErr(err)
-					return
-				}
-				select {
-				case ch <- StreamUpdate{Update: u, Cookie: cookie, CSN: csn}:
-				case <-ps.stop:
-					return
-				}
-			case *proto.SearchDone:
-				if op.Code != proto.ResultSuccess {
-					ps.setErr(&ResultError{Code: op.Code, Message: op.Message})
-				}
-				return
-			}
-		}
+		st.err = st.read(id, idleTimeout, ch)
+		close(ch)
 	}()
-	return ps, nil
+	return st, nil
 }
 
-// Close abandons the persistent search and closes the connection.
-func (p *PersistSession) Close() {
-	p.once.Do(func() {
-		close(p.stop)
-		p.client.mu.Lock()
-		_, _ = p.client.send(&proto.AbandonRequest{MessageID: p.id})
-		p.client.mu.Unlock()
-		_ = p.client.Close()
-	})
-	<-p.done
+// read is the stream's goroutine: it collects entry PDUs into a batch and
+// delivers the batch at the PDU that carries its cookie. The SearchDone that
+// ends the stream drops a batch it cut short, since a consumer must never
+// apply part of one; a poll answer is delivered whole and ends the stream.
+func (st *Stream) read(id int64, idleTimeout time.Duration, ch chan<- *resync.PollResult) error {
+	c := st.client
+	res := &resync.PollResult{}
+	for {
+		if idleTimeout > 0 {
+			_ = c.conn.SetReadDeadline(time.Now().Add(idleTimeout))
+		}
+		m, err := proto.ReadMessage(c.r)
+		if err != nil {
+			return err
+		}
+		if m.ID != id {
+			continue
+		}
+		switch op := m.Op.(type) {
+		case *proto.SearchEntry:
+			u, cookie, csn, err := decodeUpdate(m, op)
+			if err != nil {
+				return err
+			}
+			res.Updates = append(res.Updates, u)
+			if cookie != "" {
+				res.Cookie, res.CSN = cookie, csn
+				ch <- res
+				res = &resync.PollResult{}
+			}
+		case *proto.SearchDone:
+			if err := syncDone(m, op, res); err != nil || !res.FullReload && res.Resume == nil {
+				return err // the stream ended
+			}
+			_ = c.conn.SetReadDeadline(time.Time{})
+			ch <- res
+			return nil
+		}
+	}
+}
+
+// Close ends the stream by closing the client, and waits for the stream's
+// goroutine to finish.
+func (st *Stream) Close() {
+	_ = st.client.Close()
+	for range st.Batches {
+	}
 }
 
 // --- Referral chasing ----------------------------------------------------------

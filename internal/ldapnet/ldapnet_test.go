@@ -29,9 +29,9 @@ func startServer(t *testing.T, store *dit.Store) (*Server, *StoreBackend) {
 	return srv, backend
 }
 
-func newTestStore(t *testing.T) *dit.Store {
+func newTestStore(t *testing.T, opts ...dit.Option) *dit.Store {
 	t.Helper()
-	st, err := dit.NewStore([]string{"o=xyz"}, dit.WithIndexes("serialnumber"))
+	st, err := dit.NewStore([]string{"o=xyz"}, append([]dit.Option{dit.WithIndexes("serialnumber")}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,20 +280,23 @@ func TestPersistOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ps, err := PersistWith(nil, srv.Addr(), spec, res.Cookie, DefaultTimeout, 0)
+	ps, err := c.Persist(spec, res.Cookie, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
 
-	// A master-side add is pushed to the subscriber.
+	// A master-side add is pushed to the subscriber as a batch of its own.
 	e := entry.New(dn.MustParse("cn=pushed,c=us,o=xyz"))
 	e.Put("objectclass", "person").Put("cn", "pushed").Put("sn", "p").Put("serialNumber", "0499")
 	if err := store.Add(e); err != nil {
 		t.Fatal(err)
 	}
-	u := <-ps.Updates
-	if u.Action != resync.ActionAdd || u.Entry == nil || u.Entry.First("cn") != "pushed" {
+	b := <-ps.Batches
+	if len(b.Updates) != 1 || b.Cookie == "" || b.FullReload {
+		t.Fatalf("pushed batch: %+v", b)
+	}
+	if u := b.Updates[0]; u.Action != resync.ActionAdd || u.Entry == nil || u.Entry.First("cn") != "pushed" {
 		t.Fatalf("pushed update: %+v", u)
 	}
 }

@@ -58,7 +58,11 @@ func TestMoveOverWire(t *testing.T) {
 		conn, err := netDial(addr, timeout)
 		return countConn{Conn: conn, n: &read}, err
 	}
-	ps, err := PersistWith(dial, srv.Addr(), spec, res.Cookie, DefaultTimeout, 0)
+	pc, err := DialWith(dial, srv.Addr(), DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := pc.Persist(spec, res.Cookie, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,16 +75,19 @@ func TestMoveOverWire(t *testing.T) {
 	if err := dir.Master.ModifyDN(old, newRDN, parent); err != nil {
 		t.Fatal(err)
 	}
-	u := <-ps.Updates
+	b := <-ps.Batches
 	pdu := read.Load() - before
-	if !u.IsMove() || !u.OldDN.Equal(old) || !u.DN.Equal(parent.Child(newRDN)) || u.Cookie == "" {
-		t.Fatalf("pushed update %+v, want the move %s -> %s closing its batch", u, old, parent.Child(newRDN))
+	if len(b.Updates) != 1 || b.Cookie == "" {
+		t.Fatalf("pushed batch %+v, want the one move and its cookie", b)
+	}
+	if u := b.Updates[0]; !u.IsMove() || !u.OldDN.Equal(old) || !u.DN.Equal(parent.Child(newRDN)) {
+		t.Fatalf("pushed update %+v, want the move %s -> %s", u, old, parent.Child(newRDN))
 	}
 	t.Logf("rename within the content: one %d B move PDU", pdu)
 	if pdu > maxMoveWireBytes {
 		t.Errorf("move PDU is %d B on the wire, gate is %d", pdu, maxMoveWireBytes)
 	}
-	if err := rep.ApplySync(spec, []resync.Update{u.Update}); err != nil {
+	if err := rep.ApplySync(spec, b.Updates); err != nil {
 		t.Fatal(err)
 	}
 	if ok, why := resynctest.Converged(dir.Master, rep.Store(), spec); !ok {

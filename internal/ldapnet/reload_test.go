@@ -103,8 +103,8 @@ func withoutEnc(res *resync.PollResult, err error) (*resync.PollResult, error) {
 // unless stripEnc serves the exchanges through encStripped, its encoding
 // memo. With cutAfter > 0 the connection is dropped after that many chunks
 // and the transfer resumed by token on a new one. With persist set each
-// session is a persist-mode Begin instead, read up to the PDU that carries
-// its cookie.
+// session is a persist-mode Begin instead, read up to its first batch, which
+// ends at the PDU that carries its cookie.
 func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, persist, stripEnc bool) ([]byte, *StoreBackend) {
 	t.Helper()
 	backend := NewStoreBackend(store, resync.WithChunkSize(chunk))
@@ -121,23 +121,19 @@ func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, p
 	for s := 0; s < sessions; s++ {
 		var got bytes.Buffer
 		if persist {
-			ps, err := PersistWith(teeDial(&got), srv.Addr(), reloadSpec, "", 5*time.Second, 0)
+			c, err := DialWith(teeDial(&got), srv.Addr(), 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
-			entries, cookie := 0, ""
-			for u := range ps.Updates {
-				entries++
-				if cookie = u.Cookie; cookie != "" {
-					break
-				}
+			ps, err := c.Persist(reloadSpec, "", 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Taken before Close: the abandon it sends ends the stream with a
-			// search-done the client may or may not read before it hangs up.
+			b := <-ps.Batches
 			last = bytes.Clone(got.Bytes())
 			ps.Close()
-			if cookie == "" || entries != store.Len()-1 {
-				t.Fatalf("session %d: %d entries, cookie %q", s, entries, cookie)
+			if b == nil || b.Cookie == "" || len(b.Updates) != store.Len()-1 {
+				t.Fatalf("session %d: first batch %+v", s, b)
 			}
 			continue
 		}

@@ -456,10 +456,11 @@ func sortEntries(entries []*entry.Entry, keys []proto.SortKey) {
 
 // handleFiltersWatch parks a long-poll until the backend can serve q as a
 // sync spec, then answers a bare SearchDone, so a diverted leaf learns when
-// to come back without polling. The backend says what to wait on: the wait
-// runs in its own goroutine, re-asking each time the backend's channel
-// closes, so the connection's read loop stays free to process abandons, and
-// teardown cancels via connState.closeAll.
+// to come back without polling. The backend says what to wait on, and is
+// told for how long the watch waits: the wait runs in its own goroutine,
+// re-asking each time the backend's channel closes, so the connection's read
+// loop stays free to process abandons, and teardown cancels via
+// connState.closeAll.
 func (s *Server) handleFiltersWatch(out *response, state *connState, id int64, q query.Query) {
 	fw, ok := s.backend.(FilterWatcher)
 	if !ok {
@@ -473,10 +474,12 @@ func (s *Server) handleFiltersWatch(out *response, state *connState, id int64, q
 		return
 	}
 	cancel := state.addWatch(id)
+	release := fw.Park(q)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer state.dropWatch(id)
+		defer release()
 		for !ready {
 			select {
 			case <-changed:
@@ -519,68 +522,66 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
 		return
 	}
-	// In persist mode the done control only arrives at stream end, so each
-	// batch — including this initial delivery — carries its sync-point
-	// cookie on its last entry PDU instead.
-	initialCookie := ""
-	if req.Mode == proto.ReSyncModePersist {
-		initialCookie = res.Cookie
+	// A persist request streams from where the session stands: its initial
+	// delivery, the updates since the cookie, is a batch like every pushed
+	// one, its cookie on its last entry PDU. A session the supplier cannot
+	// stream from — its sync point is past the history, so the answer is a
+	// full reload, monolithic or chunk zero — gets the answer a poll gets,
+	// which tells the consumer to drop what it holds, and no subscription:
+	// the consumer lands the reload and asks for the stream again.
+	persist := req.Mode == proto.ReSyncModePersist && !res.FullReload && res.Resume == nil
+	batch := resync.Batch{Updates: res.Updates, CSN: res.CSN, Enc: res.Enc}
+	if persist {
+		batch.Cookie = res.Cookie
 	}
-	if err := s.streamUpdates(out, id, resync.Batch{Updates: res.Updates, Cookie: initialCookie, CSN: res.CSN, Enc: res.Enc}); err != nil {
+	if err := s.streamUpdates(out, id, batch); err != nil {
 		// Without its cookie the exchange must not look complete; on a dead
 		// connection this reply goes nowhere.
 		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
 		return
 	}
-
-	if res.Resume != nil {
-		// One chunk of a resumable reload: the exchange completes without a
-		// cookie, handing the consumer a token for the remainder. A
-		// persist-mode consumer drains the chunks the same way and
-		// re-subscribes with the completion cookie.
-		s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil,
-			[]proto.Control{
-				proto.NewReSyncDoneControl("", res.FullReload, res.CSN),
-				proto.NewReSyncResumeControl(*res.Resume, false),
-			})
+	if !persist {
+		// A chunk of a resumable reload completes without a cookie, handing
+		// the consumer a token for the remainder.
+		controls := []proto.Control{proto.NewReSyncDoneControl(res.Cookie, res.FullReload, res.CSN)}
+		if res.Resume != nil {
+			controls = append(controls, proto.NewReSyncResumeControl(*res.Resume, false))
+		}
+		s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil, controls)
 		return
 	}
 
-	if req.Mode == proto.ReSyncModePersist {
-		// The initial delivery reaches the socket before the stream's first
-		// pushed batch, which the stream's goroutine writes.
-		if out.flush() != nil {
-			return
-		}
-		sub, err := s.backend.ReSyncPersist(res.Cookie)
-		if err != nil {
-			s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
-			return
-		}
-		state.addPersist(id, sub)
-		// Stream in a separate goroutine so the connection's read loop keeps
-		// processing abandon and unbind requests. Each pushed batch is
-		// written as a response of its own; the subscription ends via abandon
-		// (takePersist), connection teardown (closeAll), engine-side
-		// slow-consumer demotion (channel close) or a failed write here,
-		// whose stream done then goes nowhere.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for batch := range sub.Updates {
-				if err := s.writeBatch(state.w, id, batch); err != nil {
-					sub.Close()
-					s.streamDone(state.w, id, "", err)
-					return
-				}
+	// The initial delivery reaches the socket before the stream's first
+	// pushed batch, which the stream's goroutine writes.
+	if out.flush() != nil {
+		return
+	}
+	sub, err := s.backend.ReSyncPersist(res.Cookie)
+	if err != nil {
+		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
+		return
+	}
+	state.addPersist(id, sub)
+	// Stream in a separate goroutine so the connection's read loop keeps
+	// processing abandon and unbind requests. Each pushed batch is written as
+	// a response of its own; the subscription ends via abandon (takePersist),
+	// connection teardown (closeAll), engine-side slow-consumer demotion
+	// (channel close) or a failed write here, whose stream done then goes
+	// nowhere. A clean end names the sync point the last batch reached.
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		cookie := res.Cookie
+		for batch := range sub.Updates {
+			if err := s.writeBatch(state.w, id, batch); err != nil {
+				sub.Close()
+				s.streamDone(state.w, id, "", err)
+				return
 			}
-			s.streamDone(state.w, id, res.Cookie, nil)
-		}()
-		return
-	}
-
-	s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "",
-		nil, []proto.Control{proto.NewReSyncDoneControl(res.Cookie, res.FullReload, res.CSN)})
+			cookie = batch.Cookie
+		}
+		s.streamDone(state.w, id, cookie, nil)
+	}()
 }
 
 // searchEntryTag supplies only the application tag to the pre-encoded-body

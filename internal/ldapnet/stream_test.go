@@ -1,0 +1,209 @@
+package ldapnet
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"filterdir/internal/dit"
+	"filterdir/internal/dn"
+	"filterdir/internal/entry"
+	"filterdir/internal/proto"
+	"filterdir/internal/query"
+	"filterdir/internal/resync"
+)
+
+var streamSpec = query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)")
+
+// trimPast deletes one entry of streamSpec's content and modifies another
+// five times, so a journal of two changes (dit.WithJournalLimit) no longer
+// covers a session that saw none of them.
+func trimPast(t *testing.T, st *dit.Store) {
+	t.Helper()
+	if err := st.Delete(dn.MustParse("cn=p0,c=us,o=xyz")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := st.Modify(dn.MustParse("cn=p1,c=us,o=xyz"),
+			[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{fmt.Sprint("m", i)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPersistReloadIsAPollAnswer: a persist request for a session whose sync
+// point the journal no longer covers gets the answer a poll gets — the whole
+// content, ended by a ReSyncDone that says fullReload, and a resume token
+// when the reload is chunked — and no subscription. Streamed as bare adds,
+// the reload would leave the consumer holding what the master deleted.
+func TestPersistReloadIsAPollAnswer(t *testing.T) {
+	for _, chunk := range []int{0, 2} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			store := newTestStore(t, dit.WithJournalLimit(2))
+			backend := NewStoreBackend(store, resync.WithChunkSize(chunk))
+			srv, err := Serve("127.0.0.1:0", backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = srv.Close() })
+			c := dialT(t, srv.Addr())
+			res, err := c.Sync(streamSpec, proto.ReSyncModePoll, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for res.Resume != nil {
+				if res, err = c.SyncResume(*res.Resume); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A poll from the completion cookie lets the journal go: a
+			// chunked transfer holds it until then.
+			if res, err = c.Sync(streamSpec, proto.ReSyncModePoll, res.Cookie); err != nil {
+				t.Fatal(err)
+			}
+			trimPast(t, store)
+
+			ps, err := c.Persist(streamSpec, res.Cookie, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []*resync.PollResult
+			for b := range ps.Batches {
+				got = append(got, b)
+				if !b.FullReload {
+					t.Fatalf("persist request answered with a batch of %d updates under %q, want the full reload", len(b.Updates), b.Cookie)
+				}
+			}
+			if err := ps.Err(); err != nil {
+				t.Fatalf("stream ended with %v, want the poll answer", err)
+			}
+			if len(got) != 1 || !got[0].FullReload {
+				t.Fatalf("persist request answered with %d results, want one full reload", len(got))
+			}
+			ans := got[0]
+			if (chunk > 0) != (ans.Resume != nil) || (ans.Resume == nil) == (ans.Cookie == "") {
+				t.Errorf("answer cookie %q, resume token %v: want the token of a chunked reload, else the cookie", ans.Cookie, ans.Resume)
+			}
+			n := len(ans.Updates)
+			// The client is the caller's again: the rest of a chunked reload
+			// comes on it.
+			for ans.Resume != nil {
+				if ans, err = c.SyncResume(*ans.Resume); err != nil {
+					t.Fatal(err)
+				}
+				n += len(ans.Updates)
+			}
+			if want := len(store.MatchAll(streamSpec)); n != want {
+				t.Errorf("reload carried %d entries, master holds %d", n, want)
+			}
+			if s := backend.SyncCounters().Snapshot(); s.PersistStreams != 0 {
+				t.Errorf("persist streams = %d, want 0: a reload answer starts no subscription", s.PersistStreams)
+			}
+			// The session streams once the consumer asks again from the
+			// reload's cookie.
+			ps, err = c.Persist(streamSpec, ans.Cookie, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ps.Close()
+			if err := store.Delete(dn.MustParse("cn=p2,c=us,o=xyz")); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case b := <-ps.Batches:
+				if b == nil || len(b.Updates) != 1 || b.Updates[0].Action != resync.ActionDelete || b.FullReload {
+					t.Errorf("pushed batch %+v, want the delete", b)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("no batch pushed after the reload")
+			}
+		})
+	}
+}
+
+// subsBackend records the subscriptions it hands out, so a test can end a
+// stream from the supplier's side as the engine's slow-consumer policy does.
+type subsBackend struct {
+	*StoreBackend
+	mu   sync.Mutex
+	subs []*resync.Subscription
+}
+
+func (b *subsBackend) ReSyncPersist(cookie string) (*resync.Subscription, error) {
+	sub, err := b.StoreBackend.ReSyncPersist(cookie)
+	if err == nil {
+		b.mu.Lock()
+		b.subs = append(b.subs, sub)
+		b.mu.Unlock()
+	}
+	return sub, err
+}
+
+// TestStreamEndNamesLastBatch: the SearchDone that ends a stream names the
+// sync point of the last batch pushed, never the older one the stream began
+// at, and the stream delivers every whole batch before it ends.
+func TestStreamEndNamesLastBatch(t *testing.T) {
+	store := newTestStore(t)
+	b := &subsBackend{StoreBackend: NewStoreBackend(store)}
+	srv, err := Serve("127.0.0.1:0", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	var wire bytes.Buffer
+	c, err := DialWith(teeDial(&wire), srv.Addr(), DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Sync(streamSpec, proto.ReSyncModePoll, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := c.Persist(streamSpec, res.Cookie, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	var last string
+	for i := 0; i < 3; i++ {
+		e := entry.New(dn.MustParse(fmt.Sprintf("cn=n%d,c=us,o=xyz", i)))
+		e.Put("objectclass", "person").Put("cn", fmt.Sprint("n", i)).Put("sn", "n").Put("serialNumber", fmt.Sprint("049", i))
+		if err := store.Add(e); err != nil {
+			t.Fatal(err)
+		}
+		batch := <-ps.Batches
+		if batch == nil || batch.Cookie == "" || batch.Cookie == last {
+			t.Fatalf("batch %d: %+v, want one with a new cookie", i, batch)
+		}
+		last = batch.Cookie
+	}
+	b.mu.Lock()
+	sub := b.subs[0]
+	b.mu.Unlock()
+	sub.Close()
+	for batch := range ps.Batches {
+		t.Errorf("stream delivered %+v after its last batch", batch)
+	}
+	if err := ps.Err(); err != nil {
+		t.Fatalf("stream ended with %v, want a clean end", err)
+	}
+	msgs, err := splitMessages(wire.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := msgs[len(msgs)-1]
+	dc, ok := done.Control(proto.OIDReSyncDone)
+	if _, isDone := done.Op.(*proto.SearchDone); !isDone || !ok {
+		t.Fatalf("stream ended with %T, want a SearchDone with a done control", done.Op)
+	}
+	cookie, full, _, err := proto.ParseReSyncDone(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cookie != last || full {
+		t.Errorf("stream end names %q (full reload %v), want the last batch's %q", cookie, full, last)
+	}
+}

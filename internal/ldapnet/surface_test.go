@@ -253,7 +253,7 @@ func wireExchanges(t *testing.T, addr string, master *dit.Store) map[string]erro
 			return c.Sync(inSpec, proto.ReSyncModeRetain, cookie)
 		},
 		persist: func(cookie string) error {
-			ps, err := ldapnet.PersistWith(nil, addr, inSpec, cookie, ldapnet.DefaultTimeout, 0)
+			ps, err := dial(t, addr).Persist(inSpec, cookie, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,11 +262,14 @@ func wireExchanges(t *testing.T, addr string, master *dit.Store) map[string]erro
 				t.Fatal(err)
 			}
 			select {
-			case u, ok := <-ps.Updates:
-				if ok && u.Action != resync.ActionAdd {
-					t.Errorf("persist stream delivered %s, want the master's add", u.Action)
+			case b, ok := <-ps.Batches:
+				if !ok {
+					return ps.Err() // the refusal
 				}
-				return ps.Err() // nil while live; the refusal once closed
+				if len(b.Updates) != 1 || b.Updates[0].Action != resync.ActionAdd {
+					t.Errorf("persist stream delivered %+v, want the master's add", b)
+				}
+				return nil
 			case <-time.After(10 * time.Second):
 				return errors.New("persist stream neither delivered the master's commit nor ended")
 			}
@@ -278,16 +281,29 @@ func wireExchanges(t *testing.T, addr string, master *dit.Store) map[string]erro
 // through NewCascadeBackend: a watcher whose spec the tier admits and a loaded
 // link holds is answered at once; one it does not admit stays parked on a
 // tier whose filter set never changes, and is answered once an adaptive tier
-// adopts a spec covering it and that link's first exchange lands. A backend
-// with no filter set to wait on refuses the control.
+// adopts a spec covering it and that link's first exchange lands. A parked
+// watch counts as waiting on the tier (Tier.Waiting, the control plane's
+// demand) until it is answered or its connection closes; one answered at once
+// never does. A backend with no filter set to wait on refuses the control.
 func TestFiltersWatchThroughCascadeBackend(t *testing.T) {
 	store := surfaceStore(t)
 	tier := startTier(t, store)
 	srv := serve(t, ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://master"))
+	waiting := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for len(tier.Waiting()) != n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d watches waiting on the tier, want %d", len(tier.Waiting()), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	if err := dial(t, srv.Addr()).WatchFilters(inSpec); err != nil {
 		t.Fatalf("watch of a served spec = %v, want an answer at once", err)
 	}
+	waiting(0)
 
 	watch := func(c *ldapnet.Client) <-chan error {
 		done := make(chan error, 1)
@@ -303,10 +319,12 @@ func TestFiltersWatchThroughCascadeBackend(t *testing.T) {
 		t.Fatalf("watch of an unadmitted spec on a static tier returned %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
+	waiting(1)
 	_ = static.Close()
 	if err := <-parked; err == nil {
 		t.Fatal("cancelled watch answered, want an error")
 	}
+	waiting(0)
 
 	// Adaptive: the adopted link's first exchange answers the parked watch.
 	// (A watch that reaches the server only after that is answered at once.)
@@ -316,6 +334,7 @@ func TestFiltersWatchThroughCascadeBackend(t *testing.T) {
 		t.Fatalf("watch returned %v before anything was adopted", err)
 	case <-time.After(50 * time.Millisecond):
 	}
+	waiting(1)
 	sup, err := tier.AdoptSpec(outSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -333,6 +352,7 @@ func TestFiltersWatchThroughCascadeBackend(t *testing.T) {
 	default:
 		t.Error("watch answered before the adopted link's first exchange")
 	}
+	waiting(0)
 
 	// A master has no admission filter set.
 	master := serve(t, ldapnet.NewStoreBackend(store))

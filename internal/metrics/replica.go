@@ -24,10 +24,13 @@ type ReplicaCounters struct {
 	ChunkResumes  atomic.Int64 // chunked-reload continuations by resume token
 
 	// Steady state.
-	Polls          atomic.Int64 // poll exchanges completed
-	StreamBatches  atomic.Int64 // persist-stream batches applied
-	Fallbacks      atomic.Int64 // persist streams that died and fell back to polling
-	Demotions      atomic.Int64 // streams abandoned for a poll-mode cooldown after repeated fast deaths
+	Polls         atomic.Int64 // poll exchanges completed
+	StreamBatches atomic.Int64 // persist-stream batches applied
+	Fallbacks     atomic.Int64 // persist streams that ended, after which the supervisor reconnected
+	// Demotions never moves: the supplier's subscriber queue is the one
+	// slow-consumer policy, and a supervisor keeps none of its own. The
+	// field stays only because the load rig reads it.
+	Demotions      atomic.Int64
 	UpdatesApplied atomic.Int64 // update PDUs applied to the local content
 
 	// Cascade topology: supervisors diverted from their configured
@@ -95,8 +98,8 @@ func (c *ReplicaCounters) Snapshot() ReplicaSnapshot {
 // String renders a compact status line for operator output.
 func (s ReplicaSnapshot) String() string {
 	return fmt.Sprintf(
-		"replica: dials=%d reconnects=%d | begins=%d resumes=%d stale=%d patch-misses=%d full-reloads=%d chunk-resumes=%d | polls=%d stream-batches=%d fallbacks=%d demotions=%d applied=%d upstream-fallbacks=%d | checkpoints=%d journal-appends=%d journal-bytes=%d backoff=%s/%d",
+		"replica: dials=%d reconnects=%d | begins=%d resumes=%d stale=%d patch-misses=%d full-reloads=%d chunk-resumes=%d | polls=%d stream-batches=%d fallbacks=%d applied=%d upstream-fallbacks=%d | checkpoints=%d journal-appends=%d journal-bytes=%d backoff=%s/%d",
 		s.Dials, s.Reconnects, s.Begins, s.Resumes, s.StaleSessions, s.PatchMisses, s.FullReloads, s.ChunkResumes,
-		s.Polls, s.StreamBatches, s.Fallbacks, s.Demotions, s.UpdatesApplied,
+		s.Polls, s.StreamBatches, s.Fallbacks, s.UpdatesApplied,
 		s.UpstreamFallbacks, s.Checkpoints, s.JournalAppends, s.JournalBytes, s.BackoffTotal, s.BackoffWaits)
 }

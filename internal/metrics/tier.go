@@ -17,6 +17,7 @@ type TierCounters struct {
 
 	// Demand signals consumed.
 	RejectionsObserved atomic.Int64 // admission rejections fed to the selector
+	WaitsObserved      atomic.Int64 // parked filters watches fed to the selector, one per watch per revolution
 	ServingCredits     atomic.Int64 // stored-filter credits from live sessions/groups
 
 	// Filter-set changes applied.
@@ -25,7 +26,7 @@ type TierCounters struct {
 	FiltersRetired  atomic.Int64 // filters dropped by revolutions
 
 	// Downstream effects.
-	LeavesMigratedBack atomic.Int64 // previously rejected specs later admitted
+	LeavesMigratedBack atomic.Int64 // previously rejected or waiting specs later admitted
 	LeavesReferred     atomic.Int64 // downstream sessions re-referred by a narrowing
 	WidenResyncEntries atomic.Int64 // entries pulled from upstream by adoptions
 	WidenResyncBytes   atomic.Int64 // approximate bytes of that widening re-sync
@@ -35,6 +36,7 @@ type TierCounters struct {
 type TierSnapshot struct {
 	StoredFilters                        int64
 	RejectionsObserved, ServingCredits   int64
+	WaitsObserved                        int64
 	Generalizations, Revolutions         int64
 	FiltersRetired                       int64
 	LeavesMigratedBack, LeavesReferred   int64
@@ -46,6 +48,7 @@ func (c *TierCounters) Snapshot() TierSnapshot {
 	return TierSnapshot{
 		StoredFilters:      c.StoredFilters.Load(),
 		RejectionsObserved: c.RejectionsObserved.Load(),
+		WaitsObserved:      c.WaitsObserved.Load(),
 		ServingCredits:     c.ServingCredits.Load(),
 		Generalizations:    c.Generalizations.Load(),
 		Revolutions:        c.Revolutions.Load(),
@@ -60,9 +63,9 @@ func (c *TierCounters) Snapshot() TierSnapshot {
 // String renders a compact status line for operator output.
 func (s TierSnapshot) String() string {
 	return fmt.Sprintf(
-		"tierctl: filters=%d | rejections=%d credits=%d | widened=%d revolutions=%d retired=%d | migrated-back=%d referred=%d | widen-resync=%d entries/%dB",
+		"tierctl: filters=%d | rejections=%d waits=%d credits=%d | widened=%d revolutions=%d retired=%d | migrated-back=%d referred=%d | widen-resync=%d entries/%dB",
 		s.StoredFilters,
-		s.RejectionsObserved, s.ServingCredits,
+		s.RejectionsObserved, s.WaitsObserved, s.ServingCredits,
 		s.Generalizations, s.Revolutions, s.FiltersRetired,
 		s.LeavesMigratedBack, s.LeavesReferred,
 		s.WidenResyncEntries, s.WidenResyncBytes)

@@ -49,6 +49,8 @@ func (b *watchedBackend) Ready(query.Query) (bool, <-chan struct{}) {
 	return b.allow.Load(), b.changed
 }
 
+func (b *watchedBackend) Park(query.Query) func() { return func() {} }
+
 // open starts admitting the spec and signals the watchers.
 func (b *watchedBackend) open() {
 	b.mu.Lock()
@@ -326,6 +328,7 @@ func TestRetryWithoutFallbackBacksOff(t *testing.T) {
 type parkingBackend struct{ *gatedBackend }
 
 func (parkingBackend) Ready(query.Query) (bool, <-chan struct{}) { return false, nil }
+func (parkingBackend) Park(query.Query) func()                   { return func() {} }
 
 // TestStopDuringWatchDial: Stop cancels the filters watch by closing its
 // connection; a watch still dialling has none yet, and must notice the

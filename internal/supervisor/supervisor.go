@@ -11,8 +11,9 @@
 // after a capped, jittered exponential backoff; the session cookie is kept
 // and the next exchange is a resume-poll, not a reload. A stale-session
 // response (the typed e-syncRefreshRequired wire error) instead clears the
-// cookie and content and re-Begins. In persist mode a dead stream falls
-// back to polling and the stream is re-established on the next cycle.
+// cookie and content and re-Begins. In persist mode the stream is the
+// exchange connection held open after its poll: when it ends the loop
+// reconnects, resumes by poll and asks for the stream again.
 //
 // With a state directory configured, every landed exchange is committed to
 // an internal/persist journal (state.go), so a rebooted replica replays its
@@ -79,8 +80,8 @@ type Mode int
 const (
 	// ModePoll re-polls the session on every PollInterval tick.
 	ModePoll Mode = iota
-	// ModePersist holds a persist-mode stream open and falls back to
-	// polling (then re-establishes the stream) whenever it dies.
+	// ModePersist holds a persist-mode stream open after each poll, and
+	// reconnects and resumes by cookie whenever it ends.
 	ModePersist
 )
 
@@ -146,16 +147,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Persist-stream demotion policy. demoteAfter is the number of consecutive
-// fast persist-stream deaths (the master's slow-consumer policy closing the
-// stream right after it is built) after which the supervisor stops
-// rebuilding the stream and polls instead, for demoteCooldownPolls poll
-// intervals, before trying the stream again.
-const (
-	demoteAfter         = 3
-	demoteCooldownPolls = 10
-)
-
 func (c *Config) fillDefaults() {
 	if c.PollInterval <= 0 {
 		c.PollInterval = time.Second
@@ -184,10 +175,6 @@ type Supervisor struct {
 	// per retry would make every jitter draw the source's first value and
 	// break deterministic chaos replays.
 	rng *rand.Rand
-
-	// Persist-stream demotion tracking; run goroutine only.
-	fastDeaths   int       // consecutive streams that died young
-	demotedUntil time.Time // poll-only until this instant
 
 	// Durable state (state.go); run goroutine only once started.
 	journal      *persist.Journal // nil without a StateDir
@@ -678,33 +665,13 @@ func (s *Supervisor) syncLoop(client *ldapnet.Client, attempt *int) error {
 	s.syncOnce.Do(func() { close(s.synced) })
 
 	if s.cfg.Mode == ModePersist {
-		if wait := time.Until(s.demotedUntil); wait > 0 {
-			// Recently demoted by the master's slow-consumer policy:
-			// sit out the cooldown in poll mode, then let the outer
-			// loop rebuild the stream.
-			cooldown := time.NewTimer(wait)
-			defer cooldown.Stop()
-			return s.pollSteadyState(client, cooldown.C)
-		}
 		return s.streamSteadyState(client)
 	}
-	return s.pollSteadyState(client, nil)
-}
-
-// pollOnce runs one poll exchange of the current session and applies it.
-func (s *Supervisor) pollOnce(client *ldapnet.Client) error {
-	res, err := client.Sync(s.cfg.Spec, proto.ReSyncModePoll, s.Cookie())
-	if err != nil {
-		return err
-	}
-	s.counters.Polls.Add(1)
-	return s.applyExchange(client, res)
+	return s.pollSteadyState(client)
 }
 
 // pollSteadyState re-polls the session on every tick until stop or error.
-// A non-nil until ends it cleanly when it fires, so a demoted persist
-// supervisor re-attempts its stream after the cooldown.
-func (s *Supervisor) pollSteadyState(client *ldapnet.Client, until <-chan time.Time) error {
+func (s *Supervisor) pollSteadyState(client *ldapnet.Client) error {
 	s.setState(StatePolling)
 	ticker := time.NewTicker(s.cfg.PollInterval)
 	defer ticker.Stop()
@@ -712,113 +679,84 @@ func (s *Supervisor) pollSteadyState(client *ldapnet.Client, until <-chan time.T
 		select {
 		case <-s.stop:
 			return nil
-		case <-until:
-			return nil
 		case <-ticker.C:
 			if s.probeDue.Load() {
 				return errProbeDue
 			}
-			if err := s.pollOnce(client); err != nil {
+			res, err := client.Sync(s.cfg.Spec, proto.ReSyncModePoll, s.Cookie())
+			if err != nil {
+				return err
+			}
+			s.counters.Polls.Add(1)
+			if err := s.applyExchange(client, res); err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// streamSteadyState holds a persist stream open on a dedicated connection,
-// applying pushed batches. When the stream dies it falls back to one
-// resume-poll on the primary connection (so nothing pushed-but-lost is
-// missed) and returns, letting the outer loop re-establish the stream.
+// streamSteadyState holds the session's persist stream open on the
+// connection of its exchanges, landing every batch received so far as one.
+// A request the supplier cannot stream from gets the answer a poll gets,
+// landed like one before the stream is asked for again. When the stream ends
+// the outer loop reconnects and resumes by cookie, so nothing pushed but
+// lost is missed.
 func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 	s.setState(StateStreaming)
-	ps, err := ldapnet.PersistWith(s.cfg.Dial, s.Target(), s.cfg.Spec,
-		s.Cookie(), s.cfg.DialTimeout, s.cfg.IdleTimeout)
+	probeTick := time.NewTicker(s.cfg.PollInterval)
+	defer probeTick.Stop()
+	ps, err := client.Persist(s.cfg.Spec, s.Cookie(), s.cfg.IdleTimeout)
 	if err != nil {
 		return err
 	}
-	defer ps.Close()
-	started := time.Now()
-	probeTick := time.NewTicker(s.cfg.PollInterval)
-	defer probeTick.Stop()
-	var batch []resync.Update
-	var batchCookie string
-	var batchCSN uint64
-	take := func(u ldapnet.StreamUpdate) {
-		batch = append(batch, u.Update)
-		if u.Cookie != "" {
-			batchCookie = u.Cookie
-			batchCSN = u.CSN
-		}
-	}
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := s.land(&resync.PollResult{Updates: batch, Cookie: batchCookie, CSN: batchCSN})
-		s.counters.StreamBatches.Add(1)
-		batch, batchCookie, batchCSN = batch[:0], "", 0
-		return err
-	}
+	defer func() { ps.Close() }()
 	for {
 		select {
 		case <-s.stop:
-			return flush()
+			return nil
 		case <-probeTick.C:
 			if s.probeDue.Load() {
-				if err := flush(); err != nil {
-					return err
-				}
 				return errProbeDue
 			}
-		case u, ok := <-ps.Updates:
+		case res, ok := <-ps.Batches:
 			if !ok {
-				if err := flush(); err != nil {
+				err := ps.Err()
+				if errors.Is(err, resync.ErrNoSuchSession) {
 					return err
 				}
-				if serr := ps.Err(); errors.Is(serr, resync.ErrNoSuchSession) {
-					return serr
-				}
-				// Stream died: catch up with one resume-poll before the
-				// outer loop rebuilds the stream. A stream that keeps
-				// dying young — the signature of the master's
-				// slow-consumer demotion — earns a poll-mode cooldown
-				// instead of rebuild churn.
 				s.counters.Fallbacks.Add(1)
-				if time.Since(started) < s.cfg.PollInterval {
-					s.fastDeaths++
-					if s.fastDeaths >= demoteAfter {
-						s.fastDeaths = 0
-						cooldown := demoteCooldownPolls * s.cfg.PollInterval
-						s.demotedUntil = time.Now().Add(cooldown)
-						s.counters.Demotions.Add(1)
-						s.cfg.Logf("supervisor: persist stream demoted, polling for %s", cooldown)
-					}
-				} else {
-					s.fastDeaths = 0
+				if err == nil {
+					err = errStreamLost
 				}
-				s.setState(StatePolling)
-				if err := s.pollOnce(client); err != nil {
+				return err
+			}
+			if res.FullReload || res.Resume != nil {
+				// The stream's last result, and the client is free again.
+				if err := s.applyExchange(client, res); err != nil {
 					return err
 				}
-				return errStreamLost
-			}
-			take(u)
-			// Drain whatever else is already buffered, then apply as one
-			// batch so checkpoints amortize across a burst.
-			for len(ps.Updates) > 0 {
-				if u, ok := <-ps.Updates; ok {
-					take(u)
+				again, err := client.Persist(s.cfg.Spec, s.Cookie(), s.cfg.IdleTimeout)
+				if err != nil {
+					return err
 				}
+				ps = again
+				continue
 			}
-			if err := flush(); err != nil {
+			for len(ps.Batches) > 0 {
+				next := <-ps.Batches
+				res.Updates = append(res.Updates, next.Updates...)
+				res.Cookie, res.CSN = next.Cookie, next.CSN
+			}
+			s.counters.StreamBatches.Add(1)
+			if err := s.land(res); err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// errStreamLost re-enters the outer loop (reconnect + resume) after a
-// persist stream died and the fallback poll succeeded.
+// errStreamLost re-enters the outer loop (reconnect + resume) after the
+// supplier ended a persist stream.
 var errStreamLost = errors.New("persist stream lost")
 
 // applyExchange lands one exchange's result, following a chunked reload

@@ -20,9 +20,9 @@ import (
 
 // newMasterStore builds a small master directory with entries matching the
 // test spec (serialnumber=04*).
-func newMasterStore(t *testing.T) *dit.Store {
+func newMasterStore(t *testing.T, opts ...dit.Option) *dit.Store {
 	t.Helper()
-	st, err := dit.NewStore([]string{"o=xyz"}, dit.WithIndexes("serialnumber"))
+	st, err := dit.NewStore([]string{"o=xyz"}, append([]dit.Option{dit.WithIndexes("serialnumber")}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,9 @@ type harness struct {
 	spec    query.Query
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t *testing.T, opts ...dit.Option) *harness {
 	t.Helper()
-	st := newMasterStore(t)
+	st := newMasterStore(t, opts...)
 	backend := ldapnet.NewStoreBackend(st)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -293,7 +293,7 @@ func TestPatchMissReBegins(t *testing.T) {
 
 // TestPersistFallbackToPoll verifies the stream steady state: pushed
 // batches apply while the stream lives, and a dead stream falls back to a
-// resume-poll without losing updates or reloading.
+// resume-poll on a new connection without losing updates or reloading.
 func TestPersistFallbackToPoll(t *testing.T) {
 	h := newHarness(t)
 	cfg := h.config(t)
@@ -306,8 +306,8 @@ func TestPersistFallbackToPoll(t *testing.T) {
 		func() int64 { return sup.Counters().StreamBatches.Load() }, 1)
 
 	// Sever everything briefly: the next pushed batch hits a dropped
-	// write, the stream dies, and the supervisor falls back to polling
-	// before rebuilding the stream. Faults only fire on I/O, so mutate
+	// write, the stream dies, and the supervisor reconnects and polls
+	// before asking for the stream again. Faults only fire on I/O, so mutate
 	// after arming the plan to generate stream traffic.
 	h.inj.SetPlan(chaos.Plan{DropEveryNOps: 1})
 	mutate(t, h.store, 1)

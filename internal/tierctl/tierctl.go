@@ -3,13 +3,22 @@
 // demand signals into the Section 6.2 selector (selection.Selector) and
 // applying each revolution's delta to the tier's filter set.
 //
-// Three demand signals drive it:
+// Four demand signals drive it:
 //
 //   - admission rejections — the diverted leaf specs themselves, reported by
 //     the tier's admission gate. A leaf the tier turned away (and which is
 //     now loading the fallback master) is direct evidence of demand the
 //     stored set does not cover: each rejection is one observation, and the
 //     rejected spec and its generalizations are its candidates.
+//   - waiting leaves — the filters watch every diverted leaf parks on the
+//     tier, read at every revolution: one observation per watch and period
+//     for as long as it waits. A rejection is an event the controller sees
+//     only if it is running at that moment, and only once; a waiting leaf is
+//     demand the controller finds whenever it starts, after a tier restart
+//     as much as after a revolution that passed it over. It weighs a tenth
+//     of what an attached leaf credits its filter over the same period, so
+//     a leaf a narrowing re-referred cannot win its filter straight back
+//     from the leaves that filter's replacement serves.
 //   - per-session serving credit — each active downstream session's spec
 //     credits the stored filter covering it every control tick, so filters
 //     that hold leaves attached keep their hits against fresh rejections.
@@ -104,7 +113,7 @@ type Controller struct {
 	mu         sync.Mutex
 	sel        *selection.Selector
 	ticks      int
-	rejected   map[string]query.Query // rejected spec keys not yet admitted
+	rejected   map[string]query.Query // rejected or waiting spec keys not yet admitted
 	servedPrev map[string]uint64      // content-group served totals at last tick
 
 	stop      chan struct{}
@@ -224,6 +233,13 @@ func (c *Controller) tick() {
 	c.servedPrev = seen
 	var delta *selection.Delta
 	if c.ticks++; c.ticks%revolveEvery == 0 {
+		// Waiting-leaf demand: a leaf the tier could not serve waits on its
+		// filters watch, one observation a period until it is answered.
+		for _, q := range c.cfg.Tier.Waiting() {
+			c.rejected[q.Key()] = q
+			c.sel.Observe(q)
+			c.counters.WaitsObserved.Add(1)
+		}
 		delta = c.sel.ForceRevolution()
 	}
 	c.mu.Unlock()

@@ -376,3 +376,81 @@ func TestControllerConfigValidation(t *testing.T) {
 		t.Errorf("stopped controller widened the tier to %d specs", got)
 	}
 }
+
+// TestLateControllerSeesWaitingLeaves: leaves the tier turned away before
+// any controller ran wait on their filters watches, and a controller started
+// after that finds them there: it widens the tier at its first revolution,
+// and the leaves migrate back. No rejection reached it — the tier had no
+// observer when the leaves were turned away — so the waiting leaves are the
+// only demand it can see, as after a restart of an adaptive tier.
+func TestLateControllerSeesWaitingLeaves(t *testing.T) {
+	st, tier, masterSrv := newTier(t)
+	tierSrv, err := ldapnet.Serve("127.0.0.1:0",
+		ldapnet.NewCascadeBackend(tier.Replica(), tier, "ldap://"+masterSrv.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tierSrv.Close() })
+
+	sups := make([]*supervisor.Supervisor, 3)
+	reps := make([]*replica.FilterReplica, len(sups))
+	spec := func(i int) query.Query {
+		return query.MustNew("o=xyz", query.ScopeSubtree, fmt.Sprintf("(serialnumber=050%d)", i))
+	}
+	for i := range sups {
+		if reps[i], err = replica.NewFilterReplica(); err != nil {
+			t.Fatal(err)
+		}
+		sups[i], err = supervisor.New(supervisor.Config{
+			Master:       tierSrv.Addr(),
+			Fallback:     masterSrv.Addr(),
+			Spec:         spec(i),
+			PollInterval: 3 * time.Millisecond,
+			BackoffBase:  time.Millisecond,
+			BackoffMax:   20 * time.Millisecond,
+			DialTimeout:  2 * time.Second,
+			Seed:         int64(i + 1),
+		}, reps[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sups[i].Start()
+		t.Cleanup(func() { _ = sups[i].Stop() })
+	}
+	waitFor(t, "every leaf waiting on its filters watch", 10*time.Second, func() bool {
+		return len(tier.Waiting()) == len(sups)
+	})
+	for i, sup := range sups {
+		if sup.Target() != masterSrv.Addr() {
+			t.Fatalf("leaf %d targets %s, want the fallback master", i, sup.Target())
+		}
+	}
+
+	ctrl, err := New(Config{Tier: tier, Budget: 2, Interval: 2 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Start()
+	defer ctrl.Stop()
+	waitFor(t, "every leaf back on the tier", 10*time.Second, func() bool {
+		if tier.Engine().Sessions() != len(sups) {
+			return false // a probing leaf targets the tier before its Begin lands
+		}
+		for i, sup := range sups {
+			if ok, _ := resynctest.Converged(st, reps[i].Store(), spec(i)); !ok || sup.Target() != tierSrv.Addr() {
+				return false
+			}
+		}
+		return true
+	})
+	c := ctrl.Counters().Snapshot()
+	if c.RejectionsObserved != 0 || c.WaitsObserved < int64(len(sups)) {
+		t.Errorf("controller observed %d rejections and %d waits, want 0 and >= %d", c.RejectionsObserved, c.WaitsObserved, len(sups))
+	}
+	if c.Generalizations != 1 || c.LeavesMigratedBack != int64(len(sups)) {
+		t.Errorf("widened %d times, %d leaves migrated back, want 1 and %d", c.Generalizations, c.LeavesMigratedBack, len(sups))
+	}
+	if n := len(tier.Waiting()); n != 0 {
+		t.Errorf("%d watches still waiting once every leaf is back", n)
+	}
+}
