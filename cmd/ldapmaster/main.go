@@ -8,11 +8,6 @@
 // -journal-limit changes (4096; 0 keeps all): a session further behind is
 // answered with a full reload.
 //
-// With -chaos, every accepted connection is wrapped in the fault-injection
-// layer, so replica recovery can be exercised against a real server:
-//
-//	ldapmaster -chaos 'drop-every=40,latency=1ms..5ms,seed=7'
-//
 // Usage:
 //
 //	ldapmaster -addr 127.0.0.1:3890 -employees 5000
@@ -32,7 +27,6 @@ import (
 	"time"
 
 	"filterdir"
-	"filterdir/internal/chaos"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/ldif"
 	"filterdir/internal/persist"
@@ -46,7 +40,6 @@ type options struct {
 	employees, journalLimit, shards, reloadChunk int
 	seed                                         int64
 	statusEvery                                  time.Duration
-	plan                                         chaos.Plan
 }
 
 func main() {
@@ -73,14 +66,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.DurationVar(&o.statusEvery, "status-every", time.Minute, "sync-counter status report interval (0 disables)")
 	fs.IntVar(&o.journalLimit, "journal-limit", resync.DefaultJournalLimit, "bound the in-memory update journal to the most recent n changes: how far a session may lag before a full reload (0 = unbounded)")
 	fs.IntVar(&o.shards, "shards", 0, "DIT store shard count (0 = GOMAXPROCS, or the FILTERDIR_SHARDS environment override)")
-	chaosSpec := fs.String("chaos", "", `fault-injection plan for accepted connections, e.g. "drop-every=40,latency=1ms..5ms,seed=7" (empty disables)`)
 	fs.IntVar(&o.reloadChunk, "reload-chunk", 0, "serve full reloads in resumable chunks of n entries (0 = monolithic reloads)")
-	if err := fs.Parse(args); err != nil {
-		return o, err
-	}
-	var err error
-	o.plan, err = chaos.ParsePlan(*chaosSpec)
-	return o, err
+	return o, fs.Parse(args)
 }
 
 // storeOptions assembles the directory options common to every load path.
@@ -99,20 +86,14 @@ func storeOptions(journalLimit, shards int) []filterdir.DirectoryOption {
 
 // printStatus reports the sync counters, store state, fan-out (live
 // downstream sessions and connections — in a cascaded topology these count
-// mid-tiers, not leaves) and injected-fault totals on stdout.
-func printStatus(srv *filterdir.Server, backend *ldapnet.StoreBackend, store *filterdir.Directory, inj *chaos.Injector) {
-	c := srv.SyncCounters()
-	if c == nil {
-		return
-	}
+// mid-tiers, not leaves) and, once edge writes arrive, the write counters on
+// stdout.
+func printStatus(srv *filterdir.Server, backend *ldapnet.StoreBackend, store *filterdir.Directory) {
 	fmt.Printf("ldapmaster: entries=%d journal-trimmed=%d sessions=%d conns=%d | %s\n",
-		store.Len(), store.JournalTrimmed(), backend.Engine.Sessions(), srv.ActiveConns(), c.Snapshot())
-	fmt.Printf("ldapmaster: shards=%d | %s\n", store.Shards(), store.Counters().Snapshot())
-	if w := backend.Writes.Snapshot(); w.Applied > 0 || w.Duplicates > 0 {
-		fmt.Printf("ldapmaster: edge writes applied=%d duplicates=%d\n", w.Applied, w.Duplicates)
-	}
-	if inj != nil {
-		fmt.Printf("ldapmaster: %s\n", inj.Stats())
+		store.Len(), store.JournalTrimmed(), backend.Engine.Sessions(), srv.ActiveConns(), srv.SyncCounters())
+	fmt.Printf("ldapmaster: shards=%d | %s\n", store.Shards(), store.Counters())
+	if w := backend.Writes; w.Applied.Load() > 0 || w.Duplicates.Load() > 0 {
+		fmt.Printf("ldapmaster: %s\n", w)
 	}
 }
 
@@ -180,12 +161,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	var inj *chaos.Injector
-	if o.plan.Active() {
-		inj = chaos.New(o.plan)
-		ln = inj.Listener(ln)
-		fmt.Println("ldapmaster: chaos plan armed; injected faults count against every connection")
-	}
 	var engineOpts []resync.EngineOption
 	if o.reloadChunk > 0 {
 		engineOpts = append(engineOpts, resync.WithChunkSize(o.reloadChunk))
@@ -208,13 +183,13 @@ func run(o options) error {
 	for {
 		select {
 		case <-statusC:
-			printStatus(srv, backend, store, inj)
+			printStatus(srv, backend, store)
 		case <-sig:
 			// Stop accepting and drop live connections first, so no write
 			// lands after the final counter snapshot or the journal's close.
 			fmt.Println("ldapmaster: shutting down")
 			closeErr := srv.Close()
-			printStatus(srv, backend, store, inj)
+			printStatus(srv, backend, store)
 			return closeErr
 		}
 	}

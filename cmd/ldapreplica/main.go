@@ -356,20 +356,20 @@ func start(o options) (srv *ldapnet.Server, stop func(), status func(io.Writer),
 		fmt.Fprintf(w, "ldapreplica: %d entries; hit ratio %.2f (%d queries)\n",
 			rep.EntryCount(), m.HitRatio(), m.Queries)
 		if o.serve {
-			fmt.Fprintf(w, "ldapreplica: %s\n", tier.Counters().Snapshot())
-			fmt.Fprintf(w, "ldapreplica: downstream %s\n", tier.SyncCounters().Snapshot())
+			fmt.Fprintf(w, "ldapreplica: %s\n", tier.Counters())
+			fmt.Fprintf(w, "ldapreplica: downstream %s\n", tier.SyncCounters())
 		}
 		if edge != nil {
-			fmt.Fprintf(w, "ldapreplica: %s\n", writes.Snapshot())
+			fmt.Fprintf(w, "ldapreplica: %s\n", writes)
 		}
 		if ctrl != nil {
-			fmt.Fprintf(w, "ldapreplica: %s\n", ctrl.Counters().Snapshot())
+			fmt.Fprintf(w, "ldapreplica: %s\n", ctrl.Counters())
 		}
 		// Each supervisor names its own spec: the adaptive control plane
 		// adds and removes links between any two reads of the link set.
 		for _, sup := range tier.Supervisors() {
 			fmt.Fprintf(w, "ldapreplica: %q [%s→%s] %s\n",
-				sup.Spec().FilterString(), sup.State(), sup.Target(), sup.Counters().Snapshot())
+				sup.Spec().FilterString(), sup.State(), sup.Target(), sup.Counters())
 		}
 	}
 	return srv, stop, status, nil

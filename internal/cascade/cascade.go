@@ -249,8 +249,9 @@ func New(cfg Config) (*Tier, error) {
 			return
 		}
 		if t.applyPending.CompareAndSwap(true, false) {
-			d := time.Duration(time.Now().UnixNano() - t.lastApply.Load())
-			t.counters.ObserveRebroadcast(d)
+			d := time.Now().UnixNano() - t.lastApply.Load()
+			t.counters.Rebroadcast.Observe(d)
+			t.counters.RebroadcastMax.Observe(d)
 		}
 	})
 

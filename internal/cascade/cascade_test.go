@@ -274,9 +274,9 @@ func TestAdmissionGate(t *testing.T) {
 			t.Errorf("Admit(%s) = %v, want ErrNotContained", f, err)
 		}
 	}
-	c := tier.Counters().Snapshot()
-	if c.Admitted != int64(len(admit)) || c.Rejected != int64(len(reject)) {
-		t.Errorf("admitted=%d rejected=%d, want %d and %d", c.Admitted, c.Rejected, len(admit), len(reject))
+	c := tier.Counters()
+	if c.Admitted.Load() != int64(len(admit)) || c.Rejected.Load() != int64(len(reject)) {
+		t.Errorf("admitted=%d rejected=%d, want %d and %d", c.Admitted.Load(), c.Rejected.Load(), len(admit), len(reject))
 	}
 
 	// The attrs-subset rule also applies over the wire mapping: a rejected
@@ -333,20 +333,20 @@ func TestPropagationThroughTier(t *testing.T) {
 	if fb := supFull.Counters().UpstreamFallbacks.Load() + supSub.Counters().UpstreamFallbacks.Load(); fb != 0 {
 		t.Errorf("tier-attached leaves diverted %d times, want 0", fb)
 	}
-	c := tier.Counters().Snapshot()
-	if c.UpstreamBatches == 0 || c.UpstreamUpdates == 0 {
-		t.Errorf("tier recorded no upstream activity: %+v", c)
+	c := tier.Counters()
+	if c.UpstreamBatches.Load() == 0 || c.UpstreamUpdates.Load() == 0 {
+		t.Errorf("tier recorded no upstream activity: %s", c)
 	}
-	if c.Rebroadcasts == 0 {
+	if c.Rebroadcast.Count() == 0 {
 		t.Errorf("tier recorded no apply→rebroadcast latency samples")
 	}
-	if c.TierDepth != 1 {
-		t.Errorf("tier depth = %d, want 1", c.TierDepth)
+	if d := c.TierDepth.Load(); d != 1 {
+		t.Errorf("tier depth = %d, want 1", d)
 	}
 	// The session gauge is read off the engine when the counters are: the
 	// two attached leaves now, one fewer as soon as a leaf's session ends.
-	if c.DownstreamSessions != 2 {
-		t.Errorf("downstream sessions = %d, want 2 (both attached leaves)", c.DownstreamSessions)
+	if n := c.DownstreamSessions.Load(); n != 2 {
+		t.Errorf("downstream sessions = %d, want 2 (both attached leaves)", n)
 	}
 	if err := supSub.Stop(); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestPropagationThroughTier(t *testing.T) {
 	if err := tier.Engine().End(supSub.Cookie()); err != nil {
 		t.Fatal(err)
 	}
-	if got := tier.Counters().Snapshot().DownstreamSessions; got != 1 {
+	if got := tier.Counters().DownstreamSessions.Load(); got != 1 {
 		t.Errorf("downstream sessions after one leaf's session ended = %d, want 1", got)
 	}
 }

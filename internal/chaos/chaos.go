@@ -4,7 +4,7 @@
 // deterministic plan. It sits between ldapnet and the real TCP sockets on
 // either side (the server wraps its listener, the client wraps its dial
 // hook), so replication code can be soak-tested against realistic failure
-// — in -race tests and via `ldapmaster -chaos`.
+// — in -race tests and in the oracle's wire presets.
 package chaos
 
 import (
@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -48,63 +46,8 @@ type Plan struct {
 	TornWriteEveryNOps int
 }
 
-// Active reports whether the plan injects any fault at all.
-func (p Plan) Active() bool {
-	return p.DropEveryNOps > 0 || p.RefuseEveryNthConn > 0 ||
-		p.LatencyMax > 0 || p.StallEveryNOps > 0 || p.TornWriteEveryNOps > 0
-}
-
-// ParsePlan parses the compact flag syntax used by `ldapmaster -chaos`:
-// comma-separated key=value pairs, e.g.
-//
-//	drop-every=40,refuse-every=5,latency=1ms..5ms,stall-every=100,stall-for=50ms,torn-every=200,seed=7
-func ParsePlan(s string) (Plan, error) {
-	var p Plan
-	if strings.TrimSpace(s) == "" {
-		return p, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return p, fmt.Errorf("chaos plan: %q is not key=value", part)
-		}
-		var err error
-		switch key {
-		case "seed":
-			p.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "drop-every":
-			p.DropEveryNOps, err = strconv.Atoi(val)
-		case "refuse-every":
-			p.RefuseEveryNthConn, err = strconv.Atoi(val)
-		case "latency":
-			lo, hi, found := strings.Cut(val, "..")
-			if !found {
-				hi = lo
-			}
-			if p.LatencyMin, err = time.ParseDuration(lo); err == nil {
-				p.LatencyMax, err = time.ParseDuration(hi)
-			}
-		case "stall-every":
-			p.StallEveryNOps, err = strconv.Atoi(val)
-		case "stall-for":
-			p.StallFor, err = time.ParseDuration(val)
-		case "torn-every":
-			p.TornWriteEveryNOps, err = strconv.Atoi(val)
-		default:
-			return p, fmt.Errorf("chaos plan: unknown key %q", key)
-		}
-		if err != nil {
-			return p, fmt.Errorf("chaos plan: %s: %v", key, err)
-		}
-	}
-	if p.LatencyMax < p.LatencyMin {
-		return p, fmt.Errorf("chaos plan: latency max %s < min %s", p.LatencyMax, p.LatencyMin)
-	}
-	return p, nil
-}
-
-// Stats counts the faults an injector has produced.
-type Stats struct {
+// stats counts the faults an injector has produced.
+type stats struct {
 	Conns      int64 // connections admitted through the injector
 	Refused    int64 // connections refused
 	Drops      int64 // connections severed mid-operation
@@ -112,12 +55,6 @@ type Stats struct {
 	Stalls     int64 // operations frozen for Plan.StallFor
 	DelayedOps int64 // operations delayed by injected latency
 	Ops        int64 // I/O operations observed in total
-}
-
-// String renders a compact status line for operator output.
-func (s Stats) String() string {
-	return fmt.Sprintf("chaos: conns=%d refused=%d drops=%d torn=%d stalls=%d delayed=%d ops=%d",
-		s.Conns, s.Refused, s.Drops, s.TornWrites, s.Stalls, s.DelayedOps, s.Ops)
 }
 
 // Injector produces faults according to a Plan. One injector may wrap any
@@ -128,7 +65,7 @@ type Injector struct {
 	mu          sync.Mutex
 	plan        Plan
 	rng         *rand.Rand
-	stats       Stats
+	stats       stats
 	refuseUntil time.Time
 }
 
@@ -144,8 +81,8 @@ func (i *Injector) SetPlan(p Plan) {
 	i.mu.Unlock()
 }
 
-// Stats snapshots the fault counters.
-func (i *Injector) Stats() Stats {
+// counts snapshots the fault counters.
+func (i *Injector) counts() stats {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.stats

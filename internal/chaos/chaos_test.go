@@ -8,34 +8,6 @@ import (
 	"time"
 )
 
-func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("drop-every=40,refuse-every=5,latency=1ms..5ms,stall-every=100,stall-for=50ms,torn-every=200,seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Plan{
-		Seed: 7, DropEveryNOps: 40, RefuseEveryNthConn: 5,
-		LatencyMin: time.Millisecond, LatencyMax: 5 * time.Millisecond,
-		StallEveryNOps: 100, StallFor: 50 * time.Millisecond,
-		TornWriteEveryNOps: 200,
-	}
-	if p != want {
-		t.Errorf("ParsePlan = %+v, want %+v", p, want)
-	}
-	if !p.Active() {
-		t.Error("plan should be active")
-	}
-
-	if p, err := ParsePlan(""); err != nil || p.Active() {
-		t.Errorf("empty plan: %+v, %v", p, err)
-	}
-	for _, bad := range []string{"drop-every", "bogus=1", "latency=5ms..1ms", "drop-every=x"} {
-		if _, err := ParsePlan(bad); err == nil {
-			t.Errorf("ParsePlan(%q) succeeded", bad)
-		}
-	}
-}
-
 // pipePair builds an injected server-side conn and its client peer.
 func pipePair(t *testing.T, inj *Injector) (faulted net.Conn, peer net.Conn) {
 	t.Helper()
@@ -90,7 +62,7 @@ func TestDropEveryNOps(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Errorf("drop error = %v, want ErrInjected", err)
 	}
-	if s := inj.Stats(); s.Drops != 1 {
+	if s := inj.counts(); s.Drops != 1 {
 		t.Errorf("drops = %d, want 1", s.Drops)
 	}
 }

@@ -98,7 +98,8 @@ func (s *Store) flushLocked() {
 			s.signal = make(chan struct{})
 		}
 	}
-	s.counters.ObserveBatch(n)
+	s.counters.Batch.Observe(int64(n))
+	s.counters.MaxBatch.Observe(int64(n))
 	for _, op := range batch {
 		if s.failed != nil {
 			op.csn, op.err = 0, s.failed

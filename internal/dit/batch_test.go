@@ -134,8 +134,7 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 			if snap.MaxBatch < 2 {
 				t.Logf("note: no multi-op batch formed (max=%d); contention too low", snap.MaxBatch)
 			}
-			t.Logf("shards=%d: %d ops in %d batches (avg %.1f, max %d), %d shard clones",
-				shards, snap.BatchedOps, snap.Batches, snap.AvgBatch(), snap.MaxBatch, snap.ShardClones)
+			t.Logf("shards=%d: %s", shards, st.Counters())
 		})
 	}
 }

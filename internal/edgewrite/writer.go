@@ -131,8 +131,15 @@ func Open(cfg Config) (*Writer, error) {
 			committed: op.Committed, csn: op.CSN,
 		})
 	}
-	c.ObservePending(len(w.pending))
+	w.notePending()
 	return w, nil
+}
+
+// notePending publishes the pending-overlay depth and its high-water mark.
+func (w *Writer) notePending() {
+	n := int64(len(w.pending))
+	w.c.Pending.Store(n)
+	w.c.PendingHighWater.Observe(n)
 }
 
 // ReplicaID returns the id prefixing this replica's op ids.
@@ -185,7 +192,7 @@ func (w *Writer) Submit(c dit.Change) (uint64, error) {
 	p := &pendingOp{id: op.ID, change: c, images: images, inFlight: true}
 	w.mu.Lock()
 	w.pending = append(w.pending, p)
-	w.c.ObservePending(len(w.pending))
+	w.notePending()
 	w.mu.Unlock()
 
 	csn, err := w.forward(p)
@@ -236,7 +243,7 @@ func (w *Writer) abort(p *pendingOp) {
 		}
 	}
 	w.pending = keep
-	w.c.ObservePending(len(w.pending))
+	w.notePending()
 	w.mu.Unlock()
 	if err := w.wal.markRetired(p.id); err != nil && w.cfg.Logf != nil {
 		w.cfg.Logf("edgewrite: abort %s: %v", p.id, err)
@@ -271,7 +278,7 @@ func (w *Writer) retireEligible() {
 		}
 	}
 	w.pending = keep
-	w.c.ObservePending(len(w.pending))
+	w.notePending()
 	w.mu.Unlock()
 	for _, p := range retire {
 		if err := w.wal.markRetired(p.id); err != nil && w.cfg.Logf != nil {

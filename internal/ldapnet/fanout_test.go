@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -42,7 +43,7 @@ func (c *wireConn) Write(p []byte) (int, error) {
 // write of a pushed batch.
 func fanoutWire() (*Server, *connWriter, *wireConn) {
 	conn := &wireConn{}
-	return &Server{conns: map[net.Conn]bool{}}, newConnWriter(conn), conn
+	return &Server{conns: map[net.Conn]bool{}, syncStats: &metrics.SyncCounters{}}, newConnWriter(conn), conn
 }
 
 // BenchmarkReloadFanout measures a master restart as the replicas see it:

@@ -8,6 +8,7 @@ import (
 
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
+	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -103,7 +104,7 @@ func TestMoveOverWire(t *testing.T) {
 // have taken the batch's cookie with it. A PDU whose action the consumer does
 // not know is refused at decode, before anything of its batch is applied.
 func TestUnencodableUpdateEndsTheExchange(t *testing.T) {
-	s := &Server{conns: map[net.Conn]bool{}}
+	s := &Server{conns: map[net.Conn]bool{}, syncStats: &metrics.SyncCounters{}}
 	w := newConnWriter(discardConn{})
 	e := tableOneEmployee(t)
 	updates := []resync.Update{{Action: resync.ActionAdd, DN: e.DN(), Entry: e}, {DN: e.DN()}}

@@ -12,6 +12,7 @@ import (
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
+	"filterdir/internal/metrics"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/resync"
@@ -334,7 +335,7 @@ func TestBareAddRule(t *testing.T) {
 					}
 					srvEnd, cliEnd := net.Pipe()
 					defer cliEnd.Close()
-					s := &Server{conns: map[net.Conn]bool{}}
+					s := &Server{conns: map[net.Conn]bool{}, syncStats: &metrics.SyncCounters{}}
 					w := newConnWriter(srvEnd)
 					sent := make(chan error, 1)
 					go func() {

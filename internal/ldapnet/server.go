@@ -21,8 +21,8 @@ import (
 type Server struct {
 	ln      net.Listener
 	backend Backend
-	// sync receives wire-level streaming accounting when the backend
-	// exposes counters (nil otherwise).
+	// syncStats receives wire-level streaming accounting: the backend's
+	// counters when it exposes them, else the server's own.
 	syncStats *metrics.SyncCounters
 
 	mu     sync.Mutex
@@ -43,7 +43,7 @@ func Serve(addr string, backend Backend) (*Server, error) {
 // ServeListener starts a server on an existing listener; fault-injection
 // layers (internal/chaos) and tests wrap the listener before handing it in.
 func ServeListener(ln net.Listener, backend Backend) *Server {
-	s := &Server{ln: ln, backend: backend, conns: make(map[net.Conn]bool)}
+	s := &Server{ln: ln, backend: backend, conns: make(map[net.Conn]bool), syncStats: &metrics.SyncCounters{}}
 	if src, ok := backend.(SyncCounterSource); ok {
 		s.syncStats = src.SyncCounters()
 	}
@@ -53,7 +53,7 @@ func ServeListener(ln net.Listener, backend Backend) *Server {
 }
 
 // SyncCounters returns the synchronization counters shared with the
-// backend's engine, or nil when the backend exposes none.
+// backend's engine, or the server's own when the backend exposes none.
 func (s *Server) SyncCounters() *metrics.SyncCounters { return s.syncStats }
 
 // Addr returns the server's listen address.
@@ -692,7 +692,7 @@ func (s *Server) streamUpdates(out *response, id int64, b resync.Batch) error {
 		if err != nil {
 			return err
 		}
-		if b.Enc != nil && s.syncStats != nil {
+		if b.Enc != nil {
 			if built {
 				s.syncStats.StreamEncodes.Add(1)
 			} else {
@@ -702,9 +702,7 @@ func (s *Server) streamUpdates(out *response, id int64, b resync.Batch) error {
 		if err := out.putTail(id, tail); err != nil {
 			return err
 		}
-		if s.syncStats != nil {
-			s.syncStats.StreamedPDUs.Add(1)
-		}
+		s.syncStats.StreamedPDUs.Add(1)
 	}
 	return nil
 }

@@ -1,5 +1,6 @@
-// Package metrics provides the labelled data series and rendering helpers
-// the experiment harness uses to report each reproduced table and figure.
+// Package metrics provides the data series and rendering helpers the
+// experiment harness reports each reproduced table and figure with, and the
+// atomic counter sets the programs account their work in (counters.go).
 package metrics
 
 import (
@@ -119,7 +120,7 @@ func (f *Figure) xValues() []float64 {
 
 // seriesIndexes builds one X→Y map per series so Render and CSV resolve
 // each (x, series) cell in O(1) instead of rescanning the points slice.
-// The first point at a given X wins, matching lookup's semantics.
+// The first point at a given X wins.
 func (f *Figure) seriesIndexes() []map[float64]float64 {
 	idx := make([]map[float64]float64, len(f.Series))
 	for i, s := range f.Series {
@@ -132,13 +133,4 @@ func (f *Figure) seriesIndexes() []map[float64]float64 {
 		idx[i] = m
 	}
 	return idx
-}
-
-func lookup(s *Series, x float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y, true
-		}
-	}
-	return 0, false
 }

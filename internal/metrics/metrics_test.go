@@ -71,3 +71,22 @@ func TestCSV(t *testing.T) {
 		t.Errorf("csv sparse row = %q", lines[2])
 	}
 }
+
+// TestRenderDuplicateX pins the indexed Render/CSV lookup to the original
+// semantics: when a series holds several points at the same X, the first
+// one wins.
+func TestRenderDuplicateX(t *testing.T) {
+	fig := &Figure{ID: "dup", Title: "dup"}
+	s := fig.AddSeries("s")
+	s.Add(1, 0.25)
+	s.Add(1, 0.75)
+
+	var sb strings.Builder
+	if err := fig.CSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 2 || lines[1] != "1,0.25" {
+		t.Errorf("csv with duplicate X = %q, want first point to win", lines)
+	}
+}

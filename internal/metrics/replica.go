@@ -1,15 +1,13 @@
 package metrics
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
 
 // ReplicaCounters aggregates replica-side supervision activity: connection
 // lifecycle, session resumption, persist-stream fallbacks and durable
-// state. All fields are atomic so the supervisor's hot loop never
-// takes a lock to account an attempt.
+// state.
 type ReplicaCounters struct {
 	// Connection lifecycle.
 	Dials      atomic.Int64 // connection attempts (including the first)
@@ -45,18 +43,12 @@ type ReplicaCounters struct {
 	JournalAppends atomic.Int64 // committed journal batches, one per landed exchange
 	JournalBytes   atomic.Int64 // bytes those batches wrote
 
-	// Backoff: total time slept and number of waits.
-	BackoffNanos atomic.Int64
-	BackoffWaits atomic.Int64
+	// Backoff is the time slept per backoff wait.
+	Backoff Mean `count:"BackoffWaits" sum:"BackoffTotal" unit:"ns"`
 }
 
-// ObserveBackoff records one backoff sleep.
-func (c *ReplicaCounters) ObserveBackoff(d time.Duration) {
-	c.BackoffNanos.Add(int64(d))
-	c.BackoffWaits.Add(1)
-}
-
-// ReplicaSnapshot is a point-in-time copy of the counters.
+// ReplicaSnapshot is a point-in-time copy of the counters: what the load
+// rig reads.
 type ReplicaSnapshot struct {
 	Dials, Reconnects                          int64
 	Begins, Resumes, StaleSessions             int64
@@ -71,35 +63,7 @@ type ReplicaSnapshot struct {
 }
 
 // Snapshot copies the current counter values.
-func (c *ReplicaCounters) Snapshot() ReplicaSnapshot {
-	return ReplicaSnapshot{
-		Dials:             c.Dials.Load(),
-		Reconnects:        c.Reconnects.Load(),
-		Begins:            c.Begins.Load(),
-		Resumes:           c.Resumes.Load(),
-		StaleSessions:     c.StaleSessions.Load(),
-		PatchMisses:       c.PatchMisses.Load(),
-		FullReloads:       c.FullReloads.Load(),
-		ChunkResumes:      c.ChunkResumes.Load(),
-		Polls:             c.Polls.Load(),
-		StreamBatches:     c.StreamBatches.Load(),
-		Fallbacks:         c.Fallbacks.Load(),
-		Demotions:         c.Demotions.Load(),
-		UpdatesApplied:    c.UpdatesApplied.Load(),
-		UpstreamFallbacks: c.UpstreamFallbacks.Load(),
-		Checkpoints:       c.Checkpoints.Load(),
-		JournalAppends:    c.JournalAppends.Load(),
-		JournalBytes:      c.JournalBytes.Load(),
-		BackoffWaits:      c.BackoffWaits.Load(),
-		BackoffTotal:      time.Duration(c.BackoffNanos.Load()),
-	}
-}
+func (c *ReplicaCounters) Snapshot() (s ReplicaSnapshot) { fill(&s, c); return s }
 
-// String renders a compact status line for operator output.
-func (s ReplicaSnapshot) String() string {
-	return fmt.Sprintf(
-		"replica: dials=%d reconnects=%d | begins=%d resumes=%d stale=%d patch-misses=%d full-reloads=%d chunk-resumes=%d | polls=%d stream-batches=%d fallbacks=%d applied=%d upstream-fallbacks=%d | checkpoints=%d journal-appends=%d journal-bytes=%d backoff=%s/%d",
-		s.Dials, s.Reconnects, s.Begins, s.Resumes, s.StaleSessions, s.PatchMisses, s.FullReloads, s.ChunkResumes,
-		s.Polls, s.StreamBatches, s.Fallbacks, s.UpdatesApplied,
-		s.UpstreamFallbacks, s.Checkpoints, s.JournalAppends, s.JournalBytes, s.BackoffTotal, s.BackoffWaits)
-}
+// String renders the status line.
+func (c *ReplicaCounters) String() string { return status(c) }

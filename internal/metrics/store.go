@@ -1,67 +1,30 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // StoreCounters aggregates DIT-store commit-pipeline and snapshot activity:
 // write batches flushed by the group-commit leader, copy-on-write shard
 // clones forced by frozen snapshots, and multi-shard freezes taken by
-// readers. All fields are atomic so the counters can sit on the commit hot
-// path without a lock.
+// readers.
 type StoreCounters struct {
 	// Commit pipeline.
-	Batches    atomic.Int64 // batches flushed by a commit leader
-	BatchedOps atomic.Int64 // updates committed through the pipeline
-	MaxBatch   atomic.Int64 // largest single batch flushed
+	Batch    Mean `count:"Batches" sum:"BatchedOps"` // updates per batch a commit leader flushed
+	MaxBatch Max  // largest single batch flushed
 
 	// Copy-on-write snapshots.
 	Freezes     atomic.Int64 // multi-shard frozen views taken by readers
 	ShardClones atomic.Int64 // shard states cloned because a frozen view pinned them
 }
 
-// ObserveBatch folds one flushed batch into the counters.
-func (c *StoreCounters) ObserveBatch(size int) {
-	c.Batches.Add(1)
-	c.BatchedOps.Add(int64(size))
-	n := int64(size)
-	for {
-		cur := c.MaxBatch.Load()
-		if n <= cur || c.MaxBatch.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// StoreSnapshot is a point-in-time copy of the counters.
+// StoreSnapshot is a point-in-time copy of the counters: what the load rig
+// reads.
 type StoreSnapshot struct {
 	Batches, BatchedOps, MaxBatch int64
 	Freezes, ShardClones          int64
 }
 
 // Snapshot copies the current counter values.
-func (c *StoreCounters) Snapshot() StoreSnapshot {
-	return StoreSnapshot{
-		Batches:     c.Batches.Load(),
-		BatchedOps:  c.BatchedOps.Load(),
-		MaxBatch:    c.MaxBatch.Load(),
-		Freezes:     c.Freezes.Load(),
-		ShardClones: c.ShardClones.Load(),
-	}
-}
+func (c *StoreCounters) Snapshot() (s StoreSnapshot) { fill(&s, c); return s }
 
-// AvgBatch returns the mean ops per flushed batch (0 when none flushed).
-func (s StoreSnapshot) AvgBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchedOps) / float64(s.Batches)
-}
-
-// String renders a compact status line for operator output.
-func (s StoreSnapshot) String() string {
-	return fmt.Sprintf(
-		"store: batches=%d ops=%d avg-batch=%.1f max-batch=%d | snapshots: freezes=%d shard-clones=%d",
-		s.Batches, s.BatchedOps, s.AvgBatch(), s.MaxBatch, s.Freezes, s.ShardClones)
-}
+// String renders the status line.
+func (c *StoreCounters) String() string { return status(c) }

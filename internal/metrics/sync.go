@@ -1,16 +1,13 @@
 package metrics
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
 
 // SyncCounters aggregates master-side ReSync activity: session lifecycle
 // events, update PDUs by action, full reloads, persist streaming, and the
-// classification latency of the poll hot path. All fields are atomic, so
-// the counters can sit on concurrent hot paths without a lock; readers
-// take a consistent-enough view via Snapshot.
+// classification latency of the poll hot path.
 type SyncCounters struct {
 	// Session lifecycle.
 	Begins      atomic.Int64 // sessions started (null-cookie syncs)
@@ -63,9 +60,8 @@ type SyncCounters struct {
 	// including persist-mode pushes.
 	StreamedPDUs atomic.Int64
 
-	// Classification latency: total nanoseconds and observations.
-	ClassifyNanos atomic.Int64
-	Classifies    atomic.Int64
+	// Classify is the classification latency of one poll.
+	Classify Mean `count:"Classifies" unit:"ns"`
 
 	// Content-group fan-out. GroupJoins counts sessions that joined a
 	// content group; GroupLeaves counts departures on sync_end.
@@ -95,28 +91,11 @@ type SyncCounters struct {
 
 	// StreamQueueHighWater is the deepest persist subscriber queue observed
 	// when the broadcaster queues a batch (at most the queue's capacity).
-	StreamQueueHighWater atomic.Int64
+	StreamQueueHighWater Max
 }
 
-// ObserveQueueDepth folds one observed subscriber-queue depth into the
-// high-water mark.
-func (c *SyncCounters) ObserveQueueDepth(depth int) {
-	d := int64(depth)
-	for {
-		cur := c.StreamQueueHighWater.Load()
-		if d <= cur || c.StreamQueueHighWater.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// ObserveClassify records one poll's classification latency.
-func (c *SyncCounters) ObserveClassify(d time.Duration) {
-	c.ClassifyNanos.Add(int64(d))
-	c.Classifies.Add(1)
-}
-
-// SyncSnapshot is a point-in-time copy of the counters.
+// SyncSnapshot is a point-in-time copy of the counters: what the load rig
+// reads.
 type SyncSnapshot struct {
 	Begins, Polls, RetainPolls, Ends             int64
 	PDUAdds, PDUDeletes, PDUModifies, PDURetains int64
@@ -138,73 +117,7 @@ type SyncSnapshot struct {
 }
 
 // Snapshot copies the current counter values.
-func (c *SyncCounters) Snapshot() SyncSnapshot {
-	s := SyncSnapshot{
-		Begins:             c.Begins.Load(),
-		Polls:              c.Polls.Load(),
-		RetainPolls:        c.RetainPolls.Load(),
-		Ends:               c.Ends.Load(),
-		PDUAdds:            c.PDUAdds.Load(),
-		PDUDeletes:         c.PDUDeletes.Load(),
-		PDUModifies:        c.PDUModifies.Load(),
-		PDURetains:         c.PDURetains.Load(),
-		PDUPatches:         c.PDUPatches.Load(),
-		PDUMoves:           c.PDUMoves.Load(),
-		SuppressedModifies: c.SuppressedModifies.Load(),
-		FullReloads:        c.FullReloads.Load(),
-		ChunkedReloads:     c.ChunkedReloads.Load(),
-		ReloadChunks:       c.ReloadChunks.Load(),
-		Resumes:            c.Resumes.Load(),
-		ResumeRejects:      c.ResumeRejects.Load(),
+func (c *SyncCounters) Snapshot() (s SyncSnapshot) { fill(&s, c); return s }
 
-		ReloadSnapshotsBuilt:  c.ReloadSnapshotsBuilt.Load(),
-		ReloadSnapshotsShared: c.ReloadSnapshotsShared.Load(),
-
-		PersistStreams: c.PersistStreams.Load(),
-		StreamedPDUs:   c.StreamedPDUs.Load(),
-		Classifies:     c.Classifies.Load(),
-
-		GroupJoins:           c.GroupJoins.Load(),
-		GroupLeaves:          c.GroupLeaves.Load(),
-		SharedClassifyHits:   c.SharedClassifyHits.Load(),
-		SharedClassifyMisses: c.SharedClassifyMisses.Load(),
-		CoalescedCycles:      c.CoalescedCycles.Load(),
-		SlowDemotions:        c.SlowDemotions.Load(),
-		StreamEncodes:        c.StreamEncodes.Load(),
-		StreamDedupPDUs:      c.StreamDedupPDUs.Load(),
-		StreamQueueHighWater: c.StreamQueueHighWater.Load(),
-	}
-	if s.Classifies > 0 {
-		s.AvgClassify = time.Duration(c.ClassifyNanos.Load() / s.Classifies)
-	}
-	return s
-}
-
-// ClassifyDedupRatio returns the fraction of classification demand served
-// from the shared per-group cache (0 when nothing was classified).
-func (s SyncSnapshot) ClassifyDedupRatio() float64 {
-	total := s.SharedClassifyHits + s.SharedClassifyMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.SharedClassifyHits) / float64(total)
-}
-
-// PDUs returns the total update PDUs produced across all actions.
-func (s SyncSnapshot) PDUs() int64 {
-	return s.PDUAdds + s.PDUDeletes + s.PDUModifies + s.PDURetains
-}
-
-// String renders a compact status line for operator output.
-func (s SyncSnapshot) String() string {
-	return fmt.Sprintf(
-		"sync: begins=%d polls=%d retain=%d ends=%d persist=%d | pdus=%d (add=%d del=%d mod=%d [patch=%d (move=%d) image=%d] ret=%d suppressed=%d) streamed=%d | full-reloads=%d (chunked=%d chunks=%d resumes=%d rejects=%d) reload-snapshots=%d built/%d shared classify-avg=%s | groups: joins=%d leaves=%d classify-dedup=%.2f enc-dedup=%d/%d | slow: coalesced=%d demoted=%d qmax=%d",
-		s.Begins, s.Polls, s.RetainPolls, s.Ends, s.PersistStreams,
-		s.PDUs(), s.PDUAdds, s.PDUDeletes, s.PDUModifies, s.PDUPatches, s.PDUMoves, s.PDUModifies-s.PDUPatches, s.PDURetains,
-		s.SuppressedModifies, s.StreamedPDUs, s.FullReloads,
-		s.ChunkedReloads, s.ReloadChunks, s.Resumes, s.ResumeRejects,
-		s.ReloadSnapshotsBuilt, s.ReloadSnapshotsShared, s.AvgClassify,
-		s.GroupJoins, s.GroupLeaves, s.ClassifyDedupRatio(),
-		s.StreamDedupPDUs, s.StreamEncodes,
-		s.CoalescedCycles, s.SlowDemotions, s.StreamQueueHighWater)
-}
+// String renders the status line.
+func (c *SyncCounters) String() string { return status(c) }

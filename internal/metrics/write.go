@@ -1,15 +1,11 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // WriteCounters aggregates edge-write activity. On a replica they count the
 // local accept→forward→commit→retire lifecycle of edge-originated writes;
 // on the master they count the sequencer side (applied ops and dedup hits
-// from replayed forwards). All fields are atomic so the write path never
-// takes a lock to account an event.
+// from replayed forwards).
 type WriteCounters struct {
 	// Replica side: the edge-write lifecycle.
 	Accepted  atomic.Int64 // ops admitted and journaled to the WAL
@@ -24,55 +20,12 @@ type WriteCounters struct {
 
 	// Pending-overlay depth (gauge + high-water).
 	Pending          atomic.Int64
-	PendingHighWater atomic.Int64
+	PendingHighWater Max
 
 	// Master side: the CSN sequencer.
 	Applied    atomic.Int64 // edge ops applied and assigned a CSN
 	Duplicates atomic.Int64 // replayed forwards answered from the dedup table
 }
 
-// ObservePending records the current pending-overlay depth, maintaining the
-// high-water mark.
-func (c *WriteCounters) ObservePending(depth int) {
-	n := int64(depth)
-	c.Pending.Store(n)
-	for {
-		cur := c.PendingHighWater.Load()
-		if n <= cur || c.PendingHighWater.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// WriteSnapshot is a point-in-time copy of the counters.
-type WriteSnapshot struct {
-	Accepted, Rejected   int64
-	Forwarded, Committed int64
-	Retired, WALReplays  int64
-	Pending, PendingHigh int64
-	Applied, Duplicates  int64
-}
-
-// Snapshot copies the current counter values.
-func (c *WriteCounters) Snapshot() WriteSnapshot {
-	return WriteSnapshot{
-		Accepted:    c.Accepted.Load(),
-		Rejected:    c.Rejected.Load(),
-		Forwarded:   c.Forwarded.Load(),
-		Committed:   c.Committed.Load(),
-		Retired:     c.Retired.Load(),
-		WALReplays:  c.WALReplays.Load(),
-		Pending:     c.Pending.Load(),
-		PendingHigh: c.PendingHighWater.Load(),
-		Applied:     c.Applied.Load(),
-		Duplicates:  c.Duplicates.Load(),
-	}
-}
-
-// String renders a compact status line for operator output.
-func (s WriteSnapshot) String() string {
-	return fmt.Sprintf(
-		"writes: accepted=%d rejected=%d | forwarded=%d committed=%d retired=%d replays=%d | pending=%d (high=%d) | applied=%d dup=%d",
-		s.Accepted, s.Rejected, s.Forwarded, s.Committed, s.Retired, s.WALReplays,
-		s.Pending, s.PendingHigh, s.Applied, s.Duplicates)
-}
+// String renders the status line.
+func (c *WriteCounters) String() string { return status(c) }

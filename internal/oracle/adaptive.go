@@ -184,14 +184,14 @@ func runAdaptive(cfg Config, hseed int64, events []Event, rep *Report) *Failure 
 	if got := len(tier.Specs()); got > 2 {
 		return h.fail("adaptive tier holds %d specs, budget is 2", got)
 	}
-	tc := ctrl.Counters().Snapshot()
-	if tc.RejectionsObserved < 1 {
+	tc := ctrl.Counters()
+	if tc.RejectionsObserved.Load() < 1 {
 		return h.fail("control plane observed no rejections")
 	}
-	if tc.Generalizations < 1 {
+	if tc.Generalizations.Load() < 1 {
 		return h.fail("control plane never widened the tier")
 	}
-	if tc.LeavesMigratedBack < 1 {
+	if tc.LeavesMigratedBack.Load() < 1 {
 		return h.fail("no diverted leaf was recorded as migrated back")
 	}
 	// Widening volume is accounted asynchronously, once the adopted link

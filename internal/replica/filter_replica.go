@@ -122,26 +122,26 @@ func NewFilterReplica(opts ...FROption) (*FilterReplica, error) {
 	return r, nil
 }
 
-// AddStored registers a replicated query's meta information; content
-// arrives via ApplySync. It returns the stored-query handle.
-func (r *FilterReplica) AddStored(q query.Query, cookie string) *StoredQuery {
+// AddStored registers a replicated query's meta information, after which
+// queries it contains are answered from its content (ApplySync).
+func (r *FilterReplica) AddStored(q query.Query, cookie string) {
 	nq := q.Normalize()
-	sq := &StoredQuery{Query: nq, Cookie: cookie}
 	tpl := nq.Template()
 	r.mu.Lock()
-	r.stored[tpl] = append(r.stored[tpl], sq)
+	r.stored[tpl] = append(r.stored[tpl], &StoredQuery{Query: nq, Cookie: cookie})
 	r.mu.Unlock()
-	return sq
 }
 
 // RemoveStored drops a replicated query and releases the content it alone
-// covered. It returns the stored query (for session teardown) or nil.
+// covered, registered or not: content a transfer still in progress applied
+// is released too. It returns the stored query (for session teardown) or nil.
 func (r *FilterReplica) RemoveStored(q query.Query) *StoredQuery {
 	nq := q.Normalize()
 	key := ownerKey(nq)
 	tpl := nq.Template()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.dropOwnerLocked(key)
 	list := r.stored[tpl]
 	for i, sq := range list {
 		if ownerKey(sq.Query) == key {
@@ -149,7 +149,6 @@ func (r *FilterReplica) RemoveStored(q query.Query) *StoredQuery {
 			if len(r.stored[tpl]) == 0 {
 				delete(r.stored, tpl)
 			}
-			r.dropOwnerLocked(key)
 			return sq
 		}
 	}

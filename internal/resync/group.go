@@ -844,6 +844,6 @@ func (g *group) syncOne(st *subscriber) {
 	}
 	g.mu.Unlock()
 	if depth > 0 {
-		e.stats.ObserveQueueDepth(depth)
+		e.stats.StreamQueueHighWater.Observe(int64(depth))
 	}
 }

@@ -634,7 +634,7 @@ func (e *Engine) poll(sess *session) (*PollResult, error) {
 	updates, undo, enc := e.classifyFor(sess, changes)
 	res.Updates = updates
 	res.Enc = enc
-	e.stats.ObserveClassify(time.Since(start))
+	e.stats.Classify.Observe(int64(time.Since(start)))
 	csn := sess.csn
 	if len(changes) > 0 {
 		csn = changes[len(changes)-1].CSN

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,9 +133,23 @@ func TestRestartMidTransferResumes(t *testing.T) {
 	}
 
 	// Fresh incarnation on the same state directory: it must resume the
-	// transfer, not re-Begin.
+	// transfer, not re-Begin. Restored, it holds chunk zero's entries, and
+	// until the rest lands a query its spec contains misses.
 	h.inj.SetPlan(chaos.Plan{})
-	sup2 := startSupervisor(t, cfg)
+	rep2, err := replica.NewFilterReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup2, err := New(cfg, rep2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es, hit, _ := rep2.Answer(h.spec); hit || rep2.EntryCount() != 3 {
+		t.Errorf("restored mid-transfer: hit=%v with %d entries of %d held, want a miss over 3 held",
+			hit, len(es), rep2.EntryCount())
+	}
+	sup2.Start()
+	t.Cleanup(func() { _ = sup2.Stop() })
 	waitSynced(t, sup2)
 	waitConverged(t, h, sup2, 10*time.Second)
 
@@ -158,6 +173,69 @@ func TestRestartMidTransferResumes(t *testing.T) {
 	}
 }
 
+// TestHalfLandedTransferMisses: while a chunked transfer has landed only its
+// first chunk — the request for the next one is held on the wire — the
+// replica holds 3 of the spec's 8 entries, and a query the spec contains
+// misses (and is referred upstream) instead of answering from them. Once
+// the transfer completes the same query is a hit with all 8.
+func TestHalfLandedTransferMisses(t *testing.T) {
+	h := newChunkedHarness(t, 3) // 8 entries → chunks of 3,3,2
+	held, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
+	cfg := h.config(t)
+	var conns atomic.Int32
+	cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil || conns.Add(1) > 1 {
+			return c, err
+		}
+		return &holdSecondWrite{Conn: c, held: held, release: release}, nil
+	}
+	rep, err := replica.NewFilterReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := New(cfg, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Start()
+	t.Cleanup(func() { _ = sup.Stop() })
+
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request for chunk 1 was never written")
+	}
+	if es, hit, _ := rep.Answer(h.spec); hit || rep.EntryCount() != 3 {
+		t.Errorf("half-landed transfer: hit=%v with %d entries of %d held, want a miss over 3 held",
+			hit, len(es), rep.EntryCount())
+	}
+	releaseOnce()
+	waitSynced(t, sup)
+	waitConverged(t, h, sup, 10*time.Second)
+	if es, hit, _ := rep.Answer(h.spec); !hit || len(es) != 8 {
+		t.Errorf("complete transfer: hit=%v with %d entries, want a hit with 8", hit, len(es))
+	}
+}
+
+// holdSecondWrite holds a connection's second write — the first request
+// after the Begin — until release is closed, closing held when it starts.
+type holdSecondWrite struct {
+	net.Conn
+	writes        atomic.Int32
+	held, release chan struct{}
+}
+
+func (c *holdSecondWrite) Write(p []byte) (int, error) {
+	if c.writes.Add(1) == 2 {
+		close(c.held)
+		<-c.release
+	}
+	return c.Conn.Write(p)
+}
+
 // TestChunkedReloadSurvivesDrops: with connection drops armed for the whole
 // run, a chunked initial transfer still converges byte-identically.
 func TestChunkedReloadSurvivesDrops(t *testing.T) {
@@ -170,8 +248,8 @@ func TestChunkedReloadSurvivesDrops(t *testing.T) {
 	if eng := h.backend.Engine.Counters().Snapshot(); eng.ChunkedReloads < 1 {
 		t.Errorf("engine served %d chunked reloads, want >= 1", eng.ChunkedReloads)
 	}
-	if drops := h.inj.Stats().Drops; drops == 0 {
-		t.Skip("chaos plan injected no drops; nothing exercised")
+	if sup.Counters().Reconnects.Load() == 0 {
+		t.Skip("no injected drop reached the supervisor; nothing exercised")
 	}
 }
 

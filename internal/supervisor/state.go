@@ -131,9 +131,12 @@ func (s *Supervisor) restore() error {
 	for i, e := range entries {
 		updates[i] = resync.Update{Action: resync.ActionAdd, DN: e.DN(), Entry: e}
 	}
-	s.rep.AddStored(s.cfg.Spec, pos.Cookie)
 	if err := s.rep.ApplySync(s.cfg.Spec, updates); err != nil {
 		return fmt.Errorf("replay durable content: %w", err)
+	}
+	if tok.IsZero() { // a transfer cut short answers once the rest has landed
+		s.rep.AddStored(s.cfg.Spec, pos.Cookie)
+		s.registered = true
 	}
 	// The cookie names a session at the server that issued it: resume there
 	// even if it is the fallback (run then watches Master, as after a divert).

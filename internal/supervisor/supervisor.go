@@ -53,25 +53,16 @@ const (
 	StateStopped
 )
 
+var stateNames = [...]string{
+	StateIdle: "idle", StateConnecting: "connecting", StateSyncing: "syncing", StatePolling: "polling",
+	StateStreaming: "streaming", StateBackoff: "backoff", StateStopped: "stopped",
+}
+
 func (s State) String() string {
-	switch s {
-	case StateIdle:
-		return "idle"
-	case StateConnecting:
-		return "connecting"
-	case StateSyncing:
-		return "syncing"
-	case StatePolling:
-		return "polling"
-	case StateStreaming:
-		return "streaming"
-	case StateBackoff:
-		return "backoff"
-	case StateStopped:
-		return "stopped"
-	default:
-		return fmt.Sprintf("state(%d)", int32(s))
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", int32(s))
 }
 
 // Mode selects the steady-state synchronization style.
@@ -179,6 +170,7 @@ type Supervisor struct {
 	// Durable state (state.go); run goroutine only once started.
 	journal      *persist.Journal // nil without a StateDir
 	contentReset bool             // resetContent ran since the last commit
+	registered   bool             // the spec is in the replica's stored set: a transfer completed
 	journalGap   bool             // a commit failed: only a snapshot makes the state whole
 
 	// Filters-watch state (the run goroutine starts and stops the watch;
@@ -820,6 +812,10 @@ func (s *Supervisor) land(res *resync.PollResult) error {
 		}
 	}
 	if res.Resume == nil {
+		if !s.registered {
+			s.rep.AddStored(s.cfg.Spec, cookie)
+			s.registered = true
+		}
 		s.noteExchange()
 		s.noteWatermark(res.CSN)
 	}
@@ -834,11 +830,11 @@ func (s *Supervisor) noteWatermark(csn uint64) {
 	}
 }
 
-// resetContent drops the spec's replicated content and the sync point that
-// described it (Begin, full reload); land adopts the new one.
+// resetContent drops the spec's replicated content, stored-set entry and
+// sync point (Begin, full reload); land adopts the new ones once complete.
 func (s *Supervisor) resetContent() {
 	s.rep.RemoveStored(s.cfg.Spec)
-	s.rep.AddStored(s.cfg.Spec, "")
+	s.registered = false
 	s.setCookie("")
 	s.contentReset = true
 }
@@ -853,7 +849,7 @@ func (s *Supervisor) backoff(attempt *int) {
 	case <-time.After(d):
 	case <-s.stop:
 	}
-	s.counters.ObserveBackoff(time.Since(start))
+	s.counters.Backoff.Observe(int64(time.Since(start)))
 }
 
 // nextBackoff computes one capped exponential backoff delay, jittered to

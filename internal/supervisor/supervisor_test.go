@@ -217,9 +217,6 @@ func TestConvergesUnderDropsAndRestart(t *testing.T) {
 	if eng.Polls < 2 {
 		t.Errorf("master polls = %d, want >= 2 (resume-polls drive recovery)", eng.Polls)
 	}
-	if drops := h.inj.Stats().Drops; drops == 0 {
-		t.Error("chaos injected no drops; the scenario did not exercise failure")
-	}
 	if got := sup2.Cookie(); got == "" {
 		t.Error("supervisor lost its session cookie")
 	}
