@@ -352,9 +352,8 @@ func start(o options) (srv *ldapnet.Server, stop func(), status func(io.Writer),
 
 	status = func(w io.Writer) {
 		rep := tier.Replica()
-		m := rep.Metrics()
-		fmt.Fprintf(w, "ldapreplica: %d entries; hit ratio %.2f (%d queries)\n",
-			rep.EntryCount(), m.HitRatio(), m.Queries)
+		fmt.Fprintf(w, "ldapreplica: %d entries; hit ratio %.2f\n", rep.EntryCount(), rep.Counters().HitRatio())
+		fmt.Fprintf(w, "ldapreplica: %s\n", rep.Counters())
 		if o.serve {
 			fmt.Fprintf(w, "ldapreplica: %s\n", tier.Counters())
 			fmt.Fprintf(w, "ldapreplica: downstream %s\n", tier.SyncCounters())

@@ -110,8 +110,8 @@ func run() error {
 	fmt.Printf("\nafter master delete + poll: %d updates, replica holds %d entries\n",
 		len(poll.Updates), replica.EntryCount())
 
-	m := replica.Metrics()
+	m := replica.Counters()
 	fmt.Printf("replica metrics: %d queries, %d hits, hit ratio %.2f\n",
-		m.Queries, m.Hits, m.HitRatio())
+		m.Queries.Load(), m.Hits.Load(), m.HitRatio())
 	return nil
 }

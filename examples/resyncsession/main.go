@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"filterdir"
 	"filterdir/internal/dit"
@@ -109,7 +110,12 @@ func run() error {
 		filterdir.RDN{Attr: "cn", Value: "E5"}, filterdir.MustParseDN("c=us,o=xyz")); err != nil {
 		return err
 	}
-	batch := <-sub.Updates
+	timer := time.AfterFunc(5*time.Second, sub.Close)
+	batch, ok := sub.Next()
+	timer.Stop()
+	if !ok {
+		return fmt.Errorf("no change notification within 5s")
+	}
 	printUpdates("server -> client: change notification (E3 renamed to E5)", batch.Updates)
 
 	fmt.Println("client -> server: abandon")

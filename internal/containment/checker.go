@@ -4,28 +4,13 @@ import (
 	"sync"
 
 	"filterdir/internal/filter"
+	"filterdir/internal/metrics"
 	"filterdir/internal/query"
 )
 
-// Stats counts how containment decisions were reached; the template
-// machinery exists to drive traffic away from the generic path.
-type Stats struct {
-	// SameTemplate counts Proposition 3 fast-path decisions.
-	SameTemplate uint64
-	// Compiled counts evaluations of a pre-compiled template-pair condition.
-	Compiled uint64
-	// ImpossiblePruned counts queries rejected by a template pair known to
-	// admit no containment regardless of assertion values.
-	ImpossiblePruned uint64
-	// AlwaysAccepted counts queries accepted by a template pair whose
-	// containment holds for all assertion values.
-	AlwaysAccepted uint64
-	// Fallback counts full Proposition 1 checks for pairs too complex to
-	// compile.
-	Fallback uint64
-	// PlansCompiled counts distinct template pairs analyzed.
-	PlansCompiled uint64
-}
+// Stats counts how containment decisions were reached (see
+// metrics.ContainmentCounters).
+type Stats = metrics.ContainmentSnapshot
 
 type planKind int
 
@@ -48,9 +33,9 @@ type plan struct {
 //
 // The zero value is not usable; call NewChecker.
 type Checker struct {
-	mu    sync.Mutex
-	plans map[string]*plan
-	stats Stats
+	mu     sync.Mutex
+	plans  map[string]*plan
+	counts metrics.ContainmentCounters
 }
 
 // NewChecker creates a Checker with an empty plan cache.
@@ -59,33 +44,29 @@ func NewChecker() *Checker {
 }
 
 // Stats returns a snapshot of the decision counters.
-func (c *Checker) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *Checker) Stats() Stats { return c.counts.Snapshot() }
 
 // FilterContains decides f1 ⊆ f2 using the fastest applicable method.
 func (c *Checker) FilterContains(f1, f2 *filter.Node) bool {
 	f1, f2 = orDefault(f1), orDefault(f2)
 	t1, t2 := f1.Template(), f2.Template()
 	if t1 == t2 && f1.IsPositive() && f2.IsPositive() {
-		c.bump(func(s *Stats) { s.SameTemplate++ })
+		c.counts.SameTemplate.Add(1)
 		return SameTemplateContains(f1, f2)
 	}
 	p := c.planFor(t1, t2, f1, f2)
 	switch p.kind {
 	case planImpossible:
-		c.bump(func(s *Stats) { s.ImpossiblePruned++ })
+		c.counts.ImpossiblePruned.Add(1)
 		return false
 	case planAlways:
-		c.bump(func(s *Stats) { s.AlwaysAccepted++ })
+		c.counts.AlwaysAccepted.Add(1)
 		return true
 	case planCompiled:
-		c.bump(func(s *Stats) { s.Compiled++ })
+		c.counts.Compiled.Add(1)
 		return p.cond.eval(env{a: f1.SlotValues(), b: f2.SlotValues()})
 	default:
-		c.bump(func(s *Stats) { s.Fallback++ })
+		c.counts.Fallback.Add(1)
 		ok, err := FilterContainsGeneric(f1, f2)
 		return err == nil && ok
 	}
@@ -116,12 +97,6 @@ func (c *Checker) QueryContains(q, qs query.Query) bool {
 	return c.FilterContains(q.Filter, qs.Filter)
 }
 
-func (c *Checker) bump(f func(*Stats)) {
-	c.mu.Lock()
-	f(&c.stats)
-	c.mu.Unlock()
-}
-
 // planFor returns the cached template-pair plan, compiling it on first use.
 // Compilation replaces assertion values with slot markers, computes
 // DNF(F1 ∧ ¬F2) — whose structure depends only on the templates — and
@@ -144,7 +119,7 @@ func (c *Checker) planFor(t1, t2 string, f1, f2 *filter.Node) *plan {
 		p = prior
 	} else {
 		c.plans[key] = p
-		c.stats.PlansCompiled++
+		c.counts.PlansCompiled.Add(1)
 	}
 	c.mu.Unlock()
 	return p

@@ -2,6 +2,7 @@ package edgewrite
 
 import (
 	"fmt"
+	"slices"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
@@ -22,15 +23,7 @@ func Admitter(specs []query.Query, lookup func(dn.DN) (*entry.Entry, bool)) func
 		normalized[i] = q.Normalize()
 	}
 	covered := func(e *entry.Entry) bool {
-		for _, q := range normalized {
-			if !q.InScope(e.DN()) {
-				continue
-			}
-			if q.Filter == nil || q.Filter.Matches(e) {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(normalized, func(q query.Query) bool { return q.Selects(e) })
 	}
 	return func(c dit.Change) error {
 		switch c.Type {

@@ -98,7 +98,7 @@ func (w *Writer) Overlay(q query.Query, entries []*entry.Entry) []*entry.Entry {
 			remove(norm)
 			continue
 		}
-		if nq.InScope(img.d) && (nq.Filter == nil || nq.Filter.Matches(img.e)) {
+		if nq.Selects(img.e) {
 			sel := img.e.Select(nq.Attrs)
 			replaced := false
 			for i, e := range out {

@@ -114,90 +114,74 @@ func (s *Server) dropConn(conn net.Conn) {
 	_ = conn.Close()
 }
 
-// connState tracks per-connection persistent searches and filters watches
-// for abandon, plus the connection's writer.
+// connState is one connection's writer and its table of open requests:
+// those answered later, on a goroutine of their own (Server.answerLater),
+// each by the cancel that ends it early. A cancel is held by pointer, so an
+// answer that returns removes its own entry, never that of a later request
+// under the same ID.
 type connState struct {
-	mu       sync.Mutex
-	persists map[int64]*resync.Subscription
-	watches  map[int64]chan struct{}
-	w        *connWriter
+	mu   sync.Mutex
+	open map[int64]*func()
+	w    *connWriter
 }
 
-func (cs *connState) addPersist(id int64, sub *resync.Subscription) {
-	cs.mu.Lock()
-	cs.persists[id] = sub
-	cs.mu.Unlock()
-}
-
-func (cs *connState) takePersist(id int64) *resync.Subscription {
+// take removes an open request's cancel from the table; whoever takes it
+// calls it, so each cancel is called at most once.
+func (cs *connState) take(id int64) func() {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	sub := cs.persists[id]
-	delete(cs.persists, id)
-	return sub
+	cancel := cs.open[id]
+	if cancel == nil {
+		return nil
+	}
+	delete(cs.open, id)
+	return *cancel
 }
 
-// addWatch registers a filters watch; the returned channel is
-// closed when the watch is cancelled (abandon or connection teardown).
-func (cs *connState) addWatch(id int64) chan struct{} {
-	cancel := make(chan struct{})
+// cancelAll cancels every open request (connection teardown).
+func (cs *connState) cancelAll() {
 	cs.mu.Lock()
-	cs.watches[id] = cancel
+	open := cs.open
+	cs.open = nil
 	cs.mu.Unlock()
-	return cancel
-}
-
-// dropWatch removes a finished watch without cancelling it (the watch
-// goroutine calls this on exit). Channel close is left to cancelWatch and
-// closeAll, which delete the entry under the same lock — so each cancel
-// channel is closed at most once.
-func (cs *connState) dropWatch(id int64) {
-	cs.mu.Lock()
-	delete(cs.watches, id)
-	cs.mu.Unlock()
-}
-
-// cancelWatch cancels a pending watch, if any (abandon).
-func (cs *connState) cancelWatch(id int64) {
-	cs.mu.Lock()
-	cancel := cs.watches[id]
-	delete(cs.watches, id)
-	cs.mu.Unlock()
-	if cancel != nil {
-		close(cancel)
+	for _, cancel := range open {
+		(*cancel)()
 	}
 }
 
-func (cs *connState) closeAll() {
-	cs.mu.Lock()
-	subs := make([]*resync.Subscription, 0, len(cs.persists))
-	for _, sub := range cs.persists {
-		subs = append(subs, sub)
+// answerLater answers request id on a goroutine of its own, so the
+// connection's read loop stays free to process abandons, with cancel in the
+// connection's table until the answer returns: abandon and teardown take it
+// from there and call it, which must make answer return. A request that
+// reuses the ID of one still open is cancelled at once and not registered,
+// since an abandon of that ID could not tell the two apart.
+func (s *Server) answerLater(state *connState, id int64, cancel func(), answer func()) {
+	state.mu.Lock()
+	_, inUse := state.open[id]
+	if !inUse {
+		state.open[id] = &cancel
 	}
-	cs.persists = make(map[int64]*resync.Subscription)
-	cancels := make([]chan struct{}, 0, len(cs.watches))
-	for _, cancel := range cs.watches {
-		cancels = append(cancels, cancel)
+	state.mu.Unlock()
+	if inUse {
+		cancel()
 	}
-	cs.watches = make(map[int64]chan struct{})
-	cs.mu.Unlock()
-	for _, sub := range subs {
-		sub.Close()
-	}
-	for _, cancel := range cancels {
-		close(cancel)
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		answer()
+		state.mu.Lock()
+		if state.open[id] == &cancel {
+			delete(state.open, id)
+		}
+		state.mu.Unlock()
+	}()
 }
 
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
-	state := &connState{
-		persists: make(map[int64]*resync.Subscription),
-		watches:  make(map[int64]chan struct{}),
-		w:        newConnWriter(conn),
-	}
-	defer state.closeAll()
+	state := &connState{open: make(map[int64]*func()), w: newConnWriter(conn)}
+	defer state.cancelAll()
 	r := bufio.NewReader(conn)
 	for {
 		msg, err := proto.ReadMessage(r)
@@ -217,10 +201,9 @@ func (s *Server) handle(conn net.Conn) {
 		case *proto.BindRequest:
 			s.reply(out, msg.ID, &proto.BindResponse{}, proto.ResultSuccess, "", nil, nil)
 		case *proto.AbandonRequest:
-			if sub := state.takePersist(op.MessageID); sub != nil {
-				sub.Close()
+			if cancel := state.take(op.MessageID); cancel != nil {
+				cancel()
 			}
-			state.cancelWatch(op.MessageID)
 			// Abandon has no response.
 		case *proto.SearchRequest:
 			s.handleSearch(out, state, msg, op)
@@ -457,10 +440,9 @@ func sortEntries(entries []*entry.Entry, keys []proto.SortKey) {
 // handleFiltersWatch parks a long-poll until the backend can serve q as a
 // sync spec, then answers a bare SearchDone, so a diverted leaf learns when
 // to come back without polling. The backend says what to wait on, and is
-// told for how long the watch waits: the wait runs in its own goroutine,
-// re-asking each time the backend's channel closes, so the connection's read
-// loop stays free to process abandons, and teardown cancels via
-// connState.closeAll.
+// told for how long the watch waits: the wait is answered later
+// (answerLater), re-asking each time the backend's channel closes, and
+// abandon or teardown cancel it.
 func (s *Server) handleFiltersWatch(out *response, state *connState, id int64, q query.Query) {
 	fw, ok := s.backend.(FilterWatcher)
 	if !ok {
@@ -473,12 +455,9 @@ func (s *Server) handleFiltersWatch(out *response, state *connState, id int64, q
 		s.reply(out, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil, nil)
 		return
 	}
-	cancel := state.addWatch(id)
+	cancel := make(chan struct{})
 	release := fw.Park(q)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer state.dropWatch(id)
+	s.answerLater(state, id, func() { close(cancel) }, func() {
 		defer release()
 		for !ready {
 			select {
@@ -491,7 +470,7 @@ func (s *Server) handleFiltersWatch(out *response, state *connState, id int64, q
 		late := &response{w: state.w}
 		s.reply(late, id, &proto.SearchDone{}, proto.ResultSuccess, "", nil, nil)
 		_ = late.end()
-	}()
+	})
 }
 
 // handleReSync implements the server side of Section 5.2: (i) a null cookie
@@ -561,18 +540,17 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
 		return
 	}
-	state.addPersist(id, sub)
-	// Stream in a separate goroutine so the connection's read loop keeps
-	// processing abandon and unbind requests. Each pushed batch is written as
-	// a response of its own; the subscription ends via abandon (takePersist),
-	// connection teardown (closeAll), engine-side slow-consumer demotion
-	// (channel close) or a failed write here, whose stream done then goes
-	// nowhere. A clean end names the sync point the last batch reached.
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
+	// Each pushed batch is written as a response of its own; the stream ends
+	// by abandon or connection teardown (sub.Close), engine-side slow-consumer
+	// demotion or a failed write here, whose stream done then goes nowhere. A
+	// clean end names the sync point the last batch reached.
+	s.answerLater(state, id, sub.Close, func() {
 		cookie := res.Cookie
-		for batch := range sub.Updates {
+		for {
+			batch, ok := sub.Next()
+			if !ok {
+				break
+			}
 			if err := s.writeBatch(state.w, id, batch); err != nil {
 				sub.Close()
 				s.streamDone(state.w, id, "", err)
@@ -581,7 +559,7 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 			cookie = batch.Cookie
 		}
 		s.streamDone(state.w, id, cookie, nil)
-	}()
+	})
 }
 
 // searchEntryTag supplies only the application tag to the pre-encoded-body

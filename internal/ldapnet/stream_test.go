@@ -3,6 +3,8 @@ package ldapnet
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -206,4 +208,143 @@ func TestStreamEndNamesLastBatch(t *testing.T) {
 	if cookie != last || full {
 		t.Errorf("stream end names %q (full reload %v), want the last batch's %q", cookie, full, last)
 	}
+}
+
+// parkingBackend is a store backend that takes filters watches and never
+// finds one ready, so every watch stays parked until it is cancelled.
+type parkingBackend struct{ *StoreBackend }
+
+func (parkingBackend) Ready(query.Query) (bool, <-chan struct{}) { return false, nil }
+func (parkingBackend) Park(query.Query) func()                   { return func() {} }
+
+// TestOneGoroutinePerOpenRequest: a persist stream and a parked filters
+// watch each cost the supplier one goroutine, and abandon and connection
+// teardown give every one of them back, also when a request reused the ID
+// of an open one.
+func TestOneGoroutinePerOpenRequest(t *testing.T) {
+	const streams, watches = 6, 4
+	store := newTestStore(t)
+	srv, err := Serve("127.0.0.1:0", parkingBackend{NewStoreBackend(store)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	sessions := dialT(t, srv.Addr())
+	cookie := func() string {
+		t.Helper()
+		res, err := sessions.Begin(streamSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cookie
+	}
+	// open sends a request the server answers later, without reading it.
+	open := func(c *Client, watch bool) int64 {
+		t.Helper()
+		control := proto.NewReSyncRequestControl(proto.ReSyncModePersist, cookie())
+		if watch {
+			control = proto.NewFiltersWatchControl()
+		}
+		id, err := c.send(&proto.SearchRequest{Query: streamSpec}, control)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	// A bind answered means every request sent before it was dispatched.
+	settle := func(cs ...*Client) {
+		t.Helper()
+		for _, c := range cs {
+			if err := bind(c, "", ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The count is of goroutines started since the baseline, not of all:
+	// those of earlier tests may still be winding down meanwhile (a content
+	// group's broadcaster exits after its last stream closes, unwaited).
+	var baseline map[string]bool
+	goroutines := func(want int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			n := 0
+			for id := range goroutineIDs() {
+				if !baseline[id] {
+					n++
+				}
+			}
+			if n == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines more than at the start, want %d", what, n, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// The content group's broadcaster is one per group, not per stream: a
+	// first stream starts it before the baseline.
+	kept := dialT(t, srv.Addr())
+	open(kept, false)
+	settle(kept)
+	baseline = goroutineIDs()
+
+	// Two connections, each a read loop of its own.
+	abandoned, dropped := dialT(t, srv.Addr()), dialT(t, srv.Addr())
+	settle(abandoned, dropped)
+	goroutines(2, "two connections")
+	var ids []int64
+	for i := 0; i < streams+watches; i++ {
+		watch := i >= streams
+		if i%2 == 0 {
+			ids = append(ids, open(abandoned, watch))
+		} else {
+			open(dropped, watch)
+		}
+	}
+	settle(abandoned, dropped)
+	goroutines(2+streams+watches, fmt.Sprintf("%d streams and %d parked watches open", streams, watches))
+
+	// A watch that reuses the ID of one still open is cancelled at once: an
+	// abandon of the ID could not tell the two apart.
+	reuse := &proto.Message{ID: ids[len(ids)-1], Op: &proto.SearchRequest{Query: streamSpec},
+		Controls: []proto.Control{proto.NewFiltersWatchControl()}}
+	if err := reuse.Write(abandoned.conn); err != nil {
+		t.Fatal(err)
+	}
+	settle(abandoned)
+	goroutines(2+streams+watches, "a watch reusing an open ID")
+
+	for _, id := range ids {
+		if _, err := abandoned.send(&proto.AbandonRequest{MessageID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = dropped.Close()
+	settle(abandoned)
+	goroutines(1, "half abandoned, the other half's connection closed")
+	_ = abandoned.Close()
+	goroutines(0, "both connections closed")
+}
+
+// goroutineIDs returns the IDs of the process's live goroutines.
+func goroutineIDs() map[string]bool {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := make(map[string]bool)
+	for _, line := range strings.Split(string(buf), "\n") {
+		if rest, ok := strings.CutPrefix(line, "goroutine "); ok {
+			ids[strings.Fields(rest)[0]] = true
+		}
+	}
+	return ids
 }

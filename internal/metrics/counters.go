@@ -9,8 +9,9 @@ import (
 )
 
 // A counter set (SyncCounters, StoreCounters, ReplicaCounters,
-// CascadeCounters, TierCounters, WriteCounters) is a struct of exported
-// atomic.Int64, Max and Mean fields. A hot path updates a field directly —
+// CascadeCounters, TierCounters, WriteCounters, AnswerCounters,
+// ContainmentCounters) is a struct of exported atomic.Int64, Max and Mean
+// fields. A hot path updates a field directly —
 // one atomic operation, no lock, no registration — and the one reader below
 // lists a set's counters by field name for its snapshot and status line.
 //
@@ -83,11 +84,16 @@ func read(set any) []reading {
 }
 
 // fill sets the fields of *snap from set's counters of the same names. A
-// snapshot field of type time.Duration takes the nanoseconds as they are.
+// snapshot field of type time.Duration takes the nanoseconds as they are;
+// an unsigned one takes the counter's value, which never goes below zero.
 func fill(snap, set any) {
 	s := reflect.ValueOf(snap).Elem()
 	put := func(name string, x int64) {
-		if f := s.FieldByName(name); f.IsValid() {
+		switch f := s.FieldByName(name); {
+		case !f.IsValid():
+		case f.CanUint():
+			f.SetUint(uint64(x))
+		default:
 			f.SetInt(x)
 		}
 	}

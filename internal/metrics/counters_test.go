@@ -11,12 +11,13 @@ import (
 	"time"
 )
 
-// TestCounterSets sets every counter of each of the six sets to a value of
-// its own and checks that the status line prints each one as its field name
-// in kebab case, and that the three snapshot types carry each one and hold
-// no field the reader leaves unset.
+// TestCounterSets sets every counter of each of the eight sets to a value
+// of its own and checks that the status line prints each one as its field
+// name in kebab case, and that the four snapshot types carry each one and
+// hold no field the reader leaves unset.
 func TestCounterSets(t *testing.T) {
 	syncs, store, rep := &SyncCounters{}, &StoreCounters{}, &ReplicaCounters{}
+	contain := &ContainmentCounters{}
 	cases := []struct {
 		set    fmt.Stringer
 		prefix string
@@ -28,6 +29,8 @@ func TestCounterSets(t *testing.T) {
 		{&CascadeCounters{}, "cascade", nil},
 		{&TierCounters{}, "tier", nil},
 		{&WriteCounters{}, "write", nil},
+		{&AnswerCounters{}, "answer", nil},
+		{contain, "containment", func() any { return contain.Snapshot() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.prefix, func(t *testing.T) {
@@ -82,19 +85,41 @@ func TestCounterSets(t *testing.T) {
 					}
 				}
 				for name, x := range got {
-					if sf := snap.FieldByName(name); sf.IsValid() && sf.Int() != x {
-						t.Errorf("snapshot %s = %d, want %d", name, sf.Int(), x)
+					if sf := snap.FieldByName(name); sf.IsValid() && intOf(sf) != x {
+						t.Errorf("snapshot %s = %d, want %d", name, intOf(sf), x)
 					} else if !sf.IsValid() && !strings.HasPrefix(name, "Avg") {
 						t.Errorf("snapshot has no %s", name)
 					}
 				}
 			}
 			for i := range snap.NumField() {
-				if snap.Field(i).Int() == 0 {
+				if intOf(snap.Field(i)) == 0 {
 					t.Errorf("snapshot field %s names no counter", snap.Type().Field(i).Name)
 				}
 			}
 		})
+	}
+}
+
+// intOf reads a signed or unsigned snapshot field.
+func intOf(v reflect.Value) int64 {
+	if v.CanUint() {
+		return int64(v.Uint())
+	}
+	return v.Int()
+}
+
+// TestAnswerHitRatio: the hit ratio is hits over queries, and 0 before the
+// first query.
+func TestAnswerHitRatio(t *testing.T) {
+	var c AnswerCounters
+	if got := c.HitRatio(); got != 0 {
+		t.Errorf("HitRatio() = %v before any query, want 0", got)
+	}
+	c.Queries.Add(4)
+	c.Hits.Add(3)
+	if got := c.HitRatio(); got != 0.75 {
+		t.Errorf("HitRatio() = %v, want 0.75", got)
 	}
 }
 

@@ -153,19 +153,19 @@ func (x *flat) persist(c *consumer) *Failure {
 	drained := &resync.PollResult{Cookie: c.cookie}
 	if diff := describeDiff(c.content, x.mdl.selection(c.spec)); diff != "" {
 		// Updates are due: exactly one batch covers the whole interval.
-		select {
-		case b, ok := <-sub.Updates:
-			if !ok {
-				// Stream ended (journal no longer covers the position): the
-				// consumer falls back to a poll, which carries the reload.
-				sub.Close()
-				return x.poll(c, false)
-			}
-			drained = &resync.PollResult{Updates: b.Updates, Cookie: b.Cookie}
-		case <-time.After(2 * time.Second):
-			sub.Close()
+		timer := time.AfterFunc(2*time.Second, sub.Close)
+		b, ok := sub.Next()
+		late := !timer.Stop() && !ok
+		switch {
+		case late:
 			return x.fail("persist %q: replica out of date but no batch pushed:\n%s", c.spec, diff)
+		case !ok:
+			// Stream ended (journal no longer covers the position): the
+			// consumer falls back to a poll, which carries the reload.
+			sub.Close()
+			return x.poll(c, false)
 		}
+		drained = &resync.PollResult{Updates: b.Updates, Cookie: b.Cookie}
 	}
 	sub.Close()
 	return x.land(c, drained, false, x.mdl)

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"filterdir/internal/dn"
+	"filterdir/internal/entry"
 	"filterdir/internal/filter"
 )
 
@@ -130,6 +131,12 @@ func (q Query) InScope(target dn.DN) bool {
 	default:
 		return false
 	}
+}
+
+// Selects reports whether e is in the query's result: in scope, and the
+// filter matches (a query without a filter matches everything in scope).
+func (q Query) Selects(e *entry.Entry) bool {
+	return q.InScope(e.DN()) && (q.Filter == nil || q.Filter.Matches(e))
 }
 
 // WantsAllAttrs reports whether the query selects every user attribute.

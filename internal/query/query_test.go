@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"filterdir/internal/dn"
+	"filterdir/internal/entry"
 )
 
 func TestNewAndFilterDefault(t *testing.T) {
@@ -67,6 +68,35 @@ func TestInScope(t *testing.T) {
 		q := MustNew(base, tt.scope, "")
 		if got := q.InScope(tt.target); got != tt.want {
 			t.Errorf("scope %v target %s: InScope = %v, want %v", tt.scope, tt.target, got, tt.want)
+		}
+	}
+}
+
+// TestSelects: an entry is selected when it is in scope and the filter
+// matches it; a query without a filter selects everything in scope.
+func TestSelects(t *testing.T) {
+	person := func(d, serial string) *entry.Entry {
+		e := entry.New(dn.MustParse(d))
+		e.Put("objectclass", "person").Put("serialNumber", serial)
+		return e
+	}
+	in, other := person("cn=a,c=us,o=xyz", "0401"), person("cn=b,c=us,o=xyz", "0501")
+	outside := person("cn=c,o=abc", "0401")
+	q := MustNew("c=us,o=xyz", ScopeSubtree, "(serialnumber=04*)")
+	unfiltered := Query{Base: q.Base, Scope: ScopeSingleLevel}
+	for _, tc := range []struct {
+		q    Query
+		e    *entry.Entry
+		want bool
+	}{
+		{q, in, true},
+		{q, other, false},
+		{q, outside, false},
+		{unfiltered, other, true},
+		{unfiltered, outside, false},
+	} {
+		if got := tc.q.Selects(tc.e); got != tc.want {
+			t.Errorf("%s selects %s = %v, want %v", tc.q, tc.e.DN(), got, tc.want)
 		}
 	}
 }

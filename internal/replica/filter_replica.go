@@ -9,6 +9,7 @@ import (
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
+	"filterdir/internal/metrics"
 	"filterdir/internal/query"
 	"filterdir/internal/resync"
 )
@@ -57,7 +58,7 @@ type FilterReplica struct {
 	// during wiring, before the replica serves queries.
 	overlay func(q query.Query, entries []*entry.Entry) []*entry.Entry
 
-	m Metrics
+	counts metrics.AnswerCounters
 }
 
 // Option configures a FilterReplica.
@@ -297,37 +298,30 @@ func (r *FilterReplica) CacheQuery(q query.Query, result []*entry.Entry) error {
 // entries held only by unrelated cached queries out of fresh answers.
 func (r *FilterReplica) Answer(q query.Query) (entries []*entry.Entry, hit bool, via string) {
 	nq := q.Normalize()
+	r.counts.Queries.Add(1)
 	r.mu.Lock()
-	r.m.Queries++
 	container, ownerID := r.findContainerLocked(nq)
 	if container == nil {
-		r.m.Misses++
 		r.mu.Unlock()
+		r.counts.Misses.Add(1)
 		return nil, false, ""
 	}
-	r.m.Hits++
 	norms := make([]string, 0, len(r.ownerDNs[ownerID]))
 	for norm := range r.ownerDNs[ownerID] {
 		norms = append(norms, norm)
 	}
 	r.mu.Unlock()
+	r.counts.Hits.Add(1)
 
-	f := nq.Filter
 	for _, norm := range norms {
-		held, ok := r.store.Held(norm)
-		if !ok || !nq.InScope(held.DN()) {
-			continue
-		}
-		if f == nil || f.Matches(held) {
+		if held, ok := r.store.Held(norm); ok && nq.Selects(held) {
 			entries = append(entries, held.Clone().Select(nq.Attrs))
 		}
 	}
 	if r.overlay != nil {
 		entries = r.overlay(nq, entries)
 	}
-	r.mu.Lock()
-	r.m.EntriesReturned += uint64(len(entries))
-	r.mu.Unlock()
+	r.counts.EntriesReturned.Add(int64(len(entries)))
 	return entries, true, container.Query.String()
 }
 
@@ -346,7 +340,7 @@ func (r *FilterReplica) findContainerLocked(nq query.Query) (*StoredQuery, strin
 	tpl := nq.Template()
 	if list, ok := r.stored[tpl]; ok {
 		for _, sq := range list {
-			r.m.ContainmentChecks++
+			r.counts.ContainmentChecks.Add(1)
 			if r.checker.QueryContains(nq, sq.Query) {
 				return sq, ownerKey(sq.Query)
 			}
@@ -357,14 +351,14 @@ func (r *FilterReplica) findContainerLocked(nq query.Query) (*StoredQuery, strin
 			continue
 		}
 		for _, sq := range list {
-			r.m.ContainmentChecks++
+			r.counts.ContainmentChecks.Add(1)
 			if r.checker.QueryContains(nq, sq.Query) {
 				return sq, ownerKey(sq.Query)
 			}
 		}
 	}
 	for _, cq := range r.cache {
-		r.m.ContainmentChecks++
+		r.counts.ContainmentChecks.Add(1)
 		if r.checker.QueryContains(nq, cq.Query) {
 			return cq, "cache:" + ownerKey(cq.Query)
 		}
@@ -462,12 +456,9 @@ func (r *FilterReplica) dropOwnerLocked(key string) {
 	_ = r.store.ApplyOwned(ops) // removals of held entries cannot fail
 }
 
-// Metrics returns a snapshot of the counters.
-func (r *FilterReplica) Metrics() Metrics {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m
-}
+// Counters exposes the replica's answer counters; callers may read them
+// concurrently.
+func (r *FilterReplica) Counters() *metrics.AnswerCounters { return &r.counts }
 
 // EntryCount returns the number of entries held.
 func (r *FilterReplica) EntryCount() int { return r.store.Len() }

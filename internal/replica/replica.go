@@ -10,23 +10,3 @@
 // isContained(b, C) — the base equals the suffix or lies under it — is
 // exactly query containment in that stored query.
 package replica
-
-// Metrics counts replica outcomes. Hit-ratio is Hits / Queries; the paper
-// defines a hit as a query completely answered without generating referrals.
-type Metrics struct {
-	Queries uint64
-	Hits    uint64
-	Misses  uint64
-	// ContainmentChecks counts stored/cached queries examined.
-	ContainmentChecks uint64
-	// EntriesReturned counts entries served from the replica.
-	EntriesReturned uint64
-}
-
-// HitRatio returns Hits / Queries (0 for no queries).
-func (m Metrics) HitRatio() float64 {
-	if m.Queries == 0 {
-		return 0
-	}
-	return float64(m.Hits) / float64(m.Queries)
-}

@@ -134,7 +134,7 @@ func TestFilterReplicaAnswersContainedQueries(t *testing.T) {
 	// DIT (null base: answers minimally-directory-enabled applications).
 	gen := query.MustNew("", query.ScopeSubtree, "(serialnumber=04*)")
 	syncStored(t, master, eng, r, gen)
-	if got := r.Metrics().HitRatio(); got != 0 {
+	if got := r.Counters().HitRatio(); got != 0 {
 		t.Errorf("hit ratio before any query = %v, want 0", got)
 	}
 
@@ -164,9 +164,9 @@ func TestFilterReplicaAnswersContainedQueries(t *testing.T) {
 		t.Error("uncontained query must miss")
 	}
 
-	m := r.Metrics()
-	if m.Queries != 3 || m.Hits != 2 || m.Misses != 1 {
-		t.Errorf("metrics = %+v", m)
+	m := r.Counters()
+	if m.Queries.Load() != 3 || m.Hits.Load() != 2 || m.Misses.Load() != 1 {
+		t.Errorf("counters = %s", m)
 	}
 	if got := m.HitRatio(); got != 2.0/3 {
 		t.Errorf("hit ratio = %v, want 2/3", got)

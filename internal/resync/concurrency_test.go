@@ -223,10 +223,10 @@ func TestSlowSessionDoesNotBlockOthers(t *testing.T) {
 // stream's channel closes, and the registries drain to empty.
 func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 	master := newMaster(t)
-	// Tiny queue, hair-trigger demotion: a full queue its consumer has not
+	// Two-batch queue, hair-trigger demotion: a full queue its consumer has not
 	// taken from for 10 ms closes the stream.
 	eng := NewEngine(master)
-	eng.persistQueueCap, eng.demoteAfter = 1, 10*time.Millisecond
+	eng.persistQueueCap, eng.demoteAfter = 2, 10*time.Millisecond
 	specs := []query.Query{
 		query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=person)"),
 		query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)"),
@@ -292,23 +292,18 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 						return
 					}
 					timeout := time.After(20 * time.Millisecond)
-				drain:
 					for {
-						select {
-						case b, ok := <-sub.Updates:
-							if !ok {
-								break drain
-							}
-							cookie = b.Cookie
-						case <-timeout:
-							break drain
+						b, ok, _ := recv(sub, timeout)
+						if !ok {
+							break
 						}
+						cookie = b.Cookie
 					}
 					sub.Close()
 				case 1:
 					// Slow consumer: subscribe, then drain with exponentially
 					// growing gaps. Demotion fires only when a cycle finds the
-					// 1-deep queue full after the consumer has taken nothing
+					// 2-deep queue full after the consumer has taken nothing
 					// for demoteAfter, i.e. when the drain gap exceeds it by
 					// at least the time to the next cycle — a fixed gap would
 					// bake in an assumption about how fast the contended
@@ -332,11 +327,8 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 						if gap < time.Second {
 							gap *= 2
 						}
-						select {
-						case _, ok := <-sub.Updates:
-							closed = !ok
-						default:
-						}
+						_, ok, late := recv(sub, nil)
+						closed = !ok && !late
 					}
 					sub.Close()
 				default:
@@ -389,4 +381,27 @@ func sessionOf(t *testing.T, e *Engine, cookie string) *session {
 		t.Fatalf("no session for cookie %q", cookie)
 	}
 	return sess
+}
+
+// recv takes sub's next batch the way Subscription.Next does, dequeue hook
+// included, but waits only until timeout fires (a nil timeout: not at all).
+// late reports that nothing came in time; ok is Next's second result.
+func recv(sub *Subscription, timeout <-chan time.Time) (b Batch, ok, late bool) {
+	if timeout == nil {
+		select {
+		case b, ok = <-sub.ch:
+		default:
+			return b, false, true
+		}
+	} else {
+		select {
+		case b, ok = <-sub.ch:
+		case <-timeout:
+			return b, false, true
+		}
+	}
+	if ok {
+		sub.dequeued()
+	}
+	return b, ok, false
 }

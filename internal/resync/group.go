@@ -201,51 +201,11 @@ type group struct {
 	reload   atomic.Pointer[reloadSnapshot]
 
 	// Persist broadcaster state: one goroutine per group pushes update
-	// batches to all subscribers; it runs only while subscribers exist.
-	subs  map[*Subscription]*subscriber
+	// batches to all subscriptions; it runs only while subscriptions exist.
+	subs  map[*Subscription]struct{}
 	wake  chan struct{}
 	bstop chan struct{}
 	bdone chan struct{}
-}
-
-// subscriber is one persist-mode member stream with its bounded queue. The
-// broadcaster fills ch; the subscriber's pump goroutine empties it into the
-// consumer-facing Subscription.Updates, which puts the engine on the
-// dequeue side of the queue: it is the pump that notices a slot coming free
-// for a subscriber a cycle had to pass over.
-type subscriber struct {
-	sub  *Subscription
-	sess *session
-	ch   chan Batch
-	// took is when the pump last took a batch from ch (UnixNano), or when
-	// the subscriber attached: how long the consumer has made no progress.
-	took atomic.Int64
-	// skipped is raised by the broadcaster before it looks at the queue and
-	// left up when it found it full; the pump lowers it at its next dequeue
-	// and kicks the cycle the subscriber is owed.
-	skipped atomic.Bool
-}
-
-// pump forwards queued batches to the consumer until the queue is closed
-// (stream end: drained, then out is closed) or the consumer closes the
-// subscription. A skipped subscriber stands at an old sync point with
-// nothing but the next store commit to move it — and when the write stream
-// stops right after the skip there is none — so the dequeue that makes room
-// again wakes the broadcaster itself.
-func (st *subscriber) pump(g *group, out chan<- Batch, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	defer close(out)
-	for b := range st.ch {
-		st.took.Store(time.Now().UnixNano())
-		if st.skipped.CompareAndSwap(true, false) {
-			g.kick()
-		}
-		select {
-		case out <- b:
-		case <-stop:
-			return
-		}
-	}
 }
 
 func newGroup(e *Engine, key string, spec query.Query) *group {
@@ -253,7 +213,7 @@ func newGroup(e *Engine, key string, spec query.Query) *group {
 		e:    e,
 		key:  key,
 		spec: spec,
-		subs: make(map[*Subscription]*subscriber),
+		subs: make(map[*Subscription]struct{}),
 		wake: make(chan struct{}, 1),
 	}
 }
@@ -437,7 +397,7 @@ func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.C
 		finalDN[norm] = d
 	}
 	inContent := func(ent *entry.Entry) bool {
-		return ent != nil && spec.InScope(ent.DN()) && specFilter(spec).Matches(ent)
+		return ent != nil && spec.Selects(ent)
 	}
 
 	for _, c := range changes {
@@ -643,30 +603,14 @@ func (ids *identities) moved(norm string) *identity {
 	return nil
 }
 
-// attach adds a persist subscriber to the group, starting the broadcaster
-// if it is not running, and synchronizes the subscriber once so a stream
-// resumed behind the head has its due batch queued on return.
+// attach adds a persist subscription to the group, starting the
+// broadcaster if it is not running, and synchronizes the subscription once
+// so a stream resumed behind the head has its due batch queued on return.
 func (g *group) attach(sess *session) *Subscription {
-	ch := make(chan Batch, g.e.persistQueueCap)
-	out := make(chan Batch)
-	stop, done := make(chan struct{}), make(chan struct{})
-	sub := &Subscription{Updates: out}
-	st := &subscriber{sub: sub, sess: sess, ch: ch}
-	st.took.Store(time.Now().UnixNano())
-	go st.pump(g, out, stop, done)
-	sub.detach = func() {
-		g.remove(sub)
-		close(stop)
-		<-done
-		// Barrier: wait out any in-flight update cycle so the session is
-		// quiescent once Close returns (matching the old per-stream
-		// goroutine join).
-		g.cycleMu.Lock()
-		//lint:ignore SA2001 empty critical section is the barrier
-		g.cycleMu.Unlock()
-	}
+	sub := &Subscription{g: g, sess: sess, ch: make(chan Batch, g.e.persistQueueCap)}
+	sub.took.Store(time.Now().UnixNano())
 	g.mu.Lock()
-	g.subs[sub] = st
+	g.subs[sub] = struct{}{}
 	if g.bstop == nil {
 		// Join the previous broadcaster (if a stop is still in flight)
 		// before starting its replacement, so one group never runs two
@@ -684,7 +628,7 @@ func (g *group) attach(sess *session) *Subscription {
 	} else {
 		g.mu.Unlock()
 	}
-	// The new subscriber's first cycle runs here, before Persist returns,
+	// The new subscription's first cycle runs here, before Persist returns,
 	// rather than whenever the broadcaster gets to a kick: a stream resumed
 	// behind the head has its due batch queued — and its session advanced —
 	// by the time the caller holds the subscription, so a consumer that
@@ -694,13 +638,13 @@ func (g *group) attach(sess *session) *Subscription {
 	// race, which `make oracle`'s shard sweep saw as traffic that differed
 	// from run to run.) cycleMu keeps the broadcaster the only other sender.
 	g.cycleMu.Lock()
-	g.syncOne(st)
+	g.syncOne(sub)
 	g.cycleMu.Unlock()
 	return sub
 }
 
-// remove detaches a subscriber and closes its channel; the last subscriber
-// out stops the broadcaster.
+// remove detaches a subscription and closes its queue; the last
+// subscription out stops the broadcaster.
 func (g *group) remove(sub *Subscription) {
 	g.mu.Lock()
 	g.removeLocked(sub)
@@ -708,25 +652,24 @@ func (g *group) remove(sub *Subscription) {
 }
 
 func (g *group) removeLocked(sub *Subscription) {
-	st, ok := g.subs[sub]
-	if !ok {
+	if _, ok := g.subs[sub]; !ok {
 		return
 	}
 	delete(g.subs, sub)
-	close(st.ch)
+	close(sub.ch)
 	if len(g.subs) == 0 {
 		g.stopLocked()
 	}
 }
 
 // stopLocked stops the broadcaster (if running) and closes any remaining
-// subscriber channels; the caller holds g.mu. bdone is deliberately kept:
+// subscription queues; the caller holds g.mu. bdone is deliberately kept:
 // the stopping broadcaster closes it on exit, and the next attach waits on
 // it before starting a replacement (single-broadcaster invariant).
 func (g *group) stopLocked() {
-	for sub, st := range g.subs {
+	for sub := range g.subs {
 		delete(g.subs, sub)
-		close(st.ch)
+		close(sub.ch)
 	}
 	if g.bstop != nil {
 		close(g.bstop)
@@ -734,8 +677,8 @@ func (g *group) stopLocked() {
 	}
 }
 
-// kick nudges the broadcaster outside the store's change signal, e.g. for
-// a freshly attached subscriber.
+// kick nudges the broadcaster outside the store's change signal: a
+// subscription's dequeue after it was skipped (Subscription.Next).
 func (g *group) kick() {
 	select {
 	case g.wake <- struct{}{}:
@@ -744,7 +687,7 @@ func (g *group) kick() {
 }
 
 // broadcast is the group's persist fan-out loop: on every store commit (or
-// kick) it runs one update cycle over all subscribers. The change signal is
+// kick) it runs one update cycle over all subscriptions. The change signal is
 // armed before the cycle so commits landing mid-cycle are not missed.
 func (g *group) broadcast(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
@@ -760,69 +703,69 @@ func (g *group) broadcast(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// cycle synchronizes every subscriber once. The shared-interval cache
+// cycle synchronizes every subscription once. The shared-interval cache
 // makes this one real classification plus a map-delta replay per member.
 func (g *group) cycle() {
 	g.cycleMu.Lock()
 	defer g.cycleMu.Unlock()
 	g.mu.Lock()
-	subs := make([]*subscriber, 0, len(g.subs))
-	for _, st := range g.subs {
-		subs = append(subs, st)
+	subs := make([]*Subscription, 0, len(g.subs))
+	for sub := range g.subs {
+		subs = append(subs, sub)
 	}
 	g.mu.Unlock()
-	for _, st := range subs {
-		g.syncOne(st)
+	for _, sub := range subs {
+		g.syncOne(sub)
 	}
 }
 
-// syncOne advances one subscriber by one poll and queues the batch.
+// syncOne advances one subscription by one poll and queues the batch.
 //
-// Slow-consumer policy: a subscriber whose queue is full is skipped — its
+// Slow-consumer policy: a subscription whose queue is full is skipped — its
 // session stays at its old sync point, so the next successful cycle emits
 // one net batch covering the whole backlog (coalescing, not buffering) —
 // and that cycle comes with the next commit or, failing one, as soon as the
-// subscriber's pump dequeues (see subscriber.skipped). A skip that finds
-// the consumer has taken nothing for demoteAfter closes the stream, and the
+// consumer dequeues (see Subscription.skipped). A skip that finds the
+// consumer has taken nothing for demoteAfter closes the stream, and the
 // consumer falls back to poll mode (the wire maps this to a clean stream
 // end; the session itself stays resumable by cookie). The lag is measured
 // in time, not in skipped cycles: a cycle runs per store commit, so a count
 // of them would demote a consumer that waits briefly — behind a long answer
 // on its connection, say — during a burst of commits.
-func (g *group) syncOne(st *subscriber) {
+func (g *group) syncOne(sub *Subscription) {
 	e := g.e
 	g.mu.Lock()
-	if _, live := g.subs[st.sub]; !live {
+	if _, live := g.subs[sub]; !live {
 		g.mu.Unlock()
 		return
 	}
 	// Flag first, look second: a dequeue after the look finds the flag and
 	// kicks a cycle, one before it shows here as free space.
-	st.skipped.Store(true)
-	if len(st.ch) == cap(st.ch) {
+	sub.skipped.Store(true)
+	if len(sub.ch) == cap(sub.ch) {
 		e.stats.CoalescedCycles.Add(1)
-		if time.Since(time.Unix(0, st.took.Load())) >= e.demoteAfter {
+		if time.Since(time.Unix(0, sub.took.Load())) >= e.demoteAfter {
 			e.stats.SlowDemotions.Add(1)
-			g.removeLocked(st.sub)
+			g.removeLocked(sub)
 		}
 		g.mu.Unlock()
 		return
 	}
-	st.skipped.Store(false)
+	sub.skipped.Store(false)
 	g.mu.Unlock()
 
-	st.sess.mu.Lock()
-	if st.sess.ended {
-		st.sess.mu.Unlock()
-		g.remove(st.sub)
+	sub.sess.mu.Lock()
+	if sub.sess.ended {
+		sub.sess.mu.Unlock()
+		g.remove(sub)
 		return
 	}
-	res, err := e.poll(st.sess)
-	st.sess.mu.Unlock()
+	res, err := e.poll(sub.sess)
+	sub.sess.mu.Unlock()
 	if err != nil || res.FullReload {
 		// A push stream cannot convey a reload; end it — the consumer's
 		// fallback poll re-delivers the content.
-		g.remove(st.sub)
+		g.remove(sub)
 		return
 	}
 	if len(res.Updates) == 0 {
@@ -831,13 +774,13 @@ func (g *group) syncOne(st *subscriber) {
 	batch := Batch{Updates: res.Updates, Cookie: res.Cookie, CSN: res.CSN, Enc: res.Enc}
 	depth := 0
 	g.mu.Lock()
-	if _, live := g.subs[st.sub]; live {
+	if _, live := g.subs[sub]; live {
 		// Space was observed above and this goroutine is the only sender,
-		// so the send cannot block, and the batch joins at most len(st.ch)
-		// others (the pump only takes from the queue).
-		depth = len(st.ch) + 1
+		// so the send cannot block, and the batch joins at most len(sub.ch)
+		// others (the consumer only takes from the queue).
+		depth = len(sub.ch) + 1
 		select {
-		case st.ch <- batch:
+		case sub.ch <- batch:
 		default:
 			depth = 0
 		}

@@ -342,13 +342,10 @@ func TestGroupEndClosesSubscriptions(t *testing.T) {
 	if err := eng.End(res.Cookie); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case _, ok := <-sub.Updates:
-		if ok {
-			t.Error("expected channel close, got a batch")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("subscription channel not closed by End of last member")
+	if _, ok, late := recv(sub, time.After(2*time.Second)); late {
+		t.Fatal("subscription not ended by End of last member")
+	} else if ok {
+		t.Error("expected the subscription to end, got a batch")
 	}
 	sub.Close() // idempotent after engine-side teardown
 }
@@ -386,22 +383,21 @@ func TestGroupedPersistFanout(t *testing.T) {
 
 	deadline := time.After(5 * time.Second)
 	for i, s := range streams {
-		select {
-		case batch, ok := <-s.sub.Updates:
-			if !ok {
-				t.Fatalf("stream %d closed before delivering", i)
-			}
-			if len(batch.Updates) != 1 || batch.Updates[0].Action != ActionAdd {
-				t.Errorf("stream %d batch = %+v", i, batch.Updates)
-			}
-			if batch.Cookie == "" {
-				t.Errorf("stream %d batch has no cookie", i)
-			}
-			if batch.Enc == nil {
-				t.Errorf("stream %d batch has no shared encoding memo", i)
-			}
-		case <-deadline:
+		batch, ok, late := recv(s.sub, deadline)
+		switch {
+		case late:
 			t.Fatalf("stream %d never received the fan-out batch", i)
+		case !ok:
+			t.Fatalf("stream %d closed before delivering", i)
+		}
+		if len(batch.Updates) != 1 || batch.Updates[0].Action != ActionAdd {
+			t.Errorf("stream %d batch = %+v", i, batch.Updates)
+		}
+		if batch.Cookie == "" {
+			t.Errorf("stream %d batch has no cookie", i)
+		}
+		if batch.Enc == nil {
+			t.Errorf("stream %d batch has no shared encoding memo", i)
 		}
 	}
 
@@ -557,16 +553,15 @@ func TestSkippedSubscriberRetriedOnDrain(t *testing.T) {
 	}
 	take := func(i int, what string) {
 		t.Helper()
-		select {
-		case b, ok := <-subs[i].Updates:
-			if !ok {
-				t.Fatalf("member %d: stream closed waiting for %s", i, what)
-			}
-			for _, u := range b.Updates {
-				held[i][u.DN.Norm()] = u.Action != ActionDelete
-			}
-		case <-time.After(5 * time.Second):
+		b, ok, late := recv(subs[i], time.After(5*time.Second))
+		switch {
+		case late:
 			t.Fatalf("member %d: timed out waiting for %s", i, what)
+		case !ok:
+			t.Fatalf("member %d: stream closed waiting for %s", i, what)
+		}
+		for _, u := range b.Updates {
+			held[i][u.DN.Norm()] = u.Action != ActionDelete
 		}
 	}
 
@@ -637,12 +632,11 @@ func TestPersistSyncsBeforeReturning(t *testing.T) {
 		if at != master.LastCSN() || !held {
 			t.Fatalf("round %d: Persist returned with the session at CSN %d, store at %d", i, at, master.LastCSN())
 		}
-		select {
-		case b := <-sub.Updates:
-			res.Cookie = b.Cookie
-		case <-time.After(5 * time.Second):
+		b, _, late := recv(sub, time.After(5*time.Second))
+		if late {
 			t.Fatalf("round %d: due batch never delivered", i)
 		}
+		res.Cookie = b.Cookie
 		sub.Close()
 	}
 }

@@ -3,6 +3,8 @@ package resync
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Batch is one pushed unit of a persist-mode subscription: the updates of
@@ -71,24 +73,64 @@ func memo(m *[][]byte, i int, build func() ([]byte, error)) ([]byte, bool, error
 
 // Subscription is a persist-mode synchronization: after the initial content
 // (or the updates since the resumed cookie) is delivered, subsequent content
-// changes are pushed on Updates until Close is called — the protocol's
-// "persist" mode, equivalent to a persistent search held open per filter.
+// changes are pushed to it until it ends — the protocol's "persist" mode,
+// equivalent to a persistent search held open per filter.
+//
+// The subscription is its bounded queue: the group's broadcaster fills it
+// (group.syncOne) and its one consumer empties it with Next, so the engine
+// is on the dequeue side of the queue and no goroutine of its own stands
+// between the two.
 type Subscription struct {
-	// Updates delivers batches of net updates. The channel is closed when
-	// the subscription ends — including when the master's journal history
-	// no longer covers the stream position (the consumer must fall back to
-	// a poll, which will carry the full reload) and when the slow-consumer
-	// policy demotes a lagging stream back to poll mode.
-	Updates <-chan Batch
-
-	closeOnce sync.Once
-	detach    func()
+	g    *group
+	sess *session
+	ch   chan Batch
+	// took is when the consumer last took a batch (UnixNano), or when the
+	// subscription attached: how long the consumer has made no progress.
+	took atomic.Int64
+	// skipped is raised by the broadcaster before it looks at the queue and
+	// left up when it found it full; the next dequeue lowers it and kicks
+	// the cycle the subscription is owed.
+	skipped atomic.Bool
 }
 
-// Close ends the subscription. On return the stream no longer advances the
-// session; it stays registered and resumable by cookie.
+// Next waits for the next batch of net updates. It reports false once the
+// subscription has ended and its queue is drained: after Close, and when
+// the engine ends the stream — the master's journal history no longer covers
+// the stream position (the consumer must fall back to a poll, which will
+// carry the full reload) or the slow-consumer policy demoted a lagging
+// stream back to poll mode. One goroutine at a time may call Next.
+func (s *Subscription) Next() (Batch, bool) {
+	b, ok := <-s.ch
+	if ok {
+		s.dequeued()
+	}
+	return b, ok
+}
+
+// dequeued stamps a dequeue. A skipped subscription stands at an old sync
+// point with nothing but the next store commit to move it — and when the
+// write stream stops right after the skip there is none — so the dequeue
+// that makes room again wakes the broadcaster itself.
+func (s *Subscription) dequeued() {
+	s.took.Store(time.Now().UnixNano())
+	if s.skipped.CompareAndSwap(true, false) {
+		s.g.kick()
+	}
+}
+
+// Close ends the subscription; it is idempotent, may be called from any
+// goroutine, and a Next waiting meanwhile returns. On return the stream no
+// longer advances the session; it stays registered and resumable by cookie.
 func (s *Subscription) Close() {
-	s.closeOnce.Do(s.detach)
+	s.g.remove(s)
+	for range s.ch {
+		// Batches queued but not taken are not delivered.
+	}
+	// Barrier: wait out any in-flight update cycle so the session is
+	// quiescent once Close returns.
+	s.g.cycleMu.Lock()
+	//lint:ignore SA2001 empty critical section is the barrier
+	s.g.cycleMu.Unlock()
 }
 
 // Persist upgrades a session to persist mode: the returned subscription
@@ -101,7 +143,7 @@ func (s *Subscription) Close() {
 // in Figure 3.
 //
 // The session's group broadcaster serves the stream — one update cycle per
-// commit for the whole group — behind a bounded per-subscriber queue with
+// commit for the whole group — into the subscription's bounded queue, with
 // the slow-consumer policy described in group.go.
 func (e *Engine) Persist(cookie string) (*Subscription, error) {
 	sess, held, err := e.enter(cookie, exStream)

@@ -428,11 +428,11 @@ func WithChunkSize(n int) EngineOption {
 	}
 }
 
-// Default slow-consumer policy: a subscriber buffers up to 4 batches; a
-// subscriber whose queue is full when its consumer has taken nothing from it
-// for a second is demoted.
+// Default slow-consumer policy: a subscription buffers up to 5 batches; a
+// subscription whose queue is full when its consumer has taken nothing from
+// it for a second is demoted.
 const (
-	defaultPersistQueueCap = 4
+	defaultPersistQueueCap = 5
 	defaultDemoteAfter     = time.Second
 )
 
@@ -746,24 +746,6 @@ func (e *Engine) Kick(keep func(query.Query) bool) []string {
 	}
 	return ids
 }
-
-// specFilter returns the spec's filter, defaulting to match-all presence.
-func specFilter(q query.Query) filterNode {
-	if q.Filter == nil {
-		return matchAll{}
-	}
-	return q.Filter
-}
-
-// filterNode is the evaluation interface shared by real filters and the
-// match-all default.
-type filterNode interface {
-	Matches(*entry.Entry) bool
-}
-
-type matchAll struct{}
-
-func (matchAll) Matches(*entry.Entry) bool { return true }
 
 // stripAttrs widens the spec to all attributes for content computation; the
 // requested attribute selection is applied when building update PDUs.

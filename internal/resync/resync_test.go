@@ -289,7 +289,7 @@ func TestFigure3Session(t *testing.T) {
 	if err := master.ModifyDN(e3, dn.RDN{Attr: "cn", Value: "E5"}, dn.MustParse("c=us,o=xyz")); err != nil {
 		t.Fatal(err)
 	}
-	batch := <-sub.Updates
+	batch, _ := sub.Next()
 	sub.Close()
 	if batch.Cookie == "" {
 		t.Error("pushed batch carried no sync-point cookie")

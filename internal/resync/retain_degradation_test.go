@@ -104,9 +104,8 @@ func TestBoundedHistoryDegradation(t *testing.T) {
 				}
 				for i := 0; i < tc.persistBatches; i++ {
 					change(i)
-					select {
-					case <-sub.Updates: // delivered but never acknowledged
-					case <-time.After(5 * time.Second):
+					// Delivered but never acknowledged.
+					if _, _, late := recv(sub, time.After(5*time.Second)); late {
 						t.Fatalf("no persist batch for change %d", i)
 					}
 				}

@@ -27,13 +27,12 @@ func streamBatches(t *testing.T, eng *Engine, cookie string, m int, serialBase i
 	defer sub.Close()
 	for i := 0; i < m; i++ {
 		addPerson(t, eng.store, fmt.Sprintf("r%02d", i), fmt.Sprintf("04%02d", serialBase+i), "1")
-		select {
-		case b := <-sub.Updates:
-			if len(b.Updates) == 0 {
-				t.Fatalf("push %d: empty batch", i)
-			}
-		case <-time.After(5 * time.Second):
+		b, _, late := recv(sub, time.After(5*time.Second))
+		if late {
 			t.Fatalf("push %d never arrived", i)
+		}
+		if len(b.Updates) == 0 {
+			t.Fatalf("push %d: empty batch", i)
 		}
 	}
 }

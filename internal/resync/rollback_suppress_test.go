@@ -85,21 +85,19 @@ func TestSuppressionSurvivesPersistRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := func(what string) Batch {
-		select {
-		case b := <-sub.Updates:
-			return b
-		case <-time.After(5 * time.Second):
+	next := func(what string) Batch {
+		b, _, late := recv(sub, time.After(5*time.Second))
+		if late {
 			t.Fatalf("no persist batch for %s", what)
-			return Batch{}
 		}
+		return b
 	}
 	mustModify(t, master, a, "dept", "9")
-	if b := recv("modify"); len(b.Updates) != 1 || b.Updates[0].Action != ActionModify {
+	if b := next("modify"); len(b.Updates) != 1 || b.Updates[0].Action != ActionModify {
 		t.Fatalf("persist modify batch: got %v", b.Updates)
 	}
 	mustModify(t, master, a, "dept", "1")
-	if b := recv("revert"); len(b.Updates) != 1 || b.Updates[0].Action != ActionModify {
+	if b := next("revert"); len(b.Updates) != 1 || b.Updates[0].Action != ActionModify {
 		t.Fatalf("persist revert batch: got %v", b.Updates)
 	}
 	sub.Close()

@@ -54,16 +54,16 @@ func Overhead(cfg Config) (*metrics.Figure, error) {
 		for i := range queries {
 			queries[i] = g.NextOfKind(workload.KindSerial)
 		}
-		before := node.Replica.Metrics()
+		before := node.Replica.Counters().ContainmentChecks.Load()
 		start := time.Now()
 		for _, tq := range queries {
 			node.Replica.Answer(tq.Query)
 		}
 		elapsed := time.Since(start)
-		after := node.Replica.Metrics()
+		after := node.Replica.Counters().ContainmentChecks.Load()
 
 		perQuery := float64(elapsed.Microseconds()) / float64(len(queries))
-		checks := float64(after.ContainmentChecks-before.ContainmentChecks) / float64(len(queries))
+		checks := float64(after-before) / float64(len(queries))
 		timeS.Add(float64(node.Replica.StoredCount()), perQuery)
 		checksS.Add(float64(node.Replica.StoredCount()), checks)
 	}
