@@ -63,6 +63,7 @@ import (
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/metrics"
 	"filterdir/internal/query"
+	"filterdir/internal/replica"
 	"filterdir/internal/resync"
 	"filterdir/internal/supervisor"
 	"filterdir/internal/tierctl"
@@ -183,12 +184,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	return o, nil
 }
 
-// leafJournalLimit bounds a leaf's content-store journal. Nothing reads it —
-// only a served engine replays its store's journal — so without a bound it
-// would hold the before- and after-image of every applied update for the
-// life of the process.
-const leafJournalLimit = 64
-
 // tierConfig is the tier the options describe. A leaf and a mid-tier differ
 // here only in the store journal's bound; the rest of -serve is in start.
 func tierConfig(o options) cascade.Config {
@@ -213,7 +208,7 @@ func tierConfig(o options) cascade.Config {
 		cfg.StateDir = filepath.Join(o.stateDir, "cascade")
 	}
 	if !o.serve {
-		cfg.JournalLimit = leafJournalLimit
+		cfg.JournalLimit = replica.DefaultJournalLimit
 	}
 	return cfg
 }

@@ -16,6 +16,7 @@ import (
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
 	"filterdir/internal/ldapnet"
+	"filterdir/internal/replica"
 	"filterdir/internal/resync"
 )
 
@@ -39,7 +40,7 @@ func TestLeafJournalBounded(t *testing.T) {
 		args  []string
 		bound int
 	}{
-		{nil, leafJournalLimit},
+		{nil, replica.DefaultJournalLimit},
 		{[]string{"-serve", "-journal-limit", "500"}, 500},
 	} {
 		o := mustParse(t, append([]string{"-filter", "(objectclass=person)"}, tc.args...)...)

@@ -368,7 +368,7 @@ func (c *Client) syncExchange(q query.Query, controls ...proto.Control) (*resync
 		}
 		switch op := m.Op.(type) {
 		case *proto.SearchEntry:
-			u, _, _, err := decodeUpdate(m, op)
+			u, _, err := decodeUpdate(m, op)
 			if err != nil {
 				return res, err
 			}
@@ -423,16 +423,17 @@ func (c *Client) End(cookie string) error {
 	return nil
 }
 
-// decodeUpdate reads one update PDU of a ReSync response, with the cookie and
-// CSN its entry-change control carries. An entry PDU without the control is
-// an add: the supplier leaves the control off every add that carries nothing
-// else, which is every PDU of a content transfer (see Server.streamUpdates).
-func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, string, uint64, error) {
+// decodeUpdate reads one update PDU of a ReSync response, with its
+// entry-change control: on the final PDU of a pushed batch, the sync point it
+// names. An entry PDU without the control is an add: the supplier leaves the
+// control off every add that carries nothing else, which is every PDU of a
+// content transfer (see Server.streamUpdates).
+func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, proto.EntryChange, error) {
 	ec := proto.EntryChange{Action: proto.ChangeActionAdd}
 	if cc, ok := m.Control(proto.OIDEntryChange); ok {
 		var err error
 		if ec, err = proto.ParseEntryChange(cc); err != nil {
-			return resync.Update{}, "", 0, err
+			return resync.Update{}, ec, err
 		}
 	}
 	// The decoded entry is this consumer's alone: it goes into the update
@@ -448,7 +449,7 @@ func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, strin
 	case proto.ChangeActionMove:
 		old, err := dn.Parse(ec.OldDN)
 		if err != nil {
-			return resync.Update{}, "", 0, fmt.Errorf("ldap sync: move from %q: %w", ec.OldDN, err)
+			return resync.Update{}, ec, fmt.Errorf("ldap sync: move from %q: %w", ec.OldDN, err)
 		}
 		u.Action, u.Entry, u.Patch, u.OldDN = resync.ActionModify, op.Entry, true, old
 	case proto.ChangeActionDelete:
@@ -456,9 +457,9 @@ func decodeUpdate(m *proto.Message, op *proto.SearchEntry) (resync.Update, strin
 	case proto.ChangeActionRetain:
 		u.Action = resync.ActionRetain
 	default:
-		return resync.Update{}, "", 0, fmt.Errorf("ldap sync: update PDU with action %v", ec.Action)
+		return resync.Update{}, ec, fmt.Errorf("ldap sync: update PDU with action %v", ec.Action)
 	}
-	return u, ec.Cookie, ec.CSN, nil
+	return u, ec, nil
 }
 
 // Add inserts an entry.
@@ -567,11 +568,11 @@ const streamBuffer = 16
 // (Client.Persist).
 type Stream struct {
 	// Batches delivers one result per batch: the initial delivery, then each
-	// pushed batch, with its updates up to and including the PDU that
-	// carries its cookie, and that cookie and CSN. A request the supplier
-	// cannot stream from gets the answer a poll gets instead — a full
-	// reload, FullReload set, with the resume token of a chunked one — as
-	// the last result, after which the client is the caller's again. The
+	// pushed batch, with its updates up to and including the PDU that names
+	// its sync point, and the cookie of that point and its CSN. A request
+	// the supplier cannot stream from gets the answer a poll gets instead —
+	// a full reload, FullReload set, with the resume token of a chunked one
+	// — as the last result, after which the client is the caller's again. The
 	// channel is closed when the stream ends.
 	Batches <-chan *resync.PollResult
 
@@ -609,18 +610,22 @@ func (c *Client) Persist(q query.Query, cookie string, idleTimeout time.Duration
 	ch := make(chan *resync.PollResult, streamBuffer)
 	st := &Stream{Batches: ch, client: c}
 	go func() {
-		st.err = st.read(id, idleTimeout, ch)
+		st.err = st.read(id, cookie, idleTimeout, ch)
 		close(ch)
 	}()
 	return st, nil
 }
 
 // read is the stream's goroutine: it collects entry PDUs into a batch and
-// delivers the batch at the PDU that carries its cookie. The SearchDone that
-// ends the stream drops a batch it cut short, since a consumer must never
-// apply part of one; a poll answer is delivered whole and ends the stream.
-func (st *Stream) read(id int64, idleTimeout time.Duration, ch chan<- *resync.PollResult) error {
+// delivers the batch at the PDU that names its sync point, under the cookie
+// of that point of the session the stream was asked for with (cookie), or
+// named by its first batch when it was asked for without one. The SearchDone
+// that ends the stream drops a batch it cut short, since a consumer must
+// never apply part of one; a poll answer is delivered whole and ends the
+// stream.
+func (st *Stream) read(id int64, cookie string, idleTimeout time.Duration, ch chan<- *resync.PollResult) error {
 	c := st.client
+	session, _, _ := resync.SplitCookie(cookie)
 	res := &resync.PollResult{}
 	for {
 		if idleTimeout > 0 {
@@ -635,13 +640,16 @@ func (st *Stream) read(id int64, idleTimeout time.Duration, ch chan<- *resync.Po
 		}
 		switch op := m.Op.(type) {
 		case *proto.SearchEntry:
-			u, cookie, csn, err := decodeUpdate(m, op)
+			u, ec, err := decodeUpdate(m, op)
 			if err != nil {
 				return err
 			}
 			res.Updates = append(res.Updates, u)
-			if cookie != "" {
-				res.Cookie, res.CSN = cookie, csn
+			if ec.Final {
+				if ec.Cookie != "" {
+					session, _, _ = resync.SplitCookie(ec.Cookie)
+				}
+				res.Cookie, res.CSN = resync.CookieString(session, ec.Point), ec.CSN
 				ch <- res
 				res = &resync.PollResult{}
 			}

@@ -46,6 +46,12 @@ func fanoutWire() (*Server, *connWriter, *wireConn) {
 	return &Server{conns: map[net.Conn]bool{}, syncStats: &metrics.SyncCounters{}}, newConnWriter(conn), conn
 }
 
+// pushedBatch is res as the persist broadcaster pushes it.
+func pushedBatch(res *resync.PollResult) resync.Batch {
+	_, point, _ := resync.SplitCookie(res.Cookie)
+	return resync.Batch{Updates: res.Updates, Point: point, CSN: res.CSN, Enc: res.Enc}
+}
+
 // BenchmarkReloadFanout measures a master restart as the replicas see it:
 // each of `sessions` replicas Begins, is streamed its full content, decodes it
 // and applies it. "shared" puts them on one spec, whose content group encodes
@@ -71,7 +77,7 @@ func BenchmarkReloadFanout(b *testing.B) {
 				srv, w, conn := fanoutWire()
 				var updates []resync.Update
 				conn.emit = func(m *proto.Message) {
-					u, _, _, err := decodeUpdate(m, m.Op.(*proto.SearchEntry))
+					u, _, err := decodeUpdate(m, m.Op.(*proto.SearchEntry))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -87,7 +93,7 @@ func BenchmarkReloadFanout(b *testing.B) {
 							b.Fatal(err)
 						}
 						updates = make([]resync.Update, 0, len(res.Updates))
-						if err := srv.writeBatch(w, int64(s+1), resync.Batch{Updates: res.Updates, CSN: res.CSN, Enc: res.Enc}); err != nil {
+						if err := srv.writeBatch(w, int64(s+1), resync.Batch{Updates: res.Updates, CSN: res.CSN, Enc: res.Enc}, proto.EntryChange{}); err != nil {
 							b.Fatal(err)
 						}
 						if len(updates) != len(res.Updates) {
@@ -118,67 +124,96 @@ func BenchmarkReloadFanout(b *testing.B) {
 }
 
 // BenchmarkPersistFanout measures the persist broadcaster's work for one
-// 200-update cycle fanned out to same-filter sessions: classify, replay each
-// session's delta, stream its PDUs with its cookie on the last. "shared"
-// puts every session on one engine, whose content group classifies and
-// encodes once; "baseline" gives each session its own engine over the same
-// store, so nothing is shared. The fan-out win is baseline over shared ns/op.
+// cycle of `updates` committed updates fanned out to same-filter sessions:
+// classify, replay each session's delta, stream its PDUs with its sync point
+// on the last. "shared" puts every session on one engine, whose content group
+// classifies and encodes once; "baseline" gives each session its own engine
+// over the same store, so nothing is shared. The fan-out win is baseline over
+// shared ns/op. The rows of 200 updates per cycle are a burst; the
+// "updates=1" rows are what a content group is pushed one commit at a time,
+// one PDU per batch, where the final PDU is the whole batch.
+// allocs/session is the allocations of a cycle per session.
 func BenchmarkPersistFanout(b *testing.B) {
+	type row struct {
+		sessions, updates int
+		mode              string
+	}
+	var rows []row
 	for _, sessions := range []int{1, 10, 100, 1000} {
 		for _, mode := range []string{"shared", "baseline"} {
-			b.Run(fmt.Sprintf("sessions=%d/%s", sessions, mode), func(b *testing.B) {
-				cfg := workload.DefaultDirectoryConfig(1000)
-				cfg.PayloadBytes = 64
-				dir, err := workload.BuildDirectory(cfg)
+			rows = append(rows, row{sessions, 200, mode})
+		}
+	}
+	for _, sessions := range []int{16, 1000} {
+		rows = append(rows, row{sessions, 1, "shared"})
+	}
+	for _, r := range rows {
+		name := fmt.Sprintf("sessions=%d/%s", r.sessions, r.mode)
+		if r.updates != 200 {
+			name += fmt.Sprintf("/updates=%d", r.updates)
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := workload.DefaultDirectoryConfig(1000)
+			cfg.PayloadBytes = 64
+			dir, err := workload.BuildDirectory(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=1*)")
+			engs := make([]*resync.Engine, r.sessions)
+			cookies := make([]string, r.sessions)
+			for i := range cookies {
+				if engs[i] = resync.NewEngine(dir.Master); i > 0 && r.mode == "shared" {
+					engs[i] = engs[0]
+				}
+				res, err := engs[i].Begin(spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=1*)")
-				engs := make([]*resync.Engine, sessions)
-				cookies := make([]string, sessions)
-				for i := range cookies {
-					if engs[i] = resync.NewEngine(dir.Master); i > 0 && mode == "shared" {
-						engs[i] = engs[0]
-					}
-					res, err := engs[i].Begin(spec)
+				cookies[i] = res.Cookie
+			}
+			upd := workload.NewUpdater(dir, workload.DefaultUpdateConfig())
+			srv, w, conn := fanoutWire()
+
+			var allocs uint64
+			var ms runtime.MemStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := upd.Apply(r.updates); err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC() // keep GC debt out of the timed section
+				runtime.ReadMemStats(&ms)
+				allocs -= ms.Mallocs
+				b.StartTimer()
+				for s, c := range cookies {
+					res, err := engs[s].Poll(c)
 					if err != nil {
 						b.Fatal(err)
 					}
-					cookies[i] = res.Cookie
-				}
-				upd := workload.NewUpdater(dir, workload.DefaultUpdateConfig())
-				srv, w, conn := fanoutWire()
-
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if _, err := upd.Apply(200); err != nil {
+					cookies[s] = res.Cookie
+					pb := pushedBatch(res)
+					if err := srv.writeBatch(w, int64(s+1), pb, pushedEnd(pb)); err != nil {
 						b.Fatal(err)
-					}
-					runtime.GC() // keep GC debt out of the timed section
-					b.StartTimer()
-					for s, c := range cookies {
-						res, err := engs[s].Poll(c)
-						if err != nil {
-							b.Fatal(err)
-						}
-						cookies[s] = res.Cookie
-						if err := srv.writeBatch(w, int64(s+1), resync.Batch{Updates: res.Updates, Cookie: res.Cookie, CSN: res.CSN, Enc: res.Enc}); err != nil {
-							b.Fatal(err)
-						}
 					}
 				}
 				b.StopTimer()
-				var hits, misses int64
-				for _, eng := range slices.Compact(engs) {
-					snap := eng.Counters().Snapshot()
-					hits, misses = hits+snap.SharedClassifyHits, misses+snap.SharedClassifyMisses
-				}
-				if hits+misses > 0 {
-					b.ReportMetric(float64(hits)/float64(hits+misses), "classify_dedup")
-				}
-				b.ReportMetric(float64(conn.n)/float64(b.N), "wire_bytes/cycle")
-			})
-		}
+				runtime.ReadMemStats(&ms)
+				allocs += ms.Mallocs
+				b.StartTimer()
+			}
+			b.StopTimer()
+			var hits, misses int64
+			for _, eng := range slices.Compact(engs) {
+				snap := eng.Counters().Snapshot()
+				hits, misses = hits+snap.SharedClassifyHits, misses+snap.SharedClassifyMisses
+			}
+			if hits+misses > 0 {
+				b.ReportMetric(float64(hits)/float64(hits+misses), "classify_dedup")
+			}
+			b.ReportMetric(float64(conn.n)/float64(b.N), "wire_bytes/cycle")
+			b.ReportMetric(float64(allocs)/float64(b.N)/float64(r.sessions), "allocs/session")
+		})
 	}
 }

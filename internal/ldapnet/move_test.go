@@ -108,7 +108,8 @@ func TestUnencodableUpdateEndsTheExchange(t *testing.T) {
 	w := newConnWriter(discardConn{})
 	e := tableOneEmployee(t)
 	updates := []resync.Update{{Action: resync.ActionAdd, DN: e.DN(), Entry: e}, {DN: e.DN()}}
-	if err := s.writeBatch(w, 5, resync.Batch{Updates: updates, Cookie: "sess-1@2", CSN: 7}); err == nil {
+	b := resync.Batch{Updates: updates, Point: 7, CSN: 7}
+	if err := s.writeBatch(w, 5, b, pushedEnd(b)); err == nil {
 		t.Error("an update without a wire action was streamed without error")
 	}
 
@@ -121,7 +122,7 @@ func TestUnencodableUpdateEndsTheExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u, _, _, err := decodeUpdate(m, m.Op.(*proto.SearchEntry)); err == nil {
+	if u, _, err := decodeUpdate(m, m.Op.(*proto.SearchEntry)); err == nil {
 		t.Errorf("a PDU with an unknown action decoded as %+v", u)
 	}
 }
@@ -141,13 +142,13 @@ func tableOneEmployee(t *testing.T) *entry.Entry {
 // a move: the patch's (TestDecodeAllocsPerPatch) plus the old DN, copied off
 // the control and parsed.
 func TestDecodeAllocsPerMove(t *testing.T) {
-	const maxMoveDecodeAllocs = 12 // measured 11
+	const maxMoveDecodeAllocs = 11 // measured 10 (11 while the control carried a cookie)
 	emp := tableOneEmployee(t)
 	renamed := emp.Clone()
 	renamed.SetDN(dn.MustParse("cn=emp us 0 renamed,c=us,o=xyz"))
 	renamed.Put("cn", "emp us 0 renamed")
 	pdu, err := (&proto.Message{ID: 9, Op: &proto.SearchEntry{Entry: renamed.Freeze().Restrict([]string{"cn"})},
-		Controls: []proto.Control{proto.EntryChange{Action: proto.ChangeActionMove, Cookie: "sess-12@3456", CSN: 123456,
+		Controls: []proto.Control{proto.EntryChange{Action: proto.ChangeActionMove, Final: true, Point: 3456, CSN: 123456,
 			OldDN: emp.DN().String()}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func TestDecodeAllocsPerMove(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sink, _, _, err = decodeUpdate(m, m.Op.(*proto.SearchEntry)); err != nil {
+		if sink, _, err = decodeUpdate(m, m.Op.(*proto.SearchEntry)); err != nil {
 			t.Fatal(err)
 		}
 	})

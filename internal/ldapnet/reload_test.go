@@ -259,8 +259,8 @@ func (discardConn) Close() error                     { return nil }
 // its session's message ID around the shared tail, appended into the pooled
 // response buffer: no envelope of its own, no op, no control, no copy of the
 // entry. "reload" is a Begin's content; "pushed batch" is a persist batch,
-// whose last PDU carries the session's cookie and so has its control, and
-// its tail, built for the session.
+// whose last PDU names the sync point it reaches — the same point for every
+// member crossing its interval, so that tail is shared too.
 func TestSharedEncodeHitAllocs(t *testing.T) {
 	store := reloadStore(t, 200)
 	backend := NewStoreBackend(store)
@@ -273,20 +273,20 @@ func TestSharedEncodeHitAllocs(t *testing.T) {
 	}
 	s := &Server{backend: backend, syncStats: backend.SyncCounters(), conns: map[net.Conn]bool{}}
 	w := newConnWriter(discardConn{})
+	batch := pushedBatch(res)
 	for _, tt := range []struct {
-		name   string
-		cookie string
+		name string
+		last proto.EntryChange
 		// gate is the allocations per batch: the response and a pooled
-		// buffer, and for a cookie the last PDU's control and tail (six).
+		// buffer.
 		gate float64
 	}{
-		{"reload", "", 2},
-		{"pushed batch", "sess-1@9", 8},
+		{"reload", proto.EntryChange{}, 2},
+		{"pushed batch", pushedEnd(batch), 2},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			batch := resync.Batch{Updates: res.Updates, Cookie: tt.cookie, CSN: res.CSN, Enc: res.Enc}
 			write := func() {
-				if err := s.writeBatch(w, 5, batch); err != nil {
+				if err := s.writeBatch(w, 5, batch, tt.last); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -301,11 +301,11 @@ func TestSharedEncodeHitAllocs(t *testing.T) {
 }
 
 // TestBareAddRule pins which update PDUs carry the entry-change control:
-// every action, alone in its batch with and without a cookie, streamed over a
-// connection with and without a shared-encoding memo. Exactly a cookie-less
-// add travels bare — a CSN without a cookie does not ride, so it does not
-// keep the control either — and every PDU decodes to the update that was
-// sent, with the cookie and CSN it was sent with.
+// every action, alone in its batch as an exchange's answer and as pushed
+// batches that end in every kind of sync point, streamed over a connection
+// with and without a shared-encoding memo. Exactly an add in an exchange's
+// answer travels bare, and every PDU decodes to the update that was sent,
+// with the sync point it was sent with — a point at CSN 0 included.
 func TestBareAddRule(t *testing.T) {
 	emp := tableOneEmployee(t)
 	renamed := emp.Clone()
@@ -324,11 +324,20 @@ func TestBareAddRule(t *testing.T) {
 		{"delete", resync.Update{Action: resync.ActionDelete, DN: emp.DN()}},
 		{"retain", resync.Update{Action: resync.ActionRetain, DN: emp.DN()}},
 	}
-	const csn = 41
+	ends := []struct {
+		name string
+		last proto.EntryChange
+	}{
+		{"exchange", proto.EntryChange{}},
+		{"pushed", proto.EntryChange{Final: true, Point: 41, CSN: 41}},
+		{"pushed at CSN 0", proto.EntryChange{Final: true}},
+		{"pushed by a tier", proto.EntryChange{Final: true, Point: 7, CSN: 41}},
+		{"first pushed", proto.EntryChange{Final: true, Point: 41, CSN: 41, Cookie: "sess-3@41"}},
+	}
 	for _, a := range actions {
-		for _, cookie := range []string{"", "sess-3@7"} {
+		for _, end := range ends {
 			for _, shared := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/cookie=%q/shared=%v", a.name, cookie, shared), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/cookie=%q/%s/shared=%v", a.name, end.last.Cookie, end.name, shared), func(t *testing.T) {
 					var enc *resync.SharedEnc
 					if shared {
 						enc = &resync.SharedEnc{}
@@ -339,7 +348,7 @@ func TestBareAddRule(t *testing.T) {
 					w := newConnWriter(srvEnd)
 					sent := make(chan error, 1)
 					go func() {
-						sent <- s.writeBatch(w, 5, resync.Batch{Updates: []resync.Update{a.u}, Cookie: cookie, CSN: csn, Enc: enc})
+						sent <- s.writeBatch(w, 5, resync.Batch{Updates: []resync.Update{a.u}, Enc: enc}, end.last)
 					}()
 					m, err := proto.ReadMessage(bufio.NewReader(cliEnd))
 					if err != nil {
@@ -348,22 +357,19 @@ func TestBareAddRule(t *testing.T) {
 					if err := <-sent; err != nil {
 						t.Fatal(err)
 					}
-					if bare := len(m.Controls) == 0; bare != (a.u.Action == resync.ActionAdd && cookie == "") {
+					if bare := len(m.Controls) == 0; bare != (a.u.Action == resync.ActionAdd && !end.last.Final) {
 						t.Errorf("PDU carries %d controls", len(m.Controls))
 					}
-					got, gotCookie, gotCSN, err := decodeUpdate(m, m.Op.(*proto.SearchEntry))
+					got, ec, err := decodeUpdate(m, m.Op.(*proto.SearchEntry))
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantCSN := uint64(0)
-					if cookie != "" {
-						wantCSN = csn
-					}
+					want := end.last
 					if got.Action != a.u.Action || !got.DN.Equal(a.u.DN) || got.Patch != a.u.Patch ||
 						!got.OldDN.Equal(a.u.OldDN) || (got.Entry == nil) != (a.u.Entry == nil) ||
-						(got.Entry != nil && !got.Entry.Equal(a.u.Entry)) || gotCookie != cookie || gotCSN != wantCSN {
-						t.Errorf("decoded %+v (cookie %q, csn %d), sent %+v (cookie %q, csn %d)",
-							got, gotCookie, gotCSN, a.u, cookie, wantCSN)
+						(got.Entry != nil && !got.Entry.Equal(a.u.Entry)) ||
+						ec.Final != want.Final || ec.Point != want.Point || ec.CSN != want.CSN || ec.Cookie != want.Cookie {
+						t.Errorf("decoded %+v (%+v), sent %+v (%+v)", got, ec, a.u, want)
 					}
 				})
 			}

@@ -11,6 +11,7 @@ import (
 	"filterdir/internal/ber"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
+	"filterdir/internal/resync"
 )
 
 // nestedNotSearch encodes a subtree search under o=xyz whose filter is (cn=*)
@@ -164,7 +165,7 @@ func TestNeverReadingPeerIsDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(peer)
-		var cookie string
+		var session, cookie string
 		for i := 0; i < taken; i++ {
 			m, err := proto.ReadMessage(r)
 			if err != nil {
@@ -174,16 +175,19 @@ func TestNeverReadingPeerIsDropped(t *testing.T) {
 			if !ok {
 				t.Fatalf("push %d is %T", i, m.Op)
 			}
-			_, c, _, err := decodeUpdate(m, se)
+			_, ec, err := decodeUpdate(m, se)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c != "" {
-				cookie = c
+			if ec.Cookie != "" {
+				session, _, _ = resync.SplitCookie(ec.Cookie)
+			}
+			if ec.Final {
+				cookie = resync.CookieString(session, ec.Point)
 			}
 		}
-		if cookie == "" {
-			t.Fatal("no push carried a cookie")
+		if session == "" {
+			t.Fatal("no push named the session")
 		}
 		if err := pushEntries(store, taken, missed); err != nil {
 			t.Fatal(err)

@@ -509,11 +509,23 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 	// which tells the consumer to drop what it holds, and no subscription:
 	// the consumer lands the reload and asks for the stream again.
 	persist := req.Mode == proto.ReSyncModePersist && !res.FullReload && res.Resume == nil
-	batch := resync.Batch{Updates: res.Updates, CSN: res.CSN, Enc: res.Enc}
-	if persist {
-		batch.Cookie = res.Cookie
+	session, point, _ := resync.SplitCookie(res.Cookie)
+	batch := resync.Batch{Updates: res.Updates, Point: point, CSN: res.CSN, Enc: res.Enc}
+	// A stream asked for without a cookie begins a session its consumer
+	// cannot name yet: the first batch it is sent names it, in a whole cookie.
+	named := req.Cookie != ""
+	end := func(b resync.Batch) proto.EntryChange {
+		last := pushedEnd(b)
+		if !named && len(b.Updates) > 0 {
+			last.Cookie, named = resync.CookieString(session, b.Point), true
+		}
+		return last
 	}
-	if err := s.streamUpdates(out, id, batch); err != nil {
+	var last proto.EntryChange
+	if persist {
+		last = end(batch)
+	}
+	if err := s.streamUpdates(out, id, batch, last); err != nil {
 		// Without its cookie the exchange must not look complete; on a dead
 		// connection this reply goes nowhere.
 		s.reply(out, id, &proto.SearchDone{}, resultCodeFor(err), err.Error(), nil, nil)
@@ -543,22 +555,22 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 	// Each pushed batch is written as a response of its own; the stream ends
 	// by abandon or connection teardown (sub.Close), engine-side slow-consumer
 	// demotion or a failed write here, whose stream done then goes nowhere. A
-	// clean end names the sync point the last batch reached.
+	// clean end names the sync point the last batch reached, in a whole
+	// cookie.
 	s.answerLater(state, id, sub.Close, func() {
-		cookie := res.Cookie
 		for {
 			batch, ok := sub.Next()
 			if !ok {
 				break
 			}
-			if err := s.writeBatch(state.w, id, batch); err != nil {
+			if err := s.writeBatch(state.w, id, batch, end(batch)); err != nil {
 				sub.Close()
 				s.streamDone(state.w, id, "", err)
 				return
 			}
-			cookie = batch.Cookie
+			point = batch.Point
 		}
-		s.streamDone(state.w, id, cookie, nil)
+		s.streamDone(state.w, id, resync.CookieString(session, point), nil)
 	})
 }
 
@@ -602,25 +614,26 @@ func changeAction(u resync.Update) (proto.ChangeAction, error) {
 // entry-change control; delete and retain actions carry the DN only, a move
 // its old DN on the control. A synchronous exchange puts them into the
 // response it answers with, a persist push into one of its own
-// (Server.writeBatch). A non-empty b.Cookie is attached, with b.CSN, to the
-// final PDU so persist-mode consumers learn the sync point each pushed batch
-// reaches. An add that carries nothing else — no cookie, no CSN, no old DN —
-// travels bare, without the control: a consumer reads an entry PDU without
-// one as an add, which is every PDU of a content transfer (paper §5.2: the
-// whole content "as add actions"). An update the wire has no action for ends
-// the exchange with an error: skipping it would drop, with the last update,
-// the batch's cookie.
+// (Server.writeBatch). last is what the final PDU's control adds to its
+// action: nothing for an exchange, whose done control names the sync point,
+// and for a pushed batch the point it reaches (pushedEnd). An add that
+// carries nothing else — no sync point, no old DN — travels bare, without the
+// control: a consumer reads an entry PDU without one as an add, which is every
+// PDU of a content transfer (paper §5.2: the whole content "as add actions").
+// An update the wire has no action for ends the exchange with an error:
+// skipping it would drop, with the last update, the batch's sync point.
 //
 // When the batch carries a shared-encoding memo, the tail is BER-encoded
 // once per content view and reused across every session fanned the batch —
-// a pushed change interval and a full reload alike: for all but a
-// cookie-bearing final update the message differs between sessions only in
-// its message ID, so the whole tail (op TLV, then the entry-change control
-// unless the add is bare) is cached, and a hit allocates nothing: the tail
-// is copied once, into the response buffer. The final update of a persist
-// batch carries the per-session cookie, so its control is rebuilt around the
-// cached PDU body.
-func (s *Server) streamUpdates(out *response, id int64, b resync.Batch) error {
+// a pushed change interval and a full reload alike. A session's messages
+// differ from another's only in their message IDs, the final PDU of a
+// pushed batch included: it names the sync point, not the session. So the
+// whole tail (op TLV, then the entry-change control unless the add is bare)
+// is cached, and a hit allocates nothing: the tail is copied once, into the
+// response buffer. Only a final PDU that names the session (a stream's first
+// batch, asked for without a cookie) or a point of its own
+// (resync.SharedEnc.GetFinal) is built for its session.
+func (s *Server) streamUpdates(out *response, id int64, b resync.Batch, last proto.EntryChange) error {
 	for i, u := range b.Updates {
 		u := u
 		action, err := changeAction(u)
@@ -628,17 +641,9 @@ func (s *Server) streamUpdates(out *response, id int64, b resync.Batch) error {
 			return err
 		}
 		ec := proto.EntryChange{Action: action}
-		if i == len(b.Updates)-1 && b.Cookie != "" {
-			ec.Cookie, ec.CSN = b.Cookie, b.CSN
-		}
-		control := func() []proto.Control {
-			if u.IsMove() {
-				ec.OldDN = u.OldDN.String()
-			}
-			if ec == (proto.EntryChange{Action: proto.ChangeActionAdd}) {
-				return nil // a bare entry is an add
-			}
-			return []proto.Control{ec.Control()}
+		if i == len(b.Updates)-1 {
+			ec = last
+			ec.Action = action
 		}
 		// The op and its control are built inside the memo's build
 		// functions: on a hit neither is needed.
@@ -647,25 +652,24 @@ func (s *Server) streamUpdates(out *response, id int64, b resync.Batch) error {
 			if err != nil {
 				return nil, err
 			}
-			return proto.EncodeMessageTail(searchEntryTag, body, control()), nil
+			if u.IsMove() {
+				ec.OldDN = u.OldDN.String()
+			}
+			var control []proto.Control
+			if ec != (proto.EntryChange{Action: proto.ChangeActionAdd}) {
+				control = []proto.Control{ec.Control()} // else a bare entry is an add
+			}
+			return proto.EncodeMessageTail(searchEntryTag, body, control), nil
 		}
 		var tail []byte
-		var built bool
+		built := true
 		switch {
-		case b.Enc == nil:
+		case b.Enc == nil || ec.Cookie != "":
 			tail, err = encodeTail()
-		case ec.Cookie == "":
-			// Session-independent message: share the whole tail; putTail
-			// stamps only the message ID.
-			tail, built, err = b.Enc.GetTail(i, encodeTail)
+		case ec.Final:
+			tail, built, err = b.Enc.GetFinal(ec.Point, ec.CSN, encodeTail)
 		default:
-			// The per-session cookie control forces a per-session tail;
-			// the PDU body is still shared.
-			var body []byte
-			body, built, err = b.Enc.Get(i, func() ([]byte, error) { return proto.EncodeOpBody(updateOp(u)) })
-			if err == nil {
-				tail = proto.EncodeMessageTail(searchEntryTag, body, control())
-			}
+			tail, built, err = b.Enc.GetTail(i, encodeTail)
 		}
 		if err != nil {
 			return err
@@ -685,12 +689,19 @@ func (s *Server) streamUpdates(out *response, id int64, b resync.Batch) error {
 	return nil
 }
 
-// writeBatch writes one batch of updates to w as a response of its own: a
-// pushed persist batch, with its cookie on the last PDU. The synchronous
-// exchanges put their updates into the response they answer with instead.
-func (s *Server) writeBatch(w *connWriter, id int64, b resync.Batch) error {
+// pushedEnd is what the final PDU of a pushed batch adds to its control: the
+// sync point the batch reaches and the master CSN it syncs the consumer to.
+func pushedEnd(b resync.Batch) proto.EntryChange {
+	return proto.EntryChange{Final: true, Point: b.Point, CSN: b.CSN}
+}
+
+// writeBatch writes one batch of updates to w as a response of its own, its
+// final PDU ended with last (see streamUpdates): a pushed persist batch. The
+// synchronous exchanges put their updates into the response they answer with
+// instead.
+func (s *Server) writeBatch(w *connWriter, id int64, b resync.Batch, last proto.EntryChange) error {
 	out := &response{w: w}
-	err := s.streamUpdates(out, id, b)
+	err := s.streamUpdates(out, id, b, last)
 	if endErr := out.end(); err == nil {
 		err = endErr
 	}

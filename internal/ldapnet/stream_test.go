@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"filterdir/internal/ber"
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
@@ -261,8 +262,10 @@ func TestOneGoroutinePerOpenRequest(t *testing.T) {
 		}
 	}
 	// The count is of goroutines started since the baseline, not of all:
-	// those of earlier tests may still be winding down meanwhile (a content
-	// group's broadcaster exits after its last stream closes, unwaited).
+	// those of earlier tests may still be winding down meanwhile. Even one
+	// that was waited for — a server's connection goroutine, a content
+	// group's broadcaster — counts until it has returned from the act the
+	// wait observed, and a plain runtime.NumGoroutine count misses by one.
 	var baseline map[string]bool
 	goroutines := func(want int, what string) {
 		t.Helper()
@@ -347,4 +350,206 @@ func goroutineIDs() map[string]bool {
 		}
 	}
 	return ids
+}
+
+// messageTails cuts wire bytes into their messages and returns each without
+// its message ID: the part a supplier's shared memo holds.
+func messageTails(t *testing.T, wire []byte) [][]byte {
+	t.Helper()
+	var tails [][]byte
+	for rd := ber.NewReader(wire); !rd.Empty(); {
+		msg, err := rd.ReadExpect(ber.ClassUniversal, ber.TagSequence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := ber.NewReader(msg).ReadInt()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tails = append(tails, msg[ber.TLVLen(ber.IntLen(id)):])
+	}
+	return tails
+}
+
+// TestPushedBatchSameForEveryMember: the members of a content group are
+// pushed a commit as the same bytes, message IDs apart. The batch's last PDU
+// names the sync point, which every member reaches alike, not the session, so
+// the group encodes each PDU once and serves the rest from its memo. "tier"
+// stamps a watermark other than its local CSN, as a cascade tier does: the
+// point's name rides beside it, and is still the same for every member. A
+// member's cookie, composed from its session and the pushed point, resumes
+// its session.
+func TestPushedBatchSameForEveryMember(t *testing.T) {
+	const members = 16
+	for _, tier := range []bool{false, true} {
+		t.Run(map[bool]string{false: "master", true: "tier"}[tier], func(t *testing.T) {
+			store := newTestStore(t)
+			backend := NewStoreBackend(store)
+			if tier {
+				backend.Engine.SetWatermarkFunc(func(csn dit.CSN) uint64 { return 1000 + uint64(csn) })
+			}
+			srv, err := Serve("127.0.0.1:0", backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = srv.Close() })
+			wires := make([]*bytes.Buffer, members)
+			streams := make([]*Stream, members)
+			from := make([]int, members)
+			for i := range streams {
+				wires[i] = &bytes.Buffer{}
+				c, err := DialWith(teeDial(wires[i]), srv.Addr(), DefaultTimeout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = c.Close() })
+				for j := 0; j < i; j++ { // so that every member's message IDs differ
+					if err := bind(c, "", ""); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := c.Sync(streamSpec, proto.ReSyncModePoll, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				from[i] = wires[i].Len()
+				if streams[i], err = c.Persist(streamSpec, res.Cookie, 0); err != nil {
+					t.Fatal(err)
+				}
+				defer streams[i].Close()
+			}
+			for backend.Engine.Counters().PersistStreams.Load() != members {
+				time.Sleep(time.Millisecond)
+			}
+			before := backend.SyncCounters().Snapshot()
+			if err := store.Modify(dn.MustParse("cn=p3,c=us,o=xyz"),
+				[]dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"pushed"}}}); err != nil {
+				t.Fatal(err)
+			}
+			csn := store.LastCSN()
+			var first [][]byte
+			for i, st := range streams {
+				var b *resync.PollResult
+				select {
+				case b = <-st.Batches:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("member %d: no batch pushed", i)
+				}
+				wantCSN := uint64(csn)
+				if tier {
+					wantCSN += 1000
+				}
+				if _, point, _ := resync.SplitCookie(b.Cookie); len(b.Updates) != 1 || point != uint64(csn) || b.CSN != wantCSN {
+					t.Fatalf("member %d: %d updates under %s at CSN %d, want 1 under the point %d at %d",
+						i, len(b.Updates), b.Cookie, b.CSN, csn, wantCSN)
+				}
+				res, err := backend.Engine.Poll(b.Cookie)
+				if err != nil || res.FullReload || len(res.Updates) != 0 {
+					t.Fatalf("member %d: poll by %s: %v, want an empty resume", i, b.Cookie, err)
+				}
+				tails := messageTails(t, wires[i].Bytes()[from[i]:])
+				if i == 0 {
+					first = tails
+					continue
+				}
+				if len(tails) != len(first) {
+					t.Fatalf("member %d was pushed %d messages, member 0 %d", i, len(tails), len(first))
+				}
+				for k := range tails {
+					if !bytes.Equal(tails[k], first[k]) {
+						t.Errorf("member %d's message %d differs from member 0's beyond its ID:\n  %x\n  %x", i, k, tails[k], first[k])
+					}
+				}
+			}
+			after := backend.SyncCounters().Snapshot()
+			if enc, dedup := after.StreamEncodes-before.StreamEncodes, after.StreamDedupPDUs-before.StreamDedupPDUs; enc != 1 || dedup != members-1 {
+				t.Errorf("the pushed PDU was encoded %d times and served from the memo %d, want 1 and %d", enc, dedup, members-1)
+			}
+		})
+	}
+}
+
+// TestStreamFromCSNZero: a store populated by Load holds its content at CSN
+// 0, so a Begin there names its sync point 0. A stream asked for from that
+// cookie, and one asked for without a cookie — whose first batch is the
+// content and names the session whole — both carry the first commit under a
+// cookie of their session that resumes it.
+func TestStreamFromCSNZero(t *testing.T) {
+	store, err := dit.NewStore([]string{"o=xyz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	org := entry.New(dn.MustParse("o=xyz"))
+	org.Put("objectclass", "organization").Put("o", "xyz")
+	entries := []*entry.Entry{org}
+	for i := 0; i < 2; i++ {
+		e := entry.New(dn.MustParse(fmt.Sprintf("cn=p%d,o=xyz", i)))
+		e.Put("objectclass", "person").Put("cn", fmt.Sprint("p", i)).Put("sn", "x").Put("serialNumber", fmt.Sprint("040", i))
+		entries = append(entries, e)
+	}
+	if err := store.Load(entries); err != nil {
+		t.Fatal(err)
+	}
+	backend := NewStoreBackend(store)
+	srv, err := Serve("127.0.0.1:0", backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	begun, err := dialT(t, srv.Addr()).Sync(streamSpec, proto.ReSyncModePoll, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, point, ok := resync.SplitCookie(begun.Cookie); !ok || point != 0 {
+		t.Fatalf("Begin at CSN 0 answered cookie %q", begun.Cookie)
+	}
+	resumed, err := dialT(t, srv.Addr()).Persist(streamSpec, begun.Cookie, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	fresh, err := dialT(t, srv.Addr()).Persist(streamSpec, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	next := func(st *Stream) *resync.PollResult {
+		t.Helper()
+		select {
+		case b := <-st.Batches:
+			if b == nil {
+				t.Fatalf("stream ended: %v", st.Err())
+			}
+			return b
+		case <-time.After(10 * time.Second):
+			t.Fatal("no batch")
+		}
+		return nil
+	}
+	content := next(fresh)
+	if id, point, ok := resync.SplitCookie(content.Cookie); !ok || point != 0 || id == "" || content.CSN != 0 || len(content.Updates) != len(begun.Updates) {
+		t.Fatalf("first batch of a stream asked for without a cookie: %d updates under %q at CSN %d, want %d under a point named 0",
+			len(content.Updates), content.Cookie, content.CSN, len(begun.Updates))
+	}
+	for backend.Engine.Counters().PersistStreams.Load() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := store.Delete(dn.MustParse("cn=p1,o=xyz")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		st     *Stream
+		opened string
+	}{{"resumed", resumed, begun.Cookie}, {"fresh", fresh, content.Cookie}} {
+		b := next(tc.st)
+		id, _, _ := resync.SplitCookie(tc.opened)
+		if want := resync.CookieString(id, uint64(store.LastCSN())); b.Cookie != want || len(b.Updates) != 1 {
+			t.Errorf("%s: %d updates under %q, want 1 under %q", tc.name, len(b.Updates), b.Cookie, want)
+		}
+		res, err := backend.Engine.Poll(b.Cookie)
+		if err != nil || res.FullReload || len(res.Updates) != 0 {
+			t.Errorf("%s: poll by %s: %v, want an empty resume", tc.name, b.Cookie, err)
+		}
+	}
 }

@@ -154,7 +154,7 @@ func TestCoalescedResponseFraming(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(id int64, wantDNs []string, cookieOnLast bool) {
+	check := func(id int64, wantDNs []string, pointOnLast bool) {
 		t.Helper()
 		msgs := got[id]
 		if len(msgs) != len(wantDNs)+1 {
@@ -174,8 +174,8 @@ func TestCoalescedResponseFraming(t *testing.T) {
 			t.Fatalf("response %d does not end with a successful SearchDone: %+v", id, msgs[len(msgs)-1].Op)
 		}
 		last := msgs[len(msgs)-2]
-		if _, cookie, _, err := decodeUpdate(last, last.Op.(*proto.SearchEntry)); err != nil || (cookie != "") != cookieOnLast {
-			t.Errorf("response %d: last entry carries cookie %q (%v)", id, cookie, err)
+		if _, ec, err := decodeUpdate(last, last.Op.(*proto.SearchEntry)); err != nil || ec.Final != pointOnLast {
+			t.Errorf("response %d: last entry's control %+v (%v)", id, ec, err)
 		}
 	}
 	var beginDNs, streamDNs []string

@@ -85,7 +85,9 @@ func runCascade(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
 	if f != nil {
 		return f
 	}
-	frep, err := replica.NewFilterReplica()
+	// The mid serves an engine, which classifies its store's journal: it
+	// keeps every change, like the reference it is checked against.
+	frep, err := replica.NewFilterReplica(replica.WithJournalLimit(0))
 	if err != nil {
 		return h.fail("new mid replica: %v", err)
 	}

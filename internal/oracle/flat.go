@@ -165,13 +165,14 @@ func (x *flat) persist(c *consumer) *Failure {
 			sub.Close()
 			return x.poll(c, false)
 		}
-		drained = &resync.PollResult{Updates: b.Updates, Cookie: b.Cookie}
+		session, _, _ := resync.SplitCookie(c.cookie)
+		drained = &resync.PollResult{Updates: b.Updates, Cookie: resync.CookieString(session, b.Point)}
 	}
 	sub.Close()
 	return x.land(c, drained, false, x.mdl)
 }
 
-// badCookie polls with a corrupted generation: the only safe engine answer
+// badCookie polls with a corrupted sync point: the only safe engine answer
 // is a full reload.
 func (x *flat) badCookie(c *consumer) *Failure {
 	if !c.begun {
@@ -190,7 +191,8 @@ func (x *flat) badCookie(c *consumer) *Failure {
 	return x.land(c, res, true, x.mdl)
 }
 
-// corruptCookie replaces the generation part with one that never existed.
+// corruptCookie replaces the sync point part with one that never existed (a
+// CSN no history reaches).
 func corruptCookie(cookie string) string {
 	if i := strings.LastIndexByte(cookie, '@'); i >= 0 {
 		return cookie[:i] + "@999999999"

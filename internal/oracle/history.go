@@ -23,7 +23,7 @@ const (
 	// EvPersist upgrades replica Rep to persist mode at its cookie, drains
 	// the due batch, and downgrades again.
 	EvPersist
-	// EvBadCookie polls with a corrupted generation; the engine must
+	// EvBadCookie polls with a corrupted sync point; the engine must
 	// answer with a full reload.
 	EvBadCookie
 	// EvEnd ends replica Rep's session server-side (operator abandon /

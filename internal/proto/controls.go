@@ -77,19 +77,24 @@ const (
 	OIDReSyncDone = "1.3.6.1.4.1.55555.1.2"
 	// OIDEntryChange labels an update PDU of a ReSync response: value =
 	// SEQUENCE { action ENUMERATED, cookie OCTET STRING OPTIONAL, csn INTEGER
-	// OPTIONAL, oldDN [0] OCTET STRING OPTIONAL }. An add carrying no cookie
-	// (and so no csn) travels without it — an entry PDU with no entry-change
-	// control is an add — so the PDUs of a content transfer, which the paper
-	// ships "as add actions", are bare search entries. The action says
-	// how to read the PDU's entry — add and modify carry the complete entry,
-	// patch and move only the attributes to replace (see ChangeActionPatch,
-	// ChangeActionMove), delete and retain the DN alone — so telling a patch
-	// from an image costs no byte. The cookie appears on the last PDU of a
-	// persist-mode batch, naming the sync point the replica reaches by
-	// applying the batch; the csn rides beside it, echoing the master CSN the
-	// batch syncs the consumer to (the signal an edge-writing replica uses to
-	// retire pending ops). The old DN rides on a move alone; being tagged, it
-	// leaves cookie and csn where they were.
+	// OPTIONAL, oldDN [0] OCTET STRING OPTIONAL, point [1] INTEGER OPTIONAL }.
+	// An add carrying nothing else travels without it — an entry PDU with no
+	// entry-change control is an add — so the PDUs of a content transfer,
+	// which the paper ships "as add actions", are bare search entries. The
+	// action says how to read the PDU's entry — add and modify carry the
+	// complete entry, patch and move only the attributes to replace (see
+	// ChangeActionPatch, ChangeActionMove), delete and retain the DN alone —
+	// so telling a patch from an image costs no byte. The csn marks the last
+	// PDU of a persist-mode batch, whatever its value (0 is a CSN): it is the
+	// master CSN the batch syncs the consumer to (the signal an
+	// edge-writing replica uses to retire pending ops), and the sync point the
+	// replica reaches by applying the batch is named by it, or by point where
+	// the name differs (a cascade tier names its points by its own CSNs). The
+	// consumer composes the cookie from the session its stream was opened on;
+	// the cookie rides whole only where the consumer cannot know the session,
+	// on the last PDU of a stream's first batch when the stream was asked for
+	// without one. The old DN rides on a move alone; being tagged, like point,
+	// it leaves the other fields where they were.
 	OIDEntryChange = "1.3.6.1.4.1.55555.1.3"
 	// OIDEdgeWrite is attached to an update request forwarded up the
 	// cascade by an edge-writing replica: value = SEQUENCE { opid OCTET
@@ -252,18 +257,25 @@ func (a ChangeAction) String() string {
 	}
 }
 
-// tagOldDN is the context tag of a move's old DN in the entry-change control.
-const tagOldDN = 0
+// Context tags of the entry-change control's tagged fields.
+const (
+	tagOldDN = 0
+	tagPoint = 1
+)
 
-// EntryChange is the content of an entry-change control (OIDEntryChange). A
-// non-empty Cookie marks the PDU as the last of a pushed batch: applying
-// everything up to and including it brings the replica to the named sync
-// point. CSN (0 to omit) rides only with a cookie, echoing the master CSN the
-// batch syncs the consumer to. OldDN is set on a move, and only there.
+// EntryChange is the content of an entry-change control (OIDEntryChange).
+// Final marks the PDU as the last of a pushed batch: applying everything up
+// to and including it brings the replica to the sync point named Point,
+// synced to the master CSN CSN. Both ride on the final PDU only, and Point on
+// the wire only where it differs from CSN. Cookie is the whole cookie of that
+// point, set only where the consumer cannot know its session (see
+// OIDEntryChange). OldDN is set on a move, and only there.
 type EntryChange struct {
 	Action ChangeAction
-	Cookie string
+	Final  bool
+	Point  uint64
 	CSN    uint64
+	Cookie string
 	OldDN  string
 }
 
@@ -271,22 +283,26 @@ type EntryChange struct {
 func (ec EntryChange) Control() Control {
 	var body []byte
 	body = ber.AppendEnum(body, int64(ec.Action))
-	if ec.Cookie != "" {
-		body = ber.AppendString(body, ber.ClassUniversal, ber.TagOctetString, ec.Cookie)
-		if ec.CSN > 0 {
-			body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, int64(ec.CSN))
+	if ec.Final {
+		if ec.Cookie != "" {
+			body = ber.AppendString(body, ber.ClassUniversal, ber.TagOctetString, ec.Cookie)
 		}
+		body = ber.AppendInt(body, ber.ClassUniversal, ber.TagInteger, int64(ec.CSN))
 	}
 	if ec.OldDN != "" {
 		body = ber.AppendString(body, ber.ClassContext, tagOldDN, ec.OldDN)
 	}
+	if ec.Final && ec.Point != ec.CSN {
+		body = ber.AppendInt(body, ber.ClassContext, tagPoint, int64(ec.Point))
+	}
 	return Control{OID: OIDEntryChange, Value: ber.AppendSequence(nil, body)}
 }
 
-// ParseEntryChange decodes an entry-change control; Cookie is "" (and CSN 0)
-// except on the final PDU of a pushed batch. An action this package does not
-// define, a move without its old DN and an old DN on anything but a move are
-// errors: what the consumer would do with them is undefined.
+// ParseEntryChange decodes an entry-change control; Final is set, and with it
+// Point and CSN, on the final PDU of a pushed batch only. An action this
+// package does not define, a move without its old DN, an old DN on anything
+// but a move, and a cookie or point off a final PDU are errors: what the
+// consumer would do with them is undefined.
 func ParseEntryChange(c Control) (EntryChange, error) {
 	rd := ber.NewReader(c.Value)
 	seq, err := rd.ReadSequence()
@@ -311,7 +327,7 @@ func ParseEntryChange(c Control) (EntryChange, error) {
 		if err != nil {
 			return EntryChange{}, err
 		}
-		ec.CSN = uint64(n)
+		ec.Final, ec.CSN, ec.Point = true, uint64(n), uint64(n)
 	}
 	if h, err := seq.Peek(); err == nil && h.Is(ber.ClassContext, tagOldDN) {
 		old, err := seq.ReadExpect(ber.ClassContext, tagOldDN)
@@ -319,6 +335,21 @@ func ParseEntryChange(c Control) (EntryChange, error) {
 			return EntryChange{}, err
 		}
 		ec.OldDN = string(old)
+	}
+	point := false
+	if h, err := seq.Peek(); err == nil && h.Is(ber.ClassContext, tagPoint) {
+		raw, err := seq.ReadExpect(ber.ClassContext, tagPoint)
+		if err != nil {
+			return EntryChange{}, err
+		}
+		n, err := ber.ParseInt(raw)
+		if err != nil {
+			return EntryChange{}, fmt.Errorf("entry change control: point: %w", err)
+		}
+		ec.Point, point = uint64(n), true
+	}
+	if !ec.Final && (ec.Cookie != "" || point) {
+		return EntryChange{}, fmt.Errorf("entry change control: %s names a sync point without its csn", ec.Action)
 	}
 	if (ec.Action == ChangeActionMove) != (ec.OldDN != "") {
 		return EntryChange{}, fmt.Errorf("entry change control: %s with old DN %q", ec.Action, ec.OldDN)

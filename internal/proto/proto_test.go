@@ -218,27 +218,38 @@ func TestEntryChangeControl(t *testing.T) {
 			t.Errorf("entry change %v: got %+v, %v", a, got, err)
 		}
 	}
-	// The batch-closing form carries the sync-point cookie and watermark.
+	// The batch-closing form names the sync point and the watermark: CSN 0
+	// is a point like any other, and a point named apart from the watermark
+	// (a cascade tier's) carries its name.
 	for _, want := range []EntryChange{
-		{Action: ChangeActionModify, Cookie: "sess-3@7", CSN: 9},
-		// A move carries its old DN, with or without the cookie.
+		{Action: ChangeActionModify, Final: true, Point: 9, CSN: 9},
+		{Action: ChangeActionAdd, Final: true},
+		{Action: ChangeActionModify, Final: true, Point: 7, CSN: 9},
+		{Action: ChangeActionModify, Final: true, Point: 9, CSN: 0},
+		// The first batch of a stream asked for without a cookie names it.
+		{Action: ChangeActionAdd, Final: true, Point: 7, CSN: 7, Cookie: "sess-3@7"},
+		// A move carries its old DN, with or without the sync point.
 		{Action: ChangeActionMove, OldDN: "cn=emp us 17,c=us,o=xyz"},
-		{Action: ChangeActionMove, Cookie: "sess-3@7", CSN: 9, OldDN: "cn=emp us 17,c=us,o=xyz"},
+		{Action: ChangeActionMove, Final: true, Point: 7, CSN: 9, OldDN: "cn=emp us 17,c=us,o=xyz"},
 	} {
 		got, err := ParseEntryChange(want.Control())
 		if err != nil || got != want {
 			t.Errorf("entry change: got %+v, %v; want %+v", got, err, want)
 		}
 	}
-	// What a consumer could not act on is refused.
-	for _, bad := range []EntryChange{
-		{Action: ChangeActionMove},
-		{Action: ChangeActionPatch, OldDN: "cn=a,o=xyz"},
-		{Action: 0},
-		{Action: ChangeActionMove + 1},
+	// What a consumer could not act on is refused: a cookie or a point name
+	// off the final PDU included, which the encoder never writes.
+	action := ber.AppendEnum(nil, int64(ChangeActionModify))
+	for _, bad := range []Control{
+		EntryChange{Action: ChangeActionMove}.Control(),
+		EntryChange{Action: ChangeActionPatch, OldDN: "cn=a,o=xyz"}.Control(),
+		EntryChange{Action: 0}.Control(),
+		EntryChange{Action: ChangeActionMove + 1}.Control(),
+		{OID: OIDEntryChange, Value: ber.AppendSequence(nil, ber.AppendString(action, ber.ClassUniversal, ber.TagOctetString, "sess-3@7"))},
+		{OID: OIDEntryChange, Value: ber.AppendSequence(nil, ber.AppendInt(action, ber.ClassContext, tagPoint, 7))},
 	} {
-		if got, err := ParseEntryChange(bad.Control()); err == nil {
-			t.Errorf("%+v parsed as %+v", bad, got)
+		if got, err := ParseEntryChange(bad); err == nil {
+			t.Errorf("%x parsed as %+v", bad.Value, got)
 		}
 	}
 }
@@ -375,7 +386,7 @@ func TestSharedEncodingEquivalence(t *testing.T) {
 	controlSets := [][]Control{
 		nil,
 		{EntryChange{Action: ChangeActionAdd}.Control()},
-		{EntryChange{Action: ChangeActionDelete, Cookie: "sess-9@4", CSN: 3}.Control()},
+		{EntryChange{Action: ChangeActionDelete, Final: true, Point: 4, CSN: 3}.Control()},
 	}
 	for _, tc := range ops {
 		for ci, controls := range controlSets {
@@ -464,7 +475,7 @@ func TestSizedEncodersMatchReference(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: sized body differs from the reference encoding (%d vs %d bytes)", name, len(got), len(want))
 		}
-		controls := []Control{EntryChange{Action: ChangeActionAdd, Cookie: "sess-3@7", CSN: 41}.Control()}
+		controls := []Control{EntryChange{Action: ChangeActionAdd, Final: true, Point: 41, CSN: 41}.Control()}
 		msg, err := (&Message{ID: 300, Op: &SearchEntry{Entry: e}, Controls: controls}).Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -631,11 +642,12 @@ func TestEncodeAllocsPerEntry(t *testing.T) {
 
 // patchPDU is the PDU of a one-attribute modify of the Table-1 employee as
 // the master pushes it to a persist consumer: the DN, the touched attribute
-// with its current values, and the batch's cookie and CSN on the control.
+// with its current values, and on the control the CSN that names the
+// batch's sync point.
 func patchPDU(t testing.TB) []byte {
 	patch := employeeEntry().Freeze().Restrict([]string{"telephonenumber"})
 	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: patch},
-		Controls: []Control{EntryChange{Action: ChangeActionPatch, Cookie: "sess-12@3456", CSN: 123456}.Control()}}).Encode()
+		Controls: []Control{EntryChange{Action: ChangeActionPatch, Final: true, Point: 123456, CSN: 123456}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,31 +659,31 @@ func patchPDU(t testing.TB) []byte {
 // follow the size of the change, not of the entry (the same employee as a
 // full image is several times that, and a paper-sized 6 KB entry fifty).
 func TestPatchPDUBytes(t *testing.T) {
-	const maxPatchBytes = 130 // measured 118
+	const maxPatchBytes = 116 // measured 104 (118 while the control carried the session's cookie)
 	pdu := patchPDU(t)
 	image, err := (&Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry()},
-		Controls: []Control{EntryChange{Action: ChangeActionModify, Cookie: "sess-12@3456", CSN: 123456}.Control()}}).Encode()
+		Controls: []Control{EntryChange{Action: ChangeActionModify, Final: true, Point: 123456, CSN: 123456}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("one-attribute modify: %d B as a patch, %d B as an image", len(pdu), len(image))
 	if len(pdu) > maxPatchBytes {
-		t.Errorf("one-attribute patch PDU is %d B with cookie, gate is %d", len(pdu), maxPatchBytes)
+		t.Errorf("one-attribute patch PDU is %d B with its sync point, gate is %d", len(pdu), maxPatchBytes)
 	}
 }
 
 // TestMovePDUBytes is the size gate of a rename within the content: the
 // Table-1 employee renamed is one move — the new DN, the RDN attribute with
-// its new value, the cookie, the CSN and the old DN — not the delete of the
-// old DN plus the complete entry under the new one.
+// its new value, the CSN naming the sync point and the old DN — not the
+// delete of the old DN plus the complete entry under the new one.
 func TestMovePDUBytes(t *testing.T) {
-	const maxMoveBytes = 160 // measured 148
+	const maxMoveBytes = 146 // measured 134 (148 while the control carried the session's cookie)
 	old := employeeEntry()
 	renamed := old.Clone()
 	renamed.SetDN(dn.MustParse("cn=emp us 17 renamed,c=us,o=xyz"))
 	renamed.Put("cn", "emp us 17 renamed")
 	pdu, err := (&Message{ID: 9, Op: &SearchEntry{Entry: renamed.Freeze().Restrict([]string{"cn"})},
-		Controls: []Control{EntryChange{Action: ChangeActionMove, Cookie: "sess-12@3456", CSN: 123456,
+		Controls: []Control{EntryChange{Action: ChangeActionMove, Final: true, Point: 123456, CSN: 123456,
 			OldDN: old.DN().String()}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -682,20 +694,19 @@ func TestMovePDUBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	add, err := (&Message{ID: 9, Op: &SearchEntry{Entry: renamed},
-		Controls: []Control{EntryChange{Action: ChangeActionAdd, Cookie: "sess-12@3456", CSN: 123456}.Control()}}).Encode()
+		Controls: []Control{EntryChange{Action: ChangeActionAdd, Final: true, Point: 123456, CSN: 123456}.Control()}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("rename within the content: %d B as a move, %d B as a delete plus an add", len(pdu), len(del)+len(add))
 	if len(pdu) > maxMoveBytes {
-		t.Errorf("move PDU is %d B with cookie, gate is %d", len(pdu), maxMoveBytes)
+		t.Errorf("move PDU is %d B with its sync point, gate is %d", len(pdu), maxMoveBytes)
 	}
 }
 
 // TestDecodeAllocsPerPatch gates the consumer's decode of the same PDU: the
 // fixed costs of TestDecodeAllocsPerReloadedEntry (body, message, op, DN,
-// entry) and the control list, with one attribute behind them; the cookie is
-// a copy only once the control is parsed.
+// entry) and the control list, with one attribute behind them.
 func TestDecodeAllocsPerPatch(t *testing.T) {
 	const maxPatchDecodeAllocs = 9 // measured 8
 	pdu := patchPDU(t)

@@ -85,11 +85,18 @@ func WithContentIndexes(attrs ...string) FROption {
 	return func(r *FilterReplica) { r.contentIndexes = attrs }
 }
 
-// WithJournalLimit bounds the content store's update journal. A cascade
-// mid-tier serving ReSync to downstream replicas needs the journal for
-// incremental classification, but unbounded history would grow without
-// limit; past the bound a lagging downstream session degrades soundly to a
-// full reload (0 = unbounded, the default for plain consumer replicas).
+// DefaultJournalLimit bounds the content store's update journal of a
+// replica that serves no engine. Nothing reads that journal — only a served
+// engine replays its store's journal — so without a bound it would hold the
+// before- and after-image of every applied update for the life of the
+// replica.
+const DefaultJournalLimit = 64
+
+// WithJournalLimit bounds the content store's update journal at n changes
+// (default DefaultJournalLimit); 0 keeps every change. A cascade mid-tier
+// serving ReSync to downstream replicas needs the journal for incremental
+// classification, so it passes a bound of its own: past it a lagging
+// downstream session degrades soundly to a full reload.
 func WithJournalLimit(n int) FROption {
 	return func(r *FilterReplica) { r.journalLimit = n }
 }
@@ -97,10 +104,11 @@ func WithJournalLimit(n int) FROption {
 // NewFilterReplica creates an empty filter-based replica.
 func NewFilterReplica(opts ...FROption) (*FilterReplica, error) {
 	r := &FilterReplica{
-		stored:   make(map[string][]*StoredQuery),
-		refs:     make(map[string]ownerSet),
-		ownerDNs: make(map[string]map[string]bool),
-		ownerIDs: make(map[string]ownerID),
+		stored:       make(map[string][]*StoredQuery),
+		refs:         make(map[string]ownerSet),
+		ownerDNs:     make(map[string]map[string]bool),
+		ownerIDs:     make(map[string]ownerID),
+		journalLimit: DefaultJournalLimit,
 	}
 	for _, o := range opts {
 		o(r)

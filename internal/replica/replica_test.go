@@ -641,3 +641,42 @@ func TestMatchAllReplicaAgreesWithMaster(t *testing.T) {
 		t.Errorf("replica answered %d entries, master %d", len(got), len(want.Entries))
 	}
 }
+
+// TestDefaultJournalBounded: a replica built without a journal bound keeps
+// DefaultJournalLimit changes, however many updates it applies — nothing
+// reads a plain replica's journal — and WithJournalLimit(0) keeps every
+// change, for a replica whose store an engine serves.
+func TestDefaultJournalBounded(t *testing.T) {
+	const updates = 1000
+	for _, tc := range []struct {
+		name string
+		opts []FROption
+		want int
+	}{
+		{"default", nil, DefaultJournalLimit},
+		{"unbounded", []FROption{WithJournalLimit(0)}, updates},
+	} {
+		r, err := NewFilterReplica(tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=04*)")
+		r.AddStored(spec, "c")
+		for _, u := range ownedBatch(updates) {
+			if err := r.ApplySync(spec, []resync.Update{u}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := r.Store()
+		if got := st.LastCSN(); got != updates {
+			t.Fatalf("%s: store CSN = %d after %d updates", tc.name, got, updates)
+		}
+		held, ok := st.ChangesSince(st.LastCSN() - dit.CSN(tc.want))
+		if !ok || len(held) != tc.want {
+			t.Errorf("%s: journal holds %d records (covered=%v), want %d", tc.name, len(held), ok, tc.want)
+		}
+		if _, ok := st.ChangesSince(st.LastCSN() - dit.CSN(tc.want) - 1); ok && tc.want < updates {
+			t.Errorf("%s: journal holds more than %d records", tc.name, tc.want)
+		}
+	}
+}

@@ -297,7 +297,7 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 						if !ok {
 							break
 						}
-						cookie = b.Cookie
+						cookie = pushedCookie(cookie, b)
 					}
 					sub.Close()
 				case 1:
@@ -369,11 +369,18 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 	}
 }
 
+// pushedCookie is the cookie the consumer of a stream asked for at cookie
+// adopts with batch b: the stream's session at the batch's sync point.
+func pushedCookie(cookie string, b Batch) string {
+	id, _, _ := SplitCookie(cookie)
+	return CookieString(id, b.Point)
+}
+
 // sessionOf resolves a cookie to its registered session for white-box
 // assertions on session and group state.
 func sessionOf(t *testing.T, e *Engine, cookie string) *session {
 	t.Helper()
-	id, _ := splitCookie(cookie)
+	id, _, _ := SplitCookie(cookie)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sess, ok := e.sessions[id]

@@ -3,6 +3,7 @@ package resync
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +20,7 @@ import (
 // so every member standing at the same sync CSN classifies the same change
 // interval to the same result; the group caches that classification and
 // each member applies it as a cheap content-map delta replay, keeping its
-// own generation cookies and undo history intact. Attribute selection stays
+// own sync points and undo history intact. Attribute selection stays
 // per-session: members are sub-grouped into views (one per distinct attrs
 // list) and the selected update batch is built once per view.
 
@@ -35,17 +36,9 @@ func viewKey(attrs []string) string {
 	if len(attrs) == 0 {
 		return "*"
 	}
-	sorted := make([]string, len(attrs))
-	copy(sorted, attrs)
-	sort.Strings(sorted)
-	key := ""
-	for i, a := range sorted {
-		if i > 0 {
-			key += ","
-		}
-		key += a
-	}
-	return key
+	sorted := slices.Clone(attrs)
+	slices.Sort(sorted)
+	return strings.Join(sorted, ",")
 }
 
 // rawUpdate is one classified net change before attribute selection: add
@@ -101,7 +94,7 @@ func (si *sharedInterval) view(key string, attrs []string) *viewBatch {
 	if vb, ok := si.views[key]; ok {
 		return vb
 	}
-	vb := &viewBatch{enc: &SharedEnc{}}
+	vb := &viewBatch{enc: &SharedEnc{point: uint64(si.to)}}
 	for _, r := range si.raws {
 		switch r.action {
 		case ActionAdd:
@@ -236,8 +229,9 @@ func (e *Engine) joinGroup(spec query.Query) *group {
 }
 
 // leaveGroup removes a member; the last member out frees the group's
-// cached state and stops its broadcaster.
+// cached state and stops its broadcaster, and waits for it to exit.
 func (e *Engine) leaveGroup(g *group) {
+	var done <-chan struct{}
 	e.groupMu.Lock()
 	g.mu.Lock()
 	g.members--
@@ -246,9 +240,13 @@ func (e *Engine) leaveGroup(g *group) {
 		g.intervals = nil
 		g.reload.Store(nil)
 		g.stopLocked()
+		done = g.bdone
 	}
 	g.mu.Unlock()
 	e.groupMu.Unlock()
+	if done != nil {
+		<-done
+	}
 	e.stats.GroupLeaves.Add(1)
 }
 
@@ -633,10 +631,8 @@ func (g *group) attach(sess *session) *Subscription {
 	// behind the head has its due batch queued — and its session advanced —
 	// by the time the caller holds the subscription, so a consumer that
 	// closes it straight away leaves the session at a position that does not
-	// depend on goroutine scheduling. (It used to: whether the next poll of
-	// such a session found its interval still in a trimmed journal was a
-	// race, which `make oracle`'s shard sweep saw as traffic that differed
-	// from run to run.) cycleMu keeps the broadcaster the only other sender.
+	// depend on goroutine scheduling. cycleMu keeps the broadcaster the only
+	// other sender.
 	g.cycleMu.Lock()
 	g.syncOne(sub)
 	g.cycleMu.Unlock()
@@ -644,11 +640,16 @@ func (g *group) attach(sess *session) *Subscription {
 }
 
 // remove detaches a subscription and closes its queue; the last
-// subscription out stops the broadcaster.
-func (g *group) remove(sub *Subscription) {
+// subscription out stops the broadcaster, and gets back the channel it
+// closes on exit (see stopLocked).
+func (g *group) remove(sub *Subscription) <-chan struct{} {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.removeLocked(sub)
-	g.mu.Unlock()
+	if len(g.subs) == 0 {
+		return g.bdone
+	}
+	return nil
 }
 
 func (g *group) removeLocked(sub *Subscription) {
@@ -663,9 +664,10 @@ func (g *group) removeLocked(sub *Subscription) {
 }
 
 // stopLocked stops the broadcaster (if running) and closes any remaining
-// subscription queues; the caller holds g.mu. bdone is deliberately kept:
-// the stopping broadcaster closes it on exit, and the next attach waits on
-// it before starting a replacement (single-broadcaster invariant).
+// subscription queues; the caller holds g.mu. The stopping broadcaster
+// closes bdone on exit: the caller waits on it once it holds no lock, unless
+// it is the broadcaster itself, and the next attach waits on it before
+// starting a replacement (single-broadcaster invariant).
 func (g *group) stopLocked() {
 	for sub := range g.subs {
 		delete(g.subs, sub)
@@ -761,6 +763,7 @@ func (g *group) syncOne(sub *Subscription) {
 		return
 	}
 	res, err := e.poll(sub.sess)
+	point := sub.sess.point()
 	sub.sess.mu.Unlock()
 	if err != nil || res.FullReload {
 		// A push stream cannot convey a reload; end it — the consumer's
@@ -771,7 +774,7 @@ func (g *group) syncOne(sub *Subscription) {
 	if len(res.Updates) == 0 {
 		return
 	}
-	batch := Batch{Updates: res.Updates, Cookie: res.Cookie, CSN: res.CSN, Enc: res.Enc}
+	batch := Batch{Updates: res.Updates, Point: point, CSN: res.CSN, Enc: res.Enc}
 	depth := 0
 	g.mu.Lock()
 	if _, live := g.subs[sub]; live {

@@ -2,6 +2,7 @@ package resync
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -393,8 +394,8 @@ func TestGroupedPersistFanout(t *testing.T) {
 		if len(batch.Updates) != 1 || batch.Updates[0].Action != ActionAdd {
 			t.Errorf("stream %d batch = %+v", i, batch.Updates)
 		}
-		if batch.Cookie == "" {
-			t.Errorf("stream %d batch has no cookie", i)
+		if want := uint64(master.LastCSN()); batch.Point != want {
+			t.Errorf("stream %d batch names sync point %d, want the commit's CSN %d", i, batch.Point, want)
 		}
 		if batch.Enc == nil {
 			t.Errorf("stream %d batch has no shared encoding memo", i)
@@ -636,7 +637,86 @@ func TestPersistSyncsBeforeReturning(t *testing.T) {
 		if late {
 			t.Fatalf("round %d: due batch never delivered", i)
 		}
-		res.Cookie = b.Cookie
+		res.Cookie = pushedCookie(res.Cookie, b)
 		sub.Close()
+	}
+}
+
+// TestCloseJoinsBroadcaster: when the last subscription of a content group
+// goes — closed by its consumer, or its session ended — the group's
+// broadcaster has exited by the time the call returns: its last act, closing
+// bdone, is done, with no waiting on the test's side. Only the goroutine's
+// return from that act is left, so the goroutine count reaches its baseline
+// a moment later, not necessarily at once.
+func TestCloseJoinsBroadcaster(t *testing.T) {
+	master := newMaster(t)
+	addPerson(t, master, "a", "0401", "1")
+	eng := NewEngine(master)
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sessionOf(t, eng, res.Cookie).group
+	baseline := runtime.NumGoroutine()
+	exited := func(what string) {
+		t.Helper()
+		g.mu.Lock()
+		done := g.bdone
+		g.mu.Unlock()
+		select {
+		case <-done:
+		default:
+			t.Fatalf("%s returned with the group's broadcaster still running", what)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after %s, want %d", runtime.NumGoroutine(), what, baseline)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		sub, err := eng.Persist(res.Cookie)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub.Close()
+		exited("Close")
+	}
+	if _, err := eng.Persist(res.Cookie); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.End(res.Cookie); err != nil {
+		t.Fatal(err)
+	}
+	exited("End")
+}
+
+// TestSharedEncFinalTail: the tail that ends a pushed batch is shared by the
+// members reaching the point the memo was made for, and built apart — not
+// kept — for a point named otherwise or a watermark other than the first.
+func TestSharedEncFinalTail(t *testing.T) {
+	enc := &SharedEnc{point: 7}
+	builds := 0
+	build := func(tag string) func() ([]byte, error) {
+		return func() ([]byte, error) { builds++; return []byte(tag), nil }
+	}
+	for _, tc := range []struct {
+		point, csn uint64
+		want       string
+		built      bool
+	}{
+		{7, 7, "first", true},
+		{7, 7, "first", false},
+		{5, 7, "rebuilt", true}, // a rebuilt point's own name
+		{7, 9, "moved", true},   // a watermark that rose meanwhile
+		{7, 7, "first", false},
+	} {
+		got, built, err := enc.GetFinal(tc.point, tc.csn, build(tc.want))
+		if err != nil || string(got) != tc.want || built != tc.built {
+			t.Errorf("GetFinal(%d, %d) = %q built=%v %v, want %q built=%v", tc.point, tc.csn, got, built, err, tc.want, tc.built)
+		}
+	}
+	if builds != 3 {
+		t.Errorf("%d builds, want 3", builds)
 	}
 }

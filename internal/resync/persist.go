@@ -8,14 +8,17 @@ import (
 )
 
 // Batch is one pushed unit of a persist-mode subscription: the updates of
-// one committed change interval plus the cookie naming the sync point the
-// replica reaches by applying them. A consumer that adopts the cookie (and
-// presents it when it later polls) acknowledges everything up to the batch;
-// a consumer that crashes mid-stream re-presents its last adopted cookie
-// and the missed batches are recomputed.
+// one committed change interval plus the sync point the replica reaches by
+// applying them. A stream serves one session, so the consumer composes the
+// point's cookie (CookieString) from that session; one that adopts the
+// cookie (and presents it when it later polls) acknowledges everything up to
+// the batch, and one that crashes mid-stream re-presents its last adopted
+// cookie and the missed batches are recomputed.
 type Batch struct {
 	Updates []Update
-	Cookie  string
+	// Point names the sync point: the CSN whose content it holds (DESIGN.md
+	// §8), which on a cascade tier is a local CSN, not the watermark below.
+	Point uint64
 	// CSN is the master-position watermark the batch syncs the consumer to
 	// (see PollResult.CSN).
 	CSN uint64
@@ -25,50 +28,57 @@ type Batch struct {
 	Enc *SharedEnc
 }
 
-// SharedEnc memoizes wire encodings per update of a shared batch: the
-// BER-encoded PDU body, and — for updates whose controls carry no
-// per-session state — the whole message tail (op TLV + controls), so the
-// per-consumer work shrinks to stamping a message ID. Safe for concurrent
-// use; the zero value is ready.
+// SharedEnc memoizes the wire encoding of a shared batch: per update, the
+// message tail (op TLV + controls) that follows the message ID, so the
+// per-consumer work shrinks to stamping a message ID. A pushed batch ends in
+// a tail of its own (GetFinal), whose control names the sync point reached:
+// the one every member crossing the batch's interval reaches, named by the
+// CSN the interval ends at (point). Safe for concurrent use.
 type SharedEnc struct {
-	mu   sync.Mutex
-	enc  [][]byte
-	tail [][]byte
+	point uint64
+
+	mu       sync.Mutex
+	tail     [][]byte
+	final    []byte
+	finalCSN uint64
 }
 
-// Get returns the cached PDU-body encoding of update i, building and
-// caching it via build on first use. The second result reports whether
-// build ran (i.e. this call paid for the encoding).
-func (s *SharedEnc) Get(i int, build func() ([]byte, error)) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return memo(&s.enc, i, build)
-}
-
-// GetTail is Get for the message-ID-independent tail of update i. Callers
-// must only share tails for updates whose controls are identical across
-// consumers (in particular: no per-session cookie).
+// GetTail returns the tail of update i, built via build (which must not call
+// back into the memo) on first use. The second result reports whether build
+// ran, i.e. whether this call paid for the encoding.
 func (s *SharedEnc) GetTail(i int, build func() ([]byte, error)) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return memo(&s.tail, i, build)
-}
-
-// memo resolves index i in *m, building on first use. The caller holds the
-// SharedEnc lock, so build must not call back into Get/GetTail.
-func memo(m *[][]byte, i int, build func() ([]byte, error)) ([]byte, bool, error) {
-	if i < len(*m) && (*m)[i] != nil {
-		return (*m)[i], false, nil
+	if i < len(s.tail) && s.tail[i] != nil {
+		return s.tail[i], false, nil
 	}
 	b, err := build()
 	if err != nil {
 		return nil, true, err
 	}
-	if i >= len(*m) {
-		*m = append(*m, make([][]byte, i+1-len(*m))...)
+	if i >= len(s.tail) {
+		s.tail = append(s.tail, make([][]byte, i+1-len(s.tail))...)
 	}
-	(*m)[i] = b
+	s.tail[i] = b
 	return b, true, nil
+}
+
+// GetFinal is GetTail for the tail that ends a pushed batch at sync point
+// point, stamped with watermark csn. A point named otherwise — rebuilt under
+// an older name (DESIGN.md §8) — or a watermark other than the first (a
+// tier's can rise between two polls) gets a tail built for it alone.
+func (s *SharedEnc) GetFinal(point, csn uint64, build func() ([]byte, error)) ([]byte, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	shared := point == s.point && (s.final == nil || csn == s.finalCSN)
+	if shared && s.final != nil {
+		return s.final, false, nil
+	}
+	b, err := build()
+	if shared && err == nil {
+		s.final, s.finalCSN = b, csn
+	}
+	return b, true, err
 }
 
 // Subscription is a persist-mode synchronization: after the initial content
@@ -121,8 +131,9 @@ func (s *Subscription) dequeued() {
 // Close ends the subscription; it is idempotent, may be called from any
 // goroutine, and a Next waiting meanwhile returns. On return the stream no
 // longer advances the session; it stays registered and resumable by cookie.
+// When it was the group's last, the group's broadcaster has exited too.
 func (s *Subscription) Close() {
-	s.g.remove(s)
+	done := s.g.remove(s)
 	for range s.ch {
 		// Batches queued but not taken are not delivered.
 	}
@@ -131,6 +142,9 @@ func (s *Subscription) Close() {
 	s.g.cycleMu.Lock()
 	//lint:ignore SA2001 empty critical section is the barrier
 	s.g.cycleMu.Unlock()
+	if done != nil {
+		<-done
+	}
 }
 
 // Persist upgrades a session to persist mode: the returned subscription

@@ -142,20 +142,20 @@ func (s *reloadSnapshot) view(key string, attrs []string, chunkSize int) *reload
 	}
 	v.encs = make([]*SharedEnc, n)
 	for i := range v.encs {
-		v.encs[i] = &SharedEnc{}
+		v.encs[i] = &SharedEnc{point: uint64(s.csn)}
 	}
 	s.views[key] = v
 	return v
 }
 
 // startFull positions the session at a reload snapshot — its own copy of
-// the content map, one sync point at the snapshot's CSN under the session's
-// current generation — and returns the view its transfer is served from.
+// the content map, one sync point at the snapshot's CSN and named by it —
+// and returns the view its transfer is served from.
 // The caller holds sess.mu (or owns a session not yet registered).
 func (e *Engine) startFull(sess *session) *reloadView {
 	snap := e.reloadSnapshot(sess.group)
 	sess.csn = snap.csn
 	sess.content = maps.Clone(snap.content)
-	sess.points = []syncPoint{{gen: sess.genSeq, csn: snap.csn}}
+	sess.points = []syncPoint{{name: uint64(snap.csn), csn: snap.csn}}
 	return snap.view(sess.viewKey, sess.spec.Attrs, e.chunkSize)
 }

@@ -42,8 +42,7 @@ var transferIdle = 10 * time.Minute
 // shared with every group member that started from the same snapshot) and
 // the session's own progress through it.
 type transfer struct {
-	snapCSN dit.CSN
-	gen     uint64 // generation of the completion cookie
+	snapCSN dit.CSN // also the name of the completion cookie's sync point
 	view    *reloadView
 	done    bool // final chunk handed out; awaiting cookie presentation
 	hold    *dit.Hold
@@ -128,7 +127,6 @@ func (e *Engine) beginTransfer(sess *session, view *reloadView) *PollResult {
 	e.dropTransfer(sess) // supersede any previous transfer
 	tr := &transfer{
 		snapCSN: sess.csn,
-		gen:     sess.genSeq,
 		view:    view,
 		hold:    e.store.Hold(sess.csn),
 	}
@@ -153,7 +151,7 @@ func (e *Engine) emitChunk(sess *session, tr *transfer, k uint32) *PollResult {
 	res.Updates, res.Enc = tr.view.chunk(k)
 	if k+1 == tr.view.nchunks() {
 		tr.done = true
-		res.Cookie = cookieString(sess.id, tr.gen)
+		res.Cookie = CookieString(sess.id, uint64(tr.snapCSN))
 		res.CSN = e.stampCSN(tr.snapCSN)
 	} else {
 		res.Resume = &proto.ResumeToken{

@@ -311,7 +311,7 @@ func TestResumeUnknownSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	tok := *res.Resume
-	if err := eng.End(cookieString(tok.Session, 1)); err != nil {
+	if err := eng.End(CookieString(tok.Session, tok.CSN)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.ResumeReload(tok); !errors.Is(err, ErrNoSuchSession) {
@@ -417,7 +417,7 @@ func TestEndReleasesTransferHold(t *testing.T) {
 	if master.ActiveHolds() != 1 {
 		t.Fatal("no hold during transfer")
 	}
-	if err := eng.End(cookieString(res.Resume.Session, 1)); err != nil {
+	if err := eng.End(CookieString(res.Resume.Session, res.Resume.CSN)); err != nil {
 		t.Fatal(err)
 	}
 	if got := master.ActiveHolds(); got != 0 {
@@ -466,7 +466,7 @@ func TestRetainDropsTransferHold(t *testing.T) {
 				t.Fatal(err)
 			}
 			tok := *res.Resume
-			cookie := cookieString(tok.Session, 1)
+			cookie := CookieString(tok.Session, tok.CSN)
 			if tc.complete {
 				_, _, final := drainChunks(t, eng, res, make(map[string]bool))
 				cookie = final.Cookie

@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"filterdir/internal/dit"
@@ -174,8 +175,7 @@ type Engine struct {
 	sessions map[string]*session
 	nextID   uint64
 
-	obsMu sync.Mutex // guards obs; separate so observe never touches mu
-	obs   Observer
+	obs atomic.Pointer[Observer] // never touches mu
 
 	// Content-group fan-out (group.go). groupMu guards the registry;
 	// each group carries its own lock for member/cache/broadcast state.
@@ -198,29 +198,21 @@ type Engine struct {
 	// own store). A cascade mid-tier installs a mapping to its upstream
 	// CSNs so edge-writing consumers can match pending ops, which are
 	// sequenced by the master, against a stream served by the tier.
-	watermarkMu sync.Mutex
-	watermark   func(dit.CSN) uint64
+	watermark atomic.Pointer[func(dit.CSN) uint64]
 }
 
 // SetWatermarkFunc installs (or clears, with nil) the local-CSN → master
 // watermark mapping stamped on every poll result. The function must be
 // conservative: return only master positions provably covered by the local
 // content at the given CSN, and be monotone in it.
-func (e *Engine) SetWatermarkFunc(fn func(dit.CSN) uint64) {
-	e.watermarkMu.Lock()
-	e.watermark = fn
-	e.watermarkMu.Unlock()
-}
+func (e *Engine) SetWatermarkFunc(fn func(dit.CSN) uint64) { e.watermark.Store(&fn) }
 
 // stampCSN resolves the watermark for a local CSN.
 func (e *Engine) stampCSN(csn dit.CSN) uint64 {
-	e.watermarkMu.Lock()
-	fn := e.watermark
-	e.watermarkMu.Unlock()
-	if fn == nil {
-		return uint64(csn)
+	if fn := e.watermark.Load(); fn != nil && *fn != nil {
+		return (*fn)(csn)
 	}
-	return fn(csn)
+	return uint64(csn)
 }
 
 // Observer receives every update batch the engine emits, right before it is
@@ -231,19 +223,12 @@ func (e *Engine) stampCSN(csn dit.CSN) uint64 {
 type Observer func(sessionID string, updates []Update, fullReload bool)
 
 // SetObserver installs (or clears, with nil) the emission observer.
-func (e *Engine) SetObserver(fn Observer) {
-	e.obsMu.Lock()
-	e.obs = fn
-	e.obsMu.Unlock()
-}
+func (e *Engine) SetObserver(fn Observer) { e.obs.Store(&fn) }
 
 // observe notifies the installed observer, if any, of an emitted batch.
 func (e *Engine) observe(id string, updates []Update, fullReload bool) {
-	e.obsMu.Lock()
-	fn := e.obs
-	e.obsMu.Unlock()
-	if fn != nil {
-		fn(id, updates, fullReload)
+	if fn := e.obs.Load(); fn != nil && *fn != nil {
+		(*fn)(id, updates, fullReload)
 	}
 }
 
@@ -253,8 +238,8 @@ func (e *Engine) observe(id string, updates []Update, fullReload bool) {
 // out — the "session history" of the paper).
 //
 // Delivery is at-least-once: every response carries a cookie naming the
-// sync point ("sess-N@gen") it brings the replica to, and the session keeps
-// a bounded history of recent points with undo records. A replica that
+// sync point ("sess-N@<CSN>") it brings the replica to, and the session
+// keeps a bounded history of recent points with undo records. A replica that
 // lost a response re-presents its previous cookie; the engine rolls the
 // content map back to that point and recomputes, so a dropped connection
 // never loses updates. Presenting a cookie acknowledges its point —
@@ -269,25 +254,25 @@ type session struct {
 	ended bool
 
 	spec    query.Query
-	group   *group // content group (group.go)
-	viewKey string // attribute-selection key within the group
-	genSeq  uint64
+	group   *group           // content group (group.go)
+	viewKey string           // attribute-selection key within the group
 	csn     dit.CSN          // CSN of the newest sync point
 	content map[string]dn.DN // norm DN -> DN of entries in content at csn
 	// points is the resumable history, oldest (last acknowledged) first;
 	// the final element matches csn/content.
 	points []syncPoint
 	// rolledBack is the newest point the last rollback discarded (zero when
-	// none): a poll that rebuilds it reissues its name (nextGen).
+	// none): a poll that rebuilds it reissues its name (nameAt).
 	rolledBack syncPoint
 	// transfer is the session's in-flight (or just-completed) chunked
 	// reload, nil outside one (resume.go).
 	transfer *transfer
 }
 
-// syncPoint is one replica-visible synchronization state.
+// syncPoint is one replica-visible synchronization state, named by the CSN
+// whose content it holds; an idle poll may advance its csn past that.
 type syncPoint struct {
-	gen  uint64
+	name uint64
 	csn  dit.CSN
 	undo []undoOp // restores the previous (older) point's content map
 }
@@ -308,34 +293,34 @@ const defaultSyncPointRetention = 64
 // engine: how far a session may lag before it gets a full reload.
 const DefaultJournalLimit = 4096
 
-// cookieString renders the wire cookie for a sync point of a session.
-func cookieString(id string, gen uint64) string {
-	return id + "@" + strconv.FormatUint(gen, 10)
+// CookieString renders the wire cookie naming sync point point of session id.
+func CookieString(id string, point uint64) string {
+	return id + "@" + strconv.FormatUint(point, 10)
 }
 
-// splitCookie separates a wire cookie into session ID and generation. A
-// cookie without a parseable generation resolves to gen 0, which matches no
-// sync point.
-func splitCookie(cookie string) (id string, gen uint64) {
+// SplitCookie separates a wire cookie into session ID and sync point name;
+// ok is false for a cookie without a parseable name, which names no point.
+func SplitCookie(cookie string) (id string, point uint64, ok bool) {
 	i := strings.LastIndexByte(cookie, '@')
 	if i < 0 {
-		return cookie, 0
+		return cookie, 0, false
 	}
-	g, err := strconv.ParseUint(cookie[i+1:], 10, 64)
+	p, err := strconv.ParseUint(cookie[i+1:], 10, 64)
 	if err != nil {
-		return cookie, 0
+		return cookie, 0, false
 	}
-	return cookie[:i], g
+	return cookie[:i], p, true
 }
 
-// rollbackTo rolls the content map back to the sync point gen, discarding
-// newer points — responses the replica evidently never applied, which will
-// be recomputed. Older points are kept: rollback alone does not prove the
-// replica holds gen durably. Reports whether the point was found.
-func (sess *session) rollbackTo(gen uint64) bool {
+// rollbackTo rolls the content map back to the sync point named name,
+// discarding newer points — responses the replica evidently never applied,
+// which will be recomputed. Older points are kept: rollback alone does not
+// prove the replica holds the point durably. Reports whether the point was
+// found.
+func (sess *session) rollbackTo(name uint64) bool {
 	idx := -1
 	for i, p := range sess.points {
-		if p.gen == gen {
+		if p.name == name {
 			idx = i
 			break
 		}
@@ -343,8 +328,8 @@ func (sess *session) rollbackTo(gen uint64) bool {
 	if idx < 0 {
 		return false
 	}
-	if newest := sess.points[len(sess.points)-1]; newest.gen != gen {
-		sess.rolledBack = syncPoint{gen: newest.gen, csn: newest.csn}
+	if newest := sess.points[len(sess.points)-1]; newest.name != name {
+		sess.rolledBack = syncPoint{name: newest.name, csn: newest.csn}
 	}
 	for j := len(sess.points) - 1; j > idx; j-- {
 		for _, u := range sess.points[j].undo {
@@ -360,28 +345,31 @@ func (sess *session) rollbackTo(gen uint64) bool {
 	return true
 }
 
-// nextGen names a new sync point at csn. The content a spec selects at a
-// CSN is fixed, so a point rebuilt at the CSN of the point the last rollback
-// discarded is that point, and takes its name back. That is what keeps a
-// late duplicate of a poll harmless: handled after its consumer's retry was
-// answered, it rolls back the point the consumer now holds and rebuilds the
-// same one, and the consumer's next poll still finds it instead of costing a
-// full reload.
-func (sess *session) nextGen(csn dit.CSN) uint64 {
+// nameAt names a new sync point built at csn: by csn, since the content a
+// spec selects at a CSN is fixed. A point rebuilt at the CSN of the point the
+// last rollback discarded holds that point's content, and takes its name
+// back — which differs from csn when an idle poll had advanced that point.
+// That keeps a late duplicate of a request harmless: handled after its
+// consumer's retry was answered, it rolls back the point the consumer now
+// holds and rebuilds the same one, which the consumer's next poll still finds
+// (DESIGN.md §8).
+func (sess *session) nameAt(csn dit.CSN) uint64 {
 	back := sess.rolledBack
 	sess.rolledBack = syncPoint{}
-	if back.gen != 0 && back.csn == csn {
-		return back.gen
+	if back.csn == csn {
+		return back.name
 	}
-	sess.genSeq++
-	return sess.genSeq
+	return uint64(csn)
 }
 
+// point returns the name of the session's newest sync point.
+func (sess *session) point() uint64 { return sess.points[len(sess.points)-1].name }
+
 // rewindTo repositions the session at the sync point the replica proved it
-// holds by presenting gen: newer points are rolled back, and — since
+// holds by presenting its name: newer points are rolled back, and — since
 // presenting a cookie acknowledges it — older points are dropped.
-func (sess *session) rewindTo(gen uint64) bool {
-	if !sess.rollbackTo(gen) {
+func (sess *session) rewindTo(name uint64) bool {
+	if !sess.rollbackTo(name) {
 		return false
 	}
 	base := sess.points[len(sess.points)-1]
@@ -477,7 +465,7 @@ const (
 // enter is the one way into an established session, shared by every
 // exchange that presents a cookie or a resume token. It resolves the
 // session, locks it — the caller unlocks — and refuses one that End has
-// terminated. Then it positions the session at the generation the consumer
+// terminated. Then it positions the session at the sync point the consumer
 // presented: responses the consumer evidently never applied are rolled back
 // and, when the exchange acknowledges, everything older than the presented
 // point is dropped. held reports whether the point was found, i.e. whether
@@ -489,9 +477,9 @@ const (
 // whatever its progress; in every other case the transfer is left for
 // ResumeReload to continue or reload to supersede.
 func (e *Engine) enter(cookie string, ex exchange) (sess *session, held bool, err error) {
-	id, gen := cookie, uint64(0)
+	id, name, named := cookie, uint64(0), false
 	if ex != exResume {
-		id, gen = splitCookie(cookie)
+		id, name, named = SplitCookie(cookie)
 	}
 	e.mu.Lock()
 	sess, ok := e.sessions[id]
@@ -506,11 +494,12 @@ func (e *Engine) enter(cookie string, ex exchange) (sess *session, held bool, er
 	if !ok {
 		return nil, false, fmt.Errorf("%w: %q", ErrNoSuchSession, cookie)
 	}
-	switch ex {
-	case exPoll, exRetain:
-		held = sess.rewindTo(gen)
-	case exStream:
-		held = sess.rollbackTo(gen)
+	switch {
+	case !named:
+	case ex == exPoll, ex == exRetain:
+		held = sess.rewindTo(name)
+	case ex == exStream:
+		held = sess.rollbackTo(name)
 	}
 	if tr := sess.transfer; tr != nil && (ex == exRetain || held && tr.done) {
 		e.dropTransfer(sess)
@@ -571,7 +560,7 @@ type PollResult struct {
 // snapshot (reload.go), so members beginning side by side share one
 // materialisation of it.
 func (e *Engine) Begin(spec query.Query) (*PollResult, error) {
-	sess := &session{spec: spec, viewKey: viewKey(spec.Attrs), genSeq: 1}
+	sess := &session{spec: spec, viewKey: viewKey(spec.Attrs)}
 	sess.group = e.joinGroup(spec)
 	view := e.startFull(sess)
 	e.mu.Lock()
@@ -587,16 +576,16 @@ func (e *Engine) Begin(spec query.Query) (*PollResult, error) {
 
 // serveFull answers with the whole content of the view the session was just
 // positioned at (startFull): chunk zero of a resumable transfer when the
-// view is chunked, else everything at once under the session's current
-// generation. fullReload tells a consumer that held content to discard it
-// (chunk zero always says so). The caller holds sess.mu.
+// view is chunked, else everything at once under the snapshot's sync point.
+// fullReload tells a consumer that held content to discard it (chunk zero
+// always says so). The caller holds sess.mu.
 func (e *Engine) serveFull(sess *session, view *reloadView, fullReload bool) *PollResult {
 	if view.chunkSize > 0 {
 		return e.beginTransfer(sess, view)
 	}
 	// A monolithic transfer supersedes any in-flight chunked one.
 	e.dropTransfer(sess)
-	res := &PollResult{Cookie: cookieString(sess.id, sess.genSeq), FullReload: fullReload, CSN: e.stampCSN(sess.csn), Updates: view.updates, Enc: view.encs[0]}
+	res := &PollResult{Cookie: CookieString(sess.id, sess.point()), FullReload: fullReload, CSN: e.stampCSN(sess.csn), Updates: view.updates, Enc: view.encs[0]}
 	e.countPDUs(res.Updates)
 	e.observe(sess.id, res.Updates, true)
 	return res
@@ -639,24 +628,21 @@ func (e *Engine) poll(sess *session) (*PollResult, error) {
 	if len(changes) > 0 {
 		csn = changes[len(changes)-1].CSN
 	}
-	last := &sess.points[len(sess.points)-1]
 	if len(updates) == 0 && len(undo) == 0 {
 		// Nothing the replica must apply: advance the current point in
 		// place so idle polls do not grow the resume history, and the
-		// replica keeps presenting the same cookie.
-		last.csn = csn
-		sess.csn = csn
-		res.Cookie = cookieString(sess.id, last.gen)
+		// replica keeps presenting the same cookie. The point keeps its
+		// name: what it holds is the content at that CSN still.
+		sess.points[len(sess.points)-1].csn = csn
 	} else {
-		gen := sess.nextGen(csn)
-		sess.csn = csn
-		sess.points = append(sess.points, syncPoint{gen: gen, csn: csn, undo: undo})
+		sess.points = append(sess.points, syncPoint{name: sess.nameAt(csn), csn: csn, undo: undo})
 		if len(sess.points) > e.keepPoints {
 			sess.points = sess.points[1:]
 			sess.points[0].undo = nil
 		}
-		res.Cookie = cookieString(sess.id, gen)
 	}
+	sess.csn = csn
+	res.Cookie = CookieString(sess.id, sess.point())
 	res.CSN = e.stampCSN(csn)
 	e.countPDUs(res.Updates)
 	e.observe(sess.id, res.Updates, false)
@@ -670,7 +656,6 @@ func (e *Engine) poll(sess *session) (*PollResult, error) {
 // sess.mu.
 func (e *Engine) reload(sess *session) *PollResult {
 	e.stats.FullReloads.Add(1)
-	sess.genSeq++
 	return e.serveFull(sess, e.startFull(sess), true)
 }
 
@@ -680,7 +665,7 @@ func (e *Engine) reload(sess *session) *PollResult {
 // leaves its content group; the last member out frees the group's shared
 // state.
 func (e *Engine) End(cookie string) error {
-	id, _ := splitCookie(cookie)
+	id, _, _ := SplitCookie(cookie)
 	e.mu.Lock()
 	sess, ok := e.sessions[id]
 	if !ok {
@@ -740,7 +725,7 @@ func (e *Engine) Kick(keep func(query.Query) bool) []string {
 	}
 	e.mu.Unlock()
 	for _, id := range ids {
-		// The bare id is a valid cookie for End (generation part ignored);
+		// The bare id is a valid cookie for End (sync point part ignored);
 		// a session concurrently ended by its consumer is already gone.
 		_ = e.End(id)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
@@ -291,8 +292,8 @@ func TestFigure3Session(t *testing.T) {
 	}
 	batch, _ := sub.Next()
 	sub.Close()
-	if batch.Cookie == "" {
-		t.Error("pushed batch carried no sync-point cookie")
+	if want := uint64(master.LastCSN()); batch.Point != want || batch.CSN != want {
+		t.Errorf("pushed batch names sync point %d at CSN %d, want the rename's CSN %d", batch.Point, batch.CSN, want)
 	}
 	assertMove(t, batch.Updates, "cn=E3,c=us,o=xyz", "cn=E5,c=us,o=xyz", "E5")
 	// The paper's end state: E4 and E5, the latter with E3's content.
@@ -644,5 +645,120 @@ func TestLateDuplicatePollKeepsConsumerPoint(t *testing.T) {
 	}
 	if len(late.Updates) != 2 {
 		t.Fatalf("rebuilt point carries %d updates, want 2 (c and d)", len(late.Updates))
+	}
+}
+
+// TestSyncPointsNamedByCSN: a cookie names the CSN whose content its sync
+// point holds — a Begin's the snapshot's, a poll's the last CSN of its
+// interval — and an idle poll moves no name, so it hands back the cookie
+// the consumer presented. A cookie without a name names no point (CSN 0 is
+// a name: TestStreamFromCSNZero).
+func TestSyncPointsNamedByCSN(t *testing.T) {
+	master := newMaster(t)
+	addPerson(t, master, "a", "0401", "1")
+	eng := NewEngine(master)
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := func(res *PollResult, csn dit.CSN) {
+		t.Helper()
+		if _, point, ok := SplitCookie(res.Cookie); !ok || point != uint64(csn) {
+			t.Fatalf("cookie %q, want the sync point named %d", res.Cookie, csn)
+		}
+	}
+	named(res, master.LastCSN())
+	addPerson(t, master, "b", "0402", "1")
+	if res, err = eng.Poll(res.Cookie); err != nil {
+		t.Fatal(err)
+	}
+	named(res, master.LastCSN())
+	at := master.LastCSN()
+	addPerson(t, master, "z", "0901", "1") // outside the content
+	idle, err := eng.Poll(res.Cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Cookie != res.Cookie || len(idle.Updates) != 0 {
+		t.Fatalf("idle poll answered %q with %d updates, want %q and none", idle.Cookie, len(idle.Updates), res.Cookie)
+	}
+	named(idle, at)
+	if _, _, ok := SplitCookie("sess-1@"); ok {
+		t.Error("a cookie without a point name parsed as one")
+	}
+}
+
+// TestRebuiltPointKeepsIdleName: the one sync point not named by the CSN it
+// was built at. A stream's idle cycles advance its newest point in place,
+// past the CSN naming it, without acknowledging anything older; a request
+// from an older point — a re-opened stream, or a poll left on a dead
+// connection and handled late — rolls that point back and rebuilds one at
+// the advanced CSN holding the same content, and it takes the old name back.
+// So the consumer that holds the old name resumes instead of reloading, and
+// the rebuilt point's pushed batch states that name, not its interval's end.
+func TestRebuiltPointKeepsIdleName(t *testing.T) {
+	master := newMaster(t)
+	addPerson(t, master, "a", "0401", "1")
+	eng := NewEngine(master)
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := res.Cookie
+	sub, err := eng.Persist(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addPerson(t, master, "b", "0402", "1")
+	b, ok, late := recv(sub, time.After(5*time.Second))
+	if !ok || late {
+		t.Fatal("no batch pushed for the add")
+	}
+	held := pushedCookie(base, b) // what the consumer applied
+	// Outside the content: the stream's next cycle is idle.
+	addPerson(t, master, "z", "0901", "1")
+	sess := sessionOf(t, eng, base)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		sess.mu.Lock()
+		at := sess.csn
+		sess.mu.Unlock()
+		if at == master.LastCSN() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the stream's session stayed at CSN %d, store at %d", at, master.LastCSN())
+		}
+	}
+	sub.Close()
+
+	sub, err = eng.Persist(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok, late = recv(sub, time.After(5*time.Second))
+	sub.Close()
+	if !ok || late {
+		t.Fatal("no batch pushed for the rebuilt point")
+	}
+	if got := pushedCookie(base, b); got != held || b.CSN != uint64(master.LastCSN()) {
+		t.Errorf("re-opened stream pushed %s at CSN %d, want %s at %d", got, b.CSN, held, master.LastCSN())
+	}
+	if b.Enc == nil || b.Point == b.Enc.point {
+		t.Errorf("rebuilt point %d shares the name its interval's members reach", b.Point)
+	}
+
+	dup, err := eng.Poll(base) // a poll left on a dead connection, handled late
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup.Cookie != held {
+		t.Fatalf("late duplicate named the rebuilt point %s, want %s", dup.Cookie, held)
+	}
+	next, err := eng.Poll(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.FullReload || len(next.Updates) != 0 {
+		t.Fatalf("consumer's next poll = %d updates (reload=%v), want an empty resume", len(next.Updates), next.FullReload)
 	}
 }

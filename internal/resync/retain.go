@@ -68,9 +68,8 @@ func (e *Engine) PollRetain(cookie string) (*PollResult, error) {
 	// and only the new point is resumable.
 	sess.content = newContent
 	sess.csn = csn
-	sess.genSeq++
-	sess.points = []syncPoint{{gen: sess.genSeq, csn: csn}}
-	res.Cookie = cookieString(sess.id, sess.genSeq)
+	sess.points = []syncPoint{{name: uint64(csn), csn: csn}}
+	res.Cookie = CookieString(sess.id, sess.point())
 	e.countPDUs(res.Updates)
 	e.observe(sess.id, res.Updates, false)
 	return res, nil

@@ -164,7 +164,7 @@ func TestBoundedHistoryDegradation(t *testing.T) {
 
 // TestRetainStaleGeneration pins the retain-mode soundness fix: a
 // DN-only retain may only reference entries the replica provably holds.
-// After a lost retain response the presented generation is gone (retain
+// After a lost retain response the presented sync point is gone (retain
 // mode keeps a single resumable point), so the engine must degrade to a
 // full transfer — every content entry shipped with its attributes, zero
 // retains.
@@ -212,7 +212,7 @@ func TestRetainStaleGeneration(t *testing.T) {
 }
 
 // TestRetainDropUnmentioned pins equation 3's consumer contract at a known
-// generation: unchanged held entries come back as cheap retains, and a
+// sync point: unchanged held entries come back as cheap retains, and a
 // moved-out entry is simply unmentioned — dropping unmentioned entries
 // converges without any delete PDU.
 func TestRetainDropUnmentioned(t *testing.T) {

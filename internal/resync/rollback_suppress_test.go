@@ -6,7 +6,7 @@ import (
 )
 
 // These tests pin the interaction between no-op-modify suppression and
-// generation-cookie rollback: when a response is lost and the interval is
+// sync-point rollback: when a response is lost and the interval is
 // re-derived from an older sync point, a modify-then-revert pair must
 // still coalesce to nothing (suppressed), the cookie must advance in
 // place, and a subsequent real change must surface as exactly one modify.
@@ -34,7 +34,7 @@ func TestSuppressionSurvivesPollRollback(t *testing.T) {
 	}
 
 	// The change is reverted before the consumer re-polls its durable
-	// cookie: the engine rolls back to c1's generation and must coalesce
+	// cookie: the engine rolls back to c1's sync point and must coalesce
 	// the modify-revert pair to a suppressed, empty update set.
 	mustModify(t, master, a, "dept", "1")
 	before := eng.Counters().SuppressedModifies.Load()

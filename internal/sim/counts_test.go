@@ -210,7 +210,9 @@ func cascadeFanout() (*metrics.Figure, error) {
 		}
 		tier := make([]*mid, mids)
 		for i := range tier {
-			frep, err := replica.NewFilterReplica()
+			// The mid serves an engine, which classifies its store's
+			// journal: it keeps every change.
+			frep, err := replica.NewFilterReplica(replica.WithJournalLimit(0))
 			if err != nil {
 				return nil, err
 			}

@@ -99,13 +99,13 @@ func serveStreams(t *testing.T, h *harness) (*streamBackend, *ldapnet.Server) {
 	return b, srv
 }
 
-// gen is the generation of a session cookie ("sess-N@G").
-func gen(t *testing.T, cookie string) int {
+// point is the sync point a session cookie names ("sess-N@<CSN>").
+func point(t *testing.T, cookie string) int {
 	t.Helper()
-	_, g, ok := strings.Cut(cookie, "@")
-	n, err := strconv.Atoi(g)
+	_, p, ok := strings.Cut(cookie, "@")
+	n, err := strconv.Atoi(p)
 	if !ok || err != nil {
-		t.Fatalf("cookie %q has no generation", cookie)
+		t.Fatalf("cookie %q names no sync point", cookie)
 	}
 	return n
 }
@@ -191,13 +191,13 @@ func TestPersistDialsOncePerConnect(t *testing.T) {
 	polled := append([]string(nil), b.polled[before:]...)
 	b.mu.Unlock()
 	for _, c := range polled {
-		if gen(t, c) < gen(t, held) {
+		if point(t, c) < point(t, held) {
 			t.Errorf("after the stream ended the supervisor presented %q, older than %q", c, held)
 		}
 	}
 	mutate(t, h.store, 1)
 	waitConverged(t, h, sup, 10*time.Second)
-	if gen(t, sup.Cookie()) < gen(t, held) {
+	if point(t, sup.Cookie()) < point(t, held) {
 		t.Errorf("supervisor holds %q, older than %q", sup.Cookie(), held)
 	}
 	if d, n := hook.dials.Load(), sup.Counters().Dials.Load(); d != 2 || n != 2 {
