@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"net"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"filterdir/internal/dn"
+	"filterdir/internal/persist"
+	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/resync"
 	"filterdir/internal/resync/resynctest"
@@ -195,7 +198,18 @@ func TestTierKilledMidReloadResumesByToken(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	sup := tier2.Supervisors()[0]
-	if tok := sup.ResumeToken(); tok.Chunk != 1 || tok.Chunks != 3 || tier2.Replica().EntryCount() != 3 {
+	// The link restored the position its journal's last commit note names.
+	_, note, err := persist.Dir{Path: tier2.linkDir(h.tierSpec.Normalize())}.OpenSparse([]string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pos struct {
+		Resume *proto.ResumeToken `json:"resume"`
+	}
+	if err := json.Unmarshal([]byte(note), &pos); err != nil || pos.Resume == nil {
+		t.Fatalf("commit note %s: no resume token (%v)", note, err)
+	}
+	if tok := pos.Resume; tok.Chunk != 1 || tok.Chunks != 3 || tier2.Replica().EntryCount() != 3 {
 		t.Fatalf("restored token at chunk %d/%d over %d entries, want 1/3 over the 3 of chunk zero",
 			tok.Chunk, tok.Chunks, tier2.Replica().EntryCount())
 	}

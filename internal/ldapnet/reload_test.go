@@ -131,11 +131,11 @@ func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, p
 				t.Fatal(err)
 			}
 			b := <-ps.Batches
-			last = bytes.Clone(got.Bytes())
 			ps.Close()
 			if b == nil || b.Cookie == "" || len(b.Updates) != store.Len()-1 {
 				t.Fatalf("session %d: first batch %+v", s, b)
 			}
+			last = untagged(got.Bytes(), b.Cookie)
 			continue
 		}
 		dial := func() *Client {
@@ -168,9 +168,17 @@ func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, p
 			t.Fatalf("session %d: %d entries, cookie %q", s, entries, res.Cookie)
 		}
 		_ = c.conn.Close()
-		last = got.Bytes()
+		last = untagged(got.Bytes(), res.Cookie)
 	}
 	return last, backend
+}
+
+// untagged is a captured exchange with the engine's incarnation tag, the
+// random first five bytes of the session id the cookie names, replaced by
+// one placeholder, so two engines' captures compare byte for byte.
+func untagged(wire []byte, cookie string) []byte {
+	id, _, _ := resync.SplitCookie(cookie)
+	return bytes.ReplaceAll(wire, []byte(id), []byte("#####"+id[5:]))
 }
 
 // labelledEntries reads the messages of a captured transfer and counts its

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"filterdir/internal/ber"
 )
@@ -35,69 +33,14 @@ var ErrBadResumeToken = errors.New("malformed resume token")
 // ResumeToken names a position inside one chunked reload: the supplier
 // session and snapshot it belongs to, the next chunk the consumer needs,
 // the transfer's total chunk count, and the running FNV-1a fingerprint of
-// every entry PDU streamed in chunks [0, Chunk).
+// every entry PDU streamed in chunks [0, Chunk). The wire control below is
+// its one encoding here; a durable consumer journals the struct as it is.
 type ResumeToken struct {
 	Session     string
 	CSN         uint64
 	Chunk       uint32
 	Chunks      uint32
 	Fingerprint uint64
-}
-
-// IsZero reports an absent token.
-func (t ResumeToken) IsZero() bool { return t == ResumeToken{} }
-
-// resumeTokenVersion tags the durable text form; a future format bump
-// invalidates old checkpoints cleanly (parse error → fresh reload).
-const resumeTokenVersion = "rt1"
-
-// String renders the durable text form carried in supervisor checkpoints:
-// "rt1:<session>:<csn>:<chunk>:<chunks>:<fp hex>". The session id never
-// contains ':' (engine ids are "sess-N@gen"-free "sess-N" strings), but
-// ParseResumeTokenString tolerates one anyway by splitting from the right.
-func (t ResumeToken) String() string {
-	return fmt.Sprintf("%s:%s:%d:%d:%d:%016x",
-		resumeTokenVersion, t.Session, t.CSN, t.Chunk, t.Chunks, t.Fingerprint)
-}
-
-// ParseResumeTokenString decodes the durable text form; every failure is
-// ErrBadResumeToken-typed so callers degrade instead of crash.
-func ParseResumeTokenString(s string) (ResumeToken, error) {
-	if s == "" {
-		return ResumeToken{}, fmt.Errorf("%w: empty", ErrBadResumeToken)
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) < 6 {
-		return ResumeToken{}, fmt.Errorf("%w: %d fields", ErrBadResumeToken, len(parts))
-	}
-	if parts[0] != resumeTokenVersion {
-		return ResumeToken{}, fmt.Errorf("%w: version %q", ErrBadResumeToken, parts[0])
-	}
-	// A ':' inside the session id shifts everything right; rejoin the
-	// middle so the four numeric fields always come from the tail.
-	tail := parts[len(parts)-4:]
-	session := strings.Join(parts[1:len(parts)-4], ":")
-	if session == "" {
-		return ResumeToken{}, fmt.Errorf("%w: empty session", ErrBadResumeToken)
-	}
-	csn, err := strconv.ParseUint(tail[0], 10, 64)
-	if err != nil {
-		return ResumeToken{}, fmt.Errorf("%w: csn %q", ErrBadResumeToken, tail[0])
-	}
-	chunk, err := strconv.ParseUint(tail[1], 10, 32)
-	if err != nil {
-		return ResumeToken{}, fmt.Errorf("%w: chunk %q", ErrBadResumeToken, tail[1])
-	}
-	chunks, err := strconv.ParseUint(tail[2], 10, 32)
-	if err != nil {
-		return ResumeToken{}, fmt.Errorf("%w: chunks %q", ErrBadResumeToken, tail[2])
-	}
-	fp, err := strconv.ParseUint(tail[3], 16, 64)
-	if err != nil || len(tail[3]) != 16 {
-		return ResumeToken{}, fmt.Errorf("%w: fingerprint %q", ErrBadResumeToken, tail[3])
-	}
-	return ResumeToken{Session: session, CSN: csn, Chunk: uint32(chunk),
-		Chunks: uint32(chunks), Fingerprint: fp}, nil
 }
 
 // NewReSyncResumeControl builds the resume-token control. Request-side it

@@ -12,24 +12,19 @@ import (
 	"filterdir/internal/query"
 )
 
-// FuzzResumeToken drives arbitrary byte strings and field combinations
-// through the resume-token codec and the engine's verifier. Invariants:
+// FuzzResumeToken drives arbitrary bytes and field combinations through the
+// resume-token control a consumer presents and the engine's verifier.
+// Invariants:
 //
-//   - ParseResumeTokenString never panics; on success, String() round-trips
-//     to a token that re-encodes to the same text (encode→decode→encode
-//     stability), and the BER control codec round-trips it too.
-//   - Failures are ErrBadResumeToken-typed, never a panic.
+//   - ParseReSyncResume never panics on an arbitrary control value; a
+//     failure is ErrBadResumeToken-typed, and a decoded token round-trips
+//     exactly through NewReSyncResumeControl.
+//   - A constructed token round-trips through the control too.
 //   - The engine never accepts a token for the wrong snapshot: ResumeReload
 //     on an arbitrary token either errors with ErrNoSuchSession, restarts
 //     from chunk zero, or — only when every verified field matches the live
 //     transfer — returns the named chunk.
 func FuzzResumeToken(f *testing.F) {
-	f.Add("rt1:sess-1:5:1:4:00000cbf29ce4846", uint64(5), uint32(1), uint32(4), uint64(0xcbf29ce4846))
-	f.Add("", uint64(0), uint32(0), uint32(0), uint64(0))
-	f.Add("rt1:s:0:0:0:0000000000000000", ^uint64(0), ^uint32(0), ^uint32(0), ^uint64(0))
-	f.Add("rt2:sess-1:5:1:4:00000cbf29ce4846", uint64(1), uint32(2), uint32(3), uint64(4))
-	f.Add("rt1:a:b:c:d:e", uint64(10), uint32(1), uint32(2), uint64(14695981039346656037))
-
 	master, err := newFuzzMaster()
 	if err != nil {
 		f.Fatal(err)
@@ -45,42 +40,35 @@ func FuzzResumeToken(f *testing.F) {
 	}
 	live := *res.Resume
 
-	f.Fuzz(func(t *testing.T, text string, csn uint64, chunk, chunks uint32, fp uint64) {
-		// Codec: parse arbitrary text; a parse failure must be typed, a
-		// success must re-encode identically and survive the BER control
-		// round-trip.
-		tok, err := proto.ParseResumeTokenString(text)
+	// Seeds: the live transfer's control, controls at the field extremes,
+	// and cut or empty values.
+	for _, tok := range []proto.ResumeToken{
+		live,
+		{Session: "s", CSN: 1<<63 - 1, Chunk: ^uint32(0), Chunks: ^uint32(0), Fingerprint: ^uint64(0)},
+		{},
+	} {
+		v := proto.NewReSyncResumeControl(tok, true).Value
+		f.Add(v, tok.CSN, tok.Chunk, tok.Chunks, tok.Fingerprint)
+		f.Add(v[:len(v)/2], uint64(10), uint32(1), uint32(2), uint64(14695981039346656037))
+	}
+	f.Add([]byte{}, uint64(0), uint32(0), uint32(0), uint64(0))
+
+	f.Fuzz(func(t *testing.T, value []byte, csn uint64, chunk, chunks uint32, fp uint64) {
+		// Codec: decode arbitrary bytes as the control's value; a failure
+		// must be typed, a success must survive the encode→decode round
+		// trip.
+		tok, err := proto.ParseReSyncResume(proto.Control{OID: proto.OIDReSyncResume, Value: value})
 		if err != nil {
 			if !errors.Is(err, proto.ErrBadResumeToken) {
-				t.Fatalf("parse error not ErrBadResumeToken-typed: %v", err)
+				t.Fatalf("decode error not ErrBadResumeToken-typed: %v", err)
 			}
 		} else {
-			if got := tok.String(); got != text {
-				// Canonical form may differ from a non-canonical input only
-				// in ways the parser rejects; a parsed token must re-encode
-				// stably through a second decode.
-				tok2, err := proto.ParseResumeTokenString(got)
-				if err != nil || tok2 != tok {
-					t.Fatalf("encode→decode→encode unstable: %q → %+v → %q (%v)", text, tok, got, err)
-				}
-			}
 			roundTripControl(t, tok)
 		}
 
-		// Constructed token: String/Parse and BER round-trips are exact for
-		// any non-degenerate field values (sessions with ':' still parse —
-		// the session is rejoined from the middle fields; an empty session
-		// is unrepresentable and must fail typed).
-		made := proto.ResumeToken{Session: text, CSN: csn, Chunk: chunk, Chunks: chunks, Fingerprint: fp}
-		back, err := proto.ParseResumeTokenString(made.String())
-		if text == "" {
-			if !errors.Is(err, proto.ErrBadResumeToken) {
-				t.Fatalf("empty-session token parse: err = %v, want ErrBadResumeToken", err)
-			}
-		} else if err != nil || back != made {
-			t.Fatalf("constructed token round-trip: %+v → %q → %+v (%v)", made, made.String(), back, err)
-		}
-		roundTripControl(t, made)
+		// Constructed token: the control round-trip is exact for any
+		// field values the BER integer can carry.
+		roundTripControl(t, proto.ResumeToken{Session: string(value), CSN: csn, Chunk: chunk, Chunks: chunks, Fingerprint: fp})
 
 		// Verifier: an arbitrary token never panics the engine and never
 		// yields a chunk for the wrong snapshot or geometry. (A re-presented

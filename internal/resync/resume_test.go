@@ -10,6 +10,7 @@ import (
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
 	"filterdir/internal/proto"
+	"filterdir/internal/query"
 )
 
 // These tests pin the resumable chunked reload contract (resume.go): a full
@@ -316,6 +317,38 @@ func TestResumeUnknownSession(t *testing.T) {
 	}
 	if _, err := eng.ResumeReload(tok); !errors.Is(err, ErrNoSuchSession) {
 		t.Fatalf("ended session: err = %v, want ErrNoSuchSession", err)
+	}
+}
+
+// TestRestartedEngineRefusesOldPositions: a new engine over the same store —
+// a restarted supplier, whose CSNs continue — numbers its sessions from one
+// again, and its first session's points are named by the same CSNs. A
+// cookie or resume token from the previous incarnation must name no session
+// there (e-syncRefreshRequired), not the new consumer's session that took
+// its number: polling that would hand one consumer another's content.
+func TestRestartedEngineRefusesOldPositions(t *testing.T) {
+	master, _ := chunkedMaster(t, 10)
+	first := NewEngine(master, WithChunkSize(3))
+	res, err := first.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resume == nil {
+		t.Fatal("10-entry content with chunk size 3 not chunked")
+	}
+	tok := *res.Resume
+	_, _, final := drainChunks(t, first, res, make(map[string]bool))
+
+	restarted := NewEngine(master, WithChunkSize(3))
+	other, err := restarted.Begin(query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=person)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restarted.Poll(final.Cookie); !errors.Is(err, ErrNoSuchSession) {
+		t.Errorf("previous incarnation's cookie %q beside %+v: err = %v, want ErrNoSuchSession", final.Cookie, other.Resume, err)
+	}
+	if _, err := restarted.ResumeReload(tok); !errors.Is(err, ErrNoSuchSession) {
+		t.Errorf("previous incarnation's token %+v beside %+v: err = %v, want ErrNoSuchSession", tok, other.Resume, err)
 	}
 }
 

@@ -26,6 +26,7 @@ package resync
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strconv"
 	"strings"
 	"sync"
@@ -170,6 +171,11 @@ var (
 type Engine struct {
 	store *dit.Store
 	stats *metrics.SyncCounters
+	// tag, five random base-36 digits, begins every session id (tag +
+	// nextID): a cookie or resume token from another incarnation of the
+	// supplier — a restart over a store whose CSNs continue — names no
+	// session here, not whichever session took its number since.
+	tag string
 
 	mu       sync.Mutex // guards sessions and nextID only; never held across store reads
 	sessions map[string]*session
@@ -238,7 +244,7 @@ func (e *Engine) observe(id string, updates []Update, fullReload bool) {
 // out — the "session history" of the paper).
 //
 // Delivery is at-least-once: every response carries a cookie naming the
-// sync point ("sess-N@<CSN>") it brings the replica to, and the session
+// sync point ("<tag>N@<CSN>") it brings the replica to, and the session
 // keeps a bounded history of recent points with undo records. A replica that
 // lost a response re-presents its previous cookie; the engine rolls the
 // content map back to that point and recomputes, so a dropped connection
@@ -434,6 +440,7 @@ func NewEngine(store *dit.Store, opts ...EngineOption) *Engine {
 		persistQueueCap: defaultPersistQueueCap,
 		demoteAfter:     defaultDemoteAfter,
 		keepPoints:      defaultSyncPointRetention,
+		tag:             strconv.FormatUint(36*36*36*36+rand.Uint64N(35*36*36*36*36), 36), // in [36⁴, 36⁵)
 	}
 	for _, o := range opts {
 		o(e)
@@ -565,7 +572,7 @@ func (e *Engine) Begin(spec query.Query) (*PollResult, error) {
 	view := e.startFull(sess)
 	e.mu.Lock()
 	e.nextID++
-	sess.id = "sess-" + strconv.FormatUint(e.nextID, 10)
+	sess.id = e.tag + strconv.FormatUint(e.nextID, 10)
 	e.sessions[sess.id] = sess
 	e.mu.Unlock()
 	e.stats.Begins.Add(1)

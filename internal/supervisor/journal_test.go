@@ -2,9 +2,11 @@ package supervisor
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
 	"filterdir/internal/ldif"
+	"filterdir/internal/persist"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -39,7 +42,11 @@ func held(t *testing.T, s *Supervisor) string {
 	if err := ldif.Write(&b, s.rep.Store().MatchAll(s.cfg.Spec)...); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("cookie=%q token=%v\n%s", s.Cookie(), s.ResumeToken(), b.Bytes())
+	pos, err := json.Marshal(heldPosition(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s\n%s", pos, b.Bytes())
 }
 
 func image(action resync.Action, e *entry.Entry) resync.Update {
@@ -158,6 +165,43 @@ func TestEveryByteTruncationRestoresPreviousCommit(t *testing.T) {
 	t.Logf("%d exchanges, %d B of journal: every cut restored the exchange before it", len(ends)-1, len(raw))
 	if got := held(t, restoreCut(int64(len(raw)))); got != want[len(want)-1] {
 		t.Fatalf("whole journal restored\n%s\nwant\n%s", got, want[len(want)-1])
+	}
+}
+
+// TestCommitNoteIsPosition: the note every landed exchange commits is the
+// supervisor's position itself — it unmarshals to exactly what the
+// supervisor holds, mid-transfer (a resume token, no cookie) and after
+// completion (a cookie, no token).
+func TestCommitNoteIsPosition(t *testing.T) {
+	stateDir := t.TempDir()
+	s, err := newSupervisor(offlineConfig(t, stateDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var midTransfer, complete int
+	for i, res := range history() {
+		if err := s.land(res); err != nil {
+			t.Fatalf("exchange %d: %v", i, err)
+		}
+		_, note, err := persist.Dir{Path: stateDir}.OpenSparse([]string{""})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got position
+		if err := json.Unmarshal([]byte(note), &got); err != nil {
+			t.Fatalf("exchange %d: note %s: %v", i, note, err)
+		}
+		if !reflect.DeepEqual(got, s.pos) {
+			t.Errorf("exchange %d committed %s, holds %+v", i, note, s.pos)
+		}
+		if s.pos.Resume != nil && s.pos.Cookie == "" {
+			midTransfer++
+		} else if s.pos.Resume == nil && s.pos.Cookie != "" {
+			complete++
+		}
+	}
+	if midTransfer == 0 || complete == 0 {
+		t.Errorf("history committed %d positions mid-transfer and %d complete, want some of each", midTransfer, complete)
 	}
 }
 

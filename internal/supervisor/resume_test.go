@@ -12,12 +12,14 @@ import (
 	"time"
 
 	"filterdir/internal/chaos"
+	"filterdir/internal/dit"
+	"filterdir/internal/dn"
 	"filterdir/internal/ldapnet"
 	"filterdir/internal/persist"
-	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
 	"filterdir/internal/resync"
+	"filterdir/internal/resync/resynctest"
 )
 
 // newChunkedHarness is newHarness with the master's engine serving full
@@ -64,8 +66,8 @@ func TestChunkedBeginAppliesAllChunks(t *testing.T) {
 	if sup.Cookie() == "" {
 		t.Error("completed transfer left no session cookie")
 	}
-	if !sup.ResumeToken().IsZero() {
-		t.Errorf("completed transfer left resume token %v armed", sup.ResumeToken())
+	if tok := heldPosition(sup).Resume; tok != nil {
+		t.Errorf("completed transfer left resume token %+v armed", *tok)
 	}
 	// The session is live: a mutation must arrive by incremental poll, not
 	// another reload.
@@ -97,7 +99,7 @@ func TestRestartMidTransferResumes(t *testing.T) {
 	}
 	sup := startSupervisor(t, cfg)
 	deadline := time.Now().Add(10 * time.Second)
-	for sup.ResumeToken().IsZero() {
+	for heldPosition(sup).Resume == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("supervisor never armed a resume token")
 		}
@@ -118,9 +120,9 @@ func TestRestartMidTransferResumes(t *testing.T) {
 	if err := json.Unmarshal([]byte(note), &pos); err != nil {
 		t.Fatalf("commit note %q: %v", note, err)
 	}
-	tok, err := proto.ParseResumeTokenString(pos.Token)
-	if err != nil {
-		t.Fatalf("committed token %q: %v", pos.Token, err)
+	tok := pos.Resume
+	if tok == nil {
+		t.Fatalf("commit note %s holds no resume token", note)
 	}
 	if tok.Chunk != 1 || tok.Chunks != 3 {
 		t.Errorf("token at chunk %d/%d, want 1/3", tok.Chunk, tok.Chunks)
@@ -168,7 +170,7 @@ func TestRestartMidTransferResumes(t *testing.T) {
 		t.Errorf("engine chunked=%d rejects=%d, want the one transfer resumed (1/0)",
 			eng.ChunkedReloads, eng.ResumeRejects)
 	}
-	if !sup2.ResumeToken().IsZero() {
+	if heldPosition(sup2).Resume != nil {
 		t.Error("completed resume left token armed")
 	}
 }
@@ -284,9 +286,74 @@ func TestStaleSessionKeepsServingContent(t *testing.T) {
 	waitConverged(t, h, sup, 10*time.Second)
 }
 
-// TestTornResumeTokenRestore: a commit whose resume token no longer parses
-// (a format bump, damage) restores only what the cookie proves — and with
-// no cookie either, nothing.
+// TestRestartedMasterRefusesOldCookie: a durable leaf's cookie outlives the
+// master that issued it. The master restarts on a new backend over the same
+// store, and a fresh leaf with another spec begins there — as the first
+// session of the new incarnation, at the same CSN — before the old leaf
+// comes back with its cookie. The cookie must be stale there: the old leaf
+// re-Begins and ends holding exactly its own spec's selection, never the
+// other leaf's session.
+func TestRestartedMasterRefusesOldCookie(t *testing.T) {
+	h := newHarness(t)
+	cfg := h.config(t)
+	cfg.Spec, cfg.StateDir = query.MustNew("o=xyz", query.ScopeSubtree, "(cn=p1)"), t.TempDir()
+	old := startSupervisor(t, cfg)
+	waitSynced(t, old)
+	if err := old.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	addr := h.srv.Addr()
+	if err := h.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ldapnet.ServeListener(h.inj.Listener(ln), ldapnet.NewStoreBackend(h.store))
+	t.Cleanup(func() { _ = srv.Close() })
+
+	otherCfg := h.config(t)
+	otherCfg.Spec = query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=person)")
+	other := startSupervisor(t, otherCfg)
+	waitSynced(t, other)
+	if err := h.store.Modify(dn.MustParse("cn=p4,c=us,o=xyz"), []dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"moved on"}}}); err != nil {
+		t.Fatal(err)
+	}
+	converged := func(sup *Supervisor) bool {
+		ok, _ := resynctest.Converged(h.store, sup.rep.Store(), sup.cfg.Spec)
+		return ok
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !converged(other) {
+		if time.Now().After(deadline) {
+			t.Fatal("the fresh leaf did not converge")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	back := startSupervisor(t, cfg)
+	waitSynced(t, back)
+	for !converged(back) {
+		if time.Now().After(deadline) {
+			t.Fatal("the old leaf did not converge")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if c := back.Counters().Snapshot(); c.StaleSessions != 1 || c.Begins != 1 || c.PatchMisses != 0 {
+		t.Errorf("old leaf: stale-sessions=%d begins=%d patch-misses=%d, want its cookie stale and one Begin (1/1/0)",
+			c.StaleSessions, c.Begins, c.PatchMisses)
+	}
+	if n := back.rep.EntryCount(); n != 1 {
+		t.Errorf("old leaf holds %d entries, want the 1 its spec selects", n)
+	}
+}
+
+// TestTornResumeTokenRestore: a commit whose resume token is in a form this
+// build does not read — the "rt1:" text under "token" that earlier builds
+// journalled — restores only what the cookie proves, and with no cookie
+// either, nothing.
 func TestTornResumeTokenRestore(t *testing.T) {
 	h := newHarness(t)
 	stateDir := t.TempDir()
@@ -335,30 +402,38 @@ func TestTornResumeTokenRestore(t *testing.T) {
 		return sup
 	}
 
-	// Garbage token alongside a live cookie: cookie-only restore.
-	rewrite(func(s map[string]any) { s["token"] = "rt1:torn" })
+	// An old-format token alongside a live cookie: cookie-only restore.
+	const oldToken = "rt1:sess-1:5:1:4:00000cbf29ce4846"
+	rewrite(func(s map[string]any) { s["token"] = oldToken })
 	s2 := restore()
 	if s2.Cookie() == "" {
-		t.Error("torn token discarded the valid cookie too")
+		t.Error("old-format token discarded the valid cookie too")
 	}
-	if !s2.ResumeToken().IsZero() {
-		t.Errorf("torn token restored as %v", s2.ResumeToken())
+	if tok := s2.pos.Resume; tok != nil {
+		t.Errorf("old-format token restored as %+v", *tok)
 	}
 
-	// Garbage token and no cookie: the checkpoint proves nothing — fresh
-	// start.
+	// An old-format token and no cookie: the checkpoint proves nothing —
+	// fresh start.
 	rewrite(func(s map[string]any) {
-		s["token"] = "not-a-token"
+		s["token"] = oldToken
 		s["cookie"] = ""
 	})
 	s3 := restore()
-	if s3.Cookie() != "" || !s3.ResumeToken().IsZero() {
-		t.Errorf("unprovable checkpoint restored cookie=%q tok=%v, want fresh start",
-			s3.Cookie(), s3.ResumeToken())
+	if s3.Cookie() != "" || s3.pos.Resume != nil {
+		t.Errorf("unprovable checkpoint restored cookie=%q tok=%+v, want fresh start",
+			s3.Cookie(), s3.pos.Resume)
 	}
 	if s3.rep.EntryCount() != 0 {
 		t.Errorf("unprovable checkpoint restored %d entries", s3.rep.EntryCount())
 	}
+}
+
+// heldPosition reads the position a running supervisor stands at.
+func heldPosition(s *Supervisor) position {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pos
 }
 
 // newSupervisor constructs (without starting) a supervisor with a fresh

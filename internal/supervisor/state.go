@@ -22,13 +22,14 @@ import (
 // content it ends with: an image this owner once held must not overwrite what
 // another owner has since made of the entry.
 
-// position is the commit note: where in its upstream's history the content
-// committed with it stands.
+// position is where in its upstream's history a link stands: the
+// supervisor's one record of it, and, marshalled as it is, the note of every
+// commit — so the content committed with a note stands exactly there.
 type position struct {
 	Cookie string `json:"cookie,omitempty"` // resumes the upstream session
-	// Token is the resume token of a chunked reload in flight: the content
-	// holds the chunks before it and a restart continues the transfer.
-	Token string `json:"token,omitempty"`
+	// Resume is the token of a chunked reload in flight: the content holds
+	// the chunks before it and a restart continues the transfer.
+	Resume *proto.ResumeToken `json:"resume,omitempty"`
 	// Addr is the upstream that issued both, Master or Fallback. State from
 	// another address, or for another Spec (the operator changed -filter),
 	// is not restored.
@@ -43,11 +44,7 @@ func (s *Supervisor) commit(updates []resync.Update) error {
 	if s.journal == nil {
 		return nil
 	}
-	pos := position{Cookie: s.Cookie(), Addr: s.Target(), Spec: s.cfg.specKey}
-	if tok := s.ResumeToken(); !tok.IsZero() {
-		pos.Token = tok.String()
-	}
-	note, err := json.Marshal(pos)
+	note, err := json.Marshal(s.pos)
 	if err != nil {
 		return err
 	}
@@ -95,8 +92,9 @@ func (s *Supervisor) commit(updates []resync.Update) error {
 // its position. Missing, spec-mismatched, unknown-upstream or positionless
 // state restores nothing: the supervisor then starts with a fresh Begin, which
 // is always correct, just more expensive, and whose reset supersedes what the
-// journal held. A resume token that fails to parse restores only what the
-// cookie proves: with a live cookie the session resumes by poll; without one
+// journal held. A resume token in a form this build does not read (the text
+// form under "token" of earlier builds) restores only what the cookie
+// proves: with a live cookie the session resumes by poll; without one
 // nothing is restored.
 func (s *Supervisor) restore() error {
 	dir := persist.Dir{Path: s.cfg.StateDir}
@@ -112,14 +110,7 @@ func (s *Supervisor) restore() error {
 		s.cfg.Logf("supervisor: discarding state with an unreadable commit note: %v", err)
 		return nil
 	}
-	var tok proto.ResumeToken
-	if pos.Token != "" {
-		if tok, err = proto.ParseResumeTokenString(pos.Token); err != nil {
-			// Stale token format: fall back to whatever the cookie covers.
-			s.cfg.Logf("supervisor: discarding unparseable resume token: %v", err)
-		}
-	}
-	if pos.Spec != s.cfg.specKey || (pos.Cookie == "" && tok.IsZero()) {
+	if pos.Spec != s.cfg.specKey || (pos.Cookie == "" && pos.Resume == nil) {
 		return nil
 	}
 	if pos.Addr != s.cfg.Master && pos.Addr != s.cfg.Fallback {
@@ -134,14 +125,15 @@ func (s *Supervisor) restore() error {
 	if err := s.rep.ApplySync(s.cfg.Spec, updates); err != nil {
 		return fmt.Errorf("replay durable content: %w", err)
 	}
-	if tok.IsZero() { // a transfer cut short answers once the rest has landed
+	if pos.Resume == nil { // a transfer cut short answers once the rest has landed
 		s.rep.AddStored(s.cfg.Spec, pos.Cookie)
 		s.registered = true
 	}
-	// The cookie names a session at the server that issued it: resume there
-	// even if it is the fallback (run then watches Master, as after a divert).
-	s.cookie, s.resumeTok, s.target = pos.Cookie, tok, pos.Addr
-	s.cfg.Logf("supervisor: restored %d entries, resuming session %q (reload chunk %d/%d) at %s",
-		len(entries), pos.Cookie, tok.Chunk, tok.Chunks, s.target)
+	// The note is the position, adopted as it stands. Its cookie names a
+	// session at the server that issued it: resume there even if it is the
+	// fallback (run then watches Master, as after a divert).
+	s.pos = pos
+	s.cfg.Logf("supervisor: restored %d entries, resuming at %s with cookie %q, resume token %+v",
+		len(entries), pos.Addr, pos.Cookie, pos.Resume)
 	return nil
 }

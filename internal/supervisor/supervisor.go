@@ -184,10 +184,11 @@ type Supervisor struct {
 	watchWG   sync.WaitGroup
 	probeDue  atomic.Bool
 
+	// mu guards pos, state and exchanges. pos is where the link stands
+	// (state.go) and is written, under mu, only by the run goroutine — and
+	// by New before it starts — which reads it without the lock.
 	mu        sync.Mutex
-	cookie    string
-	resumeTok proto.ResumeToken // in-flight chunked reload position (zero outside one)
-	target    string            // current upstream address (Master, or Fallback when diverted)
+	pos       position
 	state     State
 	exchanges int64 // successful synchronization exchanges applied
 
@@ -211,8 +212,10 @@ type config struct {
 // position armed, so the first exchange after Start is a resume-poll.
 func New(cfg Config, rep *replica.FilterReplica) (*Supervisor, error) {
 	cfg.fillDefaults()
+	specKey := cfg.Spec.Normalize().Key()
 	s := &Supervisor{
-		cfg:      config{Config: cfg, specKey: cfg.Spec.Normalize().Key()},
+		cfg:      config{Config: cfg, specKey: specKey},
+		pos:      position{Addr: cfg.Master, Spec: specKey},
 		rep:      rep,
 		counters: &metrics.ReplicaCounters{},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -220,7 +223,6 @@ func New(cfg Config, rep *replica.FilterReplica) (*Supervisor, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	s.target = cfg.Master
 	if cfg.StateDir != "" {
 		if err := s.restore(); err != nil {
 			return nil, fmt.Errorf("restore replica state: %w", err)
@@ -234,24 +236,22 @@ func New(cfg Config, rep *replica.FilterReplica) (*Supervisor, error) {
 func (s *Supervisor) Target() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.target
+	return s.pos.Addr
 }
 
 // canFallback reports whether a divert to the fallback is possible and
 // would change anything.
 func (s *Supervisor) canFallback() bool {
-	return s.cfg.Fallback != "" && s.Target() != s.cfg.Fallback
+	return s.cfg.Fallback != "" && s.pos.Addr != s.cfg.Fallback
 }
 
-// switchTo repoints the supervision loop at addr and clears the session
-// cookie and any resume token (both are per-server); the content itself is
-// kept and replaced wholesale by the Begin at the new upstream, so the
-// replica keeps serving its last-known-good content across the switch.
+// switchTo repoints the supervision loop at addr with no position there
+// (cookies and resume tokens are per-server); the content itself is kept and
+// replaced wholesale by the Begin at the new upstream, so the replica keeps
+// serving its last-known-good content across the switch.
 func (s *Supervisor) switchTo(addr string) {
 	s.mu.Lock()
-	s.target = addr
-	s.cookie = ""
-	s.resumeTok = proto.ResumeToken{}
+	s.pos = position{Addr: addr, Spec: s.cfg.specKey}
 	s.mu.Unlock()
 }
 
@@ -261,11 +261,10 @@ func (s *Supervisor) switchTo(addr string) {
 // Failure costs the old server a session: the switch proceeds, and nothing
 // server-side expires a session, so it stays until that server restarts.
 func (s *Supervisor) releaseSession() {
-	cookie := s.Cookie()
+	cookie, target := s.pos.Cookie, s.pos.Addr
 	if cookie == "" {
 		return
 	}
-	target := s.Target()
 	client, err := ldapnet.DialWith(s.cfg.Dial, target, s.cfg.DialTimeout)
 	if err != nil {
 		return
@@ -406,7 +405,7 @@ func (s *Supervisor) State() State {
 func (s *Supervisor) Cookie() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cookie
+	return s.pos.Cookie
 }
 
 // Synced is closed after the first successful synchronization exchange.
@@ -456,35 +455,10 @@ func (s *Supervisor) setState(st State) {
 	s.mu.Unlock()
 }
 
-func (s *Supervisor) setCookie(c string) {
-	s.mu.Lock()
-	s.cookie = c
-	s.mu.Unlock()
-}
-
-// ResumeToken returns the in-flight chunked-reload token (zero outside a
-// transfer).
-func (s *Supervisor) ResumeToken() proto.ResumeToken {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resumeTok
-}
-
-func (s *Supervisor) setResumeToken(tok proto.ResumeToken) {
-	s.mu.Lock()
-	s.resumeTok = tok
-	s.mu.Unlock()
-}
-
 // clearSession drops the session cookie and resume token while keeping the
 // replicated content in service — a stale session is re-Begun, and the
 // Begin's reload replaces the content wholesale only once it arrives.
-func (s *Supervisor) clearSession() {
-	s.mu.Lock()
-	s.cookie = ""
-	s.resumeTok = proto.ResumeToken{}
-	s.mu.Unlock()
-}
+func (s *Supervisor) clearSession() { s.switchTo(s.pos.Addr) }
 
 func (s *Supervisor) stopped() bool {
 	select {
@@ -511,7 +485,7 @@ func (s *Supervisor) run() {
 		probing    bool  // currently trying the preferred upstream again
 		probeStart int64 // Exchanges() when the probe began
 	)
-	if s.cfg.Fallback != "" && s.Target() == s.cfg.Fallback && s.cfg.Fallback != s.cfg.Master {
+	if s.cfg.Fallback != "" && s.pos.Addr == s.cfg.Fallback && s.cfg.Fallback != s.cfg.Master {
 		s.startWatch() // restored onto the fallback: watch for the way back
 	}
 	for !s.stopped() {
@@ -522,7 +496,7 @@ func (s *Supervisor) run() {
 			s.switchTo(s.cfg.Master)
 			probing, probeStart = true, s.Exchanges()
 		}
-		target := s.Target()
+		target := s.pos.Addr
 		s.setState(StateConnecting)
 		s.counters.Dials.Add(1)
 		client, err := ldapnet.DialWith(s.cfg.Dial, target, s.cfg.DialTimeout)
@@ -617,18 +591,16 @@ func (s *Supervisor) run() {
 // reload where it left off instead of re-Beginning from scratch.
 func (s *Supervisor) syncLoop(client *ldapnet.Client, attempt *int) error {
 	s.setState(StateSyncing)
-	cookie := s.Cookie()
-	tok := s.ResumeToken()
 	var res *resync.PollResult
 	var err error
-	switch {
-	case !tok.IsZero():
-		res, err = client.SyncResume(tok)
+	switch cookie := s.pos.Cookie; {
+	case s.pos.Resume != nil:
+		res, err = client.SyncResume(*s.pos.Resume)
 		if err != nil {
 			if !ldapnet.IsTransient(err) && !errors.Is(err, resync.ErrNoSuchSession) {
 				// The supplier categorically refused the token (e.g. it does
 				// not speak resumption); drop it so the next cycle Begins.
-				s.setResumeToken(proto.ResumeToken{})
+				s.clearSession()
 			}
 			return err
 		}
@@ -675,7 +647,7 @@ func (s *Supervisor) pollSteadyState(client *ldapnet.Client) error {
 			if s.probeDue.Load() {
 				return errProbeDue
 			}
-			res, err := client.Sync(s.cfg.Spec, proto.ReSyncModePoll, s.Cookie())
+			res, err := client.Sync(s.cfg.Spec, proto.ReSyncModePoll, s.pos.Cookie)
 			if err != nil {
 				return err
 			}
@@ -697,7 +669,7 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 	s.setState(StateStreaming)
 	probeTick := time.NewTicker(s.cfg.PollInterval)
 	defer probeTick.Stop()
-	ps, err := client.Persist(s.cfg.Spec, s.Cookie(), s.cfg.IdleTimeout)
+	ps, err := client.Persist(s.cfg.Spec, s.pos.Cookie, s.cfg.IdleTimeout)
 	if err != nil {
 		return err
 	}
@@ -727,7 +699,7 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 				if err := s.applyExchange(client, res); err != nil {
 					return err
 				}
-				again, err := client.Persist(s.cfg.Spec, s.Cookie(), s.cfg.IdleTimeout)
+				again, err := client.Persist(s.cfg.Spec, s.pos.Cookie, s.cfg.IdleTimeout)
 				if err != nil {
 					return err
 				}
@@ -793,16 +765,18 @@ func (s *Supervisor) land(res *resync.PollResult) error {
 		}
 		s.counters.UpdatesApplied.Add(int64(len(res.Updates)))
 	}
-	cookie, tok := s.Cookie(), proto.ResumeToken{}
-	if res.Resume != nil {
-		tok = *res.Resume
-	} else if res.Cookie != "" {
-		// Final exchange: the completion cookie supersedes the token.
-		cookie = res.Cookie
+	next := s.pos
+	next.Resume = res.Resume
+	if res.Resume != nil || res.Cookie != "" {
+		// A chunk holds no cookie; a final exchange's supersedes the token.
+		next.Cookie = res.Cookie
 	}
-	moved := res.FullReload || len(res.Updates) > 0 || cookie != s.Cookie() || tok != s.ResumeToken()
-	s.setCookie(cookie)
-	s.setResumeToken(tok)
+	// Tokens compare by pointer and every chunk carries its own: a token
+	// taken on or dropped always moves the position.
+	moved := res.FullReload || len(res.Updates) > 0 || next != s.pos
+	s.mu.Lock()
+	s.pos = next
+	s.mu.Unlock()
 	if moved {
 		if s.cfg.OnApplied != nil {
 			s.cfg.OnApplied(len(res.Updates))
@@ -813,7 +787,7 @@ func (s *Supervisor) land(res *resync.PollResult) error {
 	}
 	if res.Resume == nil {
 		if !s.registered {
-			s.rep.AddStored(s.cfg.Spec, cookie)
+			s.rep.AddStored(s.cfg.Spec, next.Cookie)
 			s.registered = true
 		}
 		s.noteExchange()
@@ -831,11 +805,11 @@ func (s *Supervisor) noteWatermark(csn uint64) {
 }
 
 // resetContent drops the spec's replicated content, stored-set entry and
-// sync point (Begin, full reload); land adopts the new ones once complete.
+// position (Begin, full reload); land adopts the new ones once complete.
 func (s *Supervisor) resetContent() {
 	s.rep.RemoveStored(s.cfg.Spec)
 	s.registered = false
-	s.setCookie("")
+	s.clearSession()
 	s.contentReset = true
 }
 
