@@ -130,24 +130,7 @@ func (s *Store) settleLocked() {
 // are kept regardless of the limit, so an active resumable transfer's
 // pinned snapshot stays incrementally catch-up-able. Callers hold seqMu.
 func (s *Store) trimLocked() {
-	if s.journalLimit <= 0 || len(s.journal) <= s.journalLimit {
-		return
-	}
-	drop := len(s.journal) - s.journalLimit
-	if floor, held := s.minHoldLocked(); held {
-		// Journal CSNs are consecutive, so the count of droppable records
-		// (CSN <= floor) is a subtraction, not a scan.
-		maxDrop := 0
-		if first := s.journal[0].CSN; floor+1 > first {
-			maxDrop = int(floor + 1 - first)
-			if maxDrop > len(s.journal) {
-				maxDrop = len(s.journal)
-			}
-		}
-		if drop > maxDrop {
-			drop = maxDrop
-		}
-	}
+	drop := s.droppableLocked()
 	if drop <= 0 {
 		return
 	}
@@ -160,11 +143,54 @@ func (s *Store) trimLocked() {
 	s.journalTrimmed += uint64(drop)
 }
 
+// droppableLocked returns how many of the oldest records the journal bound
+// drops, clamped by the lowest outstanding hold. Callers hold seqMu.
+func (s *Store) droppableLocked() int {
+	if s.journalLimit <= 0 || len(s.journal) <= s.journalLimit {
+		return 0
+	}
+	drop := len(s.journal) - s.journalLimit
+	if floor, held := s.minHoldLocked(); held {
+		// Journal CSNs are consecutive, so the count of droppable records
+		// (CSN <= floor) is a subtraction, not a scan.
+		maxDrop := 0
+		if first := s.journal[0].CSN; floor+1 > first {
+			maxDrop = min(int(floor+1-first), len(s.journal))
+		}
+		drop = min(drop, maxDrop)
+	}
+	return drop
+}
+
+// inBatchTrim reports whether the journal is bounded and trimmed inside a
+// batch too: only when no durable hook must see the batch's records first.
+func (s *Store) inBatchTrim() bool { return s.journalLimit > 0 && s.durable == nil }
+
+// compactLocked trims the journal inside a batch that has filled it to twice
+// its limit: the kept records move to the front of the same array, so a
+// batch of any size holds at most twice the limit in records, and the copy
+// — O(limit), once per limit records — costs each record O(1). Callers hold
+// seqMu.
+func (s *Store) compactLocked() {
+	drop := s.droppableLocked()
+	if drop <= 0 {
+		return
+	}
+	n := copy(s.journal, s.journal[drop:])
+	clear(s.journal[n:])
+	s.journal = s.journal[:n]
+	s.journalTrimmed += uint64(drop)
+}
+
 // commitLocked stamps and appends one journal record. Trimming and the
-// change signal are handled per batch by flushLocked. Callers hold seqMu.
+// change signal are handled per batch by flushLocked, but for a batch that
+// fills a journal trimmed in batch to twice its limit. Callers hold seqMu.
 func (s *Store) commitLocked(c Change) CSN {
 	c.CSN = s.nextCSN
 	s.nextCSN++
+	if s.inBatchTrim() && len(s.journal) >= 2*s.journalLimit {
+		s.compactLocked()
+	}
 	s.journal = append(s.journal, c)
 	return c.CSN
 }

@@ -1,6 +1,7 @@
 package dit
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -111,10 +112,10 @@ func TestIndexBuildMatchesEagerIndex(t *testing.T) {
 		"(tel>=v2)", "(dept=d*)", "(objectclass=*)",
 	}
 	// Master-side operations keep to the units, replica-side batches to two
-	// names no entry carries: a subtree move onto a name under which a
-	// replica-side put left an orphan is outside either side's contract.
+	// names no entry carries and to ou=c, where a unit moves: a subtree move
+	// onto a name under which a replica-side put left an orphan is refused.
 	bases := []string{"o=xyz", "ou=a,o=xyz", "ou=b,o=xyz", "ou=c,o=xyz"}
-	sparse := []string{"ou=r,o=xyz", "ou=s,o=xyz"}
+	sparse := []string{"ou=r,o=xyz", "ou=s,o=xyz", "ou=c,o=xyz"}
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			var stores [2]*Store
@@ -509,5 +510,44 @@ func BenchmarkFirstIndexedRead(b *testing.B) {
 			b.ReportMetric(second[0]/per/1e6, "second_read_ms")
 			b.ReportMetric(second[1]/per/1e6, "second_write_wait_ms")
 		})
+	}
+}
+
+// TestSubtreeMoveOntoHeldName: a subtree move whose moved root's new name is
+// free but a descendant's is held — here by an orphan a replica-side put
+// left — is refused before anything moves, as LDAP refuses a rename onto an
+// existing entry. It used to insert the descendant over the orphan: the
+// orphan's index terms stayed, and no record journaled its removal.
+func TestSubtreeMoveOntoHeldName(t *testing.T) {
+	st, err := NewStore([]string{"o=xyz"}, WithIndexes("tel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*entry.Entry{
+		entry.New(dn.MustParse("o=xyz")).Put("objectclass", "organization"),
+		entry.New(dn.MustParse("ou=a,o=xyz")).Put("objectclass", "organizationalUnit"),
+		entry.New(dn.MustParse("cn=x,ou=a,o=xyz")).Put("objectclass", "person").Put("tel", "v1"),
+	} {
+		if err := st.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orphan := entry.New(dn.MustParse("cn=x,ou=b,o=xyz")).Put("objectclass", "person").Put("tel", "v9")
+	if err := st.ApplyOwned([]SyncOp{{Put: orphan}}); err != nil {
+		t.Fatal(err)
+	}
+	records := len(st.journal)
+	err = st.ModifyDN(dn.MustParse("ou=a,o=xyz"), dn.RDN{Attr: "ou", Value: "b"}, dn.MustParse("o=xyz"))
+	if !errors.Is(err, ErrAlreadyExists) {
+		t.Fatalf("moving ou=a onto ou=b, under which cn=x is held: %v, want ErrAlreadyExists", err)
+	}
+	if n := len(st.journal); n != records {
+		t.Errorf("the refused move journaled %d records", n-records)
+	}
+	for filter, want := range map[string]string{"(tel=v9)": "cn=x,ou=b,o=xyz", "(tel=v1)": "cn=x,ou=a,o=xyz"} {
+		got := st.MatchAll(query.MustNew("o=xyz", query.ScopeSubtree, filter))
+		if len(got) != 1 || got[0].DN().String() != want {
+			t.Errorf("%s matches %v, want %s alone", filter, got, want)
+		}
 	}
 }

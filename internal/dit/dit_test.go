@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
@@ -901,5 +902,55 @@ func TestApplyOwnedIsOneBatch(t *testing.T) {
 		if c.CSN != CSN(i+1) || c.Type != ChangeAdd {
 			t.Fatalf("record %d: csn=%d type=%v", i, c.CSN, c.Type)
 		}
+	}
+}
+
+// TestBoundedJournalBatchAllocs: a batch far larger than a bounded journal
+// — a reload landing at a leaf — trims in batch once the journal reaches
+// twice its limit, so it allocates at most twice the limit in records. It
+// used to reserve one record per op and trim only at the batch's end,
+// building a whole reload's records to clear them, and the store then kept
+// the reload-sized array. The store with an unreachable limit reserves one
+// record per op: the bounded one must allocate those records' bytes less,
+// but for twice its limit in records (and an eighth more, for the
+// allocator's rounding of the array to a size class).
+func TestBoundedJournalBatchAllocs(t *testing.T) {
+	const limit, n = 64, 3000
+	batch := func(journalLimit int) (uint64, *Store) {
+		st, err := NewStore([]string{"o=xyz"}, WithJournalLimit(journalLimit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := make([]SyncOp, n)
+		for i := range ops {
+			ops[i].Put = entry.New(dn.MustParse(fmt.Sprintf("cn=e%d,o=xyz", i))).Put("cn", fmt.Sprintf("e%d", i))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := st.ApplyOwned(ops); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, st
+	}
+	least := func(journalLimit int) (uint64, *Store) {
+		best, st := batch(journalLimit)
+		for run := 0; run < 2; run++ {
+			if b, s := batch(journalLimit); b < best {
+				best, st = b, s
+			}
+		}
+		return best, st
+	}
+	bounded, st := least(limit)
+	unbounded, _ := least(1 << 20)
+	record := uint64(unsafe.Sizeof(Change{}))
+	t.Logf("a %d-op batch: %d B of allocations at journal limit %d, %d B where the limit is never reached (%d B a record)",
+		n, bounded, limit, unbounded, record)
+	if journal, most := int64(n*record)-(int64(unbounded)-int64(bounded)), int64(2*limit*record*9/8); journal > most {
+		t.Errorf("the bounded store's journal allocated about %d B, gate is %d B (twice its limit in records)", journal, most)
+	}
+	if len(st.journal) != limit || cap(st.journal) > 2*limit {
+		t.Errorf("journal after the batch: len %d cap %d, want len %d within %d", len(st.journal), cap(st.journal), limit, 2*limit)
 	}
 }

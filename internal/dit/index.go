@@ -356,8 +356,8 @@ func bulkIndex(st *shardState, attr string) *attrIndex {
 	ix := newAttrIndex()
 	for norm, e := range st.entries {
 		vals, _ := e.Lookup(attr)
-		for _, val := range vals {
-			v := entry.NormValue(val)
+		for i := 0; i < vals.Len(); i++ {
+			v := entry.NormValue(vals.At(i))
 			ix.byValue[v] = append(ix.byValue[v], norm)
 		}
 	}

@@ -118,21 +118,21 @@ func (st *shardState) unlink(parentNorm, childNorm string) {
 }
 
 // reindex moves the entry at norm from the postings of the attribute's old
-// values to those of its current ones (nil for none), and notes when that
-// leaves the index's value lists due for a merge.
-func (st *shardState) reindex(attr, norm string, old, cur []string) {
-	if len(old)+len(cur) == 0 {
+// values to those of its current ones (a zero view for none), and notes when
+// that leaves the index's value lists due for a merge.
+func (st *shardState) reindex(attr, norm string, old, cur entry.Attr) {
+	if old.Len()+cur.Len() == 0 {
 		return // and an index nothing is written to stays shared
 	}
 	ix := st.index(attr)
 	if ix == nil {
 		return
 	}
-	for _, v := range old {
-		ix.remove(v, norm)
+	for i := 0; i < old.Len(); i++ {
+		ix.remove(old.At(i), norm)
 	}
-	for _, v := range cur {
-		ix.add(v, norm)
+	for i := 0; i < cur.Len(); i++ {
+		ix.add(cur.At(i), norm)
 	}
 	st.due = st.due || len(ix.pending)+len(ix.dead) >= pendingMergeThreshold
 }
@@ -142,7 +142,7 @@ func (st *shardState) reindex(attr, norm string, old, cur []string) {
 func (st *shardState) indexEntry(e *entry.Entry, norm string) {
 	for attr := range st.indexes {
 		vals, _ := e.Lookup(attr)
-		st.reindex(attr, norm, nil, vals)
+		st.reindex(attr, norm, entry.Attr{}, vals)
 	}
 	if e.HasObjectClass(ReferralClass) {
 		st.referrals[norm] = true
@@ -153,7 +153,7 @@ func (st *shardState) indexEntry(e *entry.Entry, norm string) {
 func (st *shardState) unindexEntry(e *entry.Entry, norm string) {
 	for attr := range st.indexes {
 		vals, _ := e.Lookup(attr)
-		st.reindex(attr, norm, vals, nil)
+		st.reindex(attr, norm, vals, entry.Attr{})
 	}
 	delete(st.referrals, norm)
 }

@@ -42,7 +42,7 @@ var (
 // ApplyCSN check it; replica-side applies (Upsert, ApplyOwned) do not: an
 // attribute-selected image need not carry the object class.
 func requireClass(e *entry.Entry) error {
-	if vals, _ := e.Lookup(entry.AttrObjectClass); len(vals) == 0 {
+	if vals, _ := e.Lookup(entry.AttrObjectClass); vals.Len() == 0 {
 		return fmt.Errorf("%w: %q has no objectclass", ErrSchema, e.DN().String())
 	}
 	return nil

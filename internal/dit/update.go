@@ -316,18 +316,19 @@ func (s *Store) replace(sh *shard, norm string, before, after *entry.Entry, mods
 
 // replaceMods is the ModReplace list that turns before into after: one mod
 // per attribute whose values differ (compared exactly, in order), with no
-// values for an attribute after lacks. The values are after's own slices;
-// after is frozen, so the journal may share them.
+// values for an attribute after lacks. Values are compared in place; only a
+// mod's own list is built, of strings that alias after, which is frozen, so
+// the journal may share them.
 func replaceMods(before, after *entry.Entry) []Mod {
 	mods := []Mod{} // none is still "known": a modify record always carries its mods
 	for i := 0; i < after.NumAttrs(); i++ {
-		name, vals := after.AttrAt(i)
-		if old, ok := before.Lookup(name); !ok || !slices.Equal(old, vals) {
-			mods = append(mods, Mod{Op: ModReplace, Attr: name, Values: vals})
+		a := after.AttrAt(i)
+		if old, ok := before.Lookup(a.Name()); !ok || !old.Equal(a) {
+			mods = append(mods, Mod{Op: ModReplace, Attr: a.Name(), Values: a.Strings()})
 		}
 	}
 	for i := 0; i < before.NumAttrs(); i++ {
-		if name, _ := before.AttrAt(i); !after.Has(name) {
+		if name := before.AttrAt(i).Name(); !after.Has(name) {
 			mods = append(mods, Mod{Op: ModReplace, Attr: name})
 		}
 	}
@@ -393,12 +394,24 @@ func (s *Store) modifyDNLocked(old dn.DN, newRDN dn.RDN, newSuperior dn.DN) (CSN
 	}
 	collect(old)
 
-	var last CSN
-	for _, cur := range subtree {
+	// Every target must be free, not only the moved root's, before anything
+	// moves: an insert over a held name would leave the entry there in the
+	// indexes, and no record of its removal.
+	targets := make([]dn.DN, len(subtree))
+	for i, cur := range subtree {
 		tgt, err := dn.Rename(cur, old, newDN)
 		if err != nil {
 			return 0, err
 		}
+		if _, held := s.shardFor(tgt.Norm()).load().entries[tgt.Norm()]; held {
+			return 0, fmt.Errorf("%w: %q", ErrAlreadyExists, tgt.String())
+		}
+		targets[i] = tgt
+	}
+
+	var last CSN
+	for i, cur := range subtree {
+		tgt := targets[i]
 		e := s.shardFor(cur.Norm()).load().entries[cur.Norm()]
 		s.remove(e, cur.Norm())
 
@@ -500,8 +513,13 @@ func (s *Store) ApplyOwned(ops []SyncOp) error {
 		return nil
 	}
 	_, err := s.submit(func() (CSN, error) {
-		// One record per action: reserved once, not by doubling on the way.
-		s.journal = slices.Grow(s.journal, len(ops))
+		// One record per action: reserved once, not by doubling on the way;
+		// a journal trimmed in batch never holds more than twice its limit.
+		reserve := len(ops)
+		if s.inBatchTrim() {
+			reserve = min(reserve, max(0, 2*s.journalLimit-len(s.journal)))
+		}
+		s.journal = slices.Grow(s.journal, reserve)
 		var last CSN
 		for _, op := range ops {
 			csn, err := CSN(0), error(nil)
@@ -552,13 +570,13 @@ func (s *Store) upsertLocked(e *entry.Entry) (CSN, error) {
 }
 
 // PatchMods reads a patch — an entry carrying only the attributes to replace
-// — as the modify it stands for: one ModReplace per attribute, sharing the
-// patch's value slices.
+// — as the modify it stands for: one ModReplace per attribute, its values
+// aliasing the patch's.
 func PatchMods(p *entry.Entry) []Mod {
 	mods := make([]Mod, p.NumAttrs())
 	for i := range mods {
-		name, vals := p.AttrAt(i)
-		mods[i] = Mod{Op: ModReplace, Attr: name, Values: vals}
+		a := p.AttrAt(i)
+		mods[i] = Mod{Op: ModReplace, Attr: a.Name(), Values: a.Strings()}
 	}
 	return mods
 }

@@ -13,6 +13,11 @@
 // new values. Attribute types are normalized to lower case and attribute
 // values are compared case-insensitively, matching the caseIgnoreMatch rule
 // that governs the vast majority of naming attributes.
+//
+// A DN is held as strings only — its rendering, and its normal form where
+// that differs — with no slice of components: a held DN costs the collector
+// one or two pointers, and every hierarchy operation reads the strings at
+// unescaped commas.
 package dn
 
 import (
@@ -39,35 +44,17 @@ func (r RDN) String() string {
 	return r.Attr + "=" + escapeValue(r.Value)
 }
 
-// Equal reports whether two RDNs are equivalent under case-insensitive value
-// matching.
-func (r RDN) Equal(o RDN) bool {
-	return r.Attr == o.Attr && strings.EqualFold(foldSpaces(r.Value), foldSpaces(o.Value))
-}
-
-// SameSpelling reports whether two DNs have identical presentation forms —
-// the allocation-free equivalent of d.String() == o.String(). Equal DNs can
-// differ in spelling (value case, escaped spacing); spelling-sensitive
-// callers (e.g. change classification deciding whether a rename is visible)
-// use this on hot paths instead of rendering both strings.
-func (d DN) SameSpelling(o DN) bool {
-	if len(d.rdns) != len(o.rdns) {
-		return false
-	}
-	for i, r := range d.rdns {
-		if r.Attr != o.rdns[i].Attr || r.Value != o.rdns[i].Value {
-			return false
-		}
-	}
-	return true
-}
-
 // DN is a parsed distinguished name. The zero value is the root ("null") DN.
-// RDNs are stored leaf-first, mirroring the string representation: for
-// "cn=a,o=b", RDNs[0] is cn=a and RDNs[1] is o=b.
+//
+// A DN is two strings and no other memory: s, its RFC 2253 rendering —
+// lower-case attribute types, values in their own case and escaped by
+// escapeValue, components leaf-first and joined by commas — and norm, its
+// normal form, kept only when it differs from s (it is "" otherwise, which
+// no non-root DN's normal form is). Every hierarchy operation walks the
+// components of one of them at unescaped commas: an ancestor is a tail of
+// both strings, never a rebuilt value.
 type DN struct {
-	rdns []RDN
-	// norm is the normalized form used for equality and map keys.
+	s    string
 	norm string
 }
 
@@ -81,33 +68,37 @@ var ErrInvalidDN = errors.New("invalid DN")
 // root DN. Supported escapes inside values: backslash followed by one of
 // ",=+<>#;\\\"" or a space, and backslash followed by two hex digits.
 //
-// The string is walked once, component by component, and the normal form is
-// built as the walk goes: a DN costs its RDN slice plus one buffer for the
-// normal form, and not even the buffer when the string already is its own
-// normal form — lower case, single-spaced, comma-separated, nothing escaped —
-// as the DNs this system's servers put on the wire are. RDN values are
-// substrings of s wherever no escape had to be resolved.
+// The string is walked once, component by component, and the rendering and
+// the normal form are built as the walk goes, each only once it departs
+// from the source. A DN spelled as its own rendering costs no allocation
+// for it, and one that is also its own normal form — lower case,
+// single-spaced, comma-separated, nothing escaped, as the DNs this system's
+// servers put on the wire are — costs none at all: both are then s itself.
 func Parse(s string) (DN, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return DN{}, nil
 	}
 	p := parser{src: s}
-	// An escaped separator is counted too: capacity, not length.
-	rdns := make([]RDN, 0, 1+strings.Count(s, ",")+strings.Count(s, ";"))
 	for lo := 0; lo <= len(s); {
 		hi := lo + componentLen(s[lo:])
 		if hi > len(s) {
 			return DN{}, fmt.Errorf("%w: trailing backslash in %q", ErrInvalidDN, s)
 		}
-		r, err := p.rdn(lo, hi)
-		if err != nil {
+		if err := p.rdn(lo, hi); err != nil {
 			return DN{}, err
 		}
-		rdns = append(rdns, r)
 		lo = hi + 1
 	}
-	return DN{rdns: rdns, norm: p.norm()}, nil
+	return newDN(p.rend.result(s), p.norm.result(s)), nil
+}
+
+// newDN is the DN with rendering s and normal form norm.
+func newDN(s, norm string) DN {
+	if norm == s {
+		norm = ""
+	}
+	return DN{s: s, norm: norm}
 }
 
 // MustParse is Parse that panics on error; intended for tests and constants.
@@ -120,80 +111,102 @@ func MustParse(s string) DN {
 }
 
 // String renders the DN in RFC 2253 form with the original value case.
-func (d DN) String() string {
-	if len(d.rdns) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, r := range d.rdns {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(r.String())
-	}
-	return b.String()
-}
+func (d DN) String() string { return d.s }
 
-// AppendString appends the String form of d to b. A writer that renders many
-// DNs into one buffer calls it in place of String, which allocates its
-// result; only a value that needs escaping still allocates.
-func (d DN) AppendString(b []byte) []byte {
-	for i, r := range d.rdns {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, r.Attr...)
-		b = append(b, '=')
-		b = append(b, escapeValue(r.Value)...)
-	}
-	return b
-}
+// AppendString appends the String form of d to b.
+func (d DN) AppendString(b []byte) []byte { return append(b, d.s...) }
 
 // Norm returns the normalized form (lower-cased attribute types and values,
 // single spacing) suitable for use as a map key. Two DNs are Equal exactly
 // when their Norm strings are identical.
-func (d DN) Norm() string { return d.norm }
+func (d DN) Norm() string {
+	if d.norm == "" {
+		return d.s
+	}
+	return d.norm
+}
+
+// SameSpelling reports whether two DNs have identical presentation forms:
+// d.String() == o.String(). Equal DNs can differ in spelling (value case,
+// escaped spacing); spelling-sensitive callers (e.g. change classification
+// deciding whether a rename is visible) use this.
+func (d DN) SameSpelling(o DN) bool { return d.s == o.s }
 
 // IsRoot reports whether d is the null DN.
-func (d DN) IsRoot() bool { return len(d.rdns) == 0 }
+func (d DN) IsRoot() bool { return d.s == "" }
 
 // Depth returns the number of RDN components (0 for the root).
-func (d DN) Depth() int { return len(d.rdns) }
+func (d DN) Depth() int { return components(d.s) }
+
+// components counts the components of a rendering or a normal form.
+func components(s string) int {
+	if s == "" {
+		return 0
+	}
+	n := 1
+	for i := componentLen(s); i < len(s); i += 1 + componentLen(s[i+1:]) {
+		n++
+	}
+	return n
+}
 
 // Leaf returns the leftmost (leaf) RDN. Calling Leaf on the root DN returns a
-// zero RDN and false.
+// zero RDN and false. Its parts are substrings of the rendering unless the
+// value had to be escaped there.
 func (d DN) Leaf() (RDN, bool) {
-	if len(d.rdns) == 0 {
+	if d.s == "" {
 		return RDN{}, false
 	}
-	return d.rdns[0], true
+	// A rendered attribute type holds no escape and no '='.
+	comp := d.s[:componentLen(d.s)]
+	eq := strings.IndexByte(comp, '=')
+	return RDN{Attr: comp[:eq], Value: unescapeValue(comp[eq+1:])}, true
 }
 
 // Equal reports whether two DNs name the same entry.
-func (d DN) Equal(o DN) bool { return d.norm == o.norm }
+func (d DN) Equal(o DN) bool { return d.Norm() == o.Norm() }
 
 // Parent returns the DN with the leaf RDN removed. The parent of the root is
-// the root itself with ok=false. The parent shares d's RDNs and its normal
-// form is the tail of d's: an ancestor's key is derived from the key, never
-// rebuilt.
+// the root itself with ok=false. The parent's strings are tails of d's: an
+// ancestor's key is derived from the key, never rebuilt.
 func (d DN) Parent() (DN, bool) {
-	if len(d.rdns) == 0 {
+	if d.s == "" {
 		return DN{}, false
 	}
-	rest := d.rdns[1:]
-	if len(rest) == 0 {
-		return DN{rdns: rest}, true
+	p := DN{s: tail(d.s)}
+	if d.norm != "" {
+		p.norm = tail(d.norm)
 	}
-	// A separator inside the leaf's value is escaped in the normal form too.
-	return DN{rdns: rest, norm: d.norm[componentLen(d.norm)+1:]}, true
+	return p, true
 }
 
-// Child returns the DN formed by prefixing an RDN to d.
+// tail is a rendering or normal form less its first component; a separator
+// inside a value is escaped in both.
+func tail(s string) string {
+	if i := componentLen(s); i < len(s) {
+		return s[i+1:]
+	}
+	return ""
+}
+
+// Child returns the DN formed by prefixing an RDN to d. A child of a DN that
+// is its own normal form, by a value that is too, is one string.
 func (d DN) Child(r RDN) DN {
-	rdns := make([]RDN, 0, len(d.rdns)+1)
-	rdns = append(rdns, RDN{Attr: strings.ToLower(strings.TrimSpace(r.Attr)), Value: r.Value})
-	rdns = append(rdns, d.rdns...)
-	return DN{rdns: rdns, norm: normalize(rdns)}
+	attr := strings.ToLower(strings.TrimSpace(r.Attr))
+	v := escapeValue(r.Value)
+	c := DN{s: join(attr, v, d.s)}
+	if n := strings.ToLower(foldSpaces(v)); n != v || d.norm != "" {
+		c = newDN(c.s, join(attr, n, d.Norm()))
+	}
+	return c
+}
+
+// join prefixes the component attr=value to the rendering or normal form s.
+func join(attr, value, s string) string {
+	if s == "" {
+		return attr + "=" + value
+	}
+	return attr + "=" + value + "," + s
 }
 
 // IsSuffix reports whether d is an ancestor-or-self of o; that is, whether
@@ -201,33 +214,50 @@ func (d DN) Child(r RDN) DN {
 // This matches the paper's isSuffix(a, b): TRUE when a is an ancestor of b
 // (we additionally treat a DN as a suffix of itself, which is what both the
 // subtree-containment algorithm and naming-context resolution require).
+// Components compare as Equal compares DNs, by normal form.
 func (d DN) IsSuffix(o DN) bool {
-	n, m := len(d.rdns), len(o.rdns)
-	if n > m {
-		return false
+	_, ok := below(d.Norm(), o.Norm())
+	return ok
+}
+
+// below returns the components of normal form o above its ancestor-or-self
+// a (o's leading components, "" when o is a), and whether a is one: a
+// string suffix of o that starts a component, past an unescaped separator.
+func below(a, o string) (string, bool) {
+	switch {
+	case a == "":
+		return o, true
+	case len(a) == len(o):
+		return "", a == o
+	case len(a) > len(o) || !strings.HasSuffix(o, a):
+		return "", false
 	}
-	// Compare the trailing n components; string suffix checks are unsafe in
-	// the presence of escaped separators inside values.
-	for i := 0; i < n; i++ {
-		if !d.rdns[n-1-i].Equal(o.rdns[m-1-i]) {
-			return false
-		}
+	k := len(o) - len(a) - 1
+	if o[k] != ',' {
+		return "", false
 	}
-	return true
+	// An odd run of backslashes before the comma escapes it.
+	n := 0
+	for i := k - 1; i >= 0 && o[i] == '\\'; i-- {
+		n++
+	}
+	return o[:k], n%2 == 0
 }
 
 // IsParent reports whether d is the immediate parent of o.
 func (d DN) IsParent(o DN) bool {
-	return len(o.rdns) == len(d.rdns)+1 && d.IsSuffix(o)
+	rel, ok := below(d.Norm(), o.Norm())
+	return ok && rel != "" && componentLen(rel) >= len(rel)
 }
 
 // RelativeDepth returns the number of levels from ancestor d down to o, and
 // ok=false when d is not a suffix of o. RelativeDepth(d, d) is 0.
 func (d DN) RelativeDepth(o DN) (int, bool) {
-	if !d.IsSuffix(o) {
+	rel, ok := below(d.Norm(), o.Norm())
+	if !ok {
 		return 0, false
 	}
-	return len(o.rdns) - len(d.rdns), true
+	return components(rel), true
 }
 
 // Rename returns the DN obtained by replacing the subtree prefix: o must be
@@ -238,33 +268,32 @@ func Rename(o, oldBase, newBase DN) (DN, error) {
 	if !ok {
 		return DN{}, fmt.Errorf("%w: %q is not under %q", ErrInvalidDN, o.String(), oldBase.String())
 	}
-	rdns := make([]RDN, 0, rel+len(newBase.rdns))
-	rdns = append(rdns, o.rdns[:rel]...)
-	rdns = append(rdns, newBase.rdns...)
-	return DN{rdns: rdns, norm: normalize(rdns)}, nil
+	if rel == 0 {
+		return newBase, nil
+	}
+	r := DN{s: under(head(o.s, rel), newBase.s)}
+	if o.norm != "" || newBase.norm != "" {
+		r = newDN(r.s, under(head(o.Norm(), rel), newBase.Norm()))
+	}
+	return r, nil
 }
 
-// normalize produces the canonical comparison form.
-func normalize(rdns []RDN) string {
-	if len(rdns) == 0 {
-		return ""
+// under places the leading components rel above the rendering or normal
+// form s.
+func under(rel, s string) string {
+	if s == "" {
+		return rel
 	}
-	var b strings.Builder
-	for i, r := range rdns {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strings.ToLower(r.Attr))
-		b.WriteByte('=')
-		b.WriteString(normValue(r.Value))
-	}
-	return b.String()
+	return rel + "," + s
 }
 
-// normValue is the normal form of one RDN value: printed with its escapes,
-// single-spaced, lower case.
-func normValue(v string) string {
-	return strings.ToLower(foldSpaces(escapeValue(v)))
+// head is the first n (> 0) components of a rendering or normal form.
+func head(s string, n int) string {
+	i := componentLen(s)
+	for ; n > 1; n-- {
+		i += 1 + componentLen(s[i+1:])
+	}
+	return s[:i]
 }
 
 // foldSpaces trims leading/trailing spaces and collapses internal runs of
@@ -300,45 +329,63 @@ func componentLen(s string) int {
 	return i
 }
 
-// parser accumulates the normal form of the DN it parses. As long as every
-// component read so far is spelled exactly as its normal form nothing is
-// written: the normal form is then the source itself.
-type parser struct {
-	src      string
+// form is one of the two strings Parse builds. As long as every component
+// read so far is spelled in the source exactly as in the form nothing is
+// written: the form is then the source itself.
+type form struct {
 	b        strings.Builder
-	diverged bool // the normal form is b, no longer a prefix of src
+	diverged bool // the form is b, no longer a prefix of the source
 }
 
-func (p *parser) norm() string {
-	if p.diverged {
-		return p.b.String()
+func (f *form) result(src string) string {
+	if f.diverged {
+		return f.b.String()
 	}
-	return p.src
+	return src
 }
 
-// begin readies the buffer for the normal form of the component at src[lo:],
-// separator included, and returns the offset that form starts at.
-func (p *parser) begin(lo int) int {
-	if !p.diverged {
-		p.diverged = true
-		p.b.Grow(len(p.src))
+// begin readies the buffer for the component at src[lo:], separator
+// included.
+func (f *form) begin(src string, lo int) {
+	if !f.diverged {
+		f.diverged = true
+		f.b.Grow(len(src))
 		if lo > 0 {
-			p.b.WriteString(p.src[:lo-1])
+			f.b.WriteString(src[:lo-1])
 		}
 	}
 	if lo > 0 {
-		p.b.WriteByte(',')
+		f.b.WriteByte(',')
 	}
-	return p.b.Len()
 }
 
-// rdn parses the "attr=value" component src[lo:hi] and extends the normal
-// form by it.
-func (p *parser) rdn(lo, hi int) (RDN, error) {
+// put extends the form by the component attr=val, writing only when it is
+// not src[lo:hi] behind a comma (or at the start).
+func (f *form) put(src string, lo, hi int, attr, val string) {
+	comp := src[lo:hi]
+	if !f.diverged && (lo == 0 || src[lo-1] == ',') && len(comp) == len(attr)+1+len(val) &&
+		comp[:len(attr)] == attr && comp[len(attr)] == '=' && comp[len(attr)+1:] == val {
+		return
+	}
+	f.begin(src, lo)
+	f.b.WriteString(attr)
+	f.b.WriteByte('=')
+	f.b.WriteString(val)
+}
+
+// parser accumulates the rendering and the normal form of the DN it parses.
+type parser struct {
+	src        string
+	rend, norm form
+}
+
+// rdn parses the "attr=value" component src[lo:hi] and extends both forms
+// by it.
+func (p *parser) rdn(lo, hi int) error {
 	comp := p.src[lo:hi]
 	eq := indexUnescaped(comp, '=')
 	if eq < 0 {
-		return RDN{}, fmt.Errorf("%w: missing '=' in RDN %q", ErrInvalidDN, comp)
+		return fmt.Errorf("%w: missing '=' in RDN %q", ErrInvalidDN, comp)
 	}
 	attr, val := comp[:eq], comp[eq+1:]
 	plain := plainBytes(attr, false) && plainBytes(val, true)
@@ -351,29 +398,33 @@ func (p *parser) rdn(lo, hi int) (RDN, error) {
 		val = unescapeValue(trimValueSpace(val))
 	}
 	if !validAttrType(attr) {
-		return RDN{}, fmt.Errorf("%w: bad attribute type in RDN %q", ErrInvalidDN, comp)
+		return fmt.Errorf("%w: bad attribute type in RDN %q", ErrInvalidDN, comp)
 	}
 	if val == "" {
-		return RDN{}, fmt.Errorf("%w: empty value in RDN %q", ErrInvalidDN, comp)
+		return fmt.Errorf("%w: empty value in RDN %q", ErrInvalidDN, comp)
 	}
 	if !plain {
-		p.begin(lo)
-		p.b.WriteString(attr)
-		p.b.WriteByte('=')
-		p.b.WriteString(normValue(val))
-		return RDN{Attr: attr, Value: val}, nil
+		r := escapeValue(val)
+		p.rend.put(p.src, lo, hi, attr, r)
+		p.norm.put(p.src, lo, hi, attr, strings.ToLower(foldSpaces(r)))
+		return nil
 	}
-	// Spelled as its own normal form: nothing trimmed, nothing to fold, and
-	// a comma in front.
-	if !p.diverged && len(attr)+1+len(val) == len(comp) && folded(comp) && (lo == 0 || p.src[lo-1] == ',') {
-		return RDN{Attr: attr, Value: val}, nil
+	// Spelled as its own rendering (or normal form): nothing trimmed, the
+	// type (and the value) lower case and single-spaced, a comma in front.
+	exact := len(attr)+1+len(val) == len(comp) && (lo == 0 || p.src[lo-1] == ',')
+	if p.rend.diverged || !exact || !folded(attr) {
+		p.rend.begin(p.src, lo)
+		appendFolded(&p.rend.b, attr)
+		p.rend.b.WriteByte('=')
+		p.rend.b.WriteString(val)
 	}
-	at := p.begin(lo)
-	appendFolded(&p.b, attr)
-	p.b.WriteByte('=')
-	appendFolded(&p.b, val)
-	// The folded type is read back out of the buffer, not allocated again.
-	return RDN{Attr: p.b.String()[at : at+len(attr)], Value: val}, nil
+	if p.norm.diverged || !exact || !folded(comp) {
+		p.norm.begin(p.src, lo)
+		appendFolded(&p.norm.b, attr)
+		p.norm.b.WriteByte('=')
+		appendFolded(&p.norm.b, val)
+	}
+	return nil
 }
 
 // plainBytes reports whether s is printable ASCII and, for a value, free of

@@ -1,6 +1,7 @@
 package dn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -348,16 +349,17 @@ func TestSameSpelling(t *testing.T) {
 }
 
 // TestParseAllocs gates what a DN costs the ingest path. A Table-1 employee
-// DN as a server of this system writes it is its own normal form: the parse
-// is the RDN slice and nothing else. One that needs folding adds the buffer
-// the normal form is built in, in which the folded attribute types live too.
+// DN as a server of this system writes it is its own rendering and its own
+// normal form: the DN is the string parsed, and the parse allocates nothing
+// (it was the RDN slice before a DN became its strings). One that needs
+// folding costs the buffers its rendering and its normal form are built in.
 func TestParseAllocs(t *testing.T) {
 	var sink DN
 	for _, tc := range []struct {
 		name, dn string
 		max      float64
 	}{
-		{"normal", "cn=emp us 17,c=us,o=xyz", 1},
+		{"normal", "cn=emp us 17,c=us,o=xyz", 0},
 		{"folded", "CN=Emp US 17, C=US, O=xyz", 2},
 	} {
 		allocs := testing.AllocsPerRun(200, func() { sink, _ = Parse(tc.dn) })
@@ -371,8 +373,9 @@ func TestParseAllocs(t *testing.T) {
 	}
 }
 
-// TestParentAllocs: an ancestor is a view of its descendant — shared RDNs,
-// the tail of the normal form — at every level, whatever the spelling.
+// TestParentAllocs: an ancestor is a view of its descendant — the tails of
+// its rendering and of its normal form — at every level, whatever the
+// spelling.
 func TestParentAllocs(t *testing.T) {
 	for _, s := range []string{"cn=emp us 17,c=us,o=xyz", "CN=Smith\\, John, OU=R\\;D ,O=xyz"} {
 		d := MustParse(s)
@@ -396,12 +399,30 @@ func TestParentAllocs(t *testing.T) {
 // New builds a DN from leaf-first RDNs. Attribute types are normalized to
 // lower case.
 func New(rdns ...RDN) DN {
-	if len(rdns) == 0 {
-		return DN{}
+	d := Root
+	for i := len(rdns) - 1; i >= 0; i-- {
+		d = d.Child(rdns[i])
 	}
-	cp := make([]RDN, len(rdns))
-	for i, r := range rdns {
-		cp[i] = RDN{Attr: strings.ToLower(strings.TrimSpace(r.Attr)), Value: r.Value}
+	return d
+}
+
+// TestDNLayout: a DN is its two strings and holds no other pointer, so a
+// held DN costs the collector those two and nothing per component.
+func TestDNLayout(t *testing.T) {
+	typ := reflect.TypeOf(DN{})
+	if typ.NumField() != 2 {
+		t.Fatalf("DN has %d fields, want its rendering and its normal form", typ.NumField())
 	}
-	return DN{rdns: cp, norm: normalize(cp)}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() != reflect.String {
+			t.Errorf("DN field %s is a %s, want a string", f.Name, f.Type)
+		}
+	}
+	d := MustParse("cn=emp us 17,c=us,o=xyz")
+	if d.norm != "" {
+		t.Errorf("a DN that is its own normal form keeps a second string %q", d.norm)
+	}
+	if m := MustParse("cn=Emp US 17,c=us,o=xyz"); m.norm == "" || m.Norm() == m.String() {
+		t.Errorf("a mixed-case DN lost its normal form: %q, %q", m.String(), m.Norm())
+	}
 }

@@ -14,24 +14,33 @@ import (
 // RDN from scratch with Fields/Join/ToLower. The differential tests hold the
 // single-pass parser to them on every input.
 
-func refParse(s string) (DN, error) {
+func refParse(s string) ([]RDN, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return DN{}, nil
+		return nil, nil
 	}
 	parts, err := refSplitComponents(s)
 	if err != nil {
-		return DN{}, err
+		return nil, err
 	}
 	rdns := make([]RDN, 0, len(parts))
 	for _, p := range parts {
 		r, err := refParseRDN(p)
 		if err != nil {
-			return DN{}, err
+			return nil, err
 		}
 		rdns = append(rdns, r)
 	}
-	return DN{rdns: rdns, norm: refNormalize(rdns)}, nil
+	return rdns, nil
+}
+
+// refRender is the presentation form the reference gives its RDNs.
+func refRender(rdns []RDN) string {
+	parts := make([]string, len(rdns))
+	for i, r := range rdns {
+		parts[i] = r.String()
+	}
+	return strings.Join(parts, ",")
 }
 
 func refNormalize(rdns []RDN) string {
@@ -128,7 +137,8 @@ func refUnescapeValue(s string) (string, error) {
 
 // checkAgainstReference parses s both ways and requires the same verdict,
 // normal form, presentation form and RDNs, and that every ancestor's derived
-// normal form is the one the reference builds from its RDNs.
+// normal form and presentation form are the ones the reference builds from
+// its RDNs.
 func checkAgainstReference(t *testing.T, s string) {
 	t.Helper()
 	got, err := Parse(s)
@@ -142,19 +152,24 @@ func checkAgainstReference(t *testing.T, s string) {
 		}
 		return
 	}
-	if got.Norm() != want.Norm() {
-		t.Fatalf("Parse(%q): Norm = %q, reference %q", s, got.Norm(), want.Norm())
+	if ref := refNormalize(want); got.Norm() != ref {
+		t.Fatalf("Parse(%q): Norm = %q, reference %q", s, got.Norm(), ref)
 	}
-	if got.String() != want.String() {
-		t.Fatalf("Parse(%q): String = %q, reference %q", s, got.String(), want.String())
+	if ref := refRender(want); got.String() != ref {
+		t.Fatalf("Parse(%q): String = %q, reference %q", s, got.String(), ref)
 	}
-	if !got.SameSpelling(want) || got.Depth() != want.Depth() {
-		t.Fatalf("Parse(%q): RDNs = %q, reference %q", s, got.RDNs(), want.RDNs())
+	if rdns := got.RDNs(); got.Depth() != len(want) || fmt.Sprint(rdns) != fmt.Sprint(want) {
+		t.Fatalf("Parse(%q): RDNs = %q, reference %q", s, rdns, want)
 	}
+	i := 1
 	for d, ok := got.Parent(); ok; d, ok = d.Parent() {
-		if ref := refNormalize(d.rdns); d.Norm() != ref {
+		if ref := refNormalize(want[i:]); d.Norm() != ref || d.String() != refRender(want[i:]) {
 			t.Fatalf("Parse(%q): ancestor %q has Norm %q, reference %q", s, d.String(), d.Norm(), ref)
 		}
+		if rel, ok := d.RelativeDepth(got); !ok || rel != i || !d.IsSuffix(got) || d.IsParent(got) != (i == 1) {
+			t.Fatalf("Parse(%q): ancestor %q at relative depth %d, %v", s, d.String(), rel, ok)
+		}
+		i++
 	}
 }
 
@@ -173,9 +188,12 @@ func TestFoldSpacesMatchesReference(t *testing.T) {
 	}
 }
 
-// RDNs returns a copy of the leaf-first RDN components.
+// RDNs returns the leaf-first RDN components, read off the ancestor chain.
 func (d DN) RDNs() []RDN {
-	out := make([]RDN, len(d.rdns))
-	copy(out, d.rdns)
+	var out []RDN
+	for r, ok := d.Leaf(); ok; r, ok = d.Leaf() {
+		out = append(out, r)
+		d, _ = d.Parent()
+	}
 	return out
 }

@@ -6,16 +6,23 @@
 // matching is case-insensitive and integer-aware (values that parse as
 // integers are compared numerically for ordering, mirroring the
 // integerOrderingMatch rule used by attributes such as serialNumber).
+//
+// An entry holds no pointer per attribute or per value: its names and
+// values are bytes of one buffer, and one table of uint32 offsets says
+// where each lies in it. Readers reach a value through an Attr view, by
+// position; only the accessors that return a []string allocate.
 package entry
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"unicode/utf8"
+	"unsafe"
 
 	"filterdir/internal/dn"
 )
@@ -29,14 +36,6 @@ const (
 // ErrNoSuchAttribute reports a modification targeting an absent attribute.
 var ErrNoSuchAttribute = errors.New("no such attribute")
 
-// attr is one attribute: its normalized type name and the range of the
-// entry's value array its values (in their original case) occupy,
-// vals[lo:hi]. An attribute with no values has lo == hi == 0.
-type attr struct {
-	name   string
-	lo, hi int
-}
-
 // Entry is a directory entry: a DN plus attributes in insertion order. The
 // zero value is an empty entry at the root DN.
 //
@@ -48,25 +47,34 @@ type attr struct {
 // contract by panicking on a frozen receiver.
 type Entry struct {
 	dn dn.DN
-	// attrs holds a handful of attributes, so a linear scan beats a map.
-	// vals holds every attribute's values, each attribute one range of it,
-	// so the whole entry is three allocations — struct, attrs, vals —
-	// however it was built. A slot of vals that no attribute's range covers
-	// holds "": a value replaced or deleted is reachable from nothing. The
-	// exception is an entry Restrict made, which shares its frozen parent's
-	// array and covers only some of it.
-	attrs  []attr
-	vals   []string
+	// raw holds the entry's normalized names and its values. A byte below
+	// len(raw) is never written again, so a value handed out aliases it
+	// for good; a mutator appends, and a full buffer is replaced by one
+	// holding only the live bytes. A decoded entry's raw is the message
+	// body its names and values were read from.
+	raw []byte
+	// tab locates every name and value in raw. For n attributes:
+	//
+	//	tab[3i], tab[3i+1]  attribute i's name, raw[tab[3i]:tab[3i+1]]
+	//	tab[3i+2]           the end of attribute i's values, counted in
+	//	                    values from the first; they start where
+	//	                    attribute i-1's end (at 0 for i = 0)
+	//	tab[3n:]            one pair lo, hi per value: raw[lo:hi]
+	//
+	// The element type holds no pointer: the collector never scans it.
+	tab    []uint32
+	n      int
 	frozen bool
 }
 
-// firstAttrs and firstVals size the first allocation of attrs (320 bytes)
-// and of vals (192 bytes) for an entry built by Put or Add, each a whole
-// size class of the allocator: room for a Table-1 employee's nine
-// attributes and twelve values. After that each array doubles.
+// firstTab and firstRaw size the first allocation of tab (224 bytes) and of
+// raw for an entry built by Put or Add, each a whole size class of the
+// allocator: room for a Table-1 employee's nine attributes and twelve
+// values, and for its names and values short of a long description. After
+// that each grows to twice what is live.
 const (
-	firstAttrs = 10
-	firstVals  = 12
+	firstTab = 56
+	firstRaw = 256
 )
 
 // New creates an entry with the given DN.
@@ -74,32 +82,82 @@ func New(d dn.DN) *Entry {
 	return &Entry{dn: d}
 }
 
-// Assemble builds an entry from already-separated parts, taking ownership of
-// vals: attribute i is names[i] with the values vals[ends[i-1]:ends[i]]
-// (from 0 for the first). It is Put for every attribute — a repeated name
-// replaces the earlier values — without copying a value: vals becomes the
-// entry's value array. Wire decoders use it to materialise an entry once.
-func Assemble(d dn.DN, names []string, ends []int, vals []string) *Entry {
-	// Capped, so that growing the entry reallocates instead of writing past
-	// vals into whatever the caller's array holds there.
-	e := &Entry{dn: d, attrs: make([]attr, 0, len(names)), vals: vals[:len(vals):len(vals)]}
-	lo := 0
-	for i, name := range names {
-		hi := ends[i]
-		n := NormName(name)
-		j := e.find(n)
-		if j < 0 {
-			e.attrs = append(e.attrs, attr{name: n})
-			j = len(e.attrs) - 1
-		} else {
-			e.abandon(j)
+// Layout is an entry's table under construction: a wire decoder that has
+// counted an entry's attributes and values writes their ranges in the
+// body, attribute by attribute, and Assemble makes it the entry's.
+type Layout struct {
+	tab  []uint32
+	n, v int
+}
+
+// NewLayout allocates the table of an entry of the given numbers of
+// attributes and values.
+func NewLayout(attrs, values int) Layout {
+	return Layout{tab: make([]uint32, 3*attrs, 3*attrs+2*values)}
+}
+
+// Attr begins the next attribute, named raw[lo:hi].
+func (l *Layout) Attr(lo, hi int) {
+	l.tab[3*l.n], l.tab[3*l.n+1], l.tab[3*l.n+2] = uint32(lo), uint32(hi), uint32(l.v)
+	l.n++
+}
+
+// Value adds raw[lo:hi] to the attribute begun last.
+func (l *Layout) Value(lo, hi int) {
+	l.tab = append(l.tab, uint32(lo), uint32(hi))
+	l.v++
+	l.tab[3*l.n-1] = uint32(l.v)
+}
+
+// Assemble builds an entry over raw from the layout l of its names and
+// values there. Decoders use it to materialise an entry once: raw becomes
+// the entry's buffer — a wire decoder's is the message body, an LDIF
+// reader's the record — and l's table its table. Names already in normal
+// form and distinct — every entry a server of this system writes — cost
+// nothing more; any other entry is built Put by Put, a repeated name
+// replacing the earlier values, into a buffer of its own.
+func Assemble(d dn.DN, raw string, l Layout) *Entry {
+	// The entry writes no byte below len(raw), and has no room to append
+	// in place: raw stays the string it was.
+	e := &Entry{dn: d, raw: unsafe.Slice(unsafe.StringData(raw), len(raw)), tab: l.tab, n: l.n}
+	// A name is looked for among the earlier ones only when one of them
+	// shares its length and first byte, as seen records.
+	var seen uint64
+	for i := 0; i < e.n; i++ {
+		name := e.name(i)
+		if !normalName(name) {
+			return e.rebuilt()
 		}
-		if hi > lo {
-			e.attrs[j].lo, e.attrs[j].hi = lo, hi
+		bit := uint64(1) << (uint(len(name)) % 64)
+		if name != "" {
+			bit = uint64(1) << ((uint(len(name)) + 7*uint(name[0])) % 64)
 		}
-		lo = hi
+		if seen&bit != 0 && e.find(name) != i {
+			return e.rebuilt()
+		}
+		seen |= bit
 	}
 	return e
+}
+
+// rebuilt is e built again Put by Put in a buffer of its own.
+func (e *Entry) rebuilt() *Entry {
+	c := New(e.dn)
+	for i := 0; i < e.n; i++ {
+		a := e.AttrAt(i)
+		c.put(NormName(a.name), a.Strings())
+	}
+	return c
+}
+
+// normalName reports whether NormName leaves the ASCII name as it is.
+func normalName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return false
+		}
+	}
+	return true
 }
 
 // DN returns the entry's distinguished name.
@@ -107,6 +165,7 @@ func (e *Entry) DN() dn.DN { return e.dn }
 
 // Freeze marks the entry immutable and returns it. The owner calls it before
 // publishing the entry to other holders; there is no way back but Clone.
+// From then on no byte of its buffer is written.
 func (e *Entry) Freeze() *Entry {
 	// No store to an entry that is already frozen: other holders may be
 	// reading it.
@@ -189,109 +248,217 @@ func equalLower(s, n string) bool {
 	return true
 }
 
+// str is the string b's bytes stand for, without a copy: raw's bytes are
+// never written again (see Entry.raw).
+func str(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// name returns attribute i's normalized name.
+func (e *Entry) name(i int) string {
+	return str(e.raw[e.tab[3*i]:e.tab[3*i+1]])
+}
+
+// span returns the range of values attribute i holds, counted from the
+// first value of the entry.
+func (e *Entry) span(i int) (lo, hi int) {
+	if i > 0 {
+		lo = int(e.tab[3*i-1])
+	}
+	return lo, int(e.tab[3*i+2])
+}
+
 // find returns the position of the attribute with normalized name n, or -1.
 func (e *Entry) find(n string) int {
-	for i := range e.attrs {
-		if e.attrs[i].name == n {
+	for i := 0; i < e.n; i++ {
+		if e.name(i) == n {
 			return i
 		}
 	}
 	return -1
 }
 
-// at returns attribute i's values, capped so that an append by whoever
-// holds them reallocates instead of writing into the next range.
-func (e *Entry) at(i int) []string {
-	a := e.attrs[i]
-	return e.vals[a.lo:a.hi:a.hi]
+// Attr is a view of one attribute of an entry: its normalized name and its
+// values, read by position. It is a value, so reading one allocates
+// nothing. A string it returns is the entry's own bytes and stays valid for
+// good; on a mutable entry the view itself describes the attribute only
+// until the entry next changes.
+type Attr struct {
+	name string
+	raw  []byte
+	vals []uint32
 }
 
-// values returns the entry's own value slice of the named attribute.
-func (e *Entry) values(name string) []string {
-	if i := e.find(NormName(name)); i >= 0 {
-		return e.at(i)
+// Name returns the attribute's normalized type name.
+func (a Attr) Name() string { return a.name }
+
+// Len returns the number of values.
+func (a Attr) Len() int { return len(a.vals) / 2 }
+
+// At returns the i-th value, in its original case.
+func (a Attr) At(i int) string { return str(a.raw[a.vals[2*i]:a.vals[2*i+1]]) }
+
+// Strings returns a copy of the values. It allocates: hot paths read At.
+func (a Attr) Strings() []string {
+	if a.Len() == 0 {
+		return nil
 	}
-	return nil
+	out := make([]string, a.Len())
+	for i := range out {
+		out[i] = a.At(i)
+	}
+	return out
+}
+
+// Equal reports whether both views hold the same values byte for byte, in
+// the same order.
+func (a Attr) Equal(o Attr) bool {
+	if a.Len() != o.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.At(i) != o.At(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// Contains reports whether the attribute holds a value equal to v under
+// caseIgnoreMatch (EqualValues).
+func (a Attr) Contains(v string) bool {
+	for i := 0; i < a.Len(); i++ {
+		if EqualValues(a.At(i), v) {
+			return true
+		}
+	}
+	return false
+}
+
+// live returns how many bytes of raw the names and values cover.
+func (e *Entry) live() int {
+	size := 0
+	for i := 0; i < e.n; i++ {
+		size += int(e.tab[3*i+1] - e.tab[3*i])
+	}
+	for k := 3 * e.n; k < len(e.tab); k += 2 {
+		size += int(e.tab[k+1] - e.tab[k])
+	}
+	return size
+}
+
+// reserve makes room for n more bytes at the end of raw. A full buffer is
+// replaced by one at least twice the size of the bytes still live, which
+// move into it, names first; dead bytes stay behind. The old buffer is not
+// written: the values handed out of it stay what they were.
+func (e *Entry) reserve(n int) {
+	if cap(e.raw)-len(e.raw) >= n {
+		return
+	}
+	live := e.live()
+	if live+n > math.MaxUint32 {
+		panic("entry: names and values past 4 GiB")
+	}
+	e.raw = e.moveTo(make([]byte, 0, max(firstRaw, 2*live+n)))
+}
+
+// moveTo copies the live names and values into raw, names first, pointing
+// the table at the copies, and returns raw.
+func (e *Entry) moveTo(raw []byte) []byte {
+	for i := 0; i < e.n; i++ {
+		raw = e.moveRange(raw, 3*i)
+	}
+	for k := 3 * e.n; k < len(e.tab); k += 2 {
+		raw = e.moveRange(raw, k)
+	}
+	return raw
+}
+
+// moveRange appends the bytes of the range tab[k], tab[k+1] to raw and
+// points the range there.
+func (e *Entry) moveRange(raw []byte, k int) []byte {
+	lo := len(raw)
+	raw = append(raw, e.raw[e.tab[k]:e.tab[k+1]]...)
+	e.tab[k], e.tab[k+1] = uint32(lo), uint32(len(raw))
+	return raw
+}
+
+// appendBytes appends s to raw, which reserve has made room for, and
+// returns its range.
+func (e *Entry) appendBytes(s string) (lo, hi uint32) {
+	lo = uint32(len(e.raw))
+	e.raw = append(e.raw, s...)
+	return lo, uint32(len(e.raw))
+}
+
+// growTab makes room for n more words in the table, doubling it at least.
+func (e *Entry) growTab(n int) {
+	if cap(e.tab)-len(e.tab) < n {
+		tab := make([]uint32, len(e.tab), len(e.tab)+max(n, len(e.tab), firstTab-len(e.tab)))
+		copy(tab, e.tab)
+		e.tab = tab
+	}
 }
 
 // slot returns the position of the attribute with normalized name n,
-// appending it with no values when the entry lacks it.
+// appending it with no values when the entry lacks it; raw must have room
+// for the name.
 func (e *Entry) slot(n string) int {
 	if i := e.find(n); i >= 0 {
 		return i
 	}
-	if len(e.attrs) == cap(e.attrs) {
-		e.attrs = slices.Grow(e.attrs, max(len(e.attrs), firstAttrs))
+	e.growTab(3)
+	lo, hi := e.appendBytes(n)
+	total := uint32(0)
+	if e.n > 0 {
+		total = e.tab[3*e.n-1]
 	}
-	e.attrs = append(e.attrs, attr{name: n})
-	return len(e.attrs) - 1
+	e.tab = slices.Insert(e.tab, 3*e.n, lo, hi, total)
+	e.n++
+	return e.n - 1
 }
 
-// abandon leaves attribute i with no values. Their slots are cleared, so a
-// replaced value — which may alias a whole message body — is reachable from
-// nothing, and slots at the end of vals go back to the next append.
-func (e *Entry) abandon(i int) {
-	a := &e.attrs[i]
-	clear(e.vals[a.lo:a.hi])
-	if a.hi == len(e.vals) {
-		e.vals = e.vals[:a.lo]
+// resize makes attribute i's values count values long, dropping or adding
+// pairs at its end; an added pair is left for the caller to fill.
+func (e *Entry) resize(i, count int) {
+	lo, hi := e.span(i)
+	delta := count - (hi - lo)
+	end := 3*e.n + 2*hi
+	switch {
+	case delta > 0:
+		e.growTab(2 * delta)
+		n := len(e.tab)
+		e.tab = e.tab[:n+2*delta]
+		copy(e.tab[end+2*delta:], e.tab[end:n])
+	case delta < 0:
+		e.tab = slices.Delete(e.tab, end+2*delta, end)
 	}
-	a.lo, a.hi = 0, 0
+	for j := i; j < e.n; j++ {
+		e.tab[3*j+2] = uint32(int(e.tab[3*j+2]) + delta)
+	}
 }
 
-// reserve makes room for n more values at the end of vals. A full array is
-// replaced by one at least twice the size of the values still live, which
-// move into it in attribute order — attribute last (unless it is -1) at the
-// end, so that its range can grow there — and abandoned slots stay behind.
-func (e *Entry) reserve(n, last int) {
-	if cap(e.vals)-len(e.vals) >= n {
-		return
+// put replaces the values of the attribute with normalized name n by
+// values, copying their bytes into raw.
+func (e *Entry) put(n string, values []string) {
+	size := len(n)
+	for _, v := range values {
+		size += len(v)
 	}
-	live := 0
-	for _, a := range e.attrs {
-		live += a.hi - a.lo
+	e.reserve(size)
+	i := e.slot(n)
+	e.resize(i, len(values))
+	lo, _ := e.span(i)
+	p := 3*e.n + 2*lo
+	for k, v := range values {
+		e.tab[p+2*k], e.tab[p+2*k+1] = e.appendBytes(v)
 	}
-	vals := make([]string, 0, max(firstVals, 2*live, live+n))
-	for i := range e.attrs {
-		if i != last {
-			vals = e.moveTo(vals, i)
-		}
-	}
-	if last >= 0 {
-		vals = e.moveTo(vals, last)
-	}
-	e.vals = vals
-}
-
-// moveTo appends attribute i's values to vals and points its range there.
-func (e *Entry) moveTo(vals []string, i int) []string {
-	a := &e.attrs[i]
-	if a.hi > a.lo {
-		lo := len(vals)
-		vals = append(vals, e.vals[a.lo:a.hi]...)
-		a.lo, a.hi = lo, len(vals)
-	}
-	return vals
 }
 
 // Put replaces all values of the named attribute.
 func (e *Entry) Put(name string, values ...string) *Entry {
 	e.mutable()
-	i := e.slot(NormName(name))
-	if a := &e.attrs[i]; len(values) <= a.hi-a.lo {
-		// The new values fit where the old ones were.
-		n := copy(e.vals[a.lo:a.hi], values)
-		clear(e.vals[a.lo+n : a.hi])
-		if a.hi = a.lo + n; n == 0 {
-			a.lo, a.hi = 0, 0
-		}
-		return e
-	}
-	e.abandon(i)
-	e.reserve(len(values), -1)
-	lo := len(e.vals)
-	e.vals = append(e.vals, values...)
-	e.attrs[i].lo, e.attrs[i].hi = lo, len(e.vals)
+	e.put(NormName(name), values)
 	return e
 }
 
@@ -304,22 +471,31 @@ const scanAdd = 8
 // (caseIgnoreMatch, see EqualValues).
 func (e *Entry) Add(name string, values ...string) *Entry {
 	e.mutable()
-	i := e.slot(NormName(name))
+	n := NormName(name)
+	size := len(n)
+	for _, v := range values {
+		size += len(v)
+	}
+	e.reserve(size)
+	i := e.slot(n)
 	if len(values) == 0 {
 		return e
 	}
-	e.toTail(i, len(values))
-	a := &e.attrs[i]
 	var seen map[string]struct{}
 	if len(values) > scanAdd {
-		seen = make(map[string]struct{}, a.hi-a.lo+len(values))
-		for _, v := range e.vals[a.lo:a.hi] {
-			seen[NormValue(v)] = struct{}{}
+		a := e.AttrAt(i)
+		seen = make(map[string]struct{}, a.Len()+len(values))
+		for k := 0; k < a.Len(); k++ {
+			seen[NormValue(a.At(k))] = struct{}{}
 		}
 	}
+	// The new values' ranges gather here, then go in after the
+	// attribute's own.
+	var buf [2 * scanAdd]uint32
+	added := buf[:0]
 	for _, v := range values {
 		if seen == nil {
-			if containsValue(e.vals[a.lo:], v) {
+			if e.AttrAt(i).Contains(v) || (Attr{raw: e.raw, vals: added}).Contains(v) {
 				continue
 			}
 		} else {
@@ -329,33 +505,13 @@ func (e *Entry) Add(name string, values ...string) *Entry {
 			}
 			seen[k] = struct{}{}
 		}
-		e.vals = append(e.vals, v)
+		lo, hi := e.appendBytes(v)
+		added = append(added, lo, hi)
 	}
-	if a.hi = len(e.vals); a.hi == a.lo {
-		a.lo, a.hi = 0, 0
-	}
+	lo, hi := e.span(i)
+	e.resize(i, hi-lo+len(added)/2)
+	copy(e.tab[3*e.n+2*hi:], added)
 	return e
-}
-
-// toTail makes attribute i's values the last ones in vals, with room for n
-// more after them: Add grows a range where it ends.
-func (e *Entry) toTail(i, n int) {
-	a := &e.attrs[i]
-	size := a.hi - a.lo
-	switch {
-	case size == 0:
-		e.reserve(n, -1)
-		a.lo, a.hi = len(e.vals), len(e.vals)
-	case a.hi == len(e.vals):
-		e.reserve(n, i)
-	case cap(e.vals)-len(e.vals) >= size+n:
-		lo := len(e.vals)
-		e.vals = append(e.vals, e.vals[a.lo:a.hi]...)
-		clear(e.vals[a.lo:a.hi])
-		a.lo, a.hi = lo, len(e.vals)
-	default:
-		e.reserve(size+n, i)
-	}
 }
 
 // DeleteValues removes specific values (caseIgnoreMatch) from an attribute;
@@ -369,55 +525,46 @@ func (e *Entry) DeleteValues(name string, values ...string) error {
 	if i < 0 {
 		return fmt.Errorf("%w: %s", ErrNoSuchAttribute, n)
 	}
-	if a := &e.attrs[i]; len(values) > 0 {
-		k := a.lo
-		for _, v := range e.vals[a.lo:a.hi] {
-			if !containsValue(values, v) {
-				e.vals[k] = v
-				k++
+	kept := 0
+	if len(values) > 0 {
+		a := e.AttrAt(i)
+		for k := 0; k < a.Len(); k++ {
+			if !containsValue(values, a.At(k)) {
+				a.vals[2*kept], a.vals[2*kept+1] = a.vals[2*k], a.vals[2*k+1]
+				kept++
 			}
 		}
-		clear(e.vals[k:a.hi])
-		if k > a.lo {
-			a.hi = k
-			return nil
-		}
 	}
-	e.abandon(i)
-	e.attrs = slices.Delete(e.attrs, i, i+1)
+	e.resize(i, kept)
+	if kept == 0 {
+		e.tab = slices.Delete(e.tab, 3*i, 3*i+3)
+		e.n--
+	}
 	return nil
 }
 
 // Values returns a copy of the values of the named attribute (nil if absent).
+// It allocates; hot paths read Lookup's view.
 func (e *Entry) Values(name string) []string {
-	i := e.find(NormName(name))
-	if i < 0 {
-		return nil
-	}
-	v := e.at(i)
-	out := make([]string, len(v))
-	copy(out, v)
-	return out
+	a, _ := e.Lookup(name)
+	return a.Strings()
 }
 
-// Lookup returns the named attribute's values without copying them, and
-// whether the entry carries the attribute at all. The slice is the entry's
-// own: the caller must not modify it, and on a mutable entry it holds the
-// values only until the entry next changes.
-func (e *Entry) Lookup(name string) (values []string, ok bool) {
+// Lookup returns a view of the named attribute, and whether the entry
+// carries the attribute at all.
+func (e *Entry) Lookup(name string) (Attr, bool) {
 	if i := e.find(NormName(name)); i >= 0 {
-		return e.at(i), true
+		return e.AttrAt(i), true
 	}
-	return nil, false
+	return Attr{}, false
 }
 
 // First returns the first value of the named attribute, or "" when absent.
 func (e *Entry) First(name string) string {
-	v := e.values(name)
-	if len(v) == 0 {
-		return ""
+	if a, _ := e.Lookup(name); a.Len() > 0 {
+		return a.At(0)
 	}
-	return v[0]
+	return ""
 }
 
 // Has reports whether the entry carries the named attribute.
@@ -428,47 +575,39 @@ func (e *Entry) Has(name string) bool {
 // HasValue reports whether the attribute carries the given value
 // (caseIgnoreMatch).
 func (e *Entry) HasValue(name, value string) bool {
-	return containsValue(e.values(name), value)
+	a, _ := e.Lookup(name)
+	return a.Contains(value)
 }
 
 // AttributeNames returns the attribute names in insertion order.
 func (e *Entry) AttributeNames() []string {
-	out := make([]string, len(e.attrs))
-	for i := range e.attrs {
-		out[i] = e.attrs[i].name
+	out := make([]string, e.n)
+	for i := range out {
+		out[i] = e.name(i)
 	}
 	return out
 }
 
 // NumAttrs returns the number of attributes; with AttrAt it iterates an
 // entry without copying it.
-func (e *Entry) NumAttrs() int { return len(e.attrs) }
+func (e *Entry) NumAttrs() int { return e.n }
 
-// AttrAt returns the i-th attribute in insertion order. The values slice is
-// the entry's own, as Lookup's is.
-func (e *Entry) AttrAt(i int) (name string, values []string) {
-	return e.attrs[i].name, e.at(i)
+// AttrAt returns a view of the i-th attribute in insertion order.
+func (e *Entry) AttrAt(i int) Attr {
+	lo, hi := e.span(i)
+	base := 3 * e.n
+	return Attr{name: e.name(i), raw: e.raw, vals: e.tab[base+2*lo : base+2*hi : base+2*hi]}
 }
 
 // HasObjectClass reports whether the entry belongs to the named class.
 func (e *Entry) HasObjectClass(oc string) bool { return e.HasValue(AttrObjectClass, oc) }
 
-// Clone returns a deep, unfrozen copy of the entry: its attribute table and
-// one value array holding the live values and nothing else.
+// Clone returns a deep, unfrozen copy of the entry: its table, and one
+// buffer holding the live names and values and nothing else — a clone of a
+// decoded entry does not keep the message body alive.
 func (e *Entry) Clone() *Entry {
-	live := 0
-	for _, a := range e.attrs {
-		live += a.hi - a.lo
-	}
-	c := &Entry{dn: e.dn, attrs: make([]attr, len(e.attrs)), vals: make([]string, 0, live)}
-	for i, a := range e.attrs {
-		c.attrs[i].name = a.name
-		if a.hi > a.lo {
-			lo := len(c.vals)
-			c.vals = append(c.vals, e.vals[a.lo:a.hi]...)
-			c.attrs[i].lo, c.attrs[i].hi = lo, len(c.vals)
-		}
-	}
+	c := &Entry{dn: e.dn, tab: slices.Clone(e.tab), n: e.n, raw: e.raw}
+	c.raw = c.moveTo(make([]byte, 0, e.live()))
 	return c
 }
 
@@ -490,10 +629,10 @@ func (e *Entry) Select(attrs []string) *Entry {
 		}
 		return e.Clone()
 	}
-	c := &Entry{dn: e.dn, attrs: make([]attr, 0, len(attrs))}
-	for _, a := range attrs {
-		if i := e.find(NormName(a)); i >= 0 {
-			c.Put(a, e.at(i)...)
+	c := New(e.dn)
+	for _, name := range attrs {
+		if a, ok := e.Lookup(name); ok {
+			c.put(a.name, a.Strings())
 		}
 	}
 	return c
@@ -502,15 +641,30 @@ func (e *Entry) Select(attrs []string) *Entry {
 // Restrict returns a frozen entry at e's DN that carries exactly the named
 // attributes (names already normalized, see NormName), each with e's current
 // values; a name e does not carry comes out as an attribute with no values.
-// e must be frozen: the result shares its value array. This is the shape of
-// an attribute-level patch — "these attributes now hold exactly this".
+// e must be frozen: when it carries every name the result shares its buffer.
+// This is the shape of an attribute-level patch — "these attributes now hold
+// exactly this".
 func (e *Entry) Restrict(names []string) *Entry {
-	c := &Entry{dn: e.dn, attrs: make([]attr, len(names)), vals: e.vals, frozen: true}
-	for i, n := range names {
-		c.attrs[i].name = n
-		if j := e.find(n); j >= 0 {
-			c.attrs[i].lo, c.attrs[i].hi = e.attrs[j].lo, e.attrs[j].hi
+	size := 3 * len(names)
+	for _, n := range names {
+		a, ok := e.Lookup(n)
+		if !ok {
+			// The name's bytes are not in e's buffer: the patch gets one.
+			c := New(e.dn)
+			for _, n := range names {
+				a, _ := e.Lookup(n)
+				c.put(n, a.Strings())
+			}
+			return c.Freeze()
 		}
+		size += len(a.vals)
+	}
+	c := &Entry{dn: e.dn, raw: e.raw, tab: make([]uint32, 3*len(names), size), n: len(names), frozen: true}
+	for i, n := range names {
+		j := e.find(n)
+		a := e.AttrAt(j)
+		c.tab = append(c.tab, a.vals...)
+		c.tab[3*i], c.tab[3*i+1], c.tab[3*i+2] = e.tab[3*j], e.tab[3*j+1], uint32((len(c.tab)-3*len(names))/2)
 	}
 	return c
 }
@@ -521,17 +675,21 @@ func (e *Entry) Equal(o *Entry) bool {
 	if e == nil || o == nil {
 		return e == o
 	}
-	if !e.dn.Equal(o.dn) || len(e.attrs) != len(o.attrs) {
+	if !e.dn.Equal(o.dn) || e.n != o.n {
 		return false
 	}
-	for i := range e.attrs {
-		v := e.at(i)
-		j := o.find(e.attrs[i].name)
-		if j < 0 || len(o.at(j)) != len(v) {
+	for i := 0; i < e.n; i++ {
+		a := e.AttrAt(i)
+		j := o.find(a.name)
+		if j < 0 {
 			return false
 		}
-		for _, x := range v {
-			if !containsValue(o.at(j), x) {
+		b := o.AttrAt(j)
+		if a.Len() != b.Len() {
+			return false
+		}
+		for k := 0; k < a.Len(); k++ {
+			if !b.Contains(a.At(k)) {
 				return false
 			}
 		}
@@ -544,13 +702,14 @@ func (e *Entry) Equal(o *Entry) bool {
 // for update-traffic accounting.
 func (e *Entry) ByteSize() int {
 	size := len(e.dn.String()) + 8
-	for i, a := range e.attrs {
-		if a.hi == a.lo {
+	for i := 0; i < e.n; i++ {
+		a := e.AttrAt(i)
+		if a.Len() == 0 {
 			// Only a patch carries one: the attribute's name with no values.
 			size += len(a.name) + 4
 		}
-		for _, v := range e.at(i) {
-			size += len(a.name) + len(v) + 4
+		for k := 0; k < a.Len(); k++ {
+			size += len(a.name) + len(a.At(k)) + 4
 		}
 	}
 	return size
@@ -565,11 +724,12 @@ func (e *Entry) String() string {
 	names := e.AttributeNames()
 	sort.Strings(names)
 	for _, n := range names {
-		for _, v := range e.values(n) {
+		a, _ := e.Lookup(n)
+		for k := 0; k < a.Len(); k++ {
 			b.WriteString("; ")
 			b.WriteString(n)
 			b.WriteString(": ")
-			b.WriteString(v)
+			b.WriteString(a.At(k))
 		}
 	}
 	return b.String()

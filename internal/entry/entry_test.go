@@ -235,10 +235,10 @@ func TestCloneValuesDoNotSpill(t *testing.T) {
 }
 
 // TestAssemble builds the entry the wire decoder builds: Put semantics per
-// attribute, names normalized, values taken over without a copy.
+// attribute, names normalized, values read in place.
 func TestAssemble(t *testing.T) {
 	vals := []string{"top", "person", "Ann", "first", "second"}
-	e := Assemble(dn.MustParse("cn=Ann,o=xyz"),
+	e := wire(dn.MustParse("cn=Ann,o=xyz"),
 		[]string{"objectClass", "cn", "mail", " MAIL "}, []int{2, 3, 4, 5}, vals)
 	want := New(dn.MustParse("cn=Ann,o=xyz"))
 	want.Put("objectclass", "top", "person").Put("cn", "Ann").Put("mail", "second")
@@ -252,7 +252,12 @@ func TestAssemble(t *testing.T) {
 	if e.First("cn") != "Ann" {
 		t.Error("Add on one attribute overwrote the next one's value")
 	}
-	if n, v := e.AttrAt(1); n != "cn" || len(v) != 1 || e.NumAttrs() != 3 {
-		t.Errorf("AttrAt(1) = %q %q of %d", n, v, e.NumAttrs())
+	if a := e.AttrAt(1); a.Name() != "cn" || a.Len() != 1 || e.NumAttrs() != 3 {
+		t.Errorf("AttrAt(1) = %q %q of %d", a.Name(), a.Strings(), e.NumAttrs())
+	}
+	// Names in normal form, one repeated: the later values still win.
+	e = wire(dn.MustParse("cn=Ann,o=xyz"), []string{"cn", "mail", "sn", "cn"}, []int{1, 2, 3, 4}, []string{"Ann", "a@x", "Doe", "Anne"})
+	if e.String() != "dn: cn=Ann,o=xyz; cn: Anne; mail: a@x; sn: Doe" || e.AttrAt(0).Name() != "cn" {
+		t.Errorf("repeated name: got %s", e)
 	}
 }

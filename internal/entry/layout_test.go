@@ -2,16 +2,20 @@ package entry
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"filterdir/internal/dn"
 )
 
-// refEntry is the reference model the one-array layout is held to: every
+// refEntry is the reference model the buffer-and-table layout is held to: every
 // attribute owns its values, each operation rebuilds what it changes, and
 // names and values are compared through the reference normal forms.
 type refEntry struct {
@@ -118,9 +122,10 @@ var (
 )
 
 // checkLayout compares every accessor of e with the model, then holds the
-// layout to its invariants: ranges inside vals and disjoint, accessor
-// slices capped, and — unless e shares a frozen parent's array (Restrict) —
-// every slot outside a range cleared.
+// layout to its invariants: a table of 3 words per attribute and 2 per
+// value, ends that never fall, names in normal form, every range inside
+// raw, and — unless e shares a frozen parent's buffer (Restrict) — no byte
+// in two ranges. A clone holds exactly the live bytes.
 func checkLayout(t *testing.T, step string, e *Entry, r *refEntry, shared bool) {
 	t.Helper()
 	fail := func(format string, args ...any) {
@@ -132,9 +137,9 @@ func checkLayout(t *testing.T, step string, e *Entry, r *refEntry, shared bool) 
 	}
 	names := e.AttributeNames()
 	for i, a := range r.attrs {
-		name, vals := e.AttrAt(i)
-		if name != a.name || names[i] != a.name || !slices.Equal(vals, a.vals) || cap(vals) != len(vals) {
-			fail("AttrAt(%d) = %q %q (cap %d), model %q %q", i, name, vals, cap(vals), a.name, a.vals)
+		got := e.AttrAt(i)
+		if got.Name() != a.name || names[i] != a.name || !slices.Equal(got.Strings(), a.vals) {
+			fail("AttrAt(%d) = %q %q, model %q %q", i, got.Name(), got.Strings(), a.name, a.vals)
 		}
 	}
 	for _, name := range append(opNames, "absent") {
@@ -145,8 +150,8 @@ func checkLayout(t *testing.T, step string, e *Entry, r *refEntry, shared bool) 
 			want = r.attrs[i].vals
 		}
 		got, ok := e.Lookup(name)
-		if ok != (i >= 0) || !slices.Equal(got, want) || !slices.Equal(e.Values(name), want) || e.Has(name) != ok {
-			fail("Lookup(%q) = %q %v, Values %q, model %q", name, got, ok, e.Values(name), want)
+		if ok != (i >= 0) || !slices.Equal(got.Strings(), want) || !slices.Equal(e.Values(name), want) || e.Has(name) != ok {
+			fail("Lookup(%q) = %q %v, Values %q, model %q", name, got.Strings(), ok, e.Values(name), want)
 		}
 		first := ""
 		if len(want) > 0 {
@@ -164,39 +169,72 @@ func checkLayout(t *testing.T, step string, e *Entry, r *refEntry, shared bool) 
 	if e.String() != r.String() {
 		fail("String differs")
 	}
-	if c := e.Clone(); !c.Equal(e) || c.String() != e.String() || c.Frozen() {
+	c := e.Clone()
+	if !c.Equal(e) || c.String() != e.String() || c.Frozen() {
 		fail("Clone differs: %s", c)
 	}
-	for _, a := range e.attrs {
-		if a.lo > a.hi || a.hi > len(e.vals) || (a.lo == a.hi && a.lo != 0) {
-			fail("range [%d, %d) of %q in %d values", a.lo, a.hi, a.name, len(e.vals))
-		}
+	if live := c.live(); len(c.raw) != live || cap(c.raw) != live {
+		fail("clone holds %d bytes (capacity %d) for %d live", len(c.raw), cap(c.raw), live)
 	}
-	if !shared {
-		if k := uncovered(e); k >= 0 {
-			fail("slot %d is in two ranges or, outside every range, holds %q", k, e.vals[k])
-		}
+	if msg := badLayout(e, shared); msg != "" {
+		fail("%s", msg)
 	}
 }
 
-// uncovered returns a slot of e's value array that two attributes' ranges
-// cover, or that none covers and that is not cleared; -1 when there is none.
-func uncovered(e *Entry) int {
-	covered := make([]bool, len(e.vals))
-	for _, a := range e.attrs {
-		for k := a.lo; k < a.hi; k++ {
+// badLayout describes how e's table breaks the layout, "" when it does not.
+func badLayout(e *Entry, shared bool) string {
+	total := 0
+	if e.n > 0 {
+		total = int(e.tab[3*e.n-1])
+	}
+	if len(e.tab) != 3*e.n+2*total {
+		return fmt.Sprintf("table of %d words for %d attributes and %d values", len(e.tab), e.n, total)
+	}
+	var ranges [][2]uint32
+	for i := 0; i < e.n; i++ {
+		if lo, hi := e.span(i); lo > hi {
+			return fmt.Sprintf("attribute %d ends at %d before it starts at %d", i, hi, lo)
+		}
+		if n := e.name(i); n != NormName(n) {
+			return fmt.Sprintf("name %q is not in normal form", n)
+		}
+		ranges = append(ranges, [2]uint32{e.tab[3*i], e.tab[3*i+1]})
+	}
+	for k := 3 * e.n; k < len(e.tab); k += 2 {
+		ranges = append(ranges, [2]uint32{e.tab[k], e.tab[k+1]})
+	}
+	covered := make([]bool, len(e.raw))
+	for _, r := range ranges {
+		if r[0] > r[1] || int(r[1]) > len(e.raw) {
+			return fmt.Sprintf("range [%d, %d) outside %d bytes", r[0], r[1], len(e.raw))
+		}
+		for k := r[0]; k < r[1] && !shared; k++ {
 			if covered[k] {
-				return k
+				return fmt.Sprintf("byte %d is in two ranges", k)
 			}
 			covered[k] = true
 		}
 	}
-	for k, v := range e.vals {
-		if !covered[k] && v != "" {
-			return k
+	return ""
+}
+
+// wire builds an entry as a decoder does: attribute i is names[i] with the
+// values vals[ends[i-1]:ends[i]] (from 0 for the first), all of them ranges
+// of one body, which the entry takes.
+func wire(d dn.DN, names []string, ends []int, vals []string) *Entry {
+	var body []byte
+	l := NewLayout(len(names), len(vals))
+	lo := 0
+	for i, n := range names {
+		body = append(body, n...)
+		l.Attr(len(body)-len(n), len(body))
+		for _, v := range vals[lo:ends[i]] {
+			body = append(body, v...)
+			l.Value(len(body)-len(v), len(body))
 		}
+		lo = ends[i]
 	}
-	return -1
+	return Assemble(d, string(body), l)
 }
 
 // runEntryOps interprets ops as a sequence of operations on one entry and
@@ -339,9 +377,7 @@ func runEntryOps(t *testing.T, ops []byte) {
 	names := []string{"objectClass", "cn", "OBJECTCLASS", "mail", "cn"}
 	ends := []int{2, 3, 4, 6, 6}
 	vals := []string{"top", "person", "Ann", "inetOrgPerson", "a@x", "b@x"}
-	// The array continues past the values: the entry must not write there.
-	backing := append(slices.Clone(vals), "the caller's")
-	a, ra := Assemble(d, names, ends, backing[:len(vals)]), &refEntry{dn: d}
+	a, ra := wire(d, names, ends, vals), &refEntry{dn: d}
 	lo := 0
 	for i, n := range names {
 		ra.put(n, vals[lo:ends[i]])
@@ -352,9 +388,26 @@ func runEntryOps(t *testing.T, ops []byte) {
 	ra.put("mail", []string{"c@x", "d@x", "e@x"})
 	ra.add("objectclass", []string{"Top", "extensibleObject"})
 	checkLayout(t, "Assemble then Put and Add", a, ra, false)
-	if backing[len(vals)] != "the caller's" {
-		t.Fatalf("growing an assembled entry overwrote the caller's array past its values: %q", backing)
+	// Names in normal form: the entry is the body and the layout as given.
+	b, rb := wire(d, []string{"cn", "mail"}, []int{1, 3}, []string{"Ann", "a@x", "b@x"}), &refEntry{dn: d}
+	rb.put("cn", []string{"Ann"})
+	rb.put("mail", []string{"a@x", "b@x"})
+	checkLayout(t, "Assemble in normal form", b, rb, false)
+	body := "cnAnnmaila@xb@x"
+	l := NewLayout(2, 3)
+	l.Attr(0, 2)
+	l.Value(2, 5)
+	l.Attr(5, 9)
+	l.Value(9, 12)
+	l.Value(12, 15)
+	b = Assemble(d, body, l)
+	checkLayout(t, "Assemble over a body", b, rb, false)
+	if &b.raw[0] != unsafe.StringData(body) {
+		t.Fatal("an entry in normal form was copied out of its body")
 	}
+	b.Put("cn", "Bob")
+	rb.put("cn", []string{"Bob"})
+	checkLayout(t, "Assemble over a body then Put", b, rb, false)
 	for i, k := range frozen {
 		checkLayout(t, fmt.Sprintf("frozen entry %d at the end", i), k.e, k.r, k.shared)
 	}
@@ -392,7 +445,7 @@ func entryOpsSeeds() [][]byte {
 	}
 }
 
-// FuzzEntryOps holds the one-array layout to the reference model on
+// FuzzEntryOps holds the buffer-and-table layout to the reference model on
 // arbitrary operation sequences.
 func FuzzEntryOps(f *testing.F) {
 	for _, ops := range entryOpsSeeds() {
@@ -401,29 +454,34 @@ func FuzzEntryOps(f *testing.F) {
 	f.Fuzz(runEntryOps)
 }
 
-// TestReplacedValuesAreCleared: a value a Put replaces, an Add moves or a
-// DeleteValues removes leaves no copy in the value array, so an entry
-// never keeps a dead value — which may alias a whole message body — alive.
+// TestReplacedValuesAreCleared: a value a Put replaces or a DeleteValues
+// removes is reachable from nothing: the entry copied its bytes rather than
+// keep the caller's string — which may alias a whole message body — and a
+// clone holds the live bytes and no others.
 func TestReplacedValuesAreCleared(t *testing.T) {
 	e := person(t)
-	e.Put("cn", "One")                        // shrinks in place
-	e.Put("sn", "Doe", "Roe", "Poe")          // outgrows its range
-	e.Put("mail", "a@x", "b@x", "c@x", "d@x") // and again, further on
-	e.Add("objectclass", "extensibleObject")  // moves to the end
+	e.Put("cn", "One")
+	e.Put("sn", "Doe", "Roe", "Poe")
+	e.Put("mail", "a@x", "b@x", "c@x", "d@x")
+	e.Add("objectclass", "extensibleObject")
 	if err := e.DeleteValues("cn"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.DeleteValues("objectclass", "top", "person"); err != nil {
 		t.Fatal(err)
 	}
-	if k := uncovered(e); k >= 0 {
-		t.Errorf("slot %d of %q is shared or holds a dead value", k, e.vals)
+	if msg := badLayout(e, false); msg != "" {
+		t.Fatal(msg)
 	}
 	want := "dn: cn=John Doe,ou=research,c=us,o=xyz; departmentnumber: 80; mail: a@x; mail: b@x; mail: c@x; mail: d@x; " +
 		"objectclass: organizationalPerson; objectclass: inetOrgPerson; objectclass: extensibleObject; serialnumber: 0456; " +
 		"sn: Doe; sn: Roe; sn: Poe; telephonenumber: 2618-2618"
 	if e.String() != want {
 		t.Errorf("got  %s\nwant %s", e, want)
+	}
+	c := e.Clone()
+	if strings.Contains(string(c.raw), "John") || strings.Contains(string(c.raw), "top") {
+		t.Errorf("a clone keeps a replaced or deleted value: %q", c.raw)
 	}
 }
 
@@ -437,7 +495,7 @@ func TestAddManyValues(t *testing.T) {
 		vals = append(vals, fmt.Sprintf("m%d", i), fmt.Sprintf(" M%d ", i))
 	}
 	e.Add("member", vals...)
-	got, _ := e.Lookup("member")
+	got := e.Values("member")
 	if len(got) != 5000 || got[0] != "M0" || got[1] != "m1" || got[2] != "m2" || got[4999] != "m4999" {
 		t.Errorf("Add of 10000 values, half duplicates: %d values, first %q", len(got), got[:min(3, len(got))])
 	}
@@ -445,11 +503,12 @@ func TestAddManyValues(t *testing.T) {
 
 // TestPutAllocs gates what it costs to build an entry attribute by
 // attribute, as a generator, an LDIF reader or an Add request decoder does.
-// A Table-1 employee from nine Puts is the struct, the attribute table and
-// the value array; the gate leaves room for one of them to grow once. It
-// used to be 18: a copy of every attribute's values, a lowered copy of every
+// A Table-1 employee from nine Puts is the struct, the offset table and the
+// byte buffer, which grows once for the 512 B description. It used to be
+// 18: a copy of every attribute's values, a lowered copy of every
 // mixed-case name, and the table growing one append at a time. A clone is
-// the three allocations whatever built the original.
+// three allocations whatever built the original: the struct, the table and
+// a buffer of the live bytes.
 func TestPutAllocs(t *testing.T) {
 	d := dn.MustParse("cn=emp us 17,c=us,o=xyz")
 	description := strings.Repeat("x", 512)
@@ -532,4 +591,86 @@ func TestNormNameConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEntryLayout: the table and the buffer hold no pointer, so a held entry
+// costs the collector its own few pointers — the DN's strings, the buffer
+// and the table — however many attributes and values it carries.
+func TestEntryLayout(t *testing.T) {
+	typ := reflect.TypeOf(Entry{})
+	pointers := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Slice:
+			if k := f.Type.Elem().Kind(); k != reflect.Uint8 && k != reflect.Uint32 {
+				t.Errorf("field %s is a slice of %s, which the collector scans", f.Name, f.Type.Elem())
+			}
+			pointers++
+		case reflect.Struct: // the DN: its two strings
+			if f.Type != reflect.TypeOf(dn.DN{}) {
+				t.Errorf("field %s is a %s", f.Name, f.Type)
+			}
+			pointers += 2
+		case reflect.Int, reflect.Bool:
+		default:
+			t.Errorf("field %s is a %s", f.Name, f.Type)
+		}
+	}
+	if pointers != 4 {
+		t.Errorf("an entry holds %d pointers, want 4: the DN's two strings, the buffer and the table", pointers)
+	}
+}
+
+// TestOffsetsPastMessageBound: the table's offsets address an entry larger
+// than the wire's 16 MiB message bound (and so the LDIF reader's 4 MiB
+// values): a value stored after a 16 MiB one reads back whole.
+func TestOffsetsPastMessageBound(t *testing.T) {
+	big := strings.Repeat("v", 16<<20)
+	e := New(dn.MustParse("cn=x,o=xyz")).Put("description", big).Put("cn", "after")
+	e.Add("cn", "later")
+	for _, c := range []*Entry{e, e.Clone()} {
+		if got := c.Values("cn"); len(got) != 2 || got[0] != "after" || got[1] != "later" {
+			t.Fatalf("values past 16 MiB read back as %q", got)
+		}
+		if c.First("description") != big {
+			t.Fatal("the 16 MiB value reads back changed")
+		}
+		if a, _ := c.Lookup("cn"); a.vals[0] < 16<<20 {
+			t.Fatalf("cn starts at %d, not past the 16 MiB value", a.vals[0])
+		}
+	}
+}
+
+// TestCloneReleasesBody: a clone of a decoded entry holds its live bytes
+// only, so once the original goes the message body it was read from is
+// unreachable, whatever the clone keeps or replaces.
+func TestCloneReleasesBody(t *testing.T) {
+	released := make(chan struct{})
+	c := func() *Entry {
+		body := new([4096]byte)
+		n := copy(body[:], "cnAnnmaila@x")
+		runtime.SetFinalizer(body, func(*[4096]byte) { close(released) })
+		l := NewLayout(2, 2)
+		l.Attr(0, 2)
+		l.Value(2, 5)
+		l.Attr(5, 9)
+		l.Value(9, 12)
+		e := Assemble(dn.MustParse("cn=Ann,o=xyz"), unsafe.String(&body[0], n), l).Freeze()
+		c := e.Clone()
+		c.Put("mail", "b@x")
+		return c
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			if c.First("cn") != "Ann" || c.First("mail") != "b@x" {
+				t.Fatalf("clone reads %s", c)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the message body is still reachable from a clone of the entry decoded from it")
 }

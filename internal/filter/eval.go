@@ -52,17 +52,12 @@ func (n *Node) matchesPositive(e *entry.Entry) bool {
 		return e.Has(n.Attr)
 	case EQ:
 		vals, _ := e.Lookup(n.Attr)
-		for _, v := range vals {
-			if entry.EqualValues(v, n.Value) {
-				return true
-			}
-		}
-		return false
+		return vals.Contains(n.Value)
 	case GE:
 		kind := entry.OrderingFor(n.Attr)
 		vals, _ := e.Lookup(n.Attr)
-		for _, v := range vals {
-			if cmp, ok := entry.CompareOrdered(kind, v, n.Value); ok && cmp >= 0 {
+		for i := 0; i < vals.Len(); i++ {
+			if cmp, ok := entry.CompareOrdered(kind, vals.At(i), n.Value); ok && cmp >= 0 {
 				return true
 			}
 		}
@@ -70,8 +65,8 @@ func (n *Node) matchesPositive(e *entry.Entry) bool {
 	case LE:
 		kind := entry.OrderingFor(n.Attr)
 		vals, _ := e.Lookup(n.Attr)
-		for _, v := range vals {
-			if cmp, ok := entry.CompareOrdered(kind, v, n.Value); ok && cmp <= 0 {
+		for i := 0; i < vals.Len(); i++ {
+			if cmp, ok := entry.CompareOrdered(kind, vals.At(i), n.Value); ok && cmp <= 0 {
 				return true
 			}
 		}
@@ -81,8 +76,8 @@ func (n *Node) matchesPositive(e *entry.Entry) bool {
 			return e.Has(n.Attr)
 		}
 		vals, _ := e.Lookup(n.Attr)
-		for _, v := range vals {
-			if entry.MatchSubstring(v, n.Sub.Initial, n.Sub.Any, n.Sub.Final) {
+		for i := 0; i < vals.Len(); i++ {
+			if entry.MatchSubstring(vals.At(i), n.Sub.Initial, n.Sub.Any, n.Sub.Final) {
 				return true
 			}
 		}

@@ -24,9 +24,9 @@ func AppendChange(b []byte, c dit.Change) ([]byte, error) {
 		}
 		b = append(b, "changetype: add\n"...)
 		for i := 0; i < c.After.NumAttrs(); i++ {
-			name, vals := c.After.AttrAt(i)
-			for _, v := range vals {
-				b = appendLine(b, name, v)
+			a := c.After.AttrAt(i)
+			for k := 0; k < a.Len(); k++ {
+				b = appendLine(b, a.Name(), a.At(k))
 			}
 		}
 	case dit.ChangeDelete:
@@ -85,7 +85,7 @@ func ReadChanges(r io.Reader) ([]ChangeRecord, error) {
 	rd := newReader(r, buf[:])
 	var recs []ChangeRecord
 	for {
-		lines, err := rd.nextRecordLines()
+		_, lines, err := rd.nextRecord()
 		if err == io.EOF {
 			return recs, nil
 		}

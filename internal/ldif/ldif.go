@@ -13,6 +13,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
@@ -62,9 +63,9 @@ func writeRecords(w io.Writer, n int, record func(b []byte, i int) ([]byte, erro
 func AppendEntry(b []byte, e *entry.Entry) []byte {
 	b = appendDN(b, e.DN())
 	for i := 0; i < e.NumAttrs(); i++ {
-		name, vals := e.AttrAt(i)
-		for _, v := range vals {
-			b = appendLine(b, name, v)
+		a := e.AttrAt(i)
+		for k := 0; k < a.Len(); k++ {
+			b = appendLine(b, a.Name(), a.At(k))
 		}
 	}
 	return b
@@ -160,7 +161,7 @@ func Read(r io.Reader) ([]*entry.Entry, error) {
 type Reader struct {
 	sc     *bufio.Scanner
 	lineNo int
-	cur    joiner // the logical line being read
+	rec    joiner // the record being read
 }
 
 // NewReader wraps r for streaming reads. Lines up to 1 MiB are supported.
@@ -175,58 +176,69 @@ func newReader(r io.Reader, buf []byte) *Reader {
 
 // Next returns the next entry, or io.EOF when the stream is exhausted.
 func (r *Reader) Next() (*entry.Entry, error) {
-	lines, err := r.nextRecordLines()
+	rec, lines, err := r.nextRecord()
 	if err != nil {
 		return nil, err
 	}
-	return buildEntry(lines)
+	return buildEntry(rec, lines)
 }
 
-// nextRecordLines returns the next record's logical lines, folding resolved,
-// or io.EOF.
-func (r *Reader) nextRecordLines() ([]string, error) {
-	var logical []string
+// nextRecord returns the next record — its logical lines, folding resolved,
+// joined in one string — and the lines, substrings of it; or io.EOF.
+func (r *Reader) nextRecord() (string, []string, error) {
 	for r.sc.Scan() {
 		r.lineNo++
 		line := bytes.TrimRight(r.sc.Bytes(), "\r")
 		switch {
 		case len(line) == 0:
-			if r.cur.used > 0 {
-				return append(logical, r.cur.line()), nil
+			if r.rec.open {
+				rec, lines := r.rec.record()
+				return rec, lines, nil
 			}
 		case line[0] == '#':
-		case r.cur.used == 0 && len(logical) == 0 && bytes.HasPrefix(line, []byte("version:")):
+		case !r.rec.open && bytes.HasPrefix(line, []byte("version:")):
 		case line[0] == ' ':
-			if r.cur.used == 0 {
-				return nil, fmt.Errorf("%w: continuation at line %d with no preceding line", ErrBadRecord, r.lineNo)
+			if !r.rec.open {
+				return "", nil, fmt.Errorf("%w: continuation at line %d with no preceding line", ErrBadRecord, r.lineNo)
 			}
-			r.cur.add(line[1:])
+			r.rec.add(line[1:])
 		default:
-			if r.cur.used > 0 {
-				logical = append(logical, r.cur.line())
-			}
-			r.cur.add(line)
+			r.rec.begin()
+			r.rec.add(line)
 		}
 	}
-	if r.cur.used == 0 {
+	if !r.rec.open {
 		if err := r.sc.Err(); err != nil {
-			return nil, err
+			return "", nil, err
 		}
-		return nil, io.EOF
+		return "", nil, io.EOF
 	}
-	return append(logical, r.cur.line()), nil
+	rec, lines := r.rec.record()
+	return rec, lines, nil
 }
 
-// joiner assembles a logical line from the pieces it is folded into: the
-// pieces go into chunks of 512 bytes, then of twice the size of the one
-// before, which are never copied and are kept for the next line, and the
-// line is then copied once into a string of its exact length. So a line of n
-// bytes costs time linear in n and at most about 3n bytes of allocation
-// however it is folded — a buffer doubling as it grows could cost 4n.
+// joiner assembles a record from the pieces its logical lines are folded
+// into: the pieces go into chunks of 512 bytes, then of twice the size of
+// the one before, which are never copied and are kept for the next record,
+// and the record is then copied once into a string of its exact length. So
+// a record of n bytes costs time linear in n and at most about 3n bytes of
+// allocation however it is folded — a buffer doubling as it grows could cost
+// 4n — and an entry assembled over that string costs nothing more for its
+// names and values.
 type joiner struct {
-	chunks [][]byte // chunks[:used] hold the line, the rest are empty
+	chunks [][]byte // chunks[:used] hold the record, the rest are empty
 	used   int
 	n      int
+	ends   []int // where each logical line but the one being read ends
+	open   bool  // a line is being read
+}
+
+// begin ends the logical line being read, if any, and starts the next.
+func (j *joiner) begin() {
+	if j.open {
+		j.ends = append(j.ends, j.n)
+	}
+	j.open = true
 }
 
 func (j *joiner) add(b []byte) {
@@ -247,19 +259,33 @@ func (j *joiner) add(b []byte) {
 	}
 }
 
-// line returns the line joined so far and starts the next.
-func (j *joiner) line() string {
+// record returns the record joined so far and its logical lines, and starts
+// the next.
+func (j *joiner) record() (string, []string) {
+	j.begin()
 	var sb strings.Builder
 	sb.Grow(j.n)
 	for i := range j.used {
 		sb.Write(j.chunks[i])
 		j.chunks[i] = j.chunks[i][:0]
 	}
-	j.used, j.n = 0, 0
-	return sb.String()
+	rec := sb.String()
+	lines := make([]string, len(j.ends))
+	lo := 0
+	for i, hi := range j.ends {
+		lines[i] = rec[lo:hi]
+		lo = hi
+	}
+	j.used, j.n, j.ends, j.open = 0, 0, j.ends[:0], false
+	return rec, lines
 }
 
-func buildEntry(lines []string) (*entry.Entry, error) {
+// buildEntry builds the entry of the record rec from its lines. The common
+// record — nothing base64-encoded, a few values per attribute, none repeated
+// — becomes an entry over rec itself: its names and values are ranges of
+// the record, in the order of each name's first line. Any other is added
+// attribute by attribute, which copies the values.
+func buildEntry(rec string, lines []string) (*entry.Entry, error) {
 	name, value, err := splitLine(lines[0])
 	if err != nil {
 		return nil, err
@@ -271,32 +297,78 @@ func buildEntry(lines []string) (*entry.Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
-	type field struct{ name, value string }
+	type field struct{ norm, name, value string }
 	fields := make([]field, len(lines)-1)
+	inPlace := true
 	for i, line := range lines[1:] {
 		name, value, err := splitLine(line)
 		if err != nil {
 			return nil, err
 		}
-		fields[i] = field{entry.NormName(name), value}
+		fields[i] = field{entry.NormName(name), name, value}
+		// A base64 value was decoded into a string of its own.
+		inPlace = inPlace && !strings.HasPrefix(line[strings.IndexByte(line, ':')+1:], ":")
 	}
-	// One Add per attribute, at its first line, with every value its lines
-	// carry: an Add per line would check each value against all before it.
-	e := entry.New(d)
-	var vals []string
+	// Each attribute at its first line, with every value its lines carry:
+	// an Add per line would check each value against all before it.
+	var firsts []int
 	for i, f := range fields {
-		if e.Has(f.name) {
-			continue
+		if !slices.ContainsFunc(firsts, func(k int) bool { return fields[k].norm == f.norm }) {
+			firsts = append(firsts, i)
 		}
+	}
+	var vals []string
+	valuesOf := func(i int) []string {
 		vals = vals[:0]
 		for _, g := range fields[i:] {
-			if g.name == f.name {
+			if g.norm == fields[i].norm {
 				vals = append(vals, g.value)
 			}
 		}
-		e.Add(f.name, vals...)
+		return vals
+	}
+	for _, i := range firsts {
+		inPlace = inPlace && !repeats(valuesOf(i))
+	}
+	if inPlace {
+		l := entry.NewLayout(len(firsts), len(fields))
+		for _, i := range firsts {
+			l.Attr(span(rec, fields[i].name))
+			for _, v := range valuesOf(i) {
+				l.Value(span(rec, v))
+			}
+		}
+		return entry.Assemble(d, rec, l), nil
+	}
+	e := entry.New(d)
+	for _, i := range firsts {
+		e.Add(fields[i].norm, valuesOf(i)...)
 	}
 	return e, nil
+}
+
+// repeats reports whether vals holds two values equal under caseIgnoreMatch,
+// or more than maxInPlace values, which are left to Add.
+func repeats(vals []string) bool {
+	for i, v := range vals {
+		if i == maxInPlace || slices.ContainsFunc(vals[:i], func(w string) bool { return entry.EqualValues(v, w) }) {
+			return true
+		}
+	}
+	return false
+}
+
+// maxInPlace is the most values of one attribute repeats checks pairwise;
+// an attribute with more is left to Add, which checks them through a set.
+const maxInPlace = 8
+
+// span returns where sub, a substring of rec, lies in it.
+func span(rec, sub string) (lo, hi int) {
+	if sub == "" {
+		return 0, 0
+	}
+	lo = int(uintptr(unsafe.Pointer(unsafe.StringData(sub))) - uintptr(unsafe.Pointer(unsafe.StringData(rec))))
+	return lo, lo + len(sub)
 }
 
 func splitLine(line string) (name, value string, err error) {

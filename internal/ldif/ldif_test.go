@@ -80,7 +80,7 @@ func TestReadGroupsValuesPerAttribute(t *testing.T) {
 		t.Fatalf("%d attributes: %s", e.NumAttrs(), e)
 	}
 	for i, w := range want {
-		if name, vals := e.AttrAt(i); name != w.name || strings.Join(vals, "|") != strings.Join(w.vals, "|") {
+		if name, vals := e.AttrAt(i).Name(), e.AttrAt(i).Strings(); name != w.name || strings.Join(vals, "|") != strings.Join(w.vals, "|") {
 			t.Errorf("attribute %d = %s %q, want %s %q", i, name, vals, w.name, w.vals)
 		}
 	}
@@ -104,7 +104,7 @@ func TestManyValuesRoundTrip(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("read %d entries, %v", len(got), err)
 	}
-	back, _ := got[0].Lookup("member")
+	back := got[0].Values("member")
 	if len(back) != k {
 		t.Fatalf("read back %d values, wrote %d", len(back), k)
 	}
@@ -377,6 +377,38 @@ func TestReadAllocsLinearInValue(t *testing.T) {
 		t.Logf("Read, one %d KiB value: %.2f× the input's %d B in bytes of allocations", size>>10, ratio, in.Len())
 		if ratio > 4 {
 			t.Errorf("Read of one %d KiB value allocates %.2f× its input, gate 4×", size>>10, ratio)
+		}
+	}
+}
+
+// TestReadBuildsAsAdd: a record read in place over its own text and one
+// that falls back to Add — a base64 value, a repeated value, a name not in
+// normal form, more values than are checked pairwise — read back as Add
+// builds them, attribute order and value order included.
+func TestReadBuildsAsAdd(t *testing.T) {
+	for _, tc := range []struct {
+		record string
+		want   func(e *entry.Entry)
+	}{
+		{"dn: cn=a,o=xyz\ncn: a\nobjectclass: top\nobjectclass: person\nmail: a@x\n",
+			func(e *entry.Entry) { e.Add("cn", "a").Add("objectclass", "top", "person").Add("mail", "a@x") }},
+		{"dn: cn=a,o=xyz\ncn: a\ndescription:: aGVsbG8=\n",
+			func(e *entry.Entry) { e.Add("cn", "a").Add("description", "hello") }},
+		{"dn: cn=a,o=xyz\ncn: a\nsn: B\ncn: A\nsn: c\n",
+			func(e *entry.Entry) { e.Add("cn", "a").Add("sn", "B", "c") }},
+		{"dn: cn=a,o=xyz\nCN: a\nobjectClass: top\n",
+			func(e *entry.Entry) { e.Add("cn", "a").Add("objectclass", "top") }},
+		{"dn: cn=a,o=xyz\nm: 1\nm: 2\nm: 3\nm: 4\nm: 5\nm: 6\nm: 7\nm: 8\nm: 9\nm: 1\n",
+			func(e *entry.Entry) { e.Add("m", "1", "2", "3", "4", "5", "6", "7", "8", "9") }},
+	} {
+		got, err := Read(strings.NewReader(tc.record))
+		if err != nil || len(got) != 1 {
+			t.Fatalf("%q: read %d entries, %v", tc.record, len(got), err)
+		}
+		want := entry.New(dn.MustParse("cn=a,o=xyz"))
+		tc.want(want)
+		if a, b := AppendEntry(nil, got[0]), AppendEntry(nil, want); !bytes.Equal(a, b) {
+			t.Errorf("%q read as\n%s\nwant\n%s", tc.record, a, b)
 		}
 	}
 }

@@ -192,45 +192,58 @@ func (s *SearchEntry) encodeBody(dst []byte) ([]byte, error) {
 		e = &entry.Entry{}
 	}
 	d := e.DN().String()
+	// Entries carry a handful of attributes: their set lengths stay on the
+	// stack between the sizing pass and the writing one.
+	var setBuf [16]int
+	sets := setBuf[:0]
 	attrsLen := 0
 	for i := 0; i < e.NumAttrs(); i++ {
-		attrsLen += ber.TLVLen(attrLen(e.AttrAt(i)))
+		a := e.AttrAt(i)
+		sets = append(sets, valuesLen(a))
+		attrsLen += ber.TLVLen(attrLen(a.Name(), sets[i]))
 	}
 	dst = slices.Grow(dst, ber.TLVLen(len(d))+ber.TLVLen(attrsLen))
 	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, d)
 	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, attrsLen)
 	for i := 0; i < e.NumAttrs(); i++ {
-		name, vals := e.AttrAt(i)
-		dst = appendAttr(dst, name, vals)
+		a := e.AttrAt(i)
+		dst = appendAttrHeader(dst, a.Name(), sets[i])
+		for k := 0; k < a.Len(); k++ {
+			dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, a.At(k))
+		}
 	}
 	return dst, nil
 }
 
 // attrLen is the content length of one PartialAttribute SEQUENCE.
-func attrLen(name string, vals []string) int {
-	return ber.TLVLen(len(name)) + ber.TLVLen(valuesLen(vals))
+func attrLen(name string, setLen int) int {
+	return ber.TLVLen(len(name)) + ber.TLVLen(setLen)
 }
 
-// valuesLen is the content length of an attribute's SET OF values.
-func valuesLen(vals []string) int {
+// valuesLen is the content length of an entry attribute's SET OF values.
+func valuesLen(a entry.Attr) int {
+	n := 0
+	for i := 0; i < a.Len(); i++ {
+		n += ber.TLVLen(len(a.At(i)))
+	}
+	return n
+}
+
+// appendAttrHeader appends a PartialAttribute's SEQUENCE header, its type
+// and its SET header, for a set of content length setLen.
+func appendAttrHeader(dst []byte, name string, setLen int) []byte {
+	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, attrLen(name, setLen))
+	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, name)
+	return ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSet, setLen)
+}
+
+// stringsLen is the content length of a request attribute's SET OF values.
+func stringsLen(vals []string) int {
 	n := 0
 	for _, v := range vals {
 		n += ber.TLVLen(len(v))
 	}
 	return n
-}
-
-// appendAttr appends one PartialAttribute: SEQUENCE { type, SET OF value },
-// written front to back from the lengths, with no intermediate buffer.
-func appendAttr(dst []byte, name string, vals []string) []byte {
-	setLen := valuesLen(vals)
-	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, ber.TLVLen(len(name))+ber.TLVLen(setLen))
-	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, name)
-	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSet, setLen)
-	for _, v := range vals {
-		dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, v)
-	}
-	return dst
 }
 
 // SearchReference is a continuation referral inside a search stream.
@@ -259,12 +272,15 @@ func (a *AddRequest) encodeBody(dst []byte) ([]byte, error) {
 	// AddRequest and SearchResultEntry share their wire shape.
 	attrsLen := 0
 	for _, at := range a.Attrs {
-		attrsLen += ber.TLVLen(attrLen(at.Type, at.Values))
+		attrsLen += ber.TLVLen(attrLen(at.Type, stringsLen(at.Values)))
 	}
 	dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, a.DN)
 	dst = ber.AppendHeader(dst, ber.ClassUniversal, true, ber.TagSequence, attrsLen)
 	for _, at := range a.Attrs {
-		dst = appendAttr(dst, at.Type, at.Values)
+		dst = appendAttrHeader(dst, at.Type, stringsLen(at.Values))
+		for _, v := range at.Values {
+			dst = ber.AppendString(dst, ber.ClassUniversal, ber.TagOctetString, v)
+		}
 	}
 	return dst, nil
 }
@@ -497,10 +513,10 @@ func universalTLV(s string, pos, tag int) (content string, next int, err error) 
 	return content, next, nil
 }
 
-// decodeSearchEntry materialises the entry in one pass: the DN and every name
-// and value are substrings of the message body, which the message owns and
-// nobody writes again (see decodeMessage), and all values share one backing
-// array sized by a counting walk.
+// decodeSearchEntry materialises the entry in one pass: the entry's buffer
+// is the message body, which the message owns and nobody writes again (see
+// decodeMessage), and its table of every name's and value's range there is
+// sized by a counting walk. The DN is a substring of the body too.
 func decodeSearchEntry(content []byte) (*SearchEntry, error) {
 	s := bodyString(content)
 	dnStr, pos, err := universalTLV(s, 0, ber.TagOctetString)
@@ -511,16 +527,12 @@ func decodeSearchEntry(content []byte) (*SearchEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("search entry dn: %w", err)
 	}
-	attrs, _, err := universalTLV(s, pos, ber.TagSequence)
+	attrs, end, err := universalTLV(s, pos, ber.TagSequence)
 	if err != nil {
 		return nil, fmt.Errorf("search entry attributes: %w", err)
 	}
-	// Entries carry a handful of attributes; these stay on the stack.
-	var nameBuf, setBuf [16]string
-	var endBuf [16]int
-	names, sets, ends := nameBuf[:0], setBuf[:0], endBuf[:0]
-	total := 0
-	for pos := 0; pos < len(attrs); {
+	nattrs, nvals := 0, 0
+	for pos := 0; pos < len(attrs); nattrs++ {
 		var one string
 		if one, pos, err = universalTLV(attrs, pos, ber.TagSequence); err != nil {
 			return nil, fmt.Errorf("search entry attribute: %w", err)
@@ -533,23 +545,31 @@ func decodeSearchEntry(content []byte) (*SearchEntry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("search entry attribute %q: %w", name, err)
 		}
-		for p := 0; p < len(set); total++ {
+		for p := 0; p < len(set); nvals++ {
 			if _, p, err = universalTLV(set, p, ber.TagOctetString); err != nil {
 				return nil, fmt.Errorf("search entry attribute %q: %w", name, err)
 			}
 		}
-		names, sets = append(names, name), append(sets, set)
 	}
-	vals := make([]string, 0, total)
-	for _, set := range sets {
+	// Checked by the counting walk. Each element's content ends where the
+	// next read starts; its offset in the body adds up its parents'.
+	l := entry.NewLayout(nattrs, nvals)
+	at := end - len(attrs)
+	for pos := 0; pos < len(attrs); {
+		var one string
+		one, pos, _ = universalTLV(attrs, pos, ber.TagSequence)
+		oneAt := at + pos - len(one)
+		name, next, _ := universalTLV(one, 0, ber.TagOctetString)
+		l.Attr(oneAt+next-len(name), oneAt+next)
+		set, setEnd, _ := universalTLV(one, next, ber.TagSet)
+		setAt := oneAt + setEnd - len(set)
 		for p := 0; p < len(set); {
 			var v string
-			_, v, p, _ = ber.StringTLV(set, p) // checked by the counting walk
-			vals = append(vals, v)
+			_, v, p, _ = ber.StringTLV(set, p)
+			l.Value(setAt+p-len(v), setAt+p)
 		}
-		ends = append(ends, len(vals))
 	}
-	return &SearchEntry{Entry: entry.Assemble(d, names, ends, vals)}, nil
+	return &SearchEntry{Entry: entry.Assemble(d, s, l)}, nil
 }
 
 func decodeAddRequest(rd *ber.Reader) (*AddRequest, error) {

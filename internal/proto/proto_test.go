@@ -603,13 +603,14 @@ func TestReloadPDUBytes(t *testing.T) {
 // TestDecodeAllocsPerReloadedEntry is the allocation gate of the consumer's
 // decode: a reload PDU (a bare entry) becomes a message and a complete
 // *entry.Entry in a fixed, small number of allocations — the body every name
-// and value aliases (ReadMessage reads into it; Decode, on a caller's buffer,
-// copies into it), the message, the op, the DN's RDN slice (a DN off this
-// system's wire is its own normal form), the entry, its attribute slice and
-// one backing array for all values. A per-value or per-attribute copy
-// creeping back in would roughly double it.
+// and value lies in (ReadMessage reads into it; Decode, on a caller's buffer,
+// copies into it), the message, the op, the entry and its table of ranges.
+// The DN is a substring of the body: a DN off this system's wire is its own
+// rendering and normal form. It measured 7 while the DN kept an RDN slice
+// and the entry a name table and a value array of strings. A per-value or
+// per-attribute copy creeping back in would roughly double it.
 func TestDecodeAllocsPerReloadedEntry(t *testing.T) {
-	const maxDecodeAllocs = 8 // measured 7
+	const maxDecodeAllocs = 6 // measured 5
 	pdu := reloadPDU(t)
 	var sink *Message
 	allocs := testing.AllocsPerRun(200, func() { sink, _ = Decode(pdu) })
@@ -622,11 +623,66 @@ func TestDecodeAllocsPerReloadedEntry(t *testing.T) {
 	}
 }
 
+// TestDecodedEntryObjects: an entry decoded off the wire and held keeps
+// three heap objects — the message body its names, values and DN lie in,
+// the entry and its table of ranges — and none per attribute or value. It
+// kept five while the DN held an RDN slice and the entry a name table and a
+// value array of strings, which the collector traced one string at a time.
+func TestDecodedEntryObjects(t *testing.T) {
+	const n = 1000
+	pdu := reloadPDU(t)
+	held := make([]*entry.Entry, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range held {
+		m, err := Decode(pdu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = m.Op.(*SearchEntry).Entry
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.HeapObjects-before.HeapObjects) / n
+	runtime.KeepAlive(held)
+	t.Logf("a held decoded entry: %.2f heap objects", perEntry)
+	if perEntry > 3.05 { // the held slice and the test's own bookkeeping are the .05
+		t.Errorf("a held decoded entry keeps %.2f heap objects, gate is 3", perEntry)
+	}
+}
+
+// TestReloadRoundTripBytes: an entry decoded from a reload PDU encodes to
+// that PDU's bytes again — attribute and value order survive the layout,
+// repeated values and an attribute with none included.
+func TestReloadRoundTripBytes(t *testing.T) {
+	e := employeeEntry()
+	e.Add("objectclass", "extensibleObject").Put("seeAlso", "b", "a", "b2").Put("empty")
+	for _, pdu := range [][]byte{reloadPDU(t), mustEncode(t, &Message{ID: 7, Op: &SearchEntry{Entry: e}})} {
+		m, err := Decode(pdu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := mustEncode(t, m); !bytes.Equal(again, pdu) {
+			t.Errorf("decoded and encoded again, the PDU changed:\n%x\n%x", pdu, again)
+		}
+	}
+}
+
+func mustEncode(t *testing.T, m *Message) []byte {
+	t.Helper()
+	b, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestEncodeAllocsPerEntry gates the supplier's side of the same PDU: the
-// first (unshared) encoding of an entry is the DN's string form plus one
-// exactly sized buffer each for the body, the tail and the envelope.
+// first (unshared) encoding of an entry is one exactly sized buffer each for
+// the body, the tail and the envelope.
 func TestEncodeAllocsPerEntry(t *testing.T) {
-	const maxEncodeAllocs = 6 // measured 5: DN.String 2, then body, tail and message
+	const maxEncodeAllocs = 4 // measured 3: body, tail and message (DN.String allocated 2 more while a DN was its RDNs)
 	m := &Message{ID: 9, Op: &SearchEntry{Entry: employeeEntry().Freeze()},
 		Controls: []Control{EntryChange{Action: ChangeActionAdd}.Control()}}
 	var sink []byte
@@ -705,10 +761,10 @@ func TestMovePDUBytes(t *testing.T) {
 }
 
 // TestDecodeAllocsPerPatch gates the consumer's decode of the same PDU: the
-// fixed costs of TestDecodeAllocsPerReloadedEntry (body, message, op, DN,
-// entry) and the control list, with one attribute behind them.
+// fixed costs of TestDecodeAllocsPerReloadedEntry (body, message, op, entry,
+// table) and the control list.
 func TestDecodeAllocsPerPatch(t *testing.T) {
-	const maxPatchDecodeAllocs = 9 // measured 8
+	const maxPatchDecodeAllocs = 7 // measured 6 (8 with a DN of RDNs and an entry of strings)
 	pdu := patchPDU(t)
 	var sink *Message
 	allocs := testing.AllocsPerRun(200, func() { sink, _ = Decode(pdu) })

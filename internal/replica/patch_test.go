@@ -415,8 +415,8 @@ func TestPatchCarriesUnionOfTouched(t *testing.T) {
 	patch := res.Updates[0].Entry
 	for attr, want := range map[string][]string{"tel": {"1"}, "mail": {"m2"}, "fax": {}} {
 		got, ok := patch.Lookup(attr)
-		if !ok || !slices.Equal(got, want) {
-			t.Errorf("patch carries %s=%v (present %v), want %v", attr, got, ok, want)
+		if !ok || !slices.Equal(got.Strings(), want) {
+			t.Errorf("patch carries %s=%v (present %v), want %v", attr, got.Strings(), ok, want)
 		}
 	}
 	if patch.NumAttrs() != 3 {

@@ -106,11 +106,11 @@ func foldFPEntry(h uint64, e *entry.Entry) uint64 {
 	sort.Strings(names)
 	for _, name := range names {
 		vals, _ := e.Lookup(name)
-		for _, v := range vals {
+		for i := 0; i < vals.Len(); i++ {
 			h = foldFPBytes(h, "; ")
 			h = foldFPBytes(h, name)
 			h = foldFPBytes(h, ": ")
-			h = foldFPBytes(h, v)
+			h = foldFPBytes(h, vals.At(i))
 		}
 	}
 	return h
