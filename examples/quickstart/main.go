@@ -62,7 +62,7 @@ func run() error {
 	// Replicate the generalized filter (serialNumber=<cc>04*) — the region
 	// of semantic locality — over the whole DIT (null base answers
 	// minimally directory-enabled applications).
-	replica, err := filterdir.NewFilterReplica(filterdir.WithCacheCapacity(8))
+	replica, err := filterdir.NewFilterReplica()
 	if err != nil {
 		return err
 	}

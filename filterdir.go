@@ -177,9 +177,6 @@ func NewFilterReplica(opts ...replica.FROption) (*FilterReplica, error) {
 	return replica.NewFilterReplica(opts...)
 }
 
-// WithCacheCapacity bounds the replica's recent-user-query window.
-func WithCacheCapacity(n int) replica.FROption { return replica.WithCacheCapacity(n) }
-
 // WithContentIndexes declares indexes on the replica's content store: each
 // is built at the first read of the store it would answer, so a replica that
 // only applies updates never builds one (replica.WithContentIndexes).

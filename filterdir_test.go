@@ -92,7 +92,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	defer client.Close()
 
 	// Replicate the cross-country generalized filter over the wire.
-	rep, err := filterdir.NewFilterReplica(filterdir.WithCacheCapacity(4))
+	rep, err := filterdir.NewFilterReplica()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,16 @@ import (
 // StoredQuery is the meta information kept for one replicated query.
 type StoredQuery struct {
 	Query query.Query
-	// Cookie is the ReSync session cookie synchronizing this query's
-	// content (empty for un-synced cached queries).
+	// Cookie is the ReSync session cookie AddStored was given. Nothing
+	// reads it: each session's owner (AdaptiveReplica, the supervisor)
+	// polls with a cookie of its own.
 	Cookie string
 }
 
 // FilterReplica is the paper's proposed replica: entries matching one or
-// more stored LDAP queries, plus a bounded window of recently performed
-// user queries cached verbatim. Entry storage is shared and reference
-// counted: an entry is dropped when the last query covering it is removed.
+// more stored LDAP queries, each kept in sync. Entry storage is shared and
+// reference counted: an entry is dropped when the last query covering it is
+// removed.
 type FilterReplica struct {
 	store   *dit.Store
 	checker *containment.Checker
@@ -35,12 +36,9 @@ type FilterReplica struct {
 	// candidates are checked with Proposition 3 before any cross-template
 	// work.
 	stored map[string][]*StoredQuery
-	// cache is the FIFO window of recently performed user queries.
-	cache    []*StoredQuery
-	cacheCap int
 
-	// refs tracks which owners (stored-query keys or cache slots) cover
-	// each entry, keyed by normalized DN; ownerDNs is the inverse. An owner
+	// refs tracks which stored queries (owners, by ownerKey) cover each
+	// entry, keyed by normalized DN; ownerDNs is the inverse. An owner
 	// stands in refs as the small id ownerIDs gives its key for as long as
 	// it covers anything. The parsed DN of a covered entry is the store's
 	// to give back (dit.Store.Held).
@@ -70,11 +68,11 @@ func WithChecker(c *containment.Checker) FROption {
 	return func(r *FilterReplica) { r.checker = c }
 }
 
-// WithCacheCapacity bounds the recently-performed user-query window
-// (default 0: user-query caching disabled).
-func WithCacheCapacity(n int) FROption {
-	return func(r *FilterReplica) { r.cacheCap = n }
-}
+// WithCacheCapacity does nothing. A replica holds synced stored queries
+// only; the window of recently performed user queries the experiments
+// compare against lives in internal/sim. The option stays until its last
+// caller, the load rig's topology, drops it.
+func WithCacheCapacity(int) FROption { return func(*FilterReplica) {} }
 
 // WithContentIndexes declares equality/prefix indexes on the replica's
 // content store (dit.WithIndexes): each is built at the first Search,
@@ -261,61 +259,27 @@ func (r *FilterReplica) moveLocked(key string, u resync.Update) ([]dit.SyncOp, e
 	}
 }
 
-// CacheQuery inserts a just-answered user query and its result into the
-// cache window, evicting the oldest cached query when full. Cached queries
-// are not synchronized (Section 7.4: cached for a short window, not
-// updated).
-func (r *FilterReplica) CacheQuery(q query.Query, result []*entry.Entry) error {
-	if r.cacheCap <= 0 {
-		return nil
-	}
-	nq := q.Normalize()
-	key := "cache:" + ownerKey(nq)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.cache {
-		if "cache:"+ownerKey(c.Query) == key {
-			return nil // already cached
-		}
-	}
-	if len(r.cache) >= r.cacheCap {
-		old := r.cache[0]
-		r.cache = r.cache[1:]
-		r.dropOwnerLocked("cache:" + ownerKey(old.Query))
-	}
-	r.cache = append(r.cache, &StoredQuery{Query: nq})
-	ops := make([]dit.SyncOp, 0, len(result))
-	for _, e := range result {
-		if e == nil {
-			return fmt.Errorf("nil entry in cached result")
-		}
-		r.addRefLocked(key, e.DN())
-		// The result is the caller's to keep: the store gets a copy, or the
-		// entry itself when it is frozen and can be shared (Select of all).
-		ops = append(ops, dit.SyncOp{Put: e.Select(nil)})
-	}
-	return r.store.ApplyOwned(ops)
-}
-
-// Answer attempts to serve the query from replicated or cached content.
-// via reports which stored query answered ("" on miss).
+// Answer attempts to serve the query from replicated content. via reports
+// which stored query answered ("" on miss).
 //
 // The result is evaluated against the containing query's own content, not
 // the whole shared store: q ⊆ container guarantees every entry matching q
 // lies in the container's content, and restricting to it keeps stale
-// entries held only by unrelated cached queries out of fresh answers.
+// entries held only by another stored query, one that has not polled yet,
+// out of answers the container gives.
 func (r *FilterReplica) Answer(q query.Query) (entries []*entry.Entry, hit bool, via string) {
 	nq := q.Normalize()
 	r.counts.Queries.Add(1)
 	r.mu.Lock()
-	container, ownerID := r.findContainerLocked(nq)
+	container := r.findContainerLocked(nq)
 	if container == nil {
 		r.mu.Unlock()
 		r.counts.Misses.Add(1)
 		return nil, false, ""
 	}
-	norms := make([]string, 0, len(r.ownerDNs[ownerID]))
-	for norm := range r.ownerDNs[ownerID] {
+	owned := r.ownerDNs[ownerKey(container.Query)]
+	norms := make([]string, 0, len(owned))
+	for norm := range owned {
 		norms = append(norms, norm)
 	}
 	r.mu.Unlock()
@@ -340,17 +304,16 @@ func (r *FilterReplica) SetReadOverlay(overlay func(q query.Query, entries []*en
 	r.overlay = overlay
 }
 
-// findContainerLocked locates a stored or cached query semantically
-// containing nq, returning it with its content-owner id. Same-template
-// stored queries are checked first (Proposition 3 via the checker's fast
-// path), then the remaining templates, then the cache window.
-func (r *FilterReplica) findContainerLocked(nq query.Query) (*StoredQuery, string) {
+// findContainerLocked locates a stored query semantically containing nq.
+// Same-template stored queries are checked first (Proposition 3 via the
+// checker's fast path), then the remaining templates.
+func (r *FilterReplica) findContainerLocked(nq query.Query) *StoredQuery {
 	tpl := nq.Template()
 	if list, ok := r.stored[tpl]; ok {
 		for _, sq := range list {
 			r.counts.ContainmentChecks.Add(1)
 			if r.checker.QueryContains(nq, sq.Query) {
-				return sq, ownerKey(sq.Query)
+				return sq
 			}
 		}
 	}
@@ -361,17 +324,11 @@ func (r *FilterReplica) findContainerLocked(nq query.Query) (*StoredQuery, strin
 		for _, sq := range list {
 			r.counts.ContainmentChecks.Add(1)
 			if r.checker.QueryContains(nq, sq.Query) {
-				return sq, ownerKey(sq.Query)
+				return sq
 			}
 		}
 	}
-	for _, cq := range r.cache {
-		r.counts.ContainmentChecks.Add(1)
-		if r.checker.QueryContains(nq, cq.Query) {
-			return cq, "cache:" + ownerKey(cq.Query)
-		}
-	}
-	return nil, ""
+	return nil
 }
 
 // ownerID stands for an owner key in the per-entry owner sets. Ids are never

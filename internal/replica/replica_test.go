@@ -255,52 +255,6 @@ func TestFilterReplicaRefCounting(t *testing.T) {
 	}
 }
 
-func TestFilterReplicaUserQueryCache(t *testing.T) {
-	master := buildMaster(t)
-	r, err := NewFilterReplica(WithCacheCapacity(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1 := query.MustNew("", query.ScopeSubtree, "(serialnumber=0401)")
-	q2 := query.MustNew("", query.ScopeSubtree, "(serialnumber=0402)")
-	q3 := query.MustNew("", query.ScopeSubtree, "(serialnumber=0403)")
-
-	// Miss, then cache from the master result.
-	if _, hit, _ := r.Answer(q1); hit {
-		t.Fatal("empty replica must miss")
-	}
-	if err := r.CacheQuery(q1, master.MatchAll(q1)); err != nil {
-		t.Fatal(err)
-	}
-	// Temporal locality: the repeat hits.
-	if _, hit, _ := r.Answer(q1); !hit {
-		t.Fatal("cached query must hit")
-	}
-	// Fill the window; q1 evicts.
-	if err := r.CacheQuery(q2, master.MatchAll(q2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CacheQuery(q3, master.MatchAll(q3)); err != nil {
-		t.Fatal(err)
-	}
-	if r.CachedCount() != 2 {
-		t.Fatalf("CachedCount = %d, want 2", r.CachedCount())
-	}
-	if _, hit, _ := r.Answer(q1); hit {
-		t.Error("evicted query must miss")
-	}
-	if _, hit, _ := r.Answer(q3); !hit {
-		t.Error("fresh cached query must hit")
-	}
-	// Caching the same query twice is a no-op.
-	if err := r.CacheQuery(q3, master.MatchAll(q3)); err != nil {
-		t.Fatal(err)
-	}
-	if r.CachedCount() != 2 {
-		t.Errorf("duplicate caching changed count: %d", r.CachedCount())
-	}
-}
-
 func TestFilterReplicaFlatNamespaceSelective(t *testing.T) {
 	// Section 3.3: a flat namespace (all employees under one container) can
 	// be partially replicated by filter but not by subtree.
@@ -321,26 +275,24 @@ func TestFilterReplicaFlatNamespaceSelective(t *testing.T) {
 	}
 }
 
-func TestStaleCachedEntryDoesNotLeakIntoFreshAnswers(t *testing.T) {
-	// A cached user query holds a stale copy of an entry; a fresh query
-	// contained in a synced stored filter must not be answered with it.
+func TestStaleEntryDoesNotLeakIntoFreshAnswers(t *testing.T) {
+	// A second stored query that has not polled yet holds a stale copy of
+	// an entry; a fresh query contained in the first, synced one must not
+	// be answered with it.
 	master := buildMaster(t)
 	eng := resync.NewEngine(master)
-	r, err := NewFilterReplica(WithCacheCapacity(4))
+	r, err := NewFilterReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
 	stored := query.MustNew("", query.ScopeSubtree, "(serialnumber=04*)")
 	cookie := syncStored(t, master, eng, r, stored)
+	// The second stored query covers p3 (serial 0403) too.
+	lagging := query.MustNew("", query.ScopeSubtree, "(cn=p3)")
+	syncStored(t, master, eng, r, lagging)
 
-	// Cache a user query whose result includes p3 (serial 0403).
-	cq := query.MustNew("", query.ScopeSubtree, "(cn=p3)")
-	if err := r.CacheQuery(cq, master.MatchAll(cq)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The master moves p3 out of the stored content; the stored filter
-	// syncs, the cache (per the paper) does not.
+	// The master moves p3 out of the first query's content; the first
+	// query syncs, the second has not polled yet.
 	if err := master.Modify(dn.MustParse("cn=p3,c=us,o=xyz"),
 		[]dit.Mod{{Op: dit.ModReplace, Attr: "serialNumber", Values: []string{"0999"}}}); err != nil {
 		t.Fatal(err)
@@ -353,8 +305,8 @@ func TestStaleCachedEntryDoesNotLeakIntoFreshAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fresh contained query: the stale cached copy (still carrying 0403)
-	// must not surface.
+	// Fresh contained query: the stale copy (still carrying 0403) must not
+	// surface.
 	entries, hit, via := r.Answer(query.MustNew("", query.ScopeSubtree, "(serialnumber=0403)"))
 	if !hit {
 		t.Fatal("query contained in synced filter must hit")
@@ -362,11 +314,10 @@ func TestStaleCachedEntryDoesNotLeakIntoFreshAnswers(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("stale entry leaked into fresh answer via %s: %v", via, entries)
 	}
-	// The cached query itself still answers (staleness is its documented
-	// contract).
-	entries, hit, _ = r.Answer(cq)
+	// The lagging query itself still answers with its copy until it polls.
+	entries, hit, _ = r.Answer(lagging)
 	if !hit || len(entries) != 1 {
-		t.Fatalf("cached query answer: hit=%v n=%d", hit, len(entries))
+		t.Fatalf("lagging query answer: hit=%v n=%d", hit, len(entries))
 	}
 }
 
@@ -559,46 +510,49 @@ func TestOwnerSet(t *testing.T) {
 }
 
 // TestOwnerIDsFollowLiveOwners: an owner's id lives as long as the owner
-// covers anything — a cache window that turns over for ever must not grow
-// the id table — and an entry two owners cover stays until both are gone.
+// covers anything — stored queries that turn over for ever must not grow the
+// id table — and an entry two owners cover stays until both are gone.
 func TestOwnerIDsFollowLiveOwners(t *testing.T) {
-	r, err := NewFilterReplica(WithCacheCapacity(2))
+	r, err := NewFilterReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := query.MustNew("", query.ScopeSubtree, "(serialnumber=04*)")
 	r.AddStored(spec, "c")
-	ups := ownedBatch(3)
-	if err := r.ApplySync(spec, ups); err != nil {
+	if err := r.ApplySync(spec, ownedBatch(3)); err != nil {
 		t.Fatal(err)
 	}
+	// 50 more stored queries, each removed two turns after it was added,
+	// so two of them are live at a time.
+	var live []query.Query
 	for i := 0; i < 50; i++ {
 		q := query.MustNew("", query.ScopeSubtree, fmt.Sprintf("(uid=u04%04d)", i%3))
 		q.Attrs = []string{fmt.Sprint("a", i)} // a distinct owner each time
-		if err := r.CacheQuery(q, []*entry.Entry{ups[i%3].Entry}); err != nil {
+		r.AddStored(q, "c")
+		if err := r.ApplySync(q, ownedBatch(3)[i%3:i%3+1]); err != nil {
 			t.Fatal(err)
+		}
+		if live = append(live, q); len(live) > 2 {
+			if r.RemoveStored(live[0]) == nil {
+				t.Fatal("stored query not found")
+			}
+			live = live[1:]
 		}
 	}
 	r.mu.Lock()
 	ids, owners := len(r.ownerIDs), len(r.ownerDNs)
 	r.mu.Unlock()
 	if ids != 3 || owners != 3 {
-		t.Errorf("after 50 cached queries through a window of 2: %d owner ids, %d owners, want 3 (stored + window)", ids, owners)
+		t.Errorf("after 50 stored queries turned over two at a time: %d owner ids, %d owners, want 3", ids, owners)
 	}
-	// Entry 1 is covered by the stored query and by a cached one.
+	// Entries 0 and 1 are covered by the first stored query and by a live
+	// one each.
 	if r.RemoveStored(spec) == nil {
 		t.Fatal("stored query not found")
 	}
 	if n := r.EntryCount(); n != 2 {
-		t.Errorf("entries after dropping the stored query = %d, want the 2 the cache window still covers", n)
+		t.Errorf("entries after dropping the first stored query = %d, want the 2 the live ones still cover", n)
 	}
-}
-
-// CachedCount returns the number of cached user queries.
-func (r *FilterReplica) CachedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
 }
 
 // TestMatchAllReplicaAgreesWithMaster replays what an objectclass-less add

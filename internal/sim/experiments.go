@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"filterdir/internal/containment"
 	"filterdir/internal/dn"
 	"filterdir/internal/metrics"
 	"filterdir/internal/query"
@@ -74,20 +75,14 @@ func Table1(cfg Config) (*metrics.Figure, error) {
 }
 
 // runHits measures the hit ratio of a filter or subtree node over n queries
-// of one kind. cache controls whether misses are cached as user queries
-// (with the master result, as a client-side proxy would).
-func (e *env) runHits(node *filterNode, g *workload.Generator, kind workload.QueryKind, n int, cache bool) float64 {
+// of one kind. A query the node misses is served by the user-query window
+// win, when there is one (nil: none).
+func (e *env) runHits(node *filterNode, g *workload.Generator, kind workload.QueryKind, n int, win *userWindow) float64 {
 	hits := 0
 	for i := 0; i < n; i++ {
 		tq := g.NextOfKind(kind)
-		_, hit, _ := node.Replica.Answer(tq.Query)
-		if hit {
+		if _, hit, _ := node.Replica.Answer(tq.Query); hit || win != nil && win.serve(tq.Query) {
 			hits++
-			continue
-		}
-		if cache {
-			result := e.dir.Master.MatchAll(tq.Query)
-			_ = node.Replica.CacheQuery(tq.Query, result)
 		}
 	}
 	return float64(hits) / float64(n)
@@ -107,7 +102,7 @@ func (e *env) warmSelector(rules []selection.Rule, g *workload.Generator, kind w
 func (e *env) setupSerialFilterNode(budget int) (*filterNode, error) {
 	g := workload.NewGenerator(e.dir, e.traceConfig())
 	sel := e.warmSelector(serialRules(), g, workload.KindSerial, e.cfg.WarmupQueries, budget)
-	node, err := newFilterNode(e.eng, nil, 0)
+	node, err := newFilterNode(e.eng, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -149,14 +144,14 @@ func Figure4(cfg Config) (*metrics.Figure, error) {
 			return nil, err
 		}
 		gm := workload.NewGenerator(e.dir, e.traceConfig())
-		filterS.Add(frac, e.runHits(node, gm, workload.KindSerial, cfg.MeasureQueries, false))
+		filterS.Add(frac, e.runHits(node, gm, workload.KindSerial, cfg.MeasureQueries, nil))
 
 		sub, err := newSubtreeNode(e.eng, pickSubtrees(cands, budget))
 		if err != nil {
 			return nil, err
 		}
 		gs := workload.NewGenerator(e.dir, e.traceConfig())
-		subtreeS.Add(frac, e.runHits(sub, gs, workload.KindSerial, cfg.MeasureQueries, false))
+		subtreeS.Add(frac, e.runHits(sub, gs, workload.KindSerial, cfg.MeasureQueries, nil))
 	}
 	return fig, nil
 }
@@ -167,7 +162,7 @@ func Figure4(cfg Config) (*metrics.Figure, error) {
 func (e *env) runDynamicDept(budget, r, n int, updatesPerPhase int) (float64, *filterNode, error) {
 	g := workload.NewGenerator(e.dir, e.traceConfig())
 	sel := selection.NewSelector(selection.NewGeneralizer(deptRules()...), e.sizeOf, budget, r)
-	node, err := newFilterNode(e.eng, nil, 0)
+	node, err := newFilterNode(e.eng, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -294,14 +289,14 @@ func Figure6(cfg Config) (*metrics.Figure, error) {
 			return nil, err
 		}
 		gm := workload.NewGenerator(e.dir, e.traceConfig())
-		hrFilter := e.runHits(node, gm, workload.KindSerial, cfg.MeasureQueries, false)
+		hrFilter := e.runHits(node, gm, workload.KindSerial, cfg.MeasureQueries, nil)
 
 		sub, err := newSubtreeNode(e.eng, pickSubtrees(cands, budget))
 		if err != nil {
 			return nil, err
 		}
 		gs := workload.NewGenerator(e.dir, e.traceConfig())
-		hrSub := e.runHits(sub, gs, workload.KindSerial, cfg.MeasureQueries, false)
+		hrSub := e.runHits(sub, gs, workload.KindSerial, cfg.MeasureQueries, nil)
 
 		// One update burst, synced by both replicas.
 		upd := e.updater()
@@ -380,7 +375,7 @@ func Figure7(cfg Config) (*metrics.Figure, error) {
 			return nil, err
 		}
 		gs := workload.NewGenerator(e.dir, e.traceConfig())
-		hrSub := e.runHits(sub, gs, workload.KindDept, cfg.MeasureQueries, false)
+		hrSub := e.runHits(sub, gs, workload.KindDept, cfg.MeasureQueries, nil)
 		if _, err := e.updater().Apply(cfg.Updates); err != nil {
 			return nil, err
 		}
@@ -405,7 +400,8 @@ func figure89(cfg Config, kind workload.QueryKind, rules []selection.Rule, id, t
 		XLabel: "# stored filters", YLabel: "hit ratio",
 		Notes: []string{
 			"user-query caching saturates once the window covers the temporal-locality span",
-			"storing both adds the curves' complementary hits (paper: 0.5 at 200 filters for serialNumber)"},
+			"storing both gives up to 50 of the n slots to cached user queries: it gains on generalized only",
+			"where those hit more often than the generalized filters they displace (paper: 0.5 at 200 filters for serialNumber)"},
 	}
 	userS := fig.AddSeries("user queries only")
 	genS := fig.AddSeries("generalized only")
@@ -421,19 +417,20 @@ func figure89(cfg Config, kind workload.QueryKind, rules []selection.Rule, id, t
 	counts := []int{10, 25, 50, 100, 150, 200, 300}
 	for _, n := range counts {
 		// User queries only: cache window of n, no stored filters.
-		nodeU, err := newFilterNode(e.eng, nil, n)
+		checkU := containment.NewChecker()
+		nodeU, err := newFilterNode(e.eng, checkU)
 		if err != nil {
 			return nil, err
 		}
 		gU := workload.NewGenerator(e.dir, e.traceConfig())
-		userS.Add(float64(n), e.runHits(nodeU, gU, kind, cfg.MeasureQueries, true))
+		userS.Add(float64(n), e.runHits(nodeU, gU, kind, cfg.MeasureQueries, &userWindow{checker: checkU, size: n}))
 
 		// Generalized only: the n best candidates by benefit, capped at
 		// fine granularity (a bounded replica stores small filters).
 		gW := workload.NewGenerator(e.dir, e.traceConfig())
 		sel := e.warmSelector(rules, gW, kind, cfg.WarmupQueries, 1<<30)
 		top := sel.TopCandidatesLimit(n, maxFilterSize)
-		nodeG, err := newFilterNode(e.eng, nil, 0)
+		nodeG, err := newFilterNode(e.eng, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -443,7 +440,7 @@ func figure89(cfg Config, kind workload.QueryKind, rules []selection.Rule, id, t
 			}
 		}
 		gG := workload.NewGenerator(e.dir, e.traceConfig())
-		genS.Add(float64(n), e.runHits(nodeG, gG, kind, cfg.MeasureQueries, false))
+		genS.Add(float64(n), e.runHits(nodeG, gG, kind, cfg.MeasureQueries, nil))
 
 		// Both: the user-query cache saturates at roughly the temporal
 		// locality span, so it gets at most 50 slots; the remaining budget
@@ -454,7 +451,8 @@ func figure89(cfg Config, kind workload.QueryKind, rules []selection.Rule, id, t
 		}
 		gW2 := workload.NewGenerator(e.dir, e.traceConfig())
 		sel2 := e.warmSelector(rules, gW2, kind, cfg.WarmupQueries, 1<<30)
-		nodeB, err := newFilterNode(e.eng, nil, cacheSlots)
+		checkB := containment.NewChecker()
+		nodeB, err := newFilterNode(e.eng, checkB)
 		if err != nil {
 			return nil, err
 		}
@@ -464,7 +462,7 @@ func figure89(cfg Config, kind workload.QueryKind, rules []selection.Rule, id, t
 			}
 		}
 		gB := workload.NewGenerator(e.dir, e.traceConfig())
-		bothS.Add(float64(n), e.runHits(nodeB, gB, kind, cfg.MeasureQueries, true))
+		bothS.Add(float64(n), e.runHits(nodeB, gB, kind, cfg.MeasureQueries, &userWindow{checker: checkB, size: cacheSlots}))
 	}
 	return fig, nil
 }
@@ -506,7 +504,7 @@ func MailLocation(cfg Config) (*metrics.Figure, error) {
 	mailRules := []selection.Rule{selection.PrefixRule{Attr: "mail", PrefixLen: 5}}
 	gW := workload.NewGenerator(e.dir, e.traceConfig())
 	sel := e.warmSelector(mailRules, gW, workload.KindMail, cfg.WarmupQueries, 1<<30)
-	nodeG, err := newFilterNode(e.eng, nil, 0)
+	nodeG, err := newFilterNode(e.eng, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -516,18 +514,19 @@ func MailLocation(cfg Config) (*metrics.Figure, error) {
 		}
 	}
 	gM := workload.NewGenerator(e.dir, e.traceConfig())
-	s.Add(1, e.runHits(nodeG, gM, workload.KindMail, cfg.MeasureQueries, false))
+	s.Add(1, e.runHits(nodeG, gM, workload.KindMail, cfg.MeasureQueries, nil))
 
-	nodeC, err := newFilterNode(e.eng, nil, 100)
+	checkC := containment.NewChecker()
+	nodeC, err := newFilterNode(e.eng, checkC)
 	if err != nil {
 		return nil, err
 	}
 	gC := workload.NewGenerator(e.dir, e.traceConfig())
-	s.Add(2, e.runHits(nodeC, gC, workload.KindMail, cfg.MeasureQueries, true))
+	s.Add(2, e.runHits(nodeC, gC, workload.KindMail, cfg.MeasureQueries, &userWindow{checker: checkC, size: 100}))
 
 	// Location: replicate the entire location tree with one presence
 	// filter, which semantically contains every (location=X) lookup.
-	nodeL, err := newFilterNode(e.eng, nil, 0)
+	nodeL, err := newFilterNode(e.eng, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -536,7 +535,7 @@ func MailLocation(cfg Config) (*metrics.Figure, error) {
 		return nil, err
 	}
 	gL := workload.NewGenerator(e.dir, e.traceConfig())
-	s.Add(3, e.runHits(nodeL, gL, workload.KindLocation, cfg.MeasureQueries, false))
+	s.Add(3, e.runHits(nodeL, gL, workload.KindLocation, cfg.MeasureQueries, nil))
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("location tree size: %d of %d total entries", nodeL.Replica.EntryCount(), e.dir.Master.Len()))
 	return fig, nil

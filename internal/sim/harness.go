@@ -99,14 +99,11 @@ func (e *env) sizeOf(q query.Query) int {
 // revolutions bringing in new filters).
 type filterNode = replica.AdaptiveReplica
 
-func newFilterNode(eng *resync.Engine, checker *containment.Checker, cacheCap int) (*filterNode, error) {
+func newFilterNode(eng *resync.Engine, checker *containment.Checker) (*filterNode, error) {
 	var opts []replica.FROption
 	opts = append(opts, replica.WithContentIndexes("serialnumber", "mail", "dept", "location"))
 	if checker != nil {
 		opts = append(opts, replica.WithChecker(checker))
-	}
-	if cacheCap > 0 {
-		opts = append(opts, replica.WithCacheCapacity(cacheCap))
 	}
 	fr, err := replica.NewFilterReplica(opts...)
 	if err != nil {
@@ -117,6 +114,50 @@ func newFilterNode(eng *resync.Engine, checker *containment.Checker, cacheCap in
 	return replica.NewAdaptiveReplica(fr, nil, eng), nil
 }
 
+// --- User-query window -----------------------------------------------------
+
+// userWindow is Section 7.4's window of recently performed user queries,
+// the comparison series of figures 8 and 9 and of the mail case: a FIFO of
+// at most size > 0 normalized queries, never synchronized. A query the
+// node's replica misses is a window hit when a cached query contains it,
+// decided by the checker that replica uses, so the decisions run in the
+// order one replica holding both would run them. The window keeps no
+// entries: no experiment reads an answer from it.
+type userWindow struct {
+	checker *containment.Checker
+	size    int
+	queries []query.Query
+}
+
+// serve reports whether a cached query contains q, checking the oldest
+// first, and caches q when none does — as a proxy would, once the master
+// has answered it.
+func (w *userWindow) serve(q query.Query) bool {
+	nq := q.Normalize()
+	for _, cq := range w.queries {
+		if w.checker.QueryContains(nq, cq) {
+			return true
+		}
+	}
+	w.add(nq)
+	return false
+}
+
+// add caches the normalized query nq, evicting the oldest when the window
+// is full; a query already cached (same Key) is a no-op.
+func (w *userWindow) add(nq query.Query) {
+	key := nq.Key()
+	for _, cq := range w.queries {
+		if cq.Key() == key {
+			return
+		}
+	}
+	if len(w.queries) >= w.size {
+		w.queries = w.queries[1:]
+	}
+	w.queries = append(w.queries, nq)
+}
+
 // --- Subtree-replica node -----------------------------------------------------
 
 // newSubtreeNode is the paper's subtree baseline (Section 3.4.1): a filter
@@ -125,7 +166,7 @@ func newFilterNode(eng *resync.Engine, checker *containment.Checker, cacheCap in
 // referrals, and for such a context isContained(b, C) is exactly query
 // containment in that stored query. Its update traffic is ResyncTraffic.
 func newSubtreeNode(eng *resync.Engine, suffixes []dn.DN) (*filterNode, error) {
-	node, err := newFilterNode(eng, nil, 0)
+	node, err := newFilterNode(eng, nil)
 	if err != nil {
 		return nil, err
 	}

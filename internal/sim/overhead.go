@@ -37,7 +37,7 @@ func Overhead(cfg Config) (*metrics.Figure, error) {
 		gW := workload.NewGenerator(e.dir, e.traceConfig())
 		sel := e.warmSelector(serialRules(), gW, workload.KindSerial, cfg.WarmupQueries, 1<<30)
 		top := sel.TopCandidatesLimit(n, e.dir.EmployeeCount/50+5)
-		node, err := newFilterNode(e.eng, containment.NewChecker(), 0)
+		node, err := newFilterNode(e.eng, containment.NewChecker())
 		if err != nil {
 			return nil, err
 		}
@@ -80,10 +80,11 @@ func ContainmentStats(cfg Config) (*metrics.Figure, error) {
 		return nil, err
 	}
 	checker := containment.NewChecker()
-	node, err := newFilterNode(e.eng, checker, 50)
+	node, err := newFilterNode(e.eng, checker)
 	if err != nil {
 		return nil, err
 	}
+	win := &userWindow{checker: checker, size: 50}
 	// A mixed stored set: serial blocks, a division filter, the location
 	// tree.
 	gW := workload.NewGenerator(e.dir, e.traceConfig())
@@ -97,9 +98,8 @@ func ContainmentStats(cfg Config) (*metrics.Figure, error) {
 	g := workload.NewGenerator(e.dir, e.traceConfig())
 	for i := 0; i < cfg.MeasureQueries; i++ {
 		tq := g.Next()
-		_, hit, _ := node.Replica.Answer(tq.Query)
-		if !hit {
-			_ = node.Replica.CacheQuery(tq.Query, e.dir.Master.MatchAll(tq.Query))
+		if _, hit, _ := node.Replica.Answer(tq.Query); !hit {
+			win.serve(tq.Query)
 		}
 	}
 	st := checker.Stats()

@@ -3,11 +3,14 @@ package sim
 import (
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"filterdir/internal/containment"
 	"filterdir/internal/metrics"
+	"filterdir/internal/query"
 )
 
 // testConfig keeps the shape tests quick; the full-scale runs live in
@@ -237,6 +240,56 @@ func testFigure89Shape(t *testing.T, fig *metrics.Figure) {
 	mid, _ := yAt(user, 150)
 	if uy-mid > 0.15 {
 		t.Errorf("%s: user-query curve still climbing steeply: %.3f -> %.3f", fig.ID, mid, uy)
+	}
+}
+
+// TestUserWindow: a query hits once a query containing it is cached, the
+// oldest query leaves a full window, caching a cached query again is a
+// no-op, and each containment decision the window makes is one of the
+// checker it shares with its node's replica.
+func TestUserWindow(t *testing.T) {
+	checker := containment.NewChecker()
+	w := &userWindow{checker: checker, size: 2}
+	serial := func(v string) query.Query {
+		return query.MustNew("", query.ScopeSubtree, "(serialnumber="+v+")")
+	}
+	decisions := func() uint64 {
+		st := checker.Stats()
+		return st.SameTemplate + st.Compiled + st.ImpossiblePruned + st.AlwaysAccepted + st.Fallback
+	}
+	held := func() []string {
+		var filters []string
+		for _, q := range w.queries {
+			filters = append(filters, q.FilterString())
+		}
+		return filters
+	}
+
+	if w.serve(serial("0401")) {
+		t.Fatal("empty window must miss")
+	}
+	if !w.serve(serial("0401")) {
+		t.Fatal("cached query must hit")
+	}
+	if w.serve(serial("0402")) || w.serve(serial("0403")) {
+		t.Fatal("uncached queries must miss")
+	}
+	if got, want := held(), []string{"(serialnumber=0402)", "(serialnumber=0403)"}; !slices.Equal(got, want) {
+		t.Fatalf("window = %v, want %v: the oldest query evicted", got, want)
+	}
+	// Checks: none in the empty window, one for the hit, one against
+	// [0401] and two against [0401 0402].
+	if got := decisions(); got != 4 {
+		t.Errorf("checker decisions = %d, want the window's 4", got)
+	}
+	w.add(serial("0403").Normalize())
+	if got, want := held(), []string{"(serialnumber=0402)", "(serialnumber=0403)"}; !slices.Equal(got, want) {
+		t.Errorf("window after caching 0403 again = %v, want %v", got, want)
+	}
+	// A cached query answers the queries it contains, not only itself.
+	w.add(serial("04*").Normalize())
+	if !w.serve(serial("0499")) {
+		t.Error("query contained in a cached one must hit")
 	}
 }
 
