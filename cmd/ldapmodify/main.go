@@ -2,11 +2,12 @@
 //
 // Writes may land on a replica running with -edge-writes: the replica
 // journals and forwards the op, and a target outside its filters comes back
-// as a referral to the master. ldapmodify chases such referrals itself
-// (bounded by -max-chase, with loop detection), retries transient
-// transport failures (-retry), and bounds each attempt with -timeout. A
-// busy result means the replica accepted and journaled the write but the
-// upstream commit is still pending — the replica's replay loop finishes it.
+// as a referral to the master. ldapmodify chases such referrals through
+// ldapnet.Resolver (at most -max-chase referrals followed, with loop
+// detection), retries transient transport failures (-retry) at each server,
+// and bounds each attempt with -timeout. A busy result means the replica
+// accepted and journaled the write but the upstream commit is still
+// pending — the replica's replay loop finishes it.
 //
 // Usage:
 //
@@ -41,8 +42,8 @@ func (l *kvList) Set(v string) error {
 }
 
 // netOptions bounds one write's networking: per-attempt dial/operation
-// timeout, transient-failure retries per server, and the referral-chain
-// hop limit.
+// timeout, transient-failure retries per server, and the number of
+// referrals followed.
 type netOptions struct {
 	timeout  time.Duration
 	retry    int
@@ -59,7 +60,7 @@ func main() {
 	var n netOptions
 	flag.DurationVar(&n.timeout, "timeout", 5*time.Second, "dial and per-operation timeout (0 = none)")
 	flag.IntVar(&n.retry, "retry", 2, "transient-failure retries per server")
-	flag.IntVar(&n.maxChase, "max-chase", ldapnet.DefaultMaxChase, "referral-chain hop bound")
+	flag.IntVar(&n.maxChase, "max-chase", ldapnet.DefaultMaxChase, "referrals followed at most (0 = default)")
 	var replaces, adds, deletes kvList
 	flag.Var(&replaces, "replace", "attr=value to replace (repeatable)")
 	flag.Var(&adds, "add", "attr=value to add (repeatable)")
@@ -78,8 +79,8 @@ func split(kv string) (string, string) {
 }
 
 // buildOp translates the flags into a single write closure plus its success
-// message, so the chase/retry loop can re-run it verbatim on every server
-// in a referral chain.
+// message, so the retry loop can re-run it verbatim on every server in a
+// referral chain.
 func buildOp(dnStr string, del, addEntry bool, rename, newSuperior string,
 	replaces, adds, deletes kvList) (func(c *filterdir.Client) error, string, error) {
 	if dnStr == "" {
@@ -157,63 +158,32 @@ func run(host, dnStr string, del, addEntry bool, rename, newSuperior string,
 	if err != nil {
 		return err
 	}
-	chased, err := chase(host, apply, n)
+	r := ldapnet.NewResolver()
+	r.MaxDepth = n.maxChase
+	var chain []string
+	err = r.Chase(host, func(addr string) error {
+		chain = append(chain, addr)
+		err := attempt(addr, apply, n)
+		var re *ldapnet.ResultError
+		if errors.As(err, &re) && re.Code == proto.ResultBusy {
+			// The replica journaled the op durably; its replay loop will
+			// finish the upstream commit. Not a failure.
+			fmt.Printf("accepted at %s; upstream commit pending (journaled, will replay)\n", addr)
+			return nil
+		}
+		if err != nil && len(chain) > 1 {
+			return fmt.Errorf("%w (chain %s)", err, strings.Join(chain, " -> "))
+		}
+		return err
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Println(okMsg)
-	if len(chased) > 1 {
-		fmt.Printf("via %s\n", strings.Join(chased, " -> "))
+	if len(chain) > 1 {
+		fmt.Printf("via %s\n", strings.Join(chain, " -> "))
 	}
 	return nil
-}
-
-// chase runs the write against host, following referral results to the
-// named server until one accepts, a (visited) server repeats, or the hop
-// bound is hit. It returns the chain of servers visited, in order; on
-// failure the error renders the chain so a misrouted write is debuggable.
-func chase(host string, apply func(c *filterdir.Client) error, n netOptions) ([]string, error) {
-	visited := make(map[string]bool)
-	var chain []string
-	addr := host
-	for {
-		if len(chain) >= n.maxChase {
-			return chain, fmt.Errorf("referral chain exceeds %d hops: %s",
-				n.maxChase, strings.Join(append(chain, addr), " -> "))
-		}
-		if visited[addr] {
-			return chain, fmt.Errorf("referral loop: %s -> %s",
-				strings.Join(chain, " -> "), addr)
-		}
-		visited[addr] = true
-		chain = append(chain, addr)
-
-		err := attempt(addr, apply, n)
-		if err == nil {
-			return chain, nil
-		}
-		var re *ldapnet.ResultError
-		if errors.As(err, &re) {
-			switch {
-			case re.Code == proto.ResultReferral && len(re.Referrals) > 0:
-				next, _, perr := ldapnet.ParseURL(re.Referrals[0])
-				if perr != nil {
-					return chain, fmt.Errorf("%s referred to unusable URL %q: %w", addr, re.Referrals[0], perr)
-				}
-				addr = next
-				continue
-			case re.Code == proto.ResultBusy:
-				// The replica journaled the op durably; its replay loop will
-				// finish the upstream commit. Not a failure.
-				fmt.Printf("accepted at %s; upstream commit pending (journaled, will replay)\n", addr)
-				return chain, nil
-			}
-		}
-		if len(chain) > 1 {
-			return chain, fmt.Errorf("%w (chain %s)", err, strings.Join(chain, " -> "))
-		}
-		return chain, err
-	}
 }
 
 // attempt runs the write once against addr, redialing and retrying up to

@@ -28,8 +28,8 @@ func main() {
 	base := flag.String("b", "", "search base DN")
 	scopeStr := flag.String("s", "sub", "scope: base, one, sub")
 	sortAttr := flag.String("sort", "", "server-side sort attribute (prefix '-' for descending)")
-	chase := flag.Bool("chase", false, "chase referrals (register the referred host as the same address)")
-	maxChase := flag.Int("max-chase", 0, "referral chain hop bound when chasing (0 = default)")
+	chase := flag.Bool("chase", false, "chase referrals (a referral URL's host is dialed as an address)")
+	maxChase := flag.Int("max-chase", 0, "referrals followed at most when chasing (0 = default)")
 	page := flag.Int("page", 0, "RFC 2696 paged results with this page size (0 = off)")
 	limit := flag.Int("z", 0, "size limit (0 = unlimited)")
 	flag.Parse()
@@ -61,11 +61,6 @@ func run(host, base, scopeStr, filterStr, sortAttr string, chase bool, maxChase,
 		r := ldapnet.NewResolver()
 		r.MaxDepth = maxChase
 		defer r.Close()
-		// Without a directory of hosts, referred symbolic hosts resolve to
-		// the contacted server's address; register common names too.
-		for _, h := range []string{"master", "hostA", "hostB", "hostC", host} {
-			r.Register(h, host)
-		}
 		res, err = r.SearchChasing(host, q)
 		if errors.Is(err, ldapnet.ErrReferralLoop) {
 			return fmt.Errorf("%w (the contacted servers refer this query to each other; it cannot complete anywhere — check the topology or query a server that holds the content)", err)

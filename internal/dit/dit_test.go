@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -579,9 +580,39 @@ func TestMatchAllScope(t *testing.T) {
 	}
 }
 
+// TestIndexedSearchMatchesScan pins the search region on a DIT holding
+// referral objects: an indexed store answers every query, scope and base
+// with the same entries, in the same order, and the same referrals as a
+// store without indexes. Entries below a referral and a referral below
+// another are outside every region.
 func TestIndexedSearchMatchesScan(t *testing.T) {
-	plain := buildSmallDIT(t)
-	indexed := buildSmallDIT(t, WithIndexes("serialnumber", "sn", "mail"))
+	withReferrals := func(opts ...Option) *Store {
+		st := buildSmallDIT(t, opts...)
+		for _, e := range []*entry.Entry{
+			entry.New(dn.MustParse("ou=labs,c=us,o=xyz")).
+				Put("objectclass", ReferralClass).Put(RefAttr, "ldap://hostB/ou=labs,c=us,o=xyz"),
+			entry.New(dn.MustParse("cn=Lab Doe,ou=labs,c=us,o=xyz")).
+				Put("objectclass", "person").Put("cn", "Lab Doe").Put("sn", "Doe").Put("serialNumber", "0458"),
+			entry.New(dn.MustParse("ou=deep,ou=labs,c=us,o=xyz")).
+				Put("objectclass", ReferralClass).Put(RefAttr, "ldap://hostD/ou=deep,ou=labs,c=us,o=xyz"),
+			entry.New(dn.MustParse("c=in,o=xyz")).
+				Put("objectclass", ReferralClass).Put(RefAttr, "ldap://hostC/c=in,o=xyz"),
+		} {
+			if err := st.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	plain := withReferrals()
+	indexed := withReferrals(WithIndexes("serialnumber", "sn", "mail"))
+	render := func(res *Result) string {
+		var b strings.Builder
+		for _, e := range res.Entries {
+			b.WriteString(e.DN().String() + "; ")
+		}
+		return b.String() + "refs " + strings.Join(res.Referrals, " ")
+	}
 	queries := []string{
 		"(serialnumber=0456)",
 		"(serialnumber=04*)",
@@ -590,12 +621,36 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 		"(|(sn=Doe)(sn=Miller))",
 		"(mail=*@us.xyz.com)",
 		"(&(objectclass=person)(serialnumber=05*))",
+		"(objectclass=*)",
 	}
-	for _, f := range queries {
-		a := mustSearch(t, plain, "o=xyz", query.ScopeSubtree, f)
-		b := mustSearch(t, indexed, "o=xyz", query.ScopeSubtree, f)
-		if len(a.Entries) != len(b.Entries) {
-			t.Errorf("filter %s: scan=%d indexed=%d", f, len(a.Entries), len(b.Entries))
+	for _, base := range []string{"o=xyz", "c=us,o=xyz", "ou=labs,c=us,o=xyz"} {
+		for _, scope := range []query.Scope{query.ScopeBase, query.ScopeSingleLevel, query.ScopeSubtree} {
+			for _, f := range queries {
+				a := render(mustSearch(t, plain, base, scope, f))
+				b := render(mustSearch(t, indexed, base, scope, f))
+				if a != b {
+					t.Errorf("base %s scope %v filter %s:\n plain   %s\n indexed %s", base, scope, f, a, b)
+				}
+			}
+		}
+	}
+	// The region itself: John Doe, not Lab Doe below ou=labs; the two
+	// referrals the suffix reaches, not ou=deep below ou=labs; a referral
+	// base is its own URL.
+	for _, c := range []struct {
+		base  string
+		scope query.Scope
+		f     string
+		want  string
+	}{
+		{"o=xyz", query.ScopeSubtree, "(sn=Doe)",
+			"cn=John Doe,ou=research,c=us,o=xyz; refs ldap://hostB/ou=labs,c=us,o=xyz ldap://hostC/c=in,o=xyz"},
+		{"c=us,o=xyz", query.ScopeSingleLevel, "(objectclass=*)",
+			"cn=Fred Jones,c=us,o=xyz; ou=research,c=us,o=xyz; refs ldap://hostB/ou=labs,c=us,o=xyz"},
+		{"ou=labs,c=us,o=xyz", query.ScopeSubtree, "(sn=Doe)", "refs ldap://hostB/ou=labs,c=us,o=xyz"},
+	} {
+		if got := render(mustSearch(t, indexed, c.base, c.scope, c.f)); got != c.want {
+			t.Errorf("base %s scope %v filter %s = %s, want %s", c.base, c.scope, c.f, got, c.want)
 		}
 	}
 }

@@ -239,12 +239,6 @@ func (v *view) get(norm string) (*entry.Entry, bool) {
 	return e, ok
 }
 
-// childrenOf returns the child-norm set of a parent (routed by the parent's
-// norm; child links live on the parent's shard).
-func (v *view) childrenOf(parentNorm string) map[string]bool {
-	return v.stateFor(parentNorm).children[parentNorm]
-}
-
 func (v *view) len() int {
 	n := 0
 	for _, st := range v.states {

@@ -87,13 +87,13 @@ func TestSnapshotImmutableUnderCommits(t *testing.T) {
 					defer readers.Done()
 					for round := 0; round < 20; round++ {
 						v := st.freeze()
-						entries := v.scan(q, q.Filter)
+						entries := v.candidates(q, q.Filter, nil, false, nil)
 						fp := make([]string, len(entries))
 						for i, e := range entries {
 							fp[i] = e.String()
 						}
 						for check := 0; check < 10; check++ {
-							again := v.scan(q, q.Filter)
+							again := v.candidates(q, q.Filter, nil, false, nil)
 							if len(again) != len(fp) {
 								t.Errorf("frozen view at CSN %d changed size: %d -> %d entries",
 									v.csn, len(fp), len(again))

@@ -300,38 +300,19 @@ func (s *Store) Search(q query.Query) (*Result, error) {
 		res.Referrals = append(res.Referrals, baseEntry.Values(RefAttr)...)
 		return res, nil
 	}
-
-	if indexed {
-		for _, norm := range cands {
-			e, ok := v.get(norm)
-			if !ok {
-				continue
-			}
-			if !q.InScope(e.DN()) || v.crossesReferral(q.Base, e.DN()) {
-				continue
-			}
-			if e.HasObjectClass(ReferralClass) {
-				continue // surfaced via the referral registry below
-			}
-			if f.Matches(e) {
-				res.Entries = append(res.Entries, e.Select(q.Attrs))
-			}
+	// The region: in scope and, on a view holding referral objects, neither
+	// a referral nor below one, reached from the base through held parents.
+	// On a view without any (the common case) the scope alone decides, as
+	// in MatchAll.
+	var keep func(e *entry.Entry) bool
+	if !v.referralFree() {
+		keep = func(e *entry.Entry) bool {
+			return !e.HasObjectClass(ReferralClass) && v.pathClear(q.Base, e.DN())
 		}
 		v.collectReferrals(q, res)
-		sortResult(res)
-		return res, nil
+		sort.Strings(res.Referrals)
 	}
-
-	if v.referralFree() {
-		// No referral anywhere in the view: the walk's referral pruning and
-		// reachability checks are vacuous (a consistent store has no
-		// orphans), so region membership reduces to the scope check and the
-		// scan can fan out across shards.
-		res.Entries = v.scan(q, f)
-		return res, nil
-	}
-	v.walkRegion(q, baseEntry, res, f)
-	sortResult(res)
+	res.Entries = v.candidates(q, f, cands, indexed, keep)
 	return res, nil
 }
 
@@ -346,79 +327,23 @@ func (v *view) referralFree() bool {
 	return true
 }
 
-func sortResult(res *Result) {
-	sortEntries(res.Entries)
-	sort.Strings(res.Referrals)
-}
-
 func sortEntries(es []*entry.Entry) {
 	sort.Slice(es, func(i, j int) bool { return es[i].DN().Norm() < es[j].DN().Norm() })
 }
 
-// walkRegion scans the base/scope region, collecting matches and referrals.
-func (v *view) walkRegion(q query.Query, baseEntry *entry.Entry, res *Result, f *filter.Node) {
-	var visit func(e *entry.Entry, depth int)
-	visit = func(e *entry.Entry, depth int) {
-		if e.HasObjectClass(ReferralClass) && depth > 0 {
-			if q.Scope == query.ScopeSubtree || (q.Scope == query.ScopeSingleLevel && depth == 1) {
-				res.Referrals = append(res.Referrals, e.Values(RefAttr)...)
-			}
-			return
-		}
-		inRegion := false
-		switch q.Scope {
-		case query.ScopeBase:
-			inRegion = depth == 0
-		case query.ScopeSingleLevel:
-			inRegion = depth == 1
-		case query.ScopeSubtree:
-			inRegion = true
-		}
-		if inRegion && f.Matches(e) {
-			res.Entries = append(res.Entries, e.Select(q.Attrs))
-		}
-		if q.Scope == query.ScopeBase && depth == 0 {
-			return
-		}
-		if q.Scope == query.ScopeSingleLevel && depth >= 1 {
-			return
-		}
-		for childNorm := range v.childrenOf(e.DN().Norm()) {
-			if c, ok := v.get(childNorm); ok {
-				visit(c, depth+1)
-			}
-		}
-	}
-	visit(baseEntry, 0)
-}
-
-// collectReferrals surfaces referral objects in the region on the
-// index-assisted path, which does not walk the tree. Instead of the old
-// full-region walk it consults the per-shard referral registries —
-// O(referrals·depth), not O(entries) — preserving the walk's semantics: a
-// referral counts only when reachable from the base through a complete,
-// referral-free chain of parents.
+// collectReferrals surfaces the referral objects of the region from the
+// per-shard referral registries — O(referrals·depth), not O(entries): a
+// referral counts when it is in scope below the base and reached from it
+// through held, non-referral parents.
 func (v *view) collectReferrals(q query.Query, res *Result) {
 	if q.Scope == query.ScopeBase {
 		return
 	}
 	baseNorm := q.Base.Norm()
-	baseDepth := q.Base.Depth()
 	for _, st := range v.states {
 		for norm := range st.referrals {
 			e, ok := st.entries[norm]
-			if !ok {
-				continue
-			}
-			d := e.DN()
-			if !q.Base.IsSuffix(d) || d.Norm() == baseNorm {
-				continue
-			}
-			depth := d.Depth() - baseDepth
-			if q.Scope == query.ScopeSingleLevel && depth != 1 {
-				continue
-			}
-			if !v.pathClear(q.Base, d) {
+			if !ok || norm == baseNorm || !q.InScope(e.DN()) || !v.pathClear(q.Base, e.DN()) {
 				continue
 			}
 			res.Referrals = append(res.Referrals, e.Values(RefAttr)...)
@@ -427,8 +352,7 @@ func (v *view) collectReferrals(q query.Query, res *Result) {
 }
 
 // pathClear reports whether every strict intermediate between base and
-// target exists and is not itself a referral (the walk would have stopped
-// at a missing link or an interposed referral).
+// target exists and is not itself a referral.
 func (v *view) pathClear(base, target dn.DN) bool {
 	cur := target
 	for {
@@ -445,27 +369,6 @@ func (v *view) pathClear(base, target dn.DN) bool {
 		}
 		cur = parent
 	}
-}
-
-// crossesReferral reports whether the path from base down to target passes
-// through a referral object (the target then belongs to a subordinate
-// context, not to this store's region).
-func (v *view) crossesReferral(base, target dn.DN) bool {
-	cur := target
-	for !cur.Equal(base) {
-		parent, ok := cur.Parent()
-		if !ok {
-			return false
-		}
-		if e, ok := v.get(parent.Norm()); ok && e.HasObjectClass(ReferralClass) {
-			return true
-		}
-		cur = parent
-		if cur.Depth() < base.Depth() {
-			return false
-		}
-	}
-	return false
 }
 
 // MatchAll evaluates a query against the store without anchoring at the
@@ -495,21 +398,7 @@ func (s *Store) Snapshot(q query.Query) (CSN, []*entry.Entry) {
 func (s *Store) match(q query.Query) (CSN, []*entry.Entry) {
 	f := queryFilter(q)
 	v, cands, indexed := s.indexedView(f)
-	if !indexed {
-		return v.csn, v.scan(q, f)
-	}
-	var out []*entry.Entry
-	for _, norm := range cands {
-		e, ok := v.get(norm)
-		if !ok {
-			continue
-		}
-		if q.InScope(e.DN()) && f.Matches(e) {
-			out = append(out, e.Select(q.Attrs))
-		}
-	}
-	sortEntries(out)
-	return v.csn, out
+	return v.csn, v.candidates(q, f, cands, indexed, nil)
 }
 
 // queryFilter is q's filter, (objectclass=*) when it has none.
@@ -524,19 +413,30 @@ func queryFilter(q query.Query) *filter.Node {
 // across shards.
 const parallelScanThreshold = 2048
 
-// scan returns the view's entries in q's scope matching f, in DN order.
-func (v *view) scan(q query.Query, f *filter.Node) []*entry.Entry {
-	var out []*entry.Entry
+// candidates is the one candidate pass of Search, MatchAll and Snapshot: the
+// entries in q's scope that match f and that keep (nil: every one) admits,
+// attribute-selected and in DN order. The candidates are the index's when
+// indexed, else every entry of the view, scanned shard by shard.
+func (v *view) candidates(q query.Query, f *filter.Node, cands []string, indexed bool,
+	keep func(e *entry.Entry) bool) []*entry.Entry {
 	scan := func(st *shardState) []*entry.Entry {
 		var part []*entry.Entry
 		for _, e := range st.entries {
-			if q.InScope(e.DN()) && f.Matches(e) {
+			if q.InScope(e.DN()) && (keep == nil || keep(e)) && f.Matches(e) {
 				part = append(part, e.Select(q.Attrs))
 			}
 		}
 		return part
 	}
-	if len(v.states) > 1 && v.len() >= parallelScanThreshold {
+	var out []*entry.Entry
+	switch {
+	case indexed:
+		for _, norm := range cands {
+			if e, ok := v.get(norm); ok && q.InScope(e.DN()) && (keep == nil || keep(e)) && f.Matches(e) {
+				out = append(out, e.Select(q.Attrs))
+			}
+		}
+	case len(v.states) > 1 && v.len() >= parallelScanThreshold:
 		// Frozen states are immutable, so shards scan concurrently with no
 		// coordination beyond the final merge.
 		parts := make([][]*entry.Entry, len(v.states))
@@ -552,7 +452,7 @@ func (v *view) scan(q query.Query, f *filter.Node) []*entry.Entry {
 		for _, p := range parts {
 			out = append(out, p...)
 		}
-	} else {
+	default:
 		for _, st := range v.states {
 			out = append(out, scan(st)...)
 		}

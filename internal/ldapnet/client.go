@@ -674,9 +674,10 @@ func (st *Stream) Close() {
 
 // --- Referral chasing ----------------------------------------------------------
 
-// Resolver chases referrals across a set of named servers, reproducing the
-// distributed operation processing of Figure 2. Host names in LDAP URLs are
-// mapped to TCP addresses via the registry.
+// Resolver is the one referral follower, for searches and writes alike,
+// reproducing the distributed operation processing of Figure 2. A URL's
+// host is looked up in the registry and, when not registered, dialed as an
+// address.
 type Resolver struct {
 	// MaxDepth bounds referral chains (0 = DefaultMaxChase). A cascaded
 	// topology makes long chains legitimate (leaf → mid → master), so the
@@ -687,6 +688,7 @@ type Resolver struct {
 	mu      sync.Mutex
 	addrs   map[string]string
 	clients map[string]*Client
+	dropped int // round trips of the pooled clients dropped so far
 }
 
 // NewResolver creates a resolver with a host registry.
@@ -694,21 +696,33 @@ func NewResolver() *Resolver {
 	return &Resolver{addrs: make(map[string]string), clients: make(map[string]*Client)}
 }
 
-// Register maps a symbolic host name to a TCP address.
+// Register maps a symbolic host name to a TCP address; the host's pooled
+// connection, if any, is dropped.
 func (r *Resolver) Register(host, addr string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.addrs[host] = addr
+	if c, ok := r.clients[host]; ok {
+		r.dropLocked(host, c)
+	}
 }
 
 // Close closes all pooled client connections.
 func (r *Resolver) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.clients {
-		_ = c.Close()
+	for host, c := range r.clients {
+		r.dropLocked(host, c)
 	}
-	r.clients = make(map[string]*Client)
+}
+
+// addrLocked is the TCP address of host: its registered one, else the host
+// itself. Callers hold r.mu.
+func (r *Resolver) addrLocked(host string) string {
+	if addr, ok := r.addrs[host]; ok {
+		return addr
+	}
+	return host
 }
 
 func (r *Resolver) client(host string) (*Client, error) {
@@ -717,11 +731,7 @@ func (r *Resolver) client(host string) (*Client, error) {
 	if c, ok := r.clients[host]; ok {
 		return c, nil
 	}
-	addr, ok := r.addrs[host]
-	if !ok {
-		return nil, fmt.Errorf("ldap resolver: unknown host %q", host)
-	}
-	c, err := Dial(addr)
+	c, err := Dial(r.addrLocked(host))
 	if err != nil {
 		return nil, err
 	}
@@ -729,11 +739,22 @@ func (r *Resolver) client(host string) (*Client, error) {
 	return c, nil
 }
 
-// RoundTrips sums round trips across all pooled connections.
+// dropLocked closes host's pooled client c, unless it was replaced already.
+func (r *Resolver) dropLocked(host string, c *Client) {
+	if r.clients[host] != c {
+		return
+	}
+	delete(r.clients, host)
+	r.dropped += c.RoundTrips()
+	_ = c.Close()
+}
+
+// RoundTrips sums round trips across all pooled connections, dropped ones
+// included.
 func (r *Resolver) RoundTrips() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
+	n := r.dropped
 	for _, c := range r.clients {
 		n += c.RoundTrips()
 	}
@@ -743,26 +764,78 @@ func (r *Resolver) RoundTrips() int {
 // DefaultMaxChase bounds referral chains when Resolver.MaxDepth is unset.
 const DefaultMaxChase = 16
 
-// ErrReferralLoop marks a referral chain that revisited a (server, query)
-// pair it had already asked: the servers are referring the operation in a
+// ErrReferralLoop marks a referral chain that asked a server a question it
+// had already asked it: the servers are referring the operation in a
 // cycle (e.g. a replica referring to a master that refers back), so no
 // amount of chasing can complete it. The wrapped message names the chain.
 var ErrReferralLoop = errors.New("referral loop detected")
 
 // chaseState is the per-operation loop-detection state threaded through
-// one SearchChasing call: the (host, query) pairs already visited, and the
-// visit order for rendering a useful error.
+// one chase: the (host, question) pairs already asked, and the visit order
+// for rendering a useful error.
 type chaseState struct {
 	visited map[string]bool
 	chain   []string
 }
 
-// chaseKey identifies one (server, query) step of a referral chain. The
-// query is part of the key because subordinate references legitimately
+// chaseKey identifies one (server, question) step of a referral chain; a
+// search's question is its query's key, a single operation's is empty. The
+// question is part of the key because subordinate references legitimately
 // revisit a host with a different base: only re-asking the same question
 // of the same server is a cycle.
-func chaseKey(host string, q query.Query) string {
-	return host + "\x00" + q.Key()
+func chaseKey(host, question string) string {
+	return host + "\x00" + question
+}
+
+func (r *Resolver) maxDepth() int {
+	if r.MaxDepth > 0 {
+		return r.MaxDepth
+	}
+	return DefaultMaxChase
+}
+
+// follow asks host the question and, while the answer is a referral result,
+// asks the server its first URL names (distributed name resolution). Every
+// server asked is one hop of st's chain at one more referral followed than
+// the last, from depth: a hop past MaxDepth, or a (server, question) pair
+// asked before, fails before dialing. It returns the answering hop's depth.
+func (r *Resolver) follow(st *chaseState, host, question string, depth int, ask func(host string) error) (int, error) {
+	for ; ; depth++ {
+		if depth > r.maxDepth() {
+			return depth, fmt.Errorf("ldap resolver: referral chain exceeds %d hops: %s",
+				r.maxDepth(), strings.Join(append(st.chain, host), " -> "))
+		}
+		key := chaseKey(host, question)
+		if st.visited[key] {
+			return depth, fmt.Errorf("ldap resolver: %w: %s revisits %s",
+				ErrReferralLoop, strings.Join(st.chain, " -> "), host)
+		}
+		st.visited[key] = true
+		st.chain = append(st.chain, host)
+		err := ask(host)
+		var re *ResultError
+		if !errors.As(err, &re) || re.Code != proto.ResultReferral || len(re.Referrals) == 0 {
+			return depth, err
+		}
+		if host, _, err = ParseURL(re.Referrals[0]); err != nil {
+			return depth, err
+		}
+	}
+}
+
+// Chase runs one operation at host, calling do with the address of each
+// server to ask in turn: while do returns a referral result, the server its
+// first URL names is asked next, under SearchChasing's visited rule and
+// MaxDepth bound.
+func (r *Resolver) Chase(host string, do func(addr string) error) error {
+	_, err := r.follow(&chaseState{visited: make(map[string]bool)}, host, "", 0,
+		func(host string) error {
+			r.mu.Lock()
+			addr := r.addrLocked(host)
+			r.mu.Unlock()
+			return do(addr)
+		})
+	return err
 }
 
 // SearchChasing evaluates the query starting at the named server, following
@@ -773,45 +846,24 @@ func chaseKey(host string, q query.Query) string {
 // ErrReferralLoop on the first revisit instead of burning the depth
 // budget.
 func (r *Resolver) SearchChasing(host string, q query.Query) (*SearchResult, error) {
-	st := &chaseState{visited: make(map[string]bool)}
-	return r.chase(host, q, 0, st)
+	return r.search(&chaseState{visited: make(map[string]bool)}, host, q, 0)
 }
 
-func (r *Resolver) maxDepth() int {
-	if r.MaxDepth > 0 {
-		return r.MaxDepth
-	}
-	return DefaultMaxChase
-}
-
-func (r *Resolver) chase(host string, q query.Query, depth int, st *chaseState) (*SearchResult, error) {
-	if depth > r.maxDepth() {
-		return nil, fmt.Errorf("ldap resolver: referral chain exceeds %d hops: %s",
-			r.maxDepth(), strings.Join(append(st.chain, host), " -> "))
-	}
-	key := chaseKey(host, q)
-	if st.visited[key] {
-		return nil, fmt.Errorf("ldap resolver: %w: %s revisits %s",
-			ErrReferralLoop, strings.Join(st.chain, " -> "), host)
-	}
-	st.visited[key] = true
-	st.chain = append(st.chain, host)
-	c, err := r.client(host)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Search(q)
-	if err != nil {
-		var re *ResultError
-		if errors.As(err, &re) && re.Code == proto.ResultReferral && len(re.Referrals) > 0 {
-			// Superior referral: resend the same request to the referred
-			// server (distributed name resolution).
-			nextHost, _, perr := ParseURL(re.Referrals[0])
-			if perr != nil {
-				return nil, perr
-			}
-			return r.chase(nextHost, q, depth+1, st)
+func (r *Resolver) search(st *chaseState, host string, q query.Query, depth int) (*SearchResult, error) {
+	var res *SearchResult
+	depth, err := r.follow(st, host, q.Key(), depth, func(host string) error {
+		c, err := r.client(host)
+		if err != nil {
+			return err
 		}
+		if res, err = c.Search(q); IsTransient(err) {
+			r.mu.Lock()
+			r.dropLocked(host, c)
+			r.mu.Unlock()
+		}
+		return err
+	})
+	if err != nil {
 		return res, err
 	}
 	out := &SearchResult{Entries: res.Entries}
@@ -825,7 +877,7 @@ func (r *Resolver) chase(host string, q query.Query, depth int, st *chaseState) 
 		if !refBase.IsRoot() {
 			sub.Base = refBase
 		}
-		subRes, err := r.chase(refHost, sub, depth+1, st)
+		subRes, err := r.search(st, refHost, sub, depth+1)
 		if err != nil {
 			return out, err
 		}
