@@ -6,7 +6,7 @@
 //
 //	ldapsearch -h 127.0.0.1:3890 -b o=xyz -s sub '(serialnumber=1004*)' cn mail
 //	ldapsearch -h 127.0.0.1:3891 -chase -b '' '(location=site001)'
-//	ldapsearch -h 127.0.0.1:3890 -b o=xyz -sort sn '(objectclass=person)'
+//	ldapsearch -h 127.0.0.1:3890 -b o=xyz -sort sn -page 50 '(objectclass=person)'
 package main
 
 import (
@@ -47,6 +47,9 @@ func main() {
 }
 
 func run(host, base, scopeStr, filterStr, sortAttr string, chase bool, maxChase, page, limit int, attrs []string) error {
+	if chase && (sortAttr != "" || page > 0) {
+		return errors.New("-chase cannot be combined with -sort or -page: a chased result spans servers, and neither a sort order nor a paging cookie is defined across them")
+	}
 	scope, err := query.ParseScope(scopeStr)
 	if err != nil {
 		return err
@@ -71,15 +74,15 @@ func run(host, base, scopeStr, filterStr, sortAttr string, chase bool, maxChase,
 			return cerr
 		}
 		defer c.Close()
+		var controls []proto.Control
+		if sortAttr != "" {
+			key := proto.SortKey{Attr: strings.TrimPrefix(sortAttr, "-"), Reverse: strings.HasPrefix(sortAttr, "-")}
+			controls = append(controls, proto.NewSortControl(key))
+		}
 		if page > 0 {
-			res, err = c.SearchPaged(q, page)
+			res, err = c.SearchPaged(q, page, controls...)
 		} else {
-			var controls []proto.Control
-			if sortAttr != "" {
-				key := proto.SortKey{Attr: strings.TrimPrefix(sortAttr, "-"), Reverse: strings.HasPrefix(sortAttr, "-")}
-				controls = append(controls, proto.NewSortControl(key))
-			}
-			res, err = c.SearchWith(q, controls...)
+			res, err = c.Search(q, controls...)
 		}
 	}
 	if err != nil {

@@ -135,7 +135,7 @@ func run() error {
 	fmt.Printf("paged search: %d location entries in pages of 8 (%d round trips)\n",
 		len(paged.Entries), pageClient.RoundTrips())
 
-	sorted, err := pageClient.SearchWith(
+	sorted, err := pageClient.Search(
 		filterdir.MustParseQuery("ou=locations,o=xyz", filterdir.ScopeSubtree, "(objectclass=location)"),
 		filterdir.NewSortControl(filterdir.SortKey{Attr: "location", Reverse: true}))
 	if err != nil {

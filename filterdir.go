@@ -121,7 +121,7 @@ const (
 )
 
 // NewSortControl builds an RFC 2891 server-side sort request control for
-// Client.SearchWith.
+// Client.Search and Client.SearchPaged.
 func NewSortControl(keys ...SortKey) WireControl { return proto.NewSortControl(keys...) }
 
 // Workload and experiments.

@@ -231,7 +231,7 @@ func TestPublicAPIPagedSearch(t *testing.T) {
 		t.Errorf("paged entries = %d, want 6", len(res.Entries))
 	}
 	// Sorted search through the facade helper.
-	sorted, err := c.SearchWith(
+	sorted, err := c.Search(
 		filterdir.MustParseQuery("o=xyz", filterdir.ScopeSubtree, "(objectclass=inetorgperson)"),
 		filterdir.NewSortControl(filterdir.SortKey{Attr: "serialnumber", Reverse: true}))
 	if err != nil {

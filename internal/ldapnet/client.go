@@ -197,16 +197,84 @@ func (c *Client) read(id int64) (*proto.Message, error) {
 	}
 }
 
-// Search runs a search and collects the streamed results. A referral result
-// code surfaces as a *ResultError carrying the referral URLs together with
-// the partial result.
-func (c *Client) Search(q query.Query) (*SearchResult, error) {
-	return c.SearchWith(q)
+// resultOp is an LDAPResult-bodied response: the whole answer to a bind or an
+// update, the SearchDone that closes a search or a ReSync exchange.
+type resultOp interface {
+	proto.Op
+	LDAPResult() *proto.Result
 }
 
-// SearchWith runs a search with request controls attached (e.g. the
-// RFC 2891 server-side sort control).
-func (c *Client) SearchWith(q query.Query, controls ...proto.Control) (*SearchResult, error) {
+// resultError is the error a response's result stands for: nil on success,
+// else a *ResultError carrying the result's referrals.
+func resultError(r *proto.Result) error {
+	if r.Code == proto.ResultSuccess {
+		return nil
+	}
+	return &ResultError{Code: r.Code, Message: r.Message, Referrals: r.Referrals}
+}
+
+// exchange is the one request path: it sends op with its controls and reads
+// that message ID's messages, handing each one before the result-bearing one
+// to each (nil when the op is answered by its result alone). It returns the
+// closing message, and its result as an error when that is not success.
+func (c *Client) exchange(op proto.Op, each func(*proto.Message) error, controls ...proto.Control) (*proto.Message, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id, err := c.send(op, controls...)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		m, err := c.read(id)
+		if err != nil {
+			return nil, err
+		}
+		// An entry, the bulk of a search or a reload, is tested first.
+		if _, entry := m.Op.(*proto.SearchEntry); !entry {
+			if r, ok := m.Op.(resultOp); ok {
+				return m, resultError(r.LDAPResult())
+			}
+		}
+		if each == nil {
+			return nil, fmt.Errorf("ldap: unexpected response %T", m.Op)
+		}
+		if err := each(m); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// detach sends op and hands the reading of its answer to the caller, outside
+// the client lock, so a concurrent Close can cancel it: the read deadline is
+// cleared (the next exchange arms it afresh) and next returns the op's
+// messages, each read under a deadline of idle when idle is positive.
+func (c *Client) detach(op proto.Op, control proto.Control, idle time.Duration) (next func() (*proto.Message, error), err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id, err := c.send(op, control)
+	if err != nil {
+		return nil, err
+	}
+	_ = c.conn.SetReadDeadline(time.Time{})
+	c.readDeadline.at = time.Time{}
+	return func() (*proto.Message, error) {
+		for {
+			if idle > 0 {
+				_ = c.conn.SetReadDeadline(time.Now().Add(idle))
+			}
+			m, err := proto.ReadMessage(c.r)
+			if err != nil || m.ID == id {
+				return m, err
+			}
+		}
+	}, nil
+}
+
+// Search runs a search with request controls attached (e.g. the RFC 2891
+// server-side sort control) and collects the streamed results. A referral
+// result code surfaces as a *ResultError carrying the referral URLs together
+// with the partial result.
+func (c *Client) Search(q query.Query, controls ...proto.Control) (*SearchResult, error) {
 	res, _, err := c.search(q, controls...)
 	return res, err
 }
@@ -216,32 +284,19 @@ func (c *Client) SearchWith(q query.Query, controls ...proto.Control) (*SearchRe
 // what the request's controls asked for (e.g. the paging cookie); on an
 // error the partial result is returned with it.
 func (c *Client) search(q query.Query, controls ...proto.Control) (res *SearchResult, done *proto.Message, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(&proto.SearchRequest{Query: q}, controls...)
-	if err != nil {
-		return nil, nil, err
-	}
 	res = &SearchResult{}
-	for {
-		m, err := c.read(id)
-		if err != nil {
-			return res, nil, err
-		}
+	done, err = c.exchange(&proto.SearchRequest{Query: q}, func(m *proto.Message) error {
 		switch op := m.Op.(type) {
 		case *proto.SearchEntry:
 			res.Entries = append(res.Entries, op.Entry)
 		case *proto.SearchReference:
 			res.Referrals = append(res.Referrals, op.URLs...)
-		case *proto.SearchDone:
-			if op.Code != proto.ResultSuccess {
-				return res, nil, &ResultError{Code: op.Code, Message: op.Message, Referrals: op.Referrals}
-			}
-			return res, m, nil
 		default:
-			return res, nil, fmt.Errorf("ldap search: unexpected response %T", m.Op)
+			return fmt.Errorf("ldap search: unexpected response %T", m.Op)
 		}
-	}
+		return nil
+	}, controls...)
+	return res, done, err
 }
 
 // WatchFilters blocks until the server can serve q as a sync spec (the
@@ -250,71 +305,42 @@ func (c *Client) search(q query.Query, controls ...proto.Control) (res *SearchRe
 // dedicated client; Close from another goroutine cancels it. A server that
 // does not support the control answers unwillingToPerform at once.
 func (c *Client) WatchFilters(q query.Query) error {
-	c.mu.Lock()
-	id, err := c.send(&proto.SearchRequest{Query: q}, proto.NewFiltersWatchControl())
+	next, err := c.detach(&proto.SearchRequest{Query: q}, proto.NewFiltersWatchControl(), 0)
 	if err != nil {
-		c.mu.Unlock()
 		return err
 	}
-	// Clear the read deadline for the watch's duration (the next exchange
-	// sets it afresh) and read outside the client lock, so a concurrent
-	// Close can cancel the wait.
-	_ = c.conn.SetReadDeadline(time.Time{})
-	c.readDeadline.at = time.Time{}
-	r := c.r
-	c.mu.Unlock()
 	for {
-		m, err := proto.ReadMessage(r)
+		m, err := next()
 		if err != nil {
 			return err
 		}
-		if m.ID != id {
-			continue
+		if done, ok := m.Op.(*proto.SearchDone); ok {
+			return resultError(done.LDAPResult())
 		}
-		done, ok := m.Op.(*proto.SearchDone)
-		if !ok {
-			continue
-		}
-		if done.Code != proto.ResultSuccess {
-			return &ResultError{Code: done.Code, Message: done.Message, Referrals: done.Referrals}
-		}
-		return nil
 	}
 }
 
-// SearchPaged runs a search with RFC 2696 simple paged results, fetching
-// pageSize entries per round trip until the server reports completion.
-func (c *Client) SearchPaged(q query.Query, pageSize int) (*SearchResult, error) {
+// SearchPaged runs a search with RFC 2696 simple paged results and any other
+// request controls (e.g. a sort), fetching pageSize entries per round trip
+// until the server reports completion.
+func (c *Client) SearchPaged(q query.Query, pageSize int, controls ...proto.Control) (*SearchResult, error) {
 	out := &SearchResult{}
 	cookie := ""
 	for {
-		res, done, next, err := c.searchPage(q, pageSize, cookie)
+		res, done, err := c.search(q, append([]proto.Control{proto.NewPagedControl(int64(pageSize), cookie)}, controls...)...)
+		out.Entries = append(out.Entries, res.Entries...)
+		out.Referrals = append(out.Referrals, res.Referrals...)
 		if err != nil {
 			return out, err
 		}
-		out.Entries = append(out.Entries, res.Entries...)
-		out.Referrals = append(out.Referrals, res.Referrals...)
-		if done {
+		pc, ok := done.Control(proto.OIDPagedResults)
+		if !ok {
 			return out, nil
 		}
-		cookie = next
+		if _, cookie, err = proto.ParsePaged(pc); err != nil || cookie == "" {
+			return out, err
+		}
 	}
-}
-
-func (c *Client) searchPage(q query.Query, pageSize int, cookie string) (*SearchResult, bool, string, error) {
-	res, done, err := c.search(q, proto.NewPagedControl(int64(pageSize), cookie))
-	if err != nil {
-		return res, false, "", err
-	}
-	pc, ok := done.Control(proto.OIDPagedResults)
-	if !ok {
-		return res, true, "", nil
-	}
-	_, next, err := proto.ParsePaged(pc)
-	if err != nil {
-		return res, false, "", err
-	}
-	return res, next == "", next, nil
 }
 
 // Sync performs one ReSync exchange: an empty cookie begins a session, a
@@ -354,40 +380,29 @@ func (c *Client) SyncResume(tok proto.ResumeToken) (*resync.PollResult, error) {
 // syncExchange runs one ReSync request/response cycle with the given
 // controls.
 func (c *Client) syncExchange(q query.Query, controls ...proto.Control) (*resync.PollResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(&proto.SearchRequest{Query: q}, controls...)
-	if err != nil {
-		return nil, err
-	}
 	res := &resync.PollResult{}
-	for {
-		m, err := c.read(id)
+	done, err := c.exchange(&proto.SearchRequest{Query: q}, func(m *proto.Message) error {
+		op, ok := m.Op.(*proto.SearchEntry)
+		if !ok {
+			return fmt.Errorf("ldap sync: unexpected response %T", m.Op)
+		}
+		u, _, err := decodeUpdate(m, op)
 		if err != nil {
-			return res, err
+			return err
 		}
-		switch op := m.Op.(type) {
-		case *proto.SearchEntry:
-			u, _, err := decodeUpdate(m, op)
-			if err != nil {
-				return res, err
-			}
-			res.Updates = append(res.Updates, u)
-		case *proto.SearchDone:
-			return res, syncDone(m, op, res)
-		default:
-			return res, fmt.Errorf("ldap sync: unexpected response %T", m.Op)
-		}
+		res.Updates = append(res.Updates, u)
+		return nil
+	}, controls...)
+	if err != nil {
+		return res, err
 	}
+	return res, syncDone(done, res)
 }
 
-// syncDone reads the SearchDone that ends a ReSync exchange into res: its
-// result, then the cookie, reload flag and CSN of its done control and the
-// resume token of a chunk.
-func syncDone(m *proto.Message, op *proto.SearchDone, res *resync.PollResult) error {
-	if op.Code != proto.ResultSuccess {
-		return &ResultError{Code: op.Code, Message: op.Message, Referrals: op.Referrals}
-	}
+// syncDone reads the done control of a successful ReSync exchange's closing
+// message into res: the cookie, reload flag and CSN, and the resume token of
+// a chunk.
+func syncDone(m *proto.Message, res *resync.PollResult) error {
 	if dc, ok := m.Control(proto.OIDReSyncDone); ok {
 		var err error
 		if res.Cookie, res.FullReload, res.CSN, err = proto.ParseReSyncDone(dc); err != nil {
@@ -406,21 +421,9 @@ func syncDone(m *proto.Message, op *proto.SearchDone, res *resync.PollResult) er
 
 // End terminates a session.
 func (c *Client) End(cookie string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(&proto.SearchRequest{Query: query.Query{Scope: query.ScopeBase}},
+	_, err := c.exchange(&proto.SearchRequest{Query: query.Query{Scope: query.ScopeBase}}, nil,
 		proto.NewReSyncRequestControl(proto.ReSyncModeSyncEnd, cookie))
-	if err != nil {
-		return err
-	}
-	m, err := c.read(id)
-	if err != nil {
-		return err
-	}
-	if done, ok := m.Op.(*proto.SearchDone); ok && done.Code != proto.ResultSuccess {
-		return &ResultError{Code: done.Code, Message: done.Message}
-	}
-	return nil
+	return err
 }
 
 // decodeUpdate reads one update PDU of a ReSync response, with its
@@ -496,22 +499,9 @@ func (c *Client) ModifyDN(old dn.DN, newRDN dn.RDN, newSuperior dn.DN) error {
 // assigned (or previously assigned: duplicate reports a dedup hit from an
 // earlier forward of the same op id).
 func (c *Client) EdgeWrite(op proto.Op, opID string) (csn uint64, duplicate bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(op, proto.NewEdgeWriteControl(opID))
+	m, err := c.exchange(op, nil, proto.NewEdgeWriteControl(opID))
 	if err != nil {
 		return 0, false, err
-	}
-	m, err := c.read(id)
-	if err != nil {
-		return 0, false, err
-	}
-	r, ok := writeResult(m)
-	if !ok {
-		return 0, false, fmt.Errorf("ldap edge write: unexpected response %T", m.Op)
-	}
-	if r.Code != proto.ResultSuccess {
-		return 0, false, &ResultError{Code: r.Code, Message: r.Message, Referrals: r.Referrals}
 	}
 	dc, ok := m.Control(proto.OIDEdgeWriteDone)
 	if !ok {
@@ -520,41 +510,10 @@ func (c *Client) EdgeWrite(op proto.Op, opID string) (csn uint64, duplicate bool
 	return proto.ParseEdgeWriteDone(dc)
 }
 
-// writeResult extracts the Result from any of the four update responses.
-func writeResult(m *proto.Message) (proto.Result, bool) {
-	switch r := m.Op.(type) {
-	case *proto.AddResponse:
-		return r.Result, true
-	case *proto.DelResponse:
-		return r.Result, true
-	case *proto.ModifyResponse:
-		return r.Result, true
-	case *proto.ModifyDNResponse:
-		return r.Result, true
-	}
-	return proto.Result{}, false
-}
-
 // simpleOp sends one update request and maps its response to an error.
 func (c *Client) simpleOp(op proto.Op) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(op)
-	if err != nil {
-		return err
-	}
-	m, err := c.read(id)
-	if err != nil {
-		return err
-	}
-	r, ok := writeResult(m)
-	if !ok {
-		return fmt.Errorf("ldap: unexpected response %T", m.Op)
-	}
-	if r.Code != proto.ResultSuccess {
-		return &ResultError{Code: r.Code, Message: r.Message, Referrals: r.Referrals}
-	}
-	return nil
+	_, err := c.exchange(op, nil)
+	return err
 }
 
 // --- Persist mode -------------------------------------------------------------
@@ -594,23 +553,15 @@ func (st *Stream) Err() error { return st.err }
 // for longer ends the stream — and zero leaves the stream without one (a
 // stream legitimately sits quiet between changes).
 func (c *Client) Persist(q query.Query, cookie string, idleTimeout time.Duration) (*Stream, error) {
-	c.mu.Lock()
-	id, err := c.send(&proto.SearchRequest{Query: q},
-		proto.NewReSyncRequestControl(proto.ReSyncModePersist, cookie))
+	next, err := c.detach(&proto.SearchRequest{Query: q},
+		proto.NewReSyncRequestControl(proto.ReSyncModePersist, cookie), idleTimeout)
 	if err != nil {
-		c.mu.Unlock()
 		return nil, err
 	}
-	// The stream reads outside the client lock, so a concurrent Close can
-	// cancel it, and under its own deadline; the next exchange arms the
-	// client's afresh.
-	_ = c.conn.SetReadDeadline(time.Time{})
-	c.readDeadline.at = time.Time{}
-	c.mu.Unlock()
 	ch := make(chan *resync.PollResult, streamBuffer)
 	st := &Stream{Batches: ch, client: c}
 	go func() {
-		st.err = st.read(id, cookie, idleTimeout, ch)
+		st.err = st.read(next, cookie, ch)
 		close(ch)
 	}()
 	return st, nil
@@ -623,20 +574,13 @@ func (c *Client) Persist(q query.Query, cookie string, idleTimeout time.Duration
 // that ends the stream drops a batch it cut short, since a consumer must
 // never apply part of one; a poll answer is delivered whole and ends the
 // stream.
-func (st *Stream) read(id int64, cookie string, idleTimeout time.Duration, ch chan<- *resync.PollResult) error {
-	c := st.client
+func (st *Stream) read(next func() (*proto.Message, error), cookie string, ch chan<- *resync.PollResult) error {
 	session, _, _ := resync.SplitCookie(cookie)
 	res := &resync.PollResult{}
 	for {
-		if idleTimeout > 0 {
-			_ = c.conn.SetReadDeadline(time.Now().Add(idleTimeout))
-		}
-		m, err := proto.ReadMessage(c.r)
+		m, err := next()
 		if err != nil {
 			return err
-		}
-		if m.ID != id {
-			continue
 		}
 		switch op := m.Op.(type) {
 		case *proto.SearchEntry:
@@ -654,10 +598,13 @@ func (st *Stream) read(id int64, cookie string, idleTimeout time.Duration, ch ch
 				res = &resync.PollResult{}
 			}
 		case *proto.SearchDone:
-			if err := syncDone(m, op, res); err != nil || !res.FullReload && res.Resume == nil {
+			if err := resultError(op.LDAPResult()); err != nil {
+				return err
+			}
+			if err := syncDone(m, res); err != nil || !res.FullReload && res.Resume == nil {
 				return err // the stream ended
 			}
-			_ = c.conn.SetReadDeadline(time.Time{})
+			_ = st.client.conn.SetReadDeadline(time.Time{})
 			ch <- res
 			return nil
 		}

@@ -3,6 +3,8 @@ package ldapnet
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,7 +25,7 @@ func TestServerSideSort(t *testing.T) {
 
 	q := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)")
 	// Ascending by serialnumber.
-	res, err := c.SearchWith(q, proto.NewSortControl(proto.SortKey{Attr: "serialnumber"}))
+	res, err := c.Search(q, proto.NewSortControl(proto.SortKey{Attr: "serialnumber"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestServerSideSort(t *testing.T) {
 		}
 	}
 	// Descending.
-	res, err = c.SearchWith(q, proto.NewSortControl(proto.SortKey{Attr: "serialnumber", Reverse: true}))
+	res, err = c.Search(q, proto.NewSortControl(proto.SortKey{Attr: "serialnumber", Reverse: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,68 +361,76 @@ func TestPagedSearch(t *testing.T) {
 	}
 }
 
+// TestPagedSearchReferences: a paged search returns the search references
+// an unpaged one does, once, with its last page.
+func TestPagedSearchReferences(t *testing.T) {
+	st, err := dit.NewStore([]string{"o=xyz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*entry.Entry{
+		entry.New(dn.MustParse("o=xyz")).Put("objectclass", "organization").Put("o", "xyz"),
+		entry.New(dn.MustParse("c=us,o=xyz")).Put("objectclass", "country").Put("c", "us"),
+		entry.New(dn.MustParse("cn=fred,c=us,o=xyz")).Put("objectclass", "person").Put("cn", "fred"),
+		entry.New(dn.MustParse("c=in,o=xyz")).Put("objectclass", dit.ReferralClass).Put(dit.RefAttr, "ldap://hostC/c=in,o=xyz"),
+	} {
+		if err := st.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, _ := startServer(t, st)
+	c := dialT(t, srv.Addr())
+	q := query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=*)")
+	plain, err := c.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paged, err := c.SearchPaged(q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dns := func(res *SearchResult) string {
+		var out []string
+		for _, e := range res.Entries {
+			out = append(out, e.DN().Norm())
+		}
+		sort.Strings(out)
+		return strings.Join(out, " ")
+	}
+	if got, want := dns(paged), dns(plain); got != want || len(plain.Entries) != 3 {
+		t.Errorf("paged entries %s, plain %s (want 3)", got, want)
+	}
+	if got, want := fmt.Sprint(paged.Referrals), fmt.Sprint(plain.Referrals); got != want || want != "[ldap://hostC/c=in,o=xyz]" {
+		t.Errorf("paged referrals %s, plain %s", got, want)
+	}
+}
+
 func TestPagedSearchWithSort(t *testing.T) {
 	store := newTestStore(t)
 	srv, _ := startServer(t, store)
 	c := dialT(t, srv.Addr())
 
-	// Page manually with a sort control attached: ordering must follow the
-	// sort key (descending serial), stable across pages.
+	// Page with a sort control attached: ordering must follow the sort key
+	// (descending serial), stable across pages.
 	q := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)")
+	before := c.RoundTrips()
+	res, err := c.SearchPaged(q, 2, proto.NewSortControl(proto.SortKey{Attr: "serialnumber", Reverse: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var all []string
-	cookie := ""
-	for {
-		res, done, next, err := c.searchPageWithSort(q, 2, cookie)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range res.Entries {
-			all = append(all, e.First("serialnumber"))
-		}
-		if done {
-			break
-		}
-		cookie = next
+	for _, e := range res.Entries {
+		all = append(all, e.First("serialnumber"))
 	}
 	if len(all) != 5 {
 		t.Fatalf("entries = %d", len(all))
 	}
+	if got := c.RoundTrips() - before; got != 3 {
+		t.Errorf("round trips = %d, want 3 pages of 2", got)
+	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1] < all[i] {
 			t.Errorf("sorted paging out of order: %v", all)
-		}
-	}
-}
-
-// searchPageWithSort is a test helper driving one page with both controls.
-func (c *Client) searchPageWithSort(q query.Query, pageSize int, cookie string) (*SearchResult, bool, string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(&proto.SearchRequest{Query: q},
-		proto.NewPagedControl(int64(pageSize), cookie),
-		proto.NewSortControl(proto.SortKey{Attr: "serialnumber", Reverse: true}))
-	if err != nil {
-		return nil, false, "", err
-	}
-	res := &SearchResult{}
-	for {
-		m, err := c.read(id)
-		if err != nil {
-			return res, false, "", err
-		}
-		switch op := m.Op.(type) {
-		case *proto.SearchEntry:
-			res.Entries = append(res.Entries, op.Entry)
-		case *proto.SearchDone:
-			pc, ok := m.Control(proto.OIDPagedResults)
-			if !ok {
-				return res, true, "", nil
-			}
-			_, next, err := proto.ParsePaged(pc)
-			if err != nil {
-				return res, false, "", err
-			}
-			return res, next == "", next, nil
 		}
 	}
 }
@@ -430,7 +440,7 @@ func TestPagedSearchBadCookie(t *testing.T) {
 	srv, _ := startServer(t, store)
 	c := dialT(t, srv.Addr())
 	q := query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)")
-	_, _, _, err := c.searchPage(q, 2, "not-a-number")
+	_, err := c.Search(q, proto.NewPagedControl(2, "not-a-number"))
 	var re *ResultError
 	if !errors.As(err, &re) || re.Code != proto.ResultProtocolError {
 		t.Errorf("bad cookie: %v", err)

@@ -70,22 +70,12 @@ func dialT(t *testing.T, addr string) *Client {
 // bind sends a BindRequest on c and returns the server's answer as an
 // error: the client has no Bind of its own, since no deployment binds.
 func bind(c *Client, name, password string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.send(&proto.BindRequest{Version: 3, Name: name, Password: password})
+	m, err := c.exchange(&proto.BindRequest{Version: 3, Name: name, Password: password}, nil)
 	if err != nil {
 		return err
 	}
-	m, err := c.read(id)
-	if err != nil {
-		return err
-	}
-	resp, ok := m.Op.(*proto.BindResponse)
-	if !ok {
+	if _, ok := m.Op.(*proto.BindResponse); !ok {
 		return fmt.Errorf("ldap bind: unexpected response %T", m.Op)
-	}
-	if resp.Code != proto.ResultSuccess {
-		return &ResultError{Code: resp.Code, Message: resp.Message}
 	}
 	return nil
 }

@@ -238,7 +238,7 @@ func errText(err error) string {
 // forward the op themselves. Either way, errors carrying referral URLs (a
 // replica refusing a write it does not track) surface as LDAP referrals the
 // client can chase.
-func (s *Server) handleWrite(out *response, msg *proto.Message, resp proto.Op, apply func() error) {
+func (s *Server) handleWrite(out *response, msg *proto.Message, resp resultOp, apply func() error) {
 	if c, ok := msg.Control(proto.OIDEdgeWrite); ok {
 		opID, err := proto.ParseEdgeWrite(c)
 		if err != nil {
@@ -271,29 +271,10 @@ func (s *Server) handleWrite(out *response, msg *proto.Message, resp proto.Op, a
 
 // reply adds a result-bearing PDU to out: the whole answer to most
 // requests, the trailing SearchDone of a search or a ReSync exchange.
-func (s *Server) reply(out *response, id int64, op proto.Op,
+func (s *Server) reply(out *response, id int64, op resultOp,
 	code proto.ResultCode, msg string, referrals []string, controls []proto.Control) {
-	setResult(op, code, msg, referrals)
+	*op.LDAPResult() = proto.Result{Code: code, Message: msg, Referrals: referrals}
 	_ = s.send(out, &proto.Message{ID: id, Op: op, Controls: controls})
-}
-
-// setResult injects the LDAPResult into a response op.
-func setResult(op proto.Op, code proto.ResultCode, msg string, referrals []string) {
-	r := proto.Result{Code: code, Message: msg, Referrals: referrals}
-	switch t := op.(type) {
-	case *proto.BindResponse:
-		t.Result = r
-	case *proto.SearchDone:
-		t.Result = r
-	case *proto.AddResponse:
-		t.Result = r
-	case *proto.DelResponse:
-		t.Result = r
-	case *proto.ModifyResponse:
-		t.Result = r
-	case *proto.ModifyDNResponse:
-		t.Result = r
-	}
 }
 
 // send adds one message to out.
@@ -339,9 +320,11 @@ func (s *Server) handleSearch(out *response, state *connState, msg *proto.Messag
 		s.reply(out, msg.ID, &proto.SearchDone{}, code, errText(err), refs, nil)
 		return
 	}
-	// RFC 2891 server-side sorting, applied before streaming (and before
-	// paging, per the RFC's required control ordering).
+	// One pass answers every plain search: the RFC 2891 sort, the size limit,
+	// then an RFC 2696 page window, the entries, the references with the last
+	// page, and the done message.
 	var doneControls []proto.Control
+	sorted := false
 	if c, ok := msg.Control(proto.OIDSortRequest); ok {
 		keys, err := proto.ParseSortKeys(c)
 		if err != nil {
@@ -349,57 +332,49 @@ func (s *Server) handleSearch(out *response, state *connState, msg *proto.Messag
 		} else {
 			sortEntries(res.Entries, keys)
 			doneControls = append(doneControls, proto.NewSortResponseControl(0))
+			sorted = true
 		}
 	}
-	// RFC 2696 simple paged results: a deterministic DN order (unless the
-	// client sorted) makes the offset cookie stable across pages.
+	entries, refs := res.Entries, res.Referrals
+	if limit := int(op.SizeLimit); limit > 0 && len(entries) > limit {
+		entries = entries[:limit]
+	}
 	if c, ok := msg.Control(proto.OIDPagedResults); ok {
 		pageSize, cookie, perr := proto.ParsePaged(c)
 		if perr != nil || pageSize <= 0 {
 			s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, "bad paged-results control", nil, nil)
 			return
 		}
-		if _, sorted := msg.Control(proto.OIDSortRequest); !sorted {
-			sort.Slice(res.Entries, func(i, j int) bool {
-				return res.Entries[i].DN().Norm() < res.Entries[j].DN().Norm()
+		// A deterministic DN order (unless the client sorted) makes the offset
+		// cookie stable across pages.
+		if !sorted {
+			sort.Slice(entries, func(i, j int) bool {
+				return entries[i].DN().Norm() < entries[j].DN().Norm()
 			})
 		}
 		offset := 0
 		if cookie != "" {
 			n, err := strconv.Atoi(cookie)
-			if err != nil || n < 0 || n > len(res.Entries) {
+			if err != nil || n < 0 || n > len(entries) {
 				s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultProtocolError, "bad paging cookie", nil, nil)
 				return
 			}
 			offset = n
 		}
-		end := offset + int(pageSize)
-		if end > len(res.Entries) {
-			end = len(res.Entries)
-		}
-		for _, e := range res.Entries[offset:end] {
-			if err := s.send(out, &proto.Message{ID: msg.ID, Op: &proto.SearchEntry{Entry: e}}); err != nil {
-				return
-			}
-		}
+		end := min(offset+int(pageSize), len(entries))
 		next := ""
-		if end < len(res.Entries) {
-			next = strconv.Itoa(end)
+		if end < len(entries) {
+			next, refs = strconv.Itoa(end), nil
 		}
-		doneControls = append(doneControls, proto.NewPagedControl(int64(len(res.Entries)), next))
-		s.reply(out, msg.ID, &proto.SearchDone{}, proto.ResultSuccess, "", nil, doneControls)
-		return
+		doneControls = append(doneControls, proto.NewPagedControl(int64(len(entries)), next))
+		entries = entries[offset:end]
 	}
-	limit := int(op.SizeLimit)
-	for i, e := range res.Entries {
-		if limit > 0 && i >= limit {
-			break
-		}
+	for _, e := range entries {
 		if err := s.send(out, &proto.Message{ID: msg.ID, Op: &proto.SearchEntry{Entry: e}}); err != nil {
 			return
 		}
 	}
-	for _, ref := range res.Referrals {
+	for _, ref := range refs {
 		if err := s.send(out, &proto.Message{ID: msg.ID, Op: &proto.SearchReference{URLs: []string{ref}}}); err != nil {
 			return
 		}

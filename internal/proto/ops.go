@@ -94,6 +94,10 @@ type resultOp struct {
 
 func (r *resultOp) encodeBody(dst []byte) ([]byte, error) { return r.Result.encode(dst), nil }
 
+// LDAPResult is the response's result, to read or to set: the one accessor
+// every LDAPResult-bodied response shares.
+func (r *resultOp) LDAPResult() *Result { return &r.Result }
+
 // BindResponse, SearchDone and friends are LDAPResult-bodied responses.
 type (
 	// BindResponse answers a bind.
@@ -116,11 +120,6 @@ func (*ModifyResponse) appTag() int   { return tagModifyResponse }
 func (*AddResponse) appTag() int      { return tagAddResponse }
 func (*DelResponse) appTag() int      { return tagDelResponse }
 func (*ModifyDNResponse) appTag() int { return tagModifyDNResponse }
-
-// NewResultOp builds the appropriate response op for a result.
-func newResult(code ResultCode, msg string, referrals []string) Result {
-	return Result{Code: code, Message: msg, Referrals: referrals}
-}
 
 // UnbindRequest ends a connection.
 type UnbindRequest struct{}
