@@ -519,8 +519,8 @@ func (c *Client) simpleOp(op proto.Op) error {
 // --- Persist mode -------------------------------------------------------------
 
 // streamBuffer is how many pushed batches a stream holds for a consumer that
-// has not taken them yet; behind it the connection, and then the supplier's
-// subscriber queue, hold the rest.
+// has not taken them yet; behind it the connection holds the rest, and the
+// supplier's next poll of the session coalesces whatever it has not sent.
 const streamBuffer = 16
 
 // Stream is a persist-mode synchronization on a client's connection

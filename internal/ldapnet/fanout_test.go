@@ -46,7 +46,7 @@ func fanoutWire() (*Server, *connWriter, *wireConn) {
 	return &Server{conns: map[net.Conn]bool{}, syncStats: &metrics.SyncCounters{}}, newConnWriter(conn), conn
 }
 
-// pushedBatch is res as the persist broadcaster pushes it.
+// pushedBatch is res as a persist stream pushes it.
 func pushedBatch(res *resync.PollResult) resync.Batch {
 	_, point, _ := resync.SplitCookie(res.Cookie)
 	return resync.Batch{Updates: res.Updates, Point: point, CSN: res.CSN, Enc: res.Enc}
@@ -123,9 +123,11 @@ func BenchmarkReloadFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkPersistFanout measures the persist broadcaster's work for one
-// cycle of `updates` committed updates fanned out to same-filter sessions:
-// classify, replay each session's delta, stream its PDUs with its sync point
+// BenchmarkPersistFanout measures the work of persist streams for one cycle
+// of `updates` committed updates fanned out to same-filter sessions: each
+// session's poll, then Server.writeBatch of its batch — exactly what each
+// stream's goroutine does once the store has committed (Subscription.Next):
+// classify, replay the session's delta, stream its PDUs with its sync point
 // on the last. "shared" puts every session on one engine, whose content group
 // classifies and encodes once; "baseline" gives each session its own engine
 // over the same store, so nothing is shared. The fan-out win is baseline over

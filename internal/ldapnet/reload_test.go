@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"filterdir/internal/ber"
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
@@ -105,7 +106,9 @@ func withoutEnc(res *resync.PollResult, err error) (*resync.PollResult, error) {
 // memo. With cutAfter > 0 the connection is dropped after that many chunks
 // and the transfer resumed by token on a new one. With persist set each
 // session is a persist-mode Begin instead, read up to its first batch, which
-// ends at the PDU that carries its cookie.
+// ends at the PDU that carries its cookie: only the bytes up to that PDU are
+// returned, since the stream's closing SearchDone may or may not reach the
+// reader before the connection closes.
 func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, persist, stripEnc bool) ([]byte, *StoreBackend) {
 	t.Helper()
 	backend := NewStoreBackend(store, resync.WithChunkSize(chunk))
@@ -135,7 +138,7 @@ func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, p
 			if b == nil || b.Cookie == "" || len(b.Updates) != store.Len()-1 {
 				t.Fatalf("session %d: first batch %+v", s, b)
 			}
-			last = untagged(got.Bytes(), b.Cookie)
+			last = untagged(firstMessages(t, got.Bytes(), len(b.Updates)), b.Cookie)
 			continue
 		}
 		dial := func() *Client {
@@ -171,6 +174,20 @@ func reloadWire(t *testing.T, store *dit.Store, sessions, chunk, cutAfter int, p
 		last = untagged(got.Bytes(), res.Cookie)
 	}
 	return last, backend
+}
+
+// firstMessages is the prefix of wire that holds its first n messages.
+func firstMessages(t *testing.T, wire []byte, n int) []byte {
+	t.Helper()
+	rd, end := ber.NewReader(wire), 0
+	for i := 0; i < n; i++ {
+		msg, err := rd.ReadExpect(ber.ClassUniversal, ber.TagSequence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end += ber.TLVLen(len(msg))
+	}
+	return wire[:end]
 }
 
 // untagged is a captured exchange with the engine's incarnation tag, the

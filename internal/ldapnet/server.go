@@ -528,8 +528,9 @@ func (s *Server) handleReSync(out *response, state *connState, id int64, op *pro
 		return
 	}
 	// Each pushed batch is written as a response of its own; the stream ends
-	// by abandon or connection teardown (sub.Close), engine-side slow-consumer
-	// demotion or a failed write here, whose stream done then goes nowhere. A
+	// by abandon or connection teardown (sub.Close), by the engine (the
+	// session ended, or a reload is due) or by a failed write here, whose
+	// stream done then goes nowhere. A
 	// clean end names the sync point the last batch reached, in a whole
 	// cookie.
 	s.answerLater(state, id, sub.Close, func() {

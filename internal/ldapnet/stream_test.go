@@ -219,9 +219,10 @@ func (parkingBackend) Ready(query.Query) (bool, <-chan struct{}) { return false,
 func (parkingBackend) Park(query.Query) func()                   { return func() {} }
 
 // TestOneGoroutinePerOpenRequest: a persist stream and a parked filters
-// watch each cost the supplier one goroutine, and abandon and connection
-// teardown give every one of them back, also when a request reused the ID
-// of an open one.
+// watch each cost the supplier one goroutine — N streams of one content
+// group cost exactly N, the group runs none of its own — and abandon and
+// connection teardown give every one of them back, also when a request
+// reused the ID of an open one.
 func TestOneGoroutinePerOpenRequest(t *testing.T) {
 	const streams, watches = 6, 4
 	store := newTestStore(t)
@@ -263,9 +264,9 @@ func TestOneGoroutinePerOpenRequest(t *testing.T) {
 	}
 	// The count is of goroutines started since the baseline, not of all:
 	// those of earlier tests may still be winding down meanwhile. Even one
-	// that was waited for — a server's connection goroutine, a content
-	// group's broadcaster — counts until it has returned from the act the
-	// wait observed, and a plain runtime.NumGoroutine count misses by one.
+	// that was waited for — a server's connection goroutine — counts until
+	// it has returned from the act the wait observed, and a plain
+	// runtime.NumGoroutine count misses by one.
 	var baseline map[string]bool
 	goroutines := func(want int, what string) {
 		t.Helper()
@@ -287,11 +288,6 @@ func TestOneGoroutinePerOpenRequest(t *testing.T) {
 		}
 	}
 
-	// The content group's broadcaster is one per group, not per stream: a
-	// first stream starts it before the baseline.
-	kept := dialT(t, srv.Addr())
-	open(kept, false)
-	settle(kept)
 	baseline = goroutineIDs()
 
 	// Two connections, each a read loop of its own.
@@ -299,15 +295,20 @@ func TestOneGoroutinePerOpenRequest(t *testing.T) {
 	settle(abandoned, dropped)
 	goroutines(2, "two connections")
 	var ids []int64
-	for i := 0; i < streams+watches; i++ {
-		watch := i >= streams
-		if i%2 == 0 {
-			ids = append(ids, open(abandoned, watch))
-		} else {
-			open(dropped, watch)
+	openRange := func(from, to int, watch bool) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if i%2 == 0 {
+				ids = append(ids, open(abandoned, watch))
+			} else {
+				open(dropped, watch)
+			}
 		}
+		settle(abandoned, dropped)
 	}
-	settle(abandoned, dropped)
+	openRange(0, streams, false)
+	goroutines(2+streams, fmt.Sprintf("%d streams of one content group open", streams))
+	openRange(streams, streams+watches, true)
 	goroutines(2+streams+watches, fmt.Sprintf("%d streams and %d parked watches open", streams, watches))
 
 	// A watch that reuses the ID of one still open is cancelled at once: an

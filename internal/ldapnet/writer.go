@@ -25,7 +25,8 @@ var respBufs = sync.Pool{New: func() any {
 // closes its connection, once one write has waited for the socket at least
 // half this long and at most this long (see lazyDeadline). It is the
 // transport's backstop only: a persist consumer that reads, but slower than
-// its stream, is the engine's subscriber queue's to coalesce and demote. A
+// its stream, is sent its backlog as one net batch by the stream's next poll
+// (resync.Subscription.Next), however far behind it falls. A
 // variable only so tests can shorten it; a connection reads it once, when it
 // is accepted.
 var writeTimeout = 30 * time.Second
@@ -64,8 +65,8 @@ func (d *lazyDeadline) renew() (time.Time, bool) {
 // stream's batches, in order. The connection passes from one Write to the
 // oldest waiting one, so a pushed batch waits behind at most one buffer of a
 // long answer, never the rest of it. A consumer slower than its stream holds
-// that goroutine in its write, and the engine's subscriber queue behind it
-// coalesces the backlog.
+// that goroutine in its write, and the goroutine's next poll coalesces the
+// backlog.
 type connWriter struct {
 	conn     net.Conn
 	mu       sync.Mutex      // guards busy and waiting

@@ -25,8 +25,8 @@ type ReplicaCounters struct {
 	Polls         atomic.Int64 // poll exchanges completed
 	StreamBatches atomic.Int64 // persist-stream batches applied
 	Fallbacks     atomic.Int64 // persist streams that ended, after which the supervisor reconnected
-	// Demotions never moves: the supplier's subscriber queue is the one
-	// slow-consumer policy, and a supervisor keeps none of its own. The
+	// Demotions never moves: the supplier's stream coalescing a backlog
+	// into its next poll is the one slow-consumer policy, and a supervisor keeps none of its own. The
 	// field stays only because the load rig reads it.
 	Demotions      atomic.Int64
 	UpdatesApplied atomic.Int64 // update PDUs applied to the local content

@@ -74,23 +74,23 @@ type SyncCounters struct {
 	SharedClassifyHits   atomic.Int64
 	SharedClassifyMisses atomic.Int64
 
-	// Persist fan-out slow-consumer policy: CoalescedCycles counts update
-	// cycles deferred because a subscriber's queue was full (the lagging
-	// session is left at its old sync point, so the next batch coalesces
-	// the backlog); SlowDemotions counts subscriptions closed by a deferral
-	// that found the consumer had taken nothing from its queue for the
-	// engine's demotion interval, demoting the consumer to poll mode.
+	// CoalescedCycles and SlowDemotions read 0: they counted a persist
+	// subscriber queue's deferred cycles and demotions, and a stream keeps
+	// no queue now — it polls its session when the store commits, so a
+	// slow consumer's backlog is one net batch and nothing is demoted
+	// (resync.Subscription). They stay only because the load rig reads
+	// them, until its rungs for them go.
 	CoalescedCycles atomic.Int64
 	SlowDemotions   atomic.Int64
 
-	// Wire-level dedup on the persist broadcast path: StreamEncodes counts
+	// Wire-level dedup on the persist fan-out path: StreamEncodes counts
 	// PDU bodies actually BER-encoded, StreamDedupPDUs counts PDUs written
 	// from an already-encoded shared body.
 	StreamEncodes   atomic.Int64
 	StreamDedupPDUs atomic.Int64
 
-	// StreamQueueHighWater is the deepest persist subscriber queue observed
-	// when the broadcaster queues a batch (at most the queue's capacity).
+	// StreamQueueHighWater reads 0, for the same reason and as long as
+	// CoalescedCycles: there is no subscriber queue to measure.
 	StreamQueueHighWater Max
 }
 

@@ -215,18 +215,16 @@ func TestSlowSessionDoesNotBlockOthers(t *testing.T) {
 	}
 }
 
-// TestConcurrentGroupJoinLeaveDemotion hammers the content-group fan-out
-// layer under -race: workers churn Begin/Persist/Poll/End across several
-// specs (so groups form and tear down repeatedly) while a writer drives
-// update cycles, and deliberately slow subscribers force the coalesce →
-// demote slow-consumer path. The invariants: no data race, every torn-down
-// stream's channel closes, and the registries drain to empty.
-func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
+// TestConcurrentStreamJoinLeave hammers persist streams under -race: workers
+// churn Begin/Persist/Poll/End across several specs, so groups form and tear
+// down repeatedly, while a writer commits. Each stream is read on a goroutine
+// of its own and ended from the worker's — by Close, or by End of its
+// session — while the read may be waiting or mid-poll. The invariants: no
+// data race, every read returns false once its stream is ended, with no
+// commit needed to wake it, and the registries drain to empty.
+func TestConcurrentStreamJoinLeave(t *testing.T) {
 	master := newMaster(t)
-	// Two-batch queue, hair-trigger demotion: a full queue its consumer has not
-	// taken from for 10 ms closes the stream.
 	eng := NewEngine(master)
-	eng.persistQueueCap, eng.demoteAfter = 2, 10*time.Millisecond
 	specs := []query.Query{
 		query.MustNew("o=xyz", query.ScopeSubtree, "(objectclass=person)"),
 		query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=04*)"),
@@ -283,61 +281,42 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 					return
 				}
 				cookie := res.Cookie
-				switch rng.Intn(3) {
-				case 0:
-					// Healthy persist consumer: drain a few batches, close.
-					sub, err := eng.Persist(cookie)
-					if err != nil {
-						t.Errorf("persist: %v", err)
-						return
-					}
-					timeout := time.After(20 * time.Millisecond)
-					for {
-						b, ok, _ := recv(sub, timeout)
-						if !ok {
-							break
-						}
-						cookie = pushedCookie(cookie, b)
-					}
-					sub.Close()
-				case 1:
-					// Slow consumer: subscribe, then drain with exponentially
-					// growing gaps. Demotion fires only when a cycle finds the
-					// 2-deep queue full after the consumer has taken nothing
-					// for demoteAfter, i.e. when the drain gap exceeds it by
-					// at least the time to the next cycle — a fixed gap would
-					// bake in an assumption about how fast the contended
-					// broadcaster cycles, so the gap doubles until it is
-					// slower than any plausible cycle rate and the engine
-					// must demote the stream by closing the channel.
-					sub, err := eng.Persist(cookie)
-					if err != nil {
-						t.Errorf("persist: %v", err)
-						return
-					}
-					deadline := time.Now().Add(15 * time.Second)
-					gap := 2 * time.Millisecond
-					closed := false
-					for !closed {
-						if time.Now().After(deadline) {
-							t.Error("slow subscriber never demoted")
-							break
-						}
-						time.Sleep(gap)
-						if gap < time.Second {
-							gap *= 2
-						}
-						_, ok, late := recv(sub, nil)
-						closed = !ok && !late
-					}
-					sub.Close()
-				default:
+				how := rng.Intn(3)
+				if how == 2 {
 					// Plain poller.
 					if res, err := eng.Poll(cookie); err == nil {
 						cookie = res.Cookie
 					} else if !errors.Is(err, ErrNoSuchSession) {
 						t.Errorf("poll: %v", err)
 					}
+				} else {
+					sub, err := eng.Persist(cookie)
+					if err != nil {
+						t.Errorf("persist: %v", err)
+						return
+					}
+					read := make(chan struct{})
+					go func() {
+						defer close(read)
+						for {
+							if _, ok := sub.Next(); !ok {
+								return
+							}
+						}
+					}()
+					time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
+					if how == 0 {
+						sub.Close()
+					} else if err := eng.End(cookie); err != nil {
+						t.Errorf("end: %v", err)
+					}
+					select {
+					case <-read:
+					case <-time.After(10 * time.Second):
+						t.Errorf("a stream ended by %s is still read", []string{"Close", "End"}[how])
+						return
+					}
+					sub.Close()
 				}
 				if err := eng.End(cookie); err != nil && !errors.Is(err, ErrNoSuchSession) {
 					t.Errorf("end: %v", err)
@@ -359,13 +338,6 @@ func TestConcurrentGroupJoinLeaveDemotion(t *testing.T) {
 	if snap.GroupJoins != workers*rounds || snap.GroupLeaves != workers*rounds {
 		t.Errorf("group joins=%d leaves=%d, want %d each",
 			snap.GroupJoins, snap.GroupLeaves, workers*rounds)
-	}
-	if snap.SlowDemotions == 0 {
-		t.Error("no slow-consumer demotions recorded")
-	}
-	if snap.CoalescedCycles < snap.SlowDemotions {
-		t.Errorf("coalesced=%d < demotions=%d: demotion without prior coalescing",
-			snap.CoalescedCycles, snap.SlowDemotions)
 	}
 }
 
@@ -390,25 +362,25 @@ func sessionOf(t *testing.T, e *Engine, cookie string) *session {
 	return sess
 }
 
-// recv takes sub's next batch the way Subscription.Next does, dequeue hook
-// included, but waits only until timeout fires (a nil timeout: not at all).
-// late reports that nothing came in time; ok is Next's second result.
+// recv takes sub's next batch the way Subscription.Next does, but waits only
+// until timeout fires; a nil timeout makes it one step of the stream, which
+// polls the session once and does not wait at all. late reports that nothing
+// came in time; ok is Next's second result.
 func recv(sub *Subscription, timeout <-chan time.Time) (b Batch, ok, late bool) {
-	if timeout == nil {
-		select {
-		case b, ok = <-sub.ch:
-		default:
+	for {
+		sig := sub.e.store.ChangeSignal()
+		if b, ok = sub.step(); !ok || len(b.Updates) > 0 {
+			return b, ok, false
+		}
+		if timeout == nil {
 			return b, false, true
 		}
-	} else {
 		select {
-		case b, ok = <-sub.ch:
+		case <-sig:
+		case <-sub.done:
+		case <-sub.sess.ended:
 		case <-timeout:
 			return b, false, true
 		}
 	}
-	if ok {
-		sub.dequeued()
-	}
-	return b, ok, false
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
@@ -171,14 +170,8 @@ const maxSharedIntervals = 8
 
 // group is one shared-content fan-out unit.
 type group struct {
-	e    *Engine
 	key  string      // content key
 	spec query.Query // founding spec, attrs stripped
-
-	// cycleMu is held by the broadcaster for the span of one update cycle;
-	// Subscription.Close takes it (empty) so that after Close returns the
-	// broadcaster is provably not mid-sync on the closed stream's session.
-	cycleMu sync.Mutex
 
 	// served counts update PDUs classified for this group's members — a
 	// live demand signal the tier control plane reads through GroupLoads.
@@ -192,23 +185,6 @@ type group struct {
 	// cached; reloadMu makes building one single-flight.
 	reloadMu sync.Mutex
 	reload   atomic.Pointer[reloadSnapshot]
-
-	// Persist broadcaster state: one goroutine per group pushes update
-	// batches to all subscriptions; it runs only while subscriptions exist.
-	subs  map[*Subscription]struct{}
-	wake  chan struct{}
-	bstop chan struct{}
-	bdone chan struct{}
-}
-
-func newGroup(e *Engine, key string, spec query.Query) *group {
-	return &group{
-		e:    e,
-		key:  key,
-		spec: spec,
-		subs: make(map[*Subscription]struct{}),
-		wake: make(chan struct{}, 1),
-	}
 }
 
 // joinGroup finds or creates the content group for spec and adds a member.
@@ -217,7 +193,7 @@ func (e *Engine) joinGroup(spec query.Query) *group {
 	e.groupMu.Lock()
 	g := e.groups[key]
 	if g == nil {
-		g = newGroup(e, key, stripAttrs(spec))
+		g = &group{key: key, spec: stripAttrs(spec)}
 		e.groups[key] = g
 	}
 	g.mu.Lock()
@@ -229,9 +205,8 @@ func (e *Engine) joinGroup(spec query.Query) *group {
 }
 
 // leaveGroup removes a member; the last member out frees the group's
-// cached state and stops its broadcaster, and waits for it to exit.
+// cached state.
 func (e *Engine) leaveGroup(g *group) {
-	var done <-chan struct{}
 	e.groupMu.Lock()
 	g.mu.Lock()
 	g.members--
@@ -239,14 +214,9 @@ func (e *Engine) leaveGroup(g *group) {
 		delete(e.groups, g.key)
 		g.intervals = nil
 		g.reload.Store(nil)
-		g.stopLocked()
-		done = g.bdone
 	}
 	g.mu.Unlock()
 	e.groupMu.Unlock()
-	if done != nil {
-		<-done
-	}
 	e.stats.GroupLeaves.Add(1)
 }
 
@@ -599,197 +569,4 @@ func (ids *identities) moved(norm string) *identity {
 		return id
 	}
 	return nil
-}
-
-// attach adds a persist subscription to the group, starting the
-// broadcaster if it is not running, and synchronizes the subscription once
-// so a stream resumed behind the head has its due batch queued on return.
-func (g *group) attach(sess *session) *Subscription {
-	sub := &Subscription{g: g, sess: sess, ch: make(chan Batch, g.e.persistQueueCap)}
-	sub.took.Store(time.Now().UnixNano())
-	g.mu.Lock()
-	g.subs[sub] = struct{}{}
-	if g.bstop == nil {
-		// Join the previous broadcaster (if a stop is still in flight)
-		// before starting its replacement, so one group never runs two
-		// broadcasters — syncOne's non-blocking queue send relies on being
-		// the only sender observing free space.
-		join := g.bdone
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		g.bstop, g.bdone = stop, done
-		g.mu.Unlock()
-		if join != nil {
-			<-join
-		}
-		go g.broadcast(stop, done)
-	} else {
-		g.mu.Unlock()
-	}
-	// The new subscription's first cycle runs here, before Persist returns,
-	// rather than whenever the broadcaster gets to a kick: a stream resumed
-	// behind the head has its due batch queued — and its session advanced —
-	// by the time the caller holds the subscription, so a consumer that
-	// closes it straight away leaves the session at a position that does not
-	// depend on goroutine scheduling. cycleMu keeps the broadcaster the only
-	// other sender.
-	g.cycleMu.Lock()
-	g.syncOne(sub)
-	g.cycleMu.Unlock()
-	return sub
-}
-
-// remove detaches a subscription and closes its queue; the last
-// subscription out stops the broadcaster, and gets back the channel it
-// closes on exit (see stopLocked).
-func (g *group) remove(sub *Subscription) <-chan struct{} {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.removeLocked(sub)
-	if len(g.subs) == 0 {
-		return g.bdone
-	}
-	return nil
-}
-
-func (g *group) removeLocked(sub *Subscription) {
-	if _, ok := g.subs[sub]; !ok {
-		return
-	}
-	delete(g.subs, sub)
-	close(sub.ch)
-	if len(g.subs) == 0 {
-		g.stopLocked()
-	}
-}
-
-// stopLocked stops the broadcaster (if running) and closes any remaining
-// subscription queues; the caller holds g.mu. The stopping broadcaster
-// closes bdone on exit: the caller waits on it once it holds no lock, unless
-// it is the broadcaster itself, and the next attach waits on it before
-// starting a replacement (single-broadcaster invariant).
-func (g *group) stopLocked() {
-	for sub := range g.subs {
-		delete(g.subs, sub)
-		close(sub.ch)
-	}
-	if g.bstop != nil {
-		close(g.bstop)
-		g.bstop = nil
-	}
-}
-
-// kick nudges the broadcaster outside the store's change signal: a
-// subscription's dequeue after it was skipped (Subscription.Next).
-func (g *group) kick() {
-	select {
-	case g.wake <- struct{}{}:
-	default:
-	}
-}
-
-// broadcast is the group's persist fan-out loop: on every store commit (or
-// kick) it runs one update cycle over all subscriptions. The change signal is
-// armed before the cycle so commits landing mid-cycle are not missed.
-func (g *group) broadcast(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	for {
-		sig := g.e.store.ChangeSignal()
-		g.cycle()
-		select {
-		case <-sig:
-		case <-g.wake:
-		case <-stop:
-			return
-		}
-	}
-}
-
-// cycle synchronizes every subscription once. The shared-interval cache
-// makes this one real classification plus a map-delta replay per member.
-func (g *group) cycle() {
-	g.cycleMu.Lock()
-	defer g.cycleMu.Unlock()
-	g.mu.Lock()
-	subs := make([]*Subscription, 0, len(g.subs))
-	for sub := range g.subs {
-		subs = append(subs, sub)
-	}
-	g.mu.Unlock()
-	for _, sub := range subs {
-		g.syncOne(sub)
-	}
-}
-
-// syncOne advances one subscription by one poll and queues the batch.
-//
-// Slow-consumer policy: a subscription whose queue is full is skipped — its
-// session stays at its old sync point, so the next successful cycle emits
-// one net batch covering the whole backlog (coalescing, not buffering) —
-// and that cycle comes with the next commit or, failing one, as soon as the
-// consumer dequeues (see Subscription.skipped). A skip that finds the
-// consumer has taken nothing for demoteAfter closes the stream, and the
-// consumer falls back to poll mode (the wire maps this to a clean stream
-// end; the session itself stays resumable by cookie). The lag is measured
-// in time, not in skipped cycles: a cycle runs per store commit, so a count
-// of them would demote a consumer that waits briefly — behind a long answer
-// on its connection, say — during a burst of commits.
-func (g *group) syncOne(sub *Subscription) {
-	e := g.e
-	g.mu.Lock()
-	if _, live := g.subs[sub]; !live {
-		g.mu.Unlock()
-		return
-	}
-	// Flag first, look second: a dequeue after the look finds the flag and
-	// kicks a cycle, one before it shows here as free space.
-	sub.skipped.Store(true)
-	if len(sub.ch) == cap(sub.ch) {
-		e.stats.CoalescedCycles.Add(1)
-		if time.Since(time.Unix(0, sub.took.Load())) >= e.demoteAfter {
-			e.stats.SlowDemotions.Add(1)
-			g.removeLocked(sub)
-		}
-		g.mu.Unlock()
-		return
-	}
-	sub.skipped.Store(false)
-	g.mu.Unlock()
-
-	sub.sess.mu.Lock()
-	if sub.sess.ended {
-		sub.sess.mu.Unlock()
-		g.remove(sub)
-		return
-	}
-	res, err := e.poll(sub.sess)
-	point := sub.sess.point()
-	sub.sess.mu.Unlock()
-	if err != nil || res.FullReload {
-		// A push stream cannot convey a reload; end it — the consumer's
-		// fallback poll re-delivers the content.
-		g.remove(sub)
-		return
-	}
-	if len(res.Updates) == 0 {
-		return
-	}
-	batch := Batch{Updates: res.Updates, Point: point, CSN: res.CSN, Enc: res.Enc}
-	depth := 0
-	g.mu.Lock()
-	if _, live := g.subs[sub]; live {
-		// Space was observed above and this goroutine is the only sender,
-		// so the send cannot block, and the batch joins at most len(sub.ch)
-		// others (the consumer only takes from the queue).
-		depth = len(sub.ch) + 1
-		select {
-		case sub.ch <- batch:
-		default:
-			depth = 0
-		}
-	}
-	g.mu.Unlock()
-	if depth > 0 {
-		e.stats.StreamQueueHighWater.Observe(int64(depth))
-	}
 }

@@ -2,7 +2,7 @@ package resync
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -526,84 +526,118 @@ func TestGroupedMatchesAlone(t *testing.T) {
 	sweepEqualContent(t, "grouped == alone", got[0], got[2])
 }
 
-// TestSkippedSubscriberRetriedOnDrain pins the fix for the undelivered burst
-// tail: four persist members of one group, one of which stops reading so
-// that its queue fills and the last commits of a burst pass it over. The
-// write stream then falls silent. When the stalled member resumes reading,
-// the dequeue itself must win it the cycle it is owed — the coalesced batch
-// arrives and every member converges with no further commit to trigger it.
-func TestSkippedSubscriberRetriedOnDrain(t *testing.T) {
+// TestStalledConsumerTakesBurstAsOneBatch: a consumer that takes nothing
+// while a burst of commits lands in its content is handed the whole burst by
+// its next Next, as one net batch, with no further commit to trigger it. The
+// stream keeps no queue of per-commit batches: its poll covers everything
+// since the sync point the session stands at.
+func TestStalledConsumerTakesBurstAsOneBatch(t *testing.T) {
 	master := newMaster(t)
 	eng := NewEngine(master)
-	const members = 4
-	subs := make([]*Subscription, members)
-	held := make([]map[string]bool, members)
-	var g *group
-	for i := range subs {
-		res, err := eng.Begin(specSerial04)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := sessionOf(t, eng, res.Cookie)
-		g = sess.group
-		if subs[i], err = eng.Persist(res.Cookie); err != nil {
-			t.Fatal(err)
-		}
-		defer subs[i].Close()
-		held[i] = map[string]bool{}
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
 	}
-	take := func(i int, what string) {
-		t.Helper()
-		b, ok, late := recv(subs[i], time.After(5*time.Second))
-		switch {
-		case late:
-			t.Fatalf("member %d: timed out waiting for %s", i, what)
-		case !ok:
-			t.Fatalf("member %d: stream closed waiting for %s", i, what)
-		}
-		for _, u := range b.Updates {
-			held[i][u.DN.Norm()] = u.Action != ActionDelete
+	sub, err := eng.Persist(res.Cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	const burst = 20
+	want := map[string]bool{}
+	for k := 0; k < burst; k++ {
+		want[addPerson(t, master, fmt.Sprintf("burst%02d", k), fmt.Sprintf("04%02d", k), "1").Norm()] = true
+		// Spaced out, so that a supplier pushing a batch per commit into a
+		// queue would have queued them one by one.
+		time.Sleep(time.Millisecond)
+	}
+	b, ok := nextWithin(t, sub, 5*time.Second)
+	if !ok {
+		t.Fatal("stream ended instead of delivering the burst")
+	}
+	if len(b.Updates) != burst {
+		t.Fatalf("first batch after the burst carries %d updates, want all %d commits' as one", len(b.Updates), burst)
+	}
+	for _, u := range b.Updates {
+		if u.Action != ActionAdd || !want[u.DN.Norm()] {
+			t.Errorf("unexpected update %v %s", u.Action, u.DN)
 		}
 	}
+	if want := uint64(master.LastCSN()); b.Point != want {
+		t.Errorf("batch names sync point %d, want the burst's last CSN %d", b.Point, want)
+	}
+}
 
-	// Member 0 stalls. Commit one entry per cycle until cycles have passed
-	// it over, reading the other members so theirs complete; the cycle
-	// barrier makes sure each commit's cycle ran before the next commit.
-	var want []string
-	for k := 0; eng.Counters().CoalescedCycles.Load() < 2; k++ {
-		if k > 2*defaultPersistQueueCap+4 {
-			t.Fatal("the stalled member's queue never filled")
-		}
-		d := addPerson(t, master, fmt.Sprintf("burst%02d", k), fmt.Sprintf("04%02d", k), "1")
-		want = append(want, d.Norm())
-		for i := 1; i < members; i++ {
-			take(i, "burst commit")
-		}
-		g.cycleMu.Lock()
-		//lint:ignore SA2001 empty critical section is the barrier
-		g.cycleMu.Unlock()
-	}
-
-	// Silence. The stalled member now reads until it holds everything; the
-	// tail can only come from a cycle its own dequeues kicked.
-	converged := func(i int) bool {
-		for _, norm := range want {
-			if !held[i][norm] {
-				return false
+// TestEndEndsWaitingStream: ending a streamed session — by End, or by a
+// tier's Kick — ends its stream at once: a Next waiting for a commit returns
+// false with none committed. Another member keeps the content group alive,
+// so the group's teardown is not what ends it.
+func TestEndEndsWaitingStream(t *testing.T) {
+	for _, how := range []string{"End", "Kick"} {
+		t.Run(how, func(t *testing.T) {
+			master := newMaster(t)
+			eng := NewEngine(master)
+			if _, err := eng.Begin(specSerial04); err != nil {
+				t.Fatal(err)
 			}
-		}
-		return true
+			res, err := eng.Begin(specSerial04)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := eng.Persist(res.Cookie)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			at := master.LastCSN()
+			out := make(chan bool, 1)
+			go func() {
+				_, ok := sub.Next()
+				out <- ok
+			}()
+			// Whether Next is waiting yet or not, it must end.
+			time.Sleep(10 * time.Millisecond)
+			id, _, _ := SplitCookie(res.Cookie)
+			if how == "End" {
+				if err := eng.End(res.Cookie); err != nil {
+					t.Fatal(err)
+				}
+			} else if kicked := eng.Kick(func(query.Query) bool { return false }); len(kicked) != 2 || !slices.Contains(kicked, id) {
+				t.Fatalf("Kick ended %v, want both sessions", kicked)
+			}
+			select {
+			case ok := <-out:
+				if ok {
+					t.Error("Next returned a batch, want the stream's end")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Next still waiting after %s", how)
+			}
+			if master.LastCSN() != at {
+				t.Fatal("the store committed meanwhile")
+			}
+		})
 	}
-	for !converged(0) {
-		take(0, "the coalesced tail of the burst")
+}
+
+// nextWithin is sub.Next, failing the test if it does not return within d.
+func nextWithin(t *testing.T, sub *Subscription, d time.Duration) (Batch, bool) {
+	t.Helper()
+	type next struct {
+		b  Batch
+		ok bool
 	}
-	for i := 1; i < members; i++ {
-		if !converged(i) {
-			t.Errorf("member %d did not converge", i)
-		}
-	}
-	if n := eng.Counters().SlowDemotions.Load(); n != 0 {
-		t.Errorf("SlowDemotions = %d, want 0: the member was to be retried, not demoted", n)
+	out := make(chan next, 1)
+	go func() {
+		b, ok := sub.Next()
+		out <- next{b, ok}
+	}()
+	select {
+	case n := <-out:
+		return n.b, n.ok
+	case <-time.After(d):
+		t.Fatalf("Next did not return within %v", d)
+		return Batch{}, false
 	}
 }
 
@@ -640,55 +674,6 @@ func TestPersistSyncsBeforeReturning(t *testing.T) {
 		res.Cookie = pushedCookie(res.Cookie, b)
 		sub.Close()
 	}
-}
-
-// TestCloseJoinsBroadcaster: when the last subscription of a content group
-// goes — closed by its consumer, or its session ended — the group's
-// broadcaster has exited by the time the call returns: its last act, closing
-// bdone, is done, with no waiting on the test's side. Only the goroutine's
-// return from that act is left, so the goroutine count reaches its baseline
-// a moment later, not necessarily at once.
-func TestCloseJoinsBroadcaster(t *testing.T) {
-	master := newMaster(t)
-	addPerson(t, master, "a", "0401", "1")
-	eng := NewEngine(master)
-	res, err := eng.Begin(specSerial04)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sessionOf(t, eng, res.Cookie).group
-	baseline := runtime.NumGoroutine()
-	exited := func(what string) {
-		t.Helper()
-		g.mu.Lock()
-		done := g.bdone
-		g.mu.Unlock()
-		select {
-		case <-done:
-		default:
-			t.Fatalf("%s returned with the group's broadcaster still running", what)
-		}
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != baseline; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d goroutines after %s, want %d", runtime.NumGoroutine(), what, baseline)
-			}
-		}
-	}
-	for i := 0; i < 3; i++ {
-		sub, err := eng.Persist(res.Cookie)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub.Close()
-		exited("Close")
-	}
-	if _, err := eng.Persist(res.Cookie); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.End(res.Cookie); err != nil {
-		t.Fatal(err)
-	}
-	exited("End")
 }
 
 // TestSharedEncFinalTail: the tail that ends a pushed batch is shared by the

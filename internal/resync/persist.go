@@ -3,8 +3,6 @@ package resync
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Batch is one pushed unit of a persist-mode subscription: the updates of
@@ -86,65 +84,92 @@ func (s *SharedEnc) GetFinal(point, csn uint64, build func() ([]byte, error)) ([
 // changes are pushed to it until it ends — the protocol's "persist" mode,
 // equivalent to a persistent search held open per filter.
 //
-// The subscription is its bounded queue: the group's broadcaster fills it
-// (group.syncOne) and its one consumer empties it with Next, so the engine
-// is on the dequeue side of the queue and no goroutine of its own stands
-// between the two.
+// The stream is its consumer's goroutine polling the session whenever the
+// store has committed (Next). A consumer slower than the store holds no
+// backlog: its next poll covers everything committed meanwhile as one net
+// batch, classified and encoded once per group (group.go).
 type Subscription struct {
-	g    *group
+	e    *Engine
 	sess *session
-	ch   chan Batch
-	// took is when the consumer last took a batch (UnixNano), or when the
-	// subscription attached: how long the consumer has made no progress.
-	took atomic.Int64
-	// skipped is raised by the broadcaster before it looks at the queue and
-	// left up when it found it full; the next dequeue lowers it and kicks
-	// the cycle the subscription is owed.
-	skipped atomic.Bool
+	// first is the batch Persist's own poll found due, until Next hands it
+	// out.
+	first Batch
+	// done is closed when the stream ends: by Close, or by a poll that
+	// cannot continue it.
+	done     chan struct{}
+	doneOnce sync.Once
 }
 
 // Next waits for the next batch of net updates. It reports false once the
-// subscription has ended and its queue is drained: after Close, and when
-// the engine ends the stream — the master's journal history no longer covers
-// the stream position (the consumer must fall back to a poll, which will
-// carry the full reload) or the slow-consumer policy demoted a lagging
-// stream back to poll mode. One goroutine at a time may call Next.
+// subscription has ended: after Close, once the session is ended (End, or a
+// tier's Kick), and when the master's journal history no longer covers the
+// stream position (the consumer must fall back to a poll, which will carry
+// the full reload). One goroutine at a time may call Next.
 func (s *Subscription) Next() (Batch, bool) {
-	b, ok := <-s.ch
-	if ok {
-		s.dequeued()
+	for {
+		// Armed before the poll, so a commit landing during it is not missed.
+		sig := s.e.store.ChangeSignal()
+		if b, ok := s.step(); !ok || len(b.Updates) > 0 {
+			return b, ok
+		}
+		select {
+		case <-sig:
+		case <-s.done:
+		case <-s.sess.ended:
+		}
 	}
-	return b, ok
 }
 
-// dequeued stamps a dequeue. A skipped subscription stands at an old sync
-// point with nothing but the next store commit to move it — and when the
-// write stream stops right after the skip there is none — so the dequeue
-// that makes room again wakes the broadcaster itself.
-func (s *Subscription) dequeued() {
-	s.took.Store(time.Now().UnixNano())
-	if s.skipped.CompareAndSwap(true, false) {
-		s.g.kick()
+// step is one turn of the stream without waiting: the batch Persist found
+// due, else one poll of the session. An empty batch means nothing is due.
+func (s *Subscription) step() (Batch, bool) {
+	s.sess.mu.Lock()
+	defer s.sess.mu.Unlock()
+	if closed(s.done) || closed(s.sess.ended) {
+		s.end()
+		return Batch{}, false
+	}
+	if b := s.first; len(b.Updates) > 0 {
+		s.first = Batch{}
+		return b, true
+	}
+	return s.poll()
+}
+
+// poll advances the session by one poll; the caller holds sess.mu.
+func (s *Subscription) poll() (Batch, bool) {
+	res, err := s.e.poll(s.sess)
+	if err != nil || res.FullReload {
+		// A push stream cannot convey a reload; end it — the consumer's
+		// fallback poll re-delivers the content.
+		s.end()
+		return Batch{}, false
+	}
+	return Batch{Updates: res.Updates, Point: s.sess.point(), CSN: res.CSN, Enc: res.Enc}, true
+}
+
+func (s *Subscription) end() { s.doneOnce.Do(func() { close(s.done) }) }
+
+// closed reports whether ch is closed.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }
 
 // Close ends the subscription; it is idempotent, may be called from any
 // goroutine, and a Next waiting meanwhile returns. On return the stream no
-// longer advances the session; it stays registered and resumable by cookie.
-// When it was the group's last, the group's broadcaster has exited too.
+// longer advances the session: Close waits out a poll in flight, and any
+// later one sees the stream ended. The session stays registered and
+// resumable by cookie.
 func (s *Subscription) Close() {
-	done := s.g.remove(s)
-	for range s.ch {
-		// Batches queued but not taken are not delivered.
-	}
-	// Barrier: wait out any in-flight update cycle so the session is
-	// quiescent once Close returns.
-	s.g.cycleMu.Lock()
+	s.end()
+	s.sess.mu.Lock()
 	//lint:ignore SA2001 empty critical section is the barrier
-	s.g.cycleMu.Unlock()
-	if done != nil {
-		<-done
-	}
+	s.sess.mu.Unlock()
 }
 
 // Persist upgrades a session to persist mode: the returned subscription
@@ -156,20 +181,24 @@ func (s *Subscription) Close() {
 // it resumable by cookie (poll mode), matching the protocol's mode switch
 // in Figure 3.
 //
-// The session's group broadcaster serves the stream — one update cycle per
-// commit for the whole group — into the subscription's bounded queue, with
-// the slow-consumer policy described in group.go.
+// The stream's first poll runs here, before Persist returns: a stream
+// resumed behind the head has its due batch — and its session advanced — by
+// the time the caller holds the subscription, so a consumer that closes it
+// straight away leaves the session at a position that does not depend on
+// goroutine scheduling. Next hands that batch out first.
 func (e *Engine) Persist(cookie string) (*Subscription, error) {
 	sess, held, err := e.enter(cookie, exStream)
 	if err != nil {
 		return nil, err
 	}
-	sess.mu.Unlock()
+	defer sess.mu.Unlock()
 	if !held {
 		// An unknown sync point cannot be streamed from incrementally; the
 		// consumer must poll (getting a full reload) and re-subscribe.
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchSession, cookie)
 	}
 	e.stats.PersistStreams.Add(1)
-	return sess.group.attach(sess), nil
+	sub := &Subscription{e: e, sess: sess, done: make(chan struct{})}
+	sub.first, _ = sub.poll()
+	return sub, nil
 }

@@ -184,14 +184,9 @@ type Engine struct {
 	obs atomic.Pointer[Observer] // never touches mu
 
 	// Content-group fan-out (group.go). groupMu guards the registry;
-	// each group carries its own lock for member/cache/broadcast state.
+	// each group carries its own lock for member and cache state.
 	groupMu sync.Mutex
 	groups  map[string]*group // content key -> group
-
-	// Persist slow-consumer policy (see group.syncOne): fixed at the defaults
-	// below; only the concurrency tests shrink them.
-	persistQueueCap int
-	demoteAfter     time.Duration
 
 	// keepPoints bounds each session's sync points (only the retention tests
 	// shrink it); chunkSize > 0 serializes full reloads into resumable chunks
@@ -253,11 +248,12 @@ func (e *Engine) observe(id string, updates []Update, fullReload bool) {
 type session struct {
 	id string
 
-	// mu serializes synchronization exchanges of this session; ended is set
-	// (under mu) by End so that a poll racing a concurrent End cannot
-	// advance a deregistered session and hand its cookie back as live.
+	// mu serializes synchronization exchanges of this session; ended is
+	// closed (under mu) by End so that a poll racing a concurrent End cannot
+	// advance a deregistered session and hand its cookie back as live, and
+	// so that a stream waiting on the session ends at once.
 	mu    sync.Mutex
-	ended bool
+	ended chan struct{}
 
 	spec    query.Query
 	group   *group           // content group (group.go)
@@ -422,25 +418,15 @@ func WithChunkSize(n int) EngineOption {
 	}
 }
 
-// Default slow-consumer policy: a subscription buffers up to 5 batches; a
-// subscription whose queue is full when its consumer has taken nothing from
-// it for a second is demoted.
-const (
-	defaultPersistQueueCap = 5
-	defaultDemoteAfter     = time.Second
-)
-
 // NewEngine creates an engine over the master store.
 func NewEngine(store *dit.Store, opts ...EngineOption) *Engine {
 	e := &Engine{
-		store:           store,
-		stats:           &metrics.SyncCounters{},
-		sessions:        make(map[string]*session),
-		groups:          make(map[string]*group),
-		persistQueueCap: defaultPersistQueueCap,
-		demoteAfter:     defaultDemoteAfter,
-		keepPoints:      defaultSyncPointRetention,
-		tag:             strconv.FormatUint(36*36*36*36+rand.Uint64N(35*36*36*36*36), 36), // in [36⁴, 36⁵)
+		store:      store,
+		stats:      &metrics.SyncCounters{},
+		sessions:   make(map[string]*session),
+		groups:     make(map[string]*group),
+		keepPoints: defaultSyncPointRetention,
+		tag:        strconv.FormatUint(36*36*36*36+rand.Uint64N(35*36*36*36*36), 36), // in [36⁴, 36⁵)
 	}
 	for _, o := range opts {
 		o(e)
@@ -493,7 +479,7 @@ func (e *Engine) enter(cookie string, ex exchange) (sess *session, held bool, er
 	e.mu.Unlock()
 	if ok {
 		sess.mu.Lock()
-		if sess.ended {
+		if closed(sess.ended) {
 			sess.mu.Unlock()
 			ok = false
 		}
@@ -567,7 +553,7 @@ type PollResult struct {
 // snapshot (reload.go), so members beginning side by side share one
 // materialisation of it.
 func (e *Engine) Begin(spec query.Query) (*PollResult, error) {
-	sess := &session{spec: spec, viewKey: viewKey(spec.Attrs)}
+	sess := &session{spec: spec, viewKey: viewKey(spec.Attrs), ended: make(chan struct{})}
 	sess.group = e.joinGroup(spec)
 	view := e.startFull(sess)
 	e.mu.Lock()
@@ -668,9 +654,9 @@ func (e *Engine) reload(sess *session) *PollResult {
 
 // End terminates a session (mode "sync_end"). The session is deregistered
 // and marked ended under its own lock, so an exchange racing the End either
-// completes first or observes the termination and fails. The session also
-// leaves its content group; the last member out frees the group's shared
-// state.
+// completes first or observes the termination and fails, and a persist
+// stream of the session ends at once. The session also leaves its content
+// group; the last member out frees the group's shared state.
 func (e *Engine) End(cookie string) error {
 	id, _, _ := SplitCookie(cookie)
 	e.mu.Lock()
@@ -682,7 +668,7 @@ func (e *Engine) End(cookie string) error {
 	delete(e.sessions, id)
 	e.mu.Unlock()
 	sess.mu.Lock()
-	sess.ended = true
+	close(sess.ended)
 	e.dropTransfer(sess)
 	sess.mu.Unlock()
 	e.leaveGroup(sess.group)
@@ -720,8 +706,8 @@ func (e *Engine) SessionSpecs() []SessionSpec {
 // returning the ended session ids. A kicked consumer's next exchange gets
 // ErrNoSuchSession — the graceful re-referral of a narrowing tier: a
 // cascaded leaf supervisor reacts by re-beginning at its fallback master,
-// so no update is lost. Persist streams attached to kicked sessions close
-// on their next broadcast cycle (the broadcaster reaps ended sessions).
+// so no update is lost. Persist streams of kicked sessions end at once, as
+// End ends them.
 func (e *Engine) Kick(keep func(query.Query) bool) []string {
 	e.mu.Lock()
 	var ids []string

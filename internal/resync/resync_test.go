@@ -689,7 +689,7 @@ func TestSyncPointsNamedByCSN(t *testing.T) {
 }
 
 // TestRebuiltPointKeepsIdleName: the one sync point not named by the CSN it
-// was built at. A stream's idle cycles advance its newest point in place,
+// was built at. A stream's idle polls advance its newest point in place,
 // past the CSN naming it, without acknowledging anything older; a request
 // from an older point — a re-opened stream, or a poll left on a dead
 // connection and handled late — rolls that point back and rebuilds one at
@@ -715,19 +715,17 @@ func TestRebuiltPointKeepsIdleName(t *testing.T) {
 		t.Fatal("no batch pushed for the add")
 	}
 	held := pushedCookie(base, b) // what the consumer applied
-	// Outside the content: the stream's next cycle is idle.
+	// Outside the content: the stream's next poll is idle.
 	addPerson(t, master, "z", "0901", "1")
+	if _, ok, late := recv(sub, nil); !late || ok {
+		t.Fatal("the idle poll pushed a batch or ended the stream")
+	}
 	sess := sessionOf(t, eng, base)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		sess.mu.Lock()
-		at := sess.csn
-		sess.mu.Unlock()
-		if at == master.LastCSN() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the stream's session stayed at CSN %d, store at %d", at, master.LastCSN())
-		}
+	sess.mu.Lock()
+	at := sess.csn
+	sess.mu.Unlock()
+	if at != master.LastCSN() {
+		t.Fatalf("the stream's session stayed at CSN %d, store at %d", at, master.LastCSN())
 	}
 	sub.Close()
 

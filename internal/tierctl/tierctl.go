@@ -22,7 +22,7 @@
 //   - per-session serving credit — each active downstream session's spec
 //     credits the stored filter covering it every control tick, so filters
 //     that hold leaves attached keep their hits against fresh rejections.
-//   - per-content-group update load — the tier engine's broadcast groups
+//   - per-content-group update load — the tier engine's content groups
 //     report how many update PDUs each group's spec has fanned out; the
 //     per-tick delta credits the covering filter, weighting filters whose
 //     content is actually changing.
@@ -221,7 +221,7 @@ func (c *Controller) tick() {
 		}
 	}
 	// Content-group load credit: the per-tick delta in update PDUs each
-	// broadcast group fanned out, weighted onto the covering filter.
+	// content group fanned out, weighted onto the covering filter.
 	seen := make(map[string]uint64)
 	for _, gl := range eng.GroupLoads() {
 		key := gl.Spec.Key()
