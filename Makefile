@@ -90,11 +90,13 @@ fingerprints:
 
 ## fuzz-smoke: 30 seconds of native fuzzing per parser target — the wire
 ## decoders and the durable journal's recovery — and per differential check
-## of the matching rule (NormValue and the in-place comparers) and of the
-## entry's value layout against its reference model.
+## of the matching rule (NormValue and the in-place comparers), of the
+## entry's value layout against its reference model and of the containment
+## checker against its generic reference and multi-valued entries.
 fuzz-smoke:
 	$(GO) test ./internal/ber -run '^$$' -fuzz FuzzParseTLV -fuzztime 30s
 	$(GO) test ./internal/filter -run '^$$' -fuzz FuzzParseFilter -fuzztime 30s
+	$(GO) test ./internal/containment -run '^$$' -fuzz FuzzContainmentSound -fuzztime 30s
 	$(GO) test ./internal/dn -run '^$$' -fuzz FuzzParseDN -fuzztime 30s
 	$(GO) test ./internal/entry -run '^$$' -fuzz FuzzNormValue -fuzztime 30s
 	$(GO) test ./internal/entry -run '^$$' -fuzz FuzzEqualValues -fuzztime 30s

@@ -287,6 +287,20 @@ func TestAdmissionGate(t *testing.T) {
 	}
 }
 
+// TestAdmissionMultiValued: an entry carries several objectclass values, so
+// (&(objectclass=person)(objectclass=top)) selects every person, and a tier
+// holding one serial number must refuse it rather than serve it a subset.
+func TestAdmissionMultiValued(t *testing.T) {
+	h := newHarness(t)
+	cfg := h.tierConfig(t)
+	cfg.Specs = []query.Query{query.MustNew("o=xyz", query.ScopeSubtree, "(serialnumber=000001)")}
+	tier, _ := startTier(t, cfg, "ldap://master")
+	q := query.MustNew("o=xyz", query.ScopeSubtree, "(&(objectclass=person)(objectclass=top))")
+	if err := tier.Admit(q); !errors.Is(err, ldapnet.ErrNotContained) {
+		t.Errorf("Admit(%s) = %v, want ErrNotContained", q.FilterString(), err)
+	}
+}
+
 // TestPropagationThroughTier is the core cascade scenario: updates applied
 // at the master propagate through the mid-tier to leaves, and a leaf
 // observing the mid-tier ends byte-equivalent to one attached directly to

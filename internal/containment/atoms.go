@@ -11,14 +11,25 @@
 //   - Proposition 3: filters of the same template are compared predicate by
 //     predicate in O(n).
 //
-// Semantics and soundness. Containment is decided under the single-valued
-// attribute interpretation used throughout the query-caching literature (the
-// paper's Section 4 examples reason about one value per attribute). All
-// approximations err on the side of "not contained": a replica may generate
-// an unnecessary referral but never serves a wrong answer from a false
-// containment claim. Ordering comparisons use the same per-attribute rules
-// (integer vs case-insensitive string) as filter evaluation, which is what
-// makes range-emptiness proofs sound.
+// Semantics and soundness. Containment is decided under LDAP's own
+// multi-valued semantics, the one filter.Matches evaluates: a positive
+// assertion holds when some value of the attribute satisfies it, a negated
+// one when no value does. So each positive assertion has a witness value of
+// its own, and two positive assertions never contradict each other:
+// (&(sn=a)(sn=b)) matches an entry holding both values. A conjunct is
+// inconsistent exactly when one of its positive literals asks for a value
+// that the negated literals on the same attribute forbid; every atom below
+// proves that for one positive literal. All approximations err on the side
+// of "not contained": a replica may generate an unnecessary referral but
+// never serves a wrong answer from a false containment claim. What is
+// incomplete: a string range is proved empty only when its bounds meet or
+// cross, a positive substring pattern meets a negated one only by component
+// embedding, a pair whose DNF exceeds filter's expansion bound is never
+// contained, and an attribute the directory happens to hold single-valued
+// gets no credit for it ((sn=Smith) is not claimed inside (!(sn=Doe))).
+// Ordering comparisons use the same per-attribute rules (integer vs
+// case-insensitive string) as filter evaluation, which is what makes
+// range-emptiness proofs sound.
 package containment
 
 import (
@@ -102,20 +113,6 @@ type atom interface {
 	eval(env) bool
 }
 
-// atomTrue marks a conjunct as unconditionally inconsistent.
-type atomTrue struct{}
-
-func (atomTrue) eval(env) bool { return true }
-
-// atomValuesDiffer holds when two equality assertion values differ
-// (caseIgnoreMatch): two positive equalities on a single-valued attribute
-// are incompatible unless equal.
-type atomValuesDiffer struct{ x, y valRef }
-
-func (a atomValuesDiffer) eval(e env) bool {
-	return !entry.EqualValues(e.resolve(a.x), e.resolve(a.y))
-}
-
 // atomValuesEqual holds when a positive equality meets a negated equality on
 // the same value.
 type atomValuesEqual struct{ x, y valRef }
@@ -124,45 +121,18 @@ func (a atomValuesEqual) eval(e env) bool {
 	return entry.EqualValues(e.resolve(a.x), e.resolve(a.y))
 }
 
-// cmpOp is the comparison an atomCmp applies.
-type cmpOp int8
-
-const (
-	cmpLT cmpOp = iota + 1
-	cmpLE
-	cmpGT
-	cmpGE
-)
-
-// atomCmp holds when x op y under the attribute's ordering rule. undef is
-// the result when the comparison is undefined (integer ordering with a
-// non-integer operand): a positive ordering assertion on an undefined value
-// can never match (undef=true ⇒ inconsistent), while a negated one is
-// trivially satisfied (undef=false).
-type atomCmp struct {
-	x, y  valRef
-	op    cmpOp
-	kind  entry.Ordering
-	undef bool
+// atomLE holds when x <= y under the attribute's ordering rule: a positive
+// equality's value that a negated ordering assertion excludes. An undefined
+// comparison (integer ordering with a non-integer operand) is false, as the
+// negated assertion then excludes nothing.
+type atomLE struct {
+	x, y valRef
+	kind entry.Ordering
 }
 
-func (a atomCmp) eval(e env) bool {
+func (a atomLE) eval(e env) bool {
 	cmp, ok := entry.CompareOrdered(a.kind, e.resolve(a.x), e.resolve(a.y))
-	if !ok {
-		return a.undef
-	}
-	switch a.op {
-	case cmpLT:
-		return cmp < 0
-	case cmpLE:
-		return cmp <= 0
-	case cmpGT:
-		return cmp > 0
-	case cmpGE:
-		return cmp >= 0
-	default:
-		return false
-	}
+	return ok && cmp <= 0
 }
 
 // symPattern is a substring pattern whose components are value references.
@@ -187,22 +157,7 @@ func (p symPattern) resolve(e env) (initial string, any []string, final string) 
 	return initial, any, final
 }
 
-// prefixOnly reports whether the pattern is "prefix*" shaped.
-func (p symPattern) prefixOnly() bool { return p.hasInit && !p.hasFin && len(p.any) == 0 }
-
-// atomNotMatches holds when a forced equality value fails a positive
-// substring pattern.
-type atomNotMatches struct {
-	x   valRef
-	pat symPattern
-}
-
-func (a atomNotMatches) eval(e env) bool {
-	i, any, f := a.pat.resolve(e)
-	return !entry.MatchSubstring(e.resolve(a.x), i, any, f)
-}
-
-// atomMatches holds when a forced equality value satisfies a negated
+// atomMatches holds when a positive equality's value satisfies a negated
 // substring pattern.
 type atomMatches struct {
 	x   valRef
@@ -263,9 +218,11 @@ type bound struct {
 }
 
 // atomEmptyRange holds when the range [lo, hi] (with strictness flags) is
-// provably empty under the attribute's ordering rule. Proofs are
-// conservative: an undefined comparison yields false (range not provably
-// empty).
+// provably empty under the attribute's ordering rule. Every range pairs a
+// bound with a strict one from a negated assertion, so a string range is
+// empty when its bounds meet; an integer range, whose domain is discrete,
+// steps each strict bound inward first. An undefined comparison yields
+// false (range not provably empty).
 type atomEmptyRange struct {
 	lo, hi bound
 	kind   entry.Ordering
@@ -275,9 +232,6 @@ func (a atomEmptyRange) eval(e env) bool {
 	lo := e.resolve(a.lo.ref)
 	hi := e.resolve(a.hi.ref)
 	if a.kind == entry.OrderingInteger {
-		if a.lo.prefixHigh || a.hi.prefixHigh {
-			return false // decimal-prefix reasoning over integers is unsound
-		}
 		nlo, okLo := entry.ParseInt(lo)
 		nhi, okHi := entry.ParseInt(hi)
 		if !okLo || !okHi {
@@ -291,39 +245,14 @@ func (a atomEmptyRange) eval(e env) bool {
 		}
 		return nlo > nhi
 	}
-	if a.lo.prefixHigh {
-		return false // a prefix-successor lower bound never arises
-	}
-	hiStrict := a.hi.strict
-	var cmp int
 	if a.hi.prefixHigh {
 		// The successor is a byte string past the normal form, not a value:
 		// build both forms and compare them bytewise.
 		succ, ok := prefixSucc(entry.NormValue(hi))
-		if !ok {
-			return false // prefix has no successor: upper bound is +∞
-		}
-		cmp = strings.Compare(entry.NormValue(lo), succ)
-		hiStrict = true
-	} else {
-		cmp, _ = entry.CompareOrdered(entry.OrderingString, lo, hi)
+		return ok && strings.Compare(entry.NormValue(lo), succ) >= 0
 	}
-	// Dense-domain approximation: equal endpoints with any strict side are
-	// empty; distinct endpoints are assumed to admit a value in between
-	// (conservative for immediate-successor string pairs).
-	return cmp > 0 || cmp == 0 && (a.lo.strict || hiStrict)
-}
-
-// atomHole holds when the range pins a single value (lo == hi, both
-// inclusive, string ordering) and a negated equality excludes exactly that
-// value.
-type atomHole struct {
-	lo, hi, hole valRef
-}
-
-func (a atomHole) eval(e env) bool {
-	lo := e.resolve(a.lo)
-	return entry.EqualValues(lo, e.resolve(a.hi)) && entry.EqualValues(lo, e.resolve(a.hole))
+	cmp, _ := entry.CompareOrdered(entry.OrderingString, lo, hi)
+	return cmp >= 0
 }
 
 // atomUnparseable holds when an integer-ordering assertion value does not

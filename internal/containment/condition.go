@@ -173,70 +173,46 @@ func toSymPattern(s *filter.Substring) symPattern {
 }
 
 // attrAtoms derives inconsistency atoms for the literals constraining a
-// single attribute under the single-valued interpretation. An entry may omit
-// the attribute, which satisfies every negated literal and no positive one.
+// single attribute. An entry may omit the attribute, which satisfies every
+// negated literal and no positive one. Otherwise each positive literal needs
+// a value of its own that satisfies it and no negated literal, so the
+// literals are inconsistent exactly when one positive literal is, together
+// with the negated ones.
 func attrAtoms(attr string, al *attrLits) (atoms []atom, always bool) {
 	if !al.hasPositive() {
-		// Omit the attribute: all negated literals satisfied.
 		return nil, false
 	}
 	if al.negPresent {
-		// A positive constraint requires the attribute; ¬present forbids it.
+		// A positive literal requires the attribute; ¬present forbids it.
 		return nil, true
 	}
 	kind := entry.OrderingFor(attr)
-
-	if len(al.posEQ) > 0 {
-		// The value is forced to the (common) equality value; every other
-		// constraint is checked against it.
-		e0 := al.posEQ[0]
-		for i := 0; i < len(al.posEQ); i++ {
-			for j := i + 1; j < len(al.posEQ); j++ {
-				atoms = append(atoms, atomValuesDiffer{al.posEQ[i], al.posEQ[j]})
-			}
-		}
+	for _, e := range al.posEQ {
 		for _, t := range al.negEQ {
-			atoms = append(atoms, atomValuesEqual{e0, t})
-		}
-		for _, g := range al.posGE {
-			atoms = append(atoms, atomCmp{x: e0, y: g, op: cmpLT, kind: kind, undef: true})
-		}
-		for _, l := range al.posLE {
-			atoms = append(atoms, atomCmp{x: e0, y: l, op: cmpGT, kind: kind, undef: true})
+			atoms = append(atoms, atomValuesEqual{e, t})
 		}
 		for _, g := range al.negGE {
-			atoms = append(atoms, atomCmp{x: e0, y: g, op: cmpGE, kind: kind, undef: false})
+			atoms = append(atoms, atomLE{x: g, y: e, kind: kind})
 		}
 		for _, l := range al.negLE {
-			atoms = append(atoms, atomCmp{x: e0, y: l, op: cmpLE, kind: kind, undef: false})
-		}
-		for _, p := range al.posSub {
-			atoms = append(atoms, atomNotMatches{x: e0, pat: p})
+			atoms = append(atoms, atomLE{x: e, y: l, kind: kind})
 		}
 		for _, p := range al.negSub {
-			atoms = append(atoms, atomMatches{x: e0, pat: p})
+			atoms = append(atoms, atomMatches{x: e, pat: p})
 		}
-		return atoms, false
+	}
+	for _, pp := range al.posSub {
+		for _, np := range al.negSub {
+			atoms = append(atoms, atomPatternSubsumed{pos: pp, neg: np})
+		}
 	}
 
-	// Range analysis. Positive ordering assertions force the value to parse
-	// under integer ordering; negated ordering assertions can otherwise be
-	// satisfied by a non-integer value and are dropped (conservative).
-	mustParse := len(al.posGE) > 0 || len(al.posLE) > 0
+	// Range analysis. Every other positive literal is one range intersected
+	// with the negated bounds. A value outside integer syntax satisfies
+	// every negated ordering assertion on an integer attribute, so those
+	// bounds apply only to the witness of a positive ordering assertion.
 	var lows, highs []bound
-	for _, g := range al.posGE {
-		lows = append(lows, bound{ref: g})
-		if kind == entry.OrderingInteger {
-			atoms = append(atoms, atomUnparseable{g})
-		}
-	}
-	for _, l := range al.posLE {
-		highs = append(highs, bound{ref: l})
-		if kind == entry.OrderingInteger {
-			atoms = append(atoms, atomUnparseable{l})
-		}
-	}
-	if kind != entry.OrderingInteger || mustParse {
+	if kind != entry.OrderingInteger || len(al.posGE) > 0 || len(al.posLE) > 0 {
 		for _, l := range al.negLE {
 			lows = append(lows, bound{ref: l, strict: true})
 		}
@@ -244,44 +220,34 @@ func attrAtoms(attr string, al *attrLits) (atoms []atom, always bool) {
 			highs = append(highs, bound{ref: g, strict: true})
 		}
 	}
+	empty := func(los, his []bound) {
+		for _, lo := range los {
+			for _, hi := range his {
+				atoms = append(atoms, atomEmptyRange{lo: lo, hi: hi, kind: kind})
+			}
+		}
+	}
+	empty(lows, highs)
+	for _, g := range al.posGE {
+		if kind == entry.OrderingInteger {
+			atoms = append(atoms, atomUnparseable{g})
+		}
+		empty([]bound{{ref: g}}, highs)
+	}
+	for _, l := range al.posLE {
+		if kind == entry.OrderingInteger {
+			atoms = append(atoms, atomUnparseable{l})
+		}
+		empty(lows, []bound{{ref: l}})
+	}
 	if kind != entry.OrderingInteger {
-		// A substring pattern with an initial component confines the value to
-		// [initial, prefixSucc(initial)).
+		// A substring pattern with an initial component confines its witness
+		// to [initial, prefixSucc(initial)).
 		for _, p := range al.posSub {
 			if p.hasInit {
-				lows = append(lows, bound{ref: p.initial})
-				highs = append(highs, bound{ref: p.initial, prefixHigh: true})
+				empty([]bound{{ref: p.initial}}, highs)
+				empty(lows, []bound{{ref: p.initial, prefixHigh: true}})
 			}
-		}
-	}
-	for _, lo := range lows {
-		for _, hi := range highs {
-			if lo.ref == hi.ref && hi.prefixHigh && !lo.strict && !lo.prefixHigh {
-				continue // a prefix's own [p, succ p) is never empty
-			}
-			atoms = append(atoms, atomEmptyRange{lo: lo, hi: hi, kind: kind})
-		}
-	}
-	if kind != entry.OrderingInteger {
-		for _, t := range al.negEQ {
-			for _, lo := range lows {
-				if lo.strict || lo.prefixHigh {
-					continue
-				}
-				for _, hi := range highs {
-					if hi.strict || hi.prefixHigh {
-						continue
-					}
-					atoms = append(atoms, atomHole{lo: lo.ref, hi: hi.ref, hole: t})
-				}
-			}
-		}
-	}
-	// A negated pattern subsumed by a positive pattern is a contradiction:
-	// everything matching the positive pattern matches the negated one.
-	for _, np := range al.negSub {
-		for _, pp := range al.posSub {
-			atoms = append(atoms, atomPatternSubsumed{pos: pp, neg: np})
 		}
 	}
 	return atoms, false

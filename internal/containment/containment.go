@@ -8,29 +8,6 @@ import (
 	"filterdir/internal/query"
 )
 
-// FilterContainsGeneric decides F1 ⊆ F2 (every entry matching F1 matches F2)
-// by Proposition 1: F1 ∧ ¬F2 is brought to DNF and every conjunct must be
-// provably inconsistent. The error is non-nil only when DNF expansion
-// exceeds safe bounds (filter.ErrTooComplex); callers treat that as "not
-// contained".
-func FilterContainsGeneric(f1, f2 *filter.Node) (bool, error) {
-	f1, f2 = orDefault(f1), orDefault(f2)
-	expr := filter.NewAnd(f1.Clone(), filter.NewNot(f2.Clone()))
-	conj, err := expr.DNF()
-	if err != nil {
-		return false, err
-	}
-	cond, v := derive(conj)
-	switch v {
-	case verdictAlways:
-		return true, nil
-	case verdictImpossible:
-		return false, nil
-	default:
-		return cond.eval(env{}), nil
-	}
-}
-
 // SameTemplateContains decides containment for two positive filters of the
 // same template by Proposition 3: each predicate of F1 must be contained in
 // the corresponding predicate of F2, requiring only O(n) assertion-value

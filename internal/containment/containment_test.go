@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,13 +21,36 @@ func mustParse(s string) *filter.Node {
 	return n
 }
 
+// genericContains is the reference the Checker is tested against: it
+// decides F1 ⊆ F2 by Proposition 1 on the concrete values, bringing
+// F1 ∧ ¬F2 to DNF and requiring every conjunct to be provably inconsistent,
+// with no template plan in between. The error is non-nil only when DNF
+// expansion exceeds filter's bound (filter.ErrTooComplex).
+func genericContains(f1, f2 *filter.Node) (bool, error) {
+	f1, f2 = orDefault(f1), orDefault(f2)
+	expr := filter.NewAnd(f1.Clone(), filter.NewNot(f2.Clone()))
+	conj, err := expr.DNF()
+	if err != nil {
+		return false, err
+	}
+	cond, v := derive(conj)
+	switch v {
+	case verdictAlways:
+		return true, nil
+	case verdictImpossible:
+		return false, nil
+	default:
+		return cond.eval(env{}), nil
+	}
+}
+
 // contains runs the generic Proposition 1 check, failing the test on
 // complexity errors.
 func contains(t *testing.T, f1, f2 string) bool {
 	t.Helper()
-	got, err := FilterContainsGeneric(mustParse(f1), mustParse(f2))
+	got, err := genericContains(mustParse(f1), mustParse(f2))
 	if err != nil {
-		t.Fatalf("FilterContainsGeneric(%s, %s): %v", f1, f2, err)
+		t.Fatalf("genericContains(%s, %s): %v", f1, f2, err)
 	}
 	return got
 }
@@ -101,9 +125,9 @@ func TestFilterContainsGeneric(t *testing.T) {
 
 		// Negation.
 		{"(!(sn=Doe))", "(!(sn=Doe))", true},
-		// Under the single-valued interpretation an entry cannot carry both
-		// sn=Smith and sn=Doe, so (sn=Smith) is contained in (!(sn=Doe)).
-		{"(sn=Smith)", "(!(sn=Doe))", true},
+		// An entry may carry both sn=Smith and sn=Doe, so (sn=Smith) is not
+		// contained in (!(sn=Doe)).
+		{"(sn=Smith)", "(!(sn=Doe))", false},
 		// ¬A ⊆ ¬B iff B ⊆ A; B adds a conjunct so B ⊆ A holds.
 		{"(!(&(sn=Doe)(age>=30)))", "(!(&(sn=Doe)(age>=30)(dept=5)))", true},
 		{"(!(&(sn=Doe)(age>=30)(dept=5)))", "(!(&(sn=Doe)(age>=30)))", false},
@@ -113,10 +137,13 @@ func TestFilterContainsGeneric(t *testing.T) {
 		{"(sn=*)", "(sn=Doe)", false},
 		{"(sn=smi*)", "(sn=*)", true},
 
-		// Range + negated range.
-		{"(age>=40)", "(!(age<=30))", true},
+		// Range + negated range: an entry with age {40, 25} matches
+		// (age>=40) and (age<=30), and one with age {20, 35} matches
+		// (age<=20) and (age>=30).
+		{"(age>=40)", "(!(age<=30))", false},
 		{"(age>=30)", "(!(age<=30))", false},
-		{"(age<=20)", "(!(age>=30))", true},
+		{"(age<=20)", "(!(age>=30))", false},
+		{"(&(age>=40)(!(age<=30)))", "(!(age<=30))", true},
 
 		// OR of prefixes.
 		{"(serialnumber=0456)", "(|(serialnumber=04*)(serialnumber=05*))", true},
@@ -174,7 +201,7 @@ func TestCheckerAgreesWithGeneric(t *testing.T) {
 	for _, s1 := range pool {
 		for _, s2 := range pool {
 			f1, f2 := mustParse(s1), mustParse(s2)
-			want, err := FilterContainsGeneric(f1, f2)
+			want, err := genericContains(f1, f2)
 			if err != nil {
 				t.Fatalf("generic(%s, %s): %v", s1, s2, err)
 			}
@@ -338,27 +365,17 @@ func TestQueryContains(t *testing.T) {
 
 // --- Soundness property test ------------------------------------------------
 
-// randFilter builds a random positive-or-negated filter over a small value
-// domain so that random entries have a real chance of matching.
-func randFilter(r *rand.Rand, depth int) *filter.Node {
-	attrs := []string{"sn", "age", "dept", "serialnumber", "mail"}
-	values := []string{"a", "b", "c", "10", "20", "30", "0456", "04", "x@y"}
-	attr := attrs[r.Intn(len(attrs))]
-	val := values[r.Intn(len(values))]
-	if depth > 0 && r.Intn(3) == 0 {
-		n := 2 + r.Intn(2)
-		kids := make([]*filter.Node, n)
-		for i := range kids {
-			kids[i] = randFilter(r, depth-1)
-		}
-		if r.Intn(2) == 0 {
-			return filter.NewAnd(kids...)
-		}
-		return filter.NewOr(kids...)
-	}
-	if depth > 0 && r.Intn(6) == 0 {
-		return filter.NewNot(randFilter(r, depth-1))
-	}
+// propAttrs and propValues are the small domain the property test draws
+// filters and entries from, so that random entries have a real chance of
+// matching.
+var (
+	propAttrs  = []string{"sn", "age", "dept", "serialnumber", "mail"}
+	propValues = []string{"a", "b", "c", "10", "20", "30", "0456", "04", "x@y", "0456xyz"}
+)
+
+// randAtom builds a random predicate on attr.
+func randAtom(r *rand.Rand, attr string) *filter.Node {
+	val := propValues[r.Intn(len(propValues)-1)] // no assertion names 0456xyz
 	switch r.Intn(5) {
 	case 0:
 		return filter.NewEQ(attr, val)
@@ -373,31 +390,63 @@ func randFilter(r *rand.Rand, depth int) *filter.Node {
 	}
 }
 
-// randEntry builds a random single-valued entry over the same domain.
+// randFilter builds a random positive-or-negated filter.
+func randFilter(r *rand.Rand, depth int) *filter.Node {
+	if depth > 0 && r.Intn(3) == 0 {
+		n := 2 + r.Intn(2)
+		kids := make([]*filter.Node, n)
+		for i := range kids {
+			kids[i] = randFilter(r, depth-1)
+		}
+		if r.Intn(2) == 0 {
+			return filter.NewAnd(kids...)
+		}
+		return filter.NewOr(kids...)
+	}
+	if depth > 0 && r.Intn(6) == 0 {
+		return filter.NewNot(randFilter(r, depth-1))
+	}
+	return randAtom(r, propAttrs[r.Intn(len(propAttrs))])
+}
+
+// randSameAttr builds a conjunction of two predicates on one attribute, the
+// second negated a quarter of the time.
+func randSameAttr(r *rand.Rand) *filter.Node {
+	attr := propAttrs[r.Intn(len(propAttrs))]
+	second := randAtom(r, attr)
+	if r.Intn(4) == 0 {
+		second = filter.NewNot(second)
+	}
+	return filter.NewAnd(randAtom(r, attr), second)
+}
+
+// randEntry builds a random entry over the same domain holding 0–3 values
+// of each attribute.
 func randEntry(r *rand.Rand) *entry.Entry {
-	attrs := []string{"sn", "age", "dept", "serialnumber", "mail"}
-	values := []string{"a", "b", "c", "10", "20", "30", "0456", "04", "x@y", "0456xyz"}
 	e := entry.New(dn.MustParse("cn=t,o=xyz"))
 	e.Put("objectclass", "person")
-	for _, a := range attrs {
-		if r.Intn(3) != 0 { // ~2/3 present
-			e.Put(a, values[r.Intn(len(values))])
+	for _, a := range propAttrs {
+		for n := r.Intn(4); n > 0; n-- {
+			e.Add(a, propValues[r.Intn(len(propValues))])
 		}
 	}
 	return e
 }
 
 func TestContainmentSoundness(t *testing.T) {
-	// If containment is claimed, no single-valued entry may match F1 but
-	// not F2. This is the invariant that keeps replicas from serving wrong
-	// answers.
+	// If containment is claimed, no entry may match F1 but not F2, however
+	// many values it holds of an attribute. This is the invariant that keeps
+	// replicas from serving wrong answers.
 	r := rand.New(rand.NewSource(7))
 	c := NewChecker()
 	claimed := 0
 	for i := 0; i < 3000; i++ {
 		f1 := randFilter(r, 2)
+		if i%3 == 0 {
+			f1 = randSameAttr(r)
+		}
 		f2 := randFilter(r, 2)
-		genericOK, err := FilterContainsGeneric(f1, f2)
+		genericOK, err := genericContains(f1, f2)
 		if err != nil {
 			continue
 		}
@@ -420,6 +469,121 @@ func TestContainmentSoundness(t *testing.T) {
 	if claimed < 30 {
 		t.Errorf("property test too weak: only %d containments claimed", claimed)
 	}
+}
+
+// multiValued lists filter pairs that a single-valued reading would call
+// contained, each with an entry holding several values of one attribute
+// that matches F1 and not F2.
+var multiValued = []struct {
+	f1, f2 string
+	attr   string
+	values []string
+}{
+	{"(&(objectclass=person)(objectclass=top))", "(serialnumber=000001)", "objectclass", []string{"top", "person"}},
+	{"(&(sn=a)(sn=b))", "(cn=x)", "sn", []string{"a", "b"}},
+	{"(&(sn>=5)(sn<=3))", "(sn=4)", "sn", []string{"2", "6"}},
+	{"(sn=Smith)", "(!(sn=Doe))", "sn", []string{"Smith", "Doe"}},
+	{"(&(cn=p3)(cn=p5))", "(serialnumber=0403)", "cn", []string{"p3", "p5"}},
+	{"(&(age=30)(age=20))", "(serialnumber>=a)", "age", []string{"30", "20"}},
+}
+
+func TestMultiValuedNotContained(t *testing.T) {
+	c := NewChecker()
+	for _, tt := range multiValued {
+		f1, f2 := mustParse(tt.f1), mustParse(tt.f2)
+		e := entry.New(dn.MustParse("cn=t,o=xyz")).Put("objectclass", "top").Put(tt.attr, tt.values...)
+		if !f1.Matches(e) || f2.Matches(e) {
+			t.Fatalf("test setup: %s does not refute %s ⊆ %s", e, tt.f1, tt.f2)
+		}
+		if got := contains(t, tt.f1, tt.f2); got {
+			t.Errorf("generic: %s ⊆ %s claimed; %s refutes it", tt.f1, tt.f2, e)
+		}
+		if c.FilterContains(f1, f2) {
+			t.Errorf("checker: %s ⊆ %s claimed; %s refutes it", tt.f1, tt.f2, e)
+		}
+	}
+}
+
+// tooComplex is a pair whose DNF(F1 ∧ ¬F2) exceeds filter's expansion
+// bound: 2^13 conjuncts.
+func tooComplex() (f1, f2 *filter.Node) {
+	var ors []*filter.Node
+	for i := 0; i < 13; i++ {
+		ors = append(ors, filter.NewOr(filter.NewEQ("sn", itoa(i)), filter.NewEQ("cn", itoa(i))))
+	}
+	return filter.NewAnd(ors...), mustParse("(mail=x)")
+}
+
+func TestFallbackDecidedOnce(t *testing.T) {
+	f1, f2 := tooComplex()
+	if _, err := genericContains(f1, f2); !errors.Is(err, filter.ErrTooComplex) {
+		t.Fatalf("test setup: generic = %v, want ErrTooComplex", err)
+	}
+	c := NewChecker()
+	for i := 0; i < 2; i++ {
+		if c.FilterContains(f1, f2) {
+			t.Fatal("a pair too complex to expand must not be claimed contained")
+		}
+	}
+	if st := c.Stats(); st.Fallback != 2 || st.PlansCompiled != 1 {
+		t.Errorf("Fallback = %d, PlansCompiled = %d, want 2 and 1", st.Fallback, st.PlansCompiled)
+	}
+	// The cached plan answers without expanding the DNF again.
+	allocs := testing.AllocsPerRun(20, func() { c.FilterContains(f1, f2) })
+	t.Logf("%.0f allocations per decided too-complex pair", allocs)
+	if allocs > 40 {
+		t.Errorf("a cached too-complex pair costs %.0f allocations, want at most 40", allocs)
+	}
+}
+
+// FuzzContainmentSound checks the Checker against the generic reference on
+// arbitrary filter pairs, and checks every containment they claim against
+// entries that hold up to three of the fuzzed values in each attribute the
+// filters name.
+func FuzzContainmentSound(f *testing.F) {
+	for _, tt := range multiValued {
+		f.Add(tt.f1, tt.f2, tt.values[0], tt.values[1], "")
+	}
+	f.Add("(&(age>=30)(!(age>=31)))", "(age<=30)", "30", "31", "29")
+	f.Add("(serialnumber=0456)", "(|(serialnumber=04*)(serialnumber=05*))", "0456", "0556", "0656")
+	f.Fuzz(func(t *testing.T, s1, s2, v1, v2, v3 string) {
+		if len(s1)+len(s2) > 512 {
+			return
+		}
+		f1, err1 := filter.Parse(s1)
+		f2, err2 := filter.Parse(s2)
+		if err1 != nil || err2 != nil {
+			return
+		}
+		want, err := genericContains(f1, f2)
+		want = want && err == nil
+		if got := NewChecker().FilterContains(f1, f2); got != want {
+			t.Fatalf("checker says %v, generic %v for %s ⊆ %s", got, want, f1, f2)
+		}
+		if !want {
+			return
+		}
+		var attrs []string
+		for _, p := range append(f1.Predicates(), f2.Predicates()...) {
+			attrs = append(attrs, p.Attr)
+		}
+		vals := []string{v1, v2, v3}
+		// Each entry gives every named attribute a subset of the values:
+		// attribute i takes bits 3(i mod 3) to 3(i mod 3)+2 of a counter.
+		for m := 0; m < 512; m++ {
+			e := entry.New(dn.MustParse("cn=t,o=xyz")).Put("objectclass", "top")
+			for i, a := range attrs {
+				for k, v := range vals {
+					if m>>(3*(i%3)+k)&1 == 1 && v != "" {
+						e.Add(a, v)
+					}
+				}
+			}
+			if f1.Matches(e) && !orDefault(f2).Matches(e) {
+				t.Fatalf("unsound containment %s ⊆ %s: %s", f1, f2, e)
+			}
+		}
+	})
 }
 
 func TestScopeContainsSelf(t *testing.T) {
@@ -459,7 +623,7 @@ func BenchmarkCompiledVsGeneric(b *testing.B) {
 	b.Run("generic", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ok, err := FilterContainsGeneric(f1, f2)
+			ok, err := genericContains(f1, f2)
 			if err != nil || !ok {
 				b.Fatal("expected containment")
 			}

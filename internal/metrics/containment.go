@@ -16,8 +16,8 @@ type ContainmentCounters struct {
 	// AlwaysAccepted counts queries accepted by a template pair whose
 	// containment holds for all assertion values.
 	AlwaysAccepted atomic.Int64
-	// Fallback counts full Proposition 1 checks for pairs too complex to
-	// compile.
+	// Fallback counts queries answered "not contained" because their
+	// template pair's DNF exceeds the filter package's expansion bound.
 	Fallback atomic.Int64
 	// PlansCompiled counts distinct template pairs analyzed.
 	PlansCompiled atomic.Int64

@@ -173,6 +173,35 @@ func TestFilterReplicaAnswersContainedQueries(t *testing.T) {
 	}
 }
 
+// TestMultiValuedQueryMisses: two equalities on one attribute never pin a
+// value. An entry holding cn {p5, p3} outside the stored filter matches
+// (&(cn=p3)(cn=p5)), so a replica holding (serialnumber=0403) cannot answer
+// that query and must miss rather than return its empty selection.
+func TestMultiValuedQueryMisses(t *testing.T) {
+	master := buildMaster(t)
+	p5 := dn.MustParse("cn=p5,c=us,o=xyz")
+	if err := master.Modify(p5, []dit.Mod{{Op: dit.ModAdd, Attr: "cn", Values: []string{"p3"}}}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewFilterReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncStored(t, master, resync.NewEngine(master), r, query.MustNew("", query.ScopeSubtree, "(serialnumber=0403)"))
+
+	q := query.MustNew("o=xyz", query.ScopeSubtree, "(&(cn=p3)(cn=p5))")
+	res, err := master.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Entries) != 1 || !res.Entries[0].DN().Equal(p5) {
+		t.Fatalf("master answers %d entries, want cn=p5 alone", len(res.Entries))
+	}
+	if entries, hit, via := r.Answer(q); hit {
+		t.Errorf("hit via %s with %d entries; the master holds cn=p5 outside it", via, len(entries))
+	}
+}
+
 func TestFilterReplicaSyncKeepsAnswersFresh(t *testing.T) {
 	master := buildMaster(t)
 	eng := resync.NewEngine(master)

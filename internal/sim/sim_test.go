@@ -356,7 +356,7 @@ func TestContainmentStatsShape(t *testing.T) {
 	s := series(t, fig, "% of decisions")
 	fallback, _ := yAt(s, 5)
 	if fallback > 5 {
-		t.Errorf("generic fallback handles %.1f%% of decisions; templates should cover the workload", fallback)
+		t.Errorf("pairs too complex to expand take %.1f%% of decisions; templates should cover the workload", fallback)
 	}
 	pruned, _ := yAt(s, 3)
 	compiled, _ := yAt(s, 2)
