@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"slices"
 	"strconv"
 
 	"filterdir/internal/entry"
@@ -122,15 +123,17 @@ func rewriteMatchAll(f *filter.Node) *filter.Node {
 	if f.Op == filter.Present && f.Attr == entry.AttrObjectClass {
 		return &filter.Node{Op: filter.True}
 	}
-	changed := false
-	kids := make([]*filter.Node, len(f.Children))
+	var kids []*filter.Node // the children, copied once one of them changes
 	for i, c := range f.Children {
-		kids[i] = rewriteMatchAll(c)
-		if kids[i] != c {
-			changed = true
+		k := rewriteMatchAll(c)
+		if k != c && kids == nil {
+			kids = slices.Clone(f.Children)
+		}
+		if kids != nil {
+			kids[i] = k
 		}
 	}
-	if !changed {
+	if kids == nil {
 		return f
 	}
 	c := *f

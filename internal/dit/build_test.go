@@ -3,6 +3,7 @@ package dit
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -425,11 +426,129 @@ func TestIndexBuildOnceForConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestIndexBuildParallelMatchesEager: a first read that wants four indexes
+// at once builds every shard's posting of each in parallel, on a store of 1,
+// 2 and 8 shards, while two writers change indexed values, add, delete and
+// rename entries. Each writer applies every write to that store and then to
+// one whose indexes an early read built; the writers own disjoint units, so
+// both stores end with the same entries. There every posting of the lazily
+// built indexes equals the eager store's, and both equal ones rebuilt from
+// the entries.
+func TestIndexBuildParallelMatchesEager(t *testing.T) {
+	attrs := []string{"tel", "dept", "mail", "cn"}
+	all := query.MustNew("o=xyz", query.ScopeSubtree, "(|(tel=v1)(dept=d1)(mail=m1*)(cn=p1))")
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
+			var stores [2]*Store
+			for i := range stores {
+				st, err := NewStore([]string{"o=xyz"}, WithIndexes(attrs...), WithShards(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stores[i] = st
+			}
+			eager, lazy := stores[0], stores[1]
+			eager.MatchAll(all)
+			units := []string{"ou=a,o=xyz", "ou=b,o=xyz"}
+			person := func(r *rand.Rand, i int, unit string) *entry.Entry {
+				return entry.New(dn.MustParse(fmt.Sprintf("cn=p%d,%s", i, unit))).Put("objectclass", "person").
+					Put("cn", fmt.Sprint("p", i)).Put("tel", fmt.Sprint("v", r.Intn(5))).
+					Put("dept", fmt.Sprint("d", r.Intn(3))).Put("mail", fmt.Sprint("m", r.Intn(40)))
+			}
+			load := []*entry.Entry{entry.New(dn.MustParse("o=xyz")).Put("objectclass", "organization")}
+			r := rand.New(rand.NewSource(int64(shards)))
+			for _, unit := range units {
+				load = append(load, entry.New(dn.MustParse(unit)).Put("objectclass", "organizationalUnit"))
+				for i := 0; i < 150; i++ {
+					load = append(load, person(r, i, unit))
+				}
+			}
+			for _, st := range stores {
+				es := make([]*entry.Entry, len(load))
+				for i, e := range load {
+					es[i] = e.Clone()
+				}
+				if err := st.Load(es); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The build waits for the writers' first writes, and runs
+			// beside the rest.
+			var written atomic.Int32
+			started, enough := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			release := func() { once.Do(func() { close(enough) }) }
+			lazy.buildHook = func([]string) {
+				close(started)
+				<-enough
+			}
+			var wg sync.WaitGroup
+			for w, unit := range units {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer release() // a writer that stops early
+					r := rand.New(rand.NewSource(int64(10*shards + w)))
+					<-started
+					for k := 0; k < 200; k++ {
+						d := dn.MustParse(fmt.Sprintf("cn=p%d,%s", r.Intn(200), unit))
+						var op func(st *Store) error
+						switch r.Intn(6) {
+						case 0:
+							e := person(r, 200+k, unit)
+							op = func(st *Store) error { return st.Add(e.Clone()) }
+						case 1:
+							op = func(st *Store) error { return st.Delete(d) }
+						case 2:
+							rdn := dn.RDN{Attr: "cn", Value: fmt.Sprint("p", r.Intn(200))}
+							op = func(st *Store) error { return st.ModifyDN(d, rdn, dn.MustParse(unit)) }
+						default:
+							mods := []Mod{{Op: ModReplace, Attr: attrs[r.Intn(3)], Values: []string{fmt.Sprint("v", r.Intn(5))}},
+								{Op: ModAdd, Attr: "mail", Values: []string{fmt.Sprint("m", r.Intn(40))}}}
+							op = func(st *Store) error { return st.Modify(d, mods) }
+						}
+						if errL, errE := op(lazy), op(eager); fmt.Sprint(errL) != fmt.Sprint(errE) {
+							t.Errorf("write %d of %s: %v, eager %v", k, unit, errL, errE)
+							return
+						}
+						if written.Add(1) == 20 {
+							release()
+						}
+					}
+				}()
+			}
+			got := dnsOf(lazy.MatchAll(all))
+			wg.Wait()
+			if len(got) == 0 {
+				t.Fatal("the first read found nothing")
+			}
+			if built := builtIndexes(t, lazy); !slices.Equal(built, []string{"cn", "dept", "mail", "tel"}) {
+				t.Fatalf("the first read built %v", built)
+			}
+			for i := range lazy.shards {
+				ls, es := lazy.shards[i].load(), eager.shards[i].load()
+				for _, a := range attrs {
+					lp, ep := ls.indexes[a].byValue, es.indexes[a].byValue
+					if !maps.EqualFunc(lp, ep, slices.Equal) {
+						t.Fatalf("shard %d, index %s: %d values built lazily, %d eagerly: %v vs %v", i, a, len(lp), len(ep), lp, ep)
+					}
+				}
+				assertIndexesRebuilt(t, lazy.indexAttrs, ls, "lazy, after the writers")
+				assertIndexesRebuilt(t, eager.indexAttrs, es, "eager, after the writers")
+			}
+			if got, want := dnsOf(lazy.MatchAll(all)), scanFor(lazy, all); !slices.Equal(got, want) {
+				t.Fatalf("read after the writers: %v, scan %v", got, want)
+			}
+		})
+	}
+}
+
 // BenchmarkFirstIndexedRead times what the first read that wants an index
 // costs at 10 k and 100 k entries, while a writer changes the indexed value of
 // a random entry every 0.2 ms: the read's latency (a build from its frozen
 // view, the catch-up and install, then the read itself), the build alone
-// (bulkIndex over the view), and the longest any write waited while the read
+// (bulkIndex over the view's shards, in parallel as the store runs it), and the longest any write waited while the read
 // was in progress. For scale, the same for a second read, which finds the
 // index built.
 func BenchmarkFirstIndexedRead(b *testing.B) {
@@ -453,9 +572,7 @@ func BenchmarkFirstIndexedRead(b *testing.B) {
 				}
 				v := st.freeze()
 				start := time.Now()
-				for _, s := range v.states {
-					bulkIndex(s, "serialnumber")
-				}
+				forEach(len(v.states), func(i int) { bulkIndex(v.states[i], "serialnumber") })
 				build += time.Since(start)
 
 				var reading atomic.Bool

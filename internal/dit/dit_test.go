@@ -1009,3 +1009,49 @@ func TestBoundedJournalBatchAllocs(t *testing.T) {
 		t.Errorf("journal after the batch: len %d cap %d, want len %d within %d", len(st.journal), cap(st.journal), limit, 2*limit)
 	}
 }
+
+// TestModifyAllocs gates what a one-attribute Modify of a Table-1 employee
+// costs once the journal is full: the held entry is copied once, into a
+// buffer and a table with room for what the mod adds: 10 allocations and
+// 1,741 B. It used to be copied at its live size and then again, into a
+// buffer of twice that, by the mod's Put: 11 allocations and 3,069 B.
+func TestModifyAllocs(t *testing.T) {
+	st, err := NewStore([]string{"o=xyz"}, WithJournalLimit(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dn.MustParse("cn=emp us 17,c=us,o=xyz")
+	emp := entry.New(d).Put("objectclass", "top", "person", "organizationalPerson", "inetOrgPerson").
+		Put("cn", "emp us 17").Put("sn", "sn17").Put("serialNumber", "100017").Put("uid", "u100017").
+		Put("mail", "qzkxv@us.xyz.com").Put("departmentNumber", "231").Put("telephoneNumber", "555-0117").
+		Put("description", strings.Repeat("x", 512))
+	if err := st.Load([]*entry.Entry{
+		entry.New(dn.MustParse("o=xyz")).Put("objectclass", "organization"),
+		entry.New(dn.MustParse("c=us,o=xyz")).Put("objectclass", "country"),
+		emp,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mods := []Mod{{Op: ModReplace, Attr: "telephoneNumber", Values: []string{"555-0199"}}}
+	modify := func() {
+		if err := st.Modify(d, mods); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ { // past the bound: the journal is full
+		modify()
+	}
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		modify()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := testing.AllocsPerRun(n, modify)
+	t.Logf("one-attribute Modify of a Table-1 employee: %.0f allocations, %.0f B",
+		allocs, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	if allocs > 10 {
+		t.Errorf("a Modify allocates %.0f times, gate is 10", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package dit
 
 import (
 	"maps"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -287,7 +288,8 @@ func (s *Store) indexedView(f *filter.Node) (*view, []string, bool) {
 // buildIndexes builds the indexes of attrs no shard holds yet. Builds run one
 // at a time, so an index is built once and a reader needing one being built
 // waits for it. The builder takes a hold, freezes a view — the journal keeps
-// every record after it — and builds from the view outside seqMu. Under seqMu
+// every record after it — and builds from the view outside seqMu, every
+// shard's posting of every attribute in parallel (forEach). Under seqMu
 // it replays the records committed since (Before and After images, routed by
 // shard, as the writers applied them) and installs the indexes in every shard:
 // writers wait for that catch-up, never for the build. A Load or Durable in
@@ -309,11 +311,17 @@ func (s *Store) buildIndexes(attrs []string) {
 		if s.buildHook != nil {
 			s.buildHook(attrs)
 		}
+		// Each (shard, attribute) posting is built from its frozen state on
+		// its own, so they are built at once.
+		postings := make([]*attrIndex, len(v.states)*len(attrs))
+		forEach(len(postings), func(k int) {
+			postings[k] = bulkIndex(v.states[k/len(attrs)], attrs[k%len(attrs)])
+		})
 		fresh := make([]*shardState, len(v.states))
-		for i, st := range v.states {
-			fresh[i] = &shardState{indexes: make(map[string]*attrIndex), referrals: make(map[string]bool)}
-			for _, a := range attrs {
-				fresh[i].indexes[a] = bulkIndex(st, a)
+		for i := range fresh {
+			fresh[i] = &shardState{indexes: make(map[string]*attrIndex, len(attrs)), referrals: make(map[string]bool)}
+			for j, a := range attrs {
+				fresh[i].indexes[a] = postings[i*len(attrs)+j]
 			}
 		}
 
@@ -351,23 +359,49 @@ func replay(fresh []*shardState, recs []Change) {
 }
 
 // bulkIndex indexes the attribute over a frozen state's entries at once:
-// every posting is collected, then sorted, and the values sorted once.
+// every (value, DN) pair is collected and sorted once, which orders the
+// values and, within each, its DNs. A value's posting is its run of DNs in
+// one array, capped, so that a later insert copies it rather than writing
+// into its neighbour's.
 func bulkIndex(st *shardState, attr string) *attrIndex {
-	ix := newAttrIndex()
+	type term struct{ v, norm string }
+	terms := make([]term, 0, len(st.entries))
+	n := 0
 	for norm, e := range st.entries {
+		// The builds take every core: a writer that wakes meanwhile gets
+		// one within 512 entries, not at the scheduler's 10 ms preemption.
+		if n++; n%512 == 0 {
+			runtime.Gosched()
+		}
 		vals, _ := e.Lookup(attr)
 		for i := 0; i < vals.Len(); i++ {
-			v := entry.NormValue(vals.At(i))
-			ix.byValue[v] = append(ix.byValue[v], norm)
+			terms = append(terms, term{entry.NormValue(vals.At(i)), norm})
 		}
 	}
-	ix.sorted = make([]string, 0, len(ix.byValue))
-	for v, p := range ix.byValue {
-		slices.Sort(p)
-		ix.byValue[v] = slices.Compact(p) // two values of one entry normalizing alike
-		ix.sorted = append(ix.sorted, v)
+	slices.SortFunc(terms, func(a, b term) int {
+		if c := strings.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return strings.Compare(a.norm, b.norm)
+	})
+	terms = slices.Compact(terms) // two values of one entry normalizing alike
+	values := 0
+	for i := range terms {
+		if i == 0 || terms[i].v != terms[i-1].v {
+			values++
+		}
 	}
-	slices.Sort(ix.sorted)
+	ix := &attrIndex{byValue: make(map[string][]string, values), sorted: make([]string, 0, values)}
+	norms := make([]string, len(terms))
+	for lo := 0; lo < len(terms); {
+		hi := lo
+		for ; hi < len(terms) && terms[hi].v == terms[lo].v; hi++ {
+			norms[hi] = terms[hi].norm
+		}
+		ix.byValue[terms[lo].v] = norms[lo:hi:hi]
+		ix.sorted = append(ix.sorted, terms[lo].v)
+		lo = hi
+	}
 	return ix
 }
 

@@ -2,7 +2,9 @@ package dit
 
 import (
 	"maps"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"filterdir/internal/entry"
 )
@@ -245,4 +247,26 @@ func (v *view) len() int {
 		n += len(st.entries)
 	}
 	return n
+}
+
+// forEach calls fn(0), …, fn(n-1) on at most GOMAXPROCS goroutines, the
+// caller's among them, and returns once every call has. The calls must be
+// independent of one another.
+func forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(n, runtime.GOMAXPROCS(0)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }

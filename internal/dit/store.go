@@ -440,15 +440,7 @@ func (v *view) candidates(q query.Query, f *filter.Node, cands []string, indexed
 		// Frozen states are immutable, so shards scan concurrently with no
 		// coordination beyond the final merge.
 		parts := make([][]*entry.Entry, len(v.states))
-		var wg sync.WaitGroup
-		for i, st := range v.states {
-			wg.Add(1)
-			go func(i int, st *shardState) {
-				defer wg.Done()
-				parts[i] = scan(st)
-			}(i, st)
-		}
-		wg.Wait()
+		forEach(len(parts), func(i int) { parts[i] = scan(v.states[i]) })
 		for _, p := range parts {
 			out = append(out, p...)
 		}

@@ -247,7 +247,7 @@ func (s *Store) modifyLocked(d dn.DN, mods []Mod, master bool) (CSN, error) {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchObject, d.String())
 	}
 	before := e
-	after := e.Clone()
+	after := e.CloneRoom(modRoom(mods))
 	if err := ApplyMods(after, mods); err != nil {
 		return 0, fmt.Errorf("modify %q: %w", d.String(), err)
 	}
@@ -289,6 +289,23 @@ func ApplyMods(e *entry.Entry, mods []Mod) error {
 		}
 	}
 	return nil
+}
+
+// modRoom is the most mods can add to an entry, in CloneRoom's terms: an
+// attribute, its values and their bytes, name included, per add or replace.
+func modRoom(mods []Mod) (attrs, values, bytes int) {
+	for _, m := range mods {
+		if m.Op == ModDelete {
+			continue
+		}
+		attrs++
+		values += len(m.Values)
+		bytes += len(m.Attr)
+		for _, v := range m.Values {
+			bytes += len(v)
+		}
+	}
+	return attrs, values, bytes
 }
 
 // replace swaps the stored entry at norm from before to after, which differ

@@ -606,8 +606,17 @@ func (e *Entry) HasObjectClass(oc string) bool { return e.HasValue(AttrObjectCla
 // buffer holding the live names and values and nothing else — a clone of a
 // decoded entry does not keep the message body alive.
 func (e *Entry) Clone() *Entry {
-	c := &Entry{dn: e.dn, tab: slices.Clone(e.tab), n: e.n, raw: e.raw}
-	c.raw = c.moveTo(make([]byte, 0, e.live()))
+	return e.CloneRoom(0, 0, 0)
+}
+
+// CloneRoom is Clone with room to grow in place: attrs more attributes,
+// values more values and bytes more bytes of names and values go in
+// without the table or the buffer being replaced. A modify that copies the
+// entry it changes passes what its mods add, so the entry is copied once.
+func (e *Entry) CloneRoom(attrs, values, bytes int) *Entry {
+	c := &Entry{dn: e.dn, tab: make([]uint32, len(e.tab), len(e.tab)+3*attrs+2*values), n: e.n, raw: e.raw}
+	copy(c.tab, e.tab)
+	c.raw = c.moveTo(make([]byte, 0, e.live()+bytes))
 	return c
 }
 

@@ -508,7 +508,8 @@ func TestAddManyValues(t *testing.T) {
 // 18: a copy of every attribute's values, a lowered copy of every
 // mixed-case name, and the table growing one append at a time. A clone is
 // three allocations whatever built the original: the struct, the table and
-// a buffer of the live bytes.
+// a buffer of the live bytes; CloneRoom's buffer and table have room for
+// what it is told will be added, so a Put within it allocates nothing more.
 func TestPutAllocs(t *testing.T) {
 	d := dn.MustParse("cn=emp us 17,c=us,o=xyz")
 	description := strings.Repeat("x", 512)
@@ -541,6 +542,15 @@ func TestPutAllocs(t *testing.T) {
 	t.Logf("Clone of it: %.0f allocations", allocs)
 	if allocs > 3 {
 		t.Errorf("Clone allocates %.0f times, gate is 3", allocs)
+	}
+	// A clone with room for an attribute takes it in place.
+	allocs = testing.AllocsPerRun(200, func() { c = e.CloneRoom(1, 2, len("pager")+16).Put("pager", "555-0199", "555-0198") })
+	if c.NumAttrs() != 10 || !c.Equal(e.Clone().Put("pager", "555-0199", "555-0198")) {
+		t.Fatalf("clone with room, then Put: %s", c)
+	}
+	t.Logf("CloneRoom of it, then a Put in the room: %.0f allocations", allocs)
+	if allocs > 3 {
+		t.Errorf("CloneRoom and a Put within its room allocate %.0f times, gate is 3", allocs)
 	}
 }
 

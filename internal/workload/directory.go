@@ -16,12 +16,20 @@
 //   - a small location subtree receives a disproportionate access rate.
 //
 // All randomness is seeded; the same configuration always produces the same
-// directory and trace.
+// directory and trace. BuildDirectory draws every random value first, one
+// after another in a fixed order — that stream is the directory's identity —
+// and then assembles the employee entries on GOMAXPROCS workers, each entry
+// in its own place of the load batch, which is loaded in order as it fills.
+// The directory is the same at any GOMAXPROCS.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
@@ -143,10 +151,14 @@ func BuildDirectory(cfg DirectoryConfig) (*Directory, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	d := &Directory{Config: cfg, Master: master}
 
-	var batch []*entry.Entry
+	employees := 0
+	for _, c := range cfg.Countries {
+		employees += c.Employees
+	}
 	org := entry.New(dn.MustParse(Suffix))
 	org.Put("objectclass", "organization").Put("o", "xyz")
-	batch = append(batch, org)
+	batch := make([]*entry.Entry, 1, 1+len(cfg.Countries)+employees)
+	batch[0] = org
 
 	payload := ""
 	if cfg.PayloadBytes > 0 {
@@ -157,11 +169,15 @@ func BuildDirectory(cfg DirectoryConfig) (*Directory, error) {
 		payload = string(b)
 	}
 
-	// Countries with flat employee children.
+	// Countries with flat employee children. Every random value is drawn
+	// here, in the order the directory has always drawn them, and each
+	// employee's entry is left a place in the batch after its country's.
 	d.ByCountryBlock = make([][][]int, len(cfg.Countries))
+	countries := make([]dn.DN, len(cfg.Countries))
+	hires := make([]hire, 0, employees)
 	for ci, c := range cfg.Countries {
-		countryDN := dn.MustParse(fmt.Sprintf("c=%s,%s", c.Code, Suffix))
-		ce := entry.New(countryDN)
+		countries[ci] = dn.MustParse(fmt.Sprintf("c=%s,%s", c.Code, Suffix))
+		ce := entry.New(countries[ci])
 		ce.Put("objectclass", "country").Put("c", c.Code)
 		batch = append(batch, ce)
 
@@ -175,30 +191,50 @@ func BuildDirectory(cfg DirectoryConfig) (*Directory, error) {
 		}
 		d.ByCountryBlock[ci] = make([][]int, blocks)
 		for i := 0; i < c.Employees; i++ {
-			block := i % blocks
-			serial := fmt.Sprintf("%02d%03d%04d", ci+10, block, i/blocks)
-			uid := fmt.Sprintf("u%08x", r.Uint32())
-			mail := fmt.Sprintf("%s@%s.xyz.com", uid, c.Code)
-			cn := fmt.Sprintf("emp %s %d", c.Code, i)
-			e := entry.New(countryDN.Child(dn.RDN{Attr: "cn", Value: cn}))
-			e.Put("objectclass", "top", "person", "organizationalPerson", "inetOrgPerson")
-			e.Put("cn", cn)
-			e.Put("sn", fmt.Sprintf("sn%d", i))
-			e.Put("serialNumber", serial)
-			e.Put("uid", uid)
-			e.Put("mail", mail)
-			e.Put("departmentNumber", fmt.Sprintf("%d", r.Intn(cfg.Divisions*cfg.DeptsPerDivision+1)))
-			e.Put("telephoneNumber", fmt.Sprintf("%03d-%04d", r.Intn(1000), r.Intn(10000)))
-			if payload != "" {
-				e.Put("description", payload)
-			}
-			idx := len(d.Employees)
-			d.Employees = append(d.Employees, Employee{
-				DN: e.DN(), Serial: serial, Mail: mail, Country: ci, Block: block,
-			})
-			d.ByCountryBlock[ci][block] = append(d.ByCountryBlock[ci][block], idx)
-			batch = append(batch, e)
+			h := hire{country: ci, i: i, block: i % blocks, seq: i / blocks, at: len(batch), uid: r.Uint32()}
+			h.dept = r.Intn(cfg.Divisions*cfg.DeptsPerDivision + 1)
+			h.phone = r.Intn(1000)
+			h.ext = r.Intn(10000)
+			d.ByCountryBlock[ci][h.block] = append(d.ByCountryBlock[ci][h.block], len(hires))
+			hires = append(hires, h)
+			batch = append(batch, nil)
 		}
+	}
+	// The employees are assembled in parallel, a chunk at a time in batch
+	// order; each worker writes only its own entries' places, so the result
+	// is the same at any GOMAXPROCS. The batch is loaded in order as its
+	// chunks are done, beside the assembly of the later ones.
+	const chunk = 256
+	chunks := make([]chan struct{}, (len(hires)+chunk-1)/chunk)
+	for c := range chunks {
+		chunks[c] = make(chan struct{})
+	}
+	d.Employees = make([]Employee, len(hires))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(chunks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var rec record
+			for c := int(next.Add(1) - 1); c < len(chunks); c = int(next.Add(1) - 1) {
+				for k := c * chunk; k < min((c+1)*chunk, len(hires)); k++ {
+					h := hires[k]
+					batch[h.at], d.Employees[k] = rec.employee(h, cfg.Countries[h.country].Code, countries[h.country], payload)
+				}
+				close(chunks[c])
+			}
+		}()
+	}
+	loaded := 0
+	for c, done := range chunks {
+		<-done
+		end := hires[min((c+1)*chunk, len(hires))-1].at + 1
+		if err := master.Load(batch[loaded:end]); err != nil {
+			return nil, fmt.Errorf("load directory: %w", err)
+		}
+		loaded = end
 	}
 	d.EmployeeCount = len(d.Employees)
 
@@ -245,10 +281,117 @@ func BuildDirectory(cfg DirectoryConfig) (*Directory, error) {
 		batch = append(batch, le)
 	}
 
-	if err := master.Load(batch); err != nil {
+	if err := master.Load(batch[loaded:]); err != nil {
 		return nil, fmt.Errorf("load directory: %w", err)
 	}
 	return d, nil
+}
+
+// hire is one employee as the directory's random stream decides it: its
+// country, its position there, its block and its place in the block, the
+// place of its entry in the load batch, and the values drawn for it.
+type hire struct {
+	country, i, block, seq, at int
+	uid                        uint32
+	dept, phone, ext           int
+}
+
+// record is one entry's normalised names and values written into one
+// buffer, and their layout; the buffer is reused from entry to entry.
+type record struct {
+	buf []byte
+	l   entry.Layout
+}
+
+// attr begins the next attribute.
+func (r *record) attr(name string) {
+	lo := len(r.buf)
+	r.buf = append(r.buf, name...)
+	r.l.Attr(lo, len(r.buf))
+}
+
+// value adds the bytes written since lo as a value of the attribute begun
+// last, and returns where they end.
+func (r *record) value(lo int) int {
+	r.l.Value(lo, len(r.buf))
+	return len(r.buf)
+}
+
+// str adds s as a value of the attribute begun last.
+func (r *record) str(s string) {
+	lo := len(r.buf)
+	r.buf = append(r.buf, s...)
+	r.value(lo)
+}
+
+// num writes n in base at least width digits wide, zero-padded, as
+// fmt's %0<width>d or %0<width>x does.
+func (r *record) num(n uint64, base, width int) {
+	var digits [64]byte
+	s := strconv.AppendUint(digits[:0], n, base)
+	for i := len(s); i < width; i++ {
+		r.buf = append(r.buf, '0')
+	}
+	r.buf = append(r.buf, s...)
+}
+
+// employee assembles h's entry, under the country entry at country whose
+// code is c, the way a wire decoder builds one: its names and values are
+// written into one buffer, and the entry is made over a copy of it at its
+// final size. The bookkeeping's serial and mail alias the entry's values.
+func (r *record) employee(h hire, c string, country dn.DN, payload string) (*entry.Entry, Employee) {
+	attrs, values := 9, 12
+	if payload == "" {
+		attrs, values = 8, 11
+	}
+	r.buf, r.l = r.buf[:0], entry.NewLayout(attrs, values)
+	r.attr("objectclass")
+	for _, oc := range []string{"top", "person", "organizationalPerson", "inetOrgPerson"} {
+		r.str(oc)
+	}
+	r.attr("cn")
+	cn := len(r.buf)
+	r.buf = append(append(append(r.buf, "emp "...), c...), ' ')
+	r.num(uint64(h.i), 10, 0)
+	cnEnd := r.value(cn)
+	r.attr("sn")
+	lo := len(r.buf)
+	r.buf = append(r.buf, "sn"...)
+	r.num(uint64(h.i), 10, 0)
+	r.value(lo)
+	r.attr("serialnumber")
+	serial := len(r.buf)
+	r.num(uint64(h.country+10), 10, 2)
+	r.num(uint64(h.block), 10, 3)
+	r.num(uint64(h.seq), 10, 4)
+	serialEnd := r.value(serial)
+	r.attr("uid")
+	uid := len(r.buf)
+	r.buf = append(r.buf, 'u')
+	r.num(uint64(h.uid), 16, 8)
+	uidEnd := r.value(uid)
+	r.attr("mail")
+	mail := len(r.buf)
+	r.buf = append(r.buf, r.buf[uid:uidEnd]...)
+	r.buf = append(append(append(r.buf, '@'), c...), ".xyz.com"...)
+	mailEnd := r.value(mail)
+	r.attr("departmentnumber")
+	lo = len(r.buf)
+	r.num(uint64(h.dept), 10, 0)
+	r.value(lo)
+	r.attr("telephonenumber")
+	lo = len(r.buf)
+	r.num(uint64(h.phone), 10, 3)
+	r.buf = append(r.buf, '-')
+	r.num(uint64(h.ext), 10, 4)
+	r.value(lo)
+	if payload != "" {
+		r.attr("description")
+		r.str(payload)
+	}
+	raw := string(r.buf)
+	e := entry.Assemble(country.Child(dn.RDN{Attr: "cn", Value: raw[cn:cnEnd]}), raw, r.l)
+	return e, Employee{DN: e.DN(), Serial: raw[serial:serialEnd], Mail: raw[mail:mailEnd], Country: h.country, Block: h.block}
 }
 
 // SerialPrefixLen is the length of the block-granularity serial prefix.
