@@ -89,10 +89,11 @@ fingerprints:
 	$(GO) test ./internal/oracle -count=1 -oracle.update
 
 ## fuzz-smoke: 30 seconds of native fuzzing per parser target — the wire
-## decoders and the durable journal's recovery — and per differential check
-## of the matching rule (NormValue and the in-place comparers), of the
-## entry's value layout against its reference model and of the containment
-## checker against its generic reference and multi-valued entries.
+## decoders, the LDIF change reader and the durable journal's recovery — and
+## per differential check of the matching rule (NormValue and the in-place
+## comparers), of the entry's value layout against its reference model and
+## of the containment checker against its generic reference and multi-valued
+## entries.
 fuzz-smoke:
 	$(GO) test ./internal/ber -run '^$$' -fuzz FuzzParseTLV -fuzztime 30s
 	$(GO) test ./internal/filter -run '^$$' -fuzz FuzzParseFilter -fuzztime 30s
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzDecodeEdgeWrite$$' -fuzztime 30s
 	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzDecodeEdgeWriteDone -fuzztime 30s
 	$(GO) test ./internal/resync -run '^$$' -fuzz FuzzResumeToken -fuzztime 30s
+	$(GO) test ./internal/ldif -run '^$$' -fuzz FuzzReadChanges -fuzztime 30s
 	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzJournalRecover -fuzztime 30s
 
 ## cover: per-function coverage summary.

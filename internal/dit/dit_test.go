@@ -534,7 +534,7 @@ func TestChangeSignal(t *testing.T) {
 	}
 }
 
-func TestUpsertAndRemoveAnySparse(t *testing.T) {
+func TestUpsertAndRemoveSparse(t *testing.T) {
 	st, err := NewStore([]string{""}) // whole-DIT replica store
 	if err != nil {
 		t.Fatal(err)
@@ -557,14 +557,16 @@ func TestUpsertAndRemoveAnySparse(t *testing.T) {
 	if got := st.MatchAll(q); len(got) != 1 || got[0].First("mail") != "j@x" {
 		t.Fatalf("upsert replace failed: %v", got)
 	}
-	if err := st.RemoveAny(e.DN()); err != nil {
+	remove := []SyncOp{{Remove: e.DN()}}
+	if err := st.ApplyOwned(remove); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.MatchAll(q); len(got) != 0 {
-		t.Error("entry still present after RemoveAny")
+		t.Error("entry still present after its removal")
 	}
-	if err := st.RemoveAny(e.DN()); !errors.Is(err, ErrNoSuchObject) {
-		t.Errorf("double RemoveAny: %v", err)
+	last := st.LastCSN()
+	if err := st.ApplyOwned(remove); err != nil || st.LastCSN() != last {
+		t.Errorf("removing the absent entry: %v, CSN %d -> %d; want it skipped", err, last, st.LastCSN())
 	}
 }
 

@@ -211,17 +211,21 @@ func (s *Store) unlinkChild(d dn.DN) {
 
 // Delete removes a leaf entry.
 func (s *Store) Delete(d dn.DN) error {
-	_, err := s.submit(func() (CSN, error) { return s.deleteLocked(d) })
+	_, err := s.submit(func() (CSN, error) { return s.deleteLocked(d, true) })
 	return err
 }
 
-func (s *Store) deleteLocked(d dn.DN) (CSN, error) {
+// deleteLocked removes the entry at d; with leaf set, an entry that has
+// children is refused (ErrNotLeaf). Only a replica's removal clears it: its
+// sparse content does not keep the tree complete.
+func (s *Store) deleteLocked(d dn.DN, leaf bool) (CSN, error) {
 	norm := d.Norm()
-	e, ok := s.shardFor(norm).load().entries[norm]
+	st := s.shardFor(norm).load()
+	e, ok := st.entries[norm]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchObject, d.String())
 	}
-	if len(s.shardFor(norm).load().children[norm]) > 0 {
+	if leaf && len(st.children[norm]) > 0 {
 		return 0, fmt.Errorf("%w: %q", ErrNotLeaf, d.String())
 	}
 	s.remove(e, norm)
@@ -468,7 +472,7 @@ func (s *Store) applyLocked(c Change) (CSN, error) {
 		}
 		return s.addLocked(c.After)
 	case ChangeDelete:
-		return s.deleteLocked(c.DN)
+		return s.deleteLocked(c.DN, true)
 	case ChangeModify:
 		return s.modifyLocked(c.DN, cloneMods(c.Mods), true)
 	case ChangeModifyDN:
@@ -516,8 +520,9 @@ var ErrPatchMiss = errors.New("patch for an entry not held")
 
 // ApplyOwned commits a batch of replica-side content actions in one pass
 // through the commit pipeline: one sequencer hold, one change signal, and
-// for every action the same journal record under its own CSN that Upsert or
-// RemoveAny would have written (a move: its rename, then its patch). Parents
+// for every action its journal record under its own CSN: a put an add, or a
+// modify of what it replaced; a patch a modify; a removal a delete; a move
+// its rename, then its patch. Parents
 // are not required and children do not block a removal (filter replicas hold
 // sparse content); removing an absent entry is skipped, patching one fails
 // with ErrPatchMiss. The store takes ownership of every Put and Patch entry:
@@ -548,7 +553,7 @@ func (s *Store) ApplyOwned(ops []SyncOp) error {
 			case op.Patch != nil:
 				csn, err = s.patchLocked(op.Patch.Freeze())
 			default:
-				csn, err = s.removeAnyLocked(op.Remove)
+				csn, err = s.deleteLocked(op.Remove, false)
 			}
 			switch {
 			case err == nil:
@@ -644,24 +649,6 @@ func (s *Store) moveLocked(from dn.DN, p *entry.Entry, keep bool) (CSN, error) {
 		return 0, fmt.Errorf("%w: %q", ErrPatchMiss, to.String())
 	}
 	return last, nil
-}
-
-// RemoveAny deletes an entry regardless of children (sparse replica content
-// does not maintain tree completeness). Removing an absent entry is a
-// no-op returning ErrNoSuchObject.
-func (s *Store) RemoveAny(d dn.DN) error {
-	_, err := s.submit(func() (CSN, error) { return s.removeAnyLocked(d) })
-	return err
-}
-
-func (s *Store) removeAnyLocked(d dn.DN) (CSN, error) {
-	norm := d.Norm()
-	e, ok := s.shardFor(norm).load().entries[norm]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoSuchObject, d.String())
-	}
-	s.remove(e, norm)
-	return s.commitLocked(Change{Type: ChangeDelete, DN: d, Before: e}), nil
 }
 
 // Load bulk-inserts entries without journaling (initial population of a

@@ -34,7 +34,6 @@ import (
 	"sync"
 
 	"filterdir/internal/dit"
-	"filterdir/internal/ldif"
 	"filterdir/internal/persist"
 )
 
@@ -87,19 +86,15 @@ func openWAL(dir, replicaID string) (*wal, error) {
 }
 
 // fold replays one committed batch onto the op table.
-func (w *wal) fold(_ bool, records []ldif.ChangeRecord, note string) error {
+func (w *wal) fold(_ bool, changes []dit.Change, note string) error {
 	verb, rest, _ := strings.Cut(note, " ")
 	switch verb {
 	case "op":
 		seq, err := strconv.ParseUint(rest[strings.LastIndexByte(rest, '.')+1:], 10, 64)
-		if err != nil || len(records) != 1 {
-			return fmt.Errorf("batch %q with %d change records: want an id ending in a sequence number and one record", note, len(records))
+		if err != nil || len(changes) != 1 {
+			return fmt.Errorf("batch %q with %d change records: want an id ending in a sequence number and one record", note, len(changes))
 		}
-		c, err := records[0].AsChange()
-		if err != nil {
-			return err
-		}
-		w.ops[rest] = &walOp{ID: rest, Seq: seq, Change: c}
+		w.ops[rest] = &walOp{ID: rest, Seq: seq, Change: changes[0]}
 		w.nextSeq = max(w.nextSeq, seq+1)
 	case "commit":
 		sp := strings.LastIndexByte(rest, ' ')

@@ -133,6 +133,9 @@ func (p *parser) parseSimple() (*Node, error) {
 	if attr == "" {
 		return nil, p.errf("empty attribute type")
 	}
+	if strings.ContainsAny(attr[:1], "&|!") { // "( !=x)" would print as a negation
+		return nil, p.errf("attribute type %q starts with an operator", attr)
+	}
 
 	var op Op
 	switch p.s[p.pos] {

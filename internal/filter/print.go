@@ -8,11 +8,14 @@ import (
 // predicates (from NNF) render as (!(...)).
 func (n *Node) String() string {
 	var b strings.Builder
-	n.write(&b)
+	n.write(&b, false)
 	return b.String()
 }
 
-func (n *Node) write(b *strings.Builder) {
+// write renders n in RFC 2254 form with each assertion value, and each
+// non-empty component of a substring assertion, escaped — or, for a
+// template, written as its slot "_".
+func (n *Node) write(b *strings.Builder, template bool) {
 	if n == nil {
 		return
 	}
@@ -20,7 +23,7 @@ func (n *Node) write(b *strings.Builder) {
 		b.WriteString("(!")
 		pos := *n
 		pos.Neg = false
-		pos.write(b)
+		pos.write(b, template)
 		b.WriteByte(')')
 		return
 	}
@@ -33,32 +36,24 @@ func (n *Node) write(b *strings.Builder) {
 			b.WriteByte('|')
 		}
 		for _, c := range n.Children {
-			c.write(b)
+			c.write(b, template)
 		}
 		b.WriteByte(')')
 	case Not:
 		b.WriteString("(!")
 		if len(n.Children) > 0 {
-			n.Children[0].write(b)
+			n.Children[0].write(b, template)
 		}
 		b.WriteByte(')')
-	case EQ:
+	case EQ, GE, LE:
 		b.WriteByte('(')
 		b.WriteString(n.Attr)
-		b.WriteByte('=')
-		b.WriteString(escapeAssertion(n.Value))
-		b.WriteByte(')')
-	case GE:
-		b.WriteByte('(')
-		b.WriteString(n.Attr)
-		b.WriteString(">=")
-		b.WriteString(escapeAssertion(n.Value))
-		b.WriteByte(')')
-	case LE:
-		b.WriteByte('(')
-		b.WriteString(n.Attr)
-		b.WriteString("<=")
-		b.WriteString(escapeAssertion(n.Value))
+		b.WriteString(relation(n.Op))
+		if template {
+			b.WriteByte('_')
+		} else {
+			b.WriteString(escapeAssertion(n.Value))
+		}
 		b.WriteByte(')')
 	case Present:
 		b.WriteByte('(')
@@ -68,7 +63,26 @@ func (n *Node) write(b *strings.Builder) {
 		b.WriteByte('(')
 		b.WriteString(n.Attr)
 		b.WriteByte('=')
-		writeSubstring(b, n.Sub)
+		var s Substring
+		if n.Sub != nil {
+			s = *n.Sub
+		}
+		component := func(v string) {
+			switch {
+			case v == "":
+			case template:
+				b.WriteByte('_')
+			default:
+				b.WriteString(escapeAssertion(v))
+			}
+		}
+		component(s.Initial)
+		b.WriteByte('*')
+		for _, a := range s.Any {
+			component(a)
+			b.WriteByte('*')
+		}
+		component(s.Final)
 		b.WriteByte(')')
 	case True:
 		b.WriteString("(&)")
@@ -77,18 +91,15 @@ func (n *Node) write(b *strings.Builder) {
 	}
 }
 
-func writeSubstring(b *strings.Builder, s *Substring) {
-	if s == nil {
-		b.WriteByte('*')
-		return
+// relation spells a comparison's relation.
+func relation(op Op) string {
+	switch op {
+	case GE:
+		return ">="
+	case LE:
+		return "<="
 	}
-	b.WriteString(escapeAssertion(s.Initial))
-	b.WriteByte('*')
-	for _, a := range s.Any {
-		b.WriteString(escapeAssertion(a))
-		b.WriteByte('*')
-	}
-	b.WriteString(escapeAssertion(s.Final))
+	return "="
 }
 
 // escapeAssertion applies RFC 2254 escaping: '*', '(', ')', '\' and NUL are

@@ -14,84 +14,8 @@ import (
 // template, which is what makes template-indexed containment effective.
 func (n *Node) Template() string {
 	var b strings.Builder
-	writeTemplate(&b, n)
+	n.write(&b, true)
 	return b.String()
-}
-
-func writeTemplate(b *strings.Builder, n *Node) {
-	if n == nil {
-		return
-	}
-	if n.Neg {
-		b.WriteString("(!")
-		pos := *n
-		pos.Neg = false
-		writeTemplate(b, &pos)
-		b.WriteByte(')')
-		return
-	}
-	switch n.Op {
-	case And, Or:
-		b.WriteByte('(')
-		if n.Op == And {
-			b.WriteByte('&')
-		} else {
-			b.WriteByte('|')
-		}
-		for _, c := range n.Children {
-			writeTemplate(b, c)
-		}
-		b.WriteByte(')')
-	case Not:
-		b.WriteString("(!")
-		if len(n.Children) > 0 {
-			writeTemplate(b, n.Children[0])
-		}
-		b.WriteByte(')')
-	case EQ:
-		b.WriteByte('(')
-		b.WriteString(n.Attr)
-		b.WriteString("=_)")
-	case GE:
-		b.WriteByte('(')
-		b.WriteString(n.Attr)
-		b.WriteString(">=_)")
-	case LE:
-		b.WriteByte('(')
-		b.WriteString(n.Attr)
-		b.WriteString("<=_)")
-	case Present:
-		b.WriteByte('(')
-		b.WriteString(n.Attr)
-		b.WriteString("=*)")
-	case Substr:
-		b.WriteByte('(')
-		b.WriteString(n.Attr)
-		b.WriteByte('=')
-		writeSubstringTemplate(b, n.Sub)
-		b.WriteByte(')')
-	case True:
-		b.WriteString("(&)")
-	case False:
-		b.WriteString("(|)")
-	}
-}
-
-func writeSubstringTemplate(b *strings.Builder, s *Substring) {
-	if s == nil {
-		b.WriteByte('*')
-		return
-	}
-	if s.Initial != "" {
-		b.WriteByte('_')
-	}
-	b.WriteByte('*')
-	for range s.Any {
-		b.WriteString("_*")
-	}
-	if s.Final != "" {
-		b.WriteByte('_')
-	}
 }
 
 // SlotValues returns the assertion values of the filter's predicates in the
@@ -124,7 +48,11 @@ func collectSlots(n *Node, out *[]string) {
 		if n.Sub.Initial != "" {
 			*out = append(*out, n.Sub.Initial)
 		}
-		*out = append(*out, n.Sub.Any...)
+		for _, a := range n.Sub.Any {
+			if a != "" {
+				*out = append(*out, a)
+			}
+		}
 		if n.Sub.Final != "" {
 			*out = append(*out, n.Sub.Final)
 		}

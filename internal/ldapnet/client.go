@@ -686,6 +686,14 @@ func (r *Resolver) client(host string) (*Client, error) {
 	return c, nil
 }
 
+// drop closes host's pooled client c after a transport failure, unless it
+// was replaced already, so the next request redials.
+func (r *Resolver) drop(host string, c *Client) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.dropLocked(host, c)
+}
+
 // dropLocked closes host's pooled client c, unless it was replaced already.
 func (r *Resolver) dropLocked(host string, c *Client) {
 	if r.clients[host] != c {
@@ -804,9 +812,7 @@ func (r *Resolver) search(st *chaseState, host string, q query.Query, depth int)
 			return err
 		}
 		if res, err = c.Search(q); IsTransient(err) {
-			r.mu.Lock()
-			r.dropLocked(host, c)
-			r.mu.Unlock()
+			r.drop(host, c)
 		}
 		return err
 	})

@@ -3,7 +3,6 @@ package ldapnet
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"filterdir/internal/dit"
@@ -26,8 +25,7 @@ type EdgeForwarder struct {
 	// primary's retry budget is exhausted — normally the master.
 	FallbackAddr string
 
-	mu      sync.Mutex
-	clients map[string]*Client
+	pool *Resolver // a connection per address: it dials a host it has not registered as an address
 }
 
 // Retry policy: a transient failure earns forwardRetries extra attempts,
@@ -39,7 +37,7 @@ const (
 
 // NewEdgeForwarder creates a forwarder to the given upstream address.
 func NewEdgeForwarder(addr string) *EdgeForwarder {
-	return &EdgeForwarder{Addr: addr}
+	return &EdgeForwarder{Addr: addr, pool: NewResolver()}
 }
 
 var _ edgewrite.Forwarder = (*EdgeForwarder)(nil)
@@ -80,7 +78,7 @@ func (f *EdgeForwarder) forwardTo(addr string, op proto.Op, opID string) (uint64
 		if i > 0 {
 			time.Sleep(forwardBackoff)
 		}
-		cl, err := f.client(addr)
+		cl, err := f.pool.client(addr)
 		if err != nil {
 			lastErr = err
 			continue
@@ -98,50 +96,14 @@ func (f *EdgeForwarder) forwardTo(addr string, op proto.Op, opID string) (uint64
 			}
 			return 0, false, &edgewrite.PermanentError{Err: err}
 		}
-		f.drop(addr, cl)
+		f.pool.drop(addr, cl)
 		lastErr = err
 	}
 	return 0, false, lastErr
 }
 
-// client returns the pooled connection to addr, dialing on first use.
-func (f *EdgeForwarder) client(addr string) (*Client, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.clients[addr]; ok {
-		return c, nil
-	}
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	if f.clients == nil {
-		f.clients = make(map[string]*Client)
-	}
-	f.clients[addr] = c
-	return c, nil
-}
-
-// drop discards a connection after a transport failure so the next attempt
-// redials.
-func (f *EdgeForwarder) drop(addr string, c *Client) {
-	f.mu.Lock()
-	if f.clients[addr] == c {
-		delete(f.clients, addr)
-	}
-	f.mu.Unlock()
-	_ = c.Close()
-}
-
 // Close closes all pooled connections.
-func (f *EdgeForwarder) Close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, c := range f.clients {
-		_ = c.Close()
-	}
-	f.clients = nil
-}
+func (f *EdgeForwarder) Close() { f.pool.Close() }
 
 // opFromChange re-encodes a journal change as its wire update request — the
 // inverse of changeFromOp, used to forward WAL-recovered ops whose original

@@ -10,6 +10,7 @@ import (
 	"filterdir/internal/edgewrite"
 	"filterdir/internal/entry"
 	"filterdir/internal/metrics"
+	"filterdir/internal/persist"
 	"filterdir/internal/proto"
 	"filterdir/internal/query"
 	"filterdir/internal/replica"
@@ -425,6 +426,61 @@ func TestParseURL(t *testing.T) {
 	}
 	if _, _, err := ParseURL("ldap:///dn"); err == nil {
 		t.Error("missing host accepted")
+	}
+}
+
+// TestMasterRefusesBadAttributeNames: a durable master answers protocolError
+// to a wire add or modify naming an attribute outside RFC 4512's grammar —
+// one its journal's LDIF lines could not carry back — and commits nothing,
+// so it reopens from its journal with the writes it took.
+func TestMasterRefusesBadAttributeNames(t *testing.T) {
+	for _, a := range []string{"cn", "objectClass", "x-pager2", "2.5.4.3", "cn;lang-en", "cn;a;b-1"} {
+		if err := checkAttr(a); err != nil {
+			t.Errorf("checkAttr(%q) = %v", a, err)
+		}
+	}
+	home := persist.Dir{Path: t.TempDir()}
+	if err := home.Checkpoint(newTestStore(t)); err != nil {
+		t.Fatal(err)
+	}
+	store, journal, err := home.Open([]string{"o=xyz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := startServer(t, store)
+	c := dialT(t, srv.Addr())
+	p0 := dn.MustParse("cn=p0,c=us,o=xyz")
+	for _, a := range []string{"x:y", "", "#x", " x", "x y", "x\nb", "1x", "-x", "2..5", ".2", "cn;", ";x", "cn;;a", "cn;a:b"} {
+		csn := store.LastCSN()
+		err := c.Modify(p0, []proto.ModifyChange{{Op: proto.ModifyOpReplace, Attr: proto.Attribute{Type: a}}})
+		var re *ResultError
+		if !errors.As(err, &re) || re.Code != proto.ResultProtocolError {
+			t.Errorf("modify of %q: %v, want protocolError", a, err)
+		}
+		add := &proto.AddRequest{DN: "cn=bad,c=us,o=xyz", Attrs: []proto.Attribute{
+			{Type: "objectclass", Values: []string{"person"}}, {Type: a, Values: []string{"1"}}}}
+		if err := c.simpleOp(add); !errors.As(err, &re) || re.Code != proto.ResultProtocolError {
+			t.Errorf("add naming %q: %v, want protocolError", a, err)
+		}
+		if store.LastCSN() != csn {
+			t.Errorf("%q: master committed CSN %d", a, store.LastCSN())
+		}
+	}
+	if err := c.Modify(p0, []proto.ModifyChange{
+		{Op: proto.ModifyOpReplace, Attr: proto.Attribute{Type: "pager", Values: []string{"1"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, journal, err := home.Open([]string{"o=xyz"})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer journal.Close()
+	if e, _ := reopened.Get(p0); e.First("pager") != "1" {
+		t.Errorf("reopened %s: %s", p0, e)
 	}
 }
 

@@ -3,16 +3,16 @@ package ldif
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
-	"filterdir/internal/entry"
 )
 
 // modVerbs names the modify sub-operations in a change record.
-var modVerbs = map[dit.ModOp]string{dit.ModAdd: "add", dit.ModDelete: "delete", dit.ModReplace: "replace"}
+var modVerbs = [...]string{dit.ModAdd: "add", dit.ModDelete: "delete", dit.ModReplace: "replace"}
 
 // AppendChange appends c as one LDIF change record to b.
 func AppendChange(b []byte, c dit.Change) ([]byte, error) {
@@ -34,11 +34,10 @@ func AppendChange(b []byte, c dit.Change) ([]byte, error) {
 	case dit.ChangeModify:
 		b = append(b, "changetype: modify\n"...)
 		for _, m := range c.Mods {
-			verb, ok := modVerbs[m.Op]
-			if !ok {
+			if m.Op < dit.ModAdd || int(m.Op) >= len(modVerbs) {
 				return b, fmt.Errorf("unknown mod op %d", m.Op)
 			}
-			b = appendLine(b, verb, m.Attr)
+			b = appendLine(b, modVerbs[m.Op], m.Attr)
 			for _, v := range m.Values {
 				b = appendLine(b, m.Attr, v)
 			}
@@ -61,142 +60,93 @@ func AppendChange(b []byte, c dit.Change) ([]byte, error) {
 	return b, nil
 }
 
-// ChangeRecord is a parsed LDIF change record.
-type ChangeRecord struct {
-	Type  dit.ChangeType
-	DN    dn.DN
-	NewDN dn.DN
-	// Attrs holds the added entry's attributes for add records, names their
-	// order in the record.
-	Attrs map[string][]string
-	names []string
-	// Mods holds the attribute changes for modify records.
-	Mods []dit.Mod
-}
-
 // scanBufs lends ReadChanges its read buffer: a journal is read one batch at
 // a time, thousands of calls of a few lines each.
 var scanBufs = sync.Pool{New: func() any { return new([64 * 1024]byte) }}
 
-// ReadChanges parses LDIF change records.
-func ReadChanges(r io.Reader) ([]ChangeRecord, error) {
+// ReadChanges parses LDIF change records into the changes AppendChange
+// writes them from. An add record's entry is built as a content record's is
+// (buildEntry); the before images a store journals are not part of the
+// interchange format and are not recovered.
+func ReadChanges(r io.Reader) ([]dit.Change, error) {
 	buf := scanBufs.Get().(*[64 * 1024]byte)
 	defer scanBufs.Put(buf)
 	rd := newReader(r, buf[:])
-	var recs []ChangeRecord
+	var changes []dit.Change
 	for {
-		_, lines, err := rd.nextRecord()
+		rec, lines, err := rd.nextRecord()
 		if err == io.EOF {
-			return recs, nil
+			return changes, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		rec, err := parseChange(lines)
+		c, err := parseChange(rec, lines)
 		if err != nil {
-			return recs, err
+			return changes, err
 		}
-		recs = append(recs, rec)
+		changes = append(changes, c)
 	}
 }
 
-// AsChange converts a parsed record back into a journal change sufficient
-// for re-serialization with AppendChange and for store replay. Before
-// snapshots (not part of the interchange format) are not recovered.
-func (rec ChangeRecord) AsChange() (dit.Change, error) {
-	c := dit.Change{Type: rec.Type, DN: rec.DN, NewDN: rec.NewDN, Mods: rec.Mods}
-	if rec.Type == dit.ChangeAdd {
-		e := entry.New(rec.DN)
-		for _, name := range rec.names {
-			e.Put(name, rec.Attrs[name]...)
-		}
-		c.After = e
-	}
-	return c, nil
-}
-
-func parseChange(lines []string) (ChangeRecord, error) {
-	var rec ChangeRecord
-	name, value, err := splitLine(lines[0])
+func parseChange(rec string, lines []string) (dit.Change, error) {
+	var c dit.Change
+	d, err := recordDN(lines[0])
 	if err != nil {
-		return rec, err
+		return c, err
 	}
-	if !strings.EqualFold(name, "dn") {
-		return rec, fmt.Errorf("%w: change record must start with dn:", ErrBadRecord)
-	}
-	if rec.DN, err = dn.Parse(value); err != nil {
-		return rec, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
+	c.DN = d
 	if len(lines) < 2 {
-		return rec, fmt.Errorf("%w: missing changetype", ErrBadRecord)
+		return c, fmt.Errorf("%w: missing changetype", ErrBadRecord)
 	}
-	name, value, err = splitLine(lines[1])
+	name, value, err := splitLine(lines[1])
 	if err != nil {
-		return rec, err
+		return c, err
 	}
 	if !strings.EqualFold(name, "changetype") {
-		return rec, fmt.Errorf("%w: expected changetype, got %q", ErrBadRecord, name)
+		return c, fmt.Errorf("%w: expected changetype, got %q", ErrBadRecord, name)
 	}
 	body := lines[2:]
 	switch strings.ToLower(value) {
 	case "add":
-		rec.Type = dit.ChangeAdd
-		rec.Attrs = make(map[string][]string)
-		for _, line := range body {
-			n, v, err := splitLine(line)
-			if err != nil {
-				return rec, err
-			}
-			n = strings.ToLower(n)
-			if _, seen := rec.Attrs[n]; !seen {
-				rec.names = append(rec.names, n)
-			}
-			rec.Attrs[n] = append(rec.Attrs[n], v)
-		}
+		c.Type = dit.ChangeAdd
+		c.After, err = buildEntry(rec, d, body)
+		return c, err
 	case "delete":
-		rec.Type = dit.ChangeDelete
+		c.Type = dit.ChangeDelete
 	case "modify":
-		rec.Type = dit.ChangeModify
-		var cur *dit.Mod
+		c.Type = dit.ChangeModify
+		open := false // the last mod's values are being read
 		for _, line := range body {
 			if line == "-" {
-				if cur != nil {
-					rec.Mods = append(rec.Mods, *cur)
-					cur = nil
-				}
+				open = false
 				continue
 			}
 			n, v, err := splitLine(line)
 			if err != nil {
-				return rec, err
+				return c, err
 			}
-			if cur == nil {
-				var op dit.ModOp
-				switch strings.ToLower(n) {
-				case "add":
-					op = dit.ModAdd
-				case "delete":
-					op = dit.ModDelete
-				case "replace":
-					op = dit.ModReplace
-				default:
-					return rec, fmt.Errorf("%w: unknown mod verb %q", ErrBadRecord, n)
-				}
-				cur = &dit.Mod{Op: op, Attr: v}
+			if open {
+				m := &c.Mods[len(c.Mods)-1]
+				m.Values = append(m.Values, v)
 				continue
 			}
-			cur.Values = append(cur.Values, v)
-		}
-		if cur != nil {
-			rec.Mods = append(rec.Mods, *cur)
+			// The attribute must open its value lines: a colon in it would
+			// read as the line's own, a newline as its end, a leading '#'
+			// or space as a comment or a folded line.
+			op := dit.ModOp(slices.Index(modVerbs[:], strings.ToLower(n)))
+			if op < dit.ModAdd || v == "" || v[0] == '#' || v[0] == ' ' || strings.ContainsAny(v, ":\n") {
+				return c, fmt.Errorf("%w: %q opens no mod", ErrBadRecord, line)
+			}
+			c.Mods, open = append(c.Mods, dit.Mod{Op: op, Attr: v}), true
 		}
 	case "modrdn", "moddn":
-		rec.Type = dit.ChangeModifyDN
+		c.Type = dit.ChangeModifyDN
 		var newRDN, newSuperior string
 		for _, line := range body {
 			n, v, err := splitLine(line)
 			if err != nil {
-				return rec, err
+				return c, err
 			}
 			switch strings.ToLower(n) {
 			case "newrdn":
@@ -206,25 +156,25 @@ func parseChange(lines []string) (ChangeRecord, error) {
 			}
 		}
 		if newRDN == "" {
-			return rec, fmt.Errorf("%w: modrdn without newrdn", ErrBadRecord)
+			return c, fmt.Errorf("%w: modrdn without newrdn", ErrBadRecord)
 		}
 		rdnDN, err := dn.Parse(newRDN)
 		if err != nil {
-			return rec, fmt.Errorf("%w: newrdn: %v", ErrBadRecord, err)
+			return c, fmt.Errorf("%w: newrdn: %v", ErrBadRecord, err)
 		}
 		leaf, ok := rdnDN.Leaf()
 		if !ok {
-			return rec, fmt.Errorf("%w: empty newrdn", ErrBadRecord)
+			return c, fmt.Errorf("%w: empty newrdn", ErrBadRecord)
 		}
-		superior, _ := rec.DN.Parent()
+		superior, _ := c.DN.Parent()
 		if newSuperior != "" {
 			if superior, err = dn.Parse(newSuperior); err != nil {
-				return rec, fmt.Errorf("%w: newsuperior: %v", ErrBadRecord, err)
+				return c, fmt.Errorf("%w: newsuperior: %v", ErrBadRecord, err)
 			}
 		}
-		rec.NewDN = superior.Child(leaf)
+		c.NewDN = superior.Child(leaf)
 	default:
-		return rec, fmt.Errorf("%w: unknown changetype %q", ErrBadRecord, value)
+		return c, fmt.Errorf("%w: unknown changetype %q", ErrBadRecord, value)
 	}
-	return rec, nil
+	return c, nil
 }

@@ -3,6 +3,7 @@ package ldif
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // journalChanges produces one change of each type from a live store.
-func journalChanges(t *testing.T) []dit.Change {
+func journalChanges(t testing.TB) []dit.Change {
 	t.Helper()
 	st, err := dit.NewStore([]string{"o=xyz"})
 	if err != nil {
@@ -87,9 +88,9 @@ func TestChangesRoundTrip(t *testing.T) {
 	if got := recs[2].NewDN.String(); got != "cn=renamed,o=xyz" {
 		t.Errorf("modrdn new DN = %s", got)
 	}
-	// The add record carries the entry's attributes.
-	if len(recs[0].Attrs["objectclass"]) == 0 || recs[0].Attrs["sn"][0] != "a" {
-		t.Errorf("add attrs = %v", recs[0].Attrs)
+	// The add record carries the entry.
+	if !recs[0].After.Equal(changes[0].After) {
+		t.Errorf("add entry = %v, want %v", recs[0].After, changes[0].After)
 	}
 }
 
@@ -106,6 +107,48 @@ func TestReadChangesErrors(t *testing.T) {
 			t.Errorf("ReadChanges(%q) succeeded", src)
 		}
 	}
+}
+
+// FuzzReadChanges feeds ReadChanges arbitrary text. Every change it parses
+// must survive AppendChange and a second ReadChanges unchanged: its type,
+// DN, new DN, mods and, for an add, its entry.
+func FuzzReadChanges(f *testing.F) {
+	var buf bytes.Buffer
+	changes := journalChanges(f)
+	_ = WriteChanges(&buf, changes...)
+	f.Add(buf.String())
+	f.Add("dn: cn=a,o=xyz\nchangetype: add\nobjectclass: person\ncn:: IGxlYWRpbmcgc3BhY2U=\nmail: a@x\nmail: A@X\nmail: b@x\n")
+	f.Add("dn: cn=a,o=xyz\nchangetype: add\ndescription: a value folded \n over two lines\ncn: a\n")
+	f.Add("dn: cn=a,o=xyz\nchangetype: modify\nreplace: sn\nsn: b\nsn: b\n-\ndelete: fax\n-\nadd: mail\nmail:: w6k=\n-\n")
+	f.Add("dn: cn=a,ou=x,o=xyz\nchangetype: moddn\nnewrdn: cn=b\ndeleteoldrdn: 1\nnewsuperior: o=xyz\n\ndn: cn=b,o=xyz\nchangetype: delete\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		got, err := ReadChanges(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var b []byte
+		for i, c := range got {
+			if i > 0 {
+				b = append(b, '\n')
+			}
+			if b, err = AppendChange(b, c); err != nil {
+				t.Fatalf("AppendChange(%+v): %v", c, err)
+			}
+		}
+		again, err := ReadChanges(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("rereading %q: %v", b, err)
+		}
+		if len(again) != len(got) {
+			t.Fatalf("%d changes read back as %d from %q", len(got), len(again), b)
+		}
+		for i, c := range got {
+			a := again[i]
+			if a.Type != c.Type || !a.DN.Equal(c.DN) || !a.NewDN.Equal(c.NewDN) || !reflect.DeepEqual(a.Mods, c.Mods) || !a.After.Equal(c.After) {
+				t.Fatalf("change %d %+v read back as %+v from %q", i, c, a, b)
+			}
+		}
+	})
 }
 
 // WriteChanges renders journal changes as LDIF change records (RFC 2849

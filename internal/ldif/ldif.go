@@ -1,7 +1,9 @@
 // Package ldif reads and writes directory entries in LDIF (RFC 2849
 // subset): one record per entry, "attr: value" lines, base64 encoding for
 // unsafe values, line folding on write, comments and version lines ignored
-// on read.
+// on read. Change records (changetype add, delete, modify, modrdn) are
+// written from and read back as dit.Change values; an add record's entry is
+// built by the builder content records use.
 package ldif
 
 import (
@@ -180,7 +182,11 @@ func (r *Reader) Next() (*entry.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildEntry(rec, lines)
+	d, err := recordDN(lines[0])
+	if err != nil {
+		return nil, err
+	}
+	return buildEntry(rec, d, lines[1:])
 }
 
 // nextRecord returns the next record — its logical lines, folding resolved,
@@ -280,27 +286,33 @@ func (j *joiner) record() (string, []string) {
 	return rec, lines
 }
 
-// buildEntry builds the entry of the record rec from its lines. The common
-// record — nothing base64-encoded, a few values per attribute, none repeated
-// — becomes an entry over rec itself: its names and values are ranges of
-// the record, in the order of each name's first line. Any other is added
-// attribute by attribute, which copies the values.
-func buildEntry(rec string, lines []string) (*entry.Entry, error) {
-	name, value, err := splitLine(lines[0])
+// recordDN parses the "dn:" line that opens every record.
+func recordDN(line string) (dn.DN, error) {
+	name, value, err := splitLine(line)
 	if err != nil {
-		return nil, err
+		return dn.DN{}, err
 	}
 	if !strings.EqualFold(name, "dn") {
-		return nil, fmt.Errorf("%w: record must start with dn:, got %q", ErrBadRecord, lines[0])
+		return dn.DN{}, fmt.Errorf("%w: record must start with dn:, got %q", ErrBadRecord, line)
 	}
 	d, err := dn.Parse(value)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
+		return dn.DN{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
+	return d, nil
+}
+
+// buildEntry builds the entry at d from the attribute lines of the record
+// rec, a content record's or an add record's. The common record — nothing
+// base64-encoded, a few values per attribute, none repeated — becomes an
+// entry over rec itself: its names and values are ranges of the record, in
+// the order of each name's first line. Any other is added attribute by
+// attribute, which copies the values.
+func buildEntry(rec string, d dn.DN, lines []string) (*entry.Entry, error) {
 	type field struct{ norm, name, value string }
-	fields := make([]field, len(lines)-1)
+	fields := make([]field, len(lines))
 	inPlace := true
-	for i, line := range lines[1:] {
+	for i, line := range lines {
 		name, value, err := splitLine(line)
 		if err != nil {
 			return nil, err
@@ -376,7 +388,9 @@ func splitLine(line string) (name, value string, err error) {
 	if i <= 0 {
 		return "", "", fmt.Errorf("%w: missing colon in %q", ErrBadRecord, line)
 	}
-	name = strings.TrimSpace(line[:i])
+	if name = strings.TrimSpace(line[:i]); name == "" {
+		return "", "", fmt.Errorf("%w: no attribute name in %q", ErrBadRecord, line)
+	}
 	rest := line[i+1:]
 	if strings.HasPrefix(rest, ":") {
 		raw, err := base64.StdEncoding.DecodeString(strings.TrimSpace(rest[1:]))

@@ -249,8 +249,8 @@ func TestSnapshotCarriesBatches(t *testing.T) {
 		}
 		defer j.Close()
 		var notes []string
-		snap, err := j.Batches(func(_ bool, records []ldif.ChangeRecord, note string) error {
-			notes = append(notes, fmt.Sprintf("%s/%d", note, len(records)))
+		snap, err := j.Batches(func(_ bool, changes []dit.Change, note string) error {
+			notes = append(notes, fmt.Sprintf("%s/%d", note, len(changes)))
 			return nil
 		})
 		return snap + ": " + strings.Join(notes, " "), err
@@ -312,7 +312,7 @@ func FuzzJournalRecover(f *testing.F) {
 	for i := 0; i < 3; i++ {
 		_ = st.Upsert(person(i, "x"))
 	}
-	_ = st.RemoveAny(dn.MustParse("cn=j1,o=xyz"))
+	_ = st.ApplyOwned([]dit.SyncOp{{Remove: dn.MustParse("cn=j1,o=xyz")}})
 	changes, _ := st.ChangesSince(0)
 	_ = AppendJournal(&batch, changes)
 	whole := journalFile(0, batch.Bytes())
@@ -352,17 +352,12 @@ func FuzzJournalRecover(f *testing.F) {
 		defer j.Close()
 		walked, _ := dit.NewStore([]string{""})
 		walkedNote := ""
-		if _, err := j.Batches(func(reset bool, records []ldif.ChangeRecord, n string) error {
+		if _, err := j.Batches(func(reset bool, changes []dit.Change, n string) error {
 			if reset {
 				walked, _ = dit.NewStore([]string{""})
 			}
-			for _, rec := range records {
-				if err := applyRecord(walked, rec, true); err != nil {
-					return err
-				}
-			}
 			walkedNote = n
-			return nil
+			return replayEach(walked, changes)
 		}); err != nil {
 			t.Fatalf("Batches over a journal that opened: %v", err)
 		}
@@ -387,4 +382,109 @@ func FuzzJournalRecover(f *testing.F) {
 			t.Fatalf("note after the commit = %q, want %q", note3, want)
 		}
 	})
+}
+
+// replayEach applies sparse journal records to st one batch each, the
+// action of each as OpenSparse reads it.
+func replayEach(st *dit.Store, changes []dit.Change) error {
+	for _, c := range changes {
+		op, err := syncOp(c)
+		if err == nil {
+			err = st.ApplyOwned([]dit.SyncOp{op})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestOpenSparseRestoresInOneBatch: a sparse journal — a reset and the
+// reload behind it, patches (one removing an attribute), a move with its
+// patch and one without, deletes of a held and of an absent entry — goes
+// into the store as one batch and holds the entries its records leave.
+func TestOpenSparseRestoresInOneBatch(t *testing.T) {
+	home := Dir{Path: t.TempDir()}
+	add := func(i int) dit.Change {
+		e := person(i, "x")
+		return dit.Change{Type: dit.ChangeAdd, DN: e.DN(), After: e}
+	}
+	patch := func(d, attr string, values ...string) dit.Change {
+		return dit.Change{Type: dit.ChangeModify, DN: dn.MustParse(d), Mods: []dit.Mod{{Op: dit.ModReplace, Attr: attr, Values: values}}}
+	}
+	move := func(from, to string) dit.Change {
+		return dit.Change{Type: dit.ChangeModifyDN, DN: dn.MustParse(from), NewDN: dn.MustParse(to)}
+	}
+	del := func(d string) dit.Change { return dit.Change{Type: dit.ChangeDelete, DN: dn.MustParse(d)} }
+	batches := []struct {
+		reset   bool
+		changes []dit.Change
+	}{
+		{false, []dit.Change{add(0), add(1)}},
+		{true, []dit.Change{add(2), add(3), add(4), add(5)}},
+		{false, []dit.Change{patch("cn=j2,o=xyz", "sn", "patched"), patch("cn=j2,o=xyz", "mail", "j2@xyz")}},
+		{false, []dit.Change{
+			move("cn=j3,o=xyz", "cn=m3,ou=elsewhere,o=xyz"), patch("cn=m3,ou=elsewhere,o=xyz", "cn", "m3"),
+			move("cn=j4,o=xyz", "cn=m4,o=xyz"),
+		}},
+		{false, []dit.Change{
+			patch("cn=j2,o=xyz", "mail"),
+			del("cn=j5,o=xyz"), del("cn=j0,o=xyz"), // cn=j0 went with the reset
+		}},
+	}
+	j, err := home.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batches {
+		if _, err := j.Commit(b.reset, b.changes, fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = j.Close()
+	st, note, err := home.OpenSparse([]string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Counters().Batch.Count(); n != 1 {
+		t.Errorf("restored in %d store batches, want 1", n)
+	}
+	if note != fmt.Sprint(len(batches)-1) {
+		t.Errorf("note %q, want the last commit's", note)
+	}
+	m3, m4 := person(3, "x").Put("cn", "m3"), person(4, "x")
+	m3.SetDN(dn.MustParse("cn=m3,ou=elsewhere,o=xyz"))
+	m4.SetDN(dn.MustParse("cn=m4,o=xyz"))
+	want := []*entry.Entry{person(2, "patched"), m3, m4}
+	if st.Len() != len(want) {
+		t.Errorf("restored %d entries, want %d", st.Len(), len(want))
+	}
+	for _, w := range want {
+		if got, _ := st.Get(w.DN()); !w.Equal(got) {
+			t.Errorf("restored %s as %v, want %v", w.DN(), got, w)
+		}
+	}
+}
+
+// TestOpenSparseRefusesValueMods: a sparse store journals a patch as a modify
+// of replaces, so a modify that adds or deletes values is damage.
+func TestOpenSparseRefusesValueMods(t *testing.T) {
+	for _, op := range []dit.ModOp{dit.ModAdd, dit.ModDelete} {
+		home := Dir{Path: t.TempDir()}
+		j, err := home.Journal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := person(0, "x")
+		if _, err := j.Commit(false, []dit.Change{
+			{Type: dit.ChangeAdd, DN: e.DN(), After: e},
+			{Type: dit.ChangeModify, DN: e.DN(), Mods: []dit.Mod{{Op: op, Attr: "sn", Values: []string{"x"}}}},
+		}, "n"); err != nil {
+			t.Fatal(err)
+		}
+		_ = j.Close()
+		if _, _, err := home.OpenSparse([]string{""}); err == nil {
+			t.Errorf("mod op %d: a sparse modify other than by replace was restored", op)
+		}
+	}
 }

@@ -15,6 +15,7 @@
 // last complete commit line and cuts away what follows. LDIF readers skip
 // comment lines: both files stay plain LDIF. Every caller commits a batch
 // before acting on it — a master's store before acknowledging a write (Open).
+// A record is a dit.Change both ways: ldif writes it and reads it back.
 //
 // A snapshot embodies the journal it replaces and takes the next generation;
 // a journal older than the snapshot beside it (a crash between the snapshot's
@@ -97,65 +98,52 @@ func AppendJournal(w io.Writer, changes []dit.Change) error {
 	return err
 }
 
-// applyRecord replays one journal record onto a store. A record that does not
-// apply (an add of a present entry, a delete of an absent one, a rename under
-// an absent parent) is an error; sparse content is replayed as live
-// synchronization applies it: adds, and modifies of the held image, as
-// upserts (Modify would refuse an image without an objectclass value),
-// deletes whatever lies below and whether or not the entry is there, renames
-// under any parent. A rename re-keys the one entry it names
-// (dit.SyncOp.From); a subtree rename journals one per moved entry. At a full
-// store it sets the naming attribute when the leaf RDN changed, as
-// Store.ModifyDN did; a sparse store's move journals the patch it applied as
-// the modify record that follows.
-func applyRecord(st *dit.Store, rec ldif.ChangeRecord, sparse bool) error {
-	switch rec.Type {
+// applyRecord replays one record of a master's journal as the write that
+// journaled it (ApplyCSN), which fails where that write would have. A rename
+// re-keys the one entry it names, as a subtree rename journals one record per
+// moved entry, and sets the naming attribute as Store.ModifyDN did.
+func applyRecord(st *dit.Store, c dit.Change) error {
+	if c.Type != dit.ChangeModifyDN {
+		_, err := st.ApplyCSN(c)
+		return err
+	}
+	oldLeaf, _ := c.DN.Leaf()
+	leaf, _ := c.NewDN.Leaf() // ReadChanges reads no modrdn without one
+	if superior, _ := c.NewDN.Parent(); !superior.IsRoot() {
+		if _, held := st.Held(superior.Norm()); !held {
+			return fmt.Errorf("%w: new superior %q", dit.ErrNoSuchObject, superior.String())
+		}
+	}
+	patch := entry.New(c.NewDN)
+	if !strings.EqualFold(oldLeaf.Attr, leaf.Attr) || !entry.EqualValues(oldLeaf.Value, leaf.Value) {
+		patch.Put(leaf.Attr, leaf.Value)
+	}
+	return st.ApplyOwned([]dit.SyncOp{{From: c.DN, Patch: patch}})
+}
+
+// syncOp reads one record of sparse content's journal as the action live
+// synchronization applied. A move journals its patch as the modify record
+// that follows its rename, and a sparse store journals no modify but a patch:
+// one that adds or deletes values is damage.
+func syncOp(c dit.Change) (dit.SyncOp, error) {
+	switch c.Type {
 	case dit.ChangeAdd:
-		c, _ := rec.AsChange()
-		if sparse {
-			return st.Upsert(c.After)
-		}
-		return st.Add(c.After)
+		return dit.SyncOp{Put: c.After}, nil
 	case dit.ChangeDelete:
-		if !sparse {
-			return st.Delete(rec.DN)
-		}
-		if err := st.RemoveAny(rec.DN); !errors.Is(err, dit.ErrNoSuchObject) {
-			return err
-		}
-		return nil
+		return dit.SyncOp{Remove: c.DN}, nil
 	case dit.ChangeModify:
-		if !sparse {
-			return st.Modify(rec.DN, rec.Mods)
+		patch := entry.New(c.DN)
+		for _, m := range c.Mods {
+			if m.Op != dit.ModReplace {
+				return dit.SyncOp{}, fmt.Errorf("sparse modify of %q changes %q other than by replace", c.DN.String(), m.Attr)
+			}
+			patch.Put(m.Attr, m.Values...)
 		}
-		e, ok := st.Get(rec.DN)
-		if !ok {
-			return fmt.Errorf("%w: %q", dit.ErrNoSuchObject, rec.DN.String())
-		}
-		if err := dit.ApplyMods(e, rec.Mods); err != nil {
-			return err
-		}
-		return st.Upsert(e)
+		return dit.SyncOp{Patch: patch}, nil
 	case dit.ChangeModifyDN:
-		oldLeaf, _ := rec.DN.Leaf()
-		leaf, ok := rec.NewDN.Leaf()
-		if !ok {
-			return fmt.Errorf("modrdn record lacks a leaf RDN")
-		}
-		patch := entry.New(rec.NewDN)
-		if !sparse {
-			if superior, _ := rec.NewDN.Parent(); !superior.IsRoot() {
-				if _, held := st.Held(superior.Norm()); !held {
-					return fmt.Errorf("%w: new superior %q", dit.ErrNoSuchObject, superior.String())
-				}
-			}
-			if !strings.EqualFold(oldLeaf.Attr, leaf.Attr) || !entry.EqualValues(oldLeaf.Value, leaf.Value) {
-				patch.Put(leaf.Attr, leaf.Value)
-			}
-		}
-		return st.ApplyOwned([]dit.SyncOp{{From: rec.DN, Patch: patch}})
+		return dit.SyncOp{From: c.DN, Patch: entry.New(c.NewDN)}, nil
 	default:
-		return fmt.Errorf("unknown change type %v", rec.Type)
+		return dit.SyncOp{}, fmt.Errorf("unknown change type %v", c.Type)
 	}
 }
 
@@ -259,7 +247,7 @@ func (j *Journal) Close() error { return j.f.Close() }
 // held before, its change records, its note — and cuts a torn final batch, a
 // crash mid-append, off the file. It returns the note of the snapshot the
 // batches extend ("" without one).
-func (j *Journal) Batches(visit func(reset bool, records []ldif.ChangeRecord, note string) error) (snapNote string, err error) {
+func (j *Journal) Batches(visit func(reset bool, changes []dit.Change, note string) error) (snapNote string, err error) {
 	raw, err := os.ReadFile(j.path(journalName))
 	if err != nil {
 		return "", err
@@ -297,7 +285,7 @@ func (j *Journal) Batches(visit func(reset bool, records []ldif.ChangeRecord, no
 
 // eachBatch hands visit each committed batch of raw from offset at on, and
 // returns the offset past the last one.
-func eachBatch(raw []byte, at int, visit func(reset bool, records []ldif.ChangeRecord, note string) error) (int, error) {
+func eachBatch(raw []byte, at int, visit func(reset bool, changes []dit.Change, note string) error) (int, error) {
 	cut, start, reset := at, at, false // of the committed bytes, the batch being read, and whether it resets
 	for {
 		nl := bytes.IndexByte(raw[at:], '\n')
@@ -308,14 +296,14 @@ func eachBatch(raw []byte, at int, visit func(reset bool, records []ldif.ChangeR
 		if string(line) == resetLine {
 			start, reset = next, true // what the batch held before the line is dropped with the rest
 		} else if note, ok := bytes.CutPrefix(line, []byte(commitMarker)); ok {
-			var records []ldif.ChangeRecord
+			var changes []dit.Change
 			if body := bytes.TrimSpace(raw[start:at]); len(body) > 0 {
 				var err error
-				if records, err = ldif.ReadChanges(bytes.NewReader(body)); err != nil {
+				if changes, err = ldif.ReadChanges(bytes.NewReader(body)); err != nil {
 					return cut, fmt.Errorf("parse journal: %w", err)
 				}
 			}
-			if err := visit(reset, records, string(note)); err != nil {
+			if err := visit(reset, changes, string(note)); err != nil {
 				return cut, err
 			}
 			cut, start, reset = next, next, false
@@ -356,8 +344,10 @@ func (d Dir) Open(suffixes []string, opts ...dit.Option) (st *dit.Store, journal
 }
 
 // OpenSparse loads sparse replica content — a filter replica holds matching
-// entries without their ancestors (applyRecord) — with the last commit's
-// note. Its owner commits to the directory itself.
+// entries without their ancestors — with the last commit's note: the
+// snapshot and every record go into the store as one batch of the actions
+// live synchronization applied (syncOp). Its owner commits to the directory
+// itself.
 func (d Dir) OpenSparse(suffixes []string, opts ...dit.Option) (*dit.Store, string, error) {
 	j, err := d.Journal()
 	if err != nil {
@@ -372,13 +362,13 @@ func (d Dir) OpenSparse(suffixes []string, opts ...dit.Option) (*dit.Store, stri
 // committed on top of them — and returns it with the last commit's note (the
 // snapshot's own when nothing was committed since).
 func (j *Journal) load(suffixes []string, sparse bool, opts []dit.Option) (*dit.Store, string, error) {
-	var records []ldif.ChangeRecord
+	var changes []dit.Change
 	reset, note := false, j.snapNote
-	if _, err := j.Batches(func(r bool, recs []ldif.ChangeRecord, n string) error {
+	if _, err := j.Batches(func(r bool, cs []dit.Change, n string) error {
 		if r {
-			reset, records = true, nil
+			reset, changes = true, nil
 		}
-		records, note = append(records, recs...), n
+		changes, note = append(changes, cs...), n
 		return nil
 	}); err != nil {
 		return nil, "", err
@@ -398,25 +388,33 @@ func (j *Journal) load(suffixes []string, sparse bool, opts []dit.Option) (*dit.
 	if err != nil {
 		return nil, "", err
 	}
-	// A sparse snapshot goes in as live synchronization puts it (its images
-	// may lack an objectclass, which Load refuses); the journal those puts
-	// leave is the caller's to drop, as the replayed records' is.
-	sort.SliceStable(entries, func(i, k int) bool { return entries[i].DN().Depth() < entries[k].DN().Depth() })
 	if sparse {
-		ops := make([]dit.SyncOp, len(entries))
+		// One batch of what live synchronization applied: the snapshot's images
+		// (Load would refuse one without an objectclass), then every record's
+		// action. The journal the batch leaves is the caller's to drop.
+		ops := make([]dit.SyncOp, len(entries), len(entries)+len(changes))
 		for i, e := range entries {
 			ops[i].Put = e
 		}
-		err = st.ApplyOwned(ops)
-	} else {
-		err = st.Load(entries)
+		for _, c := range changes {
+			op, err := syncOp(c)
+			if err != nil {
+				return nil, "", err
+			}
+			ops = append(ops, op)
+		}
+		if err := st.ApplyOwned(ops); err != nil {
+			return nil, "", err
+		}
+		return st, note, nil
 	}
-	if err != nil {
+	sort.SliceStable(entries, func(i, k int) bool { return entries[i].DN().Depth() < entries[k].DN().Depth() })
+	if err := st.Load(entries); err != nil {
 		return nil, "", fmt.Errorf("load snapshot: %w", err)
 	}
-	for _, rec := range records {
-		if err := applyRecord(st, rec, sparse); err != nil {
-			return nil, "", fmt.Errorf("replay %s %q: %w", rec.Type, rec.DN.String(), err)
+	for _, c := range changes {
+		if err := applyRecord(st, c); err != nil {
+			return nil, "", fmt.Errorf("replay %s %q: %w", c.Type, c.DN.String(), err)
 		}
 	}
 	return st, note, nil

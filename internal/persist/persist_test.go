@@ -158,7 +158,7 @@ func TestDirOpenSparseOrphanJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.RemoveAny(dn.MustParse("cn=s2,o=xyz")); err != nil {
+	if err := st.ApplyOwned([]dit.SyncOp{{Remove: dn.MustParse("cn=s2,o=xyz")}}); err != nil {
 		t.Fatal(err)
 	}
 	commitSince(t, home, st, watermark)

@@ -1,10 +1,10 @@
 package resync
 
 import (
-	"errors"
 	"fmt"
 
 	"filterdir/internal/dit"
+	"filterdir/internal/dn"
 	"filterdir/internal/query"
 )
 
@@ -39,7 +39,7 @@ func (a *Applier) Apply(spec query.Query, res *PollResult) error {
 				return fmt.Errorf("apply %s %q: %w", u.Action, u.DN.String(), err)
 			}
 		case ActionDelete:
-			if err := a.Store.RemoveAny(u.DN); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
+			if err := a.remove(u.DN); err != nil {
 				return fmt.Errorf("apply delete %q: %w", u.DN.String(), err)
 			}
 		case ActionRetain:
@@ -59,10 +59,13 @@ func (a *Applier) put(u Update) error {
 	return a.Store.Upsert(u.Entry)
 }
 
+// remove removes the entry at d, if held.
+func (a *Applier) remove(d dn.DN) error { return a.Store.ApplyOwned([]dit.SyncOp{{Remove: d}}) }
+
 // dropContent removes the spec's current local content.
 func (a *Applier) dropContent(spec query.Query) error {
 	for _, held := range a.Store.MatchAll(stripAttrs(spec)) {
-		if err := a.Store.RemoveAny(held.DN()); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
+		if err := a.remove(held.DN()); err != nil {
 			return err
 		}
 	}
@@ -85,14 +88,14 @@ func (a *Applier) ApplyRetain(spec query.Query, res *PollResult) error {
 		case ActionRetain:
 			// Nothing to do: the entry is unchanged and already held.
 		case ActionDelete:
-			if err := a.Store.RemoveAny(u.DN); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
+			if err := a.remove(u.DN); err != nil {
 				return err
 			}
 		}
 	}
 	for _, held := range a.Store.MatchAll(stripAttrs(spec)) {
 		if !mentioned[held.DN().Norm()] {
-			if err := a.Store.RemoveAny(held.DN()); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
+			if err := a.remove(held.DN()); err != nil {
 				return err
 			}
 		}

@@ -261,7 +261,7 @@ func TestPatchMissReBegins(t *testing.T) {
 			waitSynced(t, sup)
 
 			d := dn.MustParse("cn=p1,c=us,o=xyz")
-			if err := sup.rep.Store().RemoveAny(d); err != nil {
+			if err := sup.rep.Store().ApplyOwned([]dit.SyncOp{{Remove: d}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := h.store.Modify(d, []dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"patched"}}}); err != nil {
