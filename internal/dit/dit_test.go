@@ -1023,14 +1023,10 @@ func TestModifyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dn.MustParse("cn=emp us 17,c=us,o=xyz")
-	emp := entry.New(d).Put("objectclass", "top", "person", "organizationalPerson", "inetOrgPerson").
-		Put("cn", "emp us 17").Put("sn", "sn17").Put("serialNumber", "100017").Put("uid", "u100017").
-		Put("mail", "qzkxv@us.xyz.com").Put("departmentNumber", "231").Put("telephoneNumber", "555-0117").
-		Put("description", strings.Repeat("x", 512))
 	if err := st.Load([]*entry.Entry{
 		entry.New(dn.MustParse("o=xyz")).Put("objectclass", "organization"),
 		entry.New(dn.MustParse("c=us,o=xyz")).Put("objectclass", "country"),
-		emp,
+		employee(d, 17),
 	}); err != nil {
 		t.Fatal(err)
 	}

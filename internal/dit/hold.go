@@ -27,9 +27,6 @@ func (s *Store) Hold(csn CSN) *Hold {
 	defer s.seqMu.Unlock()
 	s.holdSeq++
 	h := &Hold{id: s.holdSeq, csn: csn}
-	if s.holds == nil {
-		s.holds = make(map[uint64]CSN)
-	}
 	s.holds[h.id] = csn
 	return h
 }
@@ -55,13 +52,11 @@ func (s *Store) ActiveHolds() int {
 }
 
 // minHoldLocked returns the lowest held CSN, if any. Callers hold seqMu.
-func (s *Store) minHoldLocked() (CSN, bool) {
-	found := false
-	var min CSN
+func (s *Store) minHoldLocked() (floor CSN, found bool) {
 	for _, csn := range s.holds {
-		if !found || csn < min {
-			min, found = csn, true
+		if !found || csn < floor {
+			floor, found = csn, true
 		}
 	}
-	return min, found
+	return floor, found
 }

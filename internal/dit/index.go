@@ -37,10 +37,6 @@ type attrIndex struct {
 
 const pendingMergeThreshold = 256
 
-func newAttrIndex() *attrIndex {
-	return &attrIndex{byValue: make(map[string][]string)}
-}
-
 // clone makes a writable copy sharing the postings and the sorted list, which
 // a merge replaces and nothing writes; the two short lists a merge sorts in
 // place are copied.
@@ -420,7 +416,7 @@ func (s *Store) installLocked(fresh []*shardState) {
 		maps.Copy(idx, st.indexes)
 		maps.Copy(idx, fresh[i].indexes)
 		st.indexes = idx
-		if st.cow && !st.frozen {
+		if st.ownIdx != nil && !st.frozen {
 			for a := range fresh[i].indexes {
 				st.ownIdx[a] = true
 			}

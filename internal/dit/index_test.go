@@ -13,6 +13,10 @@ import (
 	"filterdir/internal/query"
 )
 
+func newAttrIndex() *attrIndex {
+	return &attrIndex{byValue: make(map[string][]string)}
+}
+
 // assertIndexesRebuilt holds every index and the referral registry of a
 // shard state to ones rebuilt from the state's entries: the same values, for
 // each value the same sorted posting, and value lists that reach every

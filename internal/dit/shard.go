@@ -19,14 +19,16 @@ type shard struct {
 	state *shardState
 }
 
-// shardState is the copy-on-write unit: the entries, child links, indexes
-// and referral registry of one shard. Once a reader freezes a state it is
-// never mutated again — the next write to the shard clones it first. A
-// clone shares inner structures (child sets, per-attribute indexes) with
-// its parent until they are written, tracked by the own* maps.
+// shardState is the copy-on-write unit: the entries, indexes, referral
+// registry and child counts of one shard. Once a reader freezes a state it
+// is never mutated again — the next write to the shard clones it first. A
+// clone shares the per-attribute indexes with its parent until they are
+// written, tracked by ownIdx.
 type shardState struct {
-	entries  map[string]*entry.Entry    // norm DN -> entry (entries are immutable)
-	children map[string]map[string]bool // parent norm -> child norms
+	entries map[string]*entry.Entry // norm DN -> entry (entries are immutable)
+	// kids counts, per parent norm DN, the entries of this shard directly
+	// under it: an entry is a leaf when no shard counts a child of it.
+	kids map[string]int32
 	// indexes holds the declared indexes a read has asked for (nil before
 	// the first, Store.buildIndexes); writers maintain those present.
 	indexes   map[string]*attrIndex
@@ -35,11 +37,9 @@ type shardState struct {
 	// frozen marks the state as pinned by a reader view; set under the
 	// shard lock, checked by writers before mutating.
 	frozen bool
-	// cow marks a cloned state whose inner structures are still shared
-	// with an ancestor; ownChild/ownIdx record which have been privatized.
-	cow      bool
-	ownChild map[string]bool
-	ownIdx   map[string]bool
+	// ownIdx, set on a clone, records which of the indexes it shares with
+	// an ancestor have been privatized.
+	ownIdx map[string]bool
 	// due marks that a write of the current commit batch left an index with
 	// value lists past the merge threshold; the batch's end settles it
 	// (Store.settleLocked), so a frozen state is never due.
@@ -49,43 +49,21 @@ type shardState struct {
 func newShardState() *shardState {
 	return &shardState{
 		entries:   make(map[string]*entry.Entry),
-		children:  make(map[string]map[string]bool),
+		kids:      make(map[string]int32),
 		referrals: make(map[string]bool),
 	}
 }
 
 // clone makes a writable copy of a frozen state: outer maps are copied,
-// inner child sets and indexes stay shared until first write.
+// indexes stay shared until first write.
 func (st *shardState) clone() *shardState {
 	return &shardState{
 		entries:   maps.Clone(st.entries),
-		children:  maps.Clone(st.children),
+		kids:      maps.Clone(st.kids),
 		indexes:   maps.Clone(st.indexes),
 		referrals: maps.Clone(st.referrals),
-		cow:       true,
-		ownChild:  make(map[string]bool),
 		ownIdx:    make(map[string]bool),
 	}
-}
-
-// childSet returns the writable child set for a parent norm, privatizing a
-// shared one first. Creates the set when absent.
-func (st *shardState) childSet(parentNorm string) map[string]bool {
-	set, ok := st.children[parentNorm]
-	if !ok {
-		set = make(map[string]bool)
-		st.children[parentNorm] = set
-		if st.cow {
-			st.ownChild[parentNorm] = true
-		}
-		return set
-	}
-	if st.cow && !st.ownChild[parentNorm] {
-		set = maps.Clone(set)
-		st.children[parentNorm] = set
-		st.ownChild[parentNorm] = true
-	}
-	return set
 }
 
 // index returns the writable index for an attribute, privatizing a shared
@@ -95,28 +73,12 @@ func (st *shardState) index(attr string) *attrIndex {
 	if !ok {
 		return nil
 	}
-	if st.cow && !st.ownIdx[attr] {
+	if st.ownIdx != nil && !st.ownIdx[attr] {
 		ix = ix.clone()
 		st.indexes[attr] = ix
 		st.ownIdx[attr] = true
 	}
 	return ix
-}
-
-func (st *shardState) link(parentNorm, childNorm string) {
-	st.childSet(parentNorm)[childNorm] = true
-}
-
-func (st *shardState) unlink(parentNorm, childNorm string) {
-	if _, ok := st.children[parentNorm]; !ok {
-		return
-	}
-	set := st.childSet(parentNorm)
-	delete(set, childNorm)
-	if len(set) == 0 {
-		delete(st.children, parentNorm)
-		delete(st.ownChild, parentNorm)
-	}
 }
 
 // reindex moves the entry at norm from the postings of the attribute's old
@@ -232,12 +194,8 @@ func (s *Store) freeze() *view {
 	return v
 }
 
-func (v *view) stateFor(norm string) *shardState {
-	return v.states[shardIndex(norm, len(v.states))]
-}
-
 func (v *view) get(norm string) (*entry.Entry, bool) {
-	e, ok := v.stateFor(norm).entries[norm]
+	e, ok := v.states[shardIndex(norm, len(v.states))].entries[norm]
 	return e, ok
 }
 

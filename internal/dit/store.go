@@ -15,8 +15,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,7 +36,28 @@ var (
 	ErrNotLeaf       = errors.New("entry has children")
 	ErrNoSuchContext = errors.New("base not under any naming context")
 	ErrSchema        = errors.New("schema violation")
+	ErrBadAttr       = errors.New("invalid attribute description")
 )
+
+// CheckAttr returns ErrBadAttr unless a is a descr (a letter, then letters,
+// digits and hyphens) or a numeric OID, then ";option"s of the same letters:
+// RFC 4512's grammar, which a journal's LDIF lines can carry back. Add,
+// Modify and ApplyCSN check every name they are given; Load and ApplyOwned do
+// not: their inputs were checked where they entered the system, and Load runs
+// at set-up.
+func CheckAttr(a string) error {
+	const keychars = "-0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+	holed := func(s, pair string) bool { // an empty part between separators
+		return s == "" || s[0] == pair[0] || s[len(s)-1] == pair[0] || strings.Contains(s, pair)
+	}
+	typ, opts, hasOpts := strings.Cut(a, ";")
+	descr := typ != "" && typ[0] > '9' && strings.Trim(typ, keychars) == ""
+	oid := strings.Trim(typ, ".0123456789") == "" && !holed(typ, "..")
+	if !descr && !oid || hasOpts && (strings.Trim(opts, keychars+";") != "" || holed(opts, ";;")) {
+		return fmt.Errorf("%w: %q", ErrBadAttr, a)
+	}
+	return nil
+}
 
 // requireClass is the one schema rule a master enforces: every entry outside
 // input leaves at a master carries an objectclass value. Containment reads
@@ -157,6 +180,7 @@ func WithShards(n int) Option {
 func NewStore(suffixes []string, opts ...Option) (*Store, error) {
 	st := &Store{
 		nextCSN:    1,
+		holds:      make(map[uint64]CSN),
 		signal:     make(chan struct{}),
 		batchLimit: defaultBatchLimit,
 	}
@@ -257,12 +281,7 @@ func (s *Store) Held(norm string) (*entry.Entry, bool) {
 // holdsTarget reports whether the target DN falls under one of the store's
 // naming contexts.
 func (s *Store) holdsTarget(d dn.DN) bool {
-	for _, suf := range s.suffixes {
-		if suf.IsSuffix(d) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.suffixes, func(suf dn.DN) bool { return suf.IsSuffix(d) })
 }
 
 // Result is the outcome of a search: matching entries (attribute-selected
@@ -378,7 +397,7 @@ func (v *view) pathClear(base, target dn.DN) bool {
 // ancestor chain — so the base of an answerable query need not itself be
 // present.
 func (s *Store) MatchAll(q query.Query) []*entry.Entry {
-	_, out := s.match(q)
+	_, out := s.Snapshot(q)
 	return out
 }
 
@@ -391,11 +410,6 @@ func (s *Store) MatchAll(q query.Query) []*entry.Entry {
 // history. Freezing happens under the sequencer lock, so the view also
 // always lands on a commit-batch boundary.
 func (s *Store) Snapshot(q query.Query) (CSN, []*entry.Entry) {
-	return s.match(q)
-}
-
-// match is MatchAll answered from one view, with the CSN the view reflects.
-func (s *Store) match(q query.Query) (CSN, []*entry.Entry) {
 	f := queryFilter(q)
 	v, cands, indexed := s.indexedView(f)
 	return v.csn, v.candidates(q, f, cands, indexed, nil)

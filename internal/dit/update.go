@@ -114,8 +114,8 @@ func (s *Store) ChangesSince(after CSN) (changes []Change, ok bool) {
 }
 
 // Add inserts a new entry. The parent must exist unless the entry is a
-// naming-context suffix, and the entry must carry an objectclass value
-// (ErrSchema).
+// naming-context suffix, the entry must carry an objectclass value
+// (ErrSchema), and every attribute name must pass CheckAttr (ErrBadAttr).
 func (s *Store) Add(e *entry.Entry) error {
 	_, err := s.submit(func() (CSN, error) { return s.addLocked(e) })
 	return err
@@ -133,17 +133,19 @@ func (s *Store) addLocked(e *entry.Entry) (CSN, error) {
 	if _, exists := sh.load().entries[norm]; exists {
 		return 0, fmt.Errorf("%w: %q", ErrAlreadyExists, d.String())
 	}
-	if !s.isSuffixEntry(d) {
-		parent, ok := d.Parent()
-		if !ok {
-			return 0, fmt.Errorf("%w: parent of %q", ErrNoSuchObject, d.String())
-		}
+	// A DN without a parent is the root, held only as a suffix.
+	if parent, _ := d.Parent(); !s.isSuffixEntry(d) {
 		if _, exists := s.shardFor(parent.Norm()).load().entries[parent.Norm()]; !exists {
 			return 0, fmt.Errorf("%w: parent %q", ErrNoSuchObject, parent.String())
 		}
 	}
 	if err := requireClass(e); err != nil {
 		return 0, err
+	}
+	for i := 0; i < e.NumAttrs(); i++ {
+		if err := CheckAttr(e.AttrAt(i).Name()); err != nil {
+			return 0, err
+		}
 	}
 	cp := published(e)
 	s.insert(cp, norm)
@@ -159,54 +161,45 @@ func published(e *entry.Entry) *entry.Entry {
 	return e.Select(nil).Freeze() // Select of everything: e itself when frozen, else a clone
 }
 
-// insert stores an (already validated) entry: the entry, its index terms
-// and referral registration on its own shard, the child link on the
-// parent's shard.
+// insert stores an (already validated) entry on its own shard: the entry,
+// its index terms, its referral registration and its parent's child count.
 func (s *Store) insert(e *entry.Entry, norm string) {
 	s.write(s.shardFor(norm), func(st *shardState) {
 		st.entries[norm] = e
 		st.indexEntry(e, norm)
+		if parent, ok := e.DN().Parent(); ok {
+			st.kids[parent.Norm()]++
+		}
 	})
-	s.linkChild(e.DN())
 }
 
-// remove deletes an entry from its shard and unlinks it from its parent.
+// remove deletes an entry from its shard, uncounting it under its parent.
 func (s *Store) remove(e *entry.Entry, norm string) {
 	s.write(s.shardFor(norm), func(st *shardState) {
 		delete(st.entries, norm)
 		st.unindexEntry(e, norm)
+		if parent, ok := e.DN().Parent(); ok {
+			if st.kids[parent.Norm()]--; st.kids[parent.Norm()] == 0 {
+				delete(st.kids, parent.Norm())
+			}
+		}
 	})
-	s.unlinkChild(e.DN())
 }
 
 // isSuffixEntry reports whether d is one of the store's context suffixes.
 func (s *Store) isSuffixEntry(d dn.DN) bool {
-	for _, suf := range s.suffixes {
-		if suf.Equal(d) {
+	return slices.ContainsFunc(s.suffixes, d.Equal)
+}
+
+// hasChildrenLocked reports whether any shard holds an entry directly under
+// the entry at norm. Callers hold seqMu.
+func (s *Store) hasChildrenLocked(norm string) bool {
+	for _, sh := range s.shards {
+		if sh.load().kids[norm] > 0 {
 			return true
 		}
 	}
 	return false
-}
-
-func (s *Store) linkChild(d dn.DN) {
-	parent, ok := d.Parent()
-	if !ok {
-		return
-	}
-	s.write(s.shardFor(parent.Norm()), func(st *shardState) {
-		st.link(parent.Norm(), d.Norm())
-	})
-}
-
-func (s *Store) unlinkChild(d dn.DN) {
-	parent, ok := d.Parent()
-	if !ok {
-		return
-	}
-	s.write(s.shardFor(parent.Norm()), func(st *shardState) {
-		st.unlink(parent.Norm(), d.Norm())
-	})
 }
 
 // Delete removes a leaf entry.
@@ -220,35 +213,43 @@ func (s *Store) Delete(d dn.DN) error {
 // sparse content does not keep the tree complete.
 func (s *Store) deleteLocked(d dn.DN, leaf bool) (CSN, error) {
 	norm := d.Norm()
-	st := s.shardFor(norm).load()
-	e, ok := st.entries[norm]
+	e, ok := s.shardFor(norm).load().entries[norm]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchObject, d.String())
 	}
-	if leaf && len(st.children[norm]) > 0 {
+	if leaf && s.hasChildrenLocked(norm) {
 		return 0, fmt.Errorf("%w: %q", ErrNotLeaf, d.String())
 	}
 	s.remove(e, norm)
 	return s.commitLocked(Change{Type: ChangeDelete, DN: d, Before: e}), nil
 }
 
-// Modify applies attribute modifications to an entry; a result without an
-// objectclass value is refused (ErrSchema).
+// Modify applies attribute modifications to an entry; a mod naming a bad
+// attribute (ErrBadAttr) or a result without an objectclass value (ErrSchema)
+// is refused.
 func (s *Store) Modify(d dn.DN, mods []Mod) error {
 	_, err := s.submit(func() (CSN, error) { return s.modifyLocked(d, cloneMods(mods), true) })
 	return err
 }
 
-// modifyLocked applies mods to the entry at d; with master set, a result
-// without an objectclass value is refused (requireClass). Only a replica's
-// patch clears it. The journal record keeps mods as it is: a caller that does
-// not own the slice and its values passes a clone.
+// modifyLocked applies mods to the entry at d; with master set, a mod naming
+// a bad attribute (CheckAttr) or a result without an objectclass value
+// (requireClass) is refused. Only a replica's patch clears it. The journal
+// record keeps mods as it is: a caller that does not own the slice and its
+// values passes a clone.
 func (s *Store) modifyLocked(d dn.DN, mods []Mod, master bool) (CSN, error) {
 	norm := d.Norm()
 	sh := s.shardFor(norm)
 	e, ok := sh.load().entries[norm]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchObject, d.String())
+	}
+	if master {
+		for _, m := range mods {
+			if err := CheckAttr(m.Attr); err != nil {
+				return 0, err
+			}
+		}
 	}
 	before := e
 	after := e.CloneRoom(modRoom(mods))
@@ -394,26 +395,10 @@ func (s *Store) modifyDNLocked(old dn.DN, newRDN dn.RDN, newSuperior dn.DN) (CSN
 		return 0, fmt.Errorf("cannot move %q under itself", old.String())
 	}
 
-	// Collect the subtree rooted at old, parents before children; children
-	// are visited in sorted order so the journal record sequence (and hence
-	// replication traffic) is identical at every shard count.
-	var subtree []dn.DN
-	var collect func(d dn.DN)
-	collect = func(d dn.DN) {
-		subtree = append(subtree, d)
-		kids := s.shardFor(d.Norm()).load().children[d.Norm()]
-		norms := make([]string, 0, len(kids))
-		for childNorm := range kids {
-			norms = append(norms, childNorm)
-		}
-		sort.Strings(norms)
-		for _, childNorm := range norms {
-			if c, ok := s.shardFor(childNorm).load().entries[childNorm]; ok {
-				collect(c.DN())
-			}
-		}
+	subtree := []dn.DN{old}
+	if s.hasChildrenLocked(oldNorm) {
+		subtree = s.subtreeLocked(old)
 	}
-	collect(old)
 
 	// Every target must be free, not only the moved root's, before anything
 	// moves: an insert over a held name would leave the entry there in the
@@ -430,6 +415,8 @@ func (s *Store) modifyDNLocked(old dn.DN, newRDN dn.RDN, newSuperior dn.DN) (CSN
 		targets[i] = tgt
 	}
 
+	oldLeaf, _ := old.Leaf()
+	newName := !strings.EqualFold(oldLeaf.Attr, newRDN.Attr) || !entry.EqualValues(oldLeaf.Value, newRDN.Value)
 	var last CSN
 	for i, cur := range subtree {
 		tgt := targets[i]
@@ -437,20 +424,41 @@ func (s *Store) modifyDNLocked(old dn.DN, newRDN dn.RDN, newSuperior dn.DN) (CSN
 		s.remove(e, cur.Norm())
 
 		// Stored entries are immutable (frozen views and journal records
-		// may share them), so the move rewrites a clone.
-		moved := e.Clone()
-		moved.SetDN(tgt)
-		if cur.Equal(old) {
-			// Update the naming attribute to match the new RDN.
-			oldLeaf, _ := cur.Leaf()
-			if !strings.EqualFold(oldLeaf.Attr, newRDN.Attr) || !entry.EqualValues(oldLeaf.Value, newRDN.Value) {
-				moved.Put(newRDN.Attr, newRDN.Value)
-			}
+		// may share them): a moved entry shares its image, and the moved
+		// root, whose naming attribute changes with its RDN, is rewritten
+		// in a clone.
+		moved := e.Renamed(tgt)
+		if i == 0 && newName {
+			moved = moved.Clone().Put(newRDN.Attr, newRDN.Value).Freeze()
 		}
-		s.insert(moved.Freeze(), tgt.Norm())
+		s.insert(moved, tgt.Norm())
 		last = s.commitLocked(Change{Type: ChangeModifyDN, DN: cur, NewDN: tgt, Before: e, After: moved})
 	}
 	return last, nil
+}
+
+// subtreeLocked returns the entries at and below root, reached from it
+// through held parents, parents before children and siblings in normalized-DN
+// order, so the journal record sequence of a subtree move (and hence
+// replication traffic) is identical at every shard count. It scans every
+// shard: only a non-leaf rename or move comes here. Callers hold seqMu.
+func (s *Store) subtreeLocked(root dn.DN) (out []dn.DN) {
+	under := make(map[string][]dn.DN) // parent norm -> children
+	for _, sh := range s.shards {
+		for _, e := range sh.load().entries {
+			if p, ok := e.DN().Parent(); ok && root.IsSuffix(p) {
+				under[p.Norm()] = append(under[p.Norm()], e.DN())
+			}
+		}
+	}
+	for next := []dn.DN{root}; len(next) > 0; { // a stack: the next sibling on top
+		d := next[len(next)-1]
+		out, next = append(out, d), next[:len(next)-1]
+		kids := under[d.Norm()]
+		sort.Slice(kids, func(i, j int) bool { return kids[i].Norm() > kids[j].Norm() })
+		next = append(next, kids...)
+	}
+	return out
 }
 
 // ApplyCSN applies an externally-described change (a wire write, or an
@@ -629,9 +637,7 @@ func (s *Store) moveLocked(from dn.DN, p *entry.Entry, keep bool) (CSN, error) {
 		case !s.holdsTarget(to):
 			return 0, fmt.Errorf("%w: %q", ErrNoSuchContext, to.String())
 		default:
-			moved := e.Clone()
-			moved.SetDN(to)
-			moved.Freeze()
+			moved := e.Renamed(to)
 			if keep {
 				s.insert(moved, toNorm)
 				last = s.commitLocked(Change{Type: ChangeAdd, DN: to, After: moved})

@@ -192,6 +192,16 @@ func (e *Entry) SetDN(d dn.DN) {
 	e.dn = d
 }
 
+// Renamed returns the frozen entry e under the DN d. Nothing is copied: the
+// two share e's buffer and table, which a frozen entry never writes.
+// Renamed panics when e is not frozen.
+func (e *Entry) Renamed(d dn.DN) *Entry {
+	if !e.frozen {
+		panic("entry: rename of mutable entry " + e.dn.String())
+	}
+	return &Entry{dn: d, raw: e.raw, tab: e.tab, n: e.n, frozen: true}
+}
+
 // nameCache holds the normal forms of mixed-case ASCII attribute names, so
 // that a name spelled the same way on every entry, as "serialNumber" is, is
 // lowered once rather than once per call. It is direct-mapped by a hash of

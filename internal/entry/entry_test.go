@@ -220,6 +220,37 @@ func TestFrozenEntryContract(t *testing.T) {
 	}
 }
 
+// TestRenamed: a renamed entry is the frozen original under another DN,
+// sharing its buffer and table; a mutable entry cannot be renamed.
+func TestRenamed(t *testing.T) {
+	e := person(t)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Renamed of a mutable entry did not panic")
+			}
+		}()
+		e.Renamed(dn.MustParse("cn=other"))
+	}()
+	e.Freeze()
+	d := dn.MustParse("cn=John Doe,ou=labs,o=xyz")
+	r := e.Renamed(d)
+	if !r.Frozen() || !r.DN().SameSpelling(d) || !e.DN().SameSpelling(dn.MustParse("cn=John Doe,ou=research,c=us,o=xyz")) {
+		t.Fatalf("renamed %s (frozen=%v), original %s", r.DN(), r.Frozen(), e.DN())
+	}
+	if &r.raw[0] != &e.raw[0] || &r.tab[0] != &e.tab[0] {
+		t.Error("the renamed entry copied the buffer or the table")
+	}
+	if c := r.Clone(); c.Frozen() || !c.DN().SameSpelling(d) {
+		t.Errorf("clone of the renamed entry: %s (frozen=%v)", c, c.Frozen())
+	}
+	for i := 0; i < e.NumAttrs(); i++ {
+		if a, b := e.AttrAt(i), r.AttrAt(i); a.Name() != b.Name() || !a.Equal(b) {
+			t.Errorf("attribute %d: %s %v, renamed %s %v", i, a.Name(), a.Strings(), b.Name(), b.Strings())
+		}
+	}
+}
+
 // TestCloneValuesDoNotSpill: a clone keeps all values in one backing array;
 // growing one attribute must reallocate, not overwrite its neighbour.
 func TestCloneValuesDoNotSpill(t *testing.T) {

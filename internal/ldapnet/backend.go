@@ -8,7 +8,6 @@ package ldapnet
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"filterdir/internal/dit"
@@ -22,24 +21,6 @@ import (
 
 // parseDN parses a wire DN string.
 func parseDN(s string) (dn.DN, error) { return dn.Parse(s) }
-
-// errBadAttr refuses an update naming an attribute outside RFC 4512's
-// grammar, which a journal's LDIF lines could not carry back.
-var errBadAttr = errors.New("invalid attribute description")
-
-// checkAttr returns errBadAttr unless a is a descr (a letter, then letters,
-// digits and hyphens) or a numeric OID, then ";option"s of the same letters.
-func checkAttr(a string) error {
-	const keychars = "-0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-	typ, opts, hasOpts := strings.Cut(a, ";")
-	descr := typ != "" && typ[0] > '9' && strings.Trim(typ, keychars) == ""
-	oid := strings.Trim(typ, ".0123456789") == "" && !strings.Contains("."+typ+".", "..")
-	if !descr && !oid ||
-		hasOpts && (strings.Trim(opts, keychars+";") != "" || strings.Contains(";"+opts+";", ";;")) {
-		return fmt.Errorf("%w: %q", errBadAttr, a)
-	}
-	return nil
-}
 
 // Backend is the server-side service interface; the server answers binds.
 type Backend interface {
@@ -203,7 +184,7 @@ func changeFromOp(op proto.Op) (dit.Change, error) {
 	switch req := op.(type) {
 	case *proto.AddRequest:
 		for _, at := range req.Attrs {
-			if err := checkAttr(at.Type); err != nil {
+			if err := dit.CheckAttr(at.Type); err != nil {
 				return dit.Change{}, err
 			}
 		}
@@ -236,7 +217,7 @@ func changeFromOp(op proto.Op) (dit.Change, error) {
 			default:
 				return dit.Change{}, errors.New("unknown modify op")
 			}
-			if err := checkAttr(c.Attr.Type); err != nil {
+			if err := dit.CheckAttr(c.Attr.Type); err != nil {
 				return dit.Change{}, err
 			}
 			mods = append(mods, dit.Mod{Op: mop, Attr: c.Attr.Type, Values: c.Attr.Values})
@@ -285,7 +266,7 @@ func resultCodeFor(err error) proto.ResultCode {
 		return proto.ResultObjectClassViolation
 	case errors.Is(err, dit.ErrNoSuchContext):
 		return proto.ResultReferral
-	case errors.Is(err, errBadAttr):
+	case errors.Is(err, dit.ErrBadAttr):
 		return proto.ResultProtocolError
 	case errors.Is(err, ErrNotAnswerable), errors.Is(err, ErrNotContained):
 		return proto.ResultReferral

@@ -435,8 +435,8 @@ func TestParseURL(t *testing.T) {
 // so it reopens from its journal with the writes it took.
 func TestMasterRefusesBadAttributeNames(t *testing.T) {
 	for _, a := range []string{"cn", "objectClass", "x-pager2", "2.5.4.3", "cn;lang-en", "cn;a;b-1"} {
-		if err := checkAttr(a); err != nil {
-			t.Errorf("checkAttr(%q) = %v", a, err)
+		if err := dit.CheckAttr(a); err != nil {
+			t.Errorf("CheckAttr(%q) = %v", a, err)
 		}
 	}
 	home := persist.Dir{Path: t.TempDir()}

@@ -225,10 +225,39 @@ func TestFailedCommitFailsLaterWrites(t *testing.T) {
 	identical(t, want, reopened)
 }
 
+// TestStoreRefusesBadAttributeNames: an in-process Modify or Add naming an
+// attribute that an LDIF line cannot carry is refused by the store, before
+// its journal sees it, so the directory reopens with the writes it took. The
+// Modify used to be committed, and the reopen then failed: "replace: x:y"
+// opens no mod.
+func TestStoreRefusesBadAttributeNames(t *testing.T) {
+	home := Dir{Path: t.TempDir()}
+	st, closeJournal := seededDurable(t, home)
+	p0 := dn.MustParse("cn=p0,o=xyz")
+	if err := st.Modify(p0, []dit.Mod{{Op: dit.ModReplace, Attr: "x:y", Values: []string{"1"}}}); !errors.Is(err, dit.ErrBadAttr) {
+		t.Errorf("Modify of x:y = %v, want ErrBadAttr", err)
+	}
+	bad := entry.New(dn.MustParse("cn=bad,o=xyz")).Put("objectclass", "person").Put("x:y", "1")
+	if err := st.Add(bad); !errors.Is(err, dit.ErrBadAttr) {
+		t.Errorf("Add carrying x:y = %v, want ErrBadAttr", err)
+	}
+	if err := st.Modify(p0, []dit.Mod{{Op: dit.ModReplace, Attr: "sn", Values: []string{"kept"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeJournal(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _ := openDurable(t, home)
+	identical(t, st, reopened)
+	if got, _ := reopened.Get(p0); got.First("sn") != "kept" || got.Has("x:y") {
+		t.Errorf("reopened %s = %v", p0, got)
+	}
+}
+
 // TestSubtreeRenameReopens: a subtree rename journals one modrdn record per
 // moved entry, and replay re-keys each entry alone. Reopening yields the live
-// store, naming attribute included, and the moved subtree's children index
-// holds: the subtree is renamed again and deleted leaf by leaf. The live
+// store, naming attribute included, and the moved subtree's child counts
+// hold: the subtree is renamed again and deleted leaf by leaf. The live
 // store keeps one journal record in memory, fewer than the rename's batch
 // holds: the batch is committed before it is trimmed.
 func TestSubtreeRenameReopens(t *testing.T) {
